@@ -1,0 +1,90 @@
+//! Micro-benchmarks for the two text layers a `source` request crosses
+//! before the interner: the JSON-line decode (`parse_request`) and the
+//! `.rtp` parse (`parse_task_set`). Both are linear in their input, and
+//! this makes it visible: ns/byte must not grow with the line size, and
+//! µs per set must grow with the set's text, not its square.
+
+use std::hint::black_box;
+use std::time::Instant;
+
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use rand::SeedableRng;
+use rtpool_bench::serve::protocol::{encode_request, parse_request, Request, RequestBody};
+use rtpool_core::textfmt::{parse_task_set, write_task_set};
+use rtpool_gen::{DagGenConfig, TaskSetConfig};
+
+/// The `.rtp` text of a generated `n`-task set (the shape the registered
+/// benchmark's `admit-cold` requests carry).
+fn source_of(n: usize) -> String {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(n as u64);
+    let set = TaskSetConfig::new(n, 4.0, DagGenConfig::default())
+        .generate(&mut rng)
+        .expect("generation succeeds");
+    write_task_set(&set)
+}
+
+/// Mean wall time of `f` in nanoseconds (the criterion shim prints a
+/// `Duration` per iteration; the derived units below need a number).
+fn mean_ns(reps: u32, mut f: impl FnMut()) -> f64 {
+    let start = Instant::now();
+    for _ in 0..reps {
+        f();
+    }
+    start.elapsed().as_nanos() as f64 / f64::from(reps)
+}
+
+fn bench_decode(c: &mut Criterion) {
+    let text = source_of(8);
+    let mut group = c.benchmark_group("serve_ingest");
+    for kib in [1usize, 8, 64] {
+        // `.rtp` text cycled to the target size keeps the real escape
+        // density (one `\n` per directive); the decoder never parses it.
+        let source: String = text.chars().cycle().take(kib * 1024).collect();
+        let line = encode_request(&Request {
+            id: 1,
+            m: 8,
+            priority: 4,
+            deadline_us: 0,
+            body: RequestBody::Source(source),
+        });
+        group.bench_with_input(
+            BenchmarkId::new("parse_request_kib", kib),
+            &line,
+            |b, line| b.iter(|| parse_request(black_box(line)).expect("line decodes")),
+        );
+        let ns = mean_ns(200, || {
+            black_box(parse_request(black_box(&line)).expect("line decodes"));
+        });
+        println!(
+            "serve_ingest/parse_request_kib/{kib}: {:.2} ns/byte ({} bytes)",
+            ns / line.len() as f64,
+            line.len()
+        );
+    }
+    group.finish();
+}
+
+fn bench_parse(c: &mut Criterion) {
+    let mut group = c.benchmark_group("serve_ingest");
+    for n in [2usize, 4, 8] {
+        let text = source_of(n);
+        group.bench_with_input(
+            BenchmarkId::new("parse_task_set_tasks", n),
+            &text,
+            |b, text| b.iter(|| parse_task_set(black_box(text)).expect("set parses")),
+        );
+        let ns = mean_ns(200, || {
+            black_box(parse_task_set(black_box(&text)).expect("set parses"));
+        });
+        println!(
+            "serve_ingest/parse_task_set_tasks/{n}: {:.1} us ({} bytes, {:.1} ns/byte)",
+            ns / 1e3,
+            text.len(),
+            ns / text.len() as f64
+        );
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_decode, bench_parse);
+criterion_main!(benches);

@@ -154,51 +154,7 @@ impl Interner {
     /// [`InternError::Poisoned`] when the resident entry was poisoned.
     pub fn intern(&self, source: &str) -> Result<(u64, Arc<TaskSet>), InternError> {
         let parsed = parse_task_set(source).map_err(InternError::Parse)?;
-        let hash = Interner::hash_set(&parsed);
-        let mut st = self.state.lock().expect("interner lock not poisoned");
-        st.tick += 1;
-        let tick = st.tick;
-        let mut resident = None;
-        let mut poisoned = false;
-        if let Some(entry) = st.entries.get_mut(&hash) {
-            if entry.poisoned {
-                poisoned = true;
-            } else {
-                entry.last_used = tick;
-                resident = Some(Arc::clone(&entry.set));
-            }
-        }
-        if poisoned {
-            st.entries.remove(&hash);
-            st.stats.evictions += 1;
-            return Err(InternError::Poisoned);
-        }
-        if let Some(set) = resident {
-            st.stats.hits += 1;
-            return Ok((hash, set));
-        }
-        st.stats.misses += 1;
-        let set = Arc::new(parsed);
-        if st.entries.len() >= self.capacity {
-            let lru = st
-                .entries
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(&h, _)| h)
-                .expect("non-empty at capacity");
-            st.entries.remove(&lru);
-            st.stats.evictions += 1;
-        }
-        st.entries.insert(
-            hash,
-            Entry {
-                set: Arc::clone(&set),
-                last_used: tick,
-                poisoned: false,
-                memo: Vec::new(),
-            },
-        );
-        Ok((hash, set))
+        self.share_or_insert(Interner::hash_set(&parsed), parsed, true)
     }
 
     /// Interns an already-built set (the `edit` verb's delta-patched
@@ -207,27 +163,38 @@ impl Interner {
     /// so repeated identical edits of the same base hit the verdict
     /// memo. A poisoned resident entry is replaced by the fresh set.
     pub fn intern_set(&self, set: TaskSet) -> (u64, Arc<TaskSet>) {
-        let hash = Interner::hash_set(&set);
+        self.share_or_insert(Interner::hash_set(&set), set, false)
+            .expect("a poisoned entry is replaced, not reported")
+    }
+
+    /// Shares the resident entry for `hash` or inserts `set` under it,
+    /// evicting the least-recently-used entry at capacity. A poisoned
+    /// resident entry is always evicted; it then either fails the call
+    /// (`evict_poisoned_is_error`) or is replaced by `set`.
+    fn share_or_insert(
+        &self,
+        hash: u64,
+        set: TaskSet,
+        evict_poisoned_is_error: bool,
+    ) -> Result<(u64, Arc<TaskSet>), InternError> {
         let mut st = self.state.lock().expect("interner lock not poisoned");
         st.tick += 1;
         let tick = st.tick;
-        let mut resident = None;
-        let mut poisoned = false;
-        if let Some(entry) = st.entries.get_mut(&hash) {
-            if entry.poisoned {
-                poisoned = true;
-            } else {
-                entry.last_used = tick;
-                resident = Some(Arc::clone(&entry.set));
+        match st.entries.get_mut(&hash) {
+            Some(entry) if entry.poisoned => {
+                st.entries.remove(&hash);
+                st.stats.evictions += 1;
+                if evict_poisoned_is_error {
+                    return Err(InternError::Poisoned);
+                }
             }
-        }
-        if poisoned {
-            st.entries.remove(&hash);
-            st.stats.evictions += 1;
-        }
-        if let Some(shared) = resident {
-            st.stats.hits += 1;
-            return (hash, shared);
+            Some(entry) => {
+                entry.last_used = tick;
+                let shared = Arc::clone(&entry.set);
+                st.stats.hits += 1;
+                return Ok((hash, shared));
+            }
+            None => {}
         }
         st.stats.misses += 1;
         let shared = Arc::new(set);
@@ -250,7 +217,7 @@ impl Interner {
                 memo: Vec::new(),
             },
         );
-        (hash, shared)
+        Ok((hash, shared))
     }
 
     /// Counts one `edit` request answered from a delta-patched entry.

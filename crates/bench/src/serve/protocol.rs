@@ -31,7 +31,8 @@
 //! {"id":7,"verdict":"admit","level":"exact","degraded":false,"latency_us":412,"hash":"9f3a77c04be21d55","detail":""}
 //! ```
 
-use std::fmt;
+use std::borrow::Cow;
+use std::fmt::{self, Write as _};
 
 /// Highest wire priority (inclusive).
 pub const MAX_PRIORITY: u8 = 7;
@@ -342,24 +343,18 @@ pub struct Response {
 #[must_use]
 pub fn encode_response(r: &Response) -> String {
     let mut out = String::with_capacity(96 + r.detail.len());
-    out.push_str("{\"id\":");
-    out.push_str(&r.id.to_string());
-    out.push_str(",\"verdict\":\"");
-    out.push_str(r.verdict.name());
-    out.push('"');
+    // Writing into a `String` cannot fail.
+    let _ = write!(out, "{{\"id\":{},\"verdict\":\"{}\"", r.id, r.verdict);
     if let Some(level) = r.level {
-        out.push_str(",\"level\":\"");
-        out.push_str(level.name());
-        out.push('"');
+        let _ = write!(out, ",\"level\":\"{}\"", level.name());
     }
-    out.push_str(",\"degraded\":");
-    out.push_str(if r.degraded { "true" } else { "false" });
-    out.push_str(",\"latency_us\":");
-    out.push_str(&r.latency_us.to_string());
+    let _ = write!(
+        out,
+        ",\"degraded\":{},\"latency_us\":{}",
+        r.degraded, r.latency_us
+    );
     if let Some(h) = r.hash {
-        out.push_str(",\"hash\":\"");
-        out.push_str(&format!("{h:016x}"));
-        out.push('"');
+        let _ = write!(out, ",\"hash\":\"{h:016x}\"");
     }
     out.push_str(",\"detail\":\"");
     escape_into(&r.detail, &mut out);
@@ -372,35 +367,34 @@ pub fn encode_response(r: &Response) -> String {
 #[must_use]
 pub fn encode_request(r: &Request) -> String {
     let mut out = String::with_capacity(64);
-    out.push_str("{\"id\":");
-    out.push_str(&r.id.to_string());
-    out.push_str(",\"m\":");
-    out.push_str(&r.m.to_string());
-    out.push_str(",\"priority\":");
-    out.push_str(&r.priority.to_string());
-    out.push_str(",\"deadline_us\":");
-    out.push_str(&r.deadline_us.to_string());
+    let _ = write!(
+        out,
+        "{{\"id\":{},\"m\":{},\"priority\":{},\"deadline_us\":{}",
+        r.id, r.m, r.priority, r.deadline_us
+    );
     match &r.body {
         RequestBody::Source(src) => {
             out.push_str(",\"source\":\"");
             escape_into(src, &mut out);
-            out.push('"');
         }
         RequestBody::Hash(h) => {
-            out.push_str(",\"hash\":\"");
-            out.push_str(&format!("{h:016x}"));
-            out.push('"');
+            let _ = write!(out, ",\"hash\":\"{h:016x}");
         }
         RequestBody::Edit { base, script } => {
-            out.push_str(",\"base\":\"");
-            out.push_str(&format!("{base:016x}"));
-            out.push_str("\",\"edits\":\"");
+            let _ = write!(out, ",\"base\":\"{base:016x}\",\"edits\":\"");
             escape_into(script, &mut out);
-            out.push('"');
         }
     }
-    out.push('}');
+    out.push_str("\"}");
     out
+}
+
+/// Binds the first value under each named key of `$line` to a variable of
+/// that name, and whether the line was well-formed to `$syntax`.
+macro_rules! decode {
+    ($line:expr => $syntax:ident; $($key:ident),+) => {
+        let ([$($key),+], $syntax) = decode_fields($line, [$(stringify!($key)),+]);
+    };
 }
 
 /// Decodes one request line.
@@ -409,53 +403,57 @@ pub fn encode_request(r: &Request) -> String {
 ///
 /// Returns a human-readable description of the first problem found.
 pub fn parse_request(line: &str) -> Result<Request, String> {
-    let obj = parse_object(line)?;
-    let id = require_u64(&obj, "id")?;
-    let m = usize::try_from(require_u64(&obj, "m")?).map_err(|_| "m out of range".to_string())?;
-    if m == 0 {
-        return Err("m must be positive".to_string());
-    }
-    let priority = match get(&obj, "priority") {
-        None => DEFAULT_PRIORITY,
-        Some(Json::Num(n)) => u8::try_from(*n)
-            .ok()
-            .filter(|p| *p <= MAX_PRIORITY)
-            .ok_or_else(|| format!("priority must be 0..={MAX_PRIORITY}"))?,
-        Some(_) => return Err("priority must be a number".to_string()),
-    };
-    let deadline_us = match get(&obj, "deadline_us") {
-        None => 0,
-        Some(Json::Num(n)) => *n,
-        Some(_) => return Err("deadline_us must be a number".to_string()),
-    };
-    let body = match (
-        get(&obj, "source"),
-        get(&obj, "hash"),
-        get(&obj, "base"),
-        get(&obj, "edits"),
-    ) {
-        (Some(Json::Str(src)), None, None, None) => RequestBody::Source(src.clone()),
-        (None, Some(Json::Str(h)), None, None) => RequestBody::Hash(parse_hash(h)?),
-        (None, None, Some(Json::Str(b)), Some(Json::Str(script))) => RequestBody::Edit {
-            base: parse_hash(b)?,
-            script: script.clone(),
-        },
-        (None, None, Some(_), None) => return Err("edit request needs edits".to_string()),
-        (None, None, None, Some(_)) => return Err("edit request needs base".to_string()),
-        (None, None, None, None) => {
-            return Err("request needs source, hash, or base+edits".to_string())
+    decode_request(line).1
+}
+
+/// Decodes one request line and also hands back the `id` it read, even
+/// when what follows the id is malformed (0 when no id was read), so the
+/// `error` response to a broken line can still be correlated.
+pub fn decode_request(line: &str) -> (u64, Result<Request, String>) {
+    decode!(line => syntax; id, m, priority, deadline_us, source, hash, base, edits);
+    let seen = if let Some(Val::Num(n)) = id { n } else { 0 };
+    let request = || {
+        syntax?;
+        let id = require_u64(id, "id")?;
+        let m = usize::try_from(require_u64(m, "m")?).map_err(|_| "m out of range".to_string())?;
+        if m == 0 {
+            return Err("m must be positive".to_string());
         }
-        _ => {
-            return Err("request must carry exactly one of source, hash, or base+edits".to_string())
-        }
+        let priority = match optional_u64(priority, "priority")? {
+            None => DEFAULT_PRIORITY,
+            Some(n) => u8::try_from(n)
+                .ok()
+                .filter(|p| *p <= MAX_PRIORITY)
+                .ok_or_else(|| format!("priority must be 0..={MAX_PRIORITY}"))?,
+        };
+        let deadline_us = optional_u64(deadline_us, "deadline_us")?.unwrap_or(0);
+        let body = match (source, hash, base, edits) {
+            (Some(Val::Str(src)), None, None, None) => RequestBody::Source(src.into_owned()),
+            (None, Some(Val::Str(h)), None, None) => RequestBody::Hash(parse_hash(&h)?),
+            (None, None, Some(Val::Str(b)), Some(Val::Str(script))) => RequestBody::Edit {
+                base: parse_hash(&b)?,
+                script: script.into_owned(),
+            },
+            (None, None, Some(_), None) => return Err("edit request needs edits".to_string()),
+            (None, None, None, Some(_)) => return Err("edit request needs base".to_string()),
+            (None, None, None, None) => {
+                return Err("request needs source, hash, or base+edits".to_string())
+            }
+            _ => {
+                return Err(
+                    "request must carry exactly one of source, hash, or base+edits".to_string(),
+                )
+            }
+        };
+        Ok(Request {
+            id,
+            m,
+            priority,
+            deadline_us,
+            body,
+        })
     };
-    Ok(Request {
-        id,
-        m,
-        priority,
-        deadline_us,
-        body,
-    })
+    (seen, request())
 }
 
 /// Decodes one response line.
@@ -464,38 +462,35 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
 ///
 /// Returns a human-readable description of the first problem found.
 pub fn parse_response(line: &str) -> Result<Response, String> {
-    let obj = parse_object(line)?;
-    let id = require_u64(&obj, "id")?;
-    let verdict = match get(&obj, "verdict") {
-        Some(Json::Str(s)) => {
-            VerdictKind::parse(s).ok_or_else(|| format!("unknown verdict {s:?}"))?
+    decode!(line => syntax; id, verdict, level, degraded, latency_us, hash, detail);
+    syntax?;
+    let id = require_u64(id, "id")?;
+    let verdict = match verdict {
+        Some(Val::Str(s)) => {
+            VerdictKind::parse(&s).ok_or_else(|| format!("unknown verdict {s:?}"))?
         }
         _ => return Err("missing verdict".to_string()),
     };
-    let level = match get(&obj, "level") {
-        None | Some(Json::Null) => None,
-        Some(Json::Str(s)) => {
-            Some(LadderLevel::parse(s).ok_or_else(|| format!("unknown level {s:?}"))?)
+    let level = match level {
+        None | Some(Val::Null) => None,
+        Some(Val::Str(s)) => {
+            Some(LadderLevel::parse(&s).ok_or_else(|| format!("unknown level {s:?}"))?)
         }
         Some(_) => return Err("level must be a string".to_string()),
     };
-    let degraded = match get(&obj, "degraded") {
-        Some(Json::Bool(b)) => *b,
+    let degraded = match degraded {
+        Some(Val::Bool(b)) => b,
         None => false,
         Some(_) => return Err("degraded must be a boolean".to_string()),
     };
-    let latency_us = match get(&obj, "latency_us") {
-        Some(Json::Num(n)) => *n,
-        None => 0,
-        Some(_) => return Err("latency_us must be a number".to_string()),
-    };
-    let hash = match get(&obj, "hash") {
-        None | Some(Json::Null) => None,
-        Some(Json::Str(h)) => Some(parse_hash(h)?),
+    let latency_us = optional_u64(latency_us, "latency_us")?.unwrap_or(0);
+    let hash = match hash {
+        None | Some(Val::Null) => None,
+        Some(Val::Str(h)) => Some(parse_hash(&h)?),
         Some(_) => return Err("hash must be a hex string".to_string()),
     };
-    let detail = match get(&obj, "detail") {
-        Some(Json::Str(s)) => s.clone(),
+    let detail = match detail {
+        Some(Val::Str(s)) => s.into_owned(),
         None => String::new(),
         Some(_) => return Err("detail must be a string".to_string()),
     };
@@ -516,81 +511,97 @@ fn parse_hash(h: &str) -> Result<u64, String> {
 
 /// Best-effort extraction of the `id` field from a line that may not be
 /// a valid request, so even a malformed submission can be answered with
-/// a correlated `error` response. Returns 0 when no id is recoverable.
+/// a correlated `error` response: the id counts once read, whatever
+/// breaks after it. Returns 0 when no id is recoverable.
 #[must_use]
 pub fn probe_id(line: &str) -> u64 {
-    parse_object(line)
-        .ok()
-        .and_then(|obj| match get(&obj, "id") {
-            Some(Json::Num(n)) => Some(*n),
-            _ => None,
-        })
-        .unwrap_or(0)
+    decode_request(line).0
 }
 
 // ---------------------------------------------------------------------
 // Minimal JSON
 // ---------------------------------------------------------------------
 
-/// The JSON subset the protocol uses.
+/// A value of the JSON subset the protocol uses. String bodies that
+/// needed no unescaping borrow from the line.
 #[derive(Clone, Debug, PartialEq)]
-enum Json {
+enum Val<'a> {
     Null,
     Bool(bool),
     /// Unsigned integers only — every number on this wire is one.
     Num(u64),
-    Str(String),
+    Str(Cow<'a, str>),
 }
 
-fn get<'a>(obj: &'a [(String, Json)], key: &str) -> Option<&'a Json> {
-    obj.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-fn require_u64(obj: &[(String, Json)], key: &str) -> Result<u64, String> {
-    match get(obj, key) {
-        Some(Json::Num(n)) => Ok(*n),
+fn optional_u64(v: Option<Val<'_>>, key: &str) -> Result<Option<u64>, String> {
+    match v {
+        Some(Val::Num(n)) => Ok(Some(n)),
         Some(_) => Err(format!("{key} must be a number")),
-        None => Err(format!("missing {key}")),
+        None => Ok(None),
     }
+}
+
+fn require_u64(v: Option<Val<'_>>, key: &str) -> Result<u64, String> {
+    optional_u64(v, key)?.ok_or_else(|| format!("missing {key}"))
 }
 
 fn escape_into(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escaped = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        // Escaped bytes are ASCII, so the run before one ends on a char
+        // boundary.
+        out.push_str(&s[run..i]);
+        if escaped.is_empty() {
+            let _ = write!(out, "\\u{b:04x}");
         }
+        out.push_str(escaped);
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
+}
+
+/// Decodes `line` — one top-level JSON object — in a single pass into
+/// the first value under each of `keys`. Other keys and later duplicates
+/// are checked (same errors) but their strings are not built. The slots
+/// come back even for a malformed line, holding what preceded the error.
+fn decode_fields<'a, const N: usize>(
+    line: &'a str,
+    keys: [&str; N],
+) -> ([Option<Val<'a>>; N], Result<(), String>) {
+    let mut fields = std::array::from_fn(|_| None);
+    let mut p = Parser {
+        line,
+        bytes: line.as_bytes(),
+        pos: 0,
+    };
+    let syntax = p.object(|p, key| {
+        let slot = keys.iter().position(|k| *k == key);
+        let vacant = slot.filter(|&i| fields[i].is_none());
+        let value = p.value(vacant.is_some())?;
+        if let Some(i) = vacant {
+            fields[i] = Some(value);
+        }
+        Ok(())
+    });
+    (fields, syntax)
 }
 
 struct Parser<'a> {
+    line: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
 
-/// Parses a single top-level JSON object into its key/value pairs.
-fn parse_object(line: &str) -> Result<Vec<(String, Json)>, String> {
-    let mut p = Parser {
-        bytes: line.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let obj = p.object()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing input at byte {}", p.pos));
-    }
-    Ok(obj)
-}
-
-impl Parser<'_> {
+impl<'a> Parser<'a> {
     fn skip_ws(&mut self) {
         while self
             .bytes
@@ -610,46 +621,51 @@ impl Parser<'_> {
         }
     }
 
-    fn object(&mut self) -> Result<Vec<(String, Json)>, String> {
-        self.expect(b'{')?;
-        let mut out = Vec::new();
+    /// Walks the whole line as one object, calling `field` with each key
+    /// while positioned on that key's value.
+    fn object(
+        &mut self,
+        mut field: impl FnMut(&mut Self, &str) -> Result<(), String>,
+    ) -> Result<(), String> {
         self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b'}') {
-            self.pos += 1;
-            return Ok(out);
-        }
-        loop {
+        self.expect(b'{')?;
+        self.skip_ws();
+        let mut more = self.bytes.get(self.pos) != Some(&b'}');
+        self.pos += usize::from(!more);
+        while more {
             self.skip_ws();
-            let key = self.string()?;
+            let key = self.string(true)?;
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            let value = self.value()?;
-            out.push((key, value));
+            field(self, &key)?;
             self.skip_ws();
-            match self.bytes.get(self.pos) {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
+            more = match self.bytes.get(self.pos) {
+                Some(b',') => true,
+                Some(b'}') => false,
                 _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-            }
+            };
+            self.pos += 1;
         }
+        self.skip_ws();
+        if self.pos != self.bytes.len() {
+            return Err(format!("trailing input at byte {}", self.pos));
+        }
+        Ok(())
     }
 
-    fn value(&mut self) -> Result<Json, String> {
+    fn value(&mut self, keep: bool) -> Result<Val<'a>, String> {
         match self.bytes.get(self.pos) {
-            Some(b'"') => Ok(Json::Str(self.string()?)),
+            Some(b'"') => Ok(Val::Str(self.string(keep)?)),
             Some(b'0'..=b'9') => self.number(),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
+            Some(b't') => self.literal("true", Val::Bool(true)),
+            Some(b'f') => self.literal("false", Val::Bool(false)),
+            Some(b'n') => self.literal("null", Val::Null),
             _ => Err(format!("unexpected value at byte {}", self.pos)),
         }
     }
 
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
+    fn literal(&mut self, word: &str, value: Val<'a>) -> Result<Val<'a>, String> {
         if self.bytes[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(value)
@@ -658,67 +674,73 @@ impl Parser<'_> {
         }
     }
 
-    fn number(&mut self) -> Result<Json, String> {
+    fn number(&mut self) -> Result<Val<'a>, String> {
         let start = self.pos;
         while self.bytes.get(self.pos).is_some_and(u8::is_ascii_digit) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("digits are ASCII");
-        text.parse::<u64>()
-            .map(Json::Num)
+        self.line[start..self.pos]
+            .parse::<u64>()
+            .map(Val::Num)
             .map_err(|_| format!("number out of range at byte {start}"))
     }
 
-    fn string(&mut self) -> Result<String, String> {
+    /// Reads one string literal, copying the body run by run between
+    /// escapes: the line is a `&str` and `"`/`\` are ASCII, so every run
+    /// boundary is a char boundary and nothing is re-validated. A body
+    /// without escapes is borrowed. With `keep` unset the body is checked
+    /// the same way but comes back empty.
+    fn string(&mut self, keep: bool) -> Result<Cow<'a, str>, String> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let (first, mut run, mut out) = (self.pos, self.pos, String::new());
         loop {
-            match self.bytes.get(self.pos) {
-                None => return Err("unterminated string".to_string()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
+            let stop = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .ok_or_else(|| "unterminated string".to_string())?;
+            self.pos += stop + 1;
+            let body = if keep {
+                &self.line[run..self.pos - 1]
+            } else {
+                ""
+            };
+            if self.bytes[self.pos - 1] == b'"' {
+                if run == first {
+                    return Ok(Cow::Borrowed(body));
                 }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| "truncated \\u escape".to_string())?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| "invalid \\u escape".to_string())?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| "invalid \\u escape".to_string())?;
-                            // The protocol never emits surrogate pairs;
-                            // reject rather than mis-decode them.
-                            let c = char::from_u32(code)
-                                .ok_or_else(|| "surrogate \\u escape".to_string())?;
-                            out.push(c);
-                            self.pos += 4;
-                        }
-                        _ => return Err(format!("bad escape at byte {}", self.pos)),
-                    }
-                    self.pos += 1;
+                out.push_str(body);
+                return Ok(Cow::Owned(out));
+            }
+            let c = match self.bytes.get(self.pos) {
+                Some(b'"') => '"',
+                Some(b'\\') => '\\',
+                Some(b'/') => '/',
+                Some(b'n') => '\n',
+                Some(b'r') => '\r',
+                Some(b't') => '\t',
+                Some(b'b') => '\u{8}',
+                Some(b'f') => '\u{c}',
+                Some(b'u') => {
+                    let hex = self
+                        .bytes
+                        .get(self.pos + 1..self.pos + 5)
+                        .ok_or_else(|| "truncated \\u escape".to_string())?;
+                    let hex =
+                        std::str::from_utf8(hex).map_err(|_| "invalid \\u escape".to_string())?;
+                    let code = u32::from_str_radix(hex, 16)
+                        .map_err(|_| "invalid \\u escape".to_string())?;
+                    self.pos += 4;
+                    // The protocol never emits surrogate pairs;
+                    // reject rather than mis-decode them.
+                    char::from_u32(code).ok_or_else(|| "surrogate \\u escape".to_string())?
                 }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (the input is a &str, so
-                    // boundaries are trustworthy).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid UTF-8".to_string())?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                _ => return Err(format!("bad escape at byte {}", self.pos)),
+            };
+            self.pos += 1;
+            run = self.pos;
+            if keep {
+                out.push_str(body);
+                out.push(c);
             }
         }
     }

@@ -7,7 +7,7 @@
 //!                 └─────┬──────┘─────────▶ shed ───▶ responses
 //!                       │ accepted
 //!                 ┌─────▼──────┐   batches   ┌───────────────┐
-//!                 │  bounded   │────────────▶│  SweepPool    │
+//!                 │  bounded   │────────────▶│  ServePool    │
 //!                 │  ingress   │ dispatcher  │  fan-out      │
 //!                 └────────────┘             │  supervisor   │
 //!                                            │  ladder       │
@@ -15,6 +15,10 @@
 //!                                                   ▼
 //!                                               responses
 //! ```
+//!
+//! The fan-out is a [`ServePool`]: the lock-free `InjectorPool` the
+//! `rtpool_serve` binary and the registered benchmark run by default, or
+//! the locked-range `SweepPool` kept selectable as the v1 path.
 //!
 //! Every submitted line produces **exactly one** [`Response`] on the
 //! server's outbound channel: parse failures, sheds, and busy
@@ -52,8 +56,8 @@ use crate::sweep::SweepPool;
 pub struct ServeConfig {
     /// Ingress queue capacity (requests buffered before `busy`).
     pub queue_cap: usize,
-    /// Max requests dispatched to the sweep pool per batch
-    /// (`0` = twice the pool's worker count).
+    /// Max requests dispatched to the [`ServePool`] per batch, whichever
+    /// engine it wraps (`0` = twice the pool's worker count).
     pub batch_max: usize,
     /// Deadline budget for requests that do not carry one
     /// (`0` = unlimited).
@@ -358,13 +362,14 @@ impl Server {
     /// or busy).
     pub fn submit(&self, line: &str) {
         let inner = &self.inner;
-        let request = match protocol::parse_request(line) {
+        let (id, decoded) = protocol::decode_request(line);
+        let request = match decoded {
             Ok(r) => r,
             Err(detail) => {
                 inner.counters.parse_errors.fetch_add(1, Ordering::Relaxed);
                 inner.counters.errors.fetch_add(1, Ordering::Relaxed);
                 inner.send(Response {
-                    id: protocol::probe_id(line),
+                    id,
                     verdict: VerdictKind::Error,
                     level: None,
                     degraded: false,
@@ -649,6 +654,31 @@ mod tests {
         // Round-trip a response line for good measure.
         let encoded = protocol::encode_response(&responses[0]);
         assert_eq!(parse_response(&encoded).unwrap(), responses[0]);
+    }
+
+    /// A line that breaks *after* its id — here the source is cut short —
+    /// is still answered under that id, not under 0.
+    #[test]
+    fn malformed_line_after_id_is_answered_with_its_id() {
+        let pool = Arc::new(SweepPool::new(1));
+        let (server, rx) = Server::start(ServeConfig::default(), pool);
+        let whole = line(7, 4);
+        server.submit(&whole[..whole.len() - 12]);
+        server.submit("{\"id\":8,\"m\":4,\"source\":\"bad \\q escape\"}");
+        server.submit("{\"id\":9,\"m\":4,\"hash\":\"ff\"} trailing");
+        let report = server.shutdown();
+        let answers: Vec<(u64, VerdictKind, String)> =
+            rx.iter().map(|r| (r.id, r.verdict, r.detail)).collect();
+        let error = |id, detail: &str| (id, VerdictKind::Error, detail.to_string());
+        assert_eq!(
+            answers,
+            [
+                error(7, "unterminated string"),
+                error(8, "bad escape at byte 29"),
+                error(9, "trailing input at byte 27"),
+            ]
+        );
+        assert_eq!(report.parse_errors, 3);
     }
 
     #[test]

@@ -14,11 +14,18 @@
 //!    content hash as submitting the equivalent mutated source cold to
 //!    a fresh server — the patched `DerivedCache` never changes an
 //!    answer, only its cost.
+//! 4. **The wire language is what it was**: lines written by some other
+//!    encoder — alternative escape spellings, permuted / duplicated /
+//!    unknown keys, free whitespace — decode to the request or response
+//!    they spell, and a pinned corpus of malformed lines is rejected
+//!    with the exact error strings clients already see.
+//! 5. **Decode is linear**: a 1 MiB line decodes (or is rejected) in
+//!    milliseconds; a decoder quadratic in the line would take minutes.
 
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rtpool_bench::serve::protocol::{
-    encode_request, encode_response, parse_request, parse_response, LadderLevel, Request,
+    encode_request, encode_response, parse_request, parse_response, probe_id, LadderLevel, Request,
     RequestBody, Response, VerdictKind,
 };
 use rtpool_bench::serve::{run_ladder, run_ladder_capped, Interner, ServiceEvent, Supervisor};
@@ -127,6 +134,385 @@ proptest! {
         let back = parse_response(&line).map_err(|e| format!("parse failed: {e}"))?;
         prop_assert_eq!(back, response);
     }
+}
+
+/// Characters the foreign-encoder proptest draws from: every escape
+/// class, raw control bytes, and 2-, 3- and 4-byte scalars.
+const SCALARS: &[char] = &[
+    'a', 'Z', '7', ' ', '/', '"', '\\', '\n', '\r', '\t', '\u{8}', '\u{c}', '\u{1}', '\u{1f}',
+    '\u{7f}', 'é', 'ß', '∞', '€', '𝄞', '😀', '{', '}', ':', ',', 'u',
+];
+
+/// Spells `text` as a JSON string body the way *some* encoder might:
+/// `style` picks, per character, between the raw scalar, the short
+/// escape and the `\uXXXX` form wherever JSON allows a choice.
+fn spell(text: &str, style: &[u8]) -> String {
+    let mut out = String::new();
+    for (i, c) in text.chars().enumerate() {
+        let pick = style[i % style.len()] % 3;
+        let short = match c {
+            '"' => Some("\\\""),
+            '\\' => Some("\\\\"),
+            '/' => Some("\\/"),
+            '\n' => Some("\\n"),
+            '\r' => Some("\\r"),
+            '\t' => Some("\\t"),
+            '\u{8}' => Some("\\b"),
+            '\u{c}' => Some("\\f"),
+            _ => None,
+        };
+        let must_escape = c == '"' || c == '\\';
+        match (pick, short) {
+            (0, Some(esc)) => out.push_str(esc),
+            (1, _) if (c as u32) < 0x10000 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            (_, Some(esc)) if must_escape => out.push_str(esc),
+            _ => out.push(c),
+        }
+    }
+    out
+}
+
+/// Joins `"key":value` members into one object line, in the order
+/// `order` deals them, padded with the whitespace JSON permits.
+fn object_line(mut members: Vec<String>, order: &[u8]) -> String {
+    for (i, pick) in order.iter().enumerate() {
+        let len = members.len();
+        members.swap(i % len, *pick as usize % len);
+    }
+    let pad = |i: usize| ["", " ", "\t", " \r\n "][order.get(i).map_or(0, |p| *p as usize % 4)];
+    let mut line = format!("{}{{{}", pad(0), pad(1));
+    for (i, member) in members.iter().enumerate() {
+        let (key, value) = member.split_once(':').expect("member has a colon");
+        let sep = if i == 0 { "" } else { "," };
+        line.push_str(&format!(
+            "{sep}{}{key}{}:{}{value}{}",
+            pad(i),
+            pad(i + 1),
+            pad(i + 2),
+            pad(i + 3)
+        ));
+    }
+    line.push_str(&format!("}}{}", pad(2)));
+    line
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A request spelled by a foreign encoder decodes to what it says:
+    /// first occurrence of a duplicated key wins, unknown keys (whose
+    /// strings are only scanned) are ignored, key order is free.
+    #[test]
+    fn foreign_request_lines_decode(
+        id in 0u64..u64::MAX,
+        m in 1usize..512,
+        priority in 0u8..8,
+        deadline_us in 0u64..10_000_000,
+        body_pick in 0u64..3,
+        hash in 0u64..u64::MAX,
+        picks in prop::collection::vec(0u8..255, 0..48),
+        style in prop::collection::vec(0u8..255, 1..16),
+        order in prop::collection::vec(0u8..255, 1..24),
+    ) {
+        let text: String = picks.iter().map(|p| SCALARS[*p as usize % SCALARS.len()]).collect();
+        let body = match body_pick {
+            1 => RequestBody::Hash(hash),
+            2 => RequestBody::Edit { base: hash, script: text.clone() },
+            _ => RequestBody::Source(text.clone()),
+        };
+        let want = Request { id, m, priority, deadline_us, body };
+        let mut members = vec![
+            format!("\"id\":{id}"),
+            // A key may itself be spelled with escapes.
+            format!("\"\\u006d\":{m}"),
+            format!("\"priority\":{priority}"),
+            format!("\"deadline_us\":{deadline_us}"),
+            // Ignored members of every value kind, one with a string that
+            // needs unescaping and one shadowing nothing the protocol reads.
+            format!("\"note\":\"{}\"", spell(&text, &order)),
+            "\"trace\":null".to_string(),
+            "\"retry\":true".to_string(),
+            "\"attempt\":3".to_string(),
+        ];
+        match &want.body {
+            RequestBody::Source(src) => members.push(format!("\"source\":\"{}\"", spell(src, &style))),
+            RequestBody::Hash(h) => members.push(format!("\"hash\":\"{h:x}\"")),
+            RequestBody::Edit { base, script } => {
+                members.push(format!("\"base\":\"{base:016X}\""));
+                members.push(format!("\"edits\":\"{}\"", spell(script, &style)));
+            }
+        }
+        let mut line = object_line(members, &order);
+        // Later duplicates lose, whatever their type.
+        line.truncate(line.rfind('}').expect("object closes"));
+        line.push_str(",\"id\":\"dup\",\"m\":0");
+        line.push_str(match want.body {
+            RequestBody::Source(_) => ",\"source\":7}",
+            RequestBody::Hash(_) => ",\"hash\":null}",
+            RequestBody::Edit { .. } => ",\"base\":1,\"edits\":false}",
+        });
+        let got = parse_request(&line).map_err(|e| format!("{e} in {line:?}"))?;
+        prop_assert_eq!(encode_request(&got), encode_request(&want), "line {:?}", line);
+        prop_assert_eq!(got, want);
+        prop_assert_eq!(probe_id(&line), id);
+    }
+
+    /// The same for responses (`null` stands for an absent level/hash).
+    #[test]
+    fn foreign_response_lines_decode(
+        id in 0u64..u64::MAX,
+        verdict_pick in 0usize..5,
+        level_pick in 0usize..5,
+        degraded_bit in 0u8..2,
+        latency_us in 0u64..100_000_000,
+        hash_bit in 0u8..2,
+        hash in 0u64..u64::MAX,
+        picks in prop::collection::vec(0u8..255, 0..48),
+        style in prop::collection::vec(0u8..255, 1..16),
+        order in prop::collection::vec(0u8..255, 1..24),
+    ) {
+        let verdict = [
+            VerdictKind::Admit,
+            VerdictKind::Reject,
+            VerdictKind::Busy,
+            VerdictKind::Shed,
+            VerdictKind::Error,
+        ][verdict_pick];
+        let level = [
+            None,
+            Some(LadderLevel::Prefilter),
+            Some(LadderLevel::Deadlock),
+            Some(LadderLevel::Limited),
+            Some(LadderLevel::Exact),
+        ][level_pick];
+        let want = Response {
+            id,
+            verdict,
+            level,
+            degraded: degraded_bit == 1,
+            latency_us,
+            hash: (hash_bit == 1).then_some(hash),
+            detail: picks.iter().map(|p| SCALARS[*p as usize % SCALARS.len()]).collect(),
+        };
+        let members = vec![
+            format!("\"id\":{id}"),
+            format!("\"verdict\":\"{}\"", verdict.name()),
+            level.map_or("\"level\":null".to_string(), |l| format!("\"level\":\"{}\"", l.name())),
+            format!("\"degraded\":{}", want.degraded),
+            format!("\"latency_us\":{latency_us}"),
+            want.hash.map_or("\"hash\":null".to_string(), |h| format!("\"hash\":\"{h:x}\"")),
+            format!("\"detail\":\"{}\"", spell(&want.detail, &style)),
+            format!("\"x-{}\":\"{}\"", spell("é\"", &style), spell(&want.detail, &order)),
+        ];
+        let mut line = object_line(members, &order);
+        line.truncate(line.rfind('}').expect("object closes"));
+        line.push_str(",\"detail\":\"dup\",\"verdict\":\"nonsense\"}");
+        let got = parse_response(&line).map_err(|e| format!("{e} in {line:?}"))?;
+        prop_assert_eq!(encode_response(&got), encode_response(&want), "line {:?}", line);
+        prop_assert_eq!(got, want);
+    }
+}
+
+/// Malformed lines and the exact text each is rejected with. Clients
+/// match on these strings; a decoder change must not reword one.
+#[test]
+fn malformed_lines_keep_their_error_strings() {
+    let requests: &[(&str, &str)] = &[
+        ("", "expected '{' at byte 0"),
+        ("not json", "expected '{' at byte 0"),
+        ("{\"id\":1", "expected ',' or '}' at byte 7"),
+        ("{\"id\" 1}", "expected ':' at byte 6"),
+        ("{id:1}", "expected '\"' at byte 1"),
+        ("{\"id\":1,}", "expected '\"' at byte 8"),
+        ("{\"id\":-1}", "unexpected value at byte 6"),
+        ("{\"id\":[1]}", "unexpected value at byte 6"),
+        ("{\"id\":tru}", "unexpected value at byte 6"),
+        ("{\"id\":1,\"m\":2,\"source\":\"abc", "unterminated string"),
+        (
+            "{\"id\":1,\"m\":2,\"source\":\"a\\",
+            "bad escape at byte 26",
+        ),
+        (
+            "{\"id\":1,\"m\":2,\"source\":\"a\\qb\"}",
+            "bad escape at byte 26",
+        ),
+        (
+            "{\"id\":1,\"m\":2,\"note\":\"é\\x\"}",
+            "bad escape at byte 25",
+        ),
+        (
+            "{\"id\":1,\"m\":2,\"source\":\"\\u12",
+            "truncated \\u escape",
+        ),
+        (
+            "{\"id\":1,\"m\":2,\"source\":\"\\u12g4\"}",
+            "invalid \\u escape",
+        ),
+        (
+            "{\"id\":1,\"m\":2,\"source\":\"\\u00é\"}",
+            "invalid \\u escape",
+        ),
+        (
+            "{\"id\":1,\"m\":2,\"source\":\"\\ud83d\\ude00\"}",
+            "surrogate \\u escape",
+        ),
+        (
+            "{\"id\":1,\"m\":2,\"ignored\":\"\\udfff\"}",
+            "surrogate \\u escape",
+        ),
+        (
+            "{\"id\":1,\"m\":2,\"source\":\"x\"} extra",
+            "trailing input at byte 28",
+        ),
+        (
+            "{\"id\":1,\"m\":2,\"source\":\"x\"}{}",
+            "trailing input at byte 27",
+        ),
+        (
+            "{\"id\":18446744073709551616}",
+            "number out of range at byte 6",
+        ),
+        (
+            "{\"id\":1,\"m\":99999999999999999999,\"source\":\"x\"}",
+            "number out of range at byte 12",
+        ),
+        ("{}", "missing id"),
+        ("{\"m\":4,\"source\":\"x\"}", "missing id"),
+        (
+            "{\"id\":\"7\",\"m\":4,\"source\":\"x\"}",
+            "id must be a number",
+        ),
+        ("{\"id\":1,\"source\":\"x\"}", "missing m"),
+        (
+            "{\"id\":1,\"m\":null,\"source\":\"x\"}",
+            "m must be a number",
+        ),
+        ("{\"id\":1,\"m\":0,\"source\":\"x\"}", "m must be positive"),
+        (
+            "{\"id\":1,\"m\":4,\"priority\":8,\"source\":\"x\"}",
+            "priority must be 0..=7",
+        ),
+        (
+            "{\"id\":1,\"m\":4,\"priority\":\"hi\",\"source\":\"x\"}",
+            "priority must be a number",
+        ),
+        (
+            "{\"id\":1,\"m\":4,\"deadline_us\":true,\"source\":\"x\"}",
+            "deadline_us must be a number",
+        ),
+        (
+            "{\"id\":1,\"m\":4}",
+            "request needs source, hash, or base+edits",
+        ),
+        (
+            "{\"id\":1,\"m\":4,\"base\":\"ff\"}",
+            "edit request needs edits",
+        ),
+        (
+            "{\"id\":1,\"m\":4,\"edits\":\"wcet:0.0=1\"}",
+            "edit request needs base",
+        ),
+        (
+            "{\"id\":1,\"m\":4,\"source\":\"x\",\"hash\":\"ff\"}",
+            "request must carry exactly one of source, hash, or base+edits",
+        ),
+        (
+            "{\"id\":1,\"m\":4,\"source\":\"x\",\"base\":\"ff\",\"edits\":\"e\"}",
+            "request must carry exactly one of source, hash, or base+edits",
+        ),
+        (
+            "{\"id\":1,\"m\":4,\"hash\":\"ff\",\"edits\":\"e\"}",
+            "request must carry exactly one of source, hash, or base+edits",
+        ),
+        (
+            "{\"id\":1,\"m\":4,\"source\":7}",
+            "request must carry exactly one of source, hash, or base+edits",
+        ),
+        (
+            "{\"id\":1,\"m\":4,\"hash\":\"zz\"}",
+            "invalid content hash \"zz\"",
+        ),
+        (
+            "{\"id\":1,\"m\":4,\"base\":\"\",\"edits\":\"e\"}",
+            "invalid content hash \"\"",
+        ),
+    ];
+    for (line, want) in requests {
+        assert_eq!(
+            parse_request(line).as_ref().map_err(String::as_str),
+            Err(*want),
+            "{line:?}"
+        );
+    }
+    let responses: &[(&str, &str)] = &[
+        ("{\"verdict\":\"admit\"}", "missing id"),
+        ("{\"id\":1}", "missing verdict"),
+        ("{\"id\":1,\"verdict\":3}", "missing verdict"),
+        (
+            "{\"id\":1,\"verdict\":\"maybe\"}",
+            "unknown verdict \"maybe\"",
+        ),
+        (
+            "{\"id\":1,\"verdict\":\"admit\",\"level\":\"top\"}",
+            "unknown level \"top\"",
+        ),
+        (
+            "{\"id\":1,\"verdict\":\"admit\",\"level\":2}",
+            "level must be a string",
+        ),
+        (
+            "{\"id\":1,\"verdict\":\"admit\",\"degraded\":0}",
+            "degraded must be a boolean",
+        ),
+        (
+            "{\"id\":1,\"verdict\":\"admit\",\"latency_us\":\"1\"}",
+            "latency_us must be a number",
+        ),
+        (
+            "{\"id\":1,\"verdict\":\"admit\",\"hash\":12}",
+            "hash must be a hex string",
+        ),
+        (
+            "{\"id\":1,\"verdict\":\"admit\",\"detail\":null}",
+            "detail must be a string",
+        ),
+        (
+            "{\"id\":1,\"verdict\":\"admit\",\"detail\":\"a\\",
+            "bad escape at byte 38",
+        ),
+    ];
+    for (line, want) in responses {
+        assert_eq!(
+            parse_response(line).as_ref().map_err(String::as_str),
+            Err(*want),
+            "{line:?}"
+        );
+    }
+}
+
+/// Linear code decodes 1 MiB in milliseconds even unoptimised; a decoder
+/// that re-validates the rest of the line per character needs ~10¹²
+/// byte visits here and would not finish in minutes.
+#[test]
+fn megabyte_lines_decode_in_linear_time() {
+    let source = "  node v1 10 # é\n".repeat((1 << 20) / 17);
+    let line = encode_request(&Request {
+        id: 7,
+        m: 8,
+        priority: 4,
+        deadline_us: 0,
+        body: RequestBody::Source(source.clone()),
+    });
+    assert!(line.len() > 1 << 20);
+    let started = std::time::Instant::now();
+    let back = parse_request(&line).expect("line decodes");
+    // The same line cut short inside the source: rejected, id recovered.
+    let cut = &line[..line.len() - 9];
+    assert_eq!(parse_request(cut), Err("unterminated string".to_string()));
+    assert_eq!(probe_id(cut), 7);
+    let elapsed = started.elapsed();
+    assert_eq!(back.body, RequestBody::Source(source));
+    assert!(elapsed.as_secs() < 2, "1 MiB decode took {elapsed:?}");
 }
 
 proptest! {

@@ -45,7 +45,7 @@
 //! diagnostics — notably the `rtlint` static-analysis pass — can render
 //! rustc-style labeled snippets.
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::error::Error;
 use std::fmt;
 use std::fmt::Write as _;
@@ -286,53 +286,64 @@ impl SourceSpans {
     }
 }
 
-/// A whitespace-separated token with its 1-based starting column.
+/// A whitespace-separated token and the part of its line that precedes
+/// it; the 1-based column is counted from that only when a span is asked
+/// for, so lines that raise no error and record no site never count.
 #[derive(Clone, Copy, Debug)]
 struct Tok<'a> {
-    col: usize,
+    before: &'a str,
     text: &'a str,
 }
 
 impl Tok<'_> {
+    fn col(&self) -> usize {
+        self.before.chars().count() + 1
+    }
+
     fn span(&self, line: usize) -> Span {
-        Span::new(line, self.col, self.text.chars().count())
+        Span::new(line, self.col(), self.text.chars().count())
+    }
+
+    /// A syntax error pointing at this token.
+    fn error(&self, line: usize, message: impl Into<String>) -> ParseTaskError {
+        syntax(line, self.span(line), message)
     }
 }
 
-/// Splits the pre-`#` content of `raw` into column-tracked tokens.
-fn tokenize(raw: &str) -> Vec<Tok<'_>> {
-    let content = raw.split('#').next().unwrap_or("");
-    let mut toks = Vec::new();
-    let mut col = 0usize;
-    let mut start: Option<(usize, usize)> = None; // (1-based col, byte index)
-    for (byte, ch) in content.char_indices() {
-        col += 1;
-        if ch.is_whitespace() {
-            if let Some((c, b)) = start.take() {
-                toks.push(Tok {
-                    col: c,
-                    text: &content[b..byte],
-                });
+/// Splits the pre-`#` content of `raw` into `toks` (cleared first; one
+/// buffer serves every line of a parse).
+fn tokenize<'a>(raw: &'a str, toks: &mut Vec<Tok<'a>>) {
+    toks.clear();
+    let mut push = |from: usize, to: usize| {
+        toks.push(Tok {
+            before: &raw[..from],
+            text: &raw[from..to],
+        });
+    };
+    let mut start = None;
+    for (byte, ch) in raw.char_indices() {
+        if ch == '#' || ch.is_whitespace() {
+            if let Some(from) = start.take() {
+                push(from, byte);
+            }
+            if ch == '#' {
+                return;
             }
         } else if start.is_none() {
-            start = Some((col, byte));
+            start = Some(byte);
         }
     }
-    if let Some((c, b)) = start {
-        toks.push(Tok {
-            col: c,
-            text: &content[b..],
-        });
+    if let Some(from) = start {
+        push(from, raw.len());
     }
-    toks
 }
 
 /// The span covering a whole directive (first through last token).
 fn line_span(line: usize, toks: &[Tok<'_>]) -> Span {
     let first = toks.first().expect("directive has at least one token");
     let last = toks.last().expect("directive has at least one token");
-    let end = last.col + last.text.chars().count();
-    Span::new(line, first.col, end - first.col)
+    let col = first.col();
+    Span::new(line, col, last.col() + last.text.chars().count() - col)
 }
 
 /// Parses a task set from the text format.
@@ -357,7 +368,12 @@ fn line_span(line: usize, toks: &[Tok<'_>]) -> Span {
 /// # Ok::<(), rtpool_core::textfmt::ParseTaskError>(())
 /// ```
 pub fn parse_task_set(input: &str) -> Result<TaskSet, ParseTaskError> {
-    parse_task_set_with_spans(input).map(|(set, _)| set)
+    // Valid input pays for no declaration sites. A build error points at
+    // a node's site, so invalid input is parsed once more with recording
+    // on: the error is `parse_task_set_with_spans`'s by construction.
+    parse(input, false)
+        .or_else(|_| parse(input, true))
+        .map(|(set, _)| set)
 }
 
 /// Parses a task set and returns, alongside it, the [`SourceSpans`]
@@ -388,14 +404,25 @@ pub fn parse_task_set(input: &str) -> Result<TaskSet, ParseTaskError> {
 /// # Ok::<(), rtpool_core::textfmt::ParseTaskError>(())
 /// ```
 pub fn parse_task_set_with_spans(input: &str) -> Result<(TaskSet, SourceSpans), ParseTaskError> {
+    parse(input, true)
+}
+
+const OUTSIDE: &str = "directive outside a `task … end` block";
+
+/// The one parser body. With `record` unset no declaration site is
+/// computed or stored and the returned [`SourceSpans`] is empty.
+fn parse(input: &str, record: bool) -> Result<(TaskSet, SourceSpans), ParseTaskError> {
     let mut tasks = Vec::new();
     let mut spans = Vec::new();
     let mut current: Option<TaskInProgress> = None;
     let mut backend: Option<(SyncBackend, Span)> = None;
+    // Reused across lines / tasks; names are slices of `input`.
+    let mut toks = Vec::new();
+    let mut names: HashMap<&str, NodeId> = HashMap::new();
 
     for (idx, raw) in input.lines().enumerate() {
         let line_no = idx + 1;
-        let toks = tokenize(raw);
+        tokenize(raw, &mut toks);
         let Some(&directive) = toks.first() else {
             continue;
         };
@@ -403,37 +430,26 @@ pub fn parse_task_set_with_spans(input: &str) -> Result<(TaskSet, SourceSpans), 
         match directive.text {
             "backend" => {
                 if current.is_some() {
-                    return Err(syntax(
+                    return Err(directive.error(
                         line_no,
-                        directive.span(line_no),
                         "`backend` is file-level and cannot appear inside a task block",
                     ));
                 }
                 if !tasks.is_empty() {
-                    return Err(syntax(
-                        line_no,
-                        directive.span(line_no),
-                        "`backend` must precede every task",
-                    ));
+                    return Err(directive.error(line_no, "`backend` must precede every task"));
                 }
                 if let Some((_, prev)) = backend {
-                    return Err(syntax(
+                    return Err(directive.error(
                         line_no,
-                        directive.span(line_no),
                         format!("`backend` already declared on line {}", prev.line),
                     ));
                 }
                 let which = args.first().ok_or_else(|| {
-                    syntax(
-                        line_no,
-                        directive.span(line_no),
-                        "`backend` requires `suspend` or `spin`",
-                    )
+                    directive.error(line_no, "`backend` requires `suspend` or `spin`")
                 })?;
                 let b = SyncBackend::parse(which.text).ok_or_else(|| {
-                    syntax(
+                    which.error(
                         line_no,
-                        which.span(line_no),
                         format!(
                             "unknown backend `{}` (expected `suspend` or `spin`)",
                             which.text
@@ -445,9 +461,8 @@ pub fn parse_task_set_with_spans(input: &str) -> Result<(TaskSet, SourceSpans), 
             }
             "task" => {
                 if let Some(t) = &current {
-                    return Err(syntax(
+                    return Err(directive.error(
                         line_no,
-                        directive.span(line_no),
                         format!(
                             "`task` inside an unterminated task block (opened on line {})",
                             t.header.line
@@ -458,29 +473,15 @@ pub fn parse_task_set_with_spans(input: &str) -> Result<(TaskSet, SourceSpans), 
                 let mut deadline: Option<u64> = None;
                 for kv in args {
                     let (key, value) = kv.text.split_once('=').ok_or_else(|| {
-                        syntax(
-                            line_no,
-                            kv.span(line_no),
-                            format!("expected key=value, got `{}`", kv.text),
-                        )
+                        kv.error(line_no, format!("expected key=value, got `{}`", kv.text))
                     })?;
                     let value: u64 = value.parse().map_err(|_| {
-                        syntax(
-                            line_no,
-                            kv.span(line_no),
-                            format!("invalid integer `{value}` for `{key}`"),
-                        )
+                        kv.error(line_no, format!("invalid integer `{value}` for `{key}`"))
                     })?;
                     match key {
                         "period" => period = Some(value),
                         "deadline" => deadline = Some(value),
-                        other => {
-                            return Err(syntax(
-                                line_no,
-                                kv.span(line_no),
-                                format!("unknown key `{other}`"),
-                            ))
-                        }
+                        other => return Err(kv.error(line_no, format!("unknown key `{other}`"))),
                     }
                 }
                 let period = period.ok_or_else(|| {
@@ -490,82 +491,80 @@ pub fn parse_task_set_with_spans(input: &str) -> Result<(TaskSet, SourceSpans), 
                         "`task` requires period=<int>",
                     )
                 })?;
+                let header = line_span(line_no, &toks);
+                names.clear();
                 current = Some(TaskInProgress {
-                    header: line_span(line_no, &toks),
+                    header,
                     period,
                     deadline: deadline.unwrap_or(period),
                     builder: DagBuilder::new(),
-                    names: HashMap::new(),
-                    spans: TaskSpans {
-                        header: line_span(line_no, &toks),
+                    spans: record.then(|| TaskSpans {
+                        header,
                         ..TaskSpans::default()
-                    },
+                    }),
                 });
             }
             "node" => {
-                let t = in_task(&mut current, line_no, directive)?;
-                let name = args.first().ok_or_else(|| {
-                    syntax(line_no, directive.span(line_no), "`node` requires a name")
-                })?;
-                let wcet_tok = args.get(1).ok_or_else(|| {
-                    syntax(line_no, directive.span(line_no), "`node` requires a wcet")
-                })?;
+                let t = current
+                    .as_mut()
+                    .ok_or_else(|| directive.error(line_no, OUTSIDE))?;
+                let name = args
+                    .first()
+                    .ok_or_else(|| directive.error(line_no, "`node` requires a name"))?;
+                let wcet_tok = args
+                    .get(1)
+                    .ok_or_else(|| directive.error(line_no, "`node` requires a wcet"))?;
                 let wcet: u64 = wcet_tok
                     .text
                     .parse()
-                    .map_err(|_| syntax(line_no, wcet_tok.span(line_no), "invalid wcet integer"))?;
+                    .map_err(|_| wcet_tok.error(line_no, "invalid wcet integer"))?;
                 expect_end(args.get(2), line_no)?;
-                if t.names.contains_key(name.text) {
-                    return Err(ParseTaskError::DuplicateName {
-                        line: line_no,
-                        span: name.span(line_no),
-                        name: name.text.to_owned(),
-                    });
+                match names.entry(name.text) {
+                    Entry::Occupied(_) => {
+                        return Err(ParseTaskError::DuplicateName {
+                            line: line_no,
+                            span: name.span(line_no),
+                            name: name.text.to_owned(),
+                        })
+                    }
+                    Entry::Vacant(slot) => slot.insert(t.builder.add_node(wcet)),
+                };
+                if let Some(s) = &mut t.spans {
+                    s.names.push(name.text.to_owned());
+                    s.nodes.push(line_span(line_no, &toks));
                 }
-                let id = t.builder.add_node(wcet);
-                t.names.insert(name.text.to_owned(), id);
-                t.spans.names.push(name.text.to_owned());
-                t.spans.nodes.push(line_span(line_no, &toks));
             }
-            "edge" => {
-                let t = in_task(&mut current, line_no, directive)?;
-                let from = t.lookup(args.first(), line_no, directive)?;
-                let to = t.lookup(args.get(1), line_no, directive)?;
+            kind @ ("edge" | "blocking") => {
+                let t = current
+                    .as_mut()
+                    .ok_or_else(|| directive.error(line_no, OUTSIDE))?;
+                let from = lookup(&names, args.first(), line_no, directive)?;
+                let to = lookup(&names, args.get(1), line_no, directive)?;
                 expect_end(args.get(2), line_no)?;
-                let span = line_span(line_no, &toks);
-                t.builder
-                    .add_edge(from, to)
-                    .map_err(|source| ParseTaskError::Graph {
-                        line: line_no,
-                        span,
-                        source,
-                    })?;
-                t.spans.edges.push((from.index(), to.index(), span));
-            }
-            "blocking" => {
-                let t = in_task(&mut current, line_no, directive)?;
-                let fork = t.lookup(args.first(), line_no, directive)?;
-                let join = t.lookup(args.get(1), line_no, directive)?;
-                expect_end(args.get(2), line_no)?;
-                let span = line_span(line_no, &toks);
-                t.builder
-                    .blocking_pair(fork, join)
-                    .map_err(|source| ParseTaskError::Graph {
-                        line: line_no,
-                        span,
-                        source,
-                    })?;
-                t.spans.blocking.push((fork.index(), join.index(), span));
+                let declared = if kind == "edge" {
+                    t.builder.add_edge(from, to)
+                } else {
+                    t.builder.blocking_pair(from, to)
+                };
+                declared.map_err(|source| ParseTaskError::Graph {
+                    line: line_no,
+                    span: line_span(line_no, &toks),
+                    source,
+                })?;
+                if let Some(s) = &mut t.spans {
+                    let sites = if kind == "edge" {
+                        &mut s.edges
+                    } else {
+                        &mut s.blocking
+                    };
+                    sites.push((from.index(), to.index(), line_span(line_no, &toks)));
+                }
             }
             "end" => {
                 expect_end(args.first(), line_no)?;
-                let t = current.take().ok_or_else(|| {
-                    syntax(
-                        line_no,
-                        directive.span(line_no),
-                        "`end` without an open task",
-                    )
-                })?;
+                let t = current
+                    .take()
+                    .ok_or_else(|| directive.error(line_no, "`end` without an open task"))?;
                 let end_span = directive.span(line_no);
                 let dag = t.builder.build().map_err(|source| {
                     // Point at the declaration of the first involved node
@@ -573,7 +572,7 @@ pub fn parse_task_set_with_spans(input: &str) -> Result<(TaskSet, SourceSpans), 
                     let span = source
                         .nodes()
                         .first()
-                        .and_then(|&v| t.spans.node(v))
+                        .and_then(|&v| t.spans.as_ref()?.node(v))
                         .unwrap_or(end_span);
                     ParseTaskError::Graph {
                         line: span.line,
@@ -589,15 +588,9 @@ pub fn parse_task_set_with_spans(input: &str) -> Result<(TaskSet, SourceSpans), 
                     }
                 })?;
                 tasks.push(task);
-                spans.push(t.spans);
+                spans.extend(t.spans);
             }
-            other => {
-                return Err(syntax(
-                    line_no,
-                    directive.span(line_no),
-                    format!("unknown directive `{other}`"),
-                ))
-            }
+            other => return Err(directive.error(line_no, format!("unknown directive `{other}`"))),
         }
     }
     if let Some(t) = current {
@@ -664,27 +657,25 @@ struct TaskInProgress {
     period: u64,
     deadline: u64,
     builder: DagBuilder,
-    names: HashMap<String, NodeId>,
-    spans: TaskSpans,
+    /// Declaration sites, when the caller asked for them.
+    spans: Option<TaskSpans>,
 }
 
-impl TaskInProgress {
-    fn lookup(
-        &self,
-        word: Option<&Tok<'_>>,
-        line: usize,
-        directive: Tok<'_>,
-    ) -> Result<NodeId, ParseTaskError> {
-        let tok = word.ok_or_else(|| syntax(line, directive.span(line), "missing node name"))?;
-        self.names
-            .get(tok.text)
-            .copied()
-            .ok_or_else(|| ParseTaskError::UnknownName {
-                line,
-                span: tok.span(line),
-                name: tok.text.to_owned(),
-            })
-    }
+fn lookup(
+    names: &HashMap<&str, NodeId>,
+    word: Option<&Tok<'_>>,
+    line: usize,
+    directive: Tok<'_>,
+) -> Result<NodeId, ParseTaskError> {
+    let tok = word.ok_or_else(|| directive.error(line, "missing node name"))?;
+    names
+        .get(tok.text)
+        .copied()
+        .ok_or_else(|| ParseTaskError::UnknownName {
+            line,
+            span: tok.span(line),
+            name: tok.text.to_owned(),
+        })
 }
 
 fn syntax(line: usize, span: Span, message: impl Into<String>) -> ParseTaskError {
@@ -695,25 +686,10 @@ fn syntax(line: usize, span: Span, message: impl Into<String>) -> ParseTaskError
     }
 }
 
-fn in_task<'a>(
-    current: &'a mut Option<TaskInProgress>,
-    line: usize,
-    directive: Tok<'_>,
-) -> Result<&'a mut TaskInProgress, ParseTaskError> {
-    let span = directive.span(line);
-    current
-        .as_mut()
-        .ok_or_else(|| syntax(line, span, "directive outside a `task … end` block"))
-}
-
 fn expect_end(extra: Option<&Tok<'_>>, line: usize) -> Result<(), ParseTaskError> {
     match extra {
         None => Ok(()),
-        Some(tok) => Err(syntax(
-            line,
-            tok.span(line),
-            format!("unexpected trailing `{}`", tok.text),
-        )),
+        Some(tok) => Err(tok.error(line, format!("unexpected trailing `{}`", tok.text))),
     }
 }
 
@@ -992,11 +968,12 @@ end
 
     #[test]
     fn tokenizer_columns_are_character_columns() {
-        let toks = tokenize("  node bêta 2");
+        let mut toks = Vec::new();
+        tokenize("  node bêta 2", &mut toks);
         assert_eq!(toks.len(), 3);
-        assert_eq!((toks[0].col, toks[0].text), (3, "node"));
-        assert_eq!((toks[1].col, toks[1].text), (8, "bêta"));
-        assert_eq!((toks[2].col, toks[2].text), (13, "2"));
+        assert_eq!((toks[0].col(), toks[0].text), (3, "node"));
+        assert_eq!((toks[1].col(), toks[1].text), (8, "bêta"));
+        assert_eq!((toks[2].col(), toks[2].text), (13, "2"));
         assert_eq!(toks[1].span(1), Span::new(1, 8, 4));
     }
 }

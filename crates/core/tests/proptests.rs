@@ -299,3 +299,94 @@ proptest! {
         }
     }
 }
+
+/// `parse_task_set` (no declaration sites kept) and
+/// `parse_task_set_with_spans` are one parser: same set or the very same
+/// error — variant, line, span, message.
+fn assert_parsers_agree(text: &str) -> Result<(), String> {
+    match (
+        textfmt::parse_task_set(text),
+        textfmt::parse_task_set_with_spans(text),
+    ) {
+        (Ok(fast), Ok((full, spans))) => {
+            // `write_task_set` renders every parameter, node, edge,
+            // blocking pair and the backend in id order.
+            prop_assert_eq!(
+                textfmt::write_task_set(&fast),
+                textfmt::write_task_set(&full)
+            );
+            prop_assert_eq!(spans.len(), full.len());
+            for ((_, a), (_, b)) in fast.iter().zip(full.iter()) {
+                prop_assert_eq!(a.dag().content_hash(), b.dag().content_hash());
+            }
+        }
+        (Err(fast), Err(full)) => prop_assert_eq!(fast, full, "input:\n{}", text),
+        (fast, full) => {
+            return Err(format!(
+                "parsers disagree on {text:?}: {:?} vs {:?}",
+                fast.map(|s| s.len()),
+                full.map(|(s, _)| s.len())
+            ))
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    /// Over generated sets, and over the same text with a few lines
+    /// dropped, doubled or re-worded so that every error kind comes up.
+    #[test]
+    fn spanless_parse_equals_parse_with_spans(
+        seed in any::<u64>(),
+        regions in 1usize..5,
+        n_tasks in 1usize..4,
+        damage in prop::collection::vec((0usize..4, 0usize..1000, 0usize..12), 0..4),
+    ) {
+        let tasks: Vec<Task> = (0..n_tasks)
+            .map(|i| {
+                let dag = random_task_dag(seed.wrapping_add(i as u64), regions);
+                let period = dag.volume() * 2 + 1;
+                Task::new(dag, period, period - 1).unwrap()
+            })
+            .collect();
+        let text = textfmt::write_task_set(&TaskSet::new(tasks));
+        assert_parsers_agree(&text)?;
+        const WORDS: [&str; 12] = [
+            "task", "end", "node", "edge v0 vé", "blocking v1 v0", "backend spin", "period=0",
+            "node v0 1", "nœud", "edge v1 v1", "# gone", "node w x",
+        ];
+        let mut lines: Vec<String> = text.lines().map(str::to_owned).collect();
+        for (how, at, word) in damage {
+            let at = at % lines.len();
+            match how {
+                0 => drop(lines.remove(at)),
+                1 => lines.insert(at, lines[at].clone()),
+                2 => lines[at] = WORDS[word].to_owned(),
+                _ => lines[at] = format!("{} {}", lines[at], WORDS[word]),
+            }
+            if lines.is_empty() {
+                break;
+            }
+        }
+        assert_parsers_agree(&lines.join("\n"))?;
+    }
+}
+
+/// The same over every shipped workload and every `rtlint` fixture (the
+/// files whose spans the lint goldens pin).
+#[test]
+fn spanless_parse_equals_parse_with_spans_on_shipped_files() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut seen = 0;
+    for dir in ["../../workloads", "../lint/tests/fixtures"] {
+        for entry in std::fs::read_dir(root.join(dir)).expect("directory exists") {
+            let path = entry.expect("readable entry").path();
+            if path.extension().is_some_and(|e| e == "rtp") {
+                let text = std::fs::read_to_string(&path).expect("readable file");
+                assert_parsers_agree(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+                seen += 1;
+            }
+        }
+    }
+    assert!(seen >= 20, "only {seen} .rtp files found");
+}
