@@ -26,6 +26,18 @@
 //! submitter's watchdog wait share the same condvar — none of them are on
 //! the dispatch path.
 //!
+//! ## What this file owns
+//!
+//! Only what *is* the engine: the queues ([`QueuesV2`]), the packed
+//! counter with the per-discipline fetch protocols that keep it honest,
+//! completion with chaining, and parking with ramped wake-ups. The job
+//! lifecycle around them — the submitter's supervisor loop, the barrier
+//! and injected-suspension wait, the stall decision, fault bookkeeping,
+//! panic isolation, tracing, the terminal report — is
+//! [`crate::lifecycle`], shared with the v1 engine and reached through
+//! [`V2View`]: this engine's [`JobView`] over `JobCore` plus the `ctl`
+//! guard.
+//!
 //! ## Memory ordering
 //!
 //! Every atomic here uses `SeqCst`, so all reasoning can be done in one
@@ -63,7 +75,11 @@
 //!
 //! Any in-flight transfer therefore shows `queued ≥ 1` or
 //! `executing ≥ 1` to the detector, so "no worker executing, nothing
-//! fetchable" can never be observed mid-handoff.
+//! fetchable" can never be observed mid-handoff. What the detector reads
+//! *beside* the counter needs its own care (see [`V2View::snapshot`]):
+//! the completion ticket is read after the counter, and a scan of the
+//! partitioned queues counts only if counter and ticket did not move
+//! across it.
 //!
 //! Wake-ups are **ramped, not broadcast**: a completion unparks at most
 //! one worker however many successors it readied, and each worker that
@@ -73,21 +89,22 @@
 //! round while saving the per-job `m`-wide futex storm that broadcast
 //! wakes cost at every fork.
 
-use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering::SeqCst};
 use std::sync::{Arc, OnceLock};
 use std::thread::{self, Thread};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use crossbeam_deque::{Injector, Steal, Stealer, Worker as CbWorker};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use rtpool_graph::{Dag, NodeId, NodeKind};
-use rtpool_trace::{assemble, EngineKind, EventKind, LaneRecorder, SeqClock, TimeUnit, Trace};
 
 use crate::config::{PoolConfig, QueueDiscipline};
 use crate::error::ExecError;
-use crate::pool::{busy_work, dur_nanos, panic_message, u32c, FailedAttempt};
-use crate::recovery::{RecoveryEvent, RecoveryPolicy};
+use crate::lifecycle::{
+    barrier_wait, fake_suspend, maybe_stall, partitioned_fetchable, run_body, spawn_worker,
+    supervise, Ctl, FailedAttempt, Fetched, JobTracer, JobView, Snapshot, Wait,
+};
+use crate::recovery::RecoveryEvent;
 use crate::report::{JobReport, NodeSpan};
 
 // ---------------------------------------------------------------------
@@ -132,11 +149,6 @@ const NOTIFIED: u32 = 2;
 /// worker count (permanent plus growth reserve).
 const MAX_WORKERS_V2: usize = 255;
 
-/// Spin-loop hint iterations between control-lock re-acquisitions of a
-/// busy-waiting worker ([`crate::SyncBackend::Spin`]); see the
-/// identically-motivated constant in the v1 engine.
-const SPIN_BATCH_V2: u32 = 64;
-
 /// Largest graph the 16-bit `ready_joins` field can serve.
 const MAX_NODES_V2: usize = (1 << 16) - 1;
 
@@ -148,9 +160,6 @@ const MAX_NODES_V2: usize = (1 << 16) - 1;
 pub(crate) struct V2Pool {
     shared: Arc<Shared2>,
     handles: Vec<thread::JoinHandle<()>>,
-    /// Epoch-bound rescue workers spawned by `GrowPool` recovery; they
-    /// retire when their job ends and are joined on drop.
-    rescue_handles: Vec<thread::JoinHandle<()>>,
     next_epoch: u64,
 }
 
@@ -160,38 +169,14 @@ struct Shared2 {
     /// Wakes idle permanent workers when a job is installed (or the pool
     /// shuts down). Not on the dispatch path.
     cv: Condvar,
+    /// Epoch-bound rescue workers spawned by `GrowPool` recovery; they
+    /// retire when their job ends and are joined on drop.
+    rescuers: Mutex<Vec<thread::JoinHandle<()>>>,
 }
 
 struct JobSlot {
     shutdown: bool,
     job: Option<Arc<JobCore>>,
-}
-
-/// Terminal/liveness state of one job, guarded by `JobCore::ctl`.
-enum Status {
-    Running,
-    Finished(Duration),
-    Stalled { suspended: usize, executed: usize },
-    Panicked { node: usize, message: String },
-}
-
-/// Rarely-touched job state: barrier predicates, recovery bookkeeping,
-/// and the terminal status. Never locked on the dispatch hot path.
-struct Ctl {
-    status: Status,
-    join_ready: Vec<bool>,
-    min_available: usize,
-    grow_pending: bool,
-    growth_budget: usize,
-    events: Vec<RecoveryEvent>,
-}
-
-/// Per-job event-trace state: per-worker lanes (lane 0 = control plane)
-/// each behind its own mutex, sharing one sequence clock. Timestamps are
-/// taken inside the lane lock so every lane stays monotone.
-struct TraceCore {
-    clock: SeqClock,
-    lanes: Vec<Mutex<LaneRecorder>>,
 }
 
 /// The ready-node queues of one job.
@@ -214,7 +199,10 @@ enum QueuesV2 {
 /// All state of one job attempt, shared by the submitter and every
 /// serving worker through an `Arc`.
 struct JobCore {
+    /// Retry attempt, readable without `ctl` (keys fault-plan decisions).
     attempt: usize,
+    /// Names this job's rescue workers.
+    epoch: u64,
     dag: Arc<Dag>,
     started: Instant,
     /// Permanent workers; indices at or above this are rescue slots.
@@ -224,7 +212,8 @@ struct JobCore {
     /// The packed dispatch counter (see module docs).
     ctr: AtomicU64,
     /// Terminal flag: set (after `ctl.status` leaves `Running`) on
-    /// finish, stall, panic, and watchdog abort. Workers poll it.
+    /// finish, stall, panic, and watchdog abort. The fetch loops poll
+    /// it; whoever *waits* on `cv` checks [`JobView::alive`] instead.
     done: AtomicBool,
     pending: Vec<AtomicU32>,
     queues: QueuesV2,
@@ -235,25 +224,27 @@ struct JobCore {
     /// timing of the `ticket`-th completion.
     ticket: AtomicUsize,
     spans: Vec<OnceLock<NodeSpan>>,
+    /// Rarely-touched job state: barrier predicates, recovery
+    /// bookkeeping, and the terminal status. Never locked on the dispatch
+    /// hot path.
     ctl: Mutex<Ctl>,
     /// Waits: blocking-join barriers, injected suspensions, watchdog.
     cv: Condvar,
-    grow_policy: bool,
     /// Barrier waits busy-wait instead of sleeping on `cv`
     /// ([`crate::SyncBackend::Spin`]). A spinning worker never enters
     /// the parked set and is traced with `SpinStart`/`SpinEnd`.
     spin: bool,
-    trace: Option<TraceCore>,
+    tracer: JobTracer,
 }
 
 impl JobCore {
-    /// Whether any node has not completed yet (`ticket` counts
-    /// completions, so nothing remains once it reaches the node count).
-    fn work_remains(&self) -> bool {
-        self.ticket.load(SeqCst) < self.dag.node_count()
-    }
-
-    fn new(attempt: usize, dag: Arc<Dag>, config: &PoolConfig, events: Vec<RecoveryEvent>) -> Self {
+    fn new(
+        attempt: usize,
+        epoch: u64,
+        dag: Arc<Dag>,
+        config: &PoolConfig,
+        events: Vec<RecoveryEvent>,
+    ) -> Self {
         let n = dag.node_count();
         let workers = config.workers;
         let capacity = workers + config.recovery.growth_reserve();
@@ -282,19 +273,13 @@ impl JobCore {
                 }
             }
         };
-        let trace = config.record_trace.then(|| {
-            let clock = SeqClock::new();
-            let lanes = (0..=capacity)
-                .map(|_| Mutex::new(LaneRecorder::new(&clock)))
-                .collect();
-            TraceCore { clock, lanes }
-        });
+        let started = Instant::now();
         // Every per-slot array is preallocated to `capacity`
         // (base + growth reserve), so growth never reallocates shared state.
-        let core = JobCore {
+        JobCore {
             attempt,
-            dag,
-            started: Instant::now(),
+            epoch,
+            started,
             base_workers: workers,
             active: AtomicUsize::new(workers),
             ctr: AtomicU64::new(0),
@@ -306,67 +291,141 @@ impl JobCore {
             worker_suspended: (0..capacity).map(|_| AtomicBool::new(false)).collect(),
             ticket: AtomicUsize::new(0),
             spans: (0..n).map(|_| OnceLock::new()).collect(),
-            ctl: Mutex::new(Ctl {
-                status: Status::Running,
-                join_ready: vec![false; n],
-                min_available: workers,
-                grow_pending: false,
-                growth_budget: config.recovery.growth_reserve(),
-                events,
-            }),
+            ctl: Mutex::new(Ctl::new(attempt, n, config, events)),
             cv: Condvar::new(),
-            grow_policy: matches!(config.recovery, RecoveryPolicy::GrowPool { .. }),
             spin: config.backend.is_spin(),
-            trace,
-        };
-        if core.trace.is_some() {
-            core.rec_ctl(EventKind::JobReleased { task: 0, job: 0 });
-            for w in 0..workers {
-                core.rec_ctl(EventKind::ThreadPark {
-                    task: 0,
-                    thread: u32c(w),
-                });
-            }
-        }
-        core
-    }
-
-    /// Records `kind` on `lane`. The timestamp is taken *inside* the lane
-    /// lock so concurrent writers cannot invert a lane's time order.
-    fn rec_lane(&self, lane: usize, kind: EventKind) {
-        if let Some(tr) = &self.trace {
-            let mut rec = tr.lanes[lane].lock();
-            rec.record(dur_nanos(self.started.elapsed()), kind);
+            tracer: JobTracer::new(config, started),
+            dag,
         }
     }
+}
 
-    /// Records a control-plane event (lane 0).
-    fn rec_ctl(&self, kind: EventKind) {
-        self.rec_lane(0, kind);
+/// The v2 side of [`JobView`]: one job seen through its `ctl` lock.
+struct V2View<'g, 'a> {
+    shared: &'a Arc<Shared2>,
+    core: &'a Arc<JobCore>,
+    ctl: &'g mut MutexGuard<'a, Ctl>,
+}
+
+impl JobView for V2View<'_, '_> {
+    fn parts(&mut self) -> Option<(&mut Ctl, &JobTracer)> {
+        Some((&mut **self.ctl, &self.core.tracer))
     }
 
-    /// Records an event on `worker`'s lane.
-    fn rec_worker(&self, worker: usize, kind: EventKind) {
-        self.rec_lane(worker + 1, kind);
+    /// `ctl.status` is the waiters' predicate — a job end is written
+    /// there under `ctl` but published to `done` only after the lock is
+    /// released. `done` alone means the watchdog gave up, under `ctl`.
+    fn alive(&mut self) -> bool {
+        self.ctl.running() && !self.core.done.load(SeqCst)
     }
 
-    /// Assembles the trace from lanes `0..=active` (unused rescue-slot
-    /// lanes are left out so `trace.cores` reflects the served pool).
-    fn take_trace(&self) -> Option<Trace> {
-        let tr = self.trace.as_ref()?;
-        let end = dur_nanos(self.started.elapsed());
-        let active = self.active.load(SeqCst);
-        let lanes: Vec<LaneRecorder> = (0..=active)
-            .map(|i| std::mem::replace(&mut *tr.lanes[i].lock(), LaneRecorder::new(&tr.clock)))
-            .collect();
-        Some(assemble(
-            EngineKind::Exec,
-            TimeUnit::Nanos,
-            u32c(active),
-            1,
-            end,
-            lanes,
-        ))
+    /// One consistent snapshot of the packed counter plus the state kept
+    /// beside it. All suspension transitions happen under `ctl`, and the
+    /// fetch protocols guarantee in-flight dispatches show `queued ≥ 1`
+    /// or `executing ≥ 1`.
+    ///
+    /// * The counter is read *before* the completion ticket: a completer
+    ///   bumps the ticket before it releases its executing slot, so
+    ///   `executing == 0` implies the ticket read afterwards is final.
+    ///   The other order lets the sink's `ticket += 1; ctr −= EXEC_ONE`
+    ///   land between the two reads and shows "work remains" next to
+    ///   "nobody executing, nothing queued" — a false stall at job end.
+    /// * Partitioned fetchability comes from the *physical* queues, read
+    ///   after the counter, so an owner's pre-increment-and-pop can land
+    ///   in between ("nobody executing", then "queue empty"). Every push
+    ///   or pop moves the counter and every push but the source's
+    ///   follows a completion, so the scan is valid iff counter and
+    ///   ticket read the same after it; otherwise it is retried.
+    fn snapshot(&self) -> Snapshot {
+        let core = self.core;
+        let workers = core.active.load(SeqCst);
+        loop {
+            let v = core.ctr.load(SeqCst);
+            let completed = core.ticket.load(SeqCst);
+            let c = unpack(v);
+            let queued_work = c.queued > 0;
+            let fetchable = match &core.queues {
+                QueuesV2::Global(_) | QueuesV2::WorkStealing { .. } => {
+                    queued_work && c.suspended < workers
+                }
+                QueuesV2::Partitioned(qs) => {
+                    let fetchable = partitioned_fetchable(
+                        core.base_workers,
+                        workers,
+                        |w| core.worker_suspended[w].load(SeqCst),
+                        |w| !qs[w].is_empty(),
+                    );
+                    if core.ctr.load(SeqCst) != v || core.ticket.load(SeqCst) != completed {
+                        continue;
+                    }
+                    fetchable
+                }
+            };
+            return Snapshot {
+                executing: c.executing,
+                ready_joins: c.ready_joins,
+                suspended: c.suspended,
+                fake: c.fake,
+                queued_work,
+                fetchable,
+                completed,
+                nodes: core.dag.node_count(),
+                workers,
+                growth_budget: self.ctl.growth_budget,
+                grow_policy: self.ctl.grow_policy,
+            };
+        }
+    }
+
+    /// One update swaps the worker's (still-held) executing slot for a
+    /// suspended one, so the counter never shows it unaccounted.
+    fn suspend(&mut self, worker: usize, fake: bool) -> usize {
+        let core = self.core;
+        let delta = SUSP_ONE - EXEC_ONE + if fake { FAKE_ONE } else { 0 };
+        let after = unpack(core.ctr.fetch_add(delta, SeqCst).wrapping_add(delta));
+        core.worker_suspended[worker].store(true, SeqCst);
+        core.active.load(SeqCst).saturating_sub(after.suspended)
+    }
+
+    fn resume(&mut self, worker: usize, fake: bool, woke: bool) {
+        let mut delta = SUSP_ONE + if fake { FAKE_ONE } else { 0 };
+        if woke {
+            delta = delta - EXEC_ONE + if fake { 0 } else { RJ_ONE };
+        }
+        self.core.ctr.fetch_sub(delta, SeqCst);
+        self.core.worker_suspended[worker].store(false, SeqCst);
+    }
+
+    fn wait(&mut self, how: Wait) -> bool {
+        how.on(&self.core.cv, self.ctl)
+    }
+
+    fn wake(&mut self, terminal: bool) {
+        if terminal {
+            terminate(self.core);
+        } else {
+            self.core.cv.notify_all();
+        }
+    }
+
+    fn grow(&mut self, from: usize, to: usize) {
+        self.core.active.store(to, SeqCst);
+        for id in from..to {
+            let (shared, core) = (Arc::clone(self.shared), Arc::clone(self.core));
+            let body = move || serve(&shared, &core, id);
+            let handle = spawn_worker(id, Some(self.core.epoch), body);
+            self.shared.rescuers.lock().push(handle);
+        }
+        self.core.cv.notify_all();
+    }
+
+    /// Builds the spans from the lock-free ticket array: every path here
+    /// first saw `executing == 0` or a terminal state, so all tickets
+    /// below the count are written (the `filter_map` is defensive).
+    fn close(self) -> Vec<NodeSpan> {
+        self.shared.slot.lock().job = None;
+        let spans = &self.core.spans[..self.core.ticket.load(SeqCst)];
+        spans.iter().filter_map(|s| s.get().copied()).collect()
     }
 }
 
@@ -392,20 +451,17 @@ impl V2Pool {
                 job: None,
             }),
             cv: Condvar::new(),
+            rescuers: Mutex::new(Vec::new()),
         });
         let handles = (0..workers)
             .map(|id| {
                 let s = Arc::clone(&shared);
-                thread::Builder::new()
-                    .name(format!("rtpool-worker-{id}"))
-                    .spawn(move || worker_loop_v2(&s, id))
-                    .expect("failed to spawn worker thread")
+                spawn_worker(id, None, move || worker_loop_v2(&s, id))
             })
             .collect();
         Ok(V2Pool {
             shared,
             handles,
-            rescue_handles: Vec::new(),
             next_epoch: 0,
         })
     }
@@ -414,12 +470,8 @@ impl V2Pool {
         &self.shared.config
     }
 
-    fn clear_slot(&self) {
-        self.shared.slot.lock().job = None;
-    }
-
-    /// One execution attempt; mirrors the v1 submitter loop (growth
-    /// requests, terminal collection, watchdog) on the v2 state.
+    /// One execution attempt: installs the job in the slot and
+    /// supervises it to its terminal state.
     pub(crate) fn run_attempt(
         &mut self,
         dag: &Arc<Dag>,
@@ -439,17 +491,21 @@ impl V2Pool {
         }
         let epoch = self.next_epoch;
         self.next_epoch += 1;
-        let core = Arc::new(JobCore::new(
+        let shared = &self.shared;
+        let prior = std::mem::take(events);
+        let core = &Arc::new(JobCore::new(
             attempt,
+            epoch,
             Arc::clone(dag),
-            &self.shared.config,
-            std::mem::take(events),
+            &shared.config,
+            prior,
         ));
-        enqueue_v2(&self.shared, &core, dag.source(), None);
+        core.ctr.fetch_add(QUEUED_ONE, SeqCst);
+        push_ready(shared, core, dag.source(), None);
         {
-            let mut slot = self.shared.slot.lock();
+            let mut slot = shared.slot.lock();
             debug_assert!(slot.job.is_none(), "runs are serialized by &mut self");
-            slot.job = Some(Arc::clone(&core));
+            slot.job = Some(Arc::clone(core));
         }
         // Lazy attachment: global/stealing jobs start with ONE worker and
         // recruit more from the slot pool as fetches observe leftover
@@ -457,190 +513,25 @@ impl V2Pool {
         // a wide pool never pays an m-wide wake broadcast. Partitioned
         // jobs need every mapped owner attached for targeted wakes, so
         // they keep the broadcast.
-        if matches!(
-            self.shared.config.discipline,
-            QueueDiscipline::Partitioned(_)
-        ) {
-            self.shared.cv.notify_all();
+        if matches!(shared.config.discipline, QueueDiscipline::Partitioned(_)) {
+            shared.cv.notify_all();
         } else {
-            self.shared.cv.notify_one();
+            shared.cv.notify_one();
         }
-
-        let watchdog = self.shared.config.watchdog;
-        let mut last_progress = 0usize;
-        let mut ctl = core.ctl.lock();
-        loop {
-            if ctl.grow_pending {
-                ctl.grow_pending = false;
-                // Re-validate under ctl: the stall may have resolved (an
-                // injected suspension expired) before we got here.
-                let c = unpack(core.ctr.load(SeqCst));
-                if matches!(ctl.status, Status::Running)
-                    && c.executing == 0
-                    && c.ready_joins == 0
-                    && core.work_remains()
-                    && ctl.growth_budget > 0
-                {
-                    let active = core.active.load(SeqCst);
-                    let add = (c.suspended + 1)
-                        .saturating_sub(active)
-                        .max(1)
-                        .min(ctl.growth_budget);
-                    ctl.growth_budget -= add;
-                    let new_total = active + add;
-                    ctl.events.push(RecoveryEvent::PoolGrown {
-                        attempt,
-                        added: add,
-                        total_workers: new_total,
-                    });
-                    core.rec_ctl(EventKind::Recovery {
-                        task: 0,
-                        label: "pool_grown".to_string(),
-                        node: None,
-                    });
-                    core.active.store(new_total, SeqCst);
-                    drop(ctl);
-                    for id in active..new_total {
-                        let s = Arc::clone(&self.shared);
-                        let c2 = Arc::clone(&core);
-                        let handle = thread::Builder::new()
-                            .name(format!("rtpool-rescuer-{id}-e{epoch}"))
-                            .spawn(move || serve(&s, &c2, id))
-                            .expect("failed to spawn rescue worker thread");
-                        self.rescue_handles.push(handle);
-                    }
-                    ctl = core.ctl.lock();
-                    core.cv.notify_all();
-                }
-                continue;
-            }
-            match &ctl.status {
-                Status::Finished(elapsed) => {
-                    let elapsed = *elapsed;
-                    let recovery_events = std::mem::take(&mut ctl.events);
-                    let min_available = ctl.min_available;
-                    drop(ctl);
-                    let trace = core.take_trace();
-                    self.clear_slot();
-                    let executed = core.ticket.load(SeqCst);
-                    let (completion_order, spans) = collect_completions(&core, executed);
-                    return Ok(JobReport {
-                        makespan: elapsed,
-                        executed_nodes: executed,
-                        completion_order,
-                        spans,
-                        min_available_workers: min_available,
-                        attempts: attempt + 1,
-                        recovery_events,
-                        trace,
-                        attempt_traces: Vec::new(),
-                    });
-                }
-                Status::Panicked { node, message } => {
-                    let (node, message) = (*node, message.clone());
-                    // Let siblings that are mid-body record their terminal
-                    // trace events before assembly (v1 parity).
-                    drain_executing_v2(&core, &mut ctl, watchdog);
-                    *events = std::mem::take(&mut ctl.events);
-                    drop(ctl);
-                    let trace = core.take_trace();
-                    self.clear_slot();
-                    return Err(FailedAttempt {
-                        error: ExecError::NodePanicked { node, message },
-                        trace,
-                    });
-                }
-                Status::Stalled {
-                    suspended,
-                    executed,
-                } => {
-                    let (suspended, executed) = (*suspended, *executed);
-                    *events = std::mem::take(&mut ctl.events);
-                    drop(ctl);
-                    let trace = core.take_trace();
-                    self.clear_slot();
-                    return Err(FailedAttempt {
-                        error: ExecError::Stalled {
-                            suspended_workers: suspended,
-                            executed_nodes: executed,
-                        },
-                        trace,
-                    });
-                }
-                Status::Running => {}
-            }
-            let progress = core.ticket.load(SeqCst);
-            let timed_out = core.cv.wait_for(&mut ctl, watchdog).timed_out();
-            if timed_out
-                && core.ticket.load(SeqCst) == last_progress
-                && matches!(ctl.status, Status::Running)
-                && !ctl.grow_pending
-                && unpack(core.ctr.load(SeqCst)).fake == 0
-            {
-                drain_executing_v2(&core, &mut ctl, watchdog);
-                if matches!(ctl.status, Status::Running)
-                    && !ctl.grow_pending
-                    && core.ticket.load(SeqCst) == last_progress
-                {
-                    core.done.store(true, SeqCst);
-                    core.cv.notify_all();
-                    unpark_all(&core);
-                    *events = std::mem::take(&mut ctl.events);
-                    drop(ctl);
-                    let trace = core.take_trace();
-                    self.clear_slot();
-                    return Err(FailedAttempt {
-                        error: ExecError::WatchdogTimeout,
-                        trace,
-                    });
-                }
-            }
-            last_progress = progress;
-        }
+        let ctl = &mut core.ctl.lock();
+        let view = V2View { shared, core, ctl };
+        supervise(view, shared.config.watchdog, events)
     }
 }
 
 impl Drop for V2Pool {
     fn drop(&mut self) {
-        {
-            let mut slot = self.shared.slot.lock();
-            slot.shutdown = true;
-        }
+        self.shared.slot.lock().shutdown = true;
         self.shared.cv.notify_all();
-        for h in self.handles.drain(..).chain(self.rescue_handles.drain(..)) {
+        let rescuers = std::mem::take(&mut *self.shared.rescuers.lock());
+        for h in self.handles.drain(..).chain(rescuers) {
             let _ = h.join();
         }
-    }
-}
-
-/// Builds `completion_order`/`spans` from the lock-free ticket array.
-/// Every collection path first ensures `executing == 0`, so all tickets
-/// below `executed` are fully written; the guard is defensive.
-fn collect_completions(core: &JobCore, executed: usize) -> (Vec<usize>, Vec<NodeSpan>) {
-    let mut order = Vec::with_capacity(executed);
-    let mut spans = Vec::with_capacity(executed);
-    for i in 0..executed {
-        let Some(s) = core.spans[i].get() else {
-            continue;
-        };
-        order.push(s.node);
-        spans.push(*s);
-    }
-    (order, spans)
-}
-
-/// Waits — bounded by one watchdog budget — for mid-body workers to
-/// record their terminal events. Polls (5 ms steps) because a
-/// fault-injected lost wakeup must not turn this into a full sleep.
-fn drain_executing_v2(core: &JobCore, ctl: &mut MutexGuard<'_, Ctl>, watchdog: Duration) {
-    let deadline = Instant::now() + watchdog;
-    while unpack(core.ctr.load(SeqCst)).executing > 0 {
-        let now = Instant::now();
-        if now >= deadline {
-            break;
-        }
-        let step = (deadline - now).min(Duration::from_millis(5));
-        let _ = core.cv.wait_for(ctl, step);
     }
 }
 
@@ -671,15 +562,12 @@ fn worker_loop_v2(shared: &Arc<Shared2>, id: usize) {
 /// Serves one job on worker slot `worker` until the job reaches a
 /// terminal state. Also the rescue-worker body (rescuers serve exactly
 /// one job and retire).
-fn serve(shared: &Shared2, core: &Arc<JobCore>, worker: usize) {
+fn serve(shared: &Arc<Shared2>, core: &Arc<JobCore>, worker: usize) {
     *core.threads[worker].lock() = Some(thread::current());
     let local = match &core.queues {
         QueuesV2::WorkStealing { deques, .. } => deques[worker].lock().take(),
         _ => None,
     };
-    // Base workers start "parked" in the trace (the job-release events
-    // park them); rescuers are born active (v1 parity).
-    let mut parked = worker < core.base_workers;
     loop {
         if core.done.load(SeqCst) {
             break;
@@ -695,35 +583,7 @@ fn serve(shared: &Shared2, core: &Arc<JobCore>, worker: usize) {
             {
                 shared.cv.notify_one();
             }
-            if parked {
-                parked = false;
-                core.rec_worker(
-                    worker,
-                    EventKind::ThreadUnpark {
-                        task: 0,
-                        thread: u32c(worker),
-                    },
-                );
-            }
-            if let Some((victim, count)) = f.steal {
-                core.rec_worker(
-                    worker,
-                    EventKind::StealBatch {
-                        task: 0,
-                        thread: u32c(worker),
-                        victim,
-                        count,
-                    },
-                );
-            }
-            core.rec_worker(
-                worker,
-                EventKind::QueueDepth {
-                    task: 0,
-                    thread: u32c(worker),
-                    depth: f.depth,
-                },
-            );
+            core.tracer.fetched(worker, &f);
             execute_chain(shared, core, worker, f.node, local.as_ref());
             continue;
         }
@@ -741,24 +601,16 @@ fn serve(shared: &Shared2, core: &Arc<JobCore>, worker: usize) {
         // executing or a join is ready): that worker re-evaluates when it
         // goes idle itself, so the last one to park always takes the lock.
         let c = unpack(core.ctr.load(SeqCst));
-        if c.executing == 0 && c.ready_joins == 0 && core.work_remains() {
-            let mut ctl = core.ctl.lock();
-            maybe_stall_locked(core, &mut ctl);
+        let work_remains = core.ticket.load(SeqCst) < core.dag.node_count();
+        if c.executing == 0 && c.ready_joins == 0 && work_remains {
+            let ctl = &mut core.ctl.lock();
+            maybe_stall(&mut V2View { shared, core, ctl });
         }
         if core.done.load(SeqCst) {
             core.parking[worker].store(ACTIVE, SeqCst);
             break;
         }
-        if !parked {
-            parked = true;
-            core.rec_worker(
-                worker,
-                EventKind::ThreadPark {
-                    task: 0,
-                    thread: u32c(worker),
-                },
-            );
-        }
+        core.tracer.set_parked(worker, true);
         while core.parking[worker].load(SeqCst) == PARKED && !core.done.load(SeqCst) {
             thread::park();
         }
@@ -766,22 +618,11 @@ fn serve(shared: &Shared2, core: &Arc<JobCore>, worker: usize) {
     }
 }
 
-/// A fetched node plus dispatch metadata for the trace (mirrors the v1
-/// `Fetched`).
-struct FetchedV2 {
-    node: NodeId,
-    /// Depth of the source queue right after this fetch.
-    depth: u32,
-    /// `Some((victim, count))` when stolen: `victim = None` is the shared
-    /// injector, `Some(w)` worker `w`'s queue; `count` the nodes taken.
-    steal: Option<(Option<u32>, u32)>,
-}
-
 /// Fetches one node, keeping the counter protocol the stall detector
 /// needs. The protocol differs by discipline:
 ///
 /// * **Partitioned** fetchability is judged from the *physical* queues
-///   ([`maybe_stall_locked`] inspects per-owner injectors), so an
+///   (the [`JobView::snapshot`] inspects per-owner injectors), so an
 ///   in-flight pop must be visible as `executing` before the queue is
 ///   touched — the pre-increment protocol, backed out on failure.
 /// * **Global / work stealing** fetchability is judged from the `queued`
@@ -789,7 +630,7 @@ struct FetchedV2 {
 ///   count before pushing, consumers decrement only here), so a single
 ///   combined RMW after a successful pop suffices and a failed fetch
 ///   costs no atomic write at all.
-fn try_fetch(core: &JobCore, worker: usize, local: Option<&CbWorker<usize>>) -> Option<FetchedV2> {
+fn try_fetch(core: &JobCore, worker: usize, local: Option<&CbWorker<usize>>) -> Option<Fetched> {
     if matches!(core.queues, QueuesV2::Partitioned(_)) {
         core.ctr.fetch_add(EXEC_ONE, SeqCst);
         match pop_physical(core, worker, local) {
@@ -809,118 +650,63 @@ fn try_fetch(core: &JobCore, worker: usize, local: Option<&CbWorker<usize>>) -> 
     }
 }
 
+/// Runs one steal operation until it stops colliding with a concurrent
+/// one; `None` when the queue is empty.
+fn steal_from(mut op: impl FnMut() -> Steal<usize>) -> Option<usize> {
+    loop {
+        match op() {
+            Steal::Success(v) => return Some(v),
+            Steal::Empty => return None,
+            Steal::Retry => std::hint::spin_loop(),
+        }
+    }
+}
+
 /// Canonical lock-free fetch: local pop → injector steal → steal-half
 /// from the richest peer (work stealing), or the discipline's queue.
-fn pop_physical(
-    core: &JobCore,
-    worker: usize,
-    local: Option<&CbWorker<usize>>,
-) -> Option<FetchedV2> {
+fn pop_physical(core: &JobCore, worker: usize, local: Option<&CbWorker<usize>>) -> Option<Fetched> {
     match &core.queues {
-        QueuesV2::Global(inj) => loop {
-            match inj.steal() {
-                Steal::Success(v) => {
-                    return Some(FetchedV2 {
-                        node: NodeId::from_index(v),
-                        depth: u32c(inj.len()),
-                        steal: None,
-                    })
-                }
-                Steal::Empty => return None,
-                Steal::Retry => std::hint::spin_loop(),
-            }
-        },
-        QueuesV2::Partitioned(qs) => {
-            if worker < core.base_workers {
-                loop {
-                    match qs[worker].steal() {
-                        Steal::Success(v) => {
-                            return Some(FetchedV2 {
-                                node: NodeId::from_index(v),
-                                depth: u32c(qs[worker].len()),
-                                steal: None,
-                            })
-                        }
-                        Steal::Empty => return None,
-                        Steal::Retry => std::hint::spin_loop(),
-                    }
-                }
-            } else {
-                // Rescue workers serve the queues of *suspended* owners —
-                // exactly the nodes that could otherwise strand.
-                loop {
-                    let mut retry = false;
-                    for (w, q) in qs.iter().enumerate().take(core.base_workers) {
-                        if !core.worker_suspended[w].load(SeqCst) {
-                            continue;
-                        }
-                        match q.steal() {
-                            Steal::Success(v) => {
-                                return Some(FetchedV2 {
-                                    node: NodeId::from_index(v),
-                                    depth: u32c(q.len()),
-                                    steal: Some((Some(u32c(w)), 1)),
-                                })
-                            }
-                            Steal::Retry => retry = true,
-                            Steal::Empty => {}
-                        }
-                    }
-                    if !retry {
-                        return None;
-                    }
-                    std::hint::spin_loop();
-                }
-            }
+        QueuesV2::Global(inj) => {
+            steal_from(|| inj.steal()).map(|v| Fetched::new(v, inj.len(), None))
         }
+        QueuesV2::Partitioned(qs) if worker < core.base_workers => {
+            let q = &qs[worker];
+            steal_from(|| q.steal()).map(|v| Fetched::new(v, q.len(), None))
+        }
+        // Rescue workers serve the queues of *suspended* owners — exactly
+        // the nodes that could otherwise strand.
+        QueuesV2::Partitioned(qs) => (0..core.base_workers)
+            .filter(|&w| core.worker_suspended[w].load(SeqCst))
+            .find_map(|w| {
+                let v = steal_from(|| qs[w].steal())?;
+                Some(Fetched::new(v, qs[w].len(), Some((Some(w), 1))))
+            }),
         QueuesV2::WorkStealing {
             injector, stealers, ..
         } => {
             let local = local.expect("work-stealing workers hold their deque");
             if let Some(v) = local.pop() {
-                return Some(FetchedV2 {
-                    node: NodeId::from_index(v),
-                    depth: u32c(local.len()),
-                    steal: None,
-                });
+                return Some(Fetched::new(v, local.len(), None));
+            }
+            if let Some(v) = steal_from(|| injector.steal_batch_and_pop(local)) {
+                let batch = local.len() + 1;
+                return Some(Fetched::new(v, injector.len(), Some((None, batch))));
             }
             loop {
-                match injector.steal_batch_and_pop(local) {
-                    Steal::Success(v) => {
-                        return Some(FetchedV2 {
-                            node: NodeId::from_index(v),
-                            depth: u32c(injector.len()),
-                            steal: Some((None, u32c(local.len() + 1))),
-                        })
-                    }
-                    Steal::Empty => break,
-                    Steal::Retry => std::hint::spin_loop(),
-                }
-            }
-            loop {
-                let mut best: Option<(usize, usize)> = None;
-                for (w, s) in stealers.iter().enumerate() {
-                    if w == worker {
-                        continue;
-                    }
-                    let len = s.len();
-                    if len > 0 && best.is_none_or(|(_, b)| len > b) {
-                        best = Some((w, len));
-                    }
-                }
-                let (victim, _) = best?;
-                match stealers[victim].steal_batch_and_pop(local) {
-                    Steal::Success(v) => {
-                        return Some(FetchedV2 {
-                            node: NodeId::from_index(v),
-                            depth: u32c(stealers[victim].len()),
-                            steal: Some((Some(u32c(victim)), u32c(local.len() + 1))),
-                        })
-                    }
-                    // Empty or Retry: the victim drained (or a steal
-                    // collided) — rescan for the new richest victim.
-                    _ => std::hint::spin_loop(),
-                }
+                let (victim, _) = stealers
+                    .iter()
+                    .enumerate()
+                    .filter(|&(w, s)| w != worker && !s.is_empty())
+                    .map(|(w, s)| (w, s.len()))
+                    .reduce(|best, next| if next.1 > best.1 { next } else { best })?;
+                // Empty or Retry: the victim drained (or a steal collided)
+                // — rescan for the new richest victim.
+                let Steal::Success(v) = stealers[victim].steal_batch_and_pop(local) else {
+                    std::hint::spin_loop();
+                    continue;
+                };
+                let (depth, batch) = (stealers[victim].len(), local.len() + 1);
+                return Some(Fetched::new(v, depth, Some((Some(victim), batch))));
             }
         }
     }
@@ -956,23 +742,12 @@ fn has_visible_work(core: &JobCore, worker: usize, local: Option<&CbWorker<usize
 // Enqueue + targeted wakeups.
 // ---------------------------------------------------------------------
 
-/// Makes `node` ready: counts it queued *before* the physical push (the
-/// stall detector and the fetch protocol rely on that order). Returns
-/// the owning worker under the partitioned discipline so the caller can
-/// wake the right thread. Does not wake anyone itself.
-fn enqueue_v2(
-    shared: &Shared2,
-    core: &JobCore,
-    node: NodeId,
-    local: Option<&CbWorker<usize>>,
-) -> Option<usize> {
-    core.ctr.fetch_add(QUEUED_ONE, SeqCst);
-    push_ready(shared, core, node, local)
-}
-
-/// Physically pushes a node already counted queued by the caller (either
-/// [`enqueue_v2`] or the folded completion update in [`execute_chain`]).
-/// Returns the owning worker under the partitioned discipline.
+/// Physically pushes a node its caller has *already* counted queued (the
+/// stall detector and the fetch protocols rely on that order): the
+/// submitter for the source, the folded completion update in
+/// [`execute_chain`] for everything else. Returns the owning worker under
+/// the partitioned discipline so the caller can wake the right thread;
+/// wakes nobody itself.
 fn push_ready(
     shared: &Shared2,
     core: &JobCore,
@@ -1072,8 +847,11 @@ fn deliver_wakes(shared: &Shared2, core: &JobCore, unparks: usize, owner_wakes: 
     }
 }
 
-/// Wakes every active worker slot (terminal states only).
-fn unpark_all(core: &JobCore) {
+/// Makes the submitter and every active worker slot observe that the job
+/// is over (`ctl.status` left `Running`, or the watchdog gave up).
+fn terminate(core: &JobCore) {
+    core.done.store(true, SeqCst);
+    core.cv.notify_all();
     let active = core.active.load(SeqCst);
     for w in 0..active {
         core.parking[w].store(NOTIFIED, SeqCst);
@@ -1085,75 +863,6 @@ fn unpark_all(core: &JobCore) {
 }
 
 // ---------------------------------------------------------------------
-// Stall detection (exact, same predicate as v1).
-// ---------------------------------------------------------------------
-
-/// Declares a stall, requests growth, or returns, from one consistent
-/// counter snapshot. Must hold `ctl` (all suspension transitions happen
-/// under it, and the pre-increment fetch protocol guarantees in-flight
-/// dispatches show `executing ≥ 1`).
-fn maybe_stall_locked(core: &JobCore, ctl: &mut Ctl) {
-    if !matches!(ctl.status, Status::Running) || ctl.grow_pending {
-        return;
-    }
-    if !core.work_remains() {
-        return;
-    }
-    let c = unpack(core.ctr.load(SeqCst));
-    if c.executing > 0 || c.ready_joins > 0 {
-        return;
-    }
-    let active = core.active.load(SeqCst);
-    let queued_work = c.queued > 0;
-    let fetchable = match &core.queues {
-        QueuesV2::Global(_) | QueuesV2::WorkStealing { .. } => queued_work && c.suspended < active,
-        QueuesV2::Partitioned(qs) => {
-            let owner_can = (0..core.base_workers)
-                .any(|w| !core.worker_suspended[w].load(SeqCst) && !qs[w].is_empty());
-            let rescuer_can = (core.base_workers..active)
-                .any(|w| !core.worker_suspended[w].load(SeqCst))
-                && (0..core.base_workers)
-                    .any(|w| core.worker_suspended[w].load(SeqCst) && !qs[w].is_empty());
-            owner_can || rescuer_can
-        }
-    };
-    if fetchable {
-        return;
-    }
-    if ctl.growth_budget > 0 && queued_work {
-        // A rescue worker can serve the queued work: request growth.
-        ctl.grow_pending = true;
-        core.cv.notify_all();
-        return;
-    }
-    if core.grow_policy && c.fake > 0 {
-        // An injected suspension is in flight under a GrowPool policy:
-        // its deadline is guaranteed to expire and re-evaluate.
-        return;
-    }
-    ctl.status = Status::Stalled {
-        suspended: c.suspended,
-        executed: core.ticket.load(SeqCst),
-    };
-    core.rec_ctl(EventKind::StallDetected {
-        task: 0,
-        job: 0,
-        suspended: u32c(c.suspended),
-    });
-    core.done.store(true, SeqCst);
-    core.cv.notify_all();
-    unpark_all(core);
-}
-
-/// Updates the minimum observed available concurrency `l(t)`; call under
-/// `ctl` right after a suspension is counted.
-fn note_suspension(core: &JobCore, ctl: &mut Ctl) {
-    let c = unpack(core.ctr.load(SeqCst));
-    let active = core.active.load(SeqCst);
-    ctl.min_available = ctl.min_available.min(active.saturating_sub(c.suspended));
-}
-
-// ---------------------------------------------------------------------
 // Execution chain: body → completion → (blocking-fork barrier → join)*.
 // ---------------------------------------------------------------------
 
@@ -1162,7 +871,7 @@ fn note_suspension(core: &JobCore, ctl: &mut Ctl) {
 /// opens, then the `BJ` runs here). Returns when the chain ends or the
 /// job reaches a terminal state.
 fn execute_chain(
-    shared: &Shared2,
+    shared: &Arc<Shared2>,
     core: &Arc<JobCore>,
     worker: usize,
     mut node: NodeId,
@@ -1170,118 +879,41 @@ fn execute_chain(
 ) {
     let faults = shared.config.faults.as_ref();
     let time_scale = shared.config.time_scale;
-    let attempt = core.attempt;
+    let (attempt, tracer) = (core.attempt, &core.tracer);
     loop {
         let before = faults
             .map(|p| p.before_body(attempt, node.index()))
             .unwrap_or_default();
 
         if let Some(d) = before.suspend {
-            {
-                let mut ctl = core.ctl.lock();
-                ctl.events.push(RecoveryEvent::FaultInjected {
-                    attempt,
-                    node: node.index(),
-                    fault: "suspend_worker",
-                });
-                core.rec_ctl(EventKind::Recovery {
-                    task: 0,
-                    label: "suspend_worker".to_string(),
-                    node: Some(u32c(node.index())),
-                });
-            }
-            if !fake_suspend_v2(core, worker, d, node) {
+            let ctl = &mut core.ctl.lock();
+            ctl.note_fault(tracer, node, "suspend_worker");
+            let mut view = V2View { shared, core, ctl };
+            if !fake_suspend(&mut view, worker, node, d) {
                 return;
             }
         }
         if before.panic_body || before.extra_wcet > 0 {
             let mut ctl = core.ctl.lock();
             if before.panic_body {
-                ctl.events.push(RecoveryEvent::FaultInjected {
-                    attempt,
-                    node: node.index(),
-                    fault: "panic_body",
-                });
-                core.rec_ctl(EventKind::Recovery {
-                    task: 0,
-                    label: "panic_body".to_string(),
-                    node: Some(u32c(node.index())),
-                });
+                ctl.note_fault(tracer, node, "panic_body");
             }
             if before.extra_wcet > 0 {
-                ctl.events.push(RecoveryEvent::FaultInjected {
-                    attempt,
-                    node: node.index(),
-                    fault: "jitter_wcet",
-                });
-                core.rec_ctl(EventKind::Recovery {
-                    task: 0,
-                    label: "jitter_wcet".to_string(),
-                    node: Some(u32c(node.index())),
-                });
+                ctl.note_fault(tracer, node, "jitter_wcet");
             }
         }
 
-        core.rec_worker(
-            worker,
-            EventKind::NodeStart {
-                task: 0,
-                job: 0,
-                node: u32c(node.index()),
-                thread: u32c(worker),
-            },
-        );
-        core.rec_worker(
-            worker,
-            EventKind::CoreAssign {
-                core: u32c(worker),
-                occupant: Some((0, u32c(worker))),
-            },
-        );
+        tracer.node_start(worker, node);
         let start = core.started.elapsed();
         let wcet = core.dag.wcet(node) + before.extra_wcet;
-        let body = panic::catch_unwind(AssertUnwindSafe(|| {
-            busy_work(wcet, time_scale);
-            if before.panic_body {
-                panic!("injected fault: node body panic at v{}", node.index());
-            }
-        }));
-        core.rec_worker(
-            worker,
-            EventKind::NodeEnd {
-                task: 0,
-                job: 0,
-                node: u32c(node.index()),
-                thread: u32c(worker),
-            },
-        );
-        core.rec_worker(
-            worker,
-            EventKind::CoreAssign {
-                core: u32c(worker),
-                occupant: None,
-            },
-        );
-        if let Err(payload) = body {
-            // Panic isolation: report the poisoned node, keep the
-            // accounting consistent, stay usable.
+        let body = run_body(wcet, time_scale, before.panic_body, node);
+        tracer.node_end(worker, node);
+        if let Err(message) = body {
             let mut ctl = core.ctl.lock();
             core.ctr.fetch_sub(EXEC_ONE, SeqCst);
-            core.rec_ctl(EventKind::Recovery {
-                task: 0,
-                label: "node_panicked".to_string(),
-                node: Some(u32c(node.index())),
-            });
-            if matches!(ctl.status, Status::Running) {
-                ctl.status = Status::Panicked {
-                    node: node.index(),
-                    message: panic_message(payload.as_ref()),
-                };
-            }
-            core.done.store(true, SeqCst);
-            core.cv.notify_all();
+            ctl.node_panicked(tracer, node, message);
             drop(ctl);
-            unpark_all(core);
+            terminate(core);
             return;
         }
         let end = core.started.elapsed();
@@ -1321,16 +953,9 @@ fn execute_chain(
         if node == core.dag.sink() {
             debug_assert_eq!(ticket + 1, core.dag.node_count(), "sink completes last");
             core.ctr.fetch_sub(EXEC_ONE, SeqCst);
-            {
-                let mut ctl = core.ctl.lock();
-                if matches!(ctl.status, Status::Running) {
-                    ctl.status = Status::Finished(core.started.elapsed());
-                    core.rec_ctl(EventKind::JobCompleted { task: 0, job: 0 });
-                }
-            }
-            core.done.store(true, SeqCst);
-            core.cv.notify_all();
-            unpark_all(core);
+            let makespan = core.started.elapsed();
+            core.ctl.lock().job_finished(tracer, makespan);
+            terminate(core);
             return;
         }
         // Publish every ready successor with ONE folded counter update
@@ -1359,30 +984,9 @@ fn execute_chain(
             // is told. The exact stall detector (rightly) does not cover
             // this; the watchdog must.
             let mut ctl = core.ctl.lock();
-            ctl.events.push(RecoveryEvent::FaultInjected {
-                attempt,
-                node: node.index(),
-                fault: "swallow_wakeup",
-            });
-            core.rec_ctl(EventKind::Recovery {
-                task: 0,
-                label: "swallow_wakeup".to_string(),
-                node: Some(u32c(node.index())),
-            });
+            ctl.note_fault(tracer, node, "swallow_wakeup");
         } else if let Some(d) = after.delay_wakeup {
-            {
-                let mut ctl = core.ctl.lock();
-                ctl.events.push(RecoveryEvent::FaultInjected {
-                    attempt,
-                    node: node.index(),
-                    fault: "delay_wakeup",
-                });
-                core.rec_ctl(EventKind::Recovery {
-                    task: 0,
-                    label: "delay_wakeup".to_string(),
-                    node: Some(u32c(node.index())),
-                });
-            }
+            core.ctl.lock().note_fault(tracer, node, "delay_wakeup");
             thread::sleep(d);
             deliver_wakes(shared, core, unparks, &owner_wakes);
             core.cv.notify_all();
@@ -1405,7 +1009,7 @@ fn execute_chain(
             // loop — chaining would mask an injected lost wakeup (the
             // swallowing worker would quietly pick its orphan back up)
             // and skip the per-fetch queue-depth events.
-            if faults.is_some() || core.trace.is_some() || core.done.load(SeqCst) {
+            if faults.is_some() || tracer.enabled() || core.done.load(SeqCst) {
                 core.ctr.fetch_sub(EXEC_ONE, SeqCst);
                 return;
             }
@@ -1421,151 +1025,17 @@ fn execute_chain(
                 }
             }
         }
-        // Blocking fork: wait on the barrier — the condvar wait of
-        // Listing 1, or a busy-wait under the spin backend — then run
-        // the join as our continuation. The packed-counter accounting is
-        // backend-independent; only the wait primitive differs.
+        // Blocking fork: wait on the barrier, then run the join as our
+        // continuation.
         let join = core
             .dag
             .blocking_join_of(node)
             .expect("validated BF has a paired BJ");
-        let mut ctl = core.ctl.lock();
-        // One update swaps our (still-held) executing slot for a
-        // suspended one, so the counter never shows the worker
-        // unaccounted in between.
-        core.ctr.fetch_add(SUSP_ONE.wrapping_sub(EXEC_ONE), SeqCst);
-        core.worker_suspended[worker].store(true, SeqCst);
-        note_suspension(core, &mut ctl);
-        let ev = if core.spin {
-            EventKind::SpinStart {
-                task: 0,
-                job: 0,
-                fork: u32c(node.index()),
-                thread: u32c(worker),
-            }
-        } else {
-            EventKind::BarrierSuspend {
-                task: 0,
-                job: 0,
-                fork: u32c(node.index()),
-                thread: u32c(worker),
-            }
-        };
-        core.rec_worker(worker, ev);
-        let woke = loop {
-            if core.done.load(SeqCst) {
-                break false;
-            }
-            if ctl.join_ready[join.index()] {
-                ctl.join_ready[join.index()] = false;
-                core.ctr.fetch_sub(RJ_ONE, SeqCst);
-                break true;
-            }
-            maybe_stall_locked(core, &mut ctl);
-            if core.done.load(SeqCst) {
-                break false;
-            }
-            if core.spin {
-                // Busy-wait: release the control lock, burn a bounded
-                // batch of cycles, re-acquire, re-check. The worker
-                // stays out of the parked set the whole time.
-                drop(ctl);
-                for _ in 0..SPIN_BATCH_V2 {
-                    std::hint::spin_loop();
-                }
-                ctl = core.ctl.lock();
-            } else {
-                core.cv.wait(&mut ctl);
-            }
-        };
-        core.ctr.fetch_sub(SUSP_ONE, SeqCst);
-        core.worker_suspended[worker].store(false, SeqCst);
-        if !woke {
-            if core.spin {
-                // Abandoned busy-wait (stall or abort): the spinner
-                // observed the terminal state and stops burning its
-                // core; close the spin window in the trace.
-                core.rec_worker(
-                    worker,
-                    EventKind::SpinEnd {
-                        task: 0,
-                        job: 0,
-                        join: u32c(join.index()),
-                        thread: u32c(worker),
-                    },
-                );
-            }
+        let ctl = &mut core.ctl.lock();
+        let mut view = V2View { shared, core, ctl };
+        if !barrier_wait(&mut view, worker, node, join, core.spin) {
             return;
         }
-        core.ctr.fetch_add(EXEC_ONE, SeqCst);
-        let ev = if core.spin {
-            EventKind::SpinEnd {
-                task: 0,
-                job: 0,
-                join: u32c(join.index()),
-                thread: u32c(worker),
-            }
-        } else {
-            EventKind::BarrierWake {
-                task: 0,
-                job: 0,
-                join: u32c(join.index()),
-                thread: u32c(worker),
-            }
-        };
-        core.rec_worker(worker, ev);
-        drop(ctl);
         node = join; // execute the continuation
     }
-}
-
-/// Artificially suspends `worker` for `dur`, accounted exactly like a
-/// barrier suspension so the stall detector and recovery reason about
-/// it. Returns `false` if the job reached a terminal state meanwhile.
-fn fake_suspend_v2(core: &JobCore, worker: usize, dur: Duration, node: NodeId) -> bool {
-    let mut ctl = core.ctl.lock();
-    core.ctr.fetch_add(SUSP_ONE + FAKE_ONE, SeqCst);
-    core.ctr.fetch_sub(EXEC_ONE, SeqCst);
-    core.worker_suspended[worker].store(true, SeqCst);
-    note_suspension(core, &mut ctl);
-    core.rec_worker(
-        worker,
-        EventKind::BarrierSuspend {
-            task: 0,
-            job: 0,
-            fork: u32c(node.index()),
-            thread: u32c(worker),
-        },
-    );
-    let deadline = Instant::now() + dur;
-    loop {
-        if core.done.load(SeqCst) {
-            core.ctr.fetch_sub(SUSP_ONE + FAKE_ONE, SeqCst);
-            core.worker_suspended[worker].store(false, SeqCst);
-            return false;
-        }
-        maybe_stall_locked(core, &mut ctl);
-        if core.done.load(SeqCst) {
-            continue; // the loop head undoes the accounting and bails
-        }
-        let now = Instant::now();
-        if now >= deadline {
-            break;
-        }
-        let _ = core.cv.wait_for(&mut ctl, deadline - now);
-    }
-    core.ctr.fetch_add(EXEC_ONE, SeqCst);
-    core.ctr.fetch_sub(SUSP_ONE + FAKE_ONE, SeqCst);
-    core.worker_suspended[worker].store(false, SeqCst);
-    core.rec_worker(
-        worker,
-        EventKind::BarrierWake {
-            task: 0,
-            job: 0,
-            join: u32c(node.index()),
-            thread: u32c(worker),
-        },
-    );
-    core.cv.notify_all();
-    true
 }

@@ -33,7 +33,10 @@
 //!   lock-free Chase-Lev deques and an MPMC injector with atomic
 //!   sequence-count parking, keeping a condvar only for the Listing-1
 //!   blocking-join suspensions the paper's model requires (select with
-//!   [`PoolConfig::with_engine`]).
+//!   [`PoolConfig::with_engine`]). An engine owns only its queues and
+//!   its wakes: the job lifecycle around them (supervisor loop, barrier
+//!   wait, stall decision, fault bookkeeping, panic isolation, tracing)
+//!   is one private module both call.
 //!
 //! This crate is the demonstration substrate for the paper's Figure 1:
 //! the suspension-induced slowdown (inset b) and the two-replica deadlock
@@ -66,6 +69,7 @@ mod config;
 mod engine_v2;
 mod error;
 mod fault;
+mod lifecycle;
 mod pool;
 mod recovery;
 mod report;

@@ -2,12 +2,15 @@
 //! discipline, checking precedence, completeness, and stall verdicts
 //! against the static analysis.
 
+use std::sync::mpsc;
 use std::time::Duration;
 
 use rand::SeedableRng;
 use rtpool_core::partition::algorithm1;
 use rtpool_core::{deadlock, sizing};
-use rtpool_exec::{Engine, ExecError, PoolConfig, QueueDiscipline, ThreadPool};
+use rtpool_exec::{
+    Engine, ExecError, FaultPlan, PoolConfig, QueueDiscipline, RecoveryPolicy, ThreadPool,
+};
 use rtpool_gen::DagGenConfig;
 use rtpool_graph::Dag;
 
@@ -205,5 +208,90 @@ fn no_lost_wakeups_at_m32_oversubscribed() {
             });
             assert_eq!(report.executed_nodes, width + 2, "round {round}");
         }
+    }
+}
+
+/// Regression for the v2 false stall at job end: the stall detector read
+/// the completion ticket before the packed counter, so the sink's
+/// `ticket += 1; ctr -= EXEC_ONE` could land between the two reads and
+/// an idle worker saw "work remains" next to "nobody executing, nothing
+/// queued" — `Stalled` with 0 suspended workers after all 258 nodes. A
+/// flat fan-out with free bodies on two stealing workers makes the
+/// window as hot as it gets; under `Abort` a single false stall fails
+/// the run.
+#[test]
+fn v2_flat_jobs_never_stall_at_job_end() {
+    let mut b = rtpool_graph::DagBuilder::new();
+    b.fork_join(1, &[1u64; 256], 1, false).unwrap();
+    let dag = b.build().unwrap();
+    let mut pool = ThreadPool::new(
+        PoolConfig::new(2, QueueDiscipline::WorkStealing { seed: 1 })
+            .with_engine(Engine::V2LockFree)
+            .with_recovery(RecoveryPolicy::Abort)
+            .with_time_scale(Duration::ZERO)
+            .with_watchdog(Duration::from_secs(20)),
+    );
+    for run in 0..20_000 {
+        let report = pool
+            .run(&dag)
+            .unwrap_or_else(|e| panic!("run {run}: false stall suspected: {e}"));
+        assert_eq!(report.executed_nodes, 258, "run {run}");
+    }
+}
+
+/// Regression for a lost wakeup on the v2 panic path: the panicking
+/// worker writes the terminal status under the job lock but raises the
+/// `done` flag and notifies only after releasing it, so a sibling whose
+/// barrier-wait predicate was `done` alone could check it, miss the
+/// notification and sleep forever on the dead job — the next job then
+/// runs a worker short and dropping the pool hangs in `join`. Here the
+/// fork's worker waits on a suspend-mode barrier while the first
+/// attempt's only child panics; the retry needs *both* workers (one
+/// waits, one serves the child), so a stranded sibling shows up as a
+/// watchdog abort, and the final drop must return.
+#[test]
+fn panic_beside_a_barrier_waiter_strands_nobody() {
+    // Injected panics print through the default hook; mute pool threads.
+    let default = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        let name = std::thread::current().name().map(str::to_owned);
+        if !name.is_some_and(|n| n.starts_with("rtpool-")) {
+            default(info);
+        }
+    }));
+    let mut b = rtpool_graph::DagBuilder::new();
+    b.fork_join(1, &[1], 1, true).unwrap(); // fork 0, join 1, child 2
+    let dag = b.build().unwrap();
+    for engine in ENGINES {
+        let mut pool = ThreadPool::new(
+            PoolConfig::new(2, QueueDiscipline::GlobalFifo)
+                .with_engine(engine)
+                .with_time_scale(Duration::ZERO)
+                .with_watchdog(Duration::from_secs(2))
+                .with_recovery(RecoveryPolicy::RetryWithBackoff {
+                    max_retries: 1,
+                    base_delay: Duration::ZERO,
+                })
+                .with_faults(FaultPlan::seeded(7).panic_on_attempt(0, 2)),
+        );
+        for run in 0..3_000 {
+            match pool.run(&dag) {
+                Ok(report) => assert_eq!((report.attempts, report.executed_nodes), (2, 3)),
+                Err(e) => {
+                    // Dropping a pool with a stranded worker would hang
+                    // the failure report itself.
+                    std::mem::forget(pool);
+                    panic!("{} run {run}: a worker was stranded: {e}", engine.as_str());
+                }
+            }
+        }
+        let (dropped, on_drop) = mpsc::channel();
+        std::thread::spawn(move || {
+            drop(pool);
+            dropped.send(()).unwrap();
+        });
+        on_drop
+            .recv_timeout(Duration::from_secs(10))
+            .unwrap_or_else(|_| panic!("{}: dropping the pool hangs", engine.as_str()));
     }
 }

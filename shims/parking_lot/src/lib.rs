@@ -8,7 +8,9 @@
 //!   panicking worker must not poison the pool, which is exactly the
 //!   behavior `rtpool-exec`'s panic isolation relies on);
 //! * `Condvar::wait`/`wait_for` take the guard by `&mut`, re-acquiring
-//!   the same lock before returning.
+//!   the same lock before returning;
+//! * `MutexGuard::unlocked` releases the lock around a closure through
+//!   the same `&mut` guard.
 
 use std::sync::{self, PoisonError};
 use std::time::Duration;
@@ -26,6 +28,7 @@ pub struct Mutex<T> {
 /// guard out, block on the underlying condition variable, and put the
 /// re-acquired guard back — all in safe code.
 pub struct MutexGuard<'a, T> {
+    mutex: &'a sync::Mutex<T>,
     inner: Option<sync::MutexGuard<'a, T>>,
 }
 
@@ -40,6 +43,7 @@ impl<T> Mutex<T> {
     /// Acquires the lock, blocking until available. Never poisons.
     pub fn lock(&self) -> MutexGuard<'_, T> {
         MutexGuard {
+            mutex: &self.inner,
             inner: Some(self.inner.lock().unwrap_or_else(PoisonError::into_inner)),
         }
     }
@@ -53,6 +57,22 @@ impl<T> Mutex<T> {
 }
 
 impl<'a, T> MutexGuard<'a, T> {
+    /// Releases the lock, runs `f`, and re-acquires the lock before
+    /// returning — or unwinding, if `f` panics (parking_lot's
+    /// `MutexGuard::unlocked`).
+    pub fn unlocked<U>(s: &mut Self, f: impl FnOnce() -> U) -> U {
+        struct Relock<'g, 'a, T>(&'g mut MutexGuard<'a, T>);
+        impl<T> Drop for Relock<'_, '_, T> {
+            fn drop(&mut self) {
+                let relocked = self.0.mutex.lock().unwrap_or_else(PoisonError::into_inner);
+                self.0.inner = Some(relocked);
+            }
+        }
+        drop(s.inner.take().expect("guard present"));
+        let _relock = Relock(s);
+        f()
+    }
+
     fn guard(&self) -> &sync::MutexGuard<'a, T> {
         self.inner
             .as_ref()
@@ -166,6 +186,33 @@ mod tests {
         let mut g = m.lock();
         let r = cv.wait_for(&mut g, Duration::from_millis(10));
         assert!(r.timed_out());
+    }
+
+    #[test]
+    fn unlocked_releases_and_reacquires() {
+        let m = Mutex::new(0);
+        let mut g = m.lock();
+        *g = 1;
+        let seen = MutexGuard::unlocked(&mut g, || {
+            let mut inner = m.lock();
+            *inner += 1;
+            *inner
+        });
+        assert_eq!(seen, 2);
+        assert_eq!(*g, 2, "same guard, lock held again");
+    }
+
+    #[test]
+    fn unlocked_reacquires_on_unwind() {
+        let m = Mutex::new(7);
+        let mut g = m.lock();
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            MutexGuard::unlocked(&mut g, || panic!("inside unlocked"));
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(*g, 7, "the guard holds the lock again");
+        drop(g);
+        assert_eq!(*m.lock(), 7, "and released it when dropped");
     }
 
     #[test]
