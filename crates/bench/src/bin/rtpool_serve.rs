@@ -11,7 +11,7 @@
 //!
 //! ```text
 //! rtpool-serve [--workers N] [--pool injector|sweep]
-//!              [--queue-cap N] [--batch-max N]
+//!              [--queue-cap N]
 //!              [--default-deadline-us U] [--slo-p99-us U]
 //!              [--shed-below-priority P] [--window N]
 //!              [--interner-cap N] [--socket PATH]
@@ -54,7 +54,7 @@ struct Args {
 
 fn usage() -> &'static str {
     "usage: rtpool-serve [--workers N] [--pool injector|sweep] \
-     [--queue-cap N] [--batch-max N] \
+     [--queue-cap N] \
      [--default-deadline-us U] [--slo-p99-us U] [--shed-below-priority P] \
      [--window N] [--interner-cap N] [--socket PATH] [--trace PATH] [--summary]"
 }
@@ -89,11 +89,6 @@ fn parse_args() -> Result<Args, String> {
                 args.config.queue_cap = value("--queue-cap")?
                     .parse()
                     .map_err(|e| format!("invalid --queue-cap: {e}"))?;
-            }
-            "--batch-max" => {
-                args.config.batch_max = value("--batch-max")?
-                    .parse()
-                    .map_err(|e| format!("invalid --batch-max: {e}"))?;
             }
             "--default-deadline-us" => {
                 args.config.default_deadline_us = value("--default-deadline-us")?

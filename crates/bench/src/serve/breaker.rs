@@ -1,9 +1,10 @@
 //! Latency-driven load-shedding circuit breaker.
 //!
 //! The server feeds every served request's latency into the breaker.
-//! Latencies accumulate into a window histogram (the `rtpool-trace`
-//! log₂ [`LatencyHistogram`]); when a window fills, its p99 upper bound
-//! is compared against the configured SLO:
+//! Latencies accumulate into a window of exact values; when the window
+//! fills, its nearest-rank p99 is compared against the configured SLO
+//! (a log₂ histogram's bucket bound would read one 33 ms response as
+//! 65.5 ms and open a 50 ms breaker on it):
 //!
 //! * p99 above the SLO → the breaker **opens**: requests whose priority
 //!   is below the shed threshold are answered `shed` immediately at
@@ -17,9 +18,8 @@
 //! still flows — the breaker needs fresh evidence to close, and
 //! high-priority traffic provides it.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
-
-use rtpool_trace::LatencyHistogram;
 
 /// Breaker configuration.
 #[derive(Clone, Copy, Debug)]
@@ -53,12 +53,13 @@ pub struct BreakerStats {
     pub closes: u64,
     /// Requests shed while open.
     pub shed: u64,
-    /// p99 upper bound of the last *completed* window, microseconds.
+    /// Nearest-rank p99 of the last *completed* window, microseconds.
     pub last_window_p99_us: Option<u64>,
 }
 
 struct State {
-    window: LatencyHistogram,
+    /// Latencies of the window being filled (at most `config.window`).
+    window: Vec<u64>,
     stats: BreakerStats,
 }
 
@@ -66,6 +67,10 @@ struct State {
 pub struct CircuitBreaker {
     config: BreakerConfig,
     state: Mutex<State>,
+    /// Mirrors `stats.open`, written under the `state` lock, so that
+    /// admitting on a closed breaker — every `submit` of a healthy
+    /// server — takes no lock. It publishes nothing but itself.
+    open: AtomicBool,
 }
 
 impl CircuitBreaker {
@@ -79,9 +84,10 @@ impl CircuitBreaker {
         CircuitBreaker {
             config,
             state: Mutex::new(State {
-                window: LatencyHistogram::new(),
+                window: Vec::with_capacity(config.window),
                 stats: BreakerStats::default(),
             }),
+            open: AtomicBool::new(false),
         }
     }
 
@@ -96,6 +102,9 @@ impl CircuitBreaker {
     /// the shed is counted.
     #[must_use]
     pub fn admit(&self, priority: u8) -> bool {
+        if !self.open.load(Ordering::Relaxed) {
+            return true;
+        }
         let mut st = self.state.lock().expect("breaker lock not poisoned");
         if st.stats.open && priority < self.config.shed_below_priority {
             st.stats.shed += 1;
@@ -109,13 +118,17 @@ impl CircuitBreaker {
     /// fills.
     pub fn observe(&self, latency_us: u64) {
         let mut st = self.state.lock().expect("breaker lock not poisoned");
-        st.window.observe(latency_us);
-        if (st.window.count() as usize) < self.config.window {
+        st.window.push(latency_us);
+        let n = st.window.len();
+        if n < self.config.window {
             return;
         }
-        let p99 = st.window.quantile_upper(0.99).unwrap_or(0);
+        // Nearest rank: the smallest value with at least 99 % of the
+        // window at or below it.
+        let rank = (n * 99).div_ceil(100);
+        let (_, &mut p99, _) = st.window.select_nth_unstable(rank - 1);
+        st.window.clear();
         st.stats.last_window_p99_us = Some(p99);
-        st.window = LatencyHistogram::new();
         let overloaded = p99 > self.config.slo_p99_us;
         if overloaded && !st.stats.open {
             st.stats.open = true;
@@ -124,16 +137,13 @@ impl CircuitBreaker {
             st.stats.open = false;
             st.stats.closes += 1;
         }
+        self.open.store(st.stats.open, Ordering::Relaxed);
     }
 
     /// Whether the breaker is currently open.
     #[must_use]
     pub fn is_open(&self) -> bool {
-        self.state
-            .lock()
-            .expect("breaker lock not poisoned")
-            .stats
-            .open
+        self.open.load(Ordering::Relaxed)
     }
 
     /// Current statistics snapshot.
@@ -175,6 +185,28 @@ mod tests {
         assert!(!b.is_open());
         assert_eq!(b.stats().closes, 1);
         assert!(b.admit(0));
+    }
+
+    /// The nearest-rank p99 of 64 responses is their largest. A single
+    /// 40 ms straggler is under a 50 ms objective and must be read as
+    /// 40 ms — a log₂ bucket bound reads it as 65.5 ms and opens.
+    #[test]
+    fn one_straggler_under_the_slo_keeps_the_breaker_closed() {
+        let b = breaker(50_000, 64);
+        for _ in 0..63 {
+            b.observe(1_000);
+        }
+        b.observe(40_000);
+        assert!(!b.is_open());
+        assert_eq!(b.stats().opens, 0);
+        assert_eq!(b.stats().last_window_p99_us, Some(40_000));
+        // In a window of 200 the two largest are beyond the rank.
+        let b = breaker(50_000, 200);
+        for latency in [900_000, 800_000].into_iter().chain((0..198).rev()) {
+            b.observe(latency);
+        }
+        assert_eq!(b.stats().last_window_p99_us, Some(197));
+        assert!(!b.is_open());
     }
 
     #[test]

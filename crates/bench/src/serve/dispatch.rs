@@ -1,41 +1,40 @@
-//! Lock-free batch dispatch for the admission server.
+//! Lock-free job dispatch for the admission server.
 //!
-//! [`InjectorPool`] is the serve-side counterpart of the executor's
-//! `Engine::V2LockFree` dispatch engine: request indices flow through a
-//! global [`Injector`] FIFO into per-worker Chase-Lev deques, and
-//! workers run the canonical local-pop → injector-steal →
-//! steal-from-peer loop. The only lock on the hot path of a batch is
-//! the one `Mutex` acquire per *job* that publishes the batch to the
-//! workers — every per-request hand-off (claim, steal, completion
-//! count) is a single atomic operation, mirroring how
-//! `crates/exec/src/engine_v2.rs` dispatches DAG nodes.
+//! [`InjectorPool`] hands cell indices to its workers through one
+//! global lock-free [`Injector`] FIFO, the queue the executor's
+//! `Engine::V2LockFree` feeds ready nodes through: every worker takes
+//! the next cell with a single atomic steal until the FIFO is empty.
+//! The only lock a job takes is the one `Mutex` acquire that publishes
+//! it to the workers. There are no per-worker deques: a cell is claimed
+//! by the worker that runs it, never parked behind another cell.
 //!
-//! [`ServePool`] lets [`Server`](super::server::Server) fan out on
-//! either engine: the classic [`SweepPool`] (shared packed-range queue
-//! under its own CAS protocol, v1 of the serve path) or an
-//! `InjectorPool`. Both expose the same `run_indexed` contract —
-//! results land in index order regardless of worker count or steal
-//! interleaving — so the server's dispatch loop is engine-agnostic.
+//! [`ServePool`] lets [`Server`](super::server::Server) run on either
+//! engine: the classic [`SweepPool`] (shared packed-range queue under
+//! its own CAS protocol, v1 of the serve path) or an `InjectorPool`.
+//! Both expose the same `run_indexed` contract — results land in index
+//! order regardless of worker count or steal interleaving. The server
+//! submits a single job of one cell per worker, each cell a loop that
+//! fetches requests from the ingress queue until shutdown; requests
+//! themselves never pass through the pool's queues. What the server
+//! needs from the pool is therefore that **a job of `threads()` cells
+//! puts one cell on every worker**: `SweepPool` seeds each worker's
+//! range with its own cell, and an `InjectorPool` worker claims one cell
+//! at a time and comes back for another only when that one has ended.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
-use crossbeam_deque::{Injector, Steal, Stealer, Worker};
+use crossbeam_deque::{Injector, Steal};
 
 use crate::sweep::SweepPool;
 
-/// Injector capacity: an upper bound on the cells of one batch. Serve
-/// batches are bounded by `batch_max` (typically `2 × workers`), so
-/// this is generous; [`InjectorPool::run_indexed`] rejects larger jobs
-/// up front rather than risking the shim's overflow panic mid-flight.
+/// Injector capacity: an upper bound on the cells of one job. The
+/// server's job has one cell per worker, so this is generous;
+/// [`InjectorPool::run_indexed`] rejects larger jobs up front rather
+/// than risking the shim's overflow panic mid-flight.
 const INJECTOR_CAP: usize = 1 << 16;
 
-/// Per-worker deque capacity: bounds how many cells a single batch
-/// steal can park locally. Batch steals cap themselves to the deque's
-/// spare room, so this only shapes steal granularity.
-const LOCAL_CAP: usize = 256;
-
-/// Type-erased batch job: workers only need "run cell `i` (as worker
+/// Type-erased job: workers only need "run cell `i` (as worker
 /// `w`)".
 trait DispatchJob: Send + Sync {
     fn run_cell(&self, index: usize, worker: usize);
@@ -69,11 +68,9 @@ struct State {
 }
 
 struct Shared {
-    /// Global FIFO the submitter feeds; workers drain it into their
-    /// local deques in batches.
+    /// Global FIFO the submitter feeds; workers take one cell at a
+    /// time.
     injector: Injector<u64>,
-    /// Steal endpoints of every worker's local deque.
-    stealers: Vec<Stealer<u64>>,
     state: Mutex<State>,
     /// Signals workers that a new job was published (or shutdown).
     work_cv: Condvar,
@@ -83,12 +80,10 @@ struct Shared {
     /// results once this hits zero, which guarantees every cell has
     /// executed and no worker still holds the job `Arc`.
     active: AtomicUsize,
-    /// Lifetime count of successful peer-deque steals (observability).
-    steals: AtomicU64,
 }
 
-/// A persistent pool of dispatch workers fanning batches out through a
-/// lock-free injector/stealer pipeline. Same `run_indexed` contract as
+/// A persistent pool of dispatch workers fanning jobs out through a
+/// lock-free injector FIFO. Same `run_indexed` contract as
 /// [`SweepPool`]: create once per process, submit any number of jobs.
 ///
 /// # Examples
@@ -103,7 +98,7 @@ struct Shared {
 pub struct InjectorPool {
     shared: Arc<Shared>,
     workers: Vec<std::thread::JoinHandle<()>>,
-    /// Serializes jobs: one batch in flight at a time.
+    /// Serializes jobs: one in flight at a time.
     submit: Mutex<()>,
 }
 
@@ -113,10 +108,8 @@ impl InjectorPool {
     #[must_use]
     pub fn new(threads: usize) -> Self {
         let threads = threads.max(1);
-        let deques: Vec<Worker<u64>> = (0..threads).map(|_| Worker::new_lifo(LOCAL_CAP)).collect();
         let shared = Arc::new(Shared {
             injector: Injector::new(INJECTOR_CAP),
-            stealers: deques.iter().map(Worker::stealer).collect(),
             state: Mutex::new(State {
                 generation: 0,
                 job: None,
@@ -125,16 +118,13 @@ impl InjectorPool {
             work_cv: Condvar::new(),
             done_cv: Condvar::new(),
             active: AtomicUsize::new(0),
-            steals: AtomicU64::new(0),
         });
-        let workers = deques
-            .into_iter()
-            .enumerate()
-            .map(|(me, local)| {
+        let workers = (0..threads)
+            .map(|me| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("dispatch-{me}"))
-                    .spawn(move || worker_loop(&shared, me, &local))
+                    .spawn(move || worker_loop(&shared, me))
                     .expect("spawning dispatch worker")
             })
             .collect();
@@ -151,12 +141,6 @@ impl InjectorPool {
         self.workers.len()
     }
 
-    /// Lifetime count of successful peer-deque steals across all jobs.
-    #[must_use]
-    pub fn steal_count(&self) -> u64 {
-        self.shared.steals.load(Ordering::Relaxed)
-    }
-
     /// Executes `f` for every cell index in `0..cells` across the pool
     /// and returns the results in index order. `f` also receives the
     /// executing worker's index (`0..threads()`) for per-worker
@@ -165,9 +149,8 @@ impl InjectorPool {
     ///
     /// # Panics
     ///
-    /// Panics if `cells` exceeds the injector capacity (65 536 — far
-    /// above any admissible serve batch) or if the closure panics in a
-    /// worker.
+    /// Panics if `cells` exceeds the injector capacity (65 536) or if
+    /// the closure panics in a worker.
     pub fn run_indexed<T, F>(&self, cells: usize, _label: &str, f: F) -> Vec<T>
     where
         T: Send + Sync + 'static,
@@ -178,7 +161,7 @@ impl InjectorPool {
         }
         assert!(
             cells <= INJECTOR_CAP,
-            "InjectorPool batch of {cells} cells exceeds injector capacity {INJECTOR_CAP}"
+            "InjectorPool job of {cells} cells exceeds injector capacity {INJECTOR_CAP}"
         );
 
         let _job_guard = self.submit.lock().expect("submit lock not poisoned");
@@ -188,8 +171,8 @@ impl InjectorPool {
         });
 
         // Feed every cell before publishing the job: a worker that sees
-        // the new generation must already see the whole batch, so the
-        // drain loop's "everything empty" exit is conclusive.
+        // the new generation must already see the whole job, so an
+        // empty injector means every cell has been claimed.
         for i in 0..cells {
             self.shared.injector.push(i as u64);
         }
@@ -243,7 +226,7 @@ impl Drop for InjectorPool {
     }
 }
 
-fn worker_loop(shared: &Shared, me: usize, local: &Worker<u64>) {
+fn worker_loop(shared: &Shared, me: usize) {
     let mut seen_generation = 0u64;
     loop {
         // Wait for a job we have not participated in yet (the job stays
@@ -264,23 +247,11 @@ fn worker_loop(shared: &Shared, me: usize, local: &Worker<u64>) {
             }
         };
 
-        // Canonical dispatch loop: local pop, then refill from the
-        // injector, then steal half a peer's deque. All cells are fed
-        // before the generation is published and a worker never exits
-        // with a non-empty local deque, so a full scan observing Empty
-        // everywhere means this worker's part is done (cells claimed by
-        // other workers finish on those workers).
-        loop {
-            if let Some(cell) = local.pop() {
-                job.run_cell(cell as usize, me);
-                continue;
-            }
-            match fetch(shared, me, local) {
-                Some(cell) => {
-                    job.run_cell(cell as usize, me);
-                }
-                None => break,
-            }
+        // All cells are fed before the generation is published, so an
+        // empty injector means this worker's part is done (cells claimed
+        // by other workers finish on those workers).
+        while let Some(cell) = next_cell(&shared.injector) {
+            job.run_cell(cell as usize, me);
         }
 
         // Release the job before announcing completion: once `active`
@@ -293,51 +264,28 @@ fn worker_loop(shared: &Shared, me: usize, local: &Worker<u64>) {
     }
 }
 
-/// One refill attempt: injector first (FIFO fairness for request
-/// latency), then the richest peer deque. Retries transient `Retry`
-/// races until every source conclusively reads `Empty`.
-fn fetch(shared: &Shared, me: usize, local: &Worker<u64>) -> Option<u64> {
+/// Claims the injector's next cell, retrying lost steal races until it
+/// conclusively reads `Empty`.
+fn next_cell(injector: &Injector<u64>) -> Option<u64> {
     loop {
-        let mut retry = false;
-        match shared.injector.steal_batch_and_pop(local) {
+        match injector.steal() {
             Steal::Success(cell) => return Some(cell),
-            Steal::Retry => retry = true,
-            Steal::Empty => {}
+            Steal::Empty => return None,
+            // A steal CAS lost: let the winning thread run rather than
+            // spinning — this host may have a single hardware thread.
+            Steal::Retry => std::thread::yield_now(),
         }
-        let richest = shared
-            .stealers
-            .iter()
-            .enumerate()
-            .filter(|&(w, _)| w != me)
-            .max_by_key(|(_, s)| s.len())
-            .filter(|(_, s)| !s.is_empty());
-        if let Some((_, stealer)) = richest {
-            match stealer.steal_batch_and_pop(local) {
-                Steal::Success(cell) => {
-                    shared.steals.fetch_add(1, Ordering::Relaxed);
-                    return Some(cell);
-                }
-                Steal::Retry | Steal::Empty => retry = true,
-            }
-        }
-        if !retry {
-            return None;
-        }
-        // Transient race (a steal CAS lost, or a mid-flight batch
-        // move): let the winning thread run rather than spinning — this
-        // host may have a single hardware thread.
-        std::thread::yield_now();
     }
 }
 
 /// The pool a [`Server`](super::server::Server) fans analysis out on:
 /// the classic locked-range [`SweepPool`] or the lock-free
-/// [`InjectorPool`]. Cheap to clone (both variants are `Arc`s).
-#[derive(Clone)]
+/// [`InjectorPool`]. A server takes its pool over for as long as it
+/// lives, so the `Arc` handed in must be the only one.
 pub enum ServePool {
     /// v1 serve path: shared packed-range queue (`SweepPool`).
     Sweep(Arc<SweepPool>),
-    /// v2 serve path: injector/stealer dispatch (`InjectorPool`).
+    /// v2 serve path: lock-free injector dispatch (`InjectorPool`).
     Injector(Arc<InjectorPool>),
 }
 
@@ -348,6 +296,15 @@ impl ServePool {
         match self {
             ServePool::Sweep(p) => p.threads(),
             ServePool::Injector(p) => p.threads(),
+        }
+    }
+
+    /// Whether no other handle to the pool exists, that is, nobody else
+    /// can submit a job to it.
+    pub(super) fn is_sole_handle(&self) -> bool {
+        match self {
+            ServePool::Sweep(p) => Arc::strong_count(p) == 1,
+            ServePool::Injector(p) => Arc::strong_count(p) == 1,
         }
     }
 
@@ -426,15 +383,6 @@ mod tests {
         let pool = InjectorPool::new(1);
         let out = pool.run_indexed(32, "t", |i, _w| i);
         assert_eq!(out, (0..32).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn batch_larger_than_local_deques() {
-        // More cells than LOCAL_CAP forces multiple injector refills.
-        let pool = InjectorPool::new(3);
-        let cells = super::LOCAL_CAP * 3 + 7;
-        let out = pool.run_indexed(cells, "t", |i, _w| i);
-        assert_eq!(out, (0..cells).collect::<Vec<_>>());
     }
 
     #[test]

@@ -19,9 +19,35 @@
 //! exactly one observer via [`InternError::Poisoned`] and evicted, so
 //! the supervisor's retry re-parses from source and repopulates a clean
 //! entry.
+//!
+//! # Who frees an evicted set
+//!
+//! A parsed set is several hundred heap blocks, and at capacity every
+//! miss evicts one. Were the evicting thread to free it, half of those
+//! frees (at two workers) would go to the malloc arena of the *other*
+//! worker — the one that built the set — while that worker allocates
+//! its next set from the same arena, and the workers would serialise on
+//! the allocator instead of on anything in this file. So an entry
+//! remembers the thread that inserted it, eviction (LRU and poisoned
+//! alike) only *moves* the victim to that thread's retire slot, and
+//! every [`Interner::intern`] / [`Interner::intern_set`] call takes the
+//! caller's own retired sets out and drops them. The invariant: **the
+//! interner lock is never held across a `TaskSet` drop**, and a set is
+//! dropped by its builder whenever the builder is still calling.
+//!
+//! Retired sets are bounded: `RETIRE_BUILDERS` (16) slots of
+//! `RETIRE_PER_BUILDER` (4) sets, the slots going to the first threads
+//! that call. A victim whose builder has no slot, or a full one, is
+//! dropped by the evicting call itself (after it has released the
+//! lock); a builder that stops calling — a supervisor rescue thread,
+//! say — leaves at most a slot's worth of sets behind, freed with the
+//! interner. None of this is visible from outside: which entry is
+//! evicted, every hash, the memo and every [`InternerStats`] counter
+//! are what they would be if eviction dropped the victim on the spot.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
+use std::thread::{self, ThreadId};
 
 use rtpool_core::textfmt::{parse_task_set, ParseTaskError};
 use rtpool_core::TaskSet;
@@ -60,12 +86,27 @@ impl std::fmt::Display for InternError {
     }
 }
 
+/// Threads that can have evicted sets waiting for them at one time.
+const RETIRE_BUILDERS: usize = 16;
+/// Evicted sets one thread can have waiting. Between two calls of one
+/// of `n` busy workers the others evict about `n − 1` sets, one in `n`
+/// of them its own, so a slot rarely holds more than one or two.
+const RETIRE_PER_BUILDER: usize = 4;
+
 struct Entry {
     set: Arc<TaskSet>,
     last_used: u64,
     poisoned: bool,
     /// Definitive outcomes by pool size `m` (tiny in practice).
     memo: Vec<(usize, MemoOutcome)>,
+    /// The thread that built `set` and inserted it.
+    builder: ThreadId,
+}
+
+/// Evicted sets waiting for the thread that built them.
+struct RetireSlot {
+    builder: ThreadId,
+    sets: Vec<Arc<TaskSet>>,
 }
 
 #[derive(Default)]
@@ -100,6 +141,50 @@ struct State {
     entries: HashMap<u64, Entry>,
     tick: u64,
     stats: Stats,
+    /// At most `RETIRE_BUILDERS` slots.
+    retire: Vec<RetireSlot>,
+}
+
+impl State {
+    /// Hands thread `me` the evicted sets that were waiting for it. A
+    /// thread without a slot gets one while there are slots left.
+    fn check_in(&mut self, me: ThreadId) -> Vec<Arc<TaskSet>> {
+        match self.retire.iter_mut().find(|s| s.builder == me) {
+            Some(slot) if slot.sets.is_empty() => Vec::new(),
+            // The slot's buffer is the builder's own too: allocated
+            // here, filled by evictors without growing, freed by the
+            // builder.
+            Some(slot) => std::mem::replace(&mut slot.sets, Vec::with_capacity(RETIRE_PER_BUILDER)),
+            None => {
+                if self.retire.len() < RETIRE_BUILDERS {
+                    self.retire.push(RetireSlot {
+                        builder: me,
+                        sets: Vec::with_capacity(RETIRE_PER_BUILDER),
+                    });
+                }
+                Vec::new()
+            }
+        }
+    }
+
+    /// Removes the entry under `hash` and counts the eviction. Its set
+    /// moves to its builder's retire slot; when there is none, or it is
+    /// full, the set is returned for the caller to drop once it has
+    /// released the lock.
+    fn evict(&mut self, hash: u64) -> Option<Arc<TaskSet>> {
+        let victim = self
+            .entries
+            .remove(&hash)
+            .expect("evicting a resident entry");
+        self.stats.evictions += 1;
+        match self.retire.iter_mut().find(|s| s.builder == victim.builder) {
+            Some(slot) if slot.sets.len() < RETIRE_PER_BUILDER => {
+                slot.sets.push(victim.set);
+                None
+            }
+            _ => Some(victim.set),
+        }
+    }
 }
 
 /// The bounded content-hash interner shared by all service workers.
@@ -119,6 +204,7 @@ impl Interner {
                 entries: HashMap::new(),
                 tick: 0,
                 stats: Stats::default(),
+                retire: Vec::new(),
             }),
         }
     }
@@ -177,13 +263,18 @@ impl Interner {
         set: TaskSet,
         evict_poisoned_is_error: bool,
     ) -> Result<(u64, Arc<TaskSet>), InternError> {
+        let me = thread::current().id();
+        // Every set this call frees: declared before the guard, so on
+        // every return path it is dropped after the lock is released
+        // (as is `set`, when a resident entry is shared instead).
+        let mut freed_unlocked;
         let mut st = self.state.lock().expect("interner lock not poisoned");
         st.tick += 1;
         let tick = st.tick;
+        freed_unlocked = st.check_in(me);
         match st.entries.get_mut(&hash) {
             Some(entry) if entry.poisoned => {
-                st.entries.remove(&hash);
-                st.stats.evictions += 1;
+                freed_unlocked.extend(st.evict(hash));
                 if evict_poisoned_is_error {
                     return Err(InternError::Poisoned);
                 }
@@ -205,8 +296,7 @@ impl Interner {
                 .min_by_key(|(_, e)| e.last_used)
                 .map(|(&h, _)| h)
                 .expect("non-empty at capacity");
-            st.entries.remove(&lru);
-            st.stats.evictions += 1;
+            freed_unlocked.extend(st.evict(lru));
         }
         st.entries.insert(
             hash,
@@ -215,6 +305,7 @@ impl Interner {
                 last_used: tick,
                 poisoned: false,
                 memo: Vec::new(),
+                builder: me,
             },
         );
         Ok((hash, shared))
@@ -234,32 +325,25 @@ impl Interner {
     /// [`InternError::Poisoned`] when the entry was poisoned (it is
     /// evicted).
     pub fn lookup(&self, hash: u64) -> Result<Arc<TaskSet>, InternError> {
+        // Declared before the guard: dropped after the lock is released.
+        let _freed_unlocked;
         let mut st = self.state.lock().expect("interner lock not poisoned");
         st.tick += 1;
         let tick = st.tick;
-        let mut resident = None;
-        let mut poisoned = false;
         match st.entries.get_mut(&hash) {
-            None => {}
-            Some(entry) if entry.poisoned => poisoned = true,
-            Some(entry) => {
-                entry.last_used = tick;
-                resident = Some(Arc::clone(&entry.set));
-            }
-        }
-        if poisoned {
-            st.entries.remove(&hash);
-            st.stats.evictions += 1;
-            return Err(InternError::Poisoned);
-        }
-        match resident {
-            Some(set) => {
-                st.stats.hits += 1;
-                Ok(set)
-            }
             None => {
                 st.stats.misses += 1;
                 Err(InternError::UnknownHash)
+            }
+            Some(entry) if entry.poisoned => {
+                _freed_unlocked = st.evict(hash);
+                Err(InternError::Poisoned)
+            }
+            Some(entry) => {
+                entry.last_used = tick;
+                let set = Arc::clone(&entry.set);
+                st.stats.hits += 1;
+                Ok(set)
             }
         }
     }
@@ -319,7 +403,40 @@ impl Interner {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Weak;
+
+    use proptest::prelude::*;
+
     use super::*;
+
+    impl Interner {
+        /// Hashes of the resident entries, sorted.
+        fn resident(&self) -> Vec<u64> {
+            let mut hashes: Vec<u64> = self
+                .state
+                .lock()
+                .expect("interner lock not poisoned")
+                .entries
+                .keys()
+                .copied()
+                .collect();
+            hashes.sort_unstable();
+            hashes
+        }
+
+        /// `(retire slots, evicted sets waiting in them)`.
+        fn retired(&self) -> (usize, usize) {
+            let st = self.state.lock().expect("interner lock not poisoned");
+            (
+                st.retire.len(),
+                st.retire.iter().map(|s| s.sets.len()).sum(),
+            )
+        }
+    }
+
+    const RETIRE_BOUND: usize = RETIRE_BUILDERS * RETIRE_PER_BUILDER;
 
     const SRC_A: &str = "task period=100\n  node a 10\n  node b 20\n  edge a b\nend\n";
     /// Same structure as `SRC_A` (names and formatting differ).
@@ -422,5 +539,264 @@ mod tests {
             interner.intern("task period=\nend"),
             Err(InternError::Parse(_))
         ));
+    }
+
+    /// The `k`-th of a family of small, structurally distinct sets.
+    fn source(k: usize) -> String {
+        format!("task period={}\n  node a 1\nend\n", 100 + k)
+    }
+
+    #[derive(Clone, Copy, Debug)]
+    enum Op {
+        Intern(usize),
+        InternSet(usize),
+        Lookup(usize),
+        Poison(usize),
+        Memoize(usize),
+        Memoized(usize),
+    }
+
+    /// What one call answered, and the resident hashes after it (so the
+    /// victims, and the order they went in, are compared step by step).
+    type Step = (&'static str, Vec<u64>);
+
+    const MODEL_CAP: usize = 4;
+    const MEMO: MemoOutcome = MemoOutcome {
+        admit: true,
+        level: LadderLevel::Exact,
+    };
+
+    /// A plain LRU with the interner's documented policy and none of its
+    /// machinery: an evicted entry is simply gone.
+    #[derive(Default)]
+    struct Model {
+        tick: u64,
+        /// hash → (last used, poisoned, memoized).
+        entries: BTreeMap<u64, (u64, bool, bool)>,
+        stats: InternerStats,
+    }
+
+    impl Model {
+        fn insert(&mut self, hash: u64) {
+            self.stats.misses += 1;
+            if self.entries.len() >= MODEL_CAP {
+                let lru = *self
+                    .entries
+                    .iter()
+                    .min_by_key(|(_, e)| e.0)
+                    .expect("non-empty")
+                    .0;
+                self.entries.remove(&lru);
+                self.stats.evictions += 1;
+            }
+            self.entries.insert(hash, (self.tick, false, false));
+        }
+
+        fn apply(&mut self, op: Op, hashes: &[u64]) -> Step {
+            let answer = match op {
+                Op::Intern(k) | Op::InternSet(k) | Op::Lookup(k) => {
+                    let hash = hashes[k];
+                    self.tick += 1;
+                    match self.entries.get_mut(&hash) {
+                        Some(e) if e.1 => {
+                            self.entries.remove(&hash);
+                            self.stats.evictions += 1;
+                            if matches!(op, Op::InternSet(_)) {
+                                self.insert(hash);
+                                "ok"
+                            } else {
+                                "poisoned"
+                            }
+                        }
+                        Some(e) => {
+                            e.0 = self.tick;
+                            self.stats.hits += 1;
+                            "ok"
+                        }
+                        None if matches!(op, Op::Lookup(_)) => {
+                            self.stats.misses += 1;
+                            "unknown"
+                        }
+                        None => {
+                            self.insert(hash);
+                            "ok"
+                        }
+                    }
+                }
+                Op::Poison(k) => {
+                    if let Some(e) = self.entries.get_mut(&hashes[k]) {
+                        e.1 = true;
+                    }
+                    "ok"
+                }
+                Op::Memoize(k) => {
+                    if let Some(e) = self.entries.get_mut(&hashes[k]) {
+                        e.2 = true;
+                    }
+                    "ok"
+                }
+                Op::Memoized(k) => {
+                    self.tick += 1;
+                    match self.entries.get_mut(&hashes[k]) {
+                        Some(e) if !e.1 => {
+                            e.0 = self.tick;
+                            if e.2 {
+                                self.stats.memo_hits += 1;
+                                "hit"
+                            } else {
+                                "none"
+                            }
+                        }
+                        _ => "none",
+                    }
+                }
+            };
+            self.stats.entries = self.entries.len();
+            (answer, self.entries.keys().copied().collect())
+        }
+    }
+
+    fn apply(interner: &Interner, op: Op, hashes: &[u64], sets: &[TaskSet]) -> Step {
+        let answer = match op {
+            Op::Intern(k) => match interner.intern(&source(k)) {
+                Ok(_) => "ok",
+                Err(InternError::Poisoned) => "poisoned",
+                Err(e) => panic!("{e}"),
+            },
+            Op::InternSet(k) => {
+                assert_eq!(interner.intern_set(sets[k].clone()).0, hashes[k]);
+                "ok"
+            }
+            Op::Lookup(k) => match interner.lookup(hashes[k]) {
+                Ok(_) => "ok",
+                Err(InternError::Poisoned) => "poisoned",
+                Err(InternError::UnknownHash) => "unknown",
+                Err(e) => panic!("{e}"),
+            },
+            Op::Poison(k) => {
+                interner.poison(hashes[k]);
+                "ok"
+            }
+            Op::Memoize(k) => {
+                interner.memoize(hashes[k], 4, MEMO);
+                "ok"
+            }
+            Op::Memoized(k) => interner.memoized(hashes[k], 4).map_or("none", |_| "hit"),
+        };
+        let (slots, waiting) = interner.retired();
+        assert!(slots <= RETIRE_BUILDERS && waiting <= RETIRE_BOUND);
+        (answer, interner.resident())
+    }
+
+    /// Runs `script` on a fresh interner from `threads` threads, call
+    /// `i` made by thread `script[i].1 % threads` once call `i − 1` has
+    /// returned (a turn counter serialises them).
+    fn drive(
+        script: &[(Op, usize)],
+        threads: usize,
+        hashes: &[u64],
+        sets: &[TaskSet],
+    ) -> (Vec<Step>, InternerStats) {
+        let interner = Interner::new(MODEL_CAP);
+        let turn = AtomicUsize::new(0);
+        let steps = Mutex::new(Vec::new());
+        thread::scope(|scope| {
+            for me in 0..threads {
+                let (interner, turn, steps) = (&interner, &turn, &steps);
+                scope.spawn(move || {
+                    for (i, &(op, who)) in script.iter().enumerate() {
+                        if who % threads != me {
+                            continue;
+                        }
+                        while turn.load(Ordering::Acquire) != i {
+                            thread::yield_now();
+                        }
+                        let step = apply(interner, op, hashes, sets);
+                        steps.lock().unwrap().push(step);
+                        turn.store(i + 1, Ordering::Release);
+                    }
+                });
+            }
+        });
+        (steps.into_inner().unwrap(), interner.stats())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Handing victims back to their builders is invisible: whoever
+        /// calls, the interner answers, evicts and counts exactly as a
+        /// plain LRU does.
+        #[test]
+        fn eviction_policy_is_that_of_a_plain_lru(
+            script in prop::collection::vec((0usize..6, 0usize..10, 0usize..3), 1..160),
+        ) {
+            let sets: Vec<TaskSet> = (0..10)
+                .map(|k| parse_task_set(&source(k)).expect("source parses"))
+                .collect();
+            let hashes: Vec<u64> = sets.iter().map(Interner::hash_set).collect();
+            let script: Vec<(Op, usize)> = script
+                .into_iter()
+                .map(|(kind, k, who)| {
+                    let op = [
+                        Op::Intern, Op::InternSet, Op::Lookup, Op::Poison, Op::Memoize, Op::Memoized,
+                    ][kind](k);
+                    (op, who)
+                })
+                .collect();
+            let mut model = Model::default();
+            let expected: Vec<Step> = script.iter().map(|&(op, _)| model.apply(op, &hashes)).collect();
+            for threads in [1, 3] {
+                let (steps, stats) = drive(&script, threads, &hashes, &sets);
+                prop_assert_eq!(&steps, &expected, "{} thread(s)", threads);
+                prop_assert_eq!(stats, model.stats, "{} thread(s)", threads);
+            }
+        }
+    }
+
+    /// A builder that has stopped calling leaves at most a slot's worth
+    /// of sets behind, nothing piles up behind a builder that keeps
+    /// calling, and dropping the interner frees the lot.
+    #[test]
+    fn retired_sets_are_bounded_and_freed_with_the_interner() {
+        const CAP: usize = 8;
+        let interner = Interner::new(CAP);
+        let built = Mutex::new(Vec::<Weak<TaskSet>>::new());
+        let intern_checked = |k: usize| {
+            let (_, set) = interner.intern(&source(k)).expect("source parses");
+            built.lock().unwrap().push(Arc::downgrade(&set));
+            let (slots, waiting) = interner.retired();
+            assert!(interner.stats().entries <= CAP);
+            assert!(slots <= RETIRE_BUILDERS && waiting <= RETIRE_BOUND);
+            waiting
+        };
+        // A builder's own victims come back to it one call later.
+        thread::scope(|scope| {
+            scope.spawn(|| {
+                for k in 0..CAP + 64 {
+                    assert!(intern_checked(k) <= 1);
+                }
+            });
+        });
+        // Its entries are now evicted by somebody else: its slot fills,
+        // then the evictor frees the overflow itself.
+        for k in CAP + 64..2 * (CAP + 64) {
+            assert!(intern_checked(k) <= RETIRE_PER_BUILDER + 1);
+        }
+        assert_eq!(interner.retired(), (2, RETIRE_PER_BUILDER + 1));
+        // More builders than slots: the late ones go without.
+        for k in 0..RETIRE_BUILDERS + 4 {
+            thread::scope(|scope| {
+                scope.spawn(|| intern_checked(2 * (CAP + 64) + k));
+            });
+        }
+        assert_eq!(interner.retired().0, RETIRE_BUILDERS);
+        assert_eq!(
+            interner.stats().evictions as usize,
+            built.lock().unwrap().len() - CAP
+        );
+        drop(interner);
+        let built = built.into_inner().unwrap();
+        assert!(built.iter().all(|set| set.upgrade().is_none()));
     }
 }

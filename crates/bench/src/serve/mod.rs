@@ -32,10 +32,14 @@
 //!   `CacheDeltaHit`, and memoizes under the patched set's own hash.
 //! * **Observability** ([`server`]): request lifecycles are recorded
 //!   as `rtpool-trace` events and latencies as log₂ histograms.
-//! * **Lock-free fan-out** ([`dispatch`]): request batches dispatch
-//!   through an injector/stealer pool mirroring the executor's
-//!   `Engine::V2LockFree` engine; the locked-range sweep pool remains
-//!   selectable as the v1 serve path.
+//! * **Workers that fetch their own work** ([`server`], [`dispatch`]):
+//!   the pool runs one job for the server's life, a cell per worker
+//!   that pops the ingress queue until shutdown (the paper's
+//!   Listing 1). The pool hands its cells out through the lock-free
+//!   injector FIFO the executor's `Engine::V2LockFree` engine uses; the
+//!   locked-range sweep pool remains selectable as the v1 serve path.
+//!   A server occupies its pool until shutdown and refuses one that
+//!   somebody else holds a handle to.
 //!
 //! The `rtpool_serve` binary wraps [`server::Server`] over
 //! stdin/stdout or a Unix socket; `rtpool_loadgen` drives it at a

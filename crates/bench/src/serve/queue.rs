@@ -9,14 +9,15 @@
 //! limit while every request still "succeeds"; this module is the
 //! design's refusal to do that.)
 //!
-//! The dispatcher side blocks on [`IngressQueue::pop_batch`] until work
-//! or shutdown; batches drain up to `max` entries at once so the sweep
-//! pool can fan a whole batch across its workers.
+//! The serving side is the paper's Listing 1: every pool worker blocks in
+//! [`IngressQueue::pop`] and fetches the next request itself, so an idle
+//! worker takes a request the moment it is pushed and a request waits
+//! only while every worker is busy.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
 
-/// Queue state shared between ingest and dispatcher.
+/// Queue state shared between ingest and the workers.
 struct State<T> {
     queue: VecDeque<T>,
     closed: bool,
@@ -25,7 +26,7 @@ struct State<T> {
     rejected: u64,
 }
 
-/// A bounded MPSC queue that rejects instead of growing.
+/// A bounded MPMC queue that rejects instead of growing.
 pub struct IngressQueue<T> {
     cap: usize,
     state: Mutex<State<T>>,
@@ -73,27 +74,26 @@ impl<T> IngressQueue<T> {
         Ok(())
     }
 
-    /// Blocks until at least one entry is available, then drains up to
-    /// `max` entries. Returns an empty vector only after
-    /// [`IngressQueue::close`] once the queue has fully drained.
+    /// Blocks until an entry is available and takes the oldest one. Any
+    /// number of threads may pop; each entry goes to exactly one of
+    /// them. Returns `None` only after [`IngressQueue::close`] once the
+    /// queue has fully drained.
     #[must_use]
-    pub fn pop_batch(&self, max: usize) -> Vec<T> {
-        let max = max.max(1);
+    pub fn pop(&self) -> Option<T> {
         let mut st = self.state.lock().expect("queue lock not poisoned");
         loop {
-            if !st.queue.is_empty() {
-                let take = st.queue.len().min(max);
-                return st.queue.drain(..take).collect();
+            if let Some(item) = st.queue.pop_front() {
+                return Some(item);
             }
             if st.closed {
-                return Vec::new();
+                return None;
             }
             st = self.cv.wait(st).expect("queue lock not poisoned");
         }
     }
 
-    /// Closes the queue: future pushes fail, and `pop_batch` returns
-    /// empty once the backlog is drained.
+    /// Closes the queue: future pushes fail, and every `pop` returns
+    /// `None` once the backlog is drained.
     pub fn close(&self) {
         let mut st = self.state.lock().expect("queue lock not poisoned");
         st.closed = true;
@@ -126,6 +126,9 @@ impl<T> IngressQueue<T> {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::mpsc::channel;
+    use std::sync::Arc;
+
     use super::*;
 
     #[test]
@@ -135,39 +138,65 @@ mod tests {
         assert!(q.push(2).is_ok());
         assert_eq!(q.push(3), Err(3));
         assert_eq!(q.pressure(), (2, 1));
-        // Draining frees capacity again.
-        assert_eq!(q.pop_batch(10), vec![1, 2]);
+        // Popping frees capacity again, oldest first.
+        assert_eq!(q.pop(), Some(1));
         assert!(q.push(4).is_ok());
-    }
-
-    #[test]
-    fn batches_respect_max() {
-        let q = IngressQueue::new(8);
-        for i in 0..5 {
-            q.push(i).unwrap();
-        }
-        assert_eq!(q.pop_batch(3), vec![0, 1, 2]);
-        assert_eq!(q.pop_batch(3), vec![3, 4]);
+        assert_eq!(q.pop(), Some(2));
+        assert_eq!(q.pop(), Some(4));
     }
 
     #[test]
     fn close_drains_then_ends() {
         let q = IngressQueue::new(8);
         q.push(1).unwrap();
+        q.push(2).unwrap();
         q.close();
-        assert_eq!(q.push(2), Err(2));
-        assert_eq!(q.pop_batch(4), vec![1]);
-        assert!(q.pop_batch(4).is_empty());
+        assert_eq!(q.push(3), Err(3));
+        assert_eq!(q.pop(), Some(1), "closed, but not yet drained");
+        assert_eq!(q.pop(), Some(2));
+        assert_eq!(q.pop(), None);
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
     fn pop_blocks_until_push() {
-        use std::sync::Arc;
         let q = Arc::new(IngressQueue::new(4));
-        let q2 = Arc::clone(&q);
-        let t = std::thread::spawn(move || q2.pop_batch(4));
-        std::thread::sleep(std::time::Duration::from_millis(20));
+        let (started, has_started) = channel();
+        let (popped, has_popped) = channel();
+        let popper = {
+            let q = Arc::clone(&q);
+            std::thread::spawn(move || {
+                started.send(()).unwrap();
+                popped.send(q.pop()).unwrap();
+            })
+        };
+        has_started.recv().unwrap();
+        // Nothing was pushed and the queue is open: the popper can only
+        // be blocked (or about to block), never back with an answer.
+        assert!(has_popped.try_recv().is_err());
         q.push(42).unwrap();
-        assert_eq!(t.join().unwrap(), vec![42]);
+        assert_eq!(has_popped.recv().unwrap(), Some(42));
+        popper.join().unwrap();
+    }
+
+    #[test]
+    fn two_poppers_get_distinct_items() {
+        let q = Arc::new(IngressQueue::new(64));
+        let poppers: Vec<_> = (0..2)
+            .map(|_| {
+                let q = Arc::clone(&q);
+                std::thread::spawn(move || std::iter::from_fn(|| q.pop()).collect::<Vec<u32>>())
+            })
+            .collect();
+        for i in 0..64 {
+            q.push(i).unwrap();
+        }
+        q.close();
+        let mut all: Vec<u32> = poppers
+            .into_iter()
+            .flat_map(|t| t.join().unwrap())
+            .collect();
+        all.sort_unstable();
+        assert_eq!(all, (0..64).collect::<Vec<_>>(), "each item popped once");
     }
 }

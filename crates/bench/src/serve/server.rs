@@ -6,19 +6,25 @@
 //!                 │  (shed?)   │  shed   └──────┘
 //!                 └─────┬──────┘─────────▶ shed ───▶ responses
 //!                       │ accepted
-//!                 ┌─────▼──────┐   batches   ┌───────────────┐
-//!                 │  bounded   │────────────▶│  ServePool    │
-//!                 │  ingress   │ dispatcher  │  fan-out      │
-//!                 └────────────┘             │  supervisor   │
-//!                                            │  ladder       │
+//!                 ┌─────▼──────┐    pop      ┌───────────────┐
+//!                 │  bounded   │◀────────────│  ServePool    │
+//!                 │  ingress   │ each worker │  workers      │
+//!                 └────────────┘ fetches its │  supervisor   │
+//!                                next request│  ladder       │
 //!                                            └──────┬────────┘
 //!                                                   ▼
 //!                                               responses
 //! ```
 //!
-//! The fan-out is a [`ServePool`]: the lock-free `InjectorPool` the
+//! The workers are a [`ServePool`]'s: the lock-free `InjectorPool` the
 //! `rtpool_serve` binary and the registered benchmark run by default, or
-//! the locked-range `SweepPool` kept selectable as the v1 path.
+//! the locked-range `SweepPool` kept selectable as the v1 path. Either
+//! way the pool runs **one** job for the server's whole life — one cell
+//! per worker, each the paper's Listing 1 loop: block in
+//! [`IngressQueue::pop`], serve the request, fetch the next — so a
+//! request waits only while every worker is busy, never for a batch of
+//! other requests to finish. The job occupies the pool until shutdown,
+//! so [`Server::start_on`] insists on a pool no one else holds.
 //!
 //! Every submitted line produces **exactly one** [`Response`] on the
 //! server's outbound channel: parse failures, sheds, and busy
@@ -28,7 +34,7 @@
 //! returns a [`ServeReport`].
 //!
 //! The per-request deadline budget starts at *arrival* — time spent
-//! queued and batched counts against it, so a request that aged out in
+//! queued counts against it, so a request that aged out in
 //! the queue degrades at the prefilter rung instead of burning worker
 //! time on an answer nobody is waiting for.
 
@@ -56,9 +62,6 @@ use crate::sweep::SweepPool;
 pub struct ServeConfig {
     /// Ingress queue capacity (requests buffered before `busy`).
     pub queue_cap: usize,
-    /// Max requests dispatched to the [`ServePool`] per batch, whichever
-    /// engine it wraps (`0` = twice the pool's worker count).
-    pub batch_max: usize,
     /// Deadline budget for requests that do not carry one
     /// (`0` = unlimited).
     pub default_deadline_us: u64,
@@ -78,7 +81,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             queue_cap: 256,
-            batch_max: 0,
             default_deadline_us: 0,
             breaker: BreakerConfig::default(),
             interner_cap: 256,
@@ -202,8 +204,8 @@ struct Pending {
 }
 
 /// Trace recording state: one control lane (request lifecycle,
-/// supervision events) plus one lane per sweep worker (analysis
-/// start/end). Worker lanes are only ever touched by their own sweep
+/// supervision events) plus one lane per pool worker (analysis
+/// start/end). Worker lanes are only ever touched by their own pool
 /// worker, so the mutexes are uncontended; the control lane serializes
 /// briefly.
 struct TraceShared {
@@ -228,28 +230,30 @@ struct Inner {
 }
 
 impl Inner {
-    fn now_nanos(&self) -> u64 {
-        u64::try_from(self.t0.elapsed().as_nanos()).unwrap_or(u64::MAX)
+    fn nanos_at(&self, at: Instant) -> u64 {
+        u64::try_from(at.saturating_duration_since(self.t0).as_nanos()).unwrap_or(u64::MAX)
     }
 
-    fn rec_control(&self, kind: EventKind) {
+    /// Records `kind()`, stamped now, on the control lane (`worker` =
+    /// `None`) or a worker's. With tracing off nothing is built: no
+    /// event, no label `String`, no clock read.
+    fn rec(&self, worker: Option<usize>, kind: impl FnOnce() -> EventKind) {
         if let Some(tr) = &self.trace {
-            let t = self.now_nanos();
-            tr.control
+            let t = self.nanos_at(Instant::now());
+            worker
+                .map_or(&tr.control, |w| &tr.workers[w])
                 .lock()
                 .expect("trace lane lock not poisoned")
-                .record(t, kind);
+                .record(t, kind());
         }
     }
 
-    fn rec_worker(&self, worker: usize, kind: EventKind) {
-        if let Some(tr) = &self.trace {
-            let t = self.now_nanos();
-            tr.workers[worker]
-                .lock()
-                .expect("trace lane lock not poisoned")
-                .record(t, kind);
-        }
+    fn rec_control(&self, kind: impl FnOnce() -> EventKind) {
+        self.rec(None, kind);
+    }
+
+    fn rec_worker(&self, worker: usize, kind: impl FnOnce() -> EventKind) {
+        self.rec(Some(worker), kind);
     }
 
     fn send(&self, response: Response) {
@@ -269,31 +273,37 @@ fn job_id(seq: u64) -> u32 {
 /// finish with [`Server::shutdown`].
 pub struct Server {
     inner: Arc<Inner>,
-    pool: ServePool,
     dispatcher: Option<std::thread::JoinHandle<()>>,
     seq: AtomicU64,
 }
 
 impl Server {
-    /// Starts a server fanning analysis across a [`SweepPool`] (the v1
-    /// serve path). Returns the server handle and the outbound response
-    /// channel. Use [`Server::start_on`] to select the dispatch engine.
+    /// Starts a server whose requests are served by the workers of a
+    /// [`SweepPool`] (the v1 serve path). Returns the server handle and
+    /// the outbound response channel. Use [`Server::start_on`] to select
+    /// the dispatch engine.
     #[must_use]
     pub fn start(config: ServeConfig, pool: Arc<SweepPool>) -> (Server, Receiver<Response>) {
         Server::start_on(config, ServePool::Sweep(pool))
     }
 
-    /// Starts a server fanning analysis across `pool` — either serve
-    /// dispatch engine. Returns the server handle and the outbound
-    /// response channel.
+    /// Starts a server whose requests are served by the workers of
+    /// `pool` — either serve dispatch engine — for as long as the server
+    /// lives. Returns the server handle and the outbound response
+    /// channel.
+    ///
+    /// # Panics
+    ///
+    /// Panics if another handle to `pool` exists. The server's one job
+    /// occupies the pool from here to [`Server::shutdown`]; anything else
+    /// run on it would silently wait that long.
     #[must_use]
     pub fn start_on(config: ServeConfig, pool: ServePool) -> (Server, Receiver<Response>) {
+        assert!(
+            pool.is_sole_handle(),
+            "pool is shared: a server occupies its pool until shutdown and needs one of its own"
+        );
         let workers = pool.threads();
-        let batch_max = if config.batch_max == 0 {
-            workers * 2
-        } else {
-            config.batch_max
-        };
         let (tx, rx) = channel();
         let trace = config.record_trace.then(|| {
             let clock = SeqClock::new();
@@ -322,16 +332,14 @@ impl Server {
         });
         let dispatcher = {
             let inner = Arc::clone(&inner);
-            let pool = pool.clone();
             std::thread::Builder::new()
                 .name("rtpool-serve-dispatch".to_string())
-                .spawn(move || dispatch_loop(&inner, &pool, batch_max))
+                .spawn(move || serve_until_closed(inner, &pool))
                 .expect("spawning dispatcher")
         };
         (
             Server {
                 inner,
-                pool,
                 dispatcher: Some(dispatcher),
                 seq: AtomicU64::new(0),
             },
@@ -349,12 +357,6 @@ impl Server {
         let served = c.served.load(Ordering::Acquire);
         let accepted = c.accepted.load(Ordering::Acquire);
         self.inner.queue.is_empty() && served == accepted
-    }
-
-    /// The dispatch pool the server fans out on.
-    #[must_use]
-    pub fn pool(&self) -> &ServePool {
-        &self.pool
     }
 
     /// Ingests one JSON line. Always results in exactly one response on
@@ -382,7 +384,7 @@ impl Server {
         };
         if !inner.breaker.admit(request.priority) {
             inner.counters.shed.fetch_add(1, Ordering::Relaxed);
-            inner.rec_control(EventKind::Recovery {
+            inner.rec_control(|| EventKind::Recovery {
                 task: 0,
                 label: "serve_shed".to_string(),
                 node: None,
@@ -399,22 +401,38 @@ impl Server {
             return;
         }
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
+        let arrival = Instant::now();
         let pending = Pending {
             seq,
-            arrival: Instant::now(),
+            arrival,
             request,
         };
+        // A worker blocked in `pop` serves the request the moment it is
+        // pushed and may record everything up to `JobCompleted` before
+        // this thread runs again. The release is recorded only once the
+        // push is accepted, so its place in the trace — sequence number
+        // and arrival time — is taken here, ahead of all it causes.
+        let release_seq = inner.trace.as_ref().map(|tr| tr.clock.tick());
         match inner.queue.push(pending) {
             Ok(()) => {
                 inner.counters.accepted.fetch_add(1, Ordering::Relaxed);
-                inner.rec_control(EventKind::JobReleased {
-                    task: 0,
-                    job: job_id(seq),
-                });
+                if let (Some(tr), Some(release_seq)) = (&inner.trace, release_seq) {
+                    tr.control
+                        .lock()
+                        .expect("trace lane lock not poisoned")
+                        .record_at(
+                            release_seq,
+                            inner.nanos_at(arrival),
+                            EventKind::JobReleased {
+                                task: 0,
+                                job: job_id(seq),
+                            },
+                        );
+                }
             }
             Err(rejected) => {
                 inner.counters.busy.fetch_add(1, Ordering::Relaxed);
-                inner.rec_control(EventKind::Recovery {
+                inner.rec_control(|| EventKind::Recovery {
                     task: 0,
                     label: "serve_busy".to_string(),
                     node: None,
@@ -462,7 +480,7 @@ impl Server {
                 TimeUnit::Nanos,
                 u32::try_from(inner.workers).expect("worker count fits u32"),
                 1,
-                inner.now_nanos(),
+                inner.nanos_at(Instant::now()),
                 lanes,
             )
         });
@@ -494,22 +512,19 @@ fn take_lane(lane: &Mutex<LaneRecorder>, clock: &SeqClock) -> LaneRecorder {
     )
 }
 
-fn dispatch_loop(inner: &Arc<Inner>, pool: &ServePool, batch_max: usize) {
-    loop {
-        let batch = inner.queue.pop_batch(batch_max);
-        if batch.is_empty() {
-            return; // closed and drained
+/// The server's one pool job: a cell per worker, each fetching requests
+/// from the ingress queue until it is closed and drained. Both pools put
+/// a job of `threads()` cells on their workers one cell each (see
+/// [`dispatch`](super::dispatch)), so every worker serves.
+fn serve_until_closed(inner: Arc<Inner>, pool: &ServePool) {
+    pool.run_indexed(pool.threads(), "serve", move |_cell, worker| {
+        while let Some(pending) = inner.queue.pop() {
+            serve_one(&inner, &pending, worker);
         }
-        let batch = Arc::new(batch);
-        let inner2 = Arc::clone(inner);
-        let batch2 = Arc::clone(&batch);
-        pool.run_indexed(batch.len(), "serve", move |i, worker| {
-            serve_one(&inner2, &batch2[i], worker);
-        });
-    }
+    });
 }
 
-/// Serves one accepted request on sweep worker `worker`.
+/// Serves one accepted request on pool worker `worker`.
 fn serve_one(inner: &Inner, pending: &Pending, worker: usize) {
     let req = &pending.request;
     let seq = pending.seq;
@@ -523,25 +538,20 @@ fn serve_one(inner: &Inner, pending: &Pending, worker: usize) {
     } else {
         CancelToken::never()
     };
-    inner.rec_worker(
-        worker,
-        EventKind::NodeStart {
-            task: 0,
-            job: job_id(seq),
-            node: 0,
-            thread: u32::try_from(worker).expect("worker index fits u32"),
-        },
-    );
+    let thread = u32::try_from(worker).expect("worker index fits u32");
+    inner.rec_worker(worker, || EventKind::NodeStart {
+        task: 0,
+        job: job_id(seq),
+        node: 0,
+        thread,
+    });
     let outcome = inner.supervisor.execute(seq, req, &inner.interner, &token);
-    inner.rec_worker(
-        worker,
-        EventKind::NodeEnd {
-            task: 0,
-            job: job_id(seq),
-            node: 0,
-            thread: u32::try_from(worker).expect("worker index fits u32"),
-        },
-    );
+    inner.rec_worker(worker, || EventKind::NodeEnd {
+        task: 0,
+        job: job_id(seq),
+        node: 0,
+        thread,
+    });
     for event in &outcome.events {
         match event {
             ServiceEvent::WorkerPanicked => {
@@ -556,12 +566,12 @@ fn serve_one(inner: &Inner, pending: &Pending, worker: usize) {
             // Delta hits get their own first-class trace event (the
             // rtpool-trace metrics count them per task), not a generic
             // Recovery label.
-            inner.rec_control(EventKind::CacheDeltaHit {
+            inner.rec_control(|| EventKind::CacheDeltaHit {
                 task: 0,
                 job: job_id(seq),
             });
         } else {
-            inner.rec_control(EventKind::Recovery {
+            inner.rec_control(|| EventKind::Recovery {
                 task: 0,
                 label: event.label().to_string(),
                 node: None,
@@ -583,7 +593,7 @@ fn serve_one(inner: &Inner, pending: &Pending, worker: usize) {
         .expect("shard lock not poisoned")
         .observe(latency_us);
     inner.breaker.observe(latency_us);
-    inner.rec_control(EventKind::JobCompleted {
+    inner.rec_control(|| EventKind::JobCompleted {
         task: 0,
         job: job_id(seq),
     });
@@ -710,6 +720,146 @@ mod tests {
             "defects: {:?}",
             trace.validate()
         );
+    }
+
+    /// The server's job is one long-lived cell per worker. `threads`
+    /// requests, each held for a while by an injected `slow_request`,
+    /// must therefore all be in service at once, each on a lane of its
+    /// own — were a worker to leave the job early (or a cell to wait
+    /// behind another in one worker's deque), one request would start
+    /// only after another had ended.
+    #[test]
+    fn every_worker_serves_on_both_engines() {
+        use crate::serve::dispatch::InjectorPool;
+        let hold = Duration::from_millis(200);
+        for threads in [1usize, 2, 4] {
+            let engines = [
+                ServePool::from(Arc::new(SweepPool::new(threads))),
+                ServePool::from(Arc::new(InjectorPool::new(threads))),
+            ];
+            for pool in engines {
+                let engine = pool.engine_label();
+                let (server, rx) = Server::start_on(
+                    ServeConfig {
+                        record_trace: true,
+                        faults: FaultPlan::seeded(0).service_slow_storm(0, threads as u64, hold),
+                        ..ServeConfig::default()
+                    },
+                    pool,
+                );
+                for id in 0..threads as u64 {
+                    server.submit(&line(id, 4));
+                }
+                let report = server.shutdown();
+                assert_eq!(rx.iter().count(), threads);
+                let trace = report.trace.expect("trace recorded");
+                let mut lanes = Vec::new();
+                let (mut last_start, mut first_end) = (0, u64::MAX);
+                for e in &trace.events {
+                    match e.kind {
+                        EventKind::NodeStart { thread, .. } => {
+                            lanes.push(thread);
+                            last_start = last_start.max(e.time);
+                        }
+                        EventKind::NodeEnd { .. } => first_end = first_end.min(e.time),
+                        _ => {}
+                    }
+                }
+                lanes.sort_unstable();
+                assert_eq!(
+                    lanes,
+                    (0..threads as u32).collect::<Vec<_>>(),
+                    "{engine} x{threads}: one held request per worker lane"
+                );
+                assert!(
+                    last_start < first_end,
+                    "{engine} x{threads}: a request started only after another ended"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "pool is shared")]
+    fn start_refuses_a_pool_someone_else_holds() {
+        let pool = Arc::new(SweepPool::new(1));
+        let _other_handle = Arc::clone(&pool);
+        let _ = Server::start(ServeConfig::default(), pool);
+    }
+
+    /// One request in flight at a time, so a worker is always blocked in
+    /// `pop` and serves each request before `submit` gets to record its
+    /// release. The release must still sort first: the trace consumers
+    /// look a job's release up when they meet its completion, and a
+    /// completion that sorts first loses its response sample.
+    #[test]
+    fn release_sorts_before_what_a_waiting_worker_records() {
+        let requests = 200;
+        let (server, rx) = Server::start(
+            ServeConfig {
+                record_trace: true,
+                ..ServeConfig::default()
+            },
+            Arc::new(SweepPool::new(2)),
+        );
+        for id in 0..requests {
+            server.submit(&line(id, 4));
+            rx.recv().expect("one response per request");
+        }
+        let trace = server.shutdown().trace.expect("trace recorded");
+        assert!(
+            trace.validate().is_empty(),
+            "defects: {:?}",
+            trace.validate()
+        );
+        let mut released = std::collections::HashSet::new();
+        for e in &trace.events {
+            match e.kind {
+                EventKind::JobReleased { job, .. } => {
+                    released.insert(job);
+                }
+                EventKind::NodeStart { job, .. } => {
+                    assert!(released.contains(&job), "job {job} started unreleased");
+                }
+                _ => {}
+            }
+        }
+        let metrics = rtpool_trace::MetricsRegistry::from_trace(&trace);
+        let samples = metrics.task(0).expect("task 0 served").responses.len();
+        assert_eq!(samples as u64, requests, "a response sample per request");
+    }
+
+    /// Shutdown with the queue full and every worker busy: accepted work
+    /// is drained, not dropped, and the refused rest was answered `busy`.
+    #[test]
+    fn shutdown_drains_a_full_backlog() {
+        let queue_cap = 8;
+        let submitted = 16u64;
+        let (server, rx) = Server::start(
+            ServeConfig {
+                queue_cap,
+                faults: FaultPlan::seeded(0).service_slow_prob(1.0, Duration::from_millis(20)),
+                ..ServeConfig::default()
+            },
+            Arc::new(SweepPool::new(2)),
+        );
+        for id in 0..submitted {
+            server.submit(&line(id, 4));
+        }
+        let report = server.shutdown();
+        // At least the queue's worth was accepted; the two workers can
+        // have taken at most one more each while the rest was submitted
+        // (16 submits take far less than the 20 ms a request is held).
+        assert!(report.accepted >= queue_cap as u64, "{report:?}");
+        assert_eq!(report.accepted + report.busy, submitted);
+        assert!(report.busy > 0, "the backlog was never full");
+        let mut answers: Vec<(u64, VerdictKind)> = rx.iter().map(|r| (r.id, r.verdict)).collect();
+        answers.sort_unstable_by_key(|a| a.0);
+        let ids: Vec<u64> = answers.iter().map(|a| a.0).collect();
+        assert_eq!(ids, (0..submitted).collect::<Vec<_>>(), "each id once");
+        let served = answers.iter().filter(|a| a.1 == VerdictKind::Admit).count() as u64;
+        assert_eq!(served, report.accepted, "every accepted id was served");
+        assert_eq!(report.admitted, report.accepted);
     }
 
     #[test]

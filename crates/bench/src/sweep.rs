@@ -41,6 +41,8 @@ use std::time::{Duration, Instant};
 const PROGRESS_AFTER: Duration = Duration::from_millis(2500);
 /// Interval between progress lines once reporting has started.
 const PROGRESS_EVERY: Duration = Duration::from_millis(1000);
+/// How often a narrating submitter wakes to look at the clock.
+const PROGRESS_TICK: Duration = Duration::from_millis(200);
 
 /// One cell range `[start, end)` packed into an `AtomicU64`
 /// (`start` in the high half, `end` in the low half).
@@ -168,8 +170,8 @@ impl SweepPool {
     ///
     /// The output is independent of the worker count and of steal
     /// interleaving: cell `i`'s result always lands in slot `i`. Long
-    /// sweeps (> ~2.5 s) report throughput and ETA for `label` on
-    /// stderr; short ones are silent.
+    /// sweeps (> ~2.5 s) report throughput and ETA for `label` on stderr;
+    /// short ones are silent.
     ///
     /// # Panics
     ///
@@ -180,22 +182,60 @@ impl SweepPool {
         T: Send + Sync + 'static,
         F: Fn(usize) -> T + Send + Sync + 'static,
     {
-        self.run_indexed(cells, label, move |i, _worker| f(i))
+        let started = Instant::now();
+        let mut last_line = started;
+        let mut narrate = |left: usize| {
+            let elapsed = started.elapsed();
+            if elapsed > PROGRESS_AFTER && last_line.elapsed() > PROGRESS_EVERY {
+                last_line = Instant::now();
+                let done = cells - left;
+                let rate = done as f64 / elapsed.as_secs_f64();
+                let eta = if rate > 0.0 {
+                    left as f64 / rate
+                } else {
+                    f64::INFINITY
+                };
+                let mut err = std::io::stderr().lock();
+                let _ = writeln!(
+                    err,
+                    "  [{label}] {done}/{cells} cells ({rate:.1} cells/s, ETA {eta:.0}s)"
+                );
+            }
+        };
+        self.execute(cells, move |i, _worker| f(i), Some(&mut narrate))
     }
 
     /// Like [`SweepPool::run`], but also passes the executing worker's
-    /// index (`0..threads()`) to the closure. Cell `i` may run on any
-    /// worker (stealing moves cells between ranges), so the worker index
-    /// must not influence the *result* of a deterministic sweep — it
-    /// exists for per-worker bookkeeping such as trace lanes or
-    /// shard-local metrics, where "which lane" is allowed to vary run to
-    /// run while the recorded content stays valid.
+    /// index (`0..threads()`) to the closure, and never narrates: the
+    /// submitter sleeps until the last worker is done, however long that
+    /// takes (the admission server's one job lasts until shutdown).
+    /// Cell `i` may run on any worker (stealing moves cells between
+    /// ranges), so the worker index must not influence the *result* of a
+    /// deterministic sweep — it exists for per-worker bookkeeping such
+    /// as trace lanes or shard-local metrics, where "which lane" is
+    /// allowed to vary run to run while the recorded content stays valid.
     ///
     /// # Panics
     ///
     /// Panics if `cells` exceeds `u32::MAX` (the packed-range queue
     /// limit) or if the closure panics in a worker.
-    pub fn run_indexed<T, F>(&self, cells: usize, label: &str, f: F) -> Vec<T>
+    pub fn run_indexed<T, F>(&self, cells: usize, _label: &str, f: F) -> Vec<T>
+    where
+        T: Send + Sync + 'static,
+        F: Fn(usize, usize) -> T + Send + Sync + 'static,
+    {
+        self.execute(cells, f, None)
+    }
+
+    /// Publishes one job and waits for every worker to finish it. With a
+    /// `progress` callback the wait wakes every [`PROGRESS_TICK`] to hand
+    /// it the number of cells still to run.
+    fn execute<T, F>(
+        &self,
+        cells: usize,
+        f: F,
+        mut progress: Option<&mut dyn FnMut(usize)>,
+    ) -> Vec<T>
     where
         T: Send + Sync + 'static,
         F: Fn(usize, usize) -> T + Send + Sync + 'static,
@@ -229,36 +269,26 @@ impl SweepPool {
             self.shared.work_cv.notify_all();
         }
 
-        // Wait for every worker to finish, narrating progress on slow
-        // sweeps.
-        let started = Instant::now();
-        let mut last_line = started;
+        // Wait for every worker to finish.
         {
             let mut st = self.shared.state.lock().expect("pool state not poisoned");
             while self.shared.active.load(Ordering::Acquire) > 0 {
-                let (guard, _timeout) = self
-                    .shared
-                    .done_cv
-                    .wait_timeout(st, Duration::from_millis(200))
-                    .expect("pool state not poisoned");
-                st = guard;
-                let elapsed = started.elapsed();
-                if elapsed > PROGRESS_AFTER && last_line.elapsed() > PROGRESS_EVERY {
-                    last_line = Instant::now();
-                    let left = job.remaining.load(Ordering::Relaxed);
-                    let done = cells - left;
-                    let rate = done as f64 / elapsed.as_secs_f64();
-                    let eta = if rate > 0.0 {
-                        left as f64 / rate
-                    } else {
-                        f64::INFINITY
-                    };
-                    let mut err = std::io::stderr().lock();
-                    let _ = writeln!(
-                        err,
-                        "  [{label}] {done}/{cells} cells ({rate:.1} cells/s, ETA {eta:.0}s)"
-                    );
-                }
+                st = match &mut progress {
+                    Some(report) => {
+                        let (st, _timeout) = self
+                            .shared
+                            .done_cv
+                            .wait_timeout(st, PROGRESS_TICK)
+                            .expect("pool state not poisoned");
+                        report(job.remaining.load(Ordering::Relaxed));
+                        st
+                    }
+                    None => self
+                        .shared
+                        .done_cv
+                        .wait(st)
+                        .expect("pool state not poisoned"),
+                };
             }
             // Drop the pool's reference so the submitter's Arc is unique.
             st.job = None;

@@ -59,6 +59,14 @@ impl LaneRecorder {
         self.events.push(TraceEvent { seq, time, kind });
     }
 
+    /// Appends an event under a sequence number claimed earlier with
+    /// [`SeqClock::tick`]: for a cause recorded only once its effect is
+    /// known to have happened (a push that may be refused), which must
+    /// still sort before what other lanes record because of it.
+    pub fn record_at(&mut self, seq: u64, time: u64, kind: EventKind) {
+        self.events.push(TraceEvent { seq, time, kind });
+    }
+
     /// Number of events in this lane.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -71,7 +79,7 @@ impl LaneRecorder {
         self.events.is_empty()
     }
 
-    /// Consumes the lane, yielding its events (in per-lane order).
+    /// Consumes the lane, yielding its events (in recording order).
     #[must_use]
     pub fn into_events(self) -> Vec<TraceEvent> {
         self.events
@@ -126,6 +134,27 @@ mod tests {
         assert_eq!(seqs, vec![0, 1, 2]);
         assert_eq!(t.end_time, 2, "clamped to the last event time");
         assert_eq!(t.events[1].kind.name(), "ThreadPark");
+    }
+
+    #[test]
+    fn record_at_sorts_by_the_claimed_seq() {
+        let clock = SeqClock::new();
+        let mut control = LaneRecorder::new(&clock);
+        let mut worker = LaneRecorder::new(&clock);
+        let claimed = clock.tick();
+        worker.record(5, EventKind::JobCompleted { task: 0, job: 0 });
+        control.record_at(claimed, 3, EventKind::JobReleased { task: 0, job: 0 });
+        let t = assemble(
+            EngineKind::Exec,
+            TimeUnit::Nanos,
+            1,
+            1,
+            0,
+            vec![control, worker],
+        );
+        let names: Vec<&str> = t.events.iter().map(|e| e.kind.name()).collect();
+        assert_eq!(names, ["JobReleased", "JobCompleted"]);
+        assert!(t.validate().is_empty());
     }
 
     #[test]
