@@ -22,12 +22,23 @@
 //!
 //! # Who frees an evicted set
 //!
-//! A parsed set is several hundred heap blocks, and at capacity every
-//! miss evicts one. Were the evicting thread to free it, half of those
-//! frees (at two workers) would go to the malloc arena of the *other*
-//! worker — the one that built the set — while that worker allocates
-//! its next set from the same arena, and the workers would serialise on
-//! the allocator instead of on anything in this file. So an entry
+//! A parsed set with a filled `DerivedCache` is 100–200 heap blocks
+//! (it was 650–1 600 while every node owned its adjacency lists and
+//! closure rows), and at capacity every miss evicts one. Were the
+//! evicting thread to free it, half of those frees (at two workers)
+//! would go to the malloc arena of the *other* worker — the one that
+//! built the set — while that worker allocates its next set from the
+//! same arena, and the workers would serialise on the allocator instead
+//! of on anything in this file. That still holds at the smaller block
+//! count: re-measured with the CSR `Dag` and the slots below bypassed
+//! (every victim freed by its evictor, outside the lock),
+//! `cargo bench -p rtpool-bench --bench serve_scaling` gives two
+//! threads 1.22–1.28× the `execute` throughput of one (13 400–13 500
+//! against 10 400–11 100 calls/s) where the slots give 1.97× (23 000
+//! against 11 700), and the registered `admit-cold` workload loses 24 %
+//! throughput (8 731 against 11 483 ops/s, p50 212 against 158 µs;
+//! five alternating pairs, seeds 21–25). The bar for deleting the slots
+//! was 1.4×; they stay. So an entry
 //! remembers the thread that inserted it, eviction (LRU and poisoned
 //! alike) only *moves* the victim to that thread's retire slot, and
 //! every [`Interner::intern`] / [`Interner::intern_set`] call takes the

@@ -26,7 +26,7 @@
 //! `ConcurrencyAnalysis` is free and repeated constructions share one
 //! computation per graph.
 
-use rtpool_graph::{BitSet, Dag, NodeId, NodeKind, Reachability};
+use rtpool_graph::{BitRow, Dag, NodeId, NodeKind, Reachability};
 
 /// Concurrency view of a single task graph, backed by the graph's
 /// derived-analysis cache.
@@ -119,10 +119,11 @@ impl<'a> ConcurrencyAnalysis<'a> {
         self.delay_row(v).iter().map(NodeId::from_index).collect()
     }
 
-    /// `X(v)` as a cached bitset row over node indices — the
-    /// allocation-free form of [`ConcurrencyAnalysis::delay_set`].
+    /// `X(v)` as a borrowed row of the cached delay matrix over node
+    /// indices — the allocation-free form of
+    /// [`ConcurrencyAnalysis::delay_set`].
     #[must_use]
-    pub fn delay_row(&self, v: NodeId) -> &'a BitSet {
+    pub fn delay_row(&self, v: NodeId) -> BitRow<'a> {
         self.dag.delay_profile().delay_row(v)
     }
 

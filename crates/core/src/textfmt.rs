@@ -416,9 +416,12 @@ fn parse(input: &str, record: bool) -> Result<(TaskSet, SourceSpans), ParseTaskE
     let mut spans = Vec::new();
     let mut current: Option<TaskInProgress> = None;
     let mut backend: Option<(SyncBackend, Span)> = None;
-    // Reused across lines / tasks; names are slices of `input`.
+    // Reused across lines / tasks; names are slices of `input`. The
+    // builder is empty between tasks (`build_reset`) and keeps the
+    // capacity its edge list and duplicate set grew to.
     let mut toks = Vec::new();
     let mut names: HashMap<&str, NodeId> = HashMap::new();
+    let mut builder = DagBuilder::new();
 
     for (idx, raw) in input.lines().enumerate() {
         let line_no = idx + 1;
@@ -497,7 +500,6 @@ fn parse(input: &str, record: bool) -> Result<(TaskSet, SourceSpans), ParseTaskE
                     header,
                     period,
                     deadline: deadline.unwrap_or(period),
-                    builder: DagBuilder::new(),
                     spans: record.then(|| TaskSpans {
                         header,
                         ..TaskSpans::default()
@@ -527,7 +529,7 @@ fn parse(input: &str, record: bool) -> Result<(TaskSet, SourceSpans), ParseTaskE
                             name: name.text.to_owned(),
                         })
                     }
-                    Entry::Vacant(slot) => slot.insert(t.builder.add_node(wcet)),
+                    Entry::Vacant(slot) => slot.insert(builder.add_node(wcet)),
                 };
                 if let Some(s) = &mut t.spans {
                     s.names.push(name.text.to_owned());
@@ -542,9 +544,9 @@ fn parse(input: &str, record: bool) -> Result<(TaskSet, SourceSpans), ParseTaskE
                 let to = lookup(&names, args.get(1), line_no, directive)?;
                 expect_end(args.get(2), line_no)?;
                 let declared = if kind == "edge" {
-                    t.builder.add_edge(from, to)
+                    builder.add_edge(from, to)
                 } else {
-                    t.builder.blocking_pair(from, to)
+                    builder.blocking_pair(from, to)
                 };
                 declared.map_err(|source| ParseTaskError::Graph {
                     line: line_no,
@@ -566,7 +568,7 @@ fn parse(input: &str, record: bool) -> Result<(TaskSet, SourceSpans), ParseTaskE
                     .take()
                     .ok_or_else(|| directive.error(line_no, "`end` without an open task"))?;
                 let end_span = directive.span(line_no);
-                let dag = t.builder.build().map_err(|source| {
+                let dag = builder.build_reset().map_err(|source| {
                     // Point at the declaration of the first involved node
                     // when the error names one (GraphError::nodes).
                     let span = source
@@ -656,7 +658,6 @@ struct TaskInProgress {
     header: Span,
     period: u64,
     deadline: u64,
-    builder: DagBuilder,
     /// Declaration sites, when the caller asked for them.
     spans: Option<TaskSpans>,
 }

@@ -22,7 +22,7 @@
 //! [`DelayProfile`](rtpool_graph::DelayProfile) value is pinned by
 //! property tests in `tests/scratch_agreement.rs`.
 
-use rtpool_graph::{Dag, DagBuilder, NodeId};
+use rtpool_graph::{fill_csr, Dag, DagBuilder, NodeId};
 
 /// One fork–join region recorded during shape generation.
 #[derive(Clone, Copy, Debug)]
@@ -75,11 +75,11 @@ pub struct DagScratch {
     owner: Vec<i32>,
     pub(crate) regions: Vec<RegionScratch>,
     // ---- scratch for the early b̄ computation ----
-    /// CSR offsets/adjacency, rebuilt per query from `edges`.
+    /// CSR offsets/adjacency, refilled per query from `edges`.
     succ_off: Vec<u32>,
-    succ_adj: Vec<u32>,
+    succ_adj: Vec<NodeId>,
     pred_off: Vec<u32>,
-    pred_adj: Vec<u32>,
+    pred_adj: Vec<NodeId>,
     /// Per node: how many blocking forks are ordered with it (or are it).
     comparable: Vec<u32>,
     /// BFS visited stamps (monotone, avoids clearing).
@@ -178,7 +178,8 @@ impl DagScratch {
     /// `|BF| − #{forks ordered with v (or equal to v)}`, plus one for
     /// blocking children; orderings come from one forward and one
     /// backward BFS per blocking fork over a scratch CSR of the edge
-    /// list. Agreement with the post-build
+    /// list (`rtpool_graph::fill_csr` into buffers kept across calls).
+    /// Agreement with the post-build
     /// [`DelayProfile`](rtpool_graph::DelayProfile) is property-tested.
     #[must_use = "the window verdict is derived from the returned bound"]
     pub fn max_delay_count(&mut self) -> usize {
@@ -187,7 +188,14 @@ impl DagScratch {
         if n == 0 || k == 0 {
             return 0;
         }
-        self.build_csr();
+        let edges = self.edges.iter().map(|&(from, to)| (node(from), node(to)));
+        fill_csr(n, edges.clone(), &mut self.succ_off, &mut self.succ_adj);
+        fill_csr(
+            n,
+            edges.map(|(from, to)| (to, from)),
+            &mut self.pred_off,
+            &mut self.pred_adj,
+        );
         self.comparable.clear();
         self.comparable.resize(n, 0);
         if self.seen.len() < n {
@@ -240,51 +248,14 @@ impl DagScratch {
             let lo = off[v as usize] as usize;
             let hi = off[v as usize + 1] as usize;
             for i in lo..hi {
-                let w = adj[i];
-                if self.seen[w as usize] != stamp {
-                    self.seen[w as usize] = stamp;
-                    self.comparable[w as usize] += 1;
-                    self.queue.push(w);
+                let w = adj[i].index();
+                if self.seen[w] != stamp {
+                    self.seen[w] = stamp;
+                    self.comparable[w] += 1;
+                    self.queue.push(w as u32);
                 }
             }
         }
-    }
-
-    /// Rebuilds the CSR adjacency from the recorded edge list.
-    fn build_csr(&mut self) {
-        let n = self.wcets.len();
-        let e = self.edges.len();
-        self.succ_off.clear();
-        self.succ_off.resize(n + 1, 0);
-        self.pred_off.clear();
-        self.pred_off.resize(n + 1, 0);
-        for &(from, to) in &self.edges {
-            self.succ_off[from as usize + 1] += 1;
-            self.pred_off[to as usize + 1] += 1;
-        }
-        for i in 0..n {
-            self.succ_off[i + 1] += self.succ_off[i];
-            self.pred_off[i + 1] += self.pred_off[i];
-        }
-        self.succ_adj.clear();
-        self.succ_adj.resize(e, 0);
-        self.pred_adj.clear();
-        self.pred_adj.resize(e, 0);
-        // Fill using the offsets as cursors, then restore them.
-        for &(from, to) in &self.edges {
-            let s = &mut self.succ_off[from as usize];
-            self.succ_adj[*s as usize] = to;
-            *s += 1;
-            let p = &mut self.pred_off[to as usize];
-            self.pred_adj[*p as usize] = from;
-            *p += 1;
-        }
-        for i in (1..=n).rev() {
-            self.succ_off[i] = self.succ_off[i - 1];
-            self.pred_off[i] = self.pred_off[i - 1];
-        }
-        self.succ_off[0] = 0;
-        self.pred_off[0] = 0;
     }
 
     /// Promotes the recorded shape to a validated [`Dag`], replaying
@@ -308,22 +279,20 @@ impl DagScratch {
         }
         for &(from, to) in &self.edges {
             builder
-                .add_edge(
-                    NodeId::from_index(from as usize),
-                    NodeId::from_index(to as usize),
-                )
+                .add_edge(node(from), node(to))
                 .expect("recorded edges are fresh and well-formed");
         }
         for &(fork, join) in &self.pairs {
             builder
-                .blocking_pair(
-                    NodeId::from_index(fork as usize),
-                    NodeId::from_index(join as usize),
-                )
+                .blocking_pair(node(fork), node(join))
                 .expect("recorded pairs reference recorded nodes");
         }
         builder
             .build()
             .expect("generated fork-join graphs always satisfy the model")
     }
+}
+
+fn node(index: u32) -> NodeId {
+    NodeId::from_index(index as usize)
 }

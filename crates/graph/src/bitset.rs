@@ -1,12 +1,167 @@
-//! A compact fixed-capacity bit set used for transitive-reachability rows.
+//! Fixed-capacity bit sets: an owned [`BitSet`], a borrowed [`BitRow`]
+//! view, and the flat square [`BitMatrix`] whose rows are such views.
+//!
+//! All three share one set of word-slice kernels (union, intersection,
+//! difference, disjointness, popcount, iteration), so a reachability or
+//! delay row stored inside a matrix behaves exactly like a stand-alone
+//! set without owning a heap block of its own.
 
 use std::fmt;
 
+fn union_words(dst: &mut [u64], src: &[u64]) {
+    for (a, b) in dst.iter_mut().zip(src) {
+        *a |= *b;
+    }
+}
+
+fn intersect_words(dst: &mut [u64], src: &[u64]) {
+    for (a, b) in dst.iter_mut().zip(src) {
+        *a &= *b;
+    }
+}
+
+fn difference_words(dst: &mut [u64], src: &[u64]) {
+    for (a, b) in dst.iter_mut().zip(src) {
+        *a &= !*b;
+    }
+}
+
+/// Sets bit `index`; returns `true` if it was clear.
+fn set_bit(words: &mut [u64], index: usize) -> bool {
+    let (w, b) = (index / 64, index % 64);
+    let was = words[w] & (1 << b) != 0;
+    words[w] |= 1 << b;
+    !was
+}
+
+/// Clears bit `index`; returns `true` if it was set.
+fn clear_bit(words: &mut [u64], index: usize) -> bool {
+    let (w, b) = (index / 64, index % 64);
+    let was = words[w] & (1 << b) != 0;
+    words[w] &= !(1 << b);
+    was
+}
+
+/// A borrowed, read-only set of `usize` indices below a fixed capacity:
+/// either a whole [`BitSet`] or one row of a reachability / delay
+/// matrix.
+///
+/// The view is `Copy` and two views compare equal when they have the
+/// same capacity and the same elements.
+///
+/// # Examples
+///
+/// ```
+/// use rtpool_graph::DagBuilder;
+///
+/// # fn main() -> Result<(), rtpool_graph::GraphError> {
+/// let mut b = DagBuilder::new();
+/// let (fork, join) = b.fork_join(1, &[2, 2], 1, false)?;
+/// let dag = b.build()?;
+/// let row = dag.reachability().descendants(fork);
+/// assert_eq!(row.len(), 3);
+/// assert!(row.contains(join.index()));
+/// assert_eq!(row.iter().next(), Some(join.index()));
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+pub struct BitRow<'a> {
+    words: &'a [u64],
+    capacity: usize,
+}
+
+impl<'a> BitRow<'a> {
+    /// The capacity (exclusive upper bound on storable indices).
+    #[must_use]
+    pub fn capacity(self) -> usize {
+        self.capacity
+    }
+
+    /// Returns `true` if `index` is in the set.
+    ///
+    /// Out-of-range indices are reported as absent.
+    #[must_use]
+    pub fn contains(self, index: usize) -> bool {
+        index < self.capacity && self.words[index / 64] & (1 << (index % 64)) != 0
+    }
+
+    /// Number of elements in the set.
+    #[must_use]
+    pub fn len(self) -> usize {
+        self.words.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// Returns `true` if the set contains no elements.
+    #[must_use]
+    pub fn is_empty(self) -> bool {
+        self.words.iter().all(|&w| w == 0)
+    }
+
+    /// Returns `true` if `self` and `other` share no element.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the capacities differ.
+    #[must_use]
+    pub fn is_disjoint<'b>(self, other: impl Into<BitRow<'b>>) -> bool {
+        let other = self.same_capacity(other.into());
+        self.words.iter().zip(other).all(|(a, b)| a & b == 0)
+    }
+
+    /// Iterates over the contained indices in increasing order.
+    pub fn iter(self) -> Iter<'a> {
+        Iter {
+            words: self.words,
+            word_idx: 0,
+            current: self.words.first().copied().unwrap_or(0),
+        }
+    }
+
+    /// An owned copy of the viewed set.
+    #[must_use]
+    pub fn to_bitset(self) -> BitSet {
+        BitSet {
+            words: self.words.to_vec(),
+            capacity: self.capacity,
+        }
+    }
+
+    /// The words of `other`, after checking it has this view's capacity.
+    fn same_capacity<'b>(self, other: BitRow<'b>) -> &'b [u64] {
+        assert_eq!(self.capacity, other.capacity, "bitset capacity mismatch");
+        other.words
+    }
+}
+
+impl fmt::Debug for BitRow<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_set().entries(self.iter()).finish()
+    }
+}
+
+impl<'a> IntoIterator for BitRow<'a> {
+    type Item = usize;
+    type IntoIter = Iter<'a>;
+
+    fn into_iter(self) -> Iter<'a> {
+        self.iter()
+    }
+}
+
+impl<'a> From<&'a BitSet> for BitRow<'a> {
+    fn from(set: &'a BitSet) -> Self {
+        set.as_row()
+    }
+}
+
 /// A fixed-capacity set of `usize` indices backed by `u64` words.
 ///
-/// Used throughout the crate for reachability rows and node subsets, where
+/// Used throughout the crate for node subsets and scratch rows, where
 /// dense `O(|V|)`-bit sets with word-parallel union/intersection keep the
-/// `C(v)`/`X(v)` computations of the paper near `O(|V|²/64)`.
+/// `C(v)`/`X(v)` computations of the paper near `O(|V|²/64)`. The
+/// in-place operations accept another `&BitSet` or a borrowed
+/// [`BitRow`] alike.
 ///
 /// # Examples
 ///
@@ -42,6 +197,15 @@ impl BitSet {
         self.capacity
     }
 
+    /// The set as a borrowed [`BitRow`] view.
+    #[must_use]
+    pub fn as_row(&self) -> BitRow<'_> {
+        BitRow {
+            words: &self.words,
+            capacity: self.capacity,
+        }
+    }
+
     /// Inserts `index` into the set. Returns `true` if it was newly added.
     ///
     /// # Panics
@@ -49,10 +213,16 @@ impl BitSet {
     /// Panics if `index >= capacity`.
     pub fn insert(&mut self, index: usize) -> bool {
         assert!(index < self.capacity, "bit index {index} out of range");
-        let (w, b) = (index / 64, index % 64);
-        let was = self.words[w] & (1 << b) != 0;
-        self.words[w] |= 1 << b;
-        !was
+        set_bit(&mut self.words, index)
+    }
+
+    /// Inserts every index below the capacity.
+    pub fn insert_all(&mut self) {
+        self.words.fill(u64::MAX);
+        let tail = self.capacity % 64;
+        if let (Some(last), true) = (self.words.last_mut(), tail != 0) {
+            *last = (1 << tail) - 1;
+        }
     }
 
     /// Removes `index` from the set. Returns `true` if it was present.
@@ -62,10 +232,7 @@ impl BitSet {
     /// Panics if `index >= capacity`.
     pub fn remove(&mut self, index: usize) -> bool {
         assert!(index < self.capacity, "bit index {index} out of range");
-        let (w, b) = (index / 64, index % 64);
-        let was = self.words[w] & (1 << b) != 0;
-        self.words[w] &= !(1 << b);
-        was
+        clear_bit(&mut self.words, index)
     }
 
     /// Returns `true` if `index` is in the set.
@@ -73,22 +240,19 @@ impl BitSet {
     /// Out-of-range indices are reported as absent.
     #[must_use]
     pub fn contains(&self, index: usize) -> bool {
-        if index >= self.capacity {
-            return false;
-        }
-        self.words[index / 64] & (1 << (index % 64)) != 0
+        self.as_row().contains(index)
     }
 
     /// Number of elements in the set.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
+        self.as_row().len()
     }
 
     /// Returns `true` if the set contains no elements.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
+        self.as_row().is_empty()
     }
 
     /// In-place union with `other`.
@@ -96,11 +260,9 @@ impl BitSet {
     /// # Panics
     ///
     /// Panics if the capacities differ.
-    pub fn union_with(&mut self, other: &BitSet) {
-        assert_eq!(self.capacity, other.capacity, "bitset capacity mismatch");
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a |= *b;
-        }
+    pub fn union_with<'a>(&mut self, other: impl Into<BitRow<'a>>) {
+        let other = self.as_row().same_capacity(other.into());
+        union_words(&mut self.words, other);
     }
 
     /// In-place intersection with `other`.
@@ -108,11 +270,9 @@ impl BitSet {
     /// # Panics
     ///
     /// Panics if the capacities differ.
-    pub fn intersect_with(&mut self, other: &BitSet) {
-        assert_eq!(self.capacity, other.capacity, "bitset capacity mismatch");
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a &= *b;
-        }
+    pub fn intersect_with<'a>(&mut self, other: impl Into<BitRow<'a>>) {
+        let other = self.as_row().same_capacity(other.into());
+        intersect_words(&mut self.words, other);
     }
 
     /// In-place difference: removes every element of `other` from `self`.
@@ -120,11 +280,9 @@ impl BitSet {
     /// # Panics
     ///
     /// Panics if the capacities differ.
-    pub fn difference_with(&mut self, other: &BitSet) {
-        assert_eq!(self.capacity, other.capacity, "bitset capacity mismatch");
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a &= !*b;
-        }
+    pub fn difference_with<'a>(&mut self, other: impl Into<BitRow<'a>>) {
+        let other = self.as_row().same_capacity(other.into());
+        difference_words(&mut self.words, other);
     }
 
     /// Returns `true` if `self` and `other` share no element.
@@ -133,9 +291,8 @@ impl BitSet {
     ///
     /// Panics if the capacities differ.
     #[must_use]
-    pub fn is_disjoint(&self, other: &BitSet) -> bool {
-        assert_eq!(self.capacity, other.capacity, "bitset capacity mismatch");
-        self.words.iter().zip(&other.words).all(|(a, b)| a & b == 0)
+    pub fn is_disjoint<'a>(&self, other: impl Into<BitRow<'a>>) -> bool {
+        self.as_row().is_disjoint(other)
     }
 
     /// Removes all elements.
@@ -144,8 +301,7 @@ impl BitSet {
     }
 
     /// Raises the capacity to `new_capacity`, keeping every stored
-    /// index. Used by the incremental edit layer when a node is
-    /// appended to a graph whose reachability rows already exist.
+    /// index.
     ///
     /// # Panics
     ///
@@ -166,18 +322,14 @@ impl BitSet {
     /// # Panics
     ///
     /// Panics if the capacities differ.
-    pub fn copy_from(&mut self, other: &BitSet) {
-        assert_eq!(self.capacity, other.capacity, "bitset capacity mismatch");
-        self.words.copy_from_slice(&other.words);
+    pub fn copy_from<'a>(&mut self, other: impl Into<BitRow<'a>>) {
+        let other = self.as_row().same_capacity(other.into());
+        self.words.copy_from_slice(other);
     }
 
     /// Iterates over the contained indices in increasing order.
     pub fn iter(&self) -> Iter<'_> {
-        Iter {
-            set: self,
-            word_idx: 0,
-            current: self.words.first().copied().unwrap_or(0),
-        }
+        self.as_row().iter()
     }
 }
 
@@ -190,17 +342,18 @@ impl Default for BitSet {
 
 impl fmt::Debug for BitSet {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_set().entries(self.iter()).finish()
+        self.as_row().fmt(f)
     }
 }
 
 impl FromIterator<usize> for BitSet {
     /// Collects indices into a set sized to the maximum element + 1.
     fn from_iter<T: IntoIterator<Item = usize>>(iter: T) -> Self {
-        let items: Vec<usize> = iter.into_iter().collect();
-        let cap = items.iter().max().map_or(0, |m| m + 1);
-        let mut set = BitSet::new(cap);
-        for i in items {
+        let mut set = BitSet::new(0);
+        for i in iter {
+            if i >= set.capacity {
+                set.grow(i + 1);
+            }
             set.insert(i);
         }
         set
@@ -215,9 +368,10 @@ impl Extend<usize> for BitSet {
     }
 }
 
-/// Iterator over the indices stored in a [`BitSet`], in increasing order.
+/// Iterator over the indices stored in a [`BitSet`] or [`BitRow`], in
+/// increasing order.
 pub struct Iter<'a> {
-    set: &'a BitSet,
+    words: &'a [u64],
     word_idx: usize,
     current: u64,
 }
@@ -233,10 +387,10 @@ impl Iterator for Iter<'_> {
                 return Some(self.word_idx * 64 + bit);
             }
             self.word_idx += 1;
-            if self.word_idx >= self.set.words.len() {
+            if self.word_idx >= self.words.len() {
                 return None;
             }
-            self.current = self.set.words[self.word_idx];
+            self.current = self.words[self.word_idx];
         }
     }
 }
@@ -247,6 +401,118 @@ impl<'a> IntoIterator for &'a BitSet {
 
     fn into_iter(self) -> Iter<'a> {
         self.iter()
+    }
+}
+
+/// A square bit relation over `n` node indices in one heap block:
+/// `n` rows of `stride = ⌈n/64⌉` words each, row-major.
+///
+/// Rows are handed out as [`BitRow`] views and written in place, so a
+/// transitive closure or a delay profile costs one allocation whatever
+/// the node count.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub(crate) struct BitMatrix {
+    words: Vec<u64>,
+    n: usize,
+    stride: usize,
+}
+
+impl BitMatrix {
+    /// An empty `n × n` relation.
+    pub(crate) fn new(n: usize) -> Self {
+        let stride = n.div_ceil(64);
+        BitMatrix {
+            words: vec![0; n * stride],
+            n,
+            stride,
+        }
+    }
+
+    /// Number of rows (and columns).
+    pub(crate) fn node_count(&self) -> usize {
+        self.n
+    }
+
+    /// Row `i` as a borrowed set.
+    pub(crate) fn row(&self, i: usize) -> BitRow<'_> {
+        BitRow {
+            words: &self.words[i * self.stride..(i + 1) * self.stride],
+            capacity: self.n,
+        }
+    }
+
+    fn row_mut(&mut self, i: usize) -> &mut [u64] {
+        &mut self.words[i * self.stride..(i + 1) * self.stride]
+    }
+
+    /// Returns `true` if column `j` is set in row `i`.
+    pub(crate) fn contains(&self, i: usize, j: usize) -> bool {
+        self.row(i).contains(j)
+    }
+
+    /// Sets column `j` of row `i`; returns `true` if it was clear.
+    pub(crate) fn insert(&mut self, i: usize, j: usize) -> bool {
+        assert!(j < self.n, "bit index {j} out of range");
+        set_bit(self.row_mut(i), j)
+    }
+
+    /// Clears column `j` of row `i`; returns `true` if it was set.
+    pub(crate) fn remove(&mut self, i: usize, j: usize) -> bool {
+        assert!(j < self.n, "bit index {j} out of range");
+        clear_bit(self.row_mut(i), j)
+    }
+
+    /// Overwrites row `i` with `src`.
+    pub(crate) fn set_row(&mut self, i: usize, src: BitRow<'_>) {
+        let src = self.row(i).same_capacity(src);
+        self.row_mut(i).copy_from_slice(src);
+    }
+
+    /// Removes every element of `src` from row `i`.
+    pub(crate) fn difference_row(&mut self, i: usize, src: BitRow<'_>) {
+        let src = self.row(i).same_capacity(src);
+        difference_words(self.row_mut(i), src);
+    }
+
+    /// Row `dst` becomes its union with row `src` of the same matrix.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dst == src`.
+    pub(crate) fn union_rows(&mut self, dst: usize, src: usize) {
+        assert_ne!(dst, src, "a row cannot be merged into itself");
+        let stride = self.stride;
+        let (lo, hi) = (dst.min(src), dst.max(src));
+        let (head, tail) = self.words.split_at_mut(hi * stride);
+        let (lo_row, hi_row) = (
+            &mut head[lo * stride..(lo + 1) * stride],
+            &mut tail[..stride],
+        );
+        if dst < src {
+            union_words(lo_row, hi_row);
+        } else {
+            union_words(hi_row, lo_row);
+        }
+    }
+
+    /// Grows the relation to `new_n × new_n`, keeping every stored pair;
+    /// the new rows and columns are empty. Rows are re-laid when the
+    /// stride changes (every 64 nodes).
+    pub(crate) fn grow(&mut self, new_n: usize) {
+        assert!(new_n >= self.n, "bit matrix can only grow");
+        let new_stride = new_n.div_ceil(64);
+        if new_stride == self.stride {
+            self.words.resize(new_n * new_stride, 0);
+        } else {
+            let mut words = vec![0; new_n * new_stride];
+            for i in 0..self.n {
+                words[i * new_stride..i * new_stride + self.stride]
+                    .copy_from_slice(&self.words[i * self.stride..(i + 1) * self.stride]);
+            }
+            self.words = words;
+            self.stride = new_stride;
+        }
+        self.n = new_n;
     }
 }
 
@@ -323,5 +589,81 @@ mod tests {
     fn debug_is_never_empty() {
         let s = BitSet::new(4);
         assert_eq!(format!("{s:?}"), "{}");
+    }
+
+    #[test]
+    fn from_iter_sizes_to_the_largest_element() {
+        let s: BitSet = [5usize, 130, 7].into_iter().collect();
+        assert_eq!(s.capacity(), 131);
+        assert_eq!(s.iter().collect::<Vec<_>>(), vec![5, 7, 130]);
+        assert_eq!(BitSet::from_iter(std::iter::empty()).capacity(), 0);
+    }
+
+    #[test]
+    fn insert_all_respects_the_capacity() {
+        for cap in [0, 1, 63, 64, 65, 130] {
+            let mut s = BitSet::new(cap);
+            s.insert_all();
+            assert_eq!(s.len(), cap);
+            assert_eq!(s.iter().last(), cap.checked_sub(1));
+        }
+    }
+
+    #[test]
+    fn rows_and_sets_interoperate() {
+        let mut m = BitMatrix::new(70);
+        m.insert(3, 69);
+        m.insert(3, 1);
+        m.insert(4, 1);
+        let mut s = BitSet::new(70);
+        s.union_with(m.row(3));
+        assert_eq!(s.as_row(), m.row(3));
+        assert_ne!(s.as_row(), m.row(4));
+        assert!(!m.row(4).is_disjoint(&s));
+        s.difference_with(m.row(4));
+        assert_eq!(s.iter().collect::<Vec<_>>(), vec![69]);
+        assert_eq!(format!("{:?}", m.row(3)), "{1, 69}");
+        assert_eq!(m.row(3).to_bitset().len(), 2);
+    }
+
+    #[test]
+    fn matrix_rows_merge_in_place_in_both_directions() {
+        let mut m = BitMatrix::new(130);
+        m.insert(0, 129);
+        m.insert(2, 64);
+        m.union_rows(2, 0);
+        assert_eq!(m.row(2).iter().collect::<Vec<_>>(), vec![64, 129]);
+        m.union_rows(0, 2);
+        assert_eq!(m.row(0), m.row(2));
+        assert!(m.row(1).is_empty());
+        assert!(m.remove(0, 64) && !m.remove(0, 64));
+        assert!(!m.contains(0, 64) && m.contains(2, 64));
+    }
+
+    #[test]
+    fn matrix_growth_keeps_pairs_across_a_stride_change() {
+        let mut m = BitMatrix::new(63);
+        m.insert(0, 62);
+        m.insert(62, 0);
+        m.insert(31, 31);
+        let mut expected = vec![(0, 62), (31, 31), (62, 0)];
+        for n in [64, 65, 129] {
+            m.grow(n);
+            assert_eq!(m.node_count(), n);
+            m.insert(n - 1, n - 1);
+            expected.push((n - 1, n - 1));
+            let pairs: Vec<(usize, usize)> = (0..n)
+                .flat_map(|i| m.row(i).iter().map(move |j| (i, j)))
+                .collect();
+            assert_eq!(pairs, expected);
+            assert_eq!(m.row(0).capacity(), n);
+        }
+        assert_eq!(m, {
+            let mut cold = BitMatrix::new(129);
+            for &(i, j) in &expected {
+                cold.insert(i, j);
+            }
+            cold
+        });
     }
 }

@@ -1,8 +1,18 @@
 //! Incremental construction of [`Dag`] values.
+//!
+//! The builder holds no adjacency of its own: it records the edges in
+//! the order they are added (plus a keyed set for the eager duplicate
+//! check) and [`DagBuilder::build`] sorts that list once into the two
+//! CSR arrays of the finished graph. A row therefore lists a node's
+//! neighbours in insertion order, which the topological order, the
+//! critical-path witness and the content hash all depend on.
 
 use std::collections::HashSet;
+use std::sync::Arc;
 
-use crate::dag::Dag;
+use crate::cache::DerivedCache;
+use crate::csr::Csr;
+use crate::dag::{Dag, Topology};
 use crate::error::GraphError;
 use crate::node::{NodeData, NodeId};
 use crate::validate;
@@ -39,9 +49,12 @@ use crate::validate;
 #[derive(Clone, Debug, Default)]
 pub struct DagBuilder {
     wcets: Vec<u64>,
-    succ: Vec<Vec<NodeId>>,
-    pred: Vec<Vec<NodeId>>,
-    edges: HashSet<(u32, u32)>,
+    /// Edges in insertion order.
+    edges: Vec<(NodeId, NodeId)>,
+    /// The same edges keyed for the duplicate check. The default
+    /// (randomly keyed) hasher stays: edges come from untrusted `.rtp`
+    /// input.
+    seen: HashSet<(NodeId, NodeId)>,
     pairs: Vec<(NodeId, NodeId)>,
 }
 
@@ -64,9 +77,8 @@ impl DagBuilder {
     pub fn with_capacities(nodes: usize, edges: usize) -> Self {
         DagBuilder {
             wcets: Vec::with_capacity(nodes),
-            succ: Vec::with_capacity(nodes),
-            pred: Vec::with_capacity(nodes),
-            edges: HashSet::with_capacity(edges),
+            edges: Vec::with_capacity(edges),
+            seen: HashSet::with_capacity(edges),
             pairs: Vec::new(),
         }
     }
@@ -92,8 +104,6 @@ impl DagBuilder {
     pub fn add_node(&mut self, wcet: u64) -> NodeId {
         let id = NodeId::from_index(self.wcets.len());
         self.wcets.push(wcet);
-        self.succ.push(Vec::new());
-        self.pred.push(Vec::new());
         id
     }
 
@@ -116,11 +126,10 @@ impl DagBuilder {
         if from == to {
             return Err(GraphError::SelfLoop(from));
         }
-        if !self.edges.insert((from.0, to.0)) {
+        if !self.seen.insert((from, to)) {
             return Err(GraphError::DuplicateEdge(from, to));
         }
-        self.succ[from.index()].push(to);
-        self.pred[to.index()].push(from);
+        self.edges.push((from, to));
         Ok(())
     }
 
@@ -204,8 +213,33 @@ impl DagBuilder {
     /// Any violation of the model restrictions: emptiness, cycles, multiple
     /// sources/sinks, malformed or nested blocking regions (see
     /// [`GraphError`]).
-    pub fn build(self) -> Result<Dag, GraphError> {
-        let analysis = validate::analyze(&self.succ, &self.pred, &self.pairs)?;
+    pub fn build(mut self) -> Result<Dag, GraphError> {
+        self.build_reset()
+    }
+
+    /// [`DagBuilder::build`] for a builder that is kept: builds and
+    /// validates the graph recorded so far and leaves the builder empty
+    /// (whether or not the graph was valid) with its buffers' capacity
+    /// intact, so a parser that reads many graphs in a row pays for the
+    /// growth of the edge list and the duplicate set once.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`DagBuilder::build`].
+    pub fn build_reset(&mut self) -> Result<Dag, GraphError> {
+        let built = self.assemble();
+        self.wcets.clear();
+        self.edges.clear();
+        self.seen.clear();
+        self.pairs.clear();
+        built
+    }
+
+    fn assemble(&self) -> Result<Dag, GraphError> {
+        let n = self.wcets.len();
+        let succ = Csr::from_edges(n, self.edges.iter().copied());
+        let pred = Csr::from_edges(n, self.edges.iter().map(|&(from, to)| (to, from)));
+        let analysis = validate::analyze(&succ, &pred, &self.pairs)?;
         let nodes = self
             .wcets
             .iter()
@@ -214,16 +248,17 @@ impl DagBuilder {
             .collect();
         Ok(Dag {
             nodes,
-            succ: self.succ,
-            pred: self.pred,
-            pair: analysis.pair,
-            region_of: analysis.region_of,
-            regions: analysis.regions,
-            topo: analysis.topo,
-            source: analysis.source,
-            sink: analysis.sink,
-            edge_count: self.edges.len(),
-            cache: crate::cache::DerivedCache::with_reachability(analysis.reach),
+            topology: Arc::new(Topology {
+                succ,
+                pred,
+                order: analysis.topo,
+                source: analysis.source,
+                sink: analysis.sink,
+                pair: analysis.pair,
+                region_of: analysis.region_of,
+                regions: analysis.regions,
+            }),
+            cache: DerivedCache::with_reachability(analysis.reach),
         })
     }
 
@@ -242,20 +277,14 @@ impl DagBuilder {
         if self.wcets.is_empty() {
             return Err(GraphError::Empty);
         }
-        let sources: Vec<NodeId> = (0..self.wcets.len())
-            .filter(|&v| self.pred[v].is_empty())
-            .map(NodeId::from_index)
-            .collect();
+        let sources = self.nodes_without(|&(_, to)| to);
         if sources.len() > 1 {
             let dummy = self.add_node(0);
             for s in sources {
                 self.add_edge(dummy, s)?;
             }
         }
-        let sinks: Vec<NodeId> = (0..self.wcets.len())
-            .filter(|&v| self.succ[v].is_empty())
-            .map(NodeId::from_index)
-            .collect();
+        let sinks = self.nodes_without(|&(from, _)| from);
         // The dummy source added above has no successors yet only if the
         // graph was entirely source nodes; `sinks` recomputed after the
         // source fix keeps the invariant.
@@ -266,6 +295,19 @@ impl DagBuilder {
             }
         }
         self.build()
+    }
+
+    /// The nodes, in id order, that are no edge's `end` (its head for
+    /// the sources, its tail for the sinks).
+    fn nodes_without(&self, end: impl Fn(&(NodeId, NodeId)) -> NodeId) -> Vec<NodeId> {
+        let mut touched = vec![false; self.wcets.len()];
+        for edge in &self.edges {
+            touched[end(edge).index()] = true;
+        }
+        (0..touched.len())
+            .filter(|&v| !touched[v])
+            .map(NodeId::from_index)
+            .collect()
     }
 }
 

@@ -16,29 +16,33 @@
 //! coherence tests.
 //!
 //! The two `O(|V|²/64)` artifacts — reachability and the delay profile —
-//! are held behind [`Arc`] so the incremental edit layer
-//! ([`Dag::edit`](crate::Dag::edit)) can share them across graph
-//! versions: a WCET-only edit carries both forward at refcount cost,
-//! and a structural edit clones the inner value once and patches only
-//! the dirty rows.
+//! are flat bit matrices: one row-major `Vec<u64>` per relation (stride
+//! `⌈|V|/64⌉` words), whose rows are written in place and handed out as
+//! borrowed [`BitRow`] views. A profile is therefore three heap blocks
+//! and a closure two, whatever the node count, where one owned bit set
+//! per node per relation used to make filling and freeing the cache
+//! `O(|V|)` allocator calls. Both are held behind [`Arc`] so the
+//! incremental edit layer ([`Dag::edit`](crate::Dag::edit)) can share
+//! them across graph versions: a WCET-only edit carries both forward at
+//! refcount cost, and a structural edit clones the inner value once (one
+//! `memcpy` per matrix) and patches only the dirty rows.
 
 use std::sync::{Arc, OnceLock};
 
-use crate::bitset::BitSet;
+use crate::bitset::{BitMatrix, BitRow, BitSet};
 use crate::dag::Dag;
 use crate::node::{NodeId, NodeKind};
 use crate::paths::{CriticalPath, PathMetrics};
 use crate::reach::Reachability;
 
 /// The per-node delay sets `X(v)` of the paper's Section 3.1, stored as
-/// bitset rows over the node indices, plus the derived bound
-/// `b̄(τᵢ) = max_v |X(v)|`.
+/// the rows of one flat bit matrix over the node indices, plus the
+/// derived bound `b̄(τᵢ) = max_v |X(v)|`.
 ///
 /// `X(v) = C(v) ∪ F'(v)`: the `BF` nodes subject to no precedence
 /// constraint with `v` (Eq. 2), plus — for a `BC` node — the fork waiting
-/// for `v`. Each row is computed word-parallel from the reachability
-/// closure (`O(|V|²/64)` for the whole profile), replacing the former
-/// per-node `O(|V|·|BF|)` scan with materialized `Vec<NodeId>` sets.
+/// for `v`. Each row is computed word-parallel, in place, from the
+/// reachability closure (`O(|V|²/64)` for the whole profile).
 ///
 /// # Examples
 ///
@@ -58,7 +62,8 @@ use crate::reach::Reachability;
 /// ```
 #[derive(Clone, Debug)]
 pub struct DelayProfile {
-    rows: Vec<BitSet>,
+    /// Row `v`: `X(v)`.
+    rows: BitMatrix,
     counts: Vec<u32>,
     max_count: usize,
 }
@@ -66,32 +71,27 @@ pub struct DelayProfile {
 impl DelayProfile {
     pub(crate) fn new(dag: &Dag, reach: &Reachability) -> Self {
         let n = dag.node_count();
+        let mut profile = DelayProfile {
+            rows: BitMatrix::new(n),
+            counts: vec![0; n],
+            max_count: 0,
+        };
         let bf_mask = bf_mask_of(dag);
-        let mut rows = Vec::with_capacity(n);
-        let mut counts = Vec::with_capacity(n);
-        let mut max_count = 0usize;
         for v in dag.node_ids() {
-            let row = row_for(dag, reach, &bf_mask, v);
-            let count = row.len();
-            max_count = max_count.max(count);
-            counts.push(u32::try_from(count).expect("|X(v)| fits in u32"));
-            rows.push(row);
+            profile.fill_row(dag, reach, &bf_mask, v);
         }
-        DelayProfile {
-            rows,
-            counts,
-            max_count,
-        }
+        profile.refresh_max();
+        profile
     }
 
-    /// `X(v)` as a bitset of node indices (all of kind `BF`).
+    /// `X(v)` as a set of node indices (all of kind `BF`).
     ///
     /// # Panics
     ///
     /// Panics if `v` is out of range for the profiled graph.
     #[must_use]
-    pub fn delay_row(&self, v: NodeId) -> &BitSet {
-        &self.rows[v.index()]
+    pub fn delay_row(&self, v: NodeId) -> BitRow<'_> {
+        self.rows.row(v.index())
     }
 
     /// `|X(v)|`, without a popcount sweep.
@@ -110,18 +110,12 @@ impl DelayProfile {
         self.max_count
     }
 
-    /// Grows every row (and appends empty rows) so the profile covers
-    /// `new_count` nodes. The appended rows are placeholders; callers
-    /// must list the new indices as dirty in a subsequent
-    /// [`DelayProfile::repatch`].
+    /// Grows the profile to cover `new_count` nodes. The appended rows
+    /// are placeholders; callers must list the new indices as dirty in a
+    /// subsequent [`DelayProfile::repatch`].
     pub(crate) fn grow(&mut self, new_count: usize) {
-        for row in &mut self.rows {
-            row.grow(new_count);
-        }
-        while self.rows.len() < new_count {
-            self.rows.push(BitSet::new(new_count));
-            self.counts.push(0);
-        }
+        self.rows.grow(new_count);
+        self.counts.resize(new_count, 0);
     }
 
     /// Recomputes the rows of `dirty` node indices against the (already
@@ -131,10 +125,7 @@ impl DelayProfile {
     pub(crate) fn repatch(&mut self, dag: &Dag, reach: &Reachability, dirty: &[usize]) {
         let bf_mask = bf_mask_of(dag);
         for &i in dirty {
-            let v = NodeId::from_index(i);
-            let row = row_for(dag, reach, &bf_mask, v);
-            self.counts[i] = u32::try_from(row.len()).expect("|X(v)| fits in u32");
-            self.rows[i] = row;
+            self.fill_row(dag, reach, &bf_mask, NodeId::from_index(i));
         }
         self.refresh_max();
     }
@@ -145,20 +136,15 @@ impl DelayProfile {
     /// `v` waiting on `fork`), evaluated in `O(1)` per row.
     pub(crate) fn toggle_fork(&mut self, dag: &Dag, reach: &Reachability, fork: NodeId, on: bool) {
         let f = fork.index();
-        for (i, row) in self.rows.iter_mut().enumerate() {
+        for i in 0..self.counts.len() {
             let v = NodeId::from_index(i);
-            let changed = if on {
+            if on {
                 let member = reach.are_concurrent(fork, v) || dag.waiting_fork_of(v) == Some(fork);
-                member && row.insert(f)
-            } else {
-                row.remove(f)
-            };
-            if changed {
-                if on {
+                if member && self.rows.insert(i, f) {
                     self.counts[i] += 1;
-                } else {
-                    self.counts[i] -= 1;
                 }
+            } else if self.rows.remove(i, f) {
+                self.counts[i] -= 1;
             }
         }
         self.refresh_max();
@@ -167,6 +153,23 @@ impl DelayProfile {
     /// Recomputes `max_count` from the per-row counts (`O(|V|)`).
     pub(crate) fn refresh_max(&mut self) {
         self.max_count = self.counts.iter().map(|&c| c as usize).max().unwrap_or(0);
+    }
+
+    /// Writes `X(v) = C(v) ∪ F'(v)` into row `v` in place and records
+    /// its size.
+    fn fill_row(&mut self, dag: &Dag, reach: &Reachability, bf_mask: &BitSet, v: NodeId) {
+        let i = v.index();
+        // C(v): BF nodes neither preceding nor following v, minus v.
+        self.rows.set_row(i, bf_mask.as_row());
+        self.rows.difference_row(i, reach.descendants(v));
+        self.rows.difference_row(i, reach.ancestors(v));
+        self.rows.remove(i, i);
+        // F(v) is an ancestor of v, so it was just removed; re-insert
+        // it to obtain X(v) for blocking children.
+        if let Some(f) = dag.waiting_fork_of(v) {
+            self.rows.insert(i, f.index());
+        }
+        self.counts[i] = u32::try_from(self.rows.row(i).len()).expect("|X(v)| fits in u32");
     }
 }
 
@@ -179,21 +182,6 @@ fn bf_mask_of(dag: &Dag) -> BitSet {
         }
     }
     bf_mask
-}
-
-/// One delay row: `X(v) = C(v) ∪ F'(v)` restricted to `BF` nodes.
-fn row_for(dag: &Dag, reach: &Reachability, bf_mask: &BitSet, v: NodeId) -> BitSet {
-    // C(v): BF nodes neither preceding nor following v, minus v.
-    let mut row = bf_mask.clone();
-    row.difference_with(reach.descendants(v));
-    row.difference_with(reach.ancestors(v));
-    row.remove(v.index());
-    // F(v) is an ancestor of v, so it was just removed; re-insert
-    // it to obtain X(v) for blocking children.
-    if let Some(f) = dag.waiting_fork_of(v) {
-        row.insert(f.index());
-    }
-    row
 }
 
 /// The lazy cells carried by every [`Dag`]. All fields start empty (or

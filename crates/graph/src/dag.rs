@@ -1,7 +1,9 @@
 //! The immutable, validated DAG task graph.
 
-use crate::builder::DagBuilder;
+use std::sync::Arc;
+
 use crate::cache::{DelayProfile, DerivedCache};
+use crate::csr::Csr;
 use crate::error::GraphError;
 use crate::node::{NodeData, NodeId, NodeKind};
 use crate::paths::{self, CriticalPath, PathMetrics};
@@ -12,10 +14,13 @@ use crate::topo::TopologicalOrder;
 /// An immutable, validated task graph `Gᵢ = {Vᵢ, Eᵢ}` of the thread-pool
 /// task model.
 ///
-/// Construct via [`DagBuilder`]; the builder's `build` methods guarantee
-/// that every `Dag` value is acyclic, has a unique source and sink, and
-/// satisfies the blocking-region restrictions of the paper's Section 2
-/// (see [`Dag::validate_model`]). Node kinds are derived from the declared
+/// Construct via [`DagBuilder`](crate::DagBuilder); the builder's `build`
+/// methods guarantee that every `Dag` value is acyclic, has a unique
+/// source and sink, and satisfies the blocking-region restrictions of the
+/// paper's Section 2 (see [`Dag::validate_model`]). The adjacency is two
+/// CSR arrays per direction, so [`Dag::successors`] and
+/// [`Dag::predecessors`] are slices of one block each, in the order the
+/// edges were added. Node kinds are derived from the declared
 /// blocking pairs: the fork becomes [`NodeKind::BlockingFork`], the join
 /// [`NodeKind::BlockingJoin`], the enclosed nodes
 /// [`NodeKind::BlockingChild`], and everything else stays
@@ -39,22 +44,34 @@ use crate::topo::TopologicalOrder;
 /// ```
 #[derive(Clone, Debug)]
 pub struct Dag {
+    /// WCET and kind per node: the only per-version state a WCET edit
+    /// copies.
     pub(crate) nodes: Vec<NodeData>,
-    pub(crate) succ: Vec<Vec<NodeId>>,
-    pub(crate) pred: Vec<Vec<NodeId>>,
+    /// Everything that depends on edges and blocking pairs only. Shared
+    /// by clones and by every WCET-only [`Dag::edit`] descendant.
+    pub(crate) topology: Arc<Topology>,
+    /// Lazily-memoized derived analyses; see [`crate::cache`]. Valid for
+    /// the lifetime of the graph because a `Dag` is immutable once built.
+    pub(crate) cache: DerivedCache,
+}
+
+/// The WCET-independent part of a [`Dag`]: CSR adjacency in both
+/// directions, the topological order and the blocking-region tables.
+#[derive(Clone, Debug)]
+pub(crate) struct Topology {
+    /// Successor rows, each in edge-insertion order.
+    pub(crate) succ: Csr,
+    /// Predecessor rows, each in edge-insertion order.
+    pub(crate) pred: Csr,
+    pub(crate) order: TopologicalOrder,
+    pub(crate) source: NodeId,
+    pub(crate) sink: NodeId,
     /// `pair[f] = Some(j)` and `pair[j] = Some(f)` for blocking pairs.
     pub(crate) pair: Vec<Option<NodeId>>,
     /// For every node belonging to a region (fork, join, or inner):
     /// the index of that region in `regions`.
     pub(crate) region_of: Vec<Option<u32>>,
     pub(crate) regions: Vec<Region>,
-    pub(crate) topo: TopologicalOrder,
-    pub(crate) source: NodeId,
-    pub(crate) sink: NodeId,
-    pub(crate) edge_count: usize,
-    /// Lazily-memoized derived analyses; see [`crate::cache`]. Valid for
-    /// the lifetime of the graph because a `Dag` is immutable once built.
-    pub(crate) cache: DerivedCache,
 }
 
 impl Dag {
@@ -67,7 +84,7 @@ impl Dag {
     /// Number of edges `|Eᵢ|`.
     #[must_use]
     pub fn edge_count(&self) -> usize {
-        self.edge_count
+        self.topology.succ.edge_count()
     }
 
     /// Iterates over all node ids in index order.
@@ -102,7 +119,7 @@ impl Dag {
     /// Panics if `v` is out of range for this graph.
     #[must_use]
     pub fn successors(&self, v: NodeId) -> &[NodeId] {
-        &self.succ[v.index()]
+        self.topology.succ.row(v.index())
     }
 
     /// Direct predecessors of `v`.
@@ -112,37 +129,37 @@ impl Dag {
     /// Panics if `v` is out of range for this graph.
     #[must_use]
     pub fn predecessors(&self, v: NodeId) -> &[NodeId] {
-        &self.pred[v.index()]
+        self.topology.pred.row(v.index())
     }
 
     /// The unique source node (no incoming edges).
     #[must_use]
     pub fn source(&self) -> NodeId {
-        self.source
+        self.topology.source
     }
 
     /// The unique sink node (no outgoing edges).
     #[must_use]
     pub fn sink(&self) -> NodeId {
-        self.sink
+        self.topology.sink
     }
 
     /// The cached topological order of the nodes.
     #[must_use]
     pub fn topological_order(&self) -> &TopologicalOrder {
-        &self.topo
+        &self.topology.order
     }
 
     /// All blocking regions, in declaration order.
     #[must_use]
     pub fn blocking_regions(&self) -> &[Region] {
-        &self.regions
+        &self.topology.regions
     }
 
     /// The region `v` belongs to (as fork, join, or inner node), if any.
     #[must_use]
     pub fn region_of(&self, v: NodeId) -> Option<&Region> {
-        self.region_of[v.index()].map(|i| &self.regions[i as usize])
+        self.topology.region_of[v.index()].map(|i| &self.topology.regions[i as usize])
     }
 
     /// For a `BF` node, the paired `BJ` node (`J(v)` in Algorithm 1).
@@ -151,7 +168,7 @@ impl Dag {
     #[must_use]
     pub fn blocking_join_of(&self, fork: NodeId) -> Option<NodeId> {
         (self.kind(fork) == NodeKind::BlockingFork)
-            .then(|| self.pair[fork.index()])
+            .then(|| self.topology.pair[fork.index()])
             .flatten()
     }
 
@@ -161,7 +178,7 @@ impl Dag {
     #[must_use]
     pub fn blocking_fork_of(&self, join: NodeId) -> Option<NodeId> {
         (self.kind(join) == NodeKind::BlockingJoin)
-            .then(|| self.pair[join.index()])
+            .then(|| self.topology.pair[join.index()])
             .flatten()
     }
 
@@ -218,23 +235,23 @@ impl Dag {
     }
 
     /// The transitive-reachability closure of the graph. Memoized — and
-    /// normally pre-seeded by [`DagBuilder`], which computes the closure
-    /// while validating blocking regions, so this never recomputes it for
-    /// builder-constructed graphs.
+    /// normally pre-seeded by [`DagBuilder`](crate::DagBuilder), which
+    /// computes the closure while validating blocking regions, so this
+    /// never recomputes it for builder-constructed graphs.
     #[must_use]
     pub fn reachability(&self) -> &Reachability {
         self.cache
             .reach
-            .get_or_init(|| std::sync::Arc::new(Reachability::new(self)))
+            .get_or_init(|| Arc::new(Reachability::new(self)))
     }
 
     /// The per-node delay sets `X(v)` and the bound `b̄` of the paper's
-    /// Section 3.1, as bitset rows. Memoized.
+    /// Section 3.1, as the rows of one bit matrix. Memoized.
     #[must_use]
     pub fn delay_profile(&self) -> &DelayProfile {
         self.cache
             .delays
-            .get_or_init(|| std::sync::Arc::new(DelayProfile::new(self, self.reachability())))
+            .get_or_init(|| Arc::new(DelayProfile::new(self, self.reachability())))
     }
 
     /// A maximum antichain of the `BF` nodes: the largest set of blocking
@@ -275,12 +292,10 @@ impl Dag {
             for n in &self.nodes {
                 mix(n.wcet);
             }
-            for (from, succs) in self.succ.iter().enumerate() {
-                for to in succs {
-                    mix(((from as u64) << 32) | to.index() as u64);
-                }
+            for (from, to) in self.topology.succ.edges() {
+                mix(((from.index() as u64) << 32) | to.index() as u64);
             }
-            for (v, pair) in self.pair.iter().enumerate() {
+            for (v, pair) in self.topology.pair.iter().enumerate() {
                 if let Some(p) = pair {
                     if p.index() > v {
                         mix(((v as u64) << 32) | p.index() as u64);
@@ -305,8 +320,9 @@ impl Dag {
         crate::DagEdit::new(self)
     }
 
-    /// A structural copy of this graph with an *empty* derived-analysis
-    /// cache: every memoized artifact will be recomputed on first use.
+    /// A copy of this graph (sharing its immutable topology) with an
+    /// *empty* derived-analysis cache: every memoized artifact will be
+    /// recomputed on first use.
     ///
     /// Plain [`Clone`] carries filled cache cells along; this is the
     /// cold-start variant, used to benchmark the miss path and to check
@@ -315,24 +331,17 @@ impl Dag {
     pub fn clone_uncached(&self) -> Dag {
         Dag {
             nodes: self.nodes.clone(),
-            succ: self.succ.clone(),
-            pred: self.pred.clone(),
-            pair: self.pair.clone(),
-            region_of: self.region_of.clone(),
-            regions: self.regions.clone(),
-            topo: self.topo.clone(),
-            source: self.source,
-            sink: self.sink,
-            edge_count: self.edge_count,
+            topology: Arc::clone(&self.topology),
             cache: DerivedCache::default(),
         }
     }
 
     /// Re-validates this graph against the full task-model restrictions.
     ///
-    /// Graphs built through [`DagBuilder`] are always valid; this is useful
-    /// after deserialization from untrusted input (the serde `Deserialize`
-    /// impl already calls it) or in tests.
+    /// Graphs built through [`DagBuilder`](crate::DagBuilder) or
+    /// [`Dag::edit`] are always valid; this re-derives every restriction
+    /// from the stored edges and blocking pairs, as an independent check
+    /// in tests and tools.
     ///
     /// # Errors
     ///
@@ -352,7 +361,7 @@ impl Dag {
     ///
     /// Returns [`GraphError::BlockingEndpoint`] naming the offending node.
     pub fn validate_endpoints_non_blocking(&self) -> Result<(), GraphError> {
-        for v in [self.source, self.sink] {
+        for v in [self.source(), self.sink()] {
             if self.kind(v) != NodeKind::NonBlocking {
                 return Err(GraphError::BlockingEndpoint(v));
             }
@@ -361,63 +370,10 @@ impl Dag {
     }
 }
 
-/// Serialization-friendly raw representation of a [`Dag`].
-///
-/// Kinds and regions are derived data, so only WCETs, edges, and blocking
-/// pairs are stored; deserialization rebuilds (and re-validates) the graph
-/// through [`DagBuilder`].
-#[derive(Clone, Debug)]
-struct RawDag {
-    wcets: Vec<u64>,
-    edges: Vec<(u32, u32)>,
-    pairs: Vec<(u32, u32)>,
-}
-
-impl From<Dag> for RawDag {
-    fn from(dag: Dag) -> RawDag {
-        let mut edges = Vec::with_capacity(dag.edge_count);
-        for v in dag.node_ids() {
-            for &s in dag.successors(v) {
-                edges.push((v.index() as u32, s.index() as u32));
-            }
-        }
-        let pairs = dag
-            .regions
-            .iter()
-            .map(|r| (r.fork().index() as u32, r.join().index() as u32))
-            .collect();
-        RawDag {
-            wcets: dag.nodes.iter().map(|n| n.wcet).collect(),
-            edges,
-            pairs,
-        }
-    }
-}
-
-impl TryFrom<RawDag> for Dag {
-    type Error = GraphError;
-
-    fn try_from(raw: RawDag) -> Result<Dag, GraphError> {
-        let mut builder = DagBuilder::with_capacity(raw.wcets.len());
-        let ids: Vec<NodeId> = raw.wcets.iter().map(|&w| builder.add_node(w)).collect();
-        let lookup = |i: u32| -> Result<NodeId, GraphError> {
-            ids.get(i as usize)
-                .copied()
-                .ok_or(GraphError::UnknownNode(NodeId::from_index(i as usize)))
-        };
-        for (a, b) in raw.edges {
-            builder.add_edge(lookup(a)?, lookup(b)?)?;
-        }
-        for (f, j) in raw.pairs {
-            builder.blocking_pair(lookup(f)?, lookup(j)?)?;
-        }
-        builder.build()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builder::DagBuilder;
 
     fn figure1a() -> (Dag, [NodeId; 5]) {
         let mut b = DagBuilder::new();
@@ -520,37 +476,5 @@ mod tests {
         ));
         // ...but the model itself accepts the graph.
         dag.validate_model().unwrap();
-    }
-
-    #[test]
-    fn serde_roundtrip_preserves_structure() {
-        let (dag, [v1, _, _, _, v5]) = figure1a();
-        let json = serde_json_like(&dag);
-        let back: Dag = from_json_like(&json);
-        assert_eq!(back.node_count(), dag.node_count());
-        assert_eq!(back.edge_count(), dag.edge_count());
-        assert_eq!(back.kind(v1), NodeKind::BlockingFork);
-        assert_eq!(back.kind(v5), NodeKind::BlockingJoin);
-        assert_eq!(back.volume(), dag.volume());
-    }
-
-    // serde_json is not a dependency; exercise serde via the RawDag
-    // conversion functions directly.
-    fn serde_json_like(dag: &Dag) -> RawDag {
-        RawDag::from(dag.clone())
-    }
-
-    fn from_json_like(raw: &RawDag) -> Dag {
-        Dag::try_from(raw.clone()).unwrap()
-    }
-
-    #[test]
-    fn raw_dag_rejects_corrupt_input() {
-        let raw = RawDag {
-            wcets: vec![1, 1],
-            edges: vec![(0, 1), (1, 0)],
-            pairs: vec![],
-        };
-        assert!(matches!(Dag::try_from(raw), Err(GraphError::Cycle(_))));
     }
 }

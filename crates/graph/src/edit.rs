@@ -7,18 +7,27 @@
 //! [`DagEdit`] instead patches the base graph's
 //! [`DerivedCache`](crate::cache::DerivedCache) in place:
 //!
-//! * **WCET change** — structure untouched: the reachability closure and
-//!   delay profile are *shared* with the base (they sit behind `Arc`),
-//!   the volume is adjusted arithmetically, and only the path metrics
-//!   are left for lazy `O(|V|+|E|)` recomputation.
+//! * **WCET change** — structure untouched: the topology (CSR adjacency,
+//!   topological order, region tables), the reachability closure and the
+//!   delay profile are all *shared* with the base (each sits behind an
+//!   `Arc`), the volume is adjusted arithmetically, and only the path
+//!   metrics are left for lazy `O(|V|+|E|)` recomputation. The one
+//!   per-node copy is the WCET/kind table, so the allocator is called a
+//!   fixed number of times whatever the graph's size.
 //! * **Edge insert `u -> v`** — only the *dirty cone* is touched: the
 //!   descendant rows of `{u} ∪ anc(u)` and the ancestor rows of
 //!   `{v} ∪ desc(v)` are patched word-parallel, and the delay rows of
 //!   exactly those nodes are rebuilt.
-//! * **Node insert** — an `NB` node is appended; every bitset row grows
-//!   by one column and the new edges are patched in as above.
+//! * **Node insert** — an `NB` node is appended; the closure and delay
+//!   matrices grow by one row and column and the new edges are patched
+//!   in as above.
 //! * **Blocking toggle** — reachability is unaffected; the fork's column
 //!   is flipped across the delay rows in `O(1)` per row.
+//!
+//! Inserted edges are collected while the script runs and the two CSR
+//! arrays are rebuilt once at the end: every row keeps its order and
+//! gains its new neighbours behind it, which is what pushing onto
+//! per-node lists would have produced.
 //!
 //! Every op is validated against the evolving graph (cycles via the
 //! already-patched closure, the paper's region restrictions (i)–(iii),
@@ -49,11 +58,13 @@
 //! # }
 //! ```
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use crate::bitset::BitSet;
 use crate::cache::{DelayProfile, DerivedCache};
-use crate::dag::Dag;
+use crate::csr::Csr;
+use crate::dag::{Dag, Topology};
 use crate::error::GraphError;
 use crate::node::{NodeData, NodeId, NodeKind};
 use crate::reach::Reachability;
@@ -226,13 +237,7 @@ impl<'a> DagEdit<'a> {
         let mut reach: Arc<Reachability> = base.cache.reach.get().expect("just forced").clone();
         let base_delays: Option<Arc<DelayProfile>> = base.cache.delays.get().cloned();
 
-        let mut nodes = base.nodes.clone();
-        let mut succ = base.succ.clone();
-        let mut pred = base.pred.clone();
-        let mut pair = base.pair.clone();
-        let mut region_of = base.region_of.clone();
-        let mut regions = base.regions.clone();
-        let mut edge_count = base.edge_count;
+        let mut g = Evolving::new(base);
 
         // Indices whose reachability/delay rows changed (structural cone)
         // and all touched indices (for the reported delta).
@@ -246,23 +251,21 @@ impl<'a> DagEdit<'a> {
         let mut nodes_added = 0usize;
 
         for op in self.ops {
-            let n = nodes.len();
+            let n = g.nodes.len();
             match op {
                 EditOp::SetWcet { node, wcet } => {
                     if node.index() >= n {
                         return Err(GraphError::UnknownNode(node));
                     }
-                    let old = nodes[node.index()].wcet;
+                    let old = g.nodes[node.index()].wcet;
                     volume_delta += i128::from(wcet) - i128::from(old);
-                    nodes[node.index()].wcet = wcet;
+                    g.nodes[node.index()].wcet = wcet;
                     wcet_changed = true;
                     touched.push(node.index());
                 }
                 EditOp::InsertEdge { from, to } => {
-                    validate_edge(&nodes, &succ, &regions, &region_of, &reach, n, from, to)?;
-                    succ[from.index()].push(to);
-                    pred[to.index()].push(from);
-                    edge_count += 1;
+                    g.validate_edge(&reach, from, to)?;
+                    g.added.push((from, to));
                     let dirty = Arc::make_mut(&mut reach).patch_edge(from, to);
                     structural_dirty.extend_from_slice(&dirty);
                     touched.extend_from_slice(&dirty);
@@ -270,31 +273,23 @@ impl<'a> DagEdit<'a> {
                 }
                 EditOp::InsertNode { wcet, preds, succs } => {
                     let new = NodeId::from_index(n);
-                    validate_node_insert(&nodes, &regions, &region_of, &reach, n, &preds, &succs)?;
-                    nodes.push(NodeData {
+                    g.validate_node_insert(&reach, &preds, &succs)?;
+                    g.nodes.push(NodeData {
                         wcet,
                         kind: NodeKind::NonBlocking,
                     });
-                    succ.push(Vec::new());
-                    pred.push(Vec::new());
-                    pair.push(None);
-                    region_of.push(None);
+                    g.pair.to_mut().push(None);
+                    g.region_of.to_mut().push(None);
                     volume_delta += i128::from(wcet);
                     let r = Arc::make_mut(&mut reach);
                     r.grow(n + 1);
-                    for &p in &preds {
-                        succ[p.index()].push(new);
-                        pred[new.index()].push(p);
-                        edge_count += 1;
-                        let dirty = r.patch_edge(p, new);
-                        structural_dirty.extend_from_slice(&dirty);
-                        touched.extend_from_slice(&dirty);
-                    }
-                    for &s in &succs {
-                        succ[new.index()].push(s);
-                        pred[s.index()].push(new);
-                        edge_count += 1;
-                        let dirty = r.patch_edge(new, s);
+                    let edges = preds
+                        .iter()
+                        .map(|&p| (p, new))
+                        .chain(succs.iter().map(|&s| (new, s)));
+                    for (from, to) in edges {
+                        g.added.push((from, to));
+                        let dirty = r.patch_edge(from, to);
                         structural_dirty.extend_from_slice(&dirty);
                         touched.extend_from_slice(&dirty);
                     }
@@ -310,32 +305,13 @@ impl<'a> DagEdit<'a> {
                     if fork == join {
                         return Err(GraphError::SelfLoop(fork));
                     }
+                    touched.push(fork.index());
+                    touched.push(join.index());
                     if on {
-                        let inner = declare_region(
-                            fork,
-                            join,
-                            &mut nodes,
-                            &succ,
-                            &pred,
-                            &mut pair,
-                            &mut region_of,
-                            &mut regions,
-                            &reach,
-                        )?;
-                        touched.push(fork.index());
-                        touched.push(join.index());
+                        let inner = g.declare_region(fork, join, &reach)?;
                         touched.extend(inner.iter());
                     } else {
-                        let inner = dissolve_region(
-                            fork,
-                            join,
-                            &mut nodes,
-                            &mut pair,
-                            &mut region_of,
-                            &mut regions,
-                        )?;
-                        touched.push(fork.index());
-                        touched.push(join.index());
+                        let inner = g.dissolve_region(fork, join)?;
                         touched.extend(inner.iter().map(|v| v.index()));
                     }
                     toggles.push((fork, on));
@@ -349,11 +325,35 @@ impl<'a> DagEdit<'a> {
         touched.sort_unstable();
         touched.dedup();
 
+        let nodes = g.nodes;
         let n = nodes.len();
-        let topo = if structural {
-            TopologicalOrder::compute(n, &succ).map_err(GraphError::Cycle)?
+        // A script that changed only WCETs shares the base topology; any
+        // other builds the two CSR arrays once, each row keeping its
+        // order and gaining the inserted edges behind it.
+        let topology = if !structural && !blocking_changed {
+            Arc::clone(&base.topology)
         } else {
-            base.topo.clone()
+            let t = &base.topology;
+            let (succ, pred, order) = if structural {
+                let succ = t.succ.extended(n, g.added.iter().copied());
+                let pred = t
+                    .pred
+                    .extended(n, g.added.iter().map(|&(from, to)| (to, from)));
+                let order = TopologicalOrder::compute(&succ).map_err(GraphError::Cycle)?;
+                (succ, pred, order)
+            } else {
+                (t.succ.clone(), t.pred.clone(), t.order.clone())
+            };
+            Arc::new(Topology {
+                succ,
+                pred,
+                order,
+                source: t.source,
+                sink: t.sink,
+                pair: g.pair.into_owned(),
+                region_of: g.region_of.into_owned(),
+                regions: g.regions.into_owned(),
+            })
         };
 
         // Assemble the cache: reachability is always carried (shared or
@@ -385,15 +385,7 @@ impl<'a> DagEdit<'a> {
 
         let dag = Dag {
             nodes,
-            succ,
-            pred,
-            pair,
-            region_of,
-            regions,
-            topo,
-            source: base.source,
-            sink: base.sink,
-            edge_count,
+            topology,
             cache,
         };
 
@@ -425,216 +417,241 @@ impl<'a> DagEdit<'a> {
     }
 }
 
-/// Validates an edge insert against the evolving graph: range,
-/// self-loop, duplicate, acyclicity (via the patched closure — which
-/// also preserves endpoint uniqueness, since an edge into the source or
-/// out of the sink always closes a cycle), and the region restrictions.
-#[allow(clippy::too_many_arguments)]
-fn validate_edge(
-    nodes: &[NodeData],
-    succ: &[Vec<NodeId>],
-    regions: &[Region],
-    region_of: &[Option<u32>],
-    reach: &Reachability,
-    n: usize,
-    from: NodeId,
-    to: NodeId,
-) -> Result<(), GraphError> {
-    for v in [from, to] {
-        if v.index() >= n {
-            return Err(GraphError::UnknownNode(v));
-        }
-    }
-    if from == to {
-        return Err(GraphError::SelfLoop(from));
-    }
-    if succ[from.index()].contains(&to) {
-        return Err(GraphError::DuplicateEdge(from, to));
-    }
-    if reach.reaches(to, from) {
-        return Err(GraphError::Cycle(from));
-    }
-    let same_region =
-        region_of[from.index()].is_some() && region_of[from.index()] == region_of[to.index()];
-    match nodes[from.index()].kind {
-        // Restriction (ii): the fork's successors stay in its region.
-        NodeKind::BlockingFork if !same_region => {
-            return Err(GraphError::ForkEscape {
-                fork: from,
-                outside: to,
-            });
-        }
-        // Restriction (i): inner nodes connect only within the region.
-        NodeKind::BlockingChild if !same_region => {
-            let r = region_of[from.index()].expect("BC node belongs to a region");
-            return Err(GraphError::RegionLeak {
-                fork: regions[r as usize].fork(),
-                inner: from,
-                outside: to,
-            });
-        }
-        _ => {}
-    }
-    match nodes[to.index()].kind {
-        // Restriction (iii): the join's predecessors come from its region.
-        NodeKind::BlockingJoin if !same_region => {
-            return Err(GraphError::JoinIntrusion {
-                join: to,
-                outside: from,
-            });
-        }
-        NodeKind::BlockingChild if !same_region => {
-            let r = region_of[to.index()].expect("BC node belongs to a region");
-            return Err(GraphError::RegionLeak {
-                fork: regions[r as usize].fork(),
-                inner: to,
-                outside: from,
-            });
-        }
-        _ => {}
-    }
-    Ok(())
+/// The graph as it stands part-way through a script: the base topology
+/// (never copied while only read), the edges inserted so far, and the
+/// per-node and region tables, each copied from the base on first write.
+struct Evolving<'a> {
+    base: &'a Topology,
+    nodes: Vec<NodeData>,
+    /// Inserted edges in op order; a node's current neighbours are its
+    /// base row followed by its entries here.
+    added: Vec<(NodeId, NodeId)>,
+    pair: Cow<'a, [Option<NodeId>]>,
+    region_of: Cow<'a, [Option<u32>]>,
+    regions: Cow<'a, [Region]>,
 }
 
-/// Validates a node insert: the new node is `NB` and lives outside every
-/// region, so its neighbors must not be nodes whose edges are confined
-/// (`BF` out-edges, `BJ` in-edges, any `BC` edge), it needs at least one
-/// predecessor and successor to preserve endpoint uniqueness, and no
-/// `pred -> new -> succ` path may close a cycle.
-fn validate_node_insert(
-    nodes: &[NodeData],
-    regions: &[Region],
-    region_of: &[Option<u32>],
-    reach: &Reachability,
-    n: usize,
-    preds: &[NodeId],
-    succs: &[NodeId],
-) -> Result<(), GraphError> {
-    let new = NodeId::from_index(n);
-    for v in preds.iter().chain(succs) {
-        if v.index() >= n {
-            return Err(GraphError::UnknownNode(*v));
+impl<'a> Evolving<'a> {
+    fn new(base: &'a Dag) -> Self {
+        let t: &Topology = &base.topology;
+        Evolving {
+            base: t,
+            nodes: base.nodes.clone(),
+            added: Vec::new(),
+            pair: Cow::Borrowed(&t.pair),
+            region_of: Cow::Borrowed(&t.region_of),
+            regions: Cow::Borrowed(&t.regions),
         }
     }
-    if preds.is_empty() {
-        // No predecessor would make the new node a second source.
-        return Err(GraphError::MultipleSources(vec![new]));
+
+    /// Current direct successors of `v`, in insertion order.
+    fn succs(&self, v: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        let added = self.added.iter().filter(move |e| e.0 == v).map(|e| e.1);
+        base_row(&self.base.succ, v).iter().copied().chain(added)
     }
-    if succs.is_empty() {
-        return Err(GraphError::MultipleSinks(vec![new]));
+
+    /// Current direct predecessors of `v`, in insertion order.
+    fn preds(&self, v: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        let added = self.added.iter().filter(move |e| e.1 == v).map(|e| e.0);
+        base_row(&self.base.pred, v).iter().copied().chain(added)
     }
-    for (i, &v) in preds.iter().enumerate() {
-        if preds[..i].contains(&v) {
-            return Err(GraphError::DuplicateEdge(v, new));
+
+    /// The fork of the region a `BC` node belongs to.
+    fn fork_of_inner(&self, inner: NodeId) -> NodeId {
+        let r = self.region_of[inner.index()].expect("BC node belongs to a region");
+        self.regions[r as usize].fork()
+    }
+
+    /// Validates an edge insert against the evolving graph: range,
+    /// self-loop, duplicate, acyclicity (via the patched closure — which
+    /// also preserves endpoint uniqueness, since an edge into the source
+    /// or out of the sink always closes a cycle), and the region
+    /// restrictions.
+    fn validate_edge(
+        &self,
+        reach: &Reachability,
+        from: NodeId,
+        to: NodeId,
+    ) -> Result<(), GraphError> {
+        for v in [from, to] {
+            if v.index() >= self.nodes.len() {
+                return Err(GraphError::UnknownNode(v));
+            }
         }
-    }
-    for (i, &v) in succs.iter().enumerate() {
-        if succs[..i].contains(&v) {
-            return Err(GraphError::DuplicateEdge(new, v));
+        if from == to {
+            return Err(GraphError::SelfLoop(from));
         }
-    }
-    for &p in preds {
-        match nodes[p.index()].kind {
-            NodeKind::BlockingFork => {
+        if self.succs(from).any(|s| s == to) {
+            return Err(GraphError::DuplicateEdge(from, to));
+        }
+        if reach.reaches(to, from) {
+            return Err(GraphError::Cycle(from));
+        }
+        let region_of = &self.region_of;
+        let same_region =
+            region_of[from.index()].is_some() && region_of[from.index()] == region_of[to.index()];
+        match self.nodes[from.index()].kind {
+            // Restriction (ii): the fork's successors stay in its region.
+            NodeKind::BlockingFork if !same_region => {
                 return Err(GraphError::ForkEscape {
-                    fork: p,
-                    outside: new,
+                    fork: from,
+                    outside: to,
                 });
             }
-            NodeKind::BlockingChild => {
-                let r = region_of[p.index()].expect("BC node belongs to a region");
+            // Restriction (i): inner nodes connect only within the region.
+            NodeKind::BlockingChild if !same_region => {
                 return Err(GraphError::RegionLeak {
-                    fork: regions[r as usize].fork(),
-                    inner: p,
-                    outside: new,
+                    fork: self.fork_of_inner(from),
+                    inner: from,
+                    outside: to,
                 });
             }
             _ => {}
         }
-    }
-    for &s in succs {
-        match nodes[s.index()].kind {
-            NodeKind::BlockingJoin => {
+        match self.nodes[to.index()].kind {
+            // Restriction (iii): the join's predecessors come from its region.
+            NodeKind::BlockingJoin if !same_region => {
                 return Err(GraphError::JoinIntrusion {
-                    join: s,
-                    outside: new,
+                    join: to,
+                    outside: from,
                 });
             }
-            NodeKind::BlockingChild => {
-                let r = region_of[s.index()].expect("BC node belongs to a region");
+            NodeKind::BlockingChild if !same_region => {
                 return Err(GraphError::RegionLeak {
-                    fork: regions[r as usize].fork(),
-                    inner: s,
-                    outside: new,
+                    fork: self.fork_of_inner(to),
+                    inner: to,
+                    outside: from,
                 });
             }
             _ => {}
         }
+        Ok(())
     }
-    for &p in preds {
-        for &s in succs {
-            if s == p || reach.reaches(s, p) {
-                return Err(GraphError::Cycle(s));
+
+    /// Validates a node insert: the new node is `NB` and lives outside
+    /// every region, so its neighbors must not be nodes whose edges are
+    /// confined (`BF` out-edges, `BJ` in-edges, any `BC` edge), it needs
+    /// at least one predecessor and successor to preserve endpoint
+    /// uniqueness, and no `pred -> new -> succ` path may close a cycle.
+    fn validate_node_insert(
+        &self,
+        reach: &Reachability,
+        preds: &[NodeId],
+        succs: &[NodeId],
+    ) -> Result<(), GraphError> {
+        let n = self.nodes.len();
+        let new = NodeId::from_index(n);
+        for v in preds.iter().chain(succs) {
+            if v.index() >= n {
+                return Err(GraphError::UnknownNode(*v));
             }
         }
-    }
-    Ok(())
-}
-
-/// Validates and applies a blocking-pair declaration, mirroring the
-/// builder-time checks of `validate::analyze`. Returns the inner node
-/// indices of the new region.
-#[allow(clippy::too_many_arguments)]
-fn declare_region(
-    fork: NodeId,
-    join: NodeId,
-    nodes: &mut [NodeData],
-    succ: &[Vec<NodeId>],
-    pred: &[Vec<NodeId>],
-    pair: &mut [Option<NodeId>],
-    region_of: &mut [Option<u32>],
-    regions: &mut Vec<Region>,
-    reach: &Reachability,
-) -> Result<BitSet, GraphError> {
-    if !reach.reaches(fork, join) {
-        return Err(GraphError::UnreachableJoin { fork, join });
-    }
-    if pair[fork.index()].is_some() {
-        return Err(GraphError::OverlappingPairs(fork));
-    }
-    if pair[join.index()].is_some() {
-        return Err(GraphError::OverlappingPairs(join));
-    }
-    let mut inner = reach.descendants(fork).clone();
-    inner.intersect_with(reach.ancestors(join));
-    let in_region = |v: NodeId| v == fork || v == join || inner.contains(v.index());
-    for v in std::iter::once(fork)
-        .chain(std::iter::once(join))
-        .chain(inner.iter().map(NodeId::from_index))
-    {
-        if let Some(prev) = region_of[v.index()] {
-            return Err(GraphError::NestedRegions {
-                outer_fork: regions[prev as usize].fork(),
-                inner_fork: fork,
-            });
+        if preds.is_empty() {
+            // No predecessor would make the new node a second source.
+            return Err(GraphError::MultipleSources(vec![new]));
         }
+        if succs.is_empty() {
+            return Err(GraphError::MultipleSinks(vec![new]));
+        }
+        for (i, &v) in preds.iter().enumerate() {
+            if preds[..i].contains(&v) {
+                return Err(GraphError::DuplicateEdge(v, new));
+            }
+        }
+        for (i, &v) in succs.iter().enumerate() {
+            if succs[..i].contains(&v) {
+                return Err(GraphError::DuplicateEdge(new, v));
+            }
+        }
+        for &p in preds {
+            match self.nodes[p.index()].kind {
+                NodeKind::BlockingFork => {
+                    return Err(GraphError::ForkEscape {
+                        fork: p,
+                        outside: new,
+                    });
+                }
+                NodeKind::BlockingChild => {
+                    return Err(GraphError::RegionLeak {
+                        fork: self.fork_of_inner(p),
+                        inner: p,
+                        outside: new,
+                    });
+                }
+                _ => {}
+            }
+        }
+        for &s in succs {
+            match self.nodes[s.index()].kind {
+                NodeKind::BlockingJoin => {
+                    return Err(GraphError::JoinIntrusion {
+                        join: s,
+                        outside: new,
+                    });
+                }
+                NodeKind::BlockingChild => {
+                    return Err(GraphError::RegionLeak {
+                        fork: self.fork_of_inner(s),
+                        inner: s,
+                        outside: new,
+                    });
+                }
+                _ => {}
+            }
+        }
+        for &p in preds {
+            for &s in succs {
+                if s == p || reach.reaches(s, p) {
+                    return Err(GraphError::Cycle(s));
+                }
+            }
+        }
+        Ok(())
     }
-    // Restriction (ii): every edge out of the fork stays in the region.
-    for &s in &succ[fork.index()] {
-        if !in_region(s) {
+
+    /// Validates and applies a blocking-pair declaration, mirroring the
+    /// builder-time checks of `validate::analyze`. Returns the inner node
+    /// indices of the new region.
+    fn declare_region(
+        &mut self,
+        fork: NodeId,
+        join: NodeId,
+        reach: &Reachability,
+    ) -> Result<BitSet, GraphError> {
+        if !reach.reaches(fork, join) {
+            return Err(GraphError::UnreachableJoin { fork, join });
+        }
+        if self.pair[fork.index()].is_some() {
+            return Err(GraphError::OverlappingPairs(fork));
+        }
+        if self.pair[join.index()].is_some() {
+            return Err(GraphError::OverlappingPairs(join));
+        }
+        let mut inner = reach.descendants(fork).to_bitset();
+        inner.intersect_with(reach.ancestors(join));
+        let in_region = |v: NodeId| v == fork || v == join || inner.contains(v.index());
+        for v in std::iter::once(fork)
+            .chain(std::iter::once(join))
+            .chain(inner.iter().map(NodeId::from_index))
+        {
+            if let Some(prev) = self.region_of[v.index()] {
+                return Err(GraphError::NestedRegions {
+                    outer_fork: self.regions[prev as usize].fork(),
+                    inner_fork: fork,
+                });
+            }
+        }
+        // Restriction (ii): every edge out of the fork stays in the region.
+        if let Some(s) = self.succs(fork).find(|&s| !in_region(s)) {
             return Err(GraphError::ForkEscape { fork, outside: s });
         }
-    }
-    // Restriction (iii): every edge into the join starts in the region.
-    for &p in &pred[join.index()] {
-        if !in_region(p) {
+        // Restriction (iii): every edge into the join starts in the region.
+        if let Some(p) = self.preds(join).find(|&p| !in_region(p)) {
             return Err(GraphError::JoinIntrusion { join, outside: p });
         }
-    }
-    // Restriction (i): inner nodes are internally connected only.
-    for x in inner.iter().map(NodeId::from_index) {
-        for &nbr in succ[x.index()].iter().chain(&pred[x.index()]) {
-            if !in_region(nbr) {
+        // Restriction (i): inner nodes are internally connected only.
+        for x in inner.iter().map(NodeId::from_index) {
+            if let Some(nbr) = self.succs(x).chain(self.preds(x)).find(|&v| !in_region(v)) {
                 return Err(GraphError::RegionLeak {
                     fork,
                     inner: x,
@@ -642,56 +659,64 @@ fn declare_region(
                 });
             }
         }
+
+        let region_idx = u32::try_from(self.regions.len()).expect("too many regions");
+        let pair = self.pair.to_mut();
+        pair[fork.index()] = Some(join);
+        pair[join.index()] = Some(fork);
+        self.nodes[fork.index()].kind = NodeKind::BlockingFork;
+        self.nodes[join.index()].kind = NodeKind::BlockingJoin;
+        let region_of = self.region_of.to_mut();
+        region_of[fork.index()] = Some(region_idx);
+        region_of[join.index()] = Some(region_idx);
+        for i in inner.iter() {
+            self.nodes[i].kind = NodeKind::BlockingChild;
+            region_of[i] = Some(region_idx);
+        }
+        self.regions.to_mut().push(Region::new(
+            fork,
+            join,
+            inner.iter().map(NodeId::from_index).collect(),
+        ));
+        Ok(inner)
     }
 
-    let region_idx = u32::try_from(regions.len()).expect("too many regions");
-    pair[fork.index()] = Some(join);
-    pair[join.index()] = Some(fork);
-    nodes[fork.index()].kind = NodeKind::BlockingFork;
-    nodes[join.index()].kind = NodeKind::BlockingJoin;
-    region_of[fork.index()] = Some(region_idx);
-    region_of[join.index()] = Some(region_idx);
-    for i in inner.iter() {
-        nodes[i].kind = NodeKind::BlockingChild;
-        region_of[i] = Some(region_idx);
+    /// Dissolves the blocking pair `(fork, join)`: every member reverts
+    /// to `NB` and the region is dropped. Returns the former inner nodes.
+    fn dissolve_region(&mut self, fork: NodeId, join: NodeId) -> Result<Vec<NodeId>, GraphError> {
+        if self.nodes[fork.index()].kind != NodeKind::BlockingFork
+            || self.pair[fork.index()] != Some(join)
+        {
+            return Err(GraphError::NoSuchPair { fork, join });
+        }
+        let ri = self.region_of[fork.index()].expect("BF node belongs to a region") as usize;
+        let region = self.regions.to_mut().remove(ri);
+        debug_assert_eq!(region.fork(), fork);
+        let region_of = self.region_of.to_mut();
+        for v in region.nodes() {
+            self.nodes[v.index()].kind = NodeKind::NonBlocking;
+            region_of[v.index()] = None;
+        }
+        let pair = self.pair.to_mut();
+        pair[fork.index()] = None;
+        pair[join.index()] = None;
+        // Region removal shifts the indices of the regions behind it.
+        for slot in region_of.iter_mut().flatten() {
+            if *slot as usize > ri {
+                *slot -= 1;
+            }
+        }
+        Ok(region.inner().to_vec())
     }
-    regions.push(Region::new(
-        fork,
-        join,
-        inner.iter().map(NodeId::from_index).collect(),
-    ));
-    Ok(inner)
 }
 
-/// Dissolves the blocking pair `(fork, join)`: every member reverts to
-/// `NB` and the region is dropped. Returns the former inner nodes.
-fn dissolve_region(
-    fork: NodeId,
-    join: NodeId,
-    nodes: &mut [NodeData],
-    pair: &mut [Option<NodeId>],
-    region_of: &mut [Option<u32>],
-    regions: &mut Vec<Region>,
-) -> Result<Vec<NodeId>, GraphError> {
-    if nodes[fork.index()].kind != NodeKind::BlockingFork || pair[fork.index()] != Some(join) {
-        return Err(GraphError::NoSuchPair { fork, join });
+/// Row `v` of a base CSR, empty for a node inserted by the script.
+fn base_row(adj: &Csr, v: NodeId) -> &[NodeId] {
+    if v.index() < adj.node_count() {
+        adj.row(v.index())
+    } else {
+        &[]
     }
-    let ri = region_of[fork.index()].expect("BF node belongs to a region") as usize;
-    let region = regions.remove(ri);
-    debug_assert_eq!(region.fork(), fork);
-    for v in region.nodes() {
-        nodes[v.index()].kind = NodeKind::NonBlocking;
-        region_of[v.index()] = None;
-    }
-    pair[fork.index()] = None;
-    pair[join.index()] = None;
-    // Region removal shifts the indices of the regions behind it.
-    for slot in region_of.iter_mut().flatten() {
-        if *slot as usize > ri {
-            *slot -= 1;
-        }
-    }
-    Ok(region.inner().to_vec())
 }
 
 #[cfg(test)]
@@ -994,5 +1019,67 @@ mod tests {
         assert!(v2.cache.delays.get().is_none());
         assert!(v2.cache.volume.get().is_none());
         assert_cache_coherent(&v2);
+    }
+
+    #[test]
+    fn node_inserts_across_a_stride_boundary_agree_with_cold_rebuild() {
+        // 63 nodes: one word per row. The 64th still fits; the 65th
+        // needs a second word, so every row of both closures and of the
+        // delay matrix is re-laid.
+        let mut b = DagBuilder::new();
+        let s = b.add_node(1);
+        let mut tails = Vec::new();
+        for _ in 0..12 {
+            let (f, j) = b.fork_join(1, &[2, 3, 4], 1, true).unwrap();
+            b.add_edge(s, f).unwrap();
+            tails.push(j);
+        }
+        let lone = b.add_node(7);
+        b.add_edge(s, lone).unwrap();
+        let t = b.add_node(1);
+        for &j in &tails {
+            b.add_edge(j, t).unwrap();
+        }
+        b.add_edge(lone, t).unwrap();
+        let mut dag = b.build().unwrap();
+        assert_eq!(dag.node_count(), 63);
+        warm(&dag);
+        for expected in [64, 65] {
+            let mut e = dag.edit();
+            let new = e.insert_node(5, &[s, lone], &[t]);
+            let (next, delta) = e.apply().unwrap();
+            assert_eq!(next.node_count(), expected);
+            assert_eq!(delta.nodes_added, 1);
+            assert!(next.reachability().reaches(lone, new));
+            assert_eq!(next.reachability().descendants(s).capacity(), expected);
+            assert_cache_coherent(&next);
+            dag = next;
+        }
+        assert_eq!(dag.predecessors(t).len(), 15);
+    }
+
+    #[test]
+    fn wcet_edit_after_structural_edit_shares_the_topology() {
+        let (dag, [s, _, a, _, _, p, t]) = base_graph();
+        warm(&dag);
+        let mut e = dag.edit();
+        let new = e.insert_node(4, &[s], &[p]);
+        let (v2, delta) = e.apply().unwrap();
+        assert!(delta.structural);
+        assert!(!Arc::ptr_eq(&dag.topology, &v2.topology));
+        // Rows keep their order and gain the new neighbour at the back.
+        assert_eq!(v2.successors(s), &[dag.successors(s), &[new]].concat()[..]);
+        assert_eq!(v2.predecessors(p), &[s, new]);
+
+        let mut e = v2.edit();
+        e.set_wcet(a, 40).set_wcet(new, 6);
+        let (v3, delta) = e.apply().unwrap();
+        assert!(delta.is_wcet_only());
+        assert!(Arc::ptr_eq(&v2.topology, &v3.topology));
+        assert!(Arc::ptr_eq(&v2.topology, &v3.clone_uncached().topology));
+        assert_eq!(v3.wcet(new), 6);
+        assert_eq!(v2.wcet(new), 4, "the shared topology carries no WCET");
+        assert_cache_coherent(&v3);
+        let _ = t;
     }
 }

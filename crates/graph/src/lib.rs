@@ -63,6 +63,7 @@ mod backend;
 mod bitset;
 mod builder;
 mod cache;
+mod csr;
 mod dag;
 mod dot;
 mod edit;
@@ -70,6 +71,8 @@ mod error;
 mod node;
 mod paths;
 mod reach;
+#[cfg(test)]
+mod reference;
 mod regions;
 mod stats;
 mod topo;
@@ -77,9 +80,10 @@ mod validate;
 
 pub use antichain::{max_antichain, max_antichain_of, MinChainCover};
 pub use backend::SyncBackend;
-pub use bitset::BitSet;
+pub use bitset::{BitRow, BitSet};
 pub use builder::DagBuilder;
 pub use cache::DelayProfile;
+pub use csr::fill_csr;
 pub use dag::Dag;
 pub use dot::DotOptions;
 pub use edit::{DagDelta, DagEdit, EditOp};

@@ -29,12 +29,14 @@ impl NodeId {
     /// index; ids manufactured this way must be in range for the graph they
     /// are used with (methods panic otherwise).
     #[must_use]
+    #[inline]
     pub fn from_index(index: usize) -> Self {
         NodeId(u32::try_from(index).expect("node index exceeds u32::MAX"))
     }
 
     /// Returns the dense index of this node.
     #[must_use]
+    #[inline]
     pub fn index(self) -> usize {
         self.0 as usize
     }

@@ -1,13 +1,24 @@
 //! Transitive reachability (the paper's transitive `pred(v)` / `succ(v)`).
+//!
+//! Both closures are flat bit matrices — one heap block per direction,
+//! row `v` at words `v·⌈n/64⌉ ..` — filled in place in (reverse)
+//! topological order: a row is the union of its direct neighbours and
+//! their already-final rows, merged row-to-row inside the block. An
+//! inserted edge patches only the rows of its cone, and an inserted node
+//! grows the matrix (re-laying the rows when `n` crosses a multiple of
+//! 64).
 
-use crate::bitset::BitSet;
+use crate::bitset::{BitMatrix, BitRow, BitSet};
+use crate::csr::Csr;
 use crate::dag::Dag;
 use crate::node::NodeId;
+use crate::topo::TopologicalOrder;
 
 /// Precomputed transitive reachability of a [`Dag`].
 ///
 /// The paper's `pred(v)` and `succ(v)` denote *direct or transitive*
-/// predecessors/successors; this type materializes both as bitset rows so
+/// predecessors/successors; this type materializes both as one flat bit
+/// matrix each (row `v` = the set for `v`, handed out as a [`BitRow`]) so
 /// that the concurrency sets `C(v)` (Eq. 2) can be evaluated in
 /// `O(|V|/64)` words per membership sweep.
 ///
@@ -33,62 +44,37 @@ use crate::node::NodeId;
 /// ```
 #[derive(Clone, Debug)]
 pub struct Reachability {
-    /// `descendants[v]`: transitive successors of `v` (excluding `v`).
-    descendants: Vec<BitSet>,
-    /// `ancestors[v]`: transitive predecessors of `v` (excluding `v`).
-    ancestors: Vec<BitSet>,
+    /// Row `v`: transitive successors of `v` (excluding `v`).
+    descendants: BitMatrix,
+    /// Row `v`: transitive predecessors of `v` (excluding `v`).
+    ancestors: BitMatrix,
 }
 
 impl Reachability {
     /// Computes transitive reachability for `dag` in `O(|V|·|E|/64)` words.
     #[must_use]
     pub fn new(dag: &Dag) -> Self {
-        Self::from_parts(&dag.succ, &dag.pred, dag.topological_order())
+        let t = &dag.topology;
+        Self::from_parts(&t.succ, &t.pred, &t.order)
     }
 
-    /// Computes reachability from raw adjacency lists and a topological
-    /// order (used by the builder before the [`Dag`] exists).
-    pub(crate) fn from_parts(
-        succ: &[Vec<NodeId>],
-        pred: &[Vec<NodeId>],
-        topo: &crate::topo::TopologicalOrder,
-    ) -> Self {
-        let n = succ.len();
-        let mut descendants = vec![BitSet::new(n); n];
-        // Reverse topological order: a node's descendants are the union of
-        // each direct successor and that successor's descendants.
-        for v in topo.iter().rev() {
-            let mut row = BitSet::new(n);
-            for &s in &succ[v.index()] {
-                row.insert(s.index());
-                // Split borrow: take the child's row out temporarily.
-                let child = std::mem::replace(&mut descendants[s.index()], BitSet::new(0));
-                row.union_with(&child);
-                descendants[s.index()] = child;
-            }
-            descendants[v.index()] = row;
-        }
-        let mut ancestors = vec![BitSet::new(n); n];
-        for v in topo.iter() {
-            let mut row = BitSet::new(n);
-            for &p in &pred[v.index()] {
-                row.insert(p.index());
-                let parent = std::mem::replace(&mut ancestors[p.index()], BitSet::new(0));
-                row.union_with(&parent);
-                ancestors[p.index()] = parent;
-            }
-            ancestors[v.index()] = row;
-        }
+    /// Computes reachability from raw adjacency and a topological order
+    /// (used by the builder before the [`Dag`] exists). Every row is
+    /// accumulated where it lives; no temporary row is made.
+    pub(crate) fn from_parts(succ: &Csr, pred: &Csr, topo: &TopologicalOrder) -> Self {
         Reachability {
-            descendants,
-            ancestors,
+            // Reverse topological order: a node's descendants are the
+            // union of each direct successor and that successor's
+            // (already final) descendants.
+            descendants: closure(succ, topo.iter().rev()),
+            ancestors: closure(pred, topo.iter()),
         }
     }
 
     /// Number of nodes covered by this reachability table.
     #[must_use]
     pub fn node_count(&self) -> usize {
-        self.descendants.len()
+        self.descendants.node_count()
     }
 
     /// Patches the closure for a newly inserted edge `u -> v`, assuming
@@ -100,17 +86,19 @@ impl Reachability {
     /// whose rows may have changed — as sorted indices.
     pub(crate) fn patch_edge(&mut self, u: NodeId, v: NodeId) -> Vec<usize> {
         debug_assert!(!self.reaches(v, u), "edge would close a cycle");
-        let mut desc_add = self.descendants[v.index()].clone();
-        desc_add.insert(v.index());
-        let mut anc_add = self.ancestors[u.index()].clone();
-        anc_add.insert(u.index());
+        let (u, v) = (u.index(), v.index());
+        // Acyclicity keeps the rows read apart from the rows written:
+        // `v` is neither `u` nor an ancestor of `u`, and `u` is neither
+        // `v` nor a descendant of `v`.
         let mut dirty: Vec<usize> = Vec::new();
-        for a in std::iter::once(u.index()).chain(anc_add.iter().filter(|&a| a != u.index())) {
-            self.descendants[a].union_with(&desc_add);
+        for a in std::iter::once(u).chain(self.ancestors.row(u).iter()) {
+            self.descendants.union_rows(a, v);
+            self.descendants.insert(a, v);
             dirty.push(a);
         }
-        for d in std::iter::once(v.index()).chain(desc_add.iter().filter(|&d| d != v.index())) {
-            self.ancestors[d].union_with(&anc_add);
+        for d in std::iter::once(v).chain(self.descendants.row(v).iter()) {
+            self.ancestors.union_rows(d, u);
+            self.ancestors.insert(d, u);
             dirty.push(d);
         }
         dirty.sort_unstable();
@@ -122,13 +110,8 @@ impl Reachability {
     /// for the new indices. Edges touching the new nodes are patched in
     /// afterwards via [`Reachability::patch_edge`].
     pub(crate) fn grow(&mut self, new_count: usize) {
-        for row in self.descendants.iter_mut().chain(self.ancestors.iter_mut()) {
-            row.grow(new_count);
-        }
-        while self.descendants.len() < new_count {
-            self.descendants.push(BitSet::new(new_count));
-            self.ancestors.push(BitSet::new(new_count));
-        }
+        self.descendants.grow(new_count);
+        self.ancestors.grow(new_count);
     }
 
     /// Returns `true` if there is a (possibly transitive) path `from -> to`.
@@ -136,19 +119,19 @@ impl Reachability {
     /// A node does not reach itself.
     #[must_use]
     pub fn reaches(&self, from: NodeId, to: NodeId) -> bool {
-        self.descendants[from.index()].contains(to.index())
+        self.descendants.contains(from.index(), to.index())
     }
 
     /// Transitive successors of `v` (the paper's `succ(v)`), excluding `v`.
     #[must_use]
-    pub fn descendants(&self, v: NodeId) -> &BitSet {
-        &self.descendants[v.index()]
+    pub fn descendants(&self, v: NodeId) -> BitRow<'_> {
+        self.descendants.row(v.index())
     }
 
     /// Transitive predecessors of `v` (the paper's `pred(v)`), excluding `v`.
     #[must_use]
-    pub fn ancestors(&self, v: NodeId) -> &BitSet {
-        &self.ancestors[v.index()]
+    pub fn ancestors(&self, v: NodeId) -> BitRow<'_> {
+        self.ancestors.row(v.index())
     }
 
     /// Returns `true` if `a` and `b` are distinct and subject to no
@@ -162,16 +145,26 @@ impl Reachability {
     /// descendants, excluding `v` itself), as a bitset of node indices.
     #[must_use]
     pub fn concurrent_set(&self, v: NodeId) -> BitSet {
-        let n = self.node_count();
-        let mut set = BitSet::new(n);
-        for i in 0..n {
-            set.insert(i);
-        }
+        let mut set = BitSet::new(self.node_count());
+        set.insert_all();
         set.remove(v.index());
-        set.difference_with(&self.descendants[v.index()]);
-        set.difference_with(&self.ancestors[v.index()]);
+        set.difference_with(self.descendants(v));
+        set.difference_with(self.ancestors(v));
         set
     }
+}
+
+/// The transitive closure of `adj`, visiting nodes in an order in which
+/// every neighbour's row is final before the node's own.
+fn closure(adj: &Csr, order: impl Iterator<Item = NodeId>) -> BitMatrix {
+    let mut rows = BitMatrix::new(adj.node_count());
+    for v in order {
+        for &w in adj.row(v.index()) {
+            rows.insert(v.index(), w.index());
+            rows.union_rows(v.index(), w.index());
+        }
+    }
+    rows
 }
 
 #[cfg(test)]

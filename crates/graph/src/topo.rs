@@ -1,7 +1,6 @@
 //! Topological ordering (Kahn's algorithm) with cycle detection.
 
-use std::collections::VecDeque;
-
+use crate::csr::Csr;
 use crate::node::NodeId;
 
 /// A topological ordering of a DAG's nodes.
@@ -34,31 +33,34 @@ pub struct TopologicalOrder {
 }
 
 impl TopologicalOrder {
-    /// Computes a deterministic topological order of `0..n` under the given
-    /// successor lists using Kahn's algorithm (ties broken by smallest id).
+    /// Computes a deterministic topological order of the rows of `succ`
+    /// using Kahn's algorithm with a FIFO frontier: the sources enter in
+    /// id order, and a node enters behind everything already waiting at
+    /// the moment its last predecessor is emitted (successor rows are
+    /// scanned in insertion order). This is *not* "smallest ready id
+    /// first" — the two differ as soon as a row lists a larger id before
+    /// a smaller one — and the Figure 2 golden digests pin this order.
     ///
     /// # Errors
     ///
     /// Returns a node that lies on a cycle if the edge relation is cyclic.
-    pub(crate) fn compute(n: usize, succ: &[Vec<NodeId>]) -> Result<Self, NodeId> {
-        let mut indegree = vec![0usize; n];
-        for out in succ {
-            for &v in out {
-                indegree[v.index()] += 1;
-            }
+    pub(crate) fn compute(succ: &Csr) -> Result<Self, NodeId> {
+        let n = succ.node_count();
+        let mut indegree = vec![0u32; n];
+        for (_, to) in succ.edges() {
+            indegree[to.index()] += 1;
         }
-        // A binary heap would give O(E log V); for determinism a sorted
-        // frontier is enough and the simple VecDeque keeps insertion order
-        // (node ids are created in insertion order, so sources are visited
-        // in id order).
-        let mut frontier: VecDeque<usize> = (0..n).filter(|&v| indegree[v] == 0).collect();
-        let mut order = Vec::with_capacity(n);
-        while let Some(v) = frontier.pop_front() {
-            order.push(NodeId::from_index(v));
-            for &w in &succ[v] {
+        // A FIFO queue pops in push order, so the output doubles as the
+        // frontier: everything behind `head` is waiting.
+        let mut order: Vec<NodeId> = Vec::with_capacity(n);
+        order.extend((0..n).filter(|&v| indegree[v] == 0).map(NodeId::from_index));
+        let mut head = 0;
+        while let Some(&v) = order.get(head) {
+            head += 1;
+            for &w in succ.row(v.index()) {
                 indegree[w.index()] -= 1;
                 if indegree[w.index()] == 0 {
-                    frontier.push_back(w.index());
+                    order.push(w);
                 }
             }
         }
@@ -101,16 +103,29 @@ impl TopologicalOrder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builder::DagBuilder;
 
     fn ids(v: &[usize]) -> Vec<NodeId> {
         v.iter().map(|&i| NodeId::from_index(i)).collect()
     }
 
+    /// CSR rows from per-node successor lists.
+    fn csr(succ: &[&[usize]]) -> Csr {
+        let edges: Vec<(NodeId, NodeId)> = succ
+            .iter()
+            .enumerate()
+            .flat_map(|(v, out)| {
+                out.iter()
+                    .map(move |&w| (NodeId::from_index(v), NodeId::from_index(w)))
+            })
+            .collect();
+        Csr::from_edges(succ.len(), edges.iter().copied())
+    }
+
     #[test]
     fn orders_diamond() {
         // 0 -> 1, 0 -> 2, 1 -> 3, 2 -> 3
-        let succ = vec![ids(&[1, 2]), ids(&[3]), ids(&[3]), ids(&[])];
-        let order = TopologicalOrder::compute(4, &succ).unwrap();
+        let order = TopologicalOrder::compute(&csr(&[&[1, 2], &[3], &[3], &[]])).unwrap();
         let pos: Vec<usize> = {
             let mut p = vec![0; 4];
             for (i, v) in order.iter().enumerate() {
@@ -127,21 +142,40 @@ mod tests {
     #[test]
     fn detects_cycle() {
         // 0 -> 1 -> 2 -> 0
-        let succ = vec![ids(&[1]), ids(&[2]), ids(&[0])];
-        let err = TopologicalOrder::compute(3, &succ).unwrap_err();
+        let err = TopologicalOrder::compute(&csr(&[&[1], &[2], &[0]])).unwrap_err();
         assert!(err.index() < 3);
     }
 
     #[test]
     fn single_node() {
-        let order = TopologicalOrder::compute(1, &[vec![]]).unwrap();
+        let order = TopologicalOrder::compute(&csr(&[&[]])).unwrap();
         assert_eq!(order.as_slice(), &[NodeId::from_index(0)]);
     }
 
     #[test]
     fn disconnected_components_ordered_by_id() {
-        let succ = vec![ids(&[]), ids(&[]), ids(&[])];
-        let order = TopologicalOrder::compute(3, &succ).unwrap();
+        let order = TopologicalOrder::compute(&csr(&[&[], &[], &[]])).unwrap();
         assert_eq!(order.as_slice(), ids(&[0, 1, 2]).as_slice());
+    }
+
+    #[test]
+    fn frontier_is_fifo_not_smallest_id() {
+        // s -> b is declared before s -> a although a has the smaller
+        // id, and a -> x makes x ready while b still waits in the
+        // frontier. FIFO: s, b, a, x, t. Smallest-ready-id would give
+        // s, a, b, x, t (and s, a, x, b, t with x numbered below b).
+        let mut g = DagBuilder::new();
+        let s = g.add_node(1);
+        let a = g.add_node(1);
+        let b = g.add_node(1);
+        let x = g.add_node(1);
+        let t = g.add_node(1);
+        g.add_edge(s, b).unwrap();
+        g.add_edge(s, a).unwrap();
+        g.add_edge(a, x).unwrap();
+        g.add_edge(x, t).unwrap();
+        g.add_edge(b, t).unwrap();
+        let dag = g.build().unwrap();
+        assert_eq!(dag.topological_order().as_slice(), &[s, b, a, x, t]);
     }
 }

@@ -10,6 +10,8 @@
 //!   * **(iii)** every edge entering `j` starts in `V'`,
 //! * blocking regions neither nest nor overlap.
 
+use crate::bitset::BitSet;
+use crate::csr::Csr;
 use crate::dag::Dag;
 use crate::error::GraphError;
 use crate::node::{NodeId, NodeKind};
@@ -37,37 +39,25 @@ pub(crate) struct Analysis {
 /// Analyzes a raw skeleton, deriving node kinds and blocking regions and
 /// checking every model restriction.
 pub(crate) fn analyze(
-    succ: &[Vec<NodeId>],
-    pred: &[Vec<NodeId>],
+    succ: &Csr,
+    pred: &Csr,
     pairs: &[(NodeId, NodeId)],
 ) -> Result<Analysis, GraphError> {
-    let n = succ.len();
+    let n = succ.node_count();
     if n == 0 {
         return Err(GraphError::Empty);
     }
-    let topo = TopologicalOrder::compute(n, succ).map_err(GraphError::Cycle)?;
-
-    let sources: Vec<NodeId> = (0..n)
-        .filter(|&v| pred[v].is_empty())
-        .map(NodeId::from_index)
-        .collect();
-    let sinks: Vec<NodeId> = (0..n)
-        .filter(|&v| succ[v].is_empty())
-        .map(NodeId::from_index)
-        .collect();
-    if sources.len() != 1 {
-        return Err(GraphError::MultipleSources(sources));
-    }
-    if sinks.len() != 1 {
-        return Err(GraphError::MultipleSinks(sinks));
-    }
-    let (source, sink) = (sources[0], sinks[0]);
+    let topo = TopologicalOrder::compute(succ).map_err(GraphError::Cycle)?;
+    let source = unique_endpoint(pred).map_err(GraphError::MultipleSources)?;
+    let sink = unique_endpoint(succ).map_err(GraphError::MultipleSinks)?;
 
     let reach = Reachability::from_parts(succ, pred, &topo);
     let mut kinds = vec![NodeKind::NonBlocking; n];
     let mut pair: Vec<Option<NodeId>> = vec![None; n];
     let mut region_of: Vec<Option<u32>> = vec![None; n];
     let mut regions: Vec<Region> = Vec::with_capacity(pairs.len());
+    // One working row for every pair's inner set.
+    let mut inner_bits = BitSet::new(n);
 
     for &(f, j) in pairs {
         if !reach.reaches(f, j) {
@@ -83,9 +73,10 @@ pub(crate) fn analyze(
         pair[j.index()] = Some(f);
 
         // Inner nodes: strictly between the fork and the join.
-        let mut inner_bits = reach.descendants(f).clone();
+        inner_bits.copy_from(reach.descendants(f));
         inner_bits.intersect_with(reach.ancestors(j));
-        let inner: Vec<NodeId> = inner_bits.iter().map(NodeId::from_index).collect();
+        let mut inner: Vec<NodeId> = Vec::with_capacity(inner_bits.len());
+        inner.extend(inner_bits.iter().map(NodeId::from_index));
 
         let region_idx = u32::try_from(regions.len()).expect("too many regions");
         for v in std::iter::once(f)
@@ -108,7 +99,7 @@ pub(crate) fn analyze(
 
         let region = Region::new(f, j, inner);
         // Restriction (ii): every edge out of the fork stays in the region.
-        for &s in &succ[f.index()] {
+        for &s in succ.row(f.index()) {
             if !region.contains(s) {
                 return Err(GraphError::ForkEscape {
                     fork: f,
@@ -117,7 +108,7 @@ pub(crate) fn analyze(
             }
         }
         // Restriction (iii): every edge into the join starts in the region.
-        for &p in &pred[j.index()] {
+        for &p in pred.row(j.index()) {
             if !region.contains(p) {
                 return Err(GraphError::JoinIntrusion {
                     join: j,
@@ -127,7 +118,7 @@ pub(crate) fn analyze(
         }
         // Restriction (i): inner nodes are internally connected only.
         for &x in region.inner() {
-            for &nbr in succ[x.index()].iter().chain(&pred[x.index()]) {
+            for &nbr in succ.row(x.index()).iter().chain(pred.row(x.index())) {
                 if !region.contains(nbr) {
                     return Err(GraphError::RegionLeak {
                         fork: f,
@@ -152,6 +143,22 @@ pub(crate) fn analyze(
     })
 }
 
+/// The one node with an empty row in `adj` (the source under the
+/// predecessor rows, the sink under the successor rows).
+///
+/// # Errors
+///
+/// All such nodes, in id order, when there is not exactly one.
+fn unique_endpoint(adj: &Csr) -> Result<NodeId, Vec<NodeId>> {
+    let mut ends = (0..adj.node_count())
+        .filter(|&v| adj.row(v).is_empty())
+        .map(NodeId::from_index);
+    match (ends.next(), ends.next()) {
+        (Some(only), None) => Ok(only),
+        (first, second) => Err(first.into_iter().chain(second).chain(ends).collect()),
+    }
+}
+
 /// Re-validates an assembled [`Dag`] (used by [`Dag::validate_model`]).
 pub(crate) fn validate(dag: &Dag) -> Result<(), GraphError> {
     let pairs: Vec<(NodeId, NodeId)> = dag
@@ -159,7 +166,7 @@ pub(crate) fn validate(dag: &Dag) -> Result<(), GraphError> {
         .iter()
         .map(|r| (r.fork(), r.join()))
         .collect();
-    let analysis = analyze(&dag.succ, &dag.pred, &pairs)?;
+    let analysis = analyze(&dag.topology.succ, &dag.topology.pred, &pairs)?;
     debug_assert_eq!(analysis.source, dag.source());
     debug_assert_eq!(analysis.sink, dag.sink());
     debug_assert!(dag

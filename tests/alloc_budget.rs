@@ -1,0 +1,191 @@
+//! The allocator budget of the ingest path, committed as a test so the
+//! number cannot rot: how many times `parse_task_set`, the first
+//! derivations and a WCET-only edit call the allocator, per node.
+//!
+//! This is its own test binary because it installs a counting
+//! `#[global_allocator]`; the `unsafe impl` below is the only unsafe code
+//! in the workspace (every library crate is `#![forbid(unsafe_code)]`).
+//! A *call* is an `alloc`, `alloc_zeroed` or `realloc`; frees are not
+//! counted (every block made is freed once). Counts are kept per thread,
+//! so tests running side by side do not see each other.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::path::Path;
+
+use rand::SeedableRng;
+use rtpool::core::{textfmt, TaskSet};
+use rtpool::gen::{DagGenConfig, TaskSetConfig};
+use rtpool::graph::{Dag, DagBuilder, NodeId};
+
+struct Counting;
+
+thread_local! {
+    static CALLS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    // `try_with`: the allocator also runs while a thread's locals are
+    // being torn down.
+    let _ = CALLS.try_with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the only addition is a
+// thread-local counter bump that neither allocates nor unwinds.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: same layout the caller vouched for.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: same layout the caller vouched for.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        // SAFETY: `ptr`, `layout` and `new_size` are passed through as
+        // the caller vouched for them.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` was returned by `System` for this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Runs `f` and returns its result with the allocator calls it made on
+/// this thread.
+fn calls_of<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = CALLS.with(Cell::get);
+    let out = f();
+    (out, CALLS.with(Cell::get) - before)
+}
+
+fn node_count(set: &TaskSet) -> u64 {
+    set.iter().map(|(_, t)| t.dag().node_count() as u64).sum()
+}
+
+/// The shipped workloads plus one generated 8-task set (~330 nodes, the
+/// size class `admit-cold` sends), each as `(name, .rtp source)`.
+fn corpus() -> Vec<(String, String)> {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("workloads");
+    let mut inputs: Vec<(String, String)> = std::fs::read_dir(&dir)
+        .expect("workloads/ is readable")
+        .map(|entry| entry.expect("directory entry").path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "rtp"))
+        .map(|path| {
+            let name = path.file_name().expect("file name").to_string_lossy();
+            let source = std::fs::read_to_string(&path).expect("workload is readable");
+            (name.into_owned(), source)
+        })
+        .collect();
+    inputs.sort();
+    assert!(inputs.len() >= 3, "workloads/*.rtp went missing");
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0x00A1_10C8);
+    let generated = TaskSetConfig::new(8, 2.0, DagGenConfig::default())
+        .generate(&mut rng)
+        .expect("plain generation cannot fail");
+    inputs.push(("generated-8".into(), textfmt::write_task_set(&generated)));
+    inputs
+}
+
+#[test]
+fn parse_and_first_derivations_stay_within_budget() {
+    let (mut nodes, mut parse_calls, mut derive_calls) = (0u64, 0u64, 0u64);
+    for (name, source) in corpus() {
+        let (set, parsed) = calls_of(|| textfmt::parse_task_set(&source).expect("corpus parses"));
+        let ((), derived) = calls_of(|| {
+            for (_, task) in set.iter() {
+                let dag = task.dag();
+                let _ = dag.delay_profile();
+                let _ = dag.critical_path();
+                let _ = dag.max_blocking_antichain();
+            }
+        });
+        let n = node_count(&set);
+        println!(
+            "{name}: {n} nodes, {parsed} calls to parse ({:.2}/node), +{derived} to derive ({:.2}/node)",
+            parsed as f64 / n as f64,
+            (parsed + derived) as f64 / n as f64,
+        );
+        if name == "generated-8" {
+            assert!(n >= 150, "the generated set shrank to {n} nodes");
+            assert!(
+                2 * parsed <= 3 * n,
+                "{parsed} allocator calls to parse {n} generated nodes (budget 1.5 per node)"
+            );
+        }
+        nodes += n;
+        parse_calls += parsed;
+        derive_calls += derived;
+    }
+    assert!(
+        2 * parse_calls <= 3 * nodes,
+        "{parse_calls} allocator calls to parse {nodes} nodes (budget 1.5 per node)"
+    );
+    assert!(
+        parse_calls + derive_calls <= 2 * nodes,
+        "{} allocator calls to parse and derive {nodes} nodes (budget 2.0 per node)",
+        parse_calls + derive_calls
+    );
+}
+
+/// A chain of `stages` three-way fork–joins (5 nodes each) with every
+/// derived artifact filled.
+fn warm_pipeline(stages: usize) -> Dag {
+    let mut b = DagBuilder::new();
+    let mut tail: Option<NodeId> = None;
+    for stage in 0..stages {
+        let (fork, join) = b
+            .fork_join(1, &[2, 3, 4], 1, stage % 2 == 0)
+            .expect("fresh nodes");
+        if let Some(prev) = tail {
+            b.add_edge(prev, fork).expect("fresh edge");
+        }
+        tail = Some(join);
+    }
+    let dag = b.build().expect("valid pipeline");
+    let _ = dag.volume();
+    let _ = dag.delay_profile();
+    let _ = dag.critical_path();
+    let _ = dag.max_blocking_antichain();
+    let _ = dag.content_hash();
+    dag
+}
+
+#[test]
+fn wcet_only_edit_cost_does_not_grow_with_the_graph() {
+    let retime = |dag: &Dag| {
+        let target = dag.sink();
+        calls_of(|| {
+            let mut edit = dag.edit();
+            edit.set_wcet(target, 9);
+            edit.apply().expect("WCET edits always apply")
+        })
+    };
+    let (small, large) = (warm_pipeline(4), warm_pipeline(64));
+    assert_eq!((small.node_count(), large.node_count()), (20, 320));
+    let ((small_v2, delta), small_calls) = retime(&small);
+    let ((large_v2, _), large_calls) = retime(&large);
+    assert!(delta.is_wcet_only());
+    assert_eq!(small_v2.wcet(small.sink()), 9);
+    assert_eq!(large_v2.volume(), large.volume() + 8);
+    println!("WCET-only edit: {small_calls} calls at 20 nodes, {large_calls} at 320");
+    assert_eq!(
+        small_calls, large_calls,
+        "a WCET-only edit's allocator calls depend on the node count"
+    );
+    assert!(
+        small_calls <= 8,
+        "a WCET-only edit made {small_calls} allocator calls"
+    );
+}
