@@ -18,18 +18,12 @@
 //! (`verdicts_match`, `generation.series_match`,
 //! `fig2_ab_end_to_end.series_match`) before the numbers are written.
 //!
-//! Usage: `bench_summary [--quick] [--out PATH] [--trace PATH] [--serve]`
+//! Usage: `bench_summary [--quick] [--out PATH] [--trace PATH]`
 //!
 //! `--trace PATH` additionally replays the first corpus set under the
 //! simulator with event tracing and writes the Chrome trace-event JSON
 //! to `PATH` — a profiling artifact for inspecting what the measured
 //! battery actually schedules.
-//!
-//! `--serve` switches to the admission-service benchmark instead:
-//! sustained verdict throughput on an 8-worker in-process
-//! [`rtpool_bench::serve::Server`], p50/p99 service latency, and the
-//! shed rate at 2× overload (SLO pinned to the sustained-phase p99).
-//! Writes `BENCH_serve.json` (or `--out PATH`).
 //!
 //! `--incremental` switches to the incremental-analysis benchmark
 //! instead: on a task set whose biggest DAG has ≥ 10⁴ nodes, a sequence
@@ -51,14 +45,11 @@
 //! the v2 engine must reach ≥ 2× the v1 node throughput at m = 16 and
 //! m = 32. Writes `BENCH_exec.json` (or `--out PATH`).
 
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use rand::{Rng, SeedableRng};
 use rtpool_bench::fig2::{run_insets, run_point_reference, Fig2Params, Inset, SeriesPoint};
 use rtpool_bench::pipeline;
-use rtpool_bench::serve::loadgen::{drive, gen_request_lines, LoadConfig};
-use rtpool_bench::serve::{BreakerConfig, ServeConfig, Server};
 use rtpool_bench::sweep::SweepPool;
 use rtpool_core::analysis::global::{self, ConcurrencyModel};
 use rtpool_core::analysis::incremental::analyze_many_warm;
@@ -79,7 +70,6 @@ struct Config {
     quick: bool,
     out: String,
     trace: Option<String>,
-    serve: bool,
     exec: bool,
     incremental: bool,
 }
@@ -91,7 +81,6 @@ fn main() {
         quick: false,
         out: String::new(),
         trace: None,
-        serve: false,
         exec: false,
         incremental: false,
     };
@@ -105,33 +94,26 @@ fn main() {
             }
             "--out" => cfg.out = args.next().expect("--out needs a path"),
             "--trace" => cfg.trace = Some(args.next().expect("--trace needs a path")),
-            "--serve" => cfg.serve = true,
             "--exec" => cfg.exec = true,
             "--incremental" => cfg.incremental = true,
             other => {
                 eprintln!("unknown argument: {other}");
                 eprintln!(
-                    "usage: bench_summary [--quick] [--out PATH] [--trace PATH] [--serve] \
-                     [--exec] [--incremental]"
+                    "usage: bench_summary [--quick] [--out PATH] [--trace PATH] [--exec] \
+                     [--incremental]"
                 );
                 std::process::exit(2);
             }
         }
     }
     if cfg.out.is_empty() {
-        cfg.out = if cfg.serve {
-            "BENCH_serve.json".to_string()
-        } else if cfg.exec {
+        cfg.out = if cfg.exec {
             "BENCH_exec.json".to_string()
         } else if cfg.incremental {
             "BENCH_incremental.json".to_string()
         } else {
             "BENCH_analysis.json".to_string()
         };
-    }
-    if cfg.serve {
-        serve_benchmark(&cfg);
-        return;
     }
     if cfg.exec {
         exec_benchmark(&cfg);
@@ -478,148 +460,6 @@ fn median(mut samples: Vec<u128>) -> u128 {
     } else {
         (samples[n / 2 - 1] + samples[n / 2]) / 2
     }
-}
-
-/// Runs the admission-service benchmark and writes `BENCH_serve.json`.
-///
-/// Phase A drives an unpaced seeded request stream through an
-/// 8-worker in-process [`Server`] with a permissive SLO, measuring
-/// sustained verdict throughput and the p50/p99 service latency.
-/// Phase B submits a doubled stream from two concurrent client
-/// threads — each paced at the sustained rate, so combined arrival is
-/// 2x — with the breaker SLO pinned to phase A's p99, so the circuit
-/// breaker trips and the shed rate under overload is measured. Two
-/// submitters matter: `Server::submit` parses on the caller's thread,
-/// so a single paced client can never outrun the rate it just
-/// measured.
-fn serve_benchmark(cfg: &Config) {
-    const WORKERS: usize = 8;
-    let requests = if cfg.quick { 512 } else { 2048 };
-    let load = LoadConfig {
-        requests,
-        ..LoadConfig::default()
-    };
-    let lines = gen_request_lines(&load);
-    let drain = Duration::from_secs(30);
-
-    eprintln!(
-        "serve benchmark: phase A — sustained throughput ({requests} requests, {WORKERS} workers)"
-    );
-    let config_a = ServeConfig {
-        breaker: BreakerConfig {
-            slo_p99_us: 10_000_000,
-            ..BreakerConfig::default()
-        },
-        ..ServeConfig::default()
-    };
-    let (server, rx) = Server::start(config_a, Arc::new(SweepPool::new(WORKERS)));
-    let sustained = drive(&server, &rx, &lines, None, drain);
-    let report_a = server.shutdown();
-    let rate = sustained.answered as f64 / sustained.elapsed.as_secs_f64().max(1e-9);
-    let p50_a = sustained.p50_us().unwrap_or(0);
-    let p99_a = sustained.p99_us().unwrap_or(1000).max(100);
-    eprintln!(
-        "  sustained: {rate:.0} verdicts/s, p50 {p50_a} µs, p99 {p99_a} µs, queue peak {}",
-        report_a.queue_peak
-    );
-
-    // Four clients each pace against an absolute schedule at target/4,
-    // so request parsing (which happens on the submitting thread) does
-    // not serialize with the pacing sleeps and the combined arrival
-    // rate genuinely reaches 2x the sustained rate.
-    const CLIENTS: usize = 4;
-    let target = rate * 2.0;
-    let client_pace = Duration::from_secs_f64(CLIENTS as f64 / target.max(1.0));
-    eprintln!(
-        "serve benchmark: phase B — 2x overload ({target:.0} req/s across {CLIENTS} clients, \
-         SLO p99 {p99_a} µs)"
-    );
-    let config_b = ServeConfig {
-        breaker: BreakerConfig {
-            slo_p99_us: p99_a,
-            ..BreakerConfig::default()
-        },
-        ..ServeConfig::default()
-    };
-    let lines_b = gen_request_lines(&LoadConfig {
-        requests: requests * 2,
-        ..LoadConfig::default()
-    });
-    let (server, rx) = Server::start(config_b, Arc::new(SweepPool::new(WORKERS)));
-    let sent_b = lines_b.len() as u64;
-    let mut answered_b = 0u64;
-    let mut lost_b = 0u64;
-    let start_b = Instant::now();
-    std::thread::scope(|scope| {
-        for chunk in lines_b.chunks(lines_b.len().div_ceil(CLIENTS)) {
-            let server = &server;
-            scope.spawn(move || {
-                let t0 = Instant::now();
-                for (k, line) in chunk.iter().enumerate() {
-                    let due = t0 + client_pace.mul_f64(k as f64);
-                    if let Some(wait) = due.checked_duration_since(Instant::now()) {
-                        std::thread::sleep(wait);
-                    }
-                    server.submit(line);
-                }
-            });
-        }
-        // Every submitted line is answered exactly once (busy/shed at
-        // submit, the rest by the analysis workers), so the collector
-        // can count responses without tracking ids.
-        while answered_b < sent_b {
-            match rx.recv_timeout(drain) {
-                Ok(_) => answered_b += 1,
-                Err(_) => {
-                    lost_b = sent_b - answered_b;
-                    break;
-                }
-            }
-        }
-    });
-    let elapsed_b = start_b.elapsed();
-    let report_b = server.shutdown();
-    let shed_rate = (report_b.shed + report_b.busy) as f64 / sent_b as f64;
-    let realized = answered_b as f64 / elapsed_b.as_secs_f64().max(1e-9);
-    eprintln!(
-        "  overload: {realized:.0} arrivals/s realized, shed rate {:.1}% ({} shed, {} busy), \
-         {lost_b} lost, breaker opened {} time(s)",
-        shed_rate * 100.0,
-        report_b.shed,
-        report_b.busy,
-        report_b.breaker.opens
-    );
-    if sustained.lost + lost_b > 0 {
-        eprintln!("warning: lost responses detected — the artifact records them");
-    }
-
-    let json = format!(
-        "{{\n  \"benchmark\": \"rtpool-serve admission service\",\n  \"workers\": {WORKERS},\n  \
-         \"requests_per_phase\": {requests},\n  \"sustained\": {{\n    \
-         \"verdicts_per_sec\": {rate:.1},\n    \"p50_us\": {p50_a},\n    \"p99_us\": {p99_a},\n    \
-         \"admitted\": {},\n    \"rejected\": {},\n    \"errors\": {},\n    \"degraded\": {},\n    \
-         \"interner_hits\": {},\n    \"memo_hits\": {},\n    \"lost\": {}\n  }},\n  \
-         \"overload_2x\": {{\n    \"target_rate_per_sec\": {target:.1},\n    \
-         \"realized_rate_per_sec\": {realized:.1},\n    \
-         \"shed_rate\": {shed_rate:.4},\n    \"shed\": {},\n    \"busy\": {},\n    \
-         \"answered\": {answered_b},\n    \
-         \"p99_us\": {},\n    \"breaker_opens\": {},\n    \"breaker_reclosed\": {},\n    \
-         \"lost\": {lost_b}\n  }}\n}}\n",
-        sustained.admitted,
-        sustained.rejected,
-        sustained.errors,
-        sustained.degraded,
-        report_a.interner.hits,
-        report_a.interner.memo_hits,
-        sustained.lost,
-        report_b.shed,
-        report_b.busy,
-        report_b.latency.quantile_upper(0.99).unwrap_or(0),
-        report_b.breaker.opens,
-        !report_b.breaker.open,
-    );
-    std::fs::write(&cfg.out, &json).expect("write serve benchmark artifact");
-    eprintln!("wrote {}", cfg.out);
 }
 
 /// Builds a layered DAG — source → `layers` rows of `width` wcet-1

@@ -10,16 +10,14 @@
 //! workers are supervised and every request is answered exactly once.
 //!
 //! ```text
-//! rtpool-serve [--workers N] [--pool injector|sweep]
-//!              [--queue-cap N]
+//! rtpool-serve [--workers N] [--queue-cap N]
 //!              [--default-deadline-us U] [--slo-p99-us U]
 //!              [--shed-below-priority P] [--window N]
 //!              [--interner-cap N] [--socket PATH]
 //!              [--trace PATH] [--summary]
 //! ```
 //!
-//! Defaults: all cores, lock-free injector dispatch (`--pool sweep`
-//! falls back to the locked-range sweep pool), queue 256, no default
+//! Defaults: one worker thread per core, queue 256, no default
 //! deadline, 50 ms p99 SLO,
 //! shed priorities `< 4`, 64-response breaker window, interner 256. On
 //! EOF (or socket shutdown) the backlog drains, the final report goes
@@ -34,18 +32,13 @@ use std::io::{BufRead, BufReader, Write};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError};
-use std::sync::Arc;
 use std::time::Duration;
 
 use rtpool_bench::serve::protocol::encode_response;
-use rtpool_bench::serve::{BreakerConfig, InjectorPool, Response, ServeConfig, ServePool, Server};
-use rtpool_bench::sweep::SweepPool;
+use rtpool_bench::serve::{BreakerConfig, Response, ServeConfig, Server};
 
 struct Args {
     workers: usize,
-    /// Dispatch engine: `true` = lock-free injector pool (default),
-    /// `false` = locked-range sweep pool.
-    injector: bool,
     config: ServeConfig,
     socket: Option<String>,
     trace: Option<String>,
@@ -53,8 +46,7 @@ struct Args {
 }
 
 fn usage() -> &'static str {
-    "usage: rtpool-serve [--workers N] [--pool injector|sweep] \
-     [--queue-cap N] \
+    "usage: rtpool-serve [--workers N] [--queue-cap N] \
      [--default-deadline-us U] [--slo-p99-us U] [--shed-below-priority P] \
      [--window N] [--interner-cap N] [--socket PATH] [--trace PATH] [--summary]"
 }
@@ -62,7 +54,6 @@ fn usage() -> &'static str {
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         workers: 0,
-        injector: true,
         config: ServeConfig::default(),
         socket: None,
         trace: None,
@@ -77,13 +68,6 @@ fn parse_args() -> Result<Args, String> {
                 args.workers = value("--workers")?
                     .parse()
                     .map_err(|e| format!("invalid --workers: {e}"))?;
-            }
-            "--pool" => {
-                args.injector = match value("--pool")?.as_str() {
-                    "injector" => true,
-                    "sweep" => false,
-                    other => return Err(format!("invalid --pool `{other}` (injector|sweep)")),
-                };
             }
             "--queue-cap" => {
                 args.config.queue_cap = value("--queue-cap")?
@@ -174,7 +158,7 @@ fn serve_socket(server: &Server, rx: Receiver<Response>, path: &str) -> Result<(
     let listener = std::os::unix::net::UnixListener::bind(path)
         .map_err(|e| format!("cannot bind socket {path}: {e}"))?;
     eprintln!("rtpool-serve: listening on {path} (one client at a time)");
-    let done = Arc::new(AtomicBool::new(false));
+    let done = AtomicBool::new(false);
     // Connections are served sequentially, so every in-flight response
     // belongs to the currently connected client.
     for stream in listener.incoming() {
@@ -182,9 +166,9 @@ fn serve_socket(server: &Server, rx: Receiver<Response>, path: &str) -> Result<(
         let out = stream
             .try_clone()
             .map_err(|e| format!("cannot clone socket stream: {e}"))?;
+        let reader_ended = AtomicBool::new(false);
         std::thread::scope(|scope| {
-            let done = Arc::clone(&done);
-            let stream = &stream;
+            let (stream, done, reader_ended) = (&stream, &done, &reader_ended);
             scope.spawn(move || {
                 for line in BufReader::new(stream).lines() {
                     let Ok(line) = line else { break };
@@ -198,8 +182,9 @@ fn serve_socket(server: &Server, rx: Receiver<Response>, path: &str) -> Result<(
                     }
                     server.submit(&line);
                 }
+                reader_ended.store(true, Ordering::SeqCst);
             });
-            pump_responses_until_idle(&rx, out, server);
+            pump_responses_until_idle(&rx, out, server, reader_ended);
         });
         if done.load(Ordering::Relaxed) {
             break;
@@ -209,32 +194,30 @@ fn serve_socket(server: &Server, rx: Receiver<Response>, path: &str) -> Result<(
     Ok(())
 }
 
-/// Socket variant of the pump: returns once the client has disconnected
-/// and no work remains in flight, so the next client can be accepted.
-fn pump_responses_until_idle(rx: &Receiver<Response>, mut write: impl Write, server: &Server) {
-    let mut idle_polls = 0u32;
+/// Socket variant of the pump: returns once the client's reader has
+/// ended and no work remains in flight, so the next client can be
+/// accepted. Until then it keeps forwarding, however long the client
+/// stays silent.
+fn pump_responses_until_idle(
+    rx: &Receiver<Response>,
+    mut write: impl Write,
+    server: &Server,
+    reader_ended: &AtomicBool,
+) {
     loop {
-        match rx.recv_timeout(Duration::from_millis(50)) {
+        // Read before receiving: once true, nothing more is submitted and
+        // every response is on the channel, so an empty channel is final.
+        let last = reader_ended.load(Ordering::SeqCst) && server.idle();
+        let wait = Duration::from_millis(if last { 0 } else { 50 });
+        match rx.recv_timeout(wait) {
             Ok(resp) => {
-                idle_polls = 0;
                 let mut line = encode_response(&resp);
                 line.push('\n');
                 let _ = write.write_all(line.as_bytes());
                 let _ = write.flush();
             }
-            Err(RecvTimeoutError::Disconnected) => return,
-            Err(RecvTimeoutError::Timeout) => {
-                if server.idle() {
-                    idle_polls += 1;
-                    // Two consecutive idle polls: the reader side has
-                    // stopped feeding and nothing is in flight.
-                    if idle_polls >= 2 {
-                        return;
-                    }
-                } else {
-                    idle_polls = 0;
-                }
-            }
+            Err(RecvTimeoutError::Timeout) if !last => {}
+            Err(RecvTimeoutError::Timeout | RecvTimeoutError::Disconnected) => return,
         }
     }
 }
@@ -252,21 +235,13 @@ fn main() -> ExitCode {
     } else {
         args.workers
     };
-    let pool = if args.injector {
-        ServePool::from(Arc::new(InjectorPool::new(workers)))
-    } else {
-        ServePool::from(Arc::new(SweepPool::new(workers)))
-    };
     eprintln!(
-        "rtpool-serve: {} analysis workers ({} dispatch), queue {}, SLO p99 {} µs",
-        pool.threads(),
-        pool.engine_label(),
-        args.config.queue_cap,
-        args.config.breaker.slo_p99_us
+        "rtpool-serve: {workers} analysis workers, queue {}, SLO p99 {} µs",
+        args.config.queue_cap, args.config.breaker.slo_p99_us
     );
     let trace_path = args.trace.clone();
     let summary = args.summary;
-    let (server, rx) = Server::start_on(args.config, pool);
+    let (server, rx) = Server::start(args.config, workers);
     let mut pump = None;
     let result = match &args.socket {
         None => {

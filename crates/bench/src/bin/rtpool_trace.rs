@@ -307,13 +307,6 @@ fn run_task_trace(
     Ok(trace.with_task_index(u32::try_from(i).unwrap_or(u32::MAX)))
 }
 
-fn engine_label(engine: PoolEngine) -> &'static str {
-    match engine {
-        PoolEngine::V1Condvar => "v1_condvar",
-        PoolEngine::V2LockFree => "v2_lockfree",
-    }
-}
-
 /// `--pool both`: runs every task under both dispatch engines and
 /// prints a per-task table comparing their NodeStart→NodeEnd latency
 /// percentiles (from the trace metrics histograms).
@@ -331,7 +324,10 @@ fn compare_engines(args: &RunArgs, set: &TaskSet) -> Result<(), String> {
             "  {:<12} {:>7} {:>10} {:>10} {:>10} {:>10}",
             "engine", "count", "p50", "p90", "p99", "max"
         );
-        for engine in [PoolEngine::V1Condvar, PoolEngine::V2LockFree] {
+        for (engine, label) in [
+            (PoolEngine::V1Condvar, "v1_condvar"),
+            (PoolEngine::V2LockFree, "v2_lockfree"),
+        ] {
             let trace = run_task_trace(args, i, task, set.backend(), engine)?;
             let metrics = MetricsRegistry::from_trace(&trace);
             let ti = u32::try_from(i).unwrap_or(u32::MAX);
@@ -345,7 +341,7 @@ fn compare_engines(args: &RunArgs, set: &TaskSet) -> Result<(), String> {
             let _ = writeln!(
                 out,
                 "  {:<12} {:>7} {:>10} {:>10} {:>10} {:>10}",
-                engine_label(engine),
+                label,
                 lat.count(),
                 q(0.50),
                 q(0.90),

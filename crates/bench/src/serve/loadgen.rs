@@ -1,23 +1,15 @@
-//! Synthetic admission workloads and an in-process load driver.
+//! Synthetic admission workloads.
 //!
 //! Produces seeded JSON-lines request streams (a mix of admissible,
-//! infeasible, and structurally repeated task sets) and drives a
-//! [`Server`] at a configurable pace while accounting for every
-//! response. The `rtpool_loadgen` binary and the `bench_summary
-//! --serve` benchmark both build on this module so that the overload
-//! scenarios exercised in CI are exactly the ones measured.
-
-use std::sync::mpsc::{Receiver, RecvTimeoutError};
-use std::time::{Duration, Instant};
+//! infeasible, and structurally repeated task sets) for the
+//! `rtpool_loadgen` binary and the `serve_chaos` suite.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rtpool_core::textfmt::write_task_set;
 use rtpool_gen::{DagGenConfig, TaskSetConfig};
-use rtpool_trace::LatencyHistogram;
 
-use super::protocol::{encode_request, Request, RequestBody, Response, VerdictKind, MAX_PRIORITY};
-use super::server::Server;
+use super::protocol::{encode_request, Request, RequestBody, MAX_PRIORITY};
 
 /// Shape of a synthetic admission workload.
 #[derive(Debug, Clone)]
@@ -88,124 +80,6 @@ pub fn gen_request_lines(cfg: &LoadConfig) -> Vec<String> {
         lines.push(encode_request(&request));
     }
     lines
-}
-
-/// Outcome of driving a request stream through a server.
-#[derive(Debug, Clone)]
-pub struct DriveReport {
-    /// Lines submitted.
-    pub sent: u64,
-    /// Responses received (every sent line must be answered).
-    pub answered: u64,
-    /// Requests that timed out waiting for a response — must be 0 for
-    /// a healthy server.
-    pub lost: u64,
-    /// Verdict tallies.
-    pub admitted: u64,
-    /// Requests rejected as unschedulable.
-    pub rejected: u64,
-    /// Requests refused at ingress by queue backpressure.
-    pub busy: u64,
-    /// Requests shed by the open circuit breaker.
-    pub shed: u64,
-    /// Requests answered with an error verdict.
-    pub errors: u64,
-    /// Responses flagged as degraded (budget ran out mid-ladder).
-    pub degraded: u64,
-    /// End-to-end latency distribution as reported by the server.
-    pub latency: LatencyHistogram,
-    /// Wall-clock duration of the drive.
-    pub elapsed: Duration,
-}
-
-impl DriveReport {
-    /// Upper-bound p50 latency in microseconds, if any responses.
-    #[must_use]
-    pub fn p50_us(&self) -> Option<u64> {
-        self.latency.quantile_upper(0.50)
-    }
-
-    /// Upper-bound p99 latency in microseconds, if any responses.
-    #[must_use]
-    pub fn p99_us(&self) -> Option<u64> {
-        self.latency.quantile_upper(0.99)
-    }
-
-    /// Fraction of sent requests shed or refused at ingress.
-    #[must_use]
-    pub fn shed_rate(&self) -> f64 {
-        if self.sent == 0 {
-            return 0.0;
-        }
-        (self.shed + self.busy) as f64 / self.sent as f64
-    }
-}
-
-/// Submits `lines` to `server` (sleeping `pace` between submissions
-/// when given) and waits for every response.
-///
-/// `rx` must be the receiver returned by [`Server::start`]. Waits up
-/// to `drain_timeout` for each outstanding response before declaring
-/// it lost.
-pub fn drive(
-    server: &Server,
-    rx: &Receiver<Response>,
-    lines: &[String],
-    pace: Option<Duration>,
-    drain_timeout: Duration,
-) -> DriveReport {
-    let start = Instant::now();
-    let mut report = DriveReport {
-        sent: 0,
-        answered: 0,
-        lost: 0,
-        admitted: 0,
-        rejected: 0,
-        busy: 0,
-        shed: 0,
-        errors: 0,
-        degraded: 0,
-        latency: LatencyHistogram::new(),
-        elapsed: Duration::ZERO,
-    };
-    for line in lines {
-        server.submit(line);
-        report.sent += 1;
-        // Opportunistically drain responses so the channel (and our
-        // accounting) keeps up with a long stream.
-        while let Ok(resp) = rx.try_recv() {
-            absorb(&mut report, &resp);
-        }
-        if let Some(p) = pace {
-            std::thread::sleep(p);
-        }
-    }
-    while report.answered < report.sent {
-        match rx.recv_timeout(drain_timeout) {
-            Ok(resp) => absorb(&mut report, &resp),
-            Err(RecvTimeoutError::Timeout | RecvTimeoutError::Disconnected) => {
-                report.lost = report.sent - report.answered;
-                break;
-            }
-        }
-    }
-    report.elapsed = start.elapsed();
-    report
-}
-
-fn absorb(report: &mut DriveReport, resp: &Response) {
-    report.answered += 1;
-    match resp.verdict {
-        VerdictKind::Admit => report.admitted += 1,
-        VerdictKind::Reject => report.rejected += 1,
-        VerdictKind::Busy => report.busy += 1,
-        VerdictKind::Shed => report.shed += 1,
-        VerdictKind::Error => report.errors += 1,
-    }
-    if resp.degraded {
-        report.degraded += 1;
-    }
-    report.latency.observe(resp.latency_us);
 }
 
 #[cfg(test)]

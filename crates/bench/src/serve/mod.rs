@@ -32,14 +32,12 @@
 //!   `CacheDeltaHit`, and memoizes under the patched set's own hash.
 //! * **Observability** ([`server`]): request lifecycles are recorded
 //!   as `rtpool-trace` events and latencies as log₂ histograms.
-//! * **Workers that fetch their own work** ([`server`], [`dispatch`]):
-//!   the pool runs one job for the server's life, a cell per worker
-//!   that pops the ingress queue until shutdown (the paper's
-//!   Listing 1). The pool hands its cells out through the lock-free
-//!   injector FIFO the executor's `Engine::V2LockFree` engine uses; the
-//!   locked-range sweep pool remains selectable as the v1 serve path.
-//!   A server occupies its pool until shutdown and refuses one that
-//!   somebody else holds a handle to.
+//! * **Workers that fetch their own work** ([`server`]): the server
+//!   spawns its own `rtpool-serve-{i}` threads, each popping the
+//!   ingress queue until shutdown (the paper's Listing 1), and joins
+//!   them at shutdown. What one worker alone touches — its latency
+//!   histogram, its trace lane — lives in its thread and comes back
+//!   through the join.
 //!
 //! The `rtpool_serve` binary wraps [`server::Server`] over
 //! stdin/stdout or a Unix socket; `rtpool_loadgen` drives it at a
@@ -49,7 +47,6 @@
 //! [`RecoveryPolicy`]: rtpool_exec::RecoveryPolicy
 
 pub mod breaker;
-pub mod dispatch;
 pub mod interner;
 pub mod ladder;
 pub mod loadgen;
@@ -59,7 +56,6 @@ pub mod server;
 pub mod supervisor;
 
 pub use breaker::{BreakerConfig, BreakerStats, CircuitBreaker};
-pub use dispatch::{InjectorPool, ServePool};
 pub use interner::{InternError, Interner, InternerStats, MemoOutcome};
 pub use ladder::{run_ladder, run_ladder_capped, LadderOutcome};
 pub use protocol::{
@@ -67,5 +63,5 @@ pub use protocol::{
     VerdictKind,
 };
 pub use queue::IngressQueue;
-pub use server::{ServeConfig, ServeReport, Server};
+pub use server::{InjectorPool, ServeConfig, ServePool, ServeReport, Server};
 pub use supervisor::{ServiceEvent, ServiceOutcome, Supervisor};

@@ -9,7 +9,7 @@
 //! limit while every request still "succeeds"; this module is the
 //! design's refusal to do that.)
 //!
-//! The serving side is the paper's Listing 1: every pool worker blocks in
+//! The serving side is the paper's Listing 1: every server worker blocks in
 //! [`IngressQueue::pop`] and fetches the next request itself, so an idle
 //! worker takes a request the moment it is pushed and a request waits
 //! only while every worker is busy.

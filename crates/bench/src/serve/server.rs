@@ -1,4 +1,4 @@
-//! The admission server: ingress, dispatch, and reporting.
+//! The admission server: ingress, workers, and reporting.
 //!
 //! ```text
 //!                 ┌────────────┐  full   ┌──────┐
@@ -7,24 +7,23 @@
 //!                 └─────┬──────┘─────────▶ shed ───▶ responses
 //!                       │ accepted
 //!                 ┌─────▼──────┐    pop      ┌───────────────┐
-//!                 │  bounded   │◀────────────│  ServePool    │
-//!                 │  ingress   │ each worker │  workers      │
-//!                 └────────────┘ fetches its │  supervisor   │
-//!                                next request│  ladder       │
-//!                                            └──────┬────────┘
+//!                 │  bounded   │◀────────────│ rtpool-serve-i│
+//!                 │  ingress   │ each worker │  supervisor   │
+//!                 └────────────┘ fetches its │  ladder       │
+//!                                next request└──────┬────────┘
 //!                                                   ▼
 //!                                               responses
 //! ```
 //!
-//! The workers are a [`ServePool`]'s: the lock-free `InjectorPool` the
-//! `rtpool_serve` binary and the registered benchmark run by default, or
-//! the locked-range `SweepPool` kept selectable as the v1 path. Either
-//! way the pool runs **one** job for the server's whole life — one cell
-//! per worker, each the paper's Listing 1 loop: block in
+//! The workers are the server's own threads: [`Server::start`] spawns
+//! `rtpool-serve-0..n`, each the paper's Listing 1 loop — block in
 //! [`IngressQueue::pop`], serve the request, fetch the next — so a
 //! request waits only while every worker is busy, never for a batch of
-//! other requests to finish. The job occupies the pool until shutdown,
-//! so [`Server::start_on`] insists on a pool no one else holds.
+//! other requests to finish. [`Server::shutdown`] closes the queue and
+//! joins them. What one worker alone touches (its latency histogram,
+//! its trace lane) moves into its thread and comes back through the
+//! join, so the request path takes no lock for it; counters, breaker,
+//! interner and the control trace lane are shared.
 //!
 //! Every submitted line produces **exactly one** [`Response`] on the
 //! server's outbound channel: parse failures, sheds, and busy
@@ -50,12 +49,10 @@ use rtpool_trace::{
 };
 
 use super::breaker::{BreakerConfig, BreakerStats, CircuitBreaker};
-use super::dispatch::ServePool;
 use super::interner::{Interner, InternerStats};
 use super::protocol::{self, Request, Response, VerdictKind};
 use super::queue::IngressQueue;
 use super::supervisor::{ServiceEvent, Supervisor};
-use crate::sweep::SweepPool;
 
 /// Server configuration.
 #[derive(Clone, Debug)]
@@ -203,15 +200,13 @@ struct Pending {
     request: Request,
 }
 
-/// Trace recording state: one control lane (request lifecycle,
-/// supervision events) plus one lane per pool worker (analysis
-/// start/end). Worker lanes are only ever touched by their own pool
-/// worker, so the mutexes are uncontended; the control lane serializes
-/// briefly.
+/// Trace recording state every thread shares: the clock all lanes stamp
+/// from and the control lane (request lifecycle, supervision events),
+/// which serializes briefly. A worker's lane (analysis start/end) is
+/// its own, see [`Worker`].
 struct TraceShared {
     clock: SeqClock,
     control: Mutex<LaneRecorder>,
-    workers: Vec<Mutex<LaneRecorder>>,
 }
 
 struct Inner {
@@ -221,12 +216,30 @@ struct Inner {
     interner: Interner,
     supervisor: Supervisor,
     counters: Counters,
-    /// Shard-local latency histograms, merged at report time.
-    shards: Vec<Mutex<LatencyHistogram>>,
     trace: Option<TraceShared>,
     tx: Sender<Response>,
     t0: Instant,
-    workers: usize,
+}
+
+/// What one worker alone touches. It moves into the worker's thread at
+/// [`Server::start`] and is handed back through the `JoinHandle` at
+/// [`Server::shutdown`].
+struct Worker {
+    index: u32,
+    /// Service latency of the requests this worker answered.
+    latency: LatencyHistogram,
+    /// Analysis start/end events, when tracing.
+    lane: Option<LaneRecorder>,
+}
+
+impl Worker {
+    /// Records `kind()`, stamped now, on this worker's lane. With
+    /// tracing off nothing is built.
+    fn rec(&mut self, inner: &Inner, kind: impl FnOnce() -> EventKind) {
+        if let Some(lane) = &mut self.lane {
+            lane.record(inner.nanos_at(Instant::now()), kind());
+        }
+    }
 }
 
 impl Inner {
@@ -234,26 +247,16 @@ impl Inner {
         u64::try_from(at.saturating_duration_since(self.t0).as_nanos()).unwrap_or(u64::MAX)
     }
 
-    /// Records `kind()`, stamped now, on the control lane (`worker` =
-    /// `None`) or a worker's. With tracing off nothing is built: no
-    /// event, no label `String`, no clock read.
-    fn rec(&self, worker: Option<usize>, kind: impl FnOnce() -> EventKind) {
+    /// Records `kind()`, stamped now, on the control lane. With tracing
+    /// off nothing is built: no event, no label `String`, no clock read.
+    fn rec_control(&self, kind: impl FnOnce() -> EventKind) {
         if let Some(tr) = &self.trace {
             let t = self.nanos_at(Instant::now());
-            worker
-                .map_or(&tr.control, |w| &tr.workers[w])
+            tr.control
                 .lock()
                 .expect("trace lane lock not poisoned")
                 .record(t, kind());
         }
-    }
-
-    fn rec_control(&self, kind: impl FnOnce() -> EventKind) {
-        self.rec(None, kind);
-    }
-
-    fn rec_worker(&self, worker: usize, kind: impl FnOnce() -> EventKind) {
-        self.rec(Some(worker), kind);
     }
 
     fn send(&self, response: Response) {
@@ -273,45 +276,21 @@ fn job_id(seq: u64) -> u32 {
 /// finish with [`Server::shutdown`].
 pub struct Server {
     inner: Arc<Inner>,
-    dispatcher: Option<std::thread::JoinHandle<()>>,
+    workers: Vec<std::thread::JoinHandle<Worker>>,
     seq: AtomicU64,
 }
 
 impl Server {
-    /// Starts a server whose requests are served by the workers of a
-    /// [`SweepPool`] (the v1 serve path). Returns the server handle and
-    /// the outbound response channel. Use [`Server::start_on`] to select
-    /// the dispatch engine.
+    /// Starts a server with `workers` serving threads (at least one),
+    /// named `rtpool-serve-{i}`, that live until [`Server::shutdown`].
+    /// Returns the server handle and the outbound response channel.
     #[must_use]
-    pub fn start(config: ServeConfig, pool: Arc<SweepPool>) -> (Server, Receiver<Response>) {
-        Server::start_on(config, ServePool::Sweep(pool))
-    }
-
-    /// Starts a server whose requests are served by the workers of
-    /// `pool` — either serve dispatch engine — for as long as the server
-    /// lives. Returns the server handle and the outbound response
-    /// channel.
-    ///
-    /// # Panics
-    ///
-    /// Panics if another handle to `pool` exists. The server's one job
-    /// occupies the pool from here to [`Server::shutdown`]; anything else
-    /// run on it would silently wait that long.
-    #[must_use]
-    pub fn start_on(config: ServeConfig, pool: ServePool) -> (Server, Receiver<Response>) {
-        assert!(
-            pool.is_sole_handle(),
-            "pool is shared: a server occupies its pool until shutdown and needs one of its own"
-        );
-        let workers = pool.threads();
+    pub fn start(config: ServeConfig, workers: usize) -> (Server, Receiver<Response>) {
         let (tx, rx) = channel();
         let trace = config.record_trace.then(|| {
             let clock = SeqClock::new();
             TraceShared {
                 control: Mutex::new(LaneRecorder::new(&clock)),
-                workers: (0..workers)
-                    .map(|_| Mutex::new(LaneRecorder::new(&clock)))
-                    .collect(),
                 clock,
             }
         });
@@ -322,32 +301,46 @@ impl Server {
             interner: Interner::new(config.interner_cap),
             supervisor: Supervisor::new(config.recovery, config.faults),
             counters: Counters::default(),
-            shards: (0..workers)
-                .map(|_| Mutex::new(LatencyHistogram::new()))
-                .collect(),
             trace,
             tx,
             t0: Instant::now(),
-            workers,
         });
-        let dispatcher = {
-            let inner = Arc::clone(&inner);
-            std::thread::Builder::new()
-                .name("rtpool-serve-dispatch".to_string())
-                .spawn(move || serve_until_closed(inner, &pool))
-                .expect("spawning dispatcher")
-        };
+        let workers = (0..workers.max(1))
+            .map(|index| {
+                let inner = Arc::clone(&inner);
+                let mut worker = Worker {
+                    index: u32::try_from(index).expect("worker index fits u32"),
+                    latency: LatencyHistogram::new(),
+                    lane: inner.trace.as_ref().map(|tr| LaneRecorder::new(&tr.clock)),
+                };
+                std::thread::Builder::new()
+                    .name(format!("rtpool-serve-{index}"))
+                    .spawn(move || {
+                        while let Some(pending) = inner.queue.pop() {
+                            serve_one(&inner, &pending, &mut worker);
+                        }
+                        worker
+                    })
+                    .expect("spawning serve worker")
+            })
+            .collect();
         (
             Server {
                 inner,
-                dispatcher: Some(dispatcher),
+                workers,
                 seq: AtomicU64::new(0),
             },
             rx,
         )
     }
 
-    /// Whether no accepted request is queued or in flight. Useful for
+    #[doc(hidden)] // compat, see `InjectorPool` below
+    pub fn start_on(config: ServeConfig, pool: ServePool) -> (Server, Receiver<Response>) {
+        Server::start(config, pool.0)
+    }
+
+    /// Whether no accepted request is queued or in flight: every
+    /// response is then on the outbound channel. Useful for
     /// connection-oriented front-ends that must drain between clients.
     #[must_use]
     pub fn idle(&self) -> bool {
@@ -455,30 +448,35 @@ impl Server {
     ///
     /// # Panics
     ///
-    /// Panics if the dispatcher thread itself panicked (a server bug —
+    /// Panics if a worker thread itself panicked (a server bug —
     /// request-level crashes are contained by the supervisor).
     #[must_use]
-    pub fn shutdown(mut self) -> ServeReport {
+    pub fn shutdown(self) -> ServeReport {
         self.inner.queue.close();
-        if let Some(handle) = self.dispatcher.take() {
-            handle.join().expect("dispatcher thread healthy");
-        }
+        let workers: Vec<Worker> = self
+            .workers
+            .into_iter()
+            .map(|handle| handle.join().expect("serve worker healthy"))
+            .collect();
         let inner = &self.inner;
         let c = &inner.counters;
         let mut latency = LatencyHistogram::new();
-        for shard in &inner.shards {
-            latency.merge(&shard.lock().expect("shard lock not poisoned"));
+        for worker in &workers {
+            latency.merge(&worker.latency);
         }
         let trace = inner.trace.as_ref().map(|tr| {
-            let mut lanes = Vec::with_capacity(inner.workers + 1);
-            lanes.push(take_lane(&tr.control, &tr.clock));
-            for lane in &tr.workers {
-                lanes.push(take_lane(lane, &tr.clock));
-            }
+            let control = std::mem::replace(
+                &mut *tr.control.lock().expect("trace lane lock not poisoned"),
+                LaneRecorder::new(&tr.clock),
+            );
+            let cores = u32::try_from(workers.len()).expect("worker count fits u32");
+            let lanes = std::iter::once(control)
+                .chain(workers.into_iter().filter_map(|w| w.lane))
+                .collect();
             assemble(
                 EngineKind::Exec,
                 TimeUnit::Nanos,
-                u32::try_from(inner.workers).expect("worker count fits u32"),
+                cores,
                 1,
                 inner.nanos_at(Instant::now()),
                 lanes,
@@ -504,28 +502,21 @@ impl Server {
     }
 }
 
-/// Replaces a lane with a fresh one, returning the recorded lane.
-fn take_lane(lane: &Mutex<LaneRecorder>, clock: &SeqClock) -> LaneRecorder {
-    std::mem::replace(
-        &mut *lane.lock().expect("trace lane lock not poisoned"),
-        LaneRecorder::new(clock),
-    )
+// Compat, one caller: `benchmark/src/serve_wl.rs:184` (frozen while this landed) spells the
+// pool the server used to run on. Delete when a `benchmark` PR calls `Server::start` (ROADMAP 4a).
+#[doc(hidden)]
+pub struct InjectorPool(usize);
+#[doc(hidden)]
+pub type ServePool = Arc<InjectorPool>;
+#[doc(hidden)]
+impl InjectorPool {
+    pub fn new(threads: usize) -> Self {
+        InjectorPool(threads)
+    }
 }
 
-/// The server's one pool job: a cell per worker, each fetching requests
-/// from the ingress queue until it is closed and drained. Both pools put
-/// a job of `threads()` cells on their workers one cell each (see
-/// [`dispatch`](super::dispatch)), so every worker serves.
-fn serve_until_closed(inner: Arc<Inner>, pool: &ServePool) {
-    pool.run_indexed(pool.threads(), "serve", move |_cell, worker| {
-        while let Some(pending) = inner.queue.pop() {
-            serve_one(&inner, &pending, worker);
-        }
-    });
-}
-
-/// Serves one accepted request on pool worker `worker`.
-fn serve_one(inner: &Inner, pending: &Pending, worker: usize) {
+/// Serves one accepted request on `worker`'s thread.
+fn serve_one(inner: &Inner, pending: &Pending, worker: &mut Worker) {
     let req = &pending.request;
     let seq = pending.seq;
     let budget_us = if req.deadline_us > 0 {
@@ -538,15 +529,15 @@ fn serve_one(inner: &Inner, pending: &Pending, worker: usize) {
     } else {
         CancelToken::never()
     };
-    let thread = u32::try_from(worker).expect("worker index fits u32");
-    inner.rec_worker(worker, || EventKind::NodeStart {
+    let thread = worker.index;
+    worker.rec(inner, || EventKind::NodeStart {
         task: 0,
         job: job_id(seq),
         node: 0,
         thread,
     });
     let outcome = inner.supervisor.execute(seq, req, &inner.interner, &token);
-    inner.rec_worker(worker, || EventKind::NodeEnd {
+    worker.rec(inner, || EventKind::NodeEnd {
         task: 0,
         job: job_id(seq),
         node: 0,
@@ -588,16 +579,12 @@ fn serve_one(inner: &Inner, pending: &Pending, worker: usize) {
     if outcome.degraded {
         inner.counters.degraded.fetch_add(1, Ordering::Relaxed);
     }
-    inner.shards[worker]
-        .lock()
-        .expect("shard lock not poisoned")
-        .observe(latency_us);
+    worker.latency.observe(latency_us);
     inner.breaker.observe(latency_us);
     inner.rec_control(|| EventKind::JobCompleted {
         task: 0,
         job: job_id(seq),
     });
-    inner.counters.served.fetch_add(1, Ordering::Relaxed);
     inner.send(Response {
         id: req.id,
         verdict: outcome.verdict,
@@ -607,6 +594,8 @@ fn serve_one(inner: &Inner, pending: &Pending, worker: usize) {
         hash: outcome.hash,
         detail: outcome.detail,
     });
+    // After the send: an idle server has every response on the channel.
+    inner.counters.served.fetch_add(1, Ordering::Release);
 }
 
 #[cfg(test)]
@@ -628,13 +617,12 @@ mod tests {
 
     #[test]
     fn serves_and_shuts_down_cleanly() {
-        let pool = Arc::new(SweepPool::new(2));
         let (server, rx) = Server::start(
             ServeConfig {
                 record_trace: true,
                 ..ServeConfig::default()
             },
-            pool,
+            2,
         );
         for id in 0..10 {
             server.submit(&line(id, 4));
@@ -670,8 +658,7 @@ mod tests {
     /// is still answered under that id, not under 0.
     #[test]
     fn malformed_line_after_id_is_answered_with_its_id() {
-        let pool = Arc::new(SweepPool::new(1));
-        let (server, rx) = Server::start(ServeConfig::default(), pool);
+        let (server, rx) = Server::start(ServeConfig::default(), 1);
         let whole = line(7, 4);
         server.submit(&whole[..whole.len() - 12]);
         server.submit("{\"id\":8,\"m\":4,\"source\":\"bad \\q escape\"}");
@@ -691,100 +678,104 @@ mod tests {
         assert_eq!(report.parse_errors, 3);
     }
 
+    /// `threads` requests, each held for a while by an injected
+    /// `slow_request`, must all be in service at once, each on a lane of
+    /// its own — were a worker not to serve, one request would start
+    /// only after another had ended.
     #[test]
-    fn serves_on_injector_pool() {
-        use crate::serve::dispatch::InjectorPool;
-        let pool = ServePool::from(Arc::new(InjectorPool::new(2)));
-        assert_eq!(pool.engine_label(), "injector");
-        let (server, rx) = Server::start_on(
+    fn every_worker_serves() {
+        let hold = Duration::from_millis(200);
+        for threads in [1usize, 2, 4] {
+            let (server, rx) = Server::start(
+                ServeConfig {
+                    record_trace: true,
+                    faults: FaultPlan::seeded(0).service_slow_storm(0, threads as u64, hold),
+                    ..ServeConfig::default()
+                },
+                threads,
+            );
+            for id in 0..threads as u64 {
+                server.submit(&line(id, 4));
+            }
+            let report = server.shutdown();
+            assert_eq!(rx.iter().count(), threads);
+            let trace = report.trace.expect("trace recorded");
+            let mut lanes = Vec::new();
+            let (mut last_start, mut first_end) = (0, u64::MAX);
+            for e in &trace.events {
+                match e.kind {
+                    EventKind::NodeStart { thread, .. } => {
+                        lanes.push(thread);
+                        last_start = last_start.max(e.time);
+                    }
+                    EventKind::NodeEnd { .. } => first_end = first_end.min(e.time),
+                    _ => {}
+                }
+            }
+            lanes.sort_unstable();
+            assert_eq!(
+                lanes,
+                (0..threads as u32).collect::<Vec<_>>(),
+                "x{threads}: one held request per worker lane"
+            );
+            assert!(
+                last_start < first_end,
+                "x{threads}: a request started only after another ended"
+            );
+        }
+    }
+
+    /// Histograms and lanes come back through `join`: nothing a worker
+    /// recorded is lost on the way into the report.
+    #[test]
+    fn joined_workers_hand_back_every_sample_and_event() {
+        let requests = 400;
+        let (server, rx) = Server::start(
             ServeConfig {
+                queue_cap: requests as usize,
                 record_trace: true,
                 ..ServeConfig::default()
             },
-            pool,
+            4,
         );
-        for id in 0..10 {
+        for id in 0..requests {
             server.submit(&line(id, 4));
         }
         let report = server.shutdown();
-        let responses: Vec<Response> = rx.iter().collect();
-        assert_eq!(responses.len(), 10, "one response per submission");
-        let mut ids: Vec<u64> = responses.iter().map(|r| r.id).collect();
-        ids.sort_unstable();
-        assert_eq!(ids, (0..10).collect::<Vec<_>>().as_slice());
-        assert_eq!(report.accepted, 10);
-        assert_eq!(report.admitted, 10);
+        assert_eq!(rx.iter().count() as u64, requests);
+        assert_eq!(report.accepted, requests);
+        assert_eq!(report.latency.count(), report.accepted);
         let trace = report.trace.expect("trace recorded");
+        assert_eq!(trace.cores, 4);
         assert!(
             trace.validate().is_empty(),
             "defects: {:?}",
             trace.validate()
         );
-    }
-
-    /// The server's job is one long-lived cell per worker. `threads`
-    /// requests, each held for a while by an injected `slow_request`,
-    /// must therefore all be in service at once, each on a lane of its
-    /// own — were a worker to leave the job early (or a cell to wait
-    /// behind another in one worker's deque), one request would start
-    /// only after another had ended.
-    #[test]
-    fn every_worker_serves_on_both_engines() {
-        use crate::serve::dispatch::InjectorPool;
-        let hold = Duration::from_millis(200);
-        for threads in [1usize, 2, 4] {
-            let engines = [
-                ServePool::from(Arc::new(SweepPool::new(threads))),
-                ServePool::from(Arc::new(InjectorPool::new(threads))),
-            ];
-            for pool in engines {
-                let engine = pool.engine_label();
-                let (server, rx) = Server::start_on(
-                    ServeConfig {
-                        record_trace: true,
-                        faults: FaultPlan::seeded(0).service_slow_storm(0, threads as u64, hold),
-                        ..ServeConfig::default()
-                    },
-                    pool,
-                );
-                for id in 0..threads as u64 {
-                    server.submit(&line(id, 4));
-                }
-                let report = server.shutdown();
-                assert_eq!(rx.iter().count(), threads);
-                let trace = report.trace.expect("trace recorded");
-                let mut lanes = Vec::new();
-                let (mut last_start, mut first_end) = (0, u64::MAX);
-                for e in &trace.events {
-                    match e.kind {
-                        EventKind::NodeStart { thread, .. } => {
-                            lanes.push(thread);
-                            last_start = last_start.max(e.time);
-                        }
-                        EventKind::NodeEnd { .. } => first_end = first_end.min(e.time),
-                        _ => {}
-                    }
-                }
-                lanes.sort_unstable();
-                assert_eq!(
-                    lanes,
-                    (0..threads as u32).collect::<Vec<_>>(),
-                    "{engine} x{threads}: one held request per worker lane"
-                );
-                assert!(
-                    last_start < first_end,
-                    "{engine} x{threads}: a request started only after another ended"
-                );
+        let mut pairs = std::collections::HashMap::new();
+        for e in &trace.events {
+            match e.kind {
+                EventKind::NodeStart { job, .. } => pairs.entry(job).or_insert((0, 0)).0 += 1,
+                EventKind::NodeEnd { job, .. } => pairs.entry(job).or_insert((0, 0)).1 += 1,
+                _ => {}
             }
         }
+        assert_eq!(pairs.len() as u64, report.accepted);
+        assert!(pairs.values().all(|&pair| pair == (1, 1)), "{pairs:?}");
     }
 
     #[test]
-    #[should_panic(expected = "pool is shared")]
-    fn start_refuses_a_pool_someone_else_holds() {
-        let pool = Arc::new(SweepPool::new(1));
-        let _other_handle = Arc::clone(&pool);
-        let _ = Server::start(ServeConfig::default(), pool);
+    fn zero_workers_means_one() {
+        let (server, rx) = Server::start(
+            ServeConfig {
+                record_trace: true,
+                ..ServeConfig::default()
+            },
+            0,
+        );
+        server.submit(&line(1, 4));
+        assert_eq!(rx.recv().expect("served").verdict, VerdictKind::Admit);
+        assert_eq!(server.shutdown().trace.expect("trace recorded").cores, 1);
     }
 
     /// One request in flight at a time, so a worker is always blocked in
@@ -800,7 +791,7 @@ mod tests {
                 record_trace: true,
                 ..ServeConfig::default()
             },
-            Arc::new(SweepPool::new(2)),
+            2,
         );
         for id in 0..requests {
             server.submit(&line(id, 4));
@@ -841,7 +832,7 @@ mod tests {
                 faults: FaultPlan::seeded(0).service_slow_prob(1.0, Duration::from_millis(20)),
                 ..ServeConfig::default()
             },
-            Arc::new(SweepPool::new(2)),
+            2,
         );
         for id in 0..submitted {
             server.submit(&line(id, 4));
@@ -864,8 +855,7 @@ mod tests {
 
     #[test]
     fn hash_resubmission_skips_source() {
-        let pool = Arc::new(SweepPool::new(2));
-        let (server, rx) = Server::start(ServeConfig::default(), pool);
+        let (server, rx) = Server::start(ServeConfig::default(), 2);
         server.submit(&line(1, 4));
         let first = rx.recv().expect("first response");
         assert_eq!(first.verdict, VerdictKind::Admit);
@@ -887,13 +877,12 @@ mod tests {
 
     #[test]
     fn edit_resubmission_hits_delta_path() {
-        let pool = Arc::new(SweepPool::new(2));
         let (server, rx) = Server::start(
             ServeConfig {
                 record_trace: true,
                 ..ServeConfig::default()
             },
-            pool,
+            2,
         );
         server.submit(&line(1, 4));
         let first = rx.recv().expect("first response");
@@ -930,8 +919,7 @@ mod tests {
 
     #[test]
     fn expired_budget_degrades_at_prefilter() {
-        let pool = Arc::new(SweepPool::new(1));
-        let (server, rx) = Server::start(ServeConfig::default(), pool);
+        let (server, rx) = Server::start(ServeConfig::default(), 1);
         server.submit(&encode_request(&Request {
             id: 9,
             m: 4,

@@ -1,8 +1,8 @@
 //! Per-request supervision: panic isolation, retry, rescue.
 //!
 //! Every request attempt runs inside [`std::panic::catch_unwind`], so a
-//! crashing analysis worker never unwinds into the sweep pool (which
-//! would strand the pool's completion accounting). A panicked attempt
+//! crashing analysis never unwinds out of the server's worker thread
+//! (which would end that worker for good). A panicked attempt
 //! is retried under the configured
 //! [`RecoveryPolicy`](rtpool_exec::RecoveryPolicy) — the same policy
 //! type, with the same `max_retries`/`backoff_delay` semantics, that

@@ -41,7 +41,7 @@ use std::time::{Duration, Instant};
 const PROGRESS_AFTER: Duration = Duration::from_millis(2500);
 /// Interval between progress lines once reporting has started.
 const PROGRESS_EVERY: Duration = Duration::from_millis(1000);
-/// How often a narrating submitter wakes to look at the clock.
+/// How often the waiting submitter wakes to look at the clock.
 const PROGRESS_TICK: Duration = Duration::from_millis(200);
 
 /// One cell range `[start, end)` packed into an `AtomicU64`
@@ -54,10 +54,9 @@ fn unpack(v: u64) -> (u32, u32) {
     ((v >> 32) as u32, v as u32)
 }
 
-/// Type-erased sweep job: workers only need "run cell `i` (as worker
-/// `w`)".
+/// Type-erased sweep job: workers only need "run cell `i`".
 trait SweepJob: Send + Sync {
-    fn run_cell(&self, index: usize, worker: usize);
+    fn run_cell(&self, index: usize);
 }
 
 /// Concrete job: the cell closure plus one result slot per cell.
@@ -72,10 +71,10 @@ struct Job<T, F> {
 impl<T, F> SweepJob for Job<T, F>
 where
     T: Send + Sync,
-    F: Fn(usize, usize) -> T + Send + Sync,
+    F: Fn(usize) -> T + Send + Sync,
 {
-    fn run_cell(&self, index: usize, worker: usize) {
-        let value = (self.f)(index, worker);
+    fn run_cell(&self, index: usize) {
+        let value = (self.f)(index);
         self.slots[index]
             .set(value)
             .unwrap_or_else(|_| panic!("cell {index} executed twice"));
@@ -182,64 +181,6 @@ impl SweepPool {
         T: Send + Sync + 'static,
         F: Fn(usize) -> T + Send + Sync + 'static,
     {
-        let started = Instant::now();
-        let mut last_line = started;
-        let mut narrate = |left: usize| {
-            let elapsed = started.elapsed();
-            if elapsed > PROGRESS_AFTER && last_line.elapsed() > PROGRESS_EVERY {
-                last_line = Instant::now();
-                let done = cells - left;
-                let rate = done as f64 / elapsed.as_secs_f64();
-                let eta = if rate > 0.0 {
-                    left as f64 / rate
-                } else {
-                    f64::INFINITY
-                };
-                let mut err = std::io::stderr().lock();
-                let _ = writeln!(
-                    err,
-                    "  [{label}] {done}/{cells} cells ({rate:.1} cells/s, ETA {eta:.0}s)"
-                );
-            }
-        };
-        self.execute(cells, move |i, _worker| f(i), Some(&mut narrate))
-    }
-
-    /// Like [`SweepPool::run`], but also passes the executing worker's
-    /// index (`0..threads()`) to the closure, and never narrates: the
-    /// submitter sleeps until the last worker is done, however long that
-    /// takes (the admission server's one job lasts until shutdown).
-    /// Cell `i` may run on any worker (stealing moves cells between
-    /// ranges), so the worker index must not influence the *result* of a
-    /// deterministic sweep — it exists for per-worker bookkeeping such
-    /// as trace lanes or shard-local metrics, where "which lane" is
-    /// allowed to vary run to run while the recorded content stays valid.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cells` exceeds `u32::MAX` (the packed-range queue
-    /// limit) or if the closure panics in a worker.
-    pub fn run_indexed<T, F>(&self, cells: usize, _label: &str, f: F) -> Vec<T>
-    where
-        T: Send + Sync + 'static,
-        F: Fn(usize, usize) -> T + Send + Sync + 'static,
-    {
-        self.execute(cells, f, None)
-    }
-
-    /// Publishes one job and waits for every worker to finish it. With a
-    /// `progress` callback the wait wakes every [`PROGRESS_TICK`] to hand
-    /// it the number of cells still to run.
-    fn execute<T, F>(
-        &self,
-        cells: usize,
-        f: F,
-        mut progress: Option<&mut dyn FnMut(usize)>,
-    ) -> Vec<T>
-    where
-        T: Send + Sync + 'static,
-        F: Fn(usize, usize) -> T + Send + Sync + 'static,
-    {
         if cells == 0 {
             return Vec::new();
         }
@@ -269,26 +210,35 @@ impl SweepPool {
             self.shared.work_cv.notify_all();
         }
 
-        // Wait for every worker to finish.
+        // Wait for every worker to finish, narrating progress on slow
+        // sweeps.
+        let started = Instant::now();
+        let mut last_line = started;
         {
             let mut st = self.shared.state.lock().expect("pool state not poisoned");
             while self.shared.active.load(Ordering::Acquire) > 0 {
-                st = match &mut progress {
-                    Some(report) => {
-                        let (st, _timeout) = self
-                            .shared
-                            .done_cv
-                            .wait_timeout(st, PROGRESS_TICK)
-                            .expect("pool state not poisoned");
-                        report(job.remaining.load(Ordering::Relaxed));
-                        st
-                    }
-                    None => self
-                        .shared
-                        .done_cv
-                        .wait(st)
-                        .expect("pool state not poisoned"),
-                };
+                (st, _) = self
+                    .shared
+                    .done_cv
+                    .wait_timeout(st, PROGRESS_TICK)
+                    .expect("pool state not poisoned");
+                let elapsed = started.elapsed();
+                if elapsed > PROGRESS_AFTER && last_line.elapsed() > PROGRESS_EVERY {
+                    last_line = Instant::now();
+                    let left = job.remaining.load(Ordering::Relaxed);
+                    let done = cells - left;
+                    let rate = done as f64 / elapsed.as_secs_f64();
+                    let eta = if rate > 0.0 {
+                        left as f64 / rate
+                    } else {
+                        f64::INFINITY
+                    };
+                    let mut err = std::io::stderr().lock();
+                    let _ = writeln!(
+                        err,
+                        "  [{label}] {done}/{cells} cells ({rate:.1} cells/s, ETA {eta:.0}s)"
+                    );
+                }
             }
             // Drop the pool's reference so the submitter's Arc is unique.
             st.job = None;
@@ -343,7 +293,7 @@ fn worker_loop(shared: &Shared, me: usize) {
 
         loop {
             if let Some(cell) = pop_front(&shared.ranges[me]) {
-                job.run_cell(cell as usize, me);
+                job.run_cell(cell as usize);
             } else if !steal(&shared.ranges, me) {
                 break;
             }
@@ -463,16 +413,6 @@ mod tests {
         let pool = SweepPool::new(8);
         let out = pool.run(3, "t", |i| i);
         assert_eq!(out, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn run_indexed_reports_valid_worker_ids() {
-        let pool = SweepPool::new(3);
-        let out = pool.run_indexed(64, "t", |i, w| (i, w));
-        for (slot, (i, w)) in out.iter().enumerate() {
-            assert_eq!(slot, *i);
-            assert!(*w < 3, "worker id {w} out of range");
-        }
     }
 
     #[test]

@@ -13,12 +13,10 @@
 //! every scenario here replays identically across runs and machines.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 use std::time::Duration;
 
 use rtpool_bench::serve::loadgen::{gen_request_lines, LoadConfig};
 use rtpool_bench::serve::{BreakerConfig, ServeConfig, ServeReport, Server};
-use rtpool_bench::sweep::SweepPool;
 use rtpool_exec::{FaultPlan, RecoveryPolicy};
 
 /// Tight retry backoff so panic-heavy scenarios stay fast.
@@ -46,7 +44,7 @@ fn run_scenario(
     lines: &[String],
     pace: Option<Duration>,
 ) -> (ServeReport, HashMap<u64, usize>) {
-    let (server, rx) = Server::start(config, Arc::new(SweepPool::new(2)));
+    let (server, rx) = Server::start(config, 2);
     let mut counts: HashMap<u64, usize> = HashMap::new();
     let mut answered = 0usize;
     for line in lines {
@@ -205,7 +203,7 @@ fn breaker_reopens_then_recloses_after_the_storm_ends() {
         ),
         ..ServeConfig::default()
     };
-    let (server, rx) = Server::start(config, Arc::new(SweepPool::new(2)));
+    let (server, rx) = Server::start(config, 2);
     let mut counts: HashMap<u64, usize> = HashMap::new();
     let mut answered = 0usize;
     let mut drain_until = |target: usize, counts: &mut HashMap<u64, usize>| {

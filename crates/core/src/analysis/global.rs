@@ -220,15 +220,21 @@ pub fn analyze_many_cancellable(
         .iter()
         .map(|&model| {
             let params = build_params(set, m, model);
-            analyze_with_params(&params, m, token)
+            analyze_tasks(&params, m, token, |_, _| None)
         })
         .collect()
 }
 
-fn analyze_with_params(
+/// The per-task loop of the analysis, in priority order. `seed(i,
+/// hp_response)` may name a start for task `i`'s fix-point above its
+/// cold start `len(λᵢ*)` (see [`response_time_fixpoint`] for when that
+/// is sound); the cold analysis passes none and the warm-started one
+/// ([`incremental`](crate::analysis::incremental)) its seed guard.
+pub(crate) fn analyze_tasks(
     params: &[TaskParams],
     m: usize,
     token: &CancelToken,
+    mut seed: impl FnMut(usize, &[Option<u64>]) -> Option<u64>,
 ) -> Result<SchedResult, Cancelled> {
     let mut verdicts: Vec<TaskVerdict> = Vec::with_capacity(params.len());
     let mut hp_response: Vec<Option<u64>> = Vec::with_capacity(params.len());
@@ -252,7 +258,15 @@ fn analyze_with_params(
             hp_response.push(None);
             continue;
         }
-        let verdict = response_time_fixpoint(p, &params[..i], &hp_response[..i], m, token, p.len)?;
+        let start = seed(i, &hp_response).unwrap_or(p.len);
+        let mut verdict =
+            response_time_fixpoint(p, &params[..i], &hp_response[..i], m, token, start)?;
+        if start > p.len && !verdict.is_schedulable() {
+            // The reported over-deadline bound is the first iterate past
+            // the deadline, which depends on where the iteration started;
+            // rerun cold so it matches the from-scratch analysis exactly.
+            verdict = response_time_fixpoint(p, &params[..i], &hp_response[..i], m, token, p.len)?;
+        }
         hp_response.push(verdict.response_time());
         verdicts.push(verdict);
     }
@@ -269,7 +283,7 @@ fn analyze_with_params(
 /// converges to the *same* least fixed point in fewer steps, because the
 /// right-hand side is monotone and every iterate from an
 /// under-approximation stays an under-approximation.
-pub(crate) fn response_time_fixpoint(
+fn response_time_fixpoint(
     p: &TaskParams,
     hp: &[TaskParams],
     hp_response: &[Option<u64>],

@@ -46,14 +46,14 @@
 //! `max(R_old, len′)` converges to exactly `lfp(F_new)` — the same value
 //! the cold iteration reaches from `len′`.
 
-use crate::analysis::global::{build_params, response_time_fixpoint, ConcurrencyModel, TaskParams};
+use crate::analysis::global::{analyze_tasks, build_params, ConcurrencyModel, TaskParams};
 use crate::analysis::partitioned::{
     analyze as analyze_partitioned, partition_and_analyze, BlockingAwareness, PartitionStrategy,
 };
-use crate::analysis::{SchedResult, TaskVerdict, UnschedulableReason};
+use crate::analysis::SchedResult;
 use crate::cancel::{CancelToken, Cancelled};
 use crate::partition::NodeMapping;
-use crate::task::{TaskId, TaskSet};
+use crate::task::TaskSet;
 
 #[cfg(doc)]
 use crate::analysis::UnschedulableReason::ResponseTimeExceedsDeadline;
@@ -163,10 +163,27 @@ pub fn analyze_many_warm(
         let prev_snaps = prev.and_then(|w| {
             (w.m == m && w.models.get(mi).copied() == Some(model)).then(|| w.snaps[mi].as_slice())
         });
-        let (result, snap, n) = analyze_model_seeded(&params, m, token, prev_snaps)?;
+        let result = analyze_tasks(&params, m, token, |i, hp_response| {
+            let seed = fixpoint_seed(i, &params, hp_response, prev_snaps?, m)?;
+            if seed > params[i].len {
+                seeded += 1;
+            }
+            Some(seed)
+        })?;
+        let snap = params
+            .iter()
+            .zip(result.verdicts())
+            .map(|(p, verdict)| TaskSnapshot {
+                len: p.len,
+                vol: p.vol,
+                ivol: p.ivol,
+                period: p.period,
+                denom: p.denom,
+                response: verdict.response_time(),
+            })
+            .collect();
         results.push(result);
         snaps.push(snap);
-        seeded += n;
     }
     let warm = WarmStart {
         m,
@@ -175,68 +192,6 @@ pub fn analyze_many_warm(
         seeded,
     };
     Ok((results, warm))
-}
-
-/// One model's pass: the same task loop as the cold analysis, except the
-/// fix-point start is lifted to the previous response time when the seed
-/// guard holds.
-fn analyze_model_seeded(
-    params: &[TaskParams],
-    m: usize,
-    token: &CancelToken,
-    prev: Option<&[TaskSnapshot]>,
-) -> Result<(SchedResult, Vec<TaskSnapshot>, usize), Cancelled> {
-    let mut verdicts: Vec<TaskVerdict> = Vec::with_capacity(params.len());
-    let mut hp_response: Vec<Option<u64>> = Vec::with_capacity(params.len());
-    let mut seeded = 0;
-
-    for i in 0..params.len() {
-        token.checkpoint()?;
-        let p = &params[i];
-        if p.denom == 0 {
-            verdicts.push(TaskVerdict::Unschedulable {
-                reason: UnschedulableReason::NonPositiveConcurrency { floor: p.floor },
-            });
-            hp_response.push(None);
-            continue;
-        }
-        if let Some(bad) = (0..i).find(|&j| hp_response[j].is_none()) {
-            verdicts.push(TaskVerdict::Unschedulable {
-                reason: UnschedulableReason::DependsOnUnschedulable { task: TaskId(bad) },
-            });
-            hp_response.push(None);
-            continue;
-        }
-        let seed = prev
-            .and_then(|snaps| fixpoint_seed(i, params, &hp_response, snaps, m))
-            .unwrap_or(p.len);
-        if seed > p.len {
-            seeded += 1;
-        }
-        let mut verdict =
-            response_time_fixpoint(p, &params[..i], &hp_response[..i], m, token, seed)?;
-        if seed > p.len && !verdict.is_schedulable() {
-            // The reported over-deadline bound is the first iterate past
-            // the deadline, which depends on where the iteration started;
-            // rerun cold so it matches the from-scratch analysis exactly.
-            verdict = response_time_fixpoint(p, &params[..i], &hp_response[..i], m, token, p.len)?;
-        }
-        hp_response.push(verdict.response_time());
-        verdicts.push(verdict);
-    }
-    let snaps = params
-        .iter()
-        .zip(&hp_response)
-        .map(|(p, r)| TaskSnapshot {
-            len: p.len,
-            vol: p.vol,
-            ivol: p.ivol,
-            period: p.period,
-            denom: p.denom,
-            response: *r,
-        })
-        .collect();
-    Ok((SchedResult::new(verdicts), snaps, seeded))
 }
 
 /// Decides whether task `i`'s fix-point may resume from its previous
