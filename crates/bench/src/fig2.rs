@@ -17,8 +17,6 @@
 //! whose attempt budget runs out are counted separately and excluded
 //! from the ratio.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
 use rand::{Rng, SeedableRng};
 use rtpool_core::TaskSet;
 use rtpool_gen::{
@@ -140,7 +138,8 @@ pub struct Fig2Params {
     pub sets_per_point: usize,
     /// Base seed; every `(inset, x, sample)` derives its own stream.
     pub seed: u64,
-    /// OS threads used to evaluate samples in parallel.
+    /// Worker count the binaries size their [`SweepPool`] with; the series
+    /// do not depend on it.
     pub threads: usize,
 }
 
@@ -276,8 +275,8 @@ fn run_points(pool: &SweepPool, coords: &[(Inset, i64)], params: &Fig2Params) ->
         let sample = i % spp;
         let mut rng = rand::rngs::StdRng::seed_from_u64(derive_seed(seed, inset, x, sample));
         let mut scratch = DagScratch::new();
-        match evaluate_sample(inset, x, &mut rng, Some(&mut scratch)) {
-            Ok(Some((proposed, baseline))) => SampleOutcome::Evaluated { proposed, baseline },
+        match sample_with_verdicts(inset, x, &mut rng, &mut scratch) {
+            Ok(Some((_, _, proposed, baseline))) => SampleOutcome::Evaluated { proposed, baseline },
             Ok(None) => SampleOutcome::Skipped,
             Err(e) => SampleOutcome::Error(e),
         }
@@ -350,51 +349,6 @@ fn fold_point(
     }
 }
 
-/// The pre-sweep-engine point runner: spawns and joins a scope of OS
-/// threads for this single point and routes generation through the
-/// full-build-per-attempt reference path
-/// ([`TaskSetConfig::generate_reference`]). Bit-identical output to
-/// [`run_point`]; kept as the before-side cost model of the
-/// `bench_summary` generation kernel and as an oracle for the
-/// series-identity gate. Not for production use.
-#[must_use]
-pub fn run_point_reference(inset: Inset, x: i64, params: &Fig2Params) -> SeriesPoint {
-    let next = AtomicUsize::new(0);
-    let outcomes: Vec<std::sync::OnceLock<SampleOutcome>> = (0..params.sets_per_point)
-        .map(|_| std::sync::OnceLock::new())
-        .collect();
-
-    std::thread::scope(|scope| {
-        for _ in 0..params.threads.max(1) {
-            scope.spawn(|| loop {
-                let sample = next.fetch_add(1, Ordering::Relaxed);
-                if sample >= params.sets_per_point {
-                    return;
-                }
-                let seed = derive_seed(params.seed, inset, x, sample);
-                let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-                let outcome = match evaluate_sample(inset, x, &mut rng, None) {
-                    Ok(Some((proposed, baseline))) => {
-                        SampleOutcome::Evaluated { proposed, baseline }
-                    }
-                    Ok(None) => SampleOutcome::Skipped,
-                    Err(e) => SampleOutcome::Error(e),
-                };
-                outcomes[sample]
-                    .set(outcome)
-                    .unwrap_or_else(|_| unreachable!("each sample index claimed once"));
-            });
-        }
-    });
-
-    let outcomes: Vec<SampleOutcome> = outcomes
-        .into_iter()
-        .map(|slot| slot.into_inner().expect("all samples executed"))
-        .collect();
-    let mut printed = MAX_PRINTED_ERRORS; // reference path stays silent
-    fold_point(inset, x, &outcomes, &mut printed)
-}
-
 pub(crate) fn derive_seed(base: u64, inset: Inset, x: i64, sample: usize) -> u64 {
     // SplitMix-style mixing of the coordinates.
     let mut z = base
@@ -404,24 +358,6 @@ pub(crate) fn derive_seed(base: u64, inset: Inset, x: i64, sample: usize) -> u64
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
-}
-
-/// Evaluates one sample; `Ok(None)` means the discard/window budget ran
-/// out.
-///
-/// `scratch: Some(..)` routes generation through the scratch-buffer
-/// fast path (buffers reused across all rejection attempts of the
-/// sample); `None` uses the full-build-per-attempt reference path. Both
-/// consume the RNG stream identically and return identical verdicts —
-/// pinned by proptests in `rtpool-gen` and the `series_match` gate of
-/// `bench_summary`.
-fn evaluate_sample(
-    inset: Inset,
-    x: i64,
-    rng: &mut rand::rngs::StdRng,
-    scratch: Option<&mut DagScratch>,
-) -> Result<Option<(bool, bool)>, String> {
-    Ok(sample_with_verdicts(inset, x, rng, scratch)?.map(|(_, _, prop, base)| (prop, base)))
 }
 
 /// Regenerates the task set that sample 0 of the `(inset, x)` sweep cell
@@ -436,7 +372,7 @@ fn evaluate_sample(
 pub fn sample_for_trace(inset: Inset, x: i64, seed: u64) -> Result<(TaskSet, usize), String> {
     let mut rng = rand::rngs::StdRng::seed_from_u64(derive_seed(seed, inset, x, 0));
     let mut scratch = DagScratch::new();
-    match sample_with_verdicts(inset, x, &mut rng, Some(&mut scratch))? {
+    match sample_with_verdicts(inset, x, &mut rng, &mut scratch)? {
         Some((set, m, _, _)) => Ok((set, m)),
         None => Err(format!(
             "no sample survived the discard budget at inset ({}), {} = {x}",
@@ -448,17 +384,15 @@ pub fn sample_for_trace(inset: Inset, x: i64, seed: u64) -> Result<(TaskSet, usi
 
 /// Shared sample driver: generates (with the inset's discard rule) and
 /// evaluates one sample, returning the surviving set, its core count,
-/// and the `(proposed, baseline)` verdicts.
+/// and the `(proposed, baseline)` verdicts; `Ok(None)` means the
+/// discard/window budget ran out. `scratch`'s buffers are reused across
+/// all rejection attempts of the sample.
 pub(crate) fn sample_with_verdicts(
     inset: Inset,
     x: i64,
     rng: &mut rand::rngs::StdRng,
-    mut scratch: Option<&mut DagScratch>,
+    scratch: &mut DagScratch,
 ) -> Result<Option<(TaskSet, usize, bool, bool)>, String> {
-    let mut generate = |cfg: &TaskSetConfig, rng: &mut rand::rngs::StdRng| match scratch.as_mut() {
-        Some(scratch) => cfg.generate_with(rng, scratch),
-        None => cfg.generate_reference(rng),
-    };
     match inset {
         Inset::A | Inset::B => {
             // The partitioned RTA adaptation is substantially more
@@ -487,7 +421,7 @@ pub(crate) fn sample_with_verdicts(
                 };
                 let cfg =
                     TaskSetConfig::new(N_TASKS_SMALL, u, dag_cfg).with_concurrency_window(window);
-                let set = match generate(&cfg, rng) {
+                let set = match cfg.generate_with(rng, scratch) {
                     Ok(set) => set,
                     Err(GenError::WindowUnsatisfiable { .. }) => continue,
                     Err(e) => return Err(e.to_string()),
@@ -512,7 +446,7 @@ pub(crate) fn sample_with_verdicts(
             let m = usize::try_from(x).expect("positive m");
             let u = if inset == Inset::C { 2.0 } else { 1.0 };
             let cfg = TaskSetConfig::new(N_TASKS_SMALL, u, DagGenConfig::default());
-            let set = generate(&cfg, rng).map_err(|e| e.to_string())?;
+            let set = cfg.generate_with(rng, scratch).map_err(|e| e.to_string())?;
             let (prop, base) = evaluate_set(inset, &set, m);
             Ok(Some((set, m, prop, base)))
         }
@@ -526,7 +460,7 @@ pub(crate) fn sample_with_verdicts(
             let n = usize::try_from(x).expect("positive n");
             let per_task = if inset == Inset::E { 0.4 } else { 0.15 };
             let cfg = TaskSetConfig::new(n, per_task * n as f64, DagGenConfig::default());
-            let set = generate(&cfg, rng).map_err(|e| e.to_string())?;
+            let set = cfg.generate_with(rng, scratch).map_err(|e| e.to_string())?;
             let (prop, base) = evaluate_set(inset, &set, m);
             Ok(Some((set, m, prop, base)))
         }
@@ -620,18 +554,6 @@ mod tests {
             let serial = run_point(&serial_pool, inset, 4, &tiny_params());
             let wide = run_point(&wide_pool, inset, 4, &tiny_params());
             assert_eq!(serial, wide, "inset {} diverged", inset.letter());
-        }
-    }
-
-    #[test]
-    fn reference_point_matches_sweep_point() {
-        // The reference (pre-optimization) path must stay bit-identical:
-        // same RNG consumption, same verdicts, same tallies.
-        let pool = SweepPool::new(3);
-        for (inset, x) in [(Inset::A, 6), (Inset::C, 8), (Inset::E, 4)] {
-            let fast = run_point(&pool, inset, x, &tiny_params());
-            let reference = run_point_reference(inset, x, &tiny_params());
-            assert_eq!(fast, reference, "inset {} diverged", inset.letter());
         }
     }
 

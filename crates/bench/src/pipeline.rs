@@ -1,10 +1,10 @@
-//! Shared partition-then-analyze plumbing for the experiment binaries.
+//! Shared partition-then-analyze plumbing for the experiments.
 //!
-//! The `fig2`, `probe`, and `bench_summary` binaries all evaluate the
-//! same schedulability battery (oblivious vs concurrency-aware, global
-//! vs partitioned); the helpers here keep those call sites identical so
-//! a pipeline change cannot silently skew one experiment but not
-//! another.
+//! The `fig2` sweep, the spin study and the registered benchmark's
+//! `fig2-sweep` workload all evaluate the same schedulability battery
+//! (oblivious vs concurrency-aware, global vs partitioned); the helpers
+//! here keep those call sites identical so a pipeline change cannot
+//! silently skew one experiment but not another.
 
 use rtpool_core::analysis::global::{self, ConcurrencyModel};
 use rtpool_core::analysis::partitioned::{self, PartitionStrategy};

@@ -1,72 +1,28 @@
-//! The suspend-vs-spin head-to-head study behind `BENCH_spin.json`.
+//! The suspend-vs-spin schedulability study: what the [`SyncBackend`]
+//! knob costs the analysis.
 //!
-//! Two halves, mirroring what the [`SyncBackend`] knob changes:
+//! A fig2-style sweep over the global insets: the same seeded task sets
+//! as [`crate::fig2`] (identical RNG streams, identical discard rules),
+//! each analyzed under the suspend backend *and* re-analyzed with its
+//! backend flipped to spin. The suspend series is bit-identical to the
+//! `fig2` pipeline by construction — [`StudyReport::verdicts_match`]
+//! re-runs `fig2` and checks — while the spin series shows the
+//! schedulability cliff the busy-wait model pays at high blocking (low
+//! `l_max`): spinning forks inflate every interfering task's volume and
+//! harden the sizing floor to the delay count, so the spin ratio can only
+//! fall below the suspend ratio
+//! ([`StudyReport::spin_never_beats_suspend`] pins the dominance).
 //!
-//! * **Schedulability** — a fig2-style sweep over the global insets: the
-//!   same seeded task sets as [`crate::fig2`] (identical RNG streams,
-//!   identical discard rules), each analyzed under the suspend backend
-//!   *and* re-analyzed with its backend flipped to spin. The suspend
-//!   series is bit-identical to the `fig2` pipeline by construction —
-//!   [`StudyReport::verdicts_match`] re-runs `fig2` and checks — while
-//!   the spin series shows the schedulability cliff the busy-wait model
-//!   pays at high blocking (low `l_max`): spinning forks inflate every
-//!   interfering task's volume and harden the sizing floor to the delay
-//!   count, so the spin ratio can only fall below the suspend ratio
-//!   ([`StudyReport::spin_never_beats_suspend`] pins the dominance).
-//!
-//! * **Execution wall-clock** — the flip side: tiny fork-join jobs on
-//!   the real pool under both backends and both engines. With short
-//!   critical sections a spinning fork resumes its continuation with no
-//!   wake-up latency, which is exactly where spin wins; the measured
-//!   medians land in the artifact so the crossover is documented with
-//!   numbers rather than folklore.
-
-use std::time::{Duration, Instant};
+//! The execution side of the same knob — what a spinning barrier wait
+//! costs in wall-clock on the real pool — is the registered benchmark's
+//! `exec.v1/v2.blocking.spin_over_suspend` (workload `exec-blocking`).
 
 use rand::SeedableRng;
 use rtpool_core::SyncBackend;
-use rtpool_exec::{Engine, PoolConfig, QueueDiscipline, ThreadPool};
 use rtpool_gen::DagScratch;
-use rtpool_graph::{Dag, DagBuilder};
 
 use crate::fig2::{self, Fig2Params, Inset};
 use crate::sweep::SweepPool;
-
-/// Which backend series the study runs (`--backend suspend|spin|both`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BackendChoice {
-    /// Only the suspend series (the `fig2` numbers, re-labeled).
-    Suspend,
-    /// Only the spin series.
-    Spin,
-    /// Both series plus the cross-backend gates (the default).
-    Both,
-}
-
-impl BackendChoice {
-    /// Parses the `--backend` operand.
-    #[must_use]
-    pub fn parse(s: &str) -> Option<BackendChoice> {
-        match s.to_ascii_lowercase().as_str() {
-            "suspend" => Some(BackendChoice::Suspend),
-            "spin" => Some(BackendChoice::Spin),
-            "both" => Some(BackendChoice::Both),
-            _ => None,
-        }
-    }
-
-    /// `true` when the suspend series is part of the study.
-    #[must_use]
-    pub fn runs_suspend(self) -> bool {
-        matches!(self, BackendChoice::Suspend | BackendChoice::Both)
-    }
-
-    /// `true` when the spin series is part of the study.
-    #[must_use]
-    pub fn runs_spin(self) -> bool {
-        matches!(self, BackendChoice::Spin | BackendChoice::Both)
-    }
-}
 
 /// One x-point of the head-to-head sweep.
 #[derive(Clone, Debug, PartialEq)]
@@ -91,14 +47,13 @@ pub struct BackendPoint {
     pub dominance_violations: usize,
 }
 
-/// The schedulability half of the study.
+/// What [`run_study`] returns.
 #[derive(Clone, Debug)]
 pub struct StudyReport {
     /// Per-inset series, in request order.
     pub series: Vec<(Inset, Vec<BackendPoint>)>,
     /// `true` when the suspend side reproduced the `fig2` pipeline
-    /// bit-identically (always `true` when only spin was requested —
-    /// there is nothing to compare).
+    /// bit-identically.
     pub verdicts_match: bool,
 }
 
@@ -138,12 +93,7 @@ enum CellOutcome {
 /// partitioned analyses are backend-oblivious, so a spin series over
 /// them would be vacuously equal to suspend.
 #[must_use]
-pub fn run_study(
-    pool: &SweepPool,
-    insets: &[Inset],
-    params: &Fig2Params,
-    choice: BackendChoice,
-) -> StudyReport {
+pub fn run_study(pool: &SweepPool, insets: &[Inset], params: &Fig2Params) -> StudyReport {
     for &inset in insets {
         assert!(
             fig2::is_global(inset),
@@ -157,25 +107,18 @@ pub fn run_study(
         .collect();
     let spp = params.sets_per_point;
     let seed = params.seed;
-    let run_spin = choice.runs_spin();
     let cell_coords = coords.clone();
     let outcomes = pool.run(coords.len() * spp, "spin-study", move |i| {
         let (inset, x) = cell_coords[i / spp];
         let sample = i % spp;
         let mut rng = rand::rngs::StdRng::seed_from_u64(fig2::derive_seed(seed, inset, x, sample));
         let mut scratch = DagScratch::new();
-        match fig2::sample_with_verdicts(inset, x, &mut rng, Some(&mut scratch)) {
-            Ok(Some((set, m, suspend, baseline))) => {
-                let spin = if run_spin {
-                    let mut spin_set = set;
-                    spin_set.set_backend(SyncBackend::Spin);
-                    fig2::evaluate_set(inset, &spin_set, m).0
-                } else {
-                    false
-                };
+        match fig2::sample_with_verdicts(inset, x, &mut rng, &mut scratch) {
+            Ok(Some((mut set, m, suspend, baseline))) => {
+                set.set_backend(SyncBackend::Spin);
                 CellOutcome::Evaluated {
                     suspend,
-                    spin,
+                    spin: fig2::evaluate_set(inset, &set, m).0,
                     baseline,
                 }
             }
@@ -198,25 +141,21 @@ pub fn run_study(
 
     // Bit-identity gate: the suspend half of the study must reproduce
     // the fig2 pipeline exactly (ratios, tallies, everything).
-    let verdicts_match = if choice.runs_suspend() {
-        fig2::run_insets(pool, insets, params)
-            .iter()
-            .zip(&series)
-            .all(|((fi, fig2_points), (si, study_points))| {
-                fi == si
-                    && fig2_points.len() == study_points.len()
-                    && fig2_points.iter().zip(study_points).all(|(f, s)| {
-                        f.x == s.x
-                            && f.proposed.to_bits() == s.suspend.to_bits()
-                            && f.baseline.to_bits() == s.baseline.to_bits()
-                            && f.samples == s.samples
-                            && f.skipped == s.skipped
-                            && f.errors == s.errors
-                    })
-            })
-    } else {
-        true
-    };
+    let verdicts_match = fig2::run_insets(pool, insets, params)
+        .iter()
+        .zip(&series)
+        .all(|((fi, fig2_points), (si, study_points))| {
+            fi == si
+                && fig2_points.len() == study_points.len()
+                && fig2_points.iter().zip(study_points).all(|(f, s)| {
+                    f.x == s.x
+                        && f.proposed.to_bits() == s.suspend.to_bits()
+                        && f.baseline.to_bits() == s.baseline.to_bits()
+                        && f.samples == s.samples
+                        && f.skipped == s.skipped
+                        && f.errors == s.errors
+                })
+        });
 
     StudyReport {
         series,
@@ -268,93 +207,6 @@ fn fold_cell(x: i64, outcomes: &[CellOutcome]) -> BackendPoint {
     }
 }
 
-/// One execution-side scenario: a fork-join job timed on the real pool
-/// under both backends.
-#[derive(Clone, Debug)]
-pub struct ExecScenario {
-    /// Scenario name (artifact key).
-    pub name: &'static str,
-    /// Engine label (`v1-condvar` / `v2-lockfree`).
-    pub engine: &'static str,
-    /// Median wall-clock of one job under the suspend backend.
-    pub suspend: Duration,
-    /// Median wall-clock of one job under the spin backend.
-    pub spin: Duration,
-}
-
-impl ExecScenario {
-    /// `suspend / spin` — above 1.0 means spin won the scenario.
-    #[must_use]
-    pub fn spin_speedup(&self) -> f64 {
-        let spin = self.spin.as_secs_f64();
-        if spin <= 0.0 {
-            0.0
-        } else {
-            self.suspend.as_secs_f64() / spin
-        }
-    }
-}
-
-/// The fork-join job of an execution scenario: one blocking fork, two
-/// children of `child_wcet` units each, on three workers.
-fn scenario_dag(child_wcet: u64) -> Dag {
-    let mut b = DagBuilder::new();
-    b.fork_join(1, &[child_wcet, child_wcet], 1, true)
-        .expect("fork-join shape");
-    b.build().expect("valid dag")
-}
-
-/// Times the median job wall-clock for one `(dag, engine, backend)`
-/// combination: `reps` jobs on a persistent pool, one warm-up job
-/// discarded.
-fn median_job(dag: &Dag, engine: Engine, backend: SyncBackend, reps: usize) -> Duration {
-    let config = PoolConfig::new(3, QueueDiscipline::GlobalFifo)
-        .with_engine(engine)
-        .with_backend(backend)
-        .with_time_scale(Duration::from_micros(50));
-    let mut pool = ThreadPool::new(config);
-    pool.run(dag).expect("scenario job runs");
-    let mut times: Vec<Duration> = (0..reps)
-        .map(|_| {
-            let start = Instant::now();
-            pool.run(dag).expect("scenario job runs");
-            start.elapsed()
-        })
-        .collect();
-    times.sort_unstable();
-    times[times.len() / 2]
-}
-
-/// Runs the execution half of the study: short- and long-wait fork-join
-/// jobs under both engines, each timed under both backends.
-///
-/// The short-wait scenario (`child_wcet = 1`) is where spin is expected
-/// to win — the barrier opens almost immediately, so the suspend
-/// backend's park/wake round trip dominates the wait itself. The
-/// long-wait scenario (`child_wcet = 20`) shows the price evaporating:
-/// the wait dwarfs the wake-up latency, and the spinning core's burned
-/// cycles buy nothing.
-#[must_use]
-pub fn run_exec_study(reps: usize) -> Vec<ExecScenario> {
-    let short = scenario_dag(1);
-    let long = scenario_dag(20);
-    let mut out = Vec::new();
-    for engine in [Engine::V1Condvar, Engine::V2LockFree] {
-        for (name, dag) in [
-            ("short-critical-section", &short),
-            ("long-critical-section", &long),
-        ] {
-            out.push(ExecScenario {
-                name,
-                engine: engine.as_str(),
-                suspend: median_job(dag, engine, SyncBackend::Suspend, reps),
-                spin: median_job(dag, engine, SyncBackend::Spin, reps),
-            });
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -368,41 +220,31 @@ mod tests {
     }
 
     #[test]
-    fn backend_choice_parses() {
-        assert_eq!(BackendChoice::parse("both"), Some(BackendChoice::Both));
-        assert_eq!(BackendChoice::parse("SPIN"), Some(BackendChoice::Spin));
-        assert_eq!(
-            BackendChoice::parse("suspend"),
-            Some(BackendChoice::Suspend)
-        );
-        assert_eq!(BackendChoice::parse("futex"), None);
-        assert!(BackendChoice::Both.runs_suspend() && BackendChoice::Both.runs_spin());
-        assert!(!BackendChoice::Spin.runs_suspend());
-        assert!(!BackendChoice::Suspend.runs_spin());
-    }
-
-    #[test]
     fn study_suspend_side_is_bit_identical_to_fig2() {
         let pool = SweepPool::new(4);
-        let report = run_study(&pool, &[Inset::C], &tiny_params(), BackendChoice::Both);
+        let insets = [Inset::A, Inset::C];
+        let report = run_study(&pool, &insets, &tiny_params());
         assert!(report.verdicts_match);
         assert!(report.spin_never_beats_suspend());
-        let series = &report.series[0].1;
-        assert_eq!(series.len(), Inset::C.x_values().len());
-        for p in series {
-            assert!(
-                p.spin <= p.suspend + 1e-12,
-                "spin beat suspend at x={}",
-                p.x
-            );
+        assert_eq!(report.series.len(), insets.len());
+        for (inset, series) in &report.series {
+            assert_eq!(series.len(), inset.x_values().len());
+            for p in series {
+                assert!(
+                    p.spin <= p.suspend + 1e-12,
+                    "spin beat suspend at inset ({}), x={}",
+                    inset.letter(),
+                    p.x
+                );
+            }
         }
     }
 
     #[test]
     fn study_is_deterministic() {
         let pool = SweepPool::new(4);
-        let a = run_study(&pool, &[Inset::C], &tiny_params(), BackendChoice::Both);
-        let b = run_study(&pool, &[Inset::C], &tiny_params(), BackendChoice::Both);
+        let a = run_study(&pool, &[Inset::C], &tiny_params());
+        let b = run_study(&pool, &[Inset::C], &tiny_params());
         assert_eq!(a.series, b.series);
     }
 
@@ -410,16 +252,6 @@ mod tests {
     #[should_panic(expected = "partitioned")]
     fn partitioned_insets_are_rejected() {
         let pool = SweepPool::new(2);
-        let _ = run_study(&pool, &[Inset::B], &tiny_params(), BackendChoice::Both);
-    }
-
-    #[test]
-    fn exec_study_times_all_scenarios() {
-        let scenarios = run_exec_study(3);
-        assert_eq!(scenarios.len(), 4);
-        for s in &scenarios {
-            assert!(s.suspend > Duration::ZERO && s.spin > Duration::ZERO);
-            assert!(s.spin_speedup() > 0.0);
-        }
+        let _ = run_study(&pool, &[Inset::B], &tiny_params());
     }
 }

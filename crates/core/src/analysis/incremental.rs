@@ -572,21 +572,66 @@ mod tests {
         assert_eq!(warm_result, cold_result);
     }
 
+    /// Two light chain tasks ahead of a `layers × width` layered DAG
+    /// (source → rows of wcet-1 nodes, each wired to two nodes of the next
+    /// row → sink), so a warm start on the big graph also passes the
+    /// hp-interference guard.
+    fn layered_set(layers: usize, width: usize) -> TaskSet {
+        let mut b = DagBuilder::new();
+        let source = b.add_node(1);
+        let rows: Vec<Vec<NodeId>> = (0..layers)
+            .map(|_| (0..width).map(|_| b.add_node(1)).collect())
+            .collect();
+        let sink = b.add_node(1);
+        for (&first, &last) in rows[0].iter().zip(&rows[layers - 1]) {
+            b.add_edge(source, first).unwrap();
+            b.add_edge(last, sink).unwrap();
+        }
+        for pair in rows.windows(2) {
+            for (i, &v) in pair[0].iter().enumerate() {
+                b.add_edge(v, pair[1][i]).unwrap();
+                b.add_edge(v, pair[1][(i + 1) % width]).unwrap();
+            }
+        }
+        let period = 4 * (layers * width + 2) as u64;
+        TaskSet::new(vec![
+            chain_task(&[40, 40], 4_000),
+            chain_task(&[60, 60, 60], 9_000),
+            Task::with_implicit_deadline(b.build().unwrap(), period).unwrap(),
+        ])
+    }
+
     #[test]
     fn warm_matches_cold_across_random_wcet_ramps() {
-        // Monotone WCET ramp over a 3-task set: seed chains pass-to-pass
-        // and must stay bit-identical at every step.
-        let mut set = mixed_set();
-        let mut warm = assert_warm_matches_cold(&set, 4, None);
-        let mut bump = 11u64;
-        for step in 0..6 {
-            let i = step % set.len();
-            let task = set.iter().nth(i).unwrap().1.clone();
-            let node = 1 + step % (task.dag().node_count() - 1);
-            let old = task.dag().wcet(NodeId::from_index(node));
-            set = replace_task(&set, i, edit_wcet(&task, node, old + bump));
-            bump = bump.wrapping_mul(3).wrapping_add(7) % 40 + 1;
-            warm = assert_warm_matches_cold(&set, 4, Some(&warm));
+        // Monotone WCET ramps: seeds chain pass-to-pass and must stay
+        // bit-identical at every step. First over every task of a small
+        // set, then as scattered single-node edits of a 1,002-node DAG.
+        let small = mixed_set();
+        let small_edits: Vec<(usize, usize)> = (0..6)
+            .map(|step| {
+                let i = step % small.len();
+                let nodes = small.iter().nth(i).unwrap().1.dag().node_count();
+                (i, 1 + step % (nodes - 1))
+            })
+            .collect();
+        let (layers, width) = (25, 40);
+        let big_edits: Vec<(usize, usize)> = (0..4)
+            .map(|k| (2, 1 + k * 7919 % (layers * width)))
+            .collect();
+        for (mut set, m, edits) in [
+            (small, 4, small_edits),
+            (layered_set(layers, width), 8, big_edits),
+        ] {
+            let mut warm = assert_warm_matches_cold(&set, m, None);
+            let mut bump = 11u64;
+            for (i, node) in edits {
+                let task = set.iter().nth(i).unwrap().1.clone();
+                let old = task.dag().wcet(NodeId::from_index(node));
+                set = replace_task(&set, i, edit_wcet(&task, node, old + bump));
+                bump = bump.wrapping_mul(3).wrapping_add(7) % 40 + 1;
+                warm = assert_warm_matches_cold(&set, m, Some(&warm));
+                assert!(warm.seeded_tasks() > 0, "a WCET increase must warm-start");
+            }
         }
     }
 

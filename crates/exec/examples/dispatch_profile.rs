@@ -1,6 +1,7 @@
-//! Dispatch-engine profiling harness: runs the `bench_summary --exec`
-//! workload (source → 256 × wcet-1 → sink at time-scale zero) on ONE
-//! engine so the engines can be profiled in isolation, e.g.
+//! Dispatch-engine profiling harness: runs the graph of the registered
+//! benchmark's `exec-flat` workload (source → 256 × wcet-1 → sink at
+//! time-scale zero) on ONE engine so the engines can be profiled in
+//! isolation, e.g.
 //!
 //! ```text
 //! strace -c -f target/release/examples/dispatch_profile v2 32 200

@@ -335,13 +335,17 @@ fn watchdog_catches_swallowed_wakeup() {
 fn watchdog_catches_swallowed_wakeup_on(engine: Engine) {
     // Node 0 = BF (its worker suspends on the barrier), node 1 = BJ,
     // node 2 = the child. Swallowing the child's completion wakeup
-    // leaves the barrier sleeper unnotified forever.
+    // leaves the barrier sleeper unnotified forever — provided it is
+    // asleep by then: a fork worker that reaches its wait after the
+    // child finished sees the join ready and needs no wakeup. The
+    // child's 50 ms body starts only once the fork is done, so the fork's
+    // worker has that long for the few instructions to its wait.
     let mut b = DagBuilder::new();
-    b.fork_join(1, &[1], 1, true).unwrap();
+    b.fork_join(1, &[10], 1, true).unwrap();
     let dag = b.build().unwrap();
     let config = PoolConfig::new(2, QueueDiscipline::GlobalFifo)
         .with_engine(engine)
-        .with_time_scale(Duration::ZERO)
+        .with_time_scale(Duration::from_millis(5))
         .with_watchdog(Duration::from_millis(150))
         .with_faults(FaultPlan::seeded(3).swallow_wakeup_on(2));
     let mut pool = ThreadPool::new(config);

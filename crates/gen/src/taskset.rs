@@ -135,18 +135,18 @@ impl TaskSetConfig {
         self.assemble(rng, |cfg, rng| cfg.generate_dag_with(rng, scratch))
     }
 
-    /// The pre-scratch generation path: every rejection-sampling attempt
-    /// builds (and validates) a full [`Dag`] and evaluates the window on
-    /// the built graph's derived artifacts.
+    /// Reference implementation of [`TaskSetConfig::generate`]: every
+    /// rejection-sampling attempt builds (and validates) a full [`Dag`]
+    /// and evaluates the window on the built graph's derived artifacts.
     ///
     /// Bit-identical output to [`TaskSetConfig::generate`] for the same
-    /// RNG state; kept as the before-side cost model of the
-    /// `bench_summary` generation kernel and as a coherence oracle in
-    /// tests. Not for production use.
+    /// RNG state. Its one caller is `tests/scratch_agreement.rs`, which
+    /// holds the scratch path to it; nothing else should call it.
     ///
     /// # Errors
     ///
     /// Same as [`TaskSetConfig::generate`].
+    #[doc(hidden)]
     pub fn generate_reference<R: Rng + ?Sized>(&self, rng: &mut R) -> Result<TaskSet, GenError> {
         self.assemble(rng, Self::generate_dag_reference)
     }
@@ -236,9 +236,11 @@ impl TaskSetConfig {
         }
     }
 
-    /// The pre-scratch [`TaskSetConfig::generate_dag`]: builds a full
-    /// [`Dag`] per attempt and reads the floor off its derived
-    /// artifacts. Kept as the before-side cost model for benchmarks.
+    /// Reference implementation of [`TaskSetConfig::generate_dag`]: builds
+    /// a full [`Dag`] per attempt and reads the floor off its derived
+    /// artifacts. Reached only through
+    /// [`TaskSetConfig::generate_reference`], i.e. from
+    /// `tests/scratch_agreement.rs`.
     ///
     /// # Errors
     ///
