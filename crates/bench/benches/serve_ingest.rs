@@ -3,6 +3,13 @@
 //! `.rtp` parse (`parse_task_set`). Both are linear in their input, and
 //! this makes it visible: ns/byte must not grow with the line size, and
 //! µs per set must grow with the set's text, not its square.
+//!
+//! Next to each parse it times what a request that repeats an earlier
+//! one pays instead: `Interner::intern` on a source sent twice before
+//! recognises the bytes and parses nothing, and a repeated `wcet:` edit
+//! through `Supervisor::execute` applies nothing. The bench fails when
+//! a re-sent source costs [`MAX_RESENT_OVER_PARSE`] of its parse or
+//! more.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -10,8 +17,17 @@ use std::time::Instant;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::SeedableRng;
 use rtpool_bench::serve::protocol::{encode_request, parse_request, Request, RequestBody};
+use rtpool_bench::serve::{Interner, Supervisor};
 use rtpool_core::textfmt::{parse_task_set, write_task_set};
+use rtpool_core::CancelToken;
+use rtpool_exec::{FaultPlan, RecoveryPolicy};
 use rtpool_gen::{DagGenConfig, TaskSetConfig};
+
+/// A re-sent source must cost less than this share of parsing it
+/// (about 1/100 measured: a fingerprint pass and a byte comparison).
+const MAX_RESENT_OVER_PARSE: f64 = 0.25;
+/// Timed repetitions of a re-sent source or edit.
+const RESENT: u32 = 2000;
 
 /// The `.rtp` text of a generated `n`-task set (the shape the registered
 /// benchmark's `admit-cold` requests carry).
@@ -66,6 +82,8 @@ fn bench_decode(c: &mut Criterion) {
 
 fn bench_parse(c: &mut Criterion) {
     let mut group = c.benchmark_group("serve_ingest");
+    let interner = Interner::new(8);
+    let mut base = 0;
     for n in [2usize, 4, 8] {
         let text = source_of(n);
         group.bench_with_input(
@@ -82,7 +100,52 @@ fn bench_parse(c: &mut Criterion) {
             text.len(),
             ns / text.len() as f64
         );
+
+        // The first sending builds the set and the second keeps the
+        // text; the timed ones are recalled.
+        for _ in 0..2 {
+            base = interner.intern(&text).expect("source interns").0;
+        }
+        let recalled = interner.stats().recalled;
+        let resent_ns = mean_ns(RESENT, || {
+            black_box(interner.intern(black_box(&text)).expect("source interns"));
+        });
+        assert_eq!(interner.stats().recalled - recalled, u64::from(RESENT));
+        println!(
+            "serve_ingest/intern_resent_tasks/{n}: {:.2} us ({:.3} of its parse)",
+            resent_ns / 1e3,
+            resent_ns / ns
+        );
+        assert!(
+            resent_ns < MAX_RESENT_OVER_PARSE * ns,
+            "a re-sent {n}-task source costs {resent_ns:.0} ns, its parse {ns:.0} ns: it is being parsed again"
+        );
     }
+
+    let supervisor = Supervisor::new(RecoveryPolicy::Abort, FaultPlan::seeded(0));
+    let never = CancelToken::never();
+    let request = Request {
+        id: 1,
+        m: 8,
+        priority: 4,
+        deadline_us: 0,
+        body: RequestBody::Edit {
+            base,
+            script: "wcet:0.1=7".to_string(),
+        },
+    };
+    for _ in 0..2 {
+        black_box(supervisor.execute(1, &request, &interner, &never));
+    }
+    let recalled = interner.stats().recalled;
+    let edit_ns = mean_ns(RESENT, || {
+        black_box(supervisor.execute(1, black_box(&request), &interner, &never));
+    });
+    assert_eq!(interner.stats().recalled - recalled, u64::from(RESENT));
+    println!(
+        "serve_ingest/execute_repeated_edit: {:.2} us",
+        edit_ns / 1e3
+    );
     group.finish();
 }
 

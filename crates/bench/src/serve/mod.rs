@@ -23,7 +23,9 @@
 //!   exactly one verdict.
 //! * **Structural reuse** ([`interner`]): content-hashed interning
 //!   shares parsed sets (and their `DerivedCache`s) across
-//!   structurally identical submissions, with bounded LRU capacity.
+//!   structurally identical submissions, with bounded LRU capacity; a
+//!   source or edit re-sent byte for byte is recognised by its bytes
+//!   and answered without being parsed or applied again.
 //! * **Incremental resubmission** ([`protocol`]'s `edit` verb): a
 //!   request can name a resident set by hash plus an edit script
 //!   (WCET changes, edge/node inserts, blocking toggles); the server

@@ -161,7 +161,7 @@ impl ServeReport {
              \"p999\": {}, \"max\": {} }}, \
              \"breaker\": {{ \"open\": {}, \"opens\": {}, \"closes\": {}, \"shed\": {} }}, \
              \"interner\": {{ \"entries\": {}, \"hits\": {}, \"misses\": {}, \
-             \"evictions\": {}, \"memo_hits\": {}, \"delta_hits\": {} }} }}",
+             \"evictions\": {}, \"memo_hits\": {}, \"delta_hits\": {}, \"recalled\": {} }} }}",
             self.accepted,
             self.busy,
             self.shed,
@@ -189,6 +189,7 @@ impl ServeReport {
             self.interner.evictions,
             self.interner.memo_hits,
             self.interner.delta_hits,
+            self.interner.recalled,
         )
     }
 }
@@ -887,22 +888,30 @@ mod tests {
         server.submit(&line(1, 4));
         let first = rx.recv().expect("first response");
         let base = first.hash.expect("hash present");
-        server.submit(&encode_request(&Request {
-            id: 2,
-            m: 4,
-            priority: 4,
-            deadline_us: 0,
-            body: RequestBody::Edit {
-                base,
-                script: "wcet:0.0=12".to_string(),
-            },
-        }));
-        let second = rx.recv().expect("second response");
-        assert_eq!(second.verdict, VerdictKind::Admit, "{}", second.detail);
-        assert_ne!(second.hash, Some(base), "edit produces a new content hash");
+        // Sent three times: built, built and remembered, recalled.
+        let mut patched = None;
+        for id in 2..5 {
+            server.submit(&encode_request(&Request {
+                id,
+                m: 4,
+                priority: 4,
+                deadline_us: 0,
+                body: RequestBody::Edit {
+                    base,
+                    script: "wcet:0.0=12".to_string(),
+                },
+            }));
+            let edited = rx.recv().expect("edit response");
+            assert_eq!(edited.verdict, VerdictKind::Admit, "{}", edited.detail);
+            assert_ne!(edited.hash, Some(base), "edit produces a new content hash");
+            assert_eq!(*patched.get_or_insert(edited.hash), edited.hash);
+        }
         let report = server.shutdown();
-        assert_eq!(report.interner.delta_hits, 1);
-        assert!(report.to_json().contains("\"delta_hits\": 1"));
+        assert_eq!(report.interner.delta_hits, 3);
+        assert_eq!(report.interner.recalled, 1);
+        assert!(report
+            .to_json()
+            .contains("\"delta_hits\": 3, \"recalled\": 1"));
         let trace = report.trace.expect("trace recorded");
         assert!(
             trace.validate().is_empty(),
@@ -914,7 +923,7 @@ mod tests {
             .iter()
             .filter(|e| matches!(e.kind, EventKind::CacheDeltaHit { .. }))
             .count();
-        assert_eq!(hits, 1, "one CacheDeltaHit trace event for the edit");
+        assert_eq!(hits, 3, "one CacheDeltaHit trace event per edit");
     }
 
     #[test]

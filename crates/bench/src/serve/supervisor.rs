@@ -50,7 +50,9 @@ pub enum ServiceEvent {
     SlowRequest,
     /// An `edit` request was answered from a delta-patched cache entry:
     /// the base set was resident, so the patched set carried the base's
-    /// `DerivedCache` over instead of rebuilding it from scratch.
+    /// `DerivedCache` over instead of rebuilding it from scratch — or,
+    /// from the third sending of the same edit on, was not built at all
+    /// ([`Interner::recall_edit`]).
     CacheDeltaHit,
 }
 
@@ -254,13 +256,18 @@ impl Supervisor {
             RequestBody::Source(src) => interner.intern(src).map_err(attempt_error)?,
             RequestBody::Hash(h) => (*h, interner.lookup(*h).map_err(attempt_error)?),
             RequestBody::Edit { base, script } => {
-                let ops = parse_edit_script(script).map_err(AttemptError::Terminal)?;
-                let base_set = interner.lookup(*base).map_err(attempt_error)?;
-                let patched = apply_edit_script(&base_set, &ops).map_err(AttemptError::Terminal)?;
-                let (hash, set) = interner.intern_set(patched);
-                interner.record_delta_hit();
+                let resolved = match interner.recall_edit(*base, script) {
+                    Some(resolved) => resolved,
+                    None => {
+                        let ops = parse_edit_script(script).map_err(AttemptError::Terminal)?;
+                        let base_set = interner.lookup(*base).map_err(attempt_error)?;
+                        let patched =
+                            apply_edit_script(&base_set, &ops).map_err(AttemptError::Terminal)?;
+                        interner.intern_edited(*base, script, patched)
+                    }
+                };
                 events.push(ServiceEvent::CacheDeltaHit);
-                (hash, set)
+                resolved
             }
         };
         if faults.poison_cache {
@@ -576,6 +583,19 @@ mod tests {
         );
         assert_eq!(again.detail, "memoized verdict");
         assert_eq!(interner.stats().delta_hits, 2);
+        // Sent a third time it is not applied at all, and reads the same.
+        let third = sup.execute(
+            4,
+            &edit_request(5, 4, base, "wcet:0.0=12"),
+            &interner,
+            &CancelToken::never(),
+        );
+        assert_eq!(
+            (third.hash, third.verdict, third.level, &third.events),
+            (again.hash, again.verdict, again.level, &again.events)
+        );
+        let stats = interner.stats();
+        assert_eq!((stats.delta_hits, stats.recalled), (3, 1));
     }
 
     #[test]

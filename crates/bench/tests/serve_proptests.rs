@@ -21,6 +21,10 @@
 //!    with the exact error strings clients already see.
 //! 5. **Decode is linear**: a 1 MiB line decodes (or is rejected) in
 //!    milliseconds; a decoder quadratic in the line would take minutes.
+//! 6. **Near-miss texts never hit**: a source or edit script that
+//!    differs from a remembered one in a digit, a space or its base is
+//!    answered as a fresh interner answers it, however the sends are
+//!    repeated, interleaved, poisoned and evicted in between.
 
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -28,7 +32,9 @@ use rtpool_bench::serve::protocol::{
     encode_request, encode_response, parse_request, parse_response, probe_id, LadderLevel, Request,
     RequestBody, Response, VerdictKind,
 };
-use rtpool_bench::serve::{run_ladder, run_ladder_capped, Interner, ServiceEvent, Supervisor};
+use rtpool_bench::serve::{
+    run_ladder, run_ladder_capped, Interner, ServiceEvent, ServiceOutcome, Supervisor,
+};
 use rtpool_core::textfmt::write_task_set;
 use rtpool_core::{CancelToken, Task, TaskSet};
 use rtpool_exec::{FaultPlan, RecoveryPolicy};
@@ -622,5 +628,143 @@ proptest! {
         prop_assert_eq!(cold.verdict, warm.verdict, "warm detail: {}", warm.detail);
         prop_assert_eq!(cold.level, warm.level);
         prop_assert_eq!(cold.hash, warm.hash, "patched set hashes like its source form");
+    }
+}
+
+/// `source` with the last digit of task 0's node `v{node}` WCET
+/// changed: same length, same shape, one byte apart.
+fn one_digit_off(source: &str, node: usize) -> String {
+    let line = format!("  node v{node} ");
+    let digit = source.find(&line).expect("task 0 has the node") + line.len();
+    let digit = digit + source[digit..].find('\n').expect("line ends") - 1;
+    let old = source.as_bytes()[digit] - b'0';
+    let mut bytes = source.as_bytes().to_vec();
+    bytes[digit] = b'1' + old % 9;
+    String::from_utf8(bytes).expect("ASCII digits")
+}
+
+/// What a client can tell two answers apart by.
+fn answer(out: &ServiceOutcome) -> (Option<u64>, VerdictKind, Option<LadderLevel>) {
+    (out.hash, out.verdict, out.level)
+}
+
+fn near_miss_request(m: usize, body: RequestBody) -> Request {
+    Request {
+        id: 0,
+        m,
+        priority: 4,
+        deadline_us: 0,
+        body,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Sources that are near misses of each other — one WCET digit
+    /// apart at the same length, or the same set behind a comment or a
+    /// trailing space — sent one to four times each in any order to a
+    /// two-entry interner, with entries poisoned in between: every send
+    /// is answered with the hash, verdict and rung a fresh interner
+    /// gives that text alone.
+    #[test]
+    fn near_miss_sources_never_hit(
+        seed in 0u64..50_000,
+        n in 1usize..4,
+        util_tenths in 10u64..50,
+        node in 0usize..2,
+        sends in prop::collection::vec((0usize..8, 1usize..5, 0usize..3), 4..24),
+    ) {
+        let m = 8;
+        let never = CancelToken::never();
+        let sup = Supervisor::new(RecoveryPolicy::Abort, FaultPlan::seeded(0));
+        let mut texts = Vec::new();
+        for k in 0..2 {
+            let text = write_task_set(&random_set(seed + k, n, util_tenths as f64 / 10.0));
+            texts.push(one_digit_off(&text, node));
+            texts.push(format!("# resent\n{text}"));
+            texts.push(text.replacen('\n', " \n", 2));
+            texts.push(text);
+        }
+        let alone: Vec<_> = texts
+            .iter()
+            .map(|text| {
+                let body = RequestBody::Source(text.clone());
+                answer(&sup.execute(0, &near_miss_request(m, body), &Interner::new(8), &never))
+            })
+            .collect();
+        prop_assert_eq!(alone[1].0, alone[3].0, "a comment keeps the structure");
+        prop_assert_eq!(alone[2].0, alone[3].0, "so does a trailing space");
+        prop_assert!(alone[0].0 != alone[3].0, "a WCET digit does not");
+
+        let interner = Interner::new(2);
+        for (seq, &(pick, times, poison)) in sends.iter().enumerate() {
+            if let (0, Some(hash)) = (poison, alone[(pick + 3) % 8].0) {
+                interner.poison(hash);
+            }
+            let request = near_miss_request(m, RequestBody::Source(texts[pick].clone()));
+            for t in 0..times {
+                let out = sup.execute(seq as u64, &request, &interner, &never);
+                prop_assert_eq!(answer(&out), alone[pick], "text {} sending {}: {}", pick, t, out.detail);
+            }
+        }
+    }
+
+    /// The same for edit scripts: one digit apart, one trailing space
+    /// apart, and the same script against another base.
+    #[test]
+    fn near_miss_edits_never_hit(
+        seed in 0u64..50_000,
+        n in 1usize..4,
+        util_tenths in 10u64..50,
+        sends in prop::collection::vec((0usize..2, 0usize..4, 1usize..5, 0usize..3), 4..24),
+    ) {
+        const SCRIPTS: [&str; 4] = ["wcet:0.1=5", "wcet:0.1=6", "wcet:0.1=5 ", "wcet:0.1=5;"];
+        let m = 8;
+        let never = CancelToken::never();
+        let sup = Supervisor::new(RecoveryPolicy::Abort, FaultPlan::seeded(0));
+        let execute = |interner: &Interner, body: RequestBody| {
+            sup.execute(0, &near_miss_request(m, body), interner, &never)
+        };
+        let sources: Vec<String> = (0..2)
+            .map(|k| write_task_set(&random_set(seed + k, n, util_tenths as f64 / 10.0)))
+            .collect();
+        let mut bases = Vec::new();
+        let mut alone = Vec::new();
+        for source in &sources {
+            for script in SCRIPTS {
+                let fresh = Interner::new(8);
+                let base = execute(&fresh, RequestBody::Source(source.clone())).hash.expect("base resolves");
+                let edit = RequestBody::Edit { base, script: script.to_string() };
+                alone.push(answer(&execute(&fresh, edit)));
+                bases.push(base);
+            }
+        }
+        prop_assert!(alone[0].0.is_some() && alone[0].0 != alone[1].0, "=5 and =6 differ");
+        prop_assert_eq!(alone[0], alone[2], "a trailing space or semicolon does not");
+        prop_assert_eq!(alone[0], alone[3]);
+
+        // Two entries: a base and the latest of its patched sets.
+        let interner = Interner::new(2);
+        for &(b, s, times, poison) in &sends {
+            let pick = b * SCRIPTS.len() + s;
+            if poison == 0 {
+                interner.poison(alone[pick].0.expect("edit resolves"));
+            } else if poison == 1 {
+                interner.poison(bases[pick]);
+            }
+            // An evicted (or poisoned, and now evicted) base is sent
+            // again; a resident one is not, so that the edit below is
+            // the first recipe the interner sees after the last one.
+            if interner.lookup(bases[pick]).is_err() {
+                let based = execute(&interner, RequestBody::Source(sources[b].clone()));
+                prop_assert_eq!(based.hash, Some(bases[pick]));
+            }
+            let edit = RequestBody::Edit { base: bases[pick], script: SCRIPTS[s].to_string() };
+            for t in 0..times {
+                let out = execute(&interner, edit.clone());
+                prop_assert_eq!(answer(&out), alone[pick], "edit {} sending {}: {}", pick, t, out.detail);
+            }
+        }
     }
 }

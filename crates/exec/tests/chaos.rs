@@ -236,8 +236,15 @@ fn seeded_fault_plans_across_all_disciplines_on(engine: Engine, backend: SyncBac
     );
 }
 
-/// Identical seeds produce identical fault decisions, hence identical
-/// outcome classes, regardless of thread interleaving.
+/// Identical seeds produce identical fault decisions, regardless of
+/// thread interleaving, and the outcome class repeats as far as those
+/// decisions determine it. Panic decisions are per (attempt, node): a
+/// seed that dooms some node can never complete, and one that dooms
+/// none can never report a panic. Whether a pool one worker short of
+/// the deadlock-free size stalls under injected suspensions depends on
+/// which forks overlap, so there a stall may replace either class; at
+/// the deadlock-free size and without suspensions nothing can stall, and
+/// the class repeats exactly.
 #[test]
 fn chaos_outcomes_are_reproducible_from_the_seed() {
     for engine in ENGINES {
@@ -248,32 +255,40 @@ fn chaos_outcomes_are_reproducible_from_the_seed() {
 }
 
 fn chaos_outcomes_are_reproducible_from_the_seed_on(engine: Engine, backend: SyncBackend) {
+    const OK: u8 = 0;
+    const STALLED: u8 = 1;
+    const PANICKED: u8 = 2;
     quiet_worker_panics();
     for seed in 50..65u64 {
         let dag = random_dag(seed);
-        let workers = sizing::min_threads_deadlock_free(&dag).max(2) - 1;
-        let outcome = |_: ()| {
-            let config = base_config(workers.max(1), QueueDiscipline::GlobalFifo, engine)
+        let safe = sizing::min_threads_deadlock_free(&dag);
+        let outcome = |workers: usize, plan: FaultPlan| {
+            let config = base_config(workers, QueueDiscipline::GlobalFifo, engine)
                 .with_backend(backend)
-                .with_faults(hostile_plan(seed));
+                .with_faults(plan);
             let mut p = ThreadPool::new(config);
             match p.run(&dag) {
-                Ok(_) => 0u8,
-                Err(ExecError::Stalled { .. }) => 1,
-                Err(ExecError::NodePanicked { .. }) => 2,
+                Ok(_) => OK,
+                Err(ExecError::Stalled { .. }) => STALLED,
+                Err(ExecError::NodePanicked { .. }) => PANICKED,
                 Err(e) => panic!("seed {seed}: unexpected error {e}"),
             }
         };
-        let first = outcome(());
-        // Panic decisions are per-(attempt, node) and independent of
-        // scheduling, so the panic-vs-success class must repeat. (A stall
-        // may race a panic for *which* abort fires first, so only the
-        // fault-free class is required to be stable.)
-        if first == 0 {
-            assert_eq!(
-                outcome(()),
-                0,
-                "seed {seed}: fault-free run not reproducible"
+        // Panic draws are keyed by the rule index, so dropping the
+        // suspension rule (the last one) leaves them as they were.
+        let no_suspensions = benign_plan(seed).panic_prob(0.04);
+        let doomed = outcome(safe, no_suspensions.clone());
+        assert_ne!(doomed, STALLED, "seed {seed}: stall at the safe size");
+        assert_eq!(
+            outcome(safe, no_suspensions),
+            doomed,
+            "seed {seed}: suspension-free run at the safe size not reproducible"
+        );
+        for _ in 0..2 {
+            let hostile = outcome(safe.max(2) - 1, hostile_plan(seed));
+            assert!(
+                hostile == STALLED || hostile == doomed,
+                "seed {seed}: class {hostile} one worker short, {doomed} at the safe size"
             );
         }
     }
