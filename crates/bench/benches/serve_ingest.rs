@@ -14,7 +14,6 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::SeedableRng;
 use rtpool_bench::serve::protocol::{encode_request, parse_request, Request, RequestBody};
 use rtpool_bench::serve::{Interner, Supervisor};
@@ -39,8 +38,7 @@ fn source_of(n: usize) -> String {
     write_task_set(&set)
 }
 
-/// Mean wall time of `f` in nanoseconds (the criterion shim prints a
-/// `Duration` per iteration; the derived units below need a number).
+/// Mean wall time of `f` in nanoseconds.
 fn mean_ns(reps: u32, mut f: impl FnMut()) -> f64 {
     let start = Instant::now();
     for _ in 0..reps {
@@ -49,9 +47,8 @@ fn mean_ns(reps: u32, mut f: impl FnMut()) -> f64 {
     start.elapsed().as_nanos() as f64 / f64::from(reps)
 }
 
-fn bench_decode(c: &mut Criterion) {
+fn decode_rows() {
     let text = source_of(8);
-    let mut group = c.benchmark_group("serve_ingest");
     for kib in [1usize, 8, 64] {
         // `.rtp` text cycled to the target size keeps the real escape
         // density (one `\n` per directive); the decoder never parses it.
@@ -63,11 +60,6 @@ fn bench_decode(c: &mut Criterion) {
             deadline_us: 0,
             body: RequestBody::Source(source),
         });
-        group.bench_with_input(
-            BenchmarkId::new("parse_request_kib", kib),
-            &line,
-            |b, line| b.iter(|| parse_request(black_box(line)).expect("line decodes")),
-        );
         let ns = mean_ns(200, || {
             black_box(parse_request(black_box(&line)).expect("line decodes"));
         });
@@ -77,20 +69,13 @@ fn bench_decode(c: &mut Criterion) {
             line.len()
         );
     }
-    group.finish();
 }
 
-fn bench_parse(c: &mut Criterion) {
-    let mut group = c.benchmark_group("serve_ingest");
+fn parse_rows() {
     let interner = Interner::new(8);
     let mut base = 0;
     for n in [2usize, 4, 8] {
         let text = source_of(n);
-        group.bench_with_input(
-            BenchmarkId::new("parse_task_set_tasks", n),
-            &text,
-            |b, text| b.iter(|| parse_task_set(black_box(text)).expect("set parses")),
-        );
         let ns = mean_ns(200, || {
             black_box(parse_task_set(black_box(&text)).expect("set parses"));
         });
@@ -146,8 +131,9 @@ fn bench_parse(c: &mut Criterion) {
         "serve_ingest/execute_repeated_edit: {:.2} us",
         edit_ns / 1e3
     );
-    group.finish();
 }
 
-criterion_group!(benches, bench_decode, bench_parse);
-criterion_main!(benches);
+fn main() {
+    decode_rows();
+    parse_rows();
+}

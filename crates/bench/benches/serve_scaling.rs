@@ -23,7 +23,6 @@ use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::{Rng, SeedableRng};
 use rtpool_bench::serve::protocol::encode_request;
 use rtpool_bench::serve::{Interner, Request, RequestBody, ServeConfig, Server, Supervisor};
@@ -143,24 +142,10 @@ fn server_ops_s(lines: &[String]) -> f64 {
     ops_s
 }
 
-fn bench_scaling(c: &mut Criterion) {
+fn main() {
     let requests = requests();
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     println!("serve_scaling: {cores} hardware thread(s) available");
-
-    // One pass over the sources, for criterion's own per-iteration line.
-    let mut group = c.benchmark_group("serve_scaling");
-    group.bench_function(BenchmarkId::new("execute_pass", SOURCES), |b| {
-        let interner = Interner::new(INTERNER_CAP);
-        let supervisor = supervisor();
-        let never = CancelToken::never();
-        b.iter(|| {
-            for (i, request) in requests.iter().enumerate() {
-                black_box(supervisor.execute(i as u64, request, &interner, &never));
-            }
-        });
-    });
-    group.finish();
 
     let one = execute_ops_s(&requests, 1);
     let two = execute_ops_s(&requests, 2);
@@ -184,6 +169,3 @@ fn bench_scaling(c: &mut Criterion) {
         );
     }
 }
-
-criterion_group!(benches, bench_scaling);
-criterion_main!(benches);

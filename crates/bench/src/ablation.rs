@@ -152,11 +152,9 @@ fn sweep_counts<const K: usize>(
     label: &str,
     points: usize,
     samples: usize,
-    f: impl Fn(usize, usize) -> [bool; K] + Send + Sync + 'static,
+    f: impl Fn(usize, usize) -> [bool; K] + Sync,
 ) -> Vec<[usize; K]> {
-    let verdicts = pool.run(points * samples, label, move |i| {
-        f(i / samples, i % samples)
-    });
+    let verdicts = pool.run(points * samples, label, |i| f(i / samples, i % samples));
     let mut out = vec![[0usize; K]; points];
     for (i, verdict) in verdicts.iter().enumerate() {
         for (k, &hit) in verdict.iter().enumerate() {

@@ -51,7 +51,6 @@ fn main() -> ExitCode {
         }
     }
 
-    // One worker pool for the whole process; both studies share it.
     let pool = SweepPool::new(threads);
     if study == "floor" || study == "all" {
         println!("Ablation: concurrency floor (global RTA, m=8, U=0.4n; {sets} sets/point)");

@@ -102,9 +102,8 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
-    // One pool for the whole process: all requested insets run as a
-    // single chunked work queue with no further thread spawns and no
-    // barrier between points.
+    // All requested insets run as a single work queue with no barrier
+    // between points.
     let pool = SweepPool::new(args.params.threads);
     let start = Instant::now();
     let results = run_insets(&pool, &args.insets, &args.params);

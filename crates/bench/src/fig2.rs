@@ -213,7 +213,7 @@ enum SampleOutcome {
 }
 
 /// Runs every x value of every requested inset as **one** flat sweep
-/// over the shared worker pool: no per-point spawn/join, no barrier
+/// over the pool's workers: no per-point spawn/join, no barrier
 /// between points. Returns one series per inset, in `insets` order.
 ///
 /// Determinism: each `(inset, x, sample)` coordinate derives its own
@@ -264,14 +264,13 @@ pub fn run_point(pool: &SweepPool, inset: Inset, x: i64, params: &Fig2Params) ->
 }
 
 /// Shared driver: evaluates `sets_per_point` samples for every
-/// coordinate as one chunked cell queue, then folds outcomes into
+/// coordinate as one cell queue, then folds outcomes into
 /// per-point tallies (printing the first few generation errors).
 fn run_points(pool: &SweepPool, coords: &[(Inset, i64)], params: &Fig2Params) -> Vec<SeriesPoint> {
     let spp = params.sets_per_point;
     let seed = params.seed;
-    let cell_coords = coords.to_vec();
-    let outcomes = pool.run(coords.len() * spp, "fig2", move |i| {
-        let (inset, x) = cell_coords[i / spp];
+    let outcomes = pool.run(coords.len() * spp, "fig2", |i| {
+        let (inset, x) = coords[i / spp];
         let sample = i % spp;
         let mut rng = rand::rngs::StdRng::seed_from_u64(derive_seed(seed, inset, x, sample));
         let mut scratch = DagScratch::new();

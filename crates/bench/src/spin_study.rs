@@ -107,9 +107,8 @@ pub fn run_study(pool: &SweepPool, insets: &[Inset], params: &Fig2Params) -> Stu
         .collect();
     let spp = params.sets_per_point;
     let seed = params.seed;
-    let cell_coords = coords.clone();
-    let outcomes = pool.run(coords.len() * spp, "spin-study", move |i| {
-        let (inset, x) = cell_coords[i / spp];
+    let outcomes = pool.run(coords.len() * spp, "spin-study", |i| {
+        let (inset, x) = coords[i / spp];
         let sample = i % spp;
         let mut rng = rand::rngs::StdRng::seed_from_u64(fig2::derive_seed(seed, inset, x, sample));
         let mut scratch = DagScratch::new();

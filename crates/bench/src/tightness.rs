@@ -56,7 +56,7 @@ pub fn measure(
     u: f64,
     seed: u64,
 ) -> Vec<Tightness> {
-    let ratios_per_cell = pool.run(STUDY_LABELS.len() * samples, "tightness", move |i| {
+    let ratios_per_cell = pool.run(STUDY_LABELS.len() * samples, "tightness", |i| {
         let study = match i / samples {
             0 => Study::Global(ConcurrencyModel::Full),
             1 => Study::Global(ConcurrencyModel::Limited),
