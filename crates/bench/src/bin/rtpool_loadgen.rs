@@ -287,19 +287,13 @@ fn run_phase(
 }
 
 fn artifact_json(soak: &PhaseOutcome, args: &Args, rate: f64) -> String {
-    let q = |p: f64| {
-        soak.latency
-            .quantile_upper(p)
-            .map_or_else(|| "null".to_string(), |v| v.to_string())
-    };
     format!(
         "{{\n  \"benchmark\": \"rtpool-serve soak\",\n  \"duration_secs\": {:.1},\n  \
          \"overload\": {},\n  \"target_rate_per_sec\": {rate:.1},\n  \"sent\": {},\n  \
          \"answered\": {},\n  \"lost\": {},\n  \"admitted\": {},\n  \"rejected\": {},\n  \
          \"busy\": {},\n  \"shed\": {},\n  \"errors\": {},\n  \"degraded\": {},\n  \
          \"shed_rate\": {:.4},\n  \"peak_rss_kb\": {},\n  \"clean_exit\": {},\n  \
-         \"latency_us\": {{ \"count\": {}, \"p50\": {}, \"p90\": {}, \"p99\": {}, \
-         \"p999\": {}, \"max\": {} }}\n}}\n",
+         \"latency_us\": {}\n}}\n",
         soak.elapsed.as_secs_f64(),
         args.overload,
         soak.sent,
@@ -314,12 +308,7 @@ fn artifact_json(soak: &PhaseOutcome, args: &Args, rate: f64) -> String {
         soak.shed_rate(),
         soak.peak_rss_kb,
         soak.exit_ok,
-        soak.latency.count(),
-        q(0.50),
-        q(0.90),
-        q(0.99),
-        q(0.999),
-        soak.latency.max().unwrap_or(0),
+        soak.latency.to_json(),
     )
 }
 

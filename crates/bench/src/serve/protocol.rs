@@ -1,12 +1,13 @@
 //! The JSON-lines admission protocol.
 //!
 //! One request per line in, one response per line out. The workspace
-//! deliberately carries no serde dependency, so this module hand-rolls
-//! the (tiny) subset of JSON the protocol needs: objects, strings with
-//! the standard escapes, unsigned integers, and booleans. Both
-//! directions are implemented here — the server decodes requests and
-//! encodes responses, the load generator and the proptest suite do the
-//! reverse — so round-tripping is pinned inside one file.
+//! deliberately carries no serde dependency; a line is one flat object
+//! of strings with the standard escapes, unsigned integers, booleans and
+//! `null`, read through [`rtpool_trace::json::Reader`] and written with
+//! `format!` templates. Both directions are implemented here — the
+//! server decodes requests and encodes responses, the load generator and
+//! the proptest suite do the reverse — so round-tripping is pinned
+//! inside one file.
 //!
 //! ## Request
 //!
@@ -31,8 +32,9 @@
 //! {"id":7,"verdict":"admit","level":"exact","degraded":false,"latency_us":412,"hash":"9f3a77c04be21d55","detail":""}
 //! ```
 
-use std::borrow::Cow;
 use std::fmt::{self, Write as _};
+
+use rtpool_trace::json::{escape_into, Reader, Value};
 
 /// Highest wire priority (inclusive).
 pub const MAX_PRIORITY: u8 = 7;
@@ -411,7 +413,7 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
 /// `error` response to a broken line can still be correlated.
 pub fn decode_request(line: &str) -> (u64, Result<Request, String>) {
     decode!(line => syntax; id, m, priority, deadline_us, source, hash, base, edits);
-    let seen = if let Some(Val::Num(n)) = id { n } else { 0 };
+    let seen = if let Some(Value::Num(n)) = id { n } else { 0 };
     let request = || {
         syntax?;
         let id = require_u64(id, "id")?;
@@ -428,9 +430,9 @@ pub fn decode_request(line: &str) -> (u64, Result<Request, String>) {
         };
         let deadline_us = optional_u64(deadline_us, "deadline_us")?.unwrap_or(0);
         let body = match (source, hash, base, edits) {
-            (Some(Val::Str(src)), None, None, None) => RequestBody::Source(src.into_owned()),
-            (None, Some(Val::Str(h)), None, None) => RequestBody::Hash(parse_hash(&h)?),
-            (None, None, Some(Val::Str(b)), Some(Val::Str(script))) => RequestBody::Edit {
+            (Some(Value::Str(src)), None, None, None) => RequestBody::Source(src.into_owned()),
+            (None, Some(Value::Str(h)), None, None) => RequestBody::Hash(parse_hash(&h)?),
+            (None, None, Some(Value::Str(b)), Some(Value::Str(script))) => RequestBody::Edit {
                 base: parse_hash(&b)?,
                 script: script.into_owned(),
             },
@@ -466,31 +468,31 @@ pub fn parse_response(line: &str) -> Result<Response, String> {
     syntax?;
     let id = require_u64(id, "id")?;
     let verdict = match verdict {
-        Some(Val::Str(s)) => {
+        Some(Value::Str(s)) => {
             VerdictKind::parse(&s).ok_or_else(|| format!("unknown verdict {s:?}"))?
         }
         _ => return Err("missing verdict".to_string()),
     };
     let level = match level {
-        None | Some(Val::Null) => None,
-        Some(Val::Str(s)) => {
+        None | Some(Value::Null) => None,
+        Some(Value::Str(s)) => {
             Some(LadderLevel::parse(&s).ok_or_else(|| format!("unknown level {s:?}"))?)
         }
         Some(_) => return Err("level must be a string".to_string()),
     };
     let degraded = match degraded {
-        Some(Val::Bool(b)) => b,
+        Some(Value::Bool(b)) => b,
         None => false,
         Some(_) => return Err("degraded must be a boolean".to_string()),
     };
     let latency_us = optional_u64(latency_us, "latency_us")?.unwrap_or(0);
     let hash = match hash {
-        None | Some(Val::Null) => None,
-        Some(Val::Str(h)) => Some(parse_hash(&h)?),
+        None | Some(Value::Null) => None,
+        Some(Value::Str(h)) => Some(parse_hash(&h)?),
         Some(_) => return Err("hash must be a hex string".to_string()),
     };
     let detail = match detail {
-        Some(Val::Str(s)) => s.into_owned(),
+        Some(Value::Str(s)) => s.into_owned(),
         None => String::new(),
         Some(_) => return Err("detail must be a string".to_string()),
     };
@@ -518,55 +520,16 @@ pub fn probe_id(line: &str) -> u64 {
     decode_request(line).0
 }
 
-// ---------------------------------------------------------------------
-// Minimal JSON
-// ---------------------------------------------------------------------
-
-/// A value of the JSON subset the protocol uses. String bodies that
-/// needed no unescaping borrow from the line.
-#[derive(Clone, Debug, PartialEq)]
-enum Val<'a> {
-    Null,
-    Bool(bool),
-    /// Unsigned integers only — every number on this wire is one.
-    Num(u64),
-    Str(Cow<'a, str>),
-}
-
-fn optional_u64(v: Option<Val<'_>>, key: &str) -> Result<Option<u64>, String> {
+fn optional_u64(v: Option<Value<'_>>, key: &str) -> Result<Option<u64>, String> {
     match v {
-        Some(Val::Num(n)) => Ok(Some(n)),
+        Some(Value::Num(n)) => Ok(Some(n)),
         Some(_) => Err(format!("{key} must be a number")),
         None => Ok(None),
     }
 }
 
-fn require_u64(v: Option<Val<'_>>, key: &str) -> Result<u64, String> {
+fn require_u64(v: Option<Value<'_>>, key: &str) -> Result<u64, String> {
     optional_u64(v, key)?.ok_or_else(|| format!("missing {key}"))
-}
-
-fn escape_into(s: &str, out: &mut String) {
-    let mut run = 0;
-    for (i, b) in s.bytes().enumerate() {
-        let escaped = match b {
-            b'"' => "\\\"",
-            b'\\' => "\\\\",
-            b'\n' => "\\n",
-            b'\r' => "\\r",
-            b'\t' => "\\t",
-            0..=0x1f => "",
-            _ => continue,
-        };
-        // Escaped bytes are ASCII, so the run before one ends on a char
-        // boundary.
-        out.push_str(&s[run..i]);
-        if escaped.is_empty() {
-            let _ = write!(out, "\\u{b:04x}");
-        }
-        out.push_str(escaped);
-        run = i + 1;
-    }
-    out.push_str(&s[run..]);
 }
 
 /// Decodes `line` — one top-level JSON object — in a single pass into
@@ -576,174 +539,18 @@ fn escape_into(s: &str, out: &mut String) {
 fn decode_fields<'a, const N: usize>(
     line: &'a str,
     keys: [&str; N],
-) -> ([Option<Val<'a>>; N], Result<(), String>) {
+) -> ([Option<Value<'a>>; N], Result<(), String>) {
     let mut fields = std::array::from_fn(|_| None);
-    let mut p = Parser {
-        line,
-        bytes: line.as_bytes(),
-        pos: 0,
-    };
-    let syntax = p.object(|p, key| {
+    let syntax = Reader::new(line).document(|reader, key| {
         let slot = keys.iter().position(|k| *k == key);
         let vacant = slot.filter(|&i| fields[i].is_none());
-        let value = p.value(vacant.is_some())?;
+        let value = reader.scalar(vacant.is_some())?;
         if let Some(i) = vacant {
             fields[i] = Some(value);
         }
         Ok(())
     });
     (fields, syntax)
-}
-
-struct Parser<'a> {
-    line: &'a str,
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.bytes.get(self.pos) == Some(&b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at byte {}", char::from(b), self.pos))
-        }
-    }
-
-    /// Walks the whole line as one object, calling `field` with each key
-    /// while positioned on that key's value.
-    fn object(
-        &mut self,
-        mut field: impl FnMut(&mut Self, &str) -> Result<(), String>,
-    ) -> Result<(), String> {
-        self.skip_ws();
-        self.expect(b'{')?;
-        self.skip_ws();
-        let mut more = self.bytes.get(self.pos) != Some(&b'}');
-        self.pos += usize::from(!more);
-        while more {
-            self.skip_ws();
-            let key = self.string(true)?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            field(self, &key)?;
-            self.skip_ws();
-            more = match self.bytes.get(self.pos) {
-                Some(b',') => true,
-                Some(b'}') => false,
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-            };
-            self.pos += 1;
-        }
-        self.skip_ws();
-        if self.pos != self.bytes.len() {
-            return Err(format!("trailing input at byte {}", self.pos));
-        }
-        Ok(())
-    }
-
-    fn value(&mut self, keep: bool) -> Result<Val<'a>, String> {
-        match self.bytes.get(self.pos) {
-            Some(b'"') => Ok(Val::Str(self.string(keep)?)),
-            Some(b'0'..=b'9') => self.number(),
-            Some(b't') => self.literal("true", Val::Bool(true)),
-            Some(b'f') => self.literal("false", Val::Bool(false)),
-            Some(b'n') => self.literal("null", Val::Null),
-            _ => Err(format!("unexpected value at byte {}", self.pos)),
-        }
-    }
-
-    fn literal(&mut self, word: &str, value: Val<'a>) -> Result<Val<'a>, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(format!("unexpected value at byte {}", self.pos))
-        }
-    }
-
-    fn number(&mut self) -> Result<Val<'a>, String> {
-        let start = self.pos;
-        while self.bytes.get(self.pos).is_some_and(u8::is_ascii_digit) {
-            self.pos += 1;
-        }
-        self.line[start..self.pos]
-            .parse::<u64>()
-            .map(Val::Num)
-            .map_err(|_| format!("number out of range at byte {start}"))
-    }
-
-    /// Reads one string literal, copying the body run by run between
-    /// escapes: the line is a `&str` and `"`/`\` are ASCII, so every run
-    /// boundary is a char boundary and nothing is re-validated. A body
-    /// without escapes is borrowed. With `keep` unset the body is checked
-    /// the same way but comes back empty.
-    fn string(&mut self, keep: bool) -> Result<Cow<'a, str>, String> {
-        self.expect(b'"')?;
-        let (first, mut run, mut out) = (self.pos, self.pos, String::new());
-        loop {
-            let stop = self.bytes[self.pos..]
-                .iter()
-                .position(|&b| b == b'"' || b == b'\\')
-                .ok_or_else(|| "unterminated string".to_string())?;
-            self.pos += stop + 1;
-            let body = if keep {
-                &self.line[run..self.pos - 1]
-            } else {
-                ""
-            };
-            if self.bytes[self.pos - 1] == b'"' {
-                if run == first {
-                    return Ok(Cow::Borrowed(body));
-                }
-                out.push_str(body);
-                return Ok(Cow::Owned(out));
-            }
-            let c = match self.bytes.get(self.pos) {
-                Some(b'"') => '"',
-                Some(b'\\') => '\\',
-                Some(b'/') => '/',
-                Some(b'n') => '\n',
-                Some(b'r') => '\r',
-                Some(b't') => '\t',
-                Some(b'b') => '\u{8}',
-                Some(b'f') => '\u{c}',
-                Some(b'u') => {
-                    let hex = self
-                        .bytes
-                        .get(self.pos + 1..self.pos + 5)
-                        .ok_or_else(|| "truncated \\u escape".to_string())?;
-                    let hex =
-                        std::str::from_utf8(hex).map_err(|_| "invalid \\u escape".to_string())?;
-                    let code = u32::from_str_radix(hex, 16)
-                        .map_err(|_| "invalid \\u escape".to_string())?;
-                    self.pos += 4;
-                    // The protocol never emits surrogate pairs;
-                    // reject rather than mis-decode them.
-                    char::from_u32(code).ok_or_else(|| "surrogate \\u escape".to_string())?
-                }
-                _ => return Err(format!("bad escape at byte {}", self.pos)),
-            };
-            self.pos += 1;
-            run = self.pos;
-            if keep {
-                out.push_str(body);
-                out.push(c);
-            }
-        }
-    }
 }
 
 #[cfg(test)]

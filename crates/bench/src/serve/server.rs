@@ -148,17 +148,11 @@ impl ServeReport {
     /// `--summary` output and the CI soak artifact.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let q = |p: f64| {
-            self.latency
-                .quantile_upper(p)
-                .map_or_else(|| "null".to_string(), |v| v.to_string())
-        };
         format!(
             "{{ \"accepted\": {}, \"busy\": {}, \"shed\": {}, \"parse_errors\": {}, \
              \"admitted\": {}, \"rejected\": {}, \"errors\": {}, \"degraded\": {}, \
              \"panics\": {}, \"retries\": {}, \"queue_peak\": {}, \
-             \"latency_us\": {{ \"count\": {}, \"p50\": {}, \"p90\": {}, \"p99\": {}, \
-             \"p999\": {}, \"max\": {} }}, \
+             \"latency_us\": {}, \
              \"breaker\": {{ \"open\": {}, \"opens\": {}, \"closes\": {}, \"shed\": {} }}, \
              \"interner\": {{ \"entries\": {}, \"hits\": {}, \"misses\": {}, \
              \"evictions\": {}, \"memo_hits\": {}, \"delta_hits\": {}, \"recalled\": {} }} }}",
@@ -173,12 +167,7 @@ impl ServeReport {
             self.panics,
             self.retries,
             self.queue_peak,
-            self.latency.count(),
-            q(0.50),
-            q(0.90),
-            q(0.99),
-            q(0.999),
-            self.latency.max().unwrap_or(0),
+            self.latency.to_json(),
             self.breaker.open,
             self.breaker.opens,
             self.breaker.closes,

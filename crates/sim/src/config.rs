@@ -85,14 +85,8 @@ pub struct SimConfig {
     pub releases: ReleasePattern,
     /// Node-to-thread mappings, one per task (partitioned policy only).
     pub mappings: Option<Vec<NodeMapping>>,
-    /// Record the full `l(t, τᵢ)` step function per task (otherwise only
-    /// the minimum is kept).
-    pub record_concurrency_trace: bool,
     /// Actual execution time of node instances (default: full WCET).
     pub execution_time: ExecutionTime,
-    /// Record which thread holds each core between events (a Gantt
-    /// chart; see [`CoreTrace`](crate::CoreTrace)).
-    pub record_core_trace: bool,
     /// Record the full event trace in the shared `rtpool-trace` schema
     /// (job/node lifecycles, barrier suspensions, core occupancy); see
     /// [`SimOutcome::event_trace`](crate::SimOutcome::event_trace).
@@ -110,9 +104,7 @@ impl SimConfig {
             horizon: u64::MAX,
             releases: ReleasePattern::SingleJob,
             mappings: None,
-            record_concurrency_trace: false,
             execution_time: ExecutionTime::Wcet,
-            record_core_trace: false,
             record_event_trace: false,
         }
     }
@@ -126,9 +118,7 @@ impl SimConfig {
             horizon,
             releases: ReleasePattern::Periodic,
             mappings: None,
-            record_concurrency_trace: false,
             execution_time: ExecutionTime::Wcet,
-            record_core_trace: false,
             record_event_trace: false,
         }
     }
@@ -141,24 +131,10 @@ impl SimConfig {
         self
     }
 
-    /// Enables recording of the full available-concurrency trace.
-    #[must_use]
-    pub fn with_concurrency_trace(mut self) -> Self {
-        self.record_concurrency_trace = true;
-        self
-    }
-
     /// Sets how long node instances actually execute.
     #[must_use]
     pub fn with_execution_time(mut self, execution_time: ExecutionTime) -> Self {
         self.execution_time = execution_time;
-        self
-    }
-
-    /// Enables recording of the per-core schedule (Gantt trace).
-    #[must_use]
-    pub fn with_core_trace(mut self) -> Self {
-        self.record_core_trace = true;
         self
     }
 
@@ -192,9 +168,8 @@ mod tests {
         assert_eq!(c.m, 4);
         assert_eq!(c.releases, ReleasePattern::SingleJob);
         assert!(c.mappings.is_none());
-        let c =
-            SimConfig::periodic(SchedulingPolicy::Partitioned, 2, 1000).with_concurrency_trace();
+        let c = SimConfig::periodic(SchedulingPolicy::Partitioned, 2, 1000).with_event_trace();
         assert_eq!(c.horizon, 1000);
-        assert!(c.record_concurrency_trace);
+        assert!(c.record_event_trace);
     }
 }

@@ -19,7 +19,6 @@ use rtpool_trace::{EngineKind, EventKind, TimeUnit, TraceRecorder};
 
 use crate::config::{ExecutionTime, ReleasePattern, SchedulingPolicy, SimConfig};
 use crate::outcome::{SimOutcome, StallInfo, TaskOutcome};
-use crate::trace::CoreTrace;
 
 /// Narrows an engine-side `usize` index for the shared trace schema.
 fn u32c(v: usize) -> u32 {
@@ -185,11 +184,9 @@ pub(crate) struct Engine<'a> {
     m: usize,
     horizon: u64,
     mappings: Option<Vec<NodeMapping>>,
-    record_trace: bool,
     execution_time: ExecutionTime,
     /// Per-instance execution-time stream (Random mode).
     exec_rng: u64,
-    core_trace: Option<CoreTrace>,
     /// Event trace in the shared `rtpool-trace` schema.
     recorder: Option<TraceRecorder>,
     /// Last core occupancy emitted, for `CoreAssign` diffing.
@@ -207,7 +204,6 @@ pub(crate) struct Engine<'a> {
 
     stalls: Vec<Option<StallInfo>>,
     min_avail: Vec<usize>,
-    traces: Vec<Vec<(u64, usize)>>,
 }
 
 impl<'a> Engine<'a> {
@@ -284,13 +280,11 @@ impl<'a> Engine<'a> {
             m: config.m,
             horizon,
             mappings,
-            record_trace: config.record_concurrency_trace,
             execution_time: config.execution_time,
             exec_rng: match config.execution_time {
                 ExecutionTime::Random { seed, .. } => seed,
                 _ => 0,
             },
-            core_trace: config.record_core_trace.then(CoreTrace::new),
             recorder: config.record_event_trace.then(|| {
                 TraceRecorder::new(EngineKind::Sim, TimeUnit::Ticks, u32c(config.m), u32c(n))
             }),
@@ -304,7 +298,6 @@ impl<'a> Engine<'a> {
             dead: vec![false; n],
             stalls: vec![None; n],
             min_avail: vec![config.m; n],
-            traces: (0..n).map(|_| vec![(0, config.m)]).collect(),
         })
     }
 
@@ -313,10 +306,10 @@ impl<'a> Engine<'a> {
             self.process_releases();
             self.cascade();
             self.detect_stalls();
-            self.record_concurrency();
+            self.track_min_concurrency();
 
             let selected = self.select_cores();
-            if self.core_trace.is_some() || self.recorder.is_some() {
+            if self.recorder.is_some() {
                 let mut cores: Vec<Option<(usize, usize)>> = vec![None; self.m];
                 match self.policy {
                     // Partitioned: the thread index IS the core.
@@ -333,19 +326,14 @@ impl<'a> Engine<'a> {
                         }
                     }
                 }
-                if self.recorder.is_some() {
-                    for (k, &occ) in cores.iter().enumerate() {
-                        if occ != self.prev_cores[k] {
-                            self.rec(EventKind::CoreAssign {
-                                core: u32c(k),
-                                occupant: occ.map(|(t, th)| (u32c(t), u32c(th))),
-                            });
-                            self.prev_cores[k] = occ;
-                        }
+                for (k, &occ) in cores.iter().enumerate() {
+                    if occ != self.prev_cores[k] {
+                        self.rec(EventKind::CoreAssign {
+                            core: u32c(k),
+                            occupant: occ.map(|(t, th)| (u32c(t), u32c(th))),
+                        });
+                        self.prev_cores[k] = occ;
                     }
-                }
-                if let Some(trace) = &mut self.core_trace {
-                    trace.record(self.time, cores);
                 }
             }
             let next_completion = selected
@@ -700,7 +688,7 @@ impl<'a> Engine<'a> {
         }
     }
 
-    fn record_concurrency(&mut self) {
+    fn track_min_concurrency(&mut self) {
         for t in 0..self.set.len() {
             let suspended = self.threads[t]
                 .iter()
@@ -712,15 +700,7 @@ impl<'a> Engine<'a> {
                 })
                 .count();
             let avail = self.m - suspended;
-            if avail < self.min_avail[t] {
-                self.min_avail[t] = avail;
-            }
-            if self.record_trace {
-                let trace = &mut self.traces[t];
-                if trace.last().map(|&(_, v)| v) != Some(avail) {
-                    trace.push((self.time, avail));
-                }
-            }
+            self.min_avail[t] = self.min_avail[t].min(avail);
         }
     }
 
@@ -771,9 +751,6 @@ impl<'a> Engine<'a> {
         } else {
             self.horizon
         };
-        if let Some(trace) = &mut self.core_trace {
-            trace.finish(trace_end);
-        }
         let event_trace = self.recorder.take().map(|r| r.finish(trace_end));
         let mut outcomes = Vec::with_capacity(self.set.len());
         for (t, (_, task)) in self.set.iter().enumerate() {
@@ -809,10 +786,9 @@ impl<'a> Engine<'a> {
                 deadline_misses: misses,
                 stall: self.stalls[t].clone(),
                 min_available_concurrency: self.min_avail[t],
-                concurrency_trace: self.record_trace.then(|| self.traces[t].clone()),
             });
         }
-        SimOutcome::new(self.time, outcomes, self.core_trace, event_trace)
+        SimOutcome::new(self.time, outcomes, event_trace)
     }
 }
 
@@ -878,16 +854,17 @@ mod tests {
         b.fork_join(2, &[5, 7], 3, true).unwrap();
         let set = single(b.build().unwrap(), 100);
         let out = SimConfig::single_job(SchedulingPolicy::Global, 3)
-            .with_concurrency_trace()
+            .with_event_trace()
             .run(&set)
             .unwrap();
         // fork 2, children in parallel (max 7), join 3 → 12.
         assert_eq!(out.task(0).responses, vec![12]);
         // While children ran, the fork's thread was suspended: l dropped
-        // from 3 to 2.
+        // from 3 to 2 over [2, 9).
         assert_eq!(out.task(0).min_available_concurrency, 2);
-        let trace = out.task(0).concurrency_trace.as_ref().unwrap();
-        assert!(trace.iter().any(|&(_, l)| l == 2), "{trace:?}");
+        let trace = out.event_trace().expect("event trace recorded");
+        let ana = rtpool_trace::TraceAnalysis::new(trace);
+        assert_eq!(ana.task(0).concurrency_profile, [(0, 3), (2, 2), (9, 3)]);
     }
 
     #[test]
@@ -986,9 +963,7 @@ mod tests {
             horizon: 1_000,
             releases: ReleasePattern::Explicit(vec![vec![0, 7, 50]]),
             mappings: None,
-            record_concurrency_trace: false,
             execution_time: ExecutionTime::Wcet,
-            record_core_trace: false,
             record_event_trace: false,
         }
         .run(&set)
@@ -1092,11 +1067,11 @@ mod tests {
         let lp = Task::with_implicit_deadline(chain(&[3]), 200).unwrap();
         let set = TaskSet::new(vec![hp, lp]);
         let out = SimConfig::single_job(SchedulingPolicy::Global, 1)
-            .with_core_trace()
+            .with_event_trace()
             .run(&set)
             .unwrap();
-        let trace = out.core_trace().expect("trace recorded");
-        let art = trace.to_ascii(6);
+        let trace = out.event_trace().expect("event trace recorded");
+        let art = rtpool_trace::gantt::render(trace, 80);
         assert_eq!(art.lines().next().unwrap(), "core 0: 000111");
     }
 

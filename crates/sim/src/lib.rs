@@ -51,9 +51,7 @@
 mod config;
 mod engine;
 mod outcome;
-mod trace;
 
 pub use config::{ExecutionTime, ReleasePattern, SchedulingPolicy, SimConfig};
 pub use engine::SimError;
 pub use outcome::{SimOutcome, StallInfo, TaskOutcome};
-pub use trace::{CoreSnapshot, CoreTrace};

@@ -1,7 +1,5 @@
 //! Simulation results.
 
-use crate::trace::CoreTrace;
-
 /// Where and when a task's execution stalled (deadlock).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct StallInfo {
@@ -32,8 +30,6 @@ pub struct TaskOutcome {
     /// Minimum observed available concurrency `l(t, τᵢ)` — the number of
     /// pool threads not suspended on a barrier.
     pub min_available_concurrency: usize,
-    /// Full step function `(time, l(t))` when trace recording was on.
-    pub concurrency_trace: Option<Vec<(u64, usize)>>,
 }
 
 /// Result of one simulation run.
@@ -42,7 +38,6 @@ pub struct SimOutcome {
     /// Time at which the simulation stopped (all work done, or horizon).
     pub end_time: u64,
     tasks: Vec<TaskOutcome>,
-    core_trace: Option<CoreTrace>,
     event_trace: Option<rtpool_trace::Trace>,
 }
 
@@ -50,23 +45,13 @@ impl SimOutcome {
     pub(crate) fn new(
         end_time: u64,
         tasks: Vec<TaskOutcome>,
-        core_trace: Option<CoreTrace>,
         event_trace: Option<rtpool_trace::Trace>,
     ) -> Self {
         SimOutcome {
             end_time,
             tasks,
-            core_trace,
             event_trace,
         }
-    }
-
-    /// The per-core schedule trace, when
-    /// [`SimConfig::with_core_trace`](crate::SimConfig::with_core_trace)
-    /// was enabled.
-    #[must_use]
-    pub fn core_trace(&self) -> Option<&CoreTrace> {
-        self.core_trace.as_ref()
     }
 
     /// The full event trace in the shared `rtpool-trace` schema, when
@@ -130,16 +115,14 @@ mod tests {
             deadline_misses: misses,
             stall,
             min_available_concurrency: 2,
-            concurrency_trace: None,
         }
     }
 
     #[test]
     fn aggregation_helpers() {
-        let mut ok = SimOutcome::new(10, vec![outcome(None, 0)], None, None);
+        let mut ok = SimOutcome::new(10, vec![outcome(None, 0)], None);
         assert!(!ok.any_stall());
         assert!(ok.all_deadlines_met());
-        assert!(ok.core_trace().is_none());
         assert!(ok.event_trace().is_none());
         assert!(ok.take_event_trace().is_none());
         let stalled = SimOutcome::new(
@@ -153,11 +136,10 @@ mod tests {
                 0,
             )],
             None,
-            None,
         );
         assert!(stalled.any_stall());
         assert!(!stalled.all_deadlines_met());
-        let missed = SimOutcome::new(10, vec![outcome(None, 1)], None, None);
+        let missed = SimOutcome::new(10, vec![outcome(None, 1)], None);
         assert!(!missed.all_deadlines_met());
         assert_eq!(missed.tasks().len(), 1);
         assert_eq!(missed.task(0).deadline_misses, 1);

@@ -6,6 +6,7 @@ use rtpool_core::partition::NodeMapping;
 use rtpool_core::{Task, TaskSet};
 use rtpool_graph::{Dag, DagBuilder, NodeId};
 use rtpool_sim::{ExecutionTime, ReleasePattern, SchedulingPolicy, SimConfig};
+use rtpool_trace::{gantt, TraceAnalysis};
 
 fn chain(wcets: &[u64]) -> Dag {
     let mut b = DagBuilder::new();
@@ -79,12 +80,12 @@ fn blocking_fork_join_exact_timeline() {
     b.fork_join(2, &[4, 4], 1, true).unwrap();
     let set = TaskSet::new(vec![task(b.build().unwrap(), 1_000)]);
     let out = SimConfig::single_job(SchedulingPolicy::Global, 2)
-        .with_concurrency_trace()
+        .with_event_trace()
         .run(&set)
         .unwrap();
     assert_eq!(out.task(0).responses, vec![11]);
-    let trace = out.task(0).concurrency_trace.clone().unwrap();
-    assert_eq!(trace, vec![(0, 2), (2, 1), (10, 2)]);
+    let ana = TraceAnalysis::new(out.event_trace().expect("event trace recorded"));
+    assert_eq!(ana.task(0).concurrency_profile, [(0, 2), (2, 1), (10, 2)]);
 }
 
 /// Nested non-blocking region inside a blocking one is forbidden by the
@@ -143,21 +144,20 @@ fn newly_released_hp_task_preempts() {
     let out = SimConfig {
         policy: SchedulingPolicy::Global,
         m: 1,
-        horizon: 1_000,
+        horizon: 13,
         releases: ReleasePattern::Explicit(vec![vec![4], vec![0]]),
         mappings: None,
-        record_concurrency_trace: false,
         execution_time: ExecutionTime::Wcet,
-        record_core_trace: true,
-        record_event_trace: false,
+        record_event_trace: true,
     }
     .run(&set)
     .unwrap();
     // lp runs [0,4), hp preempts [4,6), lp resumes [6,12).
     assert_eq!(out.task(0).responses, vec![2]);
     assert_eq!(out.task(1).responses, vec![12]);
-    let art = out.core_trace().unwrap().to_ascii(12);
-    assert_eq!(art.lines().next().unwrap(), "core 0: 111100111111");
+    // One column per tick up to the horizon; the last tick is idle.
+    let art = gantt::render(out.event_trace().expect("event trace recorded"), 80);
+    assert_eq!(art.lines().next().unwrap(), "core 0: 111100111111.");
 }
 
 /// A blocking join wakes exactly when its last child finishes, even if

@@ -10,6 +10,7 @@ use rtpool_core::partition::algorithm1;
 use rtpool_core::{ConcurrencyAnalysis, Task, TaskId, TaskSet};
 use rtpool_gen::{BlockingPolicy, DagGenConfig, TaskSetConfig};
 use rtpool_sim::{ExecutionTime, SchedulingPolicy, SimConfig};
+use rtpool_trace::TraceAnalysis;
 
 fn rng(seed: u64) -> rand::rngs::StdRng {
     rand::rngs::StdRng::seed_from_u64(seed)
@@ -249,11 +250,11 @@ fn concurrency_trace_shape() {
     )
     .unwrap()]);
     let out = SimConfig::single_job(SchedulingPolicy::Global, 2)
-        .with_concurrency_trace()
+        .with_event_trace()
         .run(&set)
         .unwrap();
-    let trace = out.task(0).concurrency_trace.clone().unwrap();
+    let ana = TraceAnalysis::new(out.event_trace().expect("event trace recorded"));
     // Starts at 2, dips to 1 at fork completion (t=2), returns to 2 when
     // the barrier opens (t=6).
-    assert_eq!(trace, vec![(0, 2), (2, 1), (6, 2)]);
+    assert_eq!(ana.task(0).concurrency_profile, [(0, 2), (2, 1), (6, 2)]);
 }

@@ -8,12 +8,14 @@
 //! the events out (tracks per `(task, thread)`, durations for node
 //! bodies and barrier suspensions).
 //!
-//! The parser is a tiny recursive-descent JSON reader, kept in-crate so
-//! the exporters stay dependency-free.
+//! Every variant's exported fields are named once, in [`for_each_field`];
+//! the Chrome `args` payload and the CSV row are two views of that list.
+//! The import reads through [`crate::json`].
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 use crate::event::{EngineKind, EventKind, TimeUnit, Trace, TraceEvent};
+use crate::json::{escape_into, Reader, Value};
 
 /// Why parsing a Chrome trace failed.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -36,24 +38,6 @@ impl fmt::Display for ExportError {
 }
 
 impl std::error::Error for ExportError {}
-
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// Chrome phase + layout for one event. `pid` groups tracks (one process
 /// per task; core occupancy lives in an extra process `tasks`), `tid`
@@ -80,20 +64,26 @@ fn chrome_layout(trace: &Trace, kind: &EventKind) -> (&'static str, u32, u32) {
     }
 }
 
-/// Canonical `args` payload: every field of the kind, plus `seq`, `time`
-/// and the variant name under `kind`. This is what the importer reads.
-fn chrome_args(e: &TraceEvent) -> String {
-    let mut fields = vec![
-        format!("\"seq\":{}", e.seq),
-        format!("\"time\":{}", e.time),
-        format!("\"kind\":\"{}\"", e.kind.name()),
-    ];
-    match &e.kind {
+/// One exported field of an event.
+#[derive(Clone, Copy)]
+enum Field<'a> {
+    Num(u32),
+    /// An optional field that is absent.
+    Null,
+    Text(&'a str),
+}
+
+/// Calls `field` with the name and value of every exported field of
+/// `kind`, in schema order. This is the one list of what each variant
+/// exports; [`kind_from_args`] is its counterpart on the read side.
+fn for_each_field<'a>(kind: &'a EventKind, mut field: impl FnMut(&'static str, Field<'a>)) {
+    use Field::{Null, Num, Text};
+    match kind {
         EventKind::JobReleased { task, job }
         | EventKind::JobCompleted { task, job }
         | EventKind::CacheDeltaHit { task, job } => {
-            fields.push(format!("\"task\":{task}"));
-            fields.push(format!("\"job\":{job}"));
+            field("task", Num(*task));
+            field("job", Num(*job));
         }
         EventKind::NodeStart {
             task,
@@ -107,10 +97,10 @@ fn chrome_args(e: &TraceEvent) -> String {
             node,
             thread,
         } => {
-            fields.push(format!("\"task\":{task}"));
-            fields.push(format!("\"job\":{job}"));
-            fields.push(format!("\"node\":{node}"));
-            fields.push(format!("\"thread\":{thread}"));
+            field("task", Num(*task));
+            field("job", Num(*job));
+            field("node", Num(*node));
+            field("thread", Num(*thread));
         }
         EventKind::BarrierSuspend {
             task,
@@ -124,10 +114,10 @@ fn chrome_args(e: &TraceEvent) -> String {
             fork,
             thread,
         } => {
-            fields.push(format!("\"task\":{task}"));
-            fields.push(format!("\"job\":{job}"));
-            fields.push(format!("\"fork\":{fork}"));
-            fields.push(format!("\"thread\":{thread}"));
+            field("task", Num(*task));
+            field("job", Num(*job));
+            field("fork", Num(*fork));
+            field("thread", Num(*thread));
         }
         EventKind::BarrierWake {
             task,
@@ -141,23 +131,23 @@ fn chrome_args(e: &TraceEvent) -> String {
             join,
             thread,
         } => {
-            fields.push(format!("\"task\":{task}"));
-            fields.push(format!("\"job\":{job}"));
-            fields.push(format!("\"join\":{join}"));
-            fields.push(format!("\"thread\":{thread}"));
+            field("task", Num(*task));
+            field("job", Num(*job));
+            field("join", Num(*join));
+            field("thread", Num(*thread));
         }
         EventKind::ThreadPark { task, thread } | EventKind::ThreadUnpark { task, thread } => {
-            fields.push(format!("\"task\":{task}"));
-            fields.push(format!("\"thread\":{thread}"));
+            field("task", Num(*task));
+            field("thread", Num(*thread));
         }
         EventKind::CoreAssign { core, occupant } => {
-            fields.push(format!("\"core\":{core}"));
+            field("core", Num(*core));
             match occupant {
-                Some((t, th)) => {
-                    fields.push(format!("\"occupantTask\":{t}"));
-                    fields.push(format!("\"occupantThread\":{th}"));
+                Some((task, thread)) => {
+                    field("occupantTask", Num(*task));
+                    field("occupantThread", Num(*thread));
                 }
-                None => fields.push("\"occupantTask\":null".to_string()),
+                None => field("occupantTask", Null),
             }
         }
         EventKind::StallDetected {
@@ -165,26 +155,23 @@ fn chrome_args(e: &TraceEvent) -> String {
             job,
             suspended,
         } => {
-            fields.push(format!("\"task\":{task}"));
-            fields.push(format!("\"job\":{job}"));
-            fields.push(format!("\"suspended\":{suspended}"));
+            field("task", Num(*task));
+            field("job", Num(*job));
+            field("suspended", Num(*suspended));
         }
         EventKind::Recovery { task, label, node } => {
-            fields.push(format!("\"task\":{task}"));
-            fields.push(format!("\"label\":\"{}\"", escape_json(label)));
-            match node {
-                Some(n) => fields.push(format!("\"node\":{n}")),
-                None => fields.push("\"node\":null".to_string()),
-            }
+            field("task", Num(*task));
+            field("label", Text(label));
+            field("node", node.map_or(Null, Num));
         }
         EventKind::QueueDepth {
             task,
             thread,
             depth,
         } => {
-            fields.push(format!("\"task\":{task}"));
-            fields.push(format!("\"thread\":{thread}"));
-            fields.push(format!("\"depth\":{depth}"));
+            field("task", Num(*task));
+            field("thread", Num(*thread));
+            field("depth", Num(*depth));
         }
         EventKind::StealBatch {
             task,
@@ -192,16 +179,41 @@ fn chrome_args(e: &TraceEvent) -> String {
             victim,
             count,
         } => {
-            fields.push(format!("\"task\":{task}"));
-            fields.push(format!("\"thread\":{thread}"));
-            match victim {
-                Some(v) => fields.push(format!("\"victim\":{v}")),
-                None => fields.push("\"victim\":null".to_string()),
-            }
-            fields.push(format!("\"count\":{count}"));
+            field("task", Num(*task));
+            field("thread", Num(*thread));
+            field("victim", victim.map_or(Null, Num));
+            field("count", Num(*count));
         }
     }
-    format!("{{{}}}", fields.join(","))
+}
+
+/// Appends the canonical `args` payload: `seq`, `time`, the variant name
+/// under `kind`, then every field of the kind. This is what the importer
+/// reads.
+fn chrome_args(e: &TraceEvent, out: &mut String) {
+    // Writing into a `String` cannot fail (here and below).
+    let _ = write!(
+        out,
+        "{{\"seq\":{},\"time\":{},\"kind\":\"{}\"",
+        e.seq,
+        e.time,
+        e.kind.name()
+    );
+    for_each_field(&e.kind, |name, field| {
+        let _ = write!(out, ",\"{name}\":");
+        match field {
+            Field::Num(n) => {
+                let _ = write!(out, "{n}");
+            }
+            Field::Null => out.push_str("null"),
+            Field::Text(text) => {
+                out.push('"');
+                escape_into(text, out);
+                out.push('"');
+            }
+        }
+    });
+    out.push('}');
 }
 
 fn chrome_name(kind: &EventKind) -> String {
@@ -236,295 +248,70 @@ pub fn to_chrome_json(trace: &Trace) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"displayTimeUnit\": \"ms\",\n");
-    out.push_str(&format!(
-        "  \"otherData\": {{\"engine\": \"{}\", \"timeUnit\": \"{}\", \"cores\": {}, \"tasks\": {}, \"endTime\": {}}},\n",
+    let _ = writeln!(
+        out,
+        "  \"otherData\": {{\"engine\": \"{}\", \"timeUnit\": \"{}\", \"cores\": {}, \"tasks\": {}, \"endTime\": {}}},",
         trace.engine.as_str(),
         trace.time_unit.as_str(),
         trace.cores,
         trace.tasks,
         trace.end_time
-    ));
+    );
     out.push_str("  \"traceEvents\": [\n");
     for (i, e) in trace.events.iter().enumerate() {
         let (ph, pid, tid) = chrome_layout(trace, &e.kind);
-        let mut line = format!(
-            "    {{\"name\": \"{}\", \"ph\": \"{}\", \"ts\": {}, \"pid\": {}, \"tid\": {}",
-            escape_json(&chrome_name(&e.kind)),
-            ph,
-            e.time,
-            pid,
-            tid
+        out.push_str("    {\"name\": \"");
+        escape_into(&chrome_name(&e.kind), &mut out);
+        let _ = write!(
+            out,
+            "\", \"ph\": \"{ph}\", \"ts\": {}, \"pid\": {pid}, \"tid\": {tid}",
+            e.time
         );
         if ph == "i" {
-            line.push_str(", \"s\": \"t\"");
+            out.push_str(", \"s\": \"t\"");
         }
-        line.push_str(&format!(", \"args\": {}}}", chrome_args(e)));
+        out.push_str(", \"args\": ");
+        chrome_args(e, &mut out);
+        out.push('}');
         if i + 1 < trace.events.len() {
-            line.push(',');
+            out.push(',');
         }
-        line.push('\n');
-        out.push_str(&line);
+        out.push('\n');
     }
     out.push_str("  ]\n}\n");
     out
 }
 
-// ---------------------------------------------------------------------
-// Minimal JSON reader (only what the importer needs).
-// ---------------------------------------------------------------------
-
-#[derive(Clone, Debug, PartialEq)]
-enum JsonValue {
-    Null,
-    Bool(bool),
-    /// Non-negative integer without exponent/fraction — kept exact so
-    /// u64 sequence numbers and nanosecond stamps survive round-trips.
-    Int(u64),
-    Float(f64),
-    Str(String),
-    Array(Vec<JsonValue>),
-    Object(Vec<(String, JsonValue)>),
+/// The member `key` of `object` as `read` reads it; absent or unreadable
+/// is the same error.
+fn required<'v, 'a, T>(
+    object: &'v Value<'a>,
+    key: &str,
+    read: impl FnOnce(&'v Value<'a>) -> Option<T>,
+) -> Result<T, ExportError> {
+    object
+        .get(key)
+        .and_then(read)
+        .ok_or_else(|| ExportError::new(format!("missing or invalid '{key}'")))
 }
 
-impl JsonValue {
-    fn get<'a>(&'a self, key: &str) -> Option<&'a JsonValue> {
-        match self {
-            JsonValue::Object(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
+fn field_u32(args: &Value<'_>, key: &str) -> Result<u32, ExportError> {
+    required(args, key, Value::as_u32)
+}
 
-    fn as_u64(&self) -> Option<u64> {
-        match self {
-            JsonValue::Int(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    fn as_u32(&self) -> Option<u32> {
-        self.as_u64().and_then(|v| u32::try_from(v).ok())
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            JsonValue::Str(s) => Some(s),
-            _ => None,
-        }
+/// An optional numeric field: absent and `null` both read as `None`.
+fn optional_u32(args: &Value<'_>, key: &str) -> Result<Option<u32>, ExportError> {
+    match args.get(key) {
+        Some(Value::Null) | None => Ok(None),
+        Some(v) => v
+            .as_u32()
+            .map(Some)
+            .ok_or_else(|| ExportError::new(format!("missing or invalid '{key}'"))),
     }
 }
 
-struct JsonParser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> JsonParser<'a> {
-    fn new(input: &'a str) -> Self {
-        JsonParser {
-            bytes: input.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn err(&self, what: &str) -> ExportError {
-        ExportError::new(format!("{what} at byte {}", self.pos))
-    }
-
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), ExportError> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected '{}'", b as char)))
-        }
-    }
-
-    fn parse_value(&mut self) -> Result<JsonValue, ExportError> {
-        match self.peek() {
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
-            Some(b'"') => Ok(JsonValue::Str(self.parse_string()?)),
-            Some(b't') => self.parse_keyword("true", JsonValue::Bool(true)),
-            Some(b'f') => self.parse_keyword("false", JsonValue::Bool(false)),
-            Some(b'n') => self.parse_keyword("null", JsonValue::Null),
-            Some(b'-' | b'0'..=b'9') => self.parse_number(),
-            _ => Err(self.err("expected a JSON value")),
-        }
-    }
-
-    fn parse_keyword(&mut self, word: &str, value: JsonValue) -> Result<JsonValue, ExportError> {
-        self.skip_ws();
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(self.err(&format!("expected '{word}'")))
-        }
-    }
-
-    fn parse_number(&mut self) -> Result<JsonValue, ExportError> {
-        self.skip_ws();
-        let start = self.pos;
-        if self.bytes.get(self.pos) == Some(&b'-') {
-            self.pos += 1;
-        }
-        let mut float = self.bytes.get(start) == Some(&b'-');
-        while let Some(&b) = self.bytes.get(self.pos) {
-            match b {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    float = true;
-                    self.pos += 1;
-                }
-                _ => break,
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid number"))?;
-        if float {
-            text.parse::<f64>()
-                .map(JsonValue::Float)
-                .map_err(|_| self.err("invalid number"))
-        } else {
-            text.parse::<u64>()
-                .map(JsonValue::Int)
-                .map_err(|_| self.err("invalid integer"))
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, ExportError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos).copied() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos).copied() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| self.err("invalid \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("invalid \\u escape"))?;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| self.err("invalid \\u code point"))?,
-                            );
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.err("invalid escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(b) => {
-                    // Consume one UTF-8 code point.
-                    let len = match b {
-                        0x00..=0x7f => 1,
-                        0xc0..=0xdf => 2,
-                        0xe0..=0xef => 3,
-                        _ => 4,
-                    };
-                    let chunk = self
-                        .bytes
-                        .get(self.pos..self.pos + len)
-                        .ok_or_else(|| self.err("truncated UTF-8"))?;
-                    out.push_str(
-                        std::str::from_utf8(chunk).map_err(|_| self.err("invalid UTF-8"))?,
-                    );
-                    self.pos += len;
-                }
-            }
-        }
-    }
-
-    fn parse_array(&mut self) -> Result<JsonValue, ExportError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(JsonValue::Array(items));
-        }
-        loop {
-            items.push(self.parse_value()?);
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Array(items));
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
-        }
-    }
-
-    fn parse_object(&mut self) -> Result<JsonValue, ExportError> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(JsonValue::Object(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.parse_string()?;
-            self.expect(b':')?;
-            let value = self.parse_value()?;
-            fields.push((key, value));
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Object(fields));
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
-            }
-        }
-    }
-}
-
-fn field_u32(args: &JsonValue, key: &str) -> Result<u32, ExportError> {
-    args.get(key)
-        .and_then(JsonValue::as_u32)
-        .ok_or_else(|| ExportError::new(format!("missing or invalid '{key}' in event args")))
-}
-
-fn kind_from_args(args: &JsonValue) -> Result<EventKind, ExportError> {
-    let kind = args
-        .get("kind")
-        .and_then(JsonValue::as_str)
-        .ok_or_else(|| ExportError::new("event args missing 'kind'"))?;
-    Ok(match kind {
+fn kind_from_args(args: &Value<'_>) -> Result<EventKind, ExportError> {
+    Ok(match required(args, "kind", Value::as_str)? {
         "JobReleased" => EventKind::JobReleased {
             task: field_u32(args, "task")?,
             job: field_u32(args, "job")?,
@@ -577,21 +364,13 @@ fn kind_from_args(args: &JsonValue) -> Result<EventKind, ExportError> {
             task: field_u32(args, "task")?,
             thread: field_u32(args, "thread")?,
         },
-        "CoreAssign" => {
-            let occupant = match args.get("occupantTask") {
-                Some(JsonValue::Null) | None => None,
-                Some(v) => {
-                    let t = v
-                        .as_u32()
-                        .ok_or_else(|| ExportError::new("invalid 'occupantTask'"))?;
-                    Some((t, field_u32(args, "occupantThread")?))
-                }
-            };
-            EventKind::CoreAssign {
-                core: field_u32(args, "core")?,
-                occupant,
-            }
-        }
+        "CoreAssign" => EventKind::CoreAssign {
+            core: field_u32(args, "core")?,
+            occupant: match optional_u32(args, "occupantTask")? {
+                Some(task) => Some((task, field_u32(args, "occupantThread")?)),
+                None => None,
+            },
+        },
         "StallDetected" => EventKind::StallDetected {
             task: field_u32(args, "task")?,
             job: field_u32(args, "job")?,
@@ -599,18 +378,8 @@ fn kind_from_args(args: &JsonValue) -> Result<EventKind, ExportError> {
         },
         "Recovery" => EventKind::Recovery {
             task: field_u32(args, "task")?,
-            label: args
-                .get("label")
-                .and_then(JsonValue::as_str)
-                .ok_or_else(|| ExportError::new("missing 'label' in Recovery args"))?
-                .to_string(),
-            node: match args.get("node") {
-                Some(JsonValue::Null) | None => None,
-                Some(v) => Some(
-                    v.as_u32()
-                        .ok_or_else(|| ExportError::new("invalid 'node' in Recovery args"))?,
-                ),
-            },
+            label: required(args, "label", Value::as_str)?.to_string(),
+            node: optional_u32(args, "node")?,
         },
         "QueueDepth" => EventKind::QueueDepth {
             task: field_u32(args, "task")?,
@@ -624,13 +393,7 @@ fn kind_from_args(args: &JsonValue) -> Result<EventKind, ExportError> {
         "StealBatch" => EventKind::StealBatch {
             task: field_u32(args, "task")?,
             thread: field_u32(args, "thread")?,
-            victim: match args.get("victim") {
-                Some(JsonValue::Null) | None => None,
-                Some(v) => Some(
-                    v.as_u32()
-                        .ok_or_else(|| ExportError::new("invalid 'victim' in StealBatch args"))?,
-                ),
-            },
+            victim: optional_u32(args, "victim")?,
             count: field_u32(args, "count")?,
         },
         other => return Err(ExportError::new(format!("unknown event kind '{other}'"))),
@@ -646,48 +409,23 @@ fn kind_from_args(args: &JsonValue) -> Result<EventKind, ExportError> {
 /// Returns [`ExportError`] on malformed JSON, missing metadata, or an
 /// event whose `args` payload does not match its declared `kind`.
 pub fn from_chrome_json(input: &str) -> Result<Trace, ExportError> {
-    let root = JsonParser::new(input).parse_value()?;
-    let other = root
-        .get("otherData")
-        .ok_or_else(|| ExportError::new("missing 'otherData'"))?;
-    let engine = other
-        .get("engine")
-        .and_then(JsonValue::as_str)
-        .and_then(EngineKind::parse)
-        .ok_or_else(|| ExportError::new("missing or invalid 'otherData.engine'"))?;
-    let time_unit = other
-        .get("timeUnit")
-        .and_then(JsonValue::as_str)
-        .and_then(TimeUnit::parse)
-        .ok_or_else(|| ExportError::new("missing or invalid 'otherData.timeUnit'"))?;
+    let root = Reader::new(input).value().map_err(ExportError::new)?;
+    let other = required(&root, "otherData", Some)?;
+    let engine = required(other, "engine", |v| v.as_str().and_then(EngineKind::parse))?;
+    let time_unit = required(other, "timeUnit", |v| v.as_str().and_then(TimeUnit::parse))?;
     let cores = field_u32(other, "cores")?;
     let tasks = field_u32(other, "tasks")?;
-    let end_time = other
-        .get("endTime")
-        .and_then(JsonValue::as_u64)
-        .ok_or_else(|| ExportError::new("missing or invalid 'otherData.endTime'"))?;
-    let JsonValue::Array(raw_events) = root
-        .get("traceEvents")
-        .ok_or_else(|| ExportError::new("missing 'traceEvents'"))?
-    else {
-        return Err(ExportError::new("'traceEvents' is not an array"));
-    };
+    let end_time = required(other, "endTime", Value::as_u64)?;
+    let raw_events = required(&root, "traceEvents", |v| match v {
+        Value::Array(items) => Some(items),
+        _ => None,
+    })?;
     let mut events = Vec::with_capacity(raw_events.len());
     for raw in raw_events {
-        let args = raw
-            .get("args")
-            .ok_or_else(|| ExportError::new("event missing 'args'"))?;
-        let seq = args
-            .get("seq")
-            .and_then(JsonValue::as_u64)
-            .ok_or_else(|| ExportError::new("event args missing 'seq'"))?;
-        let time = args
-            .get("time")
-            .and_then(JsonValue::as_u64)
-            .ok_or_else(|| ExportError::new("event args missing 'time'"))?;
+        let args = required(raw, "args", Some)?;
         events.push(TraceEvent {
-            seq,
-            time,
+            seq: required(args, "seq", Value::as_u64)?,
+            time: required(args, "time", Value::as_u64)?,
             kind: kind_from_args(args)?,
         });
     }
@@ -702,11 +440,13 @@ pub fn from_chrome_json(input: &str) -> Result<Trace, ExportError> {
     })
 }
 
-fn csv_escape(s: &str) -> String {
+fn csv_escape_into(s: &str, out: &mut String) {
     if s.contains([',', '"', '\n']) {
-        format!("\"{}\"", s.replace('"', "\"\""))
+        out.push('"');
+        out.push_str(&s.replace('"', "\"\""));
+        out.push('"');
     } else {
-        s.to_string()
+        out.push_str(s);
     }
 }
 
@@ -717,151 +457,40 @@ fn csv_escape(s: &str) -> String {
 #[must_use]
 pub fn to_csv(trace: &Trace) -> String {
     let mut out = String::from("seq,time,kind,task,job,node,thread,core,value,label\n");
+    let mut label = String::new();
     for e in &trace.events {
-        let mut task = String::new();
-        let mut job = String::new();
-        let mut node = String::new();
-        let mut thread = String::new();
-        let mut core = String::new();
-        let mut value = String::new();
-        let mut label = String::new();
-        match &e.kind {
-            EventKind::JobReleased { task: t, job: j }
-            | EventKind::JobCompleted { task: t, job: j }
-            | EventKind::CacheDeltaHit { task: t, job: j } => {
-                task = t.to_string();
-                job = j.to_string();
+        let [mut task, mut job, mut node, mut thread, mut core, mut value] = [Field::Null; 6];
+        label.clear();
+        for_each_field(&e.kind, |name, field| match (name, field) {
+            ("task", _) => task = field,
+            ("job", _) => job = field,
+            ("node" | "fork" | "join", _) => node = field,
+            ("thread" | "occupantThread", _) => thread = field,
+            ("core", _) => core = field,
+            ("suspended" | "depth" | "count", _) => value = field,
+            ("occupantTask", Field::Null) => value = Field::Text("idle"),
+            ("occupantTask", _) => (task, value) = (field, Field::Text("run")),
+            ("label", Field::Text(text)) => csv_escape_into(text, &mut label),
+            ("victim", Field::Num(worker)) => {
+                let _ = write!(label, "victim={worker}");
             }
-            EventKind::NodeStart {
-                task: t,
-                job: j,
-                node: n,
-                thread: th,
-            }
-            | EventKind::NodeEnd {
-                task: t,
-                job: j,
-                node: n,
-                thread: th,
-            } => {
-                task = t.to_string();
-                job = j.to_string();
-                node = n.to_string();
-                thread = th.to_string();
-            }
-            EventKind::BarrierSuspend {
-                task: t,
-                job: j,
-                fork,
-                thread: th,
-            }
-            | EventKind::SpinStart {
-                task: t,
-                job: j,
-                fork,
-                thread: th,
-            } => {
-                task = t.to_string();
-                job = j.to_string();
-                node = fork.to_string();
-                thread = th.to_string();
-            }
-            EventKind::BarrierWake {
-                task: t,
-                job: j,
-                join,
-                thread: th,
-            }
-            | EventKind::SpinEnd {
-                task: t,
-                job: j,
-                join,
-                thread: th,
-            } => {
-                task = t.to_string();
-                job = j.to_string();
-                node = join.to_string();
-                thread = th.to_string();
-            }
-            EventKind::ThreadPark {
-                task: t,
-                thread: th,
-            }
-            | EventKind::ThreadUnpark {
-                task: t,
-                thread: th,
-            } => {
-                task = t.to_string();
-                thread = th.to_string();
-            }
-            EventKind::CoreAssign { core: c, occupant } => {
-                core = c.to_string();
-                match occupant {
-                    Some((t, th)) => {
-                        task = t.to_string();
-                        thread = th.to_string();
-                        value = "run".to_string();
-                    }
-                    None => value = "idle".to_string(),
+            ("victim", _) => label.push_str("victim=injector"),
+            _ => unreachable!("field '{name}' has no CSV column"),
+        });
+        let _ = write!(out, "{},{},{}", e.seq, e.time, e.kind.name());
+        for cell in [task, job, node, thread, core, value] {
+            out.push(',');
+            match cell {
+                Field::Num(n) => {
+                    let _ = write!(out, "{n}");
                 }
-            }
-            EventKind::StallDetected {
-                task: t,
-                job: j,
-                suspended,
-            } => {
-                task = t.to_string();
-                job = j.to_string();
-                value = suspended.to_string();
-            }
-            EventKind::Recovery {
-                task: t,
-                label: l,
-                node: n,
-            } => {
-                task = t.to_string();
-                if let Some(n) = n {
-                    node = n.to_string();
-                }
-                label = csv_escape(l);
-            }
-            EventKind::QueueDepth {
-                task: t,
-                thread: th,
-                depth,
-            } => {
-                task = t.to_string();
-                thread = th.to_string();
-                value = depth.to_string();
-            }
-            EventKind::StealBatch {
-                task: t,
-                thread: th,
-                victim,
-                count,
-            } => {
-                task = t.to_string();
-                thread = th.to_string();
-                value = count.to_string();
-                label = match victim {
-                    Some(v) => format!("victim={v}"),
-                    None => "victim=injector".to_string(),
-                };
+                Field::Null => {}
+                Field::Text(text) => out.push_str(text),
             }
         }
-        out.push_str(&format!(
-            "{},{},{},{},{},{},{},{},{},{}\n",
-            e.seq,
-            e.time,
-            e.kind.name(),
-            task,
-            job,
-            node,
-            thread,
-            core,
-            value,
-            label
-        ));
+        out.push(',');
+        out.push_str(&label);
+        out.push('\n');
     }
     out
 }

@@ -1,61 +1,21 @@
 //! ASCII Gantt rendering of core occupancy.
 //!
-//! Two entry points:
+//! [`render`] draws from a [`Trace`]'s
+//! [`CoreAssign`](crate::EventKind::CoreAssign) events, so simulator
+//! traces (ticks) and exec traces (nanosecond stamps) get the same chart
+//! by scaling time into a fixed number of columns.
 //!
-//! * [`render_snapshots`] draws from raw per-core snapshot lists — the
-//!   representation `rtpool-sim`'s `CoreTrace` keeps — and is the shared
-//!   backend for its `to_ascii`.
-//! * [`render`] draws directly from a [`Trace`]'s
-//!   [`CoreAssign`](crate::EventKind::CoreAssign) events, so exec traces
-//!   (nanosecond stamps) get the same chart by scaling time into a fixed
-//!   number of columns.
-//!
-//! Both use the same glyphs: a digit names the task occupying the core,
-//! `+` stands for task indices ≥ 10, and `.` is idle. Trailing idle time
-//! up to the trace end is rendered, not dropped.
+//! A digit names the task occupying the core, `+` stands for task
+//! indices ≥ 10, and `.` is idle. Trailing idle time up to the trace end
+//! is rendered, not dropped.
 
 use std::fmt::Write as _;
 
 use crate::event::{EventKind, TimeUnit, Trace};
 
-/// One occupancy snapshot: the time it takes effect and, per core, the
-/// `(task, thread)` holding the core (`None` = idle). Mirrors
-/// `rtpool-sim`'s `CoreSnapshot`.
-pub type Snapshot = (u64, Vec<Option<(usize, usize)>>);
-
-fn task_glyph(occupant: Option<(usize, usize)>) -> char {
-    match occupant {
-        Some((task, _)) if task < 10 => {
-            char::from_digit(u32::try_from(task).unwrap_or(0), 10).unwrap_or('+')
-        }
-        Some(_) => '+',
-        None => '.',
-    }
-}
-
-/// Renders per-core snapshots as an ASCII Gantt chart: one row per core,
-/// one column per time unit in `[0, until)`. `until` is clamped to
-/// `end_time` (at least 1) and to 200 columns. Snapshot entry
-/// `(t, cores)` holds from `t` until the next entry; the last entry
-/// holds until `end_time`, so trailing idle intervals render as `.`
-/// columns.
-#[must_use]
-pub fn render_snapshots(snapshots: &[Snapshot], end_time: u64, until: u64) -> String {
-    let until = until.min(end_time.max(1)).min(200);
-    let cores = snapshots.first().map_or(0, |(_, c)| c.len());
-    let mut out = String::new();
-    for core in 0..cores {
-        let _ = write!(out, "core {core}: ");
-        let mut cursor = 0usize; // snapshot index
-        for t in 0..until {
-            while cursor + 1 < snapshots.len() && snapshots[cursor + 1].0 <= t {
-                cursor += 1;
-            }
-            out.push(task_glyph(snapshots.get(cursor).and_then(|(_, c)| c[core])));
-        }
-        out.push('\n');
-    }
-    out
+/// The task's digit, `+` past task 9, `.` for an idle core.
+fn task_glyph(task: Option<u32>) -> char {
+    task.map_or('.', |t| char::from_digit(t, 10).unwrap_or('+'))
 }
 
 /// Renders a [`Trace`]'s core occupancy (its `CoreAssign` events) as an
@@ -71,14 +31,13 @@ pub fn render(trace: &Trace, width: usize) -> String {
     if cores == 0 {
         return String::new();
     }
-    // Per-core change list: (time, occupant), in event order. Every core
-    // starts idle at time 0.
-    type Change = (u64, Option<(usize, usize)>);
-    let mut changes: Vec<Vec<Change>> = vec![vec![(0, None)]; cores];
+    // Per-core change list: (time, occupying task), in event order. Every
+    // core starts idle at time 0.
+    let mut changes: Vec<Vec<(u64, Option<u32>)>> = vec![vec![(0, None)]; cores];
     for e in &trace.events {
         if let EventKind::CoreAssign { core, occupant } = &e.kind {
             if let Some(list) = changes.get_mut(*core as usize) {
-                list.push((e.time, occupant.map(|(t, th)| (t as usize, th as usize))));
+                list.push((e.time, occupant.map(|(task, _)| task)));
             }
         }
     }
@@ -108,34 +67,6 @@ pub fn render(trace: &Trace, width: usize) -> String {
 mod tests {
     use super::*;
     use crate::event::{EngineKind, TraceRecorder};
-
-    #[test]
-    fn snapshots_render_matches_sim_format() {
-        let snapshots = vec![
-            (0, vec![Some((0, 0)), None]),
-            (2, vec![Some((1, 0)), Some((0, 1))]),
-            (4, vec![None, None]),
-        ];
-        let art = render_snapshots(&snapshots, 6, 6);
-        let lines: Vec<&str> = art.lines().collect();
-        assert_eq!(lines[0], "core 0: 0011..");
-        assert_eq!(lines[1], "core 1: ..00..");
-    }
-
-    #[test]
-    fn snapshots_render_trailing_idle_and_caps() {
-        // A final all-idle snapshot plus end_time beyond it: the idle
-        // tail renders as dots instead of being cut off.
-        let snapshots = vec![(0, vec![Some((0, 0))]), (1, vec![None])];
-        assert_eq!(render_snapshots(&snapshots, 4, 10), "core 0: 0...\n");
-        // Width cap at 200 columns.
-        let long = render_snapshots(&snapshots, 1000, 1000);
-        assert_eq!(long.lines().next().unwrap().len(), "core 0: ".len() + 200);
-        // Task index >= 10 renders '+'.
-        assert!(render_snapshots(&[(0, vec![Some((12, 0))])], 2, 2).contains("++"));
-        // No snapshots: no rows.
-        assert_eq!(render_snapshots(&[], 5, 5), "");
-    }
 
     #[test]
     fn event_render_tick_trace() {
@@ -180,16 +111,19 @@ mod tests {
         let lines: Vec<&str> = art.lines().collect();
         assert_eq!(lines[0], "core 0: 0011..");
         assert_eq!(lines[1], "core 1: ..00..");
+        // A trace longer than `width` is scaled into it, not clipped.
+        assert_eq!(render(&trace, 3).lines().next(), Some("core 0: 01."));
     }
 
     #[test]
     fn event_render_scales_nanos_into_width() {
-        let mut r = TraceRecorder::new(EngineKind::Exec, TimeUnit::Nanos, 1, 1);
+        let mut r = TraceRecorder::new(EngineKind::Exec, TimeUnit::Nanos, 1, 13);
         r.record(
             0,
             EventKind::CoreAssign {
                 core: 0,
-                occupant: Some((0, 0)),
+                // Task indices past 9 have no digit.
+                occupant: Some((12, 0)),
             },
         );
         r.record(
@@ -201,7 +135,7 @@ mod tests {
         );
         let trace = r.finish(1_000_000);
         let art = render(&trace, 10);
-        assert_eq!(art, "core 0: 00000.....\n");
+        assert_eq!(art, "core 0: +++++.....\n");
     }
 
     #[test]

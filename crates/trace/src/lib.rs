@@ -19,8 +19,9 @@
 //! * [`metrics`] — [`MetricsRegistry`] with log₂ [`LatencyHistogram`]s.
 //! * [`export`] — Chrome trace-event JSON (lossless round-trip via
 //!   [`from_chrome_json`]) and CSV timelines.
-//! * [`gantt`] — ASCII Gantt rendering shared with the simulator's
-//!   `CoreTrace`.
+//! * [`gantt`] — ASCII Gantt rendering of a trace's core occupancy.
+//! * [`json`] — the workspace's one JSON reader and string escaper, used
+//!   by the Chrome import here and by the crates above this one.
 //!
 //! This crate is deliberately dependency-free: it sits *below* both
 //! engines in the workspace graph (they depend on it to record), while
@@ -33,6 +34,7 @@ pub mod analysis;
 pub mod event;
 pub mod export;
 pub mod gantt;
+pub mod json;
 pub mod metrics;
 pub mod sink;
 

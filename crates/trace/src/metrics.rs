@@ -118,6 +118,26 @@ impl LatencyHistogram {
         }
     }
 
+    /// The JSON object the serve report and the soak artifact both embed:
+    /// `{ "count": 3, "p50": 7, "p90": 15, "p99": 15, "p999": 15, "max": 12 }`,
+    /// the quantiles `null` while nothing has been observed.
+    #[must_use]
+    pub fn to_json(&self) -> String {
+        let q = |p: f64| {
+            self.quantile_upper(p)
+                .map_or_else(|| "null".to_string(), |v| v.to_string())
+        };
+        format!(
+            "{{ \"count\": {}, \"p50\": {}, \"p90\": {}, \"p99\": {}, \"p999\": {}, \"max\": {} }}",
+            self.count,
+            q(0.50),
+            q(0.90),
+            q(0.99),
+            q(0.999),
+            self.max().unwrap_or(0),
+        )
+    }
+
     /// One-line summary, e.g. `n=12 mean=4.2 p50<=7 p99<=15 max=15`.
     #[must_use]
     pub fn summary(&self) -> String {
@@ -375,6 +395,10 @@ mod tests {
         let mut h = LatencyHistogram::new();
         assert_eq!(h.quantile_upper(0.5), None);
         assert_eq!(h.summary(), "n=0");
+        assert_eq!(
+            h.to_json(),
+            r#"{ "count": 0, "p50": null, "p90": null, "p99": null, "p999": null, "max": 0 }"#
+        );
         for v in [0, 1, 2, 3, 4, 100] {
             h.observe(v);
         }
@@ -388,6 +412,10 @@ mod tests {
         // The top quantile is clamped to the observed max.
         assert_eq!(h.quantile_upper(1.0), Some(100));
         assert!(h.summary().starts_with("n=6 "));
+        assert_eq!(
+            h.to_json(),
+            r#"{ "count": 6, "p50": 3, "p90": 100, "p99": 100, "p999": 100, "max": 100 }"#
+        );
     }
 
     #[test]

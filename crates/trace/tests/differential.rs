@@ -107,6 +107,24 @@ fn assert_matches_sim_outcome(analysis: &TraceAnalysis, out: &SimOutcome, ctx: &
             task_out.stall.is_some(),
             "{ctx}: task {i} stall flag"
         );
+        // The profile is the simulator's only record of l(t, τᵢ) over
+        // time: a step function from the full pool whose lowest step is
+        // the minimum the engine tracked on its own.
+        let profile = &obs.concurrency_profile;
+        assert_eq!(
+            profile.first(),
+            Some(&(0, analysis.cores())),
+            "{ctx}: task {i} profile start"
+        );
+        assert!(
+            profile.windows(2).all(|w| w[0].0 < w[1].0),
+            "{ctx}: task {i} profile times {profile:?}"
+        );
+        assert_eq!(
+            profile.iter().map(|&(_, l)| l).min(),
+            Some(task_out.min_available_concurrency),
+            "{ctx}: task {i} profile minimum"
+        );
     }
 }
 

@@ -41,9 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\n== Discrete-event simulation ==");
     let set = TaskSet::new(vec![Task::with_implicit_deadline(dag.clone(), 100_000)?]);
     for m in [2, 3] {
-        let out = SimConfig::single_job(SchedulingPolicy::Global, m)
-            .with_concurrency_trace()
-            .run(&set)?;
+        let out = SimConfig::single_job(SchedulingPolicy::Global, m).run(&set)?;
         match &out.task(0).stall {
             Some(stall) => println!(
                 "  m = {m}: STALLED at t = {} with {} suspended threads",
