@@ -13,6 +13,12 @@
 //!
 //! Prints both per-edit medians and their ratio, and fails when any edit's
 //! verdicts differ between the two or the ratio is below [`MIN_RATIO`].
+//!
+//! One more row times what is *not* a WCET edit — one inserted edge and
+//! one inserted node through `Dag::edit`, then cold RTA. `Dag::edit`
+//! rebuilds such a graph itself, so the row reads like the rebuild's and
+//! carries no gate; only its verdicts and content hash must be those of
+//! the same graph built client-side.
 
 use std::hint::black_box;
 use std::process::ExitCode;
@@ -38,12 +44,19 @@ const MODELS: [ConcurrencyModel; 3] = [
 /// (140–175 measured on two cores: 0.14–0.19 ms against 21–27 ms).
 const MIN_RATIO: f64 = 10.0;
 
+/// Index of node `i` (mod `WIDTH`) of row `layer`.
+fn at(layer: usize, i: usize) -> usize {
+    1 + layer * WIDTH + i % WIDTH
+}
+
 /// Source (node 0) → `LAYERS` rows of `WIDTH` nodes, each wired to two
-/// nodes of the next row → sink, with the given per-node WCETs.
-fn layered_dag(wcets: &[u64]) -> Dag {
-    let mut b = DagBuilder::with_capacities(NODES, 2 * NODES);
+/// nodes of the next row → sink (node `NODES - 1`), with the given
+/// per-node WCETs; then `extra` edges by node index, which may name the
+/// nodes `wcets` lists beyond the sink.
+fn layered_dag(wcets: &[u64], extra: &[(usize, usize)]) -> Dag {
+    let mut b = DagBuilder::with_capacities(wcets.len(), 2 * NODES + extra.len());
     let ids: Vec<NodeId> = wcets.iter().map(|&w| b.add_node(w)).collect();
-    let at = |layer: usize, i: usize| ids[1 + layer * WIDTH + i % WIDTH];
+    let at = |layer: usize, i: usize| ids[at(layer, i)];
     for i in 0..WIDTH {
         b.add_edge(ids[0], at(0, i)).expect("source edge");
         b.add_edge(at(LAYERS - 1, i), ids[NODES - 1])
@@ -56,6 +69,9 @@ fn layered_dag(wcets: &[u64]) -> Dag {
             b.add_edge(at(layer, i), at(layer + 1, i + 1))
                 .expect("diagonal edge");
         }
+    }
+    for &(from, to) in extra {
+        b.add_edge(ids[from], ids[to]).expect("extra edge");
     }
     b.build().expect("layered dag is valid")
 }
@@ -86,7 +102,7 @@ fn main() -> ExitCode {
         chain_task(&[40, 40], 4_000),
         chain_task(&[60, 60, 60], 9_000),
     ];
-    let mut set = with_big(&light, layered_dag(&wcets));
+    let mut set = with_big(&light, layered_dag(&wcets, &[]));
     let never = CancelToken::never();
     // The base set is resident and analyzed before the first edit arrives.
     let (_, mut warm) = analyze_many_warm(&set, M, &MODELS, &never, None).expect("not cancelled");
@@ -107,7 +123,7 @@ fn main() -> ExitCode {
         edit.push(start.elapsed());
 
         let start = Instant::now();
-        let rebuilt = with_big(&light, layered_dag(black_box(&wcets)));
+        let rebuilt = with_big(&light, layered_dag(black_box(&wcets), &[]));
         let cold_verdicts = analyze_many(&rebuilt, M, &MODELS);
         rebuild.push(start.elapsed());
 
@@ -115,14 +131,47 @@ fn main() -> ExitCode {
         (set, warm) = (edited, next);
     }
 
+    // What is not a WCET edit — a mid-graph edge two columns over and a
+    // node bridging three rows — is a rebuild inside `Dag::edit` too.
+    let (edge, bridge) = ((at(40, 10), at(41, 12)), (at(60, 3), at(62, 3)));
+    let id = NodeId::from_index;
+    let mut structural = Vec::new();
+    let mut structural_differing = 0;
+    wcets.push(3);
+    let client = layered_dag(&wcets, &[edge, (bridge.0, NODES), (NODES, bridge.1)]);
+    let client_hash = client.content_hash();
+    let client_verdicts = analyze_many(&with_big(&light, client), M, &MODELS);
+    for _ in 0..EDITS {
+        let start = Instant::now();
+        let mut e = set.as_slice()[2].dag().edit();
+        e.insert_edge(id(edge.0), id(edge.1));
+        e.insert_node(3, &[id(bridge.0)], &[id(bridge.1)]);
+        let (dag, _) = e.apply().expect("structural edit is valid");
+        let hash = dag.content_hash();
+        let verdicts = analyze_many(&with_big(&light, dag), M, &MODELS);
+        structural.push(start.elapsed());
+        structural_differing += usize::from(verdicts != client_verdicts || hash != client_hash);
+    }
+
     let (edit_ms, rebuild_ms) = (median_ms(edit), median_ms(rebuild));
     let ratio = rebuild_ms / edit_ms;
     println!("incremental_edit/dag_edit_plus_warm_rta: {edit_ms:.3} ms per edit");
     println!("incremental_edit/rebuild_plus_cold_rta: {rebuild_ms:.3} ms per edit");
     println!("incremental_edit/rebuild_over_edit: {ratio:.1}");
+    println!(
+        "incremental_edit/structural_edit_plus_cold_rta: {:.3} ms per script (a rebuild, no gate)",
+        median_ms(structural)
+    );
     if differing > 0 {
         eprintln!(
             "error: {differing} of {EDITS} edits: warm verdicts differ from the cold rebuild's"
+        );
+        return ExitCode::FAILURE;
+    }
+    if structural_differing > 0 {
+        eprintln!(
+            "error: {structural_differing} of {EDITS} structural scripts: `Dag::edit` and the \
+             client rebuild disagree on verdicts or content hash"
         );
         return ExitCode::FAILURE;
     }

@@ -265,8 +265,9 @@ pub struct InternerStats {
     /// Requests answered from the per-`m` verdict memo.
     pub memo_hits: u64,
     /// `edit` requests answered from a delta-patched entry: the base set
-    /// was resident, so the patched set entered the cache with its
-    /// `DerivedCache` carried over by `Dag::edit` instead of rebuilt.
+    /// was resident, so the patched set entered the cache through
+    /// `Dag::edit` (untouched and WCET-only tasks keeping their
+    /// `DerivedCache` cells) instead of through the parser.
     pub delta_hits: u64,
     /// Sources and edits resolved from their recipe, without building
     /// anything (each is also counted in `hits`, an edit in

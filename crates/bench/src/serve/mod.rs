@@ -29,8 +29,9 @@
 //! * **Incremental resubmission** ([`protocol`]'s `edit` verb): a
 //!   request can name a resident set by hash plus an edit script
 //!   (WCET changes, edge/node inserts, blocking toggles); the server
-//!   patches the base graphs' `DerivedCache`s via `Dag::edit` instead
-//!   of reparsing and reanalyzing from scratch, records a
+//!   applies it to the resident graphs via `Dag::edit` (a WCET-only
+//!   script shares the base's `DerivedCache` cells, any other rebuilds
+//!   the task it touches) instead of reparsing the set, records a
 //!   `CacheDeltaHit`, and memoizes under the patched set's own hash.
 //! * **Observability** ([`server`]): request lifecycles are recorded
 //!   as `rtpool-trace` events and latencies as log₂ histograms.

@@ -23,8 +23,11 @@
 //! queueing included. The workload is one of: an inline `.rtp` `source`,
 //! the hex content `hash` of a previously interned set, or — the `edit`
 //! verb — a `base` hash plus an `edits` script describing a mutation of
-//! that set (see [`EditScript`]), which the server answers from a
-//! delta-patched cache entry instead of a cold miss.
+//! that set (see [`EditScript`]), which the server applies to the
+//! resident set through `Dag::edit`: a task whose ops are all `wcet:`
+//! keeps its topology and derived cells, any other task is rebuilt, and
+//! the script is judged by the graph it ends at, as an inline `source`
+//! would be.
 //!
 //! ## Response
 //!

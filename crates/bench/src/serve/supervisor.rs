@@ -49,9 +49,9 @@ pub enum ServiceEvent {
     /// An injected slowdown delayed the attempt.
     SlowRequest,
     /// An `edit` request was answered from a delta-patched cache entry:
-    /// the base set was resident, so the patched set carried the base's
-    /// `DerivedCache` over instead of rebuilding it from scratch — or,
-    /// from the third sending of the same edit on, was not built at all
+    /// the base set was resident, so the patched set was made from it
+    /// by `Dag::edit` instead of parsed — or, from the third sending of
+    /// the same edit on, was not built at all
     /// ([`Interner::recall_edit`]).
     CacheDeltaHit,
 }
@@ -134,7 +134,7 @@ impl Supervisor {
             let result = panic::catch_unwind(AssertUnwindSafe(|| {
                 self.attempt(seq, attempt, request, interner, token, &mut events)
             }))
-            .unwrap_or_else(|payload| Err(AttemptError::Panicked(panic_message(&payload))));
+            .unwrap_or_else(|payload| Err(AttemptError::Panicked(panic_message(&*payload))));
             match result {
                 Ok(outcome) => {
                     return finish(outcome, attempt + 1, events);
@@ -308,10 +308,10 @@ impl Supervisor {
 }
 
 /// Applies a parsed edit script to a resident base set, producing the
-/// patched set. Each edited task's graph goes through [`Dag::edit`], so
-/// its `DerivedCache` is patched in place (shared outright for
-/// WCET-only scripts) rather than rebuilt; untouched tasks share their
-/// `Task` wholesale.
+/// patched set. Each edited task's graph goes through [`Dag::edit`]: a
+/// WCET-only script shares the base's topology and derived cells, any
+/// other is rebuilt and validated as its final graph; untouched tasks
+/// share their `Task` wholesale.
 ///
 /// [`Dag::edit`]: rtpool_graph::Dag::edit
 fn apply_edit_script(base: &TaskSet, ops: &[EditScript]) -> Result<TaskSet, String> {
@@ -473,6 +473,12 @@ mod tests {
         assert_eq!(out.attempts, 4);
         assert!(out.events.contains(&ServiceEvent::RescueAttempt));
         assert!(out.detail.contains("panicked"));
+        // The panic's own text survives the catch.
+        assert!(
+            out.detail.contains("injected service fault: worker panic"),
+            "{}",
+            out.detail
+        );
     }
 
     #[test]
@@ -645,6 +651,33 @@ mod tests {
             out.detail
         );
         assert_eq!(interner.stats().delta_hits, 0, "failed edits are not hits");
+    }
+
+    #[test]
+    fn a_wcet_sum_past_u64_is_an_error_on_the_first_attempt() {
+        let interner = Interner::new(8);
+        let sup = retrying(FaultPlan::seeded(1));
+        let refused = |out: &ServiceOutcome| {
+            assert_eq!(out.verdict, VerdictKind::Error, "detail: {}", out.detail);
+            assert_eq!(out.attempts, 1);
+            assert!(!out.events.contains(&ServiceEvent::WorkerPanicked));
+            assert!(out.detail.contains("volume overflow"), "{}", out.detail);
+        };
+        // True utilisation 2.5 on m = 2; the wrapped sum read 0.5.
+        let branches: String = (0..5)
+            .map(|i| format!("node b{i} 4611686018427387904\nedge s b{i}\nedge b{i} t\n"))
+            .collect();
+        let set = format!("task period=9223372036854775808\nnode s 1\nnode t 1\n{branches}end\n");
+        let req = Request {
+            body: RequestBody::Source(set),
+            ..request(1, 2)
+        };
+        refused(&sup.execute(0, &req, &interner, &CancelToken::never()));
+        // The same sum reached by retiming a resident set.
+        let base = sup.execute(1, &request(2, 2), &interner, &CancelToken::never());
+        let script = "wcet:0.0=18446744073709551615;wcet:0.1=18446744073709551615";
+        let edit = edit_request(3, 2, base.hash.expect("base interned"), script);
+        refused(&sup.execute(2, &edit, &interner, &CancelToken::never()));
     }
 
     #[test]

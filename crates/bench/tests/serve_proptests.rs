@@ -39,7 +39,7 @@ use rtpool_core::textfmt::write_task_set;
 use rtpool_core::{CancelToken, Task, TaskSet};
 use rtpool_exec::{FaultPlan, RecoveryPolicy};
 use rtpool_gen::{DagGenConfig, TaskSetConfig};
-use rtpool_graph::NodeId;
+use rtpool_graph::{DagBuilder, DagEdit, NodeId, NodeKind};
 
 /// A source string mixing benign text with every JSON escape class.
 fn source_from(picks: &[u8]) -> String {
@@ -567,68 +567,145 @@ proptest! {
     ) {
         let set = random_set(seed, n, util_tenths as f64 / 10.0);
         let task = tpick % set.len();
-        let node = npick % set.iter().nth(task).expect("in range").1.dag().node_count();
-        let m = 8;
-        let sup = Supervisor::new(RecoveryPolicy::Abort, FaultPlan::seeded(0));
-        let req = |id: u64, body: RequestBody| Request {
-            id,
-            m,
-            priority: 4,
-            deadline_us: 0,
-            body,
-        };
-        let never = CancelToken::never();
-
-        let interner = Interner::new(8);
-        let based = sup.execute(
-            0,
-            &req(1, RequestBody::Source(write_task_set(&set))),
-            &interner,
-            &never,
-        );
-        let base = based.hash.expect("base request resolves a hash");
-        let warm = sup.execute(
-            1,
-            &req(2, RequestBody::Edit {
-                base,
-                script: format!("wcet:{task}.{node}={wcet}"),
-            }),
-            &interner,
-            &never,
-        );
-        prop_assert!(
-            warm.events.contains(&ServiceEvent::CacheDeltaHit),
-            "resident base must produce a delta hit: {}",
-            warm.detail
-        );
-
-        // Cold path: the same mutation applied out-of-band, rendered to
-        // source, analyzed by a fresh interner with no warm state.
-        let patched: Vec<Task> = set
-            .iter()
-            .enumerate()
-            .map(|(i, (_, t))| {
-                if i == task {
-                    let mut e = t.dag().edit();
-                    e.set_wcet(NodeId::from_index(node), wcet);
-                    let (dag, _) = e.apply().expect("a WCET edit is always valid");
-                    Task::new(dag, t.period(), t.deadline()).expect("periods unchanged")
-                } else {
-                    t.clone()
-                }
-            })
-            .collect();
-        let cold_interner = Interner::new(8);
-        let cold = sup.execute(
-            2,
-            &req(3, RequestBody::Source(write_task_set(&TaskSet::new(patched)))),
-            &cold_interner,
-            &never,
-        );
-        prop_assert_eq!(cold.verdict, warm.verdict, "warm detail: {}", warm.detail);
-        prop_assert_eq!(cold.level, warm.level);
-        prop_assert_eq!(cold.hash, warm.hash, "patched set hashes like its source form");
+        let dag = set.as_slice()[task].dag();
+        let node = NodeId::from_index(npick % dag.node_count());
+        let mut ops = dag.edit();
+        ops.set_wcet(node, wcet);
+        edit_equals_cold_path(&set, task, &format!("wcet:{task}.{}={wcet}", node.index()), ops)?;
     }
+
+    /// The same agreement for scripts that are *not* WCET edits — an
+    /// edge between two concurrent nodes outside every region, a node
+    /// between a reachable pair of them, an existing pair dissolved (and
+    /// declared again) — and the other half: a script whose final graph
+    /// is no task graph answers `error` once, in the builder's words.
+    #[test]
+    fn structural_edit_equals_cold_path(
+        seed in 0u64..50_000,
+        n in 1usize..4,
+        util_tenths in 10u64..50,
+        tpick in 0usize..64,
+        upick in 0usize..256,
+        vpick in 0usize..256,
+        kind in 0usize..4,
+    ) {
+        let set = random_set(seed, n, util_tenths as f64 / 10.0);
+        let task = tpick % set.len();
+        let dag = set.as_slice()[task].dag();
+        let reach = dag.reachability();
+        let free: Vec<NodeId> = dag
+            .node_ids()
+            .filter(|&v| dag.kind(v) == NodeKind::NonBlocking)
+            .collect();
+        let (u, v) = (free[upick % free.len()], free[vpick % free.len()]);
+        let (u, v) = if reach.reaches(v, u) { (v, u) } else { (u, v) };
+        let regions = dag.blocking_regions();
+        let region = regions.get(upick % regions.len().max(1));
+        let mut ops = dag.edit();
+        let script = match (kind, region) {
+            (0 | 1, Some(r)) => {
+                let (f, j) = (r.fork(), r.join());
+                ops.set_blocking(f, j, false);
+                let off = format!("block:{task}.{}-{}=off", f.index(), j.index());
+                if kind == 0 {
+                    off
+                } else {
+                    ops.set_blocking(f, j, true);
+                    format!("{off}; block:{task}.{}-{}=on", f.index(), j.index())
+                }
+            }
+            _ if reach.reaches(u, v) => {
+                ops.insert_node(7, &[u], &[v]);
+                format!("node:{task}=7@{}>{}", u.index(), v.index())
+            }
+            _ if u != v => {
+                ops.insert_edge(u, v);
+                format!("edge:{task}.{}>{}", u.index(), v.index())
+            }
+            _ => {
+                ops.set_wcet(u, 7);
+                format!("wcet:{task}.{}=7", u.index())
+            }
+        };
+        let (sup, interner, base) = edit_equals_cold_path(&set, task, &script, ops)?;
+
+        // The other half: `v -> u` closes a cycle when `u` reaches `v`,
+        // and an edge from a blocking fork to the sink leaves its region.
+        let bad = match region {
+            Some(r) if kind % 2 == 0 => (r.fork(), dag.sink()),
+            _ if reach.reaches(u, v) => (v, u),
+            _ => (dag.sink(), dag.source()),
+        };
+        let mut b = DagBuilder::new();
+        for x in dag.node_ids() {
+            b.add_node(dag.wcet(x));
+        }
+        for x in dag.node_ids() {
+            for &y in dag.successors(x) {
+                b.add_edge(x, y).expect("the base's own edge");
+            }
+        }
+        for r in regions {
+            b.blocking_pair(r.fork(), r.join()).expect("the base's own pair");
+        }
+        b.add_edge(bad.0, bad.1).expect("a new edge between known nodes");
+        let said = b.build().expect_err("the edge breaks the model");
+        let script = format!("edge:{task}.{}>{}", bad.0.index(), bad.1.index());
+        let refused = sup.execute(
+            3,
+            &request(8, RequestBody::Edit { base, script }),
+            &interner,
+            &CancelToken::never(),
+        );
+        prop_assert_eq!(refused.verdict, VerdictKind::Error);
+        prop_assert_eq!(refused.attempts, 1);
+        prop_assert_eq!(refused.detail, format!("edit rejected on task {task}: {said}"));
+    }
+}
+
+/// Sends `set` as source and then `script` as an edit of it, and checks
+/// the edit's answer — verdict, rung and content hash — against the cold
+/// path: `ops` (the same script as graph edits of task `task`) applied
+/// out of band, the mutated set rendered to source and sent to a fresh
+/// interner. Returns what served the edit, and the base's hash.
+fn edit_equals_cold_path(
+    set: &TaskSet,
+    task: usize,
+    script: &str,
+    ops: DagEdit<'_>,
+) -> Result<(Supervisor, Interner, u64), String> {
+    let sup = Supervisor::new(RecoveryPolicy::Abort, FaultPlan::seeded(0));
+    let never = CancelToken::never();
+    let interner = Interner::new(8);
+    let source = RequestBody::Source(write_task_set(set));
+    let based = sup.execute(0, &request(8, source), &interner, &never);
+    let base = based.hash.expect("base request resolves a hash");
+    let edit = RequestBody::Edit {
+        base,
+        script: script.to_string(),
+    };
+    let warm = sup.execute(1, &request(8, edit), &interner, &never);
+    prop_assert!(
+        warm.events.contains(&ServiceEvent::CacheDeltaHit),
+        "`{}` on a resident base must produce a delta hit: {}",
+        script,
+        warm.detail
+    );
+
+    let (edited, _) = ops.apply().expect("the script is valid by construction");
+    let mut tasks: Vec<Task> = set.iter().map(|(_, t)| t.clone()).collect();
+    tasks[task] =
+        Task::new(edited, tasks[task].period(), tasks[task].deadline()).expect("periods unchanged");
+    let source = RequestBody::Source(write_task_set(&TaskSet::new(tasks)));
+    let cold = sup.execute(2, &request(8, source), &Interner::new(8), &never);
+    prop_assert_eq!(
+        answer(&cold),
+        answer(&warm),
+        "`{}`: warm detail: {}",
+        script,
+        warm.detail
+    );
+    Ok((sup, interner, base))
 }
 
 /// `source` with the last digit of task 0's node `v{node}` WCET
@@ -648,7 +725,7 @@ fn answer(out: &ServiceOutcome) -> (Option<u64>, VerdictKind, Option<LadderLevel
     (out.hash, out.verdict, out.level)
 }
 
-fn near_miss_request(m: usize, body: RequestBody) -> Request {
+fn request(m: usize, body: RequestBody) -> Request {
     Request {
         id: 0,
         m,
@@ -690,7 +767,7 @@ proptest! {
             .iter()
             .map(|text| {
                 let body = RequestBody::Source(text.clone());
-                answer(&sup.execute(0, &near_miss_request(m, body), &Interner::new(8), &never))
+                answer(&sup.execute(0, &request(m, body), &Interner::new(8), &never))
             })
             .collect();
         prop_assert_eq!(alone[1].0, alone[3].0, "a comment keeps the structure");
@@ -702,7 +779,7 @@ proptest! {
             if let (0, Some(hash)) = (poison, alone[(pick + 3) % 8].0) {
                 interner.poison(hash);
             }
-            let request = near_miss_request(m, RequestBody::Source(texts[pick].clone()));
+            let request = request(m, RequestBody::Source(texts[pick].clone()));
             for t in 0..times {
                 let out = sup.execute(seq as u64, &request, &interner, &never);
                 prop_assert_eq!(answer(&out), alone[pick], "text {} sending {}: {}", pick, t, out.detail);
@@ -724,7 +801,7 @@ proptest! {
         let never = CancelToken::never();
         let sup = Supervisor::new(RecoveryPolicy::Abort, FaultPlan::seeded(0));
         let execute = |interner: &Interner, body: RequestBody| {
-            sup.execute(0, &near_miss_request(m, body), interner, &never)
+            sup.execute(0, &request(m, body), interner, &never)
         };
         let sources: Vec<String> = (0..2)
             .map(|k| write_task_set(&random_set(seed + k, n, util_tenths as f64 / 10.0)))

@@ -1,24 +1,17 @@
 //! Warm-started (incremental) response-time analysis.
 //!
 //! After a small edit to a task set — a WCET re-estimate, an extra edge,
-//! a toggled blocking pair — re-running the full analysis from scratch
-//! discards two reusable artifacts:
+//! a toggled blocking pair — re-running the global analysis from scratch
+//! discards the previous response-time vector. The global fix-point
+//! `Rᵢ = F(Rᵢ)` is monotone in every input (volumes, critical paths,
+//! higher-priority response times) and *anti*tone in the concurrency
+//! divisor. Whenever the edit moved every input in the pessimistic
+//! direction, the old response time is still an under-approximation of
+//! the new least fixed point, so the iteration may resume from it
+//! instead of from `len(λᵢ*)` and converge in a handful of steps —
+//! often exactly one. See [`analyze_many_warm`].
 //!
-//! 1. **The previous response-time vector.** The global fix-point
-//!    `Rᵢ = F(Rᵢ)` is monotone in every input (volumes, critical paths,
-//!    higher-priority response times) and *anti*tone in the concurrency
-//!    divisor. Whenever the edit moved every input in the pessimistic
-//!    direction, the old response time is still an under-approximation of
-//!    the new least fixed point, so the iteration may resume from it
-//!    instead of from `len(λᵢ*)` and converge in a handful of steps —
-//!    often exactly one. See [`analyze_many_warm`].
-//! 2. **The node-to-thread mappings.** Algorithm 1's output stays valid
-//!    under WCET-only edits (its deadlock-freedom argument, Lemma 3, is
-//!    purely structural), so the partitioned analysis can skip
-//!    repartitioning and re-analyze the deployed mapping directly. See
-//!    [`analyze_partitioned_warm`].
-//!
-//! Both entry points are *bit-identical fallbacks*: whenever the
+//! The warm pass is a *bit-identical fallback*: whenever the
 //! monotonicity guard cannot be established the affected task is simply
 //! analyzed cold, and a warm iteration that trips the deadline is rerun
 //! cold so the reported [`ResponseTimeExceedsDeadline`] bound — which
@@ -47,12 +40,8 @@
 //! the cold iteration reaches from `len′`.
 
 use crate::analysis::global::{analyze_tasks, build_params, ConcurrencyModel, TaskParams};
-use crate::analysis::partitioned::{
-    analyze as analyze_partitioned, partition_and_analyze, BlockingAwareness, PartitionStrategy,
-};
 use crate::analysis::SchedResult;
 use crate::cancel::{CancelToken, Cancelled};
-use crate::partition::NodeMapping;
 use crate::task::TaskSet;
 
 #[cfg(doc)]
@@ -229,86 +218,6 @@ fn fixpoint_seed(
         }
     }
     Some(prev_r)
-}
-
-/// Snapshot of a completed partitioned pass: the node-to-thread mappings
-/// it deployed, reusable by [`analyze_partitioned_warm`] as long as the
-/// task structures are unchanged.
-#[derive(Clone, Debug)]
-pub struct PartitionedWarm {
-    m: usize,
-    strategy: PartitionStrategy,
-    mappings: Vec<Option<NodeMapping>>,
-}
-
-impl PartitionedWarm {
-    /// The mappings deployed by the pass that produced this snapshot
-    /// (`None` where partitioning failed).
-    #[must_use]
-    pub fn mappings(&self) -> &[Option<NodeMapping>] {
-        &self.mappings
-    }
-}
-
-/// [`partition_and_analyze`] with mapping reuse: when a previous
-/// snapshot's mappings still cover every task (same `m`, same strategy,
-/// same node counts), Algorithm 1 / worst-fit is skipped entirely and the
-/// deployed mappings are re-analyzed against the edited WCETs.
-///
-/// Reuse is meant for **WCET-only** edits
-/// ([`DagDelta::is_wcet_only`](rtpool_graph::DagDelta::is_wcet_only)):
-/// the mapping's deadlock-freedom (Lemma 3) is purely structural, so a
-/// WCET re-estimate cannot invalidate it. As defense in depth the reuse
-/// path audits the mapping with [`BlockingAwareness::Checked`], so a
-/// structurally-stale mapping degrades to a sound
-/// [`UnschedulableReason::MappingDeadlock`] verdict rather than an
-/// optimistic one. Callers tracking a structural or blocking edit should
-/// pass `prev: None`.
-///
-/// Note the semantics differ from the global warm start: this re-analyzes
-/// the *deployed* mapping (the pool does not remap on a re-estimate), so
-/// the verdict matches a from-scratch run with the same mappings, not
-/// necessarily a from-scratch repartition.
-///
-/// # Panics
-///
-/// Panics if `m == 0`.
-#[must_use]
-pub fn analyze_partitioned_warm(
-    set: &TaskSet,
-    m: usize,
-    strategy: PartitionStrategy,
-    prev: Option<&PartitionedWarm>,
-) -> (SchedResult, PartitionedWarm) {
-    assert!(m > 0, "platform must have at least one processor");
-    let reusable = prev.filter(|w| {
-        w.m == m
-            && w.strategy == strategy
-            && w.mappings.len() == set.len()
-            && set.iter().zip(&w.mappings).all(|((_, t), mp)| {
-                mp.as_ref().is_some_and(|mp| {
-                    mp.pool_size() == m && mp.node_count() == t.dag().node_count()
-                })
-            })
-    });
-    if let Some(w) = reusable {
-        let mappings: Vec<NodeMapping> = w
-            .mappings
-            .iter()
-            .map(|mp| mp.clone().expect("reusable snapshot has full coverage"))
-            .collect();
-        let result = analyze_partitioned(set, m, &mappings, BlockingAwareness::Checked);
-        return (result, w.clone());
-    }
-    let (result, mappings) = partition_and_analyze(set, m, strategy);
-    (
-        result,
-        PartitionedWarm {
-            m,
-            strategy,
-            mappings,
-        },
-    )
 }
 
 #[cfg(test)]
@@ -522,54 +431,6 @@ mod tests {
         let expired = CancelToken::with_deadline(std::time::Instant::now());
         let r = analyze_many_warm(&set, 4, &ALL_MODELS, &expired, None);
         assert_eq!(r, Err(Cancelled));
-    }
-
-    #[test]
-    fn partitioned_warm_reuses_mappings_on_wcet_edit() {
-        let set = TaskSet::new(vec![
-            fork_join_task(&[20, 20], true, 500),
-            fork_join_task(&[15, 15], true, 900),
-        ]);
-        let (cold, warm) = analyze_partitioned_warm(&set, 4, PartitionStrategy::Algorithm1, None);
-        assert!(cold.is_schedulable());
-        assert!(warm.mappings().iter().all(Option::is_some));
-
-        // WCET-only edit: the reuse path must equal a from-scratch
-        // analysis of the *same* mappings against the new WCETs.
-        let edited = replace_task(&set, 0, edit_wcet(set.iter().next().unwrap().1, 1, 27));
-        let (reused, warm2) =
-            analyze_partitioned_warm(&edited, 4, PartitionStrategy::Algorithm1, Some(&warm));
-        let mappings: Vec<NodeMapping> = warm
-            .mappings()
-            .iter()
-            .map(|mp| mp.clone().unwrap())
-            .collect();
-        assert_eq!(
-            reused,
-            analyze_partitioned(&edited, 4, &mappings, BlockingAwareness::Checked)
-        );
-        assert_eq!(warm2.mappings().len(), warm.mappings().len());
-    }
-
-    #[test]
-    fn partitioned_warm_repartitions_on_structural_change() {
-        let set = TaskSet::new(vec![fork_join_task(&[20, 20], false, 500)]);
-        let (_, warm) = analyze_partitioned_warm(&set, 4, PartitionStrategy::Algorithm1, None);
-        // Node insert changes the node count: the snapshot no longer
-        // covers the task, so the pass must repartition from scratch.
-        let base = set.iter().next().unwrap().1.clone();
-        let mut e = base.dag().edit();
-        let fork = NodeId::from_index(0);
-        let join = NodeId::from_index(base.dag().node_count() - 1);
-        // Non-blocking fork–join: insert a fresh parallel branch.
-        e.insert_node(9, &[fork], &[join]);
-        let (dag, delta) = e.apply().unwrap();
-        assert!(!delta.is_wcet_only());
-        let edited = TaskSet::new(vec![Task::new(dag, base.period(), base.deadline()).unwrap()]);
-        let (warm_result, _) =
-            analyze_partitioned_warm(&edited, 4, PartitionStrategy::Algorithm1, Some(&warm));
-        let (cold_result, _) = partition_and_analyze(&edited, 4, PartitionStrategy::Algorithm1);
-        assert_eq!(warm_result, cold_result);
     }
 
     /// Two light chain tasks ahead of a `layers × width` layered DAG

@@ -9,10 +9,9 @@
 //!   style of Fonseca et al. (SIES 2016) with SPLIT-like self-suspension
 //!   handling (see the crate-level docs and DESIGN.md for the exact
 //!   adaptation).
-//! * [`incremental`] — warm-started variants of both: fix-points resume
-//!   from the previous response-time vector (sound by monotonicity) and
-//!   partitioned passes reuse deployed mappings on WCET-only edits, with
-//!   bit-identical verdicts and cold fallbacks.
+//! * [`incremental`] — the warm-started variant of the global analysis:
+//!   fix-points resume from the previous response-time vector (sound by
+//!   monotonicity), with bit-identical verdicts and cold fallbacks.
 
 pub mod global;
 pub mod incremental;

@@ -118,15 +118,6 @@ impl<'a> BitRow<'a> {
         }
     }
 
-    /// An owned copy of the viewed set.
-    #[must_use]
-    pub fn to_bitset(self) -> BitSet {
-        BitSet {
-            words: self.words.to_vec(),
-            capacity: self.capacity,
-        }
-    }
-
     /// The words of `other`, after checking it has this view's capacity.
     fn same_capacity<'b>(self, other: BitRow<'b>) -> &'b [u64] {
         assert_eq!(self.capacity, other.capacity, "bitset capacity mismatch");
@@ -410,7 +401,7 @@ impl<'a> IntoIterator for &'a BitSet {
 /// Rows are handed out as [`BitRow`] views and written in place, so a
 /// transitive closure or a delay profile costs one allocation whatever
 /// the node count.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug)]
 pub(crate) struct BitMatrix {
     words: Vec<u64>,
     n: usize,
@@ -493,26 +484,6 @@ impl BitMatrix {
         } else {
             union_words(hi_row, lo_row);
         }
-    }
-
-    /// Grows the relation to `new_n × new_n`, keeping every stored pair;
-    /// the new rows and columns are empty. Rows are re-laid when the
-    /// stride changes (every 64 nodes).
-    pub(crate) fn grow(&mut self, new_n: usize) {
-        assert!(new_n >= self.n, "bit matrix can only grow");
-        let new_stride = new_n.div_ceil(64);
-        if new_stride == self.stride {
-            self.words.resize(new_n * new_stride, 0);
-        } else {
-            let mut words = vec![0; new_n * new_stride];
-            for i in 0..self.n {
-                words[i * new_stride..i * new_stride + self.stride]
-                    .copy_from_slice(&self.words[i * self.stride..(i + 1) * self.stride]);
-            }
-            self.words = words;
-            self.stride = new_stride;
-        }
-        self.n = new_n;
     }
 }
 
@@ -623,7 +594,7 @@ mod tests {
         s.difference_with(m.row(4));
         assert_eq!(s.iter().collect::<Vec<_>>(), vec![69]);
         assert_eq!(format!("{:?}", m.row(3)), "{1, 69}");
-        assert_eq!(m.row(3).to_bitset().len(), 2);
+        assert_eq!(m.row(3).len(), 2);
     }
 
     #[test]
@@ -638,32 +609,5 @@ mod tests {
         assert!(m.row(1).is_empty());
         assert!(m.remove(0, 64) && !m.remove(0, 64));
         assert!(!m.contains(0, 64) && m.contains(2, 64));
-    }
-
-    #[test]
-    fn matrix_growth_keeps_pairs_across_a_stride_change() {
-        let mut m = BitMatrix::new(63);
-        m.insert(0, 62);
-        m.insert(62, 0);
-        m.insert(31, 31);
-        let mut expected = vec![(0, 62), (31, 31), (62, 0)];
-        for n in [64, 65, 129] {
-            m.grow(n);
-            assert_eq!(m.node_count(), n);
-            m.insert(n - 1, n - 1);
-            expected.push((n - 1, n - 1));
-            let pairs: Vec<(usize, usize)> = (0..n)
-                .flat_map(|i| m.row(i).iter().map(move |j| (i, j)))
-                .collect();
-            assert_eq!(pairs, expected);
-            assert_eq!(m.row(0).capacity(), n);
-        }
-        assert_eq!(m, {
-            let mut cold = BitMatrix::new(129);
-            for &(i, j) in &expected {
-                cold.insert(i, j);
-            }
-            cold
-        });
     }
 }

@@ -8,14 +8,11 @@
 //! critical-path witness and the content hash all depend on.
 
 use std::collections::HashSet;
-use std::sync::Arc;
 
-use crate::cache::DerivedCache;
 use crate::csr::Csr;
-use crate::dag::{Dag, Topology};
+use crate::dag::Dag;
 use crate::error::GraphError;
-use crate::node::{NodeData, NodeId};
-use crate::validate;
+use crate::node::NodeId;
 
 /// Builder for [`Dag`] task graphs.
 ///
@@ -239,27 +236,7 @@ impl DagBuilder {
         let n = self.wcets.len();
         let succ = Csr::from_edges(n, self.edges.iter().copied());
         let pred = Csr::from_edges(n, self.edges.iter().map(|&(from, to)| (to, from)));
-        let analysis = validate::analyze(&succ, &pred, &self.pairs)?;
-        let nodes = self
-            .wcets
-            .iter()
-            .zip(&analysis.kinds)
-            .map(|(&wcet, &kind)| NodeData { wcet, kind })
-            .collect();
-        Ok(Dag {
-            nodes,
-            topology: Arc::new(Topology {
-                succ,
-                pred,
-                order: analysis.topo,
-                source: analysis.source,
-                sink: analysis.sink,
-                pair: analysis.pair,
-                region_of: analysis.region_of,
-                regions: analysis.regions,
-            }),
-            cache: DerivedCache::with_reachability(analysis.reach),
-        })
+        Dag::assemble(&self.wcets, succ, pred, &self.pairs)
     }
 
     /// Builds the graph, first normalizing multiple sources/sinks by adding
@@ -345,6 +322,20 @@ mod tests {
             DagBuilder::new().build_normalized(),
             Err(GraphError::Empty)
         ));
+    }
+
+    #[test]
+    fn rejects_a_wcet_sum_past_u64() {
+        // Five parallel nodes of 2^62 between unit endpoints: the true
+        // volume is 5·2^62 + 2, which wraps to 2^62 + 2.
+        let mut b = DagBuilder::new();
+        let (_, _) = b.fork_join(1, &[1 << 62; 5], 1, false).unwrap();
+        assert_eq!(b.build().unwrap_err(), GraphError::VolumeOverflow);
+        // One branch fewer fits, and the checked sum seeds the cache.
+        let mut b = DagBuilder::new();
+        let (_, _) = b.fork_join(1, &[1 << 62; 3], 1, false).unwrap();
+        let dag = b.build().unwrap();
+        assert_eq!(dag.cache.volume.get(), Some(&(3 * (1 << 62) + 2)));
     }
 
     #[test]

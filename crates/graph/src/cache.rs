@@ -21,11 +21,10 @@
 //! borrowed [`BitRow`] views. A profile is therefore three heap blocks
 //! and a closure two, whatever the node count, where one owned bit set
 //! per node per relation used to make filling and freeing the cache
-//! `O(|V|)` allocator calls. Both are held behind [`Arc`] so the
-//! incremental edit layer ([`Dag::edit`](crate::Dag::edit)) can share
-//! them across graph versions: a WCET-only edit carries both forward at
-//! refcount cost, and a structural edit clones the inner value once (one
-//! `memcpy` per matrix) and patches only the dirty rows.
+//! `O(|V|)` allocator calls. Both are held behind [`Arc`] so a WCET-only
+//! [`Dag::edit`](crate::Dag::edit) carries them to the next graph
+//! version at refcount cost; any other edit is a rebuild and computes
+//! its own.
 
 use std::sync::{Arc, OnceLock};
 
@@ -76,11 +75,21 @@ impl DelayProfile {
             counts: vec![0; n],
             max_count: 0,
         };
-        let bf_mask = bf_mask_of(dag);
+        let mut bf_mask = BitSet::new(n);
+        for v in dag.node_ids() {
+            if dag.kind(v) == NodeKind::BlockingFork {
+                bf_mask.insert(v.index());
+            }
+        }
         for v in dag.node_ids() {
             profile.fill_row(dag, reach, &bf_mask, v);
         }
-        profile.refresh_max();
+        profile.max_count = profile
+            .counts
+            .iter()
+            .map(|&c| c as usize)
+            .max()
+            .unwrap_or(0);
         profile
     }
 
@@ -110,51 +119,6 @@ impl DelayProfile {
         self.max_count
     }
 
-    /// Grows the profile to cover `new_count` nodes. The appended rows
-    /// are placeholders; callers must list the new indices as dirty in a
-    /// subsequent [`DelayProfile::repatch`].
-    pub(crate) fn grow(&mut self, new_count: usize) {
-        self.rows.grow(new_count);
-        self.counts.resize(new_count, 0);
-    }
-
-    /// Recomputes the rows of `dirty` node indices against the (already
-    /// patched) `dag` and `reach`, then refreshes `b̄`. Cost is one
-    /// `O(|V|/64)` sweep per dirty node — the whole-profile rebuild only
-    /// when every node is dirty.
-    pub(crate) fn repatch(&mut self, dag: &Dag, reach: &Reachability, dirty: &[usize]) {
-        let bf_mask = bf_mask_of(dag);
-        for &i in dirty {
-            self.fill_row(dag, reach, &bf_mask, NodeId::from_index(i));
-        }
-        self.refresh_max();
-    }
-
-    /// Adds or clears the `fork` column across all rows after a
-    /// blocking-flag toggle. Reachability is unchanged by a toggle, so
-    /// membership of `fork` in `X(v)` is `C`-concurrency with `v` (or
-    /// `v` waiting on `fork`), evaluated in `O(1)` per row.
-    pub(crate) fn toggle_fork(&mut self, dag: &Dag, reach: &Reachability, fork: NodeId, on: bool) {
-        let f = fork.index();
-        for i in 0..self.counts.len() {
-            let v = NodeId::from_index(i);
-            if on {
-                let member = reach.are_concurrent(fork, v) || dag.waiting_fork_of(v) == Some(fork);
-                if member && self.rows.insert(i, f) {
-                    self.counts[i] += 1;
-                }
-            } else if self.rows.remove(i, f) {
-                self.counts[i] -= 1;
-            }
-        }
-        self.refresh_max();
-    }
-
-    /// Recomputes `max_count` from the per-row counts (`O(|V|)`).
-    pub(crate) fn refresh_max(&mut self) {
-        self.max_count = self.counts.iter().map(|&c| c as usize).max().unwrap_or(0);
-    }
-
     /// Writes `X(v) = C(v) ∪ F'(v)` into row `v` in place and records
     /// its size.
     fn fill_row(&mut self, dag: &Dag, reach: &Reachability, bf_mask: &BitSet, v: NodeId) {
@@ -173,20 +137,9 @@ impl DelayProfile {
     }
 }
 
-/// Bitset of the `BF` node indices of `dag`.
-fn bf_mask_of(dag: &Dag) -> BitSet {
-    let mut bf_mask = BitSet::new(dag.node_count());
-    for v in dag.node_ids() {
-        if dag.kind(v) == NodeKind::BlockingFork {
-            bf_mask.insert(v.index());
-        }
-    }
-    bf_mask
-}
-
-/// The lazy cells carried by every [`Dag`]. All fields start empty (or
-/// pre-seeded by the builder, which computes reachability anyway during
-/// validation) and fill on first use.
+/// The lazy cells carried by every [`Dag`]. All fields start empty and
+/// fill on first use, but for the two `Dag::assemble` seeds: the closure
+/// the validation computed anyway, and the checked WCET sum.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct DerivedCache {
     pub(crate) volume: OnceLock<u64>,
@@ -197,15 +150,4 @@ pub(crate) struct DerivedCache {
     pub(crate) bf_antichain: OnceLock<Vec<NodeId>>,
     pub(crate) delays: OnceLock<Arc<DelayProfile>>,
     pub(crate) content_hash: OnceLock<u64>,
-}
-
-impl DerivedCache {
-    /// A cache whose reachability cell is pre-filled — the builder
-    /// computes the closure while validating blocking regions, so the
-    /// finished graph never recomputes it.
-    pub(crate) fn with_reachability(reach: Reachability) -> Self {
-        let cache = DerivedCache::default();
-        let _ = cache.reach.set(Arc::new(reach));
-        cache
-    }
 }

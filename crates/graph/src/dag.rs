@@ -10,6 +10,7 @@ use crate::paths::{self, CriticalPath, PathMetrics};
 use crate::reach::Reachability;
 use crate::regions::Region;
 use crate::topo::TopologicalOrder;
+use crate::validate;
 
 /// An immutable, validated task graph `Gᵢ = {Vᵢ, Eᵢ}` of the thread-pool
 /// task model.
@@ -75,6 +76,52 @@ pub(crate) struct Topology {
 }
 
 impl Dag {
+    /// The one place a `Dag` is made from a skeleton — node WCETs, the
+    /// two CSR arrays and the declared blocking pairs — for
+    /// [`DagBuilder`](crate::DagBuilder) and for a structural
+    /// [`Dag::edit`] alike: [`validate::analyze`] checks every model
+    /// restriction and derives kinds and regions, and the WCETs are
+    /// summed with overflow checked (every path length and per-core load
+    /// is at most the volume, so this one check bounds them all). The
+    /// closure the validation computed and the volume seed the cache;
+    /// every other cell stays lazy.
+    pub(crate) fn assemble(
+        wcets: &[u64],
+        succ: Csr,
+        pred: Csr,
+        pairs: &[(NodeId, NodeId)],
+    ) -> Result<Dag, GraphError> {
+        let analysis = validate::analyze(&succ, &pred, pairs)?;
+        let volume = wcets
+            .iter()
+            .try_fold(0u64, |sum, &wcet| sum.checked_add(wcet))
+            .ok_or(GraphError::VolumeOverflow)?;
+        let nodes = wcets
+            .iter()
+            .zip(&analysis.kinds)
+            .map(|(&wcet, &kind)| NodeData { wcet, kind })
+            .collect();
+        let cache = DerivedCache {
+            volume: volume.into(),
+            reach: Arc::new(analysis.reach).into(),
+            ..DerivedCache::default()
+        };
+        Ok(Dag {
+            nodes,
+            topology: Arc::new(Topology {
+                succ,
+                pred,
+                order: analysis.topo,
+                source: analysis.source,
+                sink: analysis.sink,
+                pair: analysis.pair,
+                region_of: analysis.region_of,
+                regions: analysis.regions,
+            }),
+            cache,
+        })
+    }
+
     /// Number of nodes `|Vᵢ|`.
     #[must_use]
     pub fn node_count(&self) -> usize {
@@ -203,7 +250,9 @@ impl Dag {
         })
     }
 
-    /// The task volume `vol(τᵢ)`: the sum of all node WCETs. Memoized.
+    /// The task volume `vol(τᵢ)`: the sum of all node WCETs. Memoized —
+    /// and seeded at assembly, where the sum is checked for overflow, so
+    /// only a [`Dag::clone_uncached`] copy ever adds it up again.
     #[must_use]
     pub fn volume(&self) -> u64 {
         *self
@@ -235,9 +284,9 @@ impl Dag {
     }
 
     /// The transitive-reachability closure of the graph. Memoized — and
-    /// normally pre-seeded by [`DagBuilder`](crate::DagBuilder), which
-    /// computes the closure while validating blocking regions, so this
-    /// never recomputes it for builder-constructed graphs.
+    /// seeded at assembly, which computes the closure while validating
+    /// blocking regions, so this never recomputes it for a built or
+    /// edited graph.
     #[must_use]
     pub fn reachability(&self) -> &Reachability {
         self.cache
@@ -310,11 +359,10 @@ impl Dag {
     ///
     /// The returned [`DagEdit`](crate::DagEdit) accumulates mutations
     /// (WCET changes, edge/node insertions, blocking-flag toggles) and
-    /// applies them to a *new* `Dag` whose derived-analysis cache is
-    /// patched in place instead of discarded: only the affected cone of
-    /// reachability rows and delay sets is recomputed, and a WCET-only
-    /// edit shares the `O(|V|²)` artifacts with the base graph outright.
-    /// `self` is unchanged.
+    /// applies them to a *new* `Dag`: a script of WCET changes alone
+    /// shares the topology and the `O(|V|²)` artifacts with the base
+    /// graph outright, and any other script is rebuilt and validated
+    /// whole, as the builder would. `self` is unchanged.
     #[must_use]
     pub fn edit(&self) -> crate::DagEdit<'_> {
         crate::DagEdit::new(self)
@@ -347,7 +395,7 @@ impl Dag {
     ///
     /// Returns the first violated restriction as a [`GraphError`].
     pub fn validate_model(&self) -> Result<(), GraphError> {
-        crate::validate::validate(self)
+        validate::validate(self)
     }
 
     /// Checks the experiment-generation convention that the source and sink

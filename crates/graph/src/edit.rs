@@ -1,40 +1,34 @@
-//! Versioned, cache-preserving mutation of [`Dag`] graphs.
+//! Versioned mutation of [`Dag`] graphs: a WCET patch or a rebuild.
 //!
 //! A `Dag` is immutable, so "editing" one means deriving a *new* version.
-//! The naive route — re-running [`DagBuilder`](crate::DagBuilder) — pays
-//! the full `O(|V|²/64)` reachability closure plus a fresh
-//! [`DelayProfile`](crate::DelayProfile) even for a one-node WCET tweak.
-//! [`DagEdit`] instead patches the base graph's
-//! [`DerivedCache`](crate::cache::DerivedCache) in place:
+//! [`DagEdit::apply`] has exactly two routes, chosen by what the script
+//! contains:
 //!
-//! * **WCET change** — structure untouched: the topology (CSR adjacency,
-//!   topological order, region tables), the reachability closure and the
-//!   delay profile are all *shared* with the base (each sits behind an
-//!   `Arc`), the volume is adjusted arithmetically, and only the path
-//!   metrics are left for lazy `O(|V|+|E|)` recomputation. The one
-//!   per-node copy is the WCET/kind table, so the allocator is called a
-//!   fixed number of times whatever the graph's size.
-//! * **Edge insert `u -> v`** — only the *dirty cone* is touched: the
-//!   descendant rows of `{u} ∪ anc(u)` and the ancestor rows of
-//!   `{v} ∪ desc(v)` are patched word-parallel, and the delay rows of
-//!   exactly those nodes are rebuilt.
-//! * **Node insert** — an `NB` node is appended; the closure and delay
-//!   matrices grow by one row and column and the new edges are patched
-//!   in as above.
-//! * **Blocking toggle** — reachability is unaffected; the fork's column
-//!   is flipped across the delay rows in `O(1)` per row.
+//! * **Only [`EditOp::SetWcet`] ops** — structure untouched: the topology
+//!   (CSR adjacency, topological order, region tables), the reachability
+//!   closure and the delay profile are all *shared* with the base (each
+//!   sits behind an `Arc`), the volume is adjusted arithmetically, and
+//!   only the path metrics are left for lazy `O(|V|+|E|)` recomputation.
+//!   The one per-node copy is the WCET/kind table, so the allocator is
+//!   called a fixed number of times whatever the graph's size.
+//! * **Anything else** — a rebuild. The script is folded into the final
+//!   skeleton (node WCETs; the base CSR rows, each keeping its order and
+//!   gaining the inserted edges behind it, which is what pushing onto
+//!   per-node lists would have produced; the base regions' pairs minus
+//!   the dissolved ones plus the declared ones in op order) and handed to
+//!   `Dag::assemble`, the same validation and assembly step
+//!   [`DagBuilder`](crate::DagBuilder) ends in.
 //!
-//! Inserted edges are collected while the script runs and the two CSR
-//! arrays are rebuilt once at the end: every row keeps its order and
-//! gains its new neighbours behind it, which is what pushing onto
-//! per-node lists would have produced.
-//!
-//! Every op is validated against the evolving graph (cycles via the
-//! already-patched closure, the paper's region restrictions (i)–(iii),
-//! nesting/overlap), so an edited `Dag` upholds the same invariants as a
-//! builder-constructed one. The returned [`DagDelta`] names the dirty
-//! cone so downstream analyses (warm-started RTA in `rtpool-core`) can
-//! confine their own recomputation to it.
+//! A script is therefore judged by the graph it *ends at*, as a `.rtp`
+//! file is: cycles, endpoint uniqueness, the paper's region restrictions
+//! (i)–(iii), nesting and overlap are reported by the one validator with
+//! its variants and witnesses, node kinds are derived from the final
+//! pairs (a node inserted between a blocking fork and its join is a
+//! `BC` child), and an edited `Dag` upholds every invariant because it
+//! came through the only code that checks them. Only what a skeleton
+//! cannot represent is rejected op by op: an out-of-range node index, a
+//! self-loop, a duplicate edge, a node insert without predecessors or
+//! successors, and dissolving a pair that is not declared.
 //!
 //! # Examples
 //!
@@ -58,18 +52,12 @@
 //! # }
 //! ```
 
-use std::borrow::Cow;
 use std::sync::Arc;
 
-use crate::bitset::BitSet;
-use crate::cache::{DelayProfile, DerivedCache};
-use crate::csr::Csr;
-use crate::dag::{Dag, Topology};
+use crate::cache::DerivedCache;
+use crate::dag::Dag;
 use crate::error::GraphError;
-use crate::node::{NodeData, NodeId, NodeKind};
-use crate::reach::Reachability;
-use crate::regions::Region;
-use crate::topo::TopologicalOrder;
+use crate::node::NodeId;
 
 /// One mutation step of an edit script. See [`DagEdit`] for semantics.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -88,7 +76,9 @@ pub enum EditOp {
         /// Edge head.
         to: NodeId,
     },
-    /// Append a new `NB` node wired to existing predecessors/successors.
+    /// Append a new node wired to existing predecessors/successors. Its
+    /// kind is derived like every other node's: `NB` unless the final
+    /// graph places it inside a blocking region.
     InsertNode {
         /// WCET of the new node.
         wcet: u64,
@@ -109,22 +99,10 @@ pub enum EditOp {
     },
 }
 
-/// Summary of what an applied edit script touched, so downstream
-/// analyses can confine recomputation to the affected cone.
-#[derive(Clone, Debug)]
+/// Which of [`DagEdit::apply`]'s two routes a script took.
+#[derive(Clone, Copy, Debug)]
 pub struct DagDelta {
-    /// Nodes whose derived data (reachability rows, delay sets, or WCET)
-    /// may differ from the base graph, sorted by id. A superset of the
-    /// true change set is permitted; membership is exact for WCET edits.
-    pub dirty: Vec<NodeId>,
-    /// `true` if any edge or node was inserted (topology changed).
-    pub structural: bool,
-    /// `true` if any node's WCET changed.
-    pub wcet_changed: bool,
-    /// `true` if any blocking pair was declared or dissolved.
-    pub blocking_changed: bool,
-    /// Number of nodes appended by the script.
-    pub nodes_added: usize,
+    wcet_only: bool,
 }
 
 impl DagDelta {
@@ -133,16 +111,16 @@ impl DagDelta {
     /// (reachability, delay profile, partition mappings) remain valid.
     #[must_use]
     pub fn is_wcet_only(&self) -> bool {
-        !self.structural && !self.blocking_changed && self.nodes_added == 0
+        self.wcet_only
     }
 }
 
 /// An edit session on a base [`Dag`], opened with [`Dag::edit`].
 ///
-/// Ops accumulate in order and are validated and applied atomically by
-/// [`DagEdit::apply`]: either every op is legal against the evolving
-/// graph and a new `Dag` (plus its [`DagDelta`]) is returned, or the
-/// first violation is reported and the base graph is left untouched.
+/// Ops accumulate in order and are applied atomically by
+/// [`DagEdit::apply`]: either the graph the script ends at is a valid
+/// task graph and a new `Dag` is returned, or the violation is reported
+/// and the base graph is left untouched.
 #[derive(Debug)]
 pub struct DagEdit<'a> {
     base: &'a Dag,
@@ -157,18 +135,6 @@ impl<'a> DagEdit<'a> {
             ops: Vec::new(),
             pending_nodes: 0,
         }
-    }
-
-    /// Number of accumulated ops.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.ops.len()
-    }
-
-    /// `true` if no ops were recorded yet.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
     }
 
     /// Queues a raw [`EditOp`] (the script-driven entry point used by
@@ -197,8 +163,8 @@ impl<'a> DagEdit<'a> {
         self
     }
 
-    /// Queues insertion of a new non-blocking node between `preds` and
-    /// `succs`, returning the id it will hold once applied.
+    /// Queues insertion of a new node between `preds` and `succs`,
+    /// returning the id it will hold once applied.
     pub fn insert_node(&mut self, wcet: u64, preds: &[NodeId], succs: &[NodeId]) -> NodeId {
         self.push(EditOp::InsertNode {
             wcet,
@@ -215,507 +181,157 @@ impl<'a> DagEdit<'a> {
         self
     }
 
-    /// Validates and applies the accumulated script, producing the edited
-    /// graph and a [`DagDelta`] describing the affected cone.
-    ///
-    /// The base graph is never modified; its `O(|V|²/64)` derived
-    /// artifacts are shared (WCET-only scripts) or copied once and
-    /// patched only on the dirty rows (structural scripts).
+    /// Applies the accumulated script, producing the edited graph and a
+    /// [`DagDelta`] naming the route taken. The base graph is never
+    /// modified; a script of [`EditOp::SetWcet`] ops alone shares its
+    /// topology and its `O(|V|²/64)` derived artifacts, any other script
+    /// is rebuilt and validated as the graph it ends at, the way
+    /// [`DagBuilder::build`](crate::DagBuilder::build) would.
     ///
     /// # Errors
     ///
-    /// The first op that would violate the task model: unknown nodes,
-    /// self-loops, duplicate edges, cycles, endpoint-uniqueness breaks
-    /// (reported as cycles, since any such edge closes one), the region
-    /// restrictions (i)–(iii), nesting/overlap of blocking pairs, or a
+    /// Op by op, in script order: [`GraphError::UnknownNode`],
+    /// [`GraphError::SelfLoop`], [`GraphError::DuplicateEdge`], a node
+    /// insert with no predecessor ([`GraphError::MultipleSources`]) or no
+    /// successor ([`GraphError::MultipleSinks`]), and
     /// [`GraphError::NoSuchPair`] when dissolving an undeclared pair.
+    /// Then, for the graph the script ends at, everything
+    /// [`DagBuilder::build`](crate::DagBuilder::build) reports, with the
+    /// same variants and witnesses; [`GraphError::VolumeOverflow`] on
+    /// either route.
     pub fn apply(self) -> Result<(Dag, DagDelta), GraphError> {
+        let wcet_only = self
+            .ops
+            .iter()
+            .all(|op| matches!(op, EditOp::SetWcet { .. }));
+        let dag = if wcet_only {
+            self.retimed()?
+        } else {
+            self.rebuilt()?
+        };
+        Ok((dag, DagDelta { wcet_only }))
+    }
+
+    /// The base under a script of `SetWcet` ops: one copy of the node
+    /// table, everything structural shared.
+    fn retimed(self) -> Result<Dag, GraphError> {
         let base = self.base;
-        // Force the closure once; the builder pre-seeds it, so this is a
-        // cache hit for every builder- or edit-constructed graph.
-        let _ = base.reachability();
-        let mut reach: Arc<Reachability> = base.cache.reach.get().expect("just forced").clone();
-        let base_delays: Option<Arc<DelayProfile>> = base.cache.delays.get().cloned();
+        let mut nodes = base.nodes.clone();
+        let mut volume = i128::from(base.volume());
+        for op in &self.ops {
+            if let EditOp::SetWcet { node, wcet } = *op {
+                let data = nodes
+                    .get_mut(node.index())
+                    .ok_or(GraphError::UnknownNode(node))?;
+                volume += i128::from(wcet) - i128::from(data.wcet);
+                data.wcet = wcet;
+            }
+        }
+        let volume = u64::try_from(volume).map_err(|_| GraphError::VolumeOverflow)?;
 
-        let mut g = Evolving::new(base);
+        // WCET-independent cells are carried when filled, left lazy
+        // otherwise; the path metrics and the content hash are not.
+        let carried = &base.cache;
+        let cache = DerivedCache {
+            volume: volume.into(),
+            reach: carried.reach.clone(),
+            delays: carried.delays.clone(),
+            blocking_forks: carried.blocking_forks.clone(),
+            bf_antichain: carried.bf_antichain.clone(),
+            ..DerivedCache::default()
+        };
+        Ok(Dag {
+            nodes,
+            topology: Arc::clone(&base.topology),
+            cache,
+        })
+    }
 
-        // Indices whose reachability/delay rows changed (structural cone)
-        // and all touched indices (for the reported delta).
-        let mut structural_dirty: Vec<usize> = Vec::new();
-        let mut touched: Vec<usize> = Vec::new();
-        let mut toggles: Vec<(NodeId, bool)> = Vec::new();
-        let mut volume_delta: i128 = 0;
-        let mut structural = false;
-        let mut wcet_changed = false;
-        let mut blocking_changed = false;
-        let mut nodes_added = 0usize;
+    /// The graph the script ends at, through `Dag::assemble`.
+    fn rebuilt(self) -> Result<Dag, GraphError> {
+        let t = &*self.base.topology;
+        let mut wcets: Vec<u64> = self.base.nodes.iter().map(|node| node.wcet).collect();
+        let mut added: Vec<(NodeId, NodeId)> = Vec::new();
+        let mut pairs: Vec<(NodeId, NodeId)> =
+            t.regions.iter().map(|r| (r.fork(), r.join())).collect();
+
+        let known = |v: NodeId, n: usize| {
+            (v.index() < n)
+                .then_some(())
+                .ok_or(GraphError::UnknownNode(v))
+        };
+        // An edge the skeleton would hold twice: in `from`'s base row, or
+        // inserted by an earlier op.
+        let fresh = |added: &[(NodeId, NodeId)], from: NodeId, to: NodeId| {
+            let base = &t.succ;
+            let held = from.index() < base.node_count() && base.row(from.index()).contains(&to);
+            (!held && !added.contains(&(from, to)))
+                .then_some(())
+                .ok_or(GraphError::DuplicateEdge(from, to))
+        };
 
         for op in self.ops {
-            let n = g.nodes.len();
+            let n = wcets.len();
             match op {
                 EditOp::SetWcet { node, wcet } => {
-                    if node.index() >= n {
-                        return Err(GraphError::UnknownNode(node));
-                    }
-                    let old = g.nodes[node.index()].wcet;
-                    volume_delta += i128::from(wcet) - i128::from(old);
-                    g.nodes[node.index()].wcet = wcet;
-                    wcet_changed = true;
-                    touched.push(node.index());
+                    known(node, n)?;
+                    wcets[node.index()] = wcet;
                 }
                 EditOp::InsertEdge { from, to } => {
-                    g.validate_edge(&reach, from, to)?;
-                    g.added.push((from, to));
-                    let dirty = Arc::make_mut(&mut reach).patch_edge(from, to);
-                    structural_dirty.extend_from_slice(&dirty);
-                    touched.extend_from_slice(&dirty);
-                    structural = true;
+                    known(from, n)?;
+                    known(to, n)?;
+                    if from == to {
+                        return Err(GraphError::SelfLoop(from));
+                    }
+                    fresh(&added, from, to)?;
+                    added.push((from, to));
                 }
                 EditOp::InsertNode { wcet, preds, succs } => {
                     let new = NodeId::from_index(n);
-                    g.validate_node_insert(&reach, &preds, &succs)?;
-                    g.nodes.push(NodeData {
-                        wcet,
-                        kind: NodeKind::NonBlocking,
-                    });
-                    g.pair.to_mut().push(None);
-                    g.region_of.to_mut().push(None);
-                    volume_delta += i128::from(wcet);
-                    let r = Arc::make_mut(&mut reach);
-                    r.grow(n + 1);
+                    for &v in preds.iter().chain(&succs) {
+                        known(v, n)?;
+                    }
+                    if preds.is_empty() {
+                        return Err(GraphError::MultipleSources(vec![new]));
+                    }
+                    if succs.is_empty() {
+                        return Err(GraphError::MultipleSinks(vec![new]));
+                    }
+                    wcets.push(wcet);
                     let edges = preds
                         .iter()
                         .map(|&p| (p, new))
                         .chain(succs.iter().map(|&s| (new, s)));
                     for (from, to) in edges {
-                        g.added.push((from, to));
-                        let dirty = r.patch_edge(from, to);
-                        structural_dirty.extend_from_slice(&dirty);
-                        touched.extend_from_slice(&dirty);
+                        fresh(&added, from, to)?;
+                        added.push((from, to));
                     }
-                    structural = true;
-                    nodes_added += 1;
                 }
                 EditOp::SetBlocking { fork, join, on } => {
-                    for v in [fork, join] {
-                        if v.index() >= n {
-                            return Err(GraphError::UnknownNode(v));
-                        }
-                    }
+                    known(fork, n)?;
+                    known(join, n)?;
                     if fork == join {
                         return Err(GraphError::SelfLoop(fork));
                     }
-                    touched.push(fork.index());
-                    touched.push(join.index());
                     if on {
-                        let inner = g.declare_region(fork, join, &reach)?;
-                        touched.extend(inner.iter());
+                        pairs.push((fork, join));
                     } else {
-                        let inner = g.dissolve_region(fork, join)?;
-                        touched.extend(inner.iter().map(|v| v.index()));
+                        let declared = pairs
+                            .iter()
+                            .position(|&pair| pair == (fork, join))
+                            .ok_or(GraphError::NoSuchPair { fork, join })?;
+                        pairs.remove(declared);
                     }
-                    toggles.push((fork, on));
-                    blocking_changed = true;
                 }
             }
         }
 
-        structural_dirty.sort_unstable();
-        structural_dirty.dedup();
-        touched.sort_unstable();
-        touched.dedup();
-
-        let nodes = g.nodes;
-        let n = nodes.len();
-        // A script that changed only WCETs shares the base topology; any
-        // other builds the two CSR arrays once, each row keeping its
-        // order and gaining the inserted edges behind it.
-        let topology = if !structural && !blocking_changed {
-            Arc::clone(&base.topology)
-        } else {
-            let t = &base.topology;
-            let (succ, pred, order) = if structural {
-                let succ = t.succ.extended(n, g.added.iter().copied());
-                let pred = t
-                    .pred
-                    .extended(n, g.added.iter().map(|&(from, to)| (to, from)));
-                let order = TopologicalOrder::compute(&succ).map_err(GraphError::Cycle)?;
-                (succ, pred, order)
-            } else {
-                (t.succ.clone(), t.pred.clone(), t.order.clone())
-            };
-            Arc::new(Topology {
-                succ,
-                pred,
-                order,
-                source: t.source,
-                sink: t.sink,
-                pair: g.pair.into_owned(),
-                region_of: g.region_of.into_owned(),
-                regions: g.regions.into_owned(),
-            })
-        };
-
-        // Assemble the cache: reachability is always carried (shared or
-        // patched); cheap-to-derive artifacts are carried when still
-        // valid, left lazy otherwise.
-        let cache = DerivedCache::default();
-        let _ = cache.reach.set(reach);
-        if let Some(&vol) = base.cache.volume.get() {
-            let patched = i128::from(vol) + volume_delta;
-            let _ = cache
-                .volume
-                .set(u64::try_from(patched).expect("volume stays non-negative"));
-        }
-        if !blocking_changed {
-            if let Some(bf) = base.cache.blocking_forks.get() {
-                let _ = cache.blocking_forks.set(bf.clone());
-            }
-            // The exact BF antichain depends only on BF-BF reachability;
-            // carry it unless the dirty cone touched a blocking fork.
-            let cone_hits_fork = structural_dirty
-                .iter()
-                .any(|&i| nodes[i].kind == NodeKind::BlockingFork);
-            if !cone_hits_fork {
-                if let Some(ac) = base.cache.bf_antichain.get() {
-                    let _ = cache.bf_antichain.set(ac.clone());
-                }
-            }
-        }
-
-        let dag = Dag {
-            nodes,
-            topology,
-            cache,
-        };
-
-        // Patch the delay profile last — its helpers read the finished
-        // graph. Shared outright when no row can have changed.
-        if let Some(mut profile) = base_delays {
-            if structural_dirty.is_empty() && toggles.is_empty() {
-                let _ = dag.cache.delays.set(profile);
-            } else {
-                let p = Arc::make_mut(&mut profile);
-                p.grow(n);
-                let reach_ref = dag.reachability();
-                for &(fork, on) in &toggles {
-                    p.toggle_fork(&dag, reach_ref, fork, on);
-                }
-                p.repatch(&dag, reach_ref, &structural_dirty);
-                let _ = dag.cache.delays.set(profile);
-            }
-        }
-
-        let delta = DagDelta {
-            dirty: touched.into_iter().map(NodeId::from_index).collect(),
-            structural,
-            wcet_changed,
-            blocking_changed,
-            nodes_added,
-        };
-        Ok((dag, delta))
-    }
-}
-
-/// The graph as it stands part-way through a script: the base topology
-/// (never copied while only read), the edges inserted so far, and the
-/// per-node and region tables, each copied from the base on first write.
-struct Evolving<'a> {
-    base: &'a Topology,
-    nodes: Vec<NodeData>,
-    /// Inserted edges in op order; a node's current neighbours are its
-    /// base row followed by its entries here.
-    added: Vec<(NodeId, NodeId)>,
-    pair: Cow<'a, [Option<NodeId>]>,
-    region_of: Cow<'a, [Option<u32>]>,
-    regions: Cow<'a, [Region]>,
-}
-
-impl<'a> Evolving<'a> {
-    fn new(base: &'a Dag) -> Self {
-        let t: &Topology = &base.topology;
-        Evolving {
-            base: t,
-            nodes: base.nodes.clone(),
-            added: Vec::new(),
-            pair: Cow::Borrowed(&t.pair),
-            region_of: Cow::Borrowed(&t.region_of),
-            regions: Cow::Borrowed(&t.regions),
-        }
-    }
-
-    /// Current direct successors of `v`, in insertion order.
-    fn succs(&self, v: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        let added = self.added.iter().filter(move |e| e.0 == v).map(|e| e.1);
-        base_row(&self.base.succ, v).iter().copied().chain(added)
-    }
-
-    /// Current direct predecessors of `v`, in insertion order.
-    fn preds(&self, v: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        let added = self.added.iter().filter(move |e| e.1 == v).map(|e| e.0);
-        base_row(&self.base.pred, v).iter().copied().chain(added)
-    }
-
-    /// The fork of the region a `BC` node belongs to.
-    fn fork_of_inner(&self, inner: NodeId) -> NodeId {
-        let r = self.region_of[inner.index()].expect("BC node belongs to a region");
-        self.regions[r as usize].fork()
-    }
-
-    /// Validates an edge insert against the evolving graph: range,
-    /// self-loop, duplicate, acyclicity (via the patched closure — which
-    /// also preserves endpoint uniqueness, since an edge into the source
-    /// or out of the sink always closes a cycle), and the region
-    /// restrictions.
-    fn validate_edge(
-        &self,
-        reach: &Reachability,
-        from: NodeId,
-        to: NodeId,
-    ) -> Result<(), GraphError> {
-        for v in [from, to] {
-            if v.index() >= self.nodes.len() {
-                return Err(GraphError::UnknownNode(v));
-            }
-        }
-        if from == to {
-            return Err(GraphError::SelfLoop(from));
-        }
-        if self.succs(from).any(|s| s == to) {
-            return Err(GraphError::DuplicateEdge(from, to));
-        }
-        if reach.reaches(to, from) {
-            return Err(GraphError::Cycle(from));
-        }
-        let region_of = &self.region_of;
-        let same_region =
-            region_of[from.index()].is_some() && region_of[from.index()] == region_of[to.index()];
-        match self.nodes[from.index()].kind {
-            // Restriction (ii): the fork's successors stay in its region.
-            NodeKind::BlockingFork if !same_region => {
-                return Err(GraphError::ForkEscape {
-                    fork: from,
-                    outside: to,
-                });
-            }
-            // Restriction (i): inner nodes connect only within the region.
-            NodeKind::BlockingChild if !same_region => {
-                return Err(GraphError::RegionLeak {
-                    fork: self.fork_of_inner(from),
-                    inner: from,
-                    outside: to,
-                });
-            }
-            _ => {}
-        }
-        match self.nodes[to.index()].kind {
-            // Restriction (iii): the join's predecessors come from its region.
-            NodeKind::BlockingJoin if !same_region => {
-                return Err(GraphError::JoinIntrusion {
-                    join: to,
-                    outside: from,
-                });
-            }
-            NodeKind::BlockingChild if !same_region => {
-                return Err(GraphError::RegionLeak {
-                    fork: self.fork_of_inner(to),
-                    inner: to,
-                    outside: from,
-                });
-            }
-            _ => {}
-        }
-        Ok(())
-    }
-
-    /// Validates a node insert: the new node is `NB` and lives outside
-    /// every region, so its neighbors must not be nodes whose edges are
-    /// confined (`BF` out-edges, `BJ` in-edges, any `BC` edge), it needs
-    /// at least one predecessor and successor to preserve endpoint
-    /// uniqueness, and no `pred -> new -> succ` path may close a cycle.
-    fn validate_node_insert(
-        &self,
-        reach: &Reachability,
-        preds: &[NodeId],
-        succs: &[NodeId],
-    ) -> Result<(), GraphError> {
-        let n = self.nodes.len();
-        let new = NodeId::from_index(n);
-        for v in preds.iter().chain(succs) {
-            if v.index() >= n {
-                return Err(GraphError::UnknownNode(*v));
-            }
-        }
-        if preds.is_empty() {
-            // No predecessor would make the new node a second source.
-            return Err(GraphError::MultipleSources(vec![new]));
-        }
-        if succs.is_empty() {
-            return Err(GraphError::MultipleSinks(vec![new]));
-        }
-        for (i, &v) in preds.iter().enumerate() {
-            if preds[..i].contains(&v) {
-                return Err(GraphError::DuplicateEdge(v, new));
-            }
-        }
-        for (i, &v) in succs.iter().enumerate() {
-            if succs[..i].contains(&v) {
-                return Err(GraphError::DuplicateEdge(new, v));
-            }
-        }
-        for &p in preds {
-            match self.nodes[p.index()].kind {
-                NodeKind::BlockingFork => {
-                    return Err(GraphError::ForkEscape {
-                        fork: p,
-                        outside: new,
-                    });
-                }
-                NodeKind::BlockingChild => {
-                    return Err(GraphError::RegionLeak {
-                        fork: self.fork_of_inner(p),
-                        inner: p,
-                        outside: new,
-                    });
-                }
-                _ => {}
-            }
-        }
-        for &s in succs {
-            match self.nodes[s.index()].kind {
-                NodeKind::BlockingJoin => {
-                    return Err(GraphError::JoinIntrusion {
-                        join: s,
-                        outside: new,
-                    });
-                }
-                NodeKind::BlockingChild => {
-                    return Err(GraphError::RegionLeak {
-                        fork: self.fork_of_inner(s),
-                        inner: s,
-                        outside: new,
-                    });
-                }
-                _ => {}
-            }
-        }
-        for &p in preds {
-            for &s in succs {
-                if s == p || reach.reaches(s, p) {
-                    return Err(GraphError::Cycle(s));
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Validates and applies a blocking-pair declaration, mirroring the
-    /// builder-time checks of `validate::analyze`. Returns the inner node
-    /// indices of the new region.
-    fn declare_region(
-        &mut self,
-        fork: NodeId,
-        join: NodeId,
-        reach: &Reachability,
-    ) -> Result<BitSet, GraphError> {
-        if !reach.reaches(fork, join) {
-            return Err(GraphError::UnreachableJoin { fork, join });
-        }
-        if self.pair[fork.index()].is_some() {
-            return Err(GraphError::OverlappingPairs(fork));
-        }
-        if self.pair[join.index()].is_some() {
-            return Err(GraphError::OverlappingPairs(join));
-        }
-        let mut inner = reach.descendants(fork).to_bitset();
-        inner.intersect_with(reach.ancestors(join));
-        let in_region = |v: NodeId| v == fork || v == join || inner.contains(v.index());
-        for v in std::iter::once(fork)
-            .chain(std::iter::once(join))
-            .chain(inner.iter().map(NodeId::from_index))
-        {
-            if let Some(prev) = self.region_of[v.index()] {
-                return Err(GraphError::NestedRegions {
-                    outer_fork: self.regions[prev as usize].fork(),
-                    inner_fork: fork,
-                });
-            }
-        }
-        // Restriction (ii): every edge out of the fork stays in the region.
-        if let Some(s) = self.succs(fork).find(|&s| !in_region(s)) {
-            return Err(GraphError::ForkEscape { fork, outside: s });
-        }
-        // Restriction (iii): every edge into the join starts in the region.
-        if let Some(p) = self.preds(join).find(|&p| !in_region(p)) {
-            return Err(GraphError::JoinIntrusion { join, outside: p });
-        }
-        // Restriction (i): inner nodes are internally connected only.
-        for x in inner.iter().map(NodeId::from_index) {
-            if let Some(nbr) = self.succs(x).chain(self.preds(x)).find(|&v| !in_region(v)) {
-                return Err(GraphError::RegionLeak {
-                    fork,
-                    inner: x,
-                    outside: nbr,
-                });
-            }
-        }
-
-        let region_idx = u32::try_from(self.regions.len()).expect("too many regions");
-        let pair = self.pair.to_mut();
-        pair[fork.index()] = Some(join);
-        pair[join.index()] = Some(fork);
-        self.nodes[fork.index()].kind = NodeKind::BlockingFork;
-        self.nodes[join.index()].kind = NodeKind::BlockingJoin;
-        let region_of = self.region_of.to_mut();
-        region_of[fork.index()] = Some(region_idx);
-        region_of[join.index()] = Some(region_idx);
-        for i in inner.iter() {
-            self.nodes[i].kind = NodeKind::BlockingChild;
-            region_of[i] = Some(region_idx);
-        }
-        self.regions.to_mut().push(Region::new(
-            fork,
-            join,
-            inner.iter().map(NodeId::from_index).collect(),
-        ));
-        Ok(inner)
-    }
-
-    /// Dissolves the blocking pair `(fork, join)`: every member reverts
-    /// to `NB` and the region is dropped. Returns the former inner nodes.
-    fn dissolve_region(&mut self, fork: NodeId, join: NodeId) -> Result<Vec<NodeId>, GraphError> {
-        if self.nodes[fork.index()].kind != NodeKind::BlockingFork
-            || self.pair[fork.index()] != Some(join)
-        {
-            return Err(GraphError::NoSuchPair { fork, join });
-        }
-        let ri = self.region_of[fork.index()].expect("BF node belongs to a region") as usize;
-        let region = self.regions.to_mut().remove(ri);
-        debug_assert_eq!(region.fork(), fork);
-        let region_of = self.region_of.to_mut();
-        for v in region.nodes() {
-            self.nodes[v.index()].kind = NodeKind::NonBlocking;
-            region_of[v.index()] = None;
-        }
-        let pair = self.pair.to_mut();
-        pair[fork.index()] = None;
-        pair[join.index()] = None;
-        // Region removal shifts the indices of the regions behind it.
-        for slot in region_of.iter_mut().flatten() {
-            if *slot as usize > ri {
-                *slot -= 1;
-            }
-        }
-        Ok(region.inner().to_vec())
-    }
-}
-
-/// Row `v` of a base CSR, empty for a node inserted by the script.
-fn base_row(adj: &Csr, v: NodeId) -> &[NodeId] {
-    if v.index() < adj.node_count() {
-        adj.row(v.index())
-    } else {
-        &[]
+        let n = wcets.len();
+        let succ = t.succ.extended(n, added.iter().copied());
+        let pred = t
+            .pred
+            .extended(n, added.iter().map(|&(from, to)| (to, from)));
+        Dag::assemble(&wcets, succ, pred, &pairs)
     }
 }
 
@@ -723,6 +339,7 @@ fn base_row(adj: &Csr, v: NodeId) -> &[NodeId] {
 mod tests {
     use super::*;
     use crate::builder::DagBuilder;
+    use crate::node::NodeKind;
 
     /// s -> f{a,b}j -> t with a blocking region, plus a parallel lane
     /// s -> p -> t.
@@ -742,8 +359,8 @@ mod tests {
         (dag, [s, f, a, c, j, p, t])
     }
 
-    /// The patched cache must agree with a cold recompute on every
-    /// derived artifact.
+    /// The carried or seeded cache must agree with a cold recompute on
+    /// every derived artifact.
     fn assert_cache_coherent(dag: &Dag) {
         let cold = dag.clone_uncached();
         assert_eq!(dag.volume(), cold.volume());
@@ -763,7 +380,8 @@ mod tests {
         dag.validate_model().unwrap();
     }
 
-    /// Forces every cache cell so edits exercise the patch paths.
+    /// Forces every cache cell, so a WCET edit has filled cells to carry
+    /// and a rebuild a fully derived base to leave alone.
     fn warm(dag: &Dag) {
         let _ = dag.volume();
         let _ = dag.critical_path();
@@ -782,8 +400,6 @@ mod tests {
         e.set_wcet(a, 50);
         let (v2, delta) = e.apply().unwrap();
         assert!(delta.is_wcet_only());
-        assert!(delta.wcet_changed);
-        assert_eq!(delta.dirty, vec![a]);
         assert_eq!(v2.wcet(a), 50);
         assert_eq!(v2.volume(), dag.volume() + 45);
         // The O(|V|²) artifacts are the very same allocations.
@@ -802,13 +418,13 @@ mod tests {
     }
 
     #[test]
-    fn edge_insert_patches_dirty_cone() {
+    fn edge_insert_updates_reachability_and_delays() {
         let (dag, [s, _, _, _, j, p, t]) = base_graph();
         warm(&dag);
         let mut e = dag.edit();
         e.insert_edge(j, p);
         let (v2, delta) = e.apply().unwrap();
-        assert!(delta.structural && !delta.blocking_changed);
+        assert!(!delta.is_wcet_only());
         assert!(v2.reachability().reaches(j, p));
         assert!(v2.reachability().reaches(s, t));
         assert_eq!(v2.edge_count(), dag.edge_count() + 1);
@@ -823,7 +439,7 @@ mod tests {
         let mut e = dag.edit();
         let new = e.insert_node(11, &[s], &[t]);
         let (v2, delta) = e.apply().unwrap();
-        assert_eq!(delta.nodes_added, 1);
+        assert!(!delta.is_wcet_only());
         assert_eq!(new.index(), dag.node_count());
         assert_eq!(v2.node_count(), dag.node_count() + 1);
         assert_eq!(v2.wcet(new), 11);
@@ -832,6 +448,7 @@ mod tests {
         assert!(v2.reachability().reaches(s, new));
         assert!(v2.reachability().reaches(new, t));
         assert_cache_coherent(&v2);
+        assert_cache_coherent(&dag);
     }
 
     #[test]
@@ -841,7 +458,7 @@ mod tests {
         let mut e = dag.edit();
         e.set_blocking(f, j, false);
         let (v2, delta) = e.apply().unwrap();
-        assert!(delta.blocking_changed && !delta.structural);
+        assert!(!delta.is_wcet_only());
         assert!(v2.blocking_regions().is_empty());
         assert_eq!(v2.kind(f), NodeKind::NonBlocking);
         assert_eq!(v2.delay_profile().max_delay_count(), 0);
@@ -869,7 +486,7 @@ mod tests {
         let new = e.insert_node(4, &[s], &[p]);
         e.insert_edge(new, t);
         let (v2, delta) = e.apply().unwrap();
-        assert!(delta.structural && delta.wcet_changed);
+        assert!(!delta.is_wcet_only());
         assert_eq!(v2.wcet(a), 9);
         assert!(v2.reachability().reaches(new, t));
         assert!(v2.successors(new).contains(&p));
@@ -880,109 +497,113 @@ mod tests {
     fn invalid_edits_are_rejected() {
         let (dag, [s, f, a, _, j, p, t]) = base_graph();
         let ghost = NodeId::from_index(99);
-
-        let err = |ops: &dyn Fn(&mut DagEdit<'_>)| {
+        let new = NodeId::from_index(dag.node_count());
+        let edge = |from, to| EditOp::InsertEdge { from, to };
+        let node = |preds: &[NodeId], succs: &[NodeId]| EditOp::InsertNode {
+            wcet: 1,
+            preds: preds.to_vec(),
+            succs: succs.to_vec(),
+        };
+        let block = |fork, join, on| EditOp::SetBlocking { fork, join, on };
+        let refusal = |ops: &[EditOp]| {
             let mut e = dag.edit();
-            ops(&mut e);
+            for op in ops {
+                e.push(op.clone());
+            }
             e.apply().unwrap_err()
         };
-        assert!(matches!(
-            err(&|e| {
-                e.set_wcet(ghost, 1);
-            }),
-            GraphError::UnknownNode(_)
-        ));
-        assert!(matches!(
-            err(&|e| {
-                e.insert_edge(t, s);
-            }),
-            GraphError::Cycle(_)
-        ));
-        assert!(matches!(
-            err(&|e| {
-                e.insert_edge(p, p);
-            }),
-            GraphError::SelfLoop(_)
-        ));
-        assert!(matches!(
-            err(&|e| {
-                e.insert_edge(s, p);
-            }),
-            GraphError::DuplicateEdge(..)
-        ));
-        // Region restrictions: an edge escaping the fork, intruding into
-        // the join, or leaking from an inner node.
-        assert!(matches!(
-            err(&|e| {
-                e.insert_edge(f, t);
-            }),
-            GraphError::ForkEscape { .. }
-        ));
-        assert!(matches!(
-            err(&|e| {
-                e.insert_edge(s, j);
-            }),
-            GraphError::JoinIntrusion { .. }
-        ));
-        assert!(matches!(
-            err(&|e| {
-                e.insert_edge(a, t);
-            }),
-            GraphError::RegionLeak { .. }
-        ));
-        // Node inserts must not dangle and must respect regions.
-        assert!(matches!(
-            err(&|e| {
-                e.insert_node(1, &[], &[t]);
-            }),
-            GraphError::MultipleSources(_)
-        ));
-        assert!(matches!(
-            err(&|e| {
-                e.insert_node(1, &[s], &[]);
-            }),
-            GraphError::MultipleSinks(_)
-        ));
-        assert!(matches!(
-            err(&|e| {
-                e.insert_node(1, &[f], &[t]);
-            }),
-            GraphError::ForkEscape { .. }
-        ));
-        assert!(matches!(
-            err(&|e| {
-                e.insert_node(1, &[s], &[a]);
-            }),
-            GraphError::RegionLeak { .. }
-        ));
-        assert!(matches!(
-            err(&|e| {
-                e.insert_node(1, &[t], &[s]);
-            }),
-            GraphError::Cycle(_)
-        ));
-        // Blocking toggles: overlap, unreachable join, missing pair.
-        assert!(matches!(
-            err(&|e| {
-                e.set_blocking(f, t, true);
-            }),
-            GraphError::OverlappingPairs(_)
-        ));
-        assert!(matches!(
-            err(&|e| {
-                e.set_blocking(p, s, true);
-            }),
-            GraphError::UnreachableJoin { .. }
-        ));
-        assert!(matches!(
-            err(&|e| {
-                e.set_blocking(s, p, false);
-            }),
-            GraphError::NoSuchPair { .. }
-        ));
-
+        let cases = [
+            // What no skeleton can hold is rejected op by op.
+            (
+                vec![EditOp::SetWcet {
+                    node: ghost,
+                    wcet: 1,
+                }],
+                GraphError::UnknownNode(ghost),
+            ),
+            (vec![edge(s, ghost)], GraphError::UnknownNode(ghost)),
+            (vec![edge(p, p)], GraphError::SelfLoop(p)),
+            (vec![edge(s, p)], GraphError::DuplicateEdge(s, p)),
+            (
+                vec![edge(j, p), edge(j, p)],
+                GraphError::DuplicateEdge(j, p),
+            ),
+            (vec![node(&[s, s], &[t])], GraphError::DuplicateEdge(s, new)),
+            (
+                vec![node(&[], &[t])],
+                GraphError::MultipleSources(vec![new]),
+            ),
+            (vec![node(&[s], &[])], GraphError::MultipleSinks(vec![new])),
+            (
+                vec![block(s, p, false)],
+                GraphError::NoSuchPair { fork: s, join: p },
+            ),
+            // Everything else is the one validator's verdict on the final
+            // graph: a cycle is witnessed by its lowest-numbered node, ...
+            (vec![edge(t, s)], GraphError::Cycle(s)),
+            (vec![node(&[t], &[p])], GraphError::Cycle(p)),
+            // ... a declared pair by overlap or an unreachable join, ...
+            (vec![block(f, t, true)], GraphError::OverlappingPairs(f)),
+            (
+                vec![block(p, s, true)],
+                GraphError::UnreachableJoin { fork: p, join: s },
+            ),
+        ];
+        for (ops, want) in cases {
+            assert_eq!(refusal(&ops), want, "{ops:?}");
+        }
+        // ... and an edge escaping the fork, intruding into the join or
+        // leaking from an inner node by the region it breaks.
+        use GraphError::{ForkEscape, JoinIntrusion, RegionLeak};
+        assert!(matches!(refusal(&[edge(f, t)]),
+            ForkEscape { fork, outside } if (fork, outside) == (f, t)));
+        assert!(matches!(refusal(&[node(&[f], &[t])]),
+            ForkEscape { fork, outside } if (fork, outside) == (f, new)));
+        assert!(matches!(refusal(&[edge(s, j)]),
+            JoinIntrusion { join, outside } if (join, outside) == (j, s)));
+        assert!(matches!(refusal(&[edge(a, t)]),
+            RegionLeak { fork, inner, outside } if (fork, inner, outside) == (f, a, t)));
+        assert!(matches!(refusal(&[node(&[s], &[a])]),
+            RegionLeak { fork, inner, outside } if (fork, inner, outside) == (f, a, new)));
         // A failed script leaves the base fully intact.
         assert_cache_coherent(&dag);
+    }
+
+    #[test]
+    fn a_script_is_judged_by_the_graph_it_ends_at() {
+        let (dag, [s, f, a, c, j, p, t]) = base_graph();
+        // An edge out of the fork is no escape once the pair is dissolved,
+        // whichever op comes first.
+        for fork_edge_first in [true, false] {
+            let mut e = dag.edit();
+            if fork_edge_first {
+                e.insert_edge(f, t).set_blocking(f, j, false);
+            } else {
+                e.set_blocking(f, j, false).insert_edge(f, t);
+            }
+            let (v2, _) = e.apply().unwrap();
+            assert!(v2.blocking_regions().is_empty());
+            assert_eq!(v2.successors(f), &[a, c, t]);
+            assert_cache_coherent(&v2);
+        }
+        // A pair may be declared before the edge that makes its fork
+        // reach its join.
+        let mut e = dag.edit();
+        let q = e.insert_node(2, &[s], &[t]);
+        e.set_blocking(p, q, true).insert_edge(p, q);
+        // (p, q) is a region now, and p's old edge to t leaves it.
+        assert!(matches!(e.apply().unwrap_err(),
+            GraphError::ForkEscape { fork, outside } if (fork, outside) == (p, t)));
+        // A node between a blocking fork and its join is one more child.
+        let mut e = dag.edit();
+        let child = e.insert_node(6, &[f], &[j]);
+        let between = e.insert_node(1, &[a], &[c]);
+        let (v2, _) = e.apply().unwrap();
+        assert_eq!(v2.kind(child), NodeKind::BlockingChild);
+        assert_eq!(v2.kind(between), NodeKind::BlockingChild);
+        assert_eq!(v2.waiting_fork_of(child), Some(f));
+        assert_eq!(v2.blocking_regions()[0].inner(), &[a, c, child, between]);
+        assert_cache_coherent(&v2);
     }
 
     #[test]
@@ -990,42 +611,62 @@ mod tests {
         // s -> f -> a -> j -> t with an extra edge f -> t: declaring
         // (f, j) blocking must trip restriction (ii).
         let mut b = DagBuilder::new();
-        let s = b.add_node(1);
-        let f = b.add_node(1);
-        let a = b.add_node(1);
-        let j = b.add_node(1);
-        let t = b.add_node(1);
-        b.add_edge(s, f).unwrap();
-        b.add_edge(f, a).unwrap();
-        b.add_edge(a, j).unwrap();
-        b.add_edge(j, t).unwrap();
+        let [s, f, a, j, t] = [1; 5].map(|wcet| b.add_node(wcet));
+        b.add_chain(&[s, f, a, j, t]).unwrap();
         b.add_edge(f, t).unwrap();
         let dag = b.build().unwrap();
         let mut e = dag.edit();
         e.set_blocking(f, j, true);
-        assert!(matches!(
-            e.apply().unwrap_err(),
-            GraphError::ForkEscape { .. }
-        ));
+        assert!(matches!(e.apply().unwrap_err(),
+            GraphError::ForkEscape { fork, outside } if (fork, outside) == (f, t)));
+    }
+
+    #[test]
+    fn a_wcet_sum_past_u64_is_refused_on_both_routes() {
+        let (dag, [s, _, a, c, .., t]) = base_graph();
+        // The fast path patches the sum arithmetically ...
+        let mut e = dag.edit();
+        e.set_wcet(a, u64::MAX).set_wcet(c, u64::MAX);
+        assert_eq!(e.apply().unwrap_err(), GraphError::VolumeOverflow);
+        // ... and only the final sum counts.
+        let mut e = dag.edit();
+        e.set_wcet(a, u64::MAX).set_wcet(c, u64::MAX).set_wcet(a, 1);
+        assert_eq!(e.apply().unwrap_err(), GraphError::VolumeOverflow);
+        let mut e = dag.edit();
+        e.set_wcet(a, u64::MAX).set_wcet(a, 1);
+        let (v2, _) = e.apply().unwrap();
+        assert_eq!(v2.volume(), dag.volume() - 4);
+        // A rebuild sums the whole node table.
+        let mut e = dag.edit();
+        e.set_wcet(a, u64::MAX);
+        e.insert_node(1, &[s], &[t]);
+        assert_eq!(e.apply().unwrap_err(), GraphError::VolumeOverflow);
+        // An uncached base has no seed; its volume is summed on demand.
+        let cold = dag.clone_uncached();
+        assert!(cold.cache.volume.get().is_none());
+        let mut e = cold.edit();
+        e.set_wcet(a, u64::MAX - 10);
+        assert_eq!(e.apply().unwrap_err(), GraphError::VolumeOverflow);
     }
 
     #[test]
     fn cold_base_leaves_lazy_cells_lazy() {
         let (dag, [_, _, a, ..]) = base_graph();
-        // No warm(): only the builder-seeded reachability is present.
+        // No warm(): only the two assembly seeds are present.
         let mut e = dag.edit();
         e.set_wcet(a, 2);
         let (v2, _) = e.apply().unwrap();
         assert!(v2.cache.delays.get().is_none());
-        assert!(v2.cache.volume.get().is_none());
+        assert!(v2.cache.bf_antichain.get().is_none());
+        assert_eq!(v2.cache.volume.get(), Some(&(dag.volume() - 3)));
         assert_cache_coherent(&v2);
     }
 
     #[test]
     fn node_inserts_across_a_stride_boundary_agree_with_cold_rebuild() {
         // 63 nodes: one word per row. The 64th still fits; the 65th
-        // needs a second word, so every row of both closures and of the
-        // delay matrix is re-laid.
+        // needs a second word in every row of both closures and of the
+        // delay matrix.
         let mut b = DagBuilder::new();
         let s = b.add_node(1);
         let mut tails = Vec::new();
@@ -1043,13 +684,11 @@ mod tests {
         b.add_edge(lone, t).unwrap();
         let mut dag = b.build().unwrap();
         assert_eq!(dag.node_count(), 63);
-        warm(&dag);
         for expected in [64, 65] {
             let mut e = dag.edit();
             let new = e.insert_node(5, &[s, lone], &[t]);
-            let (next, delta) = e.apply().unwrap();
+            let (next, _) = e.apply().unwrap();
             assert_eq!(next.node_count(), expected);
-            assert_eq!(delta.nodes_added, 1);
             assert!(next.reachability().reaches(lone, new));
             assert_eq!(next.reachability().descendants(s).capacity(), expected);
             assert_cache_coherent(&next);
@@ -1061,11 +700,10 @@ mod tests {
     #[test]
     fn wcet_edit_after_structural_edit_shares_the_topology() {
         let (dag, [s, _, a, _, _, p, t]) = base_graph();
-        warm(&dag);
         let mut e = dag.edit();
         let new = e.insert_node(4, &[s], &[p]);
         let (v2, delta) = e.apply().unwrap();
-        assert!(delta.structural);
+        assert!(!delta.is_wcet_only());
         assert!(!Arc::ptr_eq(&dag.topology, &v2.topology));
         // Rows keep their order and gain the new neighbour at the back.
         assert_eq!(v2.successors(s), &[dag.successors(s), &[new]].concat()[..]);

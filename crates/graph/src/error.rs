@@ -75,6 +75,9 @@ pub enum GraphError {
         /// The join named by the edit.
         join: NodeId,
     },
+    /// The node WCETs sum past `u64::MAX`, so the task has no volume
+    /// (and no path length or per-core load bounded by it) to analyze.
+    VolumeOverflow,
 }
 
 impl fmt::Display for GraphError {
@@ -117,6 +120,9 @@ impl fmt::Display for GraphError {
             GraphError::NoSuchPair { fork, join } => {
                 write!(f, "({fork}, {join}) is not a declared blocking pair")
             }
+            GraphError::VolumeOverflow => {
+                write!(f, "node WCETs sum past u64::MAX (volume overflow)")
+            }
         }
     }
 }
@@ -128,11 +134,12 @@ impl GraphError {
     /// structural error: the first returned node is the one a renderer
     /// should point its primary span at (e.g. the node on the cycle, the
     /// inner node of a leaking region), followed by secondary witnesses
-    /// in a stable order. [`GraphError::Empty`] involves no nodes.
+    /// in a stable order. [`GraphError::Empty`] and
+    /// [`GraphError::VolumeOverflow`] involve no nodes.
     #[must_use]
     pub fn nodes(&self) -> Vec<NodeId> {
         match self {
-            GraphError::Empty => Vec::new(),
+            GraphError::Empty | GraphError::VolumeOverflow => Vec::new(),
             GraphError::UnknownNode(v)
             | GraphError::SelfLoop(v)
             | GraphError::Cycle(v)

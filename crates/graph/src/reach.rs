@@ -3,10 +3,9 @@
 //! Both closures are flat bit matrices — one heap block per direction,
 //! row `v` at words `v·⌈n/64⌉ ..` — filled in place in (reverse)
 //! topological order: a row is the union of its direct neighbours and
-//! their already-final rows, merged row-to-row inside the block. An
-//! inserted edge patches only the rows of its cone, and an inserted node
-//! grows the matrix (re-laying the rows when `n` crosses a multiple of
-//! 64).
+//! their already-final rows, merged row-to-row inside the block. That
+//! one kernel (`closure`) is the only writer: a closure is computed
+//! whole, at assembly, and never patched.
 
 use crate::bitset::{BitMatrix, BitRow, BitSet};
 use crate::csr::Csr;
@@ -75,43 +74,6 @@ impl Reachability {
     #[must_use]
     pub fn node_count(&self) -> usize {
         self.descendants.node_count()
-    }
-
-    /// Patches the closure for a newly inserted edge `u -> v`, assuming
-    /// acyclicity was already checked (`!reaches(v, u)`).
-    ///
-    /// Only the affected cone is touched: the descendant rows of `u` and
-    /// its ancestors gain `{v} ∪ desc(v)`, the ancestor rows of `v` and
-    /// its descendants gain `{u} ∪ anc(u)`. Returns the cone — every node
-    /// whose rows may have changed — as sorted indices.
-    pub(crate) fn patch_edge(&mut self, u: NodeId, v: NodeId) -> Vec<usize> {
-        debug_assert!(!self.reaches(v, u), "edge would close a cycle");
-        let (u, v) = (u.index(), v.index());
-        // Acyclicity keeps the rows read apart from the rows written:
-        // `v` is neither `u` nor an ancestor of `u`, and `u` is neither
-        // `v` nor a descendant of `v`.
-        let mut dirty: Vec<usize> = Vec::new();
-        for a in std::iter::once(u).chain(self.ancestors.row(u).iter()) {
-            self.descendants.union_rows(a, v);
-            self.descendants.insert(a, v);
-            dirty.push(a);
-        }
-        for d in std::iter::once(v).chain(self.descendants.row(v).iter()) {
-            self.ancestors.union_rows(d, u);
-            self.ancestors.insert(d, u);
-            dirty.push(d);
-        }
-        dirty.sort_unstable();
-        dirty.dedup();
-        dirty
-    }
-
-    /// Grows the table to cover `new_count` nodes, appending empty rows
-    /// for the new indices. Edges touching the new nodes are patched in
-    /// afterwards via [`Reachability::patch_edge`].
-    pub(crate) fn grow(&mut self, new_count: usize) {
-        self.descendants.grow(new_count);
-        self.ancestors.grow(new_count);
     }
 
     /// Returns `true` if there is a (possibly transitive) path `from -> to`.

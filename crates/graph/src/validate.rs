@@ -19,9 +19,9 @@ use crate::reach::Reachability;
 use crate::regions::Region;
 use crate::topo::TopologicalOrder;
 
-/// The derived structure of a node/edge/pair skeleton: everything the
-/// builder needs to assemble a [`Dag`], or the validator needs to re-check
-/// one.
+/// The derived structure of a node/edge/pair skeleton: everything
+/// `Dag::assemble` needs to finish a [`Dag`], or the validator needs to
+/// re-check one.
 pub(crate) struct Analysis {
     pub topo: TopologicalOrder,
     pub source: NodeId,
@@ -30,9 +30,9 @@ pub(crate) struct Analysis {
     pub pair: Vec<Option<NodeId>>,
     pub regions: Vec<Region>,
     pub region_of: Vec<Option<u32>>,
-    /// The transitive closure computed during region validation; the
-    /// builder seeds the finished graph's derived-analysis cache with it
-    /// so it is never recomputed.
+    /// The transitive closure computed during region validation; it
+    /// seeds the finished graph's derived-analysis cache so it is never
+    /// recomputed.
     pub reach: Reachability,
 }
 

@@ -4,7 +4,10 @@
 //! and the structural invariants of `rtpool-graph` are checked on them.
 
 use proptest::prelude::*;
-use rtpool_graph::{max_antichain, DagBuilder, MinChainCover, NodeId, NodeKind, Reachability};
+use rtpool_graph::{
+    max_antichain, Dag, DagBuilder, EditOp, GraphError, MinChainCover, NodeId, NodeKind,
+    Reachability,
+};
 
 /// Strategy: a random layered DAG description. `layers[i]` is the number of
 /// nodes in layer i; every node gets at least one edge from the previous
@@ -15,7 +18,7 @@ fn layered_dag() -> impl Strategy<Value = (Vec<usize>, u64)> {
 
 /// Builds a single-source/single-sink layered DAG deterministically from
 /// the description. Returns the built DAG.
-fn build_layered(layers: &[usize], seed: u64) -> rtpool_graph::Dag {
+fn build_layered(layers: &[usize], seed: u64) -> Dag {
     let mut b = DagBuilder::new();
     let mut rng = seed;
     let mut next = move || {
@@ -137,11 +140,69 @@ proptest! {
     }
 }
 
+/// What a plain [`DagBuilder`] is told, in the order it is told: the
+/// test's own record of a graph, kept beside the `Dag` so an edited graph
+/// can be rebuilt from nothing.
+#[derive(Clone, Debug, Default)]
+struct Skeleton {
+    wcets: Vec<u64>,
+    edges: Vec<(NodeId, NodeId)>,
+    pairs: Vec<(NodeId, NodeId)>,
+}
+
+impl Skeleton {
+    fn add_node(&mut self, wcet: u64) -> NodeId {
+        self.wcets.push(wcet);
+        NodeId::from_index(self.wcets.len() - 1)
+    }
+
+    /// Replays the record through a fresh builder. `Err(None)` when one
+    /// of the builder's eager checks (`add_edge`, `blocking_pair`)
+    /// refused a call, `Err(Some(_))` for what `build` itself reports.
+    fn build(&self) -> Result<Dag, Option<GraphError>> {
+        let mut b = DagBuilder::new();
+        for &wcet in &self.wcets {
+            b.add_node(wcet);
+        }
+        for &(from, to) in &self.edges {
+            b.add_edge(from, to).map_err(|_| None)?;
+        }
+        for &(fork, join) in &self.pairs {
+            b.blocking_pair(fork, join).map_err(|_| None)?;
+        }
+        b.build().map_err(Some)
+    }
+
+    /// The record with what `op` asks for added; `None` if it dissolves a
+    /// pair that is not declared (which no record can express).
+    fn with(mut self, op: &EditOp) -> Option<Self> {
+        match *op {
+            EditOp::SetWcet { node, wcet } => self.wcets[node.index()] = wcet,
+            EditOp::InsertEdge { from, to } => self.edges.push((from, to)),
+            EditOp::InsertNode {
+                wcet,
+                ref preds,
+                ref succs,
+            } => {
+                let new = self.add_node(wcet);
+                self.edges.extend(preds.iter().map(|&p| (p, new)));
+                self.edges.extend(succs.iter().map(|&s| (new, s)));
+            }
+            EditOp::SetBlocking { fork, join, on } if on => self.pairs.push((fork, join)),
+            EditOp::SetBlocking { fork, join, .. } => {
+                let declared = self.pairs.iter().position(|&p| p == (fork, join))?;
+                self.pairs.remove(declared);
+            }
+        }
+        Some(self)
+    }
+}
+
 /// Random nested fork-join graphs with blocking regions, mirroring what the
 /// generator crate produces, built by hand here to keep the crates
 /// decoupled.
-fn fork_join_tree(depth: u32, seed: u64) -> rtpool_graph::Dag {
-    let mut b = DagBuilder::new();
+fn fork_join_skeleton(depth: u32, seed: u64) -> Skeleton {
+    let mut b = Skeleton::default();
     let mut rng = seed | 1;
     let mut next = move || {
         rng = rng
@@ -150,7 +211,7 @@ fn fork_join_tree(depth: u32, seed: u64) -> rtpool_graph::Dag {
         rng >> 33
     };
     // Recursive expansion: returns (entry, exit) of the generated block.
-    fn block(b: &mut DagBuilder, depth: u32, next: &mut impl FnMut() -> u64) -> (NodeId, NodeId) {
+    fn block(b: &mut Skeleton, depth: u32, next: &mut impl FnMut() -> u64) -> (NodeId, NodeId) {
         if depth == 0 || next().is_multiple_of(3) {
             let v = b.add_node(1 + next() % 100);
             return (v, v);
@@ -160,23 +221,56 @@ fn fork_join_tree(depth: u32, seed: u64) -> rtpool_graph::Dag {
         let branches = 2 + (next() % 3) as usize;
         for _ in 0..branches {
             let (entry, exit) = block(b, depth - 1, next);
-            b.add_edge(fork, entry).unwrap();
-            b.add_edge(exit, join).unwrap();
+            b.edges.push((fork, entry));
+            b.edges.push((exit, join));
         }
         // Mark as blocking with probability 1/2, but only if no blocking
         // region is nested inside: approximate by only blocking leaf-level
         // regions (depth == 1).
         if depth == 1 && next().is_multiple_of(2) {
-            b.blocking_pair(fork, join).unwrap();
+            b.pairs.push((fork, join));
         }
         (fork, join)
     }
     let source = b.add_node(1);
     let sink = b.add_node(1);
     let (entry, exit) = block(&mut b, depth, &mut next);
-    b.add_edge(source, entry).unwrap();
-    b.add_edge(exit, sink).unwrap();
-    b.build().expect("fork-join tree must build")
+    b.edges.push((source, entry));
+    b.edges.push((exit, sink));
+    b
+}
+
+fn fork_join_tree(depth: u32, seed: u64) -> Dag {
+    fork_join_skeleton(depth, seed)
+        .build()
+        .expect("fork-join tree must build")
+}
+
+/// Two graphs that must be the same graph: identity, rows, order,
+/// regions, kinds, and every derived cell.
+fn assert_same_graph(a: &Dag, b: &Dag) -> Result<(), String> {
+    prop_assert_eq!(a.node_count(), b.node_count());
+    prop_assert_eq!(a.content_hash(), b.content_hash());
+    prop_assert_eq!(a.topological_order(), b.topological_order());
+    prop_assert_eq!(a.blocking_regions(), b.blocking_regions());
+    prop_assert_eq!((a.source(), a.sink()), (b.source(), b.sink()));
+    prop_assert_eq!(a.volume(), b.volume());
+    prop_assert_eq!(a.critical_path(), b.critical_path());
+    prop_assert_eq!(a.blocking_forks(), b.blocking_forks());
+    prop_assert_eq!(a.max_blocking_antichain(), b.max_blocking_antichain());
+    let (r_a, r_b) = (a.reachability(), b.reachability());
+    let (d_a, d_b) = (a.delay_profile(), b.delay_profile());
+    prop_assert_eq!(d_a.max_delay_count(), d_b.max_delay_count());
+    for v in a.node_ids() {
+        prop_assert_eq!((a.wcet(v), a.kind(v)), (b.wcet(v), b.kind(v)), "node {}", v);
+        prop_assert_eq!(a.successors(v), b.successors(v), "succ row {}", v);
+        prop_assert_eq!(a.predecessors(v), b.predecessors(v), "pred row {}", v);
+        prop_assert_eq!(r_a.descendants(v), r_b.descendants(v), "desc({})", v);
+        prop_assert_eq!(r_a.ancestors(v), r_b.ancestors(v), "anc({})", v);
+        prop_assert_eq!(d_a.delay_row(v), d_b.delay_row(v), "X({})", v);
+        prop_assert_eq!(d_a.delay_count(v), d_b.delay_count(v));
+    }
+    Ok(())
 }
 
 proptest! {
@@ -209,26 +303,7 @@ proptest! {
         // Memoized derived artifacts must be indistinguishable from a
         // fresh computation on a structurally identical cache-less DAG.
         let dag = fork_join_tree(depth, seed);
-        let fresh = dag.clone_uncached();
-
-        prop_assert_eq!(dag.volume(), fresh.volume());
-        prop_assert_eq!(dag.critical_path_length(), fresh.critical_path_length());
-        prop_assert_eq!(&dag.critical_path().nodes, &fresh.critical_path().nodes);
-        prop_assert_eq!(dag.blocking_forks(), fresh.blocking_forks());
-        prop_assert_eq!(dag.max_blocking_antichain(), fresh.max_blocking_antichain());
-
-        let (r_cached, r_fresh) = (dag.reachability(), fresh.reachability());
-        for v in dag.node_ids() {
-            prop_assert_eq!(r_cached.descendants(v), r_fresh.descendants(v));
-            prop_assert_eq!(r_cached.ancestors(v), r_fresh.ancestors(v));
-        }
-
-        let (d_cached, d_fresh) = (dag.delay_profile(), fresh.delay_profile());
-        prop_assert_eq!(d_cached.max_delay_count(), d_fresh.max_delay_count());
-        for v in dag.node_ids() {
-            prop_assert_eq!(d_cached.delay_row(v), d_fresh.delay_row(v));
-            prop_assert_eq!(d_cached.delay_count(v), d_fresh.delay_count(v));
-        }
+        assert_same_graph(&dag, &dag.clone_uncached())?;
     }
 
     #[test]
@@ -277,13 +352,16 @@ proptest! {
     }
 
     #[test]
-    fn random_edit_scripts_keep_cache_coherent(depth in 1u32..4, seed in any::<u64>(), steps in 1usize..12) {
-        // Apply a random edit script one op at a time (invalid candidate
-        // ops are rejected atomically and skipped); after every accepted
-        // op, the patched cache must be bit-identical to a cold recompute
-        // on the structurally identical uncached clone.
-        let mut dag = fork_join_tree(depth, seed);
-        // Warm every cell so edits exercise the patch paths, not lazy fills.
+    fn random_edit_scripts_equal_a_plain_rebuild(depth in 1u32..4, seed in any::<u64>(), steps in 1usize..12) {
+        // Apply random scripts of one to three ops, each to the graph the
+        // last accepted one produced. Every script's final skeleton is
+        // also rebuilt from nothing with a plain `DagBuilder` (the base's
+        // edges in the order they were first added, then the script's):
+        // `apply` and the builder must agree on `Ok`, on the graph and
+        // every derived cell of it, and on the error `build` reports.
+        let mut skeleton = fork_join_skeleton(depth, seed);
+        let mut dag = skeleton.build().expect("fork-join tree must build");
+        // Warm every cell so a WCET-only script has all of them to carry.
         let _ = dag.volume();
         let _ = dag.critical_path();
         let _ = dag.delay_profile();
@@ -296,57 +374,71 @@ proptest! {
                 .wrapping_add(1442695040888963407);
             rng >> 33
         };
-        let mut accepted = 0usize;
         for _ in 0..steps {
-            let n = dag.node_count();
-            let pick = |r: u64| NodeId::from_index((r as usize) % n);
-            let mut e = dag.edit();
-            match next() % 4 {
-                0 => {
-                    e.set_wcet(pick(next()), 1 + next() % 100);
-                }
-                1 => {
-                    e.insert_edge(pick(next()), pick(next()));
-                }
-                2 => {
-                    let _ = e.insert_node(1 + next() % 100, &[pick(next())], &[pick(next())]);
-                }
-                _ => {
-                    // Prefer dissolving an existing region when one exists;
-                    // otherwise try declaring a random pair.
-                    let regions = dag.blocking_regions();
-                    if !regions.is_empty() && next().is_multiple_of(2) {
-                        let r = &regions[(next() as usize) % regions.len()];
-                        e.set_blocking(r.fork(), r.join(), false);
-                    } else {
-                        e.set_blocking(pick(next()), pick(next()), true);
+            let mut n = dag.node_count();
+            let mut ops = Vec::new();
+            for _ in 0..1 + next() % 3 {
+                let pick = |r: u64| NodeId::from_index((r as usize) % n);
+                ops.push(match next() % 4 {
+                    0 => EditOp::SetWcet { node: pick(next()), wcet: 1 + next() % 100 },
+                    1 => EditOp::InsertEdge { from: pick(next()), to: pick(next()) },
+                    2 => {
+                        let op = EditOp::InsertNode {
+                            wcet: 1 + next() % 100,
+                            preds: vec![pick(next())],
+                            succs: vec![pick(next())],
+                        };
+                        n += 1;
+                        op
                     }
+                    _ => {
+                        // Prefer dissolving an existing region when one exists;
+                        // otherwise try declaring a random pair.
+                        let regions = dag.blocking_regions();
+                        if !regions.is_empty() && next().is_multiple_of(2) {
+                            let r = &regions[(next() as usize) % regions.len()];
+                            EditOp::SetBlocking { fork: r.fork(), join: r.join(), on: false }
+                        } else {
+                            EditOp::SetBlocking { fork: pick(next()), join: pick(next()), on: true }
+                        }
+                    }
+                });
+            }
+            let wcet_only = ops.iter().all(|op| matches!(op, EditOp::SetWcet { .. }));
+            let mut edit = dag.edit();
+            let mut candidate = Some(skeleton.clone());
+            for op in &ops {
+                candidate = candidate.and_then(|c| c.with(op));
+                edit.push(op.clone());
+            }
+            let rebuilt = candidate.as_ref().map_or(Err(None), Skeleton::build);
+            match (edit.apply(), rebuilt) {
+                (Ok((edited, delta)), Ok(rebuilt)) => {
+                    prop_assert_eq!(delta.is_wcet_only(), wcet_only);
+                    assert_same_graph(&edited, &rebuilt)?;
+                    assert_same_graph(&edited, &edited.clone_uncached())?;
+                    dag = edited;
+                    skeleton = candidate.expect("it was built");
                 }
+                // What `build` reports, `apply` reports: same variant,
+                // same witnesses.
+                (Err(e), Err(Some(built))) => prop_assert_eq!(e, built),
+                // What the builder refuses eagerly (or cannot be told),
+                // `apply` refuses op by op.
+                (Err(e), Err(None)) => prop_assert!(matches!(
+                    e,
+                    GraphError::SelfLoop(_) | GraphError::DuplicateEdge(..) | GraphError::NoSuchPair { .. }
+                )),
+                (applied, rebuilt) => prop_assert!(
+                    false,
+                    "apply is_ok = {}, the builder's {}, on {:?}",
+                    applied.is_ok(),
+                    rebuilt.is_ok(),
+                    ops
+                ),
             }
-            let Ok((edited, delta)) = e.apply() else { continue };
-            accepted += 1;
-            prop_assert!(delta.dirty.is_sorted());
-            edited.validate_model().unwrap();
-
-            let fresh = edited.clone_uncached();
-            prop_assert_eq!(edited.volume(), fresh.volume());
-            prop_assert_eq!(edited.critical_path_length(), fresh.critical_path_length());
-            prop_assert_eq!(edited.blocking_forks(), fresh.blocking_forks());
-            prop_assert_eq!(edited.max_blocking_antichain(), fresh.max_blocking_antichain());
-            prop_assert_eq!(edited.content_hash(), fresh.content_hash());
-            let (r_e, r_f) = (edited.reachability(), fresh.reachability());
-            let (d_e, d_f) = (edited.delay_profile(), fresh.delay_profile());
-            prop_assert_eq!(d_e.max_delay_count(), d_f.max_delay_count());
-            for v in edited.node_ids() {
-                prop_assert_eq!(r_e.descendants(v), r_f.descendants(v), "desc({}) diverged", v);
-                prop_assert_eq!(r_e.ancestors(v), r_f.ancestors(v), "anc({}) diverged", v);
-                prop_assert_eq!(d_e.delay_row(v), d_f.delay_row(v), "X({}) diverged", v);
-                prop_assert_eq!(d_e.delay_count(v), d_f.delay_count(v));
-            }
-            dag = edited;
         }
         // Rejected candidates never corrupt the base graph.
-        let _ = accepted;
         dag.validate_model().unwrap();
     }
 

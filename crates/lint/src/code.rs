@@ -86,6 +86,8 @@ pub const RT021: RuleCode = RuleCode(21);
 pub const RT022: RuleCode = RuleCode(22);
 /// The source or sink node is typed `BF`/`BJ`/`BC`.
 pub const RT023: RuleCode = RuleCode(23);
+/// The node WCETs sum past `u64::MAX`.
+pub const RT024: RuleCode = RuleCode(24);
 /// The task period is zero.
 pub const RT030: RuleCode = RuleCode(30);
 /// The task deadline is zero.
@@ -253,6 +255,12 @@ pub const RULES: &[RuleInfo] = &[
         summary: "graph source/sink is blocking-typed (generation convention)",
     },
     RuleInfo {
+        code: RT024,
+        name: "volume-overflow",
+        default_severity: Severity::Error,
+        summary: "node WCETs sum past u64::MAX",
+    },
+    RuleInfo {
         code: RT030,
         name: "zero-period",
         default_severity: Severity::Error,
@@ -383,6 +391,7 @@ pub fn rule_for_graph_error(e: &GraphError) -> RuleCode {
         GraphError::JoinIntrusion { .. } => RT021,
         GraphError::NestedRegions { .. } => RT022,
         GraphError::BlockingEndpoint(_) => RT023,
+        GraphError::VolumeOverflow => RT024,
         _ => RT009,
     }
 }

@@ -12,7 +12,7 @@ use rtpool_core::textfmt::{
 };
 use rtpool_core::{sizing, ConcurrencyAnalysis, SyncBackend, Task, TaskId, TaskSet};
 use rtpool_exec::{PoolConfig, QueueDiscipline};
-use rtpool_graph::{Dag, NodeId};
+use rtpool_graph::{Dag, GraphError, NodeId};
 
 use crate::code::{self, RuleCode};
 use crate::diag::{Diagnostic, Fix, LintReport, Severity};
@@ -223,11 +223,17 @@ fn parse_diagnostic(e: &ParseTaskError) -> Diagnostic {
     };
     let mut d = Diagnostic::new(code, Severity::Error, message).with_span(e.span());
     if let ParseTaskError::Graph { source, .. } = e {
-        d = d.with_note(
-            "the DAC 2019 model restricts task graphs to single-source, single-sink DAGs \
-             with non-crossing blocking regions (Section 2)",
-        );
-        let _ = source; // the message already embeds the witness nodes
+        // The message already embeds the witness nodes.
+        d = d.with_note(match source {
+            GraphError::VolumeOverflow => {
+                "every path length and per-core load is bounded by the volume, so the \
+                 analyses need the WCETs of one task to sum within u64"
+            }
+            _ => {
+                "the DAC 2019 model restricts task graphs to single-source, single-sink DAGs \
+                 with non-crossing blocking regions (Section 2)"
+            }
+        });
     }
     d
 }

@@ -44,6 +44,7 @@ fn all_graph_errors() -> Vec<GraphError> {
             inner_fork: v(1),
         },
         GraphError::BlockingEndpoint(v(0)),
+        GraphError::VolumeOverflow,
     ]
 }
 
