@@ -306,9 +306,7 @@ fn response_time_fixpoint(
             let jitter = r_j.saturating_sub(q.vol / m as u64);
             interference += u128::from(interfering_workload(r, q.period, q.ivol, jitter));
         }
-        let next = p
-            .len
-            .saturating_add(u64::try_from(interference / u128::from(p.denom)).unwrap_or(u64::MAX));
+        let next = p.len.saturating_add(share(interference, p.denom));
         if next > p.deadline {
             return Ok(TaskVerdict::Unschedulable {
                 reason: UnschedulableReason::ResponseTimeExceedsDeadline { bound: next },
@@ -322,11 +320,44 @@ fn response_time_fixpoint(
     }
 }
 
+/// `⌊interference / denom⌋` clamped to `u64`, dividing in `u64` whenever
+/// the sum fits (it nearly always does); `denom > 0`.
+fn share(interference: u128, denom: u64) -> u64 {
+    match u64::try_from(interference) {
+        Ok(sum) => sum / denom,
+        Err(_) => u64::try_from(interference / u128::from(denom)).unwrap_or(u64::MAX),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::task::Task;
+    use proptest::prelude::*;
     use rtpool_graph::DagBuilder;
+
+    proptest! {
+        /// `share` equals the `u128` division it replaced, for sums below
+        /// and past `u64::MAX`.
+        #[test]
+        fn share_equals_u128_division(
+            high in 0u64..4,
+            low in any::<u64>(),
+            denom_kind in 0u32..3,
+            denom in any::<u64>(),
+        ) {
+            let interference = (u128::from(high) << 64) | u128::from(low);
+            let denom = match denom_kind {
+                0 => 1,
+                1 => 1 + denom % 64,
+                _ => denom.max(1),
+            };
+            prop_assert_eq!(
+                share(interference, denom),
+                u64::try_from(interference / u128::from(denom)).unwrap_or(u64::MAX)
+            );
+        }
+    }
 
     fn fork_join_task(branches: &[u64], blocking: bool, period: u64) -> Task {
         let mut b = DagBuilder::new();

@@ -11,8 +11,11 @@
 //! reduced-concurrency delay and no deadlock by construction**
 //! (the extended Eq. 3 of Section 4.2; certified by
 //! [`deadlock::check_mapping_delay_free`](crate::deadlock::check_mapping_delay_free)).
+//!
+//! `Φ_BF` is held as one reused `m`-wide flag row with its size, and the
+//! threads outside it are refilled into one reused buffer in id order, so
+//! a run allocates the same few buffers whatever the graph's size.
 
-use std::collections::BTreeSet;
 use std::error::Error;
 use std::fmt;
 
@@ -130,7 +133,9 @@ pub fn algorithm1_with<H: PlacementHeuristic>(
     let n = dag.node_count();
     let mut assigned: Vec<Option<ThreadId>> = vec![None; n];
     let mut loads = vec![0u64; m];
-    let all_threads: Vec<ThreadId> = (0..m).map(ThreadId::new).collect();
+    // Φ_BF and the threads outside it, refilled per query.
+    let mut phi_bf = ThreadFlags::new(m);
+    let mut allowed: Vec<ThreadId> = Vec::with_capacity(m);
 
     // Line 4: iterate every node of kind != BJ (topological order for
     // determinism; the paper leaves the order open).
@@ -140,10 +145,10 @@ pub fn algorithm1_with<H: PlacementHeuristic>(
         }
         let delay_row = ca.delay_row(v);
         // Line 5: threads hosting already-assigned delaying forks.
-        let phi_bf: BTreeSet<ThreadId> = delay_row.iter().filter_map(|f| assigned[f]).collect();
+        phi_bf.fill(delay_row.iter().filter_map(|f| assigned[f]));
         // Lines 6-7.
         if let Some(t) = assigned[v.index()] {
-            if phi_bf.contains(&t) {
+            if phi_bf.contains(t) {
                 return Err(Algorithm1Failure {
                     node: v,
                     error: Algorithm1Error::ConflictingPreassignment { thread: t },
@@ -151,21 +156,17 @@ pub fn algorithm1_with<H: PlacementHeuristic>(
             }
         }
         // Lines 8-9.
-        if assigned[v.index()].is_none() && phi_bf.len() >= m {
+        if assigned[v.index()].is_none() && phi_bf.count >= m {
             return Err(Algorithm1Failure {
                 node: v,
                 error: Algorithm1Error::SaturatedByBlockingForks {
-                    blocked_threads: phi_bf.len(),
+                    blocked_threads: phi_bf.count,
                 },
             });
         }
         // Lines 10-11.
         if assigned[v.index()].is_none() {
-            let allowed: Vec<ThreadId> = all_threads
-                .iter()
-                .copied()
-                .filter(|t| !phi_bf.contains(t))
-                .collect();
+            phi_bf.complement_into(&mut allowed);
             let t = heuristic.choose(dag, v, &allowed, &loads);
             assigned[v.index()] = Some(t);
             loads[t.index()] += dag.wcet(v);
@@ -187,18 +188,16 @@ pub fn algorithm1_with<H: PlacementHeuristic>(
             if assigned[fork.index()].is_some() {
                 continue;
             }
-            // Line 15: threads hosting forks concurrent with `fork`.
-            let phi_bf_fork: BTreeSet<ThreadId> = ca
-                .delay_row(fork) // fork is BF, so this equals C(fork)
-                .iter()
-                .filter_map(|x| assigned[x])
-                .collect();
+            // Line 15: threads hosting forks concurrent with `fork`
+            // (fork is BF, so its delay row equals C(fork)), and v's.
+            phi_bf.fill(
+                ca.delay_row(fork)
+                    .iter()
+                    .filter_map(|x| assigned[x])
+                    .chain([v_thread]),
+            );
             // Lines 16-18.
-            let allowed: Vec<ThreadId> = all_threads
-                .iter()
-                .copied()
-                .filter(|t| !phi_bf_fork.contains(t) && *t != v_thread)
-                .collect();
+            phi_bf.complement_into(&mut allowed);
             if allowed.is_empty() {
                 return Err(Algorithm1Failure {
                     node: v,
@@ -216,6 +215,46 @@ pub fn algorithm1_with<H: PlacementHeuristic>(
         .map(|t| t.expect("every node assigned after the main loop"))
         .collect();
     Ok(NodeMapping::from_ids(threads, m))
+}
+
+/// A set of threads as an `m`-wide flag row with its size.
+struct ThreadFlags {
+    flags: Vec<bool>,
+    count: usize,
+}
+
+impl ThreadFlags {
+    fn new(m: usize) -> Self {
+        ThreadFlags {
+            flags: vec![false; m],
+            count: 0,
+        }
+    }
+
+    /// Makes the set exactly `threads` (duplicates counted once).
+    fn fill(&mut self, threads: impl Iterator<Item = ThreadId>) {
+        self.flags.fill(false);
+        self.count = 0;
+        for t in threads {
+            let flag = &mut self.flags[t.index()];
+            self.count += usize::from(!*flag);
+            *flag = true;
+        }
+    }
+
+    fn contains(&self, t: ThreadId) -> bool {
+        self.flags[t.index()]
+    }
+
+    /// Refills `out` with the threads outside the set, in id order.
+    fn complement_into(&self, out: &mut Vec<ThreadId>) {
+        out.clear();
+        out.extend(
+            (0..self.flags.len())
+                .filter(|&t| !self.flags[t])
+                .map(ThreadId::new),
+        );
+    }
 }
 
 #[cfg(test)]

@@ -219,24 +219,29 @@ impl DagGenConfig {
     }
 
     /// Promotes regions to blocking, deepest first, skipping nesting
-    /// conflicts.
+    /// conflicts. Within one depth regions go in index order, so the walk
+    /// draws from the RNG exactly as a stable sort by descending depth
+    /// would, without building the order.
     fn mark_blocking<R: Rng + ?Sized>(&self, rng: &mut R, scratch: &mut DagScratch) {
-        let mut order: Vec<usize> = (0..scratch.regions.len()).collect();
-        order.sort_by_key(|&i| std::cmp::Reverse(scratch.regions[i].depth));
-        for i in order {
-            if scratch.regions[i].has_marked_descendant {
-                continue;
-            }
+        // Regions exist only at depths 1..=max_depth (deeper blocks are
+        // terminal).
+        for depth in (1..=self.max_depth).rev() {
             let p = match self.blocking {
                 BlockingPolicy::DepthWeighted => {
-                    let d = f64::from(scratch.regions[i].depth);
+                    let d = f64::from(depth);
                     d / (d + 1.0)
                 }
                 BlockingPolicy::Fixed(p) => p,
                 BlockingPolicy::Never => 0.0,
             };
-            if p > 0.0 && rng.gen_bool(p.min(1.0)) {
-                scratch.mark_region(i);
+            for i in 0..scratch.regions.len() {
+                let region = &scratch.regions[i];
+                if region.depth != depth || region.has_marked_descendant {
+                    continue;
+                }
+                if p > 0.0 && rng.gen_bool(p.min(1.0)) {
+                    scratch.mark_region(i);
+                }
             }
         }
     }

@@ -12,15 +12,20 @@
 //! buffers, and [`DagScratch::max_delay_count`] computes `b̄` directly
 //! from the node types with a per-blocking-fork BFS —
 //! `O(|BF|·(|V|+|E|))` with zero allocation after warm-up, versus the
-//! `O(|V|²/64)`-plus-allocations full build. Only *accepted* attempts
-//! are promoted to a real `Dag` via [`DagScratch::build`], which replays
-//! the recorded shape through [`DagBuilder`] in the exact insertion
-//! order, so the built graph is bit-identical (node ids, adjacency
-//! order, derived artifacts) to what the pre-scratch path produced.
+//! `O(|V|²/64)`-plus-allocations full build. Most attempts do not even
+//! get that far: every `X(v)` is a subset of `BF`, so
+//! `b̄ ≤ |BF|` = [`DagScratch::blocking_pair_count`], and an attempt whose
+//! `m − |BF|` already lies above the window is rejected on the count
+//! alone — with Figure 2(a)/(b)'s settings, ~98 % of all rejections.
+//! Only *accepted* attempts are promoted to a real `Dag` via
+//! [`DagScratch::build`], which replays the recorded shape through
+//! [`DagBuilder`] in the exact insertion order, so the built graph is
+//! bit-identical (node ids, adjacency order, derived artifacts) to what
+//! the pre-scratch path produced.
 //!
 //! The agreement of the early `b̄` with the post-build
-//! [`DelayProfile`](rtpool_graph::DelayProfile) value is pinned by
-//! property tests in `tests/scratch_agreement.rs`.
+//! [`DelayProfile`](rtpool_graph::DelayProfile) value, and `b̄ ≤ |BF|`,
+//! are pinned by property tests in `tests/scratch_agreement.rs`.
 
 use rtpool_graph::{fill_csr, Dag, DagBuilder, NodeId};
 

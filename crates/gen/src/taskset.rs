@@ -200,11 +200,13 @@ impl TaskSetConfig {
     }
 
     /// [`TaskSetConfig::generate_dag`] with caller-provided scratch: the
-    /// shape of every attempt is generated into `scratch`, the window is
-    /// pre-filtered on the early `b̄` ([`DagScratch::max_delay_count`]),
-    /// and only the accepted attempt is promoted to a full [`Dag`] —
-    /// rejected attempts never pay for validation, reachability, or the
-    /// derived-artifact cache.
+    /// shape of every attempt is generated into `scratch`, an attempt with
+    /// too few blocking forks to leave the window's top (`m − |BF| >
+    /// l_max`, sound because `b̄ ≤ |BF|`) is rejected on the count alone,
+    /// the rest are judged on the early `b̄`
+    /// ([`DagScratch::max_delay_count`]), and only the accepted attempt
+    /// is promoted to a full [`Dag`] — rejected attempts never pay for
+    /// validation, reachability, or the derived-artifact cache.
     ///
     /// # Errors
     ///
@@ -222,6 +224,11 @@ impl TaskSetConfig {
             Some(window) => {
                 for _ in 0..window.max_attempts {
                     self.dag.generate_into(rng, scratch);
+                    // X(v) ⊆ BF, so b̄ ≤ |BF| and the floor is at least
+                    // m − |BF|: too few forks reject without the BFS.
+                    if window.m as i64 - scratch.blocking_pair_count() as i64 > window.l_max {
+                        continue;
+                    }
                     let floor = window.m as i64 - scratch.max_delay_count() as i64;
                     if window.contains(floor) {
                         return Ok(scratch.build());

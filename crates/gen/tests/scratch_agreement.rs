@@ -101,22 +101,39 @@ proptest! {
         );
     }
 
+    /// The fast path's fork-count prefilter is sound: `X(v) ⊆ BF`, so
+    /// `b̄ ≤ |BF|` on every generated shape.
+    #[test]
+    fn early_b_bar_never_exceeds_the_fork_count((config, seed) in gen_config()) {
+        let mut scratch = DagScratch::new();
+        config.generate_into(&mut StdRng::seed_from_u64(seed), &mut scratch);
+        prop_assert!(scratch.max_delay_count() <= scratch.blocking_pair_count());
+    }
+
     /// Guarantee 3: full task-set generation agrees between the fast
-    /// path and the reference path, windowed or not.
+    /// path and the reference path, unwindowed (kind 0), in the wide
+    /// window [1, 7] (kind 5), or in a narrow Figure 2(a)/(b) window
+    /// `[l_max − 1, l_max]` with `l_max` = kind ∈ 1..=4 at `m = 8` under
+    /// `BlockingPolicy::Fixed` — where most attempts have fewer than
+    /// `8 − l_max` forks and the fork-count prefilter rejects them.
     #[test]
     fn taskset_fast_path_matches_reference(
         (config, seed) in gen_config(),
         n_tasks in 1usize..5,
-        windowed in any::<bool>(),
+        window_kind in 0i64..6,
+        pct in 50u32..100,
     ) {
+        let (config, window) = match window_kind {
+            0 => (config, None),
+            5 => (config, Some(ConcurrencyWindow { m: 8, l_min: 1, l_max: 7, max_attempts: 40 })),
+            l_max => (
+                DagGenConfig { blocking: BlockingPolicy::Fixed(f64::from(pct) / 100.0), ..config },
+                Some(ConcurrencyWindow { max_attempts: 40, ..ConcurrencyWindow::around(8, l_max) }),
+            ),
+        };
         let mut ts = TaskSetConfig::new(n_tasks, 0.5 * n_tasks as f64, config);
-        if windowed {
-            ts = ts.with_concurrency_window(ConcurrencyWindow {
-                m: 8,
-                l_min: 1,
-                l_max: 7,
-                max_attempts: 40,
-            });
+        if let Some(window) = window {
+            ts = ts.with_concurrency_window(window);
         }
 
         let fast = ts.generate(&mut StdRng::seed_from_u64(seed));

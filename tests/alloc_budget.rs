@@ -1,6 +1,8 @@
-//! The allocator budget of the ingest path, committed as a test so the
-//! number cannot rot: how many times `parse_task_set`, the first
-//! derivations and a WCET-only edit call the allocator, per node.
+//! The allocator budgets of the ingest path and the Figure 2 path,
+//! committed as tests so the numbers cannot rot: how many times
+//! `parse_task_set`, the first derivations and a WCET-only edit call the
+//! allocator, per node; that a rejected window attempt calls it not at
+//! all; and that Algorithm 1's calls do not grow with the graph.
 //!
 //! This is its own test binary because it installs a counting
 //! `#[global_allocator]`; the `unsafe impl` below is the only unsafe code
@@ -14,8 +16,9 @@ use std::cell::Cell;
 use std::path::Path;
 
 use rand::SeedableRng;
+use rtpool::core::partition::algorithm1;
 use rtpool::core::{textfmt, TaskSet};
-use rtpool::gen::{DagGenConfig, TaskSetConfig};
+use rtpool::gen::{BlockingPolicy, ConcurrencyWindow, DagGenConfig, DagScratch, TaskSetConfig};
 use rtpool::graph::{Dag, DagBuilder, NodeId};
 
 struct Counting;
@@ -187,5 +190,68 @@ fn wcet_only_edit_cost_does_not_grow_with_the_graph() {
     assert!(
         small_calls <= 8,
         "a WCET-only edit made {small_calls} allocator calls"
+    );
+}
+
+#[test]
+fn rejected_window_attempts_allocate_nothing() {
+    // A Figure 2(a)-style narrow window: b̄ ∈ [6, 7] of m = 8, so most
+    // attempts are rejected, by the fork count or by the b̄ search.
+    let config = |max_attempts| {
+        let dag = DagGenConfig {
+            blocking: BlockingPolicy::Fixed(0.9),
+            ..DagGenConfig::default()
+        };
+        TaskSetConfig::new(1, 1.0, dag).with_concurrency_window(ConcurrencyWindow {
+            max_attempts,
+            ..ConcurrencyWindow::around(8, 2)
+        })
+    };
+    let rng = |seed| rand::rngs::StdRng::seed_from_u64(seed);
+    let mut scratch = DagScratch::new();
+    for seed in 0..50 {
+        config(20_000)
+            .generate_dag_with(&mut rng(seed), &mut scratch)
+            .expect("the window is reachable");
+    }
+    let mut rejected = 0;
+    for seed in 0x00F1_6000..0x00F1_6008 {
+        // The attempt that is accepted, counted from 1: all before it
+        // are rejected.
+        let accepted_at = (1..)
+            .find(|&k| config(k).generate_dag(&mut rng(seed)).is_ok())
+            .expect("some attempt is accepted");
+        let (dag, generate_calls) =
+            calls_of(|| config(20_000).generate_dag_with(&mut rng(seed), &mut scratch));
+        let dag = dag.expect("the window is reachable");
+        let (rebuilt, build_calls) = calls_of(|| scratch.build());
+        assert_eq!(rebuilt.content_hash(), dag.content_hash());
+        println!(
+            "window sample {seed:#x}: accepted at attempt {accepted_at}, \
+             {generate_calls} allocator calls, {build_calls} of them the accepted build"
+        );
+        assert_eq!(
+            generate_calls, build_calls,
+            "rejected window attempts called the allocator (seed {seed:#x})"
+        );
+        rejected += accepted_at - 1;
+    }
+    assert!(
+        rejected >= 40,
+        "only {rejected} rejected attempts: pick seeds that reject"
+    );
+}
+
+#[test]
+fn algorithm1_allocations_do_not_grow_with_the_graph() {
+    let (small, large) = (warm_pipeline(7), warm_pipeline(70));
+    assert_eq!((small.node_count(), large.node_count()), (35, 350));
+    let (small_mapping, small_calls) = calls_of(|| algorithm1(&small, 4));
+    let (large_mapping, large_calls) = calls_of(|| algorithm1(&large, 4));
+    assert!(small_mapping.is_ok() && large_mapping.is_ok());
+    println!("Algorithm 1: {small_calls} allocator calls at 35 nodes, {large_calls} at 350");
+    assert_eq!(
+        small_calls, large_calls,
+        "Algorithm 1's allocator calls depend on the node count"
     );
 }
