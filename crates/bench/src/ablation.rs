@@ -1,4 +1,5 @@
-//! Ablation studies for the design choices DESIGN.md calls out:
+//! Ablation studies for the design choices DESIGN.md calls out, run as
+//! `fig2 --study floor` and `fig2 --study heuristic`:
 //!
 //! 1. **Concurrency floor**: the paper's `b̄`-based floor
 //!    (`ConcurrencyModel::Limited`) versus the exact-antichain extension
@@ -17,117 +18,60 @@ use rtpool_core::partition::{
 use rtpool_core::{ConcurrencyAnalysis, TaskSet};
 use rtpool_gen::{DagGenConfig, TaskSetConfig};
 
+use crate::fig2::{self, Fig2Params, Inset, Tally};
 use crate::sweep::SweepPool;
 
-/// Acceptance ratios of the three global concurrency models at one
-/// parameter point.
-#[derive(Clone, Debug, PartialEq)]
-pub struct FloorPoint {
-    /// The swept task count.
-    pub n: usize,
-    /// Oblivious baseline acceptance.
-    pub full: f64,
-    /// `b̄`-based (paper) acceptance.
-    pub limited: f64,
-    /// Exact-antichain (extension) acceptance.
-    pub limited_exact: f64,
-}
-
-/// Sweeps the task count (the Figure 2(e) setup) and reports the
-/// acceptance of all three concurrency models. The whole
-/// `(n × sample)` grid runs as one queue on the shared pool.
-#[must_use]
-pub fn concurrency_floor_ablation(
-    pool: &SweepPool,
-    sets_per_point: usize,
-    seed: u64,
-) -> Vec<FloorPoint> {
-    let m = 8;
-    let counts = sweep_counts(
+/// Figure 2(e)'s grid (`m = 8`, `U = 0.4·n`): per set, whether the
+/// oblivious (`Full`), `b̄` (`Limited`) and exact-antichain
+/// (`LimitedExact`) global RTAs accept it.
+pub(crate) fn floor(pool: &SweepPool, params: &Fig2Params) -> Vec<(Inset, Vec<Tally<3>>)> {
+    let seed = params.seed;
+    fig2::sweep(
         pool,
-        "ablation:floor",
-        8,
-        sets_per_point,
-        move |point, sample| {
-            let n = 2 * (point + 1);
+        "floor",
+        &[Inset::E],
+        params.sets_per_point,
+        |_, n, sample| {
             let mut rng = rand::rngs::StdRng::seed_from_u64(mix(seed, n as u64, sample as u64));
+            let n = usize::try_from(n).expect("positive n");
             let set = TaskSetConfig::new(n, 0.4 * n as f64, DagGenConfig::default())
                 .generate(&mut rng)
-                .expect("generation succeeds");
-            [
-                global::analyze(&set, m, ConcurrencyModel::Full).is_schedulable(),
-                global::analyze(&set, m, ConcurrencyModel::Limited).is_schedulable(),
-                global::analyze(&set, m, ConcurrencyModel::LimitedExact).is_schedulable(),
-            ]
+                .map_err(|e| e.to_string())?;
+            let models = [
+                ConcurrencyModel::Full,
+                ConcurrencyModel::Limited,
+                ConcurrencyModel::LimitedExact,
+            ];
+            Ok(Some(models.map(|model| {
+                global::analyze(&set, 8, model).is_schedulable()
+            })))
         },
-    );
-    counts
-        .into_iter()
-        .enumerate()
-        .map(|(point, c)| FloorPoint {
-            n: 2 * (point + 1),
-            full: c[0] as f64 / sets_per_point as f64,
-            limited: c[1] as f64 / sets_per_point as f64,
-            limited_exact: c[2] as f64 / sets_per_point as f64,
-        })
-        .collect()
+    )
 }
 
-/// Acceptance ratios of Algorithm 1 under the three placement
-/// heuristics at one pool size.
-#[derive(Clone, Debug, PartialEq)]
-pub struct HeuristicPoint {
-    /// The swept pool size.
-    pub m: usize,
-    /// Worst-fit (the paper's heuristic).
-    pub worst_fit: f64,
-    /// First-fit.
-    pub first_fit: f64,
-    /// Best-fit.
-    pub best_fit: f64,
-}
-
-/// The pool sizes swept by [`heuristic_ablation`] (the Figure 2(d)
-/// setup).
-const HEURISTIC_POOL_SIZES: [usize; 7] = [2, 3, 4, 6, 8, 12, 16];
-
-/// Sweeps the pool size (the Figure 2(d) setup) and reports partitioned
-/// acceptance for each Algorithm 1 tie-breaking heuristic. The whole
-/// `(m × sample)` grid runs as one queue on the shared pool.
-#[must_use]
-pub fn heuristic_ablation(
-    pool: &SweepPool,
-    sets_per_point: usize,
-    seed: u64,
-) -> Vec<HeuristicPoint> {
-    let counts = sweep_counts(
+/// Figure 2(d)'s grid (`n = 4`, `U = 1.0`): per set, whether Algorithm 1
+/// with worst-, first- and best-fit placement yields a mapping the
+/// partitioned RTA accepts.
+pub(crate) fn heuristic(pool: &SweepPool, params: &Fig2Params) -> Vec<(Inset, Vec<Tally<3>>)> {
+    let seed = params.seed;
+    fig2::sweep(
         pool,
-        "ablation:heuristic",
-        HEURISTIC_POOL_SIZES.len(),
-        sets_per_point,
-        move |point, sample| {
-            let m = HEURISTIC_POOL_SIZES[point];
+        "heuristic",
+        &[Inset::D],
+        params.sets_per_point,
+        |_, m, sample| {
             let mut rng = rand::rngs::StdRng::seed_from_u64(mix(seed, m as u64, sample as u64));
+            let m = usize::try_from(m).expect("positive m");
             let set = TaskSetConfig::new(4, 1.0, DagGenConfig::default())
                 .generate(&mut rng)
-                .expect("generation succeeds");
-            [
+                .map_err(|e| e.to_string())?;
+            Ok(Some([
                 accepts(&set, m, &mut WorstFit),
                 accepts(&set, m, &mut FirstFit),
                 accepts(&set, m, &mut BestFit),
-            ]
+            ]))
         },
-    );
-    counts
-        .into_iter()
-        .enumerate()
-        .map(|(point, c)| HeuristicPoint {
-            m: HEURISTIC_POOL_SIZES[point],
-            worst_fit: c[0] as f64 / sets_per_point as f64,
-            first_fit: c[1] as f64 / sets_per_point as f64,
-            best_fit: c[2] as f64 / sets_per_point as f64,
-        })
-        .collect()
+    )
 }
 
 /// Partitions every task with Algorithm 1 under `heuristic` and runs the
@@ -144,26 +88,6 @@ fn accepts<H: PlacementHeuristic>(set: &TaskSet, m: usize, heuristic: &mut H) ->
     partitioned::analyze(set, m, &mappings, BlockingAwareness::Oblivious).is_schedulable()
 }
 
-/// Evaluates `f(point, sample)` for the whole `points × samples` grid
-/// as one flat queue on the shared pool and folds the boolean verdicts
-/// into per-point hit counts.
-fn sweep_counts<const K: usize>(
-    pool: &SweepPool,
-    label: &str,
-    points: usize,
-    samples: usize,
-    f: impl Fn(usize, usize) -> [bool; K] + Sync,
-) -> Vec<[usize; K]> {
-    let verdicts = pool.run(points * samples, label, |i| f(i / samples, i % samples));
-    let mut out = vec![[0usize; K]; points];
-    for (i, verdict) in verdicts.iter().enumerate() {
-        for (k, &hit) in verdict.iter().enumerate() {
-            out[i / samples][k] += usize::from(hit);
-        }
-    }
-    out
-}
-
 fn mix(seed: u64, a: u64, b: u64) -> u64 {
     let mut z =
         seed ^ a.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ b.wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -175,56 +99,36 @@ fn mix(seed: u64, a: u64, b: u64) -> u64 {
 mod tests {
     use super::*;
 
+    fn params(sets_per_point: usize, seed: u64) -> Fig2Params {
+        Fig2Params {
+            sets_per_point,
+            seed,
+            threads: 4,
+        }
+    }
+
     #[test]
     fn floor_ablation_orders_models() {
         // Full >= LimitedExact >= Limited acceptance, pointwise.
         let pool = SweepPool::new(4);
-        for p in concurrency_floor_ablation(&pool, 24, 11) {
+        for p in &floor(&pool, &params(24, 11))[0].1 {
+            let [full, limited, exact] = p.accepted;
+            assert!(full >= exact, "full {full} < exact {exact} at n = {}", p.x);
             assert!(
-                p.full >= p.limited_exact - 1e-12,
-                "full {} < exact {} at n = {}",
-                p.full,
-                p.limited_exact,
-                p.n
-            );
-            assert!(
-                p.limited_exact >= p.limited - 1e-12,
-                "exact {} < limited {} at n = {}",
-                p.limited_exact,
-                p.limited,
-                p.n
+                exact >= limited,
+                "exact {exact} < limited {limited} at n = {}",
+                p.x
             );
         }
     }
 
     #[test]
-    fn heuristic_ablation_produces_ratios() {
+    fn heuristic_ablation_evaluates_every_sample() {
         let pool = SweepPool::new(4);
-        for p in heuristic_ablation(&pool, 12, 3) {
-            for v in [p.worst_fit, p.first_fit, p.best_fit] {
-                assert!((0.0..=1.0).contains(&v));
-            }
+        let series = heuristic(&pool, &params(12, 3));
+        assert_eq!(series[0].1.len(), Inset::D.x_values().len());
+        for p in &series[0].1 {
+            assert_eq!((p.samples, p.skipped, p.errors), (12, 0, 0));
         }
-    }
-
-    #[test]
-    fn sweep_counts_counts() {
-        let pool = SweepPool::new(4);
-        let counts = sweep_counts(&pool, "t", 2, 50, |_, sample| [sample % 2 == 0, true]);
-        assert_eq!(counts, vec![[25, 50], [25, 50]]);
-    }
-
-    #[test]
-    fn ablation_independent_of_worker_count() {
-        let serial = SweepPool::new(1);
-        let wide = SweepPool::new(8);
-        assert_eq!(
-            concurrency_floor_ablation(&serial, 12, 5),
-            concurrency_floor_ablation(&wide, 12, 5)
-        );
-        assert_eq!(
-            heuristic_ablation(&serial, 8, 5),
-            heuristic_ablation(&wide, 8, 5)
-        );
     }
 }

@@ -1,148 +1,174 @@
-//! Reproduces the paper's Figure 2 (insets a–f): schedulability ratio of
-//! the proposed concurrency-aware tests versus the oblivious state of the
-//! art, as `l_max`, `m`, and `n` vary.
+//! Runs every experiment of the reproduction: the paper's Figure 2
+//! (insets a–f) by default, and with `--study` the four studies beside
+//! it — the concurrency-floor and Algorithm 1 tie-breaking ablations,
+//! bound tightness, and suspend vs spin.
 //!
 //! ```text
-//! fig2 [--inset a|b|c|d|e|f|all] [--sets N] [--seed S]
-//!      [--threads T] [--csv DIR] [--plot] [--trace DIR]
+//! fig2 [--study figure|floor|heuristic|tightness|spin|all] [--inset a..f|all]
+//!      [--sets N] [--seed S] [--threads T] [--csv DIR] [--trace DIR]
 //! ```
 //!
-//! Defaults: all insets, 500 sets per point (the paper's count), seed
-//! `0x5eedf00d`, all cores, text tables on stdout. `--trace DIR`
-//! additionally replays one representative sample per requested inset
-//! under the simulator with event tracing and writes the Chrome
-//! trace-event JSON (loadable in Perfetto / `chrome://tracing`) to
-//! `DIR/fig2<letter>-sample.json`.
+//! Defaults: the figure, all insets, each study's committed sample count
+//! and seed (`Study::params`; the figure's is the paper's 500 sets per
+//! point and seed `0x5eedf00d`), all cores, text tables on stdout.
+//! `--csv DIR` writes `DIR/fig2<letter>.csv` per inset and
+//! `DIR/<study>.csv` for the other studies, so `--study all --csv
+//! results` regenerates every committed CSV. `--inset` and `--trace DIR`
+//! belong to the figure: `--trace DIR` replays one representative
+//! sample per requested inset under the simulator with event tracing and
+//! writes the Chrome trace-event JSON (loadable in Perfetto /
+//! `chrome://tracing`) to `DIR/fig2<letter>-sample.json`.
 
+use std::fmt::Display;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::time::Instant;
 
-use rtpool_bench::fig2::{run_insets, sample_for_trace, Fig2Params, Inset};
+use rtpool_bench::fig2::{sample_for_trace, Fig2Params, Inset, Study};
 use rtpool_bench::sweep::SweepPool;
-use rtpool_bench::table;
 use rtpool_core::partition::algorithm1;
 use rtpool_sim::{SchedulingPolicy, SimConfig};
 
+const USAGE: &str = "usage: fig2 [--study figure|floor|heuristic|tightness|spin|all] \
+                     [--inset a..f|all] [--sets N] [--seed S] [--threads T] [--csv DIR] \
+                     [--trace DIR]";
+
+#[derive(Debug)]
 struct Args {
-    insets: Vec<Inset>,
-    params: Fig2Params,
+    studies: Vec<Study>,
+    /// `None` until `--inset` is given: every inset.
+    insets: Option<Vec<Inset>>,
+    /// Overrides every study's committed sample count.
+    sets: Option<usize>,
+    /// Overrides every study's committed seed.
+    seed: Option<u64>,
+    threads: usize,
     csv_dir: Option<PathBuf>,
-    plot: bool,
     trace_dir: Option<PathBuf>,
 }
 
-fn parse_args() -> Result<Args, String> {
+fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
     let mut args = Args {
-        insets: Inset::ALL.to_vec(),
-        params: Fig2Params::default(),
+        studies: vec![Study::Figure],
+        insets: None,
+        sets: None,
+        seed: None,
+        threads: Fig2Params::default().threads,
         csv_dir: None,
-        plot: false,
         trace_dir: None,
     };
-    let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         let mut value = |name: &str| it.next().ok_or_else(|| format!("missing value for {name}"));
         match flag.as_str() {
+            "--study" => {
+                let v = value("--study")?;
+                args.studies = if v == "all" {
+                    Study::ALL.to_vec()
+                } else {
+                    vec![Study::parse(&v).ok_or_else(|| {
+                        format!(
+                            "unknown study `{v}` \
+                             (expected figure, floor, heuristic, tightness, spin or all)"
+                        )
+                    })?]
+                };
+            }
             "--inset" => {
                 let v = value("--inset")?;
-                if v.eq_ignore_ascii_case("all") {
-                    args.insets = Inset::ALL.to_vec();
+                args.insets = Some(if v.eq_ignore_ascii_case("all") {
+                    Inset::ALL.to_vec()
                 } else {
-                    args.insets =
-                        vec![Inset::parse(&v).ok_or_else(|| format!("unknown inset `{v}`"))?];
-                }
+                    vec![Inset::parse(&v).ok_or_else(|| format!("unknown inset `{v}`"))?]
+                });
             }
-            "--sets" => {
-                args.params.sets_per_point = value("--sets")?
-                    .parse()
-                    .map_err(|e| format!("invalid --sets: {e}"))?;
-            }
-            "--seed" => {
-                args.params.seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("invalid --seed: {e}"))?;
-            }
-            "--threads" => {
-                args.params.threads = value("--threads")?
-                    .parse()
-                    .map_err(|e| format!("invalid --threads: {e}"))?;
-            }
-            "--csv" => {
-                args.csv_dir = Some(PathBuf::from(value("--csv")?));
-            }
-            "--plot" => args.plot = true,
-            "--trace" => {
-                args.trace_dir = Some(PathBuf::from(value("--trace")?));
-            }
+            "--sets" => args.sets = Some(number("--sets", &value("--sets")?)?),
+            "--seed" => args.seed = Some(number("--seed", &value("--seed")?)?),
+            "--threads" => args.threads = number("--threads", &value("--threads")?)?,
+            "--csv" => args.csv_dir = Some(PathBuf::from(value("--csv")?)),
+            "--trace" => args.trace_dir = Some(PathBuf::from(value("--trace")?)),
             "--help" | "-h" => {
-                println!(
-                    "usage: fig2 [--inset a..f|all] [--sets N] [--seed S] \
-                     [--threads T] [--csv DIR] [--plot] [--trace DIR]"
-                );
+                println!("{USAGE}");
                 std::process::exit(0);
             }
             other => return Err(format!("unknown flag `{other}`")),
         }
     }
+    if (args.insets.is_some() || args.trace_dir.is_some()) && !args.studies.contains(&Study::Figure)
+    {
+        return Err("--inset and --trace select Figure 2's insets; \
+                    they need --study figure or all"
+            .to_owned());
+    }
     Ok(args)
 }
 
+fn number<T: FromStr>(flag: &str, v: &str) -> Result<T, String>
+where
+    T::Err: Display,
+{
+    v.parse().map_err(|e| format!("invalid {flag}: {e}"))
+}
+
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
+    match parse_args(std::env::args().skip(1)).and_then(|args| run(&args)) {
+        Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Some(dir) = &args.csv_dir {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("error: cannot create {}: {e}", dir.display());
-            return ExitCode::FAILURE;
+            ExitCode::FAILURE
         }
     }
-    // All requested insets run as a single work queue with no barrier
+}
+
+fn run(args: &Args) -> Result<(), String> {
+    let insets = args.insets.as_deref().unwrap_or(&Inset::ALL);
+    if let Some(dir) = &args.csv_dir {
+        std::fs::create_dir_all(dir)
+            .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
+    }
+    // Each study's whole grid runs as a single work queue with no barrier
     // between points.
-    let pool = SweepPool::new(args.params.threads);
-    let start = Instant::now();
-    let results = run_insets(&pool, &args.insets, &args.params);
-    let elapsed = start.elapsed();
-    for (inset, series) in &results {
-        println!("{}", table::render_text(*inset, series));
-        if args.plot {
-            println!("{}", table::render_ascii_plot(series));
-        }
+    let pool = SweepPool::new(args.threads);
+    for &study in &args.studies {
+        let committed = study.params();
+        let params = Fig2Params {
+            sets_per_point: args.sets.unwrap_or(committed.sets_per_point),
+            seed: args.seed.unwrap_or(committed.seed),
+            threads: args.threads,
+        };
+        let start = Instant::now();
+        let report = study.run(&pool, &params, insets);
+        let elapsed = start.elapsed();
+        print!("{}", report.text);
         if let Some(dir) = &args.csv_dir {
-            let path = dir.join(format!("fig2{}.csv", inset.letter()));
-            if let Err(e) = std::fs::write(&path, table::render_csv(*inset, series)) {
-                eprintln!("error: cannot write {}: {e}", path.display());
-                return ExitCode::FAILURE;
+            for (name, contents) in &report.csv {
+                let path = dir.join(name);
+                std::fs::write(&path, contents)
+                    .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+                println!("  wrote {}", path.display());
             }
-            println!("  wrote {}", path.display());
         }
-        println!();
+        println!(
+            "({}: {} sets/point, seed {:#x}, {} workers, {:.1}s)\n",
+            study.name(),
+            params.sets_per_point,
+            params.seed,
+            pool.threads(),
+            elapsed.as_secs_f64()
+        );
     }
     if let Some(dir) = &args.trace_dir {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("error: cannot create {}: {e}", dir.display());
-            return ExitCode::FAILURE;
-        }
-        for &inset in &args.insets {
-            match export_sample_trace(inset, args.params.seed, dir) {
+        std::fs::create_dir_all(dir)
+            .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
+        let seed = args.seed.unwrap_or(Study::Figure.params().seed);
+        for &inset in insets {
+            match export_sample_trace(inset, seed, dir) {
                 Ok(path) => println!("  wrote {}", path.display()),
                 Err(e) => eprintln!("fig2: trace export for inset ({}): {e}", inset.letter()),
             }
         }
     }
-    println!(
-        "({} sets/point, seed {:#x}, {} workers, {:.1}s total)",
-        args.params.sets_per_point,
-        args.params.seed,
-        pool.threads(),
-        elapsed.as_secs_f64()
-    );
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// Replays one representative sample (the middle x value, sample 0) of
@@ -183,4 +209,35 @@ fn export_sample_trace(inset: Inset, seed: u64, dir: &Path) -> Result<PathBuf, S
     std::fs::write(&path, rtpool_trace::to_chrome_json(&trace))
         .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
     Ok(path)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        parse_args(args.iter().map(|a| (*a).to_owned()))
+    }
+
+    #[test]
+    fn an_unknown_study_is_an_error() {
+        let err = parse(&["--study", "flor"]).unwrap_err();
+        assert!(err.contains("unknown study `flor`"), "{err}");
+    }
+
+    #[test]
+    fn studies_parse_by_name_and_default_to_the_figure() {
+        assert_eq!(parse(&[]).unwrap().studies, [Study::Figure]);
+        assert_eq!(parse(&["--study", "all"]).unwrap().studies, Study::ALL);
+        for study in Study::ALL {
+            assert_eq!(parse(&["--study", study.name()]).unwrap().studies, [study]);
+        }
+    }
+
+    #[test]
+    fn figure_flags_need_the_figure() {
+        assert!(parse(&["--study", "spin", "--inset", "a"]).is_err());
+        assert!(parse(&["--study", "floor", "--trace", "t"]).is_err());
+        assert!(parse(&["--study", "all", "--inset", "c"]).is_ok());
+    }
 }

@@ -1,4 +1,6 @@
-//! The six schedulability-ratio experiments of the paper's Figure 2.
+//! Every experiment of the reproduction: the six schedulability-ratio
+//! insets of the paper's Figure 2, and the four studies beside them
+//! ([`Study`]), all run by the `fig2` binary.
 //!
 //! | Inset | Scheduling  | Varied | Fixed (defaults) | Discard rule |
 //! |-------|-------------|--------|------------------|--------------|
@@ -23,8 +25,8 @@ use rtpool_gen::{
     BlockingPolicy, ConcurrencyWindow, DagGenConfig, DagScratch, GenError, TaskSetConfig,
 };
 
-use crate::pipeline;
 use crate::sweep::SweepPool;
+use crate::{ablation, pipeline, spin_study, table, tightness};
 
 /// Which Figure 2 inset to reproduce.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -187,34 +189,289 @@ impl SeriesPoint {
     }
 }
 
-const N_TASKS_SMALL: usize = 4;
-const M_DEFAULT: usize = 8;
-/// Attempts to find a baseline-schedulable, window-satisfying set for one
-/// sample of insets (a)/(b).
-const DISCARD_BUDGET: usize = 400;
-/// Inner attempts of the concurrency-window rejection sampler per outer
-/// attempt (the blocking probability is resampled between outer
-/// attempts).
-const WINDOW_BUDGET: usize = 60;
+/// An experiment `fig2 --study` runs. Each keeps its own grid, seed
+/// derivation and generation; all but [`Study::Tightness`] fold their
+/// samples through the one sweep of this module.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Study {
+    /// Figure 2: the proposed against the baseline test, per inset.
+    Figure,
+    /// The oblivious, `b̄`-floor (paper) and exact-antichain-floor
+    /// (extension) global RTAs on Figure 2(e)'s sets.
+    Floor,
+    /// Algorithm 1 with worst-fit (the paper's), first-fit and best-fit
+    /// placement on Figure 2(d)'s sets.
+    Heuristic,
+    /// Analytic bound over simulated worst response on the sets each
+    /// analysis accepts, counting the oblivious baseline's violations.
+    Tightness,
+    /// Insets (a) and (c) with every set analyzed as generated (suspend)
+    /// and again with its backend flipped to spin.
+    Spin,
+}
 
-/// Outcome of one `(inset, x, sample)` sweep cell.
-enum SampleOutcome {
-    /// The sample survived the discard rule and was analyzed.
-    Evaluated {
-        /// Proposed (concurrency-aware) test verdict.
-        proposed: bool,
-        /// Baseline (oblivious) test verdict.
-        baseline: bool,
-    },
-    /// The discard/window budget ran out — excluded from the ratio.
-    Skipped,
-    /// Generation failed outright.
-    Error(String),
+impl Study {
+    /// Every study, in the order `--study all` runs them.
+    pub const ALL: [Study; 5] = [
+        Study::Figure,
+        Study::Floor,
+        Study::Heuristic,
+        Study::Tightness,
+        Study::Spin,
+    ];
+
+    /// Parses a study's [`name`](Study::name).
+    #[must_use]
+    pub fn parse(s: &str) -> Option<Study> {
+        Study::ALL.into_iter().find(|study| study.name() == s)
+    }
+
+    /// The study's name; the others' CSV is `<name>.csv`, the figure's
+    /// one `fig2<letter>.csv` per inset.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            Study::Figure => "figure",
+            Study::Floor => "floor",
+            Study::Heuristic => "heuristic",
+            Study::Tightness => "tightness",
+            Study::Spin => "spin",
+        }
+    }
+
+    /// The sample count and seed the study's committed CSVs in
+    /// `results/` were written with.
+    #[must_use]
+    pub fn params(self) -> Fig2Params {
+        let (sets_per_point, seed) = match self {
+            Study::Figure => (500, 0x5eed_f00d),
+            Study::Floor | Study::Heuristic => (300, 0xab1a),
+            // Sample 382 alone simulates for about 4 s, so 380 is the
+            // largest round count that keeps the study under 5 s on
+            // two cores.
+            Study::Tightness => (380, 0x715e),
+            Study::Spin => (150, 0x5eed_f00d),
+        };
+        Fig2Params {
+            sets_per_point,
+            seed,
+            ..Fig2Params::default()
+        }
+    }
+
+    /// Runs the study on `pool`. `insets` selects the insets of
+    /// [`Study::Figure`]; the other studies have fixed grids.
+    ///
+    /// # Panics
+    ///
+    /// [`Study::Spin`] panics when its suspend column is not Figure 2's
+    /// or a set is schedulable under spin but not under suspend.
+    #[must_use]
+    pub fn run(self, pool: &SweepPool, params: &Fig2Params, insets: &[Inset]) -> Report {
+        let caption =
+            |inset: Inset| format!("Figure 2({}) — {}", inset.letter(), inset.description());
+        // The studies beside the figure reuse one inset's sets.
+        let on = |heading: &'static str| {
+            move |inset| format!("{heading}, on the sets of {}", caption(inset))
+        };
+        match self {
+            Study::Figure => self.report(
+                &figure(pool, insets, params),
+                &["proposed", "baseline"],
+                |inset| {
+                    let (proposed, baseline) = (inset.proposed_label(), inset.baseline_label());
+                    format!(
+                        "{}\n  proposed: {proposed}\n  baseline: {baseline}",
+                        caption(inset)
+                    )
+                },
+            ),
+            Study::Floor => self.report(
+                &ablation::floor(pool, params),
+                &["full", "limited", "limited_exact"],
+                on("Concurrency floor: global RTA per model"),
+            ),
+            Study::Heuristic => self.report(
+                &ablation::heuristic(pool, params),
+                &["worst_fit", "first_fit", "best_fit"],
+                on("Algorithm 1 tie-breaking: partitioned RTA per placement"),
+            ),
+            Study::Spin => self.report(
+                &spin_study::run(pool, params),
+                &["suspend", "spin", "baseline"],
+                on("Spin vs suspend: the proposed test per barrier backend"),
+            ),
+            Study::Tightness => {
+                let (m, n, u, sets) = (8, 4, 2.0, params.sets_per_point);
+                let rows = tightness::measure(pool, sets, m, n, u, params.seed);
+                let title = format!(
+                    "Bound tightness: {sets} sets, m={m}, n={n}, U={u:.1}; periodic simulation"
+                );
+                Report {
+                    text: table::render_tightness_text(&rows, &title),
+                    csv: vec![(
+                        "tightness.csv".to_owned(),
+                        table::render_tightness_csv(&rows, sets),
+                    )],
+                }
+            }
+        }
+    }
+
+    /// The report of a `K`-verdict study: a table per inset under
+    /// `title(inset)`, and the CSV `<name>.csv` — for the figure one
+    /// `fig2<letter>.csv` per inset, as the paper has one plot per inset.
+    fn report<const K: usize>(
+        self,
+        series: &[(Inset, Vec<Tally<K>>)],
+        columns: &[&str; K],
+        title: impl Fn(Inset) -> String,
+    ) -> Report {
+        let csv = if self == Study::Figure {
+            series
+                .iter()
+                .map(|s| {
+                    let name = format!("fig2{}.csv", s.0.letter());
+                    (name, table::render_csv(std::slice::from_ref(s), columns))
+                })
+                .collect()
+        } else {
+            let name = format!("{}.csv", self.name());
+            vec![(name, table::render_csv(series, columns))]
+        };
+        Report {
+            text: table::render_text(series, columns, title),
+            csv,
+        }
+    }
+}
+
+/// What a study prints and the CSV files it writes.
+#[derive(Debug, PartialEq, Eq)]
+pub struct Report {
+    /// The study's text tables.
+    pub text: String,
+    /// `(file name, contents)` of each CSV the study writes.
+    pub csv: Vec<(String, String)>,
+}
+
+/// One point of a `K`-verdict sweep: how many of its evaluated samples
+/// each verdict accepted.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub(crate) struct Tally<const K: usize> {
+    /// The swept parameter's value.
+    pub x: i64,
+    /// Samples each verdict accepted.
+    pub accepted: [usize; K],
+    /// Samples evaluated.
+    pub samples: usize,
+    /// Samples the discard/window budget dropped.
+    pub skipped: usize,
+    /// Samples a generation error dropped.
+    pub errors: usize,
+}
+
+impl<const K: usize> Tally<K> {
+    /// Each verdict's share of the evaluated samples; `None` for an
+    /// empty point, which has no ratio to print.
+    pub fn ratios(&self) -> Option<[f64; K]> {
+        (self.samples > 0).then(|| self.accepted.map(|a| a as f64 / self.samples as f64))
+    }
+}
+
+/// What one sample yields: its `K` verdicts, `Ok(None)` when the
+/// discard/window budget ran out, or a generation error.
+pub(crate) type Verdicts<const K: usize> = Result<Option<[bool; K]>, String>;
+
+/// Maximum generation-error messages echoed to stderr per sweep.
+const MAX_PRINTED_ERRORS: usize = 5;
+
+/// The sweep every study but tightness runs: `samples` cells for each
+/// `(inset, x)` point of `insets`' grids, as **one** queue on `pool` (no
+/// barrier between points), folded into one [`Tally`] per point; the
+/// first few generation errors go to stderr. `cell(inset, x, sample)`
+/// must derive everything from its coordinates, so the tallies are
+/// identical for any worker count.
+pub(crate) fn sweep<const K: usize>(
+    pool: &SweepPool,
+    label: &str,
+    insets: &[Inset],
+    samples: usize,
+    cell: impl Fn(Inset, i64, usize) -> Verdicts<K> + Sync,
+) -> Vec<(Inset, Vec<Tally<K>>)> {
+    let coords: Vec<(Inset, i64)> = insets
+        .iter()
+        .flat_map(|&inset| inset.x_values().into_iter().map(move |x| (inset, x)))
+        .collect();
+    let cells = pool.run(coords.len() * samples, label, |i| {
+        let (inset, x) = coords[i / samples];
+        cell(inset, x, i % samples)
+    });
+
+    let mut printed = 0usize;
+    let mut tallies = coords.iter().enumerate().map(|(p, &(inset, x))| {
+        let mut tally = Tally {
+            x,
+            accepted: [0; K],
+            samples: 0,
+            skipped: 0,
+            errors: 0,
+        };
+        for outcome in &cells[p * samples..(p + 1) * samples] {
+            match outcome {
+                Ok(Some(verdicts)) => {
+                    tally.samples += 1;
+                    for (count, &verdict) in tally.accepted.iter_mut().zip(verdicts) {
+                        *count += usize::from(verdict);
+                    }
+                }
+                Ok(None) => tally.skipped += 1,
+                Err(message) => {
+                    tally.errors += 1;
+                    if printed < MAX_PRINTED_ERRORS {
+                        printed += 1;
+                        eprintln!(
+                            "{label}: generation error at inset ({}), {} = {x}: {message}",
+                            inset.letter(),
+                            inset.x_label()
+                        );
+                    }
+                }
+            }
+        }
+        tally
+    });
+    insets
+        .iter()
+        .map(|&inset| {
+            let points = tallies.by_ref().take(inset.x_values().len()).collect();
+            (inset, points)
+        })
+        .collect()
+}
+
+/// Figure 2 over `insets`: per point, how many sets the proposed and the
+/// baseline test accept.
+pub(crate) fn figure(
+    pool: &SweepPool,
+    insets: &[Inset],
+    params: &Fig2Params,
+) -> Vec<(Inset, Vec<Tally<2>>)> {
+    sweep(
+        pool,
+        "fig2",
+        insets,
+        params.sets_per_point,
+        |inset, x, sample| {
+            let evaluated = sample_with_verdicts(inset, x, params.seed, sample)?;
+            Ok(evaluated.map(|(_, _, proposed, baseline)| [proposed, baseline]))
+        },
+    )
 }
 
 /// Runs every x value of every requested inset as **one** flat sweep
-/// over the pool's workers: no per-point spawn/join, no barrier
-/// between points. Returns one series per inset, in `insets` order.
+/// over the pool's workers and returns one series per inset, in
+/// `insets` order.
 ///
 /// Determinism: each `(inset, x, sample)` coordinate derives its own
 /// RNG stream ([`derive_seed`]) and lands in its own result slot, so
@@ -225,127 +482,26 @@ pub fn run_insets(
     insets: &[Inset],
     params: &Fig2Params,
 ) -> Vec<(Inset, Vec<SeriesPoint>)> {
-    let coords: Vec<(Inset, i64)> = insets
-        .iter()
-        .flat_map(|&inset| inset.x_values().into_iter().map(move |x| (inset, x)))
-        .collect();
-    let points = run_points(pool, &coords, params);
-
-    let mut by_inset: Vec<(Inset, Vec<SeriesPoint>)> =
-        insets.iter().map(|&inset| (inset, Vec::new())).collect();
-    for (&(inset, _), point) in coords.iter().zip(points) {
-        by_inset
-            .iter_mut()
-            .find(|(i, _)| *i == inset)
-            .expect("coordinate instigated by an entry of `insets`")
-            .1
-            .push(point);
-    }
-    by_inset
-}
-
-/// Runs one inset through the pool. Convenience wrapper over
-/// [`run_insets`]; prefer the batched form when running several insets
-/// so the whole grid forms a single work queue.
-#[must_use]
-pub fn run_inset(pool: &SweepPool, inset: Inset, params: &Fig2Params) -> Vec<SeriesPoint> {
-    run_insets(pool, &[inset], params)
-        .pop()
-        .expect("one series per requested inset")
-        .1
-}
-
-/// Runs a single point through the pool.
-#[must_use]
-pub fn run_point(pool: &SweepPool, inset: Inset, x: i64, params: &Fig2Params) -> SeriesPoint {
-    run_points(pool, &[(inset, x)], params)
-        .pop()
-        .expect("one point per coordinate")
-}
-
-/// Shared driver: evaluates `sets_per_point` samples for every
-/// coordinate as one cell queue, then folds outcomes into
-/// per-point tallies (printing the first few generation errors).
-fn run_points(pool: &SweepPool, coords: &[(Inset, i64)], params: &Fig2Params) -> Vec<SeriesPoint> {
-    let spp = params.sets_per_point;
-    let seed = params.seed;
-    let outcomes = pool.run(coords.len() * spp, "fig2", |i| {
-        let (inset, x) = coords[i / spp];
-        let sample = i % spp;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(derive_seed(seed, inset, x, sample));
-        let mut scratch = DagScratch::new();
-        match sample_with_verdicts(inset, x, &mut rng, &mut scratch) {
-            Ok(Some((_, _, proposed, baseline))) => SampleOutcome::Evaluated { proposed, baseline },
-            Ok(None) => SampleOutcome::Skipped,
-            Err(e) => SampleOutcome::Error(e),
-        }
-    });
-
-    let mut printed = 0usize;
-    coords
-        .iter()
-        .enumerate()
-        .map(|(p, &(inset, x))| {
-            fold_point(inset, x, &outcomes[p * spp..(p + 1) * spp], &mut printed)
+    figure(pool, insets, params)
+        .into_iter()
+        .map(|(inset, tallies)| {
+            let points = tallies
+                .iter()
+                .map(|t| {
+                    let [proposed, baseline] = t.ratios().unwrap_or([0.0; 2]);
+                    SeriesPoint {
+                        x: t.x,
+                        proposed,
+                        baseline,
+                        samples: t.samples,
+                        skipped: t.skipped,
+                        errors: t.errors,
+                    }
+                })
+                .collect();
+            (inset, points)
         })
         .collect()
-}
-
-/// Maximum generation-error messages echoed to stderr per run.
-const MAX_PRINTED_ERRORS: usize = 5;
-
-/// Folds one point's sample outcomes into a [`SeriesPoint`], surfacing
-/// the first few error messages on stderr.
-fn fold_point(
-    inset: Inset,
-    x: i64,
-    outcomes: &[SampleOutcome],
-    printed: &mut usize,
-) -> SeriesPoint {
-    let mut evaluated = 0usize;
-    let mut proposed_ok = 0usize;
-    let mut baseline_ok = 0usize;
-    let mut skipped = 0usize;
-    let mut errors = 0usize;
-    for outcome in outcomes {
-        match outcome {
-            SampleOutcome::Evaluated { proposed, baseline } => {
-                evaluated += 1;
-                proposed_ok += usize::from(*proposed);
-                baseline_ok += usize::from(*baseline);
-            }
-            SampleOutcome::Skipped => skipped += 1,
-            SampleOutcome::Error(message) => {
-                errors += 1;
-                if *printed < MAX_PRINTED_ERRORS {
-                    *printed += 1;
-                    eprintln!(
-                        "fig2: generation error at inset ({}), {} = {x}: {message}",
-                        inset.letter(),
-                        inset.x_label()
-                    );
-                }
-            }
-        }
-    }
-    // `evaluated == 0` yields an explicitly empty point (see the
-    // `SeriesPoint` docs): 0.0 placeholders, never NaN, skipped by the
-    // renderers.
-    let ratio = |count: usize| {
-        if evaluated == 0 {
-            0.0
-        } else {
-            count as f64 / evaluated as f64
-        }
-    };
-    SeriesPoint {
-        x,
-        proposed: ratio(proposed_ok),
-        baseline: ratio(baseline_ok),
-        samples: evaluated,
-        skipped,
-        errors,
-    }
 }
 
 pub(crate) fn derive_seed(base: u64, inset: Inset, x: i64, sample: usize) -> u64 {
@@ -361,17 +517,15 @@ pub(crate) fn derive_seed(base: u64, inset: Inset, x: i64, sample: usize) -> u64
 
 /// Regenerates the task set that sample 0 of the `(inset, x)` sweep cell
 /// evaluates, together with its core count `m` — the replay hook behind
-/// `fig2 --trace` and the `rtpool-trace` CLI, which run the sample under
-/// the simulator or the native pool to produce an event trace.
+/// `fig2 --trace`, which runs the sample under the simulator to produce
+/// an event trace.
 ///
 /// # Errors
 ///
 /// Returns the generation error, or a budget message when no set
 /// survived the inset's discard/window budgets.
 pub fn sample_for_trace(inset: Inset, x: i64, seed: u64) -> Result<(TaskSet, usize), String> {
-    let mut rng = rand::rngs::StdRng::seed_from_u64(derive_seed(seed, inset, x, 0));
-    let mut scratch = DagScratch::new();
-    match sample_with_verdicts(inset, x, &mut rng, &mut scratch)? {
+    match sample_with_verdicts(inset, x, seed, 0)? {
         Some((set, m, _, _)) => Ok((set, m)),
         None => Err(format!(
             "no sample survived the discard budget at inset ({}), {} = {x}",
@@ -381,17 +535,29 @@ pub fn sample_for_trace(inset: Inset, x: i64, seed: u64) -> Result<(TaskSet, usi
     }
 }
 
-/// Shared sample driver: generates (with the inset's discard rule) and
-/// evaluates one sample, returning the surviving set, its core count,
-/// and the `(proposed, baseline)` verdicts; `Ok(None)` means the
-/// discard/window budget ran out. `scratch`'s buffers are reused across
-/// all rejection attempts of the sample.
+const N_TASKS_SMALL: usize = 4;
+const M_DEFAULT: usize = 8;
+/// Attempts to find a baseline-schedulable, window-satisfying set for one
+/// sample of insets (a)/(b).
+const DISCARD_BUDGET: usize = 400;
+/// Inner attempts of the concurrency-window rejection sampler per outer
+/// attempt (the blocking probability is resampled between outer
+/// attempts).
+const WINDOW_BUDGET: usize = 60;
+
+/// Generates (with the inset's discard rule) and evaluates sample
+/// `sample` of the `(inset, x)` point from its own RNG stream, returning
+/// the surviving set, its core count, and the `(proposed, baseline)`
+/// verdicts; `Ok(None)` means the discard/window budget ran out. One
+/// [`DagScratch`] serves all rejection attempts of the sample.
 pub(crate) fn sample_with_verdicts(
     inset: Inset,
     x: i64,
-    rng: &mut rand::rngs::StdRng,
-    scratch: &mut DagScratch,
+    seed: u64,
+    sample: usize,
 ) -> Result<Option<(TaskSet, usize, bool, bool)>, String> {
+    let rng = &mut rand::rngs::StdRng::seed_from_u64(derive_seed(seed, inset, x, sample));
+    let scratch = &mut DagScratch::new();
     match inset {
         Inset::A | Inset::B => {
             // The partitioned RTA adaptation is substantially more
@@ -512,47 +678,85 @@ mod tests {
     }
 
     #[test]
-    fn inset_c_point_produces_ratios() {
-        // m = 8 keeps generation cheap and acceptance high.
-        let pool = SweepPool::new(4);
-        let point = run_point(&pool, Inset::C, 8, &tiny_params());
-        assert_eq!(point.samples + point.skipped + point.errors, 12);
-        assert!(point.samples > 0);
-        assert!((0.0..=1.0).contains(&point.proposed));
-        assert!((0.0..=1.0).contains(&point.baseline));
-        // The proposed (concurrency-aware) test is never more accepting.
-        assert!(point.proposed <= point.baseline + 1e-12);
+    fn sweep_folds_verdicts_skips_and_errors() {
+        let cell = |_, x: i64, sample: usize| -> Verdicts<2> {
+            match sample % 4 {
+                0 | 1 => Ok(Some([sample < 4, x > 4])),
+                2 => Ok(None),
+                _ => Err("no set".to_owned()),
+            }
+        };
+        let series = &sweep(&SweepPool::new(3), "t", &[Inset::C], 8, cell)[0].1;
+        let fold = |t: &Tally<2>| (t.x, t.accepted, t.samples, t.skipped, t.errors);
+        assert_eq!(fold(&series[2]), (4, [2, 0], 4, 2, 2));
+        assert_eq!(fold(&series[3]), (6, [2, 4], 4, 2, 2));
+        assert_eq!(series[2].ratios(), Some([0.5, 0.0]));
+        let empty = &sweep(&SweepPool::new(2), "t", &[Inset::C], 0, cell)[0].1;
+        assert!(empty.iter().all(|t| t.ratios().is_none()));
     }
 
     #[test]
-    fn inset_a_baseline_is_one_by_construction() {
-        let pool = SweepPool::new(4);
-        let point = run_point(&pool, Inset::A, 6, &tiny_params());
-        if point.samples > 0 {
-            assert!((point.baseline - 1.0).abs() < 1e-12);
+    fn inset_c_produces_ratios() {
+        // n = 4 at m ≥ 2 keeps generation cheap.
+        let series = run_insets(&SweepPool::new(4), &[Inset::C], &tiny_params());
+        for point in &series[0].1 {
+            assert_eq!(point.samples + point.skipped + point.errors, 12);
+            assert!(point.samples > 0);
+            assert!((0.0..=1.0).contains(&point.proposed));
+            // The proposed (concurrency-aware) test is never more accepting.
+            assert!(point.proposed <= point.baseline + 1e-12);
         }
     }
 
     #[test]
-    fn determinism() {
-        let pool = SweepPool::new(4);
-        let p1 = run_point(&pool, Inset::E, 4, &tiny_params());
-        let p2 = run_point(&pool, Inset::E, 4, &tiny_params());
-        assert_eq!(p1, p2);
+    fn inset_a_baseline_is_one_by_construction() {
+        for sample in 0..12 {
+            if let Some((_, _, _, baseline)) = sample_with_verdicts(Inset::A, 6, 1, sample).unwrap()
+            {
+                assert!(baseline);
+            }
+        }
     }
 
     #[test]
-    fn results_independent_of_thread_count() {
-        // Every (inset, x, sample) coordinate derives its own RNG stream
-        // and lands in its own result slot, so the worker count must not
-        // leak into the series. (tests/sweep_determinism.rs pins the
-        // whole multi-inset run; this is the quick per-point check.)
-        let serial_pool = SweepPool::new(1);
-        let wide_pool = SweepPool::new(8);
-        for inset in [Inset::C, Inset::E] {
-            let serial = run_point(&serial_pool, inset, 4, &tiny_params());
-            let wide = run_point(&wide_pool, inset, 4, &tiny_params());
-            assert_eq!(serial, wide, "inset {} diverged", inset.letter());
+    fn every_study_is_independent_of_worker_count() {
+        // Every cell derives its RNG stream from its coordinates and lands
+        // in its own slot, so the worker count must not reach the output.
+        let (serial, wide) = (SweepPool::new(1), SweepPool::new(8));
+        for study in Study::ALL {
+            let params = Fig2Params {
+                sets_per_point: 2,
+                ..study.params()
+            };
+            assert_eq!(
+                study.run(&serial, &params, &Inset::ALL),
+                study.run(&wide, &params, &Inset::ALL),
+                "{} diverged between 1 and 8 workers",
+                study.name()
+            );
+        }
+    }
+
+    #[test]
+    fn every_study_renders_an_empty_point_as_skipped() {
+        // At 0 sets every point is empty: no ratio may print, neither NaN
+        // nor a placeholder 0.
+        let pool = SweepPool::new(2);
+        for study in Study::ALL {
+            let params = Fig2Params {
+                sets_per_point: 0,
+                ..study.params()
+            };
+            let report = study.run(&pool, &params, &Inset::ALL);
+            let text = &report.text;
+            assert!(
+                !text.contains("NaN") && !text.contains("0.000") && text.contains("(no "),
+                "{}:\n{text}",
+                study.name()
+            );
+            for (name, csv) in &report.csv {
+                assert_eq!(csv.lines().count(), 1, "{name} has rows at 0 sets:\n{csv}");
+            }
         }
     }
 
@@ -576,8 +780,8 @@ mod tests {
         assert_eq!(batched.len(), 2);
         for (inset, series) in &batched {
             assert_eq!(series.len(), inset.x_values().len());
-            let alone = run_inset(&pool, *inset, &params);
-            assert_eq!(&alone, series, "inset {} diverged", inset.letter());
+            let alone = run_insets(&pool, &[*inset], &params);
+            assert_eq!(&alone[0].1, series, "inset {} diverged", inset.letter());
         }
     }
 }

@@ -5,10 +5,14 @@
 //! Figure 2, plus supporting machinery (parallel sample evaluation, text
 //! and CSV output).
 //!
-//! Run all insets with the `fig2` binary:
+//! Every experiment runs through the `fig2` binary: Figure 2 by default,
+//! and with `--study` the concurrency-floor and Algorithm 1 tie-breaking
+//! ablations, the bound-tightness study and the suspend-vs-spin study
+//! ([`fig2::Study`]):
 //!
 //! ```text
 //! cargo run --release -p rtpool-bench --bin fig2 -- --inset all --sets 500
+//! cargo run --release -p rtpool-bench --bin fig2 -- --study all --csv results
 //! ```
 //!
 //! The per-inset generation parameters (the paper's figure captions are
@@ -18,11 +22,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod ablation;
+mod ablation;
 pub mod fig2;
 pub mod pipeline;
 pub mod serve;
-pub mod spin_study;
+mod spin_study;
 pub mod sweep;
-pub mod table;
-pub mod tightness;
+mod table;
+mod tightness;

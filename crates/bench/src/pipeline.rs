@@ -9,20 +9,7 @@
 use rtpool_core::analysis::global::{self, ConcurrencyModel};
 use rtpool_core::analysis::partitioned::{self, PartitionStrategy};
 use rtpool_core::analysis::SchedResult;
-use rtpool_core::partition::NodeMapping;
 use rtpool_core::TaskSet;
-
-/// Partitions `set` onto `m` threads with `strategy` and runs the
-/// partitioned RTA, returning the verdicts and the per-task mappings
-/// (`None` for tasks the partitioner rejected).
-#[must_use]
-pub fn partition_and(
-    set: &TaskSet,
-    m: usize,
-    strategy: PartitionStrategy,
-) -> (SchedResult, Vec<Option<NodeMapping>>) {
-    partitioned::partition_and_analyze(set, m, strategy)
-}
 
 /// Runs the concurrency-oblivious (`Full`) and concurrency-aware
 /// (`Limited`) global RTAs as one batched pass, sharing the per-task
@@ -46,12 +33,13 @@ pub fn battery(set: &TaskSet, m: usize, global: bool) -> (bool, bool) {
         let (full, limited) = global_full_and_limited(set, m);
         (limited.is_schedulable(), full.is_schedulable())
     } else {
-        let base = partition_and(set, m, PartitionStrategy::WorstFit)
-            .0
-            .is_schedulable();
-        let prop = partition_and(set, m, PartitionStrategy::Algorithm1)
-            .0
-            .is_schedulable();
+        let accepts = |strategy| {
+            partitioned::partition_and_analyze(set, m, strategy)
+                .0
+                .is_schedulable()
+        };
+        let base = accepts(PartitionStrategy::WorstFit);
+        let prop = accepts(PartitionStrategy::Algorithm1);
         (prop, base)
     }
 }

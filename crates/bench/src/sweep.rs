@@ -2,8 +2,8 @@
 //! scoped threads.
 //!
 //! Every study in this crate evaluates a large grid of independent
-//! *cells* — `(inset × x × sample)` for Figure 2, `(variant × sample)`
-//! for the ablation, `(point × sample)` for the tightness study. The
+//! *cells* — `(inset × x × sample)` for Figure 2 and the studies that
+//! share its sweep, `(analysis × sample)` for the tightness study. The
 //! original harness spawned and joined one scope of OS threads *per
 //! point*, which serializes points behind a barrier. [`SweepPool::run`]
 //! takes the whole coordinate space as **one flat queue**: every worker

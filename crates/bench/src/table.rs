@@ -1,115 +1,123 @@
-//! Plain-text and CSV rendering of experiment series.
+//! Plain-text and CSV rendering of every study's results.
+//!
+//! An empty point (no sample evaluated) has no ratio: the text tables
+//! say so and the CSVs omit it, never printing `NaN` or a placeholder 0.
 
 use std::fmt::Write as _;
 
-use crate::fig2::{Inset, SeriesPoint};
+use crate::fig2::{Inset, Tally};
+use crate::tightness::Tightness;
 
-/// Renders a series as an aligned text table (the shape the paper's
-/// plots encode).
-#[must_use]
-pub fn render_text(inset: Inset, series: &[SeriesPoint]) -> String {
+/// Renders one aligned text table per inset of `series` (the shape the
+/// paper's plots encode), each under `title(inset)`, with one ratio
+/// column per verdict.
+pub(crate) fn render_text<const K: usize>(
+    series: &[(Inset, Vec<Tally<K>>)],
+    columns: &[&str; K],
+    title: impl Fn(Inset) -> String,
+) -> String {
+    let widths = columns.map(|c| c.len().max(10));
     let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "Figure 2({}) — {}",
-        inset.letter(),
-        inset.description()
-    );
-    let _ = writeln!(
-        out,
-        "  proposed: {}\n  baseline: {}",
-        inset.proposed_label(),
-        inset.baseline_label()
-    );
-    let _ = writeln!(
-        out,
-        "{:>6} | {:>10} | {:>10} | {:>8} | {:>7}",
-        inset.x_label(),
-        "proposed",
-        "baseline",
-        "samples",
-        "skipped"
-    );
-    let _ = writeln!(out, "{}", "-".repeat(6 + 10 + 10 + 8 + 7 + 12));
-    for p in series {
-        // Empty points (no sample survived the budgets) carry no ratio;
-        // printing their 0.0 placeholders would fake a baseline of 0.
-        if p.is_empty() {
-            let _ = writeln!(out, "{:>6} | (no samples survived the budgets)", p.x);
-            continue;
+    for (inset, points) in series {
+        let mut header = format!("{:>6}", inset.x_label());
+        for (column, w) in columns.iter().zip(widths) {
+            let _ = write!(header, " | {column:>w$}");
         }
+        let _ = write!(header, " | {:>8} | {:>7}", "samples", "skipped");
         let _ = writeln!(
             out,
-            "{:>6} | {:>10.3} | {:>10.3} | {:>8} | {:>7}",
-            p.x, p.proposed, p.baseline, p.samples, p.skipped
+            "{}\n{header}\n{}",
+            title(*inset),
+            "-".repeat(header.len())
         );
-    }
-    out
-}
-
-/// Renders a series as CSV with a header row.
-#[must_use]
-pub fn render_csv(inset: Inset, series: &[SeriesPoint]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "inset,{},proposed_ratio,baseline_ratio,samples,skipped,errors",
-        inset.x_label()
-    );
-    for p in series {
-        // Empty points are omitted rather than emitted with placeholder
-        // ratios (see `SeriesPoint::is_empty`).
-        if p.is_empty() {
-            continue;
-        }
-        let _ = writeln!(
-            out,
-            "{},{},{:.6},{:.6},{},{},{}",
-            inset.letter(),
-            p.x,
-            p.proposed,
-            p.baseline,
-            p.samples,
-            p.skipped,
-            p.errors
-        );
-    }
-    out
-}
-
-/// Renders a sparkline-style ASCII plot of the two ratio curves, for a
-/// quick visual check of the series' shape in a terminal.
-#[must_use]
-pub fn render_ascii_plot(series: &[SeriesPoint]) -> String {
-    const HEIGHT: usize = 10;
-    let mut out = String::new();
-    for row in (0..=HEIGHT).rev() {
-        let threshold = row as f64 / HEIGHT as f64;
-        let _ = write!(out, "{threshold:>5.1} |");
-        for p in series {
-            let prop = p.proposed >= threshold;
-            let base = p.baseline >= threshold;
-            let ch = match (prop, base) {
-                (true, true) => '#',
-                (false, true) => '·',
-                (true, false) => 'o', // proposed above baseline: unexpected
-                (false, false) => ' ',
+        for p in points {
+            let _ = write!(out, "{:>6}", p.x);
+            let Some(ratios) = p.ratios() else {
+                let _ = writeln!(out, " | (no samples survived the budgets)");
+                continue;
             };
-            let _ = write!(out, " {ch} ");
+            for (ratio, w) in ratios.iter().zip(widths) {
+                let _ = write!(out, " | {ratio:>w$.3}");
+            }
+            let _ = writeln!(out, " | {:>8} | {:>7}", p.samples, p.skipped);
         }
         out.push('\n');
     }
-    let _ = write!(out, "      +");
-    for _ in series {
-        let _ = write!(out, "---");
+    out
+}
+
+/// Renders `series` as one CSV with a header row. The x column is named
+/// after the swept parameter when the file holds one inset, `x` when it
+/// holds several (the `inset` column then says which parameter it is).
+pub(crate) fn render_csv<const K: usize>(
+    series: &[(Inset, Vec<Tally<K>>)],
+    columns: &[&str; K],
+) -> String {
+    let x_label = match series {
+        [(inset, _)] => inset.x_label(),
+        _ => "x",
+    };
+    let mut out = format!("inset,{x_label}");
+    for column in columns {
+        let _ = write!(out, ",{column}_ratio");
     }
-    out.push('\n');
-    let _ = write!(out, "       ");
-    for p in series {
-        let _ = write!(out, "{:^3}", p.x);
+    out.push_str(",samples,skipped,errors\n");
+    for (inset, points) in series {
+        for p in points {
+            let Some(ratios) = p.ratios() else { continue };
+            let _ = write!(out, "{},{}", inset.letter(), p.x);
+            for ratio in ratios {
+                let _ = write!(out, ",{ratio:.6}");
+            }
+            let _ = writeln!(out, ",{},{},{}", p.samples, p.skipped, p.errors);
+        }
     }
-    out.push('\n');
-    let _ = writeln!(out, "       (# both, · baseline only)");
+    out
+}
+
+/// Renders the tightness study as a text table under `title`; an
+/// analysis that accepted no set has no ratio to show.
+pub(crate) fn render_tightness_text(rows: &[Tightness], title: &str) -> String {
+    let mut out = format!("{title}\n");
+    let _ = writeln!(
+        out,
+        "{:<26} | {:>8} | {:>11} | {:>10} | {:>10}\n{}",
+        "analysis",
+        "accepted",
+        "mean R/Rsim",
+        "max R/Rsim",
+        "violations",
+        "-".repeat(78)
+    );
+    for t in rows {
+        if t.accepted == 0 {
+            let _ = writeln!(out, "{:<26} | (no set accepted)", t.label);
+            continue;
+        }
+        let _ = writeln!(
+            out,
+            "{:<26} | {:>8} | {:>11.3} | {:>10.3} | {:>10}",
+            t.label, t.accepted, t.mean_ratio, t.max_ratio, t.violations
+        );
+    }
+    out.push_str(
+        "(violations = simulated response above the analytic bound; only the\n \
+         oblivious baseline can violate — the unsafety the paper demonstrates)\n\n",
+    );
+    out
+}
+
+/// Renders the tightness study as CSV, one row per analysis that
+/// accepted a set.
+pub(crate) fn render_tightness_csv(rows: &[Tightness], sets: usize) -> String {
+    let mut out = String::from("analysis,sets,accepted,mean_ratio,max_ratio,violations\n");
+    for t in rows.iter().filter(|t| t.accepted > 0) {
+        let _ = writeln!(
+            out,
+            "{},{sets},{},{:.6},{:.6},{}",
+            t.label, t.accepted, t.mean_ratio, t.max_ratio, t.violations
+        );
+    }
     out
 }
 
@@ -117,74 +125,53 @@ pub fn render_ascii_plot(series: &[SeriesPoint]) -> String {
 mod tests {
     use super::*;
 
-    fn sample_series() -> Vec<SeriesPoint> {
-        vec![
-            SeriesPoint {
-                x: 1,
-                proposed: 0.1,
-                baseline: 1.0,
-                samples: 100,
-                skipped: 0,
-                errors: 0,
-            },
-            SeriesPoint {
-                x: 2,
-                proposed: 0.85,
-                baseline: 1.0,
-                samples: 100,
-                skipped: 3,
-                errors: 0,
-            },
-        ]
-    }
-
-    fn empty_point() -> SeriesPoint {
-        SeriesPoint {
-            x: 3,
-            proposed: 0.0,
-            baseline: 0.0,
-            samples: 0,
-            skipped: 100,
+    fn point(x: i64, accepted: [usize; 2], samples: usize, skipped: usize) -> Tally<2> {
+        Tally {
+            x,
+            accepted,
+            samples,
+            skipped,
             errors: 0,
         }
     }
 
+    fn sample_series(inset: Inset) -> Vec<(Inset, Vec<Tally<2>>)> {
+        vec![(
+            inset,
+            vec![point(1, [10, 100], 100, 0), point(2, [85, 100], 100, 3)],
+        )]
+    }
+
+    const COLUMNS: [&str; 2] = ["proposed", "baseline"];
+
     #[test]
-    fn text_table_contains_all_points() {
-        let s = render_text(Inset::A, &sample_series());
-        assert!(s.contains("Figure 2(a)"));
-        assert!(s.contains("0.100"));
-        assert!(s.contains("0.850"));
-        assert!(s.contains("l_max"));
+    fn text_table_shows_ratios_and_marks_empty_points() {
+        let mut series = sample_series(Inset::A);
+        series[0].1.push(point(3, [0, 0], 0, 100));
+        let s = render_text(&series, &COLUMNS, |_| "Figure 2(a)".into());
+        assert!(
+            s.starts_with("Figure 2(a)\n l_max |   proposed |   baseline |  samples | skipped\n")
+        );
+        assert!(s.contains("     2 |      0.850 |      1.000 |      100 |       3\n"));
+        assert!(s.contains("     3 | (no samples survived the budgets)\n"));
+        assert!(!s.contains("0.000"));
     }
 
     #[test]
-    fn csv_has_header_and_rows() {
-        let s = render_csv(Inset::C, &sample_series());
+    fn csv_has_header_and_rows_and_omits_empty_points() {
+        let mut series = sample_series(Inset::C);
+        series[0].1.push(point(3, [0, 0], 0, 100));
+        let s = render_csv(&series, &COLUMNS);
         let lines: Vec<&str> = s.lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert!(lines[0].starts_with("inset,m,"));
-        assert!(lines[0].ends_with(",errors"));
-        assert!(lines[1].starts_with("c,1,0.100000,1.000000,100,0,0"));
-    }
-
-    #[test]
-    fn empty_points_are_skipped_by_renderers() {
-        let mut series = sample_series();
-        series.push(empty_point());
-        let text = render_text(Inset::A, &series);
-        assert!(text.contains("no samples survived"));
-        // The placeholder ratios of the empty point must never render.
-        assert!(!text.contains("0.000 |"));
-        let csv = render_csv(Inset::A, &series);
-        assert_eq!(csv.lines().count(), 3, "empty point must be omitted");
-        assert!(!csv.contains("a,3,"));
-    }
-
-    #[test]
-    fn ascii_plot_renders() {
-        let s = render_ascii_plot(&sample_series());
-        assert!(s.contains('#'));
-        assert!(s.contains('·'));
+        assert_eq!(
+            lines,
+            [
+                "inset,m,proposed_ratio,baseline_ratio,samples,skipped,errors",
+                "c,1,0.100000,1.000000,100,0,0",
+                "c,2,0.850000,1.000000,100,3,0"
+            ]
+        );
+        series.extend(sample_series(Inset::A));
+        assert!(render_csv(&series, &COLUMNS).starts_with("inset,x,"));
     }
 }

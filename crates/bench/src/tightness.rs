@@ -185,11 +185,4 @@ mod tests {
             "expected the oblivious baseline to violate at least once"
         );
     }
-
-    #[test]
-    fn tightness_independent_of_worker_count() {
-        let serial = measure(&SweepPool::new(1), 20, 6, 3, 1.5, 7);
-        let wide = measure(&SweepPool::new(8), 20, 6, 3, 1.5, 7);
-        assert_eq!(serial, wide);
-    }
 }

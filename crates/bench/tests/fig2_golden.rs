@@ -11,19 +11,20 @@
 //! cat /tmp/fig2/fig2{a,b,c,d,e,f}.csv > crates/bench/tests/goldens/fig2_spp8.csv
 //! ```
 
-use rtpool_bench::fig2::{run_insets, Fig2Params, Inset};
+use rtpool_bench::fig2::{Fig2Params, Inset, Study};
 use rtpool_bench::sweep::SweepPool;
-use rtpool_bench::table::render_csv;
 
 #[test]
 fn figure2_series_match_the_committed_csv() {
     let params = Fig2Params {
         sets_per_point: 8,
-        ..Fig2Params::default()
+        ..Study::Figure.params()
     };
-    let rendered: String = run_insets(&SweepPool::new(2), &Inset::ALL, &params)
-        .iter()
-        .map(|(inset, series)| render_csv(*inset, series))
+    let rendered: String = Study::Figure
+        .run(&SweepPool::new(2), &params, &Inset::ALL)
+        .csv
+        .into_iter()
+        .map(|(_, csv)| csv)
         .collect();
     let golden = include_str!("goldens/fig2_spp8.csv");
     for (n, (got, want)) in rendered.lines().zip(golden.lines()).enumerate() {

@@ -1,23 +1,18 @@
-//! Whole-run determinism of the work-stealing sweep engine: the entire
-//! multi-inset Figure 2 grid — all six insets as one flat work queue —
-//! must produce bit-identical series (including skipped and error
-//! counts) for any worker count, and repeated runs on the same pool
-//! must agree too.
+//! Whole-run determinism of the sweep: the entire multi-inset Figure 2
+//! grid — all six insets as one flat work queue — must produce
+//! bit-identical series (including skipped and error counts) for any
+//! worker count.
 
 use rtpool_bench::fig2::{run_insets, Fig2Params, Inset};
 use rtpool_bench::sweep::SweepPool;
 
-fn tiny_params() -> Fig2Params {
-    Fig2Params {
+#[test]
+fn whole_multi_inset_run_is_thread_count_independent() {
+    let params = Fig2Params {
         sets_per_point: 2,
         seed: 0x5eed_f00d,
         threads: 8,
-    }
-}
-
-#[test]
-fn whole_multi_inset_run_is_thread_count_independent() {
-    let params = tiny_params();
+    };
     let serial_pool = SweepPool::new(1);
     let wide_pool = SweepPool::new(8);
 
@@ -36,13 +31,4 @@ fn whole_multi_inset_run_is_thread_count_independent() {
             inset_s.letter()
         );
     }
-}
-
-#[test]
-fn repeated_runs_on_one_pool_agree() {
-    let params = tiny_params();
-    let pool = SweepPool::new(4);
-    let first = run_insets(&pool, &Inset::ALL, &params);
-    let second = run_insets(&pool, &Inset::ALL, &params);
-    assert_eq!(first, second);
 }

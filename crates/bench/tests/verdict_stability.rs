@@ -6,7 +6,7 @@
 use rand::SeedableRng;
 use rtpool_bench::pipeline;
 use rtpool_core::analysis::global::{self, ConcurrencyModel};
-use rtpool_core::analysis::partitioned::PartitionStrategy;
+use rtpool_core::analysis::partitioned::{self, PartitionStrategy};
 use rtpool_core::{Task, TaskSet};
 use rtpool_gen::{DagGenConfig, TaskSetConfig};
 
@@ -55,8 +55,8 @@ fn partitioned_verdicts_identical_cached_and_uncached() {
     for set in &corpus(10) {
         let uncached = rebuild_uncached(set);
         for strategy in [PartitionStrategy::WorstFit, PartitionStrategy::Algorithm1] {
-            let (warm, warm_maps) = pipeline::partition_and(set, M, strategy);
-            let (cold, cold_maps) = pipeline::partition_and(&uncached, M, strategy);
+            let (warm, warm_maps) = partitioned::partition_and_analyze(set, M, strategy);
+            let (cold, cold_maps) = partitioned::partition_and_analyze(&uncached, M, strategy);
             assert_eq!(
                 warm, cold,
                 "partitioned verdict diverged under {strategy:?}"
