@@ -146,8 +146,7 @@ fn analyze_partial(
     // Scratch buffers shared by every per-task kernel in this pass.
     let mut scratch = Scratch::default();
 
-    for (i, (id, task)) in set.iter().enumerate() {
-        let _ = id;
+    for (i, (_, task)) in set.iter().enumerate() {
         let Some(mapping) = &mappings[i] else {
             verdicts.push(TaskVerdict::Unschedulable {
                 reason: UnschedulableReason::PartitioningFailed,
@@ -222,17 +221,14 @@ struct Scratch {
 }
 
 impl Scratch {
-    /// Prepares the buffers for a task of `n` nodes on `m` cores. Buffers
-    /// are reused when the shape matches and reallocated otherwise.
+    /// Prepares the buffers for a task of `n` nodes on `m` cores. Every
+    /// buffer keeps its heap block and allocates only to grow, so a
+    /// pass over tasks of different sizes allocates the `m` masks once.
     fn reset(&mut self, n: usize, m: usize) {
-        if self.tmp.capacity() != n {
-            self.tmp = BitSet::new(n);
-            self.core_masks.clear();
-        }
-        self.core_masks.resize_with(m, || BitSet::new(n));
-        self.core_masks.truncate(m);
+        self.tmp.reset(n);
+        self.core_masks.resize_with(m, BitSet::default);
         for mask in &mut self.core_masks {
-            mask.clear();
+            mask.reset(n);
         }
         self.fifo.clear();
         self.fifo.resize(n, 0);
@@ -414,10 +410,6 @@ fn local_response(base: u64, core: usize, hp: &[&HpTask], cap: u64) -> Option<u6
         x = next;
     }
 }
-
-/// A convenience re-export of the node type used in mapping diagnostics.
-#[doc(hidden)]
-pub type _Node = NodeId;
 
 #[cfg(test)]
 mod tests {

@@ -168,24 +168,70 @@ impl DagGenConfig {
     /// [`DagGenConfig::validate`] first for a `Result`).
     pub fn generate_into<R: Rng + ?Sized>(&self, rng: &mut R, scratch: &mut DagScratch) {
         self.validate().expect("invalid DagGenConfig");
+        self.shape::<R, true>(rng, scratch);
+    }
+
+    /// The counting pass of a window attempt: draws exactly what
+    /// [`DagGenConfig::generate_into`] draws, in the same order, but
+    /// records only the region tree, and returns the number of blocking
+    /// pairs `|BF|` — what the recording pass's
+    /// [`DagScratch::blocking_pair_count`] would be.
+    ///
+    /// A caller that keeps the attempt rewinds `rng` to where this pass
+    /// started and runs `generate_into`; one that rejects it on `|BF|`
+    /// alone finds `rng` already where its next attempt begins. `scratch`
+    /// holds no graph afterwards.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration is invalid (call
+    /// [`DagGenConfig::validate`] first for a `Result`).
+    pub fn count_blocking_pairs<R: Rng + ?Sized>(
+        &self,
+        rng: &mut R,
+        scratch: &mut DagScratch,
+    ) -> usize {
+        self.validate().expect("invalid DagGenConfig");
+        self.shape::<R, false>(rng, scratch);
+        scratch.blocking_pair_count()
+    }
+
+    /// One pass of the shape recursion into `scratch`, for an already
+    /// validated configuration. `RECORD` decides what is written down:
+    /// nodes, edges, regions and pairs, or only regions and pairs (with
+    /// every node index 0). The draws are the same either way; the
+    /// `RECORD` branches touch the scratch only.
+    fn shape<R: Rng + ?Sized, const RECORD: bool>(&self, rng: &mut R, scratch: &mut DagScratch) {
         scratch.clear();
-
-        let source = scratch.add_node(self.wcet(rng), -1);
-        let (entry, exit) = self.block(rng, scratch, 1, -1);
-        let sink = scratch.add_node(self.wcet(rng), -1);
-        scratch.add_edge(source, entry);
-        scratch.add_edge(exit, sink);
-
+        let source = self.node::<R, RECORD>(rng, scratch, -1);
+        let (entry, exit) = self.block::<R, RECORD>(rng, scratch, 1, -1);
+        let sink = self.node::<R, RECORD>(rng, scratch, -1);
+        if RECORD {
+            scratch.add_edge(source, entry);
+            scratch.add_edge(exit, sink);
+        }
         self.mark_blocking(rng, scratch);
     }
 
-    fn wcet<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
-        rng.gen_range(self.wcet_min..=self.wcet_max)
+    /// Draws a node's WCET and records the node created by region
+    /// `owner` (`-1` for none); returns its index (0 when not recording).
+    fn node<R: Rng + ?Sized, const RECORD: bool>(
+        &self,
+        rng: &mut R,
+        scratch: &mut DagScratch,
+        owner: i32,
+    ) -> u32 {
+        let wcet = rng.gen_range(self.wcet_min..=self.wcet_max);
+        if RECORD {
+            scratch.add_node(wcet, owner)
+        } else {
+            0
+        }
     }
 
     /// Recursively emits one block at nesting depth `depth`; returns its
     /// entry and exit nodes.
-    fn block<R: Rng + ?Sized>(
+    fn block<R: Rng + ?Sized, const RECORD: bool>(
         &self,
         rng: &mut R,
         scratch: &mut DagScratch,
@@ -194,26 +240,27 @@ impl DagGenConfig {
     ) -> (u32, u32) {
         let terminal = depth > self.max_depth || (depth > 1 && rng.gen_bool(self.p_terminal));
         if terminal {
-            let v = scratch.add_node(self.wcet(rng), parent);
+            let v = self.node::<R, RECORD>(rng, scratch, parent);
             return (v, v);
         }
-        let fork = scratch.add_node(self.wcet(rng), parent);
-        let join = scratch.add_node(self.wcet(rng), parent);
+        let fork = self.node::<R, RECORD>(rng, scratch, parent);
+        let join = self.node::<R, RECORD>(rng, scratch, parent);
         let region_idx = scratch.push_region(fork, join, depth, parent);
         let region = i32::try_from(region_idx).expect("region count fits in i32");
         let branches = rng.gen_range(self.min_branches..=self.max_branches);
         for _ in 0..branches {
             let blocks = rng.gen_range(1..=self.max_sequence);
-            let mut prev_exit: Option<u32> = None;
+            let mut prev_exit = fork;
             for _ in 0..blocks {
-                let (entry, exit) = self.block(rng, scratch, depth + 1, region);
-                match prev_exit {
-                    None => scratch.add_edge(fork, entry),
-                    Some(pe) => scratch.add_edge(pe, entry),
+                let (entry, exit) = self.block::<R, RECORD>(rng, scratch, depth + 1, region);
+                if RECORD {
+                    scratch.add_edge(prev_exit, entry);
                 }
-                prev_exit = Some(exit);
+                prev_exit = exit;
             }
-            scratch.add_edge(prev_exit.expect("at least one block"), join);
+            if RECORD {
+                scratch.add_edge(prev_exit, join);
+            }
         }
         (fork, join)
     }

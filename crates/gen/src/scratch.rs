@@ -16,18 +16,23 @@
 //! get that far: every `X(v)` is a subset of `BF`, so
 //! `b̄ ≤ |BF|` = [`DagScratch::blocking_pair_count`], and an attempt whose
 //! `m − |BF|` already lies above the window is rejected on the count
-//! alone — with Figure 2(a)/(b)'s settings, ~98 % of all rejections.
+//! alone — with Figure 2(a)/(b)'s settings, ~98 % of all rejections. So
+//! a window attempt first runs the shape recursion as a *counting pass*
+//! ([`DagGenConfig::count_blocking_pairs`](crate::DagGenConfig::count_blocking_pairs)):
+//! the same draws, but only the region tree is written down. Only when
+//! `|BF|` passes is the RNG rewound and the shape recorded in full.
 //! Only *accepted* attempts are promoted to a real `Dag` via
-//! [`DagScratch::build`], which replays the recorded shape through
-//! [`DagBuilder`] in the exact insertion order, so the built graph is
-//! bit-identical (node ids, adjacency order, derived artifacts) to what
-//! the pre-scratch path produced.
+//! [`DagScratch::build`], which hands the recorded lists to
+//! [`Dag::from_lists`] in their insertion order, so the built graph is
+//! bit-identical (node ids, adjacency order, derived artifacts) to one
+//! built from the same calls through a `DagBuilder`.
 //!
 //! The agreement of the early `b̄` with the post-build
-//! [`DelayProfile`](rtpool_graph::DelayProfile) value, and `b̄ ≤ |BF|`,
-//! are pinned by property tests in `tests/scratch_agreement.rs`.
+//! [`DelayProfile`](rtpool_graph::DelayProfile) value, `b̄ ≤ |BF|`, and
+//! the counting pass's agreement with the recording pass are pinned by
+//! property tests in `tests/scratch_agreement.rs`.
 
-use rtpool_graph::{fill_csr, Dag, DagBuilder, NodeId};
+use rtpool_graph::{fill_csr, Dag, NodeId};
 
 /// One fork–join region recorded during shape generation.
 #[derive(Clone, Copy, Debug)]
@@ -72,10 +77,10 @@ pub(crate) struct RegionScratch {
 #[derive(Debug, Default)]
 pub struct DagScratch {
     wcets: Vec<u64>,
-    /// Edges in insertion order (replayed verbatim by [`DagScratch::build`]).
-    edges: Vec<(u32, u32)>,
+    /// Edges in insertion order (handed verbatim to [`Dag::from_lists`]).
+    edges: Vec<(NodeId, NodeId)>,
     /// Blocking pairs in declaration order.
-    pairs: Vec<(u32, u32)>,
+    pairs: Vec<(NodeId, NodeId)>,
     /// Region that created each node (`-1` for source/sink).
     owner: Vec<i32>,
     pub(crate) regions: Vec<RegionScratch>,
@@ -140,7 +145,7 @@ impl DagScratch {
 
     /// Records an edge `from -> to`.
     pub(crate) fn add_edge(&mut self, from: u32, to: u32) {
-        self.edges.push((from, to));
+        self.edges.push((node(from), node(to)));
     }
 
     /// Records a fork–join region and returns its index.
@@ -160,7 +165,7 @@ impl DagScratch {
     /// propagates the marked-descendant flag up the region tree.
     pub(crate) fn mark_region(&mut self, idx: usize) {
         let region = self.regions[idx];
-        self.pairs.push((region.fork, region.join));
+        self.pairs.push((node(region.fork), node(region.join)));
         self.regions[idx].marked = true;
         let mut cursor = region.parent;
         while cursor >= 0 {
@@ -193,7 +198,7 @@ impl DagScratch {
         if n == 0 || k == 0 {
             return 0;
         }
-        let edges = self.edges.iter().map(|&(from, to)| (node(from), node(to)));
+        let edges = self.edges.iter().copied();
         fill_csr(n, edges.clone(), &mut self.succ_off, &mut self.succ_adj);
         fill_csr(
             n,
@@ -207,8 +212,8 @@ impl DagScratch {
             self.seen.resize(n, 0);
         }
         for fi in 0..k {
-            let fork = self.pairs[fi].0;
-            self.comparable[fork as usize] += 1;
+            let fork = self.pairs[fi].0.index();
+            self.comparable[fork] += 1;
             self.sweep(fork, true);
             self.sweep(fork, false);
         }
@@ -238,12 +243,12 @@ impl DagScratch {
     // Index loop: iterating `adj[lo..hi]` would hold an immutable borrow
     // of `self` across the `self.seen` / `self.queue` writes below.
     #[allow(clippy::needless_range_loop)]
-    fn sweep(&mut self, from: u32, forward: bool) {
+    fn sweep(&mut self, from: usize, forward: bool) {
         self.stamp += 1;
         let stamp = self.stamp;
         self.queue.clear();
-        self.queue.push(from);
-        self.seen[from as usize] = stamp;
+        self.queue.push(from as u32);
+        self.seen[from] = stamp;
         while let Some(v) = self.queue.pop() {
             let (off, adj) = if forward {
                 (&self.succ_off, &self.succ_adj)
@@ -263,10 +268,10 @@ impl DagScratch {
         }
     }
 
-    /// Promotes the recorded shape to a validated [`Dag`], replaying
-    /// nodes, edges, and blocking pairs in their original insertion
-    /// order so the result is indistinguishable from one built directly
-    /// through [`DagBuilder`].
+    /// Promotes the recorded shape to a validated [`Dag`]: the node,
+    /// edge and pair lists go to [`Dag::from_lists`] in their insertion
+    /// order, so every row, id and derived artifact is what the same
+    /// lists give by any other route.
     ///
     /// # Panics
     ///
@@ -278,22 +283,7 @@ impl DagScratch {
             !self.wcets.is_empty(),
             "DagScratch::build on an empty scratch: generate into it first"
         );
-        let mut builder = DagBuilder::with_capacities(self.wcets.len(), self.edges.len());
-        for &wcet in &self.wcets {
-            builder.add_node(wcet);
-        }
-        for &(from, to) in &self.edges {
-            builder
-                .add_edge(node(from), node(to))
-                .expect("recorded edges are fresh and well-formed");
-        }
-        for &(fork, join) in &self.pairs {
-            builder
-                .blocking_pair(node(fork), node(join))
-                .expect("recorded pairs reference recorded nodes");
-        }
-        builder
-            .build()
+        Dag::from_lists(&self.wcets, &self.edges, &self.pairs)
             .expect("generated fork-join graphs always satisfy the model")
     }
 }

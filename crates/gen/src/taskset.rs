@@ -111,7 +111,7 @@ impl TaskSetConfig {
     /// * [`GenError::InvalidParameter`] for an invalid configuration;
     /// * [`GenError::WindowUnsatisfiable`] if a task graph inside the
     ///   concurrency window cannot be found within the attempt budget.
-    pub fn generate<R: Rng + ?Sized>(&self, rng: &mut R) -> Result<TaskSet, GenError> {
+    pub fn generate<R: Rng + Clone>(&self, rng: &mut R) -> Result<TaskSet, GenError> {
         // One scratch for the whole set: every rejected window attempt
         // of every task reuses the same buffers and skips the full
         // graph build.
@@ -127,7 +127,7 @@ impl TaskSetConfig {
     /// # Errors
     ///
     /// Same as [`TaskSetConfig::generate`].
-    pub fn generate_with<R: Rng + ?Sized>(
+    pub fn generate_with<R: Rng + Clone>(
         &self,
         rng: &mut R,
         scratch: &mut DagScratch,
@@ -194,24 +194,28 @@ impl TaskSetConfig {
     /// # Errors
     ///
     /// [`GenError::WindowUnsatisfiable`] when the attempt budget runs out.
-    pub fn generate_dag<R: Rng + ?Sized>(&self, rng: &mut R) -> Result<Dag, GenError> {
+    pub fn generate_dag<R: Rng + Clone>(&self, rng: &mut R) -> Result<Dag, GenError> {
         let mut scratch = DagScratch::new();
         self.generate_dag_with(rng, &mut scratch)
     }
 
-    /// [`TaskSetConfig::generate_dag`] with caller-provided scratch: the
-    /// shape of every attempt is generated into `scratch`, an attempt with
-    /// too few blocking forks to leave the window's top (`m − |BF| >
-    /// l_max`, sound because `b̄ ≤ |BF|`) is rejected on the count alone,
-    /// the rest are judged on the early `b̄`
-    /// ([`DagScratch::max_delay_count`]), and only the accepted attempt
-    /// is promoted to a full [`Dag`] — rejected attempts never pay for
-    /// validation, reachability, or the derived-artifact cache.
+    /// [`TaskSetConfig::generate_dag`] with caller-provided scratch. Each
+    /// attempt first runs the counting pass
+    /// ([`DagGenConfig::count_blocking_pairs`]): an attempt with too few
+    /// blocking forks to leave the window's top (`m − |BF| > l_max`,
+    /// sound because `b̄ ≤ |BF|`) is rejected on that count alone, with
+    /// the RNG already where the next attempt begins. Otherwise the RNG
+    /// is rewound to the attempt's start (a copy of its state, hence
+    /// `R: Clone`) and the shape is recorded into `scratch`, judged on
+    /// the early `b̄` ([`DagScratch::max_delay_count`]), and only the
+    /// accepted attempt is promoted to a full [`Dag`] — rejected attempts
+    /// never pay for validation, reachability, or the derived-artifact
+    /// cache.
     ///
     /// # Errors
     ///
     /// [`GenError::WindowUnsatisfiable`] when the attempt budget runs out.
-    pub fn generate_dag_with<R: Rng + ?Sized>(
+    pub fn generate_dag_with<R: Rng + Clone>(
         &self,
         rng: &mut R,
         scratch: &mut DagScratch,
@@ -223,12 +227,15 @@ impl TaskSetConfig {
             }
             Some(window) => {
                 for _ in 0..window.max_attempts {
-                    self.dag.generate_into(rng, scratch);
+                    let start = rng.clone();
+                    let forks = self.dag.count_blocking_pairs(rng, scratch);
                     // X(v) ⊆ BF, so b̄ ≤ |BF| and the floor is at least
                     // m − |BF|: too few forks reject without the BFS.
-                    if window.m as i64 - scratch.blocking_pair_count() as i64 > window.l_max {
+                    if window.m as i64 - forks as i64 > window.l_max {
                         continue;
                     }
+                    *rng = start;
+                    self.dag.generate_into(rng, scratch);
                     let floor = window.m as i64 - scratch.max_delay_count() as i64;
                     if window.contains(floor) {
                         return Ok(scratch.build());

@@ -12,6 +12,10 @@
 //!    `TaskSetConfig::generate_reference` (full-build-per-attempt)
 //!    produce identical task sets — including the `WindowUnsatisfiable`
 //!    cases — from identical RNG states.
+//! 4. The counting pass of a window attempt
+//!    ([`DagGenConfig::count_blocking_pairs`]) sees the recording pass's
+//!    `|BF|` and leaves the RNG on the same next word, so a rejection on
+//!    the count alone and a rewound, recorded attempt draw alike.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -161,5 +165,51 @@ proptest! {
                 b.map(|s| s.len())
             ),
         }
+    }
+}
+
+/// Strategy for the counting pass: every blocking policy, `max_depth`
+/// 1..=3, random branch, sequence and terminal bounds.
+fn counting_config() -> impl Strategy<Value = (DagGenConfig, u64)> {
+    (
+        (1u32..=3, 2usize..=4, 0usize..=3, 1usize..=3, 0u32..=10),
+        (0usize..3, 0u32..=100, any::<u64>()),
+    )
+        .prop_map(
+            |((max_depth, min_branches, extra, max_sequence, terminal), (policy_ix, pct, seed))| {
+                let blocking = match policy_ix {
+                    0 => BlockingPolicy::DepthWeighted,
+                    1 => BlockingPolicy::Never,
+                    _ => BlockingPolicy::Fixed(f64::from(pct) / 100.0),
+                };
+                let config = DagGenConfig {
+                    max_depth,
+                    min_branches,
+                    max_branches: min_branches + extra,
+                    max_sequence,
+                    p_terminal: f64::from(terminal) / 10.0,
+                    blocking,
+                    ..DagGenConfig::default()
+                };
+                (config, seed)
+            },
+        )
+}
+
+proptest! {
+    /// Guarantee 4: counting and recording draw the same words and find
+    /// the same number of blocking pairs.
+    #[test]
+    fn counting_pass_matches_the_recording_pass((config, seed) in counting_config()) {
+        let mut counting = StdRng::seed_from_u64(seed);
+        let mut recording = StdRng::seed_from_u64(seed);
+        let mut scratch = DagScratch::new();
+        let count = config.count_blocking_pairs(&mut counting, &mut scratch);
+        config.generate_into(&mut recording, &mut scratch);
+        prop_assert_eq!(count, scratch.blocking_pair_count());
+        prop_assert_eq!(
+            rand::Rng::gen::<u64>(&mut counting),
+            rand::Rng::gen::<u64>(&mut recording)
+        );
     }
 }

@@ -118,6 +118,33 @@ impl<'a> BitRow<'a> {
         }
     }
 
+    /// The indices in both `self` and `other`, in increasing order, read
+    /// word by word without building the intersection.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the capacities differ.
+    pub(crate) fn intersection(
+        self,
+        other: BitRow<'a>,
+    ) -> impl Iterator<Item = usize> + Clone + 'a {
+        let other = self.same_capacity(other);
+        self.words
+            .iter()
+            .zip(other)
+            .enumerate()
+            .flat_map(|(w, (&a, &b))| {
+                let mut word = a & b;
+                std::iter::from_fn(move || {
+                    (word != 0).then(|| {
+                        let bit = word.trailing_zeros() as usize;
+                        word &= word - 1;
+                        w * 64 + bit
+                    })
+                })
+            })
+    }
+
     /// The words of `other`, after checking it has this view's capacity.
     fn same_capacity<'b>(self, other: BitRow<'b>) -> &'b [u64] {
         assert_eq!(self.capacity, other.capacity, "bitset capacity mismatch");
@@ -289,6 +316,15 @@ impl BitSet {
     /// Removes all elements.
     pub fn clear(&mut self) {
         self.words.fill(0);
+    }
+
+    /// Empties the set and gives it capacity `capacity`, keeping its
+    /// heap block whenever that is large enough: a scratch row reused
+    /// across graphs of different sizes allocates only when it grows.
+    pub fn reset(&mut self, capacity: usize) {
+        self.words.clear();
+        self.words.resize(capacity.div_ceil(64), 0);
+        self.capacity = capacity;
     }
 
     /// Raises the capacity to `new_capacity`, keeping every stored
@@ -465,25 +501,20 @@ impl BitMatrix {
         difference_words(self.row_mut(i), src);
     }
 
-    /// Row `dst` becomes its union with row `src` of the same matrix.
+    /// Row `dst` gains column `src` and every column of row `src`, in
+    /// one pass over the words: the closure step "`v` reaches `w` and
+    /// everything `w` reaches".
     ///
     /// # Panics
     ///
     /// Panics if `dst == src`.
-    pub(crate) fn union_rows(&mut self, dst: usize, src: usize) {
-        assert_ne!(dst, src, "a row cannot be merged into itself");
-        let stride = self.stride;
-        let (lo, hi) = (dst.min(src), dst.max(src));
-        let (head, tail) = self.words.split_at_mut(hi * stride);
-        let (lo_row, hi_row) = (
-            &mut head[lo * stride..(lo + 1) * stride],
-            &mut tail[..stride],
-        );
-        if dst < src {
-            union_words(lo_row, hi_row);
-        } else {
-            union_words(hi_row, lo_row);
+    pub(crate) fn absorb(&mut self, dst: usize, src: usize) {
+        assert_ne!(dst, src, "a row cannot absorb itself");
+        let (d, s) = (dst * self.stride, src * self.stride);
+        for i in 0..self.stride {
+            self.words[d + i] |= self.words[s + i];
         }
+        self.words[d + src / 64] |= 1 << (src % 64);
     }
 }
 
@@ -598,16 +629,46 @@ mod tests {
     }
 
     #[test]
-    fn matrix_rows_merge_in_place_in_both_directions() {
+    fn matrix_rows_absorb_in_place_in_both_directions() {
         let mut m = BitMatrix::new(130);
         m.insert(0, 129);
         m.insert(2, 64);
-        m.union_rows(2, 0);
-        assert_eq!(m.row(2).iter().collect::<Vec<_>>(), vec![64, 129]);
-        m.union_rows(0, 2);
-        assert_eq!(m.row(0), m.row(2));
-        assert!(m.row(1).is_empty());
+        m.absorb(2, 0);
+        assert_eq!(m.row(2).iter().collect::<Vec<_>>(), vec![0, 64, 129]);
+        m.absorb(0, 2);
+        assert_eq!(m.row(0).iter().collect::<Vec<_>>(), vec![0, 2, 64, 129]);
+        m.absorb(1, 129);
+        assert_eq!(m.row(1).iter().collect::<Vec<_>>(), vec![129]);
         assert!(m.remove(0, 64) && !m.remove(0, 64));
         assert!(!m.contains(0, 64) && m.contains(2, 64));
+    }
+
+    #[test]
+    fn intersection_reads_both_rows_word_by_word() {
+        let mut m = BitMatrix::new(130);
+        for j in [1, 63, 64, 100, 129] {
+            m.insert(0, j);
+        }
+        for j in [0, 63, 100, 128, 129] {
+            m.insert(1, j);
+        }
+        let both = m.row(0).intersection(m.row(1));
+        assert_eq!(both.clone().count(), 3);
+        assert_eq!(both.collect::<Vec<_>>(), vec![63, 100, 129]);
+    }
+
+    #[test]
+    fn reset_keeps_the_block_it_fits_in() {
+        let mut s = BitSet::new(130);
+        s.insert(129);
+        let block = s.words.as_ptr();
+        s.reset(20);
+        assert_eq!((s.capacity(), s.len()), (20, 0));
+        s.insert(19);
+        s.reset(190);
+        assert_eq!((s.capacity(), s.len()), (190, 0));
+        assert_eq!(s.words.as_ptr(), block, "190 bits fit the first 3 words");
+        s.reset(200);
+        assert!(s.is_empty() && s.capacity() == 200);
     }
 }

@@ -1,15 +1,17 @@
 //! Incremental construction of [`Dag`] values.
 //!
 //! The builder holds no adjacency of its own: it records the edges in
-//! the order they are added (plus a keyed set for the eager duplicate
-//! check) and [`DagBuilder::build`] sorts that list once into the two
-//! CSR arrays of the finished graph. A row therefore lists a node's
-//! neighbours in insertion order, which the topological order, the
-//! critical-path witness and the content hash all depend on.
+//! the order they are added and [`DagBuilder::build`] hands that list to
+//! [`Dag::from_lists`], which sorts it once into the two CSR arrays of
+//! the finished graph. A row therefore lists a node's neighbours in
+//! insertion order, which the topological order, the critical-path
+//! witness and the content hash all depend on. Beside the list it keeps
+//! a keyed set for an *eager* duplicate check: `.rtp` input must hear
+//! about a repeated edge at the `add_edge` that repeats it (rtlint's
+//! RT013 names that line), where `from_lists` would only find it whole.
 
 use std::collections::HashSet;
 
-use crate::csr::Csr;
 use crate::dag::Dag;
 use crate::error::GraphError;
 use crate::node::NodeId;
@@ -224,19 +226,12 @@ impl DagBuilder {
     ///
     /// Same as [`DagBuilder::build`].
     pub fn build_reset(&mut self) -> Result<Dag, GraphError> {
-        let built = self.assemble();
+        let built = Dag::from_lists(&self.wcets, &self.edges, &self.pairs);
         self.wcets.clear();
         self.edges.clear();
         self.seen.clear();
         self.pairs.clear();
         built
-    }
-
-    fn assemble(&self) -> Result<Dag, GraphError> {
-        let n = self.wcets.len();
-        let succ = Csr::from_edges(n, self.edges.iter().copied());
-        let pred = Csr::from_edges(n, self.edges.iter().map(|&(from, to)| (to, from)));
-        Dag::assemble(&self.wcets, succ, pred, &self.pairs)
     }
 
     /// Builds the graph, first normalizing multiple sources/sinks by adding

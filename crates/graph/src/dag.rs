@@ -67,8 +67,6 @@ pub(crate) struct Topology {
     pub(crate) order: TopologicalOrder,
     pub(crate) source: NodeId,
     pub(crate) sink: NodeId,
-    /// `pair[f] = Some(j)` and `pair[j] = Some(f)` for blocking pairs.
-    pub(crate) pair: Vec<Option<NodeId>>,
     /// For every node belonging to a region (fork, join, or inner):
     /// the index of that region in `regions`.
     pub(crate) region_of: Vec<Option<u32>>,
@@ -76,9 +74,63 @@ pub(crate) struct Topology {
 }
 
 impl Dag {
+    /// Builds and validates a graph from plain lists: node WCETs (node
+    /// `i` is `NodeId::from_index(i)`), the edges in insertion order
+    /// (each CSR row keeps that order) and the declared blocking pairs.
+    ///
+    /// This is what [`DagBuilder::build`](crate::DagBuilder::build) does
+    /// with what it recorded; a caller that already holds such lists,
+    /// like the task-set generator, hands them over without replaying
+    /// them through a builder. A repeated edge is found by a stamp pass
+    /// over the successor rows, not a hash set.
+    ///
+    /// # Errors
+    ///
+    /// [`GraphError::UnknownNode`] or [`GraphError::SelfLoop`] for the
+    /// first malformed edge, then the first malformed pair;
+    /// [`GraphError::DuplicateEdge`] for an edge listed twice; then
+    /// everything [`DagBuilder::build`](crate::DagBuilder::build)
+    /// reports.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use rtpool_graph::{Dag, GraphError, NodeId, NodeKind};
+    ///
+    /// let v = NodeId::from_index;
+    /// let edges = [(v(0), v(1)), (v(0), v(2)), (v(1), v(3)), (v(2), v(3))];
+    /// let dag = Dag::from_lists(&[1, 2, 2, 1], &edges, &[(v(0), v(3))]).unwrap();
+    /// assert_eq!(dag.kind(v(1)), NodeKind::BlockingChild);
+    /// assert_eq!(dag.successors(v(0)), &[v(1), v(2)]);
+    ///
+    /// let twice = [(v(0), v(1)), (v(0), v(1))];
+    /// assert_eq!(
+    ///     Dag::from_lists(&[1, 1], &twice, &[]).unwrap_err(),
+    ///     GraphError::DuplicateEdge(v(0), v(1))
+    /// );
+    /// ```
+    pub fn from_lists(
+        wcets: &[u64],
+        edges: &[(NodeId, NodeId)],
+        pairs: &[(NodeId, NodeId)],
+    ) -> Result<Dag, GraphError> {
+        let n = wcets.len();
+        for &(from, to) in edges.iter().chain(pairs) {
+            if let Some(&v) = [from, to].iter().find(|v| v.index() >= n) {
+                return Err(GraphError::UnknownNode(v));
+            }
+            if from == to {
+                return Err(GraphError::SelfLoop(from));
+            }
+        }
+        let succ = Csr::from_edges(n, edges.iter().copied());
+        let pred = Csr::from_edges(n, edges.iter().map(|&(from, to)| (to, from)));
+        Dag::assemble(wcets, succ, pred, pairs)
+    }
+
     /// The one place a `Dag` is made from a skeleton — node WCETs, the
     /// two CSR arrays and the declared blocking pairs — for
-    /// [`DagBuilder`](crate::DagBuilder) and for a structural
+    /// [`Dag::from_lists`] (and so the builder) and for a structural
     /// [`Dag::edit`] alike: [`validate::analyze`] checks every model
     /// restriction and derives kinds and regions, and the WCETs are
     /// summed with overflow checked (every path length and per-core load
@@ -98,8 +150,11 @@ impl Dag {
             .ok_or(GraphError::VolumeOverflow)?;
         let nodes = wcets
             .iter()
-            .zip(&analysis.kinds)
-            .map(|(&wcet, &kind)| NodeData { wcet, kind })
+            .enumerate()
+            .map(|(v, &wcet)| NodeData {
+                wcet,
+                kind: analysis.kind(v),
+            })
             .collect();
         let cache = DerivedCache {
             volume: volume.into(),
@@ -114,7 +169,6 @@ impl Dag {
                 order: analysis.topo,
                 source: analysis.source,
                 sink: analysis.sink,
-                pair: analysis.pair,
                 region_of: analysis.region_of,
                 regions: analysis.regions,
             }),
@@ -215,7 +269,7 @@ impl Dag {
     #[must_use]
     pub fn blocking_join_of(&self, fork: NodeId) -> Option<NodeId> {
         (self.kind(fork) == NodeKind::BlockingFork)
-            .then(|| self.topology.pair[fork.index()])
+            .then(|| self.region_of(fork).map(Region::join))
             .flatten()
     }
 
@@ -225,7 +279,7 @@ impl Dag {
     #[must_use]
     pub fn blocking_fork_of(&self, join: NodeId) -> Option<NodeId> {
         (self.kind(join) == NodeKind::BlockingJoin)
-            .then(|| self.topology.pair[join.index()])
+            .then(|| self.region_of(join).map(Region::fork))
             .flatten()
     }
 
@@ -344,11 +398,15 @@ impl Dag {
             for (from, to) in self.topology.succ.edges() {
                 mix(((from.index() as u64) << 32) | to.index() as u64);
             }
-            for (v, pair) in self.topology.pair.iter().enumerate() {
-                if let Some(p) = pair {
-                    if p.index() > v {
-                        mix(((v as u64) << 32) | p.index() as u64);
-                    }
+            // Each pair once, from its lower-numbered end, in id order.
+            for v in self.node_ids() {
+                let partner = match self.kind(v) {
+                    NodeKind::BlockingFork => self.blocking_join_of(v),
+                    NodeKind::BlockingJoin => self.blocking_fork_of(v),
+                    _ => None,
+                };
+                if let Some(p) = partner.filter(|p| p.index() > v.index()) {
+                    mix(((v.index() as u64) << 32) | p.index() as u64);
                 }
             }
             h
@@ -474,6 +532,36 @@ mod tests {
         }
         // No blocking pair declared.
         assert_ne!(a.content_hash(), d.build().unwrap().content_hash());
+    }
+
+    #[test]
+    fn list_entry_finds_a_repeated_edge() {
+        let (dag, [v1, v2, _, _, v5]) = figure1a();
+        let wcets: Vec<u64> = dag.node_ids().map(|v| dag.wcet(v)).collect();
+        let mut edges: Vec<(NodeId, NodeId)> = dag
+            .node_ids()
+            .flat_map(|v| dag.successors(v).iter().map(move |&w| (v, w)))
+            .collect();
+        let pairs = [(v1, v5)];
+        // The lists the builder recorded give the builder's graph back.
+        let same = Dag::from_lists(&wcets, &edges, &pairs).unwrap();
+        assert_eq!(same.content_hash(), dag.content_hash());
+        // The same edge again, anywhere in the list, is refused.
+        edges.insert(1, (v2, v5));
+        assert_eq!(
+            Dag::from_lists(&wcets, &edges, &pairs).unwrap_err(),
+            GraphError::DuplicateEdge(v2, v5)
+        );
+        // Malformed edges and pairs are refused before the rows are built.
+        let ghost = NodeId::from_index(5);
+        assert_eq!(
+            Dag::from_lists(&wcets, &[(v1, ghost)], &pairs).unwrap_err(),
+            GraphError::UnknownNode(ghost)
+        );
+        assert_eq!(
+            Dag::from_lists(&wcets, &[], &[(v2, v2)]).unwrap_err(),
+            GraphError::SelfLoop(v2)
+        );
     }
 
     #[test]

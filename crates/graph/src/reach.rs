@@ -3,7 +3,8 @@
 //! Both closures are flat bit matrices — one heap block per direction,
 //! row `v` at words `v·⌈n/64⌉ ..` — filled in place in (reverse)
 //! topological order: a row is the union of its direct neighbours and
-//! their already-final rows, merged row-to-row inside the block. That
+//! their already-final rows, each neighbour absorbed in one pass over
+//! the row's words inside the block. That
 //! one kernel (`closure`) is the only writer: a closure is computed
 //! whole, at assembly, and never patched.
 
@@ -122,8 +123,7 @@ fn closure(adj: &Csr, order: impl Iterator<Item = NodeId>) -> BitMatrix {
     let mut rows = BitMatrix::new(adj.node_count());
     for v in order {
         for &w in adj.row(v.index()) {
-            rows.insert(v.index(), w.index());
-            rows.union_rows(v.index(), w.index());
+            rows.absorb(v.index(), w.index());
         }
     }
     rows

@@ -1,6 +1,7 @@
 //! Topological ordering (Kahn's algorithm) with cycle detection.
 
 use crate::csr::Csr;
+use crate::error::GraphError;
 use crate::node::NodeId;
 
 /// A topological ordering of a DAG's nodes.
@@ -41,14 +42,33 @@ impl TopologicalOrder {
     /// first" — the two differ as soon as a row lists a larger id before
     /// a smaller one — and the Figure 2 golden digests pin this order.
     ///
+    /// The in-degree row is a stamp row first: one pass over the rows
+    /// marks each target with its row, so a target met twice in one row
+    /// is a repeated edge. That is the duplicate check for every edge
+    /// list that reaches `Dag::assemble` without going through the
+    /// builder's keyed set.
+    ///
     /// # Errors
     ///
-    /// Returns a node that lies on a cycle if the edge relation is cyclic.
-    pub(crate) fn compute(succ: &Csr) -> Result<Self, NodeId> {
+    /// [`GraphError::DuplicateEdge`] for the first repeated edge in row
+    /// order; otherwise [`GraphError::Cycle`] naming a node that lies on
+    /// a cycle if the edge relation is cyclic.
+    pub(crate) fn compute(succ: &Csr) -> Result<Self, GraphError> {
         let n = succ.node_count();
         let mut indegree = vec![0u32; n];
-        for (_, to) in succ.edges() {
-            indegree[to.index()] += 1;
+        for v in 0..n {
+            let stamp = v as u32 + 1;
+            for &w in succ.row(v) {
+                if std::mem::replace(&mut indegree[w.index()], stamp) == stamp {
+                    return Err(GraphError::DuplicateEdge(NodeId::from_index(v), w));
+                }
+            }
+        }
+        indegree.fill(0);
+        for v in 0..n {
+            for &w in succ.row(v) {
+                indegree[w.index()] += 1;
+            }
         }
         // A FIFO queue pops in push order, so the output doubles as the
         // frontier: everything behind `head` is waiting.
@@ -72,7 +92,7 @@ impl TopologicalOrder {
             let witness = (0..n)
                 .find(|&v| indegree[v] > 0)
                 .expect("cycle detected but no witness found");
-            Err(NodeId::from_index(witness))
+            Err(GraphError::Cycle(NodeId::from_index(witness)))
         }
     }
 
@@ -143,7 +163,7 @@ mod tests {
     fn detects_cycle() {
         // 0 -> 1 -> 2 -> 0
         let err = TopologicalOrder::compute(&csr(&[&[1], &[2], &[0]])).unwrap_err();
-        assert!(err.index() < 3);
+        assert!(matches!(err, GraphError::Cycle(v) if v.index() < 3));
     }
 
     #[test]

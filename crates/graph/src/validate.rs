@@ -10,7 +10,6 @@
 //!   * **(iii)** every edge entering `j` starts in `V'`,
 //! * blocking regions neither nest nor overlap.
 
-use crate::bitset::BitSet;
 use crate::csr::Csr;
 use crate::dag::Dag;
 use crate::error::GraphError;
@@ -26,9 +25,9 @@ pub(crate) struct Analysis {
     pub topo: TopologicalOrder,
     pub source: NodeId,
     pub sink: NodeId,
-    pub kinds: Vec<NodeKind>,
-    pub pair: Vec<Option<NodeId>>,
     pub regions: Vec<Region>,
+    /// For every node of a region (fork, join or inner): its index in
+    /// `regions`. Node kinds are read off it ([`Analysis::kind`]).
     pub region_of: Vec<Option<u32>>,
     /// The transitive closure computed during region validation; it
     /// seeds the finished graph's derived-analysis cache so it is never
@@ -36,8 +35,26 @@ pub(crate) struct Analysis {
     pub reach: Reachability,
 }
 
-/// Analyzes a raw skeleton, deriving node kinds and blocking regions and
-/// checking every model restriction.
+impl Analysis {
+    /// The kind of node `v`: what its place in its region makes it, or
+    /// `NB` outside every region.
+    pub(crate) fn kind(&self, v: usize) -> NodeKind {
+        kind_in(&self.regions, self.region_of[v], v)
+    }
+}
+
+/// The kind of node `v` given the region it belongs to, if any.
+pub(crate) fn kind_in(regions: &[Region], region: Option<u32>, v: usize) -> NodeKind {
+    match region.map(|r| &regions[r as usize]) {
+        None => NodeKind::NonBlocking,
+        Some(r) if r.fork().index() == v => NodeKind::BlockingFork,
+        Some(r) if r.join().index() == v => NodeKind::BlockingJoin,
+        Some(_) => NodeKind::BlockingChild,
+    }
+}
+
+/// Analyzes a raw skeleton, deriving blocking regions (and through them
+/// node kinds) and checking every model restriction.
 pub(crate) fn analyze(
     succ: &Csr,
     pred: &Csr,
@@ -47,36 +64,33 @@ pub(crate) fn analyze(
     if n == 0 {
         return Err(GraphError::Empty);
     }
-    let topo = TopologicalOrder::compute(succ).map_err(GraphError::Cycle)?;
+    let topo = TopologicalOrder::compute(succ)?;
     let source = unique_endpoint(pred).map_err(GraphError::MultipleSources)?;
     let sink = unique_endpoint(succ).map_err(GraphError::MultipleSinks)?;
 
     let reach = Reachability::from_parts(succ, pred, &topo);
-    let mut kinds = vec![NodeKind::NonBlocking; n];
-    let mut pair: Vec<Option<NodeId>> = vec![None; n];
     let mut region_of: Vec<Option<u32>> = vec![None; n];
     let mut regions: Vec<Region> = Vec::with_capacity(pairs.len());
-    // One working row for every pair's inner set.
-    let mut inner_bits = BitSet::new(n);
 
     for &(f, j) in pairs {
         if !reach.reaches(f, j) {
             return Err(GraphError::UnreachableJoin { fork: f, join: j });
         }
-        if pair[f.index()].is_some() {
-            return Err(GraphError::OverlappingPairs(f));
+        // A node may delimit one pair only.
+        for v in [f, j] {
+            if matches!(
+                kind_in(&regions, region_of[v.index()], v.index()),
+                NodeKind::BlockingFork | NodeKind::BlockingJoin
+            ) {
+                return Err(GraphError::OverlappingPairs(v));
+            }
         }
-        if pair[j.index()].is_some() {
-            return Err(GraphError::OverlappingPairs(j));
-        }
-        pair[f.index()] = Some(j);
-        pair[j.index()] = Some(f);
 
-        // Inner nodes: strictly between the fork and the join.
-        inner_bits.copy_from(reach.descendants(f));
-        inner_bits.intersect_with(reach.ancestors(j));
-        let mut inner: Vec<NodeId> = Vec::with_capacity(inner_bits.len());
-        inner.extend(inner_bits.iter().map(NodeId::from_index));
+        // Inner nodes: strictly between the fork and the join, read off
+        // the two closure rows in increasing order.
+        let between = reach.descendants(f).intersection(reach.ancestors(j));
+        let mut inner: Vec<NodeId> = Vec::with_capacity(between.clone().count());
+        inner.extend(between.map(NodeId::from_index));
 
         let region_idx = u32::try_from(regions.len()).expect("too many regions");
         for v in std::iter::once(f)
@@ -91,52 +105,41 @@ pub(crate) fn analyze(
             }
             region_of[v.index()] = Some(region_idx);
         }
-        kinds[f.index()] = NodeKind::BlockingFork;
-        kinds[j.index()] = NodeKind::BlockingJoin;
-        for &v in &inner {
-            kinds[v.index()] = NodeKind::BlockingChild;
-        }
+        // Exactly this region's nodes now map to `region_idx`.
+        let outside = |v: NodeId| region_of[v.index()] != Some(region_idx);
 
-        let region = Region::new(f, j, inner);
         // Restriction (ii): every edge out of the fork stays in the region.
-        for &s in succ.row(f.index()) {
-            if !region.contains(s) {
-                return Err(GraphError::ForkEscape {
-                    fork: f,
-                    outside: s,
-                });
-            }
+        if let Some(&s) = succ.row(f.index()).iter().find(|&&s| outside(s)) {
+            return Err(GraphError::ForkEscape {
+                fork: f,
+                outside: s,
+            });
         }
         // Restriction (iii): every edge into the join starts in the region.
-        for &p in pred.row(j.index()) {
-            if !region.contains(p) {
-                return Err(GraphError::JoinIntrusion {
-                    join: j,
-                    outside: p,
+        if let Some(&p) = pred.row(j.index()).iter().find(|&&p| outside(p)) {
+            return Err(GraphError::JoinIntrusion {
+                join: j,
+                outside: p,
+            });
+        }
+        // Restriction (i): inner nodes are internally connected only.
+        for &x in &inner {
+            let mut row = succ.row(x.index()).iter().chain(pred.row(x.index()));
+            if let Some(&nbr) = row.find(|&&nbr| outside(nbr)) {
+                return Err(GraphError::RegionLeak {
+                    fork: f,
+                    inner: x,
+                    outside: nbr,
                 });
             }
         }
-        // Restriction (i): inner nodes are internally connected only.
-        for &x in region.inner() {
-            for &nbr in succ.row(x.index()).iter().chain(pred.row(x.index())) {
-                if !region.contains(nbr) {
-                    return Err(GraphError::RegionLeak {
-                        fork: f,
-                        inner: x,
-                        outside: nbr,
-                    });
-                }
-            }
-        }
-        regions.push(region);
+        regions.push(Region::new(f, j, inner));
     }
 
     Ok(Analysis {
         topo,
         source,
         sink,
-        kinds,
-        pair,
         regions,
         region_of,
         reach,
@@ -171,7 +174,7 @@ pub(crate) fn validate(dag: &Dag) -> Result<(), GraphError> {
     debug_assert_eq!(analysis.sink, dag.sink());
     debug_assert!(dag
         .node_ids()
-        .all(|v| analysis.kinds[v.index()] == dag.kind(v)));
+        .all(|v| analysis.kind(v.index()) == dag.kind(v)));
     Ok(())
 }
 

@@ -2,7 +2,9 @@
 //! committed as tests so the numbers cannot rot: how many times
 //! `parse_task_set`, the first derivations and a WCET-only edit call the
 //! allocator, per node; that a rejected window attempt calls it not at
-//! all; and that Algorithm 1's calls do not grow with the graph.
+//! all, and the accepted graph's build at most 20 times; that Algorithm
+//! 1's calls do not grow with the graph; and that the partitioned RTA
+//! allocates its per-core masks once per pass, not once per task.
 //!
 //! This is its own test binary because it installs a counting
 //! `#[global_allocator]`; the `unsafe impl` below is the only unsafe code
@@ -16,6 +18,7 @@ use std::cell::Cell;
 use std::path::Path;
 
 use rand::SeedableRng;
+use rtpool::core::analysis::partitioned::{partition_and_analyze, PartitionStrategy};
 use rtpool::core::partition::algorithm1;
 use rtpool::core::{textfmt, TaskSet};
 use rtpool::gen::{BlockingPolicy, ConcurrencyWindow, DagGenConfig, DagScratch, TaskSetConfig};
@@ -228,17 +231,47 @@ fn rejected_window_attempts_allocate_nothing() {
         assert_eq!(rebuilt.content_hash(), dag.content_hash());
         println!(
             "window sample {seed:#x}: accepted at attempt {accepted_at}, \
-             {generate_calls} allocator calls, {build_calls} of them the accepted build"
+             {generate_calls} allocator calls, {build_calls} of them the accepted build \
+             ({} nodes)",
+            dag.node_count()
         );
         assert_eq!(
             generate_calls, build_calls,
             "rejected window attempts called the allocator (seed {seed:#x})"
+        );
+        assert!(
+            build_calls <= 20,
+            "building the accepted {}-node graph made {build_calls} allocator calls (budget 20)",
+            dag.node_count()
         );
         rejected += accepted_at - 1;
     }
     assert!(
         rejected >= 40,
         "only {rejected} rejected attempts: pick seeds that reject"
+    );
+}
+
+#[test]
+fn partitioned_pass_allocates_its_core_masks_once() {
+    // Four tasks of different sizes: a scratch that is rebuilt whenever
+    // the node count changes pays for all `m` masks once per task.
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0);
+    let set = TaskSetConfig::new(4, 1.0, DagGenConfig::default())
+        .generate(&mut rng)
+        .expect("plain generation cannot fail");
+    let sizes: Vec<usize> = set.iter().map(|(_, t)| t.dag().node_count()).collect();
+    let pass = |m| calls_of(|| partition_and_analyze(&set, m, PartitionStrategy::WorstFit)).1;
+    // Fill the graphs' derived caches first, so both counts are of the
+    // pass alone.
+    let _ = pass(8);
+    let (at8, at16) = (pass(8), pass(16));
+    println!("worst-fit partitioned pass over {sizes:?} nodes: {at8} allocator calls at m = 8, {at16} at m = 16");
+    assert!(
+        at16 <= at8 + 8,
+        "8 more cores cost {} more allocator calls over {} tasks: the core masks are rebuilt per task",
+        at16.saturating_sub(at8),
+        sizes.len()
     );
 }
 
