@@ -42,9 +42,7 @@ pub(crate) fn floor(pool: &SweepPool, params: &Fig2Params) -> Vec<(Inset, Vec<Ta
                 ConcurrencyModel::Limited,
                 ConcurrencyModel::LimitedExact,
             ];
-            Ok(Some(models.map(|model| {
-                global::analyze(&set, 8, model).is_schedulable()
-            })))
+            Ok(Some(models.map(|model| global::accepts(&set, 8, model))))
         },
     )
 }

@@ -591,15 +591,13 @@ pub(crate) fn sample_with_verdicts(
                     Err(GenError::WindowUnsatisfiable { .. }) => continue,
                     Err(e) => return Err(e.to_string()),
                 };
-                // One batched battery per generated set: the discard rule
-                // (the concurrency-oblivious state of the art must accept
-                // the set) and the measured proposed test share the
-                // per-task base parameters and the memoized derived
-                // artifacts of each DAG.
-                let (prop, base) = evaluate_set(inset, &set, m);
-                if !base {
+                // The discard rule first (the concurrency-oblivious state
+                // of the art must accept the set); the proposed test is
+                // asked only about a set that is kept.
+                if !pipeline::baseline(&set, m, is_global(inset)) {
                     continue;
                 }
+                let prop = pipeline::proposed(&set, m, is_global(inset));
                 return Ok(Some((set, m, prop, true)));
             }
             Ok(None)
@@ -612,7 +610,7 @@ pub(crate) fn sample_with_verdicts(
             let u = if inset == Inset::C { 2.0 } else { 1.0 };
             let cfg = TaskSetConfig::new(N_TASKS_SMALL, u, DagGenConfig::default());
             let set = cfg.generate_with(rng, scratch).map_err(|e| e.to_string())?;
-            let (prop, base) = evaluate_set(inset, &set, m);
+            let (prop, base) = pipeline::battery(&set, m, is_global(inset));
             Ok(Some((set, m, prop, base)))
         }
         Inset::E | Inset::F => {
@@ -626,7 +624,7 @@ pub(crate) fn sample_with_verdicts(
             let per_task = if inset == Inset::E { 0.4 } else { 0.15 };
             let cfg = TaskSetConfig::new(n, per_task * n as f64, DagGenConfig::default());
             let set = cfg.generate_with(rng, scratch).map_err(|e| e.to_string())?;
-            let (prop, base) = evaluate_set(inset, &set, m);
+            let (prop, base) = pipeline::battery(&set, m, is_global(inset));
             Ok(Some((set, m, prop, base)))
         }
     }
@@ -634,13 +632,6 @@ pub(crate) fn sample_with_verdicts(
 
 pub(crate) fn is_global(inset: Inset) -> bool {
     matches!(inset, Inset::A | Inset::C | Inset::E)
-}
-
-/// Evaluates `(proposed, baseline)` schedulability for one set through
-/// the shared [`pipeline::battery`], so every inset's analysis pass goes
-/// through the same (cached) call path.
-pub(crate) fn evaluate_set(inset: Inset, set: &TaskSet, m: usize) -> (bool, bool) {
-    pipeline::battery(set, m, is_global(inset))
 }
 
 #[cfg(test)]

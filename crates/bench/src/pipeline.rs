@@ -12,9 +12,9 @@ use rtpool_core::analysis::SchedResult;
 use rtpool_core::TaskSet;
 
 /// Runs the concurrency-oblivious (`Full`) and concurrency-aware
-/// (`Limited`) global RTAs as one batched pass, sharing the per-task
-/// base parameters (volume, critical path, deadline) between the two
-/// models. Returns `(full, limited)`.
+/// (`Limited`) global RTAs to completion as one batched call, for callers
+/// that read per-task verdicts rather than a yes/no. Returns
+/// `(full, limited)`.
 #[must_use]
 pub fn global_full_and_limited(set: &TaskSet, m: usize) -> (SchedResult, SchedResult) {
     let mut results =
@@ -24,24 +24,36 @@ pub fn global_full_and_limited(set: &TaskSet, m: usize) -> (SchedResult, SchedRe
     (full, limited)
 }
 
+/// Whether Figure 2's concurrency-aware test accepts `set` under the
+/// inset's scheduling family (`global = true` for insets a/c/e): the
+/// Lemma 4 global RTA, or Algorithm 1 plus the partitioned RTA.
+#[must_use]
+pub fn proposed(set: &TaskSet, m: usize, global: bool) -> bool {
+    if global {
+        global::accepts(set, m, ConcurrencyModel::Limited)
+    } else {
+        partitioned::accepts(set, m, PartitionStrategy::Algorithm1)
+    }
+}
+
+/// Whether Figure 2's concurrency-oblivious baseline accepts `set`: the
+/// Melani global RTA, or worst-fit plus the partitioned RTA.
+#[must_use]
+pub fn baseline(set: &TaskSet, m: usize, global: bool) -> bool {
+    if global {
+        global::accepts(set, m, ConcurrencyModel::Full)
+    } else {
+        partitioned::accepts(set, m, PartitionStrategy::WorstFit)
+    }
+}
+
 /// The full Figure 2 verdict battery for one generated set: returns
 /// `(proposed, baseline)` schedulability under the inset's scheduling
-/// family (`global = true` for insets a/c/e).
+/// family. Each test stops at the first task that misses.
 #[must_use]
 pub fn battery(set: &TaskSet, m: usize, global: bool) -> (bool, bool) {
-    if global {
-        let (full, limited) = global_full_and_limited(set, m);
-        (limited.is_schedulable(), full.is_schedulable())
-    } else {
-        let accepts = |strategy| {
-            partitioned::partition_and_analyze(set, m, strategy)
-                .0
-                .is_schedulable()
-        };
-        let base = accepts(PartitionStrategy::WorstFit);
-        let prop = accepts(PartitionStrategy::Algorithm1);
-        (prop, base)
-    }
+    let base = baseline(set, m, global);
+    (proposed(set, m, global), base)
 }
 
 #[cfg(test)]

@@ -14,6 +14,7 @@
 use rtpool_core::SyncBackend;
 
 use crate::fig2::{self, Fig2Params, Inset, Tally, Verdicts};
+use crate::pipeline;
 use crate::sweep::SweepPool;
 
 /// The insets the study covers: the partitioned analyses are
@@ -35,7 +36,7 @@ pub(crate) fn run(pool: &SweepPool, params: &Fig2Params) -> Vec<(Inset, Vec<Tall
             return Ok(None);
         };
         set.set_backend(SyncBackend::Spin);
-        let spin = fig2::evaluate_set(inset, &set, m).0;
+        let spin = pipeline::proposed(&set, m, fig2::is_global(inset));
         assert!(
             suspend || !spin,
             "inset ({}), x = {x}, sample {sample}: schedulable under spin, not under suspend",

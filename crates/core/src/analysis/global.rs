@@ -46,11 +46,13 @@
 //! [`ConcurrencyModel::Full`] stays backend-oblivious by design: it is
 //! the baseline that models no blocking at all.
 
+use std::ops::ControlFlow;
+
 use crate::analysis::interference::interfering_workload;
 use crate::analysis::{SchedResult, TaskVerdict, UnschedulableReason};
 use crate::cancel::{CancelToken, Cancelled};
 use crate::concurrency::ConcurrencyAnalysis;
-use crate::task::{TaskId, TaskSet};
+use crate::task::{Task, TaskId, TaskSet};
 use rtpool_graph::SyncBackend;
 
 /// How many threads the interference is divided among.
@@ -95,51 +97,49 @@ pub(crate) struct TaskParams {
     pub(crate) floor: i64,
 }
 
-/// Builds the per-task fix-point parameters for one concurrency model.
-///
-/// The model-independent quantities (critical path, volume) are memoized
-/// on each task's [`Dag`](rtpool_graph::Dag), so calling this once per
-/// model does not repeat the underlying graph work.
-pub(crate) fn build_params(set: &TaskSet, m: usize, model: ConcurrencyModel) -> Vec<TaskParams> {
-    let backend = set.backend();
-    set.iter()
-        .map(|(_, task)| {
-            let dag = task.dag();
-            let ca = ConcurrencyAnalysis::new(dag);
-            let (denom, floor) = match (model, backend) {
-                (ConcurrencyModel::Full, _) => (m as u64, m as i64),
-                (ConcurrencyModel::Limited, _)
-                // The antichain refinement needs suspended workers to
-                // free their cores; a spinner never does, so spin mode
-                // falls back to the b̄-based floor (see module docs).
-                | (ConcurrencyModel::LimitedExact, SyncBackend::Spin) => {
-                    let floor = ca.concurrency_lower_bound(m);
-                    (floor.max(0) as u64, floor)
-                }
-                (ConcurrencyModel::LimitedExact, SyncBackend::Suspend) => {
-                    let suspended = ca.max_suspended_forks().len();
-                    let floor = m as i64 - suspended as i64;
-                    (floor.max(0) as u64, floor)
-                }
-            };
-            let vol = dag.volume();
-            let ivol = match (model, backend) {
-                // Full is the blocking-oblivious baseline; suspension
-                // charges only real execution to lower priorities.
-                (ConcurrencyModel::Full, _) | (_, SyncBackend::Suspend) => vol,
-                (_, SyncBackend::Spin) => vol.saturating_add(ca.spin_volume()),
-            };
-            TaskParams {
-                len: dag.critical_path_length(),
-                vol,
-                ivol,
-                period: task.period(),
-                deadline: task.deadline(),
-                denom,
-                floor,
+impl TaskParams {
+    /// The fix-point parameters of one task for one concurrency model,
+    /// built when the per-task loop reaches the task.
+    ///
+    /// The model-independent quantities (critical path, volume) are
+    /// memoized on the task's [`Dag`](rtpool_graph::Dag), so building them
+    /// once per model does not repeat the underlying graph work.
+    fn new(task: &Task, m: usize, model: ConcurrencyModel, backend: SyncBackend) -> Self {
+        let dag = task.dag();
+        let ca = ConcurrencyAnalysis::new(dag);
+        let (denom, floor) = match (model, backend) {
+            (ConcurrencyModel::Full, _) => (m as u64, m as i64),
+            (ConcurrencyModel::Limited, _)
+            // The antichain refinement needs suspended workers to free
+            // their cores; a spinner never does, so spin mode falls back
+            // to the b̄-based floor (see module docs).
+            | (ConcurrencyModel::LimitedExact, SyncBackend::Spin) => {
+                let floor = ca.concurrency_lower_bound(m);
+                (floor.max(0) as u64, floor)
             }
-        })
-        .collect()
+            (ConcurrencyModel::LimitedExact, SyncBackend::Suspend) => {
+                let suspended = ca.max_suspended_forks().len();
+                let floor = m as i64 - suspended as i64;
+                (floor.max(0) as u64, floor)
+            }
+        };
+        let vol = dag.volume();
+        let ivol = match (model, backend) {
+            // Full is the blocking-oblivious baseline; suspension charges
+            // only real execution to lower priorities.
+            (ConcurrencyModel::Full, _) | (_, SyncBackend::Suspend) => vol,
+            (_, SyncBackend::Spin) => vol.saturating_add(ca.spin_volume()),
+        };
+        TaskParams {
+            len: dag.critical_path_length(),
+            vol,
+            ivol,
+            period: task.period(),
+            deadline: task.deadline(),
+            denom,
+            floor,
+        }
+    }
 }
 
 /// Runs the analysis on `set` (tasks in priority order, index 0 highest)
@@ -177,15 +177,11 @@ pub fn analyze(set: &TaskSet, m: usize, model: ConcurrencyModel) -> SchedResult 
         .expect("one model in, one result out")
 }
 
-/// Runs the analysis once per requested concurrency model, sharing the
-/// model-independent per-task work (critical path, volume, timing
-/// parameters) across all of them.
-///
-/// This is the batched form of [`analyze`] used by the experiment harness,
-/// where every generated task set is evaluated under several models (e.g.
-/// the Melani baseline and the Lemma-4 adaptation) and the per-task
-/// structure would otherwise be re-derived per call. Results are returned
-/// in the order of `models`.
+/// Runs the analysis once per requested concurrency model, returning
+/// every task's verdict under each, in the order of `models`. The
+/// model-independent per-task work (critical path, volume) is memoized
+/// on each task's graph, so the models share it. A caller that needs
+/// only a yes/no per model asks [`accepts`] instead.
 ///
 /// # Panics
 ///
@@ -219,58 +215,131 @@ pub fn analyze_many_cancellable(
     models
         .iter()
         .map(|&model| {
-            let params = build_params(set, m, model);
-            analyze_tasks(&params, m, token, |_, _| None)
+            let mut verdicts = Vec::with_capacity(set.len());
+            analyze_tasks(
+                set,
+                m,
+                model,
+                token,
+                |_, _| None,
+                |_, verdict| {
+                    verdicts.push(verdict);
+                    ControlFlow::Continue(())
+                },
+            )?;
+            Ok(SchedResult::new(verdicts))
         })
         .collect()
 }
 
-/// The per-task loop of the analysis, in priority order. `seed(i,
-/// hp_response)` may name a start for task `i`'s fix-point above its
-/// cold start `len(λᵢ*)` (see [`response_time_fixpoint`] for when that
-/// is sound); the cold analysis passes none and the warm-started one
-/// ([`incremental`](crate::analysis::incremental)) its seed guard.
-pub(crate) fn analyze_tasks(
-    params: &[TaskParams],
-    m: usize,
-    token: &CancelToken,
-    mut seed: impl FnMut(usize, &[Option<u64>]) -> Option<u64>,
-) -> Result<SchedResult, Cancelled> {
-    let mut verdicts: Vec<TaskVerdict> = Vec::with_capacity(params.len());
-    let mut hp_response: Vec<Option<u64>> = Vec::with_capacity(params.len());
+/// Whether the whole set passes the analysis under `model`: exactly
+/// `analyze(set, m, model).is_schedulable()`, answered by the same
+/// per-task loop, which stops at the first task that misses. The tasks
+/// below it never have their parameters (or, for the limited models,
+/// their delay profiles) built.
+///
+/// # Panics
+///
+/// Panics if `m == 0`.
+///
+/// # Examples
+///
+/// ```
+/// use rtpool_core::analysis::global::{accepts, analyze, ConcurrencyModel};
+/// use rtpool_core::{Task, TaskSet};
+/// use rtpool_graph::DagBuilder;
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let mut b = DagBuilder::new();
+/// b.fork_join(10, &[20, 20, 20], 10, true)?;
+/// let set = TaskSet::new(vec![Task::with_implicit_deadline(b.build()?, 200)?]);
+/// for m in 1..=4 {
+///     let model = ConcurrencyModel::Limited;
+///     assert_eq!(accepts(&set, m, model), analyze(&set, m, model).is_schedulable());
+/// }
+/// # Ok(())
+/// # }
+/// ```
+#[must_use]
+pub fn accepts(set: &TaskSet, m: usize, model: ConcurrencyModel) -> bool {
+    assert!(m > 0, "platform must have at least one processor");
+    let mut schedulable = true;
+    analyze_tasks(
+        set,
+        m,
+        model,
+        &CancelToken::never(),
+        |_, _| None,
+        |_, verdict| {
+            schedulable = verdict.is_schedulable();
+            if schedulable {
+                ControlFlow::Continue(())
+            } else {
+                ControlFlow::Break(())
+            }
+        },
+    )
+    .expect("a never-cancelling token cannot cancel");
+    schedulable
+}
 
-    for i in 0..params.len() {
+/// The per-task loop of the analysis, in priority order: the one loop
+/// behind [`analyze_many_cancellable`], [`accepts`] and the warm-started
+/// pass ([`incremental`](crate::analysis::incremental)).
+///
+/// A task's [`TaskParams`] are built when the loop reaches it.
+/// `seed(params, hp_response)`, where `params` ends with the current
+/// task's, may name a start for its fix-point above the cold start
+/// `len(λᵢ*)` (see [`response_time_fixpoint`] for when that is sound);
+/// the cold analysis passes none and the warm-started one its seed guard.
+/// `record` receives each task's parameters and verdict in turn, and a
+/// `Break` from it ends the loop.
+pub(crate) fn analyze_tasks(
+    set: &TaskSet,
+    m: usize,
+    model: ConcurrencyModel,
+    token: &CancelToken,
+    mut seed: impl FnMut(&[TaskParams], &[Option<u64>]) -> Option<u64>,
+    mut record: impl FnMut(&TaskParams, TaskVerdict) -> ControlFlow<()>,
+) -> Result<(), Cancelled> {
+    let backend = set.backend();
+    let mut params: Vec<TaskParams> = Vec::with_capacity(set.len());
+    let mut hp_response: Vec<Option<u64>> = Vec::with_capacity(set.len());
+
+    for (i, (_, task)) in set.iter().enumerate() {
         token.checkpoint()?;
-        let p = &params[i];
-        if p.denom == 0 {
-            verdicts.push(TaskVerdict::Unschedulable {
+        params.push(TaskParams::new(task, m, model, backend));
+        let (hp, p) = (&params[..i], &params[i]);
+        let verdict = if p.denom == 0 {
+            TaskVerdict::Unschedulable {
                 reason: UnschedulableReason::NonPositiveConcurrency { floor: p.floor },
-            });
-            hp_response.push(None);
-            continue;
-        }
-        // Interference of higher-priority tasks requires their response
-        // times; if any is unschedulable, no valid bound exists.
-        if let Some(bad) = (0..i).find(|&j| hp_response[j].is_none()) {
-            verdicts.push(TaskVerdict::Unschedulable {
+            }
+        } else if let Some(bad) = hp_response.iter().position(Option::is_none) {
+            // Interference of higher-priority tasks requires their
+            // response times; if any is unschedulable, no valid bound
+            // exists.
+            TaskVerdict::Unschedulable {
                 reason: UnschedulableReason::DependsOnUnschedulable { task: TaskId(bad) },
-            });
-            hp_response.push(None);
-            continue;
-        }
-        let start = seed(i, &hp_response).unwrap_or(p.len);
-        let mut verdict =
-            response_time_fixpoint(p, &params[..i], &hp_response[..i], m, token, start)?;
-        if start > p.len && !verdict.is_schedulable() {
-            // The reported over-deadline bound is the first iterate past
-            // the deadline, which depends on where the iteration started;
-            // rerun cold so it matches the from-scratch analysis exactly.
-            verdict = response_time_fixpoint(p, &params[..i], &hp_response[..i], m, token, p.len)?;
-        }
+            }
+        } else {
+            let start = seed(&params, &hp_response).unwrap_or(p.len);
+            let verdict = response_time_fixpoint(p, hp, &hp_response, m, token, start)?;
+            if start > p.len && !verdict.is_schedulable() {
+                // The reported over-deadline bound is the first iterate
+                // past the deadline, which depends on where the iteration
+                // started; rerun cold so it matches the from-scratch
+                // analysis exactly.
+                response_time_fixpoint(p, hp, &hp_response, m, token, p.len)?
+            } else {
+                verdict
+            }
+        };
         hp_response.push(verdict.response_time());
-        verdicts.push(verdict);
+        if record(p, verdict).is_break() {
+            break;
+        }
     }
-    Ok(SchedResult::new(verdicts))
+    Ok(())
 }
 
 /// Solves the response-time fix-point for one task, iterating from

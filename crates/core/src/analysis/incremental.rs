@@ -39,7 +39,9 @@
 //! `max(R_old, len′)` converges to exactly `lfp(F_new)` — the same value
 //! the cold iteration reaches from `len′`.
 
-use crate::analysis::global::{analyze_tasks, build_params, ConcurrencyModel, TaskParams};
+use std::ops::ControlFlow;
+
+use crate::analysis::global::{analyze_tasks, ConcurrencyModel, TaskParams};
 use crate::analysis::SchedResult;
 use crate::cancel::{CancelToken, Cancelled};
 use crate::task::TaskSet;
@@ -148,30 +150,37 @@ pub fn analyze_many_warm(
     let mut snaps = Vec::with_capacity(models.len());
     let mut seeded = 0;
     for (mi, &model) in models.iter().enumerate() {
-        let params = build_params(set, m, model);
         let prev_snaps = prev.and_then(|w| {
             (w.m == m && w.models.get(mi).copied() == Some(model)).then(|| w.snaps[mi].as_slice())
         });
-        let result = analyze_tasks(&params, m, token, |i, hp_response| {
-            let seed = fixpoint_seed(i, &params, hp_response, prev_snaps?, m)?;
-            if seed > params[i].len {
-                seeded += 1;
-            }
-            Some(seed)
-        })?;
-        let snap = params
-            .iter()
-            .zip(result.verdicts())
-            .map(|(p, verdict)| TaskSnapshot {
-                len: p.len,
-                vol: p.vol,
-                ivol: p.ivol,
-                period: p.period,
-                denom: p.denom,
-                response: verdict.response_time(),
-            })
-            .collect();
-        results.push(result);
+        let mut verdicts = Vec::with_capacity(set.len());
+        let mut snap = Vec::with_capacity(set.len());
+        analyze_tasks(
+            set,
+            m,
+            model,
+            token,
+            |params, hp_response| {
+                let seed = fixpoint_seed(params, hp_response, prev_snaps?, m)?;
+                if seed > params[params.len() - 1].len {
+                    seeded += 1;
+                }
+                Some(seed)
+            },
+            |p, verdict| {
+                snap.push(TaskSnapshot {
+                    len: p.len,
+                    vol: p.vol,
+                    ivol: p.ivol,
+                    period: p.period,
+                    denom: p.denom,
+                    response: verdict.response_time(),
+                });
+                verdicts.push(verdict);
+                ControlFlow::Continue(())
+            },
+        )?;
+        results.push(SchedResult::new(verdicts));
         snaps.push(snap);
     }
     let warm = WarmStart {
@@ -183,20 +192,20 @@ pub fn analyze_many_warm(
     Ok((results, warm))
 }
 
-/// Decides whether task `i`'s fix-point may resume from its previous
-/// response time, returning the seed if so.
+/// Decides whether the fix-point of task `i` — the last of `params` —
+/// may resume from its previous response time, returning the seed if so.
 ///
 /// All conditions are checked numerically against the snapshot (see the
 /// [module docs](self) for why they imply `F_new ≥ F_old` pointwise and
 /// hence that the old response time under-approximates the new least
 /// fixed point).
 fn fixpoint_seed(
-    i: usize,
     params: &[TaskParams],
     hp_response_new: &[Option<u64>],
     snaps: &[TaskSnapshot],
     m: usize,
 ) -> Option<u64> {
+    let i = params.len() - 1;
     let old = snaps.get(i)?;
     let prev_r = old.response?;
     let p = &params[i];

@@ -33,14 +33,17 @@
 //! expose. Use [`BlockingAwareness::Checked`] to reject unsafe mappings
 //! instead.
 
-use rtpool_graph::{BitSet, NodeId, NodeKind};
+use std::borrow::Borrow;
+use std::ops::ControlFlow;
+
+use rtpool_graph::{BitSet, Dag, NodeId, NodeKind};
 
 use crate::analysis::interference::interfering_workload;
 use crate::analysis::{SchedResult, TaskVerdict, UnschedulableReason};
 use crate::concurrency::ConcurrencyAnalysis;
 use crate::deadlock;
 use crate::partition::{algorithm1, worst_fit, NodeMapping};
-use crate::task::{TaskId, TaskSet};
+use crate::task::{Task, TaskId, TaskSet};
 
 /// Whether the analysis audits mappings for blocking hazards first.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -65,6 +68,17 @@ pub enum PartitionStrategy {
     /// Blocking-oblivious worst-fit (the baseline): always succeeds, but
     /// the subsequent analysis is potentially optimistic.
     WorstFit,
+}
+
+impl PartitionStrategy {
+    /// `task`'s mapping onto `m` threads, or `None` where partitioning
+    /// fails.
+    fn partition(self, task: &Task, m: usize) -> Option<NodeMapping> {
+        match self {
+            PartitionStrategy::Algorithm1 => algorithm1(task.dag(), m).ok(),
+            PartitionStrategy::WorstFit => Some(worst_fit(task.dag(), m)),
+        }
+    }
 }
 
 /// Partitions every task with `strategy` and analyzes the result.
@@ -102,13 +116,61 @@ pub fn partition_and_analyze(
     assert!(m > 0, "platform must have at least one processor");
     let mappings: Vec<Option<NodeMapping>> = set
         .iter()
-        .map(|(_, task)| match strategy {
-            PartitionStrategy::Algorithm1 => algorithm1(task.dag(), m).ok(),
-            PartitionStrategy::WorstFit => Some(worst_fit(task.dag(), m)),
-        })
+        .map(|(_, task)| strategy.partition(task, m))
         .collect();
-    let result = analyze_partial(set, m, &mappings, BlockingAwareness::Oblivious);
+    let result = all_verdicts(set, m, BlockingAwareness::Oblivious, |i, _| {
+        mappings[i].as_ref()
+    });
     (result, mappings)
+}
+
+/// Whether every task of `set`, partitioned with `strategy`, passes the
+/// analysis: exactly `partition_and_analyze(set, m, strategy).0
+/// .is_schedulable()`, answered by the same per-task loop, which
+/// partitions a task only when it reaches it and stops at the first task
+/// that misses. The tasks below it are never mapped.
+///
+/// # Panics
+///
+/// Panics if `m == 0`.
+///
+/// # Examples
+///
+/// ```
+/// use rtpool_core::analysis::partitioned::{accepts, partition_and_analyze, PartitionStrategy};
+/// use rtpool_core::{Task, TaskSet};
+/// use rtpool_graph::DagBuilder;
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let mut b = DagBuilder::new();
+/// b.fork_join(10, &[20, 20], 10, true)?;
+/// let set = TaskSet::new(vec![Task::with_implicit_deadline(b.build()?, 500)?]);
+/// for m in 1..=4 {
+///     let strategy = PartitionStrategy::Algorithm1;
+///     let full = partition_and_analyze(&set, m, strategy).0;
+///     assert_eq!(accepts(&set, m, strategy), full.is_schedulable());
+/// }
+/// # Ok(())
+/// # }
+/// ```
+#[must_use]
+pub fn accepts(set: &TaskSet, m: usize, strategy: PartitionStrategy) -> bool {
+    let mut schedulable = true;
+    analyze_tasks(
+        set,
+        m,
+        BlockingAwareness::Oblivious,
+        |_, task| strategy.partition(task, m),
+        |verdict| {
+            schedulable = verdict.is_schedulable();
+            if schedulable {
+                ControlFlow::Continue(())
+            } else {
+                ControlFlow::Break(())
+            }
+        },
+    );
+    schedulable
 }
 
 /// Analyzes `set` under partitioned scheduling with one mapping per task.
@@ -127,80 +189,155 @@ pub fn analyze(
     mappings: &[NodeMapping],
     awareness: BlockingAwareness,
 ) -> SchedResult {
-    let partial: Vec<Option<NodeMapping>> = mappings.iter().cloned().map(Some).collect();
-    analyze_partial(set, m, &partial, awareness)
-}
-
-fn analyze_partial(
-    set: &TaskSet,
-    m: usize,
-    mappings: &[Option<NodeMapping>],
-    awareness: BlockingAwareness,
-) -> SchedResult {
     assert!(m > 0, "platform must have at least one processor");
     assert_eq!(mappings.len(), set.len(), "one mapping per task required");
+    all_verdicts(set, m, awareness, |i, _| Some(&mappings[i]))
+}
 
-    let mut verdicts: Vec<TaskVerdict> = Vec::with_capacity(set.len());
-    // Per analyzed hp task: response time and per-core workloads.
-    let mut hp_state: Vec<Option<HpTask>> = Vec::with_capacity(set.len());
+/// Every task's verdict, from [`analyze_tasks`] run to the end.
+fn all_verdicts<M: Borrow<NodeMapping>>(
+    set: &TaskSet,
+    m: usize,
+    awareness: BlockingAwareness,
+    mapping: impl FnMut(usize, &Task) -> Option<M>,
+) -> SchedResult {
+    let mut verdicts = Vec::with_capacity(set.len());
+    analyze_tasks(set, m, awareness, mapping, |verdict| {
+        verdicts.push(verdict);
+        ControlFlow::Continue(())
+    });
+    SchedResult::new(verdicts)
+}
+
+/// The per-task loop of the analysis, in priority order: the one loop
+/// behind [`partition_and_analyze`], [`analyze`] and [`accepts`].
+///
+/// `mapping(i, task)` yields task `i`'s mapping when the loop reaches it
+/// (`None`: partitioning failed); `record` receives each verdict in turn,
+/// and a `Break` from it ends the loop.
+fn analyze_tasks<M: Borrow<NodeMapping>>(
+    set: &TaskSet,
+    m: usize,
+    awareness: BlockingAwareness,
+    mut mapping: impl FnMut(usize, &Task) -> Option<M>,
+    mut record: impl FnMut(TaskVerdict) -> ControlFlow<()>,
+) {
+    assert!(m > 0, "platform must have at least one processor");
+    // The highest-priority unschedulable task so far: no task below it
+    // has a bound on its interference.
+    let mut first_miss: Option<usize> = None;
+    let mut hp = HpTables::default();
     // Scratch buffers shared by every per-task kernel in this pass.
     let mut scratch = Scratch::default();
 
     for (i, (_, task)) in set.iter().enumerate() {
-        let Some(mapping) = &mappings[i] else {
-            verdicts.push(TaskVerdict::Unschedulable {
+        let mapped = mapping(i, task);
+        let verdict = match mapped.as_ref().map(<M as Borrow<NodeMapping>>::borrow) {
+            None => TaskVerdict::Unschedulable {
                 reason: UnschedulableReason::PartitioningFailed,
-            });
-            hp_state.push(None);
-            continue;
+            },
+            Some(mapping) => {
+                assert_eq!(mapping.pool_size(), m, "mapping pool size must equal m");
+                assert_eq!(
+                    mapping.node_count(),
+                    task.dag().node_count(),
+                    "mapping must cover the task graph"
+                );
+                let ca = ConcurrencyAnalysis::new(task.dag());
+                if awareness == BlockingAwareness::Checked
+                    && !deadlock::check_partitioned(&ca, m, mapping).is_deadlock_free()
+                {
+                    TaskVerdict::Unschedulable {
+                        reason: UnschedulableReason::MappingDeadlock,
+                    }
+                } else if let Some(bad) = first_miss {
+                    TaskVerdict::Unschedulable {
+                        reason: UnschedulableReason::DependsOnUnschedulable { task: TaskId(bad) },
+                    }
+                } else {
+                    let verdict = analyze_task(task, mapping, m, &hp, &mut scratch);
+                    // Only a task that a lower-priority one will read is
+                    // recorded.
+                    if let (Some(response), true) = (verdict.response_time(), i + 1 < set.len()) {
+                        hp.push(task, mapping, m, response, set.len() - 1);
+                    }
+                    verdict
+                }
+            }
         };
-        assert_eq!(mapping.pool_size(), m, "mapping pool size must equal m");
-        assert_eq!(
-            mapping.node_count(),
-            task.dag().node_count(),
-            "mapping must cover the task graph"
-        );
-        if awareness == BlockingAwareness::Checked {
-            let ca = ConcurrencyAnalysis::new(task.dag());
-            if !deadlock::check_partitioned(&ca, m, mapping).is_deadlock_free() {
-                verdicts.push(TaskVerdict::Unschedulable {
-                    reason: UnschedulableReason::MappingDeadlock,
-                });
-                hp_state.push(None);
-                continue;
-            }
+        if !verdict.is_schedulable() {
+            first_miss.get_or_insert(i);
         }
-        if let Some(bad) = (0..i).find(|&j| hp_state[j].is_none()) {
-            verdicts.push(TaskVerdict::Unschedulable {
-                reason: UnschedulableReason::DependsOnUnschedulable { task: TaskId(bad) },
-            });
-            hp_state.push(None);
-            continue;
+        if record(verdict).is_break() {
+            break;
         }
-        let hp: Vec<&HpTask> = hp_state[..i]
-            .iter()
-            .map(|s| s.as_ref().expect("checked above"))
-            .collect();
-        let verdict = analyze_task(task, mapping, m, &hp, &mut scratch);
-        match &verdict {
-            TaskVerdict::Schedulable { response_time } => {
-                hp_state.push(Some(HpTask {
-                    period: task.period(),
-                    response: *response_time,
-                    core_work: per_core_work(task, mapping, m),
-                }));
-            }
-            TaskVerdict::Unschedulable { .. } => hp_state.push(None),
-        }
-        verdicts.push(verdict);
     }
-    SchedResult::new(verdicts)
 }
 
-struct HpTask {
+/// One higher-priority activity as a carry-in term: at most
+/// `⌈(x + jitter)/period⌉ · work` of it lands in a window of length `x`.
+#[derive(Clone, Copy, Debug, Default)]
+struct Load {
     period: u64,
-    response: u64,
-    core_work: Vec<u64>,
+    work: u64,
+    jitter: u64,
+}
+
+/// What the higher-priority tasks charge the task being analyzed, grown
+/// once per schedulable task that a lower-priority task will read.
+#[derive(Default)]
+struct HpTables {
+    /// Per core `k`, `(Tⱼ, Wⱼ,ₖ, Rⱼ − Wⱼ,ₖ)` for each higher-priority task
+    /// with `Wⱼ,ₖ > 0`, in priority order: `used[k]` loads from slot
+    /// `k · stride` on.
+    per_core: Vec<Load>,
+    used: Vec<usize>,
+    /// Slots per core: the most tasks one pass records.
+    stride: usize,
+    /// `(Tⱼ, volⱼ, Rⱼ)` per higher-priority task, for the holistic bound.
+    whole: Vec<Load>,
+}
+
+impl HpTables {
+    /// Records `task`, mapped by `mapping` onto `m` cores and bounded by
+    /// `response`, for the tasks below it; a pass records at most
+    /// `slots` tasks. The first call allocates the tables, once.
+    fn push(&mut self, task: &Task, mapping: &NodeMapping, m: usize, response: u64, slots: usize) {
+        if self.used.is_empty() {
+            self.stride = slots;
+            self.per_core = vec![Load::default(); m * slots];
+            self.used = vec![0; m];
+            self.whole.reserve_exact(slots);
+        }
+        // Fewer than `stride` tasks are recorded before this one, so each
+        // core's next slot is in its own row and still zero.
+        let dag = task.dag();
+        for v in dag.node_ids() {
+            let k = mapping.thread_of(v).index();
+            self.per_core[k * self.stride + self.used[k]].work += dag.wcet(v);
+        }
+        for (k, used) in self.used.iter_mut().enumerate() {
+            let load = &mut self.per_core[k * self.stride + *used];
+            if load.work > 0 {
+                load.period = task.period();
+                load.jitter = response.saturating_sub(load.work);
+                *used += 1;
+            }
+        }
+        self.whole.push(Load {
+            period: task.period(),
+            work: dag.volume(),
+            jitter: response,
+        });
+    }
+
+    /// The loads on core `k`.
+    fn on_core(&self, k: usize) -> &[Load] {
+        match self.used.get(k) {
+            Some(&used) => &self.per_core[k * self.stride..][..used],
+            None => &[],
+        }
+    }
 }
 
 /// Reusable per-pass scratch buffers for the per-task kernels, so the
@@ -210,8 +347,6 @@ struct HpTask {
 struct Scratch {
     /// One bitset of node indices per core: the nodes mapped there.
     core_masks: Vec<BitSet>,
-    /// Working row for the FIFO-blocking difference kernel.
-    tmp: BitSet,
     /// Per-node FIFO-blocking charge.
     fifo: Vec<u64>,
     /// Per-node finish bounds (node-level sweep).
@@ -221,67 +356,53 @@ struct Scratch {
 }
 
 impl Scratch {
-    /// Prepares the buffers for a task of `n` nodes on `m` cores. Every
-    /// buffer keeps its heap block and allocates only to grow, so a
-    /// pass over tasks of different sizes allocates the `m` masks once.
-    fn reset(&mut self, n: usize, m: usize) {
-        self.tmp.reset(n);
+    /// Prepares the buffers for `dag` mapped by `mapping` onto `m` cores
+    /// and fills in every node's FIFO-blocking charge. Every buffer keeps
+    /// its heap block and allocates only to grow, so a pass over tasks of
+    /// different sizes allocates the `m` masks once.
+    fn prepare(&mut self, dag: &Dag, mapping: &NodeMapping, m: usize) {
+        let n = dag.node_count();
         self.core_masks.resize_with(m, BitSet::default);
         for mask in &mut self.core_masks {
             mask.reset(n);
         }
-        self.fifo.clear();
-        self.fifo.resize(n, 0);
-        self.finish.clear();
-        self.finish.resize(n, 0);
-        self.dist.clear();
-        self.dist.resize(n, 0);
+        for buffer in [&mut self.fifo, &mut self.finish, &mut self.dist] {
+            buffer.clear();
+            buffer.resize(n, 0);
+        }
+        for v in dag.node_ids() {
+            self.core_masks[mapping.thread_of(v).index()].insert(v.index());
+        }
+        // FIFO blocking by same-task nodes that can be ahead of v in its
+        // thread's queue: the concurrent nodes mapped to the same thread,
+        // core_mask(v) − desc(v) − anc(v) − {v}, summed in one word pass
+        // over the three rows. v is in its own core's mask and in neither
+        // row, so its WCET is taken off the sum. Blocking joins resume
+        // directly on the woken thread and bypass the queue.
+        let reach = dag.reachability();
+        for v in dag.node_ids() {
+            if dag.kind(v) == NodeKind::BlockingJoin {
+                continue; // fifo charge stays 0
+            }
+            let mask = self.core_masks[mapping.thread_of(v).index()].as_row();
+            let queued: u64 = mask
+                .minus(reach.descendants(v), reach.ancestors(v))
+                .map(|u| dag.wcet(NodeId::from_index(u)))
+                .sum();
+            self.fifo[v.index()] = queued - dag.wcet(v);
+        }
     }
-}
-
-fn per_core_work(task: &crate::task::Task, mapping: &NodeMapping, m: usize) -> Vec<u64> {
-    let dag = task.dag();
-    let mut work = vec![0u64; m];
-    for v in dag.node_ids() {
-        work[mapping.thread_of(v).index()] += dag.wcet(v);
-    }
-    work
 }
 
 fn analyze_task(
-    task: &crate::task::Task,
+    task: &Task,
     mapping: &NodeMapping,
     m: usize,
-    hp: &[&HpTask],
+    hp: &HpTables,
     scratch: &mut Scratch,
 ) -> TaskVerdict {
-    let dag = task.dag();
     let deadline = task.deadline();
-    let reach = dag.reachability();
-    scratch.reset(dag.node_count(), m);
-
-    // FIFO blocking by same-task nodes that can be ahead of v in its
-    // thread's queue: concurrent nodes mapped to the same thread, found
-    // word-parallel as core_mask(v) − desc(v) − anc(v) − {v}. Blocking
-    // joins resume directly on the woken thread and bypass the queue.
-    for v in dag.node_ids() {
-        scratch.core_masks[mapping.thread_of(v).index()].insert(v.index());
-    }
-    for v in dag.node_ids() {
-        if dag.kind(v) == NodeKind::BlockingJoin {
-            continue; // fifo charge stays 0
-        }
-        let core = mapping.thread_of(v).index();
-        scratch.tmp.copy_from(&scratch.core_masks[core]);
-        scratch.tmp.difference_with(reach.descendants(v));
-        scratch.tmp.difference_with(reach.ancestors(v));
-        scratch.tmp.remove(v.index());
-        scratch.fifo[v.index()] = scratch
-            .tmp
-            .iter()
-            .map(|u| dag.wcet(NodeId::from_index(u)))
-            .sum();
-    }
+    scratch.prepare(task.dag(), mapping, m);
 
     // Two incomparable sound bounds; the task's response time is their
     // minimum. The sweeps borrow disjoint scratch fields, so split them
@@ -310,9 +431,9 @@ fn analyze_task(
 /// Tight for short chains; pessimistic for long paths (one carry-in per
 /// node).
 fn node_level_bound(
-    task: &crate::task::Task,
+    task: &Task,
     mapping: &NodeMapping,
-    hp: &[&HpTask],
+    hp: &HpTables,
     fifo_blocking: &[u64],
     deadline: u64,
     finish: &mut [u64],
@@ -325,8 +446,8 @@ fn node_level_bound(
             .map(|p| finish[p.index()])
             .max()
             .unwrap_or(0);
-        let core = mapping.thread_of(v).index();
-        let local = local_response(dag.wcet(v) + fifo_blocking[v.index()], core, hp, deadline)?;
+        let loads = hp.on_core(mapping.thread_of(v).index());
+        let local = fixpoint(dag.wcet(v) + fifo_blocking[v.index()], loads, deadline)?;
         let f = ready.saturating_add(local);
         if f > deadline {
             return None;
@@ -345,8 +466,8 @@ fn node_level_bound(
 /// Tight for long paths; pessimistic when hp work is concentrated on
 /// cores the task barely uses.
 fn holistic_bound(
-    task: &crate::task::Task,
-    hp: &[&HpTask],
+    task: &Task,
+    hp: &HpTables,
     fifo_blocking: &[u64],
     deadline: u64,
     dist: &mut [u64],
@@ -362,42 +483,18 @@ fn holistic_bound(
             .unwrap_or(0);
         dist[v.index()] = best + dag.wcet(v) + fifo_blocking[v.index()];
     }
-    let path_bound = dist[dag.sink().index()];
-    let mut r = path_bound;
-    loop {
-        let mut next = u128::from(path_bound);
-        for t in hp {
-            let vol: u64 = t.core_work.iter().sum();
-            if vol == 0 {
-                continue;
-            }
-            next += u128::from(interfering_workload(r, t.period, vol, t.response));
-        }
-        let next = u64::try_from(next).unwrap_or(u64::MAX);
-        if next > deadline {
-            return None;
-        }
-        if next == r {
-            return Some(r);
-        }
-        debug_assert!(next > r);
-        r = next;
-    }
+    fixpoint(dist[dag.sink().index()], &hp.whole, deadline)
 }
 
-/// Least fix-point of `x = base + Σⱼ ⌈(x + Jⱼ,ₖ)/Tⱼ⌉·Wⱼ,ₖ`, or `None` if
-/// it exceeds `cap`.
-fn local_response(base: u64, core: usize, hp: &[&HpTask], cap: u64) -> Option<u64> {
+/// Least fix-point of `x = base + Σ ⌈(x + jitter)/period⌉ · work` over
+/// `loads`, or `None` if it exceeds `cap`. The sum is exact in `u128`,
+/// so the order of the loads cannot change the bound.
+fn fixpoint(base: u64, loads: &[Load], cap: u64) -> Option<u64> {
     let mut x = base;
     loop {
         let mut next = u128::from(base);
-        for t in hp {
-            let w = t.core_work[core];
-            if w == 0 {
-                continue;
-            }
-            let jitter = t.response.saturating_sub(w);
-            next += u128::from(interfering_workload(x, t.period, w, jitter));
+        for load in loads {
+            next += u128::from(interfering_workload(x, load.period, load.work, load.jitter));
         }
         let next = u64::try_from(next).unwrap_or(u64::MAX);
         if next > cap {
@@ -414,7 +511,7 @@ fn local_response(base: u64, core: usize, hp: &[&HpTask], cap: u64) -> Option<u6
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::task::Task;
+    use proptest::prelude::*;
     use rtpool_graph::DagBuilder;
 
     fn fork_join_task(branches: &[u64], blocking: bool, period: u64) -> Task {
@@ -584,5 +681,68 @@ mod tests {
         let r = analyze(&set, 2, &[mapping], BlockingAwareness::Oblivious);
         // R = 10 (fork) + [20 + 20] (children serialized) + 10 (join) = 60.
         assert_eq!(r.verdict(TaskId(0)).response_time(), Some(60));
+    }
+
+    /// Source → `regions` parallel chains of one or two fork-joins →
+    /// sink, drawn from `seed` (up to 370 nodes, so rows of up to six
+    /// words), with every node on a random one of `m` threads.
+    fn random_mapped_dag(seed: u64, regions: usize, m: usize) -> (Dag, NodeMapping) {
+        let mut rng = seed | 1;
+        let mut next = move |bound: u64| {
+            rng = rng
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (rng >> 33) % bound
+        };
+        let mut b = DagBuilder::new();
+        let src = b.add_node(1 + next(50));
+        let snk = b.add_node(1 + next(50));
+        for _ in 0..regions {
+            let mut tail = src;
+            for _ in 0..1 + next(2) {
+                let kids: Vec<u64> = (0..1 + next(6)).map(|_| 1 + next(100)).collect();
+                let (fork, join) = b
+                    .fork_join(1 + next(50), &kids, 1 + next(50), next(2) == 0)
+                    .unwrap();
+                b.add_edge(tail, fork).unwrap();
+                tail = join;
+            }
+            b.add_edge(tail, snk).unwrap();
+        }
+        let dag = b.build().unwrap();
+        let threads = (0..dag.node_count())
+            .map(|_| next(m as u64) as usize)
+            .collect();
+        let mapping = NodeMapping::from_threads(&dag, m, threads).unwrap();
+        (dag, mapping)
+    }
+
+    proptest! {
+        /// The fused word pass charges each node exactly the summed WCET
+        /// of the same-core nodes concurrent with it, and blocking joins
+        /// nothing.
+        #[test]
+        fn fused_fifo_charge_equals_the_pairwise_sum(
+            seed in any::<u64>(),
+            regions in 1usize..24,
+            m in 1usize..5,
+        ) {
+            let (dag, mapping) = random_mapped_dag(seed, regions, m);
+            let mut scratch = Scratch::default();
+            scratch.prepare(&dag, &mapping, m);
+            let reach = dag.reachability();
+            for v in dag.node_ids() {
+                let expected: u64 = if dag.kind(v) == NodeKind::BlockingJoin {
+                    0
+                } else {
+                    dag.node_ids()
+                        .filter(|&u| mapping.thread_of(u) == mapping.thread_of(v))
+                        .filter(|&u| reach.are_concurrent(u, v))
+                        .map(|u| dag.wcet(u))
+                        .sum()
+                };
+                prop_assert_eq!(scratch.fifo[v.index()], expected, "node {:?}", v);
+            }
+        }
     }
 }

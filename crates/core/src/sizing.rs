@@ -146,7 +146,7 @@ pub fn min_threads_schedulable_global(
     model: ConcurrencyModel,
     max_m: usize,
 ) -> Option<usize> {
-    (1..=max_m).find(|&m| global::analyze(set, m, model).is_schedulable())
+    (1..=max_m).find(|&m| global::accepts(set, m, model))
 }
 
 /// The smallest `m ≤ max_m` for which the whole set partitions and
@@ -158,11 +158,7 @@ pub fn min_threads_schedulable_partitioned(
     strategy: PartitionStrategy,
     max_m: usize,
 ) -> Option<usize> {
-    (1..=max_m).find(|&m| {
-        partitioned::partition_and_analyze(set, m, strategy)
-            .0
-            .is_schedulable()
-    })
+    (1..=max_m).find(|&m| partitioned::accepts(set, m, strategy))
 }
 
 #[cfg(test)]

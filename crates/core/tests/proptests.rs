@@ -300,6 +300,83 @@ proptest! {
     }
 }
 
+/// `n_tasks` tasks drawn from `seed`, each with a period (and implicit
+/// deadline) between a quarter of its critical path and three times its
+/// volume, so that some tasks miss and some pass. With `first_misses`
+/// the first task's deadline lies below its critical path, so every
+/// test rejects it and everything below it goes unanalyzed.
+fn random_task_set(seed: u64, n_tasks: usize, first_misses: bool) -> TaskSet {
+    let tasks = (0..n_tasks)
+        .map(|i| {
+            let dag = random_task_dag(seed.wrapping_add(i as u64), 4);
+            let len = dag.critical_path_length();
+            let period = if i == 0 && first_misses {
+                len - 1
+            } else {
+                let scale = seed.wrapping_mul(31).wrapping_add(i as u64 * 7) % 12;
+                (len / 4).max(1) + scale * dag.volume() / 4
+            };
+            Task::with_implicit_deadline(dag, period.max(1)).unwrap()
+        })
+        .collect();
+    TaskSet::new(tasks)
+}
+
+proptest! {
+    /// `global::accepts` stops at the first miss and answers exactly what
+    /// the full analysis does, for every model and both backends.
+    #[test]
+    fn global_accepts_equals_the_full_verdict(
+        seed in any::<u64>(),
+        n_tasks in 1usize..5,
+        m in 1usize..9,
+        first_misses in any::<bool>(),
+        spin in any::<bool>(),
+    ) {
+        let backend = if spin { SyncBackend::Spin } else { SyncBackend::Suspend };
+        let set = random_task_set(seed, n_tasks, first_misses).with_backend(backend);
+        for model in [
+            ConcurrencyModel::Full,
+            ConcurrencyModel::Limited,
+            ConcurrencyModel::LimitedExact,
+        ] {
+            let full = global::analyze(&set, m, model);
+            if first_misses {
+                prop_assert!(!full.verdict(TaskId(0)).is_schedulable());
+            }
+            prop_assert_eq!(
+                global::accepts(&set, m, model),
+                full.is_schedulable(),
+                "model {:?}, {:?}", model, full
+            );
+        }
+    }
+
+    /// `partitioned::accepts` maps each task only when it reaches it and
+    /// answers exactly what `partition_and_analyze` does, for both
+    /// strategies on 1 to 16 cores.
+    #[test]
+    fn partitioned_accepts_equals_the_full_verdict(
+        seed in any::<u64>(),
+        n_tasks in 1usize..5,
+        m in 1usize..=16,
+        first_misses in any::<bool>(),
+    ) {
+        let set = random_task_set(seed, n_tasks, first_misses);
+        for strategy in [PartitionStrategy::WorstFit, PartitionStrategy::Algorithm1] {
+            let (full, _) = partitioned::partition_and_analyze(&set, m, strategy);
+            if first_misses {
+                prop_assert!(!full.verdict(TaskId(0)).is_schedulable());
+            }
+            prop_assert_eq!(
+                partitioned::accepts(&set, m, strategy),
+                full.is_schedulable(),
+                "strategy {:?}, {:?}", strategy, full
+            );
+        }
+    }
+}
+
 /// `parse_task_set` (no declaration sites kept) and
 /// `parse_task_set_with_spans` are one parser: same set or the very same
 /// error — variant, line, span, message.

@@ -26,6 +26,18 @@ fn difference_words(dst: &mut [u64], src: &[u64]) {
     }
 }
 
+/// The indices of the set bits of `word`, the `w`-th word of a row, in
+/// increasing order.
+fn word_bits(w: usize, mut word: u64) -> impl Iterator<Item = usize> + Clone {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let bit = word.trailing_zeros() as usize;
+            word &= word - 1;
+            w * 64 + bit
+        })
+    })
+}
+
 /// Sets bit `index`; returns `true` if it was clear.
 fn set_bit(words: &mut [u64], index: usize) -> bool {
     let (w, b) = (index / 64, index % 64);
@@ -133,16 +145,22 @@ impl<'a> BitRow<'a> {
             .iter()
             .zip(other)
             .enumerate()
-            .flat_map(|(w, (&a, &b))| {
-                let mut word = a & b;
-                std::iter::from_fn(move || {
-                    (word != 0).then(|| {
-                        let bit = word.trailing_zeros() as usize;
-                        word &= word - 1;
-                        w * 64 + bit
-                    })
-                })
-            })
+            .flat_map(|(w, (&a, &b))| word_bits(w, a & b))
+    }
+
+    /// The indices in `self` but in neither `a` nor `b`, in increasing
+    /// order, read word by word without building the difference.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the capacities differ.
+    pub fn minus(self, a: BitRow<'a>, b: BitRow<'a>) -> impl Iterator<Item = usize> + 'a {
+        let (a, b) = (self.same_capacity(a), self.same_capacity(b));
+        self.words
+            .iter()
+            .zip(a.iter().zip(b))
+            .enumerate()
+            .flat_map(|(w, (&s, (&a, &b)))| word_bits(w, s & !(a | b)))
     }
 
     /// The words of `other`, after checking it has this view's capacity.
@@ -655,6 +673,36 @@ mod tests {
         let both = m.row(0).intersection(m.row(1));
         assert_eq!(both.clone().count(), 3);
         assert_eq!(both.collect::<Vec<_>>(), vec![63, 100, 129]);
+    }
+
+    #[test]
+    fn minus_reads_three_rows_word_by_word() {
+        // Capacity 130: words 0 and 1 are full, word 2 holds bits 128-129.
+        let mut m = BitMatrix::new(130);
+        for j in [0, 5, 63, 64, 70, 100, 127, 128, 129] {
+            m.insert(0, j);
+        }
+        for j in [5, 64, 128] {
+            m.insert(1, j);
+        }
+        for j in [63, 64, 101, 129] {
+            m.insert(2, j);
+        }
+        let rest = m.row(0).minus(m.row(1), m.row(2));
+        assert_eq!(rest.collect::<Vec<_>>(), vec![0, 70, 100, 127]);
+        let mut all = BitSet::new(130);
+        all.insert_all();
+        let (none, empty) = (BitSet::new(130), m.row(3));
+        assert_eq!(all.as_row().minus(none.as_row(), empty).count(), 130);
+        assert_eq!(all.as_row().minus(m.row(0), m.row(0)).count(), 121);
+        assert_eq!(none.as_row().minus(m.row(1), m.row(2)).count(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "capacity mismatch")]
+    fn minus_rejects_a_row_of_another_capacity() {
+        let (a, b) = (BitSet::new(130), BitSet::new(129));
+        let _ = a.as_row().minus(a.as_row(), b.as_row());
     }
 
     #[test]

@@ -3,8 +3,10 @@
 //! `parse_task_set`, the first derivations and a WCET-only edit call the
 //! allocator, per node; that a rejected window attempt calls it not at
 //! all, and the accepted graph's build at most 20 times; that Algorithm
-//! 1's calls do not grow with the graph; and that the partitioned RTA
-//! allocates its per-core masks once per pass, not once per task.
+//! 1's calls do not grow with the graph; that the partitioned RTA
+//! allocates its per-core masks once per pass, not once per task; and
+//! that `partitioned::accepts` maps no task below the first one that
+//! misses.
 //!
 //! This is its own test binary because it installs a counting
 //! `#[global_allocator]`; the `unsafe impl` below is the only unsafe code
@@ -18,9 +20,9 @@ use std::cell::Cell;
 use std::path::Path;
 
 use rand::SeedableRng;
-use rtpool::core::analysis::partitioned::{partition_and_analyze, PartitionStrategy};
+use rtpool::core::analysis::partitioned::{accepts, partition_and_analyze, PartitionStrategy};
 use rtpool::core::partition::algorithm1;
-use rtpool::core::{textfmt, TaskSet};
+use rtpool::core::{textfmt, Task, TaskSet};
 use rtpool::gen::{BlockingPolicy, ConcurrencyWindow, DagGenConfig, DagScratch, TaskSetConfig};
 use rtpool::graph::{Dag, DagBuilder, NodeId};
 
@@ -273,6 +275,43 @@ fn partitioned_pass_allocates_its_core_masks_once() {
         at16.saturating_sub(at8),
         sizes.len()
     );
+}
+
+#[test]
+fn partitioned_accepts_never_maps_the_tasks_below_a_miss() {
+    // One node of WCET 100 against a deadline of 50: rejected under
+    // either strategy, so nothing below it needs a mapping or a bound.
+    let missing = {
+        let mut b = DagBuilder::new();
+        b.add_node(100);
+        Task::with_implicit_deadline(b.build().expect("one node"), 50).expect("valid task")
+    };
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0);
+    let below = TaskSetConfig::new(3, 1.0, DagGenConfig::default())
+        .generate(&mut rng)
+        .expect("plain generation cannot fail");
+    let alone = TaskSet::new(vec![missing.clone()]);
+    let ahead = TaskSet::new(
+        std::iter::once(missing)
+            .chain(below.iter().map(|(_, task)| task.clone()))
+            .collect(),
+    );
+    for strategy in [PartitionStrategy::WorstFit, PartitionStrategy::Algorithm1] {
+        let pass = |set: &TaskSet| calls_of(|| accepts(set, 8, strategy));
+        // Fill the graphs' derived caches first, so both counts are of
+        // the pass alone.
+        let _ = (pass(&ahead), pass(&alone));
+        let ((ahead_ok, ahead_calls), (alone_ok, alone_calls)) = (pass(&ahead), pass(&alone));
+        assert!(!ahead_ok && !alone_ok, "the first task must miss");
+        println!(
+            "{strategy:?} accepts, first of 4 tasks missing: {ahead_calls} allocator calls, \
+             {alone_calls} with the missing task alone"
+        );
+        assert_eq!(
+            ahead_calls, alone_calls,
+            "{strategy:?}: the tasks below the first miss were mapped or analyzed"
+        );
+    }
 }
 
 #[test]
