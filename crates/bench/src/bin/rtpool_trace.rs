@@ -19,7 +19,7 @@
 //! is the lock-free injector/stealer engine — both emit the same trace
 //! schema, and `--pool both` runs every task under *both* engines and
 //! prints a per-task table comparing their NodeStart→NodeEnd latency
-//! percentiles, backed by the trace metrics histograms);
+//! percentiles, from each trace's [`TraceAnalysis`]);
 //! `--time-scale-us` sets the
 //! wall-clock length of one WCET unit (default 100 µs), and
 //! `--timeout-ms` bounds each task's wall-clock run via the pool
@@ -39,10 +39,7 @@ use rtpool_core::textfmt::parse_task_set;
 use rtpool_core::TaskSet;
 use rtpool_exec::{Engine as PoolEngine, ExecError, PoolConfig, QueueDiscipline, ThreadPool};
 use rtpool_sim::{SchedulingPolicy, SimConfig};
-use rtpool_trace::{
-    from_chrome_json, to_chrome_json, to_csv, LatencyHistogram, MetricsRegistry, Trace,
-    TraceAnalysis,
-};
+use rtpool_trace::{from_chrome_json, to_chrome_json, to_csv, Trace, TraceAnalysis};
 
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Engine {
@@ -309,7 +306,7 @@ fn run_task_trace(
 
 /// `--pool both`: runs every task under both dispatch engines and
 /// prints a per-task table comparing their NodeStart→NodeEnd latency
-/// percentiles (from the trace metrics histograms).
+/// percentiles (each task's [`TraceAnalysis`] `node_latency`).
 fn compare_engines(args: &RunArgs, set: &TaskSet) -> Result<(), String> {
     use std::fmt::Write as _;
     if args.format != Format::Summary {
@@ -329,14 +326,8 @@ fn compare_engines(args: &RunArgs, set: &TaskSet) -> Result<(), String> {
             (PoolEngine::V2LockFree, "v2_lockfree"),
         ] {
             let trace = run_task_trace(args, i, task, set.backend(), engine)?;
-            let metrics = MetricsRegistry::from_trace(&trace);
-            let ti = u32::try_from(i).unwrap_or(u32::MAX);
-            let mut lat = LatencyHistogram::new();
-            for ((t, _), h) in metrics.node_latencies() {
-                if t == ti {
-                    lat.merge(h);
-                }
-            }
+            let analysis = TraceAnalysis::new(&trace);
+            let lat = &analysis.task(i).node_latency;
             let q = |p| lat.quantile_upper(p).unwrap_or(0);
             let _ = writeln!(
                 out,

@@ -544,9 +544,8 @@ fn serve_one(inner: &Inner, pending: &Pending, worker: &mut Worker) {
             _ => {}
         }
         if *event == ServiceEvent::CacheDeltaHit {
-            // Delta hits get their own first-class trace event (the
-            // rtpool-trace metrics count them per task), not a generic
-            // Recovery label.
+            // Delta hits get their own first-class trace event, not a
+            // generic Recovery label, so a trace reader can count them.
             inner.rec_control(|| EventKind::CacheDeltaHit {
                 task: 0,
                 job: job_id(seq),
@@ -805,8 +804,10 @@ mod tests {
                 _ => {}
             }
         }
-        let metrics = rtpool_trace::MetricsRegistry::from_trace(&trace);
-        let samples = metrics.task(0).expect("task 0 served").responses.len();
+        let samples = rtpool_trace::TraceAnalysis::new(&trace)
+            .task(0)
+            .responses
+            .len();
         assert_eq!(samples as u64, requests, "a response sample per request");
     }
 

@@ -44,8 +44,6 @@ pub enum ServiceEvent {
     RescueAttempt,
     /// A poisoned cache entry was observed and evicted.
     PoisonedEntry,
-    /// An injected shard stall delayed the attempt.
-    ShardStalled,
     /// An injected slowdown delayed the attempt.
     SlowRequest,
     /// An `edit` request was answered from a delta-patched cache entry:
@@ -65,7 +63,6 @@ impl ServiceEvent {
             ServiceEvent::Retried => "serve_retried",
             ServiceEvent::RescueAttempt => "serve_rescue_attempt",
             ServiceEvent::PoisonedEntry => "serve_poisoned_entry",
-            ServiceEvent::ShardStalled => "serve_shard_stalled",
             ServiceEvent::SlowRequest => "serve_slow_request",
             ServiceEvent::CacheDeltaHit => "serve_cache_delta_hit",
         }
@@ -246,10 +243,6 @@ impl Supervisor {
         let faults = self.faults.service_faults(seq, attempt);
         if let Some(d) = faults.slow_request {
             events.push(ServiceEvent::SlowRequest);
-            thread::sleep(d);
-        }
-        if let Some(d) = faults.stall_shard {
-            events.push(ServiceEvent::ShardStalled);
             thread::sleep(d);
         }
         let (hash, set) = match &request.body {
@@ -681,18 +674,13 @@ mod tests {
     }
 
     #[test]
-    fn stall_and_slow_faults_delay_but_answer() {
+    fn slow_faults_delay_but_answer() {
         let interner = Interner::new(8);
-        let sup = retrying(
-            FaultPlan::seeded(1)
-                .service_stall_prob(1.0, Duration::from_millis(5))
-                .service_slow_prob(1.0, Duration::from_millis(5)),
-        );
+        let sup = retrying(FaultPlan::seeded(1).service_slow_prob(1.0, Duration::from_millis(10)));
         let t0 = std::time::Instant::now();
         let out = sup.execute(0, &request(1, 4), &interner, &CancelToken::never());
         assert_eq!(out.verdict, VerdictKind::Admit);
         assert!(t0.elapsed() >= Duration::from_millis(10));
-        assert!(out.events.contains(&ServiceEvent::ShardStalled));
         assert!(out.events.contains(&ServiceEvent::SlowRequest));
     }
 }

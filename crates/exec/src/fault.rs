@@ -116,10 +116,6 @@ pub enum ServiceFaultKind {
     /// The analysis worker panics mid-request. The service supervisor
     /// must catch it and still produce exactly one verdict.
     PanicWorker,
-    /// The shard (sweep worker) serving the request stalls for the
-    /// duration before doing any work — other shards must absorb the
-    /// batch via stealing.
-    StallShard(Duration),
     /// The interned cache entry the request resolves to is poisoned: the
     /// first use panics and the supervisor must evict and re-parse.
     PoisonCacheEntry,
@@ -135,7 +131,6 @@ impl ServiceFaultKind {
     pub fn name(&self) -> &'static str {
         match self {
             ServiceFaultKind::PanicWorker => "panic_worker",
-            ServiceFaultKind::StallShard(_) => "stall_shard",
             ServiceFaultKind::PoisonCacheEntry => "poison_cache",
             ServiceFaultKind::SlowRequest(_) => "slow_request",
         }
@@ -163,8 +158,6 @@ pub struct ServiceFaultRule {
 pub struct ServiceFaults {
     /// Panic mid-request.
     pub panic_worker: bool,
-    /// Stall the serving shard first.
-    pub stall_shard: Option<Duration>,
     /// Poison the request's cache entry at resolve time.
     pub poison_cache: bool,
     /// Slow the request down.
@@ -397,18 +390,6 @@ impl FaultPlan {
         })
     }
 
-    /// The shard serving any request stalls for `for_` with probability
-    /// `p`.
-    #[must_use]
-    pub fn service_stall_prob(self, p: f64, for_: Duration) -> Self {
-        self.with_service_rule(ServiceFaultRule {
-            requests: None,
-            attempt: None,
-            probability: p,
-            kind: ServiceFaultKind::StallShard(for_),
-        })
-    }
-
     /// Request `request` resolves to a poisoned cache entry on its first
     /// attempt (the supervisor must evict and re-parse).
     #[must_use]
@@ -458,7 +439,7 @@ impl FaultPlan {
 
     /// Selects the service-layer faults firing for `(request, attempt)`.
     /// Pure in `(seed, rule, request, attempt)` — identical across runs
-    /// and shard interleavings, like the node-level decisions.
+    /// and worker interleavings, like the node-level decisions.
     #[must_use]
     pub fn service_faults(&self, request: u64, attempt: usize) -> ServiceFaults {
         let mut out = ServiceFaults::default();
@@ -472,22 +453,12 @@ impl FaultPlan {
             if rule.attempt.is_some_and(|a| a != attempt) {
                 continue;
             }
-            let fires = if rule.probability >= 1.0 {
-                true
-            } else if rule.probability <= 0.0 {
-                false
-            } else {
-                let draw = mix(self.seed ^ SERVICE_SALT, i as u64, attempt as u64, request);
-                ((draw >> 11) as f64) * (1.0 / (1u64 << 53) as f64) < rule.probability
-            };
-            if !fires {
+            let draw = mix(self.seed ^ SERVICE_SALT, i as u64, attempt as u64, request);
+            if !chance(rule.probability, draw) {
                 continue;
             }
             match rule.kind {
                 ServiceFaultKind::PanicWorker => out.panic_worker = true,
-                ServiceFaultKind::StallShard(d) => {
-                    out.stall_shard.get_or_insert(d);
-                }
                 ServiceFaultKind::PoisonCacheEntry => out.poison_cache = true,
                 ServiceFaultKind::SlowRequest(d) => {
                     out.slow_request.get_or_insert(d);
@@ -524,15 +495,8 @@ impl FaultPlan {
         if rule.attempt.is_some_and(|a| a != attempt) {
             return false;
         }
-        if rule.probability >= 1.0 {
-            return true;
-        }
-        if rule.probability <= 0.0 {
-            return false;
-        }
         let draw = mix(self.seed, rule_idx as u64, attempt as u64, node as u64);
-        // Compare in the unit interval with 53-bit precision.
-        ((draw >> 11) as f64) * (1.0 / (1u64 << 53) as f64) < rule.probability
+        chance(rule.probability, draw)
     }
 
     /// Selects the faults firing before `node`'s body on `attempt`.
@@ -582,6 +546,13 @@ impl FaultPlan {
         }
         out
     }
+}
+
+/// Whether a rule of probability `p` fires on `draw`: always at `p ≥ 1`,
+/// never at `p ≤ 0`, else by comparing `draw` in the unit interval with
+/// 53-bit precision.
+fn chance(p: f64, draw: u64) -> bool {
+    p >= 1.0 || (p > 0.0 && ((draw >> 11) as f64) * (1.0 / (1u64 << 53) as f64) < p)
 }
 
 /// splitmix64 finalizer over the xor-folded inputs.
@@ -710,13 +681,13 @@ mod tests {
     }
 
     #[test]
-    fn service_poison_and_stall() {
+    fn service_poison_and_slow() {
         let plan = FaultPlan::seeded(9)
             .service_poison_on(1)
-            .service_stall_prob(1.0, Duration::from_millis(4));
+            .service_slow_prob(1.0, Duration::from_millis(4));
         let f = plan.service_faults(1, 0);
         assert!(f.poison_cache);
-        assert_eq!(f.stall_shard, Some(Duration::from_millis(4)));
+        assert_eq!(f.slow_request, Some(Duration::from_millis(4)));
         assert!(!plan.service_faults(1, 1).poison_cache);
         // Service decisions are decoupled from node-level decisions.
         assert_eq!(plan.before_body(0, 1), BeforeBodyFaults::default());

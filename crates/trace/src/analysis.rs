@@ -1,10 +1,11 @@
 //! Trace analysis: recovering the paper's runtime quantities from an
 //! event stream, and validating traces against the schema's invariants.
 //!
-//! [`TraceAnalysis`] is engine-agnostic: the same sweep computes
+//! [`TraceAnalysis`] is engine-agnostic: its one sweep computes
 //! observed response times, the observed available-concurrency profile
-//! `l(t, τᵢ)`, and observed simultaneous-blocking antichains from a
-//! simulator trace (ticks) or a native-pool trace (nanoseconds). The
+//! `l(t, τᵢ)`, observed simultaneous-blocking antichains, node latencies
+//! and dispatch counts from a simulator trace (ticks) or a native-pool
+//! trace (nanoseconds). The
 //! differential test suite feeds both through this one type and checks
 //! them against the static bounds of `rtpool-core`.
 
@@ -12,7 +13,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::event::{EventKind, Trace};
-use crate::metrics::MetricsRegistry;
+use crate::metrics::LatencyHistogram;
 
 /// A violation of the trace schema's invariants, found by
 /// [`Trace::validate`].
@@ -339,6 +340,26 @@ pub struct TaskObservation {
     pub stalled: Option<u64>,
     /// Node executions finished.
     pub nodes_executed: usize,
+    /// `NodeStart`→`NodeEnd` latency over all of the task's nodes, each
+    /// thread's start paired with its next end.
+    pub node_latency: LatencyHistogram,
+    /// Depth of the queue each fetch left behind
+    /// ([`EventKind::QueueDepth`], exec only).
+    pub queue_depth: LatencyHistogram,
+    /// Nodes stolen from peers or the shared injector (sum of
+    /// [`EventKind::StealBatch`] counts, exec only).
+    pub steals: u64,
+}
+
+/// Transient pairing state of one task while the events are folded.
+#[derive(Clone, Default)]
+struct Pairing {
+    /// Release time of each job.
+    releases: BTreeMap<u32, u64>,
+    /// Start time of the node each thread has open.
+    open_nodes: BTreeMap<u32, u64>,
+    /// The forks currently blocked on, as `(thread, fork)`.
+    blocked: Vec<(u32, u32)>,
 }
 
 /// Engine-agnostic analysis of one [`Trace`]: per-task observations
@@ -347,11 +368,11 @@ pub struct TaskObservation {
 pub struct TraceAnalysis {
     cores: usize,
     observations: Vec<TaskObservation>,
-    metrics: MetricsRegistry,
 }
 
 impl TraceAnalysis {
-    /// Analyzes `trace` (one pass over its events).
+    /// Analyzes `trace` (one pass over its events). Events of a task
+    /// outside `0..trace.tasks` are ignored.
     #[must_use]
     pub fn new(trace: &Trace) -> Self {
         let cores = trace.cores as usize;
@@ -367,46 +388,41 @@ impl TraceAnalysis {
                 concurrency_profile: vec![(0, cores)],
                 stalled: None,
                 nodes_executed: 0,
+                node_latency: LatencyHistogram::new(),
+                queue_depth: LatencyHistogram::new(),
+                steals: 0,
             })
             .collect();
-        let mut release_times: BTreeMap<(u32, u32), u64> = BTreeMap::new();
-        // Per task: the forks currently suspended, as (thread, fork).
-        let mut suspended: Vec<Vec<(u32, u32)>> = vec![Vec::new(); n];
+        let mut pairing = vec![Pairing::default(); n];
 
         for e in &trace.events {
-            let t = e.time;
+            let Some(i) = e.kind.task().map(|t| t as usize).filter(|&i| i < n) else {
+                continue;
+            };
+            let (o, p, t) = (&mut obs[i], &mut pairing[i], e.time);
             match &e.kind {
-                EventKind::JobReleased { task, job } => {
-                    release_times.insert((*task, *job), t);
-                    if let Some(o) = obs.get_mut(*task as usize) {
-                        o.released += 1;
+                EventKind::JobReleased { job, .. } => {
+                    p.releases.insert(*job, t);
+                    o.released += 1;
+                }
+                EventKind::JobCompleted { job, .. } => {
+                    o.completed += 1;
+                    if let Some(release) = p.releases.get(job) {
+                        o.responses.push(t.saturating_sub(*release));
                     }
                 }
-                EventKind::JobCompleted { task, job } => {
-                    if let Some(o) = obs.get_mut(*task as usize) {
-                        o.completed += 1;
-                        if let Some(release) = release_times.get(&(*task, *job)) {
-                            o.responses.push(t.saturating_sub(*release));
-                        }
+                EventKind::NodeStart { thread, .. } => {
+                    p.open_nodes.insert(*thread, t);
+                }
+                EventKind::NodeEnd { thread, .. } => {
+                    o.nodes_executed += 1;
+                    if let Some(start) = p.open_nodes.remove(thread) {
+                        o.node_latency.observe(t.saturating_sub(start));
                     }
                 }
-                EventKind::NodeEnd { task, .. } => {
-                    if let Some(o) = obs.get_mut(*task as usize) {
-                        o.nodes_executed += 1;
-                    }
-                }
-                EventKind::BarrierSuspend {
-                    task, fork, thread, ..
-                }
-                | EventKind::SpinStart {
-                    task, fork, thread, ..
-                } => {
-                    let (Some(o), Some(s)) = (
-                        obs.get_mut(*task as usize),
-                        suspended.get_mut(*task as usize),
-                    ) else {
-                        continue;
-                    };
+                EventKind::BarrierSuspend { fork, thread, .. }
+                | EventKind::SpinStart { fork, thread, .. } => {
+                    let s = &mut p.blocked;
                     s.push((*thread, *fork));
                     let avail = cores.saturating_sub(s.len());
                     o.min_available = o.min_available.min(avail);
@@ -416,31 +432,24 @@ impl TraceAnalysis {
                     }
                     push_step(&mut o.concurrency_profile, t, avail);
                 }
-                EventKind::BarrierWake { task, thread, .. }
-                | EventKind::SpinEnd { task, thread, .. } => {
-                    let (Some(o), Some(s)) = (
-                        obs.get_mut(*task as usize),
-                        suspended.get_mut(*task as usize),
-                    ) else {
-                        continue;
-                    };
+                EventKind::BarrierWake { thread, .. } | EventKind::SpinEnd { thread, .. } => {
+                    let s = &mut p.blocked;
                     if let Some(pos) = s.iter().position(|&(th, _)| th == *thread) {
                         s.remove(pos);
                     }
                     push_step(&mut o.concurrency_profile, t, cores.saturating_sub(s.len()));
                 }
-                EventKind::StallDetected { task, .. } => {
-                    if let Some(o) = obs.get_mut(*task as usize) {
-                        o.stalled.get_or_insert(t);
-                    }
+                EventKind::StallDetected { .. } => {
+                    o.stalled.get_or_insert(t);
                 }
+                EventKind::QueueDepth { depth, .. } => o.queue_depth.observe(u64::from(*depth)),
+                EventKind::StealBatch { count, .. } => o.steals += u64::from(*count),
                 _ => {}
             }
         }
         TraceAnalysis {
             cores,
             observations: obs,
-            metrics: MetricsRegistry::from_trace(trace),
         }
     }
 
@@ -464,12 +473,6 @@ impl TraceAnalysis {
     #[must_use]
     pub fn tasks(&self) -> &[TaskObservation] {
         &self.observations
-    }
-
-    /// The metrics registry built alongside the observations.
-    #[must_use]
-    pub fn metrics(&self) -> &MetricsRegistry {
-        &self.metrics
     }
 
     /// `true` if any task stalled.
@@ -498,51 +501,34 @@ impl TraceAnalysis {
                     None => String::new(),
                 }
             );
-            let ti = u32::try_from(i).unwrap_or(u32::MAX);
-            let _ = writeln!(
-                out,
-                "  responses: {}",
-                self.metrics
-                    .task(ti)
-                    .map_or_else(|| "n=0".to_string(), |m| m.response_histogram.summary())
-            );
-            // NodeStart→NodeEnd dispatch latency across all of the
-            // task's nodes: the per-node body times merged into one
-            // percentile profile (ROADMAP item 3: per-engine latency
-            // comparison lives on top of this line).
-            let mut node_lat = crate::LatencyHistogram::new();
-            for ((t, _), h) in self.metrics.node_latencies() {
-                if t == ti {
-                    node_lat.merge(h);
-                }
+            let mut responses = LatencyHistogram::new();
+            for &r in &o.responses {
+                responses.observe(r);
             }
-            if node_lat.count() > 0 {
-                let q = |p| node_lat.quantile_upper(p).unwrap_or(0);
+            let _ = writeln!(out, "  responses: {}", responses.summary());
+            // ROADMAP item 3: per-engine latency comparison lives on top
+            // of this line.
+            let lat = &o.node_latency;
+            if lat.count() > 0 {
+                let q = |p| lat.quantile_upper(p).unwrap_or(0);
                 let _ = writeln!(
                     out,
                     "  node_latency: n={} p50={} p90={} p99={} max={}",
-                    node_lat.count(),
+                    lat.count(),
                     q(0.50),
                     q(0.90),
                     q(0.99),
-                    node_lat.max().unwrap_or(0)
+                    lat.max().unwrap_or(0)
                 );
             }
             // Dispatch observability (engines emitting QueueDepth /
             // StealBatch events): fetched-queue backlog and steal volume.
-            let mut depths = crate::LatencyHistogram::new();
-            for ((t, _), h) in self.metrics.queue_depths() {
-                if t == ti {
-                    depths.merge(h);
-                }
-            }
-            let steals = self.metrics.total_steals(ti);
-            if depths.count() > 0 || steals > 0 {
+            if o.queue_depth.count() > 0 || o.steals > 0 {
                 let _ = writeln!(
                     out,
                     "  dispatch: steals={} queue_depth[{}]",
-                    steals,
-                    depths.summary()
+                    o.steals,
+                    o.queue_depth.summary()
                 );
             }
         }
@@ -631,7 +617,86 @@ mod tests {
         assert!(!ana.any_stall());
         assert!(ana.summary().contains("max_blocking=2"));
         assert_eq!(ana.cores(), 3);
-        assert_eq!(ana.metrics().task(0).unwrap().max_simultaneous_blocking, 2);
+    }
+
+    #[test]
+    fn analysis_pairs_node_and_dispatch_events() {
+        let mut r = base_recorder();
+        r.record(0, EventKind::JobReleased { task: 0, job: 0 });
+        r.record(
+            0,
+            EventKind::NodeStart {
+                task: 0,
+                job: 0,
+                node: 0,
+                thread: 0,
+            },
+        );
+        r.record(
+            1,
+            EventKind::QueueDepth {
+                task: 0,
+                thread: 1,
+                depth: 3,
+            },
+        );
+        r.record(
+            2,
+            EventKind::StealBatch {
+                task: 0,
+                thread: 1,
+                victim: Some(0),
+                count: 2,
+            },
+        );
+        r.record(
+            4,
+            EventKind::NodeEnd {
+                task: 0,
+                job: 0,
+                node: 0,
+                thread: 0,
+            },
+        );
+        r.record(
+            4,
+            EventKind::BarrierSuspend {
+                task: 0,
+                job: 0,
+                fork: 0,
+                thread: 0,
+            },
+        );
+        r.record(
+            9,
+            EventKind::BarrierWake {
+                task: 0,
+                job: 0,
+                join: 2,
+                thread: 0,
+            },
+        );
+        r.record(12, EventKind::JobCompleted { task: 0, job: 0 });
+        let trace = r.finish(12);
+        assert!(trace.validate().is_empty());
+        let ana = TraceAnalysis::new(&trace);
+        let o = ana.task(0);
+        assert_eq!(o.released, 1);
+        assert_eq!(o.completed, 1);
+        assert_eq!(o.responses, vec![12]);
+        assert_eq!(o.max_simultaneous_blocking, 1);
+        assert_eq!(o.min_available, 2);
+        assert_eq!(o.nodes_executed, 1);
+        assert!(o.stalled.is_none());
+        assert_eq!(o.node_latency.max(), Some(4));
+        assert_eq!(o.queue_depth.count(), 1);
+        assert_eq!(o.steals, 2);
+        let summary = ana.summary();
+        assert!(summary.contains("node_latency: n=1 "), "{summary}");
+        assert!(
+            summary.contains("dispatch: steals=2 queue_depth[n=1 "),
+            "{summary}"
+        );
     }
 
     #[test]

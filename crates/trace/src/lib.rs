@@ -15,8 +15,9 @@
 //! * [`sink`] — the multi-threaded sink: per-worker [`LaneRecorder`]
 //!   lanes sharing one atomic [`SeqClock`], merged by [`assemble`].
 //! * [`analysis`] — [`Trace::validate`] (schema invariants) and
-//!   [`TraceAnalysis`] (per-task observations).
-//! * [`metrics`] — [`MetricsRegistry`] with log₂ [`LatencyHistogram`]s.
+//!   [`TraceAnalysis`], the one fold of a trace's events into per-task
+//!   observations.
+//! * [`metrics`] — the log₂ [`LatencyHistogram`].
 //! * [`export`] — Chrome trace-event JSON (lossless round-trip via
 //!   [`from_chrome_json`]) and CSV timelines.
 //! * [`gantt`] — ASCII Gantt rendering of a trace's core occupancy.
@@ -41,5 +42,5 @@ pub mod sink;
 pub use analysis::{TaskObservation, TraceAnalysis, TraceDefect};
 pub use event::{EngineKind, EventKind, TimeUnit, Trace, TraceEvent, TraceRecorder};
 pub use export::{from_chrome_json, to_chrome_json, to_csv, ExportError};
-pub use metrics::{LatencyHistogram, MetricsRegistry, TaskMetrics};
+pub use metrics::LatencyHistogram;
 pub use sink::{assemble, LaneRecorder, SeqClock};
