@@ -15,7 +15,7 @@ use rtpool_core::analysis::partitioned::{self, BlockingAwareness};
 use rtpool_core::partition::{
     algorithm1_with, BestFit, FirstFit, NodeMapping, PlacementHeuristic, WorstFit,
 };
-use rtpool_core::{ConcurrencyAnalysis, TaskSet};
+use rtpool_core::TaskSet;
 use rtpool_gen::{DagGenConfig, TaskSetConfig};
 
 use crate::fig2::{self, Fig2Params, Inset, Tally};
@@ -77,8 +77,7 @@ pub(crate) fn heuristic(pool: &SweepPool, params: &Fig2Params) -> Vec<(Inset, Ve
 fn accepts<H: PlacementHeuristic>(set: &TaskSet, m: usize, heuristic: &mut H) -> bool {
     let mut mappings: Vec<NodeMapping> = Vec::with_capacity(set.len());
     for (_, task) in set.iter() {
-        let ca = ConcurrencyAnalysis::new(task.dag());
-        match algorithm1_with(&ca, m, heuristic) {
+        match algorithm1_with(task.dag(), m, heuristic) {
             Ok(mapping) => mappings.push(mapping),
             Err(_) => return false,
         }

@@ -24,7 +24,7 @@ use std::time::Duration;
 
 use rtpool_core::analysis::global::{analyze_many_cancellable, ConcurrencyModel};
 use rtpool_core::analysis::partitioned::{self, PartitionStrategy};
-use rtpool_core::{sizing, CancelToken, ConcurrencyAnalysis, TaskId};
+use rtpool_core::{deadlock, sizing, CancelToken, TaskId};
 use rtpool_lint::{check_source, render_human, LintOptions};
 use rtpool_sim::{SchedulingPolicy, SimConfig};
 
@@ -135,10 +135,10 @@ fn run() -> Result<bool, String> {
 
     println!("== Per-task structural metrics (Section 3) ==");
     for (id, task) in set.iter() {
-        let ca = ConcurrencyAnalysis::new(task.dag());
+        let dag = task.dag();
         println!(
             "  {id}: |V|={:3} vol={:6} len={:5} T={:7} D={:7} U={:.3}",
-            task.dag().node_count(),
+            dag.node_count(),
             task.volume(),
             task.critical_path_length(),
             task.period(),
@@ -147,10 +147,10 @@ fn run() -> Result<bool, String> {
         );
         println!(
             "      b̄={} l̄({m})={} max-suspended={} min-safe-pool={}",
-            ca.max_delay_count(),
-            ca.concurrency_lower_bound(m),
-            ca.max_suspended_forks().len(),
-            sizing::min_threads_deadlock_free(task.dag()),
+            dag.delay_profile().max_delay_count(),
+            deadlock::concurrency_floor(dag, m),
+            dag.max_blocking_antichain().len(),
+            sizing::min_threads_deadlock_free(dag),
         );
     }
 

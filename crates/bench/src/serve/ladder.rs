@@ -34,7 +34,7 @@
 use rtpool_core::analysis::global::{analyze_many_cancellable, ConcurrencyModel};
 use rtpool_core::analysis::{SchedResult, TaskVerdict};
 use rtpool_core::deadlock::{self, GlobalVerdict};
-use rtpool_core::{CancelToken, ConcurrencyAnalysis, TaskSet};
+use rtpool_core::{CancelToken, TaskSet};
 
 use super::protocol::LadderLevel;
 
@@ -125,15 +125,15 @@ pub fn run_ladder_capped(
 
     // Rung 2: deadlock screens.
     for (id, task) in set.iter() {
-        let ca = ConcurrencyAnalysis::new(task.dag());
+        let dag = task.dag();
         // The Lemma 1 bound `l̄ = m − b̄ > 0` is a cheap sufficient
         // certificate of freedom; the exact antichain decides the rest
         // (and lands in the DAG's DerivedCache, where the exact RTA
         // reuses it).
-        let certified_free = deadlock::lower_bound_certificate(&ca, m).is_some();
+        let certified_free = deadlock::concurrency_floor(dag, m) > 0;
         let deadlocky = !certified_free
             && matches!(
-                deadlock::check_global_with(&ca, m),
+                deadlock::check_global(dag, m),
                 GlobalVerdict::DeadlockPossible { .. }
             );
         if deadlocky {

@@ -62,8 +62,7 @@ pub use breaker::{BreakerConfig, BreakerStats, CircuitBreaker};
 pub use interner::{InternError, Interner, InternerStats, MemoOutcome};
 pub use ladder::{run_ladder, run_ladder_capped, LadderOutcome};
 pub use protocol::{
-    parse_edit_script, EditScript, EditScriptOp, LadderLevel, Request, RequestBody, Response,
-    VerdictKind,
+    parse_edit_script, EditScript, LadderLevel, Request, RequestBody, Response, VerdictKind,
 };
 pub use queue::IngressQueue;
 pub use server::{InjectorPool, ServeConfig, ServePool, ServeReport, Server};

@@ -37,6 +37,7 @@
 
 use std::fmt::{self, Write as _};
 
+use rtpool_graph::{EditOp, NodeId};
 use rtpool_trace::json::{escape_into, Reader, Value};
 
 /// Highest wire priority (inclusive).
@@ -90,49 +91,15 @@ pub enum RequestBody {
 ///   predecessors `P1, P2` and successors `S1, S2`;
 /// * `block:T.F-J=on` / `block:T.F-J=off` — declare or dissolve the
 ///   blocking pair `(F, J)` in task `T`.
+///
+/// Node indices must fit a [`NodeId`] (`u32`); a larger one is a parse
+/// error.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct EditScript {
     /// Task index within the base set.
     pub task: usize,
     /// The graph-level operation.
-    pub op: EditScriptOp,
-}
-
-/// The graph-level half of one [`EditScript`] operation.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum EditScriptOp {
-    /// `wcet:T.N=W`.
-    SetWcet {
-        /// Node index.
-        node: usize,
-        /// New WCET.
-        wcet: u64,
-    },
-    /// `edge:T.U>V`.
-    InsertEdge {
-        /// Edge tail.
-        from: usize,
-        /// Edge head.
-        to: usize,
-    },
-    /// `node:T=W@P1+P2>S1+S2`.
-    InsertNode {
-        /// WCET of the new node.
-        wcet: u64,
-        /// Predecessor node indices.
-        preds: Vec<usize>,
-        /// Successor node indices.
-        succs: Vec<usize>,
-    },
-    /// `block:T.F-J=on|off`.
-    SetBlocking {
-        /// The fork node.
-        fork: usize,
-        /// The join node.
-        join: usize,
-        /// `true` to declare the pair, `false` to dissolve it.
-        on: bool,
-    },
+    pub op: EditOp,
 }
 
 /// Parses an `edits` script into per-task operations, in script order.
@@ -157,8 +124,8 @@ pub fn parse_edit_script(script: &str) -> Result<Vec<EditScript>, String> {
                 let (task, node) = split2(&addr, '.', item)?;
                 EditScript {
                     task: num(&task, item)?,
-                    op: EditScriptOp::SetWcet {
-                        node: num(&node, item)?,
+                    op: EditOp::SetWcet {
+                        node: node_id(&node, item)?,
                         wcet: num64(&wcet, item)?,
                     },
                 }
@@ -168,9 +135,9 @@ pub fn parse_edit_script(script: &str) -> Result<Vec<EditScript>, String> {
                 let (from, to) = split2(&pair, '>', item)?;
                 EditScript {
                     task: num(&task, item)?,
-                    op: EditScriptOp::InsertEdge {
-                        from: num(&from, item)?,
-                        to: num(&to, item)?,
+                    op: EditOp::InsertEdge {
+                        from: node_id(&from, item)?,
+                        to: node_id(&to, item)?,
                     },
                 }
             }
@@ -180,10 +147,10 @@ pub fn parse_edit_script(script: &str) -> Result<Vec<EditScript>, String> {
                 let (preds, succs) = split2(&ends, '>', item)?;
                 EditScript {
                     task: num(&task, item)?,
-                    op: EditScriptOp::InsertNode {
+                    op: EditOp::InsertNode {
                         wcet: num64(&wcet, item)?,
-                        preds: num_list(&preds, item)?,
-                        succs: num_list(&succs, item)?,
+                        preds: node_list(&preds, item)?,
+                        succs: node_list(&succs, item)?,
                     },
                 }
             }
@@ -198,9 +165,9 @@ pub fn parse_edit_script(script: &str) -> Result<Vec<EditScript>, String> {
                 };
                 EditScript {
                     task: num(&task, item)?,
-                    op: EditScriptOp::SetBlocking {
-                        fork: num(&fork, item)?,
-                        join: num(&join, item)?,
+                    op: EditOp::SetBlocking {
+                        fork: node_id(&fork, item)?,
+                        join: node_id(&join, item)?,
                         on,
                     },
                 }
@@ -226,13 +193,20 @@ fn num(s: &str, ctx: &str) -> Result<usize, String> {
         .map_err(|_| format!("edit op {ctx:?}: invalid index {s:?}"))
 }
 
+fn node_id(s: &str, ctx: &str) -> Result<NodeId, String> {
+    let index = num(s, ctx)?;
+    u32::try_from(index)
+        .map(|_| NodeId::from_index(index))
+        .map_err(|_| format!("edit op {ctx:?}: invalid index {s:?}"))
+}
+
 fn num64(s: &str, ctx: &str) -> Result<u64, String> {
     s.parse::<u64>()
         .map_err(|_| format!("edit op {ctx:?}: invalid value {s:?}"))
 }
 
-fn num_list(s: &str, ctx: &str) -> Result<Vec<usize>, String> {
-    s.split('+').map(|part| num(part.trim(), ctx)).collect()
+fn node_list(s: &str, ctx: &str) -> Result<Vec<NodeId>, String> {
+    s.split('+').map(|part| node_id(part.trim(), ctx)).collect()
 }
 
 /// The verdict class of a response.
@@ -648,6 +622,7 @@ mod tests {
 
     #[test]
     fn edit_scripts_parse() {
+        let v = NodeId::from_index;
         let ops = parse_edit_script("wcet:0.2=35; edge:1.0>3 ;node:2=7@0+1>3+4; block:0.1-4=off;")
             .unwrap();
         assert_eq!(
@@ -655,25 +630,31 @@ mod tests {
             vec![
                 EditScript {
                     task: 0,
-                    op: EditScriptOp::SetWcet { node: 2, wcet: 35 },
+                    op: EditOp::SetWcet {
+                        node: v(2),
+                        wcet: 35
+                    },
                 },
                 EditScript {
                     task: 1,
-                    op: EditScriptOp::InsertEdge { from: 0, to: 3 },
+                    op: EditOp::InsertEdge {
+                        from: v(0),
+                        to: v(3)
+                    },
                 },
                 EditScript {
                     task: 2,
-                    op: EditScriptOp::InsertNode {
+                    op: EditOp::InsertNode {
                         wcet: 7,
-                        preds: vec![0, 1],
-                        succs: vec![3, 4],
+                        preds: vec![v(0), v(1)],
+                        succs: vec![v(3), v(4)],
                     },
                 },
                 EditScript {
                     task: 0,
-                    op: EditScriptOp::SetBlocking {
-                        fork: 1,
-                        join: 4,
+                    op: EditOp::SetBlocking {
+                        fork: v(1),
+                        join: v(4),
                         on: false,
                     },
                 },
@@ -681,9 +662,9 @@ mod tests {
         );
         assert_eq!(
             parse_edit_script("block:0.1-4=on").unwrap()[0].op,
-            EditScriptOp::SetBlocking {
-                fork: 1,
-                join: 4,
+            EditOp::SetBlocking {
+                fork: v(1),
+                join: v(4),
                 on: true,
             }
         );
@@ -698,6 +679,8 @@ mod tests {
             "node:0=5@x>2",
             "block:0.1-2=maybe",
             "teleport:0.1=2",
+            "wcet:0.4294967296=5",
+            "node:0=5@4294967296>1",
         ] {
             assert!(parse_edit_script(bad).is_err(), "accepted {bad:?}");
         }

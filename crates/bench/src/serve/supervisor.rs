@@ -24,12 +24,11 @@ use std::thread;
 
 use rtpool_core::{CancelToken, Task, TaskSet};
 use rtpool_exec::{FaultPlan, RecoveryPolicy};
-use rtpool_graph::NodeId;
 
 use super::interner::{InternError, Interner, MemoOutcome};
 use super::ladder::{run_ladder, LadderOutcome};
 use super::protocol::{
-    parse_edit_script, EditScript, EditScriptOp, LadderLevel, Request, RequestBody, VerdictKind,
+    parse_edit_script, EditScript, LadderLevel, Request, RequestBody, VerdictKind,
 };
 
 /// Something the supervisor did while serving a request, for the trace
@@ -320,35 +319,14 @@ fn apply_edit_script(base: &TaskSet, ops: &[EditScript]) -> Result<TaskSet, Stri
     }
     let mut out = Vec::with_capacity(tasks.len());
     for (ti, task) in tasks.iter().enumerate() {
-        let mine: Vec<&EditScriptOp> = ops
-            .iter()
-            .filter(|op| op.task == ti)
-            .map(|op| &op.op)
-            .collect();
-        if mine.is_empty() {
+        let mut mine = ops.iter().filter(|op| op.task == ti).peekable();
+        if mine.peek().is_none() {
             out.push((*task).clone());
             continue;
         }
         let mut edit = task.dag().edit();
         for op in mine {
-            match op {
-                EditScriptOp::SetWcet { node, wcet } => {
-                    edit.set_wcet(NodeId::from_index(*node), *wcet);
-                }
-                EditScriptOp::InsertEdge { from, to } => {
-                    edit.insert_edge(NodeId::from_index(*from), NodeId::from_index(*to));
-                }
-                EditScriptOp::InsertNode { wcet, preds, succs } => {
-                    let preds: Vec<NodeId> =
-                        preds.iter().copied().map(NodeId::from_index).collect();
-                    let succs: Vec<NodeId> =
-                        succs.iter().copied().map(NodeId::from_index).collect();
-                    edit.insert_node(*wcet, &preds, &succs);
-                }
-                EditScriptOp::SetBlocking { fork, join, on } => {
-                    edit.set_blocking(NodeId::from_index(*fork), NodeId::from_index(*join), *on);
-                }
-            }
+            edit.push(op.op.clone());
         }
         let (dag, _delta) = edit
             .apply()
@@ -671,6 +649,24 @@ mod tests {
         let script = "wcet:0.0=18446744073709551615;wcet:0.1=18446744073709551615";
         let edit = edit_request(3, 2, base.hash.expect("base interned"), script);
         refused(&sup.execute(2, &edit, &interner, &CancelToken::never()));
+    }
+
+    #[test]
+    fn an_edit_naming_a_node_past_u32_is_an_error_on_the_first_attempt() {
+        let interner = Interner::new(8);
+        let sup = retrying(FaultPlan::seeded(1));
+        let base = sup.execute(0, &request(1, 2), &interner, &CancelToken::never());
+        let edit = edit_request(
+            2,
+            2,
+            base.hash.expect("base interned"),
+            "wcet:0.4294967296=5",
+        );
+        let out = sup.execute(1, &edit, &interner, &CancelToken::never());
+        assert_eq!(out.verdict, VerdictKind::Error, "detail: {}", out.detail);
+        assert_eq!(out.attempts, 1);
+        assert!(!out.events.contains(&ServiceEvent::WorkerPanicked));
+        assert!(out.detail.contains("invalid index"), "{}", out.detail);
     }
 
     #[test]

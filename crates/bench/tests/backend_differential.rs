@@ -23,7 +23,7 @@
 use std::time::Duration;
 
 use rand::SeedableRng;
-use rtpool_core::{deadlock, ConcurrencyAnalysis, SyncBackend, TaskSet};
+use rtpool_core::{deadlock, SyncBackend, TaskSet};
 use rtpool_exec::{Engine, PoolConfig, QueueDiscipline, ThreadPool};
 use rtpool_gen::{DagGenConfig, TaskSetConfig};
 use rtpool_sim::{SchedulingPolicy, SimConfig, SimOutcome};
@@ -101,7 +101,7 @@ fn assert_floors(trace: &Trace, set: &TaskSet, m: usize, backend: SyncBackend, c
             "{ctx}: task {i} observed {} blocked threads, bound b\u{304} = {b_bar}",
             obs.max_simultaneous_blocking
         );
-        let suspend_floor = ConcurrencyAnalysis::new(task.dag()).concurrency_lower_bound(m);
+        let suspend_floor = deadlock::concurrency_floor(task.dag(), m);
         assert!(
             obs.min_available as i64 >= suspend_floor,
             "{ctx}: task {i} observed l(t) = {} below the antichain floor {suspend_floor}",

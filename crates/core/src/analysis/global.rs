@@ -34,10 +34,11 @@
 //!   workers *freeing* their cores, which a spinner never does.
 //! * **Inter-task**, spinning burns cores that lower-priority tasks
 //!   could otherwise use, so each higher-priority task interferes with
-//!   its *spin-inflated* volume `vol(τⱼ) + SpinVol(τⱼ)` (see
-//!   [`ConcurrencyAnalysis::spin_volume`]) while the carry-in jitter
-//!   keeps the real `vol(τⱼ)` (pushing the first release as early as
-//!   possible stays an upper bound).
+//!   its *spin-inflated* volume `vol(τⱼ) + SpinVol(τⱼ)`, where
+//!   `SpinVol` sums, over its `BF` nodes, the work that can run while
+//!   each one spins, while the carry-in jitter keeps the real `vol(τⱼ)`
+//!   (pushing the first release as early as possible stays an upper
+//!   bound).
 //!
 //! Consequently a single spin task gets exactly the suspend-Limited
 //! bound, `b̄ = 0` sets are backend-indifferent, and multi-task spin
@@ -51,9 +52,9 @@ use std::ops::ControlFlow;
 use crate::analysis::interference::interfering_workload;
 use crate::analysis::{SchedResult, TaskVerdict, UnschedulableReason};
 use crate::cancel::{CancelToken, Cancelled};
-use crate::concurrency::ConcurrencyAnalysis;
+use crate::deadlock::concurrency_floor;
 use crate::task::{Task, TaskId, TaskSet};
-use rtpool_graph::SyncBackend;
+use rtpool_graph::{Dag, NodeId, NodeKind, SyncBackend};
 
 /// How many threads the interference is divided among.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -106,7 +107,6 @@ impl TaskParams {
     /// once per model does not repeat the underlying graph work.
     fn new(task: &Task, m: usize, model: ConcurrencyModel, backend: SyncBackend) -> Self {
         let dag = task.dag();
-        let ca = ConcurrencyAnalysis::new(dag);
         let (denom, floor) = match (model, backend) {
             (ConcurrencyModel::Full, _) => (m as u64, m as i64),
             (ConcurrencyModel::Limited, _)
@@ -114,11 +114,11 @@ impl TaskParams {
             // their cores; a spinner never does, so spin mode falls back
             // to the b̄-based floor (see module docs).
             | (ConcurrencyModel::LimitedExact, SyncBackend::Spin) => {
-                let floor = ca.concurrency_lower_bound(m);
+                let floor = concurrency_floor(dag, m);
                 (floor.max(0) as u64, floor)
             }
             (ConcurrencyModel::LimitedExact, SyncBackend::Suspend) => {
-                let suspended = ca.max_suspended_forks().len();
+                let suspended = dag.max_blocking_antichain().len();
                 let floor = m as i64 - suspended as i64;
                 (floor.max(0) as u64, floor)
             }
@@ -128,7 +128,7 @@ impl TaskParams {
             // Full is the blocking-oblivious baseline; suspension charges
             // only real execution to lower priorities.
             (ConcurrencyModel::Full, _) | (_, SyncBackend::Suspend) => vol,
-            (_, SyncBackend::Spin) => vol.saturating_add(ca.spin_volume()),
+            (_, SyncBackend::Spin) => vol.saturating_add(spin_volume(dag)),
         };
         TaskParams {
             len: dag.critical_path_length(),
@@ -140,6 +140,46 @@ impl TaskParams {
             floor,
         }
     }
+}
+
+/// Spin-wait work bound for a single `BF` node `f` under
+/// [`SyncBackend::Spin`]: the volume of the nodes of the same task that
+/// can be runnable while `f`'s worker busy-waits on its barrier.
+///
+/// While `f` waits, every ancestor of `f` has completed and every node
+/// reachable from `f` (its join and everything behind it) is
+/// precedence-blocked, so the runnable own-task work is contained in
+/// `conc(f) ∪ children(f)` — the nodes concurrent with `f` plus the inner
+/// nodes of `f`'s own blocking region. The wait ends no later than when
+/// that work (plus any higher-priority interference, which the RTA
+/// accounts separately) is exhausted, so the worker burns at most this
+/// many time units per activation of `f`. This is the per-fork term of
+/// the holistic busy-wait interference bound of Jiang et al. (arXiv
+/// 2003.08233), under the same isolated-wait simplification: waits
+/// prolonged purely by higher-priority execution are charged to the
+/// interference term, not double-counted here.
+fn spin_bound(dag: &Dag, f: NodeId) -> u64 {
+    debug_assert_eq!(dag.kind(f), NodeKind::BlockingFork);
+    let reach = dag.reachability();
+    let region = dag
+        .region_of(f)
+        .expect("every BF node heads a blocking region");
+    dag.node_ids()
+        .filter(|&v| reach.are_concurrent(f, v) || region.inner().binary_search(&v).is_ok())
+        .map(|v| dag.wcet(v))
+        .sum()
+}
+
+/// Total spin-wait volume `SpinVol(τᵢ) = Σ_{f ∈ BF} spin_bound(f)`: an
+/// upper bound on the busy-wait time all workers of the task burn across
+/// one job under [`SyncBackend::Spin`]. Zero iff the graph has no
+/// blocking forks (`b̄ = 0`), which is why spin and suspend analyses
+/// coincide exactly on non-blocking sets.
+fn spin_volume(dag: &Dag) -> u64 {
+    dag.blocking_forks()
+        .iter()
+        .map(|&f| spin_bound(dag, f))
+        .sum()
 }
 
 /// Runs the analysis on `set` (tasks in priority order, index 0 highest)
@@ -722,6 +762,58 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// `replicas` parallel blocking regions of three 5-unit children.
+    fn replicated_dag(replicas: usize) -> Dag {
+        let mut b = DagBuilder::new();
+        let src = b.add_node(1);
+        let snk = b.add_node(1);
+        for _ in 0..replicas {
+            let (f, j) = b.fork_join(10, &[5, 5, 5], 10, true).unwrap();
+            b.add_edge(src, f).unwrap();
+            b.add_edge(j, snk).unwrap();
+        }
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn spin_bound_counts_children_and_concurrent_region() {
+        // One region: while the fork spins, only its own children can
+        // run, so the bound is the 3 x 5 children volume.
+        let dag = replicated_dag(1);
+        assert_eq!(spin_bound(&dag, dag.blocking_forks()[0]), 15);
+        assert_eq!(spin_volume(&dag), 15);
+
+        // Two parallel regions: each spinning fork can additionally wait
+        // out the sibling region (fork 10 + children 15 + join 10).
+        let dag2 = replicated_dag(2);
+        for &f in dag2.blocking_forks() {
+            assert_eq!(spin_bound(&dag2, f), 15 + 10 + 15 + 10);
+        }
+        assert_eq!(spin_volume(&dag2), 100);
+    }
+
+    #[test]
+    fn spin_volume_zero_without_blocking() {
+        let mut b = DagBuilder::new();
+        b.fork_join(1, &[1, 1, 1, 1], 1, false).unwrap();
+        assert_eq!(spin_volume(&b.build().unwrap()), 0);
+    }
+
+    #[test]
+    fn sequential_regions_spin_bound_excludes_ordered_region() {
+        // Two regions in series: neither fork can spin-wait on the
+        // other's work (they are precedence-ordered), so each bound is
+        // just its own two children.
+        let mut b = DagBuilder::new();
+        let (f1, j1) = b.fork_join(1, &[2, 3], 1, true).unwrap();
+        let (f2, _j2) = b.fork_join(1, &[4, 5], 1, true).unwrap();
+        b.add_edge(j1, f2).unwrap();
+        let dag = b.build().unwrap();
+        assert_eq!(spin_bound(&dag, f1), 5);
+        assert_eq!(spin_bound(&dag, f2), 9);
+        assert_eq!(spin_volume(&dag), 14);
     }
 
     #[test]

@@ -40,7 +40,6 @@ use rtpool_graph::{BitSet, Dag, NodeId, NodeKind};
 
 use crate::analysis::interference::interfering_workload;
 use crate::analysis::{SchedResult, TaskVerdict, UnschedulableReason};
-use crate::concurrency::ConcurrencyAnalysis;
 use crate::deadlock;
 use crate::partition::{algorithm1, worst_fit, NodeMapping};
 use crate::task::{Task, TaskId, TaskSet};
@@ -243,9 +242,8 @@ fn analyze_tasks<M: Borrow<NodeMapping>>(
                     task.dag().node_count(),
                     "mapping must cover the task graph"
                 );
-                let ca = ConcurrencyAnalysis::new(task.dag());
                 if awareness == BlockingAwareness::Checked
-                    && !deadlock::check_partitioned(&ca, m, mapping).is_deadlock_free()
+                    && !deadlock::check_partitioned(task.dag(), m, mapping).is_deadlock_free()
                 {
                     TaskVerdict::Unschedulable {
                         reason: UnschedulableReason::MappingDeadlock,

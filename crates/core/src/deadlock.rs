@@ -1,5 +1,18 @@
 //! Deadlock analysis (Section 3 of the paper).
 //!
+//! The Section 3.1 quantities of a node `v` of task `τᵢ` on a pool of `m`
+//! threads are memoized on the task's [`Dag`]:
+//!
+//! * `X(v)` — the `BF` nodes whose suspension can affect `v`: those
+//!   concurrent with `v` (`C(v)`, Eq. 2), plus the fork waiting for `v`
+//!   when `v` is a blocking child (`F(v)`, [`Dag::waiting_fork_of`]); read
+//!   it as `dag.delay_profile().delay_row(v)`;
+//! * `b̄(τᵢ) = max_v |X(v)|` — `dag.delay_profile().max_delay_count()`;
+//! * `A(τᵢ)` — the exact maximum number of simultaneously-suspendable
+//!   threads, a maximum antichain among the `BF` nodes
+//!   ([`Dag::max_blocking_antichain`]); `A(τᵢ) ≤ b̄(τᵢ)`;
+//! * `l̄(τᵢ) = m − b̄(τᵢ)` — [`concurrency_floor`].
+//!
 //! A task deadlocks when its available concurrency drops to zero
 //! (Lemma 1): every thread of the pool is suspended on a blocking
 //! barrier, so no node — in particular none of the blocking children the
@@ -20,8 +33,37 @@ use std::fmt;
 
 use rtpool_graph::{Dag, NodeId, NodeKind};
 
-use crate::concurrency::ConcurrencyAnalysis;
 use crate::partition::{NodeMapping, ThreadId};
+
+/// `l̄(τᵢ) = m − b̄(τᵢ)`: the paper's lower bound on the available
+/// concurrency `l(t, τᵢ)`, valid at every time `t` (Section 3.1). When it
+/// is positive the task cannot deadlock on `m` threads; it may be zero or
+/// negative even for a deadlock-free task, since [`check_global`]'s exact
+/// antichain is tighter.
+///
+/// # Examples
+///
+/// The paper's Figure 1(a) graph has one `BF` node, so a single blocked
+/// thread is the worst case and `l̄ = m − 1`:
+///
+/// ```
+/// use rtpool_core::deadlock::concurrency_floor;
+/// use rtpool_graph::DagBuilder;
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let mut b = DagBuilder::new();
+/// b.fork_join(10, &[20, 20, 20], 10, true)?;
+/// let dag = b.build()?;
+/// assert_eq!(dag.delay_profile().max_delay_count(), 1); // b̄
+/// assert_eq!(concurrency_floor(&dag, 8), 7);
+/// # Ok(())
+/// # }
+/// ```
+#[must_use]
+#[inline]
+pub fn concurrency_floor(dag: &Dag, m: usize) -> i64 {
+    m as i64 - dag.delay_profile().max_delay_count() as i64
+}
 
 /// Deadlock verdict for a task under **global** work-conserving
 /// intra-pool scheduling (Lemmas 1 and 2).
@@ -83,13 +125,7 @@ impl GlobalVerdict {
 /// ```
 #[must_use]
 pub fn check_global(dag: &Dag, m: usize) -> GlobalVerdict {
-    check_global_with(&ConcurrencyAnalysis::new(dag), m)
-}
-
-/// [`check_global`] reusing a precomputed [`ConcurrencyAnalysis`].
-#[must_use]
-pub fn check_global_with(ca: &ConcurrencyAnalysis<'_>, m: usize) -> GlobalVerdict {
-    let antichain = ca.max_suspended_forks();
+    let antichain = dag.max_blocking_antichain();
     if antichain.len() >= m {
         GlobalVerdict::DeadlockPossible {
             suspended_antichain: antichain.iter().copied().take(m).collect(),
@@ -97,55 +133,9 @@ pub fn check_global_with(ca: &ConcurrencyAnalysis<'_>, m: usize) -> GlobalVerdic
     } else {
         GlobalVerdict::DeadlockFree {
             max_suspended: antichain.len(),
-            concurrency_floor: ca.concurrency_lower_bound(m),
+            concurrency_floor: concurrency_floor(dag, m),
         }
     }
-}
-
-/// The exact maximum number of workers that can be *simultaneously
-/// blocked* on condition-variable barriers while serving one job of the
-/// task: the maximum antichain among `BF` nodes (the worst case of the
-/// paper's `b(t, τᵢ)`).
-///
-/// This is the quantity runtime recovery sizes against: a pool of
-/// `max_simultaneous_blocking(dag) + 1` workers can always make progress
-/// (cf. [`crate::sizing::min_threads_deadlock_free`]), and a pool of `m`
-/// workers needs `reserve_for(dag, m)` spare workers to recover from a
-/// stall by growing (cf. [`crate::sizing::reserve_for`]).
-///
-/// # Examples
-///
-/// ```
-/// use rtpool_core::deadlock::max_simultaneous_blocking;
-/// use rtpool_graph::DagBuilder;
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let mut b = DagBuilder::new();
-/// let src = b.add_node(1);
-/// let snk = b.add_node(1);
-/// for _ in 0..2 {
-///     let (f, j) = b.fork_join(1, &[1, 1], 1, true)?;
-///     b.add_edge(src, f)?;
-///     b.add_edge(j, snk)?;
-/// }
-/// assert_eq!(max_simultaneous_blocking(&b.build()?), 2);
-/// # Ok(())
-/// # }
-/// ```
-#[must_use]
-pub fn max_simultaneous_blocking(dag: &Dag) -> usize {
-    dag.max_blocking_antichain().len()
-}
-
-/// The paper's practical sufficient check (Section 3.1): deadlock-free if
-/// `l̄(τᵢ) = m − b̄(τᵢ) > 0`. Returns the bound when it certifies freedom.
-///
-/// This is one-sided: `None` does **not** prove a deadlock (the bound can
-/// be pessimistic); use [`check_global`] for the exact answer.
-#[must_use]
-pub fn lower_bound_certificate(ca: &ConcurrencyAnalysis<'_>, m: usize) -> Option<usize> {
-    let floor = ca.concurrency_lower_bound(m);
-    (floor > 0).then_some(floor as usize)
 }
 
 /// A violation of Lemma 3's Eq. 3 (or its Section 4.2 extension): `node`
@@ -212,35 +202,29 @@ impl PartitionedVerdict {
 /// ```
 /// use rtpool_core::deadlock::check_partitioned;
 /// use rtpool_core::partition::{algorithm1, worst_fit};
-/// use rtpool_core::ConcurrencyAnalysis;
 /// use rtpool_graph::DagBuilder;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let mut b = DagBuilder::new();
 /// b.fork_join(1, &[1, 1], 1, true)?;
 /// let dag = b.build()?;
-/// let ca = ConcurrencyAnalysis::new(&dag);
 /// // Algorithm 1 mappings are deadlock-free by construction...
 /// let safe = algorithm1(&dag, 2)?;
-/// assert!(check_partitioned(&ca, 2, &safe).is_deadlock_free());
+/// assert!(check_partitioned(&dag, 2, &safe).is_deadlock_free());
 /// // ...a single-thread worst-fit mapping is not.
 /// let unsafe_map = worst_fit(&dag, 1);
-/// assert!(!check_partitioned(&ca, 1, &unsafe_map).is_deadlock_free());
+/// assert!(!check_partitioned(&dag, 1, &unsafe_map).is_deadlock_free());
 /// # Ok(())
 /// # }
 /// ```
 #[must_use]
-pub fn check_partitioned(
-    ca: &ConcurrencyAnalysis<'_>,
-    m: usize,
-    mapping: &NodeMapping,
-) -> PartitionedVerdict {
+pub fn check_partitioned(dag: &Dag, m: usize, mapping: &NodeMapping) -> PartitionedVerdict {
     assert_eq!(
         mapping.node_count(),
-        ca.dag().node_count(),
+        dag.node_count(),
         "mapping/graph mismatch"
     );
-    let antichain = ca.max_suspended_forks();
+    let antichain = dag.max_blocking_antichain();
     if antichain.len() >= m {
         return PartitionedVerdict::ConcurrencyExhausted {
             suspended_antichain: antichain.iter().copied().take(m).collect(),
@@ -248,11 +232,11 @@ pub fn check_partitioned(
     }
     // Eq. 3: for every BC node a, T(a) ∉ P(a) where P(a) collects the
     // threads of C(a) ∪ {F(a)}.
-    for a in ca.dag().node_ids() {
-        if ca.dag().kind(a) != NodeKind::BlockingChild {
+    for a in dag.node_ids() {
+        if dag.kind(a) != NodeKind::BlockingChild {
             continue;
         }
-        if let Some(v) = eq3_violation(ca, mapping, a) {
+        if let Some(v) = eq3_violation(dag, mapping, a) {
             return PartitionedVerdict::MappingUnsafe(v);
         }
     }
@@ -271,22 +255,16 @@ pub fn check_partitioned(
 /// # Panics
 ///
 /// Panics if `mapping` does not cover the analyzed graph.
-pub fn check_mapping_delay_free(
-    ca: &ConcurrencyAnalysis<'_>,
-    mapping: &NodeMapping,
-) -> Result<(), MappingViolation> {
+pub fn check_mapping_delay_free(dag: &Dag, mapping: &NodeMapping) -> Result<(), MappingViolation> {
     assert_eq!(
         mapping.node_count(),
-        ca.dag().node_count(),
+        dag.node_count(),
         "mapping/graph mismatch"
     );
-    for v in ca.dag().node_ids() {
-        match ca.dag().kind(v) {
+    for v in dag.node_ids() {
+        match dag.kind(v) {
             NodeKind::BlockingJoin => {
-                let f = ca
-                    .dag()
-                    .blocking_fork_of(v)
-                    .expect("validated BJ has a fork");
+                let f = dag.blocking_fork_of(v).expect("validated BJ has a fork");
                 if mapping.thread_of(v) != mapping.thread_of(f) {
                     return Err(MappingViolation {
                         node: v,
@@ -296,7 +274,7 @@ pub fn check_mapping_delay_free(
                 }
             }
             NodeKind::NonBlocking | NodeKind::BlockingChild | NodeKind::BlockingFork => {
-                if let Some(violation) = eq3_violation(ca, mapping, v) {
+                if let Some(violation) = eq3_violation(dag, mapping, v) {
                     return Err(violation);
                 }
             }
@@ -307,13 +285,10 @@ pub fn check_mapping_delay_free(
 
 /// Returns the Eq. 3 violation for `node`, if any: a fork in the node's
 /// delay set `X(node) = C(node) ∪ F'(node)` mapped to the node's thread.
-fn eq3_violation(
-    ca: &ConcurrencyAnalysis<'_>,
-    mapping: &NodeMapping,
-    node: NodeId,
-) -> Option<MappingViolation> {
+fn eq3_violation(dag: &Dag, mapping: &NodeMapping, node: NodeId) -> Option<MappingViolation> {
     let t = mapping.thread_of(node);
-    ca.delay_row(node)
+    dag.delay_profile()
+        .delay_row(node)
         .iter()
         .map(NodeId::from_index)
         .find(|&f| mapping.thread_of(f) == t)
@@ -360,17 +335,77 @@ mod tests {
     }
 
     #[test]
-    fn lower_bound_certificate_matches_paper() {
+    fn single_region_delay_sets() {
+        let dag = replicated(1);
+        assert_eq!(dag.blocking_forks().len(), 1);
+        let f = dag.blocking_forks()[0];
+        let j = dag.blocking_join_of(f).unwrap();
+        let profile = dag.delay_profile();
+        // The fork has no concurrent forks (it is the only one).
+        assert!(profile.delay_row(f).is_empty());
+        // Each child is delayed only by its own waiting fork.
+        for &c in dag.blocking_regions()[0].inner() {
+            let row: Vec<NodeId> = profile
+                .delay_row(c)
+                .iter()
+                .map(NodeId::from_index)
+                .collect();
+            assert_eq!(row, vec![f]);
+            assert_eq!(profile.delay_count(c), 1);
+            assert_eq!(dag.waiting_fork_of(c), Some(f));
+        }
+        assert_eq!(dag.waiting_fork_of(j), None);
+        assert_eq!(profile.max_delay_count(), 1);
+        assert_eq!(concurrency_floor(&dag, 4), 3);
+        assert_eq!(dag.max_blocking_antichain().len(), 1);
+    }
+
+    #[test]
+    fn two_replicas_can_suspend_two_threads() {
         let dag = replicated(2);
-        let ca = ConcurrencyAnalysis::new(&dag);
-        // b̄ = 3 (a child sees both forks... actually its own fork plus the
-        // sibling fork = 2). l̄(4) = 2 > 0.
-        assert_eq!(ca.max_delay_count(), 2);
-        assert_eq!(lower_bound_certificate(&ca, 4), Some(2));
-        assert_eq!(lower_bound_certificate(&ca, 2), None);
-        // The exact check is at least as strong as the bound: whenever the
-        // bound certifies freedom, so does the antichain.
-        assert!(check_global_with(&ca, 4).is_deadlock_free());
+        assert_eq!(dag.blocking_forks().len(), 2);
+        // A child of one region is delayed by its own fork AND the
+        // concurrent fork of the sibling region.
+        let child = dag.blocking_regions()[0].inner()[0];
+        assert_eq!(dag.delay_profile().delay_count(child), 2);
+        assert_eq!(dag.delay_profile().max_delay_count(), 2);
+        assert_eq!(concurrency_floor(&dag, 2), 0);
+        assert_eq!(concurrency_floor(&dag, 3), 1);
+        assert_eq!(dag.max_blocking_antichain().len(), 2);
+        // The exact check is at least as strong as the bound: whenever
+        // l̄ > 0 certifies freedom, so does the antichain.
+        assert_eq!(concurrency_floor(&dag, 4), 2);
+        assert!(check_global(&dag, 4).is_deadlock_free());
+    }
+
+    #[test]
+    fn floor_is_negative_when_forks_exceed_threads() {
+        let dag = replicated(5);
+        assert_eq!(dag.delay_profile().max_delay_count(), 5);
+        assert_eq!(concurrency_floor(&dag, 3), -2);
+    }
+
+    #[test]
+    fn sequential_regions_do_not_stack() {
+        // Two blocking regions in series: only one can be suspended at a
+        // time, so b̄ = 1 even though there are two BF nodes.
+        let mut b = DagBuilder::new();
+        let (f1, j1) = b.fork_join(1, &[1, 1], 1, true).unwrap();
+        let (f2, _j2) = b.fork_join(1, &[1, 1], 1, true).unwrap();
+        b.add_edge(j1, f2).unwrap();
+        let dag = b.build().unwrap();
+        assert!(dag.delay_profile().delay_row(f1).is_empty());
+        assert!(dag.delay_profile().delay_row(f2).is_empty());
+        assert_eq!(dag.delay_profile().max_delay_count(), 1);
+        assert_eq!(dag.max_blocking_antichain().len(), 1);
+    }
+
+    #[test]
+    fn delay_bound_never_below_antichain() {
+        for replicas in 1..=4 {
+            let dag = replicated(replicas);
+            assert!(dag.delay_profile().max_delay_count() >= dag.max_blocking_antichain().len());
+        }
     }
 
     #[test]
@@ -392,25 +427,23 @@ mod tests {
         b.add_edge(src, f3).unwrap();
         b.add_edge(j3, snk).unwrap();
         let dag = b.build().unwrap();
-        let ca = ConcurrencyAnalysis::new(&dag);
         // A child of region 3 is concurrent with f1 AND f2 plus its own
         // fork f3: b̄ = 3, but at most 2 forks suspend simultaneously.
-        assert_eq!(ca.max_delay_count(), 3);
-        assert_eq!(ca.max_suspended_forks().len(), 2);
+        assert_eq!(dag.delay_profile().max_delay_count(), 3);
+        assert_eq!(dag.max_blocking_antichain().len(), 2);
         // With m = 3: the bound is inconclusive (l̄ = 0) but the exact
         // check certifies freedom.
-        assert_eq!(lower_bound_certificate(&ca, 3), None);
-        assert!(check_global_with(&ca, 3).is_deadlock_free());
+        assert_eq!(concurrency_floor(&dag, 3), 0);
+        assert!(check_global(&dag, 3).is_deadlock_free());
     }
 
     #[test]
     fn partitioned_lemma3_flags_child_behind_fork() {
         let dag = replicated(1);
-        let ca = ConcurrencyAnalysis::new(&dag);
         // Map everything to thread 0 of a 2-thread pool: children sit
         // behind their suspended fork.
         let mapping = NodeMapping::from_threads(&dag, 2, vec![0; dag.node_count()]).unwrap();
-        match check_partitioned(&ca, 2, &mapping) {
+        match check_partitioned(&dag, 2, &mapping) {
             PartitionedVerdict::MappingUnsafe(v) => {
                 assert_eq!(dag.kind(v.node), NodeKind::BlockingChild);
                 assert_eq!(dag.kind(v.conflicting_fork), NodeKind::BlockingFork);
@@ -423,10 +456,9 @@ mod tests {
     #[test]
     fn partitioned_concurrency_precondition() {
         let dag = replicated(3);
-        let ca = ConcurrencyAnalysis::new(&dag);
         let mapping = worst_fit(&dag, 3);
         assert!(matches!(
-            check_partitioned(&ca, 3, &mapping),
+            check_partitioned(&dag, 3, &mapping),
             PartitionedVerdict::ConcurrencyExhausted { .. }
         ));
     }
@@ -435,18 +467,16 @@ mod tests {
     fn algorithm1_outputs_are_certified_delay_free() {
         for replicas in 1..=3 {
             let dag = replicated(replicas);
-            let ca = ConcurrencyAnalysis::new(&dag);
             let m = replicas + 2;
             let mapping = algorithm1(&dag, m).unwrap();
-            check_mapping_delay_free(&ca, &mapping).unwrap();
-            assert!(check_partitioned(&ca, m, &mapping).is_deadlock_free());
+            check_mapping_delay_free(&dag, &mapping).unwrap();
+            assert!(check_partitioned(&dag, m, &mapping).is_deadlock_free());
         }
     }
 
     #[test]
     fn delay_free_check_rejects_separated_join() {
         let dag = replicated(1);
-        let ca = ConcurrencyAnalysis::new(&dag);
         let good = algorithm1(&dag, 3).unwrap();
         // Move the join away from its fork.
         let mut threads: Vec<usize> = good.iter().map(|(_, t)| t.index()).collect();
@@ -454,7 +484,7 @@ mod tests {
         let fork_thread = good.thread_of(region.fork()).index();
         threads[region.join().index()] = (fork_thread + 1) % 3;
         let bad = NodeMapping::from_threads(&dag, 3, threads).unwrap();
-        let err = check_mapping_delay_free(&ca, &bad).unwrap_err();
+        let err = check_mapping_delay_free(&dag, &bad).unwrap_err();
         assert_eq!(err.node, region.join());
     }
 
@@ -463,11 +493,14 @@ mod tests {
         let mut b = DagBuilder::new();
         b.fork_join(1, &[1, 1, 1, 1], 1, false).unwrap();
         let dag = b.build().unwrap();
-        let ca = ConcurrencyAnalysis::new(&dag);
+        assert!(dag.blocking_forks().is_empty());
+        assert_eq!(dag.delay_profile().max_delay_count(), 0);
+        assert!(dag.max_blocking_antichain().is_empty());
         for m in 1..=4 {
-            assert!(check_global_with(&ca, m).is_deadlock_free());
+            assert_eq!(concurrency_floor(&dag, m), m as i64);
+            assert!(check_global(&dag, m).is_deadlock_free());
             let mapping = worst_fit(&dag, m);
-            assert!(check_partitioned(&ca, m, &mapping).is_deadlock_free());
+            assert!(check_partitioned(&dag, m, &mapping).is_deadlock_free());
         }
     }
 }

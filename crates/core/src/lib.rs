@@ -9,10 +9,9 @@
 //! The crate implements, on top of the [`rtpool_graph`] DAG substrate:
 //!
 //! * the task model `τᵢ = {Gᵢ, Dᵢ, Tᵢ, Φᵢ, πᵢ}` ([`Task`], [`TaskSet`]);
-//! * the concurrency sets `C(v)` (Eq. 2), `F(v)`, `X(v)` and the bounds
-//!   `b̄(τᵢ)`, `l̄(τᵢ) = m − b̄(τᵢ)` of Section 3.1
-//!   ([`ConcurrencyAnalysis`]);
-//! * the deadlock conditions of Lemmas 1–3 ([`deadlock`]);
+//! * the bound `l̄(τᵢ) = m − b̄(τᵢ)` of Section 3.1 over the delay sets
+//!   `X(v)` the graph memoizes, and the deadlock conditions of
+//!   Lemmas 1–3 ([`deadlock`]);
 //! * **Algorithm 1**, the reduced-concurrency-delay-free node-to-thread
 //!   partitioning, plus the worst-fit baseline ([`partition`]);
 //! * global fixed-priority response-time analysis — both the
@@ -61,7 +60,6 @@
 
 pub mod analysis;
 pub mod cancel;
-mod concurrency;
 pub mod deadlock;
 mod error;
 pub mod partition;
@@ -70,7 +68,6 @@ mod task;
 pub mod textfmt;
 
 pub use cancel::{CancelToken, Cancelled};
-pub use concurrency::ConcurrencyAnalysis;
 pub use error::CoreError;
 pub use rtpool_graph::SyncBackend;
 pub use task::{Task, TaskId, TaskSet};

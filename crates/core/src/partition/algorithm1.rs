@@ -21,7 +21,6 @@ use std::fmt;
 
 use rtpool_graph::{Dag, NodeId, NodeKind};
 
-use crate::concurrency::ConcurrencyAnalysis;
 use crate::partition::{NodeMapping, PlacementHeuristic, ThreadId, WorstFit};
 
 /// Why Algorithm 1 failed on a particular node.
@@ -113,23 +112,21 @@ impl Error for Algorithm1Failure {}
 /// # }
 /// ```
 pub fn algorithm1(dag: &Dag, m: usize) -> Result<NodeMapping, Algorithm1Failure> {
-    let ca = ConcurrencyAnalysis::new(dag);
-    algorithm1_with(&ca, m, &mut WorstFit)
+    algorithm1_with(dag, m, &mut WorstFit)
 }
 
 /// Runs Algorithm 1 with a caller-provided [`PlacementHeuristic`] for the
-/// free choices at lines 11 and 18, reusing a precomputed
-/// [`ConcurrencyAnalysis`].
+/// free choices at lines 11 and 18.
 ///
 /// # Errors
 ///
 /// Same as [`algorithm1`].
 pub fn algorithm1_with<H: PlacementHeuristic>(
-    ca: &ConcurrencyAnalysis<'_>,
+    dag: &Dag,
     m: usize,
     heuristic: &mut H,
 ) -> Result<NodeMapping, Algorithm1Failure> {
-    let dag = ca.dag();
+    let delays = dag.delay_profile();
     let n = dag.node_count();
     let mut assigned: Vec<Option<ThreadId>> = vec![None; n];
     let mut loads = vec![0u64; m];
@@ -143,7 +140,7 @@ pub fn algorithm1_with<H: PlacementHeuristic>(
         if dag.kind(v) == NodeKind::BlockingJoin {
             continue;
         }
-        let delay_row = ca.delay_row(v);
+        let delay_row = delays.delay_row(v);
         // Line 5: threads hosting already-assigned delaying forks.
         phi_bf.fill(delay_row.iter().filter_map(|f| assigned[f]));
         // Lines 6-7.
@@ -191,7 +188,8 @@ pub fn algorithm1_with<H: PlacementHeuristic>(
             // Line 15: threads hosting forks concurrent with `fork`
             // (fork is BF, so its delay row equals C(fork)), and v's.
             phi_bf.fill(
-                ca.delay_row(fork)
+                delays
+                    .delay_row(fork)
                     .iter()
                     .filter_map(|x| assigned[x])
                     .chain([v_thread]),
@@ -285,7 +283,7 @@ mod tests {
             "1 thread cannot be delay-free"
         );
         let mapping = algorithm1(&dag, 2).unwrap();
-        deadlock::check_mapping_delay_free(&ConcurrencyAnalysis::new(&dag), &mapping).unwrap();
+        deadlock::check_mapping_delay_free(&dag, &mapping).unwrap();
     }
 
     #[test]
@@ -304,17 +302,19 @@ mod tests {
     fn children_avoid_fork_thread() {
         let dag = replicated(2, 4);
         let mapping = algorithm1(&dag, 4).unwrap();
-        let ca = ConcurrencyAnalysis::new(&dag);
         for region in dag.blocking_regions() {
             for &c in region.inner() {
                 // The child must avoid its fork's thread and any
                 // concurrent fork's thread.
-                for &f in &ca.delay_set(c) {
-                    assert_ne!(mapping.thread_of(c), mapping.thread_of(f));
+                for f in dag.delay_profile().delay_row(c).iter() {
+                    assert_ne!(
+                        mapping.thread_of(c),
+                        mapping.thread_of(NodeId::from_index(f))
+                    );
                 }
             }
         }
-        deadlock::check_mapping_delay_free(&ca, &mapping).unwrap();
+        deadlock::check_mapping_delay_free(&dag, &mapping).unwrap();
     }
 
     #[test]
@@ -366,13 +366,12 @@ mod tests {
     fn heuristics_all_yield_delay_free_mappings() {
         use crate::partition::{BestFit, FirstFit};
         let dag = replicated(2, 3);
-        let ca = ConcurrencyAnalysis::new(&dag);
         for mapping in [
-            algorithm1_with(&ca, 4, &mut WorstFit).unwrap(),
-            algorithm1_with(&ca, 4, &mut FirstFit).unwrap(),
-            algorithm1_with(&ca, 4, &mut BestFit).unwrap(),
+            algorithm1_with(&dag, 4, &mut WorstFit).unwrap(),
+            algorithm1_with(&dag, 4, &mut FirstFit).unwrap(),
+            algorithm1_with(&dag, 4, &mut BestFit).unwrap(),
         ] {
-            deadlock::check_mapping_delay_free(&ca, &mapping).unwrap();
+            deadlock::check_mapping_delay_free(&dag, &mapping).unwrap();
         }
     }
 }

@@ -133,17 +133,6 @@ impl NodeMapping {
         loads
     }
 
-    /// The nodes assigned to `thread`, in id order.
-    #[must_use]
-    pub fn nodes_on(&self, thread: ThreadId) -> Vec<NodeId> {
-        self.threads
-            .iter()
-            .enumerate()
-            .filter(|(_, &t)| t == thread)
-            .map(|(i, _)| NodeId::from_index(i))
-            .collect()
-    }
-
     /// Iterates over `(node, thread)` pairs in node-id order.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = (NodeId, ThreadId)> + '_ {
         self.threads
@@ -185,14 +174,10 @@ mod tests {
     }
 
     #[test]
-    fn loads_and_nodes_on() {
+    fn loads_sum_wcets_per_thread() {
         let dag = chain(4); // wcets 1,2,3,4
         let m = NodeMapping::from_threads(&dag, 2, vec![0, 1, 0, 1]).unwrap();
         assert_eq!(m.loads(&dag), vec![4, 6]);
-        assert_eq!(
-            m.nodes_on(ThreadId::new(0)),
-            vec![NodeId::from_index(0), NodeId::from_index(2)]
-        );
         assert_eq!(m.iter().count(), 4);
     }
 

@@ -1,17 +1,11 @@
-//! Pool-sizing utilities: the smallest pool that is deadlock-free /
-//! schedulable.
+//! Pool-sizing utilities: the smallest pool that is deadlock-free.
 //!
 //! The paper fixes the pool size at `m` (one thread per core); in
 //! practice a designer often asks the converse question — *how many
 //! workers does this workload need?* These helpers answer it with the
-//! Section 3/4 machinery.
+//! Section 3 machinery.
 
 use rtpool_graph::Dag;
-
-use crate::analysis::global::{self, ConcurrencyModel};
-use crate::analysis::partitioned::{self, PartitionStrategy};
-use crate::deadlock;
-use crate::task::TaskSet;
 
 /// The smallest pool size under which the task cannot deadlock under
 /// global work-conserving scheduling: one more thread than the maximum
@@ -132,39 +126,12 @@ pub fn min_threads_spin(dag: &Dag) -> usize {
 /// ```
 #[must_use]
 pub fn reserve_for(dag: &Dag, workers: usize) -> usize {
-    (deadlock::max_simultaneous_blocking(dag) + 1).saturating_sub(workers)
-}
-
-/// The smallest `m ≤ max_m` for which the whole set passes the global
-/// schedulability test under `model`, or `None`.
-///
-/// Scans linearly (the tests are monotone in `m` for all shipped
-/// models, but this is not assumed).
-#[must_use]
-pub fn min_threads_schedulable_global(
-    set: &TaskSet,
-    model: ConcurrencyModel,
-    max_m: usize,
-) -> Option<usize> {
-    (1..=max_m).find(|&m| global::accepts(set, m, model))
-}
-
-/// The smallest `m ≤ max_m` for which the whole set partitions and
-/// passes the partitioned schedulability test under `strategy`, or
-/// `None`.
-#[must_use]
-pub fn min_threads_schedulable_partitioned(
-    set: &TaskSet,
-    strategy: PartitionStrategy,
-    max_m: usize,
-) -> Option<usize> {
-    (1..=max_m).find(|&m| partitioned::accepts(set, m, strategy))
+    min_threads_deadlock_free(dag).saturating_sub(workers)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::task::Task;
     use rtpool_graph::DagBuilder;
 
     fn replicated(replicas: usize) -> Dag {
@@ -221,44 +188,5 @@ mod tests {
         const SPIN_BAD: bool = spin_certifiable_floor(3, 3);
         const _: () = assert!(SPIN_OK && !SPIN_BAD);
         assert_eq!(min_threads_for_spin(3), 4);
-    }
-
-    #[test]
-    fn global_sizing_finds_a_feasible_m() {
-        let dag = replicated(2);
-        let set = TaskSet::new(vec![Task::with_implicit_deadline(dag, 10_000).unwrap()]);
-        let m_full = min_threads_schedulable_global(&set, ConcurrencyModel::Full, 16).unwrap();
-        let m_limited =
-            min_threads_schedulable_global(&set, ConcurrencyModel::Limited, 16).unwrap();
-        // The limited test needs at least enough threads for l̄ > 0.
-        assert!(m_limited >= m_full);
-        assert!(m_limited > 2, "b̄ = 2 forces m >= 3");
-        // And the found sizes are indeed schedulable.
-        assert!(global::analyze(&set, m_limited, ConcurrencyModel::Limited).is_schedulable());
-    }
-
-    #[test]
-    fn global_sizing_none_when_infeasible() {
-        // Utilization far above any m in range: len > D makes it
-        // infeasible at every size.
-        let mut b = DagBuilder::new();
-        b.add_node(100);
-        let set = TaskSet::new(vec![
-            Task::with_implicit_deadline(b.build().unwrap(), 50).unwrap()
-        ]);
-        assert_eq!(
-            min_threads_schedulable_global(&set, ConcurrencyModel::Full, 8),
-            None
-        );
-    }
-
-    #[test]
-    fn partitioned_sizing_respects_algorithm1_constraints() {
-        let dag = replicated(2);
-        let set = TaskSet::new(vec![Task::with_implicit_deadline(dag, 10_000).unwrap()]);
-        let m =
-            min_threads_schedulable_partitioned(&set, PartitionStrategy::Algorithm1, 16).unwrap();
-        // Two concurrent forks: Algorithm 1 needs at least 3 threads.
-        assert!(m >= 3);
     }
 }

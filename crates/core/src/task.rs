@@ -133,12 +133,6 @@ impl Task {
     pub fn density(&self) -> f64 {
         self.volume() as f64 / self.deadline as f64
     }
-
-    /// Consumes the task and returns its graph.
-    #[must_use]
-    pub fn into_dag(self) -> Dag {
-        self.dag
-    }
 }
 
 /// An ordered set of tasks `Γ`; the position of a task is its priority
@@ -318,7 +312,6 @@ mod tests {
         assert_eq!(t.period(), 100);
         assert_eq!(t.deadline(), 50);
         assert_eq!(t.dag().node_count(), 1);
-        assert_eq!(t.into_dag().node_count(), 1);
     }
 
     #[test]

@@ -5,7 +5,7 @@ use rtpool_core::analysis::global::{self, ConcurrencyModel};
 use rtpool_core::analysis::partitioned::{self, BlockingAwareness, PartitionStrategy};
 use rtpool_core::partition::{algorithm1, worst_fit};
 use rtpool_core::{deadlock, textfmt};
-use rtpool_core::{ConcurrencyAnalysis, SyncBackend, Task, TaskId, TaskSet};
+use rtpool_core::{SyncBackend, Task, TaskId, TaskSet};
 use rtpool_graph::{Dag, DagBuilder, NodeId};
 
 /// Deterministic pseudo-random fork-join task graph with optional
@@ -67,8 +67,7 @@ proptest! {
     #[test]
     fn delay_bound_dominates_antichain(seed in any::<u64>(), regions in 1usize..6) {
         let dag = random_task_dag(seed, regions);
-        let ca = ConcurrencyAnalysis::new(&dag);
-        prop_assert!(ca.max_delay_count() >= ca.max_suspended_forks().len());
+        prop_assert!(dag.delay_profile().max_delay_count() >= dag.max_blocking_antichain().len());
     }
 
     /// Whenever the l̄ certificate proves deadlock freedom, the exact
@@ -76,9 +75,8 @@ proptest! {
     #[test]
     fn certificate_is_sound(seed in any::<u64>(), regions in 1usize..6, m in 1usize..9) {
         let dag = random_task_dag(seed, regions);
-        let ca = ConcurrencyAnalysis::new(&dag);
-        if deadlock::lower_bound_certificate(&ca, m).is_some() {
-            prop_assert!(deadlock::check_global_with(&ca, m).is_deadlock_free());
+        if deadlock::concurrency_floor(&dag, m) > 0 {
+            prop_assert!(deadlock::check_global(&dag, m).is_deadlock_free());
         }
     }
 
@@ -86,10 +84,9 @@ proptest! {
     #[test]
     fn algorithm1_is_delay_free(seed in any::<u64>(), regions in 1usize..5, m in 2usize..9) {
         let dag = random_task_dag(seed, regions);
-        let ca = ConcurrencyAnalysis::new(&dag);
         if let Ok(mapping) = algorithm1(&dag, m) {
-            deadlock::check_mapping_delay_free(&ca, &mapping).unwrap();
-            prop_assert!(deadlock::check_partitioned(&ca, m, &mapping).is_deadlock_free());
+            deadlock::check_mapping_delay_free(&dag, &mapping).unwrap();
+            prop_assert!(deadlock::check_partitioned(&dag, m, &mapping).is_deadlock_free());
             // Every node mapped in range; loads sum to the volume.
             prop_assert_eq!(mapping.loads(&dag).iter().sum::<u64>(), dag.volume());
         }
@@ -102,8 +99,7 @@ proptest! {
         seed in any::<u64>(), regions in 1usize..6, m in 1usize..5
     ) {
         let dag = random_task_dag(seed, regions);
-        let ca = ConcurrencyAnalysis::new(&dag);
-        if !deadlock::check_global_with(&ca, m).is_deadlock_free() {
+        if !deadlock::check_global(&dag, m).is_deadlock_free() {
             prop_assert!(algorithm1(&dag, m).is_err());
         }
     }
@@ -220,9 +216,10 @@ proptest! {
                 b.dag().blocking_regions().len()
             );
             // Analyses agree on the round-tripped graph.
-            let ca_a = ConcurrencyAnalysis::new(a.dag());
-            let ca_b = ConcurrencyAnalysis::new(b.dag());
-            prop_assert_eq!(ca_a.max_delay_count(), ca_b.max_delay_count());
+            prop_assert_eq!(
+                a.dag().delay_profile().max_delay_count(),
+                b.dag().delay_profile().max_delay_count()
+            );
         }
     }
 
@@ -287,14 +284,15 @@ proptest! {
     #[test]
     fn concurrent_fork_relation_is_symmetric(seed in any::<u64>(), regions in 1usize..5) {
         let dag = random_task_dag(seed, regions);
-        let ca = ConcurrencyAnalysis::new(&dag);
+        // C(v) is X(v) without the fork waiting for v.
+        let concurrent = |v: NodeId, f: NodeId| {
+            dag.delay_profile().delay_row(v).contains(f.index()) && dag.waiting_fork_of(v) != Some(f)
+        };
         let forks: Vec<NodeId> = dag.blocking_forks().to_vec();
         for &f in &forks {
             for &g in &forks {
                 if f == g { continue; }
-                let fg = ca.concurrent_forks(f).contains(&g);
-                let gf = ca.concurrent_forks(g).contains(&f);
-                prop_assert_eq!(fg, gf);
+                prop_assert_eq!(concurrent(f, g), concurrent(g, f));
             }
         }
     }
@@ -491,15 +489,15 @@ fn algorithm1_outcomes_match_the_pinned_digest() {
     fn outcome<H: PlacementHeuristic>(
         hash: &mut u64,
         seen: &mut [usize; 4],
-        ca: &ConcurrencyAnalysis<'_>,
+        dag: &Dag,
         m: usize,
         mut heuristic: H,
     ) {
-        match algorithm1_with(ca, m, &mut heuristic) {
+        match algorithm1_with(dag, m, &mut heuristic) {
             Ok(mapping) => {
                 seen[0] += 1;
                 fold(hash, &[0]);
-                for v in ca.dag().node_ids() {
+                for v in dag.node_ids() {
                     fold(hash, &(mapping.thread_of(v).index() as u64).to_le_bytes());
                 }
             }
@@ -523,11 +521,10 @@ fn algorithm1_outcomes_match_the_pinned_digest() {
     for seed in 0..2000u64 {
         for regions in 1usize..5 {
             let dag = random_task_dag(seed, regions);
-            let ca = ConcurrencyAnalysis::new(&dag);
             for m in [1usize, 2, 3, 4, 6, 8, 12, 16] {
-                outcome(&mut hash, &mut seen, &ca, m, WorstFit);
-                outcome(&mut hash, &mut seen, &ca, m, FirstFit);
-                outcome(&mut hash, &mut seen, &ca, m, BestFit);
+                outcome(&mut hash, &mut seen, &dag, m, WorstFit);
+                outcome(&mut hash, &mut seen, &dag, m, FirstFit);
+                outcome(&mut hash, &mut seen, &dag, m, BestFit);
             }
         }
     }

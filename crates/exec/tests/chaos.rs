@@ -9,7 +9,6 @@ use std::time::{Duration, Instant};
 
 use rand::SeedableRng;
 use rtpool_core::partition::worst_fit;
-use rtpool_core::ConcurrencyAnalysis;
 use rtpool_core::{deadlock, sizing};
 use rtpool_exec::{
     Engine, ExecError, FaultPlan, PoolConfig, QueueDiscipline, RecoveryEvent, RecoveryPolicy,
@@ -147,8 +146,7 @@ fn seeded_fault_plans_across_all_disciplines_on(engine: Engine, backend: SyncBac
         ] {
             let partitioned_safe = match &discipline {
                 QueueDiscipline::Partitioned(mapping) => {
-                    let ca = ConcurrencyAnalysis::new(&dag);
-                    deadlock::check_partitioned(&ca, safe, mapping).is_deadlock_free()
+                    deadlock::check_partitioned(&dag, safe, mapping).is_deadlock_free()
                 }
                 _ => true,
             };
@@ -180,8 +178,7 @@ fn seeded_fault_plans_across_all_disciplines_on(engine: Engine, backend: SyncBac
         ] {
             let verdict_safe = match &discipline {
                 QueueDiscipline::Partitioned(mapping) => {
-                    let ca = ConcurrencyAnalysis::new(&dag);
-                    deadlock::check_partitioned(&ca, workers, mapping).is_deadlock_free()
+                    deadlock::check_partitioned(&dag, workers, mapping).is_deadlock_free()
                 }
                 _ => deadlock::check_global(&dag, workers).is_deadlock_free(),
             };

@@ -1,10 +1,7 @@
 //! Named workload presets modeled after the application classes the
 //! paper's introduction motivates.
 
-use rand::Rng;
 use rtpool_graph::{Dag, DagBuilder, GraphError};
-
-use crate::forkjoin::{BlockingPolicy, DagGenConfig};
 
 /// Builds an *inference-style* task: `towers` independent towers of
 /// `layers` sequential layers, each layer a blocking fork–join over
@@ -47,56 +44,9 @@ pub fn inference(
     b.build()
 }
 
-/// Builds a *web-service-style* task: a request fans out to
-/// `backends` parallel backend calls of heterogeneous cost (drawn
-/// uniformly from `cost_range`), whose results are merged by a blocking
-/// join (the request handler waits on a condvar), followed by a
-/// rendering node.
-///
-/// # Errors
-///
-/// Returns the builder's [`GraphError`] (unreachable for valid
-/// parameters).
-pub fn web_service<R: Rng + ?Sized>(
-    rng: &mut R,
-    backends: usize,
-    cost_range: (u64, u64),
-) -> Result<Dag, GraphError> {
-    let mut b = DagBuilder::new();
-    let parse = b.add_node(2);
-    let render = b.add_node(5);
-    let wcets: Vec<u64> = (0..backends.max(1))
-        .map(|_| rng.gen_range(cost_range.0.max(1)..=cost_range.1.max(cost_range.0.max(1))))
-        .collect();
-    let (fork, join) = b.fork_join(1, &wcets, 1, true)?;
-    b.add_edge(parse, fork)?;
-    b.add_edge(join, render)?;
-    b.build()
-}
-
-/// The generator configuration used for the paper's evaluation (an alias
-/// of [`DagGenConfig::default`], spelled out for discoverability).
-#[must_use]
-pub fn paper_evaluation() -> DagGenConfig {
-    DagGenConfig::default()
-}
-
-/// A generator configuration for classical *non-blocking* sporadic DAG
-/// tasks (the Listing 2 implementation style): identical shapes, no
-/// blocking regions.
-#[must_use]
-pub fn classic_dag_tasks() -> DagGenConfig {
-    DagGenConfig {
-        blocking: BlockingPolicy::Never,
-        ..DagGenConfig::default()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
-    use rtpool_graph::NodeKind;
 
     #[test]
     fn inference_structure() {
@@ -112,25 +62,5 @@ mod tests {
     fn inference_non_blocking_variant() {
         let dag = inference(1, 2, 4, 1, false).unwrap();
         assert!(dag.blocking_regions().is_empty());
-    }
-
-    #[test]
-    fn web_service_structure() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-        let dag = web_service(&mut rng, 6, (10, 40)).unwrap();
-        dag.validate_model().unwrap();
-        assert_eq!(dag.blocking_regions().len(), 1);
-        assert_eq!(dag.node_count(), 2 + 2 + 6);
-        let region = &dag.blocking_regions()[0];
-        for &c in region.inner() {
-            assert!((10..=40).contains(&dag.wcet(c)));
-            assert_eq!(dag.kind(c), NodeKind::BlockingChild);
-        }
-    }
-
-    #[test]
-    fn preset_configs_are_valid() {
-        paper_evaluation().validate().unwrap();
-        classic_dag_tasks().validate().unwrap();
     }
 }

@@ -1,7 +1,8 @@
 //! Assembly of complete task sets (utilizations, periods, priorities).
 
 use rand::Rng;
-use rtpool_core::{ConcurrencyAnalysis, Task, TaskSet};
+use rtpool_core::deadlock::concurrency_floor;
+use rtpool_core::{Task, TaskSet};
 use rtpool_graph::Dag;
 
 use crate::error::GenError;
@@ -93,12 +94,6 @@ impl TaskSetConfig {
     pub fn with_concurrency_window(mut self, window: ConcurrencyWindow) -> Self {
         self.window = Some(window);
         self
-    }
-
-    /// The graph-generation parameters.
-    #[must_use]
-    pub fn dag_config(&self) -> &DagGenConfig {
-        &self.dag
     }
 
     /// Generates one task set: UUniFast utilizations, one graph per task
@@ -265,7 +260,7 @@ impl TaskSetConfig {
             Some(window) => {
                 for _ in 0..window.max_attempts {
                     let dag = self.dag.generate(rng);
-                    let floor = ConcurrencyAnalysis::new(&dag).concurrency_lower_bound(window.m);
+                    let floor = concurrency_floor(&dag, window.m);
                     if window.contains(floor) {
                         return Ok(dag);
                     }
@@ -331,7 +326,7 @@ mod tests {
             TaskSetConfig::new(3, 2.0, DagGenConfig::default()).with_concurrency_window(window);
         let set = config.generate(&mut rng(2)).unwrap();
         for (_, t) in set.iter() {
-            let floor = ConcurrencyAnalysis::new(t.dag()).concurrency_lower_bound(8);
+            let floor = concurrency_floor(t.dag(), 8);
             assert!(window.contains(floor), "floor {floor} outside window");
         }
     }

@@ -14,12 +14,6 @@ fn union_words(dst: &mut [u64], src: &[u64]) {
     }
 }
 
-fn intersect_words(dst: &mut [u64], src: &[u64]) {
-    for (a, b) in dst.iter_mut().zip(src) {
-        *a &= *b;
-    }
-}
-
 fn difference_words(dst: &mut [u64], src: &[u64]) {
     for (a, b) in dst.iter_mut().zip(src) {
         *a &= !*b;
@@ -252,15 +246,6 @@ impl BitSet {
         set_bit(&mut self.words, index)
     }
 
-    /// Inserts every index below the capacity.
-    pub fn insert_all(&mut self) {
-        self.words.fill(u64::MAX);
-        let tail = self.capacity % 64;
-        if let (Some(last), true) = (self.words.last_mut(), tail != 0) {
-            *last = (1 << tail) - 1;
-        }
-    }
-
     /// Removes `index` from the set. Returns `true` if it was present.
     ///
     /// # Panics
@@ -301,26 +286,6 @@ impl BitSet {
         union_words(&mut self.words, other);
     }
 
-    /// In-place intersection with `other`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the capacities differ.
-    pub fn intersect_with<'a>(&mut self, other: impl Into<BitRow<'a>>) {
-        let other = self.as_row().same_capacity(other.into());
-        intersect_words(&mut self.words, other);
-    }
-
-    /// In-place difference: removes every element of `other` from `self`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the capacities differ.
-    pub fn difference_with<'a>(&mut self, other: impl Into<BitRow<'a>>) {
-        let other = self.as_row().same_capacity(other.into());
-        difference_words(&mut self.words, other);
-    }
-
     /// Returns `true` if `self` and `other` share no element.
     ///
     /// # Panics
@@ -358,18 +323,6 @@ impl BitSet {
         );
         self.words.resize(new_capacity.div_ceil(64), 0);
         self.capacity = new_capacity;
-    }
-
-    /// Overwrites `self` with the contents of `other` without
-    /// reallocating — the word-parallel analogue of `clone_from` for
-    /// scratch buffers reused across iterations.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the capacities differ.
-    pub fn copy_from<'a>(&mut self, other: impl Into<BitRow<'a>>) {
-        let other = self.as_row().same_capacity(other.into());
-        self.words.copy_from_slice(other);
     }
 
     /// Iterates over the contained indices in increasing order.
@@ -576,10 +529,8 @@ mod tests {
         let mut b = BitSet::new(a.capacity());
         b.extend([2usize, 70]);
         assert!(!a.is_disjoint(&b));
-        let mut inter = a.clone();
-        inter.intersect_with(&b);
-        assert_eq!(inter.iter().collect::<Vec<_>>(), vec![2, 70]);
-        a.difference_with(&b);
+        a.remove(2);
+        a.remove(70);
         assert_eq!(a.iter().collect::<Vec<_>>(), vec![1, 3]);
         assert!(a.is_disjoint(&b));
         a.union_with(&b);
@@ -620,16 +571,6 @@ mod tests {
     }
 
     #[test]
-    fn insert_all_respects_the_capacity() {
-        for cap in [0, 1, 63, 64, 65, 130] {
-            let mut s = BitSet::new(cap);
-            s.insert_all();
-            assert_eq!(s.len(), cap);
-            assert_eq!(s.iter().last(), cap.checked_sub(1));
-        }
-    }
-
-    #[test]
     fn rows_and_sets_interoperate() {
         let mut m = BitMatrix::new(70);
         m.insert(3, 69);
@@ -640,8 +581,6 @@ mod tests {
         assert_eq!(s.as_row(), m.row(3));
         assert_ne!(s.as_row(), m.row(4));
         assert!(!m.row(4).is_disjoint(&s));
-        s.difference_with(m.row(4));
-        assert_eq!(s.iter().collect::<Vec<_>>(), vec![69]);
         assert_eq!(format!("{:?}", m.row(3)), "{1, 69}");
         assert_eq!(m.row(3).len(), 2);
     }
@@ -690,8 +629,7 @@ mod tests {
         }
         let rest = m.row(0).minus(m.row(1), m.row(2));
         assert_eq!(rest.collect::<Vec<_>>(), vec![0, 70, 100, 127]);
-        let mut all = BitSet::new(130);
-        all.insert_all();
+        let all: BitSet = (0..130).collect();
         let (none, empty) = (BitSet::new(130), m.row(3));
         assert_eq!(all.as_row().minus(none.as_row(), empty).count(), 130);
         assert_eq!(all.as_row().minus(m.row(0), m.row(0)).count(), 121);

@@ -74,7 +74,6 @@ mod reach;
 #[cfg(test)]
 mod reference;
 mod regions;
-mod stats;
 mod topo;
 mod validate;
 
@@ -92,5 +91,4 @@ pub use node::{NodeId, NodeKind};
 pub use paths::{CriticalPath, PathMetrics};
 pub use reach::Reachability;
 pub use regions::Region;
-pub use stats::GraphStats;
 pub use topo::TopologicalOrder;

@@ -101,12 +101,6 @@ impl NodeKind {
         self == NodeKind::BlockingJoin
     }
 
-    /// Returns `true` for [`NodeKind::BlockingChild`].
-    #[must_use]
-    pub fn is_blocking_child(self) -> bool {
-        self == NodeKind::BlockingChild
-    }
-
     /// Returns `true` for [`NodeKind::NonBlocking`].
     #[must_use]
     pub fn is_non_blocking(self) -> bool {
@@ -161,7 +155,6 @@ mod tests {
         assert!(NodeKind::BlockingFork.is_blocking_fork());
         assert!(!NodeKind::BlockingFork.is_blocking_join());
         assert!(NodeKind::BlockingJoin.is_blocking_join());
-        assert!(NodeKind::BlockingChild.is_blocking_child());
         assert!(NodeKind::NonBlocking.is_non_blocking());
     }
 

@@ -8,7 +8,7 @@
 //! one kernel (`closure`) is the only writer: a closure is computed
 //! whole, at assembly, and never patched.
 
-use crate::bitset::{BitMatrix, BitRow, BitSet};
+use crate::bitset::{BitMatrix, BitRow};
 use crate::csr::Csr;
 use crate::dag::Dag;
 use crate::node::NodeId;
@@ -103,18 +103,6 @@ impl Reachability {
     pub fn are_concurrent(&self, a: NodeId, b: NodeId) -> bool {
         a != b && !self.reaches(a, b) && !self.reaches(b, a)
     }
-
-    /// The set of nodes concurrent with `v` (neither ancestors nor
-    /// descendants, excluding `v` itself), as a bitset of node indices.
-    #[must_use]
-    pub fn concurrent_set(&self, v: NodeId) -> BitSet {
-        let mut set = BitSet::new(self.node_count());
-        set.insert_all();
-        set.remove(v.index());
-        set.difference_with(self.descendants(v));
-        set.difference_with(self.ancestors(v));
-        set
-    }
 }
 
 /// The transitive closure of `adj`, visiting nodes in an order in which
@@ -171,10 +159,8 @@ mod tests {
         assert!(r.are_concurrent(b, a));
         assert!(!r.are_concurrent(s, a));
         assert!(!r.are_concurrent(a, a));
-        let conc_a = r.concurrent_set(a);
-        assert_eq!(conc_a.iter().collect::<Vec<_>>(), vec![b.index()]);
-        assert!(r.concurrent_set(s).is_empty());
-        assert!(r.concurrent_set(t).is_empty());
+        assert!(!r.are_concurrent(a, t));
+        assert!(!r.are_concurrent(s, t));
     }
 
     #[test]

@@ -10,7 +10,7 @@ use rtpool_core::partition::{algorithm1_with, worst_fit, WorstFit};
 use rtpool_core::textfmt::{
     parse_task_set_with_spans, ParseTaskError, SourceSpans, Span, TaskSpans,
 };
-use rtpool_core::{sizing, ConcurrencyAnalysis, SyncBackend, Task, TaskId, TaskSet};
+use rtpool_core::{sizing, SyncBackend, Task, TaskId, TaskSet};
 use rtpool_exec::{PoolConfig, QueueDiscipline};
 use rtpool_graph::{Dag, GraphError, NodeId};
 
@@ -141,7 +141,6 @@ pub fn lint_config(config: &PoolConfig, dag: &Dag) -> Vec<Diagnostic> {
         );
         return out;
     }
-    let ca = ConcurrencyAnalysis::new(dag);
     if let QueueDiscipline::Partitioned(mapping) = &config.discipline {
         if mapping.node_count() != dag.node_count() {
             out.push(
@@ -158,7 +157,7 @@ pub fn lint_config(config: &PoolConfig, dag: &Dag) -> Vec<Diagnostic> {
             );
             return out;
         }
-        let verdict = deadlock::check_partitioned(&ca, config.workers, mapping);
+        let verdict = deadlock::check_partitioned(dag, config.workers, mapping);
         if !verdict.is_deadlock_free() {
             out.push(
                 Diagnostic::new(
@@ -179,7 +178,7 @@ pub fn lint_config(config: &PoolConfig, dag: &Dag) -> Vec<Diagnostic> {
     let min_safe = sizing::min_threads_deadlock_free(dag);
     let reserve = sizing::reserve_for(dag, config.workers);
     if reserve > 0 && config.recovery.growth_reserve() < reserve {
-        let suspended = ca.max_suspended_forks().len();
+        let suspended = dag.max_blocking_antichain().len();
         out.push(
             Diagnostic::new(
                 code::RT302,
@@ -254,14 +253,13 @@ fn semantic_diagnostics(
 
     for (id, task) in set.iter() {
         let t_spans = spans.map(|s| s.task(id));
-        let ca = ConcurrencyAnalysis::new(task.dag());
-        for d in deadlock_rules(id, task, &ca, m, set.backend(), t_spans) {
+        for d in deadlock_rules(id, task, m, set.backend(), t_spans) {
             emit(d, &mut out);
         }
         for d in structure_rules(id, task, t_spans) {
             emit(d, &mut out);
         }
-        for d in partition_rules(id, &ca, m, t_spans) {
+        for d in partition_rules(id, task.dag(), m, t_spans) {
             emit(d, &mut out);
         }
     }
@@ -290,19 +288,18 @@ fn semantic_diagnostics(
 fn deadlock_rules(
     id: TaskId,
     task: &Task,
-    ca: &ConcurrencyAnalysis<'_>,
     m: usize,
     backend: SyncBackend,
     spans: Option<&TaskSpans>,
 ) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     let dag = task.dag();
-    if ca.blocking_forks().is_empty() {
+    if dag.blocking_forks().is_empty() {
         return out;
     }
-    let b_bar = ca.max_delay_count();
-    let floor = ca.concurrency_lower_bound(m);
-    match deadlock::check_global_with(ca, m) {
+    let b_bar = dag.delay_profile().max_delay_count();
+    let floor = deadlock::concurrency_floor(dag, m);
+    match deadlock::check_global(dag, m) {
         GlobalVerdict::DeadlockPossible {
             suspended_antichain,
         } => {
@@ -439,9 +436,9 @@ fn deadlock_rules(
             }
             // RT104: a naive load-balancing placement deadlocks even
             // though the pool size is safe under global scheduling.
-            if m >= 1 && algorithm1_with(ca, m, &mut WorstFit).is_ok() {
+            if m >= 1 && algorithm1_with(dag, m, &mut WorstFit).is_ok() {
                 let naive = worst_fit(dag, m);
-                if !deadlock::check_partitioned(ca, m, &naive).is_deadlock_free() {
+                if !deadlock::check_partitioned(dag, m, &naive).is_deadlock_free() {
                     let d = Diagnostic::new(
                         code::RT104,
                         Severity::Info,
@@ -538,17 +535,12 @@ fn structure_rules(id: TaskId, task: &Task, spans: Option<&TaskSpans>) -> Vec<Di
 }
 
 /// RT301: Algorithm 1 feasibility at the analyzed pool size.
-fn partition_rules(
-    id: TaskId,
-    ca: &ConcurrencyAnalysis<'_>,
-    m: usize,
-    spans: Option<&TaskSpans>,
-) -> Vec<Diagnostic> {
+fn partition_rules(id: TaskId, dag: &Dag, m: usize, spans: Option<&TaskSpans>) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    if ca.blocking_forks().is_empty() {
+    if dag.blocking_forks().is_empty() {
         return out;
     }
-    if let Err(failure) = algorithm1_with(ca, m, &mut WorstFit) {
+    if let Err(failure) = algorithm1_with(dag, m, &mut WorstFit) {
         let mut d = Diagnostic::new(
             code::RT301,
             Severity::Warning,

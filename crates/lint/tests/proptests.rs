@@ -3,7 +3,7 @@
 //! underlying analyses on randomized task sets.
 
 use proptest::prelude::*;
-use rtpool_core::{deadlock, textfmt, ConcurrencyAnalysis, CoreError, Task, TaskSet};
+use rtpool_core::{deadlock, textfmt, CoreError, Task, TaskSet};
 use rtpool_graph::{Dag, DagBuilder, GraphError, NodeId};
 use rtpool_lint::{code, lint_source, lint_task_set, render_json, LintOptions, RuleCode};
 
@@ -151,7 +151,7 @@ fn random_task_dag(seed: u64, max_regions: usize) -> Dag {
 
 proptest! {
     /// The engine's RT101 verdict coincides exactly with the deadlock
-    /// analysis: fires iff `check_global_with` reports a possible
+    /// analysis: fires iff `check_global` reports a possible
     /// deadlock, and is always accompanied by a fix suggestion.
     #[test]
     fn rt101_agrees_with_deadlock_analysis(
@@ -159,8 +159,7 @@ proptest! {
     ) {
         let dag = random_task_dag(seed, regions);
         let deadlocks = {
-            let ca = ConcurrencyAnalysis::new(&dag);
-            !deadlock::check_global_with(&ca, m).is_deadlock_free()
+            !deadlock::check_global(&dag, m).is_deadlock_free()
         };
         let set = TaskSet::new(vec![Task::with_implicit_deadline(dag, 1_000_000).unwrap()]);
         let report = lint_task_set(&set, &LintOptions::with_m(m));

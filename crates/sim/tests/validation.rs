@@ -6,8 +6,9 @@ use rand::SeedableRng;
 use rtpool_core::analysis::global::{self, ConcurrencyModel};
 use rtpool_core::analysis::partitioned::{self, PartitionStrategy};
 use rtpool_core::deadlock;
+use rtpool_core::deadlock::concurrency_floor;
 use rtpool_core::partition::algorithm1;
-use rtpool_core::{ConcurrencyAnalysis, Task, TaskId, TaskSet};
+use rtpool_core::{Task, TaskId, TaskSet};
 use rtpool_gen::{BlockingPolicy, DagGenConfig, TaskSetConfig};
 use rtpool_sim::{ExecutionTime, SchedulingPolicy, SimConfig};
 use rtpool_trace::TraceAnalysis;
@@ -32,7 +33,7 @@ proptest! {
         let set = random_set(seed, 2, 0.4 * m as f64);
         let out = SimConfig::single_job(SchedulingPolicy::Global, m).run(&set).unwrap();
         for (i, (_, task)) in set.iter().enumerate() {
-            let floor = ConcurrencyAnalysis::new(task.dag()).concurrency_lower_bound(m);
+            let floor = concurrency_floor(task.dag(), m);
             let observed = out.task(i).min_available_concurrency as i64;
             prop_assert!(
                 observed >= floor,

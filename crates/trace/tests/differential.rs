@@ -23,8 +23,9 @@ use std::time::Duration;
 use rand::SeedableRng;
 use rtpool_core::analysis::global::{self, ConcurrencyModel};
 use rtpool_core::deadlock;
+use rtpool_core::deadlock::concurrency_floor;
 use rtpool_core::partition::algorithm1;
-use rtpool_core::{ConcurrencyAnalysis, TaskId, TaskSet};
+use rtpool_core::{TaskId, TaskSet};
 use rtpool_exec::{Engine, ExecError, PoolConfig, QueueDiscipline, ThreadPool};
 use rtpool_gen::{DagGenConfig, TaskSetConfig};
 use rtpool_sim::{SchedulingPolicy, SimConfig, SimOutcome};
@@ -74,7 +75,7 @@ fn assert_trace_sound(trace: &Trace, set: &TaskSet, m: usize, ctx: &str) -> Trac
             obs.blocking_witness
         );
         let (_, task) = set.iter().nth(i).expect("task index in range");
-        let floor = ConcurrencyAnalysis::new(task.dag()).concurrency_lower_bound(m);
+        let floor = concurrency_floor(task.dag(), m);
         assert!(
             obs.min_available as i64 >= floor,
             "{ctx}: task {i} observed l(t) = {} below the l̄ floor {floor}",

@@ -10,7 +10,7 @@
 //! ```
 
 use rtpool::core::partition::algorithm1;
-use rtpool::core::{deadlock, ConcurrencyAnalysis, Task, TaskSet};
+use rtpool::core::{deadlock, Task, TaskSet};
 use rtpool::exec::{ExecError, PoolConfig, QueueDiscipline, ThreadPool};
 use rtpool::graph::{Dag, DagBuilder};
 use rtpool::sim::{SchedulingPolicy, SimConfig};
@@ -29,12 +29,11 @@ fn two_replicas() -> Result<Dag, Box<dyn std::error::Error>> {
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let dag = two_replicas()?;
-    let ca = ConcurrencyAnalysis::new(&dag);
 
     // (1) Prediction.
     println!("== Analysis (Section 3) ==");
     for m in [2, 3] {
-        println!("  m = {m}: {:?}", deadlock::check_global_with(&ca, m));
+        println!("  m = {m}: {:?}", deadlock::check_global(&dag, m));
     }
 
     // (2) Deterministic simulation.

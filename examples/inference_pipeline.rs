@@ -16,39 +16,18 @@
 use std::time::Duration;
 
 use rtpool::core::analysis::global::{self, ConcurrencyModel};
-use rtpool::core::{deadlock, ConcurrencyAnalysis, Task, TaskSet};
+use rtpool::core::{sizing, Task, TaskSet};
 use rtpool::exec::{PoolConfig, QueueDiscipline, ThreadPool};
-use rtpool::graph::{Dag, DagBuilder};
+use rtpool::gen::presets;
 
-/// Builds an inference task: `layers` sequential layers; every layer is
-/// a fork–join over `shards` small operations. `parallel_branches`
-/// independent towers run concurrently (like parallel heads), so several
-/// layer barriers can be in flight at once.
-fn inference_dag(
-    towers: usize,
-    layers: usize,
-    shards: usize,
-    blocking: bool,
-) -> Result<Dag, Box<dyn std::error::Error>> {
-    let mut b = DagBuilder::new();
-    let input = b.add_node(2); // preprocessing
-    let output = b.add_node(2); // postprocessing
-    for _ in 0..towers {
-        let mut prev = input;
-        for _ in 0..layers {
-            let shard_wcets = vec![3u64; shards];
-            let (fork, join) = b.fork_join(1, &shard_wcets, 1, blocking)?;
-            b.add_edge(prev, fork)?;
-            prev = join;
-        }
-        b.add_edge(prev, output)?;
-    }
-    Ok(b.build()?)
-}
+/// WCET of one shard operation.
+const SHARD_WCET: u64 = 3;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    // `towers` independent towers run concurrently (like parallel heads),
+    // so several layer barriers can be in flight at once.
     let (towers, layers, shards) = (3, 4, 12);
-    let dag = inference_dag(towers, layers, shards, true)?;
+    let dag = presets::inference(towers, layers, shards, SHARD_WCET, true)?;
     println!(
         "inference task: {} towers × {} layers × {} shards = {} nodes, vol {}, len {}",
         towers,
@@ -60,15 +39,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // How many threads until the blocking barriers cannot deadlock?
-    let ca = ConcurrencyAnalysis::new(&dag);
     println!(
         "b̄ = {}, exact max concurrent suspended forks = {}",
-        ca.max_delay_count(),
-        ca.max_suspended_forks().len()
+        dag.delay_profile().max_delay_count(),
+        dag.max_blocking_antichain().len()
     );
-    let safe_m = (1..=16)
-        .find(|&m| deadlock::check_global_with(&ca, m).is_deadlock_free())
-        .expect("some pool size is safe");
+    let safe_m = sizing::min_threads_deadlock_free(&dag);
     println!("smallest deadlock-free pool: m = {safe_m}");
 
     // Schedulability with a 25% utilization budget.
@@ -85,7 +61,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Measured blocking penalty on real threads.
-    let plain = inference_dag(towers, layers, shards, false)?;
+    let plain = presets::inference(towers, layers, shards, SHARD_WCET, false)?;
     let m = safe_m + 1;
     let scale = Duration::from_micros(100);
     let mut pool =

@@ -9,7 +9,7 @@
 
 use rand::SeedableRng;
 use rtpool::core::analysis::partitioned::{partition_and_analyze, PartitionStrategy};
-use rtpool::core::{deadlock, ConcurrencyAnalysis, TaskId};
+use rtpool::core::{deadlock, TaskId};
 use rtpool::gen::{DagGenConfig, TaskSetConfig};
 use rtpool::sim::{SchedulingPolicy, SimConfig};
 
@@ -25,15 +25,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("task set (seed {seed}, m = {m}):");
     for (id, task) in set.iter() {
-        let ca = ConcurrencyAnalysis::new(task.dag());
         println!(
             "  {id}: |V| = {}, vol = {}, len = {}, T = {}, b̄ = {}, l̄ = {}",
             task.dag().node_count(),
             task.volume(),
             task.critical_path_length(),
             task.period(),
-            ca.max_delay_count(),
-            ca.concurrency_lower_bound(m),
+            task.dag().delay_profile().max_delay_count(),
+            deadlock::concurrency_floor(task.dag(), m),
         );
     }
 
@@ -48,8 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             match &mappings[id.index()] {
                 None => println!(" (partitioning failed)"),
                 Some(mapping) => {
-                    let ca = ConcurrencyAnalysis::new(task.dag());
-                    let verdict = deadlock::check_partitioned(&ca, m, mapping);
+                    let verdict = deadlock::check_partitioned(task.dag(), m, mapping);
                     println!(
                         ", loads = {:?}, deadlock-free = {}",
                         mapping.loads(task.dag()),

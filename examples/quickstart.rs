@@ -6,7 +6,7 @@
 //! ```
 
 use rtpool::core::analysis::global::{self, ConcurrencyModel};
-use rtpool::core::{deadlock, ConcurrencyAnalysis, Task, TaskSet};
+use rtpool::core::{deadlock, Task, TaskSet};
 use rtpool::exec::{PoolConfig, QueueDiscipline, ThreadPool};
 use rtpool::graph::{DagBuilder, DotOptions};
 
@@ -34,13 +34,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // --- Concurrency bounds (Section 3.1).
-    let ca = ConcurrencyAnalysis::new(&dag);
     let m = 4;
     println!(
         "b̄ = {}, l̄({m}) = {} (exact max suspended forks: {})",
-        ca.max_delay_count(),
-        ca.concurrency_lower_bound(m),
-        ca.max_suspended_forks().len(),
+        dag.delay_profile().max_delay_count(),
+        deadlock::concurrency_floor(&dag, m),
+        dag.max_blocking_antichain().len(),
     );
     println!(
         "deadlock check on {m} threads: {:?}",

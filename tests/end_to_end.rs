@@ -5,7 +5,7 @@
 use rand::SeedableRng;
 use rtpool::core::analysis::global::{self, ConcurrencyModel};
 use rtpool::core::analysis::partitioned::{self, PartitionStrategy};
-use rtpool::core::{deadlock, ConcurrencyAnalysis, TaskId};
+use rtpool::core::{deadlock, TaskId};
 use rtpool::gen::{BlockingPolicy, ConcurrencyWindow, DagGenConfig, TaskSetConfig};
 use rtpool::sim::{SchedulingPolicy, SimConfig};
 
@@ -84,8 +84,7 @@ fn algorithm1_pipeline_simulates_cleanly() {
         let maps: Vec<_> = mappings.into_iter().map(Option::unwrap).collect();
         // Every mapping is certified delay-free.
         for ((_, task), mapping) in set.iter().zip(&maps) {
-            let ca = ConcurrencyAnalysis::new(task.dag());
-            deadlock::check_mapping_delay_free(&ca, mapping).unwrap();
+            deadlock::check_mapping_delay_free(task.dag(), mapping).unwrap();
         }
         let horizon = set.iter().map(|(_, t)| t.period()).max().unwrap() * 2;
         let out = SimConfig::periodic(SchedulingPolicy::Partitioned, m, horizon)
@@ -118,7 +117,7 @@ fn concurrency_window_controls_generated_floors() {
         .with_concurrency_window(window);
         let set = cfg.generate(&mut rng(l_max as u64)).unwrap();
         for (_, task) in set.iter() {
-            let floor = ConcurrencyAnalysis::new(task.dag()).concurrency_lower_bound(8);
+            let floor = deadlock::concurrency_floor(task.dag(), 8);
             assert!(
                 window.contains(floor),
                 "floor {floor} outside window around {l_max}"
@@ -165,7 +164,7 @@ fn facade_reexports_work() {
     let mut b = rtpool::graph::DagBuilder::new();
     b.add_node(1);
     let dag = b.build().unwrap();
-    let _ = rtpool::core::ConcurrencyAnalysis::new(&dag);
+    let _ = rtpool::core::deadlock::check_global(&dag, 1);
     let _ = rtpool::gen::DagGenConfig::default();
     let _ = rtpool::sim::SimConfig::single_job(rtpool::sim::SchedulingPolicy::Global, 1);
     let _ = rtpool::exec::PoolConfig::new(1, rtpool::exec::QueueDiscipline::GlobalFifo);

@@ -3,7 +3,7 @@
 //! (`rtpool-sim`), and real condition variables (`rtpool-exec`).
 
 use rtpool::core::partition::{algorithm1, worst_fit};
-use rtpool::core::{deadlock, ConcurrencyAnalysis, Task, TaskSet};
+use rtpool::core::{deadlock, Task, TaskSet};
 use rtpool::exec::{ExecError, PoolConfig, QueueDiscipline, ThreadPool};
 use rtpool::graph::{Dag, DagBuilder};
 use rtpool::sim::{SchedulingPolicy, SimConfig};
@@ -37,9 +37,8 @@ fn figure_1b_suspension_reduces_concurrency_in_all_layers() {
     let dag = figure_1a();
     let m = 3;
     // Analysis: one fork can suspend, so l >= m - 1 and no deadlock.
-    let ca = ConcurrencyAnalysis::new(&dag);
-    assert_eq!(ca.max_delay_count(), 1);
-    assert!(deadlock::check_global_with(&ca, m).is_deadlock_free());
+    assert_eq!(dag.delay_profile().max_delay_count(), 1);
+    assert!(deadlock::check_global(&dag, m).is_deadlock_free());
     // Simulation: the trace dips to exactly m - 1.
     let out = SimConfig::single_job(SchedulingPolicy::Global, m)
         .run(&single(dag.clone()))
@@ -91,8 +90,7 @@ fn lemma3_violation_stalls_partitioned_execution_everywhere() {
     let bad =
         rtpool::core::partition::NodeMapping::from_threads(&dag, m, vec![0; dag.node_count()])
             .unwrap();
-    let ca = ConcurrencyAnalysis::new(&dag);
-    assert!(!deadlock::check_partitioned(&ca, m, &bad).is_deadlock_free());
+    assert!(!deadlock::check_partitioned(&dag, m, &bad).is_deadlock_free());
     // Simulator stalls.
     let out = SimConfig::single_job(SchedulingPolicy::Partitioned, m)
         .with_mappings(vec![bad.clone()])
@@ -109,8 +107,7 @@ fn algorithm1_mapping_rescues_partitioned_execution_everywhere() {
     let dag = figure_1a();
     let m = 2;
     let mapping = algorithm1(&dag, m).unwrap();
-    let ca = ConcurrencyAnalysis::new(&dag);
-    assert!(deadlock::check_partitioned(&ca, m, &mapping).is_deadlock_free());
+    assert!(deadlock::check_partitioned(&dag, m, &mapping).is_deadlock_free());
     let out = SimConfig::single_job(SchedulingPolicy::Partitioned, m)
         .with_mappings(vec![mapping.clone()])
         .run(&single(dag.clone()))
@@ -129,8 +126,7 @@ fn worst_fit_on_figure_1c_is_the_papers_hazard() {
     let m = 3;
     assert!(deadlock::check_global(&dag, m).is_deadlock_free());
     let wf = worst_fit(&dag, m);
-    let ca = ConcurrencyAnalysis::new(&dag);
-    let wf_safe = deadlock::check_partitioned(&ca, m, &wf).is_deadlock_free();
+    let wf_safe = deadlock::check_partitioned(&dag, m, &wf).is_deadlock_free();
     let out = SimConfig::single_job(SchedulingPolicy::Partitioned, m)
         .with_mappings(vec![wf.clone()])
         .run(&single(dag.clone()))
