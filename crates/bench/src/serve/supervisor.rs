@@ -477,6 +477,23 @@ mod tests {
     }
 
     #[test]
+    fn largest_pools_are_admitted() {
+        // `m as i64` wrapped in the deadlock floor: Figure 1, admitted on
+        // m = 3, was refused on m = 2⁶³ and on m = u64::MAX.
+        const FIGURE1: &str = include_str!("../../../../workloads/figure1.rtp");
+        let interner = Interner::new(8);
+        let sup = retrying(FaultPlan::seeded(1));
+        for m in [3, 1 << 63, u64::MAX] {
+            let mut line = format!("{{\"id\":1,\"m\":{m},\"source\":\"");
+            rtpool_trace::json::escape_into(FIGURE1, &mut line);
+            line.push_str("\"}");
+            let req = super::super::protocol::parse_request(&line).expect("well-formed line");
+            let out = sup.execute(0, &req, &interner, &CancelToken::never());
+            assert_eq!(out.verdict, VerdictKind::Admit, "m = {m}: {}", out.detail);
+        }
+    }
+
+    #[test]
     fn parse_error_is_terminal() {
         let interner = Interner::new(8);
         let sup = retrying(FaultPlan::seeded(1));

@@ -108,7 +108,7 @@ impl TaskParams {
     fn new(task: &Task, m: usize, model: ConcurrencyModel, backend: SyncBackend) -> Self {
         let dag = task.dag();
         let (denom, floor) = match (model, backend) {
-            (ConcurrencyModel::Full, _) => (m as u64, m as i64),
+            (ConcurrencyModel::Full, _) => (m as u64, i64::try_from(m).unwrap_or(i64::MAX)),
             (ConcurrencyModel::Limited, _)
             // The antichain refinement needs suspended workers to free
             // their cores; a spinner never does, so spin mode falls back
@@ -119,7 +119,7 @@ impl TaskParams {
             }
             (ConcurrencyModel::LimitedExact, SyncBackend::Suspend) => {
                 let suspended = dag.max_blocking_antichain().len();
-                let floor = m as i64 - suspended as i64;
+                let floor = i64::try_from(m).unwrap_or(i64::MAX) - suspended as i64;
                 (floor.max(0) as u64, floor)
             }
         };

@@ -62,7 +62,9 @@ use crate::partition::{NodeMapping, ThreadId};
 #[must_use]
 #[inline]
 pub fn concurrency_floor(dag: &Dag, m: usize) -> i64 {
-    m as i64 - dag.delay_profile().max_delay_count() as i64
+    // Saturating: a pool too large for `i64` is no smaller than
+    // `i64::MAX`, so l̄ never falls as `m` grows.
+    i64::try_from(m).unwrap_or(i64::MAX) - dag.delay_profile().max_delay_count() as i64
 }
 
 /// Deadlock verdict for a task under **global** work-conserving
@@ -502,5 +504,19 @@ mod tests {
             let mapping = worst_fit(&dag, m);
             assert!(check_partitioned(&dag, m, &mapping).is_deadlock_free());
         }
+    }
+
+    #[test]
+    fn floor_never_falls_as_the_pool_grows() {
+        // `m as i64` wrapped: 2⁶³ threads read as l̄ = −2⁶³ − b̄, and
+        // `usize::MAX` as l̄ = −1 − b̄.
+        let dag = replicated(2);
+        let b = dag.delay_profile().max_delay_count() as i64;
+        assert_eq!(concurrency_floor(&dag, 3), 3 - b);
+        for m in [usize::MAX / 2, usize::MAX / 2 + 1, usize::MAX] {
+            assert!(concurrency_floor(&dag, m) > 0, "m = {m}");
+            assert!(concurrency_floor(&dag, m) >= concurrency_floor(&dag, 3));
+        }
+        assert_eq!(concurrency_floor(&dag, usize::MAX), i64::MAX - b);
     }
 }

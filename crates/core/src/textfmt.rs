@@ -46,11 +46,12 @@
 //! rustc-style labeled snippets.
 
 use std::collections::hash_map::{Entry, HashMap};
+use std::collections::HashSet;
 use std::error::Error;
 use std::fmt;
 use std::fmt::Write as _;
 
-use rtpool_graph::{DagBuilder, GraphError, NodeId, SyncBackend};
+use rtpool_graph::{Dag, GraphError, NodeId, SyncBackend};
 
 use crate::error::CoreError;
 use crate::task::{Task, TaskId, TaskSet};
@@ -310,31 +311,50 @@ impl Tok<'_> {
     }
 }
 
-/// Splits the pre-`#` content of `raw` into `toks` (cleared first; one
-/// buffer serves every line of a parse).
-fn tokenize<'a>(raw: &'a str, toks: &mut Vec<Tok<'a>>) {
+/// Splits the first line of `text` — through its `\n`, or to the end —
+/// into `toks` (cleared first; one buffer serves every line of a parse)
+/// and returns that line's length in bytes, so lines and tokens are found
+/// in one pass. A `#` ends the tokens. Tokens split where
+/// [`char::is_whitespace`] says; an ASCII byte is tested as it is, and a
+/// `char` is decoded only where a byte is not ASCII (`.rtp` keywords and
+/// numbers are ASCII; names need not be). A `\r` before the `\n` is
+/// whitespace, so lines split as [`str::lines`] splits them.
+fn tokenize_line<'a>(text: &'a str, toks: &mut Vec<Tok<'a>>) -> usize {
     toks.clear();
     let mut push = |from: usize, to: usize| {
         toks.push(Tok {
-            before: &raw[..from],
-            text: &raw[from..to],
+            before: &text[..from],
+            text: &text[from..to],
         });
     };
-    let mut start = None;
-    for (byte, ch) in raw.char_indices() {
-        if ch == '#' || ch.is_whitespace() {
-            if let Some(from) = start.take() {
-                push(from, byte);
+    let (bytes, mut at, mut start) = (text.as_bytes(), 0, None);
+    while let Some(&b) = bytes.get(at) {
+        let (blank, width) = if b.is_ascii() {
+            if b == b'\n' || b == b'#' {
+                break;
             }
-            if ch == '#' {
-                return;
+            // `char::is_whitespace` on ASCII; unlike
+            // `u8::is_ascii_whitespace` it includes `\x0B`.
+            (matches!(b, b'\t' | b'\x0B' | b'\x0C' | b'\r' | b' '), 1)
+        } else {
+            let ch = text[at..].chars().next().expect("`at` is a char boundary");
+            (ch.is_whitespace(), ch.len_utf8())
+        };
+        if blank {
+            if let Some(from) = start.take() {
+                push(from, at);
             }
         } else if start.is_none() {
-            start = Some(byte);
+            start = Some(at);
         }
+        at += width;
     }
     if let Some(from) = start {
-        push(from, raw.len());
+        push(from, at);
+    }
+    match bytes[at..].iter().position(|&b| b == b'\n') {
+        Some(newline) => at + newline + 1,
+        None => bytes.len(),
     }
 }
 
@@ -409,23 +429,31 @@ pub fn parse_task_set_with_spans(input: &str) -> Result<(TaskSet, SourceSpans), 
 
 const OUTSIDE: &str = "directive outside a `task … end` block";
 
-/// The one parser body. With `record` unset no declaration site is
-/// computed or stored and the returned [`SourceSpans`] is empty.
+/// The one parser body. A task's graph is three lists — node WCETs,
+/// edges and blocking pairs — that `end` hands to [`Dag::from_lists`].
+///
+/// With `record` unset no declaration site is computed or stored, the
+/// returned [`SourceSpans`] is empty, and a self-loop or a repeated edge
+/// is left for `from_lists` to find at `end`: any error sends
+/// [`parse_task_set`] to the recording pass, which reports both at the
+/// directive that declares them, before anything later in the text.
 fn parse(input: &str, record: bool) -> Result<(TaskSet, SourceSpans), ParseTaskError> {
     let mut tasks = Vec::new();
     let mut spans = Vec::new();
     let mut current: Option<TaskInProgress> = None;
     let mut backend: Option<(SyncBackend, Span)> = None;
-    // Reused across lines / tasks; names are slices of `input`. The
-    // builder is empty between tasks (`build_reset`) and keeps the
-    // capacity its edge list and duplicate set grew to.
+    // Reused across lines and tasks, cleared when a task opens; names are
+    // slices of `input`. The name map and the recording pass's edge set
+    // keep std's keyed hasher: the text comes from outside.
     let mut toks = Vec::new();
     let mut names: HashMap<&str, NodeId> = HashMap::new();
-    let mut builder = DagBuilder::new();
+    let (mut wcets, mut edges, mut pairs) = (Vec::new(), Vec::new(), Vec::new());
+    let mut seen: HashSet<(NodeId, NodeId)> = HashSet::new();
 
-    for (idx, raw) in input.lines().enumerate() {
-        let line_no = idx + 1;
-        tokenize(raw, &mut toks);
+    let (mut rest, mut line_no) = (input, 0);
+    while !rest.is_empty() {
+        line_no += 1;
+        rest = &rest[tokenize_line(rest, &mut toks)..];
         let Some(&directive) = toks.first() else {
             continue;
         };
@@ -496,6 +524,10 @@ fn parse(input: &str, record: bool) -> Result<(TaskSet, SourceSpans), ParseTaskE
                 })?;
                 let header = line_span(line_no, &toks);
                 names.clear();
+                wcets.clear();
+                edges.clear();
+                pairs.clear();
+                seen.clear();
                 current = Some(TaskInProgress {
                     header,
                     period,
@@ -529,8 +561,9 @@ fn parse(input: &str, record: bool) -> Result<(TaskSet, SourceSpans), ParseTaskE
                             name: name.text.to_owned(),
                         })
                     }
-                    Entry::Vacant(slot) => slot.insert(builder.add_node(wcet)),
+                    Entry::Vacant(slot) => slot.insert(NodeId::from_index(wcets.len())),
                 };
+                wcets.push(wcet);
                 if let Some(s) = &mut t.spans {
                     s.names.push(name.text.to_owned());
                     s.nodes.push(line_span(line_no, &toks));
@@ -543,24 +576,28 @@ fn parse(input: &str, record: bool) -> Result<(TaskSet, SourceSpans), ParseTaskE
                 let from = lookup(&names, args.first(), line_no, directive)?;
                 let to = lookup(&names, args.get(1), line_no, directive)?;
                 expect_end(args.get(2), line_no)?;
-                let declared = if kind == "edge" {
-                    builder.add_edge(from, to)
-                } else {
-                    builder.blocking_pair(from, to)
-                };
-                declared.map_err(|source| ParseTaskError::Graph {
-                    line: line_no,
-                    span: line_span(line_no, &toks),
-                    source,
-                })?;
+                let is_edge = kind == "edge";
                 if let Some(s) = &mut t.spans {
-                    let sites = if kind == "edge" {
+                    let site = line_span(line_no, &toks);
+                    let invalid = |source| ParseTaskError::Graph {
+                        line: line_no,
+                        span: site,
+                        source,
+                    };
+                    if from == to {
+                        return Err(invalid(GraphError::SelfLoop(from)));
+                    }
+                    if is_edge && !seen.insert((from, to)) {
+                        return Err(invalid(GraphError::DuplicateEdge(from, to)));
+                    }
+                    let sites = if is_edge {
                         &mut s.edges
                     } else {
                         &mut s.blocking
                     };
-                    sites.push((from.index(), to.index(), line_span(line_no, &toks)));
+                    sites.push((from.index(), to.index(), site));
                 }
+                if is_edge { &mut edges } else { &mut pairs }.push((from, to));
             }
             "end" => {
                 expect_end(args.first(), line_no)?;
@@ -568,7 +605,7 @@ fn parse(input: &str, record: bool) -> Result<(TaskSet, SourceSpans), ParseTaskE
                     .take()
                     .ok_or_else(|| directive.error(line_no, "`end` without an open task"))?;
                 let end_span = directive.span(line_no);
-                let dag = builder.build_reset().map_err(|source| {
+                let dag = Dag::from_lists(&wcets, &edges, &pairs).map_err(|source| {
                     // Point at the declaration of the first involved node
                     // when the error names one (GraphError::nodes).
                     let span = source
@@ -970,11 +1007,113 @@ end
     #[test]
     fn tokenizer_columns_are_character_columns() {
         let mut toks = Vec::new();
-        tokenize("  node bêta 2", &mut toks);
+        assert_eq!(tokenize_line("  node bêta 2\nend\n", &mut toks), 15);
         assert_eq!(toks.len(), 3);
         assert_eq!((toks[0].col(), toks[0].text), (3, "node"));
         assert_eq!((toks[1].col(), toks[1].text), (8, "bêta"));
         assert_eq!((toks[2].col(), toks[2].text), (13, "2"));
         assert_eq!(toks[1].span(1), Span::new(1, 8, 4));
+    }
+
+    #[test]
+    fn declaration_errors_win_over_later_errors_through_both_entry_points() {
+        let graph_error = |line, span, source| ParseTaskError::Graph { line, span, source };
+        let (a, b) = (NodeId::from_index(0), NodeId::from_index(1));
+        let cases = [
+            // A repeated edge, then an unknown name two lines on.
+            (
+                "task period=10\n node a 1\n node b 1\n edge a b\n edge a b\n edge a zz\nend\n",
+                graph_error(5, Span::new(5, 2, 8), GraphError::DuplicateEdge(a, b)),
+            ),
+            // The same repeat with nothing after it: the fast pass only
+            // finds it at `end`.
+            (
+                "task period=10\n node a 1\n node b 1\n edge a b\n edge a b\nend\n",
+                graph_error(5, Span::new(5, 2, 8), GraphError::DuplicateEdge(a, b)),
+            ),
+            // A self-loop region, then an unknown name.
+            (
+                "task period=10\n node a 1\n blocking a a\n edge a zz\nend\n",
+                graph_error(3, Span::new(3, 2, 12), GraphError::SelfLoop(a)),
+            ),
+            (
+                "task period=10\n node a 1\n edge a a\nend\n",
+                graph_error(3, Span::new(3, 2, 8), GraphError::SelfLoop(a)),
+            ),
+        ];
+        for (text, want) in cases {
+            assert_eq!(parse_task_set(text).unwrap_err(), want, "{text:?}");
+            assert_eq!(
+                parse_task_set_with_spans(text).unwrap_err(),
+                want,
+                "{text:?}"
+            );
+        }
+    }
+
+    /// The tokenizer before the byte scan, kept as the reference the scan
+    /// must agree with: one `char` at a time, over one of `str::lines`.
+    fn tokenize_by_chars<'a>(raw: &'a str, toks: &mut Vec<Tok<'a>>) {
+        toks.clear();
+        let mut start = None;
+        for (byte, ch) in raw.char_indices() {
+            if ch == '#' || ch.is_whitespace() {
+                if let Some(from) = start.take() {
+                    toks.push(Tok {
+                        before: &raw[..from],
+                        text: &raw[from..byte],
+                    });
+                }
+                if ch == '#' {
+                    return;
+                }
+            } else if start.is_none() {
+                start = Some(byte);
+            }
+        }
+        if let Some(from) = start {
+            toks.push(Tok {
+                before: &raw[..from],
+                text: &raw[from..],
+            });
+        }
+    }
+
+    /// What a text is made of: ASCII words and blanks, every ASCII byte
+    /// `char::is_whitespace` accepts and some it does not (`\x1C`–`\x1F`),
+    /// non-ASCII whitespace, `#`, multibyte names, and line ends.
+    const PIECES: [&str; 29] = [
+        "node", "v12", "=", " ", "\t", "\r", "\x0B", "\x0C", "\x1C", "\x1F", "\u{85}", "\u{A0}",
+        "\u{1680}", "\u{2003}", "\u{2028}", "\u{3000}", "#", "é", "bêta", "nœud", "≥", "🦀",
+        "\u{200B}", "\u{FEFF}", "x", "  ", "\n", "\r\n", "\n\n",
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(2000))]
+        #[test]
+        fn byte_tokenizer_agrees_with_the_char_tokenizer(
+            pieces in proptest::collection::vec(0usize..PIECES.len(), 0..40)
+        ) {
+            let text: String = pieces.into_iter().map(|i| PIECES[i]).collect();
+            let view = |toks: &[Tok<'_>]| -> Vec<(usize, String, String)> {
+                toks.iter()
+                    .map(|t| (t.col(), t.before.to_owned(), t.text.to_owned()))
+                    .collect()
+            };
+            let mut toks = Vec::new();
+            let want: Vec<_> = text
+                .lines()
+                .map(|line| {
+                    tokenize_by_chars(line, &mut toks);
+                    view(&toks)
+                })
+                .collect();
+            let (mut got, mut rest) = (Vec::new(), text.as_str());
+            while !rest.is_empty() {
+                rest = &rest[tokenize_line(rest, &mut toks)..];
+                got.push(view(&toks));
+            }
+            proptest::prop_assert_eq!(got, want, "{:?}", text);
+        }
     }
 }

@@ -6,9 +6,12 @@
 //! the finished graph. A row therefore lists a node's neighbours in
 //! insertion order, which the topological order, the critical-path
 //! witness and the content hash all depend on. Beside the list it keeps
-//! a keyed set for an *eager* duplicate check: `.rtp` input must hear
-//! about a repeated edge at the `add_edge` that repeats it (rtlint's
-//! RT013 names that line), where `from_lists` would only find it whole.
+//! a keyed set for an *eager* duplicate check, so a caller hears about a
+//! repeated edge at the `add_edge` that repeats it, where `from_lists`
+//! would only find it whole. Callers that hold lists already skip the
+//! builder and that set: the task-set generator, and the `.rtp` parser
+//! (`rtpool_core::textfmt`), which checks a repeated edge at its line
+//! itself, and only when it records declaration sites.
 
 use std::collections::HashSet;
 
@@ -51,8 +54,8 @@ pub struct DagBuilder {
     /// Edges in insertion order.
     edges: Vec<(NodeId, NodeId)>,
     /// The same edges keyed for the duplicate check. The default
-    /// (randomly keyed) hasher stays: edges come from untrusted `.rtp`
-    /// input.
+    /// (randomly keyed) hasher stays: a caller's edges may come from
+    /// outside the program.
     seen: HashSet<(NodeId, NodeId)>,
     pairs: Vec<(NodeId, NodeId)>,
 }
@@ -212,26 +215,8 @@ impl DagBuilder {
     /// Any violation of the model restrictions: emptiness, cycles, multiple
     /// sources/sinks, malformed or nested blocking regions (see
     /// [`GraphError`]).
-    pub fn build(mut self) -> Result<Dag, GraphError> {
-        self.build_reset()
-    }
-
-    /// [`DagBuilder::build`] for a builder that is kept: builds and
-    /// validates the graph recorded so far and leaves the builder empty
-    /// (whether or not the graph was valid) with its buffers' capacity
-    /// intact, so a parser that reads many graphs in a row pays for the
-    /// growth of the edge list and the duplicate set once.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`DagBuilder::build`].
-    pub fn build_reset(&mut self) -> Result<Dag, GraphError> {
-        let built = Dag::from_lists(&self.wcets, &self.edges, &self.pairs);
-        self.wcets.clear();
-        self.edges.clear();
-        self.seen.clear();
-        self.pairs.clear();
-        built
+    pub fn build(self) -> Result<Dag, GraphError> {
+        Dag::from_lists(&self.wcets, &self.edges, &self.pairs)
     }
 
     /// Builds the graph, first normalizing multiple sources/sinks by adding

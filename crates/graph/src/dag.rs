@@ -80,8 +80,8 @@ impl Dag {
     ///
     /// This is what [`DagBuilder::build`](crate::DagBuilder::build) does
     /// with what it recorded; a caller that already holds such lists,
-    /// like the task-set generator, hands them over without replaying
-    /// them through a builder. A repeated edge is found by a stamp pass
+    /// like the task-set generator or the `.rtp` parser, hands them over
+    /// without replaying them through a builder. A repeated edge is found by a stamp pass
     /// over the successor rows, not a hash set.
     ///
     /// # Errors

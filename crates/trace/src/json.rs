@@ -302,16 +302,18 @@ impl<'a> Reader<'a> {
 
     /// Reads one string literal, copying the body run by run between
     /// escapes: the text is a `&str` and `"`/`\` are ASCII, so every run
-    /// boundary is a char boundary and nothing is re-validated. A body
-    /// without escapes is borrowed. With `keep` unset the body is checked
-    /// the same way but comes back empty.
+    /// boundary is a char boundary and nothing is re-validated. Runs are
+    /// found a word at a time ([`first_of`]). A body without escapes is
+    /// borrowed; at its first escape the body gets its one allocation,
+    /// as long as the whole literal ([`literal_end`]): unescaping only
+    /// shrinks text, and the capacity never depends on what follows the
+    /// literal in the document. With `keep` unset the body is checked
+    /// the same way but comes back empty, and nothing is allocated.
     fn string(&mut self, keep: bool) -> Result<Cow<'a, str>, String> {
         self.expect(b'"')?;
         let (first, mut run, mut out) = (self.pos, self.pos, String::new());
         loop {
-            let stop = self.bytes[self.pos..]
-                .iter()
-                .position(|&b| b == b'"' || b == b'\\')
+            let stop = first_of(&self.bytes[self.pos..], b'"', b'\\')
                 .ok_or_else(|| "unterminated string".to_string())?;
             self.pos += stop + 1;
             let body = if keep {
@@ -325,6 +327,12 @@ impl<'a> Reader<'a> {
                 }
                 out.push_str(body);
                 return Ok(Cow::Owned(out));
+            }
+            if keep && run == first {
+                // An unterminated literal is an error whatever it holds,
+                // so its body may start empty.
+                let end = literal_end(self.bytes, self.pos + 1).unwrap_or(first);
+                out.reserve_exact(end - first);
             }
             let c = match self.bytes.get(self.pos) {
                 Some(b'"') => '"',
@@ -358,6 +366,50 @@ impl<'a> Reader<'a> {
                 out.push(c);
             }
         }
+    }
+}
+
+/// The offset in `bytes` of the first `a` or `b`, found eight bytes at a
+/// time: a word XORed with eight copies of a byte has a zero byte exactly
+/// where the word holds that byte, and `(x - 0x01…01) & !x & 0x80…80`
+/// flags zero bytes. A flag can be spurious only above a real zero byte,
+/// so the lowest flag of either test is the first match.
+#[inline]
+fn first_of(bytes: &[u8], a: u8, b: u8) -> Option<usize> {
+    const ONES: u64 = u64::from_ne_bytes([0x01; 8]);
+    const HIGHS: u64 = u64::from_ne_bytes([0x80; 8]);
+    let (a8, b8) = (u64::from_ne_bytes([a; 8]), u64::from_ne_bytes([b; 8]));
+    let zero_bytes = |x: u64| x.wrapping_sub(ONES) & !x & HIGHS;
+    let mut words = bytes.chunks_exact(8);
+    let mut base = 0;
+    for word in &mut words {
+        let word = u64::from_le_bytes(word.try_into().expect("eight bytes"));
+        let hits = zero_bytes(word ^ a8) | zero_bytes(word ^ b8);
+        if hits != 0 {
+            return Some(base + hits.trailing_zeros() as usize / 8);
+        }
+        base += 8;
+    }
+    let tail = words.remainder().iter().position(|&c| c == a || c == b);
+    tail.map(|i| base + i)
+}
+
+/// The offset of the `"` that closes the string literal whose body
+/// continues at `at`, a byte no `\` escapes; `None` when the text ends
+/// first. Each `\` escapes the one byte after it, so a `"` closes the
+/// literal when the run of `\` right before it (back to `at`) is even.
+/// Where the body decodes, its `\u` escapes hold hex digits only, so
+/// this is where decoding stops. The scan looks for `"` alone, so unlike
+/// the decoding loop it does not stop at every escape.
+fn literal_end(bytes: &[u8], at: usize) -> Option<usize> {
+    let mut from = at;
+    loop {
+        let quote = from + first_of(bytes.get(from..)?, b'"', b'"')?;
+        let escapes = bytes[at..quote].iter().rev().take_while(|&&c| c == b'\\');
+        if escapes.count() % 2 == 0 {
+            return Some(quote);
+        }
+        from = quote + 1;
     }
 }
 
@@ -443,5 +495,143 @@ mod tests {
         assert_eq!(walked, Ok(()));
         let kept = |s: &'static str| Value::Str(Cow::Borrowed(s));
         assert_eq!(seen, [Value::Num(7), kept("a\tb"), kept(""), Value::Null]);
+    }
+
+    /// The decoder before the word scan, kept as the reference the scan
+    /// must agree with: one byte at a time, the body grown from empty.
+    fn string_bytewise<'a>(r: &mut Reader<'a>, keep: bool) -> Result<Cow<'a, str>, String> {
+        r.expect(b'"')?;
+        let (first, mut run, mut out) = (r.pos, r.pos, String::new());
+        loop {
+            let stop = r.bytes[r.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .ok_or_else(|| "unterminated string".to_string())?;
+            r.pos += stop + 1;
+            let body = if keep { &r.text[run..r.pos - 1] } else { "" };
+            if r.bytes[r.pos - 1] == b'"' {
+                if run == first {
+                    return Ok(Cow::Borrowed(body));
+                }
+                out.push_str(body);
+                return Ok(Cow::Owned(out));
+            }
+            let c = match r.bytes.get(r.pos) {
+                Some(b'"') => '"',
+                Some(b'\\') => '\\',
+                Some(b'/') => '/',
+                Some(b'n') => '\n',
+                Some(b'r') => '\r',
+                Some(b't') => '\t',
+                Some(b'b') => '\u{8}',
+                Some(b'f') => '\u{c}',
+                Some(b'u') => {
+                    let hex = r
+                        .bytes
+                        .get(r.pos + 1..r.pos + 5)
+                        .ok_or_else(|| "truncated \\u escape".to_string())?;
+                    let hex =
+                        std::str::from_utf8(hex).map_err(|_| "invalid \\u escape".to_string())?;
+                    let code = u32::from_str_radix(hex, 16)
+                        .map_err(|_| "invalid \\u escape".to_string())?;
+                    r.pos += 4;
+                    char::from_u32(code).ok_or_else(|| "surrogate \\u escape".to_string())?
+                }
+                _ => return Err(format!("bad escape at byte {}", r.pos)),
+            };
+            r.pos += 1;
+            run = r.pos;
+            if keep {
+                out.push_str(body);
+                out.push(c);
+            }
+        }
+    }
+
+    /// What a literal body is made of: plain and multibyte text, every
+    /// escape, malformed escapes, and bare `"` / `\` (a bare `"` ends the
+    /// literal early; a trailing `\` escapes what follows it).
+    const PIECES: [&str; 24] = [
+        "a",
+        "bcdefgh",
+        "0123456789abcdef",
+        " ",
+        "é",
+        "≥",
+        "🦀",
+        "\u{85}",
+        "\"",
+        "\\",
+        "\\\"",
+        "\\\\",
+        "\\/",
+        "\\n",
+        "\\r",
+        "\\t",
+        "\\b",
+        "\\f",
+        "\\u00e9",
+        "\\u2603",
+        "\\ud800",
+        "\\q",
+        "\\u12",
+        "\\u12\"3",
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(2000))]
+        #[test]
+        fn word_scan_agrees_with_the_bytewise_decoder(
+            (pad, pieces, closed, tail) in (
+                0usize..8,
+                proptest::collection::vec(0usize..PIECES.len(), 0..48),
+                proptest::prelude::any::<bool>(),
+                0usize..12,
+            )
+        ) {
+            // `pad` puts every piece at every offset mod 8 across cases.
+            let mut text = format!("{}\"{}", " ".repeat(pad), "x".repeat(pad));
+            for i in pieces {
+                text.push_str(PIECES[i]);
+            }
+            if closed {
+                text.push('"');
+            }
+            text.push_str(&"y".repeat(tail));
+            for keep in [true, false] {
+                let (mut scan, mut bytewise) = (Reader::new(&text), Reader::new(&text));
+                scan.pos = pad;
+                bytewise.pos = pad;
+                let (got, want) = (scan.string(keep), string_bytewise(&mut bytewise, keep));
+                proptest::prop_assert_eq!(&got, &want, "{:?} keep={}", text, keep);
+                if want.is_ok() {
+                    proptest::prop_assert_eq!(scan.pos, bytewise.pos, "{:?}", text);
+                }
+                // A kept escaped body is sized once, by its literal.
+                if let (true, Ok(Cow::Owned(body))) = (keep, &got) {
+                    let literal = scan.pos - 1 - (pad + 1);
+                    proptest::prop_assert_eq!(body.capacity(), literal, "{:?}", text);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn first_of_sees_every_offset() {
+        for len in 0..40 {
+            for at in 0..len {
+                for b in [b'"', b'\\'] {
+                    let mut bytes = vec![b'a'; len];
+                    bytes[at] = b;
+                    // Bytes that differ from `"`/`\` by one bit or sit
+                    // one below them must not be mistaken for either.
+                    bytes[..at].fill(b'"' ^ 0x80);
+                    assert_eq!(first_of(&bytes, b'"', b'\\'), Some(at), "{len} {at}");
+                    bytes[..at].fill(b'\\' - 1);
+                    assert_eq!(first_of(&bytes, b'"', b'\\'), Some(at), "{len} {at}");
+                }
+            }
+            assert_eq!(first_of(&vec![0xFF; len], b'"', b'\\'), None);
+        }
     }
 }

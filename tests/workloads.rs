@@ -48,3 +48,20 @@ fn figure1_workload_roundtrips() {
         assert_eq!(a.period(), b.period());
     }
 }
+
+#[test]
+fn figure1_workload_stays_schedulable_on_the_largest_pools() {
+    // `m as i64` wrapped: on 2⁶³ threads or more the floor went negative
+    // and a set admitted on m = 3 was refused.
+    let set = textfmt::parse_task_set(FIGURE1).unwrap();
+    assert!(global::analyze(&set, 3, ConcurrencyModel::LimitedExact).is_schedulable());
+    for m in [usize::MAX / 2 + 1, usize::MAX] {
+        for model in [ConcurrencyModel::LimitedExact, ConcurrencyModel::Limited] {
+            assert!(
+                global::analyze(&set, m, model).is_schedulable(),
+                "{model:?} on m = {m}"
+            );
+        }
+        assert!(deadlock::check_global(set.task(TaskId(0)).dag(), m).is_deadlock_free());
+    }
+}
