@@ -116,6 +116,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::{self, ThreadId};
 
 use rtpool_core::textfmt::{parse_task_set, ParseTaskError};
+use rtpool_core::SyncBackend;
 use rtpool_core::TaskSet;
 
 use super::protocol::LadderLevel;
@@ -443,7 +444,10 @@ impl Interner {
     }
 
     /// The structural content hash of a task set: every task's DAG hash
-    /// combined with its period and deadline, in priority order.
+    /// combined with its period and deadline, in priority order, and the
+    /// backend its barriers run on. A spin set and its suspend twin get
+    /// different hashes, so neither is answered from the other's entry;
+    /// a suspend set's hash is the same as before the backend was mixed.
     #[must_use]
     pub fn hash_set(set: &TaskSet) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -458,6 +462,9 @@ impl Interner {
             mix(task.dag().content_hash());
             mix(task.period());
             mix(task.deadline());
+        }
+        if set.backend() == SyncBackend::Spin {
+            mix(1);
         }
         h
     }
@@ -673,7 +680,7 @@ impl Interner {
 }
 
 #[cfg(test)]
-mod tests {
+pub(super) mod tests {
     use std::cell::Cell;
     use std::collections::BTreeMap;
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -1410,5 +1417,42 @@ mod tests {
         drop(interner);
         let built = built.into_inner().unwrap();
         assert!(built.iter().all(|set| set.upgrade().is_none()));
+    }
+
+    /// Two tasks on `m = 3`: a blocking fork–join at period 20, and a
+    /// diamond whose deadline of 30 the spin backend's blocking misses
+    /// (bound 32) while suspension meets it.
+    pub(in super::super) const SUSPEND_TWIN: &str = "task period=20\n  node s 1\n  node f 1\n  \
+        node a 2\n  node b 2\n  node j 1\n  node t 1\n  edge s f\n  edge f a\n  \
+        edge f b\n  edge a j\n  edge b j\n  edge j t\n  blocking f j\nend\n\n\
+        task period=100 deadline=30\n  node u 1\n  node x 10\n  node y 10\n  node z 10\n  \
+        edge u x\n  edge u y\n  edge x z\n  edge y z\nend\n";
+
+    #[test]
+    fn a_spin_set_is_not_answered_from_its_suspend_twin() {
+        let spin = format!("backend spin\n{SUSPEND_TWIN}");
+        let supervisor = Supervisor::new(RecoveryPolicy::Abort, FaultPlan::seeded(0));
+        let interner = Interner::new(8);
+        let send = |text: &str| {
+            let request = Request {
+                id: 0,
+                m: 3,
+                priority: 4,
+                deadline_us: 0,
+                body: RequestBody::Source(text.to_string()),
+            };
+            supervisor.execute(0, &request, &interner, &CancelToken::never())
+        };
+        let suspend = send(SUSPEND_TWIN);
+        let spun = send(&spin);
+        assert_eq!(suspend.verdict, VerdictKind::Admit, "{}", suspend.detail);
+        assert_ne!(suspend.hash, spun.hash, "the backend is part of the hash");
+        assert_eq!(spun.verdict, VerdictKind::Reject, "{}", spun.detail);
+        assert_eq!(
+            spun.detail,
+            "task 1: response-time bound 32 exceeds the deadline"
+        );
+        let resident = interner.lookup(spun.hash.unwrap()).unwrap();
+        assert_eq!(resident.backend(), SyncBackend::Spin);
     }
 }

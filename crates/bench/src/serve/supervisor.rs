@@ -336,7 +336,7 @@ fn apply_edit_script(base: &TaskSet, ops: &[EditScript]) -> Result<TaskSet, Stri
                 .map_err(|e| format!("edited task {ti} is invalid: {e}"))?,
         );
     }
-    Ok(TaskSet::new(out))
+    Ok(TaskSet::new(out).with_backend(base.backend()))
 }
 
 /// A resolved workload plus its ladder answer.
@@ -382,6 +382,9 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 mod tests {
     use std::time::Duration;
 
+    use rtpool_core::SyncBackend;
+
+    use super::super::interner::tests::SUSPEND_TWIN;
     use super::*;
 
     const SRC: &str = "task period=100\n  node a 10\n  node b 5\n  edge a b\nend\n";
@@ -590,6 +593,40 @@ mod tests {
         );
         let stats = interner.stats();
         assert_eq!((stats.delta_hits, stats.recalled), (3, 1));
+    }
+
+    #[test]
+    fn an_edit_of_a_spin_base_stays_spin() {
+        let spin = format!("backend spin\n{SUSPEND_TWIN}");
+        let interner = Interner::new(8);
+        let sup = retrying(FaultPlan::seeded(1));
+        let source = |text: &str| Request {
+            body: RequestBody::Source(text.to_string()),
+            ..request(0, 3)
+        };
+        let base = sup.execute(0, &source(&spin), &interner, &CancelToken::never());
+        assert_eq!(base.verdict, VerdictKind::Reject, "{}", base.detail);
+        let edited = sup.execute(
+            1,
+            &edit_request(1, 3, base.hash.unwrap(), "wcet:1.3=11"),
+            &interner,
+            &CancelToken::never(),
+        );
+        let patched = interner.lookup(edited.hash.unwrap()).unwrap();
+        assert_eq!(patched.backend(), SyncBackend::Spin);
+        // The edited set sent whole, to a fresh interner, is answered
+        // the same: verdict, rung, detail and hash.
+        let cold = sup.execute(
+            2,
+            &source(&spin.replace("node z 10", "node z 11")),
+            &Interner::new(8),
+            &CancelToken::never(),
+        );
+        assert_eq!(cold.verdict, VerdictKind::Reject, "{}", cold.detail);
+        assert_eq!(
+            (edited.hash, edited.verdict, edited.level, &edited.detail),
+            (cold.hash, cold.verdict, cold.level, &cold.detail)
+        );
     }
 
     #[test]

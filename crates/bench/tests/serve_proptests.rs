@@ -25,6 +25,9 @@
 //!    differs from a remembered one in a digit, a space or its base is
 //!    answered as a fresh interner answers it, however the sends are
 //!    repeated, interleaved, poisoned and evicted in between.
+//! 7. **A backend is part of a set**: a `backend spin` source is
+//!    answered as the ladder answers the spin set, whether or not its
+//!    suspend twin was sent first.
 
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -35,8 +38,8 @@ use rtpool_bench::serve::protocol::{
 use rtpool_bench::serve::{
     run_ladder, run_ladder_capped, Interner, ServiceEvent, ServiceOutcome, Supervisor,
 };
-use rtpool_core::textfmt::write_task_set;
-use rtpool_core::{CancelToken, Task, TaskSet};
+use rtpool_core::textfmt::{parse_task_set, write_task_set};
+use rtpool_core::{CancelToken, SyncBackend, Task, TaskSet};
 use rtpool_exec::{FaultPlan, RecoveryPolicy};
 use rtpool_gen::{DagGenConfig, TaskSetConfig};
 use rtpool_graph::{DagBuilder, DagEdit, NodeId, NodeKind};
@@ -843,5 +846,49 @@ proptest! {
                 prop_assert_eq!(answer(&out), alone[pick], "edit {} sending {}: {}", pick, t, out.detail);
             }
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A generated set and its spin twin, sent to one interner in
+    /// either order: the spin source gets its own hash and the verdict,
+    /// rung and detail of the ladder on the spin set, never the suspend
+    /// twin's memoized answer.
+    #[test]
+    fn a_spin_source_is_answered_as_the_spin_set(
+        seed in 0u64..50_000,
+        n in 1usize..4,
+        util_tenths in 5u64..30,
+        m in 2usize..6,
+        spin_first in any::<bool>(),
+    ) {
+        let set = random_set(seed, n, util_tenths as f64 / 10.0);
+        let suspend = write_task_set(&set);
+        let spin = write_task_set(&set.with_backend(SyncBackend::Spin));
+        let never = CancelToken::never();
+        let sup = Supervisor::new(RecoveryPolicy::Abort, FaultPlan::seeded(0));
+        let interner = Interner::new(8);
+        let send = |text: &str| {
+            let body = RequestBody::Source(text.to_string());
+            sup.execute(0, &request(m, body), &interner, &never)
+        };
+        let (spun, twin) = if spin_first {
+            let spun = send(&spin);
+            (spun, send(&suspend))
+        } else {
+            let twin = send(&suspend);
+            (send(&spin), twin)
+        };
+        prop_assert!(spun.hash != twin.hash, "the backend is part of the hash");
+        let spin_set = parse_task_set(&spin).expect("a written set parses");
+        prop_assert_eq!(spin_set.backend(), SyncBackend::Spin);
+        let ladder = run_ladder(&spin_set, m, &never);
+        let verdict = if ladder.admit { VerdictKind::Admit } else { VerdictKind::Reject };
+        prop_assert_eq!(
+            (spun.verdict, spun.level, &spun.detail),
+            (verdict, Some(ladder.level), &ladder.detail)
+        );
     }
 }

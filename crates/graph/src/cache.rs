@@ -19,7 +19,7 @@
 //! are flat bit matrices: one row-major `Vec<u64>` per relation (stride
 //! `⌈|V|/64⌉` words), whose rows are written in place and handed out as
 //! borrowed [`BitRow`] views. A profile is therefore three heap blocks
-//! and a closure two, whatever the node count, where one owned bit set
+//! and a closure one, whatever the node count, where one owned bit set
 //! per node per relation used to make filling and freeing the cache
 //! `O(|V|)` allocator calls. Both are held behind [`Arc`] so a WCET-only
 //! [`Dag::edit`](crate::Dag::edit) carries them to the next graph
@@ -139,7 +139,7 @@ impl DelayProfile {
 
 /// The lazy cells carried by every [`Dag`]. All fields start empty and
 /// fill on first use, but for the two `Dag::assemble` seeds: the closure
-/// the validation computed anyway, and the checked WCET sum.
+/// the assembly computed anyway, and the checked WCET sum.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct DerivedCache {
     pub(crate) volume: OnceLock<u64>,

@@ -8,6 +8,7 @@
 //! (a FIFO frontier), the critical-path witness, the content hash and
 //! through them every golden digest depend on that order.
 
+use crate::error::GraphError;
 use crate::node::NodeId;
 
 /// Sorts `edges` by their first component into CSR form, reusing the
@@ -48,21 +49,60 @@ pub fn fill_csr(
     for (key, _) in edges.clone() {
         starts[key.index() + 1] += 1;
     }
-    for i in 0..n {
-        starts[i + 1] += starts[i];
-    }
-    let count = starts[n] as usize;
+    accumulate(starts);
     targets.clear();
-    targets.resize(count, NodeId(0));
-    let slots = targets.as_mut_slice();
-    // Fill using the row starts as cursors, then shift them back.
+    targets.resize(starts[n] as usize, NodeId(0));
     for (key, value) in edges {
-        let cursor = &mut starts[key.index()];
-        slots[*cursor as usize] = value;
-        *cursor += 1;
+        place(starts, targets, key, value);
     }
-    starts.copy_within(0..n, 1);
+    rewind(starts);
+}
+
+// The three steps of a fill are `#[inline]` because `fill_csr` is
+// generic and so compiled in its caller's crate (the generator's early
+// b̄ refills it per window attempt), where a plain private function
+// would stay a call.
+
+/// Turns the row lengths counted at `starts[v + 1]` into row starts.
+#[inline]
+fn accumulate(starts: &mut [u32]) {
+    for i in 1..starts.len() {
+        starts[i] += starts[i - 1];
+    }
+}
+
+/// Writes `value` at row `key`'s cursor: the row start, advanced past
+/// each value placed before.
+#[inline]
+fn place(starts: &mut [u32], slots: &mut [NodeId], key: NodeId, value: NodeId) {
+    let cursor = &mut starts[key.index()];
+    slots[*cursor as usize] = value;
+    *cursor += 1;
+}
+
+/// Shifts the cursors back after a fill: each row's cursor ended at the
+/// next row's start.
+#[inline]
+fn rewind(starts: &mut [u32]) {
+    starts.copy_within(0..starts.len() - 1, 1);
     starts[0] = 0;
+}
+
+/// Checks that the edge (or blocking pair) `from -> to` joins two
+/// distinct nodes below `n`.
+///
+/// # Errors
+///
+/// [`GraphError::UnknownNode`] naming the first end out of range, then
+/// [`GraphError::SelfLoop`].
+pub(crate) fn check_edge(n: usize, from: NodeId, to: NodeId) -> Result<(), GraphError> {
+    if let Some(&v) = [from, to].iter().find(|v| v.index() >= n) {
+        return Err(GraphError::UnknownNode(v));
+    }
+    if from == to {
+        return Err(GraphError::SelfLoop(from));
+    }
+    Ok(())
 }
 
 /// One direction of a graph's adjacency in CSR form.
@@ -81,6 +121,39 @@ impl Csr {
         let mut csr = Csr::default();
         fill_csr(n, edges, &mut csr.offsets, &mut csr.targets);
         csr
+    }
+
+    /// The successor and the predecessor rows of `n` nodes under
+    /// `edges`, each row in list order: one pass checks every edge
+    /// ([`check_edge`]) and counts both directions' row lengths, one
+    /// writes both.
+    ///
+    /// # Errors
+    ///
+    /// The first malformed edge in list order.
+    pub(crate) fn both_directions(
+        n: usize,
+        edges: &[(NodeId, NodeId)],
+    ) -> Result<(Csr, Csr), GraphError> {
+        let mut succ = Csr {
+            offsets: vec![0; n + 1],
+            targets: vec![NodeId(0); edges.len()],
+        };
+        let mut pred = succ.clone();
+        for &(from, to) in edges {
+            check_edge(n, from, to)?;
+            succ.offsets[from.index() + 1] += 1;
+            pred.offsets[to.index() + 1] += 1;
+        }
+        accumulate(&mut succ.offsets);
+        accumulate(&mut pred.offsets);
+        for &(from, to) in edges {
+            place(&mut succ.offsets, &mut succ.targets, from, to);
+            place(&mut pred.offsets, &mut pred.targets, to, from);
+        }
+        rewind(&mut succ.offsets);
+        rewind(&mut pred.offsets);
+        Ok((succ, pred))
     }
 
     /// Number of rows.

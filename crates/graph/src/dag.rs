@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use crate::cache::{DelayProfile, DerivedCache};
-use crate::csr::Csr;
+use crate::csr::{check_edge, Csr};
 use crate::error::GraphError;
 use crate::node::{NodeData, NodeId, NodeKind};
 use crate::paths::{self, CriticalPath, PathMetrics};
@@ -81,8 +81,9 @@ impl Dag {
     /// This is what [`DagBuilder::build`](crate::DagBuilder::build) does
     /// with what it recorded; a caller that already holds such lists,
     /// like the task-set generator or the `.rtp` parser, hands them over
-    /// without replaying them through a builder. A repeated edge is found by a stamp pass
-    /// over the successor rows, not a hash set.
+    /// without replaying them through a builder. The lists are checked
+    /// while both CSR directions are counted; a repeated edge is found
+    /// by the pass that orders the graph, not a hash set.
     ///
     /// # Errors
     ///
@@ -115,50 +116,64 @@ impl Dag {
         pairs: &[(NodeId, NodeId)],
     ) -> Result<Dag, GraphError> {
         let n = wcets.len();
-        for &(from, to) in edges.iter().chain(pairs) {
-            if let Some(&v) = [from, to].iter().find(|v| v.index() >= n) {
-                return Err(GraphError::UnknownNode(v));
-            }
-            if from == to {
-                return Err(GraphError::SelfLoop(from));
-            }
+        let (succ, pred) = Csr::both_directions(n, edges)?;
+        for &(fork, join) in pairs {
+            check_edge(n, fork, join)?;
         }
-        let succ = Csr::from_edges(n, edges.iter().copied());
-        let pred = Csr::from_edges(n, edges.iter().map(|&(from, to)| (to, from)));
         Dag::assemble(wcets, succ, pred, pairs)
     }
 
     /// The one place a `Dag` is made from a skeleton — node WCETs, the
     /// two CSR arrays and the declared blocking pairs — for
-    /// [`Dag::from_lists`] (and so the builder) and for a structural
-    /// [`Dag::edit`] alike: [`validate::analyze`] checks every model
-    /// restriction and derives kinds and regions, and the WCETs are
-    /// summed with overflow checked (every path length and per-core load
-    /// is at most the volume, so this one check bounds them all). The
-    /// closure the validation computed and the volume seed the cache;
+    /// [`Dag::from_lists`] (and so the builder), for a structural
+    /// [`Dag::edit`] and for [`Dag::validate_model`] alike. One Kahn
+    /// pass orders the graph, finds a repeated edge and fills the
+    /// ancestor closure, one pass backwards fills the descendants
+    /// ([`Reachability::ordered`]); the endpoints are read off the rows,
+    /// the regions are checked on the closure, and the WCETs are summed
+    /// with overflow checked (every path length and per-core load is at
+    /// most the volume, so this one check bounds them all) while the
+    /// node table is written. The closure and the volume seed the cache;
     /// every other cell stays lazy.
+    ///
+    /// Errors come in the order of the separate passes this replaces:
+    /// `Empty`; a repeated edge, then a cycle (named by
+    /// [`TopologicalOrder::compute`]); sources, then sinks; regions; the
+    /// volume.
     pub(crate) fn assemble(
         wcets: &[u64],
         succ: Csr,
         pred: Csr,
         pairs: &[(NodeId, NodeId)],
     ) -> Result<Dag, GraphError> {
-        let analysis = validate::analyze(&succ, &pred, pairs)?;
-        let volume = wcets
-            .iter()
-            .try_fold(0u64, |sum, &wcet| sum.checked_add(wcet))
-            .ok_or(GraphError::VolumeOverflow)?;
-        let nodes = wcets
-            .iter()
-            .enumerate()
-            .map(|(v, &wcet)| NodeData {
+        let n = wcets.len();
+        if n == 0 {
+            return Err(GraphError::Empty);
+        }
+        let Some((order, reach)) = Reachability::ordered(&succ, &pred) else {
+            return Err(TopologicalOrder::compute(&succ)
+                .expect_err("a repeated edge or a cycle fails the order"));
+        };
+        // The sources are the order's head: Kahn seeds them in id order.
+        let sources = order.iter().take_while(|v| pred.row(v.index()).is_empty());
+        let source = unique(sources).map_err(GraphError::MultipleSources)?;
+        let sinks = (0..n)
+            .filter(|&v| succ.row(v).is_empty())
+            .map(NodeId::from_index);
+        let sink = unique(sinks).map_err(GraphError::MultipleSinks)?;
+        let (region_of, regions) = validate::regions(&succ, &pred, &reach, pairs)?;
+        let mut volume = 0u64;
+        let mut nodes = Vec::with_capacity(n);
+        for (v, &wcet) in wcets.iter().enumerate() {
+            volume = volume.checked_add(wcet).ok_or(GraphError::VolumeOverflow)?;
+            nodes.push(NodeData {
                 wcet,
-                kind: analysis.kind(v),
-            })
-            .collect();
+                kind: validate::kind_in(&regions, region_of[v], v),
+            });
+        }
         let cache = DerivedCache {
             volume: volume.into(),
-            reach: Arc::new(analysis.reach).into(),
+            reach: Arc::new(reach).into(),
             ..DerivedCache::default()
         };
         Ok(Dag {
@@ -166,11 +181,11 @@ impl Dag {
             topology: Arc::new(Topology {
                 succ,
                 pred,
-                order: analysis.topo,
-                source: analysis.source,
-                sink: analysis.sink,
-                region_of: analysis.region_of,
-                regions: analysis.regions,
+                order,
+                source,
+                sink,
+                region_of,
+                regions,
             }),
             cache,
         })
@@ -315,10 +330,12 @@ impl Dag {
             .get_or_init(|| self.nodes.iter().map(|n| n.wcet).sum())
     }
 
-    /// Length `len(λᵢ*)` of the critical (longest) path. Memoized.
+    /// Length `len(λᵢ*)` of the critical (longest) path: the sink's
+    /// distance in the memoized [`Dag::path_metrics`], without building
+    /// the witness path.
     #[must_use]
     pub fn critical_path_length(&self) -> u64 {
-        self.critical_path().length
+        self.path_metrics().dist_from_source(self.sink())
     }
 
     /// The critical path itself: its length and one witnessing node
@@ -445,9 +462,9 @@ impl Dag {
     /// Re-validates this graph against the full task-model restrictions.
     ///
     /// Graphs built through [`DagBuilder`](crate::DagBuilder) or
-    /// [`Dag::edit`] are always valid; this re-derives every restriction
-    /// from the stored edges and blocking pairs, as an independent check
-    /// in tests and tools.
+    /// [`Dag::edit`] are always valid; this hands the stored WCETs, rows
+    /// and blocking pairs to the assembly every graph goes through once
+    /// more, as a check in tests and tools.
     ///
     /// # Errors
     ///
@@ -473,6 +490,18 @@ impl Dag {
             }
         }
         Ok(())
+    }
+}
+
+/// The one node `ends` yields.
+///
+/// # Errors
+///
+/// Every node it yields, in its order, when there is not exactly one.
+fn unique(mut ends: impl Iterator<Item = NodeId>) -> Result<NodeId, Vec<NodeId>> {
+    match (ends.next(), ends.next()) {
+        (Some(only), None) => Ok(only),
+        (first, second) => Err(first.into_iter().chain(second).chain(ends).collect()),
     }
 }
 

@@ -59,6 +59,8 @@
 #![warn(missing_docs)]
 
 mod antichain;
+#[cfg(test)]
+mod assembly_reference;
 mod backend;
 mod bitset;
 mod builder;

@@ -18,10 +18,10 @@ use crate::node::NodeId;
 
 /// A shape to build both ways: WCETs, edges in insertion order, pairs.
 #[derive(Clone, Debug)]
-struct Shape {
-    wcets: Vec<u64>,
-    edges: Vec<(NodeId, NodeId)>,
-    pairs: Vec<(NodeId, NodeId)>,
+pub(crate) struct Shape {
+    pub(crate) wcets: Vec<u64>,
+    pub(crate) edges: Vec<(NodeId, NodeId)>,
+    pub(crate) pairs: Vec<(NodeId, NodeId)>,
 }
 
 struct Nested {
@@ -156,10 +156,10 @@ impl Nested {
 }
 
 /// Minimal LCG so a `(u64 seed)` strategy drives the whole shape.
-struct Lcg(u64);
+pub(crate) struct Lcg(pub(crate) u64);
 
 impl Lcg {
-    fn below(&mut self, bound: usize) -> usize {
+    pub(crate) fn below(&mut self, bound: usize) -> usize {
         self.0 = self
             .0
             .wrapping_mul(6_364_136_223_846_793_005)
@@ -179,7 +179,7 @@ impl Lcg {
 /// between the lane's own connection points. Node ids and the edge
 /// insertion order are both shuffled, so rows list larger ids before
 /// smaller ones and the FIFO frontier differs from id order.
-fn random_shape(seed: u64) -> Shape {
+pub(crate) fn random_shape(seed: u64) -> Shape {
     let mut rng = Lcg(seed);
     // Logical nodes first; ids are assigned by a shuffle afterwards.
     let mut count = 2usize; // 0 = source, 1 = sink

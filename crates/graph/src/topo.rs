@@ -30,7 +30,7 @@ use crate::node::NodeId;
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TopologicalOrder {
-    order: Vec<NodeId>,
+    pub(crate) order: Vec<NodeId>,
 }
 
 impl TopologicalOrder {
@@ -44,9 +44,11 @@ impl TopologicalOrder {
     ///
     /// The in-degree row is a stamp row first: one pass over the rows
     /// marks each target with its row, so a target met twice in one row
-    /// is a repeated edge. That is the duplicate check for every edge
-    /// list that reaches `Dag::assemble` without going through the
-    /// builder's keyed set.
+    /// is a repeated edge. `Dag::assemble` orders a graph in a fused pass
+    /// ([`Reachability::ordered`](crate::Reachability)) and calls this
+    /// only to name the error when that pass meets a repeated edge or a
+    /// cycle, so every error keeps this function's precedence and
+    /// witness.
     ///
     /// # Errors
     ///

@@ -1,14 +1,17 @@
-//! Structural analysis and validation of the task-model restrictions.
+//! The blocking-region restrictions of the task model.
 //!
-//! The checks implement Section 2 of the paper:
+//! Section 2 of the paper asks that the graph be a DAG with a unique
+//! source and a unique sink (checked by `Dag::assemble` in the passes
+//! that order and close it) and that
 //!
-//! * the graph is a DAG with a unique source and a unique sink;
 //! * each declared blocking pair `(f, j)` delimits a sub-graph
 //!   `V' = succ*(f) ∩ pred*(j) ∪ {f, j}` such that
 //!   * **(i)** inner nodes connect only to nodes of `V'`,
 //!   * **(ii)** every edge leaving `f` stays in `V'`,
 //!   * **(iii)** every edge entering `j` starts in `V'`,
-//! * blocking regions neither nest nor overlap.
+//! * blocking regions neither nest nor overlap,
+//!
+//! which [`regions`] checks on the closure.
 
 use crate::csr::Csr;
 use crate::dag::Dag;
@@ -16,32 +19,6 @@ use crate::error::GraphError;
 use crate::node::{NodeId, NodeKind};
 use crate::reach::Reachability;
 use crate::regions::Region;
-use crate::topo::TopologicalOrder;
-
-/// The derived structure of a node/edge/pair skeleton: everything
-/// `Dag::assemble` needs to finish a [`Dag`], or the validator needs to
-/// re-check one.
-pub(crate) struct Analysis {
-    pub topo: TopologicalOrder,
-    pub source: NodeId,
-    pub sink: NodeId,
-    pub regions: Vec<Region>,
-    /// For every node of a region (fork, join or inner): its index in
-    /// `regions`. Node kinds are read off it ([`Analysis::kind`]).
-    pub region_of: Vec<Option<u32>>,
-    /// The transitive closure computed during region validation; it
-    /// seeds the finished graph's derived-analysis cache so it is never
-    /// recomputed.
-    pub reach: Reachability,
-}
-
-impl Analysis {
-    /// The kind of node `v`: what its place in its region makes it, or
-    /// `NB` outside every region.
-    pub(crate) fn kind(&self, v: usize) -> NodeKind {
-        kind_in(&self.regions, self.region_of[v], v)
-    }
-}
 
 /// The kind of node `v` given the region it belongs to, if any.
 pub(crate) fn kind_in(regions: &[Region], region: Option<u32>, v: usize) -> NodeKind {
@@ -53,23 +30,18 @@ pub(crate) fn kind_in(regions: &[Region], region: Option<u32>, v: usize) -> Node
     }
 }
 
-/// Analyzes a raw skeleton, deriving blocking regions (and through them
-/// node kinds) and checking every model restriction.
-pub(crate) fn analyze(
+/// The blocking regions a graph's declared pairs delimit, in
+/// declaration order, and for every node of a region (fork, join or
+/// inner) its index among them: node kinds are read off the two
+/// ([`kind_in`]). Checks every restriction a pair is under, on the
+/// graph's rows and its closure.
+pub(crate) fn regions(
     succ: &Csr,
     pred: &Csr,
+    reach: &Reachability,
     pairs: &[(NodeId, NodeId)],
-) -> Result<Analysis, GraphError> {
-    let n = succ.node_count();
-    if n == 0 {
-        return Err(GraphError::Empty);
-    }
-    let topo = TopologicalOrder::compute(succ)?;
-    let source = unique_endpoint(pred).map_err(GraphError::MultipleSources)?;
-    let sink = unique_endpoint(succ).map_err(GraphError::MultipleSinks)?;
-
-    let reach = Reachability::from_parts(succ, pred, &topo);
-    let mut region_of: Vec<Option<u32>> = vec![None; n];
+) -> Result<(Vec<Option<u32>>, Vec<Region>), GraphError> {
+    let mut region_of: Vec<Option<u32>> = vec![None; succ.node_count()];
     let mut regions: Vec<Region> = Vec::with_capacity(pairs.len());
 
     for &(f, j) in pairs {
@@ -135,46 +107,19 @@ pub(crate) fn analyze(
         }
         regions.push(Region::new(f, j, inner));
     }
-
-    Ok(Analysis {
-        topo,
-        source,
-        sink,
-        regions,
-        region_of,
-        reach,
-    })
+    Ok((region_of, regions))
 }
 
-/// The one node with an empty row in `adj` (the source under the
-/// predecessor rows, the sink under the successor rows).
-///
-/// # Errors
-///
-/// All such nodes, in id order, when there is not exactly one.
-fn unique_endpoint(adj: &Csr) -> Result<NodeId, Vec<NodeId>> {
-    let mut ends = (0..adj.node_count())
-        .filter(|&v| adj.row(v).is_empty())
-        .map(NodeId::from_index);
-    match (ends.next(), ends.next()) {
-        (Some(only), None) => Ok(only),
-        (first, second) => Err(first.into_iter().chain(second).chain(ends).collect()),
-    }
-}
-
-/// Re-validates an assembled [`Dag`] (used by [`Dag::validate_model`]).
+/// Re-validates an assembled [`Dag`] (used by [`Dag::validate_model`]):
+/// its WCETs, rows and pairs go through `Dag::assemble` again.
 pub(crate) fn validate(dag: &Dag) -> Result<(), GraphError> {
-    let pairs: Vec<(NodeId, NodeId)> = dag
-        .blocking_regions()
-        .iter()
-        .map(|r| (r.fork(), r.join()))
-        .collect();
-    let analysis = analyze(&dag.topology.succ, &dag.topology.pred, &pairs)?;
-    debug_assert_eq!(analysis.source, dag.source());
-    debug_assert_eq!(analysis.sink, dag.sink());
-    debug_assert!(dag
-        .node_ids()
-        .all(|v| analysis.kind(v.index()) == dag.kind(v)));
+    let t = &*dag.topology;
+    let wcets: Vec<u64> = dag.nodes.iter().map(|node| node.wcet).collect();
+    let pairs: Vec<(NodeId, NodeId)> = t.regions.iter().map(|r| (r.fork(), r.join())).collect();
+    let again = Dag::assemble(&wcets, t.succ.clone(), t.pred.clone(), &pairs)?;
+    debug_assert_eq!(again.source(), dag.source());
+    debug_assert_eq!(again.sink(), dag.sink());
+    debug_assert!(dag.node_ids().all(|v| again.kind(v) == dag.kind(v)));
     Ok(())
 }
 
