@@ -49,15 +49,7 @@ pub fn interfering_workload(window: u64, period: u64, volume: u64, jitter: u64) 
 mod tests {
     use super::*;
     use proptest::prelude::*;
-
-    /// The `u128` formula the `u64` path replaced.
-    fn reference(window: u64, period: u64, volume: u64, jitter: u64) -> u64 {
-        if volume == 0 || window == 0 {
-            return 0;
-        }
-        let activations = (u128::from(window) + u128::from(jitter)).div_ceil(u128::from(period));
-        u64::try_from(activations.saturating_mul(u128::from(volume))).unwrap_or(u64::MAX)
-    }
+    use rtpool_oracle::interference::workload as reference;
 
     /// Small, 32-bit, full-range and near-`u64::MAX` values alike.
     fn operand() -> impl Strategy<Value = u64> {

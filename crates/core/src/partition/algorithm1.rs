@@ -92,6 +92,11 @@ impl Error for Algorithm1Failure {}
 /// the greedy strategy. A failure is how the paper's experiments count a
 /// task as unschedulable under partitioned scheduling.
 ///
+/// # Panics
+///
+/// Panics if `m` is past
+/// [`MAX_PARTITIONED_THREADS`](crate::partition::MAX_PARTITIONED_THREADS).
+///
 /// # Examples
 ///
 /// ```
@@ -121,11 +126,16 @@ pub fn algorithm1(dag: &Dag, m: usize) -> Result<NodeMapping, Algorithm1Failure>
 /// # Errors
 ///
 /// Same as [`algorithm1`].
+///
+/// # Panics
+///
+/// Same as [`algorithm1`].
 pub fn algorithm1_with<H: PlacementHeuristic>(
     dag: &Dag,
     m: usize,
     heuristic: &mut H,
 ) -> Result<NodeMapping, Algorithm1Failure> {
+    super::assert_partitioned_pool(m);
     let delays = dag.delay_profile();
     let n = dag.node_count();
     let mut assigned: Vec<Option<ThreadId>> = vec![None; n];

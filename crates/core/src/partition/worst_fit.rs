@@ -21,7 +21,8 @@ use crate::partition::{NodeMapping, ThreadId};
 ///
 /// # Panics
 ///
-/// Panics if `m == 0`.
+/// Panics if `m == 0` or `m` is past
+/// [`MAX_PARTITIONED_THREADS`](crate::partition::MAX_PARTITIONED_THREADS).
 ///
 /// # Examples
 ///
@@ -51,10 +52,12 @@ pub fn worst_fit(dag: &Dag, m: usize) -> NodeMapping {
 ///
 /// # Panics
 ///
-/// Panics if `m == 0`.
+/// Panics if `m == 0` or `m` is past
+/// [`MAX_PARTITIONED_THREADS`](crate::partition::MAX_PARTITIONED_THREADS).
 #[must_use]
 pub fn worst_fit_with_colocation(dag: &Dag, m: usize, colocate_joins: bool) -> NodeMapping {
     assert!(m > 0, "pool must have at least one thread");
+    super::assert_partitioned_pool(m);
     let n = dag.node_count();
     let mut assigned: Vec<Option<ThreadId>> = vec![None; n];
     let mut loads = vec![0u64; m];

@@ -1,7 +1,6 @@
 //! Assembly of complete task sets (utilizations, periods, priorities).
 
 use rand::Rng;
-use rtpool_core::deadlock::concurrency_floor;
 use rtpool_core::{Task, TaskSet};
 use rtpool_graph::Dag;
 
@@ -127,32 +126,6 @@ impl TaskSetConfig {
         rng: &mut R,
         scratch: &mut DagScratch,
     ) -> Result<TaskSet, GenError> {
-        self.assemble(rng, |cfg, rng| cfg.generate_dag_with(rng, scratch))
-    }
-
-    /// Reference implementation of [`TaskSetConfig::generate`]: every
-    /// rejection-sampling attempt builds (and validates) a full [`Dag`]
-    /// and evaluates the window on the built graph's derived artifacts.
-    ///
-    /// Bit-identical output to [`TaskSetConfig::generate`] for the same
-    /// RNG state. Its one caller is `tests/scratch_agreement.rs`, which
-    /// holds the scratch path to it; nothing else should call it.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`TaskSetConfig::generate`].
-    #[doc(hidden)]
-    pub fn generate_reference<R: Rng + ?Sized>(&self, rng: &mut R) -> Result<TaskSet, GenError> {
-        self.assemble(rng, Self::generate_dag_reference)
-    }
-
-    /// Shared assembly: validation, UUniFast utilizations, one graph per
-    /// task via `gen_dag`, periods, deadline-monotonic order.
-    fn assemble<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        mut gen_dag: impl FnMut(&Self, &mut R) -> Result<Dag, GenError>,
-    ) -> Result<TaskSet, GenError> {
         if self.n_tasks == 0 {
             return Err(GenError::InvalidParameter {
                 name: "n_tasks",
@@ -170,7 +143,7 @@ impl TaskSetConfig {
         let utilizations = uunifast(rng, self.n_tasks, self.total_utilization);
         let mut tasks = Vec::with_capacity(self.n_tasks);
         for u in utilizations {
-            let dag = gen_dag(self, rng)?;
+            let dag = self.generate_dag_with(rng, scratch)?;
             let volume = dag.volume();
             // Tᵢ = ⌈Cᵢ/Uᵢ⌉ (integer time), at least 1.
             let period = ((volume as f64 / u).ceil() as u64).max(1);
@@ -244,41 +217,13 @@ impl TaskSetConfig {
             }
         }
     }
-
-    /// Reference implementation of [`TaskSetConfig::generate_dag`]: builds
-    /// a full [`Dag`] per attempt and reads the floor off its derived
-    /// artifacts. Reached only through
-    /// [`TaskSetConfig::generate_reference`], i.e. from
-    /// `tests/scratch_agreement.rs`.
-    ///
-    /// # Errors
-    ///
-    /// [`GenError::WindowUnsatisfiable`] when the attempt budget runs out.
-    fn generate_dag_reference<R: Rng + ?Sized>(&self, rng: &mut R) -> Result<Dag, GenError> {
-        match self.window {
-            None => Ok(self.dag.generate(rng)),
-            Some(window) => {
-                for _ in 0..window.max_attempts {
-                    let dag = self.dag.generate(rng);
-                    let floor = concurrency_floor(&dag, window.m);
-                    if window.contains(floor) {
-                        return Ok(dag);
-                    }
-                }
-                Err(GenError::WindowUnsatisfiable {
-                    l_min: window.l_min,
-                    l_max: window.l_max,
-                    attempts: window.max_attempts,
-                })
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::SeedableRng;
+    use rtpool_core::deadlock::concurrency_floor;
 
     fn rng(seed: u64) -> rand::rngs::StdRng {
         rand::rngs::StdRng::seed_from_u64(seed)

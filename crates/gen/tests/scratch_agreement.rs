@@ -8,10 +8,10 @@
 //!    exactly the attempts the full build would.
 //! 2. `generate_into` + [`DagScratch::build`] consumes the RNG stream
 //!    identically to `generate` and yields a bit-identical graph.
-//! 3. `TaskSetConfig::generate` (fast path) and
-//!    `TaskSetConfig::generate_reference` (full-build-per-attempt)
-//!    produce identical task sets — including the `WindowUnsatisfiable`
-//!    cases — from identical RNG states.
+//! 3. `TaskSetConfig::generate` (fast path) and [`reference_set`] (the
+//!    rejection loop over the public generator, a full build per
+//!    attempt) produce identical task sets — including the
+//!    `WindowUnsatisfiable` cases — from identical RNG states.
 //! 4. The counting pass of a window attempt
 //!    ([`DagGenConfig::count_blocking_pairs`]) sees the recording pass's
 //!    `|BF|` and leaves the RNG on the same next word, so a rejection on
@@ -20,8 +20,46 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rtpool_gen::{BlockingPolicy, ConcurrencyWindow, DagGenConfig, DagScratch, TaskSetConfig};
+use rtpool_core::deadlock::concurrency_floor;
+use rtpool_core::{Task, TaskSet};
+use rtpool_gen::{
+    uunifast, BlockingPolicy, ConcurrencyWindow, DagGenConfig, DagScratch, GenError, TaskSetConfig,
+};
 use rtpool_graph::NodeId;
+
+/// `TaskSetConfig::new(n_tasks, total, config)` with `window`, generated
+/// from public parts: UUniFast shares; per task, whole graphs drawn by
+/// `DagGenConfig::generate` until one's floor `l̄ = m − b̄` lies in the
+/// window; periods `⌈vol/U⌉`; implicit deadlines; deadline-monotonic
+/// order.
+fn reference_set(
+    n_tasks: usize,
+    total: f64,
+    config: &DagGenConfig,
+    window: Option<ConcurrencyWindow>,
+    rng: &mut StdRng,
+) -> Result<TaskSet, GenError> {
+    config.validate()?;
+    let mut tasks = Vec::with_capacity(n_tasks);
+    for u in uunifast(rng, n_tasks, total) {
+        let dag = match window {
+            None => config.generate(rng),
+            Some(w) => (0..w.max_attempts)
+                .map(|_| config.generate(rng))
+                .find(|dag| w.contains(concurrency_floor(dag, w.m)))
+                .ok_or(GenError::WindowUnsatisfiable {
+                    l_min: w.l_min,
+                    l_max: w.l_max,
+                    attempts: w.max_attempts,
+                })?,
+        };
+        let period = ((dag.volume() as f64 / u).ceil() as u64).max(1);
+        tasks.push(Task::with_implicit_deadline(dag, period).expect("period >= 1"));
+    }
+    let mut set = TaskSet::new(tasks);
+    set.sort_deadline_monotonic();
+    Ok(set)
+}
 
 /// Strategy over generator knobs that exercise all structural regimes:
 /// shallow/deep nesting, narrow/wide forks, every blocking policy.
@@ -135,13 +173,15 @@ proptest! {
                 Some(ConcurrencyWindow { max_attempts: 40, ..ConcurrencyWindow::around(8, l_max) }),
             ),
         };
-        let mut ts = TaskSetConfig::new(n_tasks, 0.5 * n_tasks as f64, config);
+        let total = 0.5 * n_tasks as f64;
+        let mut ts = TaskSetConfig::new(n_tasks, total, config.clone());
         if let Some(window) = window {
             ts = ts.with_concurrency_window(window);
         }
 
         let fast = ts.generate(&mut StdRng::seed_from_u64(seed));
-        let reference = ts.generate_reference(&mut StdRng::seed_from_u64(seed));
+        let reference =
+            reference_set(n_tasks, total, &config, window, &mut StdRng::seed_from_u64(seed));
 
         match (fast, reference) {
             (Ok(a), Ok(b)) => {

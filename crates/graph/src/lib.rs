@@ -59,8 +59,6 @@
 #![warn(missing_docs)]
 
 mod antichain;
-#[cfg(test)]
-mod assembly_reference;
 mod backend;
 mod bitset;
 mod builder;
@@ -73,8 +71,6 @@ mod error;
 mod node;
 mod paths;
 mod reach;
-#[cfg(test)]
-mod reference;
 mod regions;
 mod topo;
 mod validate;

@@ -128,91 +128,68 @@ mod tests {
     use super::*;
     use crate::builder::DagBuilder;
 
+    /// `Dag::from_lists` over unit WCETs, with nodes named by index.
+    fn lists(n: usize, edges: &[(u32, u32)], pairs: &[(u32, u32)]) -> Result<Dag, GraphError> {
+        let ids = |l: &[(u32, u32)]| -> Vec<_> {
+            l.iter().map(|&(a, b)| (NodeId(a), NodeId(b))).collect()
+        };
+        Dag::from_lists(&vec![1; n], &ids(edges), &ids(pairs))
+    }
+
+    /// s0 -> f1 -> a2 -> j3 -> t4 with `(f1, j3)` blocking beside
+    /// s0 -> u5 -> t4, plus `extra`.
+    fn region_with(extra: &[(u32, u32)]) -> Result<Dag, GraphError> {
+        let mut edges = vec![(0, 1), (1, 2), (2, 3), (3, 4), (0, 5), (5, 4)];
+        edges.extend(extra);
+        lists(6, &edges, &[(1, 3)])
+    }
+
     #[test]
     fn fork_escape_detected() {
-        // f forks {a}, joins at j, but f also has an edge escaping to t.
-        let mut b = DagBuilder::new();
-        let s = b.add_node(1);
-        let f = b.add_node(1);
-        let a = b.add_node(1);
-        let j = b.add_node(1);
-        let t = b.add_node(1);
-        b.add_edge(s, f).unwrap();
-        b.add_edge(f, a).unwrap();
-        b.add_edge(a, j).unwrap();
-        b.add_edge(j, t).unwrap();
-        b.add_edge(f, t).unwrap(); // escapes the region
-        b.blocking_pair(f, j).unwrap();
-        // The escaping edge makes t a descendant of f but not an ancestor
-        // of j, so it is outside the region.
-        assert!(matches!(b.build(), Err(GraphError::ForkEscape { .. })));
+        // f1 -> t4 makes t4 a descendant of f1 but not an ancestor of j3,
+        // so it is outside the region.
+        let (fork, outside) = (NodeId(1), NodeId(4));
+        let err = region_with(&[(1, 4)]).unwrap_err();
+        assert_eq!(err, GraphError::ForkEscape { fork, outside });
     }
 
     #[test]
     fn join_intrusion_detected() {
-        let mut b = DagBuilder::new();
-        let s = b.add_node(1);
-        let f = b.add_node(1);
-        let a = b.add_node(1);
-        let j = b.add_node(1);
-        let t = b.add_node(1);
-        b.add_edge(s, f).unwrap();
-        b.add_edge(f, a).unwrap();
-        b.add_edge(a, j).unwrap();
-        b.add_edge(j, t).unwrap();
-        b.add_edge(s, j).unwrap(); // intrudes from outside
-        b.blocking_pair(f, j).unwrap();
-        assert!(matches!(b.build(), Err(GraphError::JoinIntrusion { .. })));
+        let (join, outside) = (NodeId(3), NodeId(0));
+        let err = region_with(&[(0, 3)]).unwrap_err();
+        assert_eq!(err, GraphError::JoinIntrusion { join, outside });
     }
 
     #[test]
     fn region_leak_detected() {
-        // Inner node a has an extra edge to external node t.
-        let mut b = DagBuilder::new();
-        let s = b.add_node(1);
-        let f = b.add_node(1);
-        let a = b.add_node(1);
-        let j = b.add_node(1);
-        let t = b.add_node(1);
-        let u = b.add_node(1);
-        b.add_edge(s, f).unwrap();
-        b.add_edge(f, a).unwrap();
-        b.add_edge(a, j).unwrap();
-        b.add_edge(j, t).unwrap();
-        b.add_edge(s, u).unwrap();
-        b.add_edge(a, u).unwrap(); // leak: a is inner, u external
-        b.add_edge(u, t).unwrap();
-        b.blocking_pair(f, j).unwrap();
-        let err = b.build().unwrap_err();
-        // The leaked edge also makes u a descendant of f; u is not an
-        // ancestor of j, so the leak manifests as a fork-region violation
-        // (a's successor u is outside succ*(f) ∩ pred*(j)).
-        assert!(
-            matches!(err, GraphError::RegionLeak { .. }),
-            "expected RegionLeak, got {err:?}"
+        // Inner node a2 has an edge to u5 and one from s0, both outside
+        // succ*(f1) ∩ pred*(j3). The successor row is read before the
+        // predecessor row, so u5, not s0, is the witness.
+        let (fork, inner, outside) = (NodeId(1), NodeId(2), NodeId(5));
+        let err = region_with(&[(2, 5), (0, 2)]).unwrap_err();
+        assert_eq!(
+            err,
+            GraphError::RegionLeak {
+                fork,
+                inner,
+                outside
+            }
         );
     }
 
     #[test]
     fn nested_regions_rejected() {
-        // Outer region f1..j1 contains inner region f2..j2.
-        let mut b = DagBuilder::new();
-        let s = b.add_node(1);
-        let f1 = b.add_node(1);
-        let f2 = b.add_node(1);
-        let a = b.add_node(1);
-        let j2 = b.add_node(1);
-        let j1 = b.add_node(1);
-        let t = b.add_node(1);
-        b.add_edge(s, f1).unwrap();
-        b.add_edge(f1, f2).unwrap();
-        b.add_edge(f2, a).unwrap();
-        b.add_edge(a, j2).unwrap();
-        b.add_edge(j2, j1).unwrap();
-        b.add_edge(j1, t).unwrap();
-        b.blocking_pair(f1, j1).unwrap();
-        b.blocking_pair(f2, j2).unwrap();
-        assert!(matches!(b.build(), Err(GraphError::NestedRegions { .. })));
+        // Outer region f1..j5 contains inner region f2..j4.
+        let edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6)];
+        let err = lists(7, &edges, &[(1, 5), (2, 4)]).unwrap_err();
+        let (outer_fork, inner_fork) = (NodeId(1), NodeId(2));
+        assert_eq!(
+            err,
+            GraphError::NestedRegions {
+                outer_fork,
+                inner_fork
+            }
+        );
     }
 
     #[test]
@@ -234,46 +211,26 @@ mod tests {
 
     #[test]
     fn unreachable_join_rejected() {
-        let mut b = DagBuilder::new();
-        let s = b.add_node(1);
-        let a = b.add_node(1);
-        let c = b.add_node(1);
-        let t = b.add_node(1);
-        b.add_edge(s, a).unwrap();
-        b.add_edge(s, c).unwrap();
-        b.add_edge(a, t).unwrap();
-        b.add_edge(c, t).unwrap();
-        b.blocking_pair(a, c).unwrap(); // a does not reach c
-        assert!(matches!(b.build(), Err(GraphError::UnreachableJoin { .. })));
+        // a1 and c2 are parallel, so a1 does not reach c2.
+        let err = lists(4, &[(0, 1), (0, 2), (1, 3), (2, 3)], &[(1, 2)]).unwrap_err();
+        let (fork, join) = (NodeId(1), NodeId(2));
+        assert_eq!(err, GraphError::UnreachableJoin { fork, join });
     }
 
     #[test]
     fn node_in_two_pairs_rejected() {
-        let mut b = DagBuilder::new();
-        let f = b.add_node(1);
-        let a = b.add_node(1);
-        let j = b.add_node(1);
-        let t = b.add_node(1);
-        b.add_edge(f, a).unwrap();
-        b.add_edge(a, j).unwrap();
-        b.add_edge(j, t).unwrap();
-        b.blocking_pair(f, j).unwrap();
-        b.blocking_pair(f, t).unwrap();
-        assert!(matches!(b.build(), Err(GraphError::OverlappingPairs(_))));
+        // f0 -> a1 -> j2 -> t3 with (f0, j2) declared, then a second pair
+        // that reuses its fork or its join: the reused end is the
+        // witness, before any nesting is looked at.
+        for (second, reused) in [((0, 3), 0), ((1, 2), 2)] {
+            let err = lists(4, &[(0, 1), (1, 2), (2, 3)], &[(0, 2), second]).unwrap_err();
+            assert_eq!(err, GraphError::OverlappingPairs(NodeId(reused)));
+        }
     }
 
     #[test]
     fn degenerate_region_fork_to_join_only() {
-        let mut b = DagBuilder::new();
-        let s = b.add_node(1);
-        let f = b.add_node(1);
-        let j = b.add_node(1);
-        let t = b.add_node(1);
-        b.add_edge(s, f).unwrap();
-        b.add_edge(f, j).unwrap();
-        b.add_edge(j, t).unwrap();
-        b.blocking_pair(f, j).unwrap();
-        let dag = b.build().unwrap();
+        let dag = lists(4, &[(0, 1), (1, 2), (2, 3)], &[(1, 2)]).unwrap();
         assert!(dag.blocking_regions()[0].inner().is_empty());
         dag.validate_model().unwrap();
     }
