@@ -34,7 +34,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Duration;
 
-use rtpool_core::partition::{algorithm1, NodeMapping};
+use rtpool_core::partition::{algorithm1, NodeMapping, MAX_PARTITIONED_THREADS};
 use rtpool_core::textfmt::parse_task_set;
 use rtpool_core::TaskSet;
 use rtpool_exec::{Engine as PoolEngine, ExecError, PoolConfig, QueueDiscipline, ThreadPool};
@@ -168,6 +168,11 @@ fn parse_run_args(mut it: std::env::Args) -> Result<RunArgs, String> {
     }
     if args.m == 0 {
         return Err("--m must be positive".into());
+    }
+    if args.policy == Policy::Partitioned && args.m > MAX_PARTITIONED_THREADS {
+        return Err(format!(
+            "--policy partitioned refuses --m past MAX_PARTITIONED_THREADS = {MAX_PARTITIONED_THREADS}"
+        ));
     }
     if args.pool == PoolChoice::Both && args.engine != Engine::Exec {
         return Err("--pool both requires --engine exec".into());

@@ -1,0 +1,63 @@
+//! The `analyze` and `rtpool-trace` binaries on pools at and past the
+//! partitioned bound. Past it, `analyze` still prints the global
+//! verdicts and runs a global simulation, and both refuse the
+//! partitioned paths by the bound's name, where a pool of `u64::MAX`
+//! threads used to panic on a capacity overflow, one of 2³² to abort on
+//! allocation, and one of 5 000 to run.
+
+use std::process::{Command, Output};
+
+use rtpool_core::partition::MAX_PARTITIONED_THREADS;
+
+const FIGURE1: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../workloads/figure1.rtp");
+
+/// Runs `bin` with `args` and returns its exit code, stdout and stderr.
+fn run(bin: &str, args: &[&str]) -> (Option<i32>, String, String) {
+    let Output {
+        status,
+        stdout,
+        stderr,
+    } = Command::new(bin).args(args).output().expect("binary runs");
+    let text = |b: Vec<u8>| String::from_utf8_lossy(&b).into_owned();
+    (status.code(), text(stdout), text(stderr))
+}
+
+#[test]
+fn analyze_refuses_the_partitioned_sections_past_the_bound_by_name() {
+    let named = format!("MAX_PARTITIONED_THREADS = {MAX_PARTITIONED_THREADS}");
+    let bound = MAX_PARTITIONED_THREADS.to_string();
+    let past = (MAX_PARTITIONED_THREADS + 1).to_string();
+    for (m, extra, refused) in [
+        (u64::MAX.to_string(), &[][..], true),
+        ((1u64 << 32).to_string(), &[], true),
+        (bound, &[], false),
+        (past.clone(), &["--simulate"], true),
+        (past, &["--simulate", "--policy", "partitioned"], true),
+    ] {
+        let args = [&[FIGURE1, "--m", &m], extra].concat();
+        let (code, stdout, stderr) = run(env!("CARGO_BIN_EXE_analyze"), &args);
+        let context = format!("{args:?}\nstdout:\n{stdout}\nstderr:\n{stderr}");
+        assert_eq!(code, Some(i32::from(refused)), "{context}");
+        assert!(stdout.contains("limited concurrency (paper)"), "{context}");
+        assert_eq!(stderr.contains(&named), refused, "{context}");
+        let partitioned = stdout.contains("Algorithm 1 (delay-free)");
+        assert_eq!(partitioned, !refused, "{context}");
+        // A global simulation runs past the bound; a partitioned one does not.
+        let simulated = extra == ["--simulate"];
+        assert_eq!(
+            stdout.contains("== Simulation (Global) =="),
+            simulated,
+            "{context}"
+        );
+    }
+}
+
+#[test]
+fn rtpool_trace_refuses_a_partitioned_pool_past_the_bound_by_name() {
+    let past = (MAX_PARTITIONED_THREADS + 1).to_string();
+    let args = ["run", FIGURE1, "--policy", "partitioned", "--m", &past];
+    let (code, _, stderr) = run(env!("CARGO_BIN_EXE_rtpool-trace"), &args);
+    assert_eq!(code, Some(2), "{stderr}");
+    let named = format!("past MAX_PARTITIONED_THREADS = {MAX_PARTITIONED_THREADS}");
+    assert!(stderr.contains(&named), "{stderr}");
+}

@@ -6,59 +6,19 @@ use rtpool_core::analysis::partitioned::{self, BlockingAwareness, PartitionStrat
 use rtpool_core::partition::{algorithm1, worst_fit};
 use rtpool_core::{deadlock, textfmt};
 use rtpool_core::{SyncBackend, Task, TaskId, TaskSet};
-use rtpool_graph::{Dag, DagBuilder, NodeId};
+use rtpool_graph::{Dag, NodeId};
+use rtpool_oracle::shapes::fork_join_star;
 
-/// Deterministic pseudo-random fork-join task graph with optional
-/// blocking regions, mirroring the generator crate's shape.
-fn random_task_dag(seed: u64, max_regions: usize) -> Dag {
-    let mut rng = seed | 1;
-    let mut next = move || {
-        rng = rng
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        rng >> 33
+/// `rtpool_oracle::shapes::fork_join_star` as a `Dag`: parallel
+/// fork-joins between a source and a sink, each blocking with
+/// probability one half when `blocking` is set.
+fn star_dag(seed: u64, max_regions: usize, blocking: bool) -> Dag {
+    let s = fork_join_star(seed, max_regions, blocking);
+    let ids = |l: &[(usize, usize)]| -> Vec<(NodeId, NodeId)> {
+        let v = NodeId::from_index;
+        l.iter().map(|&(a, b)| (v(a), v(b))).collect()
     };
-    let mut b = DagBuilder::new();
-    let src = b.add_node(1 + next() % 50);
-    let snk = b.add_node(1 + next() % 50);
-    let regions = 1 + (next() as usize) % max_regions.max(1);
-    for _ in 0..regions {
-        let kids = 1 + (next() as usize) % 4;
-        let wcets: Vec<u64> = (0..kids).map(|_| 1 + next() % 100).collect();
-        let blocking = next() % 2 == 0;
-        let (f, j) = b
-            .fork_join(1 + next() % 50, &wcets, 1 + next() % 50, blocking)
-            .unwrap();
-        b.add_edge(src, f).unwrap();
-        b.add_edge(j, snk).unwrap();
-    }
-    b.build().unwrap()
-}
-
-/// Like [`random_task_dag`] but with every fork-join region
-/// non-blocking: `b̄ = 0` by construction.
-fn random_nonblocking_dag(seed: u64, max_regions: usize) -> Dag {
-    let mut rng = seed | 1;
-    let mut next = move || {
-        rng = rng
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        rng >> 33
-    };
-    let mut b = DagBuilder::new();
-    let src = b.add_node(1 + next() % 50);
-    let snk = b.add_node(1 + next() % 50);
-    let regions = 1 + (next() as usize) % max_regions.max(1);
-    for _ in 0..regions {
-        let kids = 1 + (next() as usize) % 4;
-        let wcets: Vec<u64> = (0..kids).map(|_| 1 + next() % 100).collect();
-        let (f, j) = b
-            .fork_join(1 + next() % 50, &wcets, 1 + next() % 50, false)
-            .unwrap();
-        b.add_edge(src, f).unwrap();
-        b.add_edge(j, snk).unwrap();
-    }
-    b.build().unwrap()
+    Dag::from_lists(&s.wcets, &ids(&s.edges), &ids(&s.pairs)).unwrap()
 }
 
 proptest! {
@@ -66,7 +26,7 @@ proptest! {
     /// paper's bound can be pessimistic but never optimistic.
     #[test]
     fn delay_bound_dominates_antichain(seed in any::<u64>(), regions in 1usize..6) {
-        let dag = random_task_dag(seed, regions);
+        let dag = star_dag(seed, regions, true);
         prop_assert!(dag.delay_profile().max_delay_count() >= dag.max_blocking_antichain().len());
     }
 
@@ -74,7 +34,7 @@ proptest! {
     /// antichain check agrees.
     #[test]
     fn certificate_is_sound(seed in any::<u64>(), regions in 1usize..6, m in 1usize..9) {
-        let dag = random_task_dag(seed, regions);
+        let dag = star_dag(seed, regions, true);
         if deadlock::concurrency_floor(&dag, m) > 0 {
             prop_assert!(deadlock::check_global(&dag, m).is_deadlock_free());
         }
@@ -83,7 +43,7 @@ proptest! {
     /// Algorithm 1 outputs always satisfy the extended Eq. 3 and Lemma 3.
     #[test]
     fn algorithm1_is_delay_free(seed in any::<u64>(), regions in 1usize..5, m in 2usize..9) {
-        let dag = random_task_dag(seed, regions);
+        let dag = star_dag(seed, regions, true);
         if let Ok(mapping) = algorithm1(&dag, m) {
             deadlock::check_mapping_delay_free(&dag, &mapping).unwrap();
             prop_assert!(deadlock::check_partitioned(&dag, m, &mapping).is_deadlock_free());
@@ -98,7 +58,7 @@ proptest! {
     fn algorithm1_fails_when_concurrency_exhausted(
         seed in any::<u64>(), regions in 1usize..6, m in 1usize..5
     ) {
-        let dag = random_task_dag(seed, regions);
+        let dag = star_dag(seed, regions, true);
         if !deadlock::check_global(&dag, m).is_deadlock_free() {
             prop_assert!(algorithm1(&dag, m).is_err());
         }
@@ -108,7 +68,7 @@ proptest! {
     /// beyond perfect balance.
     #[test]
     fn worst_fit_covers_and_balances(seed in any::<u64>(), regions in 1usize..5, m in 1usize..9) {
-        let dag = random_task_dag(seed, regions);
+        let dag = star_dag(seed, regions, true);
         let mapping = worst_fit(&dag, m);
         let loads = mapping.loads(&dag);
         prop_assert_eq!(loads.iter().sum::<u64>(), dag.volume());
@@ -126,7 +86,7 @@ proptest! {
     fn limited_global_test_dominated_by_full(
         seed in any::<u64>(), regions in 1usize..4, m in 2usize..9, period in 500u64..5_000
     ) {
-        let dag = random_task_dag(seed, regions);
+        let dag = star_dag(seed, regions, true);
         let set = TaskSet::new(vec![Task::with_implicit_deadline(dag, period).unwrap()]);
         let full = global::analyze(&set, m, ConcurrencyModel::Full);
         let limited = global::analyze(&set, m, ConcurrencyModel::Limited);
@@ -143,8 +103,8 @@ proptest! {
     /// response time.
     #[test]
     fn global_rta_monotone_in_hp_pressure(seed in any::<u64>(), m in 2usize..5) {
-        let hp_dag = random_task_dag(seed, 2);
-        let lp_dag = random_task_dag(seed.wrapping_add(1), 2);
+        let hp_dag = star_dag(seed, 2, true);
+        let lp_dag = star_dag(seed.wrapping_add(1), 2, true);
         let mk = |hp_period: u64| {
             TaskSet::new(vec![
                 Task::with_implicit_deadline(hp_dag.clone(), hp_period).unwrap(),
@@ -165,7 +125,7 @@ proptest! {
     /// least the critical path and at most the deadline when schedulable.
     #[test]
     fn partitioned_bounds_sane(seed in any::<u64>(), regions in 1usize..4, m in 2usize..8) {
-        let dag = random_task_dag(seed, regions);
+        let dag = star_dag(seed, regions, true);
         let len = dag.critical_path_length();
         let set = TaskSet::new(vec![Task::with_implicit_deadline(dag, 100_000).unwrap()]);
         let (result, _) = partitioned::partition_and_analyze(&set, m, PartitionStrategy::Algorithm1);
@@ -179,7 +139,7 @@ proptest! {
     /// rejects (it only adds rejections).
     #[test]
     fn checked_only_adds_rejections(seed in any::<u64>(), regions in 1usize..4, m in 2usize..6) {
-        let dag = random_task_dag(seed, regions);
+        let dag = star_dag(seed, regions, true);
         let mapping = worst_fit(&dag, m);
         let set = TaskSet::new(vec![Task::with_implicit_deadline(dag, 100_000).unwrap()]);
         let oblivious =
@@ -196,7 +156,7 @@ proptest! {
     fn textfmt_roundtrip(seed in any::<u64>(), regions in 1usize..5, n_tasks in 1usize..4) {
         let tasks: Vec<Task> = (0..n_tasks)
             .map(|i| {
-                let dag = random_task_dag(seed.wrapping_add(i as u64), regions);
+                let dag = star_dag(seed.wrapping_add(i as u64), regions, true);
                 let period = dag.volume() * 2 + 1;
                 Task::new(dag, period, period - 1).unwrap()
             })
@@ -234,7 +194,7 @@ proptest! {
         let mk = |backend: SyncBackend| {
             let tasks: Vec<Task> = (0..n_tasks)
                 .map(|i| {
-                    let dag = random_nonblocking_dag(seed.wrapping_add(i as u64), regions);
+                    let dag = star_dag(seed.wrapping_add(i as u64), regions, false);
                     let period = dag.volume() * 2 + 1;
                     Task::with_implicit_deadline(dag, period).unwrap()
                 })
@@ -262,7 +222,7 @@ proptest! {
         seed in any::<u64>(), regions in 1usize..4, spin in any::<bool>()
     ) {
         let backend = if spin { SyncBackend::Spin } else { SyncBackend::Suspend };
-        let dag = random_task_dag(seed, regions);
+        let dag = star_dag(seed, regions, true);
         let period = dag.volume() * 2 + 1;
         let set = TaskSet::new(vec![Task::with_implicit_deadline(dag, period).unwrap()])
             .with_backend(backend);
@@ -283,7 +243,7 @@ proptest! {
     /// C(v), then v's fork-ness would put it in C(f).
     #[test]
     fn concurrent_fork_relation_is_symmetric(seed in any::<u64>(), regions in 1usize..5) {
-        let dag = random_task_dag(seed, regions);
+        let dag = star_dag(seed, regions, true);
         // C(v) is X(v) without the fork waiting for v.
         let concurrent = |v: NodeId, f: NodeId| {
             dag.delay_profile().delay_row(v).contains(f.index()) && dag.waiting_fork_of(v) != Some(f)
@@ -306,7 +266,7 @@ proptest! {
 fn random_task_set(seed: u64, n_tasks: usize, first_misses: bool) -> TaskSet {
     let tasks = (0..n_tasks)
         .map(|i| {
-            let dag = random_task_dag(seed.wrapping_add(i as u64), 4);
+            let dag = star_dag(seed.wrapping_add(i as u64), 4, true);
             let len = dag.critical_path_length();
             let period = if i == 0 && first_misses {
                 len - 1
@@ -419,7 +379,7 @@ proptest! {
     ) {
         let tasks: Vec<Task> = (0..n_tasks)
             .map(|i| {
-                let dag = random_task_dag(seed.wrapping_add(i as u64), regions);
+                let dag = star_dag(seed.wrapping_add(i as u64), regions, true);
                 let period = dag.volume() * 2 + 1;
                 Task::new(dag, period, period - 1).unwrap()
             })
@@ -520,7 +480,7 @@ fn algorithm1_outcomes_match_the_pinned_digest() {
     let mut seen = [0usize; 4];
     for seed in 0..2000u64 {
         for regions in 1usize..5 {
-            let dag = random_task_dag(seed, regions);
+            let dag = star_dag(seed, regions, true);
             for m in [1usize, 2, 3, 4, 6, 8, 12, 16] {
                 outcome(&mut hash, &mut seen, &dag, m, WorstFit);
                 outcome(&mut hash, &mut seen, &dag, m, FirstFit);

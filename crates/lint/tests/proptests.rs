@@ -4,8 +4,9 @@
 
 use proptest::prelude::*;
 use rtpool_core::{deadlock, textfmt, CoreError, Task, TaskSet};
-use rtpool_graph::{Dag, DagBuilder, GraphError, NodeId};
+use rtpool_graph::{Dag, GraphError, NodeId};
 use rtpool_lint::{code, lint_source, lint_task_set, render_json, LintOptions, RuleCode};
+use rtpool_oracle::shapes::fork_join_star;
 
 fn v(i: usize) -> NodeId {
     NodeId::from_index(i)
@@ -122,31 +123,16 @@ fn graph_and_core_codes_do_not_collide() {
     assert_eq!(codes.len(), len);
 }
 
-/// Deterministic pseudo-random fork-join task graph with optional
-/// blocking regions (same shape as the core crate's proptests).
-fn random_task_dag(seed: u64, max_regions: usize) -> Dag {
-    let mut rng = seed | 1;
-    let mut next = move || {
-        rng = rng
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        rng >> 33
+/// `rtpool_oracle::shapes::fork_join_star` as a `Dag`: parallel
+/// fork-joins between a source and a sink, each blocking with
+/// probability one half when `blocking` is set.
+fn star_dag(seed: u64, max_regions: usize, blocking: bool) -> Dag {
+    let s = fork_join_star(seed, max_regions, blocking);
+    let ids = |l: &[(usize, usize)]| -> Vec<(NodeId, NodeId)> {
+        let v = NodeId::from_index;
+        l.iter().map(|&(a, b)| (v(a), v(b))).collect()
     };
-    let mut b = DagBuilder::new();
-    let src = b.add_node(1 + next() % 50);
-    let snk = b.add_node(1 + next() % 50);
-    let regions = 1 + (next() as usize) % max_regions.max(1);
-    for _ in 0..regions {
-        let kids = 1 + (next() as usize) % 4;
-        let wcets: Vec<u64> = (0..kids).map(|_| 1 + next() % 100).collect();
-        let blocking = next() % 2 == 0;
-        let (f, j) = b
-            .fork_join(1 + next() % 50, &wcets, 1 + next() % 50, blocking)
-            .unwrap();
-        b.add_edge(src, f).unwrap();
-        b.add_edge(j, snk).unwrap();
-    }
-    b.build().unwrap()
+    Dag::from_lists(&s.wcets, &ids(&s.edges), &ids(&s.pairs)).unwrap()
 }
 
 proptest! {
@@ -157,7 +143,7 @@ proptest! {
     fn rt101_agrees_with_deadlock_analysis(
         seed in any::<u64>(), regions in 1usize..6, m in 1usize..8
     ) {
-        let dag = random_task_dag(seed, regions);
+        let dag = star_dag(seed, regions, true);
         let deadlocks = {
             !deadlock::check_global(&dag, m).is_deadlock_free()
         };
@@ -177,7 +163,7 @@ proptest! {
     fn lint_is_total_and_json_is_one_line(
         seed in any::<u64>(), regions in 1usize..6, m in 1usize..8
     ) {
-        let dag = random_task_dag(seed, regions);
+        let dag = star_dag(seed, regions, true);
         let set = TaskSet::new(vec![Task::with_implicit_deadline(dag, 1_000_000).unwrap()]);
         let report = lint_task_set(&set, &LintOptions::with_m(m));
         for d in &report.diagnostics {
@@ -193,7 +179,7 @@ proptest! {
     fn source_and_task_set_paths_agree(
         seed in any::<u64>(), regions in 1usize..5, m in 1usize..8
     ) {
-        let dag = random_task_dag(seed, regions);
+        let dag = star_dag(seed, regions, true);
         let set = TaskSet::new(vec![Task::with_implicit_deadline(dag, 1_000_000).unwrap()]);
         let text = textfmt::write_task_set(&set);
         let opts = LintOptions::with_m(m);
