@@ -16,7 +16,9 @@
 //!
 //! A pool past `rtpool_core::partition::MAX_PARTITIONED_THREADS` gets
 //! every global section and simulation, an error naming the bound in
-//! place of the partitioned ones, and exit code 1.
+//! place of the partitioned ones, and exit code 1. One past
+//! `rtpool_sim::MAX_SIMULATED_CORES` gets the same in place of the
+//! simulation.
 //!
 //! `--timeout-ms` bounds the response-time fix-points: past the budget
 //! the analysis stops with a clean "analysis timed out" error instead of
@@ -31,7 +33,7 @@ use rtpool_core::analysis::partitioned::{self, PartitionStrategy};
 use rtpool_core::partition::MAX_PARTITIONED_THREADS;
 use rtpool_core::{deadlock, sizing, CancelToken, TaskId};
 use rtpool_lint::{check_source, render_human, LintOptions};
-use rtpool_sim::{SchedulingPolicy, SimConfig};
+use rtpool_sim::{SchedulingPolicy, SimConfig, MAX_SIMULATED_CORES};
 
 struct Args {
     path: String,
@@ -239,7 +241,13 @@ fn run() -> Result<bool, String> {
         }
     }
 
-    if args.simulate {
+    let unsimulated = args.simulate && m > MAX_SIMULATED_CORES;
+    if unsimulated {
+        eprintln!(
+            "error: simulation refused: m = {m} is past \
+             MAX_SIMULATED_CORES = {MAX_SIMULATED_CORES}"
+        );
+    } else if args.simulate {
         println!("\n== Simulation ({:?}) ==", args.policy);
         let horizon = set
             .iter()
@@ -276,5 +284,5 @@ fn run() -> Result<bool, String> {
             );
         }
     }
-    Ok(!refused && !report.has_failures())
+    Ok(!refused && !unsimulated && !report.has_failures())
 }

@@ -1,13 +1,16 @@
 //! The `analyze` and `rtpool-trace` binaries on pools at and past the
-//! partitioned bound. Past it, `analyze` still prints the global
-//! verdicts and runs a global simulation, and both refuse the
-//! partitioned paths by the bound's name, where a pool of `u64::MAX`
-//! threads used to panic on a capacity overflow, one of 2³² to abort on
-//! allocation, and one of 5 000 to run.
+//! partitioned bound and the simulator's. Past the first, `analyze` still
+//! prints the global verdicts and runs a global simulation, and both
+//! refuse the partitioned paths by the bound's name, where a pool of
+//! `u64::MAX` threads used to panic on a capacity overflow, one of 2³² to
+//! abort on allocation, and one of 5 000 to run. Past the second, both
+//! refuse to simulate by its name, where the simulator panicked and
+//! aborted at the same two sizes.
 
 use std::process::{Command, Output};
 
 use rtpool_core::partition::MAX_PARTITIONED_THREADS;
+use rtpool_sim::MAX_SIMULATED_CORES;
 
 const FIGURE1: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../workloads/figure1.rtp");
 
@@ -25,6 +28,7 @@ fn run(bin: &str, args: &[&str]) -> (Option<i32>, String, String) {
 #[test]
 fn analyze_refuses_the_partitioned_sections_past_the_bound_by_name() {
     let named = format!("MAX_PARTITIONED_THREADS = {MAX_PARTITIONED_THREADS}");
+    let sim_named = format!("MAX_SIMULATED_CORES = {MAX_SIMULATED_CORES}");
     let bound = MAX_PARTITIONED_THREADS.to_string();
     let past = (MAX_PARTITIONED_THREADS + 1).to_string();
     for (m, extra, refused) in [
@@ -33,6 +37,8 @@ fn analyze_refuses_the_partitioned_sections_past_the_bound_by_name() {
         (bound, &[], false),
         (past.clone(), &["--simulate"], true),
         (past, &["--simulate", "--policy", "partitioned"], true),
+        (u64::MAX.to_string(), &["--simulate"], true),
+        ((1u64 << 32).to_string(), &["--simulate"], true),
     ] {
         let args = [&[FIGURE1, "--m", &m], extra].concat();
         let (code, stdout, stderr) = run(env!("CARGO_BIN_EXE_analyze"), &args);
@@ -42,22 +48,37 @@ fn analyze_refuses_the_partitioned_sections_past_the_bound_by_name() {
         assert_eq!(stderr.contains(&named), refused, "{context}");
         let partitioned = stdout.contains("Algorithm 1 (delay-free)");
         assert_eq!(partitioned, !refused, "{context}");
-        // A global simulation runs past the bound; a partitioned one does not.
-        let simulated = extra == ["--simulate"];
+        // A global simulation runs past the bound, up to the simulator's;
+        // a partitioned one does not.
+        let global = extra == ["--simulate"];
+        let unsimulated = global && m.parse::<usize>().is_ok_and(|m| m > MAX_SIMULATED_CORES);
+        assert_eq!(stderr.contains(&sim_named), unsimulated, "{context}");
         assert_eq!(
             stdout.contains("== Simulation (Global) =="),
-            simulated,
+            global && !unsimulated,
             "{context}"
         );
     }
 }
 
 #[test]
-fn rtpool_trace_refuses_a_partitioned_pool_past_the_bound_by_name() {
+fn rtpool_trace_refuses_a_pool_past_either_bound_by_name() {
     let past = (MAX_PARTITIONED_THREADS + 1).to_string();
-    let args = ["run", FIGURE1, "--policy", "partitioned", "--m", &past];
-    let (code, _, stderr) = run(env!("CARGO_BIN_EXE_rtpool-trace"), &args);
-    assert_eq!(code, Some(2), "{stderr}");
-    let named = format!("past MAX_PARTITIONED_THREADS = {MAX_PARTITIONED_THREADS}");
-    assert!(stderr.contains(&named), "{stderr}");
+    let partitioned = format!("past MAX_PARTITIONED_THREADS = {MAX_PARTITIONED_THREADS}");
+    let simulated = format!("past MAX_SIMULATED_CORES = {MAX_SIMULATED_CORES}");
+    let (huge, wide) = (u64::MAX.to_string(), (1u64 << 32).to_string());
+    for (args, code, named) in [
+        (
+            &["--policy", "partitioned", "--m", &past][..],
+            2,
+            &partitioned,
+        ),
+        (&["--m", &huge], 1, &simulated),
+        (&["--m", &wide], 1, &simulated),
+    ] {
+        let args = [&["run", FIGURE1][..], args].concat();
+        let (status, _, stderr) = run(env!("CARGO_BIN_EXE_rtpool-trace"), &args);
+        assert_eq!(status, Some(code), "{args:?}: {stderr}");
+        assert!(stderr.contains(named.as_str()), "{args:?}: {stderr}");
+    }
 }

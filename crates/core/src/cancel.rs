@@ -6,16 +6,13 @@
 //! answer with the deepest *completed* rung instead of blowing its SLO.
 //! [`CancelToken`] is the mechanism: analyses accept a token and poll it
 //! at checkpoints (between tasks, once per fix-point iteration), bailing
-//! out with [`Cancelled`] when the deadline has passed or the token was
-//! revoked explicitly.
+//! out with [`Cancelled`] once the deadline has passed.
 //!
 //! Checkpoint granularity is deliberately coarse — one wall-clock read
 //! per fix-point iteration — so the uncancellable fast path stays fast:
 //! [`CancelToken::never`] short-circuits to `false` without touching the
 //! clock.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// The analysis was cancelled at a checkpoint before completing.
@@ -30,27 +27,27 @@ impl std::fmt::Display for Cancelled {
 
 impl std::error::Error for Cancelled {}
 
-/// A cheap, shareable cancellation signal: an optional wall-clock
-/// deadline plus an optional revocation flag. Cloning yields a handle to
-/// the *same* flag.
+/// A cheap cancellation signal: an optional wall-clock deadline.
 ///
 /// # Examples
 ///
 /// ```
-/// use rtpool_core::cancel::CancelToken;
+/// use std::time::{Duration, Instant};
+///
+/// use rtpool_core::cancel::{CancelToken, Cancelled};
 ///
 /// let never = CancelToken::never();
 /// assert!(!never.is_cancelled());
 ///
-/// let token = CancelToken::never().revocable();
-/// assert!(!token.is_cancelled());
-/// token.revoke();
-/// assert!(token.is_cancelled());
+/// let later = CancelToken::with_deadline(Instant::now() + Duration::from_secs(3600));
+/// assert!(later.checkpoint().is_ok());
+///
+/// let expired = CancelToken::with_deadline(Instant::now());
+/// assert_eq!(expired.checkpoint(), Err(Cancelled));
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct CancelToken {
     deadline: Option<Instant>,
-    flag: Option<Arc<AtomicBool>>,
 }
 
 impl CancelToken {
@@ -65,34 +62,12 @@ impl CancelToken {
     pub fn with_deadline(deadline: Instant) -> Self {
         CancelToken {
             deadline: Some(deadline),
-            flag: None,
         }
     }
 
-    /// Adds an explicit revocation flag ([`CancelToken::revoke`]) shared
-    /// by every clone of this token.
-    #[must_use]
-    pub fn revocable(mut self) -> Self {
-        self.flag = Some(Arc::new(AtomicBool::new(false)));
-        self
-    }
-
-    /// Revokes the token: every clone cancels at its next checkpoint.
-    /// No-op on tokens without a revocation flag.
-    pub fn revoke(&self) {
-        if let Some(flag) = &self.flag {
-            flag.store(true, Ordering::Release);
-        }
-    }
-
-    /// `true` once the deadline has passed or the token was revoked.
+    /// `true` once the deadline has passed.
     #[must_use]
     pub fn is_cancelled(&self) -> bool {
-        if let Some(flag) = &self.flag {
-            if flag.load(Ordering::Acquire) {
-                return true;
-            }
-        }
         self.deadline.is_some_and(|d| Instant::now() >= d)
     }
 
@@ -100,8 +75,7 @@ impl CancelToken {
     ///
     /// # Errors
     ///
-    /// Returns [`Cancelled`] when the deadline passed or the token was
-    /// revoked.
+    /// Returns [`Cancelled`] when the deadline passed.
     pub fn checkpoint(&self) -> Result<(), Cancelled> {
         if self.is_cancelled() {
             Err(Cancelled)
@@ -129,8 +103,6 @@ mod tests {
         assert!(!t.is_cancelled());
         assert!(t.checkpoint().is_ok());
         assert_eq!(t.remaining(), None);
-        t.revoke(); // no flag: no-op
-        assert!(!t.is_cancelled());
     }
 
     #[test]
@@ -146,16 +118,6 @@ mod tests {
         let t = CancelToken::with_deadline(Instant::now() + Duration::from_secs(3600));
         assert!(!t.is_cancelled());
         assert!(t.remaining().unwrap() > Duration::from_secs(3000));
-    }
-
-    #[test]
-    fn revocation_is_shared_across_clones() {
-        let t = CancelToken::never().revocable();
-        let c = t.clone();
-        assert!(!c.is_cancelled());
-        t.revoke();
-        assert!(c.is_cancelled());
-        assert_eq!(c.checkpoint(), Err(Cancelled));
     }
 
     #[test]

@@ -24,7 +24,7 @@ mod worst_fit;
 
 pub use algorithm1::{algorithm1, algorithm1_with, Algorithm1Error, Algorithm1Failure};
 pub use mapping::{NodeMapping, ThreadId};
-pub use worst_fit::{worst_fit, worst_fit_with_colocation};
+pub use worst_fit::worst_fit;
 
 use rtpool_graph::{Dag, NodeId};
 

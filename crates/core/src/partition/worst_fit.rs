@@ -43,19 +43,6 @@ use crate::partition::{NodeMapping, ThreadId};
 /// ```
 #[must_use]
 pub fn worst_fit(dag: &Dag, m: usize) -> NodeMapping {
-    worst_fit_with_colocation(dag, m, true)
-}
-
-/// [`worst_fit`] with explicit control over fork/join co-location
-/// (disabling it models runtimes that re-dispatch the continuation as a
-/// fresh work item; kept for ablation studies).
-///
-/// # Panics
-///
-/// Panics if `m == 0` or `m` is past
-/// [`MAX_PARTITIONED_THREADS`](crate::partition::MAX_PARTITIONED_THREADS).
-#[must_use]
-pub fn worst_fit_with_colocation(dag: &Dag, m: usize, colocate_joins: bool) -> NodeMapping {
     assert!(m > 0, "pool must have at least one thread");
     super::assert_partitioned_pool(m);
     let n = dag.node_count();
@@ -63,17 +50,14 @@ pub fn worst_fit_with_colocation(dag: &Dag, m: usize, colocate_joins: bool) -> N
     let mut loads = vec![0u64; m];
     for v in dag.topological_order().iter() {
         if assigned[v.index()].is_some() {
-            continue; // a join already pinned to its fork's thread
-        }
-        if colocate_joins && dag.kind(v) == NodeKind::BlockingJoin {
-            // Defensive: joins follow their forks in topological order, so
-            // this is unreachable when colocation is on.
+            // A join, pinned to its fork's thread: joins follow their
+            // forks in topological order.
             continue;
         }
         let t = least_loaded(&loads);
         assigned[v.index()] = Some(t);
         loads[t.index()] += dag.wcet(v);
-        if colocate_joins && dag.kind(v) == NodeKind::BlockingFork {
+        if dag.kind(v) == NodeKind::BlockingFork {
             let j = dag
                 .blocking_join_of(v)
                 .expect("validated BF node has a paired BJ");
@@ -119,17 +103,6 @@ mod tests {
         let dag = b.build().unwrap();
         let mapping = worst_fit(&dag, 4);
         assert_eq!(mapping.thread_of(f), mapping.thread_of(j));
-    }
-
-    #[test]
-    fn colocation_can_be_disabled() {
-        let mut b = DagBuilder::new();
-        let (f, j) = b.fork_join(100, &[1], 100, true).unwrap();
-        let dag = b.build().unwrap();
-        let mapping = worst_fit_with_colocation(&dag, 2, false);
-        // With wcets 100/1/100 and no colocation, worst-fit puts the two
-        // heavy halves on different threads.
-        assert_ne!(mapping.thread_of(f), mapping.thread_of(j));
     }
 
     #[test]

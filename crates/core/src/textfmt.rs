@@ -247,18 +247,9 @@ impl TaskSpans {
 #[derive(Clone, Debug, Default)]
 pub struct SourceSpans {
     tasks: Vec<TaskSpans>,
-    backend: Option<Span>,
 }
 
 impl SourceSpans {
-    /// The span of the file-level `backend …` directive, if one was
-    /// written (diagnostics use it to point backend-dependent verdicts
-    /// at the declaration that selected the backend).
-    #[must_use]
-    pub fn backend_decl(&self) -> Option<Span> {
-        self.backend
-    }
-
     /// Number of tasks covered.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -441,7 +432,7 @@ fn parse(input: &str, record: bool) -> Result<(TaskSet, SourceSpans), ParseTaskE
     let mut tasks = Vec::new();
     let mut spans = Vec::new();
     let mut current: Option<TaskInProgress> = None;
-    let mut backend: Option<(SyncBackend, Span)> = None;
+    let mut backend: Option<(SyncBackend, usize)> = None;
     // Reused across lines and tasks, cleared when a task opens; names are
     // slices of `input`. The name map and the recording pass's edge set
     // keep std's keyed hasher: the text comes from outside.
@@ -472,7 +463,7 @@ fn parse(input: &str, record: bool) -> Result<(TaskSet, SourceSpans), ParseTaskE
                 if let Some((_, prev)) = backend {
                     return Err(directive.error(
                         line_no,
-                        format!("`backend` already declared on line {}", prev.line),
+                        format!("`backend` already declared on line {prev}"),
                     ));
                 }
                 let which = args.first().ok_or_else(|| {
@@ -488,7 +479,7 @@ fn parse(input: &str, record: bool) -> Result<(TaskSet, SourceSpans), ParseTaskE
                     )
                 })?;
                 expect_end(args.get(1), line_no)?;
-                backend = Some((b, line_span(line_no, &toks)));
+                backend = Some((b, line_no));
             }
             "task" => {
                 if let Some(t) = &current {
@@ -639,16 +630,10 @@ fn parse(input: &str, record: bool) -> Result<(TaskSet, SourceSpans), ParseTaskE
             "unterminated task block (missing `end`)",
         ));
     }
-    let (backend, backend_span) = match backend {
-        Some((b, s)) => (b, Some(s)),
-        None => (SyncBackend::Suspend, None),
-    };
+    let backend = backend.map_or(SyncBackend::Suspend, |(b, _)| b);
     Ok((
         TaskSet::new(tasks).with_backend(backend),
-        SourceSpans {
-            tasks: spans,
-            backend: backend_span,
-        },
+        SourceSpans { tasks: spans },
     ))
 }
 
@@ -915,18 +900,13 @@ end
 
         // Spin round-trips through the header syntax.
         let spin_text = format!("backend spin\n{FIGURE_1A}");
-        let (spin, spans) = parse_task_set_with_spans(&spin_text).unwrap();
+        let spin = parse_task_set(&spin_text).unwrap();
         assert_eq!(spin.backend(), SyncBackend::Spin);
-        assert_eq!(spans.backend_decl(), Some(Span::new(1, 1, 12)));
         let rewritten = write_task_set(&spin);
         assert!(rewritten.contains("backend spin\n"));
         let back = parse_task_set(&rewritten).unwrap();
         assert_eq!(back.backend(), SyncBackend::Spin);
         assert_eq!(back.task(TaskId(0)).volume(), 90);
-
-        // Suspend spans carry no backend declaration site.
-        let (_, s) = parse_task_set_with_spans(FIGURE_1A).unwrap();
-        assert_eq!(s.backend_decl(), None);
     }
 
     #[test]

@@ -1,18 +1,12 @@
 //! Fixed-capacity bit sets: an owned [`BitSet`], a borrowed [`BitRow`]
 //! view, and the flat [`BitMatrix`] whose rows are such views.
 //!
-//! All three share one set of word-slice kernels (union, intersection,
-//! difference, disjointness, popcount, iteration), so a reachability or
+//! All three share one set of word-slice kernels (intersection,
+//! difference, popcount, iteration), so a reachability or
 //! delay row stored inside a matrix behaves exactly like a stand-alone
 //! set without owning a heap block of its own.
 
 use std::fmt;
-
-fn union_words(dst: &mut [u64], src: &[u64]) {
-    for (a, b) in dst.iter_mut().zip(src) {
-        *a |= *b;
-    }
-}
 
 fn difference_words(dst: &mut [u64], src: &[u64]) {
     for (a, b) in dst.iter_mut().zip(src) {
@@ -104,17 +98,6 @@ impl<'a> BitRow<'a> {
         self.words.iter().all(|&w| w == 0)
     }
 
-    /// Returns `true` if `self` and `other` share no element.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the capacities differ.
-    #[must_use]
-    pub fn is_disjoint<'b>(self, other: impl Into<BitRow<'b>>) -> bool {
-        let other = self.same_capacity(other.into());
-        self.words.iter().zip(other).all(|(a, b)| a & b == 0)
-    }
-
     /// Iterates over the contained indices in increasing order.
     pub fn iter(self) -> Iter<'a> {
         Iter {
@@ -179,19 +162,11 @@ impl<'a> IntoIterator for BitRow<'a> {
     }
 }
 
-impl<'a> From<&'a BitSet> for BitRow<'a> {
-    fn from(set: &'a BitSet) -> Self {
-        set.as_row()
-    }
-}
-
 /// A fixed-capacity set of `usize` indices backed by `u64` words.
 ///
 /// Used throughout the crate for node subsets and scratch rows, where
 /// dense `O(|V|)`-bit sets with word-parallel union/intersection keep the
-/// `C(v)`/`X(v)` computations of the paper near `O(|V|²/64)`. The
-/// in-place operations accept another `&BitSet` or a borrowed
-/// [`BitRow`] alike.
+/// `C(v)`/`X(v)` computations of the paper near `O(|V|²/64)`.
 ///
 /// # Examples
 ///
@@ -274,26 +249,6 @@ impl BitSet {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.as_row().is_empty()
-    }
-
-    /// In-place union with `other`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the capacities differ.
-    pub fn union_with<'a>(&mut self, other: impl Into<BitRow<'a>>) {
-        let other = self.as_row().same_capacity(other.into());
-        union_words(&mut self.words, other);
-    }
-
-    /// Returns `true` if `self` and `other` share no element.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the capacities differ.
-    #[must_use]
-    pub fn is_disjoint<'a>(&self, other: impl Into<BitRow<'a>>) -> bool {
-        self.as_row().is_disjoint(other)
     }
 
     /// Removes all elements.
@@ -570,12 +525,10 @@ mod tests {
         // FromIterator sizes to max+1; rebuild with common capacity.
         let mut b = BitSet::new(a.capacity());
         b.extend([2usize, 70]);
-        assert!(!a.is_disjoint(&b));
         a.remove(2);
         a.remove(70);
         assert_eq!(a.iter().collect::<Vec<_>>(), vec![1, 3]);
-        assert!(a.is_disjoint(&b));
-        a.union_with(&b);
+        a.extend(&b);
         assert_eq!(a.len(), 4);
         a.clear();
         assert!(a.is_empty());
@@ -619,10 +572,9 @@ mod tests {
         m.insert(3, 1);
         m.insert(4, 1);
         let mut s = BitSet::new(70);
-        s.union_with(m.row(3));
+        s.extend(m.row(3));
         assert_eq!(s.as_row(), m.row(3));
         assert_ne!(s.as_row(), m.row(4));
-        assert!(!m.row(4).is_disjoint(&s));
         assert_eq!(format!("{:?}", m.row(3)), "{1, 69}");
         assert_eq!(m.row(3).len(), 2);
     }

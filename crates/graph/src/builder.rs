@@ -271,6 +271,7 @@ impl DagBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::node::NodeKind;
 
     #[test]
     fn rejects_unknown_node_and_self_loop() {
@@ -390,8 +391,8 @@ mod tests {
         let mut b = DagBuilder::new();
         let (f, j) = b.fork_join(1, &[1, 1], 1, false).unwrap();
         let dag = b.build().unwrap();
-        assert!(dag.kind(f).is_non_blocking());
-        assert!(dag.kind(j).is_non_blocking());
+        assert_eq!(dag.kind(f), NodeKind::NonBlocking);
+        assert_eq!(dag.kind(j), NodeKind::NonBlocking);
         assert!(dag.blocking_regions().is_empty());
     }
 }

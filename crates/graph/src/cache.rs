@@ -1,7 +1,7 @@
 //! Lazily-memoized derived analyses of an immutable [`Dag`].
 //!
 //! A `Dag` is frozen at construction, so every derived artifact — volume,
-//! path metrics, the transitive-reachability closure, blocking-fork
+//! critical path, the transitive-reachability closure, blocking-fork
 //! inventory, the per-node delay sets `X(v)` of Section 3.1, and the
 //! exact maximum `BF` antichain — is a pure function of the graph. This
 //! module stores them in [`OnceLock`] cells on the `Dag` itself so each
@@ -31,7 +31,7 @@ use std::sync::{Arc, OnceLock};
 use crate::bitset::{BitMatrix, BitRow, BitSet};
 use crate::dag::Dag;
 use crate::node::{NodeId, NodeKind};
-use crate::paths::{CriticalPath, PathMetrics};
+use crate::paths::CriticalPath;
 use crate::reach::Reachability;
 
 /// The per-node delay sets `X(v)` of the paper's Section 3.1, stored as
@@ -143,7 +143,6 @@ impl DelayProfile {
 #[derive(Clone, Debug, Default)]
 pub(crate) struct DerivedCache {
     pub(crate) volume: OnceLock<u64>,
-    pub(crate) metrics: OnceLock<PathMetrics>,
     pub(crate) critical_path: OnceLock<CriticalPath>,
     pub(crate) reach: OnceLock<Arc<Reachability>>,
     pub(crate) blocking_forks: OnceLock<Vec<NodeId>>,

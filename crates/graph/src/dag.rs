@@ -6,7 +6,7 @@ use crate::cache::{DelayProfile, DerivedCache};
 use crate::csr::{check_edge, Csr};
 use crate::error::GraphError;
 use crate::node::{NodeData, NodeId, NodeKind};
-use crate::paths::{self, CriticalPath, PathMetrics};
+use crate::paths::CriticalPath;
 use crate::reach::Reachability;
 use crate::regions::Region;
 use crate::topo::TopologicalOrder;
@@ -137,8 +137,8 @@ impl Dag {
     /// every other cell stays lazy.
     ///
     /// Errors come in the order of the separate passes this replaces:
-    /// `Empty`; a repeated edge, then a cycle (named by
-    /// [`TopologicalOrder::compute`]); sources, then sinks; regions; the
+    /// `Empty`; a repeated edge, then a cycle (both named by
+    /// [`Reachability::ordered`]); sources, then sinks; regions; the
     /// volume.
     pub(crate) fn assemble(
         wcets: &[u64],
@@ -150,10 +150,7 @@ impl Dag {
         if n == 0 {
             return Err(GraphError::Empty);
         }
-        let Some((order, reach)) = Reachability::ordered(&succ, &pred) else {
-            return Err(TopologicalOrder::compute(&succ)
-                .expect_err("a repeated edge or a cycle fails the order"));
-        };
+        let (order, reach) = Reachability::ordered(&succ, &pred)?;
         // The sources are the order's head: Kahn seeds them in id order.
         let sources = order.iter().take_while(|v| pred.row(v.index()).is_empty());
         let source = unique(sources).map_err(GraphError::MultipleSources)?;
@@ -330,12 +327,11 @@ impl Dag {
             .get_or_init(|| self.nodes.iter().map(|n| n.wcet).sum())
     }
 
-    /// Length `len(λᵢ*)` of the critical (longest) path: the sink's
-    /// distance in the memoized [`Dag::path_metrics`], without building
-    /// the witness path.
+    /// Length `len(λᵢ*)` of the critical (longest) path: the length of
+    /// the memoized [`Dag::critical_path`].
     #[must_use]
     pub fn critical_path_length(&self) -> u64 {
-        self.path_metrics().dist_from_source(self.sink())
+        self.critical_path().length
     }
 
     /// The critical path itself: its length and one witnessing node
@@ -344,14 +340,7 @@ impl Dag {
     pub fn critical_path(&self) -> &CriticalPath {
         self.cache
             .critical_path
-            .get_or_init(|| paths::critical_path_from(self, self.path_metrics()))
-    }
-
-    /// Per-node longest-path distances (to/from the endpoints). Memoized;
-    /// shared with [`Dag::critical_path`].
-    #[must_use]
-    pub fn path_metrics(&self) -> &PathMetrics {
-        self.cache.metrics.get_or_init(|| PathMetrics::new(self))
+            .get_or_init(|| CriticalPath::new(self))
     }
 
     /// The transitive-reachability closure of the graph. Memoized — and

@@ -5,69 +5,6 @@ use std::fmt::Write as _;
 use crate::dag::Dag;
 use crate::node::NodeKind;
 
-/// Options controlling [`Dag::to_dot`] output.
-///
-/// # Examples
-///
-/// ```
-/// use rtpool_graph::{DagBuilder, DotOptions};
-///
-/// # fn main() -> Result<(), rtpool_graph::GraphError> {
-/// let mut b = DagBuilder::new();
-/// let (_f, _j) = b.fork_join(1, &[2, 3], 1, true)?;
-/// let dag = b.build()?;
-/// let dot = dag.to_dot(&DotOptions::new().graph_name("fig1a"));
-/// assert!(dot.starts_with("digraph fig1a"));
-/// assert!(dot.contains("BF"));
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Clone, Debug)]
-pub struct DotOptions {
-    graph_name: String,
-    show_wcet: bool,
-    color_kinds: bool,
-}
-
-impl DotOptions {
-    /// Default options: graph name `dag`, WCETs shown, kinds colored.
-    #[must_use]
-    pub fn new() -> Self {
-        DotOptions {
-            graph_name: "dag".to_owned(),
-            show_wcet: true,
-            color_kinds: true,
-        }
-    }
-
-    /// Sets the DOT graph name (must be a valid DOT identifier).
-    #[must_use]
-    pub fn graph_name(mut self, name: impl Into<String>) -> Self {
-        self.graph_name = name.into();
-        self
-    }
-
-    /// Whether node labels include the WCET (default `true`).
-    #[must_use]
-    pub fn show_wcet(mut self, yes: bool) -> Self {
-        self.show_wcet = yes;
-        self
-    }
-
-    /// Whether nodes are filled with per-kind colors (default `true`).
-    #[must_use]
-    pub fn color_kinds(mut self, yes: bool) -> Self {
-        self.color_kinds = yes;
-        self
-    }
-}
-
-impl Default for DotOptions {
-    fn default() -> Self {
-        DotOptions::new()
-    }
-}
-
 fn kind_color(kind: NodeKind) -> &'static str {
     match kind {
         NodeKind::NonBlocking => "#f3f6fc",
@@ -78,33 +15,43 @@ fn kind_color(kind: NodeKind) -> &'static str {
 }
 
 impl Dag {
-    /// Renders the graph in Graphviz DOT syntax.
+    /// Renders the graph in Graphviz DOT syntax as the digraph `name`
+    /// (which must be a valid DOT identifier).
     ///
-    /// Blocking forks/joins/children are labeled with the paper's
-    /// two-letter kind abbreviations and (optionally) colored, making the
-    /// blocking regions visually obvious.
+    /// Each node is labeled with its id, the paper's two-letter kind
+    /// abbreviation and its WCET, and filled with a per-kind color,
+    /// making the blocking regions visually obvious.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use rtpool_graph::DagBuilder;
+    ///
+    /// # fn main() -> Result<(), rtpool_graph::GraphError> {
+    /// let mut b = DagBuilder::new();
+    /// let (_f, _j) = b.fork_join(1, &[2, 3], 1, true)?;
+    /// let dag = b.build()?;
+    /// let dot = dag.to_dot("fig1a");
+    /// assert!(dot.starts_with("digraph fig1a"));
+    /// assert!(dot.contains("BF"));
+    /// # Ok(())
+    /// # }
+    /// ```
     #[must_use]
-    pub fn to_dot(&self, options: &DotOptions) -> String {
+    pub fn to_dot(&self, name: &str) -> String {
         let mut out = String::new();
-        let _ = writeln!(out, "digraph {} {{", options.graph_name);
+        let _ = writeln!(out, "digraph {name} {{");
         let _ = writeln!(out, "  rankdir=TB;");
         let _ = writeln!(out, "  node [shape=ellipse, style=filled];");
         for v in self.node_ids() {
             let kind = self.kind(v);
-            let label = if options.show_wcet {
-                format!("{v}\\n{} C={}", kind.short_name(), self.wcet(v))
-            } else {
-                format!("{v}\\n{}", kind.short_name())
-            };
-            let color = if options.color_kinds {
-                kind_color(kind)
-            } else {
-                "#ffffff"
-            };
             let _ = writeln!(
                 out,
-                "  {} [label=\"{label}\", fillcolor=\"{color}\"];",
-                v.index()
+                "  {} [label=\"{v}\\n{} C={}\", fillcolor=\"{}\"];",
+                v.index(),
+                kind.short_name(),
+                self.wcet(v),
+                kind_color(kind)
             );
         }
         for v in self.node_ids() {
@@ -119,7 +66,6 @@ impl Dag {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::builder::DagBuilder;
 
     #[test]
@@ -129,7 +75,7 @@ mod tests {
         let c = b.add_node(4);
         b.add_edge(a, c).unwrap();
         let dag = b.build().unwrap();
-        let dot = dag.to_dot(&DotOptions::new());
+        let dot = dag.to_dot("dag");
         assert!(dot.contains("0 [label=\"v0\\nNB C=3\""));
         assert!(dot.contains("1 [label=\"v1\\nNB C=4\""));
         assert!(dot.contains("0 -> 1;"));
@@ -137,22 +83,11 @@ mod tests {
     }
 
     #[test]
-    fn dot_without_wcet() {
-        let mut b = DagBuilder::new();
-        b.add_node(3);
-        let dag = b.build().unwrap();
-        let dot = dag.to_dot(&DotOptions::new().show_wcet(false).color_kinds(false));
-        assert!(dot.contains("v0\\nNB\""));
-        assert!(!dot.contains("C=3"));
-        assert!(dot.contains("#ffffff"));
-    }
-
-    #[test]
     fn blocking_kinds_labeled() {
         let mut b = DagBuilder::new();
         b.fork_join(1, &[1], 1, true).unwrap();
         let dag = b.build().unwrap();
-        let dot = dag.to_dot(&DotOptions::new());
+        let dot = dag.to_dot("dag");
         assert!(dot.contains("BF"));
         assert!(dot.contains("BJ"));
         assert!(dot.contains("BC"));

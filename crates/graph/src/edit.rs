@@ -8,7 +8,7 @@
 //!   (CSR adjacency, topological order, region tables), the reachability
 //!   closure and the delay profile are all *shared* with the base (each
 //!   sits behind an `Arc`), the volume is adjusted arithmetically, and
-//!   only the path metrics are left for lazy `O(|V|+|E|)` recomputation.
+//!   only the critical path is left for lazy `O(|V|+|E|)` recomputation.
 //!   The one per-node copy is the WCET/kind table, so the allocator is
 //!   called a fixed number of times whatever the graph's size.
 //! * **Anything else** — a rebuild. The script is folded into the final
@@ -230,7 +230,7 @@ impl<'a> DagEdit<'a> {
         let volume = u64::try_from(volume).map_err(|_| GraphError::VolumeOverflow)?;
 
         // WCET-independent cells are carried when filled, left lazy
-        // otherwise; the path metrics and the content hash are not.
+        // otherwise; the critical path and the content hash are not.
         let carried = &base.cache;
         let cache = DerivedCache {
             volume: volume.into(),

@@ -21,7 +21,7 @@
 //! The crate provides construction ([`DagBuilder`]), validation of the
 //! structural restrictions imposed by the paper's Section 2
 //! ([`Dag::validate_model`]), transitive reachability ([`Reachability`]),
-//! path metrics (critical path, volume), blocking-region bookkeeping
+//! the critical path and volume, blocking-region bookkeeping
 //! ([`Region`]), maximum-antichain computation ([`max_antichain`]), and DOT
 //! export for visualization.
 //!
@@ -82,11 +82,10 @@ pub use builder::DagBuilder;
 pub use cache::DelayProfile;
 pub use csr::fill_csr;
 pub use dag::Dag;
-pub use dot::DotOptions;
 pub use edit::{DagDelta, DagEdit, EditOp};
 pub use error::GraphError;
 pub use node::{NodeId, NodeKind};
-pub use paths::{CriticalPath, PathMetrics};
+pub use paths::CriticalPath;
 pub use reach::Reachability;
 pub use regions::Region;
 pub use topo::TopologicalOrder;

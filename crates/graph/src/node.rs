@@ -68,7 +68,6 @@ impl fmt::Display for NodeId {
 /// ```
 /// use rtpool_graph::NodeKind;
 ///
-/// assert!(NodeKind::BlockingFork.is_blocking_fork());
 /// assert_eq!(NodeKind::default(), NodeKind::NonBlocking);
 /// assert_eq!(NodeKind::BlockingChild.short_name(), "BC");
 /// ```
@@ -89,24 +88,6 @@ pub enum NodeKind {
 }
 
 impl NodeKind {
-    /// Returns `true` for [`NodeKind::BlockingFork`].
-    #[must_use]
-    pub fn is_blocking_fork(self) -> bool {
-        self == NodeKind::BlockingFork
-    }
-
-    /// Returns `true` for [`NodeKind::BlockingJoin`].
-    #[must_use]
-    pub fn is_blocking_join(self) -> bool {
-        self == NodeKind::BlockingJoin
-    }
-
-    /// Returns `true` for [`NodeKind::NonBlocking`].
-    #[must_use]
-    pub fn is_non_blocking(self) -> bool {
-        self == NodeKind::NonBlocking
-    }
-
     /// The paper's two-letter abbreviation: `NB`, `BF`, `BJ`, or `BC`.
     #[must_use]
     pub fn short_name(self) -> &'static str {
@@ -151,14 +132,6 @@ mod tests {
     }
 
     #[test]
-    fn kind_predicates() {
-        assert!(NodeKind::BlockingFork.is_blocking_fork());
-        assert!(!NodeKind::BlockingFork.is_blocking_join());
-        assert!(NodeKind::BlockingJoin.is_blocking_join());
-        assert!(NodeKind::NonBlocking.is_non_blocking());
-    }
-
-    #[test]
     fn kind_short_names() {
         assert_eq!(NodeKind::NonBlocking.short_name(), "NB");
         assert_eq!(NodeKind::BlockingFork.short_name(), "BF");
@@ -168,7 +141,7 @@ mod tests {
     }
 
     #[test]
-    fn default_kind_is_non_blocking() {
+    fn kind_defaults_to_non_blocking() {
         assert_eq!(NodeKind::default(), NodeKind::NonBlocking);
     }
 }

@@ -1,4 +1,4 @@
-//! Path metrics: critical path, per-node longest distances, volume.
+//! The critical path `λᵢ*` and its length.
 
 use crate::dag::Dag;
 use crate::node::NodeId;
@@ -30,122 +30,41 @@ pub struct CriticalPath {
     pub nodes: Vec<NodeId>,
 }
 
-/// Extracts the critical path of `dag` from already-computed
-/// [`PathMetrics`] (ties broken toward smaller node ids, so the result is
-/// deterministic). Separated from the metrics computation so the
-/// derived-analysis cache can share one `PathMetrics` between both
-/// artifacts.
-#[must_use]
-pub(crate) fn critical_path_from(dag: &Dag, metrics: &PathMetrics) -> CriticalPath {
-    let mut nodes = Vec::new();
-    let mut v = dag.sink();
-    loop {
-        nodes.push(v);
-        match metrics.best_pred[v.index()] {
-            Some(p) => v = p,
-            None => break,
-        }
-    }
-    nodes.reverse();
-    CriticalPath {
-        length: metrics.dist_from_source(dag.sink()),
-        nodes,
-    }
-}
-
-/// Per-node longest-path distances of a [`Dag`].
-///
-/// `dist_from_source(v)` is the length of the longest path ending at `v`
-/// (inclusive of `v`'s WCET); `dist_to_sink(v)` the longest path starting
-/// at `v` (inclusive). Their sum minus `wcet(v)` is the longest path
-/// through `v`, used e.g. to rank nodes by criticality.
-///
-/// # Examples
-///
-/// ```
-/// use rtpool_graph::{DagBuilder, PathMetrics};
-///
-/// # fn main() -> Result<(), rtpool_graph::GraphError> {
-/// let mut b = DagBuilder::new();
-/// let a = b.add_node(2);
-/// let c = b.add_node(3);
-/// b.add_edge(a, c)?;
-/// let dag = b.build()?;
-/// let m = PathMetrics::new(&dag);
-/// assert_eq!(m.dist_from_source(c), 5);
-/// assert_eq!(m.dist_to_sink(a), 5);
-/// assert_eq!(m.longest_through(&dag, a), 5);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Clone, Debug)]
-pub struct PathMetrics {
-    from_source: Vec<u64>,
-    to_sink: Vec<u64>,
-    best_pred: Vec<Option<NodeId>>,
-}
-
-impl PathMetrics {
-    /// Computes the metrics in `O(|V| + |E|)`.
-    #[must_use]
-    pub fn new(dag: &Dag) -> Self {
-        let n = dag.node_count();
-        let mut from_source = vec![0u64; n];
-        let mut best_pred: Vec<Option<NodeId>> = vec![None; n];
+impl CriticalPath {
+    /// One pass over `dag` in topological order: each node's longest
+    /// path ending there (its WCET included) and the predecessor it
+    /// runs through, the one with the larger distance and, of equal
+    /// ones, the smaller id, so the path is deterministic. The path is
+    /// read back from the sink; the per-node table is dropped.
+    pub(crate) fn new(dag: &Dag) -> Self {
+        let mut best: Vec<(u64, Option<NodeId>)> = vec![(0, None); dag.node_count()];
         for v in dag.topological_order().iter() {
-            let mut best: Option<(u64, NodeId)> = None;
+            let mut pick: Option<(u64, NodeId)> = None;
             for &p in dag.predecessors(v) {
-                let d = from_source[p.index()];
-                let better = match best {
-                    None => true,
-                    Some((bd, bp)) => d > bd || (d == bd && p < bp),
-                };
-                if better {
-                    best = Some((d, p));
+                let d = best[p.index()].0;
+                if pick.is_none_or(|(bd, bp)| d > bd || (d == bd && p < bp)) {
+                    pick = Some((d, p));
                 }
             }
-            from_source[v.index()] = best.map_or(0, |(d, _)| d) + dag.wcet(v);
-            best_pred[v.index()] = best.map(|(_, p)| p);
+            best[v.index()] = (
+                pick.map_or(0, |(d, _)| d) + dag.wcet(v),
+                pick.map(|(_, p)| p),
+            );
         }
-        let mut to_sink = vec![0u64; n];
-        for v in dag.topological_order().iter().rev() {
-            let best = dag
-                .successors(v)
-                .iter()
-                .map(|s| to_sink[s.index()])
-                .max()
-                .unwrap_or(0);
-            to_sink[v.index()] = best + dag.wcet(v);
+        let sink = dag.sink();
+        let hops = std::iter::successors(Some(sink), |v| best[v.index()].1);
+        let mut nodes = Vec::with_capacity(hops.clone().count());
+        nodes.extend(hops);
+        nodes.reverse();
+        CriticalPath {
+            length: best[sink.index()].0,
+            nodes,
         }
-        PathMetrics {
-            from_source,
-            to_sink,
-            best_pred,
-        }
-    }
-
-    /// Longest path from the source to `v`, inclusive of `v`'s WCET.
-    #[must_use]
-    pub fn dist_from_source(&self, v: NodeId) -> u64 {
-        self.from_source[v.index()]
-    }
-
-    /// Longest path from `v` to the sink, inclusive of `v`'s WCET.
-    #[must_use]
-    pub fn dist_to_sink(&self, v: NodeId) -> u64 {
-        self.to_sink[v.index()]
-    }
-
-    /// Length of the longest source-to-sink path passing through `v`.
-    #[must_use]
-    pub fn longest_through(&self, dag: &Dag, v: NodeId) -> u64 {
-        self.from_source[v.index()] + self.to_sink[v.index()] - dag.wcet(v)
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::builder::DagBuilder;
 
     #[test]
@@ -209,20 +128,5 @@ mod tests {
             cp.length,
             cp.nodes.iter().map(|&v| dag.wcet(v)).sum::<u64>()
         );
-    }
-
-    #[test]
-    fn longest_through_matches_endpoints() {
-        let mut b = DagBuilder::new();
-        let s = b.add_node(1);
-        let a = b.add_node(10);
-        let t = b.add_node(1);
-        b.add_edge(s, a).unwrap();
-        b.add_edge(a, t).unwrap();
-        let dag = b.build().unwrap();
-        let m = PathMetrics::new(&dag);
-        assert_eq!(m.longest_through(&dag, s), 12);
-        assert_eq!(m.longest_through(&dag, a), 12);
-        assert_eq!(m.longest_through(&dag, t), 12);
     }
 }

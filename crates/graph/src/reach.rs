@@ -7,12 +7,14 @@
 //! rows, each neighbour absorbed in one pass over the row's words inside
 //! the block. A closure is computed whole, at assembly, and never
 //! patched. Assembly fills the ancestor half inside the Kahn pass that
-//! orders the graph ([`Reachability::ordered`]) and the descendant half
-//! in one pass over that order backwards.
+//! orders the graph ([`Reachability::ordered`]), which also names a
+//! repeated edge or a cycle, and the descendant half in one pass over
+//! that order backwards.
 
 use crate::bitset::{BitMatrix, BitRow, RowsMut};
 use crate::csr::Csr;
 use crate::dag::Dag;
+use crate::error::GraphError;
 use crate::node::NodeId;
 use crate::topo::TopologicalOrder;
 
@@ -52,30 +54,14 @@ pub struct Reachability {
 }
 
 impl Reachability {
-    /// Computes transitive reachability for `dag` in `O(|V|·|E|/64)` words.
+    /// Computes transitive reachability for `dag` in `O(|V|·|E|/64)` words,
+    /// through the pass that ordered the graph at assembly.
     #[must_use]
     pub fn new(dag: &Dag) -> Self {
         let t = &dag.topology;
-        Self::from_parts(&t.succ, &t.pred, &t.order)
-    }
-
-    /// Computes reachability from raw adjacency and a topological order,
-    /// one pass per closure. Every row is accumulated where it lives; no
-    /// temporary row is made.
-    pub(crate) fn from_parts(succ: &Csr, pred: &Csr, topo: &TopologicalOrder) -> Self {
-        let n = succ.node_count();
-        let mut reach = Reachability {
-            rows: BitMatrix::with_rows(2 * n, n),
-        };
-        let stride = reach.rows.stride();
-        let mut rows = reach.rows.rows_mut(stride);
-        for v in topo.iter() {
-            for &p in pred.row(v.index()) {
-                rows.absorb(n + v.index(), n + p.index(), p.index());
-            }
-        }
-        close_descendants(&mut rows, succ, topo.as_slice());
-        reach
+        Self::ordered(&t.succ, &t.pred)
+            .expect("an assembled graph has an order")
+            .1
     }
 
     /// Kahn's topological order of the rows of `succ` (whose in-degrees
@@ -84,16 +70,22 @@ impl Reachability {
     /// row, plus the node, into every successor's; one pass over the
     /// order backwards fills the descendants.
     ///
-    /// The order is [`TopologicalOrder::compute`]'s: sources in id
-    /// order, then a FIFO frontier fed in successor-row order.
+    /// The order has the sources in id order, then a FIFO frontier fed
+    /// in successor-row order: a node enters behind everything already
+    /// waiting when its last predecessor is emitted. This is *not*
+    /// "smallest ready id first", and the Figure 2 golden digests pin it.
     ///
-    /// `None` when an emitted row names a target twice or the order
-    /// comes out short (a cycle); [`TopologicalOrder::compute`] then
-    /// names the error. The ancestor rows are the repeated-edge stamp:
-    /// when `v` is emitted, `w`'s row holds `v` only if `v`'s row named
-    /// `w` before, because every other path from `v` to `w` runs
-    /// through nodes emitted after `v`.
-    pub(crate) fn ordered(succ: &Csr, pred: &Csr) -> Option<(TopologicalOrder, Self)> {
+    /// The ancestor rows are the repeated-edge stamp: when `v` is
+    /// emitted, `w`'s row holds `v` only if `v`'s row named `w` before,
+    /// because every other path from `v` to `w` runs through nodes
+    /// emitted after `v`.
+    ///
+    /// # Errors
+    ///
+    /// [`GraphError::DuplicateEdge`] for the first repeated edge in row
+    /// order; otherwise [`GraphError::Cycle`] naming the lowest node the
+    /// order never reaches.
+    pub(crate) fn ordered(succ: &Csr, pred: &Csr) -> Result<(TopologicalOrder, Self), GraphError> {
         let n = succ.node_count();
         let mut reach = Reachability {
             rows: BitMatrix::with_rows(2 * n, n),
@@ -106,7 +98,18 @@ impl Reachability {
             1 => order_and_close(&mut reach.rows.rows_mut(1), succ, pred, &mut order),
             stride => order_and_close(&mut reach.rows.rows_mut(stride), succ, pred, &mut order),
         };
-        complete.then_some((TopologicalOrder { order }, reach))
+        if complete {
+            return Ok((TopologicalOrder { order }, reach));
+        }
+        Err(repeated_edge(succ).unwrap_or_else(|| {
+            // Without a repeated edge the pass ran to its end, so a
+            // descendant row still counts the node's predecessors never
+            // emitted: it is non-zero exactly for the nodes left out.
+            let stuck = (0..n)
+                .find(|&v| !reach.rows.row(v).is_empty())
+                .expect("a short order leaves a node waiting");
+            GraphError::Cycle(NodeId::from_index(stuck))
+        }))
     }
 
     /// Number of nodes covered by this reachability table.
@@ -184,20 +187,27 @@ fn order_and_close(
     if order.len() < n {
         return false;
     }
-    close_descendants(rows, succ, order);
-    true
-}
-
-/// Fills every descendant row, visiting the nodes in reverse
-/// topological order: a node's descendants are the union of each direct
-/// successor and that successor's (already final) row.
-#[inline(always)]
-fn close_descendants(rows: &mut RowsMut<'_>, succ: &Csr, order: &[NodeId]) {
+    // Reverse topological order: a node's descendants are the union of
+    // each direct successor and that successor's (already final) row.
     for v in order.iter().rev() {
         for &w in succ.row(v.index()) {
             rows.absorb(v.index(), w.index(), w.index());
         }
     }
+    true
+}
+
+/// The first edge a successor row names twice, rows in id order: each
+/// target is stamped with the last row that named it.
+fn repeated_edge(succ: &Csr) -> Option<GraphError> {
+    let mut stamp = vec![0; succ.node_count()];
+    (0..succ.node_count()).find_map(|v| {
+        let w = succ
+            .row(v)
+            .iter()
+            .find(|w| std::mem::replace(&mut stamp[w.index()], v + 1) == v + 1)?;
+        Some(GraphError::DuplicateEdge(NodeId::from_index(v), *w))
+    })
 }
 
 #[cfg(test)]

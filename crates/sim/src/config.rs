@@ -151,8 +151,9 @@ impl SimConfig {
     /// # Errors
     ///
     /// [`SimError`] when the configuration is inconsistent with the task
-    /// set (missing/mismatched mappings, zero cores, unsorted explicit
-    /// releases).
+    /// set (missing/mismatched mappings, zero cores or more than
+    /// [`MAX_SIMULATED_CORES`](crate::MAX_SIMULATED_CORES), unsorted
+    /// explicit releases).
     pub fn run(&self, set: &TaskSet) -> Result<SimOutcome, SimError> {
         Engine::new(self, set)?.run()
     }

@@ -53,5 +53,5 @@ mod engine;
 mod outcome;
 
 pub use config::{ExecutionTime, ReleasePattern, SchedulingPolicy, SimConfig};
-pub use engine::SimError;
+pub use engine::{SimError, MAX_SIMULATED_CORES};
 pub use outcome::{SimOutcome, StallInfo, TaskOutcome};

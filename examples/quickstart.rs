@@ -8,7 +8,7 @@
 use rtpool::core::analysis::global::{self, ConcurrencyModel};
 use rtpool::core::{deadlock, Task, TaskSet};
 use rtpool::exec::{PoolConfig, QueueDiscipline, ThreadPool};
-use rtpool::graph::{DagBuilder, DotOptions};
+use rtpool::graph::DagBuilder;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- Model: v1 forks {v2, v3, v4}, blocks until they finish, v5 runs.
@@ -26,7 +26,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let dag = b.build()?;
 
     println!("Figure 1(a) task graph:");
-    println!("{}", dag.to_dot(&DotOptions::new().graph_name("fig1a")));
+    println!("{}", dag.to_dot("fig1a"));
     println!(
         "volume = {}, critical path = {}",
         dag.volume(),
