@@ -11,7 +11,7 @@
 
 use rand::SeedableRng;
 use rtpool_core::analysis::global::{self, ConcurrencyModel};
-use rtpool_core::analysis::partitioned::{self, BlockingAwareness};
+use rtpool_core::analysis::partitioned;
 use rtpool_core::partition::{
     algorithm1_with, BestFit, FirstFit, NodeMapping, PlacementHeuristic, WorstFit,
 };
@@ -82,7 +82,7 @@ fn accepts<H: PlacementHeuristic>(set: &TaskSet, m: usize, heuristic: &mut H) ->
             Err(_) => return false,
         }
     }
-    partitioned::analyze(set, m, &mappings, BlockingAwareness::Oblivious).is_schedulable()
+    partitioned::analyze(set, m, &mappings).is_schedulable()
 }
 
 fn mix(seed: u64, a: u64, b: u64) -> u64 {

@@ -582,7 +582,6 @@ pub(crate) fn sample_with_verdicts(
                 let p: f64 = rng.gen();
                 let dag_cfg = DagGenConfig {
                     blocking: BlockingPolicy::Fixed(p),
-                    ..DagGenConfig::default()
                 };
                 let cfg =
                     TaskSetConfig::new(N_TASKS_SMALL, u, dag_cfg).with_concurrency_window(window);

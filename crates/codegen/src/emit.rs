@@ -123,7 +123,7 @@ pub fn certified_module_source(certified: &Certified) -> String {
         );
         out.push_str(
             "const _: () = assert!(\n    \
-             ::rtpool_core::sizing::spin_certifiable_floor(M, B_BAR_DELAY),\n    \
+             ::rtpool_core::sizing::deadlock_free_floor(M, B_BAR_DELAY),\n    \
              \"certified module violates the spin floor: m < b\\u{304}_delay + 1\"\n);\n",
         );
     }
@@ -322,7 +322,7 @@ end
             "{module}"
         );
         assert!(
-            !module.contains("spin_certifiable_floor"),
+            !module.contains("deadlock_free_floor(M, B_BAR_DELAY)"),
             "suspend modules must not carry the spin assert:\n{module}"
         );
         // Deterministic: same input, same text.
@@ -361,7 +361,7 @@ end
             "{module}"
         );
         assert!(
-            module.contains("::rtpool_core::sizing::spin_certifiable_floor(M, B_BAR_DELAY)"),
+            module.contains("::rtpool_core::sizing::deadlock_free_floor(M, B_BAR_DELAY)"),
             "{module}"
         );
         assert_eq!(module, certified_module_source(&certified));

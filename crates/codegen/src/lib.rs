@@ -55,7 +55,6 @@ mod error;
 pub use emit::certified_module_source;
 pub use error::CodegenError;
 
-use std::collections::BTreeSet;
 use std::fmt::Write as _;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -102,10 +101,7 @@ pub struct Certified {
 #[derive(Clone, Debug)]
 pub struct Codegen {
     path: PathBuf,
-    m: usize,
-    allow: BTreeSet<RuleCode>,
-    deny: BTreeSet<RuleCode>,
-    deny_warnings: bool,
+    options: LintOptions,
 }
 
 impl Codegen {
@@ -114,10 +110,7 @@ impl Codegen {
     pub fn new(path: impl Into<PathBuf>, m: usize) -> Self {
         Codegen {
             path: path.into(),
-            m,
-            allow: BTreeSet::new(),
-            deny: BTreeSet::new(),
-            deny_warnings: false,
+            options: LintOptions::with_m(m),
         }
     }
 
@@ -129,7 +122,7 @@ impl Codegen {
     /// loudly, not silently keep the rule enabled.
     #[must_use]
     pub fn allow(mut self, code: &str) -> Self {
-        self.allow.insert(parse_code(code));
+        self.options.allow.insert(parse_code(code));
         self
     }
 
@@ -140,7 +133,7 @@ impl Codegen {
     /// Panics on an unknown code.
     #[must_use]
     pub fn deny(mut self, code: &str) -> Self {
-        self.deny.insert(parse_code(code));
+        self.options.deny.insert(parse_code(code));
         self
     }
 
@@ -148,17 +141,8 @@ impl Codegen {
     /// `--deny warnings`).
     #[must_use]
     pub fn deny_warnings(mut self) -> Self {
-        self.deny_warnings = true;
+        self.options.deny_warnings = true;
         self
-    }
-
-    fn options(&self) -> LintOptions {
-        LintOptions {
-            m: self.m,
-            allow: self.allow.clone(),
-            deny: self.deny.clone(),
-            deny_warnings: self.deny_warnings,
-        }
     }
 
     /// Runs the full lint pass over the workload under this gate's deny
@@ -193,13 +177,12 @@ impl Codegen {
     ) -> Result<Certified, CodegenError> {
         let source_path = source_path.into();
         let source_text = source_text.into();
-        let opts = self.options();
-        let (report, parsed) = check_source(source_path.clone(), &source_text, &opts);
+        let (report, parsed) = check_source(source_path.clone(), &source_text, &self.options);
         let rejected = report.has_failures() || parsed.is_none();
         if rejected {
             return Err(CodegenError::rejected(
                 &source_path,
-                self.m,
+                self.options.m,
                 &report,
                 &source_text,
             ));
@@ -225,7 +208,7 @@ impl Codegen {
         Ok(Certified {
             source_path,
             source_text,
-            m: self.m,
+            m: self.options.m,
             b_bar,
             b_bar_delay,
             backend,

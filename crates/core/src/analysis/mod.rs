@@ -82,9 +82,6 @@ pub enum UnschedulableReason {
     /// The node-to-thread partitioning failed (e.g., Algorithm 1 returned
     /// an error), which the paper counts as unschedulable.
     PartitioningFailed,
-    /// The partitioned mapping admits a deadlock (Lemma 3 violation), so
-    /// no finite response time exists.
-    MappingDeadlock,
 }
 
 impl fmt::Display for UnschedulableReason {
@@ -100,9 +97,6 @@ impl fmt::Display for UnschedulableReason {
                 write!(f, "higher-priority task {task} is unschedulable")
             }
             UnschedulableReason::PartitioningFailed => write!(f, "partitioning failed"),
-            UnschedulableReason::MappingDeadlock => {
-                write!(f, "node-to-thread mapping admits a deadlock")
-            }
         }
     }
 }
@@ -186,7 +180,6 @@ mod tests {
             UnschedulableReason::NonPositiveConcurrency { floor: -1 },
             UnschedulableReason::DependsOnUnschedulable { task: TaskId(2) },
             UnschedulableReason::PartitioningFailed,
-            UnschedulableReason::MappingDeadlock,
         ] {
             assert!(!reason.to_string().is_empty());
         }

@@ -30,8 +30,8 @@
 //! ahead of it. On Algorithm 1 mappings that assumption is discharged by
 //! construction; on arbitrary mappings (e.g. plain worst-fit) the result
 //! can be optimistic — exactly the unsafety the paper's experiments
-//! expose. Use [`BlockingAwareness::Checked`] to reject unsafe mappings
-//! instead.
+//! expose. To reject an unsafe mapping, check it first with
+//! [`check_partitioned`](crate::deadlock::check_partitioned) (Lemma 3).
 
 use std::borrow::Borrow;
 use std::ops::ControlFlow;
@@ -40,22 +40,8 @@ use rtpool_graph::{BitSet, Dag, NodeId, NodeKind};
 
 use crate::analysis::interference::interfering_workload;
 use crate::analysis::{SchedResult, TaskVerdict, UnschedulableReason};
-use crate::deadlock;
 use crate::partition::{algorithm1, worst_fit, NodeMapping};
 use crate::task::{Task, TaskId, TaskSet};
-
-/// Whether the analysis audits mappings for blocking hazards first.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum BlockingAwareness {
-    /// Analyze the mapping as-is (the state-of-the-art behavior; results
-    /// are optimistic/unsafe on mappings with reduced-concurrency
-    /// delays).
-    Oblivious,
-    /// First check Lemma 3 (deadlock freedom of the mapping); tasks whose
-    /// mapping is unsafe are rejected with
-    /// [`UnschedulableReason::MappingDeadlock`].
-    Checked,
-}
 
 /// How [`partition_and_analyze`] obtains the node-to-thread mappings.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -118,9 +104,7 @@ pub fn partition_and_analyze(
         .iter()
         .map(|(_, task)| strategy.partition(task, m))
         .collect();
-    let result = all_verdicts(set, m, BlockingAwareness::Oblivious, |i, _| {
-        mappings[i].as_ref()
-    });
+    let result = all_verdicts(set, m, |i, _| mappings[i].as_ref());
     (result, mappings)
 }
 
@@ -160,7 +144,6 @@ pub fn accepts(set: &TaskSet, m: usize, strategy: PartitionStrategy) -> bool {
     analyze_tasks(
         set,
         m,
-        BlockingAwareness::Oblivious,
         |_, task| strategy.partition(task, m),
         |verdict| {
             schedulable = verdict.is_schedulable();
@@ -186,26 +169,20 @@ pub fn accepts(set: &TaskSet, m: usize, strategy: PartitionStrategy) -> bool {
 /// if `mappings.len() != set.len()`, or if a mapping
 /// does not match its task's graph or pool size.
 #[must_use]
-pub fn analyze(
-    set: &TaskSet,
-    m: usize,
-    mappings: &[NodeMapping],
-    awareness: BlockingAwareness,
-) -> SchedResult {
+pub fn analyze(set: &TaskSet, m: usize, mappings: &[NodeMapping]) -> SchedResult {
     assert!(m > 0, "platform must have at least one processor");
     assert_eq!(mappings.len(), set.len(), "one mapping per task required");
-    all_verdicts(set, m, awareness, |i, _| Some(&mappings[i]))
+    all_verdicts(set, m, |i, _| Some(&mappings[i]))
 }
 
 /// Every task's verdict, from [`analyze_tasks`] run to the end.
 fn all_verdicts<M: Borrow<NodeMapping>>(
     set: &TaskSet,
     m: usize,
-    awareness: BlockingAwareness,
     mapping: impl FnMut(usize, &Task) -> Option<M>,
 ) -> SchedResult {
     let mut verdicts = Vec::with_capacity(set.len());
-    analyze_tasks(set, m, awareness, mapping, |verdict| {
+    analyze_tasks(set, m, mapping, |verdict| {
         verdicts.push(verdict);
         ControlFlow::Continue(())
     });
@@ -221,7 +198,6 @@ fn all_verdicts<M: Borrow<NodeMapping>>(
 fn analyze_tasks<M: Borrow<NodeMapping>>(
     set: &TaskSet,
     m: usize,
-    awareness: BlockingAwareness,
     mut mapping: impl FnMut(usize, &Task) -> Option<M>,
     mut record: impl FnMut(TaskVerdict) -> ControlFlow<()>,
 ) {
@@ -247,13 +223,7 @@ fn analyze_tasks<M: Borrow<NodeMapping>>(
                     task.dag().node_count(),
                     "mapping must cover the task graph"
                 );
-                if awareness == BlockingAwareness::Checked
-                    && !deadlock::check_partitioned(task.dag(), m, mapping).is_deadlock_free()
-                {
-                    TaskVerdict::Unschedulable {
-                        reason: UnschedulableReason::MappingDeadlock,
-                    }
-                } else if let Some(bad) = first_miss {
+                if let Some(bad) = first_miss {
                     TaskVerdict::Unschedulable {
                         reason: UnschedulableReason::DependsOnUnschedulable { task: TaskId(bad) },
                     }
@@ -575,29 +545,17 @@ mod tests {
     }
 
     #[test]
-    fn checked_awareness_rejects_unsafe_mapping() {
+    fn oblivious_analysis_admits_a_mapping_lemma3_rejects() {
         let t = fork_join_task(&[20, 20], true, 500);
         let dag_nodes = t.dag().node_count();
         let set = TaskSet::new(vec![t]);
         // Everything on thread 0: children behind their suspended fork.
-        let mapping =
-            NodeMapping::from_threads(set.task(TaskId(0)).dag(), 2, vec![0; dag_nodes]).unwrap();
-        let r = analyze(
-            &set,
-            2,
-            std::slice::from_ref(&mapping),
-            BlockingAwareness::Checked,
-        );
-        assert!(matches!(
-            r.verdict(TaskId(0)),
-            TaskVerdict::Unschedulable {
-                reason: UnschedulableReason::MappingDeadlock
-            }
-        ));
-        // The oblivious analysis accepts the same mapping — the unsafety
-        // the paper warns about.
-        let r2 = analyze(&set, 2, &[mapping], BlockingAwareness::Oblivious);
-        assert!(r2.is_schedulable());
+        let dag = set.task(TaskId(0)).dag();
+        let mapping = NodeMapping::from_threads(dag, 2, vec![0; dag_nodes]).unwrap();
+        assert!(!crate::deadlock::check_partitioned(dag, 2, &mapping).is_deadlock_free());
+        // The analysis accepts the same mapping — the unsafety the paper
+        // warns about.
+        assert!(analyze(&set, 2, &[mapping]).is_schedulable());
     }
 
     #[test]
@@ -613,7 +571,7 @@ mod tests {
             NodeMapping::from_threads(set.task(TaskId(0)).dag(), 2, vec![0]).unwrap(),
             NodeMapping::from_threads(set.task(TaskId(1)).dag(), 2, vec![0]).unwrap(),
         ];
-        let r = analyze(&set, 2, &maps, BlockingAwareness::Oblivious);
+        let r = analyze(&set, 2, &maps);
         assert_eq!(r.verdict(TaskId(0)).response_time(), Some(30));
         // lp sees one hp activation: 10 + 30 = 40.
         assert_eq!(r.verdict(TaskId(1)).response_time(), Some(40));
@@ -622,7 +580,7 @@ mod tests {
             NodeMapping::from_threads(set.task(TaskId(0)).dag(), 2, vec![0]).unwrap(),
             NodeMapping::from_threads(set.task(TaskId(1)).dag(), 2, vec![1]).unwrap(),
         ];
-        let r2 = analyze(&set, 2, &maps2, BlockingAwareness::Oblivious);
+        let r2 = analyze(&set, 2, &maps2);
         assert_eq!(r2.verdict(TaskId(1)).response_time(), Some(10));
     }
 
@@ -638,7 +596,7 @@ mod tests {
             NodeMapping::from_threads(set.task(TaskId(0)).dag(), 1, vec![0]).unwrap(),
             NodeMapping::from_threads(set.task(TaskId(1)).dag(), 1, vec![0]).unwrap(),
         ];
-        let r = analyze(&set, 1, &maps, BlockingAwareness::Oblivious);
+        let r = analyze(&set, 1, &maps);
         assert!(!r.is_schedulable());
         assert!(matches!(
             r.verdict(TaskId(1)),
@@ -681,7 +639,7 @@ mod tests {
         // fork=0, join=1, children=2,3 (builder order).
         let mapping =
             NodeMapping::from_threads(set.task(TaskId(0)).dag(), 2, vec![0, 0, 1, 1]).unwrap();
-        let r = analyze(&set, 2, &[mapping], BlockingAwareness::Oblivious);
+        let r = analyze(&set, 2, &[mapping]);
         // R = 10 (fork) + [20 + 20] (children serialized) + 10 (join) = 60.
         assert_eq!(r.verdict(TaskId(0)).response_time(), Some(60));
     }

@@ -36,9 +36,20 @@ pub fn min_threads_deadlock_free(dag: &Dag) -> usize {
     min_threads_for_blocking(dag.max_blocking_antichain().len())
 }
 
-/// The smallest deadlock-free pool size for a graph whose maximum
-/// simultaneously-suspended-forks antichain has `b_bar` elements:
-/// `b̄ + 1`, so the concurrency floor `l̄ = m − b̄` stays ≥ 1.
+/// The smallest certifiable pool size for a graph whose blocking bound
+/// is `b_bar`: `b̄ + 1`, so the concurrency floor `l̄ = m − b̄` stays ≥ 1.
+///
+/// Which bound `b_bar` is depends on the sync backend. Under
+/// **suspension** it is the maximum simultaneously-suspended-forks
+/// antichain. Under **spin** it is the Section 3.1 delay count
+/// `b̄ = max_v |X(v)|`: the antichain relief relies on suspended workers
+/// freeing their cores, which a spinner never does, and a spin stall
+/// cannot be rescued by growing the pool (the new workers have no core
+/// to run on). Since the antichain never exceeds the delay count, the
+/// spin floor is never below the suspension floor — and strictly above
+/// it exactly when the antichain is sharper, which is the codegen
+/// compile-fail asymmetry: an `m` the suspend gate accepts can be
+/// rejected by the spin gate.
 ///
 /// `const`-evaluable on purpose: `rtpool-codegen` emits it (and
 /// [`deadlock_free_floor`]) into compile-time assertions of generated
@@ -50,44 +61,19 @@ pub const fn min_threads_for_blocking(b_bar: usize) -> usize {
 }
 
 /// Whether a pool of `m` workers satisfies the paper's Lemma 1 floor
-/// `l̄ = m − b̄ ≥ 1` for a maximum blocking antichain of `b_bar` forks.
-/// `const`-evaluable; see [`min_threads_for_blocking`].
+/// `l̄ = m − b̄ ≥ 1` for a blocking bound of `b_bar`.
+/// `const`-evaluable; see [`min_threads_for_blocking`] for which bound
+/// each backend passes.
 #[must_use]
 pub const fn deadlock_free_floor(m: usize, b_bar: usize) -> bool {
     m >= min_threads_for_blocking(b_bar)
 }
 
-/// The smallest pool size certifiable under the **spin** backend for a
-/// maximum *delay count* of `b_bar_delay` (the Section 3.1 bound
-/// `b̄ = max_v |X(v)|`, not the sharper antichain): `b̄ + 1`.
-///
-/// Spin certification is keyed on the delay count because the antichain
-/// relief does not carry over: it relies on suspended workers freeing
-/// their cores, which a spinner never does, and a spin stall cannot be
-/// rescued by growing the pool (the new workers have no core to run on).
-/// Since the antichain never exceeds the delay count, this floor is
-/// never below the suspension floor — and strictly above it exactly when
-/// the antichain is sharper, which is the codegen compile-fail
-/// asymmetry: an `m` the suspend gate accepts can be rejected by the
-/// spin gate.
-#[must_use]
-pub const fn min_threads_for_spin(b_bar_delay: usize) -> usize {
-    b_bar_delay + 1
-}
-
-/// Whether a pool of `m` workers is certifiable under the **spin**
-/// backend for a maximum delay count of `b_bar_delay`:
-/// `m ≥ b̄ + 1`. `const`-evaluable; see [`min_threads_for_spin`].
-#[must_use]
-pub const fn spin_certifiable_floor(m: usize, b_bar_delay: usize) -> bool {
-    m >= min_threads_for_spin(b_bar_delay)
-}
-
 /// The smallest pool size certifiable for `dag` under the spin backend:
-/// [`min_threads_for_spin`] over the graph's maximum delay count.
+/// [`min_threads_for_blocking`] over the graph's maximum delay count.
 #[must_use]
 pub fn min_threads_spin(dag: &Dag) -> usize {
-    min_threads_for_spin(dag.delay_profile().max_delay_count())
+    min_threads_for_blocking(dag.delay_profile().max_delay_count())
 }
 
 /// The reserve workers a `GrowPool` recovery policy needs so that a
@@ -184,9 +170,9 @@ mod tests {
         assert_eq!(min_threads_spin(&dag), 4);
         // The const forms are usable at compile time (codegen relies on
         // this for the spin-mode generated assertion).
-        const SPIN_OK: bool = spin_certifiable_floor(4, 3);
-        const SPIN_BAD: bool = spin_certifiable_floor(3, 3);
+        const SPIN_OK: bool = deadlock_free_floor(4, 3);
+        const SPIN_BAD: bool = deadlock_free_floor(3, 3);
         const _: () = assert!(SPIN_OK && !SPIN_BAD);
-        assert_eq!(min_threads_for_spin(3), 4);
+        assert_eq!(min_threads_for_blocking(3), 4);
     }
 }

@@ -1,11 +1,14 @@
 //! Property-based tests for the analysis crate.
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use rtpool_core::analysis::global::{self, ConcurrencyModel};
-use rtpool_core::analysis::partitioned::{self, BlockingAwareness, PartitionStrategy};
+use rtpool_core::analysis::partitioned::{self, PartitionStrategy};
 use rtpool_core::partition::{algorithm1, worst_fit};
 use rtpool_core::{deadlock, textfmt};
 use rtpool_core::{SyncBackend, Task, TaskId, TaskSet};
+use rtpool_gen::{BlockingPolicy, DagGenConfig, TaskSetConfig};
 use rtpool_graph::{Dag, NodeId};
 use rtpool_oracle::shapes::fork_join_star;
 
@@ -132,22 +135,6 @@ proptest! {
         if let Some(r) = result.verdict(TaskId(0)).response_time() {
             prop_assert!(r >= len, "response {r} below critical path {len}");
             prop_assert!(r <= 100_000);
-        }
-    }
-
-    /// Checked awareness never accepts a mapping the oblivious mode
-    /// rejects (it only adds rejections).
-    #[test]
-    fn checked_only_adds_rejections(seed in any::<u64>(), regions in 1usize..4, m in 2usize..6) {
-        let dag = star_dag(seed, regions, true);
-        let mapping = worst_fit(&dag, m);
-        let set = TaskSet::new(vec![Task::with_implicit_deadline(dag, 100_000).unwrap()]);
-        let oblivious =
-            partitioned::analyze(&set, m, std::slice::from_ref(&mapping), BlockingAwareness::Oblivious);
-        let checked =
-            partitioned::analyze(&set, m, std::slice::from_ref(&mapping), BlockingAwareness::Checked);
-        if checked.is_schedulable() {
-            prop_assert!(oblivious.is_schedulable());
         }
     }
 
@@ -499,4 +486,66 @@ fn algorithm1_outcomes_match_the_pinned_digest() {
         hash, 0xaf3b_fdd2_b1dc_be77,
         "Algorithm 1 changed an outcome on the pinned grid"
     );
+}
+
+/// The pool sizes the m law walks: every small pool, then the sizes past
+/// which a narrower integer would wrap, up to `usize::MAX`.
+fn pool_ladder() -> impl Iterator<Item = usize> {
+    (1..=16).chain([1 << 20, 1 << 32, 1 << 62, 1 << 63, usize::MAX])
+}
+
+proptest! {
+    /// The m law: growing the pool never hurts. On a generated Figure 2
+    /// set, as m climbs the ladder, no task turns unschedulable and no
+    /// response-time bound rises under any concurrency model, no task's
+    /// l̄ falls, and no deadlock-free task becomes deadlock-prone.
+    #[test]
+    fn growing_the_pool_never_hurts(
+        seed in any::<u64>(),
+        n_tasks in 2usize..=5,
+        pct in 0u32..=100,
+        half_load in 1u32..=8,
+    ) {
+        let dag = DagGenConfig { blocking: BlockingPolicy::Fixed(f64::from(pct) / 100.0) };
+        let set = TaskSetConfig::new(n_tasks, f64::from(half_load) / 2.0, dag)
+            .generate(&mut StdRng::seed_from_u64(seed))
+            .unwrap();
+        let models = [
+            ConcurrencyModel::Full,
+            ConcurrencyModel::Limited,
+            ConcurrencyModel::LimitedExact,
+        ];
+        let walk: Vec<_> = pool_ladder()
+            .map(|m| {
+                let dags = || set.iter().map(|(_, t)| t.dag());
+                let floors: Vec<i64> = dags().map(|d| deadlock::concurrency_floor(d, m)).collect();
+                let free: Vec<bool> =
+                    dags().map(|d| deadlock::check_global(d, m).is_deadlock_free()).collect();
+                (m, global::analyze_many(&set, m, &models), floors, free)
+            })
+            .collect();
+        for step in walk.windows(2) {
+            let [(before_m, before, before_floors, before_free), (m, after, floors, free)] = step
+            else {
+                unreachable!("windows of two")
+            };
+            for (model, (b, a)) in models.iter().zip(before.iter().zip(after)) {
+                for (i, (b, a)) in b.verdicts().iter().zip(a.verdicts()).enumerate() {
+                    if let Some(rb) = b.response_time() {
+                        let ra = a.response_time();
+                        prop_assert!(
+                            ra.is_some_and(|ra| ra <= rb),
+                            "{model:?} task {i}: R {rb} at m = {before_m}, {ra:?} at m = {m}"
+                        );
+                    }
+                }
+            }
+            for (i, (fb, fa)) in before_floors.iter().zip(floors).enumerate() {
+                prop_assert!(fa >= fb, "task {i}: l̄ {fb} at m = {before_m}, {fa} at m = {m}");
+            }
+            for (i, (fb, fa)) in before_free.iter().zip(free).enumerate() {
+                prop_assert!(!fb || *fa, "task {i}: deadlock-free at m = {before_m}, not at m = {m}");
+            }
+        }
+    }
 }

@@ -3,7 +3,7 @@
 //! A task graph is grown by recursive expansion: a *block* is either a
 //! terminal node or a fork–join of several branches, each branch a chain
 //! of sub-blocks one level deeper. The recursion is capped at
-//! `max_depth` (the paper's `d = 2`). A dedicated non-blocking source and
+//! `MAX_DEPTH` (the paper's `d = 2`). A dedicated non-blocking source and
 //! sink flank the top-level block, matching the Section 5 convention that
 //! endpoints are always of type `NB`.
 //!
@@ -20,23 +20,38 @@ use rtpool_graph::Dag;
 use crate::error::GenError;
 use crate::scratch::DagScratch;
 
+/// Maximum recursion depth of fork–join nesting (the paper's `d = 2`).
+const MAX_DEPTH: u32 = 2;
+/// Branches of one fork–join region: at least 2, up to the paper
+/// generator's 6.
+const BRANCHES: std::ops::RangeInclusive<usize> = 2..=6;
+/// Most sub-blocks chained inside one branch.
+const MAX_SEQUENCE: usize = 2;
+/// Probability that a block *below* the depth cap is a terminal node
+/// instead of a nested fork–join. The top-level block (depth 1) always
+/// expands, so every generated task is genuinely parallel — sequential
+/// tasks with UUniFast utilizations above 1 would be trivially
+/// infeasible.
+const P_TERMINAL: f64 = 0.4;
+/// Every node's WCET range (the paper's `[0, 100]` without the
+/// degenerate zero).
+const WCET: std::ops::RangeInclusive<u64> = 1..=100;
+
 /// How fork–join regions are promoted to blocking (`BF`/`BJ`) regions.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum BlockingPolicy {
     /// The paper's rule: a region at nesting depth `d ≥ 1` is blocking
     /// with probability `d/(d+1)`.
     DepthWeighted,
-    /// Every region is blocking with the same fixed probability.
+    /// Every region is blocking with the same fixed probability; `0.0`
+    /// gives plain sporadic DAG tasks (the classical model of Listing 2).
     Fixed(f64),
-    /// No region is blocking (plain sporadic DAG tasks — the classical
-    /// model of Listing 2).
-    Never,
 }
 
 /// Parameters of the nested fork–join DAG generator.
 ///
-/// The defaults reproduce the paper's setup (`d = 2`, WCET ∈ `[1, 100]`,
-/// depth-weighted blocking probability).
+/// The shape is the paper's (`d = 2`, 2–6 branches, WCET ∈ `[1, 100]`);
+/// only the blocking policy is chosen, depth-weighted by default.
 ///
 /// # Examples
 ///
@@ -51,25 +66,6 @@ pub enum BlockingPolicy {
 /// ```
 #[derive(Clone, Debug, PartialEq)]
 pub struct DagGenConfig {
-    /// Maximum recursion depth of fork–join nesting (paper: 2).
-    pub max_depth: u32,
-    /// Minimum branches of a fork–join region (≥ 2).
-    pub min_branches: usize,
-    /// Maximum branches of a fork–join region (paper's generator uses up
-    /// to 6 parallel branches).
-    pub max_branches: usize,
-    /// Maximum number of sub-blocks chained inside one branch.
-    pub max_sequence: usize,
-    /// Probability that a block *below* the depth cap is a terminal node
-    /// instead of a nested fork–join. The top-level block (depth 1)
-    /// always expands, so every generated task is genuinely parallel —
-    /// sequential tasks with UUniFast utilizations above 1 would be
-    /// trivially infeasible.
-    pub p_terminal: f64,
-    /// Inclusive WCET range for every node.
-    pub wcet_min: u64,
-    /// Inclusive upper end of the WCET range.
-    pub wcet_max: u64,
     /// Blocking-region promotion policy.
     pub blocking: BlockingPolicy,
 }
@@ -77,13 +73,6 @@ pub struct DagGenConfig {
 impl Default for DagGenConfig {
     fn default() -> Self {
         DagGenConfig {
-            max_depth: 2,
-            min_branches: 2,
-            max_branches: 6,
-            max_sequence: 2,
-            p_terminal: 0.4,
-            wcet_min: 1,
-            wcet_max: 100,
             blocking: BlockingPolicy::DepthWeighted,
         }
     }
@@ -94,44 +83,18 @@ impl DagGenConfig {
     ///
     /// # Errors
     ///
-    /// [`GenError::InvalidParameter`] naming the offending field.
+    /// [`GenError::InvalidParameter`] naming `blocking` when a
+    /// [`BlockingPolicy::Fixed`] probability lies outside `[0, 1]`.
     pub fn validate(&self) -> Result<(), GenError> {
-        let err = |name: &'static str, message: String| -> Result<(), GenError> {
-            Err(GenError::InvalidParameter { name, message })
-        };
-        if self.max_depth == 0 {
-            return err("max_depth", "must be at least 1".into());
-        }
-        if self.min_branches < 2 {
-            return err("min_branches", "a fork needs at least 2 branches".into());
-        }
-        if self.max_branches < self.min_branches {
-            return err(
-                "max_branches",
-                format!("must be >= min_branches ({})", self.min_branches),
-            );
-        }
-        if self.max_sequence == 0 {
-            return err("max_sequence", "must be at least 1".into());
-        }
-        if !(0.0..=1.0).contains(&self.p_terminal) {
-            return err("p_terminal", "must lie in [0, 1]".into());
-        }
-        if self.wcet_min == 0 || self.wcet_max < self.wcet_min {
-            return err(
-                "wcet_max",
-                format!(
-                    "need 1 <= wcet_min <= wcet_max, got [{}, {}]",
-                    self.wcet_min, self.wcet_max
-                ),
-            );
-        }
-        if let BlockingPolicy::Fixed(p) = self.blocking {
-            if !(0.0..=1.0).contains(&p) {
-                return err("blocking", "fixed probability must lie in [0, 1]".into());
+        match self.blocking {
+            BlockingPolicy::Fixed(p) if !(0.0..=1.0).contains(&p) => {
+                Err(GenError::InvalidParameter {
+                    name: "blocking",
+                    message: "fixed probability must lie in [0, 1]".into(),
+                })
             }
+            _ => Ok(()),
         }
-        Ok(())
     }
 
     /// Generates one task graph.
@@ -221,7 +184,7 @@ impl DagGenConfig {
         scratch: &mut DagScratch,
         owner: i32,
     ) -> u32 {
-        let wcet = rng.gen_range(self.wcet_min..=self.wcet_max);
+        let wcet = rng.gen_range(WCET);
         if RECORD {
             scratch.add_node(wcet, owner)
         } else {
@@ -238,7 +201,7 @@ impl DagGenConfig {
         depth: u32,
         parent: i32,
     ) -> (u32, u32) {
-        let terminal = depth > self.max_depth || (depth > 1 && rng.gen_bool(self.p_terminal));
+        let terminal = depth > MAX_DEPTH || (depth > 1 && rng.gen_bool(P_TERMINAL));
         if terminal {
             let v = self.node::<R, RECORD>(rng, scratch, parent);
             return (v, v);
@@ -247,9 +210,9 @@ impl DagGenConfig {
         let join = self.node::<R, RECORD>(rng, scratch, parent);
         let region_idx = scratch.push_region(fork, join, depth, parent);
         let region = i32::try_from(region_idx).expect("region count fits in i32");
-        let branches = rng.gen_range(self.min_branches..=self.max_branches);
+        let branches = rng.gen_range(BRANCHES);
         for _ in 0..branches {
-            let blocks = rng.gen_range(1..=self.max_sequence);
+            let blocks = rng.gen_range(1..=MAX_SEQUENCE);
             let mut prev_exit = fork;
             for _ in 0..blocks {
                 let (entry, exit) = self.block::<R, RECORD>(rng, scratch, depth + 1, region);
@@ -270,16 +233,15 @@ impl DagGenConfig {
     /// draws from the RNG exactly as a stable sort by descending depth
     /// would, without building the order.
     fn mark_blocking<R: Rng + ?Sized>(&self, rng: &mut R, scratch: &mut DagScratch) {
-        // Regions exist only at depths 1..=max_depth (deeper blocks are
+        // Regions exist only at depths 1..=MAX_DEPTH (deeper blocks are
         // terminal).
-        for depth in (1..=self.max_depth).rev() {
+        for depth in (1..=MAX_DEPTH).rev() {
             let p = match self.blocking {
                 BlockingPolicy::DepthWeighted => {
                     let d = f64::from(depth);
                     d / (d + 1.0)
                 }
                 BlockingPolicy::Fixed(p) => p,
-                BlockingPolicy::Never => 0.0,
             };
             for i in 0..scratch.regions.len() {
                 let region = &scratch.regions[i];
@@ -311,70 +273,12 @@ mod tests {
 
     #[test]
     fn invalid_parameters_rejected() {
-        let base = DagGenConfig::default;
-        for (cfg, field) in [
-            (
-                DagGenConfig {
-                    max_depth: 0,
-                    ..base()
-                },
-                "max_depth",
-            ),
-            (
-                DagGenConfig {
-                    min_branches: 1,
-                    ..base()
-                },
-                "min_branches",
-            ),
-            (
-                DagGenConfig {
-                    max_branches: 1,
-                    ..base()
-                },
-                "max_branches",
-            ),
-            (
-                DagGenConfig {
-                    max_sequence: 0,
-                    ..base()
-                },
-                "max_sequence",
-            ),
-            (
-                DagGenConfig {
-                    p_terminal: 1.5,
-                    ..base()
-                },
-                "p_terminal",
-            ),
-            (
-                DagGenConfig {
-                    wcet_min: 0,
-                    ..base()
-                },
-                "wcet_max",
-            ),
-            (
-                DagGenConfig {
-                    wcet_min: 10,
-                    wcet_max: 5,
-                    ..base()
-                },
-                "wcet_max",
-            ),
-            (
-                DagGenConfig {
-                    blocking: BlockingPolicy::Fixed(2.0),
-                    ..base()
-                },
-                "blocking",
-            ),
-        ] {
-            match cfg.validate() {
-                Err(GenError::InvalidParameter { name, .. }) => assert_eq!(name, field),
-                other => panic!("expected InvalidParameter({field}), got {other:?}"),
-            }
+        let config = DagGenConfig {
+            blocking: BlockingPolicy::Fixed(2.0),
+        };
+        match config.validate() {
+            Err(GenError::InvalidParameter { name, .. }) => assert_eq!(name, "blocking"),
+            other => panic!("expected InvalidParameter(blocking), got {other:?}"),
         }
     }
 
@@ -391,22 +295,17 @@ mod tests {
 
     #[test]
     fn wcets_respect_range() {
-        let config = DagGenConfig {
-            wcet_min: 5,
-            wcet_max: 9,
-            ..DagGenConfig::default()
-        };
-        let dag = config.generate(&mut rng(11));
-        for v in dag.node_ids() {
-            assert!((5..=9).contains(&dag.wcet(v)));
+        let config = DagGenConfig::default();
+        for seed in 0..30 {
+            let dag = config.generate(&mut rng(seed));
+            assert!(dag.node_ids().all(|v| WCET.contains(&dag.wcet(v))));
         }
     }
 
     #[test]
     fn never_policy_yields_plain_dags() {
         let config = DagGenConfig {
-            blocking: BlockingPolicy::Never,
-            ..DagGenConfig::default()
+            blocking: BlockingPolicy::Fixed(0.0),
         };
         for seed in 0..30 {
             let dag = config.generate(&mut rng(seed));
@@ -419,10 +318,6 @@ mod tests {
     fn fixed_one_marks_all_non_nested() {
         let config = DagGenConfig {
             blocking: BlockingPolicy::Fixed(1.0),
-            p_terminal: 0.0, // force nesting
-            max_depth: 2,
-            max_branches: 2,
-            ..DagGenConfig::default()
         };
         for seed in 0..30 {
             let dag = config.generate(&mut rng(seed));
@@ -435,16 +330,10 @@ mod tests {
 
     #[test]
     fn depth_weighted_prefers_deeper_regions() {
-        // Statistically: with max_depth = 2 and forced nesting, depth-2
-        // regions are blocked with p = 2/3 and depth-1 regions only when
-        // no descendant is marked (rare). Count the kinds over many seeds.
-        let config = DagGenConfig {
-            p_terminal: 0.0,
-            max_depth: 2,
-            max_branches: 2,
-            max_sequence: 1,
-            ..DagGenConfig::default()
-        };
+        // Statistically: depth-2 regions are blocked with p = 2/3 and
+        // depth-1 regions only when no descendant is marked. Count the
+        // kinds over many seeds.
+        let config = DagGenConfig::default();
         let mut blocking = 0usize;
         let mut total_regions = 0usize;
         for seed in 0..100 {

@@ -61,30 +61,18 @@ fn reference_set(
     Ok(set)
 }
 
-/// Strategy over generator knobs that exercise all structural regimes:
-/// shallow/deep nesting, narrow/wide forks, every blocking policy.
+/// Strategy over what the generator lets a caller choose: the blocking
+/// policy (depth-weighted, none at all, or a fixed probability) and the
+/// seed.
 fn gen_config() -> impl Strategy<Value = (DagGenConfig, u64)> {
-    (
-        1u32..4,      // max_depth
-        2usize..6,    // max_branches
-        0usize..3,    // policy selector
-        0u32..100,    // fixed-policy probability (percent)
-        any::<u64>(), // seed
-    )
-        .prop_map(|(max_depth, max_branches, policy_ix, pct, seed)| {
-            let policy = match policy_ix {
-                0 => BlockingPolicy::DepthWeighted,
-                1 => BlockingPolicy::Never,
-                _ => BlockingPolicy::Fixed(f64::from(pct) / 100.0),
-            };
-            let config = DagGenConfig {
-                max_depth,
-                max_branches,
-                blocking: policy,
-                ..DagGenConfig::default()
-            };
-            (config, seed)
-        })
+    (0usize..3, 0u32..=100, any::<u64>()).prop_map(|(policy_ix, pct, seed)| {
+        let blocking = match policy_ix {
+            0 => BlockingPolicy::DepthWeighted,
+            1 => BlockingPolicy::Fixed(0.0),
+            _ => BlockingPolicy::Fixed(f64::from(pct) / 100.0),
+        };
+        (DagGenConfig { blocking }, seed)
+    })
 }
 
 proptest! {
@@ -169,7 +157,7 @@ proptest! {
             0 => (config, None),
             5 => (config, Some(ConcurrencyWindow { m: 8, l_min: 1, l_max: 7, max_attempts: 40 })),
             l_max => (
-                DagGenConfig { blocking: BlockingPolicy::Fixed(f64::from(pct) / 100.0), ..config },
+                DagGenConfig { blocking: BlockingPolicy::Fixed(f64::from(pct) / 100.0) },
                 Some(ConcurrencyWindow { max_attempts: 40, ..ConcurrencyWindow::around(8, l_max) }),
             ),
         };
@@ -208,39 +196,11 @@ proptest! {
     }
 }
 
-/// Strategy for the counting pass: every blocking policy, `max_depth`
-/// 1..=3, random branch, sequence and terminal bounds.
-fn counting_config() -> impl Strategy<Value = (DagGenConfig, u64)> {
-    (
-        (1u32..=3, 2usize..=4, 0usize..=3, 1usize..=3, 0u32..=10),
-        (0usize..3, 0u32..=100, any::<u64>()),
-    )
-        .prop_map(
-            |((max_depth, min_branches, extra, max_sequence, terminal), (policy_ix, pct, seed))| {
-                let blocking = match policy_ix {
-                    0 => BlockingPolicy::DepthWeighted,
-                    1 => BlockingPolicy::Never,
-                    _ => BlockingPolicy::Fixed(f64::from(pct) / 100.0),
-                };
-                let config = DagGenConfig {
-                    max_depth,
-                    min_branches,
-                    max_branches: min_branches + extra,
-                    max_sequence,
-                    p_terminal: f64::from(terminal) / 10.0,
-                    blocking,
-                    ..DagGenConfig::default()
-                };
-                (config, seed)
-            },
-        )
-}
-
 proptest! {
     /// Guarantee 4: counting and recording draw the same words and find
     /// the same number of blocking pairs.
     #[test]
-    fn counting_pass_matches_the_recording_pass((config, seed) in counting_config()) {
+    fn counting_pass_matches_the_recording_pass((config, seed) in gen_config()) {
         let mut counting = StdRng::seed_from_u64(seed);
         let mut recording = StdRng::seed_from_u64(seed);
         let mut scratch = DagScratch::new();

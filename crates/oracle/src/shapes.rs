@@ -148,12 +148,12 @@ struct Block {
 /// sink, nodes numbered in creation order; regions are promoted deepest
 /// first, skipping any with a promoted region below it.
 #[must_use]
-pub fn nested_shape(seed: u64, max_depth: u32, policy: Blocking) -> Shape {
+pub fn nested_shape(seed: u64, depth_cap: u32, policy: Blocking) -> Shape {
     fn block(
         rng: &mut Lcg,
         shape: &mut Shape,
         tree: &mut Vec<Block>,
-        max_depth: u32,
+        depth_cap: u32,
         depth: u32,
         parent: Option<usize>,
     ) -> (usize, usize) {
@@ -161,7 +161,7 @@ pub fn nested_shape(seed: u64, max_depth: u32, policy: Blocking) -> Shape {
             shape.wcets.push(1 + rng.below(100) as u64);
             shape.wcets.len() - 1
         };
-        if depth > max_depth || (depth > 1 && rng.below(5) < 2) {
+        if depth > depth_cap || (depth > 1 && rng.below(5) < 2) {
             let v = node(rng, shape);
             return (v, v);
         }
@@ -177,7 +177,7 @@ pub fn nested_shape(seed: u64, max_depth: u32, policy: Blocking) -> Shape {
         for _ in 0..2 + rng.below(3) {
             let mut prev = fork;
             for _ in 0..1 + rng.below(2) {
-                let (entry, exit) = block(rng, shape, tree, max_depth, depth + 1, Some(me));
+                let (entry, exit) = block(rng, shape, tree, depth_cap, depth + 1, Some(me));
                 shape.edges.push((prev, entry));
                 prev = exit;
             }
@@ -193,12 +193,12 @@ pub fn nested_shape(seed: u64, max_depth: u32, policy: Blocking) -> Shape {
         pairs: Vec::new(),
     };
     let mut tree = Vec::new();
-    let (entry, exit) = block(&mut rng, &mut shape, &mut tree, max_depth, 1, None);
+    let (entry, exit) = block(&mut rng, &mut shape, &mut tree, depth_cap, 1, None);
     shape.wcets.push(1 + rng.below(100) as u64);
     let sink = shape.wcets.len() - 1;
     shape.edges.push((0, entry));
     shape.edges.push((exit, sink));
-    for depth in (1..=max_depth).rev() {
+    for depth in (1..=depth_cap).rev() {
         // Probability as a share of 12.
         let p = match policy {
             Blocking::DepthWeighted => 12 * depth as usize / (depth as usize + 1),

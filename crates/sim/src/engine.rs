@@ -513,9 +513,13 @@ impl<'a> Engine<'a> {
         any
     }
 
-    fn assign(&mut self, task: usize, thread: usize, nref: NodeRef) {
-        let wcet = self.set.as_slice()[task].dag().wcet(nref.node);
-        let actual = match self.execution_time {
+    /// How long `node` of `task` runs this time: its WCET mapped through
+    /// the configured [`ExecutionTime`]. Every node start goes through
+    /// here, a woken blocking join's included, so `Random` draws once per
+    /// node.
+    fn actual_time(&mut self, task: usize, node: NodeId) -> u64 {
+        let wcet = self.set.as_slice()[task].dag().wcet(node);
+        match self.execution_time {
             ExecutionTime::Wcet => wcet,
             ExecutionTime::Scaled { permille } => scale_permille(wcet, u64::from(permille)),
             ExecutionTime::Random { min_permille, .. } => {
@@ -528,10 +532,14 @@ impl<'a> Engine<'a> {
                     };
                 scale_permille(wcet, p)
             }
-        };
+        }
+    }
+
+    fn assign(&mut self, task: usize, thread: usize, nref: NodeRef) {
+        let remaining = self.actual_time(task, nref.node);
         self.threads[task][thread] = ThreadState::Running {
             node: nref,
-            remaining: actual,
+            remaining,
         };
         self.rec(EventKind::NodeStart {
             task: u32c(task),
@@ -628,13 +636,14 @@ impl<'a> Engine<'a> {
                 ));
                 let was_spinning =
                     matches!(self.threads[task][waiter], ThreadState::Spinning { .. });
+                let remaining = self.actual_time(task, s);
                 self.threads[task][waiter] = ThreadState::Running {
                     node: NodeRef {
                         task,
                         job: nref.job,
                         node: s,
                     },
-                    remaining: dag.wcet(s),
+                    remaining,
                 };
                 if was_spinning {
                     self.rec(EventKind::SpinEnd {
@@ -1055,12 +1064,18 @@ mod tests {
 
     #[test]
     fn scaled_execution_time_halves_the_chain() {
-        let set = single(chain(&[10, 10]), 1_000);
-        let out = SimConfig::single_job(SchedulingPolicy::Global, 1)
-            .with_execution_time(ExecutionTime::Scaled { permille: 500 })
-            .run(&set)
-            .unwrap();
-        assert_eq!(out.task(0).responses, vec![10]);
+        let mut b = DagBuilder::new();
+        b.fork_join(10, &[10, 10], 10, true).unwrap();
+        // A chain on one thread, and a blocking fork-join on two whose
+        // join is run by the woken fork thread: both scale alike.
+        for (dag, m, full) in [(chain(&[10, 10]), 1, 20), (b.build().unwrap(), 2, 40)] {
+            let set = single(dag, 1_000);
+            let out = SimConfig::single_job(SchedulingPolicy::Global, m)
+                .with_execution_time(ExecutionTime::Scaled { permille: 500 })
+                .run(&set)
+                .unwrap();
+            assert_eq!(out.task(0).responses, vec![full / 2]);
+        }
     }
 
     #[test]

@@ -140,7 +140,7 @@ proptest! {
     #[test]
     fn non_blocking_runs_keep_full_concurrency(seed in 0u64..10_000, m in 2usize..7) {
         let blocking_cfg = DagGenConfig::default();
-        let plain_cfg = DagGenConfig { blocking: BlockingPolicy::Never, ..blocking_cfg.clone() };
+        let plain_cfg = DagGenConfig { blocking: BlockingPolicy::Fixed(0.0) };
         let dag_b = blocking_cfg.generate(&mut rng(seed));
         let dag_p = plain_cfg.generate(&mut rng(seed));
         let has_regions = !dag_b.blocking_regions().is_empty();

@@ -280,7 +280,6 @@ fn rejected_window_attempts_allocate_nothing() {
     let config = |max_attempts| {
         let dag = DagGenConfig {
             blocking: BlockingPolicy::Fixed(0.9),
-            ..DagGenConfig::default()
         };
         TaskSetConfig::new(1, 1.0, dag).with_concurrency_window(ConcurrencyWindow {
             max_attempts,

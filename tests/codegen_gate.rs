@@ -7,16 +7,16 @@
 //! fails `cargo build` of any crate certifying it (see
 //! `tests/compile-fail/bad_crate/` for the cargo-level twin, exercised
 //! by CI). The failure text is pinned by a `.stderr` golden next to each
-//! fixture — re-bless with `TRYBUILD=overwrite cargo test --test
+//! fixture — re-bless with `UPDATE_GOLDEN=1 cargo test --test
 //! codegen_gate`.
 //!
 //! Fixtures under `tests/compile-pass/` must certify cleanly.
 
+use std::fmt::Write as _;
 use std::fs;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 use rtpool_codegen::{Codegen, CodegenError};
-use trybuild::Outcome;
 
 /// The `# codegen: m=N [deny_warnings] [deny=..] [allow=..] [expect=..]`
 /// first-line directive of a fixture.
@@ -60,8 +60,9 @@ fn parse_directive(path: &Path, text: &str) -> Directive {
     d
 }
 
-/// Runs the gate over a fixture exactly as a `build.rs` would.
-fn drive(path: &Path) -> Outcome {
+/// Runs the gate over a fixture exactly as a `build.rs` would: `None`
+/// when it certifies, otherwise the build failure's text.
+fn drive(path: &Path) -> Option<String> {
     let text = fs::read_to_string(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
     let d = parse_directive(path, &text);
     let mut gate = Codegen::new(path, d.m);
@@ -86,7 +87,7 @@ fn drive(path: &Path) -> Outcome {
                 "{}: emitted module misses the proof token",
                 path.display()
             );
-            Outcome::Pass
+            None
         }
         Err(e @ CodegenError::Rejected { .. }) => {
             let stderr = e.to_string();
@@ -97,24 +98,71 @@ fn drive(path: &Path) -> Outcome {
                     path.display()
                 );
             }
-            Outcome::Fail(stderr)
+            Some(stderr)
         }
         Err(e) => panic!("{}: unexpected I/O failure: {e}", path.display()),
     }
 }
 
+/// The `.rtp` fixtures under `dir`, sorted.
+fn fixtures(dir: &str) -> Vec<PathBuf> {
+    let mut paths: Vec<PathBuf> = fs::read_dir(dir)
+        .unwrap_or_else(|e| panic!("{dir}: {e}"))
+        .map(|e| e.expect("dir entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "rtp"))
+        .collect();
+    paths.sort();
+    assert!(!paths.is_empty(), "no fixture under {dir}");
+    paths
+}
+
 #[test]
 fn compile_fail_fixtures() {
-    let mut t = trybuild::TestCases::new(drive);
-    t.compile_fail("tests/compile-fail/*.rtp");
-    t.run();
+    let bless = std::env::var_os("UPDATE_GOLDEN").is_some_and(|v| v == "1");
+    let mut failures = String::new();
+    for path in fixtures("tests/compile-fail") {
+        let name = path.display();
+        let Some(stderr) = drive(&path) else {
+            let _ = writeln!(failures, "{name}: expected to fail to build, but passed\n");
+            continue;
+        };
+        let golden_path = path.with_extension("stderr");
+        let golden = fs::read_to_string(&golden_path).ok();
+        if golden.as_deref() == Some(stderr.as_str()) {
+            continue;
+        }
+        if bless {
+            fs::write(&golden_path, &stderr)
+                .unwrap_or_else(|e| panic!("cannot bless {}: {e}", golden_path.display()));
+        } else {
+            let _ = writeln!(
+                failures,
+                "{name}: stderr differs from {} (set UPDATE_GOLDEN=1 to bless)\n\
+                 --- expected\n{}\n--- actual\n{stderr}\n",
+                golden_path.display(),
+                golden.as_deref().unwrap_or("<golden file missing>"),
+            );
+        }
+    }
+    assert!(
+        failures.is_empty(),
+        "compile-fail mismatches:\n\n{failures}"
+    );
 }
 
 #[test]
 fn compile_pass_fixtures() {
-    let mut t = trybuild::TestCases::new(drive);
-    t.pass("tests/compile-pass/*.rtp");
-    t.run();
+    let mut failures = String::new();
+    for path in fixtures("tests/compile-pass") {
+        if let Some(stderr) = drive(&path) {
+            let _ = writeln!(
+                failures,
+                "{}: expected to build, but failed with:\n{stderr}\n",
+                path.display()
+            );
+        }
+    }
+    assert!(failures.is_empty(), "compile-pass failures:\n\n{failures}");
 }
 
 #[test]

@@ -111,7 +111,6 @@ fn concurrency_window_controls_generated_floors() {
             2.0,
             DagGenConfig {
                 blocking: BlockingPolicy::Fixed(0.5),
-                ..DagGenConfig::default()
             },
         )
         .with_concurrency_window(window);
