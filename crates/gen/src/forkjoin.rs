@@ -1,18 +1,25 @@
 //! Nested fork–join DAG generation in the style of Melani et al.
 //!
-//! A task graph is grown by recursive expansion: a *block* is either a
-//! terminal node or a fork–join of several branches, each branch a chain
-//! of sub-blocks one level deeper. The recursion is capped at
-//! `MAX_DEPTH` (the paper's `d = 2`). A dedicated non-blocking source and
-//! sink flank the top-level block, matching the Section 5 convention that
-//! endpoints are always of type `NB`.
+//! A task graph is the paper's grammar at its fixed depth `d = 2`: a
+//! non-blocking source and sink (Section 5's endpoints are always `NB`)
+//! flank one top-level fork–join region. Each of its branches is a chain
+//! of blocks, and a block is a terminal node or an *inner* fork–join
+//! region whose branches are chains of terminal nodes.
 //!
 //! After the shape is fixed, each fork–join region of depth `d` is marked
 //! *blocking* with probability `p_BF = d/(d+1)` (deeper regions — the
 //! fine-grained parallelism that real libraries guard with condition
-//! variables — are more likely blocking), processing regions deepest
-//! first and skipping any region that would nest with an already-marked
-//! one, as the model forbids nested blocking regions.
+//! variables — are more likely blocking). Inner regions are tossed first,
+//! in the order they were drawn; the top region is tossed only when none
+//! of them came up, as the model forbids nested blocking regions.
+//!
+//! The same pass returns the graph's `b̄ = max_v |X(v)|` (Section 3.1)
+//! from what it drew, without the graph: `0` when no region is blocking,
+//! `1` when only the top region is (each node inside it waits for its
+//! fork), and otherwise `k − min_b m_b + [min_b m_b > 0]`, where `k`
+//! blocking inner regions lie `m_b` to top-level branch `b`. A node of
+//! branch `b` is ordered with exactly `b`'s blocking forks, and one
+//! strictly inside a blocking region also waits for its own fork.
 
 use rand::Rng;
 use rtpool_graph::Dag;
@@ -20,18 +27,15 @@ use rtpool_graph::Dag;
 use crate::error::GenError;
 use crate::scratch::DagScratch;
 
-/// Maximum recursion depth of fork–join nesting (the paper's `d = 2`).
-const MAX_DEPTH: u32 = 2;
 /// Branches of one fork–join region: at least 2, up to the paper
 /// generator's 6.
 const BRANCHES: std::ops::RangeInclusive<usize> = 2..=6;
-/// Most sub-blocks chained inside one branch.
+/// Most blocks chained inside one branch.
 const MAX_SEQUENCE: usize = 2;
-/// Probability that a block *below* the depth cap is a terminal node
-/// instead of a nested fork–join. The top-level block (depth 1) always
-/// expands, so every generated task is genuinely parallel — sequential
-/// tasks with UUniFast utilizations above 1 would be trivially
-/// infeasible.
+/// Probability that a block of a top-level branch is a terminal node
+/// instead of an inner fork–join. The top-level block always expands,
+/// so every generated task is genuinely parallel — sequential tasks with
+/// UUniFast utilizations above 1 would be trivially infeasible.
 const P_TERMINAL: f64 = 0.4;
 /// Every node's WCET range (the paper's `[0, 100]` without the
 /// degenerate zero).
@@ -116,142 +120,182 @@ impl DagGenConfig {
     }
 
     /// Generates one task graph's *shape* into reusable scratch buffers
-    /// without building (or validating) a [`Dag`].
+    /// without building (or validating) a [`Dag`], and returns its
+    /// `b̄` — what the built graph's
+    /// [`DelayProfile::max_delay_count`](rtpool_graph::DelayProfile::max_delay_count)
+    /// will be.
     ///
     /// Consumes the RNG stream exactly as [`DagGenConfig::generate`]
     /// does, so `generate(rng)` and
     /// `{ generate_into(rng, &mut s); s.build() }` produce bit-identical
-    /// graphs and leave `rng` in the same state. Query the early
-    /// concurrency bound with [`DagScratch::max_delay_count`] and
-    /// promote accepted shapes with [`DagScratch::build`].
+    /// graphs and leave `rng` in the same state. Promote accepted shapes
+    /// with [`DagScratch::build`].
     ///
     /// # Panics
     ///
     /// Panics if the configuration is invalid (call
     /// [`DagGenConfig::validate`] first for a `Result`).
-    pub fn generate_into<R: Rng + ?Sized>(&self, rng: &mut R, scratch: &mut DagScratch) {
+    pub fn generate_into<R: Rng + ?Sized>(&self, rng: &mut R, scratch: &mut DagScratch) -> usize {
         self.validate().expect("invalid DagGenConfig");
-        self.shape::<R, true>(rng, scratch);
+        self.shape::<R, true>(rng, scratch)
     }
 
-    /// The counting pass of a window attempt: draws exactly what
-    /// [`DagGenConfig::generate_into`] draws, in the same order, but
-    /// records only the region tree, and returns the number of blocking
-    /// pairs `|BF|` — what the recording pass's
-    /// [`DagScratch::blocking_pair_count`] would be.
+    /// Draws exactly what [`DagGenConfig::generate_into`] draws, in the
+    /// same order, writes nothing, and returns the drawn graph's `b̄`.
     ///
-    /// A caller that keeps the attempt rewinds `rng` to where this pass
-    /// started and runs `generate_into`; one that rejects it on `|BF|`
-    /// alone finds `rng` already where its next attempt begins. `scratch`
-    /// holds no graph afterwards.
+    /// A window attempt is judged on this alone: one that is rejected
+    /// leaves `rng` where the next attempt begins, and one that is kept
+    /// is drawn again by `generate_into` from a copy of `rng` taken
+    /// before the probe.
     ///
     /// # Panics
     ///
     /// Panics if the configuration is invalid (call
     /// [`DagGenConfig::validate`] first for a `Result`).
-    pub fn count_blocking_pairs<R: Rng + ?Sized>(
+    #[must_use = "the probe's only output is the returned b̄"]
+    pub fn probe_max_delay_count<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
+        self.validate().expect("invalid DagGenConfig");
+        // Nothing is written, so the empty scratch never allocates.
+        self.shape::<R, false>(rng, &mut DagScratch::new())
+    }
+
+    /// One pass of the grammar, for an already validated configuration;
+    /// returns the drawn graph's `b̄`. `RECORD` decides whether nodes,
+    /// edges, regions and pairs are written into `scratch` (cleared
+    /// first) or nothing is. The draws are the same either way; the
+    /// `RECORD` branches touch the scratch only.
+    pub(crate) fn shape<R: Rng + ?Sized, const RECORD: bool>(
         &self,
         rng: &mut R,
         scratch: &mut DagScratch,
     ) -> usize {
-        self.validate().expect("invalid DagGenConfig");
-        self.shape::<R, false>(rng, scratch);
-        scratch.blocking_pair_count()
-    }
-
-    /// One pass of the shape recursion into `scratch`, for an already
-    /// validated configuration. `RECORD` decides what is written down:
-    /// nodes, edges, regions and pairs, or only regions and pairs (with
-    /// every node index 0). The draws are the same either way; the
-    /// `RECORD` branches touch the scratch only.
-    fn shape<R: Rng + ?Sized, const RECORD: bool>(&self, rng: &mut R, scratch: &mut DagScratch) {
-        scratch.clear();
-        let source = self.node::<R, RECORD>(rng, scratch, -1);
-        let (entry, exit) = self.block::<R, RECORD>(rng, scratch, 1, -1);
-        let sink = self.node::<R, RECORD>(rng, scratch, -1);
         if RECORD {
-            scratch.add_edge(source, entry);
-            scratch.add_edge(exit, sink);
+            scratch.clear();
         }
-        self.mark_blocking(rng, scratch);
+        let source = self.node::<R, RECORD>(rng, scratch);
+        let fork = self.node::<R, RECORD>(rng, scratch);
+        let join = self.node::<R, RECORD>(rng, scratch);
+        let branches = rng.gen_range(BRANCHES);
+        // Inner regions drawn in each top-level branch.
+        let mut inner = [0usize; *BRANCHES.end()];
+        for regions in &mut inner[..branches] {
+            let mut prev = fork;
+            for _ in 0..rng.gen_range(1..=MAX_SEQUENCE) {
+                let (entry, exit) = if rng.gen_bool(P_TERMINAL) {
+                    let v = self.node::<R, RECORD>(rng, scratch);
+                    (v, v)
+                } else {
+                    *regions += 1;
+                    self.inner_region::<R, RECORD>(rng, scratch)
+                };
+                if RECORD {
+                    scratch.add_edge(prev, entry);
+                }
+                prev = exit;
+            }
+            if RECORD {
+                scratch.add_edge(prev, join);
+            }
+        }
+        let sink = self.node::<R, RECORD>(rng, scratch);
+        if RECORD {
+            scratch.add_edge(source, fork);
+            scratch.add_edge(join, sink);
+        }
+        self.mark_blocking::<R, RECORD>(rng, scratch, (fork, join), &inner[..branches])
     }
 
-    /// Draws a node's WCET and records the node created by region
-    /// `owner` (`-1` for none); returns its index (0 when not recording).
+    /// Draws a node's WCET and records the node; returns its index (0
+    /// when not recording).
     fn node<R: Rng + ?Sized, const RECORD: bool>(
         &self,
         rng: &mut R,
         scratch: &mut DagScratch,
-        owner: i32,
     ) -> u32 {
         let wcet = rng.gen_range(WCET);
         if RECORD {
-            scratch.add_node(wcet, owner)
+            scratch.add_node(wcet)
         } else {
             0
         }
     }
 
-    /// Recursively emits one block at nesting depth `depth`; returns its
-    /// entry and exit nodes.
-    fn block<R: Rng + ?Sized, const RECORD: bool>(
+    /// Draws an inner fork–join region, whose branches are chains of
+    /// terminal nodes; returns its fork and join.
+    fn inner_region<R: Rng + ?Sized, const RECORD: bool>(
         &self,
         rng: &mut R,
         scratch: &mut DagScratch,
-        depth: u32,
-        parent: i32,
     ) -> (u32, u32) {
-        let terminal = depth > MAX_DEPTH || (depth > 1 && rng.gen_bool(P_TERMINAL));
-        if terminal {
-            let v = self.node::<R, RECORD>(rng, scratch, parent);
-            return (v, v);
+        let fork = self.node::<R, RECORD>(rng, scratch);
+        let join = self.node::<R, RECORD>(rng, scratch);
+        if RECORD {
+            scratch.push_region(fork, join);
         }
-        let fork = self.node::<R, RECORD>(rng, scratch, parent);
-        let join = self.node::<R, RECORD>(rng, scratch, parent);
-        let region_idx = scratch.push_region(fork, join, depth, parent);
-        let region = i32::try_from(region_idx).expect("region count fits in i32");
-        let branches = rng.gen_range(BRANCHES);
-        for _ in 0..branches {
-            let blocks = rng.gen_range(1..=MAX_SEQUENCE);
-            let mut prev_exit = fork;
-            for _ in 0..blocks {
-                let (entry, exit) = self.block::<R, RECORD>(rng, scratch, depth + 1, region);
+        for _ in 0..rng.gen_range(BRANCHES) {
+            let mut prev = fork;
+            for _ in 0..rng.gen_range(1..=MAX_SEQUENCE) {
+                let v = self.node::<R, RECORD>(rng, scratch);
                 if RECORD {
-                    scratch.add_edge(prev_exit, entry);
+                    scratch.add_edge(prev, v);
                 }
-                prev_exit = exit;
+                prev = v;
             }
             if RECORD {
-                scratch.add_edge(prev_exit, join);
+                scratch.add_edge(prev, join);
             }
         }
         (fork, join)
     }
 
-    /// Promotes regions to blocking, deepest first, skipping nesting
-    /// conflicts. Within one depth regions go in index order, so the walk
-    /// draws from the RNG exactly as a stable sort by descending depth
-    /// would, without building the order.
-    fn mark_blocking<R: Rng + ?Sized>(&self, rng: &mut R, scratch: &mut DagScratch) {
-        // Regions exist only at depths 1..=MAX_DEPTH (deeper blocks are
-        // terminal).
-        for depth in (1..=MAX_DEPTH).rev() {
-            let p = match self.blocking {
-                BlockingPolicy::DepthWeighted => {
-                    let d = f64::from(depth);
-                    d / (d + 1.0)
+    /// Promotes regions to blocking and returns `b̄` (see the module
+    /// docs). `inner[b]` counts the inner regions of top-level branch
+    /// `b`; they were drawn, and are tossed, branch by branch.
+    fn mark_blocking<R: Rng + ?Sized, const RECORD: bool>(
+        &self,
+        rng: &mut R,
+        scratch: &mut DagScratch,
+        (fork, join): (u32, u32),
+        inner: &[usize],
+    ) -> usize {
+        let p = self.probability(2);
+        let (mut region, mut marked, mut fewest) = (0, 0, usize::MAX);
+        for &regions in inner {
+            let mut in_branch = 0;
+            for _ in 0..regions {
+                if p > 0.0 && rng.gen_bool(p) {
+                    in_branch += 1;
+                    if RECORD {
+                        scratch.mark_region(region);
+                    }
                 }
-                BlockingPolicy::Fixed(p) => p,
-            };
-            for i in 0..scratch.regions.len() {
-                let region = &scratch.regions[i];
-                if region.depth != depth || region.has_marked_descendant {
-                    continue;
-                }
-                if p > 0.0 && rng.gen_bool(p.min(1.0)) {
-                    scratch.mark_region(i);
-                }
+                region += 1;
             }
+            marked += in_branch;
+            fewest = fewest.min(in_branch);
+        }
+        if marked > 0 {
+            return marked - fewest + usize::from(fewest > 0);
+        }
+        let p = self.probability(1);
+        if p > 0.0 && rng.gen_bool(p) {
+            if RECORD {
+                scratch.add_pair(fork, join);
+            }
+            return 1;
+        }
+        0
+    }
+
+    /// The probability that a region at nesting depth `depth` (the top
+    /// region is at depth 1) is blocking.
+    fn probability(&self, depth: u32) -> f64 {
+        match self.blocking {
+            BlockingPolicy::DepthWeighted => {
+                let d = f64::from(depth);
+                d / (d + 1.0)
+            }
+            BlockingPolicy::Fixed(p) => p,
         }
     }
 }
@@ -277,6 +321,13 @@ mod tests {
             blocking: BlockingPolicy::Fixed(2.0),
         };
         match config.validate() {
+            Err(GenError::InvalidParameter { name, .. }) => assert_eq!(name, "blocking"),
+            other => panic!("expected InvalidParameter(blocking), got {other:?}"),
+        }
+        // A single windowed graph refuses it too, instead of panicking.
+        let window = crate::ConcurrencyWindow::around(8, 6);
+        let graph = crate::TaskSetConfig::new(1, 1.0, config).with_concurrency_window(window);
+        match graph.generate_dag(&mut rng(0)) {
             Err(GenError::InvalidParameter { name, .. }) => assert_eq!(name, "blocking"),
             other => panic!("expected InvalidParameter(blocking), got {other:?}"),
         }

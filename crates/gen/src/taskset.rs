@@ -143,7 +143,7 @@ impl TaskSetConfig {
         let utilizations = uunifast(rng, self.n_tasks, self.total_utilization);
         let mut tasks = Vec::with_capacity(self.n_tasks);
         for u in utilizations {
-            let dag = self.generate_dag_with(rng, scratch)?;
+            let dag = self.draw_dag(rng, scratch)?;
             let volume = dag.volume();
             // Tᵢ = ⌈Cᵢ/Uᵢ⌉ (integer time), at least 1.
             let period = ((volume as f64 / u).ceil() as u64).max(1);
@@ -161,61 +161,63 @@ impl TaskSetConfig {
     ///
     /// # Errors
     ///
-    /// [`GenError::WindowUnsatisfiable`] when the attempt budget runs out.
+    /// * [`GenError::InvalidParameter`] for an invalid graph
+    ///   configuration;
+    /// * [`GenError::WindowUnsatisfiable`] when the attempt budget runs
+    ///   out.
     pub fn generate_dag<R: Rng + Clone>(&self, rng: &mut R) -> Result<Dag, GenError> {
         let mut scratch = DagScratch::new();
         self.generate_dag_with(rng, &mut scratch)
     }
 
     /// [`TaskSetConfig::generate_dag`] with caller-provided scratch. Each
-    /// attempt first runs the counting pass
-    /// ([`DagGenConfig::count_blocking_pairs`]): an attempt with too few
-    /// blocking forks to leave the window's top (`m − |BF| > l_max`,
-    /// sound because `b̄ ≤ |BF|`) is rejected on that count alone, with
-    /// the RNG already where the next attempt begins. Otherwise the RNG
-    /// is rewound to the attempt's start (a copy of its state, hence
-    /// `R: Clone`) and the shape is recorded into `scratch`, judged on
-    /// the early `b̄` ([`DagScratch::max_delay_count`]), and only the
-    /// accepted attempt is promoted to a full [`Dag`] — rejected attempts
-    /// never pay for validation, reachability, or the derived-artifact
-    /// cache.
+    /// attempt is judged on the exact `b̄` its draw pass returns
+    /// ([`DagGenConfig::probe_max_delay_count`]), which writes nothing: a
+    /// rejected attempt leaves the RNG where the next one begins. Only
+    /// the accepted attempt is drawn again, from a copy of the RNG taken
+    /// before its probe (hence `R: Clone`), into `scratch`, and promoted
+    /// to a full [`Dag`].
     ///
     /// # Errors
     ///
-    /// [`GenError::WindowUnsatisfiable`] when the attempt budget runs out.
+    /// Same as [`TaskSetConfig::generate_dag`].
     pub fn generate_dag_with<R: Rng + Clone>(
         &self,
         rng: &mut R,
         scratch: &mut DagScratch,
     ) -> Result<Dag, GenError> {
-        match self.window {
-            None => {
-                self.dag.generate_into(rng, scratch);
-                Ok(scratch.build())
-            }
-            Some(window) => {
-                for _ in 0..window.max_attempts {
-                    let start = rng.clone();
-                    let forks = self.dag.count_blocking_pairs(rng, scratch);
-                    // X(v) ⊆ BF, so b̄ ≤ |BF| and the floor is at least
-                    // m − |BF|: too few forks reject without the BFS.
-                    if window.m as i64 - forks as i64 > window.l_max {
-                        continue;
-                    }
-                    *rng = start;
-                    self.dag.generate_into(rng, scratch);
-                    let floor = window.m as i64 - scratch.max_delay_count() as i64;
-                    if window.contains(floor) {
-                        return Ok(scratch.build());
-                    }
-                }
-                Err(GenError::WindowUnsatisfiable {
-                    l_min: window.l_min,
-                    l_max: window.l_max,
-                    attempts: window.max_attempts,
-                })
+        self.dag.validate()?;
+        self.draw_dag(rng, scratch)
+    }
+
+    /// [`TaskSetConfig::generate_dag_with`] for a validated graph
+    /// configuration.
+    fn draw_dag<R: Rng + Clone>(
+        &self,
+        rng: &mut R,
+        scratch: &mut DagScratch,
+    ) -> Result<Dag, GenError> {
+        let Some(window) = self.window else {
+            self.dag.shape::<R, true>(rng, scratch);
+            return Ok(scratch.build());
+        };
+        // A pool past i64::MAX threads has the floor of one of i64::MAX,
+        // as in `rtpool_core::deadlock::concurrency_floor`.
+        let m = i64::try_from(window.m).unwrap_or(i64::MAX);
+        for _ in 0..window.max_attempts {
+            let start = rng.clone();
+            let b_bar = self.dag.shape::<R, false>(rng, &mut DagScratch::new());
+            if window.contains(m - b_bar as i64) {
+                *rng = start;
+                self.dag.shape::<R, true>(rng, scratch);
+                return Ok(scratch.build());
             }
         }
+        Err(GenError::WindowUnsatisfiable {
+            l_min: window.l_min,
+            l_max: window.l_max,
+            attempts: window.max_attempts,
+        })
     }
 }
 

@@ -1,21 +1,19 @@
-//! Property tests pinning the generation fast path to the reference path.
+//! Property tests pinning the generation fast path to its references.
 //!
 //! Three guarantees, each load-bearing for the experiment pipeline:
 //!
-//! 1. The early `b̄` computed by [`DagScratch::max_delay_count`] on the
-//!    raw shape equals the post-build `DelayProfile::max_delay_count` of
-//!    the promoted `Dag` — so the window prefilter accepts/rejects
-//!    exactly the attempts the full build would.
+//! 1. The `b̄` a window attempt is judged on — the closed form returned
+//!    by [`DagGenConfig::probe_max_delay_count`], which writes nothing —
+//!    equals the recording pass's, the built graph's
+//!    `DelayProfile::max_delay_count` and the paper-literal model's
+//!    (`rtpool_oracle::graph`), and the probe leaves the RNG on the same
+//!    next word as the recording pass.
 //! 2. `generate_into` + [`DagScratch::build`] consumes the RNG stream
 //!    identically to `generate` and yields a bit-identical graph.
 //! 3. `TaskSetConfig::generate` (fast path) and [`reference_set`] (the
 //!    rejection loop over the public generator, a full build per
 //!    attempt) produce identical task sets — including the
 //!    `WindowUnsatisfiable` cases — from identical RNG states.
-//! 4. The counting pass of a window attempt
-//!    ([`DagGenConfig::count_blocking_pairs`]) sees the recording pass's
-//!    `|BF|` and leaves the RNG on the same next word, so a rejection on
-//!    the count alone and a rewound, recorded attempt draw alike.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -25,7 +23,8 @@ use rtpool_core::{Task, TaskSet};
 use rtpool_gen::{
     uunifast, BlockingPolicy, ConcurrencyWindow, DagGenConfig, DagScratch, GenError, TaskSetConfig,
 };
-use rtpool_graph::NodeId;
+use rtpool_graph::{Dag, NodeId};
+use rtpool_oracle::graph::{self, Shape};
 
 /// `TaskSetConfig::new(n_tasks, total, config)` with `window`, generated
 /// from public parts: UUniFast shares; per task, whole graphs drawn by
@@ -75,25 +74,59 @@ fn gen_config() -> impl Strategy<Value = (DagGenConfig, u64)> {
     })
 }
 
+/// `b̄` of `dag` by the model written from the paper's definitions.
+fn oracle_b_bar(dag: &Dag) -> usize {
+    let shape = Shape {
+        wcets: dag.node_ids().map(|v| dag.wcet(v)).collect(),
+        edges: dag
+            .node_ids()
+            .flat_map(|v| {
+                dag.successors(v)
+                    .iter()
+                    .map(move |w| (v.index(), w.index()))
+            })
+            .collect(),
+        pairs: dag
+            .blocking_regions()
+            .iter()
+            .map(|r| (r.fork().index(), r.join().index()))
+            .collect(),
+    };
+    graph::build(&shape)
+        .expect("a generated graph satisfies the model")
+        .b_bar
+}
+
+/// Guarantee 1 for one draw: the probe's `b̄` and the word after it
+/// against the recording pass, the built graph and the oracle. Returns
+/// the graph for the caller's tally.
+fn probe_agrees(config: &DagGenConfig, seed: u64) -> Result<Dag, String> {
+    let mut probing = StdRng::seed_from_u64(seed);
+    let probed = config.probe_max_delay_count(&mut probing);
+    let mut recording = StdRng::seed_from_u64(seed);
+    let mut scratch = DagScratch::new();
+    let recorded = config.generate_into(&mut recording, &mut scratch);
+    let dag = scratch.build();
+    let built = dag.delay_profile().max_delay_count();
+    prop_assert_eq!(
+        (probed, recorded, built),
+        (built, built, oracle_b_bar(&dag)),
+        "probe, recording pass, built graph against the oracle ({:?}, seed {})",
+        config.blocking,
+        seed
+    );
+    prop_assert_eq!(
+        rand::Rng::gen::<u64>(&mut probing),
+        rand::Rng::gen::<u64>(&mut recording)
+    );
+    Ok(dag)
+}
+
 proptest! {
-    /// Guarantee 1: the prefilter's `b̄` equals the built graph's `b̄` on
-    /// every generated structure, hence the window verdict agrees too.
+    /// Guarantee 1 on every policy and seed.
     #[test]
-    fn early_b_bar_matches_built_profile((config, seed) in gen_config()) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut scratch = DagScratch::new();
-        config.generate_into(&mut rng, &mut scratch);
-        let early = scratch.max_delay_count();
-        let dag = scratch.build();
-        let built = dag.delay_profile().max_delay_count();
-        prop_assert_eq!(early, built);
-        // Window verdict agreement for every plausible pool size.
-        for m in 1usize..=16 {
-            let window = ConcurrencyWindow::around(m, (m as i64 - 1).max(1));
-            let early_floor = m as i64 - early as i64;
-            let built_floor = m as i64 - built as i64;
-            prop_assert_eq!(window.contains(early_floor), window.contains(built_floor));
-        }
+    fn probe_b_bar_matches_both_references((config, seed) in gen_config()) {
+        probe_agrees(&config, seed)?;
     }
 
     /// Guarantee 2: the scratch path is RNG-stream and output identical
@@ -131,31 +164,27 @@ proptest! {
         );
     }
 
-    /// The fast path's fork-count prefilter is sound: `X(v) ⊆ BF`, so
-    /// `b̄ ≤ |BF|` on every generated shape.
-    #[test]
-    fn early_b_bar_never_exceeds_the_fork_count((config, seed) in gen_config()) {
-        let mut scratch = DagScratch::new();
-        config.generate_into(&mut StdRng::seed_from_u64(seed), &mut scratch);
-        prop_assert!(scratch.max_delay_count() <= scratch.blocking_pair_count());
-    }
-
     /// Guarantee 3: full task-set generation agrees between the fast
     /// path and the reference path, unwindowed (kind 0), in the wide
-    /// window [1, 7] (kind 5), or in a narrow Figure 2(a)/(b) window
+    /// window [1, 7] (kind 5), in a narrow Figure 2(a)/(b) window
     /// `[l_max − 1, l_max]` with `l_max` = kind ∈ 1..=4 at `m = 8` under
-    /// `BlockingPolicy::Fixed` — where most attempts have fewer than
-    /// `8 − l_max` forks and the fork-count prefilter rejects them.
+    /// `BlockingPolicy::Fixed`, or at the top of the floor's range,
+    /// `[i64::MAX − 1, i64::MAX]`, for a pool of 2⁶³ threads (kind 6) or
+    /// `usize::MAX` (kind 7): past `i64::MAX` threads the floor saturates
+    /// as `concurrency_floor`'s does.
     #[test]
     fn taskset_fast_path_matches_reference(
         (config, seed) in gen_config(),
         n_tasks in 1usize..5,
-        window_kind in 0i64..6,
+        window_kind in 0i64..8,
         pct in 50u32..100,
     ) {
+        let top = |m| ConcurrencyWindow { m, l_min: i64::MAX - 1, l_max: i64::MAX, max_attempts: 40 };
         let (config, window) = match window_kind {
             0 => (config, None),
             5 => (config, Some(ConcurrencyWindow { m: 8, l_min: 1, l_max: 7, max_attempts: 40 })),
+            6 => (config, Some(top(1 << 63))),
+            7 => (config, Some(top(usize::MAX))),
             l_max => (
                 DagGenConfig { blocking: BlockingPolicy::Fixed(f64::from(pct) / 100.0) },
                 Some(ConcurrencyWindow { max_attempts: 40, ..ConcurrencyWindow::around(8, l_max) }),
@@ -196,20 +225,34 @@ proptest! {
     }
 }
 
-proptest! {
-    /// Guarantee 4: counting and recording draw the same words and find
-    /// the same number of blocking pairs.
-    #[test]
-    fn counting_pass_matches_the_recording_pass((config, seed) in gen_config()) {
-        let mut counting = StdRng::seed_from_u64(seed);
-        let mut recording = StdRng::seed_from_u64(seed);
-        let mut scratch = DagScratch::new();
-        let count = config.count_blocking_pairs(&mut counting, &mut scratch);
-        config.generate_into(&mut recording, &mut scratch);
-        prop_assert_eq!(count, scratch.blocking_pair_count());
-        prop_assert_eq!(
-            rand::Rng::gen::<u64>(&mut counting),
-            rand::Rng::gen::<u64>(&mut recording)
-        );
+/// Guarantee 1 where each term of the closed form decides: every seed
+/// below 3 000 under four policies (never, depth-weighted, one half,
+/// always). Some draws must reach each case: no blocking region, the top
+/// region alone, and `b̄ < |BF|` — every top-level branch holding two
+/// blocking inner regions, the one case where a branch's own blocking
+/// forks lower `b̄` by more than its blocking children raise it. The
+/// proptest above rarely draws the last.
+#[test]
+fn closed_form_b_bar_matches_both_references_in_every_case() {
+    let (mut none, mut top_only, mut below_forks) = (0, 0, 0);
+    for blocking in [
+        BlockingPolicy::Fixed(0.0),
+        BlockingPolicy::DepthWeighted,
+        BlockingPolicy::Fixed(0.5),
+        BlockingPolicy::Fixed(1.0),
+    ] {
+        let config = DagGenConfig { blocking };
+        for seed in 0..3_000 {
+            let dag = probe_agrees(&config, seed).unwrap_or_else(|e| panic!("{e}"));
+            let (forks, b_bar) = (dag.blocking_forks(), dag.delay_profile().max_delay_count());
+            match forks {
+                [] => none += 1,
+                [fork] if dag.successors(dag.source()) == [*fork] => top_only += 1,
+                _ if b_bar < forks.len() => below_forks += 1,
+                _ => {}
+            }
+        }
     }
+    println!("{none} graphs without blocking, {top_only} with the top region alone, {below_forks} with b̄ < |BF|");
+    assert!(none > 0 && top_only > 0 && below_forks > 0);
 }

@@ -17,27 +17,13 @@ use crate::node::NodeId;
 ///
 /// `offsets` ends up with `n + 1` entries and `targets` with one entry
 /// per edge; neither reallocates once it has grown to the shape at
-/// hand, which is what lets a rejection-sampling loop call this per
-/// attempt for free. Pass the edges swapped to obtain predecessor rows.
+/// hand. Pass the edges swapped to obtain predecessor rows.
 ///
 /// # Panics
 ///
 /// Panics if a key is `>= n`. The edge count must fit in `u32` (node ids
 /// do, and the builder rejects duplicate edges).
-///
-/// # Examples
-///
-/// ```
-/// use rtpool_graph::{fill_csr, NodeId};
-///
-/// let v = NodeId::from_index;
-/// let edges = [(v(0), v(2)), (v(1), v(2)), (v(0), v(1))];
-/// let (mut offsets, mut targets) = (Vec::new(), Vec::new());
-/// fill_csr(3, edges.iter().copied(), &mut offsets, &mut targets);
-/// assert_eq!(offsets, [0, 2, 3, 3]);
-/// assert_eq!(targets, [v(2), v(1), v(2)]);
-/// ```
-pub fn fill_csr(
+pub(crate) fn fill_csr(
     n: usize,
     edges: impl Iterator<Item = (NodeId, NodeId)> + Clone,
     offsets: &mut Vec<u32>,
@@ -58,10 +44,9 @@ pub fn fill_csr(
     rewind(starts);
 }
 
-// The three steps of a fill are `#[inline]` because `fill_csr` is
-// generic and so compiled in its caller's crate (the generator's early
-// b̄ refills it per window attempt), where a plain private function
-// would stay a call.
+// The three steps of a fill are `#[inline]` because `fill_csr` and
+// `Csr::both_directions` are generic and so compiled in whichever crate
+// instantiates them, where a plain private function would stay a call.
 
 /// Turns the row lengths counted at `starts[v + 1]` into row starts.
 #[inline]

@@ -80,7 +80,6 @@ pub use backend::SyncBackend;
 pub use bitset::{BitRow, BitSet};
 pub use builder::DagBuilder;
 pub use cache::DelayProfile;
-pub use csr::fill_csr;
 pub use dag::Dag;
 pub use edit::{DagDelta, DagEdit, EditOp};
 pub use error::GraphError;

@@ -276,7 +276,8 @@ fn wcet_only_edit_cost_does_not_grow_with_the_graph() {
 #[test]
 fn rejected_window_attempts_allocate_nothing() {
     // A Figure 2(a)-style narrow window: b̄ ∈ [6, 7] of m = 8, so most
-    // attempts are rejected, by the fork count or by the b̄ search.
+    // attempts are rejected on the b̄ their draw pass returns, a pass
+    // that writes nothing.
     let config = |max_attempts| {
         let dag = DagGenConfig {
             blocking: BlockingPolicy::Fixed(0.9),
