@@ -33,14 +33,13 @@
 //! expose. To reject an unsafe mapping, check it first with
 //! [`check_partitioned`](crate::deadlock::check_partitioned) (Lemma 3).
 
-use std::borrow::Borrow;
 use std::ops::ControlFlow;
 
-use rtpool_graph::{BitSet, Dag, NodeId, NodeKind};
+use rtpool_graph::{BitRow, Dag, NodeId, NodeKind};
 
 use crate::analysis::interference::interfering_workload;
 use crate::analysis::{SchedResult, TaskVerdict, UnschedulableReason};
-use crate::partition::{algorithm1, worst_fit, NodeMapping};
+use crate::partition::{algorithm1_in, worst_fit_in, NodeMapping, ThreadId, Workspace, WorstFit};
 use crate::task::{Task, TaskId, TaskSet};
 
 /// How [`partition_and_analyze`] obtains the node-to-thread mappings.
@@ -56,14 +55,28 @@ pub enum PartitionStrategy {
 }
 
 impl PartitionStrategy {
-    /// `task`'s mapping onto `m` threads, or `None` where partitioning
-    /// fails.
-    fn partition(self, task: &Task, m: usize) -> Option<NodeMapping> {
+    /// Maps `dag` onto `m` threads into `workspace`; `false` where
+    /// partitioning fails.
+    fn partition(self, dag: &Dag, m: usize, workspace: &mut Workspace) -> bool {
         match self {
-            PartitionStrategy::Algorithm1 => algorithm1(task.dag(), m).ok(),
-            PartitionStrategy::WorstFit => Some(worst_fit(task.dag(), m)),
+            PartitionStrategy::Algorithm1 => {
+                algorithm1_in(dag, m, &mut WorstFit, workspace).is_ok()
+            }
+            PartitionStrategy::WorstFit => {
+                worst_fit_in(dag, m, workspace);
+                true
+            }
         }
     }
+}
+
+/// Where [`analyze_tasks`] takes each task's mapping from.
+#[derive(Clone, Copy)]
+enum Mappings<'a> {
+    /// The caller's, one per task.
+    Given(&'a [NodeMapping]),
+    /// Made by the strategy when the loop reaches the task.
+    Made(PartitionStrategy),
 }
 
 /// Partitions every task with `strategy` and analyzes the result.
@@ -100,12 +113,14 @@ pub fn partition_and_analyze(
     strategy: PartitionStrategy,
 ) -> (SchedResult, Vec<Option<NodeMapping>>) {
     assert!(m > 0, "platform must have at least one processor");
-    let mappings: Vec<Option<NodeMapping>> = set
-        .iter()
-        .map(|(_, task)| strategy.partition(task, m))
-        .collect();
-    let result = all_verdicts(set, m, |i, _| mappings[i].as_ref());
-    (result, mappings)
+    let mut verdicts = Vec::with_capacity(set.len());
+    let mut mappings = Vec::with_capacity(set.len());
+    analyze_tasks(set, m, Mappings::Made(strategy), |verdict, threads| {
+        verdicts.push(verdict);
+        mappings.push(threads.map(|t| NodeMapping::from_ids(t.to_vec(), m)));
+        ControlFlow::Continue(())
+    });
+    (SchedResult::new(verdicts), mappings)
 }
 
 /// Whether every task of `set`, partitioned with `strategy`, passes the
@@ -141,19 +156,14 @@ pub fn partition_and_analyze(
 #[must_use]
 pub fn accepts(set: &TaskSet, m: usize, strategy: PartitionStrategy) -> bool {
     let mut schedulable = true;
-    analyze_tasks(
-        set,
-        m,
-        |_, task| strategy.partition(task, m),
-        |verdict| {
-            schedulable = verdict.is_schedulable();
-            if schedulable {
-                ControlFlow::Continue(())
-            } else {
-                ControlFlow::Break(())
-            }
-        },
-    );
+    analyze_tasks(set, m, Mappings::Made(strategy), |verdict, _| {
+        schedulable = verdict.is_schedulable();
+        if schedulable {
+            ControlFlow::Continue(())
+        } else {
+            ControlFlow::Break(())
+        }
+    });
     schedulable
 }
 
@@ -172,17 +182,8 @@ pub fn accepts(set: &TaskSet, m: usize, strategy: PartitionStrategy) -> bool {
 pub fn analyze(set: &TaskSet, m: usize, mappings: &[NodeMapping]) -> SchedResult {
     assert!(m > 0, "platform must have at least one processor");
     assert_eq!(mappings.len(), set.len(), "one mapping per task required");
-    all_verdicts(set, m, |i, _| Some(&mappings[i]))
-}
-
-/// Every task's verdict, from [`analyze_tasks`] run to the end.
-fn all_verdicts<M: Borrow<NodeMapping>>(
-    set: &TaskSet,
-    m: usize,
-    mapping: impl FnMut(usize, &Task) -> Option<M>,
-) -> SchedResult {
     let mut verdicts = Vec::with_capacity(set.len());
-    analyze_tasks(set, m, mapping, |verdict| {
+    analyze_tasks(set, m, Mappings::Given(mappings), |verdict, _| {
         verdicts.push(verdict);
         ControlFlow::Continue(())
     });
@@ -192,56 +193,70 @@ fn all_verdicts<M: Borrow<NodeMapping>>(
 /// The per-task loop of the analysis, in priority order: the one loop
 /// behind [`partition_and_analyze`], [`analyze`] and [`accepts`].
 ///
-/// `mapping(i, task)` yields task `i`'s mapping when the loop reaches it
-/// (`None`: partitioning failed); `record` receives each verdict in turn,
-/// and a `Break` from it ends the loop.
-fn analyze_tasks<M: Borrow<NodeMapping>>(
+/// Each task's mapping comes from `mappings` when the loop reaches it
+/// (`None`: partitioning failed); `record` receives each verdict in turn
+/// with that mapping, and a `Break` from it ends the loop. Every buffer
+/// the loop uses is sized for the whole set before the first task, so a
+/// pass allocates the same whether it stops at the first task or the
+/// last.
+fn analyze_tasks(
     set: &TaskSet,
     m: usize,
-    mut mapping: impl FnMut(usize, &Task) -> Option<M>,
-    mut record: impl FnMut(TaskVerdict) -> ControlFlow<()>,
+    mappings: Mappings<'_>,
+    mut record: impl FnMut(TaskVerdict, Option<&[ThreadId]>) -> ControlFlow<()>,
 ) {
     assert!(m > 0, "platform must have at least one processor");
     crate::partition::assert_partitioned_pool(m);
+    let most_nodes = set.iter().map(|(_, t)| t.dag().node_count()).max();
+    let most_nodes = most_nodes.unwrap_or(0);
     // The highest-priority unschedulable task so far: no task below it
     // has a bound on its interference.
     let mut first_miss: Option<usize> = None;
-    let mut hp = HpTables::default();
-    // Scratch buffers shared by every per-task kernel in this pass.
-    let mut scratch = Scratch::default();
+    let mut hp = HpTables::new(m, set.len());
+    let mut scratch = Scratch::new(m, most_nodes);
+    let mut workspace = match mappings {
+        Mappings::Given(_) => Workspace::default(),
+        Mappings::Made(_) => Workspace::with_capacity(most_nodes),
+    };
 
     for (i, (_, task)) in set.iter().enumerate() {
-        let mapped = mapping(i, task);
-        let verdict = match mapped.as_ref().map(<M as Borrow<NodeMapping>>::borrow) {
-            None => TaskVerdict::Unschedulable {
-                reason: UnschedulableReason::PartitioningFailed,
-            },
-            Some(mapping) => {
+        let threads = match mappings {
+            Mappings::Given(given) => {
+                let mapping = &given[i];
                 assert_eq!(mapping.pool_size(), m, "mapping pool size must equal m");
                 assert_eq!(
                     mapping.node_count(),
                     task.dag().node_count(),
                     "mapping must cover the task graph"
                 );
-                if let Some(bad) = first_miss {
-                    TaskVerdict::Unschedulable {
-                        reason: UnschedulableReason::DependsOnUnschedulable { task: TaskId(bad) },
-                    }
-                } else {
-                    let verdict = analyze_task(task, mapping, m, &hp, &mut scratch);
-                    // Only a task that a lower-priority one will read is
-                    // recorded.
-                    if let (Some(response), true) = (verdict.response_time(), i + 1 < set.len()) {
-                        hp.push(task, mapping, m, response, set.len() - 1);
-                    }
-                    verdict
+                Some(mapping.threads())
+            }
+            Mappings::Made(strategy) => {
+                let mapped = strategy.partition(task.dag(), m, &mut workspace);
+                mapped.then(|| workspace.threads())
+            }
+        };
+        let verdict = match (threads, first_miss) {
+            (None, _) => TaskVerdict::Unschedulable {
+                reason: UnschedulableReason::PartitioningFailed,
+            },
+            (Some(_), Some(bad)) => TaskVerdict::Unschedulable {
+                reason: UnschedulableReason::DependsOnUnschedulable { task: TaskId(bad) },
+            },
+            (Some(threads), None) => {
+                let verdict = analyze_task(task, threads, m, &hp, &mut scratch);
+                // Only a task that a lower-priority one will read is
+                // recorded.
+                if let (Some(response), true) = (verdict.response_time(), i + 1 < set.len()) {
+                    hp.push(task, threads, response);
                 }
+                verdict
             }
         };
         if !verdict.is_schedulable() {
             first_miss.get_or_insert(i);
         }
-        if record(verdict).is_break() {
+        if record(verdict, threads).is_break() {
             break;
         }
     }
@@ -258,35 +273,39 @@ struct Load {
 
 /// What the higher-priority tasks charge the task being analyzed, grown
 /// once per schedulable task that a lower-priority task will read.
-#[derive(Default)]
 struct HpTables {
     /// Per core `k`, `(Tⱼ, Wⱼ,ₖ, Rⱼ − Wⱼ,ₖ)` for each higher-priority task
     /// with `Wⱼ,ₖ > 0`, in priority order: `used[k]` loads from slot
     /// `k · stride` on.
     per_core: Vec<Load>,
     used: Vec<usize>,
-    /// Slots per core: the most tasks one pass records.
+    /// Slots per core: the tasks of the set.
     stride: usize,
     /// `(Tⱼ, volⱼ, Rⱼ)` per higher-priority task, for the holistic bound.
     whole: Vec<Load>,
 }
 
 impl HpTables {
-    /// Records `task`, mapped by `mapping` onto `m` cores and bounded by
-    /// `response`, for the tasks below it; a pass records at most
-    /// `slots` tasks. The first call allocates the tables, once.
-    fn push(&mut self, task: &Task, mapping: &NodeMapping, m: usize, response: u64, slots: usize) {
-        if self.used.is_empty() {
-            self.stride = slots;
-            self.per_core = vec![Load::default(); m * slots];
-            self.used = vec![0; m];
-            self.whole.reserve_exact(slots);
+    /// Empty tables for a pass over `tasks` tasks on `m` cores, allocated
+    /// here once: a slot per task, so the blocks are made whatever the
+    /// number of tasks the pass reaches.
+    fn new(m: usize, tasks: usize) -> Self {
+        HpTables {
+            per_core: vec![Load::default(); m * tasks],
+            used: vec![0; m],
+            stride: tasks,
+            whole: Vec::with_capacity(tasks),
         }
+    }
+
+    /// Records `task`, mapped by `threads` and bounded by `response`,
+    /// for the tasks below it.
+    fn push(&mut self, task: &Task, threads: &[ThreadId], response: u64) {
         // Fewer than `stride` tasks are recorded before this one, so each
         // core's next slot is in its own row and still zero.
         let dag = task.dag();
         for v in dag.node_ids() {
-            let k = mapping.thread_of(v).index();
+            let k = threads[v.index()].index();
             self.per_core[k * self.stride + self.used[k]].work += dag.wcet(v);
         }
         for (k, used) in self.used.iter_mut().enumerate() {
@@ -306,20 +325,18 @@ impl HpTables {
 
     /// The loads on core `k`.
     fn on_core(&self, k: usize) -> &[Load] {
-        match self.used.get(k) {
-            Some(&used) => &self.per_core[k * self.stride..][..used],
-            None => &[],
-        }
+        &self.per_core[k * self.stride..][..self.used[k]]
     }
 }
 
-/// Reusable per-pass scratch buffers for the per-task kernels, so the
-/// FIFO-blocking and longest-path sweeps allocate once per analysis call
-/// instead of once per task.
-#[derive(Default)]
+/// Per-pass scratch buffers for the per-task kernels, sized for the
+/// pass's largest graph when it starts, so the FIFO-blocking and
+/// longest-path sweeps allocate once per analysis call instead of once
+/// per task.
 struct Scratch {
-    /// One bitset of node indices per core: the nodes mapped there.
-    core_masks: Vec<BitSet>,
+    /// `m` rows of `⌈n/64⌉` words in one block: row `k` holds the nodes
+    /// mapped to core `k`.
+    core_masks: Vec<u64>,
     /// Per-node FIFO-blocking charge.
     fifo: Vec<u64>,
     /// Per-node finish bounds (node-level sweep).
@@ -329,35 +346,44 @@ struct Scratch {
 }
 
 impl Scratch {
-    /// Prepares the buffers for `dag` mapped by `mapping` onto `m` cores
-    /// and fills in every node's FIFO-blocking charge. Every buffer keeps
-    /// its heap block and allocates only to grow, so a pass over tasks of
-    /// different sizes allocates the `m` masks once.
-    fn prepare(&mut self, dag: &Dag, mapping: &NodeMapping, m: usize) {
-        let n = dag.node_count();
-        self.core_masks.resize_with(m, BitSet::default);
-        for mask in &mut self.core_masks {
-            mask.reset(n);
+    /// Buffers for graphs of up to `nodes` nodes on `m` cores.
+    fn new(m: usize, nodes: usize) -> Self {
+        Scratch {
+            core_masks: Vec::with_capacity(m * nodes.div_ceil(64)),
+            fifo: Vec::with_capacity(nodes),
+            finish: Vec::with_capacity(nodes),
+            dist: Vec::with_capacity(nodes),
         }
+    }
+
+    /// Prepares the buffers for `dag` mapped by `threads` onto `m` cores
+    /// and fills in every node's FIFO-blocking charge.
+    fn prepare(&mut self, dag: &Dag, threads: &[ThreadId], m: usize) {
+        let n = dag.node_count();
+        let stride = n.div_ceil(64);
+        self.core_masks.clear();
+        self.core_masks.resize(m * stride, 0);
         for buffer in [&mut self.fifo, &mut self.finish, &mut self.dist] {
             buffer.clear();
             buffer.resize(n, 0);
         }
-        for v in dag.node_ids() {
-            self.core_masks[mapping.thread_of(v).index()].insert(v.index());
+        for (v, t) in threads.iter().enumerate() {
+            self.core_masks[t.index() * stride + v / 64] |= 1 << (v % 64);
         }
         // FIFO blocking by same-task nodes that can be ahead of v in its
         // thread's queue: the concurrent nodes mapped to the same thread,
         // core_mask(v) − desc(v) − anc(v) − {v}, summed in one word pass
         // over the three rows. v is in its own core's mask and in neither
-        // row, so its WCET is taken off the sum. Blocking joins resume
-        // directly on the woken thread and bypass the queue.
+        // row, so its WCET is taken off the sum; the sum is of distinct
+        // nodes, so it stays within the graph's volume. Blocking joins
+        // resume directly on the woken thread and bypass the queue.
         let reach = dag.reachability();
         for v in dag.node_ids() {
             if dag.kind(v) == NodeKind::BlockingJoin {
                 continue; // fifo charge stays 0
             }
-            let mask = self.core_masks[mapping.thread_of(v).index()].as_row();
+            let core = threads[v.index()].index();
+            let mask = BitRow::from_words(&self.core_masks[core * stride..][..stride], n);
             let queued: u64 = mask
                 .minus(reach.descendants(v), reach.ancestors(v))
                 .map(|u| dag.wcet(NodeId::from_index(u)))
@@ -369,13 +395,13 @@ impl Scratch {
 
 fn analyze_task(
     task: &Task,
-    mapping: &NodeMapping,
+    threads: &[ThreadId],
     m: usize,
     hp: &HpTables,
     scratch: &mut Scratch,
 ) -> TaskVerdict {
     let deadline = task.deadline();
-    scratch.prepare(task.dag(), mapping, m);
+    scratch.prepare(task.dag(), threads, m);
 
     // Two incomparable sound bounds; the task's response time is their
     // minimum. The sweeps borrow disjoint scratch fields, so split them
@@ -383,7 +409,7 @@ fn analyze_task(
     let Scratch {
         fifo, finish, dist, ..
     } = scratch;
-    let node_level = node_level_bound(task, mapping, hp, fifo, deadline, finish);
+    let node_level = node_level_bound(task, threads, hp, fifo, deadline, finish);
     let holistic = holistic_bound(task, hp, fifo, deadline, dist);
     match (node_level, holistic) {
         (Some(a), Some(b)) => TaskVerdict::Schedulable {
@@ -405,7 +431,7 @@ fn analyze_task(
 /// node).
 fn node_level_bound(
     task: &Task,
-    mapping: &NodeMapping,
+    threads: &[ThreadId],
     hp: &HpTables,
     fifo_blocking: &[u64],
     deadline: u64,
@@ -419,13 +445,11 @@ fn node_level_bound(
             .map(|p| finish[p.index()])
             .max()
             .unwrap_or(0);
-        let loads = hp.on_core(mapping.thread_of(v).index());
+        let loads = hp.on_core(threads[v.index()].index());
+        // The WCET and the FIFO charge are of distinct nodes: within the
+        // volume. A finish past `u64::MAX` is past every deadline.
         let local = fixpoint(dag.wcet(v) + fifo_blocking[v.index()], loads, deadline)?;
-        let f = ready.saturating_add(local);
-        if f > deadline {
-            return None;
-        }
-        finish[v.index()] = f;
+        finish[v.index()] = ready.checked_add(local).filter(|&f| f <= deadline)?;
     }
     Some(finish[dag.sink().index()])
 }
@@ -446,7 +470,10 @@ fn holistic_bound(
     dist: &mut [u64],
 ) -> Option<u64> {
     let dag = task.dag();
-    // Longest path under inflated node costs.
+    // Longest path under inflated node costs. The FIFO charges count a
+    // node once per node it may delay, so the sum can pass the volume
+    // and `u64::MAX`; every node reaches the sink, so a prefix past
+    // `u64::MAX` makes the whole path longer than any deadline.
     for v in dag.topological_order().iter() {
         let best = dag
             .predecessors(v)
@@ -454,7 +481,8 @@ fn holistic_bound(
             .map(|p| dist[p.index()])
             .max()
             .unwrap_or(0);
-        dist[v.index()] = best + dag.wcet(v) + fifo_blocking[v.index()];
+        let cost = dag.wcet(v) + fifo_blocking[v.index()];
+        dist[v.index()] = best.checked_add(cost)?;
     }
     fixpoint(dist[dag.sink().index()], &hp.whole, deadline)
 }
@@ -644,6 +672,45 @@ mod tests {
         assert_eq!(r.verdict(TaskId(0)).response_time(), Some(60));
     }
 
+    #[test]
+    fn an_inflated_path_past_u64_max_is_past_the_deadline() {
+        // src → fork → {a → b, c → d} → join → snk on one core: a and b
+        // each queue behind c and d (and the other way round), so the
+        // inflated path src, fork, a, b, join, snk is 6x + 4 with
+        // 4x + 4 = vol < u64::MAX < 6x. The sum used to wrap to a bound
+        // below the critical path, and R = 5764607523034234884 was
+        // accepted against D = 10^19 at utilisation 1.61.
+        let x = 4_035_225_266_123_964_416;
+        let mut b = DagBuilder::new();
+        let (src, snk) = (b.add_node(1), b.add_node(1));
+        let (fork, join) = (b.add_node(1), b.add_node(1));
+        let [a, bb, c, d] = [x; 4].map(|w| b.add_node(w));
+        for (from, to) in [(src, fork), (fork, a), (a, bb), (bb, join)] {
+            b.add_edge(from, to).unwrap();
+        }
+        for (from, to) in [(fork, c), (c, d), (d, join), (join, snk)] {
+            b.add_edge(from, to).unwrap();
+        }
+        let dag = b.build().unwrap();
+        assert!(dag.volume() < u64::MAX);
+        let period = 10_000_000_000_000_000_000;
+        let set = TaskSet::new(vec![Task::with_implicit_deadline(dag, period).unwrap()]);
+        for strategy in [PartitionStrategy::WorstFit, PartitionStrategy::Algorithm1] {
+            let (result, mappings) = partition_and_analyze(&set, 1, strategy);
+            assert!(mappings[0].is_some());
+            assert!(
+                matches!(
+                    result.verdict(TaskId(0)),
+                    TaskVerdict::Unschedulable {
+                        reason: UnschedulableReason::ResponseTimeExceedsDeadline { .. }
+                    }
+                ),
+                "{strategy:?}: {result:?}"
+            );
+            assert!(!accepts(&set, 1, strategy));
+        }
+    }
+
     /// Source → `regions` parallel chains of one or two fork-joins →
     /// sink, drawn from `seed` (up to 370 nodes, so rows of up to six
     /// words), with every node on a random one of `m` threads.
@@ -684,8 +751,8 @@ mod tests {
             m in 1usize..5,
         ) {
             let (dag, mapping) = random_mapped_dag(seed, regions, m);
-            let mut scratch = Scratch::default();
-            scratch.prepare(&dag, &mapping, m);
+            let mut scratch = Scratch::new(m, dag.node_count());
+            scratch.prepare(&dag, mapping.threads(), m);
             let reach = dag.reachability();
             for v in dag.node_ids() {
                 let expected: u64 = if dag.kind(v) == NodeKind::BlockingJoin {

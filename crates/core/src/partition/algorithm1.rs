@@ -12,16 +12,16 @@
 //! (the extended Eq. 3 of Section 4.2; certified by
 //! [`deadlock::check_mapping_delay_free`](crate::deadlock::check_mapping_delay_free)).
 //!
-//! `Φ_BF` is held as one reused `m`-wide flag row with its size, and the
-//! threads outside it are refilled into one reused buffer in id order, so
-//! a run allocates the same few buffers whatever the graph's size.
+//! `Φ_BF` is one `m`-wide flag row of a [`Workspace`], and the threads
+//! outside it are compacted into another in id order without a branch per
+//! thread; a partitioned pass makes the workspace once for all its tasks.
 
 use std::error::Error;
 use std::fmt;
 
 use rtpool_graph::{Dag, NodeId, NodeKind};
 
-use crate::partition::{NodeMapping, PlacementHeuristic, ThreadId, WorstFit};
+use crate::partition::{NodeMapping, PlacementHeuristic, ThreadId, Workspace, WorstFit};
 
 /// Why Algorithm 1 failed on a particular node.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -135,14 +135,31 @@ pub fn algorithm1_with<H: PlacementHeuristic>(
     m: usize,
     heuristic: &mut H,
 ) -> Result<NodeMapping, Algorithm1Failure> {
+    let mut workspace = Workspace::with_capacity(dag.node_count());
+    algorithm1_in(dag, m, heuristic, &mut workspace)?;
+    Ok(workspace.into_mapping(m))
+}
+
+/// [`algorithm1_with`] into `workspace`, whose `threads()` hold the
+/// mapping when it succeeds.
+pub(crate) fn algorithm1_in<H: PlacementHeuristic>(
+    dag: &Dag,
+    m: usize,
+    heuristic: &mut H,
+    workspace: &mut Workspace,
+) -> Result<(), Algorithm1Failure> {
     super::assert_partitioned_pool(m);
     let delays = dag.delay_profile();
-    let n = dag.node_count();
-    let mut assigned: Vec<Option<ThreadId>> = vec![None; n];
-    let mut loads = vec![0u64; m];
-    // Φ_BF and the threads outside it, refilled per query.
-    let mut phi_bf = ThreadFlags::new(m);
-    let mut allowed: Vec<ThreadId> = Vec::with_capacity(m);
+    workspace.reset(dag.node_count(), m);
+    workspace.blocked.resize(m, false);
+    workspace.allowed.resize(m, ThreadId::UNASSIGNED);
+    let Workspace {
+        threads: assigned,
+        loads,
+        blocked,
+        allowed,
+    } = workspace;
+    let placed = |t: &ThreadId| *t != ThreadId::UNASSIGNED;
 
     // Line 4: iterate every node of kind != BJ (topological order for
     // determinism; the paper leaves the order open).
@@ -152,117 +169,92 @@ pub fn algorithm1_with<H: PlacementHeuristic>(
         }
         let delay_row = delays.delay_row(v);
         // Line 5: threads hosting already-assigned delaying forks.
-        phi_bf.fill(delay_row.iter().filter_map(|f| assigned[f]));
-        // Lines 6-7.
-        if let Some(t) = assigned[v.index()] {
-            if phi_bf.contains(t) {
+        let blocked_threads = fill(
+            blocked,
+            delay_row.iter().map(|f| assigned[f]).filter(placed),
+        );
+        let v_thread = assigned[v.index()];
+        if placed(&v_thread) {
+            // Lines 6-7.
+            if blocked[v_thread.index()] {
                 return Err(Algorithm1Failure {
                     node: v,
-                    error: Algorithm1Error::ConflictingPreassignment { thread: t },
+                    error: Algorithm1Error::ConflictingPreassignment { thread: v_thread },
                 });
             }
-        }
-        // Lines 8-9.
-        if assigned[v.index()].is_none() && phi_bf.count >= m {
-            return Err(Algorithm1Failure {
-                node: v,
-                error: Algorithm1Error::SaturatedByBlockingForks {
-                    blocked_threads: phi_bf.count,
-                },
-            });
-        }
-        // Lines 10-11.
-        if assigned[v.index()].is_none() {
-            phi_bf.complement_into(&mut allowed);
-            let t = heuristic.choose(dag, v, &allowed, &loads);
-            assigned[v.index()] = Some(t);
+        } else {
+            // Lines 8-9.
+            if blocked_threads >= m {
+                return Err(Algorithm1Failure {
+                    node: v,
+                    error: Algorithm1Error::SaturatedByBlockingForks { blocked_threads },
+                });
+            }
+            // Lines 10-11.
+            let t = heuristic.choose(dag, v, complement(blocked, allowed), loads);
+            assigned[v.index()] = t;
             loads[t.index()] += dag.wcet(v);
         }
-        let v_thread = assigned[v.index()].expect("node just assigned");
+        let v_thread = assigned[v.index()];
         // Lines 12-13: the paired join runs on the fork's thread (they are
         // two halves of the same function, Listing 1).
         if dag.kind(v) == NodeKind::BlockingFork {
             let j = dag
                 .blocking_join_of(v)
                 .expect("validated BF node has a paired BJ");
-            debug_assert!(assigned[j.index()].is_none(), "BJ assigned twice");
-            assigned[j.index()] = Some(v_thread);
+            debug_assert!(!placed(&assigned[j.index()]), "BJ assigned twice");
+            assigned[j.index()] = v_thread;
             loads[v_thread.index()] += dag.wcet(j);
         }
         // Lines 14-18: pin the not-yet-placed forks that can delay v, so
         // they can never land on v's thread later.
         for fork in delay_row.iter().map(NodeId::from_index) {
-            if assigned[fork.index()].is_some() {
+            if placed(&assigned[fork.index()]) {
                 continue;
             }
             // Line 15: threads hosting forks concurrent with `fork`
             // (fork is BF, so its delay row equals C(fork)), and v's.
-            phi_bf.fill(
-                delays
-                    .delay_row(fork)
-                    .iter()
-                    .filter_map(|x| assigned[x])
-                    .chain([v_thread]),
-            );
+            let row = delays.delay_row(fork).iter().map(|x| assigned[x]);
+            fill(blocked, row.filter(placed).chain([v_thread]));
             // Lines 16-18.
-            phi_bf.complement_into(&mut allowed);
-            if allowed.is_empty() {
+            let choices = complement(blocked, allowed);
+            if choices.is_empty() {
                 return Err(Algorithm1Failure {
                     node: v,
                     error: Algorithm1Error::NoThreadForFork { fork },
                 });
             }
-            let t = heuristic.choose(dag, fork, &allowed, &loads);
-            assigned[fork.index()] = Some(t);
+            let t = heuristic.choose(dag, fork, choices, loads);
+            assigned[fork.index()] = t;
             loads[t.index()] += dag.wcet(fork);
         }
     }
-
-    let threads: Vec<ThreadId> = assigned
-        .into_iter()
-        .map(|t| t.expect("every node assigned after the main loop"))
-        .collect();
-    Ok(NodeMapping::from_ids(threads, m))
+    Ok(())
 }
 
-/// A set of threads as an `m`-wide flag row with its size.
-struct ThreadFlags {
-    flags: Vec<bool>,
-    count: usize,
+/// Makes `blocked` flag exactly `threads` and returns how many it flags
+/// (duplicates counted once).
+fn fill(blocked: &mut [bool], threads: impl Iterator<Item = ThreadId>) -> usize {
+    blocked.fill(false);
+    let mut count = 0;
+    for t in threads {
+        let flag = &mut blocked[t.index()];
+        count += usize::from(!*flag);
+        *flag = true;
+    }
+    count
 }
 
-impl ThreadFlags {
-    fn new(m: usize) -> Self {
-        ThreadFlags {
-            flags: vec![false; m],
-            count: 0,
-        }
+/// The threads `blocked` does not flag, in id order: every thread is
+/// written to the next free slot of `out`, which advances only past an
+/// unflagged one, so no branch depends on the flags.
+fn complement<'a>(blocked: &[bool], out: &'a mut [ThreadId]) -> &'a [ThreadId] {
+    let mut len = 0;
+    for (t, &flag) in blocked.iter().enumerate() {
+        out[len] = ThreadId::new(t);
+        len += usize::from(!flag);
     }
-
-    /// Makes the set exactly `threads` (duplicates counted once).
-    fn fill(&mut self, threads: impl Iterator<Item = ThreadId>) {
-        self.flags.fill(false);
-        self.count = 0;
-        for t in threads {
-            let flag = &mut self.flags[t.index()];
-            self.count += usize::from(!*flag);
-            *flag = true;
-        }
-    }
-
-    fn contains(&self, t: ThreadId) -> bool {
-        self.flags[t.index()]
-    }
-
-    /// Refills `out` with the threads outside the set, in id order.
-    fn complement_into(&self, out: &mut Vec<ThreadId>) {
-        out.clear();
-        out.extend(
-            (0..self.flags.len())
-                .filter(|&t| !self.flags[t])
-                .map(ThreadId::new),
-        );
-    }
+    &out[..len]
 }
 
 #[cfg(test)]

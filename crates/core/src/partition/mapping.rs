@@ -12,6 +12,9 @@ use crate::error::CoreError;
 pub struct ThreadId(u32);
 
 impl ThreadId {
+    /// A placeholder for a node not placed yet; no pool reaches it.
+    pub(crate) const UNASSIGNED: ThreadId = ThreadId(u32::MAX);
+
     /// Creates a thread id from a pool-local index.
     #[must_use]
     pub fn new(index: usize) -> Self {
@@ -94,6 +97,11 @@ impl NodeMapping {
     pub(crate) fn from_ids(threads: Vec<ThreadId>, pool_size: usize) -> Self {
         debug_assert!(threads.iter().all(|t| t.index() < pool_size));
         NodeMapping { threads, pool_size }
+    }
+
+    /// `T(v)` of every node, by node id.
+    pub(crate) fn threads(&self) -> &[ThreadId] {
+        &self.threads
     }
 
     /// `T(v)`: the thread node `v` is dispatched to.

@@ -22,9 +22,13 @@ mod algorithm1;
 mod mapping;
 mod worst_fit;
 
+pub(crate) use algorithm1::algorithm1_in;
 pub use algorithm1::{algorithm1, algorithm1_with, Algorithm1Error, Algorithm1Failure};
 pub use mapping::{NodeMapping, ThreadId};
 pub use worst_fit::worst_fit;
+pub(crate) use worst_fit::worst_fit_in;
+
+use std::hint::select_unpredictable;
 
 use rtpool_graph::{Dag, NodeId};
 
@@ -49,6 +53,73 @@ pub(crate) fn assert_partitioned_pool(m: usize) {
         m <= MAX_PARTITIONED_THREADS,
         "a partitioned pool of {m} threads is past MAX_PARTITIONED_THREADS = {MAX_PARTITIONED_THREADS}"
     );
+}
+
+/// The working vectors of [`worst_fit`] and [`algorithm1_with`]: made
+/// once per partitioned pass and reset for each task it maps, so a pass
+/// allocates them once whatever the number of tasks it reaches.
+#[derive(Default)]
+pub(crate) struct Workspace {
+    /// `T(v)` per node, [`ThreadId::UNASSIGNED`] until placed.
+    threads: Vec<ThreadId>,
+    /// Summed WCET placed on each thread.
+    loads: Vec<u64>,
+    /// Algorithm 1's `Φ_BF`: one flag per thread.
+    blocked: Vec<bool>,
+    /// The threads outside `Φ_BF`, compacted in id order to the front.
+    allowed: Vec<ThreadId>,
+}
+
+impl Workspace {
+    /// A workspace whose node table holds graphs of up to `nodes` nodes
+    /// without growing.
+    pub(crate) fn with_capacity(nodes: usize) -> Self {
+        Workspace {
+            threads: Vec::with_capacity(nodes),
+            ..Workspace::default()
+        }
+    }
+
+    /// Unassigns `n` nodes and zeroes `m` loads.
+    fn reset(&mut self, n: usize, m: usize) {
+        self.threads.clear();
+        self.threads.resize(n, ThreadId::UNASSIGNED);
+        self.loads.clear();
+        self.loads.resize(m, 0);
+    }
+
+    /// The last mapping made, one thread per node.
+    pub(crate) fn threads(&self) -> &[ThreadId] {
+        &self.threads
+    }
+
+    /// The last mapping made, as a [`NodeMapping`] over `m` threads.
+    fn into_mapping(self, m: usize) -> NodeMapping {
+        NodeMapping::from_ids(self.threads, m)
+    }
+}
+
+/// The lexicographic minimum of `(loads[t], t)` over `threads`: the
+/// least-loaded thread, ties to the lowest id, in whatever order
+/// `threads` lists them. Each thread is one compare and two selects that
+/// compile to conditional moves, so no branch depends on the loads.
+///
+/// # Panics
+///
+/// Panics if `threads` is empty.
+fn least_loaded(threads: impl Iterator<Item = ThreadId>, loads: &[u64]) -> ThreadId {
+    let (mut best, mut best_load) = (ThreadId::UNASSIGNED, u64::MAX);
+    for t in threads {
+        let load = loads[t.index()];
+        let less = (load < best_load) | ((load == best_load) & (t < best));
+        best = select_unpredictable(less, t, best);
+        best_load = select_unpredictable(less, load, best_load);
+    }
+    assert!(
+        best != ThreadId::UNASSIGNED,
+        "allowed set must be non-empty"
+    );
+    best
 }
 
 /// Strategy for choosing among the admissible threads when Algorithm 1
@@ -78,10 +149,7 @@ impl PlacementHeuristic for WorstFit {
         allowed: &[ThreadId],
         loads: &[u64],
     ) -> ThreadId {
-        *allowed
-            .iter()
-            .min_by_key(|t| (loads[t.index()], t.index()))
-            .expect("allowed set must be non-empty")
+        least_loaded(allowed.iter().copied(), loads)
     }
 }
 

@@ -2,7 +2,7 @@
 
 use rtpool_graph::{Dag, NodeKind};
 
-use crate::partition::{NodeMapping, ThreadId};
+use crate::partition::{least_loaded, NodeMapping, ThreadId, Workspace};
 
 /// Partitions the nodes of `dag` over `m` threads with the worst-fit
 /// heuristic (each node goes to the currently least-loaded thread),
@@ -43,42 +43,35 @@ use crate::partition::{NodeMapping, ThreadId};
 /// ```
 #[must_use]
 pub fn worst_fit(dag: &Dag, m: usize) -> NodeMapping {
+    let mut workspace = Workspace::with_capacity(dag.node_count());
+    worst_fit_in(dag, m, &mut workspace);
+    workspace.into_mapping(m)
+}
+
+/// [`worst_fit`] into `workspace`, whose `threads()` then hold the
+/// mapping.
+pub(crate) fn worst_fit_in(dag: &Dag, m: usize, workspace: &mut Workspace) {
     assert!(m > 0, "pool must have at least one thread");
     super::assert_partitioned_pool(m);
-    let n = dag.node_count();
-    let mut assigned: Vec<Option<ThreadId>> = vec![None; n];
-    let mut loads = vec![0u64; m];
+    workspace.reset(dag.node_count(), m);
+    let Workspace { threads, loads, .. } = workspace;
     for v in dag.topological_order().iter() {
-        if assigned[v.index()].is_some() {
+        if threads[v.index()] != ThreadId::UNASSIGNED {
             // A join, pinned to its fork's thread: joins follow their
             // forks in topological order.
             continue;
         }
-        let t = least_loaded(&loads);
-        assigned[v.index()] = Some(t);
+        let t = least_loaded((0..m).map(ThreadId::new), loads);
+        threads[v.index()] = t;
         loads[t.index()] += dag.wcet(v);
         if dag.kind(v) == NodeKind::BlockingFork {
             let j = dag
                 .blocking_join_of(v)
                 .expect("validated BF node has a paired BJ");
-            assigned[j.index()] = Some(t);
+            threads[j.index()] = t;
             loads[t.index()] += dag.wcet(j);
         }
     }
-    let threads: Vec<ThreadId> = assigned
-        .into_iter()
-        .map(|t| t.expect("every node assigned"))
-        .collect();
-    NodeMapping::from_ids(threads, m)
-}
-
-fn least_loaded(loads: &[u64]) -> ThreadId {
-    let (idx, _) = loads
-        .iter()
-        .enumerate()
-        .min_by_key(|&(i, &l)| (l, i))
-        .expect("non-empty loads");
-    ThreadId::new(idx)
 }
 
 #[cfg(test)]

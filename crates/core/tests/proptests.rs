@@ -549,3 +549,54 @@ proptest! {
         }
     }
 }
+
+/// `set` with every task's WCETs multiplied by the largest factor that
+/// keeps its volume within `u64::MAX / set.len()`, and its period by the
+/// same factor (saturating), so that the inflated paths of the
+/// partitioned analysis can pass `u64::MAX`.
+fn scaled_toward_the_limit(set: &TaskSet) -> TaskSet {
+    let share = u64::MAX / set.len() as u64;
+    let tasks = set.iter().map(|(_, task)| {
+        let dag = task.dag();
+        let factor = share / dag.volume();
+        let mut edit = dag.edit();
+        for v in dag.node_ids() {
+            edit.set_wcet(v, dag.wcet(v) * factor);
+        }
+        let (dag, _) = edit.apply().expect("WCET edits always apply");
+        let period = task.period().saturating_mul(factor);
+        Task::new(dag, period, task.deadline().saturating_mul(factor)).unwrap()
+    });
+    TaskSet::new(tasks.collect())
+}
+
+proptest! {
+    /// The len law: no partitioned bound is below the task's critical
+    /// path, under either strategy, on generated Figure 2 sets and on the
+    /// same sets with their WCETs scaled toward `u64::MAX / n`. A bound
+    /// whose path sum wraps past `u64::MAX` breaks it.
+    #[test]
+    fn partitioned_bounds_never_undercut_the_critical_path(
+        seed in any::<u64>(),
+        n_tasks in 1usize..=4,
+        pct in 0u32..=100,
+        half_load in 1u32..=8,
+        m in 1usize..=8,
+    ) {
+        let dag = DagGenConfig { blocking: BlockingPolicy::Fixed(f64::from(pct) / 100.0) };
+        let set = TaskSetConfig::new(n_tasks, f64::from(half_load) / 2.0, dag)
+            .generate(&mut StdRng::seed_from_u64(seed))
+            .unwrap();
+        for set in [scaled_toward_the_limit(&set), set] {
+            for strategy in [PartitionStrategy::WorstFit, PartitionStrategy::Algorithm1] {
+                let (result, _) = partitioned::partition_and_analyze(&set, m, strategy);
+                for ((_, task), verdict) in set.iter().zip(result.verdicts()) {
+                    if let Some(r) = verdict.response_time() {
+                        let len = task.critical_path_length();
+                        prop_assert!(r >= len, "{strategy:?}, m = {m}: R {r} below len {len}");
+                    }
+                }
+            }
+        }
+    }
+}

@@ -8,12 +8,6 @@
 
 use std::fmt;
 
-fn difference_words(dst: &mut [u64], src: &[u64]) {
-    for (a, b) in dst.iter_mut().zip(src) {
-        *a &= !*b;
-    }
-}
-
 /// The indices of the set bits of `word`, the `w`-th word of a row, in
 /// increasing order.
 fn word_bits(w: usize, mut word: u64) -> impl Iterator<Item = usize> + Clone {
@@ -72,6 +66,37 @@ pub struct BitRow<'a> {
 }
 
 impl<'a> BitRow<'a> {
+    /// A view of `words` as a set of capacity `capacity`: index `i` is
+    /// bit `i % 64` of word `i / 64`. Bits at and past `capacity` must be
+    /// clear. A caller that keeps many rows in one flat block (one per
+    /// core, say) hands them out this way without a set of its own per
+    /// row.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `words` holds exactly `⌈capacity/64⌉` words.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use rtpool_graph::BitRow;
+    ///
+    /// let block = [0b101, 1 << 6, 0b10, 0];
+    /// let row = BitRow::from_words(&block[2..], 100);
+    /// assert_eq!(row.iter().collect::<Vec<_>>(), vec![1]);
+    /// assert_eq!(BitRow::from_words(&block[..2], 71).len(), 3);
+    /// ```
+    #[must_use]
+    pub fn from_words(words: &'a [u64], capacity: usize) -> Self {
+        assert_eq!(
+            words.len(),
+            capacity.div_ceil(64),
+            "a row of capacity {capacity} takes {} words",
+            capacity.div_ceil(64)
+        );
+        BitRow { words, capacity }
+    }
+
     /// The capacity (exclusive upper bound on storable indices).
     #[must_use]
     pub fn capacity(self) -> usize {
@@ -256,15 +281,6 @@ impl BitSet {
         self.words.fill(0);
     }
 
-    /// Empties the set and gives it capacity `capacity`, keeping its
-    /// heap block whenever that is large enough: a scratch row reused
-    /// across graphs of different sizes allocates only when it grows.
-    pub fn reset(&mut self, capacity: usize) {
-        self.words.clear();
-        self.words.resize(capacity.div_ceil(64), 0);
-        self.capacity = capacity;
-    }
-
     /// Raises the capacity to `new_capacity`, keeping every stored
     /// index.
     ///
@@ -420,16 +436,31 @@ impl BitMatrix {
         clear_bit(self.row_mut(i), j)
     }
 
-    /// Overwrites row `i` with `src`.
-    pub(crate) fn set_row(&mut self, i: usize, src: BitRow<'_>) {
-        let src = self.row(i).same_capacity(src);
-        self.row_mut(i).copy_from_slice(src);
-    }
-
-    /// Removes every element of `src` from row `i`.
-    pub(crate) fn difference_row(&mut self, i: usize, src: BitRow<'_>) {
-        let src = self.row(i).same_capacity(src);
-        difference_words(self.row_mut(i), src);
+    /// Overwrites row `i` with `base − a − b` in one pass over the words
+    /// and returns the row's size.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a capacity differs from the matrix's.
+    pub(crate) fn set_row_minus(
+        &mut self,
+        i: usize,
+        base: BitRow<'_>,
+        a: BitRow<'_>,
+        b: BitRow<'_>,
+    ) -> usize {
+        let row = self.row(i);
+        let (base, a, b) = (
+            row.same_capacity(base),
+            row.same_capacity(a),
+            row.same_capacity(b),
+        );
+        let mut count = 0;
+        for (((dst, &s), &a), &b) in self.row_mut(i).iter_mut().zip(base).zip(a).zip(b) {
+            *dst = s & !(a | b);
+            count += dst.count_ones() as usize;
+        }
+        count
     }
 
     /// The words per row.
@@ -633,24 +664,36 @@ mod tests {
     }
 
     #[test]
+    fn set_row_minus_writes_and_counts_the_difference() {
+        let set = |items: &[usize]| {
+            let mut s = BitSet::new(130);
+            s.extend(items.iter().copied());
+            s
+        };
+        let base = set(&[0, 5, 63, 64, 70, 100, 127, 128, 129]);
+        let (a, b) = (set(&[5, 64, 128]), set(&[63, 64, 101, 129]));
+        let mut m = BitMatrix::new(130);
+        m.insert(1, 7);
+        let count = m.set_row_minus(1, base.as_row(), a.as_row(), b.as_row());
+        assert_eq!(count, 4);
+        let expected = base.as_row().minus(a.as_row(), b.as_row());
+        assert!(m.row(1).iter().eq(expected));
+        assert_eq!(
+            m.row(1),
+            BitRow::from_words(&m.words[m.stride..][..m.stride], 130)
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "takes 3 words")]
+    fn from_words_rejects_a_block_of_the_wrong_length() {
+        let _ = BitRow::from_words(&[0; 2], 129);
+    }
+
+    #[test]
     #[should_panic(expected = "capacity mismatch")]
     fn minus_rejects_a_row_of_another_capacity() {
         let (a, b) = (BitSet::new(130), BitSet::new(129));
         let _ = a.as_row().minus(a.as_row(), b.as_row());
-    }
-
-    #[test]
-    fn reset_keeps_the_block_it_fits_in() {
-        let mut s = BitSet::new(130);
-        s.insert(129);
-        let block = s.words.as_ptr();
-        s.reset(20);
-        assert_eq!((s.capacity(), s.len()), (20, 0));
-        s.insert(19);
-        s.reset(190);
-        assert_eq!((s.capacity(), s.len()), (190, 0));
-        assert_eq!(s.words.as_ptr(), block, "190 bits fit the first 3 words");
-        s.reset(200);
-        assert!(s.is_empty() && s.capacity() == 200);
     }
 }

@@ -82,14 +82,9 @@ impl DelayProfile {
             }
         }
         for v in dag.node_ids() {
-            profile.fill_row(dag, reach, &bf_mask, v);
+            let count = profile.fill_row(dag, reach, &bf_mask, v);
+            profile.max_count = profile.max_count.max(count);
         }
-        profile.max_count = profile
-            .counts
-            .iter()
-            .map(|&c| c as usize)
-            .max()
-            .unwrap_or(0);
         profile
     }
 
@@ -119,21 +114,26 @@ impl DelayProfile {
         self.max_count
     }
 
-    /// Writes `X(v) = C(v) ∪ F'(v)` into row `v` in place and records
-    /// its size.
-    fn fill_row(&mut self, dag: &Dag, reach: &Reachability, bf_mask: &BitSet, v: NodeId) {
+    /// Writes `X(v) = C(v) ∪ F'(v)` into row `v` in place, records its
+    /// size and returns it.
+    fn fill_row(&mut self, dag: &Dag, reach: &Reachability, bf_mask: &BitSet, v: NodeId) -> usize {
         let i = v.index();
-        // C(v): BF nodes neither preceding nor following v, minus v.
-        self.rows.set_row(i, bf_mask.as_row());
-        self.rows.difference_row(i, reach.descendants(v));
-        self.rows.difference_row(i, reach.ancestors(v));
-        self.rows.remove(i, i);
+        // C(v): BF nodes neither preceding nor following v, minus v,
+        // written and counted in one pass over the words.
+        let mut count = self.rows.set_row_minus(
+            i,
+            bf_mask.as_row(),
+            reach.descendants(v),
+            reach.ancestors(v),
+        );
+        count -= usize::from(self.rows.remove(i, i));
         // F(v) is an ancestor of v, so it was just removed; re-insert
         // it to obtain X(v) for blocking children.
         if let Some(f) = dag.waiting_fork_of(v) {
-            self.rows.insert(i, f.index());
+            count += usize::from(self.rows.insert(i, f.index()));
         }
-        self.counts[i] = u32::try_from(self.rows.row(i).len()).expect("|X(v)| fits in u32");
+        self.counts[i] = u32::try_from(count).expect("|X(v)| fits in u32");
+        count
     }
 }
 

@@ -46,6 +46,7 @@ pub trait Rng: RngCore {
     /// # Panics
     ///
     /// Panics if the range is empty.
+    #[inline]
     fn gen_range<T, S: SampleRange<T>>(&mut self, range: S) -> T {
         range.sample_from(self)
     }
@@ -55,6 +56,7 @@ pub trait Rng: RngCore {
     /// # Panics
     ///
     /// Panics if `p` is not in `[0, 1]`.
+    #[inline]
     fn gen_bool(&mut self, p: f64) -> bool {
         assert!(
             (0.0..=1.0).contains(&p),
@@ -106,6 +108,9 @@ macro_rules! standard_int {
 standard_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
 
 /// Unbiased sample from `[0, bound)` by rejection (Lemire-style).
+/// Inlined with its callers, so a constant range folds `zone` to a
+/// constant instead of dividing on every draw.
+#[inline]
 fn bounded_u64<R: RngCore + ?Sized>(rng: &mut R, bound: u64) -> u64 {
     debug_assert!(bound > 0);
     // Rejection zone keeps the multiply-shift reduction unbiased.
@@ -125,6 +130,7 @@ fn bounded_u64<R: RngCore + ?Sized>(rng: &mut R, bound: u64) -> u64 {
 macro_rules! int_ranges {
     ($($t:ty),*) => {$(
         impl SampleRange<$t> for core::ops::Range<$t> {
+            #[inline]
             fn sample_from<R: RngCore + ?Sized>(self, rng: &mut R) -> $t {
                 assert!(self.start < self.end, "cannot sample from empty range");
                 let span = (self.end as u64).wrapping_sub(self.start as u64);
@@ -132,6 +138,7 @@ macro_rules! int_ranges {
             }
         }
         impl SampleRange<$t> for core::ops::RangeInclusive<$t> {
+            #[inline]
             fn sample_from<R: RngCore + ?Sized>(self, rng: &mut R) -> $t {
                 let (start, end) = (*self.start(), *self.end());
                 assert!(start <= end, "cannot sample from empty range");
@@ -147,6 +154,7 @@ macro_rules! int_ranges {
 int_ranges!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
 
 impl SampleRange<f64> for core::ops::Range<f64> {
+    #[inline]
     fn sample_from<R: RngCore + ?Sized>(self, rng: &mut R) -> f64 {
         assert!(self.start < self.end, "cannot sample from empty range");
         let v = self.start + unit_f64(rng) * (self.end - self.start);
@@ -160,6 +168,7 @@ impl SampleRange<f64> for core::ops::Range<f64> {
 }
 
 impl SampleRange<f64> for core::ops::RangeInclusive<f64> {
+    #[inline]
     fn sample_from<R: RngCore + ?Sized>(self, rng: &mut R) -> f64 {
         let (start, end) = (*self.start(), *self.end());
         assert!(start <= end, "cannot sample from empty range");
@@ -196,6 +205,7 @@ pub mod rngs {
     }
 
     impl RngCore for StdRng {
+        #[inline]
         fn next_u64(&mut self) -> u64 {
             let result = self.s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
             let t = self.s[1] << 17;

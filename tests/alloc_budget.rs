@@ -7,9 +7,9 @@
 //! window attempt calls it not at all, and the accepted graph's build at
 //! most 18 times; that Algorithm
 //! 1's calls do not grow with the graph; that the partitioned RTA
-//! allocates its per-core masks once per pass, not once per task; and
-//! that `partitioned::accepts` maps no task below the first one that
-//! misses.
+//! allocates the same at 16 cores as at 8; that `partitioned::accepts`
+//! maps no task below the first one that misses; and that it allocates
+//! the same whether it reaches one task or four.
 //!
 //! This is its own test binary because it installs a counting
 //! `#[global_allocator]`; the `unsafe impl` below is the only unsafe code
@@ -376,23 +376,25 @@ fn partitioned_pass_allocates_its_core_masks_once() {
     let _ = pass(8);
     let (at8, at16) = (pass(8), pass(16));
     println!("worst-fit partitioned pass over {sizes:?} nodes: {at8} allocator calls at m = 8, {at16} at m = 16");
-    assert!(
-        at16 <= at8 + 8,
-        "8 more cores cost {} more allocator calls over {} tasks: the core masks are rebuilt per task",
-        at16.saturating_sub(at8),
+    assert_eq!(
+        at16,
+        at8,
+        "8 more cores cost more allocator calls over {} tasks: the core masks are made per core",
         sizes.len()
     );
 }
 
+/// One node of WCET 100 against a deadline of 50: rejected under either
+/// strategy, so nothing below it needs a mapping or a bound.
+fn missing_task() -> Task {
+    let mut b = DagBuilder::new();
+    b.add_node(100);
+    Task::with_implicit_deadline(b.build().expect("one node"), 50).expect("valid task")
+}
+
 #[test]
 fn partitioned_accepts_never_maps_the_tasks_below_a_miss() {
-    // One node of WCET 100 against a deadline of 50: rejected under
-    // either strategy, so nothing below it needs a mapping or a bound.
-    let missing = {
-        let mut b = DagBuilder::new();
-        b.add_node(100);
-        Task::with_implicit_deadline(b.build().expect("one node"), 50).expect("valid task")
-    };
+    let missing = missing_task();
     let mut rng = rand::rngs::StdRng::seed_from_u64(0);
     let below = TaskSetConfig::new(3, 1.0, DagGenConfig::default())
         .generate(&mut rng)
@@ -419,6 +421,41 @@ fn partitioned_accepts_never_maps_the_tasks_below_a_miss() {
             "{strategy:?}: the tasks below the first miss were mapped or analyzed"
         );
     }
+}
+
+#[test]
+fn partitioned_accepts_allocates_per_call_not_per_task() {
+    // Four tasks Algorithm 1 maps and the analysis accepts, and the same
+    // set behind a first task that misses: one pass maps and bounds all
+    // four, the other only the first.
+    let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+    let plain = DagGenConfig {
+        blocking: BlockingPolicy::Fixed(0.0),
+    };
+    let reached = TaskSetConfig::new(4, 0.5, plain)
+        .generate(&mut rng)
+        .expect("plain generation cannot fail");
+    let stopped = TaskSet::new(
+        std::iter::once(missing_task())
+            .chain(reached.iter().skip(1).map(|(_, task)| task.clone()))
+            .collect(),
+    );
+    let pass = |set: &TaskSet| calls_of(|| accepts(set, 8, PartitionStrategy::Algorithm1));
+    // Fill the graphs' derived caches first, so both counts are of the
+    // pass alone.
+    let _ = (pass(&reached), pass(&stopped));
+    let ((all_ok, all_calls), (first_ok, first_calls)) = (pass(&reached), pass(&stopped));
+    assert!(
+        all_ok && !first_ok,
+        "one set must pass and the other miss at its first task"
+    );
+    println!(
+        "Algorithm1 accepts: {all_calls} allocator calls through 4 tasks, {first_calls} stopping at the first"
+    );
+    assert_eq!(
+        all_calls, first_calls,
+        "each task reached cost allocator calls: the working buffers are made per task"
+    );
 }
 
 #[test]
