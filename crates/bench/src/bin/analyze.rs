@@ -1,7 +1,7 @@
 //! Command-line analyzer for task sets in the `.rtp` text format (see
 //! `rtpool_core::textfmt`): lint diagnostics, per-task structural
-//! metrics, schedulability under every shipped test, Algorithm 1
-//! mappings, and optional simulation.
+//! metrics, schedulability under every shipped test, and Algorithm 1
+//! mappings. `rtpool-trace run --engine sim` simulates a set.
 //!
 //! Parsing and all structural/deadlock checking are routed through the
 //! `rtlint` engine (`rtpool_lint::check_source`), so this tool prints
@@ -10,15 +10,12 @@
 //! status is non-zero when the linter reports an error-severity finding.
 //!
 //! ```text
-//! analyze <file.rtp> --m <threads> [--simulate] [--policy global|partitioned]
-//!         [--timeout-ms T]
+//! analyze <file.rtp> --m <threads> [--timeout-ms T]
 //! ```
 //!
 //! A pool past `rtpool_core::partition::MAX_PARTITIONED_THREADS` gets
-//! every global section and simulation, an error naming the bound in
-//! place of the partitioned ones, and exit code 1. One past
-//! `rtpool_sim::MAX_SIMULATED_CORES` gets the same in place of the
-//! simulation.
+//! every global section, an error naming the bound in place of the
+//! partitioned ones, and exit code 1.
 //!
 //! `--timeout-ms` bounds the response-time fix-points: past the budget
 //! the analysis stops with a clean "analysis timed out" error instead of
@@ -33,21 +30,16 @@ use rtpool_core::analysis::partitioned::{self, PartitionStrategy};
 use rtpool_core::partition::MAX_PARTITIONED_THREADS;
 use rtpool_core::{deadlock, sizing, CancelToken, TaskId};
 use rtpool_lint::{check_source, render_human, LintOptions};
-use rtpool_sim::{SchedulingPolicy, SimConfig, MAX_SIMULATED_CORES};
 
 struct Args {
     path: String,
     m: usize,
-    simulate: bool,
-    policy: SchedulingPolicy,
     timeout: Option<Duration>,
 }
 
 fn parse_args() -> Result<Args, String> {
     let mut path = None;
     let mut m = 4usize;
-    let mut simulate = false;
-    let mut policy = SchedulingPolicy::Global;
     let mut timeout = None;
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
@@ -59,7 +51,6 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("invalid --m: {e}"))?;
             }
-            "--simulate" => simulate = true,
             "--timeout-ms" => {
                 let ms: u64 = it
                     .next()
@@ -71,18 +62,8 @@ fn parse_args() -> Result<Args, String> {
                 }
                 timeout = Some(Duration::from_millis(ms));
             }
-            "--policy" => {
-                policy = match it.next().as_deref() {
-                    Some("global") => SchedulingPolicy::Global,
-                    Some("partitioned") => SchedulingPolicy::Partitioned,
-                    other => return Err(format!("invalid --policy {other:?}")),
-                };
-            }
             "--help" | "-h" => {
-                println!(
-                    "usage: analyze <file.rtp> [--m N] [--simulate] \
-                     [--policy global|partitioned] [--timeout-ms T]"
-                );
+                println!("usage: analyze <file.rtp> [--m N] [--timeout-ms T]");
                 std::process::exit(0);
             }
             flag if flag.starts_with("--") => return Err(format!("unknown flag `{flag}`")),
@@ -92,8 +73,6 @@ fn parse_args() -> Result<Args, String> {
     Ok(Args {
         path: path.ok_or("missing input file")?,
         m,
-        simulate,
-        policy,
         timeout,
     })
 }
@@ -241,48 +220,5 @@ fn run() -> Result<bool, String> {
         }
     }
 
-    let unsimulated = args.simulate && m > MAX_SIMULATED_CORES;
-    if unsimulated {
-        eprintln!(
-            "error: simulation refused: m = {m} is past \
-             MAX_SIMULATED_CORES = {MAX_SIMULATED_CORES}"
-        );
-    } else if args.simulate {
-        println!("\n== Simulation ({:?}) ==", args.policy);
-        let horizon = set
-            .iter()
-            .map(|(_, t)| t.period())
-            .max()
-            .unwrap_or(1)
-            .saturating_mul(3);
-        let mut config = SimConfig::periodic(args.policy, m, horizon);
-        if args.policy == SchedulingPolicy::Partitioned {
-            if refused {
-                return Err("cannot simulate: the partitioned analysis was refused".into());
-            }
-            let (_, mappings) =
-                partitioned::partition_and_analyze(&set, m, PartitionStrategy::Algorithm1);
-            let maps: Option<Vec<_>> = mappings.into_iter().collect();
-            match maps {
-                Some(maps) => config = config.with_mappings(maps),
-                None => return Err("cannot simulate: Algorithm 1 failed for some task".into()),
-            }
-        }
-        let out = config.run(&set).map_err(|e| e.to_string())?;
-        for (i, t) in out.tasks().iter().enumerate() {
-            println!(
-                "  τ{i}: released={} completed={} max-response={:?} misses={} min-l(t)={}{}",
-                t.released,
-                t.completed,
-                t.max_response,
-                t.deadline_misses,
-                t.min_available_concurrency,
-                t.stall
-                    .as_ref()
-                    .map(|s| format!("  STALLED at t={}", s.time))
-                    .unwrap_or_default(),
-            );
-        }
-    }
-    Ok(!refused && !unsimulated && !report.has_failures())
+    Ok(!refused && !report.has_failures())
 }

@@ -11,7 +11,8 @@
 //! ```
 //!
 //! `run` defaults: simulator, global policy, `m = 4`, one synchronous
-//! job per task, summary on stdout. `--horizon H` (sim only) switches to
+//! job per task, summary on stdout; the simulator's summary ends with
+//! each task's deadline misses. `--horizon H` (sim only) switches to
 //! periodic releases up to `H`. Under `--engine exec` each task's DAG
 //! runs as one job on its own pool and yields one trace per task (with
 //! `--out`, files are suffixed `.task<i>`); `--pool v1|v2` selects the
@@ -253,7 +254,17 @@ fn run_sim(args: &RunArgs, set: &TaskSet) -> Result<(), String> {
     if outcome.any_stall() {
         eprintln!("note: the simulation stalled (deadlock); the trace covers the stalled prefix");
     }
-    emit(&render(&trace, args.format), args.out.as_ref())
+    let mut rendered = render(&trace, args.format);
+    if args.format == Format::Summary {
+        // A trace records no deadlines; the simulator counts the misses.
+        let misses: Vec<String> = outcome
+            .tasks()
+            .iter()
+            .map(|t| t.deadline_misses.to_string())
+            .collect();
+        rendered.push_str(&format!("deadline_misses: [{}]\n", misses.join(", ")));
+    }
+    emit(&rendered, args.out.as_ref())
 }
 
 /// Suffixes `--out` per task (`trace.json` → `trace.task1.json`) so an

@@ -8,21 +8,7 @@
 
 use rtpool_core::analysis::global::{self, ConcurrencyModel};
 use rtpool_core::analysis::partitioned::{self, PartitionStrategy};
-use rtpool_core::analysis::SchedResult;
 use rtpool_core::TaskSet;
-
-/// Runs the concurrency-oblivious (`Full`) and concurrency-aware
-/// (`Limited`) global RTAs to completion as one batched call, for callers
-/// that read per-task verdicts rather than a yes/no. Returns
-/// `(full, limited)`.
-#[must_use]
-pub fn global_full_and_limited(set: &TaskSet, m: usize) -> (SchedResult, SchedResult) {
-    let mut results =
-        global::analyze_many(set, m, &[ConcurrencyModel::Full, ConcurrencyModel::Limited]);
-    let limited = results.pop().expect("two models in, two results out");
-    let full = results.pop().expect("two models in, two results out");
-    (full, limited)
-}
 
 /// Whether Figure 2's concurrency-aware test accepts `set` under the
 /// inset's scheduling family (`global = true` for insets a/c/e): the
@@ -67,16 +53,6 @@ mod tests {
         TaskSetConfig::new(4, 2.0, DagGenConfig::default())
             .generate(&mut rng)
             .unwrap()
-    }
-
-    #[test]
-    fn batched_global_pass_matches_single_model_calls() {
-        for seed in 0..4 {
-            let set = sample_set(seed);
-            let (full, limited) = global_full_and_limited(&set, 8);
-            assert_eq!(full, global::analyze(&set, 8, ConcurrencyModel::Full));
-            assert_eq!(limited, global::analyze(&set, 8, ConcurrencyModel::Limited));
-        }
     }
 
     #[test]

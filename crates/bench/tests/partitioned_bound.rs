@@ -1,11 +1,11 @@
 //! The `analyze` and `rtpool-trace` binaries on pools at and past the
 //! partitioned bound and the simulator's. Past the first, `analyze` still
-//! prints the global verdicts and runs a global simulation, and both
-//! refuse the partitioned paths by the bound's name, where a pool of
-//! `u64::MAX` threads used to panic on a capacity overflow, one of 2³² to
-//! abort on allocation, and one of 5 000 to run. Past the second, both
-//! refuse to simulate by its name, where the simulator panicked and
-//! aborted at the same two sizes.
+//! prints the global verdicts and `rtpool-trace` still runs a global
+//! simulation, and both refuse the partitioned paths by the bound's name,
+//! where a pool of `u64::MAX` threads used to panic on a capacity
+//! overflow, one of 2³² to abort on allocation, and one of 5 000 to run.
+//! Past the second, `rtpool-trace` refuses to simulate by its name, where
+//! the simulator panicked and aborted at the same two sizes.
 
 use std::process::{Command, Output};
 
@@ -28,19 +28,13 @@ fn run(bin: &str, args: &[&str]) -> (Option<i32>, String, String) {
 #[test]
 fn analyze_refuses_the_partitioned_sections_past_the_bound_by_name() {
     let named = format!("MAX_PARTITIONED_THREADS = {MAX_PARTITIONED_THREADS}");
-    let sim_named = format!("MAX_SIMULATED_CORES = {MAX_SIMULATED_CORES}");
-    let bound = MAX_PARTITIONED_THREADS.to_string();
-    let past = (MAX_PARTITIONED_THREADS + 1).to_string();
-    for (m, extra, refused) in [
-        (u64::MAX.to_string(), &[][..], true),
-        ((1u64 << 32).to_string(), &[], true),
-        (bound, &[], false),
-        (past.clone(), &["--simulate"], true),
-        (past, &["--simulate", "--policy", "partitioned"], true),
-        (u64::MAX.to_string(), &["--simulate"], true),
-        ((1u64 << 32).to_string(), &["--simulate"], true),
+    for (m, refused) in [
+        (u64::MAX.to_string(), true),
+        ((1u64 << 32).to_string(), true),
+        (MAX_PARTITIONED_THREADS.to_string(), false),
+        ((MAX_PARTITIONED_THREADS + 1).to_string(), true),
     ] {
-        let args = [&[FIGURE1, "--m", &m], extra].concat();
+        let args = [FIGURE1, "--m", &m];
         let (code, stdout, stderr) = run(env!("CARGO_BIN_EXE_analyze"), &args);
         let context = format!("{args:?}\nstdout:\n{stdout}\nstderr:\n{stderr}");
         assert_eq!(code, Some(i32::from(refused)), "{context}");
@@ -48,16 +42,6 @@ fn analyze_refuses_the_partitioned_sections_past_the_bound_by_name() {
         assert_eq!(stderr.contains(&named), refused, "{context}");
         let partitioned = stdout.contains("Algorithm 1 (delay-free)");
         assert_eq!(partitioned, !refused, "{context}");
-        // A global simulation runs past the bound, up to the simulator's;
-        // a partitioned one does not.
-        let global = extra == ["--simulate"];
-        let unsimulated = global && m.parse::<usize>().is_ok_and(|m| m > MAX_SIMULATED_CORES);
-        assert_eq!(stderr.contains(&sim_named), unsimulated, "{context}");
-        assert_eq!(
-            stdout.contains("== Simulation (Global) =="),
-            global && !unsimulated,
-            "{context}"
-        );
     }
 }
 
@@ -75,10 +59,17 @@ fn rtpool_trace_refuses_a_pool_past_either_bound_by_name() {
         ),
         (&["--m", &huge], 1, &simulated),
         (&["--m", &wide], 1, &simulated),
+        // A global simulation runs past the partitioned bound.
+        (&["--m", &past], 0, &String::new()),
     ] {
         let args = [&["run", FIGURE1][..], args].concat();
-        let (status, _, stderr) = run(env!("CARGO_BIN_EXE_rtpool-trace"), &args);
+        let (status, stdout, stderr) = run(env!("CARGO_BIN_EXE_rtpool-trace"), &args);
         assert_eq!(status, Some(code), "{args:?}: {stderr}");
         assert!(stderr.contains(named.as_str()), "{args:?}: {stderr}");
+        assert_eq!(
+            stdout.contains("deadline_misses: [0, 0]"),
+            code == 0,
+            "{args:?}: {stdout}"
+        );
     }
 }

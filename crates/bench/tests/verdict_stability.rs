@@ -4,7 +4,6 @@
 //! empty ones.
 
 use rand::SeedableRng;
-use rtpool_bench::pipeline;
 use rtpool_core::analysis::global::{self, ConcurrencyModel};
 use rtpool_core::analysis::partitioned::{self, PartitionStrategy};
 use rtpool_core::{Task, TaskSet};
@@ -72,17 +71,14 @@ fn partitioned_verdicts_identical_cached_and_uncached() {
 
 #[test]
 fn batched_pass_identical_to_uncached_single_model_passes() {
-    // The fig2 fast path (one batched global pass over a cached set)
+    // One batched global pass over a cached set, the call the registered
+    // benchmark's `fig2-sweep` workload makes for its traced RTA stage,
     // against the slowest correct path (separate passes, cold caches).
+    let models = [ConcurrencyModel::Full, ConcurrencyModel::Limited];
     for set in &corpus(10) {
-        let (full, limited) = pipeline::global_full_and_limited(set, M);
-        assert_eq!(
-            full,
-            global::analyze(&rebuild_uncached(set), M, ConcurrencyModel::Full)
-        );
-        assert_eq!(
-            limited,
-            global::analyze(&rebuild_uncached(set), M, ConcurrencyModel::Limited)
-        );
+        let batched = global::analyze_many(set, M, &models);
+        for (result, model) in batched.into_iter().zip(models) {
+            assert_eq!(result, global::analyze(&rebuild_uncached(set), M, model));
+        }
     }
 }

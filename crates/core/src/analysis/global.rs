@@ -52,7 +52,7 @@ use std::ops::ControlFlow;
 use crate::analysis::interference::interfering_workload;
 use crate::analysis::{SchedResult, TaskVerdict, UnschedulableReason};
 use crate::cancel::{CancelToken, Cancelled};
-use crate::deadlock::concurrency_floor;
+use crate::deadlock::{available_concurrency, concurrency_floor};
 use crate::task::{Task, TaskId, TaskSet};
 use rtpool_graph::{Dag, NodeId, NodeKind, SyncBackend};
 
@@ -108,7 +108,7 @@ impl TaskParams {
     fn new(task: &Task, m: usize, model: ConcurrencyModel, backend: SyncBackend) -> Self {
         let dag = task.dag();
         let (denom, floor) = match (model, backend) {
-            (ConcurrencyModel::Full, _) => (m as u64, i64::try_from(m).unwrap_or(i64::MAX)),
+            (ConcurrencyModel::Full, _) => (m as u64, available_concurrency(m, 0)),
             (ConcurrencyModel::Limited, _)
             // The antichain refinement needs suspended workers to free
             // their cores; a spinner never does, so spin mode falls back
@@ -118,8 +118,7 @@ impl TaskParams {
                 (floor.max(0) as u64, floor)
             }
             (ConcurrencyModel::LimitedExact, SyncBackend::Suspend) => {
-                let suspended = dag.max_blocking_antichain().len();
-                let floor = i64::try_from(m).unwrap_or(i64::MAX) - suspended as i64;
+                let floor = available_concurrency(m, dag.max_blocking_antichain().len());
                 (floor.max(0) as u64, floor)
             }
         };

@@ -62,9 +62,29 @@ use crate::partition::{NodeMapping, ThreadId};
 #[must_use]
 #[inline]
 pub fn concurrency_floor(dag: &Dag, m: usize) -> i64 {
-    // Saturating: a pool too large for `i64` is no smaller than
-    // `i64::MAX`, so l̄ never falls as `m` grows.
-    i64::try_from(m).unwrap_or(i64::MAX) - dag.delay_profile().max_delay_count() as i64
+    available_concurrency(m, dag.delay_profile().max_delay_count())
+}
+
+/// `m − suspended`: the threads of an `m`-thread pool still able to run
+/// when `suspended` of them may be suspended at once. With `b̄` this is
+/// [`concurrency_floor`]; with `|A(τ)|` it is the exact-antichain floor;
+/// with `0` it is the pool itself. Every `l̄` in the workspace is this
+/// one rule.
+///
+/// Saturating: a pool too large for `i64` is no smaller than `i64::MAX`,
+/// so the result never falls as `m` grows.
+///
+/// ```
+/// use rtpool_core::deadlock::available_concurrency;
+///
+/// assert_eq!(available_concurrency(8, 1), 7);
+/// assert_eq!(available_concurrency(2, 3), -1);
+/// assert_eq!(available_concurrency(usize::MAX, 0), i64::MAX);
+/// ```
+#[must_use]
+#[inline]
+pub fn available_concurrency(m: usize, suspended: usize) -> i64 {
+    i64::try_from(m).unwrap_or(i64::MAX) - suspended as i64
 }
 
 /// Deadlock verdict for a task under **global** work-conserving

@@ -40,7 +40,7 @@
 //! every directive and token it consumes. Every [`ParseTaskError`]
 //! carries the span of the offending token, and
 //! [`parse_task_set_with_spans`] additionally returns a [`SourceSpans`]
-//! map from semantic entities (task headers, nodes, edges, blocking
+//! map from semantic entities (task headers, nodes, blocking
 //! declarations) back to their declaration sites, so downstream
 //! diagnostics — notably the `rtlint` static-analysis pass — can render
 //! rustc-style labeled snippets.
@@ -199,8 +199,7 @@ pub struct TaskSpans {
     header: Span,
     names: Vec<String>,
     nodes: Vec<Span>,
-    edges: Vec<(usize, usize, Span)>,
-    blocking: Vec<(usize, usize, Span)>,
+    blocking: Vec<(usize, Span)>,
 }
 
 impl TaskSpans {
@@ -222,23 +221,14 @@ impl TaskSpans {
         self.nodes.get(v.index()).copied()
     }
 
-    /// The span of the `edge <from> <to>` declaration, if one exists.
-    #[must_use]
-    pub fn edge(&self, from: NodeId, to: NodeId) -> Option<Span> {
-        self.edges
-            .iter()
-            .find(|&&(f, t, _)| f == from.index() && t == to.index())
-            .map(|&(_, _, s)| s)
-    }
-
     /// The span of the `blocking <fork> <join>` declaration whose fork is
     /// `fork`, if one exists.
     #[must_use]
     pub fn blocking_decl(&self, fork: NodeId) -> Option<Span> {
         self.blocking
             .iter()
-            .find(|&&(f, _, _)| f == fork.index())
-            .map(|&(_, _, s)| s)
+            .find(|&&(f, _)| f == fork.index())
+            .map(|&(_, s)| s)
     }
 }
 
@@ -581,12 +571,9 @@ fn parse(input: &str, record: bool) -> Result<(TaskSet, SourceSpans), ParseTaskE
                     if is_edge && !seen.insert((from, to)) {
                         return Err(invalid(GraphError::DuplicateEdge(from, to)));
                     }
-                    let sites = if is_edge {
-                        &mut s.edges
-                    } else {
-                        &mut s.blocking
-                    };
-                    sites.push((from.index(), to.index(), site));
+                    if !is_edge {
+                        s.blocking.push((from.index(), site));
+                    }
                 }
                 if is_edge { &mut edges } else { &mut pairs }.push((from, to));
             }
@@ -876,13 +863,7 @@ end
         // The blocking declaration of the fork (v1 = node 0).
         let decl = t.blocking_decl(NodeId::from_index(0)).unwrap();
         assert_eq!(decl.line, 15);
-        // An edge span.
-        assert!(t
-            .edge(NodeId::from_index(0), NodeId::from_index(1))
-            .is_some());
-        assert!(t
-            .edge(NodeId::from_index(4), NodeId::from_index(0))
-            .is_none());
+        assert!(t.blocking_decl(NodeId::from_index(4)).is_none());
         // Iteration yields one map per task.
         assert_eq!(spans.iter().count(), 1);
     }

@@ -1,6 +1,7 @@
 //! Assembly of complete task sets (utilizations, periods, priorities).
 
 use rand::Rng;
+use rtpool_core::deadlock::available_concurrency;
 use rtpool_core::{Task, TaskSet};
 use rtpool_graph::Dag;
 
@@ -201,13 +202,10 @@ impl TaskSetConfig {
             self.dag.shape::<R, true>(rng, scratch);
             return Ok(scratch.build());
         };
-        // A pool past i64::MAX threads has the floor of one of i64::MAX,
-        // as in `rtpool_core::deadlock::concurrency_floor`.
-        let m = i64::try_from(window.m).unwrap_or(i64::MAX);
         for _ in 0..window.max_attempts {
             let start = rng.clone();
             let b_bar = self.dag.shape::<R, false>(rng, &mut DagScratch::new());
-            if window.contains(m - b_bar as i64) {
+            if window.contains(available_concurrency(window.m, b_bar)) {
                 *rng = start;
                 self.dag.shape::<R, true>(rng, scratch);
                 return Ok(scratch.build());

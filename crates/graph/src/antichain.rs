@@ -12,8 +12,6 @@
 //! `n − |M|` for a maximum bipartite matching `M`; the antichain witness is
 //! recovered with Kőnig's construction.
 
-use crate::bitset::BitSet;
-use crate::dag::Dag;
 use crate::node::NodeId;
 use crate::reach::Reachability;
 
@@ -34,7 +32,7 @@ use crate::reach::Reachability;
 /// let dag = b.build()?;
 /// let reach = Reachability::new(&dag);
 /// let nodes: Vec<_> = dag.node_ids().collect();
-/// let cover = MinChainCover::compute(&dag, &reach, &nodes);
+/// let cover = MinChainCover::compute(&reach, &nodes);
 /// assert_eq!(cover.chains().len(), 3); // the three parallel branches
 /// # Ok(())
 /// # }
@@ -46,13 +44,13 @@ pub struct MinChainCover {
 
 impl MinChainCover {
     /// Computes a minimum chain cover of `subset` under the (transitive)
-    /// reachability order of `dag`.
+    /// reachability order `reach`.
     ///
     /// # Panics
     ///
-    /// Panics if `subset` contains ids out of range for `dag`/`reach`.
+    /// Panics if `subset` contains ids out of range for `reach`.
     #[must_use]
-    pub fn compute(dag: &Dag, reach: &Reachability, subset: &[NodeId]) -> Self {
+    pub fn compute(reach: &Reachability, subset: &[NodeId]) -> Self {
         let matching = Matching::solve(reach, subset);
         // Follow matched edges to stitch chains together: `match_left[u]`
         // links u to its successor in the chain.
@@ -77,7 +75,6 @@ impl MinChainCover {
         }
         // Order chains deterministically by their first node id.
         chains.sort_by_key(|c| c[0]);
-        let _ = dag;
         MinChainCover { chains }
     }
 
@@ -88,30 +85,18 @@ impl MinChainCover {
     }
 }
 
-/// Returns a maximum antichain over **all** nodes of `dag`: a largest set
-/// of pairwise-concurrent nodes.
-///
-/// The result is the structural parallelism of the graph — the maximum
-/// number of nodes that can ever execute simultaneously given unlimited
-/// threads.
-#[must_use]
-pub fn max_antichain(dag: &Dag, reach: &Reachability) -> Vec<NodeId> {
-    let all: Vec<NodeId> = dag.node_ids().collect();
-    max_antichain_of(dag, reach, &all)
-}
-
 /// Returns a maximum antichain restricted to `subset` (e.g. the `BF` nodes
 /// when bounding simultaneous thread suspensions).
 ///
-/// Runs in `O(k²·√k + k²·|V|/64)` for `k = subset.len()` (Hopcroft–Karp
-/// style augmenting on the transitive-closure bipartite graph).
+/// Runs in `O(k³)` for `k = subset.len()`: Kuhn's algorithm, one
+/// augmenting search per left vertex, each over at most `k²` `reaches`
+/// lookups of the transitive-closure bipartite graph.
 ///
 /// # Panics
 ///
-/// Panics if `subset` contains ids out of range for `dag`/`reach`.
+/// Panics if `subset` contains ids out of range for `reach`.
 #[must_use]
-pub fn max_antichain_of(dag: &Dag, reach: &Reachability, subset: &[NodeId]) -> Vec<NodeId> {
-    let _ = dag;
+pub fn max_antichain_of(reach: &Reachability, subset: &[NodeId]) -> Vec<NodeId> {
     if subset.is_empty() {
         return Vec::new();
     }
@@ -122,13 +107,13 @@ pub fn max_antichain_of(dag: &Dag, reach: &Reachability, subset: &[NodeId]) -> V
     // Max antichain = { x : x_L ∉ cover and x_R ∉ cover }
     //               = { x : x_L ∈ Z_L and x_R ∉ Z_R }.
     let k = subset.len();
-    let mut z_left = BitSet::new(k);
-    let mut z_right = BitSet::new(k);
+    let mut z_left = vec![false; k];
+    let mut z_right = vec![false; k];
     let mut stack: Vec<usize> = (0..k)
         .filter(|&u| matching.match_left[u].is_none())
         .collect();
     for &u in &stack {
-        z_left.insert(u);
+        z_left[u] = true;
     }
     while let Some(u) = stack.pop() {
         for v in 0..k {
@@ -139,9 +124,11 @@ pub fn max_antichain_of(dag: &Dag, reach: &Reachability, subset: &[NodeId]) -> V
             if matching.match_left[u] == Some(v) {
                 continue; // only non-matching edges left->right
             }
-            if z_right.insert(v) {
+            if !z_right[v] {
+                z_right[v] = true;
                 if let Some(u2) = matching.match_right[v] {
-                    if z_left.insert(u2) {
+                    if !z_left[u2] {
+                        z_left[u2] = true;
                         stack.push(u2);
                     }
                 }
@@ -149,7 +136,7 @@ pub fn max_antichain_of(dag: &Dag, reach: &Reachability, subset: &[NodeId]) -> V
         }
     }
     let mut antichain: Vec<NodeId> = (0..k)
-        .filter(|&x| z_left.contains(x) && !z_right.contains(x))
+        .filter(|&x| z_left[x] && !z_right[x])
         .map(|x| subset[x])
         .collect();
     antichain.sort_unstable();
@@ -216,6 +203,12 @@ impl Matching {
 mod tests {
     use super::*;
     use crate::builder::DagBuilder;
+    use crate::dag::Dag;
+
+    /// `A(τ)` over every node of `dag`.
+    fn whole_antichain(dag: &Dag, reach: &Reachability) -> Vec<NodeId> {
+        max_antichain_of(reach, &dag.node_ids().collect::<Vec<_>>())
+    }
 
     fn build_parallel(branches: usize) -> Dag {
         let mut b = DagBuilder::new();
@@ -231,8 +224,8 @@ mod tests {
         b.add_chain(&n).unwrap();
         let dag = b.build().unwrap();
         let reach = Reachability::new(&dag);
-        assert_eq!(max_antichain(&dag, &reach).len(), 1);
-        let cover = MinChainCover::compute(&dag, &reach, &n);
+        assert_eq!(whole_antichain(&dag, &reach).len(), 1);
+        let cover = MinChainCover::compute(&reach, &n);
         assert_eq!(cover.chains().len(), 1);
         assert_eq!(cover.chains()[0], n);
     }
@@ -241,7 +234,7 @@ mod tests {
     fn parallel_branches_form_antichain() {
         let dag = build_parallel(4);
         let reach = Reachability::new(&dag);
-        let ac = max_antichain(&dag, &reach);
+        let ac = whole_antichain(&dag, &reach);
         assert_eq!(ac.len(), 4);
         for (i, &a) in ac.iter().enumerate() {
             for &b in &ac[i + 1..] {
@@ -257,7 +250,7 @@ mod tests {
         // Restrict to fork + one branch node: they are ordered, antichain 1.
         let fork = dag.source();
         let branch = dag.successors(fork)[0];
-        let ac = max_antichain_of(&dag, &reach, &[fork, branch]);
+        let ac = max_antichain_of(&reach, &[fork, branch]);
         assert_eq!(ac.len(), 1);
     }
 
@@ -265,7 +258,7 @@ mod tests {
     fn empty_subset() {
         let dag = build_parallel(2);
         let reach = Reachability::new(&dag);
-        assert!(max_antichain_of(&dag, &reach, &[]).is_empty());
+        assert!(max_antichain_of(&reach, &[]).is_empty());
     }
 
     #[test]
@@ -283,8 +276,8 @@ mod tests {
         let dag = b.build().unwrap();
         let reach = Reachability::new(&dag);
         let nodes: Vec<NodeId> = dag.node_ids().collect();
-        let ac = max_antichain(&dag, &reach);
-        let cover = MinChainCover::compute(&dag, &reach, &nodes);
+        let ac = whole_antichain(&dag, &reach);
+        let cover = MinChainCover::compute(&reach, &nodes);
         assert_eq!(ac.len(), cover.chains().len());
         assert_eq!(ac.len(), 5); // 2 + 3 parallel branches
                                  // Every node appears in exactly one chain.

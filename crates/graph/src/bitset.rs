@@ -1,10 +1,10 @@
-//! Fixed-capacity bit sets: an owned [`BitSet`], a borrowed [`BitRow`]
-//! view, and the flat [`BitMatrix`] whose rows are such views.
+//! Fixed-capacity bit sets: the flat [`BitMatrix`] and the borrowed
+//! [`BitRow`] views of its rows.
 //!
-//! All three share one set of word-slice kernels (intersection,
-//! difference, popcount, iteration), so a reachability or
-//! delay row stored inside a matrix behaves exactly like a stand-alone
-//! set without owning a heap block of its own.
+//! Both share one set of word-slice kernels (intersection, difference,
+//! popcount, iteration), so a reachability or delay row stored inside a
+//! matrix reads like a stand-alone set without owning a heap block of
+//! its own.
 
 use std::fmt;
 
@@ -37,8 +37,7 @@ fn clear_bit(words: &mut [u64], index: usize) -> bool {
 }
 
 /// A borrowed, read-only set of `usize` indices below a fixed capacity:
-/// either a whole [`BitSet`] or one row of a reachability / delay
-/// matrix.
+/// one row of a reachability or delay matrix.
 ///
 /// The view is `Copy` and two views compare equal when they have the
 /// same capacity and the same elements.
@@ -187,158 +186,7 @@ impl<'a> IntoIterator for BitRow<'a> {
     }
 }
 
-/// A fixed-capacity set of `usize` indices backed by `u64` words.
-///
-/// Used throughout the crate for node subsets and scratch rows, where
-/// dense `O(|V|)`-bit sets with word-parallel union/intersection keep the
-/// `C(v)`/`X(v)` computations of the paper near `O(|V|²/64)`.
-///
-/// # Examples
-///
-/// ```
-/// use rtpool_graph::BitSet;
-///
-/// let mut s = BitSet::new(100);
-/// s.insert(3);
-/// s.insert(64);
-/// assert!(s.contains(3));
-/// assert_eq!(s.len(), 2);
-/// assert_eq!(s.iter().collect::<Vec<_>>(), vec![3, 64]);
-/// ```
-#[derive(Clone, PartialEq, Eq, Hash)]
-pub struct BitSet {
-    words: Vec<u64>,
-    capacity: usize,
-}
-
-impl BitSet {
-    /// Creates an empty set able to hold indices `0..capacity`.
-    #[must_use]
-    pub fn new(capacity: usize) -> Self {
-        BitSet {
-            words: vec![0; capacity.div_ceil(64)],
-            capacity,
-        }
-    }
-
-    /// The capacity (exclusive upper bound on storable indices).
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// The set as a borrowed [`BitRow`] view.
-    #[must_use]
-    pub fn as_row(&self) -> BitRow<'_> {
-        BitRow {
-            words: &self.words,
-            capacity: self.capacity,
-        }
-    }
-
-    /// Inserts `index` into the set. Returns `true` if it was newly added.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index >= capacity`.
-    pub fn insert(&mut self, index: usize) -> bool {
-        assert!(index < self.capacity, "bit index {index} out of range");
-        set_bit(&mut self.words, index)
-    }
-
-    /// Removes `index` from the set. Returns `true` if it was present.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index >= capacity`.
-    pub fn remove(&mut self, index: usize) -> bool {
-        assert!(index < self.capacity, "bit index {index} out of range");
-        clear_bit(&mut self.words, index)
-    }
-
-    /// Returns `true` if `index` is in the set.
-    ///
-    /// Out-of-range indices are reported as absent.
-    #[must_use]
-    pub fn contains(&self, index: usize) -> bool {
-        self.as_row().contains(index)
-    }
-
-    /// Number of elements in the set.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.as_row().len()
-    }
-
-    /// Returns `true` if the set contains no elements.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.as_row().is_empty()
-    }
-
-    /// Removes all elements.
-    pub fn clear(&mut self) {
-        self.words.fill(0);
-    }
-
-    /// Raises the capacity to `new_capacity`, keeping every stored
-    /// index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `new_capacity` is below the current capacity.
-    pub fn grow(&mut self, new_capacity: usize) {
-        assert!(
-            new_capacity >= self.capacity,
-            "bitset capacity can only grow"
-        );
-        self.words.resize(new_capacity.div_ceil(64), 0);
-        self.capacity = new_capacity;
-    }
-
-    /// Iterates over the contained indices in increasing order.
-    pub fn iter(&self) -> Iter<'_> {
-        self.as_row().iter()
-    }
-}
-
-impl Default for BitSet {
-    /// An empty set with capacity 0.
-    fn default() -> Self {
-        BitSet::new(0)
-    }
-}
-
-impl fmt::Debug for BitSet {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.as_row().fmt(f)
-    }
-}
-
-impl FromIterator<usize> for BitSet {
-    /// Collects indices into a set sized to the maximum element + 1.
-    fn from_iter<T: IntoIterator<Item = usize>>(iter: T) -> Self {
-        let mut set = BitSet::new(0);
-        for i in iter {
-            if i >= set.capacity {
-                set.grow(i + 1);
-            }
-            set.insert(i);
-        }
-        set
-    }
-}
-
-impl Extend<usize> for BitSet {
-    fn extend<T: IntoIterator<Item = usize>>(&mut self, iter: T) {
-        for i in iter {
-            self.insert(i);
-        }
-    }
-}
-
-/// Iterator over the indices stored in a [`BitSet`] or [`BitRow`], in
-/// increasing order.
+/// Iterator over the indices stored in a [`BitRow`], in increasing order.
 pub struct Iter<'a> {
     words: &'a [u64],
     word_idx: usize,
@@ -361,15 +209,6 @@ impl Iterator for Iter<'_> {
             }
             self.current = self.words[self.word_idx];
         }
-    }
-}
-
-impl<'a> IntoIterator for &'a BitSet {
-    type Item = usize;
-    type IntoIter = Iter<'a>;
-
-    fn into_iter(self) -> Iter<'a> {
-        self.iter()
     }
 }
 
@@ -523,89 +362,60 @@ mod tests {
 
     #[test]
     fn insert_contains_remove() {
-        let mut s = BitSet::new(130);
-        assert!(s.insert(0));
-        assert!(s.insert(63));
-        assert!(s.insert(64));
-        assert!(s.insert(129));
-        assert!(!s.insert(64), "double insert reports false");
-        assert!(s.contains(0) && s.contains(63) && s.contains(64) && s.contains(129));
-        assert!(!s.contains(1));
-        assert!(s.remove(63));
-        assert!(!s.remove(63));
-        assert!(!s.contains(63));
-        assert_eq!(s.len(), 3);
+        let mut m = BitMatrix::with_rows(1, 130);
+        assert!(m.insert(0, 0));
+        assert!(m.insert(0, 63));
+        assert!(m.insert(0, 64));
+        assert!(m.insert(0, 129));
+        assert!(!m.insert(0, 64), "double insert reports false");
+        assert!([0, 63, 64, 129].iter().all(|&j| m.contains(0, j)));
+        assert!(!m.contains(0, 1));
+        assert!(m.remove(0, 63));
+        assert!(!m.remove(0, 63));
+        assert!(!m.contains(0, 63));
+        assert_eq!(m.row(0).len(), 3);
     }
 
     #[test]
     fn out_of_range_contains_is_false() {
-        let s = BitSet::new(10);
-        assert!(!s.contains(10));
-        assert!(!s.contains(usize::MAX));
+        let row = BitRow::from_words(&[!0], 10);
+        assert!(!row.contains(10));
+        assert!(!row.contains(usize::MAX));
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn out_of_range_insert_panics() {
-        BitSet::new(10).insert(10);
-    }
-
-    #[test]
-    fn set_operations() {
-        let mut a: BitSet = [1usize, 2, 3, 70].into_iter().collect();
-        // FromIterator sizes to max+1; rebuild with common capacity.
-        let mut b = BitSet::new(a.capacity());
-        b.extend([2usize, 70]);
-        a.remove(2);
-        a.remove(70);
-        assert_eq!(a.iter().collect::<Vec<_>>(), vec![1, 3]);
-        a.extend(&b);
-        assert_eq!(a.len(), 4);
-        a.clear();
-        assert!(a.is_empty());
+        BitMatrix::with_rows(1, 10).insert(0, 10);
     }
 
     #[test]
     fn iter_order_is_increasing() {
-        let mut s = BitSet::new(200);
-        for i in [199, 0, 64, 65, 5] {
-            s.insert(i);
+        let mut m = BitMatrix::with_rows(1, 200);
+        for j in [199, 0, 64, 65, 5] {
+            m.insert(0, j);
         }
-        assert_eq!(s.iter().collect::<Vec<_>>(), vec![0, 5, 64, 65, 199]);
+        assert_eq!(m.row(0).iter().collect::<Vec<_>>(), vec![0, 5, 64, 65, 199]);
     }
 
     #[test]
-    fn empty_set_iterates_nothing() {
-        let s = BitSet::new(0);
-        assert_eq!(s.iter().count(), 0);
-        assert!(s.is_empty());
-        assert_eq!(s.len(), 0);
+    fn empty_row_iterates_nothing() {
+        let row = BitRow::from_words(&[], 0);
+        assert_eq!(row.iter().count(), 0);
+        assert!(row.is_empty());
+        assert_eq!(row.len(), 0);
+        assert_eq!(format!("{:?}", BitMatrix::new(4).row(2)), "{}");
     }
 
     #[test]
-    fn debug_is_never_empty() {
-        let s = BitSet::new(4);
-        assert_eq!(format!("{s:?}"), "{}");
-    }
-
-    #[test]
-    fn from_iter_sizes_to_the_largest_element() {
-        let s: BitSet = [5usize, 130, 7].into_iter().collect();
-        assert_eq!(s.capacity(), 131);
-        assert_eq!(s.iter().collect::<Vec<_>>(), vec![5, 7, 130]);
-        assert_eq!(BitSet::from_iter(std::iter::empty()).capacity(), 0);
-    }
-
-    #[test]
-    fn rows_and_sets_interoperate() {
+    fn views_of_the_same_words_compare_equal() {
         let mut m = BitMatrix::new(70);
         m.insert(3, 69);
         m.insert(3, 1);
         m.insert(4, 1);
-        let mut s = BitSet::new(70);
-        s.extend(m.row(3));
-        assert_eq!(s.as_row(), m.row(3));
-        assert_ne!(s.as_row(), m.row(4));
+        let words = [1 << 1, 1 << 5];
+        assert_eq!(BitRow::from_words(&words, 70), m.row(3));
+        assert_ne!(BitRow::from_words(&words, 70), m.row(4));
         assert_eq!(format!("{:?}", m.row(3)), "{1, 69}");
         assert_eq!(m.row(3).len(), 2);
     }
@@ -641,9 +451,10 @@ mod tests {
         assert_eq!(both.collect::<Vec<_>>(), vec![63, 100, 129]);
     }
 
-    #[test]
-    fn minus_reads_three_rows_word_by_word() {
-        // Capacity 130: words 0 and 1 are full, word 2 holds bits 128-129.
+    /// Rows 0-2 of a 130-column matrix: a base row and the two rows
+    /// subtracted from it. Words 0 and 1 are full, word 2 holds bits
+    /// 128-129.
+    fn base_and_two_rows() -> BitMatrix {
         let mut m = BitMatrix::new(130);
         for j in [0, 5, 63, 64, 70, 100, 127, 128, 129] {
             m.insert(0, j);
@@ -654,33 +465,33 @@ mod tests {
         for j in [63, 64, 101, 129] {
             m.insert(2, j);
         }
+        m
+    }
+
+    #[test]
+    fn minus_reads_three_rows_word_by_word() {
+        let m = base_and_two_rows();
         let rest = m.row(0).minus(m.row(1), m.row(2));
         assert_eq!(rest.collect::<Vec<_>>(), vec![0, 70, 100, 127]);
-        let all: BitSet = (0..130).collect();
-        let (none, empty) = (BitSet::new(130), m.row(3));
-        assert_eq!(all.as_row().minus(none.as_row(), empty).count(), 130);
-        assert_eq!(all.as_row().minus(m.row(0), m.row(0)).count(), 121);
-        assert_eq!(none.as_row().minus(m.row(1), m.row(2)).count(), 0);
+        let all = BitRow::from_words(&[!0, !0, 0b11], 130);
+        let empty = m.row(3);
+        assert_eq!(all.minus(empty, empty).count(), 130);
+        assert_eq!(all.minus(m.row(0), m.row(0)).count(), 121);
+        assert_eq!(empty.minus(m.row(1), m.row(2)).count(), 0);
     }
 
     #[test]
     fn set_row_minus_writes_and_counts_the_difference() {
-        let set = |items: &[usize]| {
-            let mut s = BitSet::new(130);
-            s.extend(items.iter().copied());
-            s
-        };
-        let base = set(&[0, 5, 63, 64, 70, 100, 127, 128, 129]);
-        let (a, b) = (set(&[5, 64, 128]), set(&[63, 64, 101, 129]));
-        let mut m = BitMatrix::new(130);
-        m.insert(1, 7);
-        let count = m.set_row_minus(1, base.as_row(), a.as_row(), b.as_row());
+        let m = base_and_two_rows();
+        let mut out = BitMatrix::new(130);
+        out.insert(1, 7);
+        let count = out.set_row_minus(1, m.row(0), m.row(1), m.row(2));
         assert_eq!(count, 4);
-        let expected = base.as_row().minus(a.as_row(), b.as_row());
-        assert!(m.row(1).iter().eq(expected));
+        let expected = m.row(0).minus(m.row(1), m.row(2));
+        assert!(out.row(1).iter().eq(expected));
         assert_eq!(
-            m.row(1),
-            BitRow::from_words(&m.words[m.stride..][..m.stride], 130)
+            out.row(1),
+            BitRow::from_words(&out.words[out.stride..][..out.stride], 130)
         );
     }
 
@@ -693,7 +504,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "capacity mismatch")]
     fn minus_rejects_a_row_of_another_capacity() {
-        let (a, b) = (BitSet::new(130), BitSet::new(129));
-        let _ = a.as_row().minus(a.as_row(), b.as_row());
+        let (a, b) = (BitMatrix::new(130), BitMatrix::new(129));
+        let _ = a.row(0).minus(a.row(0), b.row(0));
     }
 }

@@ -28,7 +28,7 @@
 
 use std::sync::{Arc, OnceLock};
 
-use crate::bitset::{BitMatrix, BitRow, BitSet};
+use crate::bitset::{BitMatrix, BitRow};
 use crate::dag::Dag;
 use crate::node::{NodeId, NodeKind};
 use crate::paths::CriticalPath;
@@ -75,14 +75,14 @@ impl DelayProfile {
             counts: vec![0; n],
             max_count: 0,
         };
-        let mut bf_mask = BitSet::new(n);
+        let mut bf_mask = BitMatrix::with_rows(1, n);
         for v in dag.node_ids() {
             if dag.kind(v) == NodeKind::BlockingFork {
-                bf_mask.insert(v.index());
+                bf_mask.insert(0, v.index());
             }
         }
         for v in dag.node_ids() {
-            let count = profile.fill_row(dag, reach, &bf_mask, v);
+            let count = profile.fill_row(dag, reach, bf_mask.row(0), v);
             profile.max_count = profile.max_count.max(count);
         }
         profile
@@ -116,16 +116,19 @@ impl DelayProfile {
 
     /// Writes `X(v) = C(v) ∪ F'(v)` into row `v` in place, records its
     /// size and returns it.
-    fn fill_row(&mut self, dag: &Dag, reach: &Reachability, bf_mask: &BitSet, v: NodeId) -> usize {
+    fn fill_row(
+        &mut self,
+        dag: &Dag,
+        reach: &Reachability,
+        bf_mask: BitRow<'_>,
+        v: NodeId,
+    ) -> usize {
         let i = v.index();
         // C(v): BF nodes neither preceding nor following v, minus v,
         // written and counted in one pass over the words.
-        let mut count = self.rows.set_row_minus(
-            i,
-            bf_mask.as_row(),
-            reach.descendants(v),
-            reach.ancestors(v),
-        );
+        let mut count =
+            self.rows
+                .set_row_minus(i, bf_mask, reach.descendants(v), reach.ancestors(v));
         count -= usize::from(self.rows.remove(i, i));
         // F(v) is an ancestor of v, so it was just removed; re-insert
         // it to obtain X(v) for blocking children.

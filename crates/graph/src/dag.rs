@@ -369,7 +369,7 @@ impl Dag {
     #[must_use]
     pub fn max_blocking_antichain(&self) -> &[NodeId] {
         self.cache.bf_antichain.get_or_init(|| {
-            crate::antichain::max_antichain_of(self, self.reachability(), self.blocking_forks())
+            crate::antichain::max_antichain_of(self.reachability(), self.blocking_forks())
         })
     }
 

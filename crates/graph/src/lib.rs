@@ -22,7 +22,7 @@
 //! structural restrictions imposed by the paper's Section 2
 //! ([`Dag::validate_model`]), transitive reachability ([`Reachability`]),
 //! the critical path and volume, blocking-region bookkeeping
-//! ([`Region`]), maximum-antichain computation ([`max_antichain`]), and DOT
+//! ([`Region`]), maximum-antichain computation ([`max_antichain_of`]), and DOT
 //! export for visualization.
 //!
 //! ## Example
@@ -75,9 +75,9 @@ mod regions;
 mod topo;
 mod validate;
 
-pub use antichain::{max_antichain, max_antichain_of, MinChainCover};
+pub use antichain::{max_antichain_of, MinChainCover};
 pub use backend::SyncBackend;
-pub use bitset::{BitRow, BitSet};
+pub use bitset::BitRow;
 pub use builder::DagBuilder;
 pub use cache::DelayProfile;
 pub use dag::Dag;

@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 use rtpool_graph::{
-    max_antichain, Dag, DagBuilder, EditOp, GraphError, MinChainCover, NodeId, NodeKind,
+    max_antichain_of, Dag, DagBuilder, EditOp, GraphError, MinChainCover, NodeId, NodeKind,
     Reachability,
 };
 use rtpool_oracle::graph::Shape;
@@ -113,8 +113,8 @@ proptest! {
         let dag = build_layered(&layers, seed);
         let r = Reachability::new(&dag);
         let nodes: Vec<NodeId> = dag.node_ids().collect();
-        let ac = max_antichain(&dag, &r);
-        let cover = MinChainCover::compute(&dag, &r, &nodes);
+        let ac = max_antichain_of(&r, &nodes);
+        let cover = MinChainCover::compute(&r, &nodes);
         // Dilworth duality.
         prop_assert_eq!(ac.len(), cover.chains().len());
         // Antichain members are pairwise concurrent.
