@@ -49,7 +49,7 @@
 
 use std::ops::ControlFlow;
 
-use crate::analysis::interference::interfering_workload;
+use crate::analysis::interference::{Demand, Load};
 use crate::analysis::{SchedResult, TaskVerdict, UnschedulableReason};
 use crate::cancel::{CancelToken, Cancelled};
 use crate::deadlock::{available_concurrency, concurrency_floor};
@@ -76,7 +76,7 @@ pub enum ConcurrencyModel {
     LimitedExact,
 }
 
-/// Per-task interference summary used by the fix-point.
+/// One task's side of the fix-point for one concurrency model.
 ///
 /// Shared with the warm-start layer
 /// ([`incremental`](crate::analysis::incremental)), which compares the
@@ -84,18 +84,16 @@ pub enum ConcurrencyModel {
 /// the previous response time is a sound fix-point seed.
 pub(crate) struct TaskParams {
     pub(crate) len: u64,
-    pub(crate) vol: u64,
-    /// Volume this task charges to *lower-priority* windows: `vol` under
-    /// suspension, `vol + SpinVol` under the spin backend (a spinning
-    /// worker occupies a core exactly like an executing one, from the
-    /// interfered task's point of view).
-    pub(crate) ivol: u64,
-    pub(crate) period: u64,
-    pub(crate) deadline: u64,
+    /// `vol − len`: the task's own work off its critical path.
+    pub(crate) own: u64,
+    deadline: u64,
     /// Divisor for the interference term.
     pub(crate) denom: u64,
     /// `l̄` as computed (for error reporting).
-    pub(crate) floor: i64,
+    floor: i64,
+    /// `(Tᵢ, ivolᵢ, ⌊volᵢ/m⌋)`: [`load`](Self::load) makes the last the
+    /// jitter `Rᵢ − ⌊volᵢ/m⌋` once `Rᵢ` is known.
+    carry: Load,
 }
 
 impl TaskParams {
@@ -123,20 +121,36 @@ impl TaskParams {
             }
         };
         let vol = dag.volume();
+        // Charged to lower priorities: the real volume under suspension
+        // and in the blocking-oblivious `Full`, plus `SpinVol` under spin
+        // (a spinning worker occupies a core like an executing one).
         let ivol = match (model, backend) {
-            // Full is the blocking-oblivious baseline; suspension charges
-            // only real execution to lower priorities.
             (ConcurrencyModel::Full, _) | (_, SyncBackend::Suspend) => vol,
             (_, SyncBackend::Spin) => vol.saturating_add(spin_volume(dag)),
         };
+        let len = dag.critical_path_length();
         TaskParams {
-            len: dag.critical_path_length(),
-            vol,
-            ivol,
-            period: task.period(),
+            len,
+            own: vol - len,
             deadline: task.deadline(),
             denom,
             floor,
+            // The jitter is `Rᵢ − vol(τᵢ)/m`, charged against the real
+            // volume: the paper notes the m-based term remains a valid
+            // upper bound under limited concurrency.
+            carry: Load {
+                period: task.period(),
+                work: ivol,
+                jitter: vol / m as u64,
+            },
+        }
+    }
+
+    /// The carry-in row of this task once its response time is known.
+    pub(crate) fn load(&self, response: u64) -> Load {
+        Load {
+            jitter: response.saturating_sub(self.carry.jitter),
+            ..self.carry
         }
     }
 }
@@ -177,8 +191,7 @@ fn spin_bound(dag: &Dag, f: NodeId) -> u64 {
 fn spin_volume(dag: &Dag) -> u64 {
     dag.blocking_forks()
         .iter()
-        .map(|&f| spin_bound(dag, f))
-        .sum()
+        .fold(0, |sum, &f| sum.saturating_add(spin_bound(dag, f)))
 }
 
 /// Runs the analysis on `set` (tasks in priority order, index 0 highest)
@@ -326,146 +339,80 @@ pub fn accepts(set: &TaskSet, m: usize, model: ConcurrencyModel) -> bool {
 /// behind [`analyze_many_cancellable`], [`accepts`] and the warm-started
 /// pass ([`incremental`](crate::analysis::incremental)).
 ///
-/// A task's [`TaskParams`] are built when the loop reaches it.
-/// `seed(params, hp_response)`, where `params` ends with the current
-/// task's, may name a start for its fix-point above the cold start
-/// `len(λᵢ*)` (see [`response_time_fixpoint`] for when that is sound);
-/// the cold analysis passes none and the warm-started one its seed guard.
-/// `record` receives each task's parameters and verdict in turn, and a
-/// `Break` from it ends the loop.
+/// A task's [`TaskParams`] are built when the loop reaches it, and its
+/// carry-in [`Load`] once its response time is known. `seed(params, hp)`,
+/// with `hp` the rows of every task above it, may name a start for its
+/// fix-point above the cold start `len(λᵢ*)` (see
+/// [`Demand::least_fixpoint`] for when that is sound); the cold analysis
+/// passes none and the warm-started one its seed guard. `record` receives
+/// each task's parameters and verdict in turn, and a `Break` from it ends
+/// the loop.
 pub(crate) fn analyze_tasks(
     set: &TaskSet,
     m: usize,
     model: ConcurrencyModel,
     token: &CancelToken,
-    mut seed: impl FnMut(&[TaskParams], &[Option<u64>]) -> Option<u64>,
+    mut seed: impl FnMut(&TaskParams, &[Load]) -> Option<u64>,
     mut record: impl FnMut(&TaskParams, TaskVerdict) -> ControlFlow<()>,
 ) -> Result<(), Cancelled> {
     let backend = set.backend();
-    let mut params: Vec<TaskParams> = Vec::with_capacity(set.len());
-    let mut hp_response: Vec<Option<u64>> = Vec::with_capacity(set.len());
+    let mut hp: Vec<Load> = Vec::with_capacity(set.len());
+    // The highest-priority unschedulable task so far: no task below it
+    // has a bound on its interference.
+    let mut first_miss: Option<usize> = None;
 
     for (i, (_, task)) in set.iter().enumerate() {
         token.checkpoint()?;
-        params.push(TaskParams::new(task, m, model, backend));
-        let (hp, p) = (&params[..i], &params[i]);
+        let p = TaskParams::new(task, m, model, backend);
         let verdict = if p.denom == 0 {
             TaskVerdict::Unschedulable {
                 reason: UnschedulableReason::NonPositiveConcurrency { floor: p.floor },
             }
-        } else if let Some(bad) = hp_response.iter().position(Option::is_none) {
-            // Interference of higher-priority tasks requires their
-            // response times; if any is unschedulable, no valid bound
-            // exists.
+        } else if let Some(bad) = first_miss {
             TaskVerdict::Unschedulable {
                 reason: UnschedulableReason::DependsOnUnschedulable { task: TaskId(bad) },
             }
         } else {
-            let start = seed(&params, &hp_response).unwrap_or(p.len);
-            let verdict = response_time_fixpoint(p, hp, &hp_response, m, token, start)?;
-            if start > p.len && !verdict.is_schedulable() {
-                // The reported over-deadline bound is the first iterate
-                // past the deadline, which depends on where the iteration
-                // started; rerun cold so it matches the from-scratch
-                // analysis exactly.
-                response_time_fixpoint(p, hp, &hp_response, m, token, p.len)?
-            } else {
-                verdict
+            let demand = Demand {
+                base: p.len,
+                own: p.own,
+                loads: &hp,
+                denom: p.denom,
+            };
+            let start = seed(&p, &hp).unwrap_or(p.len).max(p.len);
+            // The reported over-deadline bound is the first iterate past
+            // the deadline, which depends on where the iteration started;
+            // a seeded miss reruns cold so it matches the from-scratch
+            // analysis exactly.
+            let mut fix = demand.least_fixpoint(start, p.deadline, token)?;
+            if start > p.len && fix.is_err() {
+                fix = demand.least_fixpoint(p.len, p.deadline, token)?;
+            }
+            match fix {
+                Ok(response_time) => TaskVerdict::Schedulable { response_time },
+                Err(bound) => TaskVerdict::Unschedulable {
+                    reason: UnschedulableReason::ResponseTimeExceedsDeadline { bound },
+                },
             }
         };
-        hp_response.push(verdict.response_time());
-        if record(p, verdict).is_break() {
+        match verdict.response_time() {
+            Some(response) => hp.push(p.load(response)),
+            None => {
+                first_miss.get_or_insert(i);
+            }
+        }
+        if record(&p, verdict).is_break() {
             break;
         }
     }
     Ok(())
 }
 
-/// Solves the response-time fix-point for one task, iterating from
-/// `start`.
-///
-/// The cold path starts from `len(λᵢ*)`. A warm caller may pass a larger
-/// `start` that it knows is `≤` the least fixed point (e.g. the previous
-/// pass's response time under the monotonicity guard of
-/// [`incremental`](crate::analysis::incremental)); the iteration then
-/// converges to the *same* least fixed point in fewer steps, because the
-/// right-hand side is monotone and every iterate from an
-/// under-approximation stays an under-approximation.
-fn response_time_fixpoint(
-    p: &TaskParams,
-    hp: &[TaskParams],
-    hp_response: &[Option<u64>],
-    m: usize,
-    token: &CancelToken,
-    start: u64,
-) -> Result<TaskVerdict, Cancelled> {
-    // Intra-task interference is window-independent: vol − len.
-    let self_interference = p.vol - p.len;
-    let mut r = start.max(p.len);
-    loop {
-        token.checkpoint()?;
-        let mut interference = u128::from(self_interference);
-        for (q, resp) in hp.iter().zip(hp_response) {
-            let r_j = resp.expect("caller checked hp schedulability");
-            // Jitter Rⱼ − vol(τⱼ)/m; the paper notes the m-based term
-            // remains a valid upper bound under limited concurrency. The
-            // charged volume is `ivol` — spin-inflated under the spin
-            // backend, plain execution volume otherwise.
-            let jitter = r_j.saturating_sub(q.vol / m as u64);
-            interference += u128::from(interfering_workload(r, q.period, q.ivol, jitter));
-        }
-        let next = p.len.saturating_add(share(interference, p.denom));
-        if next > p.deadline {
-            return Ok(TaskVerdict::Unschedulable {
-                reason: UnschedulableReason::ResponseTimeExceedsDeadline { bound: next },
-            });
-        }
-        if next == r {
-            return Ok(TaskVerdict::Schedulable { response_time: r });
-        }
-        debug_assert!(next > r, "fix-point must be monotone");
-        r = next;
-    }
-}
-
-/// `⌊interference / denom⌋` clamped to `u64`, dividing in `u64` whenever
-/// the sum fits (it nearly always does); `denom > 0`.
-fn share(interference: u128, denom: u64) -> u64 {
-    match u64::try_from(interference) {
-        Ok(sum) => sum / denom,
-        Err(_) => u64::try_from(interference / u128::from(denom)).unwrap_or(u64::MAX),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::task::Task;
-    use proptest::prelude::*;
     use rtpool_graph::DagBuilder;
-
-    proptest! {
-        /// `share` equals the `u128` division it replaced, for sums below
-        /// and past `u64::MAX`.
-        #[test]
-        fn share_equals_u128_division(
-            high in 0u64..4,
-            low in any::<u64>(),
-            denom_kind in 0u32..3,
-            denom in any::<u64>(),
-        ) {
-            let interference = (u128::from(high) << 64) | u128::from(low);
-            let denom = match denom_kind {
-                0 => 1,
-                1 => 1 + denom % 64,
-                _ => denom.max(1),
-            };
-            prop_assert_eq!(
-                share(interference, denom),
-                u64::try_from(interference / u128::from(denom)).unwrap_or(u64::MAX)
-            );
-        }
-    }
 
     fn fork_join_task(branches: &[u64], blocking: bool, period: u64) -> Task {
         let mut b = DagBuilder::new();
@@ -791,6 +738,96 @@ mod tests {
             assert_eq!(spin_bound(&dag2, f), 15 + 10 + 15 + 10);
         }
         assert_eq!(spin_volume(&dag2), 100);
+    }
+
+    #[test]
+    fn a_spin_volume_past_u64_max_saturates() {
+        // Two parallel regions of one 2^62 child each: a fork spins while
+        // its own child and the whole other region run, 2^63 + 2, so the
+        // sum is 2^64 + 4. It used to wrap to 4, and the task below was
+        // accepted with R = 3074457345618258607, 2 above its suspend
+        // twin's; saturated, its first iterate is past its deadline.
+        let mut b = DagBuilder::new();
+        let (src, snk) = (b.add_node(1), b.add_node(1));
+        for _ in 0..2 {
+            let (f, j) = b.fork_join(1, &[1 << 62], 1, true).unwrap();
+            b.add_edge(src, f).unwrap();
+            b.add_edge(j, snk).unwrap();
+        }
+        let hp =
+            Task::with_implicit_deadline(b.build().unwrap(), 11_529_215_046_068_469_760).unwrap();
+        assert_eq!(spin_volume(hp.dag()), u64::MAX);
+        let mut b = DagBuilder::new();
+        b.add_node(1);
+        let lp =
+            Task::with_implicit_deadline(b.build().unwrap(), 5_000_000_000_000_000_000).unwrap();
+        let suspend = TaskSet::new(vec![hp, lp]);
+        let spin = suspend.clone().with_backend(SyncBackend::Spin);
+        for model in [ConcurrencyModel::Limited, ConcurrencyModel::LimitedExact] {
+            let result = analyze(&spin, 3, model);
+            assert_eq!(
+                result.verdict(TaskId(0)).response_time(),
+                Some(9_223_372_036_854_775_814)
+            );
+            assert!(
+                matches!(
+                    result.verdict(TaskId(1)),
+                    TaskVerdict::Unschedulable {
+                        reason: UnschedulableReason::ResponseTimeExceedsDeadline {
+                            bound: 6_148_914_691_236_517_206
+                        }
+                    }
+                ),
+                "{model:?}: {result:?}"
+            );
+            // The suspend twin charges no spin and keeps its bound.
+            assert_eq!(
+                analyze(&suspend, 3, model)
+                    .verdict(TaskId(1))
+                    .response_time(),
+                Some(3_074_457_345_618_258_605)
+            );
+        }
+        // Full models no blocking and charges no spin either.
+        assert_eq!(
+            analyze(&spin, 3, ConcurrencyModel::Full),
+            analyze(&suspend, 3, ConcurrencyModel::Full)
+        );
+    }
+
+    #[test]
+    fn a_carry_in_term_past_u64_max_is_not_clamped() {
+        // τ0 (four parallel 2^61 nodes, period 2^62) charges τ1 three
+        // activations of 2^63 + 2 once τ1's window reaches 2^63: past
+        // u64::MAX before the division by m = 4. Clamped to u64::MAX, the
+        // term gave τ1 the fix-point 2^63 - 1 below D = 10^19; exactly,
+        // the iterate after it is 2^62 + ⌊3·(2^63 + 2)/4⌋, past D.
+        let mut b = DagBuilder::new();
+        let (src, snk) = (b.add_node(1), b.add_node(1));
+        for _ in 0..4 {
+            let v = b.add_node(1 << 61);
+            b.add_edge(src, v).unwrap();
+            b.add_edge(v, snk).unwrap();
+        }
+        let hp = Task::with_implicit_deadline(b.build().unwrap(), 1 << 62).unwrap();
+        let mut b = DagBuilder::new();
+        b.add_node(1 << 62);
+        let lp =
+            Task::with_implicit_deadline(b.build().unwrap(), 10_000_000_000_000_000_000).unwrap();
+        let set = TaskSet::new(vec![hp, lp]);
+        for model in [ConcurrencyModel::Full, ConcurrencyModel::Limited] {
+            let result = analyze(&set, 4, model);
+            assert!(result.verdict(TaskId(0)).is_schedulable());
+            assert_eq!(
+                result.verdict(TaskId(1)),
+                &TaskVerdict::Unschedulable {
+                    reason: UnschedulableReason::ResponseTimeExceedsDeadline {
+                        bound: 11_529_215_046_068_469_761
+                    }
+                },
+                "{model:?}"
+            );
+        }
     }
 
     #[test]

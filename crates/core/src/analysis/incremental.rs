@@ -28,9 +28,10 @@
 //! * `len′ ≥ len` and `vol′ − len′ ≥ vol − len` (both terms of the
 //!   self-interference grew),
 //! * `denom′ ≤ denom` (the concurrency divisor shrank or held),
-//! * for every higher-priority task `j`: `T′ⱼ = Tⱼ`, `ivol′ⱼ ≥ ivolⱼ`
-//!   (the interfering volume, spin-inflated under the spin backend), and
-//!   the carry-in jitter `R′ⱼ − vol′ⱼ/m ≥ Rⱼ − volⱼ/m`.
+//! * for every higher-priority task `j`, its carry-in row
+//!   `(Tⱼ, ivolⱼ, Rⱼ − ⌊volⱼ/m⌋)` (the interfering volume spin-inflated
+//!   under the spin backend): `T′ⱼ = Tⱼ`, `ivol′ⱼ ≥ ivolⱼ` and a jitter
+//!   no smaller.
 //!
 //! Under these conditions `F_new(x) ≥ F_old(x)` for every window `x`.
 //! Every `F_old`-iterate from `len` is then bounded by `lfp(F_new)` (by
@@ -42,6 +43,7 @@
 use std::ops::ControlFlow;
 
 use crate::analysis::global::{analyze_tasks, ConcurrencyModel, TaskParams};
+use crate::analysis::interference::Load;
 use crate::analysis::SchedResult;
 use crate::cancel::{CancelToken, Cancelled};
 use crate::task::TaskSet;
@@ -49,20 +51,17 @@ use crate::task::TaskSet;
 #[cfg(doc)]
 use crate::analysis::UnschedulableReason::ResponseTimeExceedsDeadline;
 
-/// Everything the next warm pass needs from the previous one: the
-/// parameters each response time was computed *from* (to validate the
-/// monotonicity guard) and the response times themselves (the seeds).
+/// What the next warm pass reads of one task the previous pass found
+/// schedulable: the parameters its response time was computed *from*
+/// (for the monotonicity guard), the response time itself (the seed),
+/// and the carry-in row it charged the tasks below it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct TaskSnapshot {
     len: u64,
-    vol: u64,
-    /// Interfering volume (spin-inflated under the spin backend). Under
-    /// suspension `ivol == vol`, so suspend-mode snapshots and guards
-    /// behave exactly as before the spin backend existed.
-    ivol: u64,
-    period: u64,
+    own: u64,
     denom: u64,
-    response: Option<u64>,
+    response: u64,
+    load: Load,
 }
 
 /// Snapshot of a completed global analysis pass, used to warm-start the
@@ -75,6 +74,7 @@ struct TaskSnapshot {
 pub struct WarmStart {
     m: usize,
     models: Vec<ConcurrencyModel>,
+    /// Per model, the tasks above the pass's first miss.
     snaps: Vec<Vec<TaskSnapshot>>,
     seeded: usize,
 }
@@ -160,22 +160,23 @@ pub fn analyze_many_warm(
             m,
             model,
             token,
-            |params, hp_response| {
-                let seed = fixpoint_seed(params, hp_response, prev_snaps?, m)?;
-                if seed > params[params.len() - 1].len {
+            |p, hp| {
+                let seed = fixpoint_seed(p, hp, prev_snaps?)?;
+                if seed > p.len {
                     seeded += 1;
                 }
                 Some(seed)
             },
             |p, verdict| {
-                snap.push(TaskSnapshot {
-                    len: p.len,
-                    vol: p.vol,
-                    ivol: p.ivol,
-                    period: p.period,
-                    denom: p.denom,
-                    response: verdict.response_time(),
-                });
+                if let Some(response) = verdict.response_time() {
+                    snap.push(TaskSnapshot {
+                        len: p.len,
+                        own: p.own,
+                        denom: p.denom,
+                        response,
+                        load: p.load(response),
+                    });
+                }
                 verdicts.push(verdict);
                 ControlFlow::Continue(())
             },
@@ -192,41 +193,27 @@ pub fn analyze_many_warm(
     Ok((results, warm))
 }
 
-/// Decides whether the fix-point of task `i` — the last of `params` —
-/// may resume from its previous response time, returning the seed if so.
+/// Decides whether the fix-point of the task with parameters `p`, below
+/// the tasks whose carry-in rows are `hp`, may resume from its previous
+/// response time, returning the seed if so.
 ///
 /// All conditions are checked numerically against the snapshot (see the
 /// [module docs](self) for why they imply `F_new ≥ F_old` pointwise and
 /// hence that the old response time under-approximates the new least
 /// fixed point).
-fn fixpoint_seed(
-    params: &[TaskParams],
-    hp_response_new: &[Option<u64>],
-    snaps: &[TaskSnapshot],
-    m: usize,
-) -> Option<u64> {
-    let i = params.len() - 1;
-    let old = snaps.get(i)?;
-    let prev_r = old.response?;
-    let p = &params[i];
-    if p.len < old.len || p.vol - p.len < old.vol - old.len || p.denom > old.denom {
-        return None;
-    }
-    for j in 0..i {
-        let q = &params[j];
-        let oq = snaps.get(j)?;
-        let r_new = hp_response_new[j]?;
-        let r_old = oq.response?;
-        if q.period != oq.period || q.ivol < oq.ivol {
-            return None;
-        }
-        let jit_new = r_new.saturating_sub(q.vol / m as u64);
-        let jit_old = r_old.saturating_sub(oq.vol / m as u64);
-        if jit_new < jit_old {
-            return None;
-        }
-    }
-    Some(prev_r)
+fn fixpoint_seed(p: &TaskParams, hp: &[Load], snaps: &[TaskSnapshot]) -> Option<u64> {
+    // The snapshots are of the previous pass's schedulable prefix, so
+    // the task's own implies one for every task above it.
+    let old = snaps.get(hp.len())?;
+    let dominated = p.len >= old.len
+        && p.own >= old.own
+        && p.denom <= old.denom
+        && hp.iter().zip(snaps).all(|(new, old)| {
+            new.period == old.load.period
+                && new.work >= old.load.work
+                && new.jitter >= old.load.jitter
+        });
+    dominated.then_some(old.response)
 }
 
 #[cfg(test)]

@@ -1,55 +1,102 @@
-//! Interfering-workload bounds shared by the analyses.
+//! The one response-time fix-point of both analyses, Lemma 4's global
+//! bound and Section 4.2's node-level and holistic bounds:
+//! `x = base + ⌊(own + Σⱼ ⌈(x + Jⱼ)/Tⱼ⌉·Wⱼ) / denom⌋` over one [`Load`]
+//! row per interfering activity. Each iterate is exact and is compared
+//! with the cap before it is narrowed to `u64`; the sum is divided in
+//! `u64` whenever it fits, and not at all when `denom == 1`.
 
-/// Upper bound on the workload of a sporadic activity with period
-/// `period`, per-activation work `volume`, and release jitter `jitter`,
-/// inside any window of length `window`:
-///
-/// `⌈(window + jitter) / period⌉ · volume`
-///
-/// This is the standard carry-in bound used by Melani et al. (with
-/// `jitter = Rⱼ − vol(τⱼ)/m`) and by per-core partitioned analyses (with
-/// `jitter = Rⱼ − Wⱼ,ₖ`). Saturated to `u64::MAX` so pathological
-/// parameter combinations degrade to "unschedulable" rather than
-/// wrapping: the result is the exact `u128` value clamped to `u64`, but
-/// the division runs in `u64` unless `window + jitter` overflows it.
+use crate::cancel::{CancelToken, Cancelled};
+
+/// One interfering activity as a carry-in term: at most
+/// `⌈(x + jitter)/period⌉ · work` of it lands in a window of length `x`.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct Load {
+    pub(crate) period: u64,
+    pub(crate) work: u64,
+    pub(crate) jitter: u64,
+}
+
+/// The right-hand side of the fix-point: `base` is charged whole, and
+/// `own` plus the carry-in of `loads` is shared among `denom` cores.
+pub(crate) struct Demand<'a> {
+    pub(crate) base: u64,
+    pub(crate) own: u64,
+    pub(crate) loads: &'a [Load],
+    /// Positive.
+    pub(crate) denom: u64,
+}
+
+impl Demand<'_> {
+    /// The least fix-point iterated from `start`, if it is at most `cap`,
+    /// else the first iterate past `cap` clamped to `u64::MAX`; `token`
+    /// is polled once per iterate. The cold start is `base`; any start at
+    /// or below the least fix-point reaches it too, since the right-hand
+    /// side is monotone.
+    pub(crate) fn least_fixpoint(
+        &self,
+        start: u64,
+        cap: u64,
+        token: &CancelToken,
+    ) -> Result<Result<u64, u64>, Cancelled> {
+        let mut x = start;
+        loop {
+            token.checkpoint()?;
+            let next = self.at(x);
+            if next > u128::from(cap) {
+                return Ok(Err(u64::try_from(next).unwrap_or(u64::MAX)));
+            }
+            // At most `cap`, so it fits.
+            let next = next as u64;
+            if next == x {
+                return Ok(Ok(x));
+            }
+            debug_assert!(next > x, "fix-point must be monotone");
+            x = next;
+        }
+    }
+
+    /// The right-hand side at window `x`, exactly: a sum past `u128::MAX`
+    /// saturates, still past every cap after the division.
+    fn at(&self, x: u64) -> u128 {
+        let mut sum = u128::from(self.own);
+        for load in self.loads {
+            sum = sum.saturating_add(interfering_workload(x, load.period, load.work, load.jitter));
+        }
+        let share = match u64::try_from(sum) {
+            Ok(sum) if self.denom == 1 => u128::from(sum),
+            Ok(sum) => u128::from(sum / self.denom),
+            Err(_) => sum / u128::from(self.denom),
+        };
+        u128::from(self.base) + share
+    }
+}
+
+/// `⌈(window + jitter) / period⌉ · volume`: the carry-in of one
+/// activity in a window, zero for an empty window or volume. Exact, with
+/// the division in `u64` unless `window + jitter` overflows it, and past
+/// `u128::MAX` (only then) saturated.
 ///
 /// # Panics
 ///
 /// Panics if `period == 0`.
-///
-/// # Examples
-///
-/// ```
-/// use rtpool_core::analysis::interfering_workload;
-///
-/// // Two full activations fit in a 150-long window with jitter 60.
-/// assert_eq!(interfering_workload(150, 100, 40, 60), 120);
-/// // Zero-volume tasks never interfere.
-/// assert_eq!(interfering_workload(1000, 10, 0, 5), 0);
-/// ```
-#[must_use]
-pub fn interfering_workload(window: u64, period: u64, volume: u64, jitter: u64) -> u64 {
+fn interfering_workload(window: u64, period: u64, volume: u64, jitter: u64) -> u128 {
     assert!(period > 0, "period must be positive");
     if volume == 0 || window == 0 {
         return 0;
     }
-    let activations = match window.checked_add(jitter) {
-        Some(span) => span.div_ceil(period),
-        // Past u64::MAX only for huge windows; a clamped count still
-        // saturates the product below, since volume ≥ 1.
-        None => {
-            let span = u128::from(window) + u128::from(jitter);
-            u64::try_from(span.div_ceil(u128::from(period))).unwrap_or(u64::MAX)
-        }
-    };
-    activations.saturating_mul(volume)
+    match window.checked_add(jitter) {
+        Some(span) => u128::from(span.div_ceil(period)) * u128::from(volume),
+        None => (u128::from(window) + u128::from(jitter))
+            .div_ceil(u128::from(period))
+            .saturating_mul(u128::from(volume)),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use rtpool_oracle::interference::workload as reference;
+    use rtpool_oracle::interference::{least_fixpoint, workload as reference};
 
     /// Small, 32-bit, full-range and near-`u64::MAX` values alike.
     fn operand() -> impl Strategy<Value = u64> {
@@ -61,7 +108,56 @@ mod tests {
         })
     }
 
+    /// A cap: `u64::MAX` one time in four, else an operand.
+    fn cap() -> impl Strategy<Value = u64> {
+        (0u32..4, operand()).prop_map(|(kind, x)| if kind == 0 { u64::MAX } else { x })
+    }
+
+    /// Iterates the oracle may take before a case is skipped as too slow
+    /// to decide (a utilisation just below `denom` converges slowly).
+    const STEPS: usize = 10_000;
+
     proptest! {
+        /// The kernel is the formula: the same least fix-point, or the
+        /// same first iterate past the cap (clamped to `u64::MAX`), from
+        /// the cold start and from a seed at or below the fix-point, with
+        /// operands near `u64::MAX` and caps that include it.
+        #[test]
+        fn least_fixpoint_equals_the_u128_formula(
+            (base, own) in (operand(), operand()),
+            rows in prop::collection::vec((operand(), operand(), operand()), 0..4),
+            denom in 1u64..65,
+            cap in cap(),
+            seed in any::<u64>(),
+        ) {
+            let rows: Vec<(u64, u64, u64)> =
+                rows.into_iter().map(|(t, w, j)| (t.max(1), w, j)).collect();
+            let loads: Vec<Load> = rows
+                .iter()
+                .map(|&(period, work, jitter)| Load { period, work, jitter })
+                .collect();
+            let demand = Demand { base, own, loads: &loads, denom };
+            let formula = |start| least_fixpoint(base, own, &rows, denom, start, cap, STEPS);
+            let Some(cold) = formula(base) else {
+                return Ok(());
+            };
+            // A seed at or below the least fix-point, or anywhere up to
+            // the cap when there is none below it.
+            let top = match cold {
+                Ok(fix) => fix,
+                Err(_) => cap.max(base),
+            };
+            let start = base + seed % (top - base).saturating_add(1);
+            for start in [base, start] {
+                let Some(want) = formula(start) else {
+                    continue;
+                };
+                let want = want.map_err(|past| u64::try_from(past).unwrap_or(u64::MAX));
+                let got = demand.least_fixpoint(start, cap, &CancelToken::never()).unwrap();
+                prop_assert_eq!(got, want, "start {}", start);
+            }
+        }
+
         #[test]
         fn u64_path_equals_u128_formula(
             window in operand(),
@@ -96,12 +192,12 @@ mod tests {
         // window + jitter past u64::MAX, yet the count fits.
         assert_eq!(
             interfering_workload(u64::MAX, 4, 2, 4),
-            (u64::MAX / 4 + 2) * 2
+            u128::from(u64::MAX / 4 + 2) * 2
         );
         // Period 1 with the span past u64::MAX.
-        assert_eq!(interfering_workload(u64::MAX, 1, 1, 1), u64::MAX);
+        assert_eq!(interfering_workload(u64::MAX, 1, 1, 1), 1 << 64);
         // activations × volume past u64::MAX.
-        assert_eq!(interfering_workload(1 << 40, 1, 1 << 30, 0), u64::MAX);
+        assert_eq!(interfering_workload(1 << 40, 1, 1 << 30, 0), 1 << 70);
     }
 
     #[test]
@@ -110,6 +206,10 @@ mod tests {
         assert_eq!(interfering_workload(100, 40, 7, 0), 21);
         // jitter pushes one more job in: ceil(139/40) = 4? (100+39)/40 = 3.475 → 4.
         assert_eq!(interfering_workload(100, 40, 7, 39), 28);
+        // Two full activations fit in a 150-long window with jitter 60.
+        assert_eq!(interfering_workload(150, 100, 40, 60), 120);
+        // Zero-volume tasks never interfere.
+        assert_eq!(interfering_workload(1000, 10, 0, 5), 0);
     }
 
     #[test]
@@ -121,7 +221,7 @@ mod tests {
     fn saturates_instead_of_overflowing() {
         assert_eq!(
             interfering_workload(u64::MAX, 1, u64::MAX, u64::MAX),
-            u64::MAX
+            u128::MAX
         );
     }
 

@@ -18,8 +18,6 @@ pub mod incremental;
 mod interference;
 pub mod partitioned;
 
-pub use interference::interfering_workload;
-
 use std::fmt;
 
 use crate::task::TaskId;
@@ -63,7 +61,8 @@ impl TaskVerdict {
 pub enum UnschedulableReason {
     /// The response-time fix-point exceeded the deadline.
     ResponseTimeExceedsDeadline {
-        /// The first fix-point iterate observed past the deadline.
+        /// The first fix-point iterate observed past the deadline,
+        /// clamped to `u64::MAX` (which a deadline of `u64::MAX` equals).
         bound: u64,
     },
     /// The available-concurrency floor `l̄(τᵢ)` is not positive, so the

@@ -37,8 +37,9 @@ use std::ops::ControlFlow;
 
 use rtpool_graph::{BitRow, Dag, NodeId, NodeKind};
 
-use crate::analysis::interference::interfering_workload;
+use crate::analysis::interference::{Demand, Load};
 use crate::analysis::{SchedResult, TaskVerdict, UnschedulableReason};
+use crate::cancel::CancelToken;
 use crate::partition::{algorithm1_in, worst_fit_in, NodeMapping, ThreadId, Workspace, WorstFit};
 use crate::task::{Task, TaskId, TaskSet};
 
@@ -262,15 +263,6 @@ fn analyze_tasks(
     }
 }
 
-/// One higher-priority activity as a carry-in term: at most
-/// `⌈(x + jitter)/period⌉ · work` of it lands in a window of length `x`.
-#[derive(Clone, Copy, Debug, Default)]
-struct Load {
-    period: u64,
-    work: u64,
-    jitter: u64,
-}
-
 /// What the higher-priority tasks charge the task being analyzed, grown
 /// once per schedulable task that a lower-priority task will read.
 struct HpTables {
@@ -411,13 +403,9 @@ fn analyze_task(
     } = scratch;
     let node_level = node_level_bound(task, threads, hp, fifo, deadline, finish);
     let holistic = holistic_bound(task, hp, fifo, deadline, dist);
-    match (node_level, holistic) {
-        (Some(a), Some(b)) => TaskVerdict::Schedulable {
-            response_time: a.min(b),
-        },
-        (Some(a), None) => TaskVerdict::Schedulable { response_time: a },
-        (None, Some(b)) => TaskVerdict::Schedulable { response_time: b },
-        (None, None) => TaskVerdict::Unschedulable {
+    match node_level.into_iter().chain(holistic).min() {
+        Some(response_time) => TaskVerdict::Schedulable { response_time },
+        None => TaskVerdict::Unschedulable {
             reason: UnschedulableReason::ResponseTimeExceedsDeadline {
                 bound: deadline.saturating_add(1),
             },
@@ -448,7 +436,7 @@ fn node_level_bound(
         let loads = hp.on_core(threads[v.index()].index());
         // The WCET and the FIFO charge are of distinct nodes: within the
         // volume. A finish past `u64::MAX` is past every deadline.
-        let local = fixpoint(dag.wcet(v) + fifo_blocking[v.index()], loads, deadline)?;
+        let local = within(dag.wcet(v) + fifo_blocking[v.index()], loads, deadline)?;
         finish[v.index()] = ready.checked_add(local).filter(|&f| f <= deadline)?;
     }
     Some(finish[dag.sink().index()])
@@ -484,29 +472,22 @@ fn holistic_bound(
         let cost = dag.wcet(v) + fifo_blocking[v.index()];
         dist[v.index()] = best.checked_add(cost)?;
     }
-    fixpoint(dist[dag.sink().index()], &hp.whole, deadline)
+    within(dist[dag.sink().index()], &hp.whole, deadline)
 }
 
-/// Least fix-point of `x = base + Σ ⌈(x + jitter)/period⌉ · work` over
-/// `loads`, or `None` if it exceeds `cap`. The sum is exact in `u128`,
-/// so the order of the loads cannot change the bound.
-fn fixpoint(base: u64, loads: &[Load], cap: u64) -> Option<u64> {
-    let mut x = base;
-    loop {
-        let mut next = u128::from(base);
-        for load in loads {
-            next += u128::from(interfering_workload(x, load.period, load.work, load.jitter));
-        }
-        let next = u64::try_from(next).unwrap_or(u64::MAX);
-        if next > cap {
-            return None;
-        }
-        if next == x {
-            return Some(x);
-        }
-        debug_assert!(next > x);
-        x = next;
-    }
+/// The least fix-point of `base` plus the carry-in of `loads`, if at
+/// most `cap`.
+fn within(base: u64, loads: &[Load], cap: u64) -> Option<u64> {
+    let demand = Demand {
+        base,
+        own: 0,
+        loads,
+        denom: 1,
+    };
+    demand
+        .least_fixpoint(base, cap, &CancelToken::never())
+        .expect("a never-cancelling token cannot cancel")
+        .ok()
 }
 
 #[cfg(test)]
@@ -701,6 +682,30 @@ mod tests {
             assert!(
                 matches!(
                     result.verdict(TaskId(0)),
+                    TaskVerdict::Unschedulable {
+                        reason: UnschedulableReason::ResponseTimeExceedsDeadline { .. }
+                    }
+                ),
+                "{strategy:?}: {result:?}"
+            );
+            assert!(!accepts(&set, 1, strategy));
+        }
+
+        // One core shared with a task of period 2: τ1 gets every other
+        // time unit, so its 2^63 units finish at 2^64, one past a deadline
+        // of u64::MAX. The iterate clamped to u64::MAX used to meet it.
+        let unit = |wcet: u64, period: u64| {
+            let mut b = DagBuilder::new();
+            b.add_node(wcet);
+            Task::with_implicit_deadline(b.build().unwrap(), period).unwrap()
+        };
+        let set = TaskSet::new(vec![unit(1, 2), unit(1 << 63, u64::MAX)]);
+        for strategy in [PartitionStrategy::WorstFit, PartitionStrategy::Algorithm1] {
+            let (result, _) = partition_and_analyze(&set, 1, strategy);
+            assert_eq!(result.verdict(TaskId(0)).response_time(), Some(1));
+            assert!(
+                matches!(
+                    result.verdict(TaskId(1)),
                     TaskVerdict::Unschedulable {
                         reason: UnschedulableReason::ResponseTimeExceedsDeadline { .. }
                     }

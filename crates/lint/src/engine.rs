@@ -603,13 +603,20 @@ fn set_rules(set: &TaskSet, m: usize, spans: Option<&SourceSpans>) -> Vec<Diagno
             reason: UnschedulableReason::ResponseTimeExceedsDeadline { bound },
         } = verdict
         {
+            // The bound is clamped to u64::MAX, which a deadline of
+            // u64::MAX equals.
+            let deadline = task.deadline();
+            let versus = if *bound > deadline {
+                format!("bound {bound} > D = {deadline}")
+            } else {
+                format!("bound past {bound} = D")
+            };
             let d = Diagnostic::new(
                 code::RT205,
                 Severity::Warning,
                 format!(
                     "task {id} misses its deadline under the limited-concurrency RTA on {m} \
-                     workers (bound {bound} > D = {})",
-                    task.deadline()
+                     workers ({versus})"
                 ),
             )
             .with_note(

@@ -16,7 +16,8 @@
 //!   and sink, blocking pairs under restrictions (i)–(iii), no nesting,
 //!   no overlap) and Section 3.1's `X(v)` and `b̄`;
 //! * [`shapes`]: seeded graph shapes and the mutations that break them;
-//! * [`interference`]: the carry-in workload bound in `u128`;
+//! * [`interference`]: the carry-in workload bound and the response-time
+//!   fix-point over it, in `u128`;
 //! * [`partition`]: Section 4.2's worst-fit baseline, Algorithm 1, the
 //!   FIFO charge and the inflated longest path, in `u128`.
 //!
