@@ -4,6 +4,10 @@
 //! this makes it visible: ns/byte must not grow with the line size, and
 //! µs per set must grow with the set's text, not its square.
 //!
+//! Each parse is printed beside the same set with its names off the
+//! `v0 v1 …` numbering (`v0x v1x …`), which the parser resolves through
+//! its keyed map instead of by number; that row is reported, not gated.
+//!
 //! Next to each parse it times what a request that repeats an earlier
 //! one pays instead: `Interner::intern` on a source sent twice before
 //! recognises the bytes and parses nothing, and a repeated `wcet:` edit
@@ -36,6 +40,28 @@ fn source_of(n: usize) -> String {
         .generate(&mut rng)
         .expect("generation succeeds");
     write_task_set(&set)
+}
+
+/// `text` with every `v<digits>` name renamed `v<digits>x`: the same
+/// set, its names off the numbering.
+fn unnumbered(text: &str) -> String {
+    let mut out = String::with_capacity(text.len() + text.len() / 4);
+    for line in text.lines() {
+        let words: Vec<String> = line
+            .split(' ')
+            .map(|word| match word.strip_prefix('v') {
+                Some(digits)
+                    if !digits.is_empty() && digits.bytes().all(|b| b.is_ascii_digit()) =>
+                {
+                    format!("{word}x")
+                }
+                _ => word.to_owned(),
+            })
+            .collect();
+        out.push_str(&words.join(" "));
+        out.push('\n');
+    }
+    out
 }
 
 /// Mean wall time of `f` in nanoseconds.
@@ -84,6 +110,20 @@ fn parse_rows() {
             ns / 1e3,
             text.len(),
             ns / text.len() as f64
+        );
+        let renamed = unnumbered(&text);
+        assert_eq!(
+            write_task_set(&parse_task_set(&renamed).expect("renamed set parses")),
+            text,
+            "renaming changed the set"
+        );
+        let renamed_ns = mean_ns(200, || {
+            black_box(parse_task_set(black_box(&renamed)).expect("set parses"));
+        });
+        println!(
+            "serve_ingest/parse_task_set_unnumbered/{n}: {:.1} us ({:.2}x the numbered parse)",
+            renamed_ns / 1e3,
+            renamed_ns / ns
         );
 
         // The first sending builds the set and the second keeps the

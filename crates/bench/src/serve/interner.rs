@@ -25,7 +25,7 @@
 //! # What a request may skip
 //!
 //! Building a set only to find it resident is the dearest way to find
-//! it: `parse_task_set` on a 6–17 KB source is ~50 µs and 100–200 heap
+//! it: `parse_task_set` on a 6–17 KB source is ~30–40 µs and 100–200 heap
 //! blocks that are hashed, matched to the entry and dropped, against
 //! 0.13 µs for a request that names the set by hash; an `edit` whose
 //! patched set is resident pays `parse_edit_script`, `Dag::edit`,

@@ -125,8 +125,8 @@ impl TaskParams {
         // and in the blocking-oblivious `Full`, plus `SpinVol` under spin
         // (a spinning worker occupies a core like an executing one).
         let ivol = match (model, backend) {
-            (ConcurrencyModel::Full, _) | (_, SyncBackend::Suspend) => vol,
-            (_, SyncBackend::Spin) => vol.saturating_add(spin_volume(dag)),
+            (ConcurrencyModel::Full, _) | (_, SyncBackend::Suspend) => u128::from(vol),
+            (_, SyncBackend::Spin) => u128::from(vol) + spin_volume(dag),
         };
         let len = dag.critical_path_length();
         TaskParams {
@@ -187,11 +187,14 @@ fn spin_bound(dag: &Dag, f: NodeId) -> u64 {
 /// upper bound on the busy-wait time all workers of the task burn across
 /// one job under [`SyncBackend::Spin`]. Zero iff the graph has no
 /// blocking forks (`b̄ = 0`), which is why spin and suspend analyses
-/// coincide exactly on non-blocking sets.
-fn spin_volume(dag: &Dag) -> u64 {
+/// coincide exactly on non-blocking sets. Summed in `u128`, where it
+/// cannot overflow: each bound is at most `vol ≤ u64::MAX`, and there are
+/// fewer than 2³² forks.
+fn spin_volume(dag: &Dag) -> u128 {
     dag.blocking_forks()
         .iter()
-        .fold(0, |sum, &f| sum.saturating_add(spin_bound(dag, f)))
+        .map(|&f| u128::from(spin_bound(dag, f)))
+        .sum()
 }
 
 /// Runs the analysis on `set` (tasks in priority order, index 0 highest)
@@ -740,13 +743,11 @@ mod tests {
         assert_eq!(spin_volume(&dag2), 100);
     }
 
-    #[test]
-    fn a_spin_volume_past_u64_max_saturates() {
-        // Two parallel regions of one 2^62 child each: a fork spins while
-        // its own child and the whole other region run, 2^63 + 2, so the
-        // sum is 2^64 + 4. It used to wrap to 4, and the task below was
-        // accepted with R = 3074457345618258607, 2 above its suspend
-        // twin's; saturated, its first iterate is past its deadline.
+    /// τ0 of the two spin-volume probes: two parallel regions of one
+    /// 2^62 child each. A fork spins while its own child and the whole
+    /// other region run, 2^63 + 2, so `SpinVol` is 2^64 + 4 and the
+    /// inflated work `vol + SpinVol` is 3·2^63 + 10.
+    fn spin_past_u64_max(period: u64) -> Task {
         let mut b = DagBuilder::new();
         let (src, snk) = (b.add_node(1), b.add_node(1));
         for _ in 0..2 {
@@ -754,31 +755,39 @@ mod tests {
             b.add_edge(src, f).unwrap();
             b.add_edge(j, snk).unwrap();
         }
-        let hp =
-            Task::with_implicit_deadline(b.build().unwrap(), 11_529_215_046_068_469_760).unwrap();
-        assert_eq!(spin_volume(hp.dag()), u64::MAX);
+        Task::with_implicit_deadline(b.build().unwrap(), period).unwrap()
+    }
+
+    /// `τ0` above a one-node task of period `lp_period`, under spin.
+    fn spin_probe(hp_period: u64, lp_period: u64) -> TaskSet {
         let mut b = DagBuilder::new();
         b.add_node(1);
-        let lp =
-            Task::with_implicit_deadline(b.build().unwrap(), 5_000_000_000_000_000_000).unwrap();
-        let suspend = TaskSet::new(vec![hp, lp]);
-        let spin = suspend.clone().with_backend(SyncBackend::Spin);
+        let lp = Task::with_implicit_deadline(b.build().unwrap(), lp_period).unwrap();
+        TaskSet::new(vec![spin_past_u64_max(hp_period), lp]).with_backend(SyncBackend::Spin)
+    }
+
+    #[test]
+    fn a_spin_volume_past_u64_max_is_summed_exactly() {
+        // The sum used to wrap to 4, and the task below was accepted with
+        // R = 3074457345618258607, 2 above its suspend twin's. Exact, its
+        // first iterate is 1 + ⌊(3·2^63 + 10)/3⌋ = 2^63 + 4, past D.
+        let spin = spin_probe(11_529_215_046_068_469_760, 5_000_000_000_000_000_000);
+        assert_eq!(spin_volume(spin.task(TaskId(0)).dag()), (1 << 64) + 4);
+        let suspend = spin.clone().with_backend(SyncBackend::Suspend);
         for model in [ConcurrencyModel::Limited, ConcurrencyModel::LimitedExact] {
             let result = analyze(&spin, 3, model);
             assert_eq!(
                 result.verdict(TaskId(0)).response_time(),
                 Some(9_223_372_036_854_775_814)
             );
-            assert!(
-                matches!(
-                    result.verdict(TaskId(1)),
-                    TaskVerdict::Unschedulable {
-                        reason: UnschedulableReason::ResponseTimeExceedsDeadline {
-                            bound: 6_148_914_691_236_517_206
-                        }
+            assert_eq!(
+                result.verdict(TaskId(1)),
+                &TaskVerdict::Unschedulable {
+                    reason: UnschedulableReason::ResponseTimeExceedsDeadline {
+                        bound: 9_223_372_036_854_775_812
                     }
-                ),
-                "{model:?}: {result:?}"
+                },
+                "{model:?}"
             );
             // The suspend twin charges no spin and keeps its bound.
             assert_eq!(
@@ -789,6 +798,41 @@ mod tests {
             );
         }
         // Full models no blocking and charges no spin either.
+        assert_eq!(
+            analyze(&spin, 3, ConcurrencyModel::Full),
+            analyze(&suspend, 3, ConcurrencyModel::Full)
+        );
+    }
+
+    #[test]
+    fn a_spin_inflated_work_past_u64_max_is_not_saturated() {
+        // τ1's deadline 7·10^18 lies between the saturated first iterate,
+        // 1 + ⌊(2^64 − 1)/3⌋ = 6148914691236517206, which admitted it,
+        // and the exact one, 1 + ⌊(3·2^63 + 10)/3⌋ = 9223372036854775812.
+        let spin = spin_probe(u64::MAX, 7_000_000_000_000_000_000);
+        let suspend = spin.clone().with_backend(SyncBackend::Suspend);
+        for model in [ConcurrencyModel::Limited, ConcurrencyModel::LimitedExact] {
+            let result = analyze(&spin, 3, model);
+            assert_eq!(
+                result.verdict(TaskId(0)).response_time(),
+                Some(9_223_372_036_854_775_814)
+            );
+            assert_eq!(
+                result.verdict(TaskId(1)),
+                &TaskVerdict::Unschedulable {
+                    reason: UnschedulableReason::ResponseTimeExceedsDeadline {
+                        bound: 9_223_372_036_854_775_812
+                    }
+                },
+                "{model:?}"
+            );
+            assert_eq!(
+                analyze(&suspend, 3, model)
+                    .verdict(TaskId(1))
+                    .response_time(),
+                Some(3_074_457_345_618_258_605)
+            );
+        }
         assert_eq!(
             analyze(&spin, 3, ConcurrencyModel::Full),
             analyze(&suspend, 3, ConcurrencyModel::Full)

@@ -298,19 +298,21 @@ impl HpTables {
         let dag = task.dag();
         for v in dag.node_ids() {
             let k = threads[v.index()].index();
-            self.per_core[k * self.stride + self.used[k]].work += dag.wcet(v);
+            self.per_core[k * self.stride + self.used[k]].work += u128::from(dag.wcet(v));
         }
         for (k, used) in self.used.iter_mut().enumerate() {
             let load = &mut self.per_core[k * self.stride + *used];
             if load.work > 0 {
                 load.period = task.period();
-                load.jitter = response.saturating_sub(load.work);
+                // At most `vol ≤ u64::MAX`: the graph's WCETs.
+                let work = u64::try_from(load.work).expect("a core's share of one graph fits");
+                load.jitter = response.saturating_sub(work);
                 *used += 1;
             }
         }
         self.whole.push(Load {
             period: task.period(),
-            work: dag.volume(),
+            work: u128::from(dag.volume()),
             jitter: response,
         });
     }

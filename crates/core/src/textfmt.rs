@@ -28,7 +28,10 @@
 //! * `task period=<int> [deadline=<int>]` opens a task (deadline defaults
 //!   to the period); tasks appear in priority order (first = highest).
 //! * `node <name> <wcet>` declares a node; names are arbitrary
-//!   identifiers unique within the task.
+//!   identifiers unique within the task. Names that share a prefix and
+//!   count up from the first one's number (`v0 v1 …`, `v1 v2 …`) are
+//!   resolved from their digits without hashing; any other name goes
+//!   through a keyed hash map.
 //! * `edge <from> <to>` adds a precedence edge.
 //! * `blocking <fork> <join>` declares a blocking region (the fork
 //!   becomes `BF`, the join `BJ`, enclosed nodes `BC`).
@@ -268,83 +271,136 @@ impl SourceSpans {
     }
 }
 
-/// A whitespace-separated token and the part of its line that precedes
-/// it; the 1-based column is counted from that only when a span is asked
-/// for, so lines that raise no error and record no site never count.
+/// A whitespace-separated token as byte offsets into its [`Line`].
 #[derive(Clone, Copy, Debug)]
-struct Tok<'a> {
-    before: &'a str,
+struct Tok {
+    from: usize,
+    to: usize,
+}
+
+/// One line of input, through its `\n`, and its 1-based number. The
+/// 1-based column of a token is counted from the text before it only when
+/// a span is asked for, so lines that raise no error and record no site
+/// never count.
+#[derive(Clone, Copy, Debug)]
+struct Line<'a> {
+    no: usize,
     text: &'a str,
 }
 
-impl Tok<'_> {
-    fn col(&self) -> usize {
-        self.before.chars().count() + 1
+impl<'a> Line<'a> {
+    fn word(&self, tok: Tok) -> &'a str {
+        &self.text[tok.from..tok.to]
     }
 
-    fn span(&self, line: usize) -> Span {
-        Span::new(line, self.col(), self.text.chars().count())
+    fn col(&self, tok: Tok) -> usize {
+        self.text[..tok.from].chars().count() + 1
     }
 
-    /// A syntax error pointing at this token.
-    fn error(&self, line: usize, message: impl Into<String>) -> ParseTaskError {
-        syntax(line, self.span(line), message)
+    fn span(&self, tok: Tok) -> Span {
+        Span::new(self.no, self.col(tok), self.word(tok).chars().count())
     }
+
+    /// The span covering a whole directive (first through last token).
+    fn directive_span(&self, toks: &[Tok]) -> Span {
+        let first = toks.first().expect("directive has at least one token");
+        let last = toks.last().expect("directive has at least one token");
+        let col = self.col(*first);
+        let end = self.col(*last) + self.word(*last).chars().count();
+        Span::new(self.no, col, end - col)
+    }
+
+    /// A syntax error pointing at `tok`.
+    fn error(&self, tok: Tok, message: impl Into<String>) -> ParseTaskError {
+        syntax(self.no, self.span(tok), message)
+    }
+}
+
+/// A byte's class for the tokenizer: part of a word, a blank, the end of
+/// the line's tokens (`\n` or `#`), or the first byte of a multibyte
+/// `char` that must be decoded to be classed.
+const WORD: u8 = 0;
+const BLANK: u8 = 1;
+const STOP: u8 = 2;
+const WIDE: u8 = 3;
+
+/// [`WORD`], [`BLANK`], [`STOP`] or [`WIDE`] for every byte. The blanks
+/// are the ASCII bytes [`char::is_whitespace`] accepts; unlike
+/// [`u8::is_ascii_whitespace`] that includes `\x0B`.
+static CLASS: [u8; 256] = {
+    let mut class = [WORD; 256];
+    class[b'\t' as usize] = BLANK;
+    class[0x0B] = BLANK;
+    class[0x0C] = BLANK;
+    class[b'\r' as usize] = BLANK;
+    class[b' ' as usize] = BLANK;
+    class[b'\n' as usize] = STOP;
+    class[b'#' as usize] = STOP;
+    let mut b = 0x80;
+    while b < 256 {
+        class[b] = WIDE;
+        b += 1;
+    }
+    class
+};
+
+/// Whether the `char` at byte `at` of `text` is whitespace, and its width.
+fn wide(text: &str, at: usize) -> (bool, usize) {
+    let ch = text[at..].chars().next().expect("`at` is a char boundary");
+    (ch.is_whitespace(), ch.len_utf8())
+}
+
+/// The first byte of `bytes` at or after `at` whose class is not `class`,
+/// or the end.
+fn skip(bytes: &[u8], at: usize, class: u8) -> usize {
+    bytes[at..]
+        .iter()
+        .position(|&b| CLASS[usize::from(b)] != class)
+        .map_or(bytes.len(), |run| at + run)
 }
 
 /// Splits the first line of `text` — through its `\n`, or to the end —
 /// into `toks` (cleared first; one buffer serves every line of a parse)
 /// and returns that line's length in bytes, so lines and tokens are found
 /// in one pass. A `#` ends the tokens. Tokens split where
-/// [`char::is_whitespace`] says; an ASCII byte is tested as it is, and a
-/// `char` is decoded only where a byte is not ASCII (`.rtp` keywords and
-/// numbers are ASCII; names need not be). A `\r` before the `\n` is
-/// whitespace, so lines split as [`str::lines`] splits them.
-fn tokenize_line<'a>(text: &'a str, toks: &mut Vec<Tok<'a>>) -> usize {
+/// [`char::is_whitespace`] says: runs of blanks and of word bytes are
+/// skipped by [`CLASS`], and a `char` is decoded only where a byte is not
+/// ASCII (`.rtp` keywords and numbers are ASCII; names need not be). A
+/// `\r` before the `\n` is a blank, so lines split as [`str::lines`]
+/// splits them.
+fn tokenize_line(text: &str, toks: &mut Vec<Tok>) -> usize {
     toks.clear();
-    let mut push = |from: usize, to: usize| {
-        toks.push(Tok {
-            before: &text[..from],
-            text: &text[from..to],
-        });
-    };
-    let (bytes, mut at, mut start) = (text.as_bytes(), 0, None);
-    while let Some(&b) = bytes.get(at) {
-        let (blank, width) = if b.is_ascii() {
-            if b == b'\n' || b == b'#' {
-                break;
+    let (bytes, mut at) = (text.as_bytes(), 0);
+    let class = |at: usize| bytes.get(at).map(|&b| CLASS[usize::from(b)]);
+    loop {
+        at = skip(bytes, at, BLANK);
+        match class(at) {
+            Some(WORD) => {}
+            Some(WIDE) => {
+                if let (true, width) = wide(text, at) {
+                    at += width;
+                    continue;
+                }
             }
-            // `char::is_whitespace` on ASCII; unlike
-            // `u8::is_ascii_whitespace` it includes `\x0B`.
-            (matches!(b, b'\t' | b'\x0B' | b'\x0C' | b'\r' | b' '), 1)
-        } else {
-            let ch = text[at..].chars().next().expect("`at` is a char boundary");
-            (ch.is_whitespace(), ch.len_utf8())
-        };
-        if blank {
-            if let Some(from) = start.take() {
-                push(from, at);
-            }
-        } else if start.is_none() {
-            start = Some(at);
+            _ => break,
         }
-        at += width;
-    }
-    if let Some(from) = start {
-        push(from, at);
+        let from = at;
+        loop {
+            at = skip(bytes, at, WORD);
+            match class(at) {
+                Some(WIDE) => match wide(text, at) {
+                    (false, width) => at += width,
+                    (true, _) => break,
+                },
+                _ => break,
+            }
+        }
+        toks.push(Tok { from, to: at });
     }
     match bytes[at..].iter().position(|&b| b == b'\n') {
         Some(newline) => at + newline + 1,
         None => bytes.len(),
     }
-}
-
-/// The span covering a whole directive (first through last token).
-fn line_span(line: usize, toks: &[Tok<'_>]) -> Span {
-    let first = toks.first().expect("directive has at least one token");
-    let last = toks.last().expect("directive has at least one token");
-    let col = first.col();
-    Span::new(line, col, last.col() + last.text.chars().count() - col)
 }
 
 /// Parses a task set from the text format.
@@ -424,144 +480,41 @@ fn parse(input: &str, record: bool) -> Result<(TaskSet, SourceSpans), ParseTaskE
     let mut current: Option<TaskInProgress> = None;
     let mut backend: Option<(SyncBackend, usize)> = None;
     // Reused across lines and tasks, cleared when a task opens; names are
-    // slices of `input`. The name map and the recording pass's edge set
-    // keep std's keyed hasher: the text comes from outside.
+    // slices of `input`. The recording pass's edge set keeps std's keyed
+    // hasher, as `Names` does: the text comes from outside.
     let mut toks = Vec::new();
-    let mut names: HashMap<&str, NodeId> = HashMap::new();
+    let mut names = Names::default();
     let (mut wcets, mut edges, mut pairs) = (Vec::new(), Vec::new(), Vec::new());
     let mut seen: HashSet<(NodeId, NodeId)> = HashSet::new();
 
-    let (mut rest, mut line_no) = (input, 0);
+    let (mut rest, mut no) = (input, 0);
     while !rest.is_empty() {
-        line_no += 1;
-        rest = &rest[tokenize_line(rest, &mut toks)..];
+        no += 1;
+        let len = tokenize_line(rest, &mut toks);
+        let line = Line {
+            no,
+            text: &rest[..len],
+        };
+        rest = &rest[len..];
         let Some(&directive) = toks.first() else {
             continue;
         };
         let args = &toks[1..];
-        match directive.text {
-            "backend" => {
-                if current.is_some() {
-                    return Err(directive.error(
-                        line_no,
-                        "`backend` is file-level and cannot appear inside a task block",
-                    ));
-                }
-                if !tasks.is_empty() {
-                    return Err(directive.error(line_no, "`backend` must precede every task"));
-                }
-                if let Some((_, prev)) = backend {
-                    return Err(directive.error(
-                        line_no,
-                        format!("`backend` already declared on line {prev}"),
-                    ));
-                }
-                let which = args.first().ok_or_else(|| {
-                    directive.error(line_no, "`backend` requires `suspend` or `spin`")
-                })?;
-                let b = SyncBackend::parse(which.text).ok_or_else(|| {
-                    which.error(
-                        line_no,
-                        format!(
-                            "unknown backend `{}` (expected `suspend` or `spin`)",
-                            which.text
-                        ),
-                    )
-                })?;
-                expect_end(args.get(1), line_no)?;
-                backend = Some((b, line_no));
-            }
-            "task" => {
-                if let Some(t) = &current {
-                    return Err(directive.error(
-                        line_no,
-                        format!(
-                            "`task` inside an unterminated task block (opened on line {})",
-                            t.header.line
-                        ),
-                    ));
-                }
-                let mut period: Option<u64> = None;
-                let mut deadline: Option<u64> = None;
-                for kv in args {
-                    let (key, value) = kv.text.split_once('=').ok_or_else(|| {
-                        kv.error(line_no, format!("expected key=value, got `{}`", kv.text))
-                    })?;
-                    let value: u64 = value.parse().map_err(|_| {
-                        kv.error(line_no, format!("invalid integer `{value}` for `{key}`"))
-                    })?;
-                    match key {
-                        "period" => period = Some(value),
-                        "deadline" => deadline = Some(value),
-                        other => return Err(kv.error(line_no, format!("unknown key `{other}`"))),
-                    }
-                }
-                let period = period.ok_or_else(|| {
-                    syntax(
-                        line_no,
-                        line_span(line_no, &toks),
-                        "`task` requires period=<int>",
-                    )
-                })?;
-                let header = line_span(line_no, &toks);
-                names.clear();
-                wcets.clear();
-                edges.clear();
-                pairs.clear();
-                seen.clear();
-                current = Some(TaskInProgress {
-                    header,
-                    period,
-                    deadline: deadline.unwrap_or(period),
-                    spans: record.then(|| TaskSpans {
-                        header,
-                        ..TaskSpans::default()
-                    }),
-                });
-            }
-            "node" => {
-                let t = current
-                    .as_mut()
-                    .ok_or_else(|| directive.error(line_no, OUTSIDE))?;
-                let name = args
-                    .first()
-                    .ok_or_else(|| directive.error(line_no, "`node` requires a name"))?;
-                let wcet_tok = args
-                    .get(1)
-                    .ok_or_else(|| directive.error(line_no, "`node` requires a wcet"))?;
-                let wcet: u64 = wcet_tok
-                    .text
-                    .parse()
-                    .map_err(|_| wcet_tok.error(line_no, "invalid wcet integer"))?;
-                expect_end(args.get(2), line_no)?;
-                match names.entry(name.text) {
-                    Entry::Occupied(_) => {
-                        return Err(ParseTaskError::DuplicateName {
-                            line: line_no,
-                            span: name.span(line_no),
-                            name: name.text.to_owned(),
-                        })
-                    }
-                    Entry::Vacant(slot) => slot.insert(NodeId::from_index(wcets.len())),
-                };
-                wcets.push(wcet);
-                if let Some(s) = &mut t.spans {
-                    s.names.push(name.text.to_owned());
-                    s.nodes.push(line_span(line_no, &toks));
-                }
-            }
+        match line.word(directive) {
+            // The commonest directives first: a `match` on `&str` tries its
+            // arms in order.
             kind @ ("edge" | "blocking") => {
                 let t = current
                     .as_mut()
-                    .ok_or_else(|| directive.error(line_no, OUTSIDE))?;
-                let from = lookup(&names, args.first(), line_no, directive)?;
-                let to = lookup(&names, args.get(1), line_no, directive)?;
-                expect_end(args.get(2), line_no)?;
+                    .ok_or_else(|| line.error(directive, OUTSIDE))?;
+                let from = lookup(&names, line, args.first(), directive)?;
+                let to = lookup(&names, line, args.get(1), directive)?;
+                expect_end(line, args.get(2))?;
                 let is_edge = kind == "edge";
                 if let Some(s) = &mut t.spans {
-                    let site = line_span(line_no, &toks);
+                    let site = line.directive_span(&toks);
                     let invalid = |source| ParseTaskError::Graph {
-                        line: line_no,
+                        line: no,
                         span: site,
                         source,
                     };
@@ -577,12 +530,85 @@ fn parse(input: &str, record: bool) -> Result<(TaskSet, SourceSpans), ParseTaskE
                 }
                 if is_edge { &mut edges } else { &mut pairs }.push((from, to));
             }
+            "node" => {
+                let t = current
+                    .as_mut()
+                    .ok_or_else(|| line.error(directive, OUTSIDE))?;
+                let &name = args
+                    .first()
+                    .ok_or_else(|| line.error(directive, "`node` requires a name"))?;
+                let &wcet_tok = args
+                    .get(1)
+                    .ok_or_else(|| line.error(directive, "`node` requires a wcet"))?;
+                let wcet: u64 = line
+                    .word(wcet_tok)
+                    .parse()
+                    .map_err(|_| line.error(wcet_tok, "invalid wcet integer"))?;
+                expect_end(line, args.get(2))?;
+                let text = line.word(name);
+                if !names.declare(text, wcets.len()) {
+                    return Err(ParseTaskError::DuplicateName {
+                        line: no,
+                        span: line.span(name),
+                        name: text.to_owned(),
+                    });
+                }
+                wcets.push(wcet);
+                if let Some(s) = &mut t.spans {
+                    s.names.push(text.to_owned());
+                    s.nodes.push(line.directive_span(&toks));
+                }
+            }
+            "task" => {
+                if let Some(t) = &current {
+                    return Err(line.error(
+                        directive,
+                        format!(
+                            "`task` inside an unterminated task block (opened on line {})",
+                            t.header.line
+                        ),
+                    ));
+                }
+                let mut period: Option<u64> = None;
+                let mut deadline: Option<u64> = None;
+                for &kv in args {
+                    let text = line.word(kv);
+                    let (key, value) = text.split_once('=').ok_or_else(|| {
+                        line.error(kv, format!("expected key=value, got `{text}`"))
+                    })?;
+                    let value: u64 = value.parse().map_err(|_| {
+                        line.error(kv, format!("invalid integer `{value}` for `{key}`"))
+                    })?;
+                    match key {
+                        "period" => period = Some(value),
+                        "deadline" => deadline = Some(value),
+                        other => return Err(line.error(kv, format!("unknown key `{other}`"))),
+                    }
+                }
+                let header = line.directive_span(&toks);
+                let period =
+                    period.ok_or_else(|| syntax(no, header, "`task` requires period=<int>"))?;
+                names.clear();
+                wcets.clear();
+                edges.clear();
+                pairs.clear();
+                seen.clear();
+                current = Some(TaskInProgress {
+                    header,
+                    period,
+                    deadline: deadline.unwrap_or(period),
+                    spans: record.then(|| TaskSpans {
+                        header,
+                        ..TaskSpans::default()
+                    }),
+                });
+            }
             "end" => {
-                expect_end(args.first(), line_no)?;
+                expect_end(line, args.first())?;
                 let t = current
                     .take()
-                    .ok_or_else(|| directive.error(line_no, "`end` without an open task"))?;
-                let end_span = directive.span(line_no);
+                    .ok_or_else(|| line.error(directive, "`end` without an open task"))?;
+                let end_span = line.span(directive);
                 let dag = Dag::from_lists(&wcets, &edges, &pairs).map_err(|source| {
                     // Point at the declaration of the first involved node
                     // when the error names one (GraphError::nodes).
@@ -607,7 +633,38 @@ fn parse(input: &str, record: bool) -> Result<(TaskSet, SourceSpans), ParseTaskE
                 tasks.push(task);
                 spans.extend(t.spans);
             }
-            other => return Err(directive.error(line_no, format!("unknown directive `{other}`"))),
+            "backend" => {
+                if current.is_some() {
+                    return Err(line.error(
+                        directive,
+                        "`backend` is file-level and cannot appear inside a task block",
+                    ));
+                }
+                if !tasks.is_empty() {
+                    return Err(line.error(directive, "`backend` must precede every task"));
+                }
+                if let Some((_, prev)) = backend {
+                    return Err(line.error(
+                        directive,
+                        format!("`backend` already declared on line {prev}"),
+                    ));
+                }
+                let &which = args.first().ok_or_else(|| {
+                    line.error(directive, "`backend` requires `suspend` or `spin`")
+                })?;
+                let b = SyncBackend::parse(line.word(which)).ok_or_else(|| {
+                    line.error(
+                        which,
+                        format!(
+                            "unknown backend `{}` (expected `suspend` or `spin`)",
+                            line.word(which)
+                        ),
+                    )
+                })?;
+                expect_end(line, args.get(1))?;
+                backend = Some((b, no));
+            }
+            other => return Err(line.error(directive, format!("unknown directive `{other}`"))),
         }
     }
     if let Some(t) = current {
@@ -622,6 +679,106 @@ fn parse(input: &str, record: bool) -> Result<(TaskSet, SourceSpans), ParseTaskE
         TaskSet::new(tasks).with_backend(backend),
         SourceSpans { tasks: spans },
     ))
+}
+
+/// One task's node names. While every name is one prefix followed by the
+/// decimal digits of its id plus one offset, both taken from the first
+/// name (`v0 v1 …`, `v1 v2 …`; digits without a leading zero), the names
+/// are distinct by construction and nothing is stored or hashed: a
+/// reference is resolved from its digits and one comparison of its
+/// prefix. The first name off that numbering ends it; the nodes before it
+/// stay resolved by number, and a map keyed by std's `RandomState` holds
+/// the names from it on (the text comes from outside).
+#[derive(Default)]
+struct Names<'a> {
+    /// What every numbered name has before its digits.
+    prefix: &'a str,
+    /// The first name's number.
+    offset: u64,
+    /// Nodes `0..numbered` follow the numbering.
+    numbered: usize,
+    /// Whether a name has broken the numbering.
+    broken: bool,
+    /// The names from the first one off the numbering on.
+    keyed: HashMap<&'a str, NodeId>,
+}
+
+impl<'a> Names<'a> {
+    /// Forgets every name; the first name declared next sets the
+    /// numbering's prefix and offset.
+    fn clear(&mut self) {
+        self.numbered = 0;
+        self.broken = false;
+        self.keyed.clear();
+    }
+
+    /// Declares `name` as node `id` (the count of names so far); `false`
+    /// if it is already declared.
+    fn declare(&mut self, name: &'a str, id: usize) -> bool {
+        if !self.broken {
+            if id == 0 {
+                if let Some((prefix, number)) = numbered(name) {
+                    (self.prefix, self.offset, self.numbered) = (prefix, number, 1);
+                    return true;
+                }
+            } else if self.id_by_number(name) == Some(id) {
+                self.numbered += 1;
+                return true;
+            }
+            self.broken = true;
+        }
+        if self.by_number(name).is_some() {
+            return false;
+        }
+        match self.keyed.entry(name) {
+            Entry::Occupied(_) => false,
+            Entry::Vacant(slot) => {
+                slot.insert(NodeId::from_index(id));
+                true
+            }
+        }
+    }
+
+    fn get(&self, name: &str) -> Option<NodeId> {
+        match self.by_number(name) {
+            Some(id) => Some(NodeId::from_index(id)),
+            None => self.keyed.get(name).copied(),
+        }
+    }
+
+    /// The numbered node named `name`, if there is one.
+    fn by_number(&self, name: &str) -> Option<usize> {
+        self.id_by_number(name).filter(|&id| id < self.numbered)
+    }
+
+    /// The id the numbering gives `name`, declared or not. The prefix is
+    /// empty or ends in a non-digit, so `name` is numbered with it exactly
+    /// when the rest of `name` is digits.
+    fn id_by_number(&self, name: &str) -> Option<usize> {
+        let number = number(name.strip_prefix(self.prefix)?.as_bytes())?;
+        usize::try_from(number.checked_sub(self.offset)?).ok()
+    }
+}
+
+/// `name` split into what precedes its trailing decimal digits and their
+/// [`number`], if it has one.
+fn numbered(name: &str) -> Option<(&str, u64)> {
+    let digits = name.bytes().rev().take_while(u8::is_ascii_digit).count();
+    // The digits are ASCII, so the split is a char boundary.
+    let (prefix, digits) = name.split_at(name.len() - digits);
+    Some((prefix, number(digits.as_bytes())?))
+}
+
+/// The value of `digits` if they are decimal digits with no leading zero
+/// (`0` itself aside) and it fits a `u64`: the one way to write a number.
+fn number(digits: &[u8]) -> Option<u64> {
+    if let [] | [b'0', _, ..] = digits {
+        return None;
+    }
+    digits.iter().try_fold(0u64, |n, &d| {
+        let digit = d.checked_sub(b'0').filter(|&d| d < 10)?;
+        n.checked_mul(10)?.checked_add(u64::from(digit))
+    })
 }
 
 /// Writes a task set in the text format (nodes named `v0`, `v1`, … in id
@@ -672,20 +829,18 @@ struct TaskInProgress {
 }
 
 fn lookup(
-    names: &HashMap<&str, NodeId>,
-    word: Option<&Tok<'_>>,
-    line: usize,
-    directive: Tok<'_>,
+    names: &Names<'_>,
+    line: Line<'_>,
+    word: Option<&Tok>,
+    directive: Tok,
 ) -> Result<NodeId, ParseTaskError> {
-    let tok = word.ok_or_else(|| directive.error(line, "missing node name"))?;
-    names
-        .get(tok.text)
-        .copied()
-        .ok_or_else(|| ParseTaskError::UnknownName {
-            line,
-            span: tok.span(line),
-            name: tok.text.to_owned(),
-        })
+    let &tok = word.ok_or_else(|| line.error(directive, "missing node name"))?;
+    let name = line.word(tok);
+    names.get(name).ok_or_else(|| ParseTaskError::UnknownName {
+        line: line.no,
+        span: line.span(tok),
+        name: name.to_owned(),
+    })
 }
 
 fn syntax(line: usize, span: Span, message: impl Into<String>) -> ParseTaskError {
@@ -696,10 +851,10 @@ fn syntax(line: usize, span: Span, message: impl Into<String>) -> ParseTaskError
     }
 }
 
-fn expect_end(extra: Option<&Tok<'_>>, line: usize) -> Result<(), ParseTaskError> {
+fn expect_end(line: Line<'_>, extra: Option<&Tok>) -> Result<(), ParseTaskError> {
     match extra {
         None => Ok(()),
-        Some(tok) => Err(tok.error(line, format!("unexpected trailing `{}`", tok.text))),
+        Some(&tok) => Err(line.error(tok, format!("unexpected trailing `{}`", line.word(tok)))),
     }
 }
 
@@ -968,12 +1123,17 @@ end
     #[test]
     fn tokenizer_columns_are_character_columns() {
         let mut toks = Vec::new();
-        assert_eq!(tokenize_line("  node bêta 2\nend\n", &mut toks), 15);
+        let text = "  node bêta 2\nend\n";
+        let line = Line {
+            no: 1,
+            text: &text[..tokenize_line(text, &mut toks)],
+        };
+        assert_eq!(line.text.len(), 15);
         assert_eq!(toks.len(), 3);
-        assert_eq!((toks[0].col(), toks[0].text), (3, "node"));
-        assert_eq!((toks[1].col(), toks[1].text), (8, "bêta"));
-        assert_eq!((toks[2].col(), toks[2].text), (13, "2"));
-        assert_eq!(toks[1].span(1), Span::new(1, 8, 4));
+        assert_eq!((line.col(toks[0]), line.word(toks[0])), (3, "node"));
+        assert_eq!((line.col(toks[1]), line.word(toks[1])), (8, "bêta"));
+        assert_eq!((line.col(toks[2]), line.word(toks[2])), (13, "2"));
+        assert_eq!(line.span(toks[1]), Span::new(1, 8, 4));
     }
 
     #[test]
@@ -1012,18 +1172,49 @@ end
         }
     }
 
+    #[test]
+    fn names_resolve_by_number_until_one_breaks_the_numbering() {
+        let id = NodeId::from_index;
+        let mut names = Names::default();
+        for (v, name) in ["n7", "n8", "n9"].into_iter().enumerate() {
+            assert!(names.declare(name, v));
+        }
+        assert!(!names.broken && names.keyed.is_empty());
+        assert_eq!(names.get("n8"), Some(id(1)));
+        // Another prefix, a padded number, out of range, no number.
+        for name in ["m8", "n09", "n6", "n10", "n", "n99999999999999999999"] {
+            assert_eq!(names.get(name), None, "{name}");
+        }
+        // A repeat breaks the numbering and is still found.
+        assert!(!names.declare("n8", 3));
+        assert!(names.broken);
+        assert!(names.declare("x", 3));
+        assert!(names.declare("n10", 4));
+        assert!(!names.declare("n7", 5) && !names.declare("x", 5));
+        assert_eq!(names.get("n8"), Some(id(1)));
+        assert_eq!(names.get("x"), Some(id(3)));
+        assert_eq!(names.get("n10"), Some(id(4)));
+        names.clear();
+        assert!(!names.broken && names.keyed.is_empty());
+        assert!(names.declare("v000", 0));
+        assert!(names.broken);
+        assert_eq!(names.get("v000"), Some(id(0)));
+        assert_eq!(numbered("a18446744073709551615"), Some(("a", u64::MAX)));
+        assert_eq!(numbered("bêta0"), Some(("bêta", 0)));
+        for name in ["a18446744073709551616", "bêta", "v01"] {
+            assert_eq!(numbered(name), None, "{name}");
+        }
+    }
+
     /// The tokenizer before the byte scan, kept as the reference the scan
     /// must agree with: one `char` at a time, over one of `str::lines`.
-    fn tokenize_by_chars<'a>(raw: &'a str, toks: &mut Vec<Tok<'a>>) {
+    fn tokenize_by_chars(raw: &str, toks: &mut Vec<Tok>) {
         toks.clear();
         let mut start = None;
         for (byte, ch) in raw.char_indices() {
             if ch == '#' || ch.is_whitespace() {
                 if let Some(from) = start.take() {
-                    toks.push(Tok {
-                        before: &raw[..from],
-                        text: &raw[from..byte],
-                    });
+                    toks.push(Tok { from, to: byte });
                 }
                 if ch == '#' {
                     return;
@@ -1034,8 +1225,8 @@ end
         }
         if let Some(from) = start {
             toks.push(Tok {
-                before: &raw[..from],
-                text: &raw[from..],
+                from,
+                to: raw.len(),
             });
         }
     }
@@ -1056,9 +1247,10 @@ end
             pieces in proptest::collection::vec(0usize..PIECES.len(), 0..40)
         ) {
             let text: String = pieces.into_iter().map(|i| PIECES[i]).collect();
-            let view = |toks: &[Tok<'_>]| -> Vec<(usize, String, String)> {
+            let view = |text: &str, toks: &[Tok]| -> Vec<(usize, String, String)> {
+                let line = Line { no: 1, text };
                 toks.iter()
-                    .map(|t| (t.col(), t.before.to_owned(), t.text.to_owned()))
+                    .map(|&t| (line.col(t), text[..t.from].to_owned(), line.word(t).to_owned()))
                     .collect()
             };
             let mut toks = Vec::new();
@@ -1066,13 +1258,14 @@ end
                 .lines()
                 .map(|line| {
                     tokenize_by_chars(line, &mut toks);
-                    view(&toks)
+                    view(line, &toks)
                 })
                 .collect();
             let (mut got, mut rest) = (Vec::new(), text.as_str());
             while !rest.is_empty() {
-                rest = &rest[tokenize_line(rest, &mut toks)..];
-                got.push(view(&toks));
+                let len = tokenize_line(rest, &mut toks);
+                got.push(view(&rest[..len], &toks));
+                rest = &rest[len..];
             }
             proptest::prop_assert_eq!(got, want, "{:?}", text);
         }

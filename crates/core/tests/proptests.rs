@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rtpool_core::analysis::global::{self, ConcurrencyModel};
 use rtpool_core::analysis::partitioned::{self, PartitionStrategy};
 use rtpool_core::partition::{algorithm1, worst_fit};
@@ -599,4 +599,315 @@ proptest! {
             }
         }
     }
+}
+
+/// The seven ways the renaming test names node `id` of a task: on the
+/// parser's numbering from 0, from an offset, zero-padded, broken at one
+/// node, with no digits at all, non-ASCII, and with 20-digit numbers.
+#[derive(Clone, Copy, Debug)]
+enum Naming {
+    Plain,
+    Offset(u64),
+    Padded,
+    BrokenAt(usize),
+    Letters(u64),
+    Accented,
+    TwentyDigits(u128),
+}
+
+impl Naming {
+    fn all(rng: &mut StdRng) -> [Naming; 7] {
+        let offset = match rng.gen_range(0u32..3) {
+            0 => rng.gen_range(1u64..1_000),
+            1 => rng.gen::<u64>(),
+            _ => u64::MAX - rng.gen_range(0u64..64),
+        };
+        // Past u64::MAX, across it, or below it.
+        let twenty = [
+            99_999_999_999_999_999_990,
+            u128::from(u64::MAX) - 3,
+            10_000_000_000_000_000_000,
+        ][rng.gen_range(0usize..3)];
+        [
+            Naming::Plain,
+            Naming::Offset(offset),
+            Naming::Padded,
+            Naming::BrokenAt(rng.gen_range(0usize..64)),
+            Naming::Letters(rng.gen::<u64>()),
+            Naming::Accented,
+            Naming::TwentyDigits(twenty),
+        ]
+    }
+
+    /// The name of node `id` of a task with `n` nodes.
+    fn name(self, id: usize, n: usize) -> String {
+        match self {
+            Naming::Plain => format!("v{id}"),
+            Naming::Offset(k) => format!("n{}", u128::from(k) + id as u128),
+            Naming::Padded => format!("v{id:03}"),
+            Naming::BrokenAt(at) if id == at % n => format!("w{id}_"),
+            Naming::BrokenAt(_) => format!("v{id}"),
+            Naming::Letters(salt) => {
+                // `id` in base 26 behind a salted prefix: distinct, and no
+                // digit anywhere.
+                let letter = |x: u64| char::from(b'a' + (x % 26) as u8);
+                let mut name: String = (0..3).map(|i| letter(salt >> (8 * i))).collect();
+                let mut x = id as u64;
+                loop {
+                    name.push(letter(x));
+                    x /= 26;
+                    if x == 0 {
+                        break name;
+                    }
+                }
+            }
+            Naming::Accented => format!("bêta{id}"),
+            Naming::TwentyDigits(base) => format!("s{}", base + id as u128),
+        }
+    }
+}
+
+/// `text` with every node of every task renamed by `name(task, id, n)`:
+/// the same lines, comments and indentation, each name token replaced.
+fn renamed(text: &str, name: impl Fn(usize, usize, usize) -> String) -> String {
+    let (set, spans) = textfmt::parse_task_set_with_spans(text).expect("the input parses");
+    let ids: Vec<std::collections::HashMap<&str, usize>> = spans
+        .iter()
+        .zip(set.iter())
+        .map(|(s, (_, task))| {
+            task.dag()
+                .node_ids()
+                .map(|v| (s.name(v).expect("every node is named"), v.index()))
+                .collect()
+        })
+        .collect();
+    let counts: Vec<usize> = set.iter().map(|(_, t)| t.dag().node_count()).collect();
+    let mut task = None;
+    let mut out = String::with_capacity(text.len() * 2);
+    for line in text.lines() {
+        let (code, comment) = match line.find('#') {
+            Some(at) => line.split_at(at),
+            None => (line, ""),
+        };
+        let mut words: Vec<String> = code.split_whitespace().map(str::to_owned).collect();
+        let names = match words.first().map(String::as_str) {
+            Some("task") => {
+                task = Some(task.map_or(0, |t: usize| t + 1));
+                0..0
+            }
+            Some("node") => 1..2,
+            Some("edge" | "blocking") => 1..3,
+            _ => 0..0,
+        };
+        for word in &mut words[names] {
+            let t = task.expect("names appear inside a task");
+            *word = name(t, ids[t][word.as_str()], counts[t]);
+        }
+        let indent = &code[..code.len() - code.trim_start().len()];
+        out.push_str(indent);
+        out.push_str(&words.join(" "));
+        if !comment.is_empty() {
+            out.push_str(if words.is_empty() { "" } else { " " });
+            out.push_str(comment);
+        }
+        out.push('\n');
+    }
+    out
+}
+
+/// `text` with `line` inserted before the `end` of its `task`-th task,
+/// and the 1-based number the inserted line gets.
+fn inserted_before_end(text: &str, task: usize, line: &str) -> (String, usize) {
+    let mut lines: Vec<&str> = text.lines().collect();
+    let at = lines
+        .iter()
+        .enumerate()
+        .filter(|(_, l)| l.split_whitespace().next() == Some("end"))
+        .nth(task)
+        .expect("the task exists")
+        .0;
+    lines.insert(at, line);
+    (lines.join("\n"), at + 1)
+}
+
+/// Both entry points fail on `text` with exactly `want`.
+fn assert_fails_with(text: &str, want: &textfmt::ParseTaskError) -> Result<(), String> {
+    prop_assert_eq!(
+        &textfmt::parse_task_set(text).unwrap_err(),
+        want,
+        "{}",
+        text
+    );
+    prop_assert_eq!(
+        &textfmt::parse_task_set_with_spans(text).unwrap_err(),
+        want,
+        "{}",
+        text
+    );
+    Ok(())
+}
+
+/// The renaming law over one `.rtp` text: under every [`Naming`] it
+/// parses to the same `write_task_set` bytes, and an injected undeclared
+/// reference and an injected repeat of a `node` line fail with the same
+/// variant, line and span (its length the renamed name's).
+fn assert_renamings_agree(text: &str, rng: &mut StdRng) -> Result<(), String> {
+    use textfmt::{ParseTaskError, Span};
+    let want = textfmt::write_task_set(&textfmt::parse_task_set(text).expect("the input parses"));
+    let set = textfmt::parse_task_set(text).expect("the input parses");
+    let task = rng.gen_range(0..set.len());
+    let n = set.task(TaskId(task)).dag().node_count();
+    let (dup, wcet) = {
+        let v = rng.gen_range(0..n);
+        (v, set.task(TaskId(task)).dag().wcet(NodeId::from_index(v)))
+    };
+    for naming in Naming::all(rng) {
+        let text = renamed(text, |_, id, n| naming.name(id, n));
+        let back = textfmt::parse_task_set(&text).map_err(|e| format!("{naming:?}: {e}"))?;
+        prop_assert_eq!(textfmt::write_task_set(&back), want.clone(), "{:?}", naming);
+        assert_parsers_agree(&text)?;
+
+        let target = naming.name(0, n);
+        let (ghost, line) = inserted_before_end(&text, task, &format!("  edge ghost7 {target}"));
+        let unknown = ParseTaskError::UnknownName {
+            line,
+            span: Span::new(line, 8, 6),
+            name: "ghost7".into(),
+        };
+        assert_fails_with(&ghost, &unknown)?;
+
+        let name = naming.name(dup, n);
+        let (twice, line) = inserted_before_end(&text, task, &format!("  node {name} {wcet}"));
+        let duplicate = ParseTaskError::DuplicateName {
+            line,
+            span: Span::new(line, 8, name.chars().count()),
+            name,
+        };
+        assert_fails_with(&twice, &duplicate)?;
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+    /// Names are resolved the same whether they follow the parser's
+    /// numbering, break it, or never follow it, on generated sets.
+    #[test]
+    fn renaming_nodes_changes_nothing_but_names(
+        seed in any::<u64>(),
+        n_tasks in 1usize..=4,
+        pct in 0u32..=100,
+    ) {
+        let dag = DagGenConfig { blocking: BlockingPolicy::Fixed(f64::from(pct) / 100.0) };
+        let mut rng = StdRng::seed_from_u64(seed);
+        let set = TaskSetConfig::new(n_tasks, 1.5, dag).generate(&mut rng).unwrap();
+        assert_renamings_agree(&textfmt::write_task_set(&set), &mut rng)?;
+    }
+}
+
+/// The same over every shipped workload, whose names are not `v0 v1 …`.
+#[test]
+fn renaming_nodes_changes_nothing_but_names_on_the_workloads() {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../workloads");
+    let mut seen = 0;
+    for entry in std::fs::read_dir(dir).expect("workloads/ is readable") {
+        let path = entry.expect("readable entry").path();
+        if path.extension().is_some_and(|e| e == "rtp") {
+            let text = std::fs::read_to_string(&path).expect("readable file");
+            for seed in 0..8 {
+                assert_renamings_agree(&text, &mut StdRng::seed_from_u64(seed))
+                    .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            }
+            seen += 1;
+        }
+    }
+    assert!(seen >= 3, "only {seen} workloads found");
+}
+
+/// `text` (as `write_task_set` writes it) with each run of `node`,
+/// `edge` or `blocking` lines shuffled. The parser numbers nodes in
+/// declaration order, so every task's ids are permuted and its edges and
+/// blocking pairs mapped with them, the names staying with their nodes;
+/// edges and pairs are declared in a new order too.
+fn relabelled(text: &str, rng: &mut StdRng) -> String {
+    let mut lines: Vec<&str> = text.lines().collect();
+    let mut at = 0;
+    while at < lines.len() {
+        let kind = lines[at].split_whitespace().next();
+        let run = lines[at..]
+            .iter()
+            .take_while(|l| l.split_whitespace().next() == kind)
+            .count();
+        if matches!(kind, Some("node" | "edge" | "blocking")) {
+            let block = &mut lines[at..at + run];
+            for i in (1..block.len()).rev() {
+                block.swap(i, rng.gen_range(0..=i));
+            }
+        }
+        at += run;
+    }
+    lines.join("\n")
+}
+
+/// The relabelling law: renumbering a generated set's nodes, and
+/// reordering its edges and blocking pairs, leaves every global verdict
+/// and bound unchanged, under every concurrency model and both backends. The partitioned heuristics break ties by node id, so
+/// their verdicts may flip; those flips are counted and printed, not
+/// asserted.
+#[test]
+fn relabelling_nodes_leaves_the_global_analyses_unchanged() {
+    let models = [
+        ConcurrencyModel::Full,
+        ConcurrencyModel::Limited,
+        ConcurrencyModel::LimitedExact,
+    ];
+    let (mut cases, mut flips) = (0, [0usize; 2]);
+    for seed in 0..96u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let pct = rng.gen_range(0u32..=100);
+        let dag = DagGenConfig {
+            blocking: BlockingPolicy::Fixed(f64::from(pct) / 100.0),
+        };
+        let n_tasks = rng.gen_range(1usize..=4);
+        let load = rng.gen_range(1u32..=8);
+        let set = TaskSetConfig::new(n_tasks, f64::from(load) / 2.0, dag)
+            .generate(&mut rng)
+            .unwrap();
+        let text = textfmt::write_task_set(&set);
+        let shuffled = relabelled(&text, &mut rng);
+        let permuted = textfmt::parse_task_set(&shuffled).unwrap();
+        let m = rng.gen_range(1usize..=8);
+        for backend in [SyncBackend::Suspend, SyncBackend::Spin] {
+            let (a, b) = (
+                set.clone().with_backend(backend),
+                permuted.clone().with_backend(backend),
+            );
+            for model in models {
+                assert_eq!(
+                    global::analyze(&a, m, model),
+                    global::analyze(&b, m, model),
+                    "seed {seed}, m = {m}, {backend:?}, {model:?}"
+                );
+            }
+        }
+        for (strategy, flipped) in [PartitionStrategy::WorstFit, PartitionStrategy::Algorithm1]
+            .into_iter()
+            .zip(&mut flips)
+        {
+            let verdicts = |set: &TaskSet| {
+                let (result, _) = partitioned::partition_and_analyze(set, m, strategy);
+                result
+                    .verdicts()
+                    .iter()
+                    .map(|v| v.is_schedulable())
+                    .collect::<Vec<_>>()
+            };
+            *flipped += usize::from(verdicts(&set) != verdicts(&permuted));
+        }
+        cases += 1;
+    }
+    println!(
+        "relabelling: {cases} sets, partitioned verdicts flipped on {} (worst-fit) and {} (Algorithm 1)",
+        flips[0], flips[1]
+    );
 }

@@ -8,12 +8,12 @@
 ///
 /// Panics if `period == 0`.
 #[must_use]
-pub fn workload(window: u64, period: u64, volume: u64, jitter: u64) -> u128 {
+pub fn workload(window: u64, period: u64, volume: u128, jitter: u64) -> u128 {
     if volume == 0 || window == 0 {
         return 0;
     }
     let activations = (u128::from(window) + u128::from(jitter)).div_ceil(u128::from(period));
-    activations.saturating_mul(u128::from(volume))
+    activations.saturating_mul(volume)
 }
 
 /// The least fix-point of `x = base + ⌊(own + Σ workload(x, T, W, J)) /
@@ -30,7 +30,7 @@ pub fn workload(window: u64, period: u64, volume: u64, jitter: u64) -> u128 {
 pub fn least_fixpoint(
     base: u64,
     own: u64,
-    loads: &[(u64, u64, u64)],
+    loads: &[(u64, u128, u64)],
     denom: u64,
     start: u64,
     cap: u64,
