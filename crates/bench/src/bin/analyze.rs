@@ -13,7 +13,8 @@
 //! analyze <file.rtp> --m <threads> [--timeout-ms T]
 //! ```
 //!
-//! A pool past `rtpool_core::partition::MAX_PARTITIONED_THREADS` gets
+//! `--m 0` is refused. A pool past
+//! `rtpool_core::partition::MAX_PARTITIONED_THREADS` gets
 //! every global section, an error naming the bound in place of the
 //! partitioned ones, and exit code 1.
 //!
@@ -50,6 +51,9 @@ fn parse_args() -> Result<Args, String> {
                     .ok_or("missing value for --m")?
                     .parse()
                     .map_err(|e| format!("invalid --m: {e}"))?;
+                if m == 0 {
+                    return Err("--m must be positive".into());
+                }
             }
             "--timeout-ms" => {
                 let ms: u64 = it

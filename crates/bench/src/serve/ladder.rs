@@ -70,13 +70,12 @@ pub fn run_ladder(set: &TaskSet, m: usize, token: &CancelToken) -> LadderOutcome
 
 /// Climbs the ladder no deeper than `cap`.
 ///
-/// The server uses `cap` to pre-commit to a cheap answer — e.g.
-/// [`LadderLevel::Prefilter`] for a request whose budget already expired
-/// in the queue — and the test suite uses it to pin the degradation
-/// semantics deterministically (a capped climb is exactly "the budget
-/// ran out after rung `cap`"). Any answer from a rung shallower than
-/// [`LadderLevel::Exact`] that is not a sound rejection or a sound
-/// admission for the definitive rung is marked degraded.
+/// The server always climbs the full ladder ([`run_ladder`]); the test
+/// suite uses `cap` to pin the degradation semantics deterministically
+/// (a capped climb is exactly "the budget ran out after rung `cap`").
+/// Any answer from a rung shallower than [`LadderLevel::Exact`] that is
+/// not a sound rejection or a sound admission for the definitive rung is
+/// marked degraded.
 #[must_use]
 pub fn run_ladder_capped(
     set: &TaskSet,

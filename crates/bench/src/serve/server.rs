@@ -493,7 +493,7 @@ impl Server {
 }
 
 // Compat, one caller: `benchmark/src/serve_wl.rs:184` (frozen while this landed) spells the
-// pool the server used to run on. Delete when a `benchmark` PR calls `Server::start` (ROADMAP 4a).
+// pool the server used to run on. Delete when a `benchmark` PR calls `Server::start` (ROADMAP 1a).
 #[doc(hidden)]
 pub struct InjectorPool(usize);
 #[doc(hidden)]

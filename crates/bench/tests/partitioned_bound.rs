@@ -5,7 +5,9 @@
 //! where a pool of `u64::MAX` threads used to panic on a capacity
 //! overflow, one of 2³² to abort on allocation, and one of 5 000 to run.
 //! Past the second, `rtpool-trace` refuses to simulate by its name, where
-//! the simulator panicked and aborted at the same two sizes.
+//! the simulator panicked and aborted at the same two sizes. At the other
+//! end, `analyze` refuses `--m 0` by the flag's name, where the global
+//! analysis panicked.
 
 use std::process::{Command, Output};
 
@@ -43,6 +45,16 @@ fn analyze_refuses_the_partitioned_sections_past_the_bound_by_name() {
         let partitioned = stdout.contains("Algorithm 1 (delay-free)");
         assert_eq!(partitioned, !refused, "{context}");
     }
+}
+
+#[test]
+fn analyze_refuses_an_empty_pool_by_name() {
+    let args = [FIGURE1, "--m", "0"];
+    let (code, stdout, stderr) = run(env!("CARGO_BIN_EXE_analyze"), &args);
+    let context = format!("{args:?}\nstdout:\n{stdout}\nstderr:\n{stderr}");
+    assert_eq!(code, Some(1), "{context}");
+    assert!(stderr.contains("error: --m must be positive"), "{context}");
+    assert!(!stderr.contains("panicked"), "{context}");
 }
 
 #[test]

@@ -77,18 +77,13 @@ pub enum ConcurrencyModel {
 }
 
 /// One task's side of the fix-point for one concurrency model.
-///
-/// Shared with the warm-start layer
-/// ([`incremental`](crate::analysis::incremental)), which compares the
-/// previous pass's parameters against the current ones to decide whether
-/// the previous response time is a sound fix-point seed.
-pub(crate) struct TaskParams {
-    pub(crate) len: u64,
+struct TaskParams {
+    len: u64,
     /// `vol − len`: the task's own work off its critical path.
-    pub(crate) own: u64,
+    own: u64,
     deadline: u64,
     /// Divisor for the interference term.
-    pub(crate) denom: u64,
+    denom: u64,
     /// `l̄` as computed (for error reporting).
     floor: i64,
     /// `(Tᵢ, ivolᵢ, ⌊volᵢ/m⌋)`: [`load`](Self::load) makes the last the
@@ -147,7 +142,7 @@ impl TaskParams {
     }
 
     /// The carry-in row of this task once its response time is known.
-    pub(crate) fn load(&self, response: u64) -> Load {
+    fn load(&self, response: u64) -> Load {
         Load {
             jitter: response.saturating_sub(self.carry.jitter),
             ..self.carry
@@ -271,17 +266,10 @@ pub fn analyze_many_cancellable(
         .iter()
         .map(|&model| {
             let mut verdicts = Vec::with_capacity(set.len());
-            analyze_tasks(
-                set,
-                m,
-                model,
-                token,
-                |_, _| None,
-                |_, verdict| {
-                    verdicts.push(verdict);
-                    ControlFlow::Continue(())
-                },
-            )?;
+            analyze_tasks(set, m, model, token, |verdict| {
+                verdicts.push(verdict);
+                ControlFlow::Continue(())
+            })?;
             Ok(SchedResult::new(verdicts))
         })
         .collect()
@@ -319,44 +307,31 @@ pub fn analyze_many_cancellable(
 pub fn accepts(set: &TaskSet, m: usize, model: ConcurrencyModel) -> bool {
     assert!(m > 0, "platform must have at least one processor");
     let mut schedulable = true;
-    analyze_tasks(
-        set,
-        m,
-        model,
-        &CancelToken::never(),
-        |_, _| None,
-        |_, verdict| {
-            schedulable = verdict.is_schedulable();
-            if schedulable {
-                ControlFlow::Continue(())
-            } else {
-                ControlFlow::Break(())
-            }
-        },
-    )
+    analyze_tasks(set, m, model, &CancelToken::never(), |verdict| {
+        schedulable = verdict.is_schedulable();
+        if schedulable {
+            ControlFlow::Continue(())
+        } else {
+            ControlFlow::Break(())
+        }
+    })
     .expect("a never-cancelling token cannot cancel");
     schedulable
 }
 
 /// The per-task loop of the analysis, in priority order: the one loop
-/// behind [`analyze_many_cancellable`], [`accepts`] and the warm-started
-/// pass ([`incremental`](crate::analysis::incremental)).
+/// behind [`analyze_many_cancellable`] and [`accepts`].
 ///
-/// A task's [`TaskParams`] are built when the loop reaches it, and its
-/// carry-in [`Load`] once its response time is known. `seed(params, hp)`,
-/// with `hp` the rows of every task above it, may name a start for its
-/// fix-point above the cold start `len(λᵢ*)` (see
-/// [`Demand::least_fixpoint`] for when that is sound); the cold analysis
-/// passes none and the warm-started one its seed guard. `record` receives
-/// each task's parameters and verdict in turn, and a `Break` from it ends
-/// the loop.
-pub(crate) fn analyze_tasks(
+/// A task's [`TaskParams`] are built when the loop reaches it, its
+/// fix-point iterates from the cold start `len(λᵢ*)`, and its carry-in
+/// [`Load`] is pushed once its response time is known. `record` receives
+/// each task's verdict in turn, and a `Break` from it ends the loop.
+fn analyze_tasks(
     set: &TaskSet,
     m: usize,
     model: ConcurrencyModel,
     token: &CancelToken,
-    mut seed: impl FnMut(&TaskParams, &[Load]) -> Option<u64>,
-    mut record: impl FnMut(&TaskParams, TaskVerdict) -> ControlFlow<()>,
+    mut record: impl FnMut(TaskVerdict) -> ControlFlow<()>,
 ) -> Result<(), Cancelled> {
     let backend = set.backend();
     let mut hp: Vec<Load> = Vec::with_capacity(set.len());
@@ -382,16 +357,7 @@ pub(crate) fn analyze_tasks(
                 loads: &hp,
                 denom: p.denom,
             };
-            let start = seed(&p, &hp).unwrap_or(p.len).max(p.len);
-            // The reported over-deadline bound is the first iterate past
-            // the deadline, which depends on where the iteration started;
-            // a seeded miss reruns cold so it matches the from-scratch
-            // analysis exactly.
-            let mut fix = demand.least_fixpoint(start, p.deadline, token)?;
-            if start > p.len && fix.is_err() {
-                fix = demand.least_fixpoint(p.len, p.deadline, token)?;
-            }
-            match fix {
+            match demand.least_fixpoint(p.deadline, token)? {
                 Ok(response_time) => TaskVerdict::Schedulable { response_time },
                 Err(bound) => TaskVerdict::Unschedulable {
                     reason: UnschedulableReason::ResponseTimeExceedsDeadline { bound },
@@ -404,7 +370,7 @@ pub(crate) fn analyze_tasks(
                 first_miss.get_or_insert(i);
             }
         }
-        if record(&p, verdict).is_break() {
+        if record(verdict).is_break() {
             break;
         }
     }

@@ -29,18 +29,15 @@ pub(crate) struct Demand<'a> {
 }
 
 impl Demand<'_> {
-    /// The least fix-point iterated from `start`, if it is at most `cap`,
+    /// The least fix-point iterated from `base`, if it is at most `cap`,
     /// else the first iterate past `cap` clamped to `u64::MAX`; `token`
-    /// is polled once per iterate. The cold start is `base`; any start at
-    /// or below the least fix-point reaches it too, since the right-hand
-    /// side is monotone.
+    /// is polled once per iterate.
     pub(crate) fn least_fixpoint(
         &self,
-        start: u64,
         cap: u64,
         token: &CancelToken,
     ) -> Result<Result<u64, u64>, Cancelled> {
-        let mut x = start;
+        let mut x = self.base;
         loop {
             token.checkpoint()?;
             let next = self.at(x);
@@ -139,15 +136,14 @@ mod tests {
     proptest! {
         /// The kernel is the formula: the same least fix-point, or the
         /// same first iterate past the cap (clamped to `u64::MAX`), from
-        /// the cold start and from a seed at or below the fix-point, with
-        /// operands near `u64::MAX` and caps that include it.
+        /// the cold start, with operands near `u64::MAX` and caps that
+        /// include it.
         #[test]
         fn least_fixpoint_equals_the_u128_formula(
             (base, own) in (operand(), operand()),
             rows in prop::collection::vec((operand(), work(), operand()), 0..4),
             denom in 1u64..65,
             cap in cap(),
-            seed in any::<u64>(),
         ) {
             let rows: Vec<(u64, u128, u64)> =
                 rows.into_iter().map(|(t, w, j)| (t.max(1), w, j)).collect();
@@ -156,25 +152,12 @@ mod tests {
                 .map(|&(period, work, jitter)| Load { period, work, jitter })
                 .collect();
             let demand = Demand { base, own, loads: &loads, denom };
-            let formula = |start| least_fixpoint(base, own, &rows, denom, start, cap, STEPS);
-            let Some(cold) = formula(base) else {
+            let Some(want) = least_fixpoint(base, own, &rows, denom, cap, STEPS) else {
                 return Ok(());
             };
-            // A seed at or below the least fix-point, or anywhere up to
-            // the cap when there is none below it.
-            let top = match cold {
-                Ok(fix) => fix,
-                Err(_) => cap.max(base),
-            };
-            let start = base + seed % (top - base).saturating_add(1);
-            for start in [base, start] {
-                let Some(want) = formula(start) else {
-                    continue;
-                };
-                let want = want.map_err(|past| u64::try_from(past).unwrap_or(u64::MAX));
-                let got = demand.least_fixpoint(start, cap, &CancelToken::never()).unwrap();
-                prop_assert_eq!(got, want, "start {}", start);
-            }
+            let want = want.map_err(|past| u64::try_from(past).unwrap_or(u64::MAX));
+            let got = demand.least_fixpoint(cap, &CancelToken::never()).unwrap();
+            prop_assert_eq!(got, want);
         }
 
         #[test]

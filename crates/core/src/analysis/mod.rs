@@ -9,11 +9,13 @@
 //!   style of Fonseca et al. (SIES 2016) with SPLIT-like self-suspension
 //!   handling (see the crate-level docs and DESIGN.md for the exact
 //!   adaptation).
-//! * [`incremental`] — the warm-started variant of the global analysis:
-//!   fix-points resume from the previous response-time vector (sound by
-//!   monotonicity), with bit-identical verdicts and cold fallbacks.
+//!
+//! Both solve their fix-points with one kernel, from the cold start. An
+//! edited set is analyzed like any other: `Dag::edit` shares the base
+//! graph's derived cells, so the analysis finds them computed.
 
 pub mod global;
+#[doc(hidden)]
 pub mod incremental;
 mod interference;
 pub mod partitioned;

@@ -487,7 +487,7 @@ fn within(base: u64, loads: &[Load], cap: u64) -> Option<u64> {
         denom: 1,
     };
     demand
-        .least_fixpoint(base, cap, &CancelToken::never())
+        .least_fixpoint(cap, &CancelToken::never())
         .expect("a never-cancelling token cannot cancel")
         .ok()
 }

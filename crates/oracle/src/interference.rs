@@ -17,7 +17,7 @@ pub fn workload(window: u64, period: u64, volume: u128, jitter: u64) -> u128 {
 }
 
 /// The least fix-point of `x = base + ⌊(own + Σ workload(x, T, W, J)) /
-/// denom⌋` over `loads` (`(T, W, J)` rows), iterated from `start` in
+/// denom⌋` over `loads` (`(T, W, J)` rows), iterated from `base` in
 /// `u128` (saturated past `u128::MAX`, clamped nowhere): `Some(Ok(x))`
 /// when an iterate at or below `cap` repeats, `Some(Err(next))` for the
 /// first iterate past `cap`, and `None` when neither happens within
@@ -32,11 +32,10 @@ pub fn least_fixpoint(
     own: u64,
     loads: &[(u64, u128, u64)],
     denom: u64,
-    start: u64,
     cap: u64,
     steps: usize,
 ) -> Option<Result<u64, u128>> {
-    let mut x = start;
+    let mut x = base;
     for _ in 0..steps {
         let demand = loads
             .iter()

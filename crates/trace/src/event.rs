@@ -258,10 +258,10 @@ pub enum EventKind {
         /// Nodes moved by this steal.
         count: u32,
     },
-    /// A mutated resubmission was answered from a delta-patched cache
-    /// entry (serve only): the admission service resolved an `edit`
-    /// request by patching the base DAG's derived cache in place and
-    /// warm-starting the analysis, instead of taking a cold miss.
+    /// A mutated resubmission was answered from a resident base (serve
+    /// only): the admission service resolved an `edit` request with
+    /// `Dag::edit`, which builds a new graph sharing the base's structural
+    /// cells, and ran the ladder on it, instead of parsing a source.
     CacheDeltaHit {
         /// Task index.
         task: u32,
