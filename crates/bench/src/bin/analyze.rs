@@ -23,44 +23,32 @@
 //! iterating further (pathological parameters can make the
 //! pseudo-polynomial RTA arbitrarily slow).
 
+use std::path::Path;
 use std::process::ExitCode;
 use std::time::Duration;
 
+use rtpool_bench::cli::{self, number, pool_size, verdict_row, PoolUse};
 use rtpool_core::analysis::global::{analyze_many_cancellable, ConcurrencyModel};
 use rtpool_core::analysis::partitioned::{self, PartitionStrategy};
-use rtpool_core::partition::MAX_PARTITIONED_THREADS;
 use rtpool_core::{deadlock, sizing, CancelToken, TaskId};
 use rtpool_lint::{check_source, render_human, LintOptions};
 
+#[derive(Debug)]
 struct Args {
     path: String,
     m: usize,
     timeout: Option<Duration>,
 }
 
-fn parse_args() -> Result<Args, String> {
+fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
     let mut path = None;
     let mut m = 4usize;
     let mut timeout = None;
-    let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--m" => {
-                m = it
-                    .next()
-                    .ok_or("missing value for --m")?
-                    .parse()
-                    .map_err(|e| format!("invalid --m: {e}"))?;
-                if m == 0 {
-                    return Err("--m must be positive".into());
-                }
-            }
+            "--m" => m = pool_size("--m", number(&mut it, "--m")?, PoolUse::Modelled)?,
             "--timeout-ms" => {
-                let ms: u64 = it
-                    .next()
-                    .ok_or("missing value for --timeout-ms")?
-                    .parse()
-                    .map_err(|e| format!("invalid --timeout-ms: {e}"))?;
+                let ms: u64 = number(&mut it, "--timeout-ms")?;
                 if ms == 0 {
                     return Err("--timeout-ms must be positive".into());
                 }
@@ -98,9 +86,8 @@ fn main() -> ExitCode {
 }
 
 fn run() -> Result<bool, String> {
-    let args = parse_args()?;
-    let text = std::fs::read_to_string(&args.path)
-        .map_err(|e| format!("cannot read {}: {e}", args.path))?;
+    let args = parse_args(std::env::args().skip(1))?;
+    let text = cli::read_source(Path::new(&args.path))?;
     let m = args.m;
 
     // One parse, shared with the linter: the lint pass owns parsing and
@@ -167,28 +154,14 @@ fn run() -> Result<bool, String> {
                 ));
             }
         };
-        print!(
-            "  {label:35} {}",
-            if r.is_schedulable() {
-                "SCHEDULABLE  "
-            } else {
-                "unschedulable"
-            }
-        );
-        let responses: Vec<String> = r
-            .verdicts()
-            .iter()
-            .map(|v| v.response_time().map_or("-".into(), |r| r.to_string()))
-            .collect();
-        println!("  R = [{}]", responses.join(", "));
+        println!("{}", verdict_row(label, &r));
     }
 
-    let refused = m > MAX_PARTITIONED_THREADS;
-    if refused {
-        eprintln!(
-            "error: partitioned analysis refused: m = {m} is past \
-             MAX_PARTITIONED_THREADS = {MAX_PARTITIONED_THREADS}"
-        );
+    // The section is refused for the pool it would partition, so the
+    // message names `m` rather than the flag.
+    let refused = pool_size("m", m, PoolUse::Partitioned).err();
+    if let Some(e) = &refused {
+        eprintln!("error: partitioned analysis refused: {e}");
     } else {
         println!("\n== Partitioned schedulability (Section 4.2) ==");
         for (label, strategy) in [
@@ -199,20 +172,7 @@ fn run() -> Result<bool, String> {
             ("Algorithm 1 (delay-free)", PartitionStrategy::Algorithm1),
         ] {
             let (r, mappings) = partitioned::partition_and_analyze(&set, m, strategy);
-            print!(
-                "  {label:35} {}",
-                if r.is_schedulable() {
-                    "SCHEDULABLE  "
-                } else {
-                    "unschedulable"
-                }
-            );
-            let responses: Vec<String> = r
-                .verdicts()
-                .iter()
-                .map(|v| v.response_time().map_or("-".into(), |r| r.to_string()))
-                .collect();
-            println!("  R = [{}]", responses.join(", "));
+            println!("{}", verdict_row(label, &r));
             for (i, mapping) in mappings.iter().enumerate() {
                 if let Some(mapping) = mapping {
                     let task = set.task(TaskId(i));
@@ -224,5 +184,35 @@ fn run() -> Result<bool, String> {
         }
     }
 
-    Ok(!refused && !report.has_failures())
+    Ok(refused.is_none() && !report.has_failures())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        parse_args(args.iter().map(|a| (*a).to_owned()))
+    }
+
+    #[test]
+    fn the_pool_and_the_budget_must_be_positive() {
+        let err = |args: &[&str]| parse(args).unwrap_err();
+        assert_eq!(err(&["f.rtp", "--m", "0"]), "--m must be positive");
+        assert_eq!(
+            err(&["f.rtp", "--timeout-ms", "0"]),
+            "--timeout-ms must be positive"
+        );
+        assert_eq!(err(&["f.rtp", "--m"]), "missing value for --m");
+        assert!(err(&["f.rtp", "--m", "x"]).starts_with("invalid --m: "));
+        assert_eq!(err(&["--m", "2"]), "missing input file");
+    }
+
+    #[test]
+    fn any_positive_pool_is_analysed() {
+        let max = usize::MAX.to_string();
+        let args = parse(&["f.rtp", "--m", &max]).unwrap();
+        assert_eq!((args.path.as_str(), args.m), ("f.rtp", usize::MAX));
+        assert_eq!(parse(&["f.rtp"]).unwrap().m, 4);
+    }
 }

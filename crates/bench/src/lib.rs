@@ -23,6 +23,7 @@
 #![warn(missing_docs)]
 
 mod ablation;
+pub mod cli;
 pub mod fig2;
 pub mod pipeline;
 pub mod serve;

@@ -236,10 +236,15 @@ impl TaskSet {
         TaskId(self.tasks.len() - 1)
     }
 
-    /// Total utilization `U = Σ vol(τᵢ)/Tᵢ`.
+    /// Total utilization `U = Σ vol(τᵢ)/Tᵢ`; `0.0` for an empty set.
     #[must_use]
     pub fn total_utilization(&self) -> f64 {
-        self.tasks.iter().map(Task::utilization).sum()
+        // Folded from `0.0`: `f64`'s `Sum` starts at `-0.0`, which an
+        // empty set would return and print as `-0.000`.
+        self.tasks
+            .iter()
+            .map(Task::utilization)
+            .fold(0.0, |u, t| u + t)
     }
 
     /// Re-orders tasks by deadline-monotonic priority (shorter deadline =
@@ -320,6 +325,14 @@ mod tests {
         b.add_node(1);
         let t = Task::with_implicit_deadline(b.build().unwrap(), 42).unwrap();
         assert_eq!(t.deadline(), t.period());
+    }
+
+    #[test]
+    fn an_empty_set_has_positive_zero_utilization() {
+        assert_eq!(
+            TaskSet::default().total_utilization().to_bits(),
+            0.0f64.to_bits()
+        );
     }
 
     #[test]
