@@ -52,7 +52,7 @@ use std::ops::ControlFlow;
 use crate::analysis::interference::{Demand, Load};
 use crate::analysis::{SchedResult, TaskVerdict, UnschedulableReason};
 use crate::cancel::{CancelToken, Cancelled};
-use crate::deadlock::{available_concurrency, concurrency_floor};
+use crate::deadlock::available_concurrency;
 use crate::task::{Task, TaskId, TaskSet};
 use rtpool_graph::{Dag, NodeId, NodeKind, SyncBackend};
 
@@ -100,21 +100,24 @@ impl TaskParams {
     /// once per model does not repeat the underlying graph work.
     fn new(task: &Task, m: usize, model: ConcurrencyModel, backend: SyncBackend) -> Self {
         let dag = task.dag();
-        let (denom, floor) = match (model, backend) {
-            (ConcurrencyModel::Full, _) => (m as u64, available_concurrency(m, 0)),
+        let suspended = match (model, backend) {
+            (ConcurrencyModel::Full, _) => 0,
             (ConcurrencyModel::Limited, _)
             // The antichain refinement needs suspended workers to free
             // their cores; a spinner never does, so spin mode falls back
             // to the b̄-based floor (see module docs).
             | (ConcurrencyModel::LimitedExact, SyncBackend::Spin) => {
-                let floor = concurrency_floor(dag, m);
-                (floor.max(0) as u64, floor)
+                dag.delay_profile().max_delay_count()
             }
             (ConcurrencyModel::LimitedExact, SyncBackend::Suspend) => {
-                let floor = available_concurrency(m, dag.max_blocking_antichain().len());
-                (floor.max(0) as u64, floor)
+                dag.max_blocking_antichain().len()
             }
         };
+        // The divisor is `m − suspended` in `u64`: the `i64` floor
+        // saturates at `i64::MAX`, which would divide a pool past 2⁶³ by
+        // less than its size.
+        let denom = (m as u64).saturating_sub(suspended as u64);
+        let floor = available_concurrency(m, suspended);
         let vol = dag.volume();
         // Charged to lower priorities: the real volume under suspension
         // and in the blocking-oblivious `Full`, plus `SpinVol` under spin
@@ -400,6 +403,26 @@ mod tests {
             b.add_edge(j, snk).unwrap();
         }
         Task::with_implicit_deadline(b.build().unwrap(), period).unwrap()
+    }
+
+    #[test]
+    fn without_blocking_forks_limited_is_full_on_the_largest_pool() {
+        // b̄ = 0, so l̄ = m: past 2⁶³ the divisor is still m, not i64::MAX.
+        let chain = |wcets: &[u64], period: u64, deadline: u64| {
+            let mut b = DagBuilder::new();
+            let nodes: Vec<_> = wcets.iter().map(|&w| b.add_node(w)).collect();
+            for pair in nodes.windows(2) {
+                b.add_edge(pair[0], pair[1]).unwrap();
+            }
+            Task::new(b.build().unwrap(), period, deadline).unwrap()
+        };
+        let set = TaskSet::new(vec![
+            chain(&[1 << 62], 1 << 62, 1 << 62),
+            chain(&[1, 1 << 63], u64::MAX / 3, 1 << 32),
+        ]);
+        let [full, limited] = [ConcurrencyModel::Full, ConcurrencyModel::Limited]
+            .map(|model| analyze(&set, usize::MAX, model));
+        assert_eq!(limited, full);
     }
 
     #[test]
