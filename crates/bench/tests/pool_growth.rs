@@ -15,6 +15,9 @@ use std::process::Command;
 
 use rtpool_trace::json::{Reader, Value};
 
+mod common;
+use common::rtlint;
+
 const POOLS: [u64; 11] = [1, 2, 3, 4, 6, 8, 64, 4096, 4097, 1 << 32, u64::MAX];
 
 /// The codes whose findings may only disappear as `m` grows.
@@ -30,33 +33,6 @@ fn workloads() -> Vec<PathBuf> {
     files.sort();
     assert!(!files.is_empty(), "no workloads in {dir}");
     files
-}
-
-/// The `rtlint` binary. It belongs to another package, so Cargo names
-/// no path for it here: it is built into the directory that holds
-/// `analyze`, through the same Cargo and profile, so it is never stale.
-fn rtlint() -> PathBuf {
-    let analyze = Path::new(env!("CARGO_BIN_EXE_analyze"));
-    let profile = analyze.parent().expect("a profile directory");
-    let mut build = Command::new(env!("CARGO"));
-    build.args([
-        "build",
-        "-q",
-        "-p",
-        "rtpool-lint",
-        "--bin",
-        "rtlint",
-        "--target-dir",
-    ]);
-    build.arg(profile.parent().expect("a target directory"));
-    if profile.ends_with("release") {
-        build.arg("--release");
-    }
-    assert!(
-        build.status().expect("cargo runs").success(),
-        "rtlint builds"
-    );
-    analyze.with_file_name(format!("rtlint{}", std::env::consts::EXE_SUFFIX))
 }
 
 /// Runs `bin` with `args` and returns its stdout. The exit code is not
