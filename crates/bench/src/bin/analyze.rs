@@ -30,7 +30,7 @@ use std::time::Duration;
 use rtpool_bench::cli::{self, number, pool_size, verdict_row, PoolUse};
 use rtpool_core::analysis::global::{analyze_many_cancellable, ConcurrencyModel};
 use rtpool_core::analysis::partitioned::{self, PartitionStrategy};
-use rtpool_core::{deadlock, sizing, CancelToken, TaskId};
+use rtpool_core::{sizing, CancelToken, TaskId};
 use rtpool_lint::{check_source, render_human, LintOptions};
 
 #[derive(Debug)]
@@ -122,10 +122,12 @@ fn run() -> Result<bool, String> {
             task.deadline(),
             task.utilization(),
         );
+        // l̄ = m − b̄ exactly: `deadlock::concurrency_floor` is an `i64`
+        // and stops at `i64::MAX − b̄` for pools past 2⁶³ threads.
+        let b_bar = dag.delay_profile().max_delay_count();
         println!(
-            "      b̄={} l̄({m})={} max-suspended={} min-safe-pool={}",
-            dag.delay_profile().max_delay_count(),
-            deadlock::concurrency_floor(dag, m),
+            "      b̄={b_bar} l̄({m})={} max-suspended={} min-safe-pool={}",
+            m as i128 - b_bar as i128,
             dag.max_blocking_antichain().len(),
             sizing::min_threads_deadlock_free(dag),
         );

@@ -15,7 +15,13 @@
 //!    verdict rate and the p99 latency.
 //! 2. **Soak** — `--duration-secs` (default 30) at `--overload` (default
 //!    2.0) times the calibrated rate, with the child's SLO pinned to the
-//!    calibrated p99 so the breaker has a realistic trip point.
+//!    calibrated p99 so the breaker has a realistic trip point. Write `k`
+//!    is due `k` paces after the phase starts: a sleep that overshoots
+//!    delays that write only, and a phase that has fallen behind writes
+//!    without sleeping until it is due again. The soak cycles through
+//!    [`SOAK_CORPUS`] generated requests under fresh ids, so its memory
+//!    does not grow with its length, and refuses a length past
+//!    [`MAX_SOAK_REQUESTS`].
 //!
 //! Asserted invariants, each fatal (non-zero exit) when violated:
 //!
@@ -25,9 +31,11 @@
 //! * **clean shutdown** — closing stdin drains the backlog and the
 //!   child exits with status 0.
 //!
-//! `--out PATH` writes the soak latency histogram and verdict counts as
-//! a JSON artifact (the CI `serve-soak` job uploads it).
+//! `--out PATH` writes the soak latency histogram, verdict counts, the
+//! rate achieved while writing and the latest any write ran behind its
+//! schedule as a JSON artifact (the CI `serve-soak` job uploads it).
 
+use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Write};
 use std::process::{Child, Command, ExitCode, Stdio};
 use std::sync::mpsc;
@@ -37,6 +45,18 @@ use rtpool_bench::cli::{number, thread_count, value};
 use rtpool_bench::serve::loadgen::{gen_request_lines, LoadConfig};
 use rtpool_bench::serve::protocol::{parse_response, Response, VerdictKind};
 use rtpool_trace::LatencyHistogram;
+
+/// Distinct requests a soak generates before it cycles through them
+/// again under new ids. A generated request line is about 11 KB, so the
+/// corpus holds ~45 MB however long the soak runs; 4 096 sets are 16
+/// times what the child's interner keeps, so a cycled set is no longer
+/// resident when it comes round again.
+const SOAK_CORPUS: usize = 4096;
+
+/// The longest soak, in requests: about an hour at the ~30 000 requests/s
+/// the service sustains on two cores. A rate × duration past it is
+/// refused before the soak starts instead of writing until killed.
+const MAX_SOAK_REQUESTS: u64 = 100_000_000;
 
 #[derive(Debug)]
 struct Args {
@@ -102,6 +122,12 @@ fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
     if args.overload <= 0.0 {
         return Err("--overload must be positive".into());
     }
+    if args.calibrate as u64 > MAX_SOAK_REQUESTS {
+        return Err(format!(
+            "--calibrate {} is past MAX_SOAK_REQUESTS = {MAX_SOAK_REQUESTS}",
+            args.calibrate
+        ));
+    }
     Ok(args)
 }
 
@@ -134,6 +160,10 @@ struct PhaseOutcome {
     degraded: u64,
     latency: LatencyHistogram,
     elapsed: Duration,
+    /// From the first write to the last one.
+    writing: Duration,
+    /// How far the most delayed write ran behind its due time.
+    max_lateness: Duration,
     peak_rss_kb: u64,
     exit_ok: bool,
 }
@@ -149,6 +179,54 @@ impl PhaseOutcome {
         }
         (self.shed + self.busy) as f64 / self.sent as f64
     }
+
+    fn achieved_rate(&self) -> f64 {
+        self.sent as f64 / self.writing.as_secs_f64().max(f64::MIN_POSITIVE)
+    }
+}
+
+/// Requests in a soak of `duration` at `rate` requests/s: at least 64,
+/// and refused past [`MAX_SOAK_REQUESTS`].
+fn soak_requests(rate: f64, duration: Duration) -> Result<u64, String> {
+    let requests = (rate * duration.as_secs_f64()).ceil();
+    // NaN is refused too, so the cast below never saturates.
+    if requests.is_nan() || requests > MAX_SOAK_REQUESTS as f64 {
+        return Err(format!(
+            "a soak of {requests} requests ({rate:.1}/s for {} s) is past \
+             MAX_SOAK_REQUESTS = {MAX_SOAK_REQUESTS}",
+            duration.as_secs()
+        ));
+    }
+    Ok((requests as u64).max(64))
+}
+
+/// How long write `k` of a phase paced at `pace` waits when `elapsed`
+/// has passed since the phase began, and how late it is: write `k` is due
+/// at `k · pace`, whatever happened to the writes before it. At most one
+/// of the two is non-zero.
+fn schedule(k: u64, pace: Duration, elapsed: Duration) -> (Duration, Duration) {
+    let nanos = pace.as_nanos().saturating_mul(u128::from(k));
+    let due = Duration::from_nanos(u64::try_from(nanos).unwrap_or(u64::MAX));
+    (due.saturating_sub(elapsed), elapsed.saturating_sub(due))
+}
+
+/// The request lines of `corpus` without their `{"id":N` head, so that
+/// [`request_line`] can send each again under another id.
+fn bodies(corpus: Vec<String>) -> Vec<String> {
+    corpus
+        .into_iter()
+        .map(|line| {
+            let at = line.find(',').expect("an encoded request has an id field");
+            line[at..].to_owned()
+        })
+        .collect()
+}
+
+/// Request `k` of a phase: body `k mod |bodies|` under id `k`, one line.
+fn request_line(out: &mut String, k: u64, bodies: &[String]) {
+    out.clear();
+    let body = &bodies[(k % bodies.len() as u64) as usize];
+    let _ = writeln!(out, "{{\"id\":{k}{body}");
 }
 
 fn spawn_server(args: &Args, slo_p99_us: Option<u64>) -> Result<Child, String> {
@@ -166,12 +244,14 @@ fn spawn_server(args: &Args, slo_p99_us: Option<u64>) -> Result<Child, String> {
         .map_err(|e| format!("cannot spawn {}: {e}", args.serve_bin))
 }
 
-/// Streams `lines` into the child at `pace` (None = as fast as
-/// possible), reads responses concurrently, then closes stdin and waits
-/// for a clean exit. RSS is sampled from /proc once per second.
+/// Streams `requests` lines cycled from `bodies` into the child on the
+/// schedule of `pace` (None = as fast as possible), reads responses
+/// concurrently, then closes stdin and waits for a clean exit. RSS is
+/// sampled from /proc once per second.
 fn run_phase(
     args: &Args,
-    lines: &[String],
+    bodies: &[String],
+    requests: u64,
     pace: Option<Duration>,
     slo_p99_us: Option<u64>,
 ) -> Result<PhaseOutcome, String> {
@@ -210,6 +290,8 @@ fn run_phase(
         degraded: 0,
         latency: LatencyHistogram::new(),
         elapsed: Duration::ZERO,
+        writing: Duration::ZERO,
+        max_lateness: Duration::ZERO,
         peak_rss_kb: 0,
         exit_ok: false,
     };
@@ -230,8 +312,18 @@ fn run_phase(
 
     let mut last_rss = Instant::now() - Duration::from_secs(2);
     let mut write_failed = false;
-    for line in lines {
-        if stdin.write_all(line.as_bytes()).is_err() || stdin.write_all(b"\n").is_err() {
+    let mut line = String::new();
+    for k in 0..requests {
+        if let Some(pace) = pace {
+            let (wait, _) = schedule(k, pace, start.elapsed());
+            if !wait.is_zero() {
+                std::thread::sleep(wait);
+            }
+            let (_, late) = schedule(k, pace, start.elapsed());
+            outcome.max_lateness = outcome.max_lateness.max(late);
+        }
+        request_line(&mut line, k, bodies);
+        if stdin.write_all(line.as_bytes()).is_err() {
             write_failed = true;
             break;
         }
@@ -243,10 +335,8 @@ fn run_phase(
             last_rss = Instant::now();
             outcome.peak_rss_kb = outcome.peak_rss_kb.max(peak_rss_kb(pid).unwrap_or(0));
         }
-        if let Some(p) = pace {
-            std::thread::sleep(p);
-        }
     }
+    outcome.writing = start.elapsed();
     let _ = stdin.flush();
     drop(stdin); // EOF: the server drains and shuts down.
 
@@ -271,13 +361,16 @@ fn run_phase(
 fn artifact_json(soak: &PhaseOutcome, args: &Args, rate: f64) -> String {
     format!(
         "{{\n  \"benchmark\": \"rtpool-serve soak\",\n  \"duration_secs\": {:.1},\n  \
-         \"overload\": {},\n  \"target_rate_per_sec\": {rate:.1},\n  \"sent\": {},\n  \
+         \"overload\": {},\n  \"target_rate_per_sec\": {rate:.1},\n  \
+         \"achieved_rate_per_sec\": {:.1},\n  \"max_write_lateness_us\": {},\n  \"sent\": {},\n  \
          \"answered\": {},\n  \"lost\": {},\n  \"admitted\": {},\n  \"rejected\": {},\n  \
          \"busy\": {},\n  \"shed\": {},\n  \"errors\": {},\n  \"degraded\": {},\n  \
          \"shed_rate\": {:.4},\n  \"peak_rss_kb\": {},\n  \"clean_exit\": {},\n  \
          \"latency_us\": {}\n}}\n",
         soak.elapsed.as_secs_f64(),
         args.overload,
+        soak.achieved_rate(),
+        soak.max_lateness.as_micros(),
         soak.sent,
         soak.answered,
         soak.lost(),
@@ -308,12 +401,19 @@ fn main() -> ExitCode {
         "loadgen: calibrating with {} requests against {}",
         args.calibrate, args.serve_bin
     );
-    let cal_lines = gen_request_lines(&LoadConfig {
-        requests: args.calibrate.max(16),
+    let cal_requests = args.calibrate.max(16);
+    let cal_lines = bodies(gen_request_lines(&LoadConfig {
+        requests: cal_requests.min(SOAK_CORPUS),
         seed: args.seed,
         ..LoadConfig::default()
-    });
-    let cal = match run_phase(&args, &cal_lines, None, Some(10_000_000)) {
+    }));
+    let cal = match run_phase(
+        &args,
+        &cal_lines,
+        cal_requests as u64,
+        None,
+        Some(10_000_000),
+    ) {
         Ok(c) => c,
         Err(e) => {
             eprintln!("error: calibration failed: {e}");
@@ -341,13 +441,19 @@ fn main() -> ExitCode {
     // p99 so the breaker trips under genuine overload.
     let target_rate = sustained * args.overload;
     let pace = Duration::from_secs_f64(1.0 / target_rate.max(1.0));
-    let soak_requests = (target_rate * args.duration.as_secs_f64()).ceil() as usize;
-    let soak_lines = gen_request_lines(&LoadConfig {
-        requests: soak_requests.max(64),
+    let requests = match soak_requests(target_rate, args.duration) {
+        Ok(n) => n,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::from(2);
+        }
+    };
+    let soak_lines = bodies(gen_request_lines(&LoadConfig {
+        requests: requests.min(SOAK_CORPUS as u64) as usize,
         seed: args.seed ^ 0x5eed,
         ..LoadConfig::default()
-    });
-    let soak = match run_phase(&args, &soak_lines, Some(pace), Some(cal_p99)) {
+    }));
+    let soak = match run_phase(&args, &soak_lines, requests, Some(pace), Some(cal_p99)) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("error: soak failed: {e}");
@@ -411,6 +517,71 @@ mod tests {
         assert_eq!(
             parse(&["--overload", "0"]).unwrap_err(),
             "--overload must be positive"
+        );
+        let err = parse(&["--calibrate", "100000001"]).unwrap_err();
+        assert!(err.ends_with("past MAX_SOAK_REQUESTS = 100000000"), "{err}");
+    }
+
+    #[test]
+    fn a_write_is_due_k_paces_after_the_start() {
+        let us = Duration::from_micros;
+        let pace = us(50);
+        // Ahead of the schedule: wait for the due time, not a whole pace.
+        assert_eq!(schedule(3, pace, us(120)), (us(30), Duration::ZERO));
+        assert_eq!(
+            schedule(0, pace, Duration::ZERO),
+            (Duration::ZERO, Duration::ZERO)
+        );
+        // Behind it: no wait, and the lateness is reported.
+        assert_eq!(schedule(3, pace, us(190)), (Duration::ZERO, us(40)));
+        // A late write moves no later due time: write 4 is still due at
+        // 200 µs, so it waits 10 µs after write 3 ran 40 µs late.
+        assert_eq!(schedule(4, pace, us(190)), (us(10), Duration::ZERO));
+        // Far along the schedule the due time saturates, never wraps.
+        let (wait, late) = schedule(u64::MAX, Duration::MAX, us(1));
+        assert_eq!(
+            (wait, late),
+            (Duration::from_nanos(u64::MAX) - us(1), Duration::ZERO)
+        );
+    }
+
+    #[test]
+    fn a_soak_is_sized_within_its_bound() {
+        let secs = Duration::from_secs;
+        assert_eq!(soak_requests(31_265.4, secs(30)), Ok(937_962));
+        assert_eq!(soak_requests(0.5, secs(4)), Ok(64));
+        assert_eq!(
+            soak_requests(MAX_SOAK_REQUESTS as f64, secs(1)),
+            Ok(MAX_SOAK_REQUESTS)
+        );
+        for rate in [
+            1e30,
+            f64::INFINITY,
+            f64::NAN,
+            MAX_SOAK_REQUESTS as f64 + 1.0,
+        ] {
+            let err = soak_requests(rate, secs(1)).unwrap_err();
+            assert!(
+                err.ends_with("is past MAX_SOAK_REQUESTS = 100000000"),
+                "{rate}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_cycled_request_keeps_its_body_under_a_new_id() {
+        let lines = gen_request_lines(&LoadConfig {
+            requests: 2,
+            ..LoadConfig::default()
+        });
+        let bodies = bodies(lines.clone());
+        let mut line = String::new();
+        request_line(&mut line, 1, &bodies);
+        assert_eq!(line, format!("{}\n", lines[1]));
+        request_line(&mut line, 6, &bodies);
+        assert_eq!(
+            line,
+            format!("{}\n", lines[0].replacen("\"id\":0", "\"id\":6", 1))
         );
     }
 

@@ -29,7 +29,8 @@
 //! A fixed sample of the accepted sets, written as `.rtp`, then goes
 //! through `analyze`, `rtlint --format json` and `rtpool-trace run
 //! --engine sim`: each exits with the code the library predicts, prints
-//! the library's verdict rows, and never `panicked`; an empty pool and a
+//! the library's verdict rows, and never `panicked`; `analyze` prints
+//! each task's l̄ as the oracle's m − b̄, in full; an empty pool and a
 //! partitioned pool past the bound are refused by name, and the empty
 //! set gets one answer everywhere.
 
@@ -603,8 +604,15 @@ fn run(bin: &Path, args: &[&str]) -> (i32, String, String) {
 }
 
 /// Runs `set` on pool `m` through the three binaries and checks each
-/// against the library.
-fn check_binaries(dir: &Path, name: &str, set: &TaskSet, m: usize, rtlint: &Path) {
+/// against the library, and `analyze`'s structural l̄ against the
+/// oracle's `b_bars`.
+fn check_binaries(
+    dir: &Path,
+    name: &str,
+    (set, b_bars): (&TaskSet, &[usize]),
+    m: usize,
+    rtlint: &Path,
+) {
     let path = dir.join(format!("{name}.rtp"));
     let text = write_task_set(set);
     std::fs::write(&path, &text).expect("scratch file");
@@ -624,6 +632,13 @@ fn check_binaries(dir: &Path, name: &str, set: &TaskSet, m: usize, rtlint: &Path
         set.total_utilization()
     );
     assert!(stdout.contains(&header), "{at}{stdout}");
+    // One structural line per task, in order, with m − b̄ in full.
+    let floors: Vec<&str> = stdout.lines().filter(|l| l.contains("l̄(")).collect();
+    assert_eq!(floors.len(), b_bars.len(), "{at}{stdout}");
+    for (line, &b) in floors.iter().zip(b_bars) {
+        let want = format!("b̄={b} l̄({m})={} ", m as i128 - b as i128);
+        assert!(line.trim_start().starts_with(&want), "{at}{want}\n{stdout}");
+    }
     let mut rows: Vec<SchedResult> = MODELS
         .iter()
         .map(|&model| global::analyze(set, m, model))
@@ -687,8 +702,12 @@ fn the_binaries_answer_as_the_library_on_a_sample_of_the_lattice() {
         if tally.unsettled > before {
             continue;
         }
-        for (j, (set, _)) in sets.iter().enumerate() {
-            check_binaries(&dir, &format!("row{i}-{j}"), set, m, &rtlint);
+        for (j, (set, specs)) in sets.iter().enumerate() {
+            let b_bars: Vec<usize> = specs
+                .iter()
+                .map(|s| graph::build(&s.shape).expect("accepted above").b_bar)
+                .collect();
+            check_binaries(&dir, &format!("row{i}-{j}"), (set, &b_bars), m, &rtlint);
             sampled += 1;
         }
     }
