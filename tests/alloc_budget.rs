@@ -13,6 +13,12 @@
 //! maps no task below the first one that misses; and that it allocates
 //! the same whether it reaches one task or four.
 //!
+//! `work_ledger` adds up calls and bytes for graph assembly and
+//! derivation, for parsing the corpus and for three Figure 2-shaped
+//! passes per seed, and compares the table with
+//! `tests/goldens/work_ledger.txt` exactly; bless an intended change
+//! with `UPDATE_GOLDEN=1 cargo test --test alloc_budget work_ledger`.
+//!
 //! This is its own test binary because it installs a counting
 //! `#[global_allocator]`; the `unsafe impl` below is the only unsafe code
 //! in the workspace (every library crate is `#![forbid(unsafe_code)]`).
@@ -22,13 +28,17 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::fmt::Write as _;
 use std::path::Path;
 
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
+use rtpool::core::analysis::global::{self, ConcurrencyModel};
 use rtpool::core::analysis::partitioned::{accepts, partition_and_analyze, PartitionStrategy};
 use rtpool::core::partition::algorithm1;
 use rtpool::core::{textfmt, Task, TaskSet};
-use rtpool::gen::{BlockingPolicy, ConcurrencyWindow, DagGenConfig, DagScratch, TaskSetConfig};
+use rtpool::gen::{
+    BlockingPolicy, ConcurrencyWindow, DagGenConfig, DagScratch, GenError, TaskSetConfig,
+};
 use rtpool::graph::{Dag, DagBuilder, NodeId};
 use rtpool::trace::json::{self, Reader, Value};
 
@@ -36,12 +46,15 @@ struct Counting;
 
 thread_local! {
     static CALLS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-fn count() {
+/// Counts one call asking for `bytes`.
+fn count(bytes: usize) {
     // `try_with`: the allocator also runs while a thread's locals are
     // being torn down.
     let _ = CALLS.try_with(|c| c.set(c.get() + 1));
+    let _ = BYTES.try_with(|c| c.set(c.get() + bytes as u64));
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`,
@@ -49,19 +62,19 @@ fn count() {
 // thread-local counter bump that neither allocates nor unwinds.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         // SAFETY: same layout the caller vouched for.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         // SAFETY: same layout the caller vouched for.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(new_size);
         // SAFETY: `ptr`, `layout` and `new_size` are passed through as
         // the caller vouched for them.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -79,9 +92,18 @@ static ALLOCATOR: Counting = Counting;
 /// Runs `f` and returns its result with the allocator calls it made on
 /// this thread.
 fn calls_of<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let before = CALLS.with(Cell::get);
+    let (out, calls, _) = work_of(f);
+    (out, calls)
+}
+
+/// Runs `f` and returns its result with the allocator calls it made on
+/// this thread and the bytes they asked for (a `realloc` counts its new
+/// size).
+fn work_of<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
+    let before = (CALLS.with(Cell::get), BYTES.with(Cell::get));
     let out = f();
-    (out, CALLS.with(Cell::get) - before)
+    let (calls, bytes) = (CALLS.with(Cell::get), BYTES.with(Cell::get));
+    (out, calls - before.0, bytes - before.1)
 }
 
 fn node_count(set: &TaskSet) -> u64 {
@@ -515,5 +537,127 @@ fn algorithm1_allocations_do_not_grow_with_the_graph() {
     assert_eq!(
         small_calls, large_calls,
         "Algorithm 1's allocator calls depend on the node count"
+    );
+}
+
+/// One ledger row: what `f` cost the allocator, as `label calls bytes`.
+fn ledger_row<T>(table: &mut String, label: &str, f: impl FnOnce() -> T) -> T {
+    let (out, calls, bytes) = work_of(f);
+    writeln!(table, "{label:<52} {calls:>8} {bytes:>10}").expect("writing to a String");
+    out
+}
+
+/// A Figure 2 inset (a) sample at `l_max = 3` on 8 cores: blocking
+/// probabilities drawn until a 4-task set at U = 4 lands in the window
+/// `[2, 3]` within 60 attempts per draw.
+fn windowed_set(rng: &mut rand::rngs::StdRng) -> TaskSet {
+    let window = ConcurrencyWindow {
+        m: 8,
+        l_min: 2,
+        l_max: 3,
+        max_attempts: 60,
+    };
+    let mut scratch = DagScratch::new();
+    loop {
+        let dag = DagGenConfig {
+            blocking: BlockingPolicy::Fixed(rng.gen()),
+        };
+        let config = TaskSetConfig::new(4, 4.0, dag).with_concurrency_window(window);
+        match config.generate_with(rng, &mut scratch) {
+            Ok(set) => return set,
+            Err(GenError::WindowUnsatisfiable { .. }) => continue,
+            Err(e) => panic!("windowed generation failed: {e}"),
+        }
+    }
+}
+
+#[test]
+fn work_ledger() {
+    let mut table =
+        String::from("# stage                                               calls      bytes\n");
+
+    // The 40 generated 35-node graphs of `assembling_a_graph_stays_within_budget`.
+    let config = DagGenConfig::default();
+    let mut scratch = DagScratch::new();
+    let mut graphs = Vec::new();
+    let mut assembled = (0, 0);
+    for seed in 0.. {
+        config.generate_into(&mut rand::rngs::StdRng::seed_from_u64(seed), &mut scratch);
+        if scratch.node_count() != 35 {
+            continue;
+        }
+        let (dag, calls, bytes) = work_of(|| scratch.build());
+        graphs.push(dag);
+        assembled = (assembled.0 + calls, assembled.1 + bytes);
+        if graphs.len() == 40 {
+            break;
+        }
+    }
+    let (calls, bytes) = assembled;
+    writeln!(
+        table,
+        "{:<52} {calls:>8} {bytes:>10}",
+        "assemble 40 graphs of 35 nodes"
+    )
+    .expect("write");
+    ledger_row(
+        &mut table,
+        "derive them: delay profile + critical path",
+        || {
+            for dag in &graphs {
+                let _ = dag.delay_profile();
+                let _ = dag.critical_path();
+            }
+        },
+    );
+
+    for (name, source) in corpus() {
+        ledger_row(&mut table, &format!("parse_task_set {name}"), || {
+            textfmt::parse_task_set(&source).expect("corpus parses")
+        });
+    }
+
+    for seed in 1..=3u64 {
+        let rng = &mut rand::rngs::StdRng::seed_from_u64(seed);
+        ledger_row(
+            &mut table,
+            &format!("seed {seed}: U = 2 set, global Full + Limited, m = 8"),
+            || {
+                let set = TaskSetConfig::new(4, 2.0, DagGenConfig::default())
+                    .generate_with(rng, &mut DagScratch::new())
+                    .expect("plain generation cannot fail");
+                global::accepts(&set, 8, ConcurrencyModel::Full)
+                    ^ global::accepts(&set, 8, ConcurrencyModel::Limited)
+            },
+        );
+        ledger_row(
+            &mut table,
+            &format!("seed {seed}: U = 1 set, worst-fit + Algorithm 1, m = 8"),
+            || {
+                let set = TaskSetConfig::new(4, 1.0, DagGenConfig::default())
+                    .generate_with(rng, &mut DagScratch::new())
+                    .expect("plain generation cannot fail");
+                accepts(&set, 8, PartitionStrategy::WorstFit)
+                    ^ accepts(&set, 8, PartitionStrategy::Algorithm1)
+            },
+        );
+        ledger_row(
+            &mut table,
+            &format!("seed {seed}: windowed set, l_max = 3, m = 8"),
+            || windowed_set(rng),
+        );
+    }
+    print!("{table}");
+
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/goldens/work_ledger.txt");
+    if std::env::var_os("UPDATE_GOLDEN").is_some_and(|v| v == "1") {
+        std::fs::write(&path, &table).expect("the golden is writable");
+    }
+    let golden = std::fs::read_to_string(&path).expect(
+        "golden missing: bless with UPDATE_GOLDEN=1 cargo test --test alloc_budget work_ledger",
+    );
+    assert_eq!(
+        golden, table,
+        "the work ledger moved: bless an intended change with UPDATE_GOLDEN=1"
     );
 }
