@@ -19,6 +19,8 @@
 //! whose attempt budget runs out are counted separately and excluded
 //! from the ratio.
 
+use std::cell::RefCell;
+
 use rand::{Rng, SeedableRng};
 use rtpool_core::TaskSet;
 use rtpool_gen::{
@@ -548,16 +550,30 @@ const WINDOW_BUDGET: usize = 60;
 /// Generates (with the inset's discard rule) and evaluates sample
 /// `sample` of the `(inset, x)` point from its own RNG stream, returning
 /// the surviving set, its core count, and the `(proposed, baseline)`
-/// verdicts; `Ok(None)` means the discard/window budget ran out. One
-/// [`DagScratch`] serves all rejection attempts of the sample.
+/// verdicts; `Ok(None)` means the discard/window budget ran out. The
+/// thread's one [`DagScratch`] serves all rejection attempts of every
+/// sample it evaluates.
 pub(crate) fn sample_with_verdicts(
     inset: Inset,
     x: i64,
     seed: u64,
     sample: usize,
 ) -> Result<Option<(TaskSet, usize, bool, bool)>, String> {
+    thread_local! {
+        static SCRATCH: RefCell<DagScratch> = RefCell::new(DagScratch::new());
+    }
+    SCRATCH.with_borrow_mut(|scratch| sample_into(inset, x, seed, sample, scratch))
+}
+
+/// [`sample_with_verdicts`] recording into `scratch`.
+fn sample_into(
+    inset: Inset,
+    x: i64,
+    seed: u64,
+    sample: usize,
+    scratch: &mut DagScratch,
+) -> Result<Option<(TaskSet, usize, bool, bool)>, String> {
     let rng = &mut rand::rngs::StdRng::seed_from_u64(derive_seed(seed, inset, x, sample));
-    let scratch = &mut DagScratch::new();
     match inset {
         Inset::A | Inset::B => {
             // The partitioned RTA adaptation is substantially more

@@ -41,6 +41,19 @@ const P_TERMINAL: f64 = 0.4;
 /// degenerate zero).
 const WCET: std::ops::RangeInclusive<u64> = 1..=100;
 
+/// Inner fork–join regions of one graph, at most: `MAX_SEQUENCE` per
+/// top-level branch.
+pub(crate) const MAX_REGIONS: usize = *BRANCHES.end() * MAX_SEQUENCE;
+/// Nodes of one graph, at most: source, sink, the top fork and join,
+/// and per inner region its fork, its join and a chain of
+/// `MAX_SEQUENCE` nodes per branch.
+pub(crate) const MAX_NODES: usize = 4 + MAX_REGIONS * (2 + *BRANCHES.end() * MAX_SEQUENCE);
+/// Edges of one graph, at most: two at the endpoints, `MAX_SEQUENCE + 1`
+/// per chain of a top-level branch, and as many per chain of an inner
+/// region.
+pub(crate) const MAX_EDGES: usize =
+    2 + (*BRANCHES.end() + MAX_REGIONS * *BRANCHES.end()) * (MAX_SEQUENCE + 1);
+
 /// How fork–join regions are promoted to blocking (`BF`/`BJ`) regions.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum BlockingPolicy {

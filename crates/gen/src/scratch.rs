@@ -19,14 +19,17 @@
 
 use rtpool_graph::{Dag, NodeId};
 
+use crate::forkjoin::{MAX_EDGES, MAX_NODES, MAX_REGIONS};
+
 /// Reusable buffers for one in-flight generated graph.
 ///
 /// Create once, pass to
 /// [`DagGenConfig::generate_into`](crate::DagGenConfig::generate_into)
 /// for every attempt; all buffers are cleared (capacity kept) at the
-/// start of each generation, so a rejection-sampling loop performs no
-/// per-attempt heap allocation once the buffers have grown to the
-/// workload's typical graph size.
+/// start of each recording. The first recording gives every buffer room
+/// for the largest graph the generator draws, so a scratch calls the
+/// allocator four times in its life, and a rejection-sampling loop none
+/// per attempt.
 ///
 /// # Examples
 ///
@@ -65,12 +68,17 @@ impl DagScratch {
         self.wcets.len()
     }
 
-    /// Clears the shape buffers, keeping their capacity.
+    /// Clears the shape buffers, keeping their capacity, which is room
+    /// for the largest generated graph from the first call on.
     pub(crate) fn clear(&mut self) {
         self.wcets.clear();
         self.edges.clear();
         self.pairs.clear();
         self.regions.clear();
+        self.wcets.reserve(MAX_NODES);
+        self.edges.reserve(MAX_EDGES);
+        self.pairs.reserve(MAX_REGIONS);
+        self.regions.reserve(MAX_REGIONS);
     }
 
     /// Records a node and returns its index.
@@ -122,4 +130,38 @@ impl DagScratch {
 
 fn node(index: u32) -> NodeId {
     NodeId::from_index(index as usize)
+}
+
+#[cfg(test)]
+mod tests {
+    use rand::SeedableRng;
+
+    use super::*;
+    use crate::{BlockingPolicy, DagGenConfig};
+
+    #[test]
+    fn the_first_recording_makes_room_for_every_graph() {
+        let mut scratch = DagScratch::new();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+        let capacities = |s: &DagScratch| {
+            [
+                s.wcets.capacity(),
+                s.edges.capacity(),
+                s.pairs.capacity(),
+                s.regions.capacity(),
+            ]
+        };
+        let mut largest = 0;
+        for blocking in [BlockingPolicy::DepthWeighted, BlockingPolicy::Fixed(1.0)] {
+            for _ in 0..500 {
+                DagGenConfig { blocking }.generate_into(&mut rng, &mut scratch);
+                assert_eq!(
+                    capacities(&scratch),
+                    [MAX_NODES, MAX_EDGES, MAX_REGIONS, MAX_REGIONS]
+                );
+                largest = largest.max(scratch.node_count());
+            }
+        }
+        assert!(largest > 64, "the draws never came near the bound");
+    }
 }

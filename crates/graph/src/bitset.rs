@@ -226,11 +226,6 @@ pub(crate) struct BitMatrix {
 }
 
 impl BitMatrix {
-    /// An empty `n × n` relation.
-    pub(crate) fn new(n: usize) -> Self {
-        BitMatrix::with_rows(n, n)
-    }
-
     /// An empty relation of `rows` rows over `n` columns.
     pub(crate) fn with_rows(rows: usize, n: usize) -> Self {
         let stride = n.div_ceil(64);
@@ -275,27 +270,28 @@ impl BitMatrix {
         clear_bit(self.row_mut(i), j)
     }
 
-    /// Overwrites row `i` with `base − a − b` in one pass over the words
-    /// and returns the row's size.
+    /// Overwrites row `i` with `row base − a − b` in one pass over the
+    /// words and returns the row's size.
     ///
     /// # Panics
     ///
-    /// Panics if a capacity differs from the matrix's.
+    /// Panics if a capacity differs from the matrix's, or unless
+    /// `i < base`.
     pub(crate) fn set_row_minus(
         &mut self,
         i: usize,
-        base: BitRow<'_>,
+        base: usize,
         a: BitRow<'_>,
         b: BitRow<'_>,
     ) -> usize {
         let row = self.row(i);
-        let (base, a, b) = (
-            row.same_capacity(base),
-            row.same_capacity(a),
-            row.same_capacity(b),
-        );
+        let (a, b) = (row.same_capacity(a), row.same_capacity(b));
+        assert!(i < base, "row {i} is written from a row below it");
+        let stride = self.stride;
+        let (head, tail) = self.words.split_at_mut(base * stride);
+        let (dst, src) = (&mut head[i * stride..(i + 1) * stride], &tail[..stride]);
         let mut count = 0;
-        for (((dst, &s), &a), &b) in self.row_mut(i).iter_mut().zip(base).zip(a).zip(b) {
+        for (((dst, &s), &a), &b) in dst.iter_mut().zip(src).zip(a).zip(b) {
             *dst = s & !(a | b);
             count += dst.count_ones() as usize;
         }
@@ -338,13 +334,17 @@ impl RowsMut<'_> {
     #[inline(always)]
     pub(crate) fn absorb(&mut self, dst: usize, src: usize, col: usize) -> bool {
         debug_assert_ne!(dst, src, "a row cannot absorb itself");
-        let (d, s) = (dst * self.stride, src * self.stride);
+        let stride = self.stride;
+        let (d, s) = (dst * stride, src * stride);
+        // A one-word row has every column in its first word; said so,
+        // the word index folds away where the stride is a literal 1.
+        let word = d + if stride == 1 { 0 } else { col / 64 };
         let bit = 1 << (col % 64);
-        let fresh = self.words[d + col / 64] & bit == 0;
-        for i in 0..self.stride {
+        let fresh = self.words[word] & bit == 0;
+        for i in 0..stride {
             self.words[d + i] |= self.words[s + i];
         }
-        self.words[d + col / 64] |= bit;
+        self.words[word] |= bit;
         fresh
     }
 
@@ -404,12 +404,12 @@ mod tests {
         assert_eq!(row.iter().count(), 0);
         assert!(row.is_empty());
         assert_eq!(row.len(), 0);
-        assert_eq!(format!("{:?}", BitMatrix::new(4).row(2)), "{}");
+        assert_eq!(format!("{:?}", BitMatrix::with_rows(4, 4).row(2)), "{}");
     }
 
     #[test]
     fn views_of_the_same_words_compare_equal() {
-        let mut m = BitMatrix::new(70);
+        let mut m = BitMatrix::with_rows(70, 70);
         m.insert(3, 69);
         m.insert(3, 1);
         m.insert(4, 1);
@@ -422,7 +422,7 @@ mod tests {
 
     #[test]
     fn matrix_rows_absorb_in_place_in_both_directions() {
-        let mut m = BitMatrix::new(130);
+        let mut m = BitMatrix::with_rows(130, 130);
         m.insert(0, 129);
         m.insert(2, 64);
         let mut rows = m.rows_mut(3);
@@ -439,7 +439,7 @@ mod tests {
 
     #[test]
     fn intersection_reads_both_rows_word_by_word() {
-        let mut m = BitMatrix::new(130);
+        let mut m = BitMatrix::with_rows(130, 130);
         for j in [1, 63, 64, 100, 129] {
             m.insert(0, j);
         }
@@ -455,7 +455,7 @@ mod tests {
     /// subtracted from it. Words 0 and 1 are full, word 2 holds bits
     /// 128-129.
     fn base_and_two_rows() -> BitMatrix {
-        let mut m = BitMatrix::new(130);
+        let mut m = BitMatrix::with_rows(130, 130);
         for j in [0, 5, 63, 64, 70, 100, 127, 128, 129] {
             m.insert(0, j);
         }
@@ -483,9 +483,12 @@ mod tests {
     #[test]
     fn set_row_minus_writes_and_counts_the_difference() {
         let m = base_and_two_rows();
-        let mut out = BitMatrix::new(130);
+        let mut out = BitMatrix::with_rows(130, 130);
+        for j in [0, 5, 63, 64, 70, 100, 127, 128, 129] {
+            out.insert(4, j);
+        }
         out.insert(1, 7);
-        let count = out.set_row_minus(1, m.row(0), m.row(1), m.row(2));
+        let count = out.set_row_minus(1, 4, m.row(1), m.row(2));
         assert_eq!(count, 4);
         let expected = m.row(0).minus(m.row(1), m.row(2));
         assert!(out.row(1).iter().eq(expected));
@@ -504,7 +507,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "capacity mismatch")]
     fn minus_rejects_a_row_of_another_capacity() {
-        let (a, b) = (BitMatrix::new(130), BitMatrix::new(129));
+        let (a, b) = (
+            BitMatrix::with_rows(130, 130),
+            BitMatrix::with_rows(129, 129),
+        );
         let _ = a.row(0).minus(a.row(0), b.row(0));
     }
 }

@@ -18,19 +18,20 @@
 //! The two `O(|V|²/64)` artifacts — reachability and the delay profile —
 //! are flat bit matrices: one row-major `Vec<u64>` per relation (stride
 //! `⌈|V|/64⌉` words), whose rows are written in place and handed out as
-//! borrowed [`BitRow`] views. A profile is therefore three heap blocks
-//! and a closure one, whatever the node count, where one owned bit set
-//! per node per relation used to make filling and freeing the cache
-//! `O(|V|)` allocator calls. Both are held behind [`Arc`] so a WCET-only
-//! [`Dag::edit`](crate::Dag::edit) carries them to the next graph
-//! version at refcount cost; any other edit is a rebuild and computes
-//! its own.
+//! borrowed [`BitRow`] views. A profile is therefore one heap block and
+//! a closure one, whatever the node count, where one owned bit set per
+//! node per relation used to make filling and freeing the cache `O(|V|)`
+//! allocator calls. Neither depends on a WCET, so neither is kept here:
+//! the closure is made at assembly and the profile on first use, both in
+//! the graph's shared topology, which a clone and a WCET-only
+//! [`Dag::edit`](crate::Dag::edit) carry to the next graph version at
+//! refcount cost. Any other edit is a rebuild and computes its own.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 use crate::bitset::{BitMatrix, BitRow};
 use crate::dag::Dag;
-use crate::node::{NodeId, NodeKind};
+use crate::node::NodeId;
 use crate::paths::CriticalPath;
 use crate::reach::Reachability;
 
@@ -41,7 +42,8 @@ use crate::reach::Reachability;
 /// `X(v) = C(v) ∪ F'(v)`: the `BF` nodes subject to no precedence
 /// constraint with `v` (Eq. 2), plus — for a `BC` node — the fork waiting
 /// for `v`. Each row is computed word-parallel, in place, from the
-/// reachability closure (`O(|V|²/64)` for the whole profile).
+/// reachability closure (`O(|V|²/64)` for the whole profile), in one
+/// pass over the nodes.
 ///
 /// # Examples
 ///
@@ -61,9 +63,8 @@ use crate::reach::Reachability;
 /// ```
 #[derive(Clone, Debug)]
 pub struct DelayProfile {
-    /// Row `v`: `X(v)`.
+    /// Row `v < n`: `X(v)`; row `n`: every `BF` node.
     rows: BitMatrix,
-    counts: Vec<u32>,
     max_count: usize,
 }
 
@@ -71,18 +72,14 @@ impl DelayProfile {
     pub(crate) fn new(dag: &Dag, reach: &Reachability) -> Self {
         let n = dag.node_count();
         let mut profile = DelayProfile {
-            rows: BitMatrix::new(n),
-            counts: vec![0; n],
+            rows: BitMatrix::with_rows(n + 1, n),
             max_count: 0,
         };
-        let mut bf_mask = BitMatrix::with_rows(1, n);
-        for v in dag.node_ids() {
-            if dag.kind(v) == NodeKind::BlockingFork {
-                bf_mask.insert(0, v.index());
-            }
+        for region in dag.blocking_regions() {
+            profile.rows.insert(n, region.fork().index());
         }
         for v in dag.node_ids() {
-            let count = profile.fill_row(dag, reach, bf_mask.row(0), v);
+            let count = profile.fill_row(dag, reach, v);
             profile.max_count = profile.max_count.max(count);
         }
         profile
@@ -98,14 +95,14 @@ impl DelayProfile {
         self.rows.row(v.index())
     }
 
-    /// `|X(v)|`, without a popcount sweep.
+    /// `|X(v)|`: a popcount over the row's `⌈|V|/64⌉` words.
     ///
     /// # Panics
     ///
     /// Panics if `v` is out of range for the profiled graph.
     #[must_use]
     pub fn delay_count(&self, v: NodeId) -> usize {
-        self.counts[v.index()] as usize
+        self.delay_row(v).len()
     }
 
     /// `b̄(τᵢ) = max_v |X(v)|` (Section 3.1).
@@ -114,42 +111,33 @@ impl DelayProfile {
         self.max_count
     }
 
-    /// Writes `X(v) = C(v) ∪ F'(v)` into row `v` in place, records its
-    /// size and returns it.
-    fn fill_row(
-        &mut self,
-        dag: &Dag,
-        reach: &Reachability,
-        bf_mask: BitRow<'_>,
-        v: NodeId,
-    ) -> usize {
-        let i = v.index();
+    /// Writes `X(v) = C(v) ∪ F'(v)` into row `v` in place and returns
+    /// its size.
+    fn fill_row(&mut self, dag: &Dag, reach: &Reachability, v: NodeId) -> usize {
+        let (i, n) = (v.index(), dag.node_count());
         // C(v): BF nodes neither preceding nor following v, minus v,
         // written and counted in one pass over the words.
-        let mut count =
-            self.rows
-                .set_row_minus(i, bf_mask, reach.descendants(v), reach.ancestors(v));
+        let mut count = self
+            .rows
+            .set_row_minus(i, n, reach.descendants(v), reach.ancestors(v));
         count -= usize::from(self.rows.remove(i, i));
         // F(v) is an ancestor of v, so it was just removed; re-insert
         // it to obtain X(v) for blocking children.
         if let Some(f) = dag.waiting_fork_of(v) {
             count += usize::from(self.rows.insert(i, f.index()));
         }
-        self.counts[i] = u32::try_from(count).expect("|X(v)| fits in u32");
         count
     }
 }
 
 /// The lazy cells carried by every [`Dag`]. All fields start empty and
-/// fill on first use, but for the two `Dag::assemble` seeds: the closure
-/// the assembly computed anyway, and the checked WCET sum.
+/// fill on first use, but for the `Dag::assemble` seed: the checked WCET
+/// sum.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct DerivedCache {
     pub(crate) volume: OnceLock<u64>,
     pub(crate) critical_path: OnceLock<CriticalPath>,
-    pub(crate) reach: OnceLock<Arc<Reachability>>,
     pub(crate) blocking_forks: OnceLock<Vec<NodeId>>,
     pub(crate) bf_antichain: OnceLock<Vec<NodeId>>,
-    pub(crate) delays: OnceLock<Arc<DelayProfile>>,
     pub(crate) content_hash: OnceLock<u64>,
 }

@@ -1,9 +1,9 @@
 //! The immutable, validated DAG task graph.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::cache::{DelayProfile, DerivedCache};
-use crate::csr::{check_edge, Csr};
+use crate::csr::{check_edge, IdBlock};
 use crate::error::GraphError;
 use crate::node::{NodeData, NodeId, NodeKind};
 use crate::paths::CriticalPath;
@@ -18,11 +18,11 @@ use crate::validate;
 /// Construct via [`DagBuilder`](crate::DagBuilder); the builder's `build`
 /// methods guarantee that every `Dag` value is acyclic, has a unique
 /// source and sink, and satisfies the blocking-region restrictions of the
-/// paper's Section 2 (see [`Dag::validate_model`]). The adjacency is two
-/// CSR arrays per direction, so [`Dag::successors`] and
-/// [`Dag::predecessors`] are slices of one block each, in the order the
-/// edges were added. Node kinds are derived from the declared
-/// blocking pairs: the fork becomes [`NodeKind::BlockingFork`], the join
+/// paper's Section 2 (see [`Dag::validate_model`]). The adjacency is
+/// CSR in both directions, kept in one block with the topological
+/// order, so [`Dag::successors`] and [`Dag::predecessors`] are slices of
+/// that block, in the order the edges were added. Node kinds are derived
+/// from the declared blocking pairs: the fork becomes [`NodeKind::BlockingFork`], the join
 /// [`NodeKind::BlockingJoin`], the enclosed nodes
 /// [`NodeKind::BlockingChild`], and everything else stays
 /// [`NodeKind::NonBlocking`].
@@ -57,20 +57,28 @@ pub struct Dag {
 }
 
 /// The WCET-independent part of a [`Dag`]: CSR adjacency in both
-/// directions, the topological order and the blocking-region tables.
-#[derive(Clone, Debug)]
+/// directions, the topological order and every node's region in one id
+/// block (see [`crate::csr`]), the reachability closure, the blocking
+/// regions and, once asked for, the delay profile.
+#[derive(Debug)]
 pub(crate) struct Topology {
-    /// Successor rows, each in edge-insertion order.
-    pub(crate) succ: Csr,
-    /// Predecessor rows, each in edge-insertion order.
-    pub(crate) pred: Csr,
+    /// Owns the id block: rows in edge-insertion order, the order, and
+    /// for every node belonging to a region (fork, join, or inner) the
+    /// index of that region in `regions`.
     pub(crate) order: TopologicalOrder,
+    pub(crate) reach: Reachability,
     pub(crate) source: NodeId,
     pub(crate) sink: NodeId,
-    /// For every node belonging to a region (fork, join, or inner):
-    /// the index of that region in `regions`.
-    pub(crate) region_of: Vec<Option<u32>>,
     pub(crate) regions: Vec<Region>,
+    pub(crate) delays: OnceLock<DelayProfile>,
+}
+
+impl Topology {
+    /// The id block.
+    #[inline]
+    pub(crate) fn ids(&self) -> &IdBlock {
+        &self.order.ids
+    }
 }
 
 impl Dag {
@@ -116,25 +124,32 @@ impl Dag {
         pairs: &[(NodeId, NodeId)],
     ) -> Result<Dag, GraphError> {
         let n = wcets.len();
-        let (succ, pred) = Csr::both_directions(n, edges)?;
+        let ids = IdBlock::from_edges(n, edges)?;
         for &(fork, join) in pairs {
             check_edge(n, fork, join)?;
         }
-        Dag::assemble(wcets, succ, pred, pairs)
+        Dag::assemble(wcets, ids, pairs)
     }
 
     /// The one place a `Dag` is made from a skeleton — node WCETs, the
-    /// two CSR arrays and the declared blocking pairs — for
-    /// [`Dag::from_lists`] (and so the builder), for a structural
-    /// [`Dag::edit`] and for [`Dag::validate_model`] alike. One Kahn
-    /// pass orders the graph, finds a repeated edge and fills the
-    /// ancestor closure, one pass backwards fills the descendants
-    /// ([`Reachability::ordered`]); the endpoints are read off the rows,
-    /// the regions are checked on the closure, and the WCETs are summed
-    /// with overflow checked (every path length and per-core load is at
-    /// most the volume, so this one check bounds them all) while the
-    /// node table is written. The closure and the volume seed the cache;
-    /// every other cell stays lazy.
+    /// id block holding both CSR directions ([`IdBlock::from_edges`],
+    /// [`IdBlock::extended`]) and the declared blocking pairs — for
+    /// [`Dag::from_lists`] (and so the builder and the generator), for a
+    /// structural [`Dag::edit`] and for [`Dag::validate_model`] alike.
+    /// One Kahn pass orders the graph into the block, finds a repeated
+    /// edge and fills the ancestor closure, one pass backwards fills the
+    /// descendants ([`Reachability::ordered`]); the endpoints are read
+    /// off the rows, the regions are checked on the closure and written
+    /// into the block, the WCETs are summed with overflow checked (every
+    /// path length and per-core load is at most the volume, so this one
+    /// check bounds them all), and the node table takes its kinds from
+    /// the regions. The topology keeps the closure; the volume seeds the
+    /// cache, and every other cell stays lazy.
+    ///
+    /// A graph of `k >= 1` blocking regions is `5 + k` heap blocks, and
+    /// one without any is 4: the id block, the closure, the shared
+    /// topology, the region table with one list of inner nodes per
+    /// region, and the node table.
     ///
     /// Errors come in the order of the separate passes this replaces:
     /// `Empty`; a repeated edge, then a cycle (both named by
@@ -142,49 +157,57 @@ impl Dag {
     /// volume.
     pub(crate) fn assemble(
         wcets: &[u64],
-        succ: Csr,
-        pred: Csr,
+        mut ids: IdBlock,
         pairs: &[(NodeId, NodeId)],
     ) -> Result<Dag, GraphError> {
         let n = wcets.len();
         if n == 0 {
             return Err(GraphError::Empty);
         }
-        let (order, reach) = Reachability::ordered(&succ, &pred)?;
+        let reach = Reachability::ordered(&mut ids)?;
         // The sources are the order's head: Kahn seeds them in id order.
-        let sources = order.iter().take_while(|v| pred.row(v.index()).is_empty());
-        let source = unique(sources).map_err(GraphError::MultipleSources)?;
+        let sources = ids
+            .order()
+            .iter()
+            .take_while(|v| ids.pred(v.index()).is_empty());
+        let source = unique(sources.copied()).map_err(GraphError::MultipleSources)?;
         let sinks = (0..n)
-            .filter(|&v| succ.row(v).is_empty())
+            .filter(|&v| ids.succ(v).is_empty())
             .map(NodeId::from_index);
         let sink = unique(sinks).map_err(GraphError::MultipleSinks)?;
-        let (region_of, regions) = validate::regions(&succ, &pred, &reach, pairs)?;
-        let mut volume = 0u64;
-        let mut nodes = Vec::with_capacity(n);
-        for (v, &wcet) in wcets.iter().enumerate() {
-            volume = volume.checked_add(wcet).ok_or(GraphError::VolumeOverflow)?;
-            nodes.push(NodeData {
+        let regions = validate::regions(&mut ids, &reach, pairs)?;
+        let volume = wcets
+            .iter()
+            .try_fold(0u64, |sum, &wcet| sum.checked_add(wcet))
+            .ok_or(GraphError::VolumeOverflow)?;
+        let mut nodes: Vec<NodeData> = wcets
+            .iter()
+            .map(|&wcet| NodeData {
                 wcet,
-                kind: validate::kind_in(&regions, region_of[v], v),
-            });
+                kind: NodeKind::NonBlocking,
+            })
+            .collect();
+        for region in &regions {
+            nodes[region.fork().index()].kind = NodeKind::BlockingFork;
+            nodes[region.join().index()].kind = NodeKind::BlockingJoin;
+            for &v in region.inner() {
+                nodes[v.index()].kind = NodeKind::BlockingChild;
+            }
         }
-        let cache = DerivedCache {
-            volume: volume.into(),
-            reach: Arc::new(reach).into(),
-            ..DerivedCache::default()
-        };
         Ok(Dag {
             nodes,
             topology: Arc::new(Topology {
-                succ,
-                pred,
-                order,
+                order: TopologicalOrder { ids },
+                reach,
                 source,
                 sink,
-                region_of,
                 regions,
+                delays: OnceLock::new(),
             }),
-            cache,
+            cache: DerivedCache {
+                volume: volume.into(),
+                ..DerivedCache::default()
+            },
         })
     }
 
@@ -197,7 +220,7 @@ impl Dag {
     /// Number of edges `|Eᵢ|`.
     #[must_use]
     pub fn edge_count(&self) -> usize {
-        self.topology.succ.edge_count()
+        self.topology.ids().edge_count()
     }
 
     /// Iterates over all node ids in index order.
@@ -232,7 +255,7 @@ impl Dag {
     /// Panics if `v` is out of range for this graph.
     #[must_use]
     pub fn successors(&self, v: NodeId) -> &[NodeId] {
-        self.topology.succ.row(v.index())
+        self.topology.ids().succ(v.index())
     }
 
     /// Direct predecessors of `v`.
@@ -242,7 +265,7 @@ impl Dag {
     /// Panics if `v` is out of range for this graph.
     #[must_use]
     pub fn predecessors(&self, v: NodeId) -> &[NodeId] {
-        self.topology.pred.row(v.index())
+        self.topology.ids().pred(v.index())
     }
 
     /// The unique source node (no incoming edges).
@@ -272,7 +295,8 @@ impl Dag {
     /// The region `v` belongs to (as fork, join, or inner node), if any.
     #[must_use]
     pub fn region_of(&self, v: NodeId) -> Option<&Region> {
-        self.topology.region_of[v.index()].map(|i| &self.topology.regions[i as usize])
+        let t = &*self.topology;
+        t.ids().region(v.index()).map(|i| &t.regions[i as usize])
     }
 
     /// For a `BF` node, the paired `BJ` node (`J(v)` in Algorithm 1).
@@ -343,24 +367,22 @@ impl Dag {
             .get_or_init(|| CriticalPath::new(self))
     }
 
-    /// The transitive-reachability closure of the graph. Memoized — and
-    /// seeded at assembly, which computes the closure while validating
-    /// blocking regions, so this never recomputes it for a built or
-    /// edited graph.
+    /// The transitive-reachability closure of the graph, computed at
+    /// assembly (which checks the blocking regions on it) and kept in the
+    /// topology that clones and WCET-only edits share.
     #[must_use]
     pub fn reachability(&self) -> &Reachability {
-        self.cache
-            .reach
-            .get_or_init(|| Arc::new(Reachability::new(self)))
+        &self.topology.reach
     }
 
     /// The per-node delay sets `X(v)` and the bound `b̄` of the paper's
-    /// Section 3.1, as the rows of one bit matrix. Memoized.
+    /// Section 3.1, as the rows of one bit matrix. Memoized in the
+    /// topology, so clones and WCET-only edits share it.
     #[must_use]
     pub fn delay_profile(&self) -> &DelayProfile {
-        self.cache
+        self.topology
             .delays
-            .get_or_init(|| Arc::new(DelayProfile::new(self, self.reachability())))
+            .get_or_init(|| DelayProfile::new(self, self.reachability()))
     }
 
     /// A maximum antichain of the `BF` nodes: the largest set of blocking
@@ -401,7 +423,7 @@ impl Dag {
             for n in &self.nodes {
                 mix(n.wcet);
             }
-            for (from, to) in self.topology.succ.edges() {
+            for (from, to) in self.topology.ids().edges() {
                 mix(((from.index() as u64) << 32) | to.index() as u64);
             }
             // Each pair once, from its lower-numbered end, in id order.
@@ -432,8 +454,9 @@ impl Dag {
         crate::DagEdit::new(self)
     }
 
-    /// A copy of this graph (sharing its immutable topology) with an
-    /// *empty* derived-analysis cache: every memoized artifact will be
+    /// A copy of this graph (sharing its immutable topology, and with it
+    /// the closure and the delay profile) with an *empty*
+    /// derived-analysis cache: every artifact memoized there will be
     /// recomputed on first use.
     ///
     /// Plain [`Clone`] carries filled cache cells along; this is the

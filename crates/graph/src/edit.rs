@@ -5,9 +5,9 @@
 //! contains:
 //!
 //! * **Only [`EditOp::SetWcet`] ops** — structure untouched: the topology
-//!   (CSR adjacency, topological order, region tables), the reachability
-//!   closure and the delay profile are all *shared* with the base (each
-//!   sits behind an `Arc`), the volume is adjusted arithmetically, and
+//!   (CSR adjacency, topological order, region tables, the reachability
+//!   closure and the delay profile, all behind one `Arc`) is *shared*
+//!   with the base, the volume is adjusted arithmetically, and
 //!   only the critical path is left for lazy `O(|V|+|E|)` recomputation.
 //!   The one per-node copy is the WCET/kind table, so the allocator is
 //!   called a fixed number of times whatever the graph's size.
@@ -234,8 +234,6 @@ impl<'a> DagEdit<'a> {
         let carried = &base.cache;
         let cache = DerivedCache {
             volume: volume.into(),
-            reach: carried.reach.clone(),
-            delays: carried.delays.clone(),
             blocking_forks: carried.blocking_forks.clone(),
             bf_antichain: carried.bf_antichain.clone(),
             ..DerivedCache::default()
@@ -263,8 +261,8 @@ impl<'a> DagEdit<'a> {
         // An edge the skeleton would hold twice: in `from`'s base row, or
         // inserted by an earlier op.
         let fresh = |added: &[(NodeId, NodeId)], from: NodeId, to: NodeId| {
-            let base = &t.succ;
-            let held = from.index() < base.node_count() && base.row(from.index()).contains(&to);
+            let base = t.ids();
+            let held = from.index() < base.node_count() && base.succ(from.index()).contains(&to);
             (!held && !added.contains(&(from, to)))
                 .then_some(())
                 .ok_or(GraphError::DuplicateEdge(from, to))
@@ -326,12 +324,7 @@ impl<'a> DagEdit<'a> {
             }
         }
 
-        let n = wcets.len();
-        let succ = t.succ.extended(n, added.iter().copied());
-        let pred = t
-            .pred
-            .extended(n, added.iter().map(|&(from, to)| (to, from)));
-        Dag::assemble(&wcets, succ, pred, &pairs)
+        Dag::assemble(&wcets, t.ids().extended(wcets.len(), &added), &pairs)
     }
 }
 
@@ -339,7 +332,9 @@ impl<'a> DagEdit<'a> {
 mod tests {
     use super::*;
     use crate::builder::DagBuilder;
+    use crate::cache::DelayProfile;
     use crate::node::NodeKind;
+    use crate::reach::Reachability;
 
     /// s -> f{a,b}j -> t with a blocking region, plus a parallel lane
     /// s -> p -> t.
@@ -368,8 +363,8 @@ mod tests {
         assert_eq!(dag.blocking_forks(), cold.blocking_forks());
         assert_eq!(dag.max_blocking_antichain(), cold.max_blocking_antichain());
         assert_eq!(dag.content_hash(), cold.content_hash());
-        let (r, rc) = (dag.reachability(), cold.reachability());
-        let (d, dc) = (dag.delay_profile(), cold.delay_profile());
+        let (r, rc) = (dag.reachability(), &Reachability::new(dag));
+        let (d, dc) = (dag.delay_profile(), &DelayProfile::new(dag, rc));
         assert_eq!(d.max_delay_count(), dc.max_delay_count());
         for v in dag.node_ids() {
             assert_eq!(r.descendants(v), rc.descendants(v), "desc({v})");
@@ -403,14 +398,8 @@ mod tests {
         assert_eq!(v2.wcet(a), 50);
         assert_eq!(v2.volume(), dag.volume() + 45);
         // The O(|V|²) artifacts are the very same allocations.
-        assert!(Arc::ptr_eq(
-            dag.cache.reach.get().unwrap(),
-            v2.cache.reach.get().unwrap()
-        ));
-        assert!(Arc::ptr_eq(
-            dag.cache.delays.get().unwrap(),
-            v2.cache.delays.get().unwrap()
-        ));
+        assert!(Arc::ptr_eq(&dag.topology, &v2.topology));
+        assert!(std::ptr::eq(dag.delay_profile(), v2.delay_profile()));
         assert_cache_coherent(&v2);
         // The base is untouched.
         assert_eq!(dag.wcet(a), 5);
@@ -656,7 +645,7 @@ mod tests {
         let mut e = dag.edit();
         e.set_wcet(a, 2);
         let (v2, _) = e.apply().unwrap();
-        assert!(v2.cache.delays.get().is_none());
+        assert!(v2.topology.delays.get().is_none());
         assert!(v2.cache.bf_antichain.get().is_none());
         assert_eq!(v2.cache.volume.get(), Some(&(dag.volume() - 3)));
         assert_cache_coherent(&v2);

@@ -32,12 +32,15 @@ pub struct CriticalPath {
 
 impl CriticalPath {
     /// One pass over `dag` in topological order: each node's longest
-    /// path ending there (its WCET included) and the predecessor it
-    /// runs through, the one with the larger distance and, of equal
-    /// ones, the smaller id, so the path is deterministic. The path is
-    /// read back from the sink; the per-node table is dropped.
+    /// path ending there (its WCET included), the predecessor it runs
+    /// through — the one with the larger distance and, of equal ones,
+    /// the smaller id, so the path is deterministic — and the path's
+    /// node count. The path is then written back from the sink into a
+    /// list of exactly that length; the per-node table is dropped.
     pub(crate) fn new(dag: &Dag) -> Self {
-        let mut best: Vec<(u64, Option<NodeId>)> = vec![(0, None); dag.node_count()];
+        // `(length, predecessor, nodes)`, the node itself standing in for
+        // the missing predecessor of a source.
+        let mut best: Vec<(u64, NodeId, u32)> = vec![(0, dag.source(), 0); dag.node_count()];
         for v in dag.topological_order().iter() {
             let mut pick: Option<(u64, NodeId)> = None;
             for &p in dag.predecessors(v) {
@@ -46,20 +49,20 @@ impl CriticalPath {
                     pick = Some((d, p));
                 }
             }
-            best[v.index()] = (
-                pick.map_or(0, |(d, _)| d) + dag.wcet(v),
-                pick.map(|(_, p)| p),
-            );
+            best[v.index()] = match pick {
+                Some((d, p)) => (d + dag.wcet(v), p, best[p.index()].2 + 1),
+                None => (dag.wcet(v), v, 1),
+            };
         }
         let sink = dag.sink();
-        let hops = std::iter::successors(Some(sink), |v| best[v.index()].1);
-        let mut nodes = Vec::with_capacity(hops.clone().count());
-        nodes.extend(hops);
-        nodes.reverse();
-        CriticalPath {
-            length: best[sink.index()].0,
-            nodes,
+        let (length, _, hops) = best[sink.index()];
+        let mut nodes = vec![sink; hops as usize];
+        let mut v = sink;
+        for slot in nodes.iter_mut().rev() {
+            *slot = v;
+            v = best[v.index()].1;
         }
+        CriticalPath { length, nodes }
     }
 }
 

@@ -12,11 +12,10 @@
 //! that order backwards.
 
 use crate::bitset::{BitMatrix, BitRow, RowsMut};
-use crate::csr::Csr;
+use crate::csr::{IdBlock, Rows};
 use crate::dag::Dag;
 use crate::error::GraphError;
 use crate::node::NodeId;
-use crate::topo::TopologicalOrder;
 
 /// Precomputed transitive reachability of a [`Dag`].
 ///
@@ -54,21 +53,20 @@ pub struct Reachability {
 }
 
 impl Reachability {
-    /// Computes transitive reachability for `dag` in `O(|V|·|E|/64)` words,
-    /// through the pass that ordered the graph at assembly.
+    /// Computes transitive reachability for `dag` anew in
+    /// `O(|V|·|E|/64)` words, through the pass that ordered the graph at
+    /// assembly, on a copy of its rows. [`Dag::reachability`] reads the
+    /// closure assembly kept.
     #[must_use]
     pub fn new(dag: &Dag) -> Self {
-        let t = &dag.topology;
-        Self::ordered(&t.succ, &t.pred)
-            .expect("an assembled graph has an order")
-            .1
+        Self::ordered(&mut dag.topology.ids().clone()).expect("an assembled graph has an order")
     }
 
-    /// Kahn's topological order of the rows of `succ` (whose in-degrees
-    /// are `pred`'s row lengths) and the closure, in two passes: the
-    /// Kahn pass emits the order and ORs each emitted node's ancestor
-    /// row, plus the node, into every successor's; one pass over the
-    /// order backwards fills the descendants.
+    /// Kahn's topological order of `ids`' rows, written into its order
+    /// slots, and the closure, in two passes: the Kahn pass emits the
+    /// order and ORs each emitted node's ancestor row, plus the node,
+    /// into every successor's; one pass over the order backwards fills
+    /// the descendants.
     ///
     /// The order has the sources in id order, then a FIFO frontier fed
     /// in successor-row order: a node enters behind everything already
@@ -85,23 +83,23 @@ impl Reachability {
     /// [`GraphError::DuplicateEdge`] for the first repeated edge in row
     /// order; otherwise [`GraphError::Cycle`] naming the lowest node the
     /// order never reaches.
-    pub(crate) fn ordered(succ: &Csr, pred: &Csr) -> Result<(TopologicalOrder, Self), GraphError> {
-        let n = succ.node_count();
+    pub(crate) fn ordered(ids: &mut IdBlock) -> Result<Self, GraphError> {
+        let n = ids.node_count();
         let mut reach = Reachability {
             rows: BitMatrix::with_rows(2 * n, n),
         };
-        let mut order = Vec::with_capacity(n);
+        let (rows, order, _) = ids.parts_mut();
         // Up to 64 nodes — most graphs — a row is one word: that call
         // gets its own copy of the inlined passes, with every row offset
         // folded.
         let complete = match reach.rows.stride() {
-            1 => order_and_close(&mut reach.rows.rows_mut(1), succ, pred, &mut order),
-            stride => order_and_close(&mut reach.rows.rows_mut(stride), succ, pred, &mut order),
+            1 => order_and_close(&mut reach.rows.rows_mut(1), rows, order),
+            stride => order_and_close(&mut reach.rows.rows_mut(stride), rows, order),
         };
         if complete {
-            return Ok((TopologicalOrder { order }, reach));
+            return Ok(reach);
         }
-        Err(repeated_edge(succ).unwrap_or_else(|| {
+        Err(repeated_edge(rows).unwrap_or_else(|| {
             // Without a repeated edge the pass ran to its end, so a
             // descendant row still counts the node's predecessors never
             // emitted: it is non-zero exactly for the nodes left out.
@@ -146,52 +144,55 @@ impl Reachability {
     }
 }
 
-/// The passes of [`Reachability::ordered`] over `rows` (`2n` rows:
-/// descendants, then ancestors): `false` on a repeated edge or a short
-/// order.
+/// The passes of [`Reachability::ordered`] over `closure` (`2n` rows:
+/// descendants, then ancestors), writing the `n` slots of `order`:
+/// `false` on a repeated edge or a short order.
 #[inline(always)]
-fn order_and_close(
-    rows: &mut RowsMut<'_>,
-    succ: &Csr,
-    pred: &Csr,
-    order: &mut Vec<NodeId>,
-) -> bool {
-    let n = succ.node_count();
+fn order_and_close(closure: &mut RowsMut<'_>, rows: Rows<'_>, order: &mut [NodeId]) -> bool {
+    let n = rows.node_count();
     // The descendant rows are unused until the order is complete, so
     // the first word of row `v` counts `v`'s predecessors not yet
     // emitted. A complete order counted every one down to zero: the
     // rows are blank again when the descendant pass starts.
+    let mut len = 0;
     for v in 0..n {
-        let waiting = pred.row(v).len() as u64;
-        *rows.first_word_mut(v) = waiting;
+        let waiting = rows.pred(v).len() as u64;
+        *closure.first_word_mut(v) = waiting;
         if waiting == 0 {
-            order.push(NodeId::from_index(v));
+            order[len] = NodeId::from_index(v);
+            len += 1;
         }
     }
     // A FIFO queue pops in push order, so the output doubles as the
-    // frontier: everything behind `head` is waiting.
+    // frontier: everything from `head` to `len` is waiting.
     let mut head = 0;
-    while let Some(&v) = order.get(head) {
+    while head < len {
+        let v = order[head];
         head += 1;
-        for &w in succ.row(v.index()) {
-            if !rows.absorb(n + w.index(), n + v.index(), v.index()) {
+        for &w in rows.succ(v.index()) {
+            if !closure.absorb(n + w.index(), n + v.index(), v.index()) {
                 return false;
             }
-            let waiting = rows.first_word_mut(w.index());
+            let waiting = closure.first_word_mut(w.index());
             *waiting -= 1;
-            if *waiting == 0 {
-                order.push(w);
+            // Written whether or not `w` is ready, and kept only if it
+            // is: no branch on the count. The slot past the last is
+            // never needed once every node is in.
+            let ready = *waiting == 0;
+            if let Some(slot) = order.get_mut(len) {
+                *slot = w;
             }
+            len += usize::from(ready);
         }
     }
-    if order.len() < n {
+    if len < n {
         return false;
     }
     // Reverse topological order: a node's descendants are the union of
     // each direct successor and that successor's (already final) row.
     for v in order.iter().rev() {
-        for &w in succ.row(v.index()) {
-            rows.absorb(v.index(), w.index(), w.index());
+        for &w in rows.succ(v.index()) {
+            closure.absorb(v.index(), w.index(), w.index());
         }
     }
     true
@@ -199,11 +200,11 @@ fn order_and_close(
 
 /// The first edge a successor row names twice, rows in id order: each
 /// target is stamped with the last row that named it.
-fn repeated_edge(succ: &Csr) -> Option<GraphError> {
-    let mut stamp = vec![0; succ.node_count()];
-    (0..succ.node_count()).find_map(|v| {
-        let w = succ
-            .row(v)
+fn repeated_edge(rows: Rows<'_>) -> Option<GraphError> {
+    let mut stamp = vec![0; rows.node_count()];
+    (0..rows.node_count()).find_map(|v| {
+        let w = rows
+            .succ(v)
             .iter()
             .find(|w| std::mem::replace(&mut stamp[w.index()], v + 1) == v + 1)?;
         Some(GraphError::DuplicateEdge(NodeId::from_index(v), *w))

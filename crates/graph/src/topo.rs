@@ -1,5 +1,8 @@
 //! The topological order every [`Dag`](crate::Dag) keeps.
 
+use std::fmt;
+
+use crate::csr::IdBlock;
 use crate::node::NodeId;
 
 /// A topological ordering of a DAG's nodes.
@@ -8,6 +11,11 @@ use crate::node::NodeId;
 /// with it: the sources in id order, then a FIFO frontier fed in
 /// successor-row order. Iterate it to visit nodes so that every node
 /// appears after all of its predecessors.
+///
+/// The order is one part of the graph's id block, which also holds the
+/// graph's rows: the block is owned here because
+/// [`Dag::topological_order`](crate::Dag::topological_order) hands out
+/// a reference to this type.
 ///
 /// # Examples
 ///
@@ -27,33 +35,49 @@ use crate::node::NodeId;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone)]
 pub struct TopologicalOrder {
-    pub(crate) order: Vec<NodeId>,
+    pub(crate) ids: IdBlock,
 }
 
 impl TopologicalOrder {
     /// Number of ordered nodes.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.order.len()
+        self.ids.node_count()
     }
 
     /// Returns `true` if the order contains no nodes.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.order.is_empty()
+        self.len() == 0
     }
 
     /// Iterates over the nodes in topological order.
     pub fn iter(&self) -> impl DoubleEndedIterator<Item = NodeId> + '_ {
-        self.order.iter().copied()
+        self.as_slice().iter().copied()
     }
 
     /// The order as a slice.
     #[must_use]
     pub fn as_slice(&self) -> &[NodeId] {
-        &self.order
+        self.ids.order()
+    }
+}
+
+impl PartialEq for TopologicalOrder {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for TopologicalOrder {}
+
+impl fmt::Debug for TopologicalOrder {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("TopologicalOrder")
+            .field("order", &self.as_slice())
+            .finish()
     }
 }
 

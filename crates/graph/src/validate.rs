@@ -13,35 +13,23 @@
 //!
 //! which [`regions`] checks on the closure.
 
-use crate::csr::Csr;
+use crate::csr::{region_in, region_slot, IdBlock};
 use crate::dag::Dag;
 use crate::error::GraphError;
-use crate::node::{NodeId, NodeKind};
+use crate::node::NodeId;
 use crate::reach::Reachability;
 use crate::regions::Region;
 
-/// The kind of node `v` given the region it belongs to, if any.
-pub(crate) fn kind_in(regions: &[Region], region: Option<u32>, v: usize) -> NodeKind {
-    match region.map(|r| &regions[r as usize]) {
-        None => NodeKind::NonBlocking,
-        Some(r) if r.fork().index() == v => NodeKind::BlockingFork,
-        Some(r) if r.join().index() == v => NodeKind::BlockingJoin,
-        Some(_) => NodeKind::BlockingChild,
-    }
-}
-
 /// The blocking regions a graph's declared pairs delimit, in
-/// declaration order, and for every node of a region (fork, join or
-/// inner) its index among them: node kinds are read off the two
-/// ([`kind_in`]). Checks every restriction a pair is under, on the
-/// graph's rows and its closure.
+/// declaration order; every node of a region (fork, join or inner) gets
+/// its index among them in its region slot of `ids`. Checks every
+/// restriction a pair is under, on the graph's rows and its closure.
 pub(crate) fn regions(
-    succ: &Csr,
-    pred: &Csr,
+    ids: &mut IdBlock,
     reach: &Reachability,
     pairs: &[(NodeId, NodeId)],
-) -> Result<(Vec<Option<u32>>, Vec<Region>), GraphError> {
-    let mut region_of: Vec<Option<u32>> = vec![None; succ.node_count()];
+) -> Result<Vec<Region>, GraphError> {
+    let (rows, _, region_of) = ids.parts_mut();
     let mut regions: Vec<Region> = Vec::with_capacity(pairs.len());
 
     for &(f, j) in pairs {
@@ -50,11 +38,10 @@ pub(crate) fn regions(
         }
         // A node may delimit one pair only.
         for v in [f, j] {
-            if matches!(
-                kind_in(&regions, region_of[v.index()], v.index()),
-                NodeKind::BlockingFork | NodeKind::BlockingJoin
-            ) {
-                return Err(GraphError::OverlappingPairs(v));
+            if let Some(r) = region_in(region_of[v.index()]).map(|r| &regions[r as usize]) {
+                if r.fork() == v || r.join() == v {
+                    return Err(GraphError::OverlappingPairs(v));
+                }
             }
         }
 
@@ -64,31 +51,30 @@ pub(crate) fn regions(
         let mut inner: Vec<NodeId> = Vec::with_capacity(between.clone().count());
         inner.extend(between.map(NodeId::from_index));
 
-        let region_idx = u32::try_from(regions.len()).expect("too many regions");
+        let slot = region_slot(regions.len());
         for v in std::iter::once(f)
             .chain(std::iter::once(j))
             .chain(inner.iter().copied())
         {
-            if let Some(prev) = region_of[v.index()] {
+            if let Some(prev) = region_in(std::mem::replace(&mut region_of[v.index()], slot)) {
                 return Err(GraphError::NestedRegions {
                     outer_fork: regions[prev as usize].fork(),
                     inner_fork: f,
                 });
             }
-            region_of[v.index()] = Some(region_idx);
         }
-        // Exactly this region's nodes now map to `region_idx`.
-        let outside = |v: NodeId| region_of[v.index()] != Some(region_idx);
+        // Exactly this region's nodes now hold `slot`.
+        let outside = |v: NodeId| region_of[v.index()] != slot;
 
         // Restriction (ii): every edge out of the fork stays in the region.
-        if let Some(&s) = succ.row(f.index()).iter().find(|&&s| outside(s)) {
+        if let Some(&s) = rows.succ(f.index()).iter().find(|&&s| outside(s)) {
             return Err(GraphError::ForkEscape {
                 fork: f,
                 outside: s,
             });
         }
         // Restriction (iii): every edge into the join starts in the region.
-        if let Some(&p) = pred.row(j.index()).iter().find(|&&p| outside(p)) {
+        if let Some(&p) = rows.pred(j.index()).iter().find(|&&p| outside(p)) {
             return Err(GraphError::JoinIntrusion {
                 join: j,
                 outside: p,
@@ -96,7 +82,7 @@ pub(crate) fn regions(
         }
         // Restriction (i): inner nodes are internally connected only.
         for &x in &inner {
-            let mut row = succ.row(x.index()).iter().chain(pred.row(x.index()));
+            let mut row = rows.succ(x.index()).iter().chain(rows.pred(x.index()));
             if let Some(&nbr) = row.find(|&&nbr| outside(nbr)) {
                 return Err(GraphError::RegionLeak {
                     fork: f,
@@ -107,7 +93,7 @@ pub(crate) fn regions(
         }
         regions.push(Region::new(f, j, inner));
     }
-    Ok((region_of, regions))
+    Ok(regions)
 }
 
 /// Re-validates an assembled [`Dag`] (used by [`Dag::validate_model`]):
@@ -115,8 +101,9 @@ pub(crate) fn regions(
 pub(crate) fn validate(dag: &Dag) -> Result<(), GraphError> {
     let t = &*dag.topology;
     let wcets: Vec<u64> = dag.nodes.iter().map(|node| node.wcet).collect();
+    let ids = t.ids().extended(wcets.len(), &[]);
     let pairs: Vec<(NodeId, NodeId)> = t.regions.iter().map(|r| (r.fork(), r.join())).collect();
-    let again = Dag::assemble(&wcets, t.succ.clone(), t.pred.clone(), &pairs)?;
+    let again = Dag::assemble(&wcets, ids, &pairs)?;
     debug_assert_eq!(again.source(), dag.source());
     debug_assert_eq!(again.sink(), dag.sink());
     debug_assert!(dag.node_ids().all(|v| again.kind(v) == dag.kind(v)));

@@ -9,7 +9,10 @@
 //! `DagBuilder` build must equal it in every row, order, kind, region,
 //! closure, delay set, volume, critical path and content hash; where it
 //! rejects one, `Dag::from_lists` must fail with the same `GraphError`
-//! variant and witnesses.
+//! variant and witnesses. An accepted graph is also grown by one node
+//! from its source to its sink through `Dag::edit`, a rebuild from its
+//! rows, which must meet the model's verdict on the lists with those two
+//! edges appended.
 
 use std::collections::HashSet;
 
@@ -73,31 +76,14 @@ fn same_graph(dag: &Dag, g: &Graph) -> Result<(), String> {
     Ok(())
 }
 
-/// Builds `shape` through the library and the model and compares them;
-/// the rule the model rejects it under, if any.
-fn agree(shape: &Shape) -> Result<Option<&'static str>, String> {
-    let node = |&(a, b): &(usize, usize)| (NodeId::from_index(a), NodeId::from_index(b));
-    let edges: Vec<_> = shape.edges.iter().map(node).collect();
-    let pairs: Vec<_> = shape.pairs.iter().map(node).collect();
-    match (
-        Dag::from_lists(&shape.wcets, &edges, &pairs),
-        graph::build(shape),
-    ) {
-        (Ok(dag), Ok(g)) => {
-            same_graph(&dag, &g)?;
-            let mut b = DagBuilder::new();
-            for &w in &shape.wcets {
-                b.add_node(w);
-            }
-            for &(from, to) in &edges {
-                b.add_edge(from, to).map_err(|e| e.to_string())?;
-            }
-            for &(fork, join) in &pairs {
-                b.blocking_pair(fork, join).map_err(|e| e.to_string())?;
-            }
-            same_graph(&b.build().map_err(|e| e.to_string())?, &g)?;
-            Ok(None)
-        }
+/// The library's and the model's verdicts on one shape agree: the same
+/// graph, or the same rule with the same witnesses. Returns the rule.
+fn same_verdict(
+    library: Result<Dag, GraphError>,
+    model: Result<Graph, graph::Rejection>,
+) -> Result<Option<&'static str>, String> {
+    match (library, model) {
+        (Ok(dag), Ok(g)) => same_graph(&dag, &g).map(|()| None),
         (Err(e), Err((rule, nodes))) => {
             let name = variant(&e);
             prop_assert_eq!((name.as_str(), ids(&e.nodes())), (rule, nodes));
@@ -105,6 +91,48 @@ fn agree(shape: &Shape) -> Result<Option<&'static str>, String> {
         }
         (dag, model) => Err(format!("library {:?}, model {:?}", dag.err(), model.err())),
     }
+}
+
+/// `dag` grown by one node of WCET 7 from its source to its sink through
+/// `Dag::edit`, against the model on `shape` with those edges appended.
+fn grow_agrees(dag: &Dag, g: &Graph, shape: &Shape) -> Result<(), String> {
+    let mut grown = shape.clone();
+    let new = grown.wcets.len();
+    grown.wcets.push(7);
+    grown.edges.extend([(g.source, new), (new, g.sink)]);
+    let mut edit = dag.edit();
+    edit.insert_node(7, &[dag.source()], &[dag.sink()]);
+    same_verdict(edit.apply().map(|(dag, _)| dag), graph::build(&grown)).map(|_| ())
+}
+
+/// Builds `shape` through the library and the model and compares them;
+/// the rule the model rejects it under, if any.
+fn agree(shape: &Shape) -> Result<Option<&'static str>, String> {
+    let node = |&(a, b): &(usize, usize)| (NodeId::from_index(a), NodeId::from_index(b));
+    let edges: Vec<_> = shape.edges.iter().map(node).collect();
+    let pairs: Vec<_> = shape.pairs.iter().map(node).collect();
+    let (library, model) = (
+        Dag::from_lists(&shape.wcets, &edges, &pairs),
+        graph::build(shape),
+    );
+    if let (Ok(dag), Ok(g)) = (&library, &model) {
+        dag.validate_model().map_err(|e| e.to_string())?;
+        if g.source != g.sink {
+            grow_agrees(dag, g, shape)?;
+        }
+        let mut b = DagBuilder::new();
+        for &w in &shape.wcets {
+            b.add_node(w);
+        }
+        for &(from, to) in &edges {
+            b.add_edge(from, to).map_err(|e| e.to_string())?;
+        }
+        for &(fork, join) in &pairs {
+            b.blocking_pair(fork, join).map_err(|e| e.to_string())?;
+        }
+        same_graph(&b.build().map_err(|e| e.to_string())?, g)?;
+    }
+    same_verdict(library, model)
 }
 
 proptest! {

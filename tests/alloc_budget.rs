@@ -4,10 +4,12 @@
 //! by the document; how many times `parse_task_set`, the first
 //! derivations and a WCET-only edit call the allocator, per node; that
 //! names on the parser's `v0 v1 …` numbering cost fewer calls than the
-//! same set's names off it (no name map is built); how
-//! many times assembling a 35-node graph calls it; that a rejected
-//! window attempt calls it not at all, and the accepted graph's build at
-//! most 18 times; that Algorithm
+//! same set's names off it (no name map is built); that assembling a
+//! 35-node graph calls it at most five times plus once per blocking
+//! region, and its first delay profile and critical path three times;
+//! that assembly's calls do not grow with the node count; that a
+//! rejected window attempt calls it not at all, and the accepted graph's
+//! build at most five times plus once per region; that Algorithm
 //! 1's calls do not grow with the graph; that the partitioned RTA
 //! allocates the same at 16 cores as at 8; that `partitioned::accepts`
 //! maps no task below the first one that misses; and that it allocates
@@ -374,10 +376,11 @@ fn rejected_window_attempts_allocate_nothing() {
         let dag = dag.expect("the window is reachable");
         let (rebuilt, build_calls) = calls_of(|| scratch.build());
         assert_eq!(rebuilt.content_hash(), dag.content_hash());
+        let regions = dag.blocking_regions().len() as u64;
         println!(
             "window sample {seed:#x}: accepted at attempt {accepted_at}, \
              {generate_calls} allocator calls, {build_calls} of them the accepted build \
-             ({} nodes)",
+             ({} nodes, {regions} blocking regions)",
             dag.node_count()
         );
         assert_eq!(
@@ -385,8 +388,9 @@ fn rejected_window_attempts_allocate_nothing() {
             "rejected window attempts called the allocator (seed {seed:#x})"
         );
         assert!(
-            build_calls <= 18,
-            "building the accepted {}-node graph made {build_calls} allocator calls (budget 18)",
+            build_calls <= 5 + regions,
+            "building the accepted {}-node graph made {build_calls} allocator calls \
+             (budget 5 + one per region, {regions} regions)",
             dag.node_count()
         );
         rejected += accepted_at - 1;
@@ -401,10 +405,11 @@ fn rejected_window_attempts_allocate_nothing() {
 fn assembling_a_graph_stays_within_budget() {
     // Figure 2's plain graphs at 35 nodes, the size a task of
     // `admit-cold` has: one `Dag::from_lists` each, through the
-    // generator's scratch.
+    // generator's scratch, then its first delay profile and critical
+    // path.
     let config = DagGenConfig::default();
     let mut scratch = DagScratch::new();
-    let (mut graphs, mut calls, mut most) = (0u64, 0u64, 0u64);
+    let (mut graphs, mut calls, mut most, mut derived) = (0u64, 0u64, 0u64, 0u64);
     for seed in 0.. {
         config.generate_into(&mut rand::rngs::StdRng::seed_from_u64(seed), &mut scratch);
         if scratch.node_count() != 35 {
@@ -412,20 +417,76 @@ fn assembling_a_graph_stays_within_budget() {
         }
         let (dag, built) = calls_of(|| scratch.build());
         assert_eq!(dag.node_count(), 35);
+        let regions = dag.blocking_regions().len() as u64;
+        assert!(
+            built <= 5 + regions,
+            "assembling a 35-node graph of {regions} blocking regions made {built} allocator calls \
+             (budget 5 + one per region)"
+        );
+        let ((), derive) = calls_of(|| {
+            let _ = dag.delay_profile();
+            let _ = dag.critical_path();
+        });
+        assert!(
+            derive <= 3,
+            "a first delay profile and critical path made {derive} allocator calls (budget 3)"
+        );
         graphs += 1;
         calls += built;
         most = most.max(built);
+        derived += derive;
         if graphs == 40 {
             break;
         }
     }
     println!(
-        "Dag::from_lists at 35 nodes: {:.2} allocator calls on average over {graphs} graphs, {most} at most",
-        calls as f64 / graphs as f64
+        "Dag::from_lists at 35 nodes: {:.2} allocator calls on average over {graphs} graphs, {most} at most; \
+         {:.2} more for the first delay profile and critical path",
+        calls as f64 / graphs as f64,
+        derived as f64 / graphs as f64
+    );
+}
+
+/// Node WCETs, edges and blocking pairs, as `Dag::from_lists` takes them.
+type Lists = (Vec<u64>, Vec<(NodeId, NodeId)>, Vec<(NodeId, NodeId)>);
+
+/// The lists of a chain of `stages` three-way fork–joins (5 nodes
+/// each), the first one blocking.
+fn pipeline_lists(stages: usize) -> Lists {
+    let v = NodeId::from_index;
+    let (mut wcets, mut edges) = (Vec::new(), Vec::new());
+    for stage in 0..stages {
+        let fork = 5 * stage;
+        wcets.extend([1, 2, 3, 4, 1]);
+        for child in fork + 1..fork + 4 {
+            edges.push((v(fork), v(child)));
+            edges.push((v(child), v(fork + 4)));
+        }
+        if stage > 0 {
+            edges.push((v(fork - 1), v(fork)));
+        }
+    }
+    (wcets, edges, vec![(v(0), v(4))])
+}
+
+#[test]
+fn assembly_allocations_do_not_grow_with_the_graph() {
+    let counts: Vec<(usize, u64)> = [7, 70, 700]
+        .into_iter()
+        .map(|stages| {
+            let (wcets, edges, pairs) = pipeline_lists(stages);
+            let (dag, calls) = calls_of(|| Dag::from_lists(&wcets, &edges, &pairs));
+            (dag.expect("a valid pipeline").node_count(), calls)
+        })
+        .collect();
+    println!("Dag::from_lists of a pipeline with one blocking region: {counts:?} (nodes, allocator calls)");
+    assert_eq!(
+        counts.iter().map(|&(n, _)| n).collect::<Vec<_>>(),
+        [35, 350, 3500]
     );
     assert!(
-        calls <= 14 * graphs,
-        "{calls} allocator calls to assemble {graphs} 35-node graphs (budget 14.0 per graph)"
+        counts.iter().all(|&(_, calls)| calls == counts[0].1),
+        "assembly's allocator calls grow with the node count: {counts:?}"
     );
 }
 
