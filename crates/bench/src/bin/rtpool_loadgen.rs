@@ -12,7 +12,8 @@
 //!
 //! 1. **Calibration** — `--calibrate` requests (default 200) as fast as
 //!    possible against a permissive SLO, measuring the sustained
-//!    verdict rate and the p99 latency.
+//!    verdict rate (from the first answer to the last, so the child's
+//!    start-up and the final drain are not counted) and the p99 latency.
 //! 2. **Soak** — `--duration-secs` (default 30) at `--overload` (default
 //!    2.0) times the calibrated rate, with the child's SLO pinned to the
 //!    calibrated p99 so the breaker has a realistic trip point. Write `k`
@@ -31,7 +32,9 @@
 //! * **clean shutdown** — closing stdin drains the backlog and the
 //!   child exits with status 0.
 //!
-//! `--out PATH` writes the soak latency histogram, verdict counts, the
+//! `--out PATH` writes the soak latency histogram (of `admit` and
+//! `reject` answers only: a `busy` or `shed` refusal is counted, not
+//! timed), verdict counts, the
 //! rate achieved while writing and the latest any write ran behind its
 //! schedule as a JSON artifact (the CI `serve-soak` job uploads it).
 
@@ -158,10 +161,13 @@ struct PhaseOutcome {
     shed: u64,
     errors: u64,
     degraded: u64,
+    /// Service latency of the `admit` and `reject` answers.
     latency: LatencyHistogram,
     elapsed: Duration,
     /// From the first write to the last one.
     writing: Duration,
+    /// When the first and the latest answer were read.
+    answers: Option<(Instant, Instant)>,
     /// How far the most delayed write ran behind its due time.
     max_lateness: Duration,
     peak_rss_kb: u64,
@@ -169,6 +175,54 @@ struct PhaseOutcome {
 }
 
 impl PhaseOutcome {
+    fn new() -> Self {
+        PhaseOutcome {
+            sent: 0,
+            answered: 0,
+            admitted: 0,
+            rejected: 0,
+            busy: 0,
+            shed: 0,
+            errors: 0,
+            degraded: 0,
+            latency: LatencyHistogram::new(),
+            elapsed: Duration::ZERO,
+            writing: Duration::ZERO,
+            answers: None,
+            max_lateness: Duration::ZERO,
+            peak_rss_kb: 0,
+            exit_ok: false,
+        }
+    }
+
+    /// Counts `resp`, read at `at`; only an `admit` or a `reject` puts its
+    /// latency in the histogram, since a refusal is answered without
+    /// being served.
+    fn absorb(&mut self, resp: &Response, at: Instant) {
+        self.answered += 1;
+        match resp.verdict {
+            VerdictKind::Admit => self.admitted += 1,
+            VerdictKind::Reject => self.rejected += 1,
+            VerdictKind::Busy => self.busy += 1,
+            VerdictKind::Shed => self.shed += 1,
+            VerdictKind::Error => self.errors += 1,
+        }
+        if resp.degraded {
+            self.degraded += 1;
+        }
+        if matches!(resp.verdict, VerdictKind::Admit | VerdictKind::Reject) {
+            self.latency.observe(resp.latency_us);
+        }
+        let first = self.answers.map_or(at, |(first, _)| first);
+        self.answers = Some((first, at));
+    }
+
+    /// Verdicts per second from the first answer to the last.
+    fn answer_rate(&self) -> Option<f64> {
+        let (first, last) = self.answers?;
+        answer_rate(self.answered, last - first)
+    }
+
     fn lost(&self) -> u64 {
         self.sent - self.answered
     }
@@ -183,6 +237,13 @@ impl PhaseOutcome {
     fn achieved_rate(&self) -> f64 {
         self.sent as f64 / self.writing.as_secs_f64().max(f64::MIN_POSITIVE)
     }
+}
+
+/// The rate of `answered` answers, the first and the last `span` apart:
+/// the `answered - 1` after the first, over the span. `None` without two
+/// answers or a span to divide by.
+fn answer_rate(answered: u64, span: Duration) -> Option<f64> {
+    (answered >= 2 && !span.is_zero()).then(|| (answered - 1) as f64 / span.as_secs_f64())
 }
 
 /// Requests in a soak of `duration` at `rate` requests/s: at least 64,
@@ -260,16 +321,17 @@ fn run_phase(
     let mut stdin = child.stdin.take().expect("child stdin piped");
     let stdout = child.stdout.take().expect("child stdout piped");
 
-    let (tx, rx) = mpsc::channel::<Response>();
+    let (tx, rx) = mpsc::channel::<(Response, Instant)>();
     let reader = std::thread::spawn(move || {
         for line in BufReader::new(stdout).lines() {
             let Ok(line) = line else { break };
+            let at = Instant::now();
             if line.trim().is_empty() {
                 continue;
             }
             match parse_response(&line) {
                 Ok(resp) => {
-                    if tx.send(resp).is_err() {
+                    if tx.send((resp, at)).is_err() {
                         break;
                     }
                 }
@@ -279,36 +341,7 @@ fn run_phase(
     });
 
     let start = Instant::now();
-    let mut outcome = PhaseOutcome {
-        sent: 0,
-        answered: 0,
-        admitted: 0,
-        rejected: 0,
-        busy: 0,
-        shed: 0,
-        errors: 0,
-        degraded: 0,
-        latency: LatencyHistogram::new(),
-        elapsed: Duration::ZERO,
-        writing: Duration::ZERO,
-        max_lateness: Duration::ZERO,
-        peak_rss_kb: 0,
-        exit_ok: false,
-    };
-    let absorb = |outcome: &mut PhaseOutcome, resp: &Response| {
-        outcome.answered += 1;
-        match resp.verdict {
-            VerdictKind::Admit => outcome.admitted += 1,
-            VerdictKind::Reject => outcome.rejected += 1,
-            VerdictKind::Busy => outcome.busy += 1,
-            VerdictKind::Shed => outcome.shed += 1,
-            VerdictKind::Error => outcome.errors += 1,
-        }
-        if resp.degraded {
-            outcome.degraded += 1;
-        }
-        outcome.latency.observe(resp.latency_us);
-    };
+    let mut outcome = PhaseOutcome::new();
 
     let mut last_rss = Instant::now() - Duration::from_secs(2);
     let mut write_failed = false;
@@ -328,8 +361,8 @@ fn run_phase(
             break;
         }
         outcome.sent += 1;
-        while let Ok(resp) = rx.try_recv() {
-            absorb(&mut outcome, &resp);
+        while let Ok((resp, at)) = rx.try_recv() {
+            outcome.absorb(&resp, at);
         }
         if last_rss.elapsed() >= Duration::from_secs(1) {
             last_rss = Instant::now();
@@ -344,7 +377,7 @@ fn run_phase(
     // child closes stdout on exit.
     while outcome.answered < outcome.sent {
         match rx.recv_timeout(Duration::from_secs(30)) {
-            Ok(resp) => absorb(&mut outcome, &resp),
+            Ok((resp, at)) => outcome.absorb(&resp, at),
             Err(_) => break,
         }
     }
@@ -428,7 +461,10 @@ fn main() -> ExitCode {
         );
         return ExitCode::FAILURE;
     }
-    let sustained = cal.answered as f64 / cal.elapsed.as_secs_f64().max(f64::MIN_POSITIVE);
+    let Some(sustained) = cal.answer_rate() else {
+        eprintln!("error: calibration answered too little to time");
+        return ExitCode::FAILURE;
+    };
     let cal_p99 = cal.latency.quantile_upper(0.99).unwrap_or(1000).max(100);
     eprintln!(
         "loadgen: calibrated {sustained:.1} verdicts/s, p99 {cal_p99} µs; \
@@ -583,6 +619,75 @@ mod tests {
             line,
             format!("{}\n", lines[0].replacen("\"id\":0", "\"id\":6", 1))
         );
+    }
+
+    #[test]
+    fn the_rate_runs_from_the_first_answer_to_the_last() {
+        let ms = Duration::from_millis;
+        // 201 answers 100 ms apart end to end: 200 after the first.
+        assert_eq!(answer_rate(201, ms(100)), Some(2000.0));
+        assert_eq!(answer_rate(2, ms(1)), Some(1000.0));
+        assert_eq!(answer_rate(1, ms(100)), None);
+        assert_eq!(answer_rate(50, Duration::ZERO), None);
+        // A phase times its answers, not its start-up or drain.
+        let mut outcome = PhaseOutcome::new();
+        let t0 = Instant::now();
+        let answer = |verdict| Response {
+            id: 0,
+            verdict,
+            level: None,
+            degraded: false,
+            latency_us: 40,
+            hash: None,
+            detail: String::new(),
+        };
+        outcome.absorb(&answer(VerdictKind::Admit), t0 + ms(500));
+        outcome.absorb(&answer(VerdictKind::Admit), t0 + ms(510));
+        outcome.absorb(&answer(VerdictKind::Reject), t0 + ms(520));
+        assert_eq!(outcome.answer_rate(), Some(100.0));
+    }
+
+    #[test]
+    fn refusals_are_counted_but_not_timed() {
+        let mut outcome = PhaseOutcome::new();
+        let at = Instant::now();
+        let answers = [
+            (VerdictKind::Admit, 300),
+            (VerdictKind::Busy, 0),
+            (VerdictKind::Shed, 0),
+            (VerdictKind::Busy, 0),
+            (VerdictKind::Reject, 500),
+            (VerdictKind::Error, 0),
+        ];
+        for (verdict, latency_us) in answers {
+            let resp = Response {
+                id: 1,
+                verdict,
+                level: None,
+                degraded: false,
+                latency_us,
+                hash: None,
+                detail: String::new(),
+            };
+            outcome.absorb(&resp, at);
+        }
+        assert_eq!(outcome.answered, 6);
+        assert_eq!(
+            (
+                outcome.admitted,
+                outcome.rejected,
+                outcome.busy,
+                outcome.shed,
+                outcome.errors
+            ),
+            (1, 1, 2, 1, 1)
+        );
+        assert_eq!(outcome.latency.count(), 2);
+        assert_eq!(outcome.latency.min(), Some(300));
+        assert!(outcome
+            .latency
+            .quantile_upper(0.5)
+            .is_some_and(|p50| p50 > 0));
     }
 
     #[test]
