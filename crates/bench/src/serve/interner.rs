@@ -77,23 +77,25 @@
 //!
 //! # Who frees an evicted set
 //!
-//! A parsed set with a filled `DerivedCache` is 100–200 heap blocks
-//! (it was 650–1 600 while every node owned its adjacency lists and
-//! closure rows), and at capacity every miss evicts one. Were the
-//! evicting thread to free it, half of those frees (at two workers)
-//! would go to the malloc arena of the *other* worker — the one that
-//! built the set — while that worker allocates its next set from the
-//! same arena, and the workers would serialise on the allocator instead
-//! of on anything in this file. That still holds at the smaller block
-//! count: re-measured with the CSR `Dag` and the slots below bypassed
-//! (every victim freed by its evictor, outside the lock),
-//! `cargo bench -p rtpool-bench --bench serve_scaling` gives two
-//! threads 1.22–1.28× the `execute` throughput of one (13 400–13 500
-//! against 10 400–11 100 calls/s) where the slots give 1.97× (23 000
-//! against 11 700), and the registered `admit-cold` workload loses 24 %
-//! throughput (8 731 against 11 483 ops/s, p50 212 against 158 µs;
-//! five alternating pairs, seeds 21–25). The bar for deleting the slots
-//! was 1.4×; they stay. So an entry
+//! A parsed set with a filled `DerivedCache` is about 90 heap blocks
+//! (89 for an 8-task, 247-node generated set since a `Dag` is one id
+//! block, one closure and its topology; 153 before, and 650–1 600 while
+//! every node owned its adjacency lists and closure rows), and at
+//! capacity every miss evicts one. Were the evicting thread to free it,
+//! half of those frees (at two workers) would go to the malloc arena of
+//! the *other* worker — the one that built the set — while that worker
+//! allocates its next set from the same arena, and the workers would
+//! serialise on the allocator instead of on anything in this file. That
+//! still holds at the smaller block count. Re-measured at about 90
+//! blocks with the slots below bypassed (every victim freed by its
+//! evictor, outside the lock), `cargo bench -p rtpool-bench --bench
+//! serve_scaling` gives two threads 1.45–1.60× the `execute` throughput
+//! of one, where the slots give 1.91–2.02× (three runs each), so the
+//! bypass now clears the 1.4× bar; but the registered `admit-cold`
+//! workload loses 21 % throughput without the slots (13 270 against
+//! 16 880 ops/s median, p50 138 against 109 µs; five alternating pairs,
+//! seeds 21–25, the slots ahead in all five). At 150 blocks the bypass
+//! read 1.22–1.28× and −24 %. They stay. So an entry
 //! remembers the thread that inserted it, eviction (LRU and poisoned
 //! alike) only *moves* the victim to that thread's retire slot, and
 //! every [`Interner::intern`] / [`Interner::intern_set`] call takes the
