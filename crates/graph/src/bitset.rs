@@ -334,17 +334,13 @@ impl RowsMut<'_> {
     #[inline(always)]
     pub(crate) fn absorb(&mut self, dst: usize, src: usize, col: usize) -> bool {
         debug_assert_ne!(dst, src, "a row cannot absorb itself");
-        let stride = self.stride;
-        let (d, s) = (dst * stride, src * stride);
-        // A one-word row has every column in its first word; said so,
-        // the word index folds away where the stride is a literal 1.
-        let word = d + if stride == 1 { 0 } else { col / 64 };
+        let (d, s) = (dst * self.stride, src * self.stride);
         let bit = 1 << (col % 64);
-        let fresh = self.words[word] & bit == 0;
-        for i in 0..stride {
+        let fresh = self.words[d + col / 64] & bit == 0;
+        for i in 0..self.stride {
             self.words[d + i] |= self.words[s + i];
         }
-        self.words[word] |= bit;
+        self.words[d + col / 64] |= bit;
         fresh
     }
 

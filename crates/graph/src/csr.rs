@@ -136,7 +136,6 @@ impl IdBlock {
             u32::try_from(len).is_ok(),
             "a graph's id block is indexed by u32"
         );
-        let base_rows = base.map_or(0, IdBlock::node_count);
         let mut ids = vec![NodeId(0); len];
         // `starts[key]` counts row `key`'s length, for both directions'
         // rows in one array: a running sum from the first target's
@@ -147,11 +146,12 @@ impl IdBlock {
         // of each direction is never a key and stays the end of the row
         // before it.
         let (starts, rest) = ids.split_at_mut(2 * n + 2);
-        let rows = |v: usize| base.map(|b| [(v, b.succ(v)), (n + 1 + v, b.pred(v))]);
-        for v in 0..base_rows {
-            for (key, row) in rows(v).into_iter().flatten() {
-                starts[key].0 = row.len() as u32;
-            }
+        // Row `key` of the new block and the base's row it starts from.
+        let base_rows = base.into_iter().flat_map(|base| {
+            (0..base.n).flat_map(move |v| [(v, base.succ(v)), (n + 1 + v, base.pred(v))])
+        });
+        for (key, row) in base_rows.clone() {
+            starts[key].0 = row.len() as u32;
         }
         for &(from, to) in edges {
             check_edge(n, from, to)?;
@@ -167,13 +167,11 @@ impl IdBlock {
             place(starts, rest, from.index(), to);
             place(starts, rest, n + 1 + to.index(), from);
         }
-        for v in 0..base_rows {
-            for (key, row) in rows(v).into_iter().flatten() {
-                let cursor = &mut starts[key].0;
-                *cursor -= row.len() as u32;
-                let at = *cursor as usize - (2 * n + 2);
-                rest[at..at + row.len()].copy_from_slice(row);
-            }
+        for (key, row) in base_rows {
+            let cursor = &mut starts[key].0;
+            *cursor -= row.len() as u32;
+            let at = *cursor as usize - (2 * n + 2);
+            rest[at..at + row.len()].copy_from_slice(row);
         }
         Ok(IdBlock { ids, n })
     }

@@ -175,14 +175,10 @@ fn order_and_close(closure: &mut RowsMut<'_>, rows: Rows<'_>, order: &mut [NodeI
             }
             let waiting = closure.first_word_mut(w.index());
             *waiting -= 1;
-            // Written whether or not `w` is ready, and kept only if it
-            // is: no branch on the count. The slot past the last is
-            // never needed once every node is in.
-            let ready = *waiting == 0;
-            if let Some(slot) = order.get_mut(len) {
-                *slot = w;
+            if *waiting == 0 {
+                order[len] = w;
+                len += 1;
             }
-            len += usize::from(ready);
         }
     }
     if len < n {
