@@ -175,10 +175,17 @@ fn order_and_close(closure: &mut RowsMut<'_>, rows: Rows<'_>, order: &mut [NodeI
             }
             let waiting = closure.first_word_mut(w.index());
             *waiting -= 1;
-            if *waiting == 0 {
-                order[len] = w;
-                len += 1;
+            // Written whether or not `w` is ready and kept only if it is:
+            // whether a count reaches zero is data, and a branch on it
+            // mispredicts on every new graph (1.14x faster closures in
+            // a Figure 2 sweep, though not in a loop over the same
+            // graphs, which the predictor learns). The slot past the
+            // last node is never needed.
+            let ready = *waiting == 0;
+            if let Some(slot) = order.get_mut(len) {
+                *slot = w;
             }
+            len += usize::from(ready);
         }
     }
     if len < n {
