@@ -28,14 +28,6 @@ fn set_bit(words: &mut [u64], index: usize) -> bool {
     !was
 }
 
-/// Clears bit `index`; returns `true` if it was set.
-fn clear_bit(words: &mut [u64], index: usize) -> bool {
-    let (w, b) = (index / 64, index % 64);
-    let was = words[w] & (1 << b) != 0;
-    words[w] &= !(1 << b);
-    was
-}
-
 /// A borrowed, read-only set of `usize` indices below a fixed capacity:
 /// one row of a reachability or delay matrix.
 ///
@@ -264,38 +256,31 @@ impl BitMatrix {
         set_bit(self.row_mut(i), j)
     }
 
-    /// Clears column `j` of row `i`; returns `true` if it was set.
-    pub(crate) fn remove(&mut self, i: usize, j: usize) -> bool {
-        assert!(j < self.n, "bit index {j} out of range");
-        clear_bit(self.row_mut(i), j)
-    }
-
-    /// Overwrites row `i` with `row base − a − b` in one pass over the
-    /// words and returns the row's size.
+    /// Overwrites each row `v < n` with `row mask − closure row v −
+    /// closure row n + v − {v}`, where `closure` holds `2n` rows over the
+    /// same `n` columns (descendants, then ancestors): one pass over the
+    /// words of all three.
     ///
     /// # Panics
     ///
-    /// Panics if a capacity differs from the matrix's, or unless
-    /// `i < base`.
-    pub(crate) fn set_row_minus(
-        &mut self,
-        i: usize,
-        base: usize,
-        a: BitRow<'_>,
-        b: BitRow<'_>,
-    ) -> usize {
-        let row = self.row(i);
-        let (a, b) = (row.same_capacity(a), row.same_capacity(b));
-        assert!(i < base, "row {i} is written from a row below it");
-        let stride = self.stride;
-        let (head, tail) = self.words.split_at_mut(base * stride);
-        let (dst, src) = (&mut head[i * stride..(i + 1) * stride], &tail[..stride]);
-        let mut count = 0;
-        for (((dst, &s), &a), &b) in dst.iter_mut().zip(src).zip(a).zip(b) {
-            *dst = s & !(a | b);
-            count += dst.count_ones() as usize;
+    /// Panics if `mask < n`, or if `closure` is not `2n` rows of this
+    /// matrix's width.
+    pub(crate) fn set_rows_outside(&mut self, mask: usize, closure: &BitMatrix) {
+        let (n, stride) = (self.n, self.stride);
+        assert!(
+            mask >= n && closure.n == n && closure.words.len() == 2 * n * stride,
+            "a closure of {n} nodes and a mask row past its rows"
+        );
+        let (rows, rest) = self.words.split_at_mut(n * stride);
+        let mask = &rest[(mask - n) * stride..][..stride];
+        let (desc, anc) = closure.words.split_at(n * stride);
+        let closure_rows = desc.chunks_exact(stride).zip(anc.chunks_exact(stride));
+        for (v, (row, (d, a))) in rows.chunks_exact_mut(stride).zip(closure_rows).enumerate() {
+            for (((x, &m), &d), &a) in row.iter_mut().zip(mask).zip(d).zip(a) {
+                *x = m & !(d | a);
+            }
+            row[v / 64] &= !(1 << (v % 64));
         }
-        count
     }
 
     /// The words per row.
@@ -357,7 +342,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn insert_contains_remove() {
+    fn insert_and_contains() {
         let mut m = BitMatrix::with_rows(1, 130);
         assert!(m.insert(0, 0));
         assert!(m.insert(0, 63));
@@ -366,10 +351,7 @@ mod tests {
         assert!(!m.insert(0, 64), "double insert reports false");
         assert!([0, 63, 64, 129].iter().all(|&j| m.contains(0, j)));
         assert!(!m.contains(0, 1));
-        assert!(m.remove(0, 63));
-        assert!(!m.remove(0, 63));
-        assert!(!m.contains(0, 63));
-        assert_eq!(m.row(0).len(), 3);
+        assert_eq!(m.row(0).len(), 4);
     }
 
     #[test]
@@ -429,8 +411,7 @@ mod tests {
         assert_eq!(m.row(2).iter().collect::<Vec<_>>(), vec![0, 64, 129]);
         assert_eq!(m.row(0).iter().collect::<Vec<_>>(), vec![0, 2, 64, 129]);
         assert_eq!(m.row(1).iter().collect::<Vec<_>>(), vec![129]);
-        assert!(m.remove(0, 64) && !m.remove(0, 64));
-        assert!(!m.contains(0, 64) && m.contains(2, 64));
+        assert!(m.contains(0, 64) && m.contains(2, 64));
     }
 
     #[test]
@@ -477,21 +458,29 @@ mod tests {
     }
 
     #[test]
-    fn set_row_minus_writes_and_counts_the_difference() {
-        let m = base_and_two_rows();
-        let mut out = BitMatrix::with_rows(130, 130);
-        for j in [0, 5, 63, 64, 70, 100, 127, 128, 129] {
-            out.insert(4, j);
+    fn rows_outside_a_closure_are_the_mask_minus_both_rows_and_the_node() {
+        // 130 nodes: closure rows 0-129 are descendants, 130-259
+        // ancestors; row 130 of the output is the mask.
+        let mut closure = BitMatrix::with_rows(260, 130);
+        for j in [5, 64, 128] {
+            closure.insert(1, j);
+        }
+        for j in [63, 64, 101, 129] {
+            closure.insert(131, j);
+        }
+        let mut out = BitMatrix::with_rows(131, 130);
+        for j in [0, 1, 5, 63, 64, 70, 100, 127, 128, 129] {
+            out.insert(130, j);
         }
         out.insert(1, 7);
-        let count = out.set_row_minus(1, 4, m.row(1), m.row(2));
-        assert_eq!(count, 4);
-        let expected = m.row(0).minus(m.row(1), m.row(2));
-        assert!(out.row(1).iter().eq(expected));
-        assert_eq!(
-            out.row(1),
-            BitRow::from_words(&out.words[out.stride..][..out.stride], 130)
-        );
+        out.set_rows_outside(130, &closure);
+        // Row 1 loses 5, 64, 128 (descendants), 63, 101, 129 (ancestors)
+        // and itself; the stale 7 is overwritten.
+        assert_eq!(out.row(1).iter().collect::<Vec<_>>(), vec![0, 70, 100, 127]);
+        // Row 0 has an empty closure: the mask without node 0.
+        assert_eq!(out.row(0).len(), 9);
+        assert!(!out.row(0).contains(0));
+        assert_eq!(out.row(129).len(), 9);
     }
 
     #[test]

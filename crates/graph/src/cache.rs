@@ -41,9 +41,10 @@ use crate::reach::Reachability;
 ///
 /// `X(v) = C(v) ∪ F'(v)`: the `BF` nodes subject to no precedence
 /// constraint with `v` (Eq. 2), plus — for a `BC` node — the fork waiting
-/// for `v`. Each row is computed word-parallel, in place, from the
-/// reachability closure (`O(|V|²/64)` for the whole profile), in one
-/// pass over the nodes.
+/// for `v`. The rows are computed word-parallel, in place, from the
+/// reachability closure (`O(|V|²/64)` for the whole profile): one pass
+/// over the words for every `C(v)`, one over the regions' inner nodes for
+/// `F'(v)`, and a popcount per row for `b̄`.
 ///
 /// # Examples
 ///
@@ -71,18 +72,22 @@ pub struct DelayProfile {
 impl DelayProfile {
     pub(crate) fn new(dag: &Dag, reach: &Reachability) -> Self {
         let n = dag.node_count();
-        let mut profile = DelayProfile {
-            rows: BitMatrix::with_rows(n + 1, n),
-            max_count: 0,
-        };
-        for region in dag.blocking_regions() {
-            profile.rows.insert(n, region.fork().index());
+        let mut rows = BitMatrix::with_rows(n + 1, n);
+        let regions = dag.blocking_regions();
+        for region in regions {
+            rows.insert(n, region.fork().index());
         }
-        for v in dag.node_ids() {
-            let count = profile.fill_row(dag, reach, v);
-            profile.max_count = profile.max_count.max(count);
+        // C(v): BF nodes neither preceding nor following v, minus v.
+        rows.set_rows_outside(n, reach.matrix());
+        // F'(v): a BC node also waits for its fork, an ancestor the rows
+        // above left out.
+        for region in regions {
+            for &x in region.inner() {
+                rows.insert(x.index(), region.fork().index());
+            }
         }
-        profile
+        let max_count = (0..n).map(|v| rows.row(v).len()).max().unwrap_or(0);
+        DelayProfile { rows, max_count }
     }
 
     /// `X(v)` as a set of node indices (all of kind `BF`).
@@ -109,24 +114,6 @@ impl DelayProfile {
     #[must_use]
     pub fn max_delay_count(&self) -> usize {
         self.max_count
-    }
-
-    /// Writes `X(v) = C(v) ∪ F'(v)` into row `v` in place and returns
-    /// its size.
-    fn fill_row(&mut self, dag: &Dag, reach: &Reachability, v: NodeId) -> usize {
-        let (i, n) = (v.index(), dag.node_count());
-        // C(v): BF nodes neither preceding nor following v, minus v,
-        // written and counted in one pass over the words.
-        let mut count = self
-            .rows
-            .set_row_minus(i, n, reach.descendants(v), reach.ancestors(v));
-        count -= usize::from(self.rows.remove(i, i));
-        // F(v) is an ancestor of v, so it was just removed; re-insert
-        // it to obtain X(v) for blocking children.
-        if let Some(f) = dag.waiting_fork_of(v) {
-            count += usize::from(self.rows.insert(i, f.index()));
-        }
-        count
     }
 }
 

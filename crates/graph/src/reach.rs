@@ -110,6 +110,12 @@ impl Reachability {
         }))
     }
 
+    /// Both closures as one matrix: rows `0..n` the descendants, rows
+    /// `n..2n` the ancestors.
+    pub(crate) fn matrix(&self) -> &BitMatrix {
+        &self.rows
+    }
+
     /// Number of nodes covered by this reachability table.
     #[must_use]
     pub fn node_count(&self) -> usize {
