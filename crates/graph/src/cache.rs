@@ -97,6 +97,12 @@ impl DelayProfile {
     /// Panics if `v` is out of range for the profiled graph.
     #[must_use]
     pub fn delay_row(&self, v: NodeId) -> BitRow<'_> {
+        // The row past the last node is the BF mask, not a node's.
+        let n = self.rows.node_count();
+        assert!(
+            v.index() < n,
+            "{v} is out of range for a profile of {n} nodes"
+        );
         self.rows.row(v.index())
     }
 
@@ -127,4 +133,19 @@ pub(crate) struct DerivedCache {
     pub(crate) blocking_forks: OnceLock<Vec<NodeId>>,
     pub(crate) bf_antichain: OnceLock<Vec<NodeId>>,
     pub(crate) content_hash: OnceLock<u64>,
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::builder::DagBuilder;
+    use crate::node::NodeId;
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn the_mask_row_is_not_a_nodes_row() {
+        let mut b = DagBuilder::new();
+        b.fork_join(1, &[2, 2], 1, true).unwrap();
+        let dag = b.build().unwrap();
+        let _ = dag.delay_profile().delay_row(NodeId::from_index(4));
+    }
 }
