@@ -183,10 +183,10 @@ fn order_and_close(closure: &mut RowsMut<'_>, rows: Rows<'_>, order: &mut [NodeI
             *waiting -= 1;
             // Written whether or not `w` is ready and kept only if it is:
             // whether a count reaches zero is data, and a branch on it
-            // mispredicts on every new graph (1.14x faster closures in
-            // a Figure 2 sweep, though not in a loop over the same
-            // graphs, which the predictor learns). The slot past the
-            // last node is never needed.
+            // mispredicts on every new graph (this pass ran 1.14x faster
+            // so inside a Figure 2 sweep on a 2-vCPU VM, and no faster
+            // in a loop over the same graphs, which the predictor
+            // learns). The slot past the last node is never needed.
             let ready = *waiting == 0;
             if let Some(slot) = order.get_mut(len) {
                 *slot = w;
