@@ -7,7 +7,7 @@
 //! timed, the fastest of five runs (each run visits every size) on a
 //! freshly assembled graph:
 //! `Dag::from_lists`, the first `delay_profile()` with its `b̄`, and
-//! `critical_path()` on a copy with empty cells.
+//! `critical_path()` on a copy whose path cell is empty.
 //!
 //! The closure and the delay sets are `O(|V|²/64)` words, the critical
 //! path one pass over the edges, so the log-log slope of time against
@@ -104,11 +104,12 @@ fn time_stages(lists: &Lists) -> [f64; 3] {
     let start = Instant::now();
     black_box(dag.delay_profile().max_delay_count());
     let delays = start.elapsed();
-    // Timed on a copy whose cells are empty, after one untimed run: the
-    // largest sizes' first run also pays the page faults of memory the
-    // allocator has just taken from the system, which is not the pass.
+    // Timed on a copy cloned while its path cell is still empty, after
+    // one untimed run on the original: the largest sizes' first run also
+    // pays the page faults of memory the allocator has just taken from
+    // the system, which is not the pass.
+    let copy = dag.clone();
     black_box(dag.critical_path().length);
-    let copy = dag.clone_uncached();
     let start = Instant::now();
     black_box(copy.critical_path().length);
     let path = start.elapsed();

@@ -454,19 +454,30 @@ impl Dag {
         crate::DagEdit::new(self)
     }
 
-    /// A copy of this graph (sharing its immutable topology, and with it
-    /// the closure and the delay profile) with an *empty*
-    /// derived-analysis cache: every artifact memoized there will be
-    /// recomputed on first use.
+    /// A copy of this graph with every derived artifact cold: a topology
+    /// of its own, whose closure is computed afresh on a copy of the id
+    /// block and whose delay profile is left empty, and an empty
+    /// derived-analysis cache. Every artifact is recomputed on first use.
     ///
-    /// Plain [`Clone`] carries filled cache cells along; this is the
-    /// cold-start variant, used to benchmark the miss path and to check
-    /// cache coherence in tests.
+    /// Plain [`Clone`] and a WCET-only [`Dag::edit`] share the topology
+    /// and carry filled cache cells along; this is the cold-start
+    /// variant, used to benchmark the miss path and to check cache
+    /// coherence in tests.
     #[must_use]
     pub fn clone_uncached(&self) -> Dag {
+        let t = &*self.topology;
+        let mut ids = t.ids().clone();
+        let reach = Reachability::ordered(&mut ids).expect("an assembled graph has an order");
         Dag {
             nodes: self.nodes.clone(),
-            topology: Arc::clone(&self.topology),
+            topology: Arc::new(Topology {
+                order: TopologicalOrder { ids },
+                reach,
+                source: t.source,
+                sink: t.sink,
+                regions: t.regions.clone(),
+                delays: OnceLock::new(),
+            }),
             cache: DerivedCache::default(),
         }
     }
@@ -573,6 +584,38 @@ mod tests {
         }
         // No blocking pair declared.
         assert_ne!(a.content_hash(), d.build().unwrap().content_hash());
+    }
+
+    #[test]
+    fn an_uncached_copy_derives_everything_afresh() {
+        let (a, [v1, ..]) = figure1a();
+        let _ = (a.delay_profile(), a.critical_path());
+        let cold = a.clone_uncached();
+        assert!(!Arc::ptr_eq(&a.topology, &cold.topology));
+        assert!(cold.topology.delays.get().is_none());
+        assert!(cold.cache.critical_path.get().is_none());
+        assert!(!std::ptr::eq(a.reachability(), cold.reachability()));
+        for v in a.node_ids() {
+            assert_eq!(
+                a.reachability().descendants(v),
+                cold.reachability().descendants(v)
+            );
+            assert_eq!(
+                a.reachability().ancestors(v),
+                cold.reachability().ancestors(v)
+            );
+            assert_eq!(
+                a.delay_profile().delay_row(v),
+                cold.delay_profile().delay_row(v)
+            );
+            assert_eq!(a.successors(v), cold.successors(v));
+            assert_eq!(a.region_of(v), cold.region_of(v));
+        }
+        assert_eq!(
+            a.topological_order().as_slice(),
+            cold.topological_order().as_slice()
+        );
+        assert_eq!(a.blocking_join_of(v1), cold.blocking_join_of(v1));
     }
 
     #[test]
