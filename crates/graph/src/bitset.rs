@@ -256,23 +256,25 @@ impl BitMatrix {
         set_bit(self.row_mut(i), j)
     }
 
-    /// Overwrites each row `v < n` with `row mask − closure row v −
-    /// closure row n + v − {v}`, where `closure` holds `2n` rows over the
-    /// same `n` columns (descendants, then ancestors): one pass over the
-    /// words of all three.
+    /// Overwrites each row `v < n` of this `n + 1`-row matrix with
+    /// `row n − closure row v − closure row n + v − {v}`, where `closure`
+    /// holds `2n` rows over the same `n` columns (descendants, then
+    /// ancestors): one pass over the words of all three.
     ///
     /// # Panics
     ///
-    /// Panics if `mask < n`, or if `closure` is not `2n` rows of this
-    /// matrix's width.
-    pub(crate) fn set_rows_outside(&mut self, mask: usize, closure: &BitMatrix) {
+    /// Panics if this matrix is not `n + 1` rows, or `closure` not `2n`
+    /// rows, of width `n`.
+    pub(crate) fn set_rows_outside(&mut self, closure: &BitMatrix) {
         let (n, stride) = (self.n, self.stride);
         assert!(
-            mask >= n && closure.n == n && closure.words.len() == 2 * n * stride,
-            "a closure of {n} nodes and a mask row past its rows"
+            self.words.len() == (n + 1) * stride
+                && closure.n == n
+                && closure.words.len() == 2 * n * stride,
+            "a closure of {n} nodes and one mask row past its rows"
         );
-        let (rows, rest) = self.words.split_at_mut(n * stride);
-        let mask = &rest[(mask - n) * stride..][..stride];
+        let (rows, mask) = self.words.split_at_mut(n * stride);
+        let mask = &*mask;
         let (desc, anc) = closure.words.split_at(n * stride);
         let closure_rows = desc.chunks_exact(stride).zip(anc.chunks_exact(stride));
         for (v, (row, (d, a))) in rows.chunks_exact_mut(stride).zip(closure_rows).enumerate() {
@@ -473,7 +475,7 @@ mod tests {
             out.insert(130, j);
         }
         out.insert(1, 7);
-        out.set_rows_outside(130, &closure);
+        out.set_rows_outside(&closure);
         // Row 1 loses 5, 64, 128 (descendants), 63, 101, 129 (ancestors)
         // and itself; the stale 7 is overwritten.
         assert_eq!(out.row(1).iter().collect::<Vec<_>>(), vec![0, 70, 100, 127]);

@@ -12,8 +12,9 @@
 //! Because the graph is immutable there is no invalidation: a cell, once
 //! filled, stays valid for the lifetime of the `Dag` (clones carry the
 //! filled cells along). [`Dag::clone_uncached`] produces a structural
-//! copy with every cell empty, for benchmarking the miss path and for
-//! coherence tests.
+//! copy with every cell empty and a topology of its own, whose closure
+//! is computed afresh and whose delay profile is not yet made, for
+//! benchmarking the miss path and for coherence tests.
 //!
 //! The two `O(|V|²/64)` artifacts — reachability and the delay profile —
 //! are flat bit matrices: one row-major `Vec<u64>` per relation (stride
@@ -62,9 +63,13 @@ use crate::reach::Reachability;
 /// # Ok(())
 /// # }
 /// ```
+///
+/// The matrix has one row more than the graph has nodes: row `v < n` is
+/// `X(v)` and row `n` the mask of every `BF` node, which the `C(v)` pass
+/// reads. [`DelayProfile::delay_row`] refuses that last row, because it
+/// is no node's.
 #[derive(Clone, Debug)]
 pub struct DelayProfile {
-    /// Row `v < n`: `X(v)`; row `n`: every `BF` node.
     rows: BitMatrix,
     max_count: usize,
 }
@@ -78,7 +83,7 @@ impl DelayProfile {
             rows.insert(n, region.fork().index());
         }
         // C(v): BF nodes neither preceding nor following v, minus v.
-        rows.set_rows_outside(n, reach.matrix());
+        rows.set_rows_outside(reach.matrix());
         // F'(v): a BC node also waits for its fork, an ancestor the rows
         // above left out.
         for region in regions {
@@ -97,7 +102,6 @@ impl DelayProfile {
     /// Panics if `v` is out of range for the profiled graph.
     #[must_use]
     pub fn delay_row(&self, v: NodeId) -> BitRow<'_> {
-        // The row past the last node is the BF mask, not a node's.
         let n = self.rows.node_count();
         assert!(
             v.index() < n,
