@@ -7,7 +7,7 @@
 //! timed, the fastest of five runs (each run visits every size) on a
 //! freshly assembled graph:
 //! `Dag::from_lists`, the first `delay_profile()` with its `b̄`, and
-//! `critical_path()` on a copy whose path cell is empty.
+//! `critical_path_length()` on a copy whose length cell is empty.
 //!
 //! The closure and the delay sets are `O(|V|²/64)` words, the critical
 //! path one pass over the edges, so the log-log slope of time against
@@ -109,9 +109,9 @@ fn time_stages(lists: &Lists) -> [f64; 3] {
     // pays the page faults of memory the allocator has just taken from
     // the system, which is not the pass.
     let copy = dag.clone();
-    black_box(dag.critical_path().length);
+    black_box(dag.critical_path_length());
     let start = Instant::now();
-    black_box(copy.critical_path().length);
+    black_box(copy.critical_path_length());
     let path = start.elapsed();
     drop(black_box((dag, copy)));
     [assembled, delays, path].map(|t| t.as_secs_f64())

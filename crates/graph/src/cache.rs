@@ -1,39 +1,38 @@
 //! Lazily-memoized derived analyses of an immutable [`Dag`].
 //!
-//! A `Dag` is frozen at construction, so every derived artifact — volume,
-//! critical path, the transitive-reachability closure, blocking-fork
-//! inventory, the per-node delay sets `X(v)` of Section 3.1, and the
-//! exact maximum `BF` antichain — is a pure function of the graph. This
-//! module stores them in [`OnceLock`] cells on the `Dag` itself so each
-//! is computed at most once per graph and shared by every analysis
-//! (deadlock checks, global/partitioned RTA, Algorithm 1, the linter,
-//! and the experiment harness) instead of being rebuilt per call.
+//! A `Dag` is frozen at construction, so every derived artifact is a
+//! pure function of the graph, computed at most once per graph and
+//! shared by every analysis (deadlock checks, global/partitioned RTA,
+//! Algorithm 1, the linter, and the experiment harness). Each lives in
+//! one place, chosen by what it depends on:
+//!
+//! * on the WCETs: the volume, the critical-path length and the content
+//!   hash, the three `u64` cells of [`DerivedCache`] on the `Dag` itself;
+//! * on edges and blocking pairs only: the reachability closure (made
+//!   at assembly), the delay profile, the blocking forks and their
+//!   maximum antichain (made on first use), all in the graph's shared
+//!   topology, which a clone and a WCET-only
+//!   [`Dag::edit`](crate::Dag::edit) carry to the next graph version at
+//!   refcount cost. Any other edit is a rebuild and computes its own.
 //!
 //! Because the graph is immutable there is no invalidation: a cell, once
 //! filled, stays valid for the lifetime of the `Dag` (clones carry the
 //! filled cells along). [`Dag::clone_uncached`] produces a structural
 //! copy with every cell empty and a topology of its own, whose closure
-//! is computed afresh and whose delay profile is not yet made, for
-//! benchmarking the miss path and for coherence tests.
+//! is computed afresh, for benchmarking the miss path and for coherence
+//! tests.
 //!
 //! The two `O(|V|²/64)` artifacts — reachability and the delay profile —
 //! are flat bit matrices: one row-major `Vec<u64>` per relation (stride
 //! `⌈|V|/64⌉` words), whose rows are written in place and handed out as
-//! borrowed [`BitRow`] views. A profile is therefore one heap block and
-//! a closure one, whatever the node count, where one owned bit set per
-//! node per relation used to make filling and freeing the cache `O(|V|)`
-//! allocator calls. Neither depends on a WCET, so neither is kept here:
-//! the closure is made at assembly and the profile on first use, both in
-//! the graph's shared topology, which a clone and a WCET-only
-//! [`Dag::edit`](crate::Dag::edit) carry to the next graph version at
-//! refcount cost. Any other edit is a rebuild and computes its own.
+//! borrowed [`BitRow`] views, so each is one heap block whatever the
+//! node count.
 
 use std::sync::OnceLock;
 
 use crate::bitset::{BitMatrix, BitRow};
 use crate::dag::Dag;
 use crate::node::NodeId;
-use crate::paths::CriticalPath;
 use crate::reach::Reachability;
 
 /// The per-node delay sets `X(v)` of the paper's Section 3.1, stored as
@@ -127,15 +126,13 @@ impl DelayProfile {
     }
 }
 
-/// The lazy cells carried by every [`Dag`]. All fields start empty and
-/// fill on first use, but for the `Dag::assemble` seed: the checked WCET
-/// sum.
+/// The WCET-dependent cells carried by every [`Dag`]. All start empty
+/// and fill on first use, but for the `Dag::assemble` seed: the checked
+/// WCET sum.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct DerivedCache {
     pub(crate) volume: OnceLock<u64>,
-    pub(crate) critical_path: OnceLock<CriticalPath>,
-    pub(crate) blocking_forks: OnceLock<Vec<NodeId>>,
-    pub(crate) bf_antichain: OnceLock<Vec<NodeId>>,
+    pub(crate) critical_path_length: OnceLock<u64>,
     pub(crate) content_hash: OnceLock<u64>,
 }
 

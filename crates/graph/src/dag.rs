@@ -5,8 +5,7 @@ use std::sync::{Arc, OnceLock};
 use crate::cache::{DelayProfile, DerivedCache};
 use crate::csr::{check_edge, IdBlock};
 use crate::error::GraphError;
-use crate::node::{NodeData, NodeId, NodeKind};
-use crate::paths::CriticalPath;
+use crate::node::{NodeId, NodeKind};
 use crate::reach::Reachability;
 use crate::regions::Region;
 use crate::topo::TopologicalOrder;
@@ -21,11 +20,11 @@ use crate::validate;
 /// paper's Section 2 (see [`Dag::validate_model`]). The adjacency is
 /// CSR in both directions, kept in one block with the topological
 /// order, so [`Dag::successors`] and [`Dag::predecessors`] are slices of
-/// that block, in the order the edges were added. Node kinds are derived
-/// from the declared blocking pairs: the fork becomes [`NodeKind::BlockingFork`], the join
-/// [`NodeKind::BlockingJoin`], the enclosed nodes
-/// [`NodeKind::BlockingChild`], and everything else stays
-/// [`NodeKind::NonBlocking`].
+/// that block, in the order the edges were added. Node kinds are read
+/// off the blocking regions the declared pairs delimit: a region's fork
+/// is [`NodeKind::BlockingFork`], its join [`NodeKind::BlockingJoin`],
+/// its enclosed nodes [`NodeKind::BlockingChild`], and a node of no
+/// region is [`NodeKind::NonBlocking`].
 ///
 /// # Examples
 ///
@@ -45,9 +44,9 @@ use crate::validate;
 /// ```
 #[derive(Clone, Debug)]
 pub struct Dag {
-    /// WCET and kind per node: the only per-version state a WCET edit
+    /// The WCET of every node: the only per-version state a WCET edit
     /// copies.
-    pub(crate) nodes: Vec<NodeData>,
+    pub(crate) wcets: Vec<u64>,
     /// Everything that depends on edges and blocking pairs only. Shared
     /// by clones and by every WCET-only [`Dag::edit`] descendant.
     pub(crate) topology: Arc<Topology>,
@@ -59,7 +58,8 @@ pub struct Dag {
 /// The WCET-independent part of a [`Dag`]: CSR adjacency in both
 /// directions, the topological order and every node's region in one id
 /// block (see [`crate::csr`]), the reachability closure, the blocking
-/// regions and, once asked for, the delay profile.
+/// regions and, once asked for, the delay profile, the blocking forks
+/// and their maximum antichain.
 #[derive(Debug)]
 pub(crate) struct Topology {
     /// Owns the id block: rows in edge-insertion order, the order, and
@@ -71,6 +71,8 @@ pub(crate) struct Topology {
     pub(crate) sink: NodeId,
     pub(crate) regions: Vec<Region>,
     pub(crate) delays: OnceLock<DelayProfile>,
+    pub(crate) blocking_forks: OnceLock<Vec<NodeId>>,
+    pub(crate) bf_antichain: OnceLock<Vec<NodeId>>,
 }
 
 impl Topology {
@@ -135,21 +137,22 @@ impl Dag {
     /// id block holding both CSR directions ([`IdBlock::from_edges`],
     /// [`IdBlock::extended`]) and the declared blocking pairs — for
     /// [`Dag::from_lists`] (and so the builder and the generator), for a
-    /// structural [`Dag::edit`] and for [`Dag::validate_model`] alike.
+    /// structural [`Dag::edit`], for [`Dag::validate_model`] and for
+    /// [`Dag::clone_uncached`] alike.
     /// One Kahn pass orders the graph into the block, finds a repeated
     /// edge and fills the ancestor closure, one pass backwards fills the
     /// descendants ([`Reachability::ordered`]); the endpoints are read
     /// off the rows, the regions are checked on the closure and written
     /// into the block, the WCETs are summed with overflow checked (every
     /// path length and per-core load is at most the volume, so this one
-    /// check bounds them all), and the node table takes its kinds from
-    /// the regions. The topology keeps the closure; the volume seeds the
-    /// cache, and every other cell stays lazy.
+    /// check bounds them all). There is no kinds pass: [`Dag::kind`]
+    /// reads a node's region slot. The topology keeps the closure; the
+    /// volume seeds the cache, and every other cell stays lazy.
     ///
     /// A graph of `k >= 1` blocking regions is `5 + k` heap blocks, and
     /// one without any is 4: the id block, the closure, the shared
     /// topology, the region table with one list of inner nodes per
-    /// region, and the node table.
+    /// region, and the WCET vector.
     ///
     /// Errors come in the order of the separate passes this replaces:
     /// `Empty`; a repeated edge, then a cycle (both named by
@@ -180,22 +183,8 @@ impl Dag {
             .iter()
             .try_fold(0u64, |sum, &wcet| sum.checked_add(wcet))
             .ok_or(GraphError::VolumeOverflow)?;
-        let mut nodes: Vec<NodeData> = wcets
-            .iter()
-            .map(|&wcet| NodeData {
-                wcet,
-                kind: NodeKind::NonBlocking,
-            })
-            .collect();
-        for region in &regions {
-            nodes[region.fork().index()].kind = NodeKind::BlockingFork;
-            nodes[region.join().index()].kind = NodeKind::BlockingJoin;
-            for &v in region.inner() {
-                nodes[v.index()].kind = NodeKind::BlockingChild;
-            }
-        }
         Ok(Dag {
-            nodes,
+            wcets: wcets.to_vec(),
             topology: Arc::new(Topology {
                 order: TopologicalOrder { ids },
                 reach,
@@ -203,6 +192,8 @@ impl Dag {
                 sink,
                 regions,
                 delays: OnceLock::new(),
+                blocking_forks: OnceLock::new(),
+                bf_antichain: OnceLock::new(),
             }),
             cache: DerivedCache {
                 volume: volume.into(),
@@ -214,7 +205,7 @@ impl Dag {
     /// Number of nodes `|Vᵢ|`.
     #[must_use]
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.wcets.len()
     }
 
     /// Number of edges `|Eᵢ|`.
@@ -225,7 +216,7 @@ impl Dag {
 
     /// Iterates over all node ids in index order.
     pub fn node_ids(&self) -> impl DoubleEndedIterator<Item = NodeId> + Clone {
-        (0..self.nodes.len()).map(NodeId::from_index)
+        (0..self.wcets.len()).map(NodeId::from_index)
     }
 
     /// Worst-case execution time `C_{i,j}` of node `v`.
@@ -235,17 +226,24 @@ impl Dag {
     /// Panics if `v` is out of range for this graph.
     #[must_use]
     pub fn wcet(&self, v: NodeId) -> u64 {
-        self.nodes[v.index()].wcet
+        self.wcets[v.index()]
     }
 
-    /// Synchronization type `x_{i,j}` of node `v`.
+    /// Synchronization type `x_{i,j}` of node `v`, read off its region:
+    /// none is `NB`, and in one `v` is its fork (`BF`), its join (`BJ`)
+    /// or one of its inner nodes (`BC`).
     ///
     /// # Panics
     ///
     /// Panics if `v` is out of range for this graph.
     #[must_use]
     pub fn kind(&self, v: NodeId) -> NodeKind {
-        self.nodes[v.index()].kind
+        match self.region_of(v) {
+            None => NodeKind::NonBlocking,
+            Some(r) if r.fork() == v => NodeKind::BlockingFork,
+            Some(r) if r.join() == v => NodeKind::BlockingJoin,
+            Some(_) => NodeKind::BlockingChild,
+        }
     }
 
     /// Direct successors of `v`.
@@ -304,9 +302,9 @@ impl Dag {
     /// Returns `None` for nodes that are not blocking forks.
     #[must_use]
     pub fn blocking_join_of(&self, fork: NodeId) -> Option<NodeId> {
-        (self.kind(fork) == NodeKind::BlockingFork)
-            .then(|| self.region_of(fork).map(Region::join))
-            .flatten()
+        self.region_of(fork)
+            .filter(|r| r.fork() == fork)
+            .map(Region::join)
     }
 
     /// For a `BJ` node, the paired `BF` node.
@@ -314,9 +312,9 @@ impl Dag {
     /// Returns `None` for nodes that are not blocking joins.
     #[must_use]
     pub fn blocking_fork_of(&self, join: NodeId) -> Option<NodeId> {
-        (self.kind(join) == NodeKind::BlockingJoin)
-            .then(|| self.region_of(join).map(Region::fork))
-            .flatten()
+        self.region_of(join)
+            .filter(|r| r.join() == join)
+            .map(Region::fork)
     }
 
     /// For a `BC` node, the `BF` node that waits for its completion — the
@@ -325,18 +323,19 @@ impl Dag {
     /// Returns `None` for nodes that are not blocking children.
     #[must_use]
     pub fn waiting_fork_of(&self, child: NodeId) -> Option<NodeId> {
-        (self.kind(child) == NodeKind::BlockingChild)
-            .then(|| self.region_of(child).map(Region::fork))
-            .flatten()
+        self.region_of(child)
+            .filter(|r| r.fork() != child && r.join() != child)
+            .map(Region::fork)
     }
 
-    /// Node ids of all `BF` nodes, in index order. Memoized.
+    /// Node ids of all `BF` nodes, in index order. Memoized in the
+    /// topology.
     #[must_use]
     pub fn blocking_forks(&self) -> &[NodeId] {
-        self.cache.blocking_forks.get_or_init(|| {
-            self.node_ids()
-                .filter(|&v| self.kind(v) == NodeKind::BlockingFork)
-                .collect()
+        self.topology.blocking_forks.get_or_init(|| {
+            let mut forks: Vec<NodeId> = self.blocking_regions().iter().map(Region::fork).collect();
+            forks.sort_unstable();
+            forks
         })
     }
 
@@ -345,26 +344,17 @@ impl Dag {
     /// only a [`Dag::clone_uncached`] copy ever adds it up again.
     #[must_use]
     pub fn volume(&self) -> u64 {
-        *self
-            .cache
-            .volume
-            .get_or_init(|| self.nodes.iter().map(|n| n.wcet).sum())
+        *self.cache.volume.get_or_init(|| self.wcets.iter().sum())
     }
 
-    /// Length `len(λᵢ*)` of the critical (longest) path: the length of
-    /// the memoized [`Dag::critical_path`].
+    /// Length `len(λᵢ*)` of the critical (longest) source-to-sink path.
+    /// Memoized.
     #[must_use]
     pub fn critical_path_length(&self) -> u64 {
-        self.critical_path().length
-    }
-
-    /// The critical path itself: its length and one witnessing node
-    /// sequence from source to sink. Memoized.
-    #[must_use]
-    pub fn critical_path(&self) -> &CriticalPath {
-        self.cache
-            .critical_path
-            .get_or_init(|| CriticalPath::new(self))
+        *self
+            .cache
+            .critical_path_length
+            .get_or_init(|| crate::paths::critical_path_length(self))
     }
 
     /// The transitive-reachability closure of the graph, computed at
@@ -387,10 +377,10 @@ impl Dag {
 
     /// A maximum antichain of the `BF` nodes: the largest set of blocking
     /// forks that may be simultaneously suspended (exact, via min-chain
-    /// cover). Memoized.
+    /// cover). Memoized in the topology.
     #[must_use]
     pub fn max_blocking_antichain(&self) -> &[NodeId] {
-        self.cache.bf_antichain.get_or_init(|| {
+        self.topology.bf_antichain.get_or_init(|| {
             crate::antichain::max_antichain_of(self.reachability(), self.blocking_forks())
         })
     }
@@ -419,9 +409,9 @@ impl Dag {
                     h = h.wrapping_mul(PRIME);
                 }
             };
-            mix(self.nodes.len() as u64);
-            for n in &self.nodes {
-                mix(n.wcet);
+            mix(self.wcets.len() as u64);
+            for &wcet in &self.wcets {
+                mix(wcet);
             }
             for (from, to) in self.topology.ids().edges() {
                 mix(((from.index() as u64) << 32) | to.index() as u64);
@@ -454,31 +444,24 @@ impl Dag {
         crate::DagEdit::new(self)
     }
 
-    /// A copy of this graph with every derived artifact cold: a topology
-    /// of its own, whose closure is computed afresh on a copy of the id
-    /// block and whose delay profile is left empty, and an empty
-    /// derived-analysis cache. Every artifact is recomputed on first use.
+    /// A copy of this graph with every derived artifact cold: assembled
+    /// again from its WCETs, rows and blocking pairs into a topology of
+    /// its own, whose closure and regions are computed afresh and whose
+    /// lazy cells are empty, with an empty derived-analysis cache. Every
+    /// other artifact is recomputed on first use.
     ///
-    /// Plain [`Clone`] and a WCET-only [`Dag::edit`] share the topology
-    /// and carry filled cache cells along; this is the cold-start
-    /// variant, used to benchmark the miss path and to check cache
-    /// coherence in tests.
+    /// Plain [`Clone`] and a WCET-only [`Dag::edit`] share the topology;
+    /// a clone also carries filled cache cells along. This is the
+    /// cold-start variant, used to benchmark the miss path and to check
+    /// cache coherence in tests.
     #[must_use]
     pub fn clone_uncached(&self) -> Dag {
-        let t = &*self.topology;
-        let mut ids = t.ids().clone();
-        let reach = Reachability::ordered(&mut ids).expect("an assembled graph has an order");
+        let cold = self
+            .reassembled()
+            .expect("an assembled graph assembles again");
         Dag {
-            nodes: self.nodes.clone(),
-            topology: Arc::new(Topology {
-                order: TopologicalOrder { ids },
-                reach,
-                source: t.source,
-                sink: t.sink,
-                regions: t.regions.clone(),
-                delays: OnceLock::new(),
-            }),
             cache: DerivedCache::default(),
+            ..cold
         }
     }
 
@@ -493,7 +476,18 @@ impl Dag {
     ///
     /// Returns the first violated restriction as a [`GraphError`].
     pub fn validate_model(&self) -> Result<(), GraphError> {
-        validate::validate(self)
+        self.reassembled().map(drop)
+    }
+
+    /// This graph's WCETs, rows and pairs through `Dag::assemble` again.
+    fn reassembled(&self) -> Result<Dag, GraphError> {
+        let t = &*self.topology;
+        let pairs: Vec<(NodeId, NodeId)> = t.regions.iter().map(|r| (r.fork(), r.join())).collect();
+        Dag::assemble(
+            &self.wcets,
+            t.ids().extended(self.node_count(), &[]),
+            &pairs,
+        )
     }
 
     /// Checks the experiment-generation convention that the source and sink
@@ -589,11 +583,14 @@ mod tests {
     #[test]
     fn an_uncached_copy_derives_everything_afresh() {
         let (a, [v1, ..]) = figure1a();
-        let _ = (a.delay_profile(), a.critical_path());
+        let _ = (a.delay_profile(), a.critical_path_length());
+        let _ = (a.blocking_forks(), a.max_blocking_antichain());
         let cold = a.clone_uncached();
         assert!(!Arc::ptr_eq(&a.topology, &cold.topology));
         assert!(cold.topology.delays.get().is_none());
-        assert!(cold.cache.critical_path.get().is_none());
+        assert!(cold.topology.blocking_forks.get().is_none());
+        assert!(cold.topology.bf_antichain.get().is_none());
+        assert!(cold.cache.critical_path_length.get().is_none());
         assert!(!std::ptr::eq(a.reachability(), cold.reachability()));
         for v in a.node_ids() {
             assert_eq!(
@@ -665,11 +662,9 @@ mod tests {
 
     #[test]
     fn metrics() {
-        let (dag, [v1, _, v3, _, v5]) = figure1a();
+        let (dag, [v1, .., v5]) = figure1a();
         assert_eq!(dag.volume(), 90);
         assert_eq!(dag.critical_path_length(), 50);
-        let cp = dag.critical_path();
-        assert_eq!(cp.nodes, vec![v1, v3, v5]);
         assert_eq!(dag.source(), v1);
         assert_eq!(dag.sink(), v5);
         assert_eq!(dag.edge_count(), 6);

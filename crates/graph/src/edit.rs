@@ -6,11 +6,12 @@
 //!
 //! * **Only [`EditOp::SetWcet`] ops** — structure untouched: the topology
 //!   (CSR adjacency, topological order, region tables, the reachability
-//!   closure and the delay profile, all behind one `Arc`) is *shared*
-//!   with the base, the volume is adjusted arithmetically, and
-//!   only the critical path is left for lazy `O(|V|+|E|)` recomputation.
-//!   The one per-node copy is the WCET/kind table, so the allocator is
-//!   called a fixed number of times whatever the graph's size.
+//!   closure, the delay profile, the blocking forks and their antichain,
+//!   all behind one `Arc`) is *shared* with the base, the volume is
+//!   adjusted arithmetically, and only the critical-path length and the
+//!   content hash are left for lazy recomputation. The one per-node copy
+//!   is the WCET vector, so the allocator is called a fixed number of
+//!   times whatever the graph's size.
 //! * **Anything else** — a rebuild. The script is folded into the final
 //!   skeleton (node WCETs; the base CSR rows, each keeping its order and
 //!   gaining the inserted edges behind it, which is what pushing onto
@@ -212,43 +213,36 @@ impl<'a> DagEdit<'a> {
         Ok((dag, DagDelta { wcet_only }))
     }
 
-    /// The base under a script of `SetWcet` ops: one copy of the node
-    /// table, everything structural shared.
+    /// The base under a script of `SetWcet` ops: one copy of the WCET
+    /// vector, everything structural shared.
     fn retimed(self) -> Result<Dag, GraphError> {
         let base = self.base;
-        let mut nodes = base.nodes.clone();
+        let mut wcets = base.wcets.clone();
         let mut volume = i128::from(base.volume());
         for op in &self.ops {
             if let EditOp::SetWcet { node, wcet } = *op {
-                let data = nodes
+                let slot = wcets
                     .get_mut(node.index())
                     .ok_or(GraphError::UnknownNode(node))?;
-                volume += i128::from(wcet) - i128::from(data.wcet);
-                data.wcet = wcet;
+                volume += i128::from(wcet) - i128::from(*slot);
+                *slot = wcet;
             }
         }
         let volume = u64::try_from(volume).map_err(|_| GraphError::VolumeOverflow)?;
-
-        // WCET-independent cells are carried when filled, left lazy
-        // otherwise; the critical path and the content hash are not.
-        let carried = &base.cache;
-        let cache = DerivedCache {
-            volume: volume.into(),
-            blocking_forks: carried.blocking_forks.clone(),
-            bf_antichain: carried.bf_antichain.clone(),
-            ..DerivedCache::default()
-        };
         Ok(Dag {
-            nodes,
+            wcets,
             topology: Arc::clone(&base.topology),
-            cache,
+            cache: DerivedCache {
+                volume: volume.into(),
+                ..DerivedCache::default()
+            },
         })
     }
 
     /// The graph the script ends at, through `Dag::assemble`.
     fn rebuilt(self) -> Result<Dag, GraphError> {
         let t = &*self.base.topology;
-        let mut wcets: Vec<u64> = self.base.nodes.iter().map(|node| node.wcet).collect();
+        let mut wcets = self.base.wcets.clone();
         let mut added: Vec<(NodeId, NodeId)> = Vec::new();
         let mut pairs: Vec<(NodeId, NodeId)> =
             t.regions.iter().map(|r| (r.fork(), r.join())).collect();
@@ -357,7 +351,7 @@ mod tests {
     fn assert_cache_coherent(dag: &Dag) {
         let cold = dag.clone_uncached();
         assert_eq!(dag.volume(), cold.volume());
-        assert_eq!(dag.critical_path(), cold.critical_path());
+        assert_eq!(dag.critical_path_length(), cold.critical_path_length());
         assert_eq!(dag.blocking_forks(), cold.blocking_forks());
         assert_eq!(dag.max_blocking_antichain(), cold.max_blocking_antichain());
         assert_eq!(dag.content_hash(), cold.content_hash());
@@ -373,11 +367,11 @@ mod tests {
         dag.validate_model().unwrap();
     }
 
-    /// Forces every cache cell, so a WCET edit has filled cells to carry
-    /// and a rebuild a fully derived base to leave alone.
+    /// Forces every cache cell, so a WCET edit has a filled topology to
+    /// share and a rebuild a fully derived base to leave alone.
     fn warm(dag: &Dag) {
         let _ = dag.volume();
-        let _ = dag.critical_path();
+        let _ = dag.critical_path_length();
         let _ = dag.reachability();
         let _ = dag.delay_profile();
         let _ = dag.blocking_forks();
@@ -398,6 +392,10 @@ mod tests {
         // The O(|V|²) artifacts are the very same allocations.
         assert!(Arc::ptr_eq(&dag.topology, &v2.topology));
         assert!(std::ptr::eq(dag.delay_profile(), v2.delay_profile()));
+        assert!(std::ptr::eq(
+            dag.max_blocking_antichain(),
+            v2.max_blocking_antichain()
+        ));
         assert_cache_coherent(&v2);
         // The base is untouched.
         assert_eq!(dag.wcet(a), 5);
@@ -644,7 +642,7 @@ mod tests {
         e.set_wcet(a, 2);
         let (v2, _) = e.apply().unwrap();
         assert!(v2.topology.delays.get().is_none());
-        assert!(v2.cache.bf_antichain.get().is_none());
+        assert!(v2.topology.bf_antichain.get().is_none());
         assert_eq!(v2.cache.volume.get(), Some(&(dag.volume() - 3)));
         assert_cache_coherent(&v2);
     }

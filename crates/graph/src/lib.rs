@@ -84,7 +84,6 @@ pub use dag::Dag;
 pub use edit::{DagDelta, DagEdit, EditOp};
 pub use error::GraphError;
 pub use node::{NodeId, NodeKind};
-pub use paths::CriticalPath;
 pub use reach::Reachability;
 pub use regions::Region;
 pub use topo::TopologicalOrder;

@@ -106,15 +106,6 @@ impl fmt::Display for NodeKind {
     }
 }
 
-/// Internal per-node payload.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub(crate) struct NodeData {
-    /// Worst-case execution time in integer time units.
-    pub wcet: u64,
-    /// Synchronization type.
-    pub kind: NodeKind,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -14,7 +14,6 @@
 //! which [`regions`] checks on the closure.
 
 use crate::csr::{region_in, region_slot, IdBlock};
-use crate::dag::Dag;
 use crate::error::GraphError;
 use crate::node::NodeId;
 use crate::reach::Reachability;
@@ -96,24 +95,11 @@ pub(crate) fn regions(
     Ok(regions)
 }
 
-/// Re-validates an assembled [`Dag`] (used by [`Dag::validate_model`]):
-/// its WCETs, rows and pairs go through `Dag::assemble` again.
-pub(crate) fn validate(dag: &Dag) -> Result<(), GraphError> {
-    let t = &*dag.topology;
-    let wcets: Vec<u64> = dag.nodes.iter().map(|node| node.wcet).collect();
-    let ids = t.ids().extended(wcets.len(), &[]);
-    let pairs: Vec<(NodeId, NodeId)> = t.regions.iter().map(|r| (r.fork(), r.join())).collect();
-    let again = Dag::assemble(&wcets, ids, &pairs)?;
-    debug_assert_eq!(again.source(), dag.source());
-    debug_assert_eq!(again.sink(), dag.sink());
-    debug_assert!(dag.node_ids().all(|v| again.kind(v) == dag.kind(v)));
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::DagBuilder;
+    use crate::dag::Dag;
 
     /// `Dag::from_lists` over unit WCETs, with nodes named by index.
     fn lists(n: usize, edges: &[(u32, u32)], pairs: &[(u32, u32)]) -> Result<Dag, GraphError> {

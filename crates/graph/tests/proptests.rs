@@ -60,18 +60,11 @@ proptest! {
     #[test]
     fn critical_path_bounds((layers, seed) in layered_dag()) {
         let dag = build_layered(&layers, seed);
-        let cp = dag.critical_path();
-        prop_assert!(cp.length <= dag.volume());
+        let length = dag.critical_path_length();
+        prop_assert!(length <= dag.volume());
         // Critical path length >= max node wcet.
         let max_wcet = dag.node_ids().map(|v| dag.wcet(v)).max().unwrap();
-        prop_assert!(cp.length >= max_wcet);
-        // Path is edge-connected, starts at source, ends at sink.
-        prop_assert_eq!(cp.nodes[0], dag.source());
-        prop_assert_eq!(*cp.nodes.last().unwrap(), dag.sink());
-        for w in cp.nodes.windows(2) {
-            prop_assert!(dag.successors(w[0]).contains(&w[1]));
-        }
-        prop_assert_eq!(cp.length, cp.nodes.iter().map(|&v| dag.wcet(v)).sum::<u64>());
+        prop_assert!(length >= max_wcet);
     }
 
     #[test]
@@ -242,7 +235,7 @@ fn assert_same_graph(a: &Dag, b: &Dag) -> Result<(), String> {
     prop_assert_eq!(a.blocking_regions(), b.blocking_regions());
     prop_assert_eq!((a.source(), a.sink()), (b.source(), b.sink()));
     prop_assert_eq!(a.volume(), b.volume());
-    prop_assert_eq!(a.critical_path(), b.critical_path());
+    prop_assert_eq!(a.critical_path_length(), b.critical_path_length());
     prop_assert_eq!(a.blocking_forks(), b.blocking_forks());
     prop_assert_eq!(a.max_blocking_antichain(), b.max_blocking_antichain());
     let (r_a, r_b) = (a.reachability(), b.reachability());
@@ -331,7 +324,6 @@ proptest! {
         prop_assert_eq!(dag.critical_path_length(), dag.critical_path_length());
         prop_assert!(std::ptr::eq(dag.reachability(), dag.reachability()));
         prop_assert!(std::ptr::eq(dag.delay_profile(), dag.delay_profile()));
-        prop_assert!(std::ptr::eq(dag.critical_path(), dag.critical_path()));
         prop_assert!(std::ptr::eq(
             dag.blocking_forks().as_ptr(),
             dag.blocking_forks().as_ptr()
@@ -350,7 +342,7 @@ proptest! {
         let mut dag = build(&skeleton).expect("fork-join tree must build");
         // Warm every cell so a WCET-only script has all of them to carry.
         let _ = dag.volume();
-        let _ = dag.critical_path();
+        let _ = dag.critical_path_length();
         let _ = dag.delay_profile();
         let _ = dag.max_blocking_antichain();
 

@@ -145,7 +145,7 @@ fn parse_and_first_derivations_stay_within_budget() {
             for (_, task) in set.iter() {
                 let dag = task.dag();
                 let _ = dag.delay_profile();
-                let _ = dag.critical_path();
+                let _ = dag.critical_path_length();
                 let _ = dag.max_blocking_antichain();
             }
         });
@@ -309,7 +309,7 @@ fn warm_pipeline(stages: usize) -> Dag {
     let dag = b.build().expect("valid pipeline");
     let _ = dag.volume();
     let _ = dag.delay_profile();
-    let _ = dag.critical_path();
+    let _ = dag.critical_path_length();
     let _ = dag.max_blocking_antichain();
     let _ = dag.content_hash();
     dag
@@ -338,7 +338,7 @@ fn wcet_only_edit_cost_does_not_grow_with_the_graph() {
         "a WCET-only edit's allocator calls depend on the node count"
     );
     assert!(
-        small_calls <= 8,
+        small_calls <= 2,
         "a WCET-only edit made {small_calls} allocator calls"
     );
 }
@@ -425,7 +425,7 @@ fn assembling_a_graph_stays_within_budget() {
         );
         let ((), derive) = calls_of(|| {
             let _ = dag.delay_profile();
-            let _ = dag.critical_path();
+            let _ = dag.critical_path_length();
         });
         assert!(
             derive <= 3,
@@ -667,7 +667,7 @@ fn work_ledger() {
         || {
             for dag in &graphs {
                 let _ = dag.delay_profile();
-                let _ = dag.critical_path();
+                let _ = dag.critical_path_length();
             }
         },
     );
