@@ -15,7 +15,7 @@ use std::fmt;
 use rtpool_core::partition::NodeMapping;
 use rtpool_core::TaskSet;
 use rtpool_graph::{NodeId, NodeKind};
-use rtpool_trace::{EngineKind, EventKind, TimeUnit, TraceRecorder};
+use rtpool_trace::{sink, EngineKind, EventKind, LaneRecorder, SeqClock, TimeUnit};
 
 use crate::config::{ExecutionTime, ReleasePattern, SchedulingPolicy, SimConfig};
 use crate::outcome::{SimOutcome, StallInfo, TaskOutcome};
@@ -205,8 +205,9 @@ pub(crate) struct Engine<'a> {
     execution_time: ExecutionTime,
     /// Per-instance execution-time stream (Random mode).
     exec_rng: u64,
-    /// Event trace in the shared `rtpool-trace` schema.
-    recorder: Option<TraceRecorder>,
+    /// Event trace in the shared `rtpool-trace` schema: one lane,
+    /// sealed by `sink::assemble` as the native pool's lanes are.
+    recorder: Option<LaneRecorder>,
     /// Last core occupancy emitted, for `CoreAssign` diffing.
     prev_cores: Vec<Option<(usize, usize)>>,
 
@@ -306,9 +307,9 @@ impl<'a> Engine<'a> {
                 ExecutionTime::Random { seed, .. } => seed,
                 _ => 0,
             },
-            recorder: config.record_event_trace.then(|| {
-                TraceRecorder::new(EngineKind::Sim, TimeUnit::Ticks, u32c(config.m), u32c(n))
-            }),
+            recorder: config
+                .record_event_trace
+                .then(|| LaneRecorder::new(&SeqClock::new())),
             prev_cores: vec![None; config.m],
             time: 0,
             releases,
@@ -781,7 +782,17 @@ impl<'a> Engine<'a> {
         } else {
             self.horizon
         };
-        let event_trace = self.recorder.take().map(|r| r.finish(trace_end));
+        let event_trace = self.recorder.take().map(|lane| {
+            let (m, n) = (u32c(self.m), u32c(self.set.len()));
+            sink::assemble(
+                EngineKind::Sim,
+                TimeUnit::Ticks,
+                m,
+                n,
+                trace_end,
+                vec![lane],
+            )
+        });
         let mut outcomes = Vec::with_capacity(self.set.len());
         for (t, (_, task)) in self.set.iter().enumerate() {
             let jobs = &self.jobs[t];

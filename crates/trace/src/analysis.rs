@@ -554,10 +554,16 @@ fn push_step(profile: &mut Vec<(u64, usize)>, time: u64, value: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{EngineKind, TimeUnit, TraceEvent, TraceRecorder};
+    use crate::event::{EngineKind, TimeUnit, TraceEvent};
+    use crate::sink::{assemble, LaneRecorder, SeqClock};
 
-    fn base_recorder() -> TraceRecorder {
-        TraceRecorder::new(EngineKind::Sim, TimeUnit::Ticks, 3, 1)
+    fn base_recorder() -> LaneRecorder {
+        LaneRecorder::new(&SeqClock::new())
+    }
+
+    /// `r` sealed as a simulator trace of one task on three cores.
+    fn sealed(r: LaneRecorder, end_time: u64) -> Trace {
+        assemble(EngineKind::Sim, TimeUnit::Ticks, 3, 1, end_time, vec![r])
     }
 
     #[test]
@@ -601,7 +607,7 @@ mod tests {
             },
         );
         r.record(10, EventKind::JobCompleted { task: 0, job: 0 });
-        let trace = r.finish(10);
+        let trace = sealed(r, 10);
         assert!(trace.validate().is_empty());
         let ana = TraceAnalysis::new(&trace);
         let o = ana.task(0);
@@ -677,7 +683,7 @@ mod tests {
             },
         );
         r.record(12, EventKind::JobCompleted { task: 0, job: 0 });
-        let trace = r.finish(12);
+        let trace = sealed(r, 12);
         assert!(trace.validate().is_empty());
         let ana = TraceAnalysis::new(&trace);
         let o = ana.task(0);
@@ -730,7 +736,7 @@ mod tests {
                 suspended: 1,
             },
         );
-        let trace = r.finish(5);
+        let trace = sealed(r, 5);
         assert!(trace.validate().is_empty());
         assert_eq!(TraceAnalysis::new(&trace).task(0).stalled, Some(2));
     }
@@ -911,7 +917,7 @@ mod tests {
             },
         );
         r.record(10, EventKind::JobCompleted { task: 0, job: 0 });
-        let trace = r.finish(10);
+        let trace = sealed(r, 10);
         assert!(trace.validate().is_empty());
         let ana = TraceAnalysis::new(&trace);
         let o = ana.task(0);

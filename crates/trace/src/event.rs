@@ -403,84 +403,10 @@ impl Trace {
     }
 }
 
-/// Single-threaded trace recorder (used by the simulator; the native
-/// pool records through per-worker [`LaneRecorder`](crate::LaneRecorder)
-/// lanes instead).
-#[derive(Clone, Debug)]
-pub struct TraceRecorder {
-    engine: EngineKind,
-    time_unit: TimeUnit,
-    cores: u32,
-    tasks: u32,
-    next_seq: u64,
-    events: Vec<TraceEvent>,
-}
-
-impl TraceRecorder {
-    /// An empty recorder for the given engine and platform.
-    #[must_use]
-    pub fn new(engine: EngineKind, time_unit: TimeUnit, cores: u32, tasks: u32) -> Self {
-        TraceRecorder {
-            engine,
-            time_unit,
-            cores,
-            tasks,
-            next_seq: 0,
-            events: Vec::new(),
-        }
-    }
-
-    /// Appends an event, assigning the next sequence number.
-    pub fn record(&mut self, time: u64, kind: EventKind) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.events.push(TraceEvent { seq, time, kind });
-    }
-
-    /// Number of events recorded so far.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// `true` when nothing was recorded.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Seals the trace. `end_time` is clamped up to the largest recorded
-    /// event time, so the trace always covers its own events.
-    #[must_use]
-    pub fn finish(self, end_time: u64) -> Trace {
-        let last = self.events.iter().map(|e| e.time).max().unwrap_or(0);
-        Trace {
-            engine: self.engine,
-            time_unit: self.time_unit,
-            cores: self.cores,
-            tasks: self.tasks,
-            end_time: end_time.max(last),
-            events: self.events,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn recorder_assigns_monotone_seqs_and_clamps_end() {
-        let mut r = TraceRecorder::new(EngineKind::Sim, TimeUnit::Ticks, 2, 1);
-        assert!(r.is_empty());
-        r.record(0, EventKind::JobReleased { task: 0, job: 0 });
-        r.record(5, EventKind::JobCompleted { task: 0, job: 0 });
-        assert_eq!(r.len(), 2);
-        let t = r.finish(3); // below the last event: clamped up
-        assert_eq!(t.end_time, 5);
-        assert_eq!(t.events[0].seq, 0);
-        assert_eq!(t.events[1].seq, 1);
-    }
+    use crate::sink::{assemble, LaneRecorder, SeqClock};
 
     #[test]
     fn kind_accessors() {
@@ -521,7 +447,7 @@ mod tests {
 
     #[test]
     fn with_task_index_relabels_everything() {
-        let mut r = TraceRecorder::new(EngineKind::Exec, TimeUnit::Nanos, 2, 1);
+        let mut r = LaneRecorder::new(&SeqClock::new());
         r.record(0, EventKind::JobReleased { task: 0, job: 0 });
         r.record(
             1,
@@ -537,7 +463,7 @@ mod tests {
                 occupant: None,
             },
         );
-        let t = r.finish(2).with_task_index(3);
+        let t = assemble(EngineKind::Exec, TimeUnit::Nanos, 2, 1, 2, vec![r]).with_task_index(3);
         assert_eq!(t.tasks, 4);
         assert_eq!(t.events[0].kind.task(), Some(3));
         assert_eq!(t.events[1].kind.task(), Some(3));

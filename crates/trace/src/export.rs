@@ -498,10 +498,10 @@ pub fn to_csv(trace: &Trace) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::TraceRecorder;
+    use crate::sink::{assemble, LaneRecorder, SeqClock};
 
     fn sample_trace() -> Trace {
-        let mut r = TraceRecorder::new(EngineKind::Sim, TimeUnit::Ticks, 2, 2);
+        let mut r = LaneRecorder::new(&SeqClock::new());
         r.record(0, EventKind::JobReleased { task: 0, job: 0 });
         r.record(
             0,
@@ -625,7 +625,7 @@ mod tests {
             },
         );
         r.record(9, EventKind::JobCompleted { task: 0, job: 0 });
-        r.finish(12)
+        assemble(EngineKind::Sim, TimeUnit::Ticks, 2, 2, 12, vec![r])
     }
 
     #[test]
@@ -665,7 +665,7 @@ mod tests {
 
     #[test]
     fn string_escapes_round_trip() {
-        let mut r = TraceRecorder::new(EngineKind::Exec, TimeUnit::Nanos, 1, 1);
+        let mut r = LaneRecorder::new(&SeqClock::new());
         r.record(
             0,
             EventKind::Recovery {
@@ -674,7 +674,7 @@ mod tests {
                 node: None,
             },
         );
-        let trace = r.finish(1);
+        let trace = assemble(EngineKind::Exec, TimeUnit::Nanos, 1, 1, 1, vec![r]);
         let back = from_chrome_json(&to_chrome_json(&trace)).expect("parses");
         assert_eq!(back, trace);
     }

@@ -66,11 +66,12 @@ pub fn render(trace: &Trace, width: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{EngineKind, TraceRecorder};
+    use crate::event::EngineKind;
+    use crate::sink::{assemble, LaneRecorder, SeqClock};
 
     #[test]
     fn event_render_tick_trace() {
-        let mut r = TraceRecorder::new(EngineKind::Sim, TimeUnit::Ticks, 2, 2);
+        let mut r = LaneRecorder::new(&SeqClock::new());
         r.record(
             0,
             EventKind::CoreAssign {
@@ -106,7 +107,7 @@ mod tests {
                 occupant: None,
             },
         );
-        let trace = r.finish(6);
+        let trace = assemble(EngineKind::Sim, TimeUnit::Ticks, 2, 2, 6, vec![r]);
         let art = render(&trace, 80);
         let lines: Vec<&str> = art.lines().collect();
         assert_eq!(lines[0], "core 0: 0011..");
@@ -117,7 +118,7 @@ mod tests {
 
     #[test]
     fn event_render_scales_nanos_into_width() {
-        let mut r = TraceRecorder::new(EngineKind::Exec, TimeUnit::Nanos, 1, 13);
+        let mut r = LaneRecorder::new(&SeqClock::new());
         r.record(
             0,
             EventKind::CoreAssign {
@@ -133,15 +134,14 @@ mod tests {
                 occupant: None,
             },
         );
-        let trace = r.finish(1_000_000);
+        let trace = assemble(EngineKind::Exec, TimeUnit::Nanos, 1, 13, 1_000_000, vec![r]);
         let art = render(&trace, 10);
         assert_eq!(art, "core 0: +++++.....\n");
     }
 
     #[test]
     fn event_render_empty_traces() {
-        let r = TraceRecorder::new(EngineKind::Sim, TimeUnit::Ticks, 1, 1);
-        let trace = r.finish(3);
+        let trace = assemble(EngineKind::Sim, TimeUnit::Ticks, 1, 1, 3, Vec::new());
         assert_eq!(render(&trace, 10), "core 0: ...\n");
         let none = Trace {
             cores: 0,
@@ -151,6 +151,6 @@ mod tests {
     }
 
     fn r_empty() -> Trace {
-        TraceRecorder::new(EngineKind::Sim, TimeUnit::Ticks, 1, 1).finish(1)
+        assemble(EngineKind::Sim, TimeUnit::Ticks, 1, 1, 1, Vec::new())
     }
 }

@@ -10,10 +10,11 @@
 //!
 //! Layout:
 //!
-//! * [`event`] — the schema: [`TraceEvent`], [`EventKind`], [`Trace`],
-//!   and the single-threaded [`TraceRecorder`].
-//! * [`sink`] — the multi-threaded sink: per-worker [`LaneRecorder`]
-//!   lanes sharing one atomic [`SeqClock`], merged by [`assemble`].
+//! * [`event`] — the schema: [`TraceEvent`], [`EventKind`], [`Trace`].
+//! * [`sink`] — the one recorder: [`LaneRecorder`] lanes sharing one
+//!   atomic [`SeqClock`], sealed into a [`Trace`] by [`assemble`]. The
+//!   native pool records one lane per worker, the simulator and the
+//!   admission service one lane each.
 //! * [`analysis`] — [`Trace::validate`] (schema invariants) and
 //!   [`TraceAnalysis`], the one fold of a trace's events into per-task
 //!   observations.
@@ -40,7 +41,7 @@ pub mod metrics;
 pub mod sink;
 
 pub use analysis::{TaskObservation, TraceAnalysis, TraceDefect};
-pub use event::{EngineKind, EventKind, TimeUnit, Trace, TraceEvent, TraceRecorder};
+pub use event::{EngineKind, EventKind, TimeUnit, Trace, TraceEvent};
 pub use export::{from_chrome_json, to_chrome_json, to_csv, ExportError};
 pub use metrics::LatencyHistogram;
 pub use sink::{assemble, LaneRecorder, SeqClock};

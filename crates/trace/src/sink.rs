@@ -88,8 +88,7 @@ impl LaneRecorder {
 
 /// Merges per-thread lanes into one [`Trace`], restoring global
 /// recording order by sorting on `seq`. `end_time` is clamped up to the
-/// largest event time (same contract as
-/// [`TraceRecorder::finish`](crate::TraceRecorder::finish)).
+/// largest event time, so the trace always covers its own events.
 #[must_use]
 pub fn assemble(
     engine: EngineKind,
