@@ -91,25 +91,41 @@ fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
     Ok(args)
 }
 
-/// Forwards responses to `write` as JSON lines until the channel closes.
-fn pump_responses(rx: &Receiver<Response>, mut write: impl Write) {
-    // A short timeout keeps the pump responsive to shutdown while
-    // batching flushes under load.
+/// Forwards responses to `write` as JSON lines, everything waiting on
+/// the channel in one write. Returns when the channel closes or, for a
+/// socket client (`client`: the server and that client's reader-ended
+/// flag), once the client's reader has ended and the server is idle, so
+/// the next client can be accepted; until then it keeps forwarding,
+/// however long the client stays silent. A failed write (the client
+/// went away) stops the writing, not the draining: what the client
+/// asked for never reaches the next one.
+fn pump_responses(
+    rx: &Receiver<Response>,
+    mut write: impl Write,
+    client: Option<(&Server, &AtomicBool)>,
+) {
+    let mut writable = true;
     loop {
-        match rx.recv_timeout(Duration::from_millis(50)) {
+        // Read before receiving: once true, nothing more is submitted and
+        // every response is on the channel, so an empty channel is final.
+        let last = client.is_some_and(|(server, reader_ended)| {
+            reader_ended.load(Ordering::SeqCst) && server.idle()
+        });
+        // A short timeout keeps the pump responsive to shutdown.
+        let wait = Duration::from_millis(if last { 0 } else { 50 });
+        match rx.recv_timeout(wait) {
             Ok(resp) => {
-                let mut line = encode_response(&resp);
-                line.push('\n');
+                let mut batch = encode_response(&resp);
+                batch.push('\n');
                 while let Ok(resp) = rx.try_recv() {
-                    line.push_str(&encode_response(&resp));
-                    line.push('\n');
+                    batch.push_str(&encode_response(&resp));
+                    batch.push('\n');
                 }
-                if write.write_all(line.as_bytes()).is_err() || write.flush().is_err() {
-                    return; // client went away; drain silently
-                }
+                writable =
+                    writable && write.write_all(batch.as_bytes()).is_ok() && write.flush().is_ok();
             }
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => return,
+            Err(RecvTimeoutError::Timeout) if !last => {}
+            Err(RecvTimeoutError::Timeout | RecvTimeoutError::Disconnected) => return,
         }
     }
 }
@@ -118,7 +134,7 @@ fn pump_responses(rx: &Receiver<Response>, mut write: impl Write) {
 /// the caller can join it after shutdown (the pump exits when the
 /// response channel disconnects, i.e. once the drained server drops).
 fn serve_stdin(server: &Server, rx: Receiver<Response>) -> std::thread::JoinHandle<()> {
-    let pump = std::thread::spawn(move || pump_responses(&rx, std::io::stdout().lock()));
+    let pump = std::thread::spawn(move || pump_responses(&rx, std::io::stdout().lock(), None));
     let stdin = std::io::stdin();
     for line in stdin.lock().lines() {
         let Ok(line) = line else { break };
@@ -161,7 +177,7 @@ fn serve_socket(server: &Server, rx: Receiver<Response>, path: &str) -> Result<(
                 }
                 reader_ended.store(true, Ordering::SeqCst);
             });
-            pump_responses_until_idle(&rx, out, server, reader_ended);
+            pump_responses(&rx, out, Some((server, reader_ended)));
         });
         if done.load(Ordering::Relaxed) {
             break;
@@ -169,34 +185,6 @@ fn serve_socket(server: &Server, rx: Receiver<Response>, path: &str) -> Result<(
     }
     let _ = std::fs::remove_file(path);
     Ok(())
-}
-
-/// Socket variant of the pump: returns once the client's reader has
-/// ended and no work remains in flight, so the next client can be
-/// accepted. Until then it keeps forwarding, however long the client
-/// stays silent.
-fn pump_responses_until_idle(
-    rx: &Receiver<Response>,
-    mut write: impl Write,
-    server: &Server,
-    reader_ended: &AtomicBool,
-) {
-    loop {
-        // Read before receiving: once true, nothing more is submitted and
-        // every response is on the channel, so an empty channel is final.
-        let last = reader_ended.load(Ordering::SeqCst) && server.idle();
-        let wait = Duration::from_millis(if last { 0 } else { 50 });
-        match rx.recv_timeout(wait) {
-            Ok(resp) => {
-                let mut line = encode_response(&resp);
-                line.push('\n');
-                let _ = write.write_all(line.as_bytes());
-                let _ = write.flush();
-            }
-            Err(RecvTimeoutError::Timeout) if !last => {}
-            Err(RecvTimeoutError::Timeout | RecvTimeoutError::Disconnected) => return,
-        }
-    }
 }
 
 fn main() -> ExitCode {
