@@ -5,9 +5,17 @@
 //! layered graph of `incremental_edit` (a source, rows of nodes each
 //! wired to two of the next row, a sink). For each, three stages are
 //! timed, the fastest of five runs (each run visits every size) on a
-//! freshly assembled graph:
-//! `Dag::from_lists`, the first `delay_profile()` with its `b̄`, and
-//! `critical_path_length()` on a copy whose length cell is empty.
+//! freshly assembled graph: `Dag::from_lists`, the first
+//! `delay_profile()` with its `b̄`, and `critical_path_length()` on a
+//! copy whose length cell is empty.
+//!
+//! Each timed run follows an untimed build of the same graph, and the
+//! bench's allocator keeps every freed block of a MiB or more for the
+//! next request of the same layout until the shape is done. So a timed
+//! run works on the memory that build has just touched, whether or not
+//! the system allocator would have handed it back to the OS, and
+//! whatever else the runs before it held: the stages are timed, not
+//! page faults or the cache lines of other sizes.
 //!
 //! The closure and the delay sets are `O(|V|²/64)` words, the critical
 //! path one pass over the edges, so the log-log slope of time against
@@ -16,8 +24,10 @@
 //! [`MAX_LINEAR_SLOPE`] for the third; the bench exits non-zero above
 //! either. Well under a second in release, no flags.
 
+use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
 use std::process::ExitCode;
+use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 use rtpool_graph::{Dag, NodeId};
@@ -31,6 +41,66 @@ const OCTAVES: std::ops::RangeInclusive<u32> = 6..=13;
 /// The slope is fitted over this many of the largest sizes.
 const FITTED: usize = 5;
 const RUNS: usize = 5;
+
+/// Freed blocks of at least this many bytes are kept for reuse.
+const KEPT_BYTES: usize = 1 << 20;
+
+/// `(address, size, align)` of every kept block; address 0 marks a free
+/// slot. A block freed while every slot is taken goes to the system.
+static KEPT: Mutex<[(usize, usize, usize); 16]> = Mutex::new([(0, 0, 0); 16]);
+
+/// The system allocator, but for blocks of [`KEPT_BYTES`] or more, which
+/// it keeps when freed and hands out again for the same layout.
+struct KeepLarge;
+
+// SAFETY: every block comes from `System` for the layout it is freed
+// with: a kept block is handed out again only for its own size and
+// alignment, and once, because taking it empties its slot. The lock
+// neither allocates nor panics.
+unsafe impl GlobalAlloc for KeepLarge {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        if layout.size() >= KEPT_BYTES {
+            let mut kept = KEPT.lock().unwrap_or_else(PoisonError::into_inner);
+            let want = (layout.size(), layout.align());
+            if let Some(slot) = kept
+                .iter_mut()
+                .find(|slot| slot.0 != 0 && (slot.1, slot.2) == want)
+            {
+                return std::mem::take(&mut slot.0) as *mut u8;
+            }
+        }
+        // SAFETY: the layout the caller vouched for.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        if layout.size() >= KEPT_BYTES {
+            let mut kept = KEPT.lock().unwrap_or_else(PoisonError::into_inner);
+            if let Some(slot) = kept.iter_mut().find(|slot| slot.0 == 0) {
+                *slot = (ptr as usize, layout.size(), layout.align());
+                return;
+            }
+        }
+        // SAFETY: `ptr` came from `System` for this layout.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: KeepLarge = KeepLarge;
+
+/// Hands every kept block back to the system.
+fn release_kept() {
+    let mut kept = KEPT.lock().unwrap_or_else(PoisonError::into_inner);
+    for (at, size, align) in kept.iter_mut().map(std::mem::take) {
+        if at != 0 {
+            let layout = Layout::from_size_align(size, align).expect("a kept block's layout");
+            // SAFETY: the block came from `System` for this layout and
+            // left its slot, so it is freed once.
+            unsafe { System.dealloc(at as *mut u8, layout) };
+        }
+    }
+}
 
 /// A shape's lists at about `n` nodes.
 type Shape = fn(usize) -> Lists;
@@ -95,19 +165,21 @@ fn layered(n: usize) -> Lists {
 }
 
 /// The three stages on a graph assembled afresh from `lists`, in
-/// seconds.
+/// seconds, after an untimed build of the same graph.
 fn time_stages(lists: &Lists) -> [f64; 3] {
+    let build = || Dag::from_lists(&lists.wcets, &lists.edges, &lists.pairs);
+    let warm = build().expect("the shape is valid");
+    black_box(warm.delay_profile().max_delay_count());
+    drop(black_box(warm));
     let start = Instant::now();
-    let dag =
-        Dag::from_lists(&lists.wcets, &lists.edges, &lists.pairs).expect("the shape is valid");
+    let dag = build().expect("the shape is valid");
     let assembled = start.elapsed();
     let start = Instant::now();
     black_box(dag.delay_profile().max_delay_count());
     let delays = start.elapsed();
-    // Timed on a copy cloned while its path cell is still empty, after
-    // one untimed run on the original: the largest sizes' first run also
-    // pays the page faults of memory the allocator has just taken from
-    // the system, which is not the pass.
+    // Timed on a copy cloned while its length cell is still empty, after
+    // one untimed run on the original, so the distance table's memory is
+    // warm.
     let copy = dag.clone();
     black_box(dag.critical_path_length());
     let start = Instant::now();
@@ -158,6 +230,7 @@ fn main() -> ExitCode {
                 }
             }
         }
+        release_kept();
         let mut points: [Vec<(f64, f64)>; 3] = Default::default();
         for (lists, times) in sizes.iter().zip(&best) {
             let n = lists.wcets.len();
