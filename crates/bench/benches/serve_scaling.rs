@@ -7,17 +7,22 @@
 //! * `Supervisor::execute` called from 1 and from 2 threads on **one
 //!   shared interner** — the work itself, no queue and no server. The
 //!   2-thread ÷ 1-thread throughput ratio is the number to watch: below
-//!   1 the threads are serialising on something (on malloc, 0.7–0.85,
-//!   when an evicted set is freed by a thread that did not build it —
-//!   see `serve/interner.rs`);
+//!   1 the threads are serialising on something;
 //! * a closed loop of two requests in flight through a 2-worker
 //!   [`Server`] — the same work behind the ingress queue.
 //!
+//! The bench fails when the ratio is below [`MIN_2_OVER_1`]: the gate
+//! guards the worker scaling of `Supervisor::execute`. It does not guard
+//! the interner's retire slots, which keep an evicted set from being
+//! freed by a thread that did not build it: with the slots bypassed the
+//! ratio still reads 1.45–1.60. The slots are kept on the `admit-cold`
+//! pairs recorded in `serve/interner.rs` (13 270 ops/s without them
+//! against 16 880 with them).
+//!
 //! Freshly spawned threads can share one core for about their first
 //! second on a small VM, which hides any scaling; every number here is
-//! taken in a timed window after a warm-up on the same threads. The
-//! bench fails when the ratio is below [`MIN_2_OVER_1`]; with a single
-//! hardware thread the ratio says nothing and is only printed.
+//! taken in a timed window after a warm-up on the same threads. With a
+//! single hardware thread the ratio says nothing and is only printed.
 
 use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};

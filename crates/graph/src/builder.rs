@@ -4,8 +4,8 @@
 //! the order they are added and [`DagBuilder::build`] hands that list to
 //! [`Dag::from_lists`], which sorts it once into the two CSR arrays of
 //! the finished graph. A row therefore lists a node's neighbours in
-//! insertion order, which the topological order, the critical-path
-//! witness and the content hash all depend on. Beside the list it keeps
+//! insertion order, which the topological order and the content hash
+//! both depend on. Beside the list it keeps
 //! a keyed set for an *eager* duplicate check, so a caller hears about a
 //! repeated edge at the `add_edge` that repeats it, where `from_lists`
 //! would only find it whole. Callers that hold lists already skip the

@@ -19,8 +19,8 @@
 //! the invariant the rest of the workspace leans on: row `v` lists its
 //! neighbours in the order the edges were added, exactly as a per-node
 //! `Vec` that was pushed to would. The topological order (a FIFO
-//! frontier), the critical-path witness, the content hash and through
-//! them every golden digest depend on that order.
+//! frontier), the content hash and through them every golden digest
+//! depend on that order.
 
 use crate::error::GraphError;
 use crate::node::NodeId;

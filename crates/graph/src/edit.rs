@@ -621,7 +621,7 @@ mod tests {
         e.set_wcet(a, u64::MAX).set_wcet(a, 1);
         let (v2, _) = e.apply().unwrap();
         assert_eq!(v2.volume(), dag.volume() - 4);
-        // A rebuild sums the whole node table.
+        // A rebuild sums every WCET.
         let mut e = dag.edit();
         e.set_wcet(a, u64::MAX);
         e.insert_node(1, &[s], &[t]);

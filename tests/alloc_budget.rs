@@ -22,8 +22,9 @@
 //! with `UPDATE_GOLDEN=1 cargo test --test alloc_budget work_ledger`.
 //!
 //! This is its own test binary because it installs a counting
-//! `#[global_allocator]`; the `unsafe impl` below is the only unsafe code
-//! in the workspace (every library crate is `#![forbid(unsafe_code)]`).
+//! `#[global_allocator]`; the `unsafe impl` below and the block-keeping
+//! allocator of `crates/bench/benches/scaling.rs` are the only unsafe
+//! code in the workspace (every library crate is `#![forbid(unsafe_code)]`).
 //! A *call* is an `alloc`, `alloc_zeroed` or `realloc`; frees are not
 //! counted (every block made is freed once). Counts are kept per thread,
 //! so tests running side by side do not see each other.
