@@ -229,9 +229,9 @@ impl Dag {
         self.wcets[v.index()]
     }
 
-    /// Synchronization type `x_{i,j}` of node `v`, read off its region:
-    /// none is `NB`, and in one `v` is its fork (`BF`), its join (`BJ`)
-    /// or one of its inner nodes (`BC`).
+    /// Synchronization type `x_{i,j}` of node `v`, read off the region it
+    /// belongs to: `NB` outside every region, else `BF` as the region's
+    /// fork, `BJ` as its join and `BC` as an inner node.
     ///
     /// # Panics
     ///
