@@ -1,5 +1,5 @@
 //! The front end of the bench binaries: `analyze`, `fig2`,
-//! `rtpool-trace`, `rtpool-serve` and `rtpool-loadgen` read flags, bound
+//! `rtpool-trace` and `rtpool-serve` read flags, bound
 //! pools, load `.rtp` files, map tasks with Algorithm 1 and run traced
 //! simulations here, so each refuses the same input in the same words.
 

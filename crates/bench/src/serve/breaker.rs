@@ -4,7 +4,11 @@
 //! Latencies accumulate into a window of exact values; when the window
 //! fills, its nearest-rank p99 is compared against the configured SLO
 //! (a log₂ histogram's bucket bound would read one 33 ms response as
-//! 65.5 ms and open a 50 ms breaker on it):
+//! 65.5 ms and open a 50 ms breaker on it). The nearest rank of a window
+//! of `n` is `ceil(99n/100)`, which is `n` for every `n` under 100: with
+//! the default 64-response window, or any window of 99 or fewer, the
+//! "p99" is the window's **maximum**, and one response over the SLO —
+//! a single preempted worker — opens the breaker:
 //!
 //! * p99 above the SLO → the breaker **opens**: requests whose priority
 //!   is below the shed threshold are answered `shed` immediately at
@@ -24,7 +28,10 @@ use std::sync::Mutex;
 /// Breaker configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct BreakerConfig {
-    /// p99 service-latency objective, microseconds.
+    /// p99 service-latency objective, microseconds. It is compared with
+    /// the window's nearest-rank p99, `ceil(99n/100)`: for a window of
+    /// 99 responses or fewer (the default is 64) that is the window's
+    /// maximum, so one response over the objective opens the breaker.
     pub slo_p99_us: u64,
     /// Responses per evaluation window (clamped to at least 8).
     pub window: usize,
@@ -207,6 +214,20 @@ mod tests {
         }
         assert_eq!(b.stats().last_window_p99_us, Some(197));
         assert!(!b.is_open());
+    }
+
+    /// Under 100 responses the nearest rank is the last: one response
+    /// over the SLO among 64 is the window's "p99" and opens it.
+    #[test]
+    fn one_response_over_the_slo_in_a_small_window_opens_the_breaker() {
+        let b = breaker(50_000, 64);
+        for _ in 0..63 {
+            b.observe(1_000);
+        }
+        b.observe(50_001);
+        assert!(b.is_open());
+        assert_eq!(b.stats().opens, 1);
+        assert_eq!(b.stats().last_window_p99_us, Some(50_001));
     }
 
     #[test]

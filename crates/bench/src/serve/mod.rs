@@ -43,9 +43,8 @@
 //!   through the join.
 //!
 //! The `rtpool_serve` binary wraps [`server::Server`] over
-//! stdin/stdout or a Unix socket; `rtpool_loadgen` drives it at a
-//! configurable overload factor and checks the resilience invariants
-//! from the outside.
+//! stdin/stdout or a Unix socket; the `serve_overload` test storms it
+//! from the outside and checks that it recovers.
 //!
 //! [`RecoveryPolicy`]: rtpool_exec::RecoveryPolicy
 

@@ -145,7 +145,7 @@ pub struct ServeReport {
 
 impl ServeReport {
     /// Renders the report as a JSON object (trace omitted) for the CLI
-    /// `--summary` output and the CI soak artifact.
+    /// `--summary` output.
     #[must_use]
     pub fn to_json(&self) -> String {
         format!(

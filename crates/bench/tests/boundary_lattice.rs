@@ -282,7 +282,7 @@ fn global_model(
     let mut first_miss = None;
     let mut verdicts = Vec::new();
     for (i, (spec, g)) in tasks.iter().enumerate() {
-        let (vol, len) = (g.volume, g.critical_path.0);
+        let (vol, len) = (g.volume, g.critical_path);
         let suspended = match model {
             ConcurrencyModel::Full => 0,
             _ => g.b_bar as u64,

@@ -15,7 +15,7 @@
 use std::collections::HashMap;
 use std::time::Duration;
 
-use rtpool_bench::serve::loadgen::{gen_request_lines, LoadConfig};
+use rtpool_bench::serve::loadgen::gen_request_lines;
 use rtpool_bench::serve::{BreakerConfig, ServeConfig, ServeReport, Server};
 use rtpool_exec::{FaultPlan, RecoveryPolicy};
 
@@ -29,12 +29,7 @@ fn fast_retry() -> RecoveryPolicy {
 
 /// A small deterministic workload; ids are `0..n`.
 fn workload(seed: u64, n: usize) -> Vec<String> {
-    gen_request_lines(&LoadConfig {
-        requests: n,
-        seed,
-        n_tasks: 3,
-        ..LoadConfig::default()
-    })
+    gen_request_lines(n, seed)
 }
 
 /// Drives `lines` through a fresh 2-worker server under `config` and

@@ -70,7 +70,7 @@ fn same_graph(dag: &Dag, g: &Graph) -> Result<(), String> {
         prop_assert_eq!(delays.delay_count(v), x.len());
         prop_assert_eq!(row(delays.delay_row(v)), (n, x));
     }
-    prop_assert_eq!(dag.critical_path_length(), g.critical_path.0);
+    prop_assert_eq!(dag.critical_path_length(), g.critical_path);
     prop_assert_eq!(dag.content_hash(), g.content_hash);
     Ok(())
 }

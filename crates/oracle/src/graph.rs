@@ -94,9 +94,8 @@ pub struct Graph {
     pub delays: Vec<Vec<bool>>,
     /// `b̄ = max_v |X(v)|`.
     pub b_bar: usize,
-    /// The longest path by WCET, ending at the sink, and its length;
-    /// of two predecessors that give the same length, the smaller id.
-    pub critical_path: (u64, Vec<usize>),
+    /// The length of the longest path by WCET, `len(λ*)`.
+    pub critical_path: u64,
     /// [`content_hash`] of the shape.
     pub content_hash: u64,
 }
@@ -281,29 +280,14 @@ fn regions(
     Ok((regions, region_of))
 }
 
-/// The longest path by WCET ending at `sink`, nodes visited in `order`.
-fn critical_path(
-    wcets: &[u64],
-    pred: &[Vec<usize>],
-    order: &[usize],
-    sink: usize,
-) -> (u64, Vec<usize>) {
+/// The length of the longest path by WCET ending at `sink`, nodes
+/// visited in `order`.
+fn critical_path(wcets: &[u64], pred: &[Vec<usize>], order: &[usize], sink: usize) -> u64 {
     let mut dist = vec![0u64; wcets.len()];
-    let mut best_pred: Vec<Option<usize>> = vec![None; wcets.len()];
     for &v in order {
-        // The largest distance; of equal ones, the smallest id.
-        best_pred[v] = pred[v]
-            .iter()
-            .copied()
-            .max_by(|&a, &b| dist[a].cmp(&dist[b]).then(b.cmp(&a)));
-        dist[v] = best_pred[v].map_or(0, |p| dist[p]) + wcets[v];
+        dist[v] = pred[v].iter().map(|&p| dist[p]).max().unwrap_or(0) + wcets[v];
     }
-    let mut path = vec![sink];
-    while let Some(p) = best_pred[path[path.len() - 1]] {
-        path.push(p);
-    }
-    path.reverse();
-    (dist[sink], path)
+    dist[sink]
 }
 
 /// FNV-1a (offset basis `0xcbf29ce484222325`, prime `0x100000001b3`)
@@ -359,6 +343,6 @@ mod tests {
         );
         // A child is delayed by the fork that waits for it, and only by it.
         assert_eq!((members(&g.delays[2]), g.b_bar), (vec![0], 1));
-        assert_eq!(g.critical_path, (50, vec![0, 2, 4]));
+        assert_eq!(g.critical_path, 50);
     }
 }

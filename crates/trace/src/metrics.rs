@@ -115,7 +115,7 @@ impl LatencyHistogram {
         }
     }
 
-    /// The JSON object the serve report and the soak artifact both embed:
+    /// The JSON object the serve report embeds:
     /// `{ "count": 3, "p50": 7, "p90": 15, "p99": 15, "p999": 15, "max": 12 }`,
     /// the quantiles `null` while nothing has been observed.
     #[must_use]
