@@ -20,10 +20,10 @@ use std::time::Instant;
 
 use rand::SeedableRng;
 use rtpool_bench::serve::protocol::{encode_request, parse_request, Request, RequestBody};
-use rtpool_bench::serve::{Interner, Supervisor};
+use rtpool_bench::serve::{Interner, ServiceFaultPlan, Supervisor};
 use rtpool_core::textfmt::{parse_task_set, write_task_set};
 use rtpool_core::CancelToken;
-use rtpool_exec::{FaultPlan, RecoveryPolicy};
+use rtpool_exec::RecoveryPolicy;
 use rtpool_gen::{DagGenConfig, TaskSetConfig};
 
 /// A re-sent source must cost less than this share of parsing it
@@ -147,7 +147,7 @@ fn parse_rows() {
         );
     }
 
-    let supervisor = Supervisor::new(RecoveryPolicy::Abort, FaultPlan::seeded(0));
+    let supervisor = Supervisor::new(RecoveryPolicy::Abort, ServiceFaultPlan::seeded(0));
     let never = CancelToken::never();
     let request = Request {
         id: 1,

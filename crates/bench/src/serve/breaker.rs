@@ -14,7 +14,11 @@
 //!   is below the shed threshold are answered `shed` immediately at
 //!   ingress, so capacity drains to the traffic the operator cares
 //!   about;
-//! * a full window at or under the SLO → the breaker **re-closes**.
+//! * a full window at or under **half** the SLO (`RECLOSE_DIVISOR`)
+//!   → the breaker **re-closes**. A window between half the SLO and the
+//!   SLO changes nothing: re-closing on the first window under the SLO
+//!   let a sustained storm's low-priority half flood the queue again
+//!   and re-open it, several times per storm.
 //!
 //! Windows are sized in responses, not wall time, so the breaker is
 //! deterministic under test (drive N latencies, observe the
@@ -25,6 +29,10 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
+/// An open breaker re-closes only on a window whose p99 is at most
+/// `slo_p99_us / RECLOSE_DIVISOR`.
+const RECLOSE_DIVISOR: u64 = 2;
+
 /// Breaker configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct BreakerConfig {
@@ -32,6 +40,7 @@ pub struct BreakerConfig {
     /// the window's nearest-rank p99, `ceil(99n/100)`: for a window of
     /// 99 responses or fewer (the default is 64) that is the window's
     /// maximum, so one response over the objective opens the breaker.
+    /// An open breaker re-closes on a window at or under half of it.
     pub slo_p99_us: u64,
     /// Responses per evaluation window (clamped to at least 8).
     pub window: usize,
@@ -136,11 +145,11 @@ impl CircuitBreaker {
         let (_, &mut p99, _) = st.window.select_nth_unstable(rank - 1);
         st.window.clear();
         st.stats.last_window_p99_us = Some(p99);
-        let overloaded = p99 > self.config.slo_p99_us;
-        if overloaded && !st.stats.open {
+        let slo = self.config.slo_p99_us;
+        if !st.stats.open && p99 > slo {
             st.stats.open = true;
             st.stats.opens += 1;
-        } else if !overloaded && st.stats.open {
+        } else if st.stats.open && p99 <= slo / RECLOSE_DIVISOR {
             st.stats.open = false;
             st.stats.closes += 1;
         }
@@ -228,6 +237,27 @@ mod tests {
         assert!(b.is_open());
         assert_eq!(b.stats().opens, 1);
         assert_eq!(b.stats().last_window_p99_us, Some(50_001));
+    }
+
+    /// An open breaker stays open on a window whose maximum lies in
+    /// (SLO/2, SLO], and closes on one at or under SLO/2.
+    #[test]
+    fn an_open_breaker_recloses_only_under_half_the_slo() {
+        let b = breaker(50_000, 64);
+        let window = |top| {
+            for latency in [1_000; 63].into_iter().chain([top]) {
+                b.observe(latency);
+            }
+        };
+        window(60_000);
+        for top in [60_000, 50_000, 25_001] {
+            window(top);
+            assert!(b.is_open(), "a window topped at {top} us re-closed it");
+        }
+        window(25_000);
+        assert!(!b.is_open());
+        let stats = b.stats();
+        assert_eq!((stats.opens, stats.closes), (1, 1));
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //! submit. Eviction scans for the LRU entry — `O(capacity)` with small
 //! caps, which is the regime the server runs in.
 //!
-//! Entries can be *poisoned* (by the fault plan's `PoisonCacheEntry`
-//! injection, or by an operator tool): a poisoned entry is reported to
+//! Entries can be *poisoned* (by the service fault plan's
+//! `PoisonCacheEntry` injection): a poisoned entry is reported to
 //! exactly one observer via [`InternError::Poisoned`] and evicted, so
 //! the supervisor's retry re-parses from source and repopulates a clean
 //! entry.
@@ -107,11 +107,13 @@
 //! `RETIRE_PER_BUILDER` (4) sets, the slots going to the first threads
 //! that call. A victim whose builder has no slot, or a full one, is
 //! dropped by the evicting call itself (after it has released the
-//! lock); a builder that stops calling — a supervisor rescue thread,
-//! say — leaves at most a slot's worth of sets behind, freed with the
-//! interner. None of this is visible from outside: which entry is
-//! evicted, every hash, the memo and every [`InternerStats`] counter
-//! are what they would be if eviction dropped the victim on the spot.
+//! lock); a builder that stops calling (a server worker at shutdown)
+//! leaves at most a slot's worth of sets behind, freed with the
+//! interner. The callers are the server's own workers, a fixed set of
+//! threads, so the slots are not used up by threads that come and go.
+//! None of this is visible from outside: which entry is evicted, every
+//! hash, the memo and every [`InternerStats`] counter are what they
+//! would be if eviction dropped the victim on the spot.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -690,10 +692,10 @@ pub(super) mod tests {
 
     use proptest::prelude::*;
     use rtpool_core::CancelToken;
-    use rtpool_exec::{FaultPlan, RecoveryPolicy};
+    use rtpool_exec::RecoveryPolicy;
 
     use super::super::protocol::{Request, RequestBody, VerdictKind};
-    use super::super::supervisor::Supervisor;
+    use super::super::supervisor::{ServiceFaultPlan, Supervisor};
     use super::*;
 
     thread_local! {
@@ -1238,7 +1240,7 @@ pub(super) mod tests {
         sets: &[TaskSet],
     ) -> (Vec<Step>, InternerStats) {
         let interner = Interner::new(MODEL_CAP);
-        let supervisor = Supervisor::new(RecoveryPolicy::Abort, FaultPlan::seeded(0));
+        let supervisor = Supervisor::new(RecoveryPolicy::Abort, ServiceFaultPlan::seeded(0));
         let turn = AtomicUsize::new(0);
         let steps = Mutex::new(Vec::new());
         thread::scope(|scope| {
@@ -1433,7 +1435,7 @@ pub(super) mod tests {
     #[test]
     fn a_spin_set_is_not_answered_from_its_suspend_twin() {
         let spin = format!("backend spin\n{SUSPEND_TWIN}");
-        let supervisor = Supervisor::new(RecoveryPolicy::Abort, FaultPlan::seeded(0));
+        let supervisor = Supervisor::new(RecoveryPolicy::Abort, ServiceFaultPlan::seeded(0));
         let interner = Interner::new(8);
         let send = |text: &str| {
             let request = Request {

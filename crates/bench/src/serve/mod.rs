@@ -16,11 +16,12 @@
 //!   marked `degraded` — and a degraded *admit* is always sound.
 //! * **Load shedding** ([`breaker`]): a latency-SLO circuit breaker
 //!   sheds low-priority traffic while p99 is out of budget, and
-//!   re-closes on recovery.
+//!   re-closes once it is back under half the budget.
 //! * **Supervision** ([`supervisor`]): panicking analysis workers are
-//!   caught, retried under the executor's [`RecoveryPolicy`]
-//!   semantics, and finished on a rescue thread — every request gets
-//!   exactly one verdict.
+//!   caught on the worker's own thread, retried under the executor's
+//!   [`RecoveryPolicy`] semantics and given one last try — every
+//!   request gets exactly one verdict. Seeded service faults
+//!   ([`ServiceFaultPlan`]) live here too.
 //! * **Structural reuse** ([`interner`]): content-hashed interning
 //!   shares parsed sets (and their `DerivedCache`s) across
 //!   structurally identical submissions, with bounded LRU capacity; a
@@ -51,7 +52,6 @@
 pub mod breaker;
 pub mod interner;
 pub mod ladder;
-pub mod loadgen;
 pub mod protocol;
 pub mod queue;
 pub mod server;
@@ -65,4 +65,4 @@ pub use protocol::{
 };
 pub use queue::IngressQueue;
 pub use server::{InjectorPool, ServeConfig, ServePool, ServeReport, Server};
-pub use supervisor::{ServiceEvent, ServiceOutcome, Supervisor};
+pub use supervisor::{ServiceEvent, ServiceFaultPlan, ServiceOutcome, Supervisor};

@@ -43,7 +43,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use rtpool_core::CancelToken;
-use rtpool_exec::{FaultPlan, RecoveryPolicy};
+use rtpool_exec::RecoveryPolicy;
 use rtpool_trace::{
     assemble, EngineKind, EventKind, LaneRecorder, LatencyHistogram, SeqClock, TimeUnit, Trace,
 };
@@ -52,7 +52,7 @@ use super::breaker::{BreakerConfig, BreakerStats, CircuitBreaker};
 use super::interner::{Interner, InternerStats};
 use super::protocol::{self, Request, Response, VerdictKind};
 use super::queue::IngressQueue;
-use super::supervisor::{ServiceEvent, Supervisor};
+use super::supervisor::{ServiceEvent, ServiceFaultPlan, Supervisor};
 
 /// Server configuration.
 #[derive(Clone, Debug)]
@@ -69,7 +69,7 @@ pub struct ServeConfig {
     /// Recovery policy for panicking analysis workers.
     pub recovery: RecoveryPolicy,
     /// Service-fault injection plan (chaos testing).
-    pub faults: FaultPlan,
+    pub faults: ServiceFaultPlan,
     /// Record a request-lifecycle trace in the `rtpool-trace` schema.
     pub record_trace: bool,
 }
@@ -85,7 +85,7 @@ impl Default for ServeConfig {
                 max_retries: 2,
                 base_delay: Duration::from_micros(50),
             },
-            faults: FaultPlan::seeded(0),
+            faults: ServiceFaultPlan::seeded(0),
             record_trace: false,
         }
     }
@@ -678,7 +678,7 @@ mod tests {
             let (server, rx) = Server::start(
                 ServeConfig {
                     record_trace: true,
-                    faults: FaultPlan::seeded(0).service_slow_storm(0, threads as u64, hold),
+                    faults: ServiceFaultPlan::seeded(0).slow_storm(0, threads as u64, hold),
                     ..ServeConfig::default()
                 },
                 threads,
@@ -820,7 +820,7 @@ mod tests {
         let (server, rx) = Server::start(
             ServeConfig {
                 queue_cap,
-                faults: FaultPlan::seeded(0).service_slow_prob(1.0, Duration::from_millis(20)),
+                faults: ServiceFaultPlan::seeded(0).slow_prob(1.0, Duration::from_millis(20)),
                 ..ServeConfig::default()
             },
             2,

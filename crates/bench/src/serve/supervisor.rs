@@ -1,29 +1,32 @@
-//! Per-request supervision: panic isolation, retry, rescue.
+//! Per-request supervision: panic isolation, retry, one last try.
 //!
-//! Every request attempt runs inside [`std::panic::catch_unwind`], so a
-//! crashing analysis never unwinds out of the server's worker thread
-//! (which would end that worker for good). A panicked attempt
-//! is retried under the configured
-//! [`RecoveryPolicy`](rtpool_exec::RecoveryPolicy) — the same policy
+//! Every request attempt runs inside [`std::panic::catch_unwind`] on the
+//! server's worker thread, so a crashing analysis never unwinds out of
+//! it (which would end that worker for good). A panicked attempt is
+//! retried under the configured [`RecoveryPolicy`] — the same policy
 //! type, with the same `max_retries`/`backoff_delay` semantics, that
-//! governs the executor's worker recovery. When the retry budget is
-//! exhausted the supervisor makes one final attempt on a freshly
-//! spawned *rescue thread* (the service-layer analogue of the
-//! executor's epoch-bound rescue workers: a clean stack, isolated from
-//! any state the panicking attempts may have wedged) before giving up
-//! and answering an `error` verdict. Whatever happens, **every request
-//! gets exactly one response** — supervision converts crashes into
-//! verdicts, never into silence.
+//! governs the executor's worker recovery. When the retries are spent
+//! the supervisor makes one last try, a
+//! [`RescueAttempt`](ServiceEvent::RescueAttempt), as one more turn of
+//! the same loop, before it answers `error`: a request that panics on
+//! every try is tried `1 + max_retries + 1` times, and each panic is
+//! counted. A poisoned cache entry is evicted and retried even under a
+//! policy that grants no retries, since evict-and-reparse needs one try
+//! more; the last try bounds repeated poisoning too. Whatever happens,
+//! **every request gets exactly one response**, and it names what
+//! failed last — supervision converts crashes into verdicts, never into
+//! silence.
 //!
-//! Service-layer fault injection ([`FaultPlan::service_faults`]) is
-//! applied here, keyed by the request's arrival sequence number and the
-//! attempt index, so chaos runs are reproducible.
+//! Service faults ([`ServiceFaultPlan`]) are injected here, keyed by the
+//! request's arrival sequence number and the attempt index, so chaos
+//! runs are reproducible.
 
 use std::panic::{self, AssertUnwindSafe};
 use std::thread;
+use std::time::Duration;
 
 use rtpool_core::{CancelToken, Task, TaskSet};
-use rtpool_exec::{FaultPlan, RecoveryPolicy};
+use rtpool_exec::RecoveryPolicy;
 
 use super::interner::{InternError, Interner, MemoOutcome};
 use super::ladder::{run_ladder, LadderOutcome};
@@ -39,7 +42,7 @@ pub enum ServiceEvent {
     WorkerPanicked,
     /// A panicked attempt was retried under the policy.
     Retried,
-    /// The final attempt ran on a fresh rescue thread.
+    /// The retries were spent and the last try followed.
     RescueAttempt,
     /// A poisoned cache entry was observed and evicted.
     PoisonedEntry,
@@ -101,14 +104,14 @@ enum AttemptError {
 /// per server.
 pub struct Supervisor {
     policy: RecoveryPolicy,
-    faults: FaultPlan,
+    faults: ServiceFaultPlan,
 }
 
 impl Supervisor {
     /// Creates a supervisor applying `policy` to panicked attempts and
     /// injecting `faults`.
     #[must_use]
-    pub fn new(policy: RecoveryPolicy, faults: FaultPlan) -> Self {
+    pub fn new(policy: RecoveryPolicy, faults: ServiceFaultPlan) -> Self {
         Supervisor { policy, faults }
     }
 
@@ -125,6 +128,7 @@ impl Supervisor {
     ) -> ServiceOutcome {
         let mut events = Vec::new();
         let max_retries = self.policy.max_retries();
+        let last = max_retries.saturating_add(1);
         let mut attempt = 0usize;
         loop {
             let result = panic::catch_unwind(AssertUnwindSafe(|| {
@@ -132,62 +136,31 @@ impl Supervisor {
             }))
             .unwrap_or_else(|payload| Err(AttemptError::Panicked(panic_message(&*payload))));
             match result {
-                Ok(outcome) => {
-                    return finish(outcome, attempt + 1, events);
-                }
+                Ok(outcome) => return finish(outcome, attempt + 1, events),
                 Err(AttemptError::Terminal(detail)) => {
-                    return ServiceOutcome {
-                        verdict: VerdictKind::Error,
-                        level: None,
-                        degraded: false,
-                        hash: None,
-                        detail,
-                        attempts: attempt + 1,
-                        events,
-                    };
+                    return refuse(detail, attempt + 1, events);
                 }
                 Err(AttemptError::Poisoned) => {
                     events.push(ServiceEvent::PoisonedEntry);
-                    // Bound repeated poisoning (a hostile fault plan can
-                    // poison every attempt) the same way panics are
-                    // bounded — but always allow the one retry the
-                    // evict-and-reparse cycle needs.
-                    if attempt > max_retries {
-                        return ServiceOutcome {
-                            verdict: VerdictKind::Error,
-                            level: None,
-                            degraded: false,
-                            hash: None,
-                            detail: "cache entry repeatedly poisoned".to_string(),
-                            attempts: attempt + 1,
-                            events,
-                        };
+                    if attempt == last {
+                        let detail = "cache entry repeatedly poisoned".to_string();
+                        return refuse(detail, attempt + 1, events);
                     }
                 }
                 Err(AttemptError::Panicked(message)) => {
                     events.push(ServiceEvent::WorkerPanicked);
-                    if attempt >= max_retries {
-                        // Retry budget exhausted: one last attempt on a
-                        // fresh rescue thread, then give up.
+                    if attempt == last {
+                        let detail = format!(
+                            "analysis worker panicked on {} attempts (last: {message})",
+                            attempt + 1
+                        );
+                        return refuse(detail, attempt + 1, events);
+                    }
+                    if attempt == max_retries {
+                        // Retries spent: the last try follows at once.
                         events.push(ServiceEvent::RescueAttempt);
-                        return match self.rescue(seq, attempt + 1, request, interner, token) {
-                            Ok((outcome, mut rescue_events)) => {
-                                events.append(&mut rescue_events);
-                                finish(outcome, attempt + 2, events)
-                            }
-                            Err(_) => ServiceOutcome {
-                                verdict: VerdictKind::Error,
-                                level: None,
-                                degraded: false,
-                                hash: None,
-                                detail: format!(
-                                    "analysis worker panicked on {} attempts (last: {message})",
-                                    attempt + 2
-                                ),
-                                attempts: attempt + 2,
-                                events,
-                            },
-                        };
+                        attempt += 1;
+                        continue;
                     }
                 }
             }
@@ -198,34 +171,6 @@ impl Supervisor {
             }
             attempt += 1;
         }
-    }
-
-    /// The final-chance attempt on a dedicated thread: a panic there is
-    /// contained by the thread boundary (and by `catch_unwind` inside
-    /// [`Supervisor::attempt`]'s caller frame on that thread).
-    fn rescue(
-        &self,
-        seq: u64,
-        attempt: usize,
-        request: &Request,
-        interner: &Interner,
-        token: &CancelToken,
-    ) -> Result<(LadderVerdict, Vec<ServiceEvent>), ()> {
-        thread::scope(|scope| {
-            let handle = scope.spawn(|| {
-                let mut events = Vec::new();
-                panic::catch_unwind(AssertUnwindSafe(|| {
-                    self.attempt(seq, attempt, request, interner, token, &mut events)
-                }))
-                .map(|r| r.map(|o| (o, events)))
-            });
-            match handle.join() {
-                Ok(Ok(Ok(ok))) => Ok(ok),
-                // Panicked (caught or through the thread), or a
-                // resolution error on the last attempt: give up.
-                _ => Err(()),
-            }
-        })
     }
 
     /// One attempt: inject faults, resolve the workload, run (or recall)
@@ -239,7 +184,7 @@ impl Supervisor {
         token: &CancelToken,
         events: &mut Vec<ServiceEvent>,
     ) -> Result<LadderVerdict, AttemptError> {
-        let faults = self.faults.service_faults(seq, attempt);
+        let faults = self.faults.faults(seq, attempt);
         if let Some(d) = faults.slow_request {
             events.push(ServiceEvent::SlowRequest);
             thread::sleep(d);
@@ -361,6 +306,18 @@ fn finish(v: LadderVerdict, attempts: usize, events: Vec<ServiceEvent>) -> Servi
     }
 }
 
+fn refuse(detail: String, attempts: usize, events: Vec<ServiceEvent>) -> ServiceOutcome {
+    ServiceOutcome {
+        verdict: VerdictKind::Error,
+        level: None,
+        degraded: false,
+        hash: None,
+        detail,
+        attempts,
+        events,
+    }
+}
+
 fn attempt_error(e: InternError) -> AttemptError {
     match e {
         InternError::Poisoned => AttemptError::Poisoned,
@@ -378,10 +335,186 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+/// A deterministic, seedable plan of faults injected into the admission
+/// service: analysis workers that panic, cache entries that are
+/// poisoned, requests that are slowed. The unit of failure is a whole
+/// request attempt, not a node body; the executor's node faults are
+/// [`rtpool_exec::FaultPlan`].
+///
+/// Every decision is a pure function of `(seed, rule, request,
+/// attempt)`, so a plan injects the same faults on every run, whatever
+/// the interleaving of the server's workers.
+#[derive(Clone, Debug)]
+pub struct ServiceFaultPlan {
+    seed: u64,
+    rules: Vec<ServiceFaultRule>,
+}
+
+/// One rule of a [`ServiceFaultPlan`]: a half-open window of request
+/// sequence numbers (`None` = every request; windows model storms), one
+/// attempt (`None` = every attempt; 0 is the first), the probability in
+/// `[0, 1]` that the rule fires where it matches, and the fault.
+#[derive(Clone, Debug)]
+struct ServiceFaultRule {
+    requests: Option<(u64, u64)>,
+    attempt: Option<usize>,
+    probability: f64,
+    kind: ServiceFaultKind,
+}
+
+/// What a firing service fault does.
+#[derive(Clone, Copy, Debug)]
+enum ServiceFaultKind {
+    /// The analysis worker panics mid-request.
+    PanicWorker,
+    /// The request's cache entry is poisoned: its first use fails, and
+    /// the supervisor must evict and re-parse.
+    PoisonCacheEntry,
+    /// The attempt is slowed by the duration, the building block of the
+    /// slow-request storms that trip the breaker.
+    SlowRequest(Duration),
+}
+
+/// The faults selected for one `(request, attempt)`.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct ServiceFaults {
+    panic_worker: bool,
+    poison_cache: bool,
+    slow_request: Option<Duration>,
+}
+
+/// Salts the seed, so that a service plan and an executor plan built
+/// from the same seed draw unrelated faults.
+const SERVICE_SALT: u64 = 0x5e27_1ce5;
+
+impl ServiceFaultPlan {
+    /// An empty plan whose probabilistic rules draw from `seed`.
+    #[must_use]
+    pub fn seeded(seed: u64) -> Self {
+        ServiceFaultPlan {
+            seed,
+            rules: Vec::new(),
+        }
+    }
+
+    fn rule(
+        mut self,
+        requests: Option<(u64, u64)>,
+        attempt: Option<usize>,
+        probability: f64,
+        kind: ServiceFaultKind,
+    ) -> Self {
+        self.rules.push(ServiceFaultRule {
+            requests,
+            attempt,
+            probability,
+            kind,
+        });
+        self
+    }
+
+    /// Request `request` panics on its first attempt (a transient fault:
+    /// the retry succeeds).
+    #[must_use]
+    pub fn panic_on(self, request: u64) -> Self {
+        let only = Some((request, request + 1));
+        self.rule(only, Some(0), 1.0, ServiceFaultKind::PanicWorker)
+    }
+
+    /// Request `request` panics on *every* attempt (a persistent fault:
+    /// the supervisor spends its retries and its last try, and answers
+    /// `error`).
+    #[must_use]
+    pub fn panic_always(self, request: u64) -> Self {
+        let only = Some((request, request + 1));
+        self.rule(only, None, 1.0, ServiceFaultKind::PanicWorker)
+    }
+
+    /// Every request's first attempt panics with probability `p`.
+    #[must_use]
+    pub fn panic_prob(self, p: f64) -> Self {
+        self.rule(None, Some(0), p, ServiceFaultKind::PanicWorker)
+    }
+
+    /// Request `request` resolves to a poisoned cache entry on its first
+    /// attempt (the supervisor must evict and re-parse).
+    #[must_use]
+    pub fn poison_on(self, request: u64) -> Self {
+        let only = Some((request, request + 1));
+        self.rule(only, Some(0), 1.0, ServiceFaultKind::PoisonCacheEntry)
+    }
+
+    /// Every request's first attempt poisons its cache entry with
+    /// probability `p`.
+    #[must_use]
+    pub fn poison_prob(self, p: f64) -> Self {
+        self.rule(None, Some(0), p, ServiceFaultKind::PoisonCacheEntry)
+    }
+
+    /// Slow-request storm: every attempt of the requests with sequence
+    /// numbers in `[from, to)` is slowed by `by`.
+    #[must_use]
+    pub fn slow_storm(self, from: u64, to: u64, by: Duration) -> Self {
+        let slow = ServiceFaultKind::SlowRequest(by);
+        self.rule(Some((from, to)), None, 1.0, slow)
+    }
+
+    /// Every attempt is slowed by `by` with probability `p`.
+    #[must_use]
+    pub fn slow_prob(self, p: f64, by: Duration) -> Self {
+        self.rule(None, None, p, ServiceFaultKind::SlowRequest(by))
+    }
+
+    /// The faults firing for `(request, attempt)`; the first matching
+    /// slowdown wins.
+    fn faults(&self, request: u64, attempt: usize) -> ServiceFaults {
+        let mut out = ServiceFaults::default();
+        for (i, rule) in self.rules.iter().enumerate() {
+            if rule
+                .requests
+                .is_some_and(|(a, b)| request < a || request >= b)
+            {
+                continue;
+            }
+            if rule.attempt.is_some_and(|a| a != attempt) {
+                continue;
+            }
+            let draw = mix(self.seed ^ SERVICE_SALT, i as u64, attempt as u64, request);
+            if !chance(rule.probability, draw) {
+                continue;
+            }
+            match rule.kind {
+                ServiceFaultKind::PanicWorker => out.panic_worker = true,
+                ServiceFaultKind::PoisonCacheEntry => out.poison_cache = true,
+                ServiceFaultKind::SlowRequest(d) => {
+                    out.slow_request.get_or_insert(d);
+                }
+            }
+        }
+        out
+    }
+}
+
+/// Whether a rule of probability `p` fires on `draw`: always at `p ≥ 1`,
+/// never at `p ≤ 0`, else by comparing `draw` in the unit interval with
+/// 53-bit precision. The executor's node faults draw the same way.
+fn chance(p: f64, draw: u64) -> bool {
+    p >= 1.0 || (p > 0.0 && ((draw >> 11) as f64) * (1.0 / (1u64 << 53) as f64) < p)
+}
+
+/// splitmix64 finalizer over the xor-folded inputs.
+fn mix(seed: u64, a: u64, b: u64, c: u64) -> u64 {
+    let mut x = seed
+        .wrapping_add(a.wrapping_mul(0x9e37_79b9_7f4a_7c15))
+        .wrapping_add(b.wrapping_mul(0xbf58_476d_1ce4_e5b9))
+        .wrapping_add(c.wrapping_mul(0x94d0_49bb_1331_11eb));
+    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^ (x >> 31)
+}
+
 #[cfg(test)]
 mod tests {
-    use std::time::Duration;
-
     use rtpool_core::SyncBackend;
 
     use super::super::interner::tests::SUSPEND_TWIN;
@@ -399,7 +532,7 @@ mod tests {
         }
     }
 
-    fn retrying(faults: FaultPlan) -> Supervisor {
+    fn retrying(faults: ServiceFaultPlan) -> Supervisor {
         Supervisor::new(
             RecoveryPolicy::RetryWithBackoff {
                 max_retries: 2,
@@ -412,7 +545,7 @@ mod tests {
     #[test]
     fn clean_request_admits_first_try() {
         let interner = Interner::new(8);
-        let sup = retrying(FaultPlan::seeded(1));
+        let sup = retrying(ServiceFaultPlan::seeded(1));
         let out = sup.execute(0, &request(1, 4), &interner, &CancelToken::never());
         assert_eq!(out.verdict, VerdictKind::Admit);
         assert_eq!(out.attempts, 1);
@@ -427,7 +560,7 @@ mod tests {
     #[test]
     fn transient_panic_is_retried_to_success() {
         let interner = Interner::new(8);
-        let sup = retrying(FaultPlan::seeded(1).service_panic_on(0));
+        let sup = retrying(ServiceFaultPlan::seeded(1).panic_on(0));
         let out = sup.execute(0, &request(1, 4), &interner, &CancelToken::never());
         assert_eq!(out.verdict, VerdictKind::Admit);
         assert_eq!(out.attempts, 2);
@@ -437,22 +570,26 @@ mod tests {
         );
     }
 
+    /// Every try panics: 1 + 2 retries + the last try. Each try's panic
+    /// is counted and each try's events kept, the last one's too.
     #[test]
     fn persistent_panic_exhausts_into_error() {
+        use ServiceEvent::{RescueAttempt as Last, Retried as Retry};
+        use ServiceEvent::{SlowRequest as Slow, WorkerPanicked as Panic};
         let interner = Interner::new(8);
-        let sup = retrying(FaultPlan::seeded(1).service_panic_always(0));
-        let out = sup.execute(0, &request(1, 4), &interner, &CancelToken::never());
+        let plan = ServiceFaultPlan::seeded(1)
+            .panic_always(0)
+            .slow_prob(1.0, Duration::from_micros(10));
+        let out = retrying(plan).execute(0, &request(1, 4), &interner, &CancelToken::never());
         assert_eq!(out.verdict, VerdictKind::Error);
-        // 1 initial + 2 retries + 1 rescue.
         assert_eq!(out.attempts, 4);
-        assert!(out.events.contains(&ServiceEvent::RescueAttempt));
-        assert!(out.detail.contains("panicked"));
-        // The panic's own text survives the catch.
-        assert!(
-            out.detail.contains("injected service fault: worker panic"),
-            "{}",
-            out.detail
-        );
+        let each_try = [
+            Slow, Panic, Retry, Slow, Panic, Retry, Slow, Panic, Last, Slow, Panic,
+        ];
+        assert_eq!(out.events, each_try);
+        // The last panic's own text survives the catch.
+        let last = "panicked on 4 attempts (last: injected service fault: worker panic";
+        assert!(out.detail.contains(last), "{}", out.detail);
     }
 
     #[test]
@@ -460,19 +597,36 @@ mod tests {
         let interner = Interner::new(8);
         let sup = Supervisor::new(
             RecoveryPolicy::Abort,
-            FaultPlan::seeded(1).service_panic_on(0),
+            ServiceFaultPlan::seeded(1).panic_on(0),
         );
         // The transient fault only fires on attempt 0; Abort grants no
-        // retries, so the rescue thread's attempt (index 1) succeeds.
+        // retries, so the last try (index 1) succeeds.
         let out = sup.execute(0, &request(1, 4), &interner, &CancelToken::never());
         assert_eq!(out.verdict, VerdictKind::Admit);
         assert!(out.events.contains(&ServiceEvent::RescueAttempt));
     }
 
+    /// A last try that meets a poisoned entry is answered for the poison,
+    /// not for the panic before it.
+    #[test]
+    fn a_poisoned_last_try_is_answered_as_poisoned() {
+        use ServiceEvent::{PoisonedEntry, RescueAttempt, WorkerPanicked};
+        // No retries: attempt 0 panics, attempt 1 is the last and poisoned.
+        let poison = ServiceFaultKind::PoisonCacheEntry;
+        let plan = ServiceFaultPlan::seeded(1)
+            .panic_on(0)
+            .rule(None, Some(1), 1.0, poison);
+        let sup = Supervisor::new(RecoveryPolicy::Abort, plan);
+        let out = sup.execute(0, &request(1, 4), &Interner::new(8), &CancelToken::never());
+        assert_eq!(out.detail, "cache entry repeatedly poisoned");
+        assert_eq!(out.events, [WorkerPanicked, RescueAttempt, PoisonedEntry]);
+        assert_eq!((out.verdict, out.attempts), (VerdictKind::Error, 2));
+    }
+
     #[test]
     fn poisoned_entry_is_evicted_and_retried() {
         let interner = Interner::new(8);
-        let sup = retrying(FaultPlan::seeded(1).service_poison_on(0));
+        let sup = retrying(ServiceFaultPlan::seeded(1).poison_on(0));
         let out = sup.execute(0, &request(1, 4), &interner, &CancelToken::never());
         assert_eq!(out.verdict, VerdictKind::Admit, "detail: {}", out.detail);
         assert_eq!(out.attempts, 2);
@@ -485,7 +639,7 @@ mod tests {
         // m = 3, was refused on m = 2⁶³ and on m = u64::MAX.
         const FIGURE1: &str = include_str!("../../../../workloads/figure1.rtp");
         let interner = Interner::new(8);
-        let sup = retrying(FaultPlan::seeded(1));
+        let sup = retrying(ServiceFaultPlan::seeded(1));
         for m in [3, 1 << 63, u64::MAX] {
             let mut line = format!("{{\"id\":1,\"m\":{m},\"source\":\"");
             rtpool_trace::json::escape_into(FIGURE1, &mut line);
@@ -499,7 +653,7 @@ mod tests {
     #[test]
     fn parse_error_is_terminal() {
         let interner = Interner::new(8);
-        let sup = retrying(FaultPlan::seeded(1));
+        let sup = retrying(ServiceFaultPlan::seeded(1));
         let req = Request {
             body: RequestBody::Source("task period=\nend".to_string()),
             ..request(1, 4)
@@ -513,7 +667,7 @@ mod tests {
     #[test]
     fn unknown_hash_is_terminal() {
         let interner = Interner::new(8);
-        let sup = retrying(FaultPlan::seeded(1));
+        let sup = retrying(ServiceFaultPlan::seeded(1));
         let req = Request {
             body: RequestBody::Hash(0xdead_beef),
             ..request(1, 4)
@@ -539,7 +693,7 @@ mod tests {
     #[test]
     fn edit_request_answers_from_patched_entry() {
         let interner = Interner::new(8);
-        let sup = retrying(FaultPlan::seeded(1));
+        let sup = retrying(ServiceFaultPlan::seeded(1));
         let first = sup.execute(0, &request(1, 4), &interner, &CancelToken::never());
         let base = first.hash.expect("base interned");
         let out = sup.execute(
@@ -599,7 +753,7 @@ mod tests {
     fn an_edit_of_a_spin_base_stays_spin() {
         let spin = format!("backend spin\n{SUSPEND_TWIN}");
         let interner = Interner::new(8);
-        let sup = retrying(FaultPlan::seeded(1));
+        let sup = retrying(ServiceFaultPlan::seeded(1));
         let source = |text: &str| Request {
             body: RequestBody::Source(text.to_string()),
             ..request(0, 3)
@@ -632,7 +786,7 @@ mod tests {
     #[test]
     fn edit_errors_are_terminal() {
         let interner = Interner::new(8);
-        let sup = retrying(FaultPlan::seeded(1));
+        let sup = retrying(ServiceFaultPlan::seeded(1));
         let first = sup.execute(0, &request(1, 4), &interner, &CancelToken::never());
         let base = first.hash.expect("base interned");
         // Unknown base hash.
@@ -681,7 +835,7 @@ mod tests {
     #[test]
     fn a_wcet_sum_past_u64_is_an_error_on_the_first_attempt() {
         let interner = Interner::new(8);
-        let sup = retrying(FaultPlan::seeded(1));
+        let sup = retrying(ServiceFaultPlan::seeded(1));
         let refused = |out: &ServiceOutcome| {
             assert_eq!(out.verdict, VerdictKind::Error, "detail: {}", out.detail);
             assert_eq!(out.attempts, 1);
@@ -708,7 +862,7 @@ mod tests {
     #[test]
     fn an_edit_naming_a_node_past_u32_is_an_error_on_the_first_attempt() {
         let interner = Interner::new(8);
-        let sup = retrying(FaultPlan::seeded(1));
+        let sup = retrying(ServiceFaultPlan::seeded(1));
         let base = sup.execute(0, &request(1, 2), &interner, &CancelToken::never());
         let edit = edit_request(
             2,
@@ -726,11 +880,70 @@ mod tests {
     #[test]
     fn slow_faults_delay_but_answer() {
         let interner = Interner::new(8);
-        let sup = retrying(FaultPlan::seeded(1).service_slow_prob(1.0, Duration::from_millis(10)));
+        let sup = retrying(ServiceFaultPlan::seeded(1).slow_prob(1.0, Duration::from_millis(10)));
         let t0 = std::time::Instant::now();
         let out = sup.execute(0, &request(1, 4), &interner, &CancelToken::never());
         assert_eq!(out.verdict, VerdictKind::Admit);
         assert!(t0.elapsed() >= Duration::from_millis(10));
         assert!(out.events.contains(&ServiceEvent::SlowRequest));
+    }
+
+    /// Targeted rules fire in their window and on their attempt only.
+    #[test]
+    fn rules_fire_in_their_window_and_attempt() {
+        let slow = Duration::from_millis(2);
+        let plan = ServiceFaultPlan::seeded(3)
+            .panic_on(5)
+            .panic_always(2)
+            .poison_on(1)
+            .slow_storm(10, 20, slow);
+        let f = |request, attempt| plan.faults(request, attempt);
+        assert!(f(5, 0).panic_worker && !f(5, 1).panic_worker && !f(4, 0).panic_worker);
+        assert!((0..8).all(|attempt| f(2, attempt).panic_worker));
+        assert!(f(1, 0).poison_cache && !f(1, 1).poison_cache);
+        // The storm window is half-open and attempt-independent.
+        let slowed = (f(10, 0).slow_request, f(19, 3).slow_request);
+        assert_eq!(slowed, (Some(slow), Some(slow)));
+        assert_eq!((f(9, 0).slow_request, f(20, 0).slow_request), (None, None));
+    }
+
+    /// Every decision of one plan that uses all seven builders, over
+    /// seeds 0–7, requests 0–1 023 and attempts 0–3, folded into one
+    /// FNV-1a digest: `(panic, poison)` as two bytes, then the slowdown
+    /// in nanoseconds (`u64::MAX` for none), little-endian. The digest
+    /// and counts were computed when these rules lived in `rtpool-exec`'s
+    /// `FaultPlan`; a change that moves one decision fails here.
+    #[test]
+    fn fault_decisions_match_the_pinned_digest() {
+        let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut feed = |bytes: &[u8]| {
+            for &b in bytes {
+                digest = (digest ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        let mut fired = [0usize; 3];
+        for seed in 0..8 {
+            let plan = ServiceFaultPlan::seeded(seed)
+                .panic_prob(0.15)
+                .poison_prob(0.1)
+                .slow_prob(0.15, Duration::from_micros(700))
+                .panic_on(5)
+                .panic_always(9)
+                .poison_on(3)
+                .slow_storm(100, 200, Duration::from_millis(2));
+            for request in 0..1024 {
+                for attempt in 0..4 {
+                    let f = plan.faults(request, attempt);
+                    fired[0] += usize::from(f.panic_worker);
+                    fired[1] += usize::from(f.poison_cache);
+                    fired[2] += usize::from(f.slow_request.is_some());
+                    feed(&[u8::from(f.panic_worker), u8::from(f.poison_cache)]);
+                    let slow = f.slow_request.map_or(u64::MAX, |d| d.as_nanos() as u64);
+                    feed(&slow.to_le_bytes());
+                }
+            }
+        }
+        assert_eq!(fired, [1252, 794, 7703]);
+        assert_eq!(digest, 0xfcca_7b69_49cf_576f);
     }
 }

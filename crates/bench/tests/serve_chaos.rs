@@ -1,4 +1,4 @@
-//! Chaos suite for the admission service: 70+ seeded [`FaultPlan`]s
+//! Chaos suite for the admission service: 70+ seeded [`ServiceFaultPlan`]s
 //! (worker panics, slow requests, queue-full storms, interner poison,
 //! and mixtures) driven through an in-process [`Server`], asserting the
 //! service's core liveness contract under every plan:
@@ -15,9 +15,12 @@
 use std::collections::HashMap;
 use std::time::Duration;
 
-use rtpool_bench::serve::loadgen::gen_request_lines;
-use rtpool_bench::serve::{BreakerConfig, ServeConfig, ServeReport, Server};
-use rtpool_exec::{FaultPlan, RecoveryPolicy};
+use rtpool_bench::serve::protocol::{parse_request, RequestBody};
+use rtpool_bench::serve::{BreakerConfig, ServeConfig, ServeReport, Server, ServiceFaultPlan};
+use rtpool_exec::RecoveryPolicy;
+
+mod common;
+use common::gen_request_lines;
 
 /// Tight retry backoff so panic-heavy scenarios stay fast.
 fn fast_retry() -> RecoveryPolicy {
@@ -30,6 +33,26 @@ fn fast_retry() -> RecoveryPolicy {
 /// A small deterministic workload; ids are `0..n`.
 fn workload(seed: u64, n: usize) -> Vec<String> {
     gen_request_lines(n, seed)
+}
+
+#[test]
+fn workloads_are_deterministic_and_mixed() {
+    let a = workload(0x10ad, 24);
+    assert_eq!(a, workload(0x10ad, 24));
+    assert_eq!(a.len(), 24);
+    // Repeats mean strictly fewer distinct sources than requests (the
+    // full lines always differ: ids are unique). Ids are the stream
+    // indices and priorities cycle through all eight.
+    let mut sources = std::collections::HashSet::new();
+    for (i, line) in a.iter().enumerate() {
+        let req = parse_request(line).expect("valid line");
+        assert_eq!((req.id, req.priority), (i as u64, (i % 8) as u8));
+        let RequestBody::Source(source) = req.body else {
+            unreachable!("the generator sends sources")
+        };
+        sources.insert(source);
+    }
+    assert!(sources.len() < a.len());
 }
 
 /// Drives `lines` through a fresh 2-worker server under `config` and
@@ -98,7 +121,7 @@ fn worker_panic_storms_answer_every_request() {
         let lines = workload(seed, 24);
         let config = ServeConfig {
             recovery: fast_retry(),
-            faults: FaultPlan::seeded(seed).service_panic_prob(0.25),
+            faults: ServiceFaultPlan::seeded(seed).panic_prob(0.25),
             ..ServeConfig::default()
         };
         let (report, counts) = run_scenario(config, &lines, None);
@@ -117,7 +140,7 @@ fn slow_requests_answer_every_request() {
         let lines = workload(seed, 24);
         let config = ServeConfig {
             recovery: fast_retry(),
-            faults: FaultPlan::seeded(seed).service_slow_prob(0.3, Duration::from_millis(2)),
+            faults: ServiceFaultPlan::seeded(seed).slow_prob(0.3, Duration::from_millis(2)),
             ..ServeConfig::default()
         };
         let (report, counts) = run_scenario(config, &lines, None);
@@ -136,7 +159,7 @@ fn queue_full_storms_refuse_with_busy_not_silence() {
         let config = ServeConfig {
             queue_cap: 2,
             recovery: fast_retry(),
-            faults: FaultPlan::seeded(seed).service_slow_storm(0, 24, Duration::from_millis(3)),
+            faults: ServiceFaultPlan::seeded(seed).slow_storm(0, 24, Duration::from_millis(3)),
             ..ServeConfig::default()
         };
         let (report, counts) = run_scenario(config, &lines, None);
@@ -160,10 +183,10 @@ fn mixed_fault_plans_answer_every_request() {
         let lines = workload(seed, 20);
         let config = ServeConfig {
             recovery: fast_retry(),
-            faults: FaultPlan::seeded(seed)
-                .service_panic_prob(0.15)
-                .service_slow_prob(0.15, Duration::from_millis(1))
-                .service_poison_prob(0.1),
+            faults: ServiceFaultPlan::seeded(seed)
+                .panic_prob(0.15)
+                .slow_prob(0.15, Duration::from_millis(1))
+                .poison_prob(0.1),
             ..ServeConfig::default()
         };
         let (_, counts) = run_scenario(config, &lines, None);
@@ -189,7 +212,7 @@ fn breaker_reopens_then_recloses_after_the_storm_ends() {
             shed_below_priority: 4,
         },
         recovery: fast_retry(),
-        faults: FaultPlan::seeded(7).service_slow_storm(
+        faults: ServiceFaultPlan::seeded(7).slow_storm(
             0,
             storm_len as u64,
             Duration::from_millis(100),

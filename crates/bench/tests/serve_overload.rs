@@ -17,9 +17,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use rtpool_bench::serve::loadgen::gen_request_lines;
 use rtpool_bench::serve::protocol::{parse_response, Response, VerdictKind};
 use rtpool_trace::json::{Reader, Value};
+
+mod common;
+use common::gen_request_lines;
 
 const SERVE: &str = env!("CARGO_BIN_EXE_rtpool-serve");
 

@@ -36,11 +36,12 @@ use rtpool_bench::serve::protocol::{
     RequestBody, Response, VerdictKind,
 };
 use rtpool_bench::serve::{
-    run_ladder, run_ladder_capped, Interner, ServiceEvent, ServiceOutcome, Supervisor,
+    run_ladder, run_ladder_capped, Interner, ServiceEvent, ServiceFaultPlan, ServiceOutcome,
+    Supervisor,
 };
 use rtpool_core::textfmt::{parse_task_set, write_task_set};
 use rtpool_core::{CancelToken, SyncBackend, Task, TaskSet};
-use rtpool_exec::{FaultPlan, RecoveryPolicy};
+use rtpool_exec::RecoveryPolicy;
 use rtpool_gen::{DagGenConfig, TaskSetConfig};
 use rtpool_graph::{DagBuilder, DagEdit, NodeId, NodeKind};
 
@@ -677,7 +678,7 @@ fn edit_equals_cold_path(
     script: &str,
     ops: DagEdit<'_>,
 ) -> Result<(Supervisor, Interner, u64), String> {
-    let sup = Supervisor::new(RecoveryPolicy::Abort, FaultPlan::seeded(0));
+    let sup = Supervisor::new(RecoveryPolicy::Abort, ServiceFaultPlan::seeded(0));
     let never = CancelToken::never();
     let interner = Interner::new(8);
     let source = RequestBody::Source(write_task_set(set));
@@ -757,7 +758,7 @@ proptest! {
     ) {
         let m = 8;
         let never = CancelToken::never();
-        let sup = Supervisor::new(RecoveryPolicy::Abort, FaultPlan::seeded(0));
+        let sup = Supervisor::new(RecoveryPolicy::Abort, ServiceFaultPlan::seeded(0));
         let mut texts = Vec::new();
         for k in 0..2 {
             let text = write_task_set(&random_set(seed + k, n, util_tenths as f64 / 10.0));
@@ -802,7 +803,7 @@ proptest! {
         const SCRIPTS: [&str; 4] = ["wcet:0.1=5", "wcet:0.1=6", "wcet:0.1=5 ", "wcet:0.1=5;"];
         let m = 8;
         let never = CancelToken::never();
-        let sup = Supervisor::new(RecoveryPolicy::Abort, FaultPlan::seeded(0));
+        let sup = Supervisor::new(RecoveryPolicy::Abort, ServiceFaultPlan::seeded(0));
         let execute = |interner: &Interner, body: RequestBody| {
             sup.execute(0, &request(m, body), interner, &never)
         };
@@ -868,7 +869,7 @@ proptest! {
         let suspend = write_task_set(&set);
         let spin = write_task_set(&set.with_backend(SyncBackend::Spin));
         let never = CancelToken::never();
-        let sup = Supervisor::new(RecoveryPolicy::Abort, FaultPlan::seeded(0));
+        let sup = Supervisor::new(RecoveryPolicy::Abort, ServiceFaultPlan::seeded(0));
         let interner = Interner::new(8);
         let send = |text: &str| {
             let body = RequestBody::Source(text.to_string());

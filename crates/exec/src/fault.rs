@@ -108,62 +108,6 @@ impl FaultRule {
     }
 }
 
-/// What a firing *service-layer* fault does. These fire inside the
-/// admission service (`rtpool-serve` in `rtpool-bench`) rather than the
-/// worker loop: the unit of failure is a whole request, not a node body.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ServiceFaultKind {
-    /// The analysis worker panics mid-request. The service supervisor
-    /// must catch it and still produce exactly one verdict.
-    PanicWorker,
-    /// The interned cache entry the request resolves to is poisoned: the
-    /// first use panics and the supervisor must evict and re-parse.
-    PoisonCacheEntry,
-    /// Request processing is artificially slowed by the duration — the
-    /// building block of slow-request storms that trip the p99 circuit
-    /// breaker.
-    SlowRequest(Duration),
-}
-
-impl ServiceFaultKind {
-    /// Short stable name, used in trace `Recovery` labels.
-    #[must_use]
-    pub fn name(&self) -> &'static str {
-        match self {
-            ServiceFaultKind::PanicWorker => "panic_worker",
-            ServiceFaultKind::PoisonCacheEntry => "poison_cache",
-            ServiceFaultKind::SlowRequest(_) => "slow_request",
-        }
-    }
-}
-
-/// One service-layer injection rule of a [`FaultPlan`].
-#[derive(Clone, Debug)]
-pub struct ServiceFaultRule {
-    /// Restrict the rule to a half-open window of request sequence
-    /// numbers (`None` = every request). Windows model storms.
-    pub requests: Option<(u64, u64)>,
-    /// Restrict the rule to one supervisor attempt (`None` = every
-    /// attempt; attempt 0 is the first execution of a request).
-    pub attempt: Option<usize>,
-    /// Probability in `[0, 1]` that the rule fires where it matches.
-    pub probability: f64,
-    /// The injected fault.
-    pub kind: ServiceFaultKind,
-}
-
-/// Faults selected for one `(request, attempt)` execution in the
-/// admission service.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ServiceFaults {
-    /// Panic mid-request.
-    pub panic_worker: bool,
-    /// Poison the request's cache entry at resolve time.
-    pub poison_cache: bool,
-    /// Slow the request down.
-    pub slow_request: Option<Duration>,
-}
-
 /// Faults selected for one node execution at
 /// [`InjectionPoint::BeforeBody`].
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -209,12 +153,7 @@ pub(crate) struct AfterBodyFaults {
 pub struct FaultPlan {
     seed: u64,
     rules: Vec<FaultRule>,
-    service_rules: Vec<ServiceFaultRule>,
 }
-
-/// Decouples the service-fault decision stream from the node-fault
-/// stream drawn from the same seed.
-const SERVICE_SALT: u64 = 0x5e27_1ce5;
 
 impl FaultPlan {
     /// An empty plan whose probabilistic rules draw from `seed`.
@@ -223,7 +162,6 @@ impl FaultPlan {
         FaultPlan {
             seed,
             rules: Vec::new(),
-            service_rules: Vec::new(),
         }
     }
 
@@ -253,17 +191,6 @@ impl FaultPlan {
             attempt: Some(attempt),
             probability: 1.0,
             kind: FaultKind::PanicBody,
-        })
-    }
-
-    /// The worker serving `node` is always suspended for `for_` first.
-    #[must_use]
-    pub fn suspend_on(self, node: usize, for_: Duration) -> Self {
-        self.with_rule(FaultRule {
-            node: Some(node),
-            attempt: None,
-            probability: 1.0,
-            kind: FaultKind::SuspendWorker(for_),
         })
     }
 
@@ -347,127 +274,6 @@ impl FaultPlan {
         })
     }
 
-    /// Appends an arbitrary service-layer rule.
-    #[must_use]
-    pub fn with_service_rule(mut self, rule: ServiceFaultRule) -> Self {
-        self.service_rules.push(rule);
-        self
-    }
-
-    /// The worker serving request `request` panics on its first attempt
-    /// (a transient fault: the supervisor's retry succeeds).
-    #[must_use]
-    pub fn service_panic_on(self, request: u64) -> Self {
-        self.with_service_rule(ServiceFaultRule {
-            requests: Some((request, request + 1)),
-            attempt: Some(0),
-            probability: 1.0,
-            kind: ServiceFaultKind::PanicWorker,
-        })
-    }
-
-    /// The worker serving request `request` panics on *every* attempt (a
-    /// persistent fault: the supervisor exhausts its policy and answers
-    /// with an error verdict).
-    #[must_use]
-    pub fn service_panic_always(self, request: u64) -> Self {
-        self.with_service_rule(ServiceFaultRule {
-            requests: Some((request, request + 1)),
-            attempt: None,
-            probability: 1.0,
-            kind: ServiceFaultKind::PanicWorker,
-        })
-    }
-
-    /// Every request's first attempt panics with probability `p`.
-    #[must_use]
-    pub fn service_panic_prob(self, p: f64) -> Self {
-        self.with_service_rule(ServiceFaultRule {
-            requests: None,
-            attempt: Some(0),
-            probability: p,
-            kind: ServiceFaultKind::PanicWorker,
-        })
-    }
-
-    /// Request `request` resolves to a poisoned cache entry on its first
-    /// attempt (the supervisor must evict and re-parse).
-    #[must_use]
-    pub fn service_poison_on(self, request: u64) -> Self {
-        self.with_service_rule(ServiceFaultRule {
-            requests: Some((request, request + 1)),
-            attempt: Some(0),
-            probability: 1.0,
-            kind: ServiceFaultKind::PoisonCacheEntry,
-        })
-    }
-
-    /// Every request's first attempt poisons its cache entry with
-    /// probability `p`.
-    #[must_use]
-    pub fn service_poison_prob(self, p: f64) -> Self {
-        self.with_service_rule(ServiceFaultRule {
-            requests: None,
-            attempt: Some(0),
-            probability: p,
-            kind: ServiceFaultKind::PoisonCacheEntry,
-        })
-    }
-
-    /// Slow-request storm: requests with sequence numbers in
-    /// `[from, to)` are slowed by `by`.
-    #[must_use]
-    pub fn service_slow_storm(self, from: u64, to: u64, by: Duration) -> Self {
-        self.with_service_rule(ServiceFaultRule {
-            requests: Some((from, to)),
-            attempt: None,
-            probability: 1.0,
-            kind: ServiceFaultKind::SlowRequest(by),
-        })
-    }
-
-    /// Every request is slowed by `by` with probability `p`.
-    #[must_use]
-    pub fn service_slow_prob(self, p: f64, by: Duration) -> Self {
-        self.with_service_rule(ServiceFaultRule {
-            requests: None,
-            attempt: None,
-            probability: p,
-            kind: ServiceFaultKind::SlowRequest(by),
-        })
-    }
-
-    /// Selects the service-layer faults firing for `(request, attempt)`.
-    /// Pure in `(seed, rule, request, attempt)` — identical across runs
-    /// and worker interleavings, like the node-level decisions.
-    #[must_use]
-    pub fn service_faults(&self, request: u64, attempt: usize) -> ServiceFaults {
-        let mut out = ServiceFaults::default();
-        for (i, rule) in self.service_rules.iter().enumerate() {
-            if rule
-                .requests
-                .is_some_and(|(a, b)| request < a || request >= b)
-            {
-                continue;
-            }
-            if rule.attempt.is_some_and(|a| a != attempt) {
-                continue;
-            }
-            let draw = mix(self.seed ^ SERVICE_SALT, i as u64, attempt as u64, request);
-            if !chance(rule.probability, draw) {
-                continue;
-            }
-            match rule.kind {
-                ServiceFaultKind::PanicWorker => out.panic_worker = true,
-                ServiceFaultKind::PoisonCacheEntry => out.poison_cache = true,
-                ServiceFaultKind::SlowRequest(d) => {
-                    out.slow_request.get_or_insert(d);
-                }
-            }
-        }
-        out
-    }
-
     /// The plan's seed.
     #[must_use]
     pub fn seed(&self) -> u64 {
@@ -478,12 +284,6 @@ impl FaultPlan {
     #[must_use]
     pub fn rules(&self) -> &[FaultRule] {
         &self.rules
-    }
-
-    /// The plan's service-layer rules.
-    #[must_use]
-    pub fn service_rules(&self) -> &[ServiceFaultRule] {
-        &self.service_rules
     }
 
     /// Whether `rule` fires for `(attempt, node)` — a pure function of
@@ -635,61 +435,5 @@ mod tests {
         assert_eq!(FaultKind::JitterWcet(1).name(), "jitter_wcet");
         let r = FaultRule::always(FaultKind::PanicBody);
         assert!(r.node.is_none() && r.attempt.is_none());
-    }
-
-    #[test]
-    fn service_faults_are_deterministic() {
-        let a = FaultPlan::seeded(7)
-            .service_panic_prob(0.3)
-            .service_slow_prob(0.2, Duration::from_millis(5));
-        let b = FaultPlan::seeded(7)
-            .service_panic_prob(0.3)
-            .service_slow_prob(0.2, Duration::from_millis(5));
-        for request in 0..256 {
-            assert_eq!(a.service_faults(request, 0), b.service_faults(request, 0));
-        }
-        let fired: Vec<bool> = (0..256)
-            .map(|r| a.service_faults(r, 0).panic_worker)
-            .collect();
-        assert!(fired.iter().any(|&x| x) && fired.iter().any(|&x| !x));
-    }
-
-    #[test]
-    fn service_window_and_attempt_filtering() {
-        let plan = FaultPlan::seeded(3).service_panic_on(5).service_slow_storm(
-            10,
-            20,
-            Duration::from_millis(2),
-        );
-        // Targeted transient panic fires only for request 5, attempt 0.
-        assert!(plan.service_faults(5, 0).panic_worker);
-        assert!(!plan.service_faults(5, 1).panic_worker);
-        assert!(!plan.service_faults(4, 0).panic_worker);
-        // The storm window is half-open and attempt-independent.
-        assert!(plan.service_faults(10, 0).slow_request.is_some());
-        assert!(plan.service_faults(19, 3).slow_request.is_some());
-        assert!(plan.service_faults(20, 0).slow_request.is_none());
-        assert!(plan.service_faults(9, 0).slow_request.is_none());
-    }
-
-    #[test]
-    fn service_persistent_panic_fires_on_every_attempt() {
-        let plan = FaultPlan::seeded(0).service_panic_always(2);
-        for attempt in 0..8 {
-            assert!(plan.service_faults(2, attempt).panic_worker);
-        }
-    }
-
-    #[test]
-    fn service_poison_and_slow() {
-        let plan = FaultPlan::seeded(9)
-            .service_poison_on(1)
-            .service_slow_prob(1.0, Duration::from_millis(4));
-        let f = plan.service_faults(1, 0);
-        assert!(f.poison_cache);
-        assert_eq!(f.slow_request, Some(Duration::from_millis(4)));
-        assert!(!plan.service_faults(1, 1).poison_cache);
-        // Service decisions are decoupled from node-level decisions.
-        assert_eq!(plan.before_body(0, 1), BeforeBodyFaults::default());
     }
 }

@@ -77,10 +77,7 @@ mod report;
 pub use certified::{CertifiedConfig, DeadlockFree, StaticNode, StaticTask};
 pub use config::{Engine, PoolConfig, QueueDiscipline};
 pub use error::ExecError;
-pub use fault::{
-    FaultKind, FaultPlan, FaultRule, InjectionPoint, ServiceFaultKind, ServiceFaultRule,
-    ServiceFaults,
-};
+pub use fault::{FaultKind, FaultPlan, FaultRule, InjectionPoint};
 pub use pool::ThreadPool;
 pub use recovery::{RecoveryEvent, RecoveryPolicy, RetryCause};
 pub use report::{JobReport, NodeSpan};

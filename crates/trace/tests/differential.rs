@@ -16,7 +16,8 @@
 //!   times never exceed the analytic bounds.
 //!
 //! The suite pushes well over 100 seeded task sets through the two
-//! engines under both scheduling policies (see the `*_SETS` constants).
+//! engines under both scheduling policies, the pool's global one by FIFO
+//! queue and by work stealing (see the `*_SETS` constants).
 
 use std::time::Duration;
 
@@ -233,14 +234,17 @@ fn exec_pool(m: usize, discipline: QueueDiscipline, engine: Engine) -> ThreadPoo
     )
 }
 
+/// Work stealing is the discipline of the registered `exec-flat` workload.
 #[test]
 fn exec_global_traces_respect_paper_bounds() {
+    use QueueDiscipline::{GlobalFifo, WorkStealing};
     for engine in POOL_ENGINES {
-        exec_global_traces_respect_paper_bounds_on(engine);
+        exec_global_traces_respect_paper_bounds_on(engine, |_| GlobalFifo);
+        exec_global_traces_respect_paper_bounds_on(engine, |seed| WorkStealing { seed });
     }
 }
 
-fn exec_global_traces_respect_paper_bounds_on(engine: Engine) {
+fn exec_global_traces_respect_paper_bounds_on(engine: Engine, queue: fn(u64) -> QueueDiscipline) {
     const M: usize = 3;
     for seed in 0..EXEC_GLOBAL_SETS as u64 {
         let set = random_set(seed, 2, 1.0);
@@ -250,8 +254,8 @@ fn exec_global_traces_respect_paper_bounds_on(engine: Engine) {
             if !deadlock::check_global(task.dag(), M).is_deadlock_free() {
                 continue;
             }
-            let mut pool = exec_pool(M, QueueDiscipline::GlobalFifo, engine);
-            let ctx = format!("exec/global/{} seed {seed} task {i}", engine.as_str());
+            let ctx = format!("exec/{:?}/{engine:?} seed {seed} task {i}", queue(seed));
+            let mut pool = exec_pool(M, queue(seed), engine);
             let mut report = pool
                 .run(task.dag())
                 .unwrap_or_else(|e| panic!("{ctx}: certified-free DAG failed: {e}"));
