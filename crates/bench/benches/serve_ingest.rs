@@ -4,6 +4,12 @@
 //! this makes it visible: ns/byte must not grow with the line size, and
 //! µs per set must grow with the set's text, not its square.
 //!
+//! Each decode row is printed beside the ns/byte of copying the same line
+//! (`String::from`), the rate of moving its bytes at all. The bench fails
+//! when the 8 KiB line, one `\n` escape per `.rtp` directive, decodes at
+//! more than [`MAX_DECODE_OVER_COPY`] times that copy: the unescape then
+//! costs per escape again, not per byte.
+//!
 //! Each parse is printed beside the same set with its names off the
 //! `v0 v1 …` numbering (`v0x v1x …`), which the parser resolves through
 //! its keyed map instead of by number; that row is reported, not gated.
@@ -26,6 +32,11 @@ use rtpool_core::CancelToken;
 use rtpool_exec::RecoveryPolicy;
 use rtpool_gen::{DagGenConfig, TaskSetConfig};
 
+/// The escape-dense 8 KiB line must decode within this multiple of
+/// copying it. On a 2-core VM the decoder that scanned from each escape
+/// to the next on its own read 67-89x, the mask walk 32-59x (quiet to
+/// loaded host).
+const MAX_DECODE_OVER_COPY: f64 = 64.0;
 /// A re-sent source must cost less than this share of parsing it
 /// (about 1/100 measured: a fingerprint pass and a byte comparison).
 const MAX_RESENT_OVER_PARSE: f64 = 0.25;
@@ -73,6 +84,14 @@ fn mean_ns(reps: u32, mut f: impl FnMut()) -> f64 {
     start.elapsed().as_nanos() as f64 / f64::from(reps)
 }
 
+/// The least of 25 [`mean_ns`] batches: a gate on a ratio of two short
+/// timings reads each at its least disturbed.
+fn best_ns(reps: u32, mut f: impl FnMut()) -> f64 {
+    (0..25)
+        .map(|_| mean_ns(reps, &mut f))
+        .fold(f64::INFINITY, f64::min)
+}
+
 fn decode_rows() {
     let text = source_of(8);
     for kib in [1usize, 8, 64] {
@@ -86,14 +105,25 @@ fn decode_rows() {
             deadline_us: 0,
             body: RequestBody::Source(source),
         });
-        let ns = mean_ns(200, || {
+        let ns = best_ns(20, || {
             black_box(parse_request(black_box(&line)).expect("line decodes"));
         });
+        let copy_ns = best_ns(500, || {
+            black_box(String::from(black_box(line.as_str())));
+        });
+        let over_copy = ns / copy_ns;
         println!(
-            "serve_ingest/parse_request_kib/{kib}: {:.2} ns/byte ({} bytes)",
+            "serve_ingest/parse_request_kib/{kib}: {:.2} ns/byte ({} bytes; copy {:.3} ns/byte, {over_copy:.1}x)",
             ns / line.len() as f64,
-            line.len()
+            line.len(),
+            copy_ns / line.len() as f64,
         );
+        if kib == 8 {
+            assert!(
+                over_copy <= MAX_DECODE_OVER_COPY,
+                "the {kib} KiB line decodes at {over_copy:.1}x its copy (bound {MAX_DECODE_OVER_COPY}x): the unescape is paying per escape again"
+            );
+        }
     }
 }
 

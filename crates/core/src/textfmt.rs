@@ -278,19 +278,137 @@ struct Tok {
     to: usize,
 }
 
-/// One line of input, through its `\n`, and its 1-based number. The
-/// 1-based column of a token is counted from the text before it only when
-/// a span is asked for, so lines that raise no error and record no site
-/// never count.
+/// One line of input and a cursor over its tokens. `text` runs from the
+/// line's first byte to the end of the input, and the line ends at its
+/// first `\n`. Tokens are read one at a time ([`Line::next`]), so a line
+/// is scanned once and never split into a list. The 1-based column of a
+/// token is counted from the text before it only when a span is asked
+/// for, so lines that raise no error and record no site never count.
 #[derive(Clone, Copy, Debug)]
 struct Line<'a> {
     no: usize,
     text: &'a str,
+    /// Where the next token is looked for.
+    at: usize,
+    /// The first token's start and the latest token's end: a directive's
+    /// span covers both.
+    first: usize,
+    last: usize,
 }
 
 impl<'a> Line<'a> {
+    fn new(no: usize, text: &'a str) -> Self {
+        Line {
+            no,
+            text,
+            at: 0,
+            first: 0,
+            last: 0,
+        }
+    }
+
+    /// The line's next token, or `None` where its tokens end: at its
+    /// `\n`, a `#` or the end of the input. Tokens split where
+    /// [`char::is_whitespace`] says. Runs of blanks are skipped by
+    /// [`CLASS`]. A word's first eight bytes are looked at in one step,
+    /// which ends it at its first byte that is not plain ASCII
+    /// ([`not_plain`]); from there [`CLASS`] reads on byte by byte,
+    /// decoding a `char` only where a byte is not ASCII (`.rtp` keywords
+    /// and numbers are ASCII; names need not be). A `\r` before the `\n`
+    /// is a blank, so lines split as [`str::lines`] splits them.
+    fn next(&mut self) -> Option<Tok> {
+        let (text, bytes) = (self.text, self.text.as_bytes());
+        let mut at = self.at;
+        loop {
+            match bytes.get(at).map(|&b| CLASS[usize::from(b)]) {
+                Some(BLANK) => at += 1,
+                Some(WORD) => break,
+                Some(WIDE) => match wide(text, at) {
+                    (true, width) => at += width,
+                    (false, _) => break,
+                },
+                _ => {
+                    self.at = at;
+                    return None;
+                }
+            }
+        }
+        let from = at;
+        // Plain bytes end a word only at a blank or a stop: eight are
+        // looked at in one step, and the rest byte by byte.
+        if let Some(eight) = bytes.get(at..at + 8) {
+            let word = u64::from_le_bytes(eight.try_into().expect("eight bytes"));
+            at += (not_plain(word).trailing_zeros() / 8) as usize;
+        }
+        loop {
+            match bytes.get(at).map(|&b| CLASS[usize::from(b)]) {
+                Some(WORD) => at += 1,
+                Some(WIDE) => match wide(text, at) {
+                    (false, width) => at += width,
+                    (true, _) => break,
+                },
+                _ => break,
+            }
+        }
+        if self.last == 0 {
+            self.first = from;
+        }
+        (self.at, self.last) = (at, at);
+        Some(Tok { from, to: at })
+    }
+
+    /// The line's length in bytes through its `\n`, once its tokens have
+    /// been read.
+    fn len(&self) -> usize {
+        let rest = &self.text.as_bytes()[self.at..];
+        rest.iter()
+            .position(|&b| b == b'\n')
+            .map_or(self.text.len(), |newline| self.at + newline + 1)
+    }
+
+    #[inline]
     fn word(&self, tok: Tok) -> &'a str {
         &self.text[tok.from..tok.to]
+    }
+
+    /// `tok`'s bytes as one little-endian word, zero above them, when
+    /// it is at most eight bytes long and eight bytes of the input start
+    /// at it: one load, which [`Line::integer`] and [`Names`] read
+    /// digits from a word at a time.
+    #[inline]
+    fn head(&self, tok: Tok) -> Option<u64> {
+        let len = tok.to - tok.from;
+        let eight = self.text.as_bytes().get(tok.from..tok.from + 8)?;
+        let word = u64::from_le_bytes(eight.try_into().expect("eight bytes"));
+        (len <= 8).then(|| word & u64::MAX >> (64 - 8 * len))
+    }
+
+    fn bytes(&self, tok: Tok) -> &'a [u8] {
+        &self.text.as_bytes()[tok.from..tok.to]
+    }
+
+    /// `tok` as a node name.
+    #[inline]
+    fn name(&self, tok: Tok) -> Name<'a> {
+        Name {
+            line: self.text,
+            tok,
+            head: self.head(tok),
+        }
+    }
+
+    /// `tok` as an unsigned integer, read as `str::parse::<u64>` reads
+    /// it: decimal digits after an optional `+`. Up to eight digits are
+    /// checked and valued a word at a time ([`eight_digits`]).
+    #[inline]
+    fn integer(&self, tok: Tok) -> Option<u64> {
+        if let Some(head) = self.head(tok) {
+            if let Some(value) = eight_digits(head, tok.to - tok.from) {
+                return Some(value);
+            }
+        }
+        let word = self.bytes(tok);
+        decimal(word.strip_prefix(b"+").unwrap_or(word))
     }
 
     fn col(&self, tok: Tok) -> usize {
@@ -301,22 +419,22 @@ impl<'a> Line<'a> {
         Span::new(self.no, self.col(tok), self.word(tok).chars().count())
     }
 
-    /// The span covering a whole directive (first through last token).
-    fn directive_span(&self, toks: &[Tok]) -> Span {
-        let first = toks.first().expect("directive has at least one token");
-        let last = toks.last().expect("directive has at least one token");
-        let col = self.col(*first);
-        let end = self.col(*last) + self.word(*last).chars().count();
-        Span::new(self.no, col, end - col)
+    /// The span covering the directive read so far (first through latest
+    /// token).
+    fn directive_span(&self) -> Span {
+        let col = self.text[..self.first].chars().count() + 1;
+        let len = self.text[self.first..self.last].chars().count();
+        Span::new(self.no, col, len)
     }
 
     /// A syntax error pointing at `tok`.
+    #[cold]
     fn error(&self, tok: Tok, message: impl Into<String>) -> ParseTaskError {
         syntax(self.no, self.span(tok), message)
     }
 }
 
-/// A byte's class for the tokenizer: part of a word, a blank, the end of
+/// A byte's class for [`Line::next`]: part of a word, a blank, the end of
 /// the line's tokens (`\n` or `#`), or the first byte of a multibyte
 /// `char` that must be decoded to be classed.
 const WORD: u8 = 0;
@@ -348,59 +466,6 @@ static CLASS: [u8; 256] = {
 fn wide(text: &str, at: usize) -> (bool, usize) {
     let ch = text[at..].chars().next().expect("`at` is a char boundary");
     (ch.is_whitespace(), ch.len_utf8())
-}
-
-/// The first byte of `bytes` at or after `at` whose class is not `class`,
-/// or the end.
-fn skip(bytes: &[u8], at: usize, class: u8) -> usize {
-    bytes[at..]
-        .iter()
-        .position(|&b| CLASS[usize::from(b)] != class)
-        .map_or(bytes.len(), |run| at + run)
-}
-
-/// Splits the first line of `text` — through its `\n`, or to the end —
-/// into `toks` (cleared first; one buffer serves every line of a parse)
-/// and returns that line's length in bytes, so lines and tokens are found
-/// in one pass. A `#` ends the tokens. Tokens split where
-/// [`char::is_whitespace`] says: runs of blanks and of word bytes are
-/// skipped by [`CLASS`], and a `char` is decoded only where a byte is not
-/// ASCII (`.rtp` keywords and numbers are ASCII; names need not be). A
-/// `\r` before the `\n` is a blank, so lines split as [`str::lines`]
-/// splits them.
-fn tokenize_line(text: &str, toks: &mut Vec<Tok>) -> usize {
-    toks.clear();
-    let (bytes, mut at) = (text.as_bytes(), 0);
-    let class = |at: usize| bytes.get(at).map(|&b| CLASS[usize::from(b)]);
-    loop {
-        at = skip(bytes, at, BLANK);
-        match class(at) {
-            Some(WORD) => {}
-            Some(WIDE) => {
-                if let (true, width) = wide(text, at) {
-                    at += width;
-                    continue;
-                }
-            }
-            _ => break,
-        }
-        let from = at;
-        loop {
-            at = skip(bytes, at, WORD);
-            match class(at) {
-                Some(WIDE) => match wide(text, at) {
-                    (false, width) => at += width,
-                    (true, _) => break,
-                },
-                _ => break,
-            }
-        }
-        toks.push(Tok { from, to: at });
-    }
-    match bytes[at..].iter().position(|&b| b == b'\n') {
-        Some(newline) => at + newline + 1,
-        None => bytes.len(),
-    }
 }
 
 /// Parses a task set from the text format.
@@ -469,216 +534,360 @@ const OUTSIDE: &str = "directive outside a `task … end` block";
 /// The one parser body. A task's graph is three lists — node WCETs,
 /// edges and blocking pairs — that `end` hands to [`Dag::from_lists`].
 ///
+/// Each line is read in one pass: its directive and the three tokens
+/// after it ([`Line::next`]; no directive takes more but `task`), the
+/// directive classed by its bytes ([`Directive::of`]), node names
+/// resolved and integers valued from their digits ([`Line::name`],
+/// [`Line::integer`]). The operands are then checked in the order they
+/// come, so the first one that fails is the error.
+///
 /// With `record` unset no declaration site is computed or stored, the
 /// returned [`SourceSpans`] is empty, and a self-loop or a repeated edge
 /// is left for `from_lists` to find at `end`: any error sends
 /// [`parse_task_set`] to the recording pass, which reports both at the
 /// directive that declares them, before anything later in the text.
 fn parse(input: &str, record: bool) -> Result<(TaskSet, SourceSpans), ParseTaskError> {
-    let mut tasks = Vec::new();
-    let mut spans = Vec::new();
-    let mut current: Option<TaskInProgress> = None;
-    let mut backend: Option<(SyncBackend, usize)> = None;
-    // Reused across lines and tasks, cleared when a task opens; names are
-    // slices of `input`. The recording pass's edge set keeps std's keyed
-    // hasher, as `Names` does: the text comes from outside.
-    let mut toks = Vec::new();
-    let mut names = Names::default();
-    let (mut wcets, mut edges, mut pairs) = (Vec::new(), Vec::new(), Vec::new());
-    let mut seen: HashSet<(NodeId, NodeId)> = HashSet::new();
-
+    let mut parser = Parser::new(record);
     let (mut rest, mut no) = (input, 0);
     while !rest.is_empty() {
         no += 1;
-        let len = tokenize_line(rest, &mut toks);
-        let line = Line {
-            no,
-            text: &rest[..len],
-        };
-        rest = &rest[len..];
-        let Some(&directive) = toks.first() else {
-            continue;
-        };
-        let args = &toks[1..];
-        match line.word(directive) {
-            // The commonest directives first: a `match` on `&str` tries its
-            // arms in order.
-            kind @ ("edge" | "blocking") => {
-                let t = current
-                    .as_mut()
-                    .ok_or_else(|| line.error(directive, OUTSIDE))?;
-                let from = lookup(&names, line, args.first(), directive)?;
-                let to = lookup(&names, line, args.get(1), directive)?;
-                expect_end(line, args.get(2))?;
-                let is_edge = kind == "edge";
-                if let Some(s) = &mut t.spans {
-                    let site = line.directive_span(&toks);
-                    let invalid = |source| ParseTaskError::Graph {
-                        line: no,
-                        span: site,
-                        source,
-                    };
-                    if from == to {
-                        return Err(invalid(GraphError::SelfLoop(from)));
-                    }
-                    if is_edge && !seen.insert((from, to)) {
-                        return Err(invalid(GraphError::DuplicateEdge(from, to)));
-                    }
-                    if !is_edge {
-                        s.blocking.push((from.index(), site));
-                    }
-                }
-                if is_edge { &mut edges } else { &mut pairs }.push((from, to));
-            }
-            "node" => {
-                let t = current
-                    .as_mut()
-                    .ok_or_else(|| line.error(directive, OUTSIDE))?;
-                let &name = args
-                    .first()
-                    .ok_or_else(|| line.error(directive, "`node` requires a name"))?;
-                let &wcet_tok = args
-                    .get(1)
-                    .ok_or_else(|| line.error(directive, "`node` requires a wcet"))?;
-                let wcet: u64 = line
-                    .word(wcet_tok)
-                    .parse()
-                    .map_err(|_| line.error(wcet_tok, "invalid wcet integer"))?;
-                expect_end(line, args.get(2))?;
-                let text = line.word(name);
-                if !names.declare(text, wcets.len()) {
-                    return Err(ParseTaskError::DuplicateName {
-                        line: no,
-                        span: line.span(name),
-                        name: text.to_owned(),
-                    });
-                }
-                wcets.push(wcet);
-                if let Some(s) = &mut t.spans {
-                    s.names.push(text.to_owned());
-                    s.nodes.push(line.directive_span(&toks));
+        let mut line = Line::new(no, rest);
+        let mut toks = [None; 4];
+        for tok in &mut toks {
+            *tok = line.next();
+        }
+        if let [Some(directive), operands @ ..] = toks {
+            match Directive::of(line.bytes(directive)) {
+                Some(Directive::Edge) => parser.edge(&line, directive, operands, true)?,
+                Some(Directive::Blocking) => parser.edge(&line, directive, operands, false)?,
+                Some(Directive::Node) => parser.node(&line, directive, operands)?,
+                Some(Directive::Task) => parser.task(&mut line, directive, operands)?,
+                Some(Directive::End) => parser.end(&line, directive, operands)?,
+                Some(Directive::Backend) => parser.backend(&line, directive, operands)?,
+                None => {
+                    let other = line.word(directive);
+                    return Err(line.error(directive, format!("unknown directive `{other}`")));
                 }
             }
-            "task" => {
-                if let Some(t) = &current {
-                    return Err(line.error(
-                        directive,
-                        format!(
-                            "`task` inside an unterminated task block (opened on line {})",
-                            t.header.line
-                        ),
-                    ));
-                }
-                let mut period: Option<u64> = None;
-                let mut deadline: Option<u64> = None;
-                for &kv in args {
-                    let text = line.word(kv);
-                    let (key, value) = text.split_once('=').ok_or_else(|| {
-                        line.error(kv, format!("expected key=value, got `{text}`"))
-                    })?;
-                    let value: u64 = value.parse().map_err(|_| {
-                        line.error(kv, format!("invalid integer `{value}` for `{key}`"))
-                    })?;
-                    match key {
-                        "period" => period = Some(value),
-                        "deadline" => deadline = Some(value),
-                        other => return Err(line.error(kv, format!("unknown key `{other}`"))),
-                    }
-                }
-                let header = line.directive_span(&toks);
-                let period =
-                    period.ok_or_else(|| syntax(no, header, "`task` requires period=<int>"))?;
-                names.clear();
-                wcets.clear();
-                edges.clear();
-                pairs.clear();
-                seen.clear();
-                current = Some(TaskInProgress {
-                    header,
-                    period,
-                    deadline: deadline.unwrap_or(period),
-                    spans: record.then(|| TaskSpans {
-                        header,
-                        ..TaskSpans::default()
-                    }),
-                });
-            }
-            "end" => {
-                expect_end(line, args.first())?;
-                let t = current
-                    .take()
-                    .ok_or_else(|| line.error(directive, "`end` without an open task"))?;
-                let end_span = line.span(directive);
-                let dag = Dag::from_lists(&wcets, &edges, &pairs).map_err(|source| {
-                    // Point at the declaration of the first involved node
-                    // when the error names one (GraphError::nodes).
-                    let span = source
-                        .nodes()
-                        .first()
-                        .and_then(|&v| t.spans.as_ref()?.node(v))
-                        .unwrap_or(end_span);
-                    ParseTaskError::Graph {
-                        line: span.line,
-                        span,
-                        source,
-                    }
-                })?;
-                let task = Task::new(dag, t.period, t.deadline).map_err(|source| {
-                    ParseTaskError::Timing {
-                        line: t.header.line,
-                        span: t.header,
-                        source,
-                    }
-                })?;
-                tasks.push(task);
-                spans.extend(t.spans);
-            }
-            "backend" => {
-                if current.is_some() {
-                    return Err(line.error(
-                        directive,
-                        "`backend` is file-level and cannot appear inside a task block",
-                    ));
-                }
-                if !tasks.is_empty() {
-                    return Err(line.error(directive, "`backend` must precede every task"));
-                }
-                if let Some((_, prev)) = backend {
-                    return Err(line.error(
-                        directive,
-                        format!("`backend` already declared on line {prev}"),
-                    ));
-                }
-                let &which = args.first().ok_or_else(|| {
-                    line.error(directive, "`backend` requires `suspend` or `spin`")
-                })?;
-                let b = SyncBackend::parse(line.word(which)).ok_or_else(|| {
-                    line.error(
-                        which,
-                        format!(
-                            "unknown backend `{}` (expected `suspend` or `spin`)",
-                            line.word(which)
-                        ),
-                    )
-                })?;
-                expect_end(line, args.get(1))?;
-                backend = Some((b, no));
-            }
-            other => return Err(line.error(directive, format!("unknown directive `{other}`"))),
+        }
+        rest = &rest[line.len()..];
+    }
+    parser.finish()
+}
+
+/// What [`parse`] has read so far: the set's tasks, the task still open,
+/// and that task's three lists.
+struct Parser<'a> {
+    record: bool,
+    tasks: Vec<Task>,
+    spans: Vec<TaskSpans>,
+    current: Option<TaskInProgress>,
+    backend: Option<(SyncBackend, usize)>,
+    // Reused across tasks, cleared when a task opens; names are slices of
+    // the input. The recording pass's edge set keeps std's keyed hasher,
+    // as `Names` does: the text comes from outside.
+    names: Names<'a>,
+    wcets: Vec<u64>,
+    edges: Vec<(NodeId, NodeId)>,
+    pairs: Vec<(NodeId, NodeId)>,
+    seen: HashSet<(NodeId, NodeId)>,
+}
+
+/// The tokens after a directive, as many as any but `task` takes and one
+/// more: a token where a directive's operands should have ended is an
+/// error.
+type Operands = [Option<Tok>; 3];
+
+impl<'a> Parser<'a> {
+    fn new(record: bool) -> Self {
+        Parser {
+            record,
+            tasks: Vec::new(),
+            spans: Vec::new(),
+            current: None,
+            backend: None,
+            names: Names::default(),
+            wcets: Vec::new(),
+            edges: Vec::new(),
+            pairs: Vec::new(),
+            seen: HashSet::new(),
         }
     }
-    if let Some(t) = current {
-        return Err(syntax(
-            t.header.line,
-            t.header,
-            "unterminated task block (missing `end`)",
-        ));
+
+    /// `edge <from> <to>`, or `blocking <fork> <join>` when `!is_edge`.
+    #[inline]
+    fn edge(
+        &mut self,
+        line: &Line<'a>,
+        directive: Tok,
+        [first, second, third]: Operands,
+        is_edge: bool,
+    ) -> Result<(), ParseTaskError> {
+        let Some(t) = self.current.as_mut() else {
+            return Err(line.error(directive, OUTSIDE));
+        };
+        let from = lookup(&self.names, line, first, directive)?;
+        let to = lookup(&self.names, line, second, directive)?;
+        expect_end(line, third)?;
+        if let Some(s) = &mut t.spans {
+            let site = line.directive_span();
+            let invalid = |source| ParseTaskError::Graph {
+                line: line.no,
+                span: site,
+                source,
+            };
+            if from == to {
+                return Err(invalid(GraphError::SelfLoop(from)));
+            }
+            if is_edge && !self.seen.insert((from, to)) {
+                return Err(invalid(GraphError::DuplicateEdge(from, to)));
+            }
+            if !is_edge {
+                s.blocking.push((from.index(), site));
+            }
+        }
+        if is_edge {
+            self.edges.push((from, to));
+        } else {
+            self.pairs.push((from, to));
+        }
+        Ok(())
     }
-    let backend = backend.map_or(SyncBackend::Suspend, |(b, _)| b);
-    Ok((
-        TaskSet::new(tasks).with_backend(backend),
-        SourceSpans { tasks: spans },
-    ))
+
+    /// `node <name> <wcet>`.
+    #[inline]
+    fn node(
+        &mut self,
+        line: &Line<'a>,
+        directive: Tok,
+        [first, second, third]: Operands,
+    ) -> Result<(), ParseTaskError> {
+        let Some(t) = self.current.as_mut() else {
+            return Err(line.error(directive, OUTSIDE));
+        };
+        let name = first.ok_or_else(|| line.error(directive, "`node` requires a name"))?;
+        let wcet_tok = second.ok_or_else(|| line.error(directive, "`node` requires a wcet"))?;
+        let wcet = line
+            .integer(wcet_tok)
+            .ok_or_else(|| line.error(wcet_tok, "invalid wcet integer"))?;
+        expect_end(line, third)?;
+        if !self.names.declare(line.name(name), self.wcets.len()) {
+            return Err(ParseTaskError::DuplicateName {
+                line: line.no,
+                span: line.span(name),
+                name: line.word(name).to_owned(),
+            });
+        }
+        self.wcets.push(wcet);
+        if let Some(s) = &mut t.spans {
+            s.names.push(line.word(name).to_owned());
+            s.nodes.push(line.directive_span());
+        }
+        Ok(())
+    }
+
+    /// `task period=<int> [deadline=<int>]`: its operands are every
+    /// token of the line.
+    fn task(
+        &mut self,
+        line: &mut Line<'a>,
+        directive: Tok,
+        operands: Operands,
+    ) -> Result<(), ParseTaskError> {
+        if let Some(t) = &self.current {
+            return Err(line.error(
+                directive,
+                format!(
+                    "`task` inside an unterminated task block (opened on line {})",
+                    t.header.line
+                ),
+            ));
+        }
+        let mut period: Option<u64> = None;
+        let mut deadline: Option<u64> = None;
+        let mut operands = operands.into_iter().flatten();
+        while let Some(kv) = operands.next().or_else(|| line.next()) {
+            let text = line.word(kv);
+            let (key, value) = text
+                .split_once('=')
+                .ok_or_else(|| line.error(kv, format!("expected key=value, got `{text}`")))?;
+            let value: u64 = value
+                .parse()
+                .map_err(|_| line.error(kv, format!("invalid integer `{value}` for `{key}`")))?;
+            match key {
+                "period" => period = Some(value),
+                "deadline" => deadline = Some(value),
+                other => return Err(line.error(kv, format!("unknown key `{other}`"))),
+            }
+        }
+        let header = line.directive_span();
+        let period =
+            period.ok_or_else(|| syntax(line.no, header, "`task` requires period=<int>"))?;
+        self.names.clear();
+        self.wcets.clear();
+        self.edges.clear();
+        self.pairs.clear();
+        self.seen.clear();
+        self.current = Some(TaskInProgress {
+            header,
+            period,
+            deadline: deadline.unwrap_or(period),
+            spans: self.record.then(|| TaskSpans {
+                header,
+                ..TaskSpans::default()
+            }),
+        });
+        Ok(())
+    }
+
+    /// `end`: the open task's lists become its graph.
+    fn end(
+        &mut self,
+        line: &Line<'a>,
+        directive: Tok,
+        [first, ..]: Operands,
+    ) -> Result<(), ParseTaskError> {
+        expect_end(line, first)?;
+        let t = self
+            .current
+            .take()
+            .ok_or_else(|| line.error(directive, "`end` without an open task"))?;
+        let end_span = line.span(directive);
+        let dag = Dag::from_lists(&self.wcets, &self.edges, &self.pairs).map_err(|source| {
+            // Point at the declaration of the first involved node when the
+            // error names one (GraphError::nodes).
+            let span = source
+                .nodes()
+                .first()
+                .and_then(|&v| t.spans.as_ref()?.node(v))
+                .unwrap_or(end_span);
+            ParseTaskError::Graph {
+                line: span.line,
+                span,
+                source,
+            }
+        })?;
+        let task =
+            Task::new(dag, t.period, t.deadline).map_err(|source| ParseTaskError::Timing {
+                line: t.header.line,
+                span: t.header,
+                source,
+            })?;
+        self.tasks.push(task);
+        self.spans.extend(t.spans);
+        Ok(())
+    }
+
+    /// `backend suspend|spin`.
+    fn backend(
+        &mut self,
+        line: &Line<'a>,
+        directive: Tok,
+        [first, second, _]: Operands,
+    ) -> Result<(), ParseTaskError> {
+        if self.current.is_some() {
+            return Err(line.error(
+                directive,
+                "`backend` is file-level and cannot appear inside a task block",
+            ));
+        }
+        if !self.tasks.is_empty() {
+            return Err(line.error(directive, "`backend` must precede every task"));
+        }
+        if let Some((_, prev)) = self.backend {
+            return Err(line.error(
+                directive,
+                format!("`backend` already declared on line {prev}"),
+            ));
+        }
+        let which =
+            first.ok_or_else(|| line.error(directive, "`backend` requires `suspend` or `spin`"))?;
+        let backend = SyncBackend::parse(line.word(which)).ok_or_else(|| {
+            let word = line.word(which);
+            line.error(
+                which,
+                format!("unknown backend `{word}` (expected `suspend` or `spin`)"),
+            )
+        })?;
+        expect_end(line, second)?;
+        self.backend = Some((backend, line.no));
+        Ok(())
+    }
+
+    fn finish(self) -> Result<(TaskSet, SourceSpans), ParseTaskError> {
+        if let Some(t) = self.current {
+            return Err(syntax(
+                t.header.line,
+                t.header,
+                "unterminated task block (missing `end`)",
+            ));
+        }
+        let backend = self.backend.map_or(SyncBackend::Suspend, |(b, _)| b);
+        Ok((
+            TaskSet::new(self.tasks).with_backend(backend),
+            SourceSpans { tasks: self.spans },
+        ))
+    }
+}
+
+/// The directives of the format.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Directive {
+    Edge,
+    Blocking,
+    Node,
+    Task,
+    End,
+    Backend,
+}
+
+impl Directive {
+    /// The directive `word` spells.
+    #[inline]
+    fn of(word: &[u8]) -> Option<Self> {
+        match word {
+            b"edge" => Some(Directive::Edge),
+            b"node" => Some(Directive::Node),
+            b"blocking" => Some(Directive::Blocking),
+            b"task" => Some(Directive::Task),
+            b"end" => Some(Directive::End),
+            b"backend" => Some(Directive::Backend),
+            _ => None,
+        }
+    }
+}
+
+/// A node name: a token of its line, and its bytes as [`Line::head`]
+/// loads them when it can.
+#[derive(Clone, Copy, Debug)]
+struct Name<'a> {
+    line: &'a str,
+    tok: Tok,
+    head: Option<u64>,
+}
+
+impl<'a> Name<'a> {
+    fn text(&self) -> &'a str {
+        &self.line[self.tok.from..self.tok.to]
+    }
+
+    fn bytes(&self) -> &'a [u8] {
+        &self.line.as_bytes()[self.tok.from..self.tok.to]
+    }
+}
+
+impl<'a> From<&'a str> for Name<'a> {
+    fn from(line: &'a str) -> Self {
+        let tok = Tok {
+            from: 0,
+            to: line.len(),
+        };
+        Name {
+            line,
+            tok,
+            head: None,
+        }
+    }
 }
 
 /// One task's node names. While every name is one prefix followed by the
@@ -686,13 +895,16 @@ fn parse(input: &str, record: bool) -> Result<(TaskSet, SourceSpans), ParseTaskE
 /// name (`v0 v1 …`, `v1 v2 …`; digits without a leading zero), the names
 /// are distinct by construction and nothing is stored or hashed: a
 /// reference is resolved from its digits and one comparison of its
-/// prefix. The first name off that numbering ends it; the nodes before it
-/// stay resolved by number, and a map keyed by std's `RandomState` holds
-/// the names from it on (the text comes from outside).
+/// prefix, a word at a time for a name of at most eight bytes. The first
+/// name off that numbering ends it; the nodes before it stay resolved by
+/// number, and a map keyed by std's `RandomState` holds the names from it
+/// on (the text comes from outside).
 #[derive(Default)]
 struct Names<'a> {
     /// What every numbered name has before its digits.
     prefix: &'a str,
+    /// The prefix's bytes as one word when it is shorter than eight.
+    prefix_word: Option<u64>,
     /// The first name's number.
     offset: u64,
     /// Nodes `0..numbered` follow the numbering.
@@ -714,11 +926,15 @@ impl<'a> Names<'a> {
 
     /// Declares `name` as node `id` (the count of names so far); `false`
     /// if it is already declared.
-    fn declare(&mut self, name: &'a str, id: usize) -> bool {
+    fn declare(&mut self, name: Name<'a>, id: usize) -> bool {
         if !self.broken {
             if id == 0 {
-                if let Some((prefix, number)) = numbered(name) {
+                if let Some((prefix, number)) = numbered(name.text()) {
                     (self.prefix, self.offset, self.numbered) = (prefix, number, 1);
+                    self.prefix_word = (prefix.len() < 8).then(|| {
+                        let bytes = prefix.bytes().rev();
+                        bytes.fold(0, |word, b| word << 8 | u64::from(b))
+                    });
                     return true;
                 }
             } else if self.id_by_number(name) == Some(id) {
@@ -730,7 +946,7 @@ impl<'a> Names<'a> {
         if self.by_number(name).is_some() {
             return false;
         }
-        match self.keyed.entry(name) {
+        match self.keyed.entry(name.text()) {
             Entry::Occupied(_) => false,
             Entry::Vacant(slot) => {
                 slot.insert(NodeId::from_index(id));
@@ -739,23 +955,46 @@ impl<'a> Names<'a> {
         }
     }
 
-    fn get(&self, name: &str) -> Option<NodeId> {
+    #[inline]
+    fn get(&self, name: Name<'_>) -> Option<NodeId> {
         match self.by_number(name) {
             Some(id) => Some(NodeId::from_index(id)),
-            None => self.keyed.get(name).copied(),
+            None => self.keyed.get(name.text()).copied(),
         }
     }
 
     /// The numbered node named `name`, if there is one.
-    fn by_number(&self, name: &str) -> Option<usize> {
+    #[inline]
+    fn by_number(&self, name: Name<'_>) -> Option<usize> {
         self.id_by_number(name).filter(|&id| id < self.numbered)
     }
 
     /// The id the numbering gives `name`, declared or not. The prefix is
-    /// empty or ends in a non-digit, so `name` is numbered with it exactly
-    /// when the rest of `name` is digits.
-    fn id_by_number(&self, name: &str) -> Option<usize> {
-        let number = number(name.strip_prefix(self.prefix)?.as_bytes())?;
+    /// empty or ends in a non-digit, so `name` is numbered exactly when
+    /// it is the prefix followed by a [`number`]. With the name's bytes
+    /// in one word, the prefix is one masked comparison and the digits
+    /// one [`eight_digits`].
+    #[inline(always)]
+    fn id_by_number(&self, name: Name<'_>) -> Option<usize> {
+        let number = match (name.head, self.prefix_word) {
+            (Some(head), Some(prefix)) => {
+                let (len, skip) = (name.bytes().len(), self.prefix.len());
+                let digits = head.checked_shr(8 * skip as u32).unwrap_or(0);
+                if len <= skip || head ^ digits << (8 * skip) != prefix {
+                    return None;
+                }
+                let leading_zero = len - skip > 1 && digits & 0xFF == u64::from(b'0');
+                eight_digits(digits, len - skip).filter(|_| !leading_zero)?
+            }
+            _ => {
+                let digits = name.bytes().get(self.prefix.len()..)?;
+                let prefix = name.bytes().iter().zip(self.prefix.as_bytes());
+                if prefix.into_iter().any(|(a, b)| a != b) {
+                    return None;
+                }
+                number(digits)?
+            }
+        };
         usize::try_from(number.checked_sub(self.offset)?).ok()
     }
 }
@@ -772,11 +1011,70 @@ fn numbered(name: &str) -> Option<(&str, u64)> {
 /// The value of `digits` if they are decimal digits with no leading zero
 /// (`0` itself aside) and it fits a `u64`: the one way to write a number.
 fn number(digits: &[u8]) -> Option<u64> {
-    if let [] | [b'0', _, ..] = digits {
+    if let [b'0', _, ..] = digits {
+        return None;
+    }
+    decimal(digits)
+}
+
+const LOW7: u64 = u64::from_ne_bytes([0x7F; 8]);
+const HIGH: u64 = u64::from_ne_bytes([0x80; 8]);
+
+/// Eight copies of `b`.
+const fn bytes_of(b: u8) -> u64 {
+    u64::from_ne_bytes([b; 8])
+}
+
+/// The high bit of each byte of `word` (little-endian) that is not a
+/// plain word byte: printable ASCII other than the space and `#`. Adding
+/// `0x80 - c` to a byte below `0x80` sets its high bit exactly when the
+/// byte is at least `c`, and carries into no other byte.
+#[inline]
+fn not_plain(word: u64) -> u64 {
+    let low = word & LOW7;
+    let printable = (low + bytes_of(0x80 - b'!')) & !(low + bytes_of(0x80 - 0x7F)) & HIGH;
+    let hash = word ^ bytes_of(b'#');
+    let is_hash = !(((hash & LOW7) + LOW7) | hash) & HIGH;
+    (word & HIGH) | (printable ^ HIGH) | is_hash
+}
+
+/// The value of the `len` bytes of `word` (little-endian, first byte
+/// lowest, zero above them) when they are 1 to 8 decimal digits. Two
+/// additions find the digits, as in [`not_plain`]; the digits are then
+/// moved to the top of the word, behind zeros, and folded in three
+/// multiply-adds (pairs, fours, the eight) over lanes none of which can
+/// carry into the next.
+#[inline]
+fn eight_digits(word: u64, len: usize) -> Option<u64> {
+    if !(1..=8).contains(&len) {
+        return None;
+    }
+    let low = word & LOW7;
+    let digits = (low + bytes_of(0x80 - b'0')) & !(low + bytes_of(0x80 - b'9' - 1)) & !word;
+    let wanted = HIGH >> (64 - 8 * len);
+    if digits & wanted != wanted {
+        return None;
+    }
+    let mut v = (word - (bytes_of(b'0') >> (64 - 8 * len))) << (64 - 8 * len);
+    v = v * 10 + (v >> 8);
+    v = (v & 0x00FF_00FF_00FF_00FF) * 100 + ((v >> 16) & 0x00FF_00FF_00FF_00FF);
+    v = (v & 0x0000_FFFF_0000_FFFF) * 10_000 + ((v >> 32) & 0x0000_FFFF_0000_FFFF);
+    Some(v & 0xFFFF_FFFF)
+}
+
+/// The value of `digits` if there is at least one, all are decimal
+/// digits, and it fits a `u64`; leading zeros are read as `str::parse`
+/// reads them.
+#[inline]
+fn decimal(digits: &[u8]) -> Option<u64> {
+    if digits.is_empty() {
         return None;
     }
     digits.iter().try_fold(0u64, |n, &d| {
-        let digit = d.checked_sub(b'0').filter(|&d| d < 10)?;
+        let digit = d.wrapping_sub(b'0');
+        if digit > 9 {
+            return None;
+        }
         n.checked_mul(10)?.checked_add(u64::from(digit))
     })
 }
@@ -828,19 +1126,27 @@ struct TaskInProgress {
     spans: Option<TaskSpans>,
 }
 
+/// `word`, an operand of `directive`, as a declared node name.
+#[inline(always)]
 fn lookup(
     names: &Names<'_>,
-    line: Line<'_>,
-    word: Option<&Tok>,
+    line: &Line<'_>,
+    word: Option<Tok>,
     directive: Tok,
 ) -> Result<NodeId, ParseTaskError> {
-    let &tok = word.ok_or_else(|| line.error(directive, "missing node name"))?;
-    let name = line.word(tok);
-    names.get(name).ok_or_else(|| ParseTaskError::UnknownName {
+    let Some(tok) = word else {
+        return Err(line.error(directive, "missing node name"));
+    };
+    names.get(line.name(tok)).ok_or_else(|| unknown(line, tok))
+}
+
+#[cold]
+fn unknown(line: &Line<'_>, tok: Tok) -> ParseTaskError {
+    ParseTaskError::UnknownName {
         line: line.no,
         span: line.span(tok),
-        name: name.to_owned(),
-    })
+        name: line.word(tok).to_owned(),
+    }
 }
 
 fn syntax(line: usize, span: Span, message: impl Into<String>) -> ParseTaskError {
@@ -851,10 +1157,12 @@ fn syntax(line: usize, span: Span, message: impl Into<String>) -> ParseTaskError
     }
 }
 
-fn expect_end(line: Line<'_>, extra: Option<&Tok>) -> Result<(), ParseTaskError> {
+/// Fails on `extra`, a token after the directive's last operand.
+#[inline]
+fn expect_end(line: &Line<'_>, extra: Option<Tok>) -> Result<(), ParseTaskError> {
     match extra {
         None => Ok(()),
-        Some(&tok) => Err(line.error(tok, format!("unexpected trailing `{}`", line.word(tok)))),
+        Some(tok) => Err(line.error(tok, format!("unexpected trailing `{}`", line.word(tok)))),
     }
 }
 
@@ -1120,20 +1428,24 @@ end
         assert_eq!((span.line, span.col, span.len), (2, 13, 2));
     }
 
+    /// Every token of the first line of `text`, and that line's length.
+    fn tokens(text: &str) -> (Line<'_>, Vec<Tok>) {
+        let mut line = Line::new(1, text);
+        let toks = std::iter::from_fn(|| line.next()).collect();
+        (line, toks)
+    }
+
     #[test]
     fn tokenizer_columns_are_character_columns() {
-        let mut toks = Vec::new();
         let text = "  node bêta 2\nend\n";
-        let line = Line {
-            no: 1,
-            text: &text[..tokenize_line(text, &mut toks)],
-        };
-        assert_eq!(line.text.len(), 15);
+        let (line, toks) = tokens(text);
+        assert_eq!(line.len(), 15);
         assert_eq!(toks.len(), 3);
         assert_eq!((line.col(toks[0]), line.word(toks[0])), (3, "node"));
         assert_eq!((line.col(toks[1]), line.word(toks[1])), (8, "bêta"));
         assert_eq!((line.col(toks[2]), line.word(toks[2])), (13, "2"));
         assert_eq!(line.span(toks[1]), Span::new(1, 8, 4));
+        assert_eq!(line.directive_span(), Span::new(1, 3, 11));
     }
 
     #[test]
@@ -1177,28 +1489,28 @@ end
         let id = NodeId::from_index;
         let mut names = Names::default();
         for (v, name) in ["n7", "n8", "n9"].into_iter().enumerate() {
-            assert!(names.declare(name, v));
+            assert!(names.declare(name.into(), v));
         }
         assert!(!names.broken && names.keyed.is_empty());
-        assert_eq!(names.get("n8"), Some(id(1)));
+        assert_eq!(names.get("n8".into()), Some(id(1)));
         // Another prefix, a padded number, out of range, no number.
         for name in ["m8", "n09", "n6", "n10", "n", "n99999999999999999999"] {
-            assert_eq!(names.get(name), None, "{name}");
+            assert_eq!(names.get(name.into()), None, "{name}");
         }
         // A repeat breaks the numbering and is still found.
-        assert!(!names.declare("n8", 3));
+        assert!(!names.declare("n8".into(), 3));
         assert!(names.broken);
-        assert!(names.declare("x", 3));
-        assert!(names.declare("n10", 4));
-        assert!(!names.declare("n7", 5) && !names.declare("x", 5));
-        assert_eq!(names.get("n8"), Some(id(1)));
-        assert_eq!(names.get("x"), Some(id(3)));
-        assert_eq!(names.get("n10"), Some(id(4)));
+        assert!(names.declare("x".into(), 3));
+        assert!(names.declare("n10".into(), 4));
+        assert!(!names.declare("n7".into(), 5) && !names.declare("x".into(), 5));
+        assert_eq!(names.get("n8".into()), Some(id(1)));
+        assert_eq!(names.get("x".into()), Some(id(3)));
+        assert_eq!(names.get("n10".into()), Some(id(4)));
         names.clear();
         assert!(!names.broken && names.keyed.is_empty());
-        assert!(names.declare("v000", 0));
+        assert!(names.declare("v000".into(), 0));
         assert!(names.broken);
-        assert_eq!(names.get("v000"), Some(id(0)));
+        assert_eq!(names.get("v000".into()), Some(id(0)));
         assert_eq!(numbered("a18446744073709551615"), Some(("a", u64::MAX)));
         assert_eq!(numbered("bêta0"), Some(("bêta", 0)));
         for name in ["a18446744073709551616", "bêta", "v01"] {
@@ -1206,18 +1518,41 @@ end
         }
     }
 
+    #[test]
+    fn integers_read_as_str_parse_reads_them() {
+        for text in [
+            "0",
+            "007",
+            "+5",
+            "18446744073709551615",
+            "18446744073709551616",
+            "99999999999999999999999",
+            "+",
+            "++5",
+            "-5",
+            "5x",
+            "x5",
+            "5é",
+            "",
+        ] {
+            let padded = format!(" {text} ");
+            let (line, toks) = tokens(&padded);
+            let got = toks.first().and_then(|&tok| line.integer(tok));
+            assert_eq!(got, text.parse::<u64>().ok(), "{text:?}");
+        }
+    }
+
     /// The tokenizer before the byte scan, kept as the reference the scan
     /// must agree with: one `char` at a time, over one of `str::lines`.
-    fn tokenize_by_chars(raw: &str, toks: &mut Vec<Tok>) {
-        toks.clear();
-        let mut start = None;
+    fn tokenize_by_chars(raw: &str) -> Vec<Tok> {
+        let (mut toks, mut start) = (Vec::new(), None);
         for (byte, ch) in raw.char_indices() {
             if ch == '#' || ch.is_whitespace() {
                 if let Some(from) = start.take() {
                     toks.push(Tok { from, to: byte });
                 }
                 if ch == '#' {
-                    return;
+                    return toks;
                 }
             } else if start.is_none() {
                 start = Some(byte);
@@ -1229,43 +1564,121 @@ end
                 to: raw.len(),
             });
         }
+        toks
     }
 
     /// What a text is made of: ASCII words and blanks, every ASCII byte
     /// `char::is_whitespace` accepts and some it does not (`\x1C`–`\x1F`),
-    /// non-ASCII whitespace, `#`, multibyte names, and line ends.
-    const PIECES: [&str; 29] = [
-        "node", "v12", "=", " ", "\t", "\r", "\x0B", "\x0C", "\x1C", "\x1F", "\u{85}", "\u{A0}",
-        "\u{1680}", "\u{2003}", "\u{2028}", "\u{3000}", "#", "é", "bêta", "nœud", "≥", "🦀",
-        "\u{200B}", "\u{FEFF}", "x", "  ", "\n", "\r\n", "\n\n",
+    /// non-ASCII whitespace, `#`, multibyte names, digits (leading zeros,
+    /// a sign, numbers past `u64::MAX`), directives, and line ends.
+    const PIECES: [&str; 43] = [
+        "node",
+        "v12",
+        "=",
+        " ",
+        "\t",
+        "\r",
+        "\x0B",
+        "\x0C",
+        "\x1C",
+        "\x1F",
+        "\u{85}",
+        "\u{A0}",
+        "\u{1680}",
+        "\u{2003}",
+        "\u{2028}",
+        "\u{3000}",
+        "#",
+        "é",
+        "bêta",
+        "nœud",
+        "≥",
+        "🦀",
+        "\u{200B}",
+        "\u{FEFF}",
+        "x",
+        "  ",
+        "\n",
+        "\r\n",
+        "\n\n",
+        "0",
+        "007",
+        "9",
+        "+",
+        "18446744073709551616",
+        "edge",
+        "blocking",
+        "task",
+        "end",
+        "period=",
+        "# c\n",
+        "v",
+        "v0",
+        "node1",
     ];
 
     proptest::proptest! {
-        #![proptest_config(proptest::ProptestConfig::with_cases(2000))]
+        #![proptest_config(proptest::ProptestConfig::with_cases(3000))]
         #[test]
         fn byte_tokenizer_agrees_with_the_char_tokenizer(
-            pieces in proptest::collection::vec(0usize..PIECES.len(), 0..40)
+            pieces in proptest::collection::vec(0usize..PIECES.len(), 0..48)
         ) {
             let text: String = pieces.into_iter().map(|i| PIECES[i]).collect();
-            let view = |text: &str, toks: &[Tok]| -> Vec<(usize, String, String)> {
-                let line = Line { no: 1, text };
-                toks.iter()
-                    .map(|&t| (line.col(t), text[..t.from].to_owned(), line.word(t).to_owned()))
-                    .collect()
+            // Each token as its column, the text before it, its word, and
+            // what it reads as: a numbered name's prefix and number, an
+            // integer.
+            let view = |line: &Line<'_>, tok: Tok| {
+                let word = line.word(tok);
+                let numbered = numbered(word).map(|(prefix, n)| (prefix.to_owned(), n));
+                (line.col(tok), line.text[..tok.from].to_owned(), word.to_owned(),
+                 numbered, line.integer(tok))
             };
-            let mut toks = Vec::new();
-            let want: Vec<_> = text
+            // The same read through `str`: the trailing digits, and
+            // `str::parse`, which takes the leading zeros no name takes.
+            let reference = |word: &str| {
+                let digits = word.bytes().rev().take_while(u8::is_ascii_digit).count();
+                let (prefix, digits) = word.split_at(word.len() - digits);
+                let number = if digits.starts_with('0') && digits.len() > 1 {
+                    None
+                } else {
+                    digits.parse::<u64>().ok()
+                };
+                (number.map(|n| (prefix.to_owned(), n)), word.parse::<u64>().ok())
+            };
+            let want: Vec<Vec<_>> = text
                 .lines()
-                .map(|line| {
-                    tokenize_by_chars(line, &mut toks);
-                    view(line, &toks)
+                .map(|raw| {
+                    let line = Line::new(1, raw);
+                    tokenize_by_chars(raw).into_iter().map(|tok| {
+                        let (numbered, integer) = reference(line.word(tok));
+                        (line.col(tok), raw[..tok.from].to_owned(), line.word(tok).to_owned(),
+                         numbered, integer)
+                    }).collect()
+                })
+                .collect();
+            // Numberings a token is resolved against, word at a time and
+            // byte by byte: one-byte, empty and multibyte prefixes.
+            let numberings: Vec<Names<'_>> = ["v0", "7", "bêta0", "node1", "é12"]
+                .into_iter()
+                .map(|first| {
+                    let mut names = Names::default();
+                    assert!(names.declare(first.into(), 0));
+                    names
                 })
                 .collect();
             let (mut got, mut rest) = (Vec::new(), text.as_str());
             while !rest.is_empty() {
-                let len = tokenize_line(rest, &mut toks);
-                got.push(view(&rest[..len], &toks));
-                rest = &rest[len..];
+                let mut line = Line::new(1, rest);
+                let toks: Vec<Tok> = std::iter::from_fn(|| line.next()).collect();
+                for (&tok, names) in toks.iter().flat_map(|t| numberings.iter().map(move |n| (t, n))) {
+                    proptest::prop_assert_eq!(
+                        names.id_by_number(line.name(tok)),
+                        names.id_by_number(line.word(tok).into()),
+                        "{:?} against prefix {:?}", line.word(tok), names.prefix
+                    );
+                }
+                got.push(toks.into_iter().map(|tok| view(&line, tok)).collect::<Vec<_>>());
+                rest = &rest[line.len()..];
             }
             proptest::prop_assert_eq!(got, want, "{:?}", text);
         }

@@ -356,13 +356,15 @@ fn assert_parsers_agree(text: &str) -> Result<(), String> {
 
 proptest! {
     /// Over generated sets, and over the same text with a few lines
-    /// dropped, doubled or re-worded so that every error kind comes up.
+    /// dropped, doubled or re-worded so that every error kind comes up;
+    /// then with its blanks, line ends and comments written other ways.
     #[test]
     fn spanless_parse_equals_parse_with_spans(
         seed in any::<u64>(),
         regions in 1usize..5,
         n_tasks in 1usize..4,
-        damage in prop::collection::vec((0usize..4, 0usize..1000, 0usize..12), 0..4),
+        damage in prop::collection::vec((0usize..4, 0usize..1000, 0usize..WORDS.len()), 0..4),
+        (blank, crlf, comments) in (0usize..BLANKS.len(), any::<bool>(), any::<bool>()),
     ) {
         let tasks: Vec<Task> = (0..n_tasks)
             .map(|i| {
@@ -373,10 +375,6 @@ proptest! {
             .collect();
         let text = textfmt::write_task_set(&TaskSet::new(tasks));
         assert_parsers_agree(&text)?;
-        const WORDS: [&str; 12] = [
-            "task", "end", "node", "edge v0 vé", "blocking v1 v0", "backend spin", "period=0",
-            "node v0 1", "nœud", "edge v1 v1", "# gone", "node w x",
-        ];
         let mut lines: Vec<String> = text.lines().map(str::to_owned).collect();
         for (how, at, word) in damage {
             let at = at % lines.len();
@@ -391,8 +389,54 @@ proptest! {
             }
         }
         assert_parsers_agree(&lines.join("\n"))?;
+        // The same lines, each blank run written as `BLANKS[blank]`, a
+        // comment after every other line, and `\r\n` line ends.
+        let respaced: Vec<String> = lines
+            .iter()
+            .enumerate()
+            .map(|(i, line)| {
+                let line = line.replace(' ', BLANKS[blank]);
+                if comments && i % 2 == 0 { format!("{line}#c {i}") } else { line }
+            })
+            .collect();
+        assert_parsers_agree(&respaced.join(if crlf { "\r\n" } else { "\n" }))?;
     }
 }
+
+/// Lines [`spanless_parse_equals_parse_with_spans`] puts in place of, or
+/// after, a line of a written set: every directive, malformed, with
+/// multibyte names, leading zeros, signs and integers past `u64::MAX`.
+const WORDS: [&str; 24] = [
+    "task",
+    "end",
+    "node",
+    "edge v0 vé",
+    "blocking v1 v0",
+    "backend spin",
+    "period=0",
+    "node v0 1",
+    "nœud",
+    "edge v1 v1",
+    "# gone",
+    "node w x",
+    "node v1 007",
+    "node v99 +5",
+    "node v7 18446744073709551616",
+    "node v00 1",
+    "edge v01 v1",
+    "edge v1 v18446744073709551616",
+    "task period=010 deadline=+9",
+    "task period=18446744073709551616",
+    "end # done",
+    "blocking\tv0\u{3000}v1",
+    "node bêta2 3",
+    "edge v0 v1 v2",
+];
+
+/// Blank runs a set's text is re-spaced with: a tab, blanks
+/// `char::is_whitespace` accepts that `u8::is_ascii_whitespace` does not,
+/// and multibyte whitespace.
+const BLANKS: [&str; 6] = [" ", "\t", "  \t ", "\x0B", "\u{A0}", "\u{2003} "];
 
 /// The same over every shipped workload and every `rtlint` fixture (the
 /// files whose spans the lint goldens pin).

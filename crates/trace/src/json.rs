@@ -300,98 +300,219 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// Reads one string literal, copying the body run by run between
-    /// escapes: the text is a `&str` and `"`/`\` are ASCII, so every run
-    /// boundary is a char boundary and nothing is re-validated. Runs are
-    /// found a word at a time ([`first_of`]). A body without escapes is
-    /// borrowed; at its first escape the body gets its one allocation,
-    /// as long as the whole literal ([`literal_end`]): unescaping only
-    /// shrinks text, and the capacity never depends on what follows the
-    /// literal in the document. With `keep` unset the body is checked
-    /// the same way but comes back empty, and nothing is allocated.
+    /// Reads one string literal. The body is walked a [`BLOCK`] at a
+    /// time: every `"` and `\` of a block is found first, as one bitmask
+    /// ([`specials`]), and the walk then goes from set bit to set bit, so
+    /// no byte between two of them is looked at again. A body without
+    /// escapes is borrowed. At its first escape the body gets its one
+    /// allocation, as long as the whole literal ([`literal_end`]):
+    /// unescaping only shrinks text, and the capacity never depends on
+    /// what follows the literal in the document. Each run of text before
+    /// a short escape is copied into it by one 16-byte move
+    /// ([`short_escapes`]); the bytes a move writes past the run are
+    /// overwritten by what follows. Every run starts and ends on a char
+    /// boundary (`"` and `\` are ASCII and the text is a `&str`), so the
+    /// body's one UTF-8 check, when it becomes a `String`, cannot fail.
+    /// With `keep` unset the body is checked through the same walk but
+    /// comes back empty, and nothing is allocated.
     fn string(&mut self, keep: bool) -> Result<Cow<'a, str>, String> {
         self.expect(b'"')?;
-        let (first, mut run, mut out) = (self.pos, self.pos, String::new());
-        loop {
-            let stop = first_of(&self.bytes[self.pos..], b'"', b'\\')
-                .ok_or_else(|| "unterminated string".to_string())?;
-            self.pos += stop + 1;
-            let body = if keep {
-                &self.text[run..self.pos - 1]
-            } else {
-                ""
-            };
-            if self.bytes[self.pos - 1] == b'"' {
-                if run == first {
-                    return Ok(Cow::Borrowed(body));
-                }
-                out.push_str(body);
-                return Ok(Cow::Owned(out));
-            }
-            if keep && run == first {
-                // An unterminated literal is an error whatever it holds,
-                // so its body may start empty.
-                let end = literal_end(self.bytes, self.pos + 1).unwrap_or(first);
-                out.reserve_exact(end - first);
-            }
-            let c = match self.bytes.get(self.pos) {
-                Some(b'"') => '"',
-                Some(b'\\') => '\\',
-                Some(b'/') => '/',
-                Some(b'n') => '\n',
-                Some(b'r') => '\r',
-                Some(b't') => '\t',
-                Some(b'b') => '\u{8}',
-                Some(b'f') => '\u{c}',
-                Some(b'u') => {
-                    let hex = self
-                        .bytes
-                        .get(self.pos + 1..self.pos + 5)
-                        .ok_or_else(|| "truncated \\u escape".to_string())?;
-                    let hex =
-                        std::str::from_utf8(hex).map_err(|_| "invalid \\u escape".to_string())?;
-                    let code = u32::from_str_radix(hex, 16)
-                        .map_err(|_| "invalid \\u escape".to_string())?;
-                    self.pos += 4;
-                    // Neither writer emits surrogate pairs; reject
-                    // rather than mis-decode them.
-                    char::from_u32(code).ok_or_else(|| "surrogate \\u escape".to_string())?
-                }
-                _ => return Err(format!("bad escape at byte {}", self.pos)),
-            };
-            self.pos += 1;
-            run = self.pos;
-            if keep {
-                out.push_str(body);
-                out.push(c);
-            }
-        }
+        let (body, quote) = if keep {
+            unescape::<true>(self.text, self.pos)
+        } else {
+            unescape::<false>(self.text, self.pos)
+        }?;
+        self.pos = quote + 1;
+        Ok(body)
     }
 }
 
-/// The offset in `bytes` of the first `a` or `b`, found eight bytes at a
-/// time: a word XORed with eight copies of a byte has a zero byte exactly
-/// where the word holds that byte, and `(x - 0x01…01) & !x & 0x80…80`
-/// flags zero bytes. A flag can be spurious only above a real zero byte,
-/// so the lowest flag of either test is the first match.
-#[inline]
-fn first_of(bytes: &[u8], a: u8, b: u8) -> Option<usize> {
-    const ONES: u64 = u64::from_ne_bytes([0x01; 8]);
-    const HIGHS: u64 = u64::from_ne_bytes([0x80; 8]);
-    let (a8, b8) = (u64::from_ne_bytes([a; 8]), u64::from_ne_bytes([b; 8]));
-    let zero_bytes = |x: u64| x.wrapping_sub(ONES) & !x & HIGHS;
-    let mut words = bytes.chunks_exact(8);
-    let mut base = 0;
-    for word in &mut words {
-        let word = u64::from_le_bytes(word.try_into().expect("eight bytes"));
-        let hits = zero_bytes(word ^ a8) | zero_bytes(word ^ b8);
-        if hits != 0 {
-            return Some(base + hits.trailing_zeros() as usize / 8);
+/// Bytes per step of the string walk: one bit of a `u64` mask each.
+const BLOCK: usize = 64;
+
+/// What each short escape's second byte stands for; 0 where it is not
+/// one (`u` included: it takes four hex digits).
+static SHORT: [u8; 256] = {
+    let mut short = [0; 256];
+    short[b'"' as usize] = b'"';
+    short[b'\\' as usize] = b'\\';
+    short[b'/' as usize] = b'/';
+    short[b'n' as usize] = b'\n';
+    short[b'r' as usize] = b'\r';
+    short[b't' as usize] = b'\t';
+    short[b'b' as usize] = 0x08;
+    short[b'f' as usize] = 0x0C;
+    short
+};
+
+/// Decodes the body of the string literal that starts at byte `first` of
+/// `text` (just past its `"`). Returns the body (empty unless `KEEP`) and
+/// the offset of the closing `"`.
+fn unescape<const KEEP: bool>(text: &str, first: usize) -> Result<(Cow<'_, str>, usize), String> {
+    let bytes = text.as_bytes();
+    let (mut block, mut run, mut out, mut o) = (first, first, Vec::new(), 0);
+    loop {
+        if block >= bytes.len() {
+            return Err("unterminated string".to_string());
         }
-        base += 8;
+        // A run may already be past the block's start: the second byte of
+        // an escape, or the digits of a `\u`, that crossed into it.
+        let mut mask = specials(&block_at(bytes, block)) & from_bit(run.saturating_sub(block));
+        loop {
+            mask = short_escapes::<KEEP>(bytes, block, mask, &mut run, &mut out, &mut o);
+            if mask == 0 {
+                break;
+            }
+            // What `short_escapes` leaves: the closing quote, the first
+            // escape, a `\u`, a bad escape, or a run one move cannot take.
+            let at = block + mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            if bytes[at] == b'"' {
+                if run == first {
+                    let body = if KEEP { &text[first..at] } else { "" };
+                    return Ok((Cow::Borrowed(body), at));
+                }
+                if KEEP {
+                    out[o..o + at - run].copy_from_slice(&bytes[run..at]);
+                    out.truncate(o + at - run);
+                }
+                let body = String::from_utf8(out).expect("every run ends on a char boundary");
+                return Ok((Cow::Owned(body), at));
+            }
+            if KEEP && run == first {
+                match literal_end(bytes, at) {
+                    Some(end) => out = vec![0; end - first],
+                    // Unterminated, so an error whatever it holds: the walk
+                    // without a body finds which.
+                    None => return unescape::<false>(text, first),
+                }
+            }
+            if KEEP {
+                out[o..o + at - run].copy_from_slice(&bytes[run..at]);
+                o += at - run;
+            }
+            let c = match bytes.get(at + 1) {
+                Some(b'u') => {
+                    let hex = bytes
+                        .get(at + 2..at + 6)
+                        .ok_or_else(|| "truncated \\u escape".to_string())?;
+                    let code = hex4(hex).ok_or_else(|| "invalid \\u escape".to_string())?;
+                    run = at + 6;
+                    // Neither writer emits surrogate pairs; reject rather
+                    // than mis-decode them.
+                    char::from_u32(code).ok_or_else(|| "surrogate \\u escape".to_string())?
+                }
+                Some(&e) if SHORT[usize::from(e)] != 0 => {
+                    if e == b'"' || e == b'\\' {
+                        // The escaped byte is the next bit, when it is in
+                        // this block.
+                        mask &= mask.wrapping_sub(1);
+                    }
+                    run = at + 2;
+                    char::from(SHORT[usize::from(e)])
+                }
+                _ => return Err(format!("bad escape at byte {}", at + 1)),
+            };
+            if KEEP {
+                o += c.encode_utf8(&mut out[o..]).len();
+            }
+        }
+        block += BLOCK;
     }
-    let tail = words.remainder().iter().position(|&c| c == a || c == b);
-    tail.map(|i| base + i)
+}
+
+/// Decodes the short escapes of `mask` (the specials of the block at
+/// `block`) from its lowest bit on, each with the run before it copied
+/// into `out` by one 16-byte move, and advances `run` (in `bytes`) and
+/// `o` (in `out`) past them. Stops at the first special that is a quote,
+/// not a short escape, or behind a run of more than 16 bytes or too near
+/// the end of `bytes` or `out` for the move, and returns the mask from
+/// that special on: 0 when the block is done. Nothing here calls out of
+/// the loop, so its state stays in registers.
+#[inline(never)]
+fn short_escapes<const KEEP: bool>(
+    bytes: &[u8],
+    block: usize,
+    mut mask: u64,
+    run: &mut usize,
+    out: &mut [u8],
+    o: &mut usize,
+) -> u64 {
+    let (mut r, mut w) = (*run, *o);
+    while mask != 0 {
+        let at = block + mask.trailing_zeros() as usize;
+        let Some(&[b'\\', e]) = bytes.get(at..at + 2) else {
+            break;
+        };
+        let short = SHORT[usize::from(e)];
+        if short == 0 {
+            break;
+        }
+        if KEEP {
+            let len = at - r;
+            // The move writes 16 bytes and the escape's byte lands at most
+            // one past them.
+            if len > 16 || r + 16 > bytes.len() || w + 17 > out.len() {
+                break;
+            }
+            out[w..w + 16].copy_from_slice(&bytes[r..r + 16]);
+            out[w + len] = short;
+            w += len + 1;
+        }
+        r = at + 2;
+        mask &= mask - 1;
+        if e == b'"' || e == b'\\' {
+            mask &= mask.wrapping_sub(1);
+        }
+    }
+    (*run, *o) = (r, w);
+    mask
+}
+
+/// `u32::from_str_radix(hex, 16)` of the four bytes after a `\u`: hex
+/// digits of either case, after an optional `+`.
+fn hex4(hex: &[u8]) -> Option<u32> {
+    let digits = hex.strip_prefix(b"+").unwrap_or(hex);
+    digits
+        .iter()
+        .try_fold(0, |code, &d| Some(code << 4 | char::from(d).to_digit(16)?))
+}
+
+/// Every bit from bit `n` up; none when `n` is 64 or more.
+fn from_bit(n: usize) -> u64 {
+    u32::try_from(n)
+        .ok()
+        .and_then(|n| u64::MAX.checked_shl(n))
+        .unwrap_or(0)
+}
+
+/// The [`BLOCK`] bytes of `bytes` from `at`, padded with zeros past its
+/// end (a zero is neither `"` nor `\`).
+#[inline]
+fn block_at(bytes: &[u8], at: usize) -> [u8; BLOCK] {
+    if let Some(block) = bytes.get(at..at + BLOCK) {
+        return block.try_into().expect("a block's worth of bytes");
+    }
+    let mut block = [0; BLOCK];
+    let tail = &bytes[at..];
+    block[..tail.len()].copy_from_slice(tail);
+    block
+}
+
+/// Bit `i` set where `block[i]` is `"` or `\`. The comparisons yield one
+/// 0/1 byte per position (the compiler does them 16 lanes at a time);
+/// multiplying eight such bytes by `0x0102…80` gathers byte `j`'s bit at
+/// bit `56 + j`, and no other product reaches those eight bits.
+#[inline]
+fn specials(block: &[u8; BLOCK]) -> u64 {
+    let flags: [u8; BLOCK] = std::array::from_fn(|i| u8::from(matches!(block[i], b'"' | b'\\')));
+    flags
+        .chunks_exact(8)
+        .enumerate()
+        .fold(0, |mask, (k, word)| {
+            let word = u64::from_le_bytes(word.try_into().expect("eight flags"));
+            mask | (word.wrapping_mul(0x0102_0408_1020_4080) >> 56) << (8 * k)
+        })
 }
 
 /// The offset of the `"` that closes the string literal whose body
@@ -399,18 +520,29 @@ fn first_of(bytes: &[u8], a: u8, b: u8) -> Option<usize> {
 /// first. Each `\` escapes the one byte after it, so a `"` closes the
 /// literal when the run of `\` right before it (back to `at`) is even.
 /// Where the body decodes, its `\u` escapes hold hex digits only, so
-/// this is where decoding stops. The scan looks for `"` alone, so unlike
-/// the decoding loop it does not stop at every escape.
+/// this is where decoding stops. A block is tested for a `"` at all with
+/// one comparison per byte and no mask, so a body with no `"` in it (an
+/// `.rtp` source) costs one pass at that rate.
 fn literal_end(bytes: &[u8], at: usize) -> Option<usize> {
-    let mut from = at;
-    loop {
-        let quote = from + first_of(bytes.get(from..)?, b'"', b'"')?;
-        let escapes = bytes[at..quote].iter().rev().take_while(|&&c| c == b'\\');
-        if escapes.count() % 2 == 0 {
-            return Some(quote);
+    let mut block = at;
+    while block < bytes.len() {
+        let bytes_here = block_at(bytes, block);
+        if bytes_here
+            .iter()
+            .fold(0, |any, &b| any | u8::from(b == b'"'))
+            != 0
+        {
+            for (i, _) in bytes_here.iter().enumerate().filter(|&(_, &b)| b == b'"') {
+                let quote = block + i;
+                let escapes = bytes[at..quote].iter().rev().take_while(|&&c| c == b'\\');
+                if escapes.count() % 2 == 0 {
+                    return Some(quote);
+                }
+            }
         }
-        from = quote + 1;
+        block += BLOCK;
     }
+    None
 }
 
 #[cfg(test)]
@@ -497,7 +629,7 @@ mod tests {
         assert_eq!(seen, [Value::Num(7), kept("a\tb"), kept(""), Value::Null]);
     }
 
-    /// The decoder before the word scan, kept as the reference the scan
+    /// The decoder before the mask walk, kept as the reference the walk
     /// must agree with: one byte at a time, the body grown from empty.
     fn string_bytewise<'a>(r: &mut Reader<'a>, keep: bool) -> Result<Cow<'a, str>, String> {
         r.expect(b'"')?;
@@ -578,21 +710,29 @@ mod tests {
         "\\u12\"3",
     ];
 
+    /// Plain text the runs between pieces are cut from, multibyte chars
+    /// included, so a 16-byte move also ends inside a char.
+    const FILLER: &str = "abcdé≥🦀fghijklmnopqrstuvwxyzABCDEFGHIJ";
+
     proptest::proptest! {
-        #![proptest_config(proptest::ProptestConfig::with_cases(2000))]
+        #![proptest_config(proptest::ProptestConfig::with_cases(3000))]
         #[test]
         fn word_scan_agrees_with_the_bytewise_decoder(
             (pad, pieces, closed, tail) in (
-                0usize..8,
-                proptest::collection::vec(0usize..PIECES.len(), 0..48),
+                0usize..BLOCK,
+                proptest::collection::vec((0usize..21, 0usize..PIECES.len()), 0..64),
                 proptest::prelude::any::<bool>(),
-                0usize..12,
+                0usize..16,
             )
         ) {
-            // `pad` puts every piece at every offset mod 8 across cases.
+            // `pad` puts the literal, and so every piece, at every offset
+            // mod 64 across cases; a run of 0-20 filler chars goes before
+            // each piece, so most bodies are escape-dense; `tail` puts a
+            // closing quote in each of the text's last 16 bytes.
             let mut text = format!("{}\"{}", " ".repeat(pad), "x".repeat(pad));
-            for i in pieces {
-                text.push_str(PIECES[i]);
+            for (run, piece) in pieces {
+                text.extend(FILLER.chars().cycle().skip(pad).take(run));
+                text.push_str(PIECES[piece]);
             }
             if closed {
                 text.push('"');
@@ -617,21 +757,32 @@ mod tests {
     }
 
     #[test]
-    fn first_of_sees_every_offset() {
-        for len in 0..40 {
-            for at in 0..len {
-                for b in [b'"', b'\\'] {
-                    let mut bytes = vec![b'a'; len];
-                    bytes[at] = b;
-                    // Bytes that differ from `"`/`\` by one bit or sit
-                    // one below them must not be mistaken for either.
-                    bytes[..at].fill(b'"' ^ 0x80);
-                    assert_eq!(first_of(&bytes, b'"', b'\\'), Some(at), "{len} {at}");
-                    bytes[..at].fill(b'\\' - 1);
-                    assert_eq!(first_of(&bytes, b'"', b'\\'), Some(at), "{len} {at}");
-                }
+    fn specials_see_every_offset() {
+        for at in 0..BLOCK {
+            for b in [b'"', b'\\'] {
+                let mut block = [b'a'; BLOCK];
+                block[at] = b;
+                // Bytes that differ from `"`/`\\` by one bit or sit one
+                // below them must not be mistaken for either.
+                block[..at].fill(b'"' ^ 0x80);
+                assert_eq!(specials(&block), 1 << at, "{at}");
+                block[..at].fill(b'\\' - 1);
+                block[at + 1..].fill(b'"' + 1);
+                assert_eq!(specials(&block), 1 << at, "{at}");
             }
-            assert_eq!(first_of(&vec![0xFF; len], b'"', b'\\'), None);
+        }
+        // Every pattern of one eight-byte word, in every word of a block:
+        // the gathering multiply carries nothing between bits.
+        for word in 0..BLOCK / 8 {
+            for pattern in 0..=u8::MAX {
+                let mut block = [0xFF; BLOCK];
+                for bit in 0..8 {
+                    if pattern >> bit & 1 == 1 {
+                        block[8 * word + bit] = if bit % 2 == 0 { b'"' } else { b'\\' };
+                    }
+                }
+                assert_eq!(specials(&block), u64::from(pattern) << (8 * word));
+            }
         }
     }
 }
