@@ -476,7 +476,7 @@ pub(crate) fn figure(
 /// `insets` order.
 ///
 /// Determinism: each `(inset, x, sample)` coordinate derives its own
-/// RNG stream ([`derive_seed`]) and lands in its own result slot, so
+/// RNG stream (`derive_seed`) and lands in its own result slot, so
 /// the series are bit-identical for any worker count.
 #[must_use]
 pub fn run_insets(

@@ -57,7 +57,7 @@
 //!   `peak_rss_mb`; this way a never-repeated source costs one
 //!   fingerprint pass and an index row.
 //! * **Eviction.** An entry lists the fingerprints of its two recipes,
-//!   and [`State::evict`] — LRU or poisoned — removes those rows with
+//!   and `State::evict` — LRU or poisoned — removes those rows with
 //!   the entry. So every row names a resident entry that lists it,
 //!   there are at most two rows and two kept texts per entry, and a
 //!   text is freed with the entry it names.

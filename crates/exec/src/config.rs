@@ -279,7 +279,13 @@ mod tests {
             })
             .with_faults(FaultPlan::seeded(9).panic_on(1));
         assert_eq!(c.recovery.max_retries(), 2);
-        assert_eq!(c.faults.as_ref().unwrap().seed(), 9);
-        assert_eq!(c.faults.as_ref().unwrap().rules().len(), 1);
+        // The installed plan is the one built: node 1's body panics on
+        // every attempt, and nothing else fires.
+        let plan = c.faults.as_ref().unwrap();
+        for attempt in 0..3 {
+            assert!(plan.before_body(attempt, 1).panic_body);
+            assert!(!plan.before_body(attempt, 0).panic_body);
+            assert_eq!(plan.after_body(attempt, 1), Default::default());
+        }
     }
 }

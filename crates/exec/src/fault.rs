@@ -3,8 +3,9 @@
 //! A [`FaultPlan`] describes *what goes wrong* during a job: node bodies
 //! that panic, workers that lose their share of the pool's available
 //! concurrency `l(t)` for a while (artificial suspensions), completion
-//! wakeups that arrive late or never, and WCET jitter. Faults fire at
-//! named [injection points](InjectionPoint) inside the worker loop.
+//! wakeups that arrive late or never, and WCET jitter. Faults fire at two
+//! points of the worker loop: before a node's body runs (panics,
+//! suspensions, jitter) and after it completes (late or lost wakeups).
 //!
 //! Every decision is a pure function of `(seed, rule, attempt, node)`, so
 //! a plan injects exactly the same faults on every run regardless of
@@ -19,18 +20,6 @@
 //! [`recovery`](crate::recovery).
 
 use std::time::Duration;
-
-/// Where in the worker loop a fault fires.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum InjectionPoint {
-    /// After a node is fetched, before its body runs. Panics,
-    /// suspensions, and WCET jitter fire here.
-    BeforeBody,
-    /// After a node's body has completed, when its successors are
-    /// resolved and sleeping workers would be notified. Wakeup delay and
-    /// wakeup swallowing fire here.
-    AfterBody,
-}
 
 /// What a firing fault does.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -56,17 +45,6 @@ pub enum FaultKind {
 }
 
 impl FaultKind {
-    /// The injection point this kind fires at.
-    #[must_use]
-    pub fn point(&self) -> InjectionPoint {
-        match self {
-            FaultKind::PanicBody | FaultKind::SuspendWorker(_) | FaultKind::JitterWcet(_) => {
-                InjectionPoint::BeforeBody
-            }
-            FaultKind::DelayWakeup(_) | FaultKind::SwallowWakeup => InjectionPoint::AfterBody,
-        }
-    }
-
     /// Short stable name, used in recovery-event records.
     #[must_use]
     pub fn name(&self) -> &'static str {
@@ -95,21 +73,8 @@ pub struct FaultRule {
     pub kind: FaultKind,
 }
 
-impl FaultRule {
-    /// An always-firing rule for `kind` on every node and attempt.
-    #[must_use]
-    pub fn always(kind: FaultKind) -> Self {
-        FaultRule {
-            node: None,
-            attempt: None,
-            probability: 1.0,
-            kind,
-        }
-    }
-}
-
-/// Faults selected for one node execution at
-/// [`InjectionPoint::BeforeBody`].
+/// Faults selected for one node execution after the node is fetched,
+/// before its body runs.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub(crate) struct BeforeBodyFaults {
     /// Panic inside the body.
@@ -120,8 +85,8 @@ pub(crate) struct BeforeBodyFaults {
     pub extra_wcet: u64,
 }
 
-/// Faults selected for one node completion at
-/// [`InjectionPoint::AfterBody`].
+/// Faults selected for one node completion, when its successors are
+/// resolved and sleeping workers would be notified.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub(crate) struct AfterBodyFaults {
     /// Delay the completion wakeup.
@@ -274,18 +239,6 @@ impl FaultPlan {
         })
     }
 
-    /// The plan's seed.
-    #[must_use]
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// The plan's rules.
-    #[must_use]
-    pub fn rules(&self) -> &[FaultRule] {
-        &self.rules
-    }
-
     /// Whether `rule` fires for `(attempt, node)` — a pure function of
     /// the plan seed, so identical across runs and interleavings.
     fn fires(&self, rule_idx: usize, rule: &FaultRule, attempt: usize, node: usize) -> bool {
@@ -430,10 +383,6 @@ mod tests {
 
     #[test]
     fn kind_metadata() {
-        assert_eq!(FaultKind::PanicBody.point(), InjectionPoint::BeforeBody);
-        assert_eq!(FaultKind::SwallowWakeup.point(), InjectionPoint::AfterBody);
         assert_eq!(FaultKind::JitterWcet(1).name(), "jitter_wcet");
-        let r = FaultRule::always(FaultKind::PanicBody);
-        assert!(r.node.is_none() && r.attempt.is_none());
     }
 }

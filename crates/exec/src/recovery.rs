@@ -110,7 +110,7 @@ pub enum RecoveryEvent {
         attempt: usize,
         /// Node being served when the fault fired.
         node: usize,
-        /// Stable name of the fault kind (see [`FaultKind::name`]).
+        /// Stable name of the fault kind (see [`FaultKind::name`](crate::FaultKind::name)).
         fault: &'static str,
     },
     /// An attempt was aborted and the job re-submitted after `delay`.

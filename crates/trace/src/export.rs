@@ -8,7 +8,7 @@
 //! the events out (tracks per `(task, thread)`, durations for node
 //! bodies and barrier suspensions).
 //!
-//! Every variant's exported fields are named once, in [`for_each_field`];
+//! Every variant's exported fields are named once, in `for_each_field`;
 //! the Chrome `args` payload and the CSV row are two views of that list.
 //! The import reads through [`crate::json`].
 
