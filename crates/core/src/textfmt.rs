@@ -388,11 +388,9 @@ impl<'a> Line<'a> {
     }
 
     /// `tok` as a node name.
-    #[inline]
     fn name(&self, tok: Tok) -> Name<'a> {
         Name {
-            line: self.text,
-            tok,
+            text: self.word(tok),
             head: self.head(tok),
         }
     }
@@ -535,9 +533,8 @@ const OUTSIDE: &str = "directive outside a `task … end` block";
 /// edges and blocking pairs — that `end` hands to [`Dag::from_lists`].
 ///
 /// Each line is read in one pass: its directive and the three tokens
-/// after it ([`Line::next`]; no directive takes more but `task`), the
-/// directive classed by its bytes ([`Directive::of`]), node names
-/// resolved and integers valued from their digits ([`Line::name`],
+/// after it ([`Line::next`]), the directive matched on its bytes, node
+/// names resolved and integers valued from their digits ([`Names`],
 /// [`Line::integer`]). The operands are then checked in the order they
 /// come, so the first one that fails is the error.
 ///
@@ -547,346 +544,224 @@ const OUTSIDE: &str = "directive outside a `task … end` block";
 /// [`parse_task_set`] to the recording pass, which reports both at the
 /// directive that declares them, before anything later in the text.
 fn parse(input: &str, record: bool) -> Result<(TaskSet, SourceSpans), ParseTaskError> {
-    let mut parser = Parser::new(record);
+    let mut tasks = Vec::new();
+    let mut spans = Vec::new();
+    let mut current: Option<TaskInProgress> = None;
+    let mut backend: Option<(SyncBackend, usize)> = None;
+    // Reused across tasks, cleared when a task opens; names are slices of
+    // `input`. The recording pass's edge set keeps std's keyed hasher, as
+    // `Names` does: the text comes from outside.
+    let mut names = Names::default();
+    let (mut wcets, mut edges, mut pairs) = (Vec::new(), Vec::new(), Vec::new());
+    let mut seen: HashSet<(NodeId, NodeId)> = HashSet::new();
+
     let (mut rest, mut no) = (input, 0);
     while !rest.is_empty() {
         no += 1;
         let mut line = Line::new(no, rest);
+        // The directive and the tokens after it, as many as any directive
+        // but `task` takes and one more: a token past a directive's last
+        // operand is an error.
         let mut toks = [None; 4];
         for tok in &mut toks {
             *tok = line.next();
         }
-        if let [Some(directive), operands @ ..] = toks {
-            match Directive::of(line.bytes(directive)) {
-                Some(Directive::Edge) => parser.edge(&line, directive, operands, true)?,
-                Some(Directive::Blocking) => parser.edge(&line, directive, operands, false)?,
-                Some(Directive::Node) => parser.node(&line, directive, operands)?,
-                Some(Directive::Task) => parser.task(&mut line, directive, operands)?,
-                Some(Directive::End) => parser.end(&line, directive, operands)?,
-                Some(Directive::Backend) => parser.backend(&line, directive, operands)?,
-                None => {
-                    let other = line.word(directive);
-                    return Err(line.error(directive, format!("unknown directive `{other}`")));
+        let [Some(directive), first, second, third] = toks else {
+            rest = &rest[line.len()..];
+            continue;
+        };
+        match line.bytes(directive) {
+            // The commonest directives first: a `match` on bytes tries its
+            // arms in order.
+            kind @ (b"edge" | b"blocking") => {
+                let t = current
+                    .as_mut()
+                    .ok_or_else(|| line.error(directive, OUTSIDE))?;
+                let from = lookup(&names, &line, first, directive)?;
+                let to = lookup(&names, &line, second, directive)?;
+                expect_end(&line, third)?;
+                let is_edge = kind == b"edge";
+                if let Some(s) = &mut t.spans {
+                    let site = line.directive_span();
+                    let invalid = |source| ParseTaskError::Graph {
+                        line: no,
+                        span: site,
+                        source,
+                    };
+                    if from == to {
+                        return Err(invalid(GraphError::SelfLoop(from)));
+                    }
+                    if is_edge && !seen.insert((from, to)) {
+                        return Err(invalid(GraphError::DuplicateEdge(from, to)));
+                    }
+                    if !is_edge {
+                        s.blocking.push((from.index(), site));
+                    }
                 }
+                if is_edge { &mut edges } else { &mut pairs }.push((from, to));
+            }
+            b"node" => {
+                let t = current
+                    .as_mut()
+                    .ok_or_else(|| line.error(directive, OUTSIDE))?;
+                let name = first.ok_or_else(|| line.error(directive, "`node` requires a name"))?;
+                let wcet_tok =
+                    second.ok_or_else(|| line.error(directive, "`node` requires a wcet"))?;
+                let wcet = line
+                    .integer(wcet_tok)
+                    .ok_or_else(|| line.error(wcet_tok, "invalid wcet integer"))?;
+                expect_end(&line, third)?;
+                if !names.declare(line.name(name), wcets.len()) {
+                    return Err(ParseTaskError::DuplicateName {
+                        line: no,
+                        span: line.span(name),
+                        name: line.word(name).to_owned(),
+                    });
+                }
+                wcets.push(wcet);
+                if let Some(s) = &mut t.spans {
+                    s.names.push(line.word(name).to_owned());
+                    s.nodes.push(line.directive_span());
+                }
+            }
+            b"task" => {
+                if let Some(t) = &current {
+                    return Err(line.error(
+                        directive,
+                        format!(
+                            "`task` inside an unterminated task block (opened on line {})",
+                            t.header.line
+                        ),
+                    ));
+                }
+                let mut period: Option<u64> = None;
+                let mut deadline: Option<u64> = None;
+                // Every token of the line is an operand.
+                let mut operands = [first, second, third].into_iter().flatten();
+                while let Some(kv) = operands.next().or_else(|| line.next()) {
+                    let text = line.word(kv);
+                    let (key, value) = text.split_once('=').ok_or_else(|| {
+                        line.error(kv, format!("expected key=value, got `{text}`"))
+                    })?;
+                    let value: u64 = value.parse().map_err(|_| {
+                        line.error(kv, format!("invalid integer `{value}` for `{key}`"))
+                    })?;
+                    match key {
+                        "period" => period = Some(value),
+                        "deadline" => deadline = Some(value),
+                        other => return Err(line.error(kv, format!("unknown key `{other}`"))),
+                    }
+                }
+                let header = line.directive_span();
+                let period =
+                    period.ok_or_else(|| syntax(no, header, "`task` requires period=<int>"))?;
+                names.clear();
+                wcets.clear();
+                edges.clear();
+                pairs.clear();
+                seen.clear();
+                current = Some(TaskInProgress {
+                    header,
+                    period,
+                    deadline: deadline.unwrap_or(period),
+                    spans: record.then(|| TaskSpans {
+                        header,
+                        ..TaskSpans::default()
+                    }),
+                });
+            }
+            b"end" => {
+                expect_end(&line, first)?;
+                let t = current
+                    .take()
+                    .ok_or_else(|| line.error(directive, "`end` without an open task"))?;
+                let end_span = line.span(directive);
+                let dag = Dag::from_lists(&wcets, &edges, &pairs).map_err(|source| {
+                    // Point at the declaration of the first involved node
+                    // when the error names one (GraphError::nodes).
+                    let span = source
+                        .nodes()
+                        .first()
+                        .and_then(|&v| t.spans.as_ref()?.node(v))
+                        .unwrap_or(end_span);
+                    ParseTaskError::Graph {
+                        line: span.line,
+                        span,
+                        source,
+                    }
+                })?;
+                let task = Task::new(dag, t.period, t.deadline).map_err(|source| {
+                    ParseTaskError::Timing {
+                        line: t.header.line,
+                        span: t.header,
+                        source,
+                    }
+                })?;
+                tasks.push(task);
+                spans.extend(t.spans);
+            }
+            b"backend" => {
+                if current.is_some() {
+                    return Err(line.error(
+                        directive,
+                        "`backend` is file-level and cannot appear inside a task block",
+                    ));
+                }
+                if !tasks.is_empty() {
+                    return Err(line.error(directive, "`backend` must precede every task"));
+                }
+                if let Some((_, prev)) = backend {
+                    return Err(line.error(
+                        directive,
+                        format!("`backend` already declared on line {prev}"),
+                    ));
+                }
+                let which = first.ok_or_else(|| {
+                    line.error(directive, "`backend` requires `suspend` or `spin`")
+                })?;
+                let b = SyncBackend::parse(line.word(which)).ok_or_else(|| {
+                    line.error(
+                        which,
+                        format!(
+                            "unknown backend `{}` (expected `suspend` or `spin`)",
+                            line.word(which)
+                        ),
+                    )
+                })?;
+                expect_end(&line, second)?;
+                backend = Some((b, no));
+            }
+            _ => {
+                let other = line.word(directive);
+                return Err(line.error(directive, format!("unknown directive `{other}`")));
             }
         }
         rest = &rest[line.len()..];
     }
-    parser.finish()
+    if let Some(t) = current {
+        return Err(syntax(
+            t.header.line,
+            t.header,
+            "unterminated task block (missing `end`)",
+        ));
+    }
+    let backend = backend.map_or(SyncBackend::Suspend, |(b, _)| b);
+    Ok((
+        TaskSet::new(tasks).with_backend(backend),
+        SourceSpans { tasks: spans },
+    ))
 }
 
-/// What [`parse`] has read so far: the set's tasks, the task still open,
-/// and that task's three lists.
-struct Parser<'a> {
-    record: bool,
-    tasks: Vec<Task>,
-    spans: Vec<TaskSpans>,
-    current: Option<TaskInProgress>,
-    backend: Option<(SyncBackend, usize)>,
-    // Reused across tasks, cleared when a task opens; names are slices of
-    // the input. The recording pass's edge set keeps std's keyed hasher,
-    // as `Names` does: the text comes from outside.
-    names: Names<'a>,
-    wcets: Vec<u64>,
-    edges: Vec<(NodeId, NodeId)>,
-    pairs: Vec<(NodeId, NodeId)>,
-    seen: HashSet<(NodeId, NodeId)>,
-}
-
-/// The tokens after a directive, as many as any but `task` takes and one
-/// more: a token where a directive's operands should have ended is an
-/// error.
-type Operands = [Option<Tok>; 3];
-
-impl<'a> Parser<'a> {
-    fn new(record: bool) -> Self {
-        Parser {
-            record,
-            tasks: Vec::new(),
-            spans: Vec::new(),
-            current: None,
-            backend: None,
-            names: Names::default(),
-            wcets: Vec::new(),
-            edges: Vec::new(),
-            pairs: Vec::new(),
-            seen: HashSet::new(),
-        }
-    }
-
-    /// `edge <from> <to>`, or `blocking <fork> <join>` when `!is_edge`.
-    #[inline]
-    fn edge(
-        &mut self,
-        line: &Line<'a>,
-        directive: Tok,
-        [first, second, third]: Operands,
-        is_edge: bool,
-    ) -> Result<(), ParseTaskError> {
-        let Some(t) = self.current.as_mut() else {
-            return Err(line.error(directive, OUTSIDE));
-        };
-        let from = lookup(&self.names, line, first, directive)?;
-        let to = lookup(&self.names, line, second, directive)?;
-        expect_end(line, third)?;
-        if let Some(s) = &mut t.spans {
-            let site = line.directive_span();
-            let invalid = |source| ParseTaskError::Graph {
-                line: line.no,
-                span: site,
-                source,
-            };
-            if from == to {
-                return Err(invalid(GraphError::SelfLoop(from)));
-            }
-            if is_edge && !self.seen.insert((from, to)) {
-                return Err(invalid(GraphError::DuplicateEdge(from, to)));
-            }
-            if !is_edge {
-                s.blocking.push((from.index(), site));
-            }
-        }
-        if is_edge {
-            self.edges.push((from, to));
-        } else {
-            self.pairs.push((from, to));
-        }
-        Ok(())
-    }
-
-    /// `node <name> <wcet>`.
-    #[inline]
-    fn node(
-        &mut self,
-        line: &Line<'a>,
-        directive: Tok,
-        [first, second, third]: Operands,
-    ) -> Result<(), ParseTaskError> {
-        let Some(t) = self.current.as_mut() else {
-            return Err(line.error(directive, OUTSIDE));
-        };
-        let name = first.ok_or_else(|| line.error(directive, "`node` requires a name"))?;
-        let wcet_tok = second.ok_or_else(|| line.error(directive, "`node` requires a wcet"))?;
-        let wcet = line
-            .integer(wcet_tok)
-            .ok_or_else(|| line.error(wcet_tok, "invalid wcet integer"))?;
-        expect_end(line, third)?;
-        if !self.names.declare(line.name(name), self.wcets.len()) {
-            return Err(ParseTaskError::DuplicateName {
-                line: line.no,
-                span: line.span(name),
-                name: line.word(name).to_owned(),
-            });
-        }
-        self.wcets.push(wcet);
-        if let Some(s) = &mut t.spans {
-            s.names.push(line.word(name).to_owned());
-            s.nodes.push(line.directive_span());
-        }
-        Ok(())
-    }
-
-    /// `task period=<int> [deadline=<int>]`: its operands are every
-    /// token of the line.
-    fn task(
-        &mut self,
-        line: &mut Line<'a>,
-        directive: Tok,
-        operands: Operands,
-    ) -> Result<(), ParseTaskError> {
-        if let Some(t) = &self.current {
-            return Err(line.error(
-                directive,
-                format!(
-                    "`task` inside an unterminated task block (opened on line {})",
-                    t.header.line
-                ),
-            ));
-        }
-        let mut period: Option<u64> = None;
-        let mut deadline: Option<u64> = None;
-        let mut operands = operands.into_iter().flatten();
-        while let Some(kv) = operands.next().or_else(|| line.next()) {
-            let text = line.word(kv);
-            let (key, value) = text
-                .split_once('=')
-                .ok_or_else(|| line.error(kv, format!("expected key=value, got `{text}`")))?;
-            let value: u64 = value
-                .parse()
-                .map_err(|_| line.error(kv, format!("invalid integer `{value}` for `{key}`")))?;
-            match key {
-                "period" => period = Some(value),
-                "deadline" => deadline = Some(value),
-                other => return Err(line.error(kv, format!("unknown key `{other}`"))),
-            }
-        }
-        let header = line.directive_span();
-        let period =
-            period.ok_or_else(|| syntax(line.no, header, "`task` requires period=<int>"))?;
-        self.names.clear();
-        self.wcets.clear();
-        self.edges.clear();
-        self.pairs.clear();
-        self.seen.clear();
-        self.current = Some(TaskInProgress {
-            header,
-            period,
-            deadline: deadline.unwrap_or(period),
-            spans: self.record.then(|| TaskSpans {
-                header,
-                ..TaskSpans::default()
-            }),
-        });
-        Ok(())
-    }
-
-    /// `end`: the open task's lists become its graph.
-    fn end(
-        &mut self,
-        line: &Line<'a>,
-        directive: Tok,
-        [first, ..]: Operands,
-    ) -> Result<(), ParseTaskError> {
-        expect_end(line, first)?;
-        let t = self
-            .current
-            .take()
-            .ok_or_else(|| line.error(directive, "`end` without an open task"))?;
-        let end_span = line.span(directive);
-        let dag = Dag::from_lists(&self.wcets, &self.edges, &self.pairs).map_err(|source| {
-            // Point at the declaration of the first involved node when the
-            // error names one (GraphError::nodes).
-            let span = source
-                .nodes()
-                .first()
-                .and_then(|&v| t.spans.as_ref()?.node(v))
-                .unwrap_or(end_span);
-            ParseTaskError::Graph {
-                line: span.line,
-                span,
-                source,
-            }
-        })?;
-        let task =
-            Task::new(dag, t.period, t.deadline).map_err(|source| ParseTaskError::Timing {
-                line: t.header.line,
-                span: t.header,
-                source,
-            })?;
-        self.tasks.push(task);
-        self.spans.extend(t.spans);
-        Ok(())
-    }
-
-    /// `backend suspend|spin`.
-    fn backend(
-        &mut self,
-        line: &Line<'a>,
-        directive: Tok,
-        [first, second, _]: Operands,
-    ) -> Result<(), ParseTaskError> {
-        if self.current.is_some() {
-            return Err(line.error(
-                directive,
-                "`backend` is file-level and cannot appear inside a task block",
-            ));
-        }
-        if !self.tasks.is_empty() {
-            return Err(line.error(directive, "`backend` must precede every task"));
-        }
-        if let Some((_, prev)) = self.backend {
-            return Err(line.error(
-                directive,
-                format!("`backend` already declared on line {prev}"),
-            ));
-        }
-        let which =
-            first.ok_or_else(|| line.error(directive, "`backend` requires `suspend` or `spin`"))?;
-        let backend = SyncBackend::parse(line.word(which)).ok_or_else(|| {
-            let word = line.word(which);
-            line.error(
-                which,
-                format!("unknown backend `{word}` (expected `suspend` or `spin`)"),
-            )
-        })?;
-        expect_end(line, second)?;
-        self.backend = Some((backend, line.no));
-        Ok(())
-    }
-
-    fn finish(self) -> Result<(TaskSet, SourceSpans), ParseTaskError> {
-        if let Some(t) = self.current {
-            return Err(syntax(
-                t.header.line,
-                t.header,
-                "unterminated task block (missing `end`)",
-            ));
-        }
-        let backend = self.backend.map_or(SyncBackend::Suspend, |(b, _)| b);
-        Ok((
-            TaskSet::new(self.tasks).with_backend(backend),
-            SourceSpans { tasks: self.spans },
-        ))
-    }
-}
-
-/// The directives of the format.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Directive {
-    Edge,
-    Blocking,
-    Node,
-    Task,
-    End,
-    Backend,
-}
-
-impl Directive {
-    /// The directive `word` spells.
-    #[inline]
-    fn of(word: &[u8]) -> Option<Self> {
-        match word {
-            b"edge" => Some(Directive::Edge),
-            b"node" => Some(Directive::Node),
-            b"blocking" => Some(Directive::Blocking),
-            b"task" => Some(Directive::Task),
-            b"end" => Some(Directive::End),
-            b"backend" => Some(Directive::Backend),
-            _ => None,
-        }
-    }
-}
-
-/// A node name: a token of its line, and its bytes as [`Line::head`]
-/// loads them when it can.
+/// A node name, and its bytes as [`Line::head`] loads them when it can.
 #[derive(Clone, Copy, Debug)]
 struct Name<'a> {
-    line: &'a str,
-    tok: Tok,
+    text: &'a str,
     head: Option<u64>,
 }
 
-impl<'a> Name<'a> {
-    fn text(&self) -> &'a str {
-        &self.line[self.tok.from..self.tok.to]
-    }
-
-    fn bytes(&self) -> &'a [u8] {
-        &self.line.as_bytes()[self.tok.from..self.tok.to]
-    }
-}
-
 impl<'a> From<&'a str> for Name<'a> {
-    fn from(line: &'a str) -> Self {
-        let tok = Tok {
-            from: 0,
-            to: line.len(),
-        };
-        Name {
-            line,
-            tok,
-            head: None,
-        }
+    fn from(text: &'a str) -> Self {
+        Name { text, head: None }
     }
 }
 
@@ -929,7 +804,7 @@ impl<'a> Names<'a> {
     fn declare(&mut self, name: Name<'a>, id: usize) -> bool {
         if !self.broken {
             if id == 0 {
-                if let Some((prefix, number)) = numbered(name.text()) {
+                if let Some((prefix, number)) = numbered(name.text) {
                     (self.prefix, self.offset, self.numbered) = (prefix, number, 1);
                     self.prefix_word = (prefix.len() < 8).then(|| {
                         let bytes = prefix.bytes().rev();
@@ -946,7 +821,7 @@ impl<'a> Names<'a> {
         if self.by_number(name).is_some() {
             return false;
         }
-        match self.keyed.entry(name.text()) {
+        match self.keyed.entry(name.text) {
             Entry::Occupied(_) => false,
             Entry::Vacant(slot) => {
                 slot.insert(NodeId::from_index(id));
@@ -959,7 +834,7 @@ impl<'a> Names<'a> {
     fn get(&self, name: Name<'_>) -> Option<NodeId> {
         match self.by_number(name) {
             Some(id) => Some(NodeId::from_index(id)),
-            None => self.keyed.get(name.text()).copied(),
+            None => self.keyed.get(name.text).copied(),
         }
     }
 
@@ -978,7 +853,7 @@ impl<'a> Names<'a> {
     fn id_by_number(&self, name: Name<'_>) -> Option<usize> {
         let number = match (name.head, self.prefix_word) {
             (Some(head), Some(prefix)) => {
-                let (len, skip) = (name.bytes().len(), self.prefix.len());
+                let (len, skip) = (name.text.len(), self.prefix.len());
                 let digits = head.checked_shr(8 * skip as u32).unwrap_or(0);
                 if len <= skip || head ^ digits << (8 * skip) != prefix {
                     return None;
@@ -987,9 +862,13 @@ impl<'a> Names<'a> {
                 eight_digits(digits, len - skip).filter(|_| !leading_zero)?
             }
             _ => {
-                let digits = name.bytes().get(self.prefix.len()..)?;
-                let prefix = name.bytes().iter().zip(self.prefix.as_bytes());
-                if prefix.into_iter().any(|(a, b)| a != b) {
+                let digits = name.text.as_bytes().get(self.prefix.len()..)?;
+                if name
+                    .text
+                    .bytes()
+                    .zip(self.prefix.bytes())
+                    .any(|(a, b)| a != b)
+                {
                     return None;
                 }
                 number(digits)?
