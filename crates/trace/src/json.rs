@@ -300,21 +300,23 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// Reads one string literal. The body is walked a [`BLOCK`] at a
-    /// time: every `"` and `\` of a block is found first, as one bitmask
-    /// ([`specials`]), and the walk then goes from set bit to set bit, so
-    /// no byte between two of them is looked at again. A body without
-    /// escapes is borrowed. At its first escape the body gets its one
-    /// allocation, as long as the whole literal ([`literal_end`]):
-    /// unescaping only shrinks text, and the capacity never depends on
-    /// what follows the literal in the document. Each run of text before
-    /// a short escape is copied into it by one 16-byte move
-    /// ([`short_escapes`]); the bytes a move writes past the run are
-    /// overwritten by what follows. Every run starts and ends on a char
-    /// boundary (`"` and `\` are ASCII and the text is a `&str`), so the
-    /// body's one UTF-8 check, when it becomes a `String`, cannot fail.
-    /// With `keep` unset the body is checked through the same walk but
-    /// comes back empty, and nothing is allocated.
+    /// Reads one string literal. A body that ends within its first 32
+    /// bytes is found a word at a time ([`first_of`]) and borrowed. Any
+    /// other is walked a [`BLOCK`] at a time: every `"` and `\` of a
+    /// block is found first, as one bitmask ([`specials`]), and the walk
+    /// then goes from set bit to set bit, so no byte between two of them
+    /// is looked at again. A body without escapes is borrowed. At its
+    /// first escape the body gets its one allocation, as long as the
+    /// whole literal ([`literal_end`]): unescaping only shrinks text, and
+    /// the capacity never depends on what follows the literal in the
+    /// document. Each run of text before a short escape is copied into it
+    /// by one 16-byte move ([`short_escapes`]); the bytes a move writes
+    /// past the run are overwritten by what follows. Every run starts and
+    /// ends on a char boundary (`"` and `\` are ASCII and the text is a
+    /// `&str`), so the body's one UTF-8 check, when it becomes a
+    /// `String`, cannot fail. With `keep` unset the body is checked
+    /// through the same walk but comes back empty, and nothing is
+    /// allocated.
     fn string(&mut self, keep: bool) -> Result<Cow<'a, str>, String> {
         self.expect(b'"')?;
         let (body, quote) = if keep {
@@ -350,6 +352,15 @@ static SHORT: [u8; 256] = {
 /// the offset of the closing `"`.
 fn unescape<const KEEP: bool>(text: &str, first: usize) -> Result<(Cow<'_, str>, usize), String> {
     let bytes = text.as_bytes();
+    // Most literals (keys, short values) end within their first 32 bytes:
+    // those are read a word at a time before any mask is made.
+    let head = &bytes[first..bytes.len().min(first + 32)];
+    if let Some(at) = first_of(head, b'"', b'\\') {
+        if head[at] == b'"' {
+            let body = if KEEP { &text[first..first + at] } else { "" };
+            return Ok((Cow::Borrowed(body), first + at));
+        }
+    }
     let (mut block, mut run, mut out, mut o) = (first, first, Vec::new(), 0);
     loop {
         if block >= bytes.len() {
@@ -513,6 +524,30 @@ fn specials(block: &[u8; BLOCK]) -> u64 {
             let word = u64::from_le_bytes(word.try_into().expect("eight flags"));
             mask | (word.wrapping_mul(0x0102_0408_1020_4080) >> 56) << (8 * k)
         })
+}
+
+/// The offset in `bytes` of the first `a` or `b`, found eight bytes at a
+/// time: a word XORed with eight copies of a byte has a zero byte exactly
+/// where the word holds that byte, and `(x - 0x01…01) & !x & 0x80…80`
+/// flags zero bytes. A flag can be spurious only above a real zero byte,
+/// so the lowest flag of either test is the first match.
+fn first_of(bytes: &[u8], a: u8, b: u8) -> Option<usize> {
+    const ONES: u64 = u64::from_ne_bytes([0x01; 8]);
+    const HIGHS: u64 = u64::from_ne_bytes([0x80; 8]);
+    let (a8, b8) = (u64::from_ne_bytes([a; 8]), u64::from_ne_bytes([b; 8]));
+    let zero_bytes = |x: u64| x.wrapping_sub(ONES) & !x & HIGHS;
+    let mut words = bytes.chunks_exact(8);
+    let mut base = 0;
+    for word in &mut words {
+        let word = u64::from_le_bytes(word.try_into().expect("eight bytes"));
+        let hits = zero_bytes(word ^ a8) | zero_bytes(word ^ b8);
+        if hits != 0 {
+            return Some(base + hits.trailing_zeros() as usize / 8);
+        }
+        base += 8;
+    }
+    let tail = words.remainder().iter().position(|&c| c == a || c == b);
+    tail.map(|i| base + i)
 }
 
 /// The offset of the `"` that closes the string literal whose body
@@ -753,6 +788,25 @@ mod tests {
                     proptest::prop_assert_eq!(body.capacity(), literal, "{:?}", text);
                 }
             }
+        }
+    }
+
+    #[test]
+    fn first_of_sees_every_offset() {
+        for len in 0..40 {
+            for at in 0..len {
+                for b in [b'"', b'\\'] {
+                    let mut bytes = vec![b'a'; len];
+                    bytes[at] = b;
+                    // Bytes that differ from `"`/`\` by one bit or sit
+                    // one below them must not be mistaken for either.
+                    bytes[..at].fill(b'"' ^ 0x80);
+                    assert_eq!(first_of(&bytes, b'"', b'\\'), Some(at), "{len} {at}");
+                    bytes[..at].fill(b'\\' - 1);
+                    assert_eq!(first_of(&bytes, b'"', b'\\'), Some(at), "{len} {at}");
+                }
+            }
+            assert_eq!(first_of(&vec![0xFF; len], b'"', b'\\'), None);
         }
     }
 
