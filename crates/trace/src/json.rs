@@ -407,7 +407,10 @@ fn unescape<const KEEP: bool>(text: &str, first: usize) -> Result<(Cow<'_, str>,
                     let hex = bytes
                         .get(at + 2..at + 6)
                         .ok_or_else(|| "truncated \\u escape".to_string())?;
-                    let code = hex4(hex).ok_or_else(|| "invalid \\u escape".to_string())?;
+                    let hex =
+                        std::str::from_utf8(hex).map_err(|_| "invalid \\u escape".to_string())?;
+                    let code = u32::from_str_radix(hex, 16)
+                        .map_err(|_| "invalid \\u escape".to_string())?;
                     run = at + 6;
                     // Neither writer emits surrogate pairs; reject rather
                     // than mis-decode them.
@@ -478,15 +481,6 @@ fn short_escapes<const KEEP: bool>(
     }
     (*run, *o) = (r, w);
     mask
-}
-
-/// `u32::from_str_radix(hex, 16)` of the four bytes after a `\u`: hex
-/// digits of either case, after an optional `+`.
-fn hex4(hex: &[u8]) -> Option<u32> {
-    let digits = hex.strip_prefix(b"+").unwrap_or(hex);
-    digits
-        .iter()
-        .try_fold(0, |code, &d| Some(code << 4 | char::from(d).to_digit(16)?))
 }
 
 /// Every bit from bit `n` up; none when `n` is 64 or more.
