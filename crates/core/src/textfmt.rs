@@ -759,12 +759,6 @@ struct Name<'a> {
     head: Option<u64>,
 }
 
-impl<'a> From<&'a str> for Name<'a> {
-    fn from(text: &'a str) -> Self {
-        Name { text, head: None }
-    }
-}
-
 /// One task's node names. While every name is one prefix followed by the
 /// decimal digits of its id plus one offset, both taken from the first
 /// name (`v0 v1 …`, `v1 v2 …`; digits without a leading zero), the names
@@ -1360,6 +1354,13 @@ end
                 want,
                 "{text:?}"
             );
+        }
+    }
+
+    /// A name read byte by byte, as no line loaded it.
+    impl<'a> From<&'a str> for Name<'a> {
+        fn from(text: &'a str) -> Self {
+            Name { text, head: None }
         }
     }
 
