@@ -1,14 +1,19 @@
-//! Micro-benchmarks for the two text layers a `source` request crosses
-//! before the interner: the JSON-line decode (`parse_request`) and the
-//! `.rtp` parse (`parse_task_set`). Both are linear in their input, and
-//! this makes it visible: ns/byte must not grow with the line size, and
-//! µs per set must grow with the set's text, not its square.
+//! Micro-benchmarks for the text layers a `source` request crosses on
+//! its way in and out: the JSON-line decode (`parse_request`), its
+//! encode (`encode_request`), the `.rtp` write (`write_task_set`) and
+//! parse (`parse_task_set`). All are linear in their input, and this
+//! makes it visible: ns/byte must not grow with the line size, and µs
+//! per set must grow with the set's text, not its square.
 //!
 //! Each decode row is printed beside the ns/byte of copying the same line
-//! (`String::from`), the rate of moving its bytes at all. The bench fails
+//! (`String::from`), the rate of moving its bytes at all, and beside an
+//! encode row for the same request and a `write_task_set` row for a set
+//! of about the same size, each with its own copy ratio. The bench fails
 //! when the 8 KiB line, one `\n` escape per `.rtp` directive, decodes at
-//! more than [`MAX_DECODE_OVER_COPY`] times that copy: the unescape then
-//! costs per escape again, not per byte.
+//! more than [`MAX_DECODE_OVER_COPY`] times that copy (the unescape then
+//! costs per escape again, not per byte), or encodes at more than
+//! [`MAX_ENCODE_OVER_COPY`] times it (the escaper is copying each run
+//! and escape with a call of its own again).
 //!
 //! Each parse is printed beside the same set with its names off the
 //! `v0 v1 …` numbering (`v0x v1x …`), which the parser resolves through
@@ -28,7 +33,7 @@ use rand::SeedableRng;
 use rtpool_bench::serve::protocol::{encode_request, parse_request, Request, RequestBody};
 use rtpool_bench::serve::{Interner, ServiceFaultPlan, Supervisor};
 use rtpool_core::textfmt::{parse_task_set, write_task_set};
-use rtpool_core::CancelToken;
+use rtpool_core::{CancelToken, TaskSet};
 use rtpool_exec::RecoveryPolicy;
 use rtpool_gen::{DagGenConfig, TaskSetConfig};
 
@@ -37,6 +42,11 @@ use rtpool_gen::{DagGenConfig, TaskSetConfig};
 /// to the next on its own read 67-89x, the mask walk 32-59x (quiet to
 /// loaded host).
 const MAX_DECODE_OVER_COPY: f64 = 64.0;
+/// The escape-dense 8 KiB line must encode within this multiple of
+/// copying it. On a 2-core VM, three runs each, the block walk reads
+/// 68-78x and the escaper it replaced (two `push_str` calls per escape,
+/// into a line that started at 64 bytes and doubled) 151-161x.
+const MAX_ENCODE_OVER_COPY: f64 = 110.0;
 /// A re-sent source must cost less than this share of parsing it
 /// (about 1/100 measured: a fingerprint pass and a byte comparison).
 const MAX_RESENT_OVER_PARSE: f64 = 0.25;
@@ -51,6 +61,20 @@ fn source_of(n: usize) -> String {
         .generate(&mut rng)
         .expect("generation succeeds");
     write_task_set(&set)
+}
+
+/// Generated one-task sets joined until their text reaches `kib` KiB.
+fn set_of_kib(kib: usize) -> TaskSet {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(kib as u64);
+    let mut set = TaskSet::new(Vec::new());
+    while write_task_set(&set).len() < kib * 1024 {
+        set.extend(
+            TaskSetConfig::new(1, 0.5, DagGenConfig::default())
+                .generate(&mut rng)
+                .expect("generation succeeds"),
+        );
+    }
+    set
 }
 
 /// `text` with every `v<digits>` name renamed `v<digits>x`: the same
@@ -92,19 +116,20 @@ fn best_ns(reps: u32, mut f: impl FnMut()) -> f64 {
         .fold(f64::INFINITY, f64::min)
 }
 
-fn decode_rows() {
+fn line_rows() {
     let text = source_of(8);
     for kib in [1usize, 8, 64] {
         // `.rtp` text cycled to the target size keeps the real escape
         // density (one `\n` per directive); the decoder never parses it.
         let source: String = text.chars().cycle().take(kib * 1024).collect();
-        let line = encode_request(&Request {
+        let request = Request {
             id: 1,
             m: 8,
             priority: 4,
             deadline_us: 0,
             body: RequestBody::Source(source),
-        });
+        };
+        let line = encode_request(&request);
         let ns = best_ns(20, || {
             black_box(parse_request(black_box(&line)).expect("line decodes"));
         });
@@ -118,10 +143,37 @@ fn decode_rows() {
             line.len(),
             copy_ns / line.len() as f64,
         );
+        let encode_ns = best_ns(20, || {
+            black_box(encode_request(black_box(&request)));
+        });
+        let encode_over_copy = encode_ns / copy_ns;
+        println!(
+            "serve_ingest/encode_request_kib/{kib}: {:.2} ns/byte ({encode_over_copy:.1}x the copy)",
+            encode_ns / line.len() as f64,
+        );
+        let set = set_of_kib(kib);
+        let written = write_task_set(&set);
+        let write_ns = best_ns(20, || {
+            black_box(write_task_set(black_box(&set)));
+        });
+        let written_copy_ns = best_ns(500, || {
+            black_box(String::from(black_box(written.as_str())));
+        });
+        println!(
+            "serve_ingest/write_task_set_kib/{kib}: {:.2} ns/byte ({} bytes, {} tasks; {:.1}x its copy)",
+            write_ns / written.len() as f64,
+            written.len(),
+            set.len(),
+            write_ns / written_copy_ns,
+        );
         if kib == 8 {
             assert!(
                 over_copy <= MAX_DECODE_OVER_COPY,
                 "the {kib} KiB line decodes at {over_copy:.1}x its copy (bound {MAX_DECODE_OVER_COPY}x): the unescape is paying per escape again"
+            );
+            assert!(
+                encode_over_copy <= MAX_ENCODE_OVER_COPY,
+                "the {kib} KiB line encodes at {encode_over_copy:.1}x its copy (bound {MAX_ENCODE_OVER_COPY}x): the escaper is paying per escape again"
             );
         }
     }
@@ -204,6 +256,6 @@ fn parse_rows() {
 }
 
 fn main() {
-    decode_rows();
+    line_rows();
     parse_rows();
 }

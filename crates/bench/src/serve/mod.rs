@@ -58,7 +58,7 @@ pub mod server;
 pub mod supervisor;
 
 pub use breaker::{BreakerConfig, BreakerStats, CircuitBreaker};
-pub use interner::{InternError, Interner, InternerStats, MemoOutcome};
+pub use interner::{InternError, Interned, Interner, InternerStats, MemoOutcome};
 pub use ladder::{run_ladder, run_ladder_capped, LadderOutcome};
 pub use protocol::{
     parse_edit_script, EditScript, LadderLevel, Request, RequestBody, Response, VerdictKind,

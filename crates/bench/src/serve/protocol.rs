@@ -38,7 +38,7 @@
 use std::fmt::{self, Write as _};
 
 use rtpool_graph::{EditOp, NodeId};
-use rtpool_trace::json::{escape_into, Reader, Value};
+use rtpool_trace::json::{escape_into, escaped_len, Reader, Value};
 
 /// Highest wire priority (inclusive).
 pub const MAX_PRIORITY: u8 = 7;
@@ -318,14 +318,24 @@ pub struct Response {
     pub detail: String,
 }
 
-/// Encodes a response as one JSON line (no trailing newline).
+/// Encodes a response as one JSON line (no trailing newline), one
+/// allocation of its exact length.
 #[must_use]
 pub fn encode_response(r: &Response) -> String {
-    let mut out = String::with_capacity(96 + r.detail.len());
+    let level = r.level.map(LadderLevel::name);
+    let len = r#"{"id":,"verdict":"","degraded":,"latency_us":,"detail":""}"#.len()
+        + digits(r.id)
+        + r.verdict.name().len()
+        + level.map_or(0, |level| r#","level":"""#.len() + level.len())
+        + if r.degraded { 4 } else { 5 }
+        + digits(r.latency_us)
+        + r.hash.map_or(0, |_| r#","hash":"""#.len() + 16)
+        + escaped_len(&r.detail);
+    let mut out = String::with_capacity(len);
     // Writing into a `String` cannot fail.
     let _ = write!(out, "{{\"id\":{},\"verdict\":\"{}\"", r.id, r.verdict);
-    if let Some(level) = r.level {
-        let _ = write!(out, ",\"level\":\"{}\"", level.name());
+    if let Some(level) = level {
+        let _ = write!(out, ",\"level\":\"{level}\"");
     }
     let _ = write!(
         out,
@@ -338,14 +348,28 @@ pub fn encode_response(r: &Response) -> String {
     out.push_str(",\"detail\":\"");
     escape_into(&r.detail, &mut out);
     out.push_str("\"}");
+    debug_assert_eq!(out.len(), len, "the line was sized exactly");
     out
 }
 
-/// Encodes a request as one JSON line (no trailing newline). Used by the
-/// load generator and the round-trip tests.
+/// Encodes a request as one JSON line (no trailing newline), one
+/// allocation of its exact length. Used by the load generator and the
+/// round-trip tests.
 #[must_use]
 pub fn encode_request(r: &Request) -> String {
-    let mut out = String::with_capacity(64);
+    let len = r#"{"id":,"m":,"priority":,"deadline_us":"}"#.len()
+        + digits(r.id)
+        + digits(r.m as u64)
+        + digits(u64::from(r.priority))
+        + digits(r.deadline_us)
+        + match &r.body {
+            RequestBody::Source(src) => r#","source":""#.len() + escaped_len(src),
+            RequestBody::Hash(_) => r#","hash":""#.len() + 16,
+            RequestBody::Edit { script, .. } => {
+                r#","base":"","edits":""#.len() + 16 + escaped_len(script)
+            }
+        };
+    let mut out = String::with_capacity(len);
     let _ = write!(
         out,
         "{{\"id\":{},\"m\":{},\"priority\":{},\"deadline_us\":{}",
@@ -365,7 +389,13 @@ pub fn encode_request(r: &Request) -> String {
         }
     }
     out.push_str("\"}");
+    debug_assert_eq!(out.len(), len, "the line was sized exactly");
     out
+}
+
+/// The number of decimal digits of `n`.
+fn digits(n: u64) -> usize {
+    n.checked_ilog10().map_or(1, |d| d as usize + 1)
 }
 
 /// Binds the first value under each named key of `$line` to a variable of

@@ -28,7 +28,7 @@ use std::time::Duration;
 use rtpool_core::{CancelToken, Task, TaskSet};
 use rtpool_exec::RecoveryPolicy;
 
-use super::interner::{InternError, Interner, MemoOutcome};
+use super::interner::{InternError, Interned, Interner, MemoOutcome};
 use super::ladder::{run_ladder, LadderOutcome};
 use super::protocol::{
     parse_edit_script, EditScript, LadderLevel, Request, RequestBody, VerdictKind,
@@ -189,9 +189,17 @@ impl Supervisor {
             events.push(ServiceEvent::SlowRequest);
             thread::sleep(d);
         }
-        let (hash, set) = match &request.body {
-            RequestBody::Source(src) => interner.intern(src).map_err(attempt_error)?,
-            RequestBody::Hash(h) => (*h, interner.lookup(*h).map_err(attempt_error)?),
+        let Interned {
+            hash,
+            set,
+            resident,
+        } = match &request.body {
+            RequestBody::Source(src) => interner.resolve(src).map_err(attempt_error)?,
+            RequestBody::Hash(h) => Interned {
+                hash: *h,
+                set: interner.lookup(*h).map_err(attempt_error)?,
+                resident: true,
+            },
             RequestBody::Edit { base, script } => {
                 let resolved = match interner.recall_edit(*base, script) {
                     Some(resolved) => resolved,
@@ -218,7 +226,12 @@ impl Supervisor {
         if faults.panic_worker {
             panic!("injected service fault: worker panic (request {seq}, attempt {attempt})");
         }
-        if let Some(memo) = interner.memoized(hash, request.m) {
+        // A set that is not the resident one under its hash neither
+        // reads nor writes that entry's memo.
+        if let Some(memo) = resident
+            .then(|| interner.memoized(hash, request.m))
+            .flatten()
+        {
             return Ok(LadderVerdict {
                 hash,
                 outcome: LadderOutcome {
@@ -230,7 +243,7 @@ impl Supervisor {
             });
         }
         let outcome = run_ladder(&set, request.m, token);
-        if !outcome.degraded {
+        if resident && !outcome.degraded {
             interner.memoize(
                 hash,
                 request.m,

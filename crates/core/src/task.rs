@@ -34,6 +34,9 @@ impl fmt::Display for TaskId {
 /// per processor), all at the task's priority — the pool size is a
 /// platform parameter passed to the analyses, not stored here.
 ///
+/// Two tasks are `==` when their graphs are (WCETs, successor rows and
+/// blocking pairs) and so are their periods and deadlines.
+///
 /// # Examples
 ///
 /// ```
@@ -49,7 +52,7 @@ impl fmt::Display for TaskId {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Task {
     dag: Dag,
     period: u64,
@@ -137,7 +140,8 @@ impl Task {
 
 /// An ordered set of tasks `Γ`; the position of a task is its priority
 /// level (index 0 = highest), as required by fixed-priority scheduling
-/// with distinct per-task priorities.
+/// with distinct per-task priorities. Two sets are `==` when their
+/// tasks are, in priority order, and so are their backends.
 ///
 /// # Examples
 ///
@@ -158,7 +162,7 @@ impl Task {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TaskSet {
     tasks: Vec<Task>,
     backend: SyncBackend,

@@ -68,6 +68,7 @@ mod dag;
 mod dot;
 mod edit;
 mod error;
+mod hash;
 mod node;
 mod paths;
 mod reach;
@@ -83,6 +84,7 @@ pub use cache::DelayProfile;
 pub use dag::Dag;
 pub use edit::{DagDelta, DagEdit, EditOp};
 pub use error::GraphError;
+pub use hash::WordHash;
 pub use node::{NodeId, NodeKind};
 pub use reach::Reachability;
 pub use regions::Region;

@@ -156,6 +156,81 @@ proptest! {
     }
 }
 
+/// `shape` through `Dag::from_lists`, when it builds.
+fn lists(shape: &Shape) -> Option<Dag> {
+    let node = |&(a, b): &(usize, usize)| (NodeId::from_index(a), NodeId::from_index(b));
+    let edges: Vec<_> = shape.edges.iter().map(node).collect();
+    let pairs: Vec<_> = shape.pairs.iter().map(node).collect();
+    Dag::from_lists(&shape.wcets, &edges, &pairs).ok()
+}
+
+/// `other` hashes apart from `dag` and compares unequal to it.
+fn apart(dag: &Dag, other: &Dag, what: &str) -> Result<(), String> {
+    prop_assert!(dag.content_hash() != other.content_hash(), "{}", what);
+    prop_assert!(dag != other, "{}", what);
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+    /// Every step of the hash kernel is a bijection, so one changed word
+    /// changes the hash: a changed WCET, a dropped pair and two swapped
+    /// successor rows (or two swapped edges of one row) each hash apart,
+    /// and `==` tells each apart too. A cold copy and a WCET edit back to
+    /// the same WCETs hash and compare equal.
+    #[test]
+    fn one_changed_word_hashes_apart(
+        seed in any::<u64>(),
+        depth in 1u32..4,
+        bump in 1u64..1000,
+    ) {
+        let shape = nested_shape(seed, depth, Blocking::DepthWeighted);
+        let dag = lists(&shape).expect("a nested shape builds");
+        prop_assert!(dag.clone_uncached() == dag);
+        prop_assert_eq!(dag.clone_uncached().content_hash(), dag.content_hash());
+        for v in dag.node_ids() {
+            let mut changed = shape.clone();
+            changed.wcets[v.index()] = changed.wcets[v.index()].wrapping_add(bump) % (1 << 40);
+            if let Some(other) = lists(&changed) {
+                apart(&dag, &other, &format!("WCET of {v:?}"))?;
+                let mut edit = other.edit();
+                edit.set_wcet(v, dag.wcet(v));
+                let (back, _) = edit.apply().expect("a WCET edit applies");
+                prop_assert_eq!(back.content_hash(), dag.content_hash());
+                prop_assert!(back == dag);
+            }
+        }
+        for k in 0..shape.pairs.len() {
+            let mut dropped = shape.clone();
+            dropped.pairs.remove(k);
+            let other = lists(&dropped).expect("dropping a pair keeps the graph valid");
+            apart(&dag, &other, &format!("pair {k} dropped"))?;
+        }
+        let rows: Vec<Vec<usize>> = dag.node_ids().map(|v| ids(dag.successors(v))).collect();
+        for a in 0..rows.len() {
+            if let Some(row) = rows[a].get(..2) {
+                let mut swapped = shape.clone();
+                let at = |e: (usize, usize)| swapped.edges.iter().position(|&x| x == e).unwrap();
+                let (i, j) = (at((a, row[0])), at((a, row[1])));
+                swapped.edges.swap(i, j);
+                let other = lists(&swapped).expect("reordering a row keeps the graph valid");
+                apart(&dag, &other, &format!("row {a} reordered"))?;
+            }
+            let b = (a + 1 + seed as usize % rows.len()) % rows.len();
+            if rows[a] == rows[b] {
+                continue;
+            }
+            let mut swapped = shape.clone();
+            for e in &mut swapped.edges {
+                e.0 = if e.0 == a { b } else if e.0 == b { a } else { e.0 };
+            }
+            if let Some(other) = lists(&swapped) {
+                apart(&dag, &other, &format!("rows {a} and {b} swapped"))?;
+            }
+        }
+    }
+}
+
 #[test]
 fn every_mutation_class_meets_its_error() {
     // One mutation per generated graph: the library and the model agree

@@ -290,13 +290,18 @@ fn critical_path(wcets: &[u64], pred: &[Vec<usize>], order: &[usize], sink: usiz
     dist[sink]
 }
 
-/// FNV-1a (offset basis `0xcbf29ce484222325`, prime `0x100000001b3`)
-/// over `u64` words, each fed as its eight little-endian bytes: the node
-/// count; each WCET, by node; each edge as `from << 32 | to`, successor
-/// rows in id order, each row in insertion order; each pair as
-/// `low << 32 | high` of its two ends, ascending.
+/// The four-lane multiply-rotate hash over `u64` words: the node count;
+/// each WCET, by node; each edge as `from << 32 | to`, successor rows in
+/// id order, each row in insertion order; each pair as `low << 32 |
+/// high` of its two ends, ascending. Word `k` goes into lane `k mod 4`
+/// as `lane = rotl((lane ^ word) * P1, 29)`; the lanes start at `P1,
+/// P2, P3, 0`, are folded into the word count, and the result is
+/// avalanched.
 #[must_use]
 pub fn content_hash(shape: &Shape) -> u64 {
+    const P1: u64 = 0x9e37_79b1_85eb_ca87;
+    const P2: u64 = 0xc2b2_ae3d_27d4_eb4f;
+    const P3: u64 = 0x1656_67b1_9e37_79f9;
     let word = |a: usize, b: usize| ((a as u64) << 32) | b as u64;
     let n = shape.wcets.len();
     let mut words = vec![n as u64];
@@ -312,11 +317,17 @@ pub fn content_hash(shape: &Shape) -> u64 {
         .collect();
     pairs.sort_unstable();
     words.extend(pairs);
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in words.iter().flat_map(|w| w.to_le_bytes()) {
-        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+    let mut lanes = [P1, P2, P3, 0];
+    for (k, &w) in words.iter().enumerate() {
+        lanes[k % 4] = (lanes[k % 4] ^ w).wrapping_mul(P1).rotate_left(29);
     }
-    h
+    let mut h = words.len() as u64;
+    for lane in lanes {
+        h = (h.rotate_left(27) ^ lane).wrapping_mul(P2);
+    }
+    h = (h ^ (h >> 33)).wrapping_mul(P2);
+    h = (h ^ (h >> 29)).wrapping_mul(P3);
+    h ^ (h >> 32)
 }
 
 #[cfg(test)]
